@@ -7,24 +7,21 @@ Two claims back the ``repro.obs`` zero-overhead contract at benchmark scale:
   exactly the same reaction history as an untraced engine, and the recorded
   reduction-phase spans reconcile with ``ReductionReport.timings`` to float
   precision (the invariant ``ginflow trace summarize`` relies on);
-* **Overhead** — with tracing off, the instrumented engine's wall clock on
-  the montage scenario stays within 2% (plus a fixed scheduler-noise slack)
-  of the uninstrumented-equivalent baseline measured in the same process.
-  Both sides run the *same* binary — :func:`repro.obs.tracer.active`
-  normalises a ``NullTracer`` to ``None``, so the comparison measures the
-  per-seam ``if trace is not None`` guards, which is all a tracing-off run
-  ever pays.
-
-The quick CI profile runs montage-100; ``GINFLOW_FULL=1`` runs the
-Section IV-C sized montage-500 (the ISSUE acceptance scale).
+* **Off means off** — :func:`repro.obs.tracer.active` normalises a
+  ``NullTracer`` to ``None`` at construction, so an engine or an agent built
+  with one runs the very same code path as an untraced one: every
+  instrumentation site is a ``trace is None`` check.  That is a structural
+  fact, asserted as such; a wall-clock comparison of the two arms would time
+  one code path twice and could only ever fail on host noise.  What tracing
+  costs when it is *on* is read from the end-to-end benchmark's
+  traced-vs-untraced ``trace.overhead_ratio``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from time import perf_counter
 
+from repro.agents import AgentCore
 from repro.analysis.obs_checks import reduction_phase_totals
 from repro.hocl import ReductionEngine, default_registry
 from repro.hoclflow import encode_workflow
@@ -33,24 +30,9 @@ from repro.obs import NullTracer, RecordingTracer
 from repro.services import InvocationContext, ServiceRegistry
 from repro.workflow.montage import montage_workflow
 
-#: Relative overhead ceiling for tracing-off runs (the ISSUE's 2% gate).
-_OVERHEAD_TOLERANCE = 0.02
-
-#: Absolute seconds absorbing scheduler noise on sub-second scenarios.
-_OVERHEAD_SLACK = 0.05
-
-
-def _full_profile() -> bool:
-    return bool(os.environ.get("GINFLOW_FULL"))
-
-
-def _montage():
-    projections = 490 if _full_profile() else 90
-    return montage_workflow(projections=projections, duration_scale=0.01)
-
 
 def _reduce(workflow, trace=None):
-    """Centralised serial reduction; returns (report, wall_seconds, solution)."""
+    """Centralised serial reduction; returns (report, solution)."""
     encoding = encode_workflow(workflow)
     solution = encoding.to_multiset()
     registry = ServiceRegistry()
@@ -73,11 +55,9 @@ def _reduce(workflow, trace=None):
     engine = ReductionEngine(
         externals=externals, max_steps=5_000_000, trace=trace, trace_track="centralized"
     )
-    start = perf_counter()
     report = engine.reduce(solution)
-    wall = perf_counter() - start
     assert report.inert
-    return report, wall, solution
+    return report, solution
 
 
 def _history(report):
@@ -87,8 +67,8 @@ def _history(report):
 def test_null_tracer_is_reduction_identical():
     """A NullTracer engine reaches the same solution via the same reactions."""
     workflow = montage_workflow(projections=90, duration_scale=0.01)
-    plain, _, plain_solution = _reduce(workflow, trace=None)
-    nulled, _, nulled_solution = _reduce(workflow, trace=NullTracer())
+    plain, plain_solution = _reduce(workflow, trace=None)
+    nulled, nulled_solution = _reduce(workflow, trace=NullTracer())
     assert _history(nulled) == _history(plain)
     assert nulled.rule_fires == plain.rule_fires
     assert nulled.match_attempts == plain.match_attempts
@@ -98,9 +78,9 @@ def test_null_tracer_is_reduction_identical():
 def test_recording_tracer_is_reduction_identical_and_reconciles():
     """Recording changes nothing, and the spans carry the engine's own timings."""
     workflow = montage_workflow(projections=90, duration_scale=0.01)
-    plain, _, plain_solution = _reduce(workflow, trace=None)
+    plain, plain_solution = _reduce(workflow, trace=None)
     tracer = RecordingTracer()
-    traced, _, traced_solution = _reduce(workflow, trace=tracer)
+    traced, traced_solution = _reduce(workflow, trace=tracer)
     assert _history(traced) == _history(plain)
     assert traced_solution.content_hash() == plain_solution.content_hash()
     assert tracer.spans, "an active tracer must record the reduction"
@@ -111,28 +91,10 @@ def test_recording_tracer_is_reduction_identical_and_reconciles():
         ), f"{phase}: spans {totals[phase]} vs report {traced.timings.get(phase)}"
 
 
-def test_null_tracer_overhead_within_two_percent():
-    """Tracing off costs <= 2% wall on the montage reduction (best of 3).
-
-    The runs interleave (baseline, nulled, baseline, ...) so a mid-test
-    machine slowdown hits both sides; the best-of-N comparison discards the
-    noisy repetitions the same way ``check_regression.py`` does.
-    """
-    workflow = _montage()
-    baseline_walls = []
-    nulled_walls = []
-    for _ in range(3):
-        _, wall, _ = _reduce(workflow, trace=None)
-        baseline_walls.append(wall)
-        _, wall, _ = _reduce(workflow, trace=NullTracer())
-        nulled_walls.append(wall)
-    baseline = min(baseline_walls)
-    nulled = min(nulled_walls)
-    budget = baseline * (1.0 + _OVERHEAD_TOLERANCE) + _OVERHEAD_SLACK
-    assert nulled <= budget, (
-        f"tracing-off wall {nulled:.3f}s exceeds the untraced baseline "
-        f"{baseline:.3f}s by more than {_OVERHEAD_TOLERANCE:.0%} (+{_OVERHEAD_SLACK}s slack)"
-    )
-    scale = "montage-500" if _full_profile() else "montage-100"
-    print(f"\n{scale} tracing-off overhead: {nulled / baseline - 1.0:+.2%} "
-          f"(baseline {baseline:.3f}s, nulled {nulled:.3f}s)")
+def test_null_tracer_is_normalised_away_at_construction():
+    """Tracing off is the untraced code path itself, not a cheaper traced one."""
+    assert ReductionEngine(trace=NullTracer()).trace is None
+    encoding = encode_workflow(montage_workflow(projections=4, duration_scale=0.01))
+    core = AgentCore(next(iter(encoding.tasks.values())), trace=NullTracer())
+    assert core.trace is None
+    assert core.engine.trace is None

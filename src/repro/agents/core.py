@@ -22,7 +22,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro.hocl import Multiset, ReductionEngine, Symbol, default_registry, to_atom
+from repro.hocl import Multiset, ReductionEngine, Symbol, default_registry, from_atom, to_atom
 from repro.hocl.parallel import resolve_policy
 from repro.obs.logs import get_logger
 from repro.obs.tracer import Tracer, active as active_tracer
@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hocl.parallel import ParallelReducer, ReductionPolicy
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import (
+    add_to_field,
     build_parameters,
     get_dst,
     get_in_atoms,
@@ -38,12 +39,14 @@ from repro.hoclflow.fields import (
     get_src,
     has_error,
     has_result,
+    remove_task_name,
+    res_field,
     tagged_input,
 )
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.hoclflow.translator import TaskEncoding
 
-from .actions import Action, StatusUpdate
+from .actions import Action, SendResult, StartInvocation, StatusUpdate
 from .local_rules import build_local_rules
 
 __all__ = ["AgentState", "AgentCore"]
@@ -156,8 +159,6 @@ class AgentCore:
 
     def result_value(self) -> Any:
         """The stored result value (unwrapped), or ``None``."""
-        from repro.hocl import from_atom
-
         for atom in get_res_atoms(self.solution):
             if not (isinstance(atom, Symbol) and atom.name == kw.ERROR):
                 return from_atom(atom)
@@ -191,22 +192,15 @@ class AgentCore:
         ``SRC`` — either because the first copy was already consumed or
         because an adaptation moved the source) are ignored; the one-shot
         nature of ``gw_setup``/``gw_call`` makes this safe (Section IV-B).
+
+        The local solution is edited in place — the source leaves ``SRC``,
+        the tagged value joins ``IN`` — so one message costs the same
+        whatever the agent's fan-in.
         """
-        sources = self.pending_sources()
-        if source not in sources:
+        if not remove_task_name(self.solution, kw.SRC, source):
             self.duplicates_ignored += 1
             return []
-        remaining = [name for name in sources if name != source]
-        from repro.hoclflow.fields import set_task_names
-
-        set_task_names(self.solution, kw.SRC, remaining)
-        in_field = self.solution.find_tuple(kw.IN)
-        if in_field is not None:
-            from repro.hocl import Subsolution
-
-            body = in_field.elements[1]
-            if isinstance(body, Subsolution):
-                body.solution.add(tagged_input(source, value))
+        add_to_field(self.solution, kw.IN, tagged_input(source, value))
         return self._reduce_and_collect("receive_result")
 
     def receive_adapt(self, count: int = 1) -> list[Action]:
@@ -235,17 +229,10 @@ class AgentCore:
 
     # ------------------------------------------------------------- internals
     def _store_result(self, atom: Any) -> None:
-        from repro.hocl import Subsolution
-
-        res_field = self.solution.find_tuple(kw.RES)
-        if res_field is None:
-            from repro.hoclflow.fields import res_field as make_res
-
-            self.solution.add(make_res([atom]))
-            return
-        body = res_field.elements[1]
-        if isinstance(body, Subsolution):
-            body.solution.add(atom)
+        if self.solution.find_tuple(kw.RES) is None:
+            self.solution.add(res_field([atom]))
+        else:
+            add_to_field(self.solution, kw.RES, atom)
 
     def _reduce_and_collect(self, stimulus: str = "stimulus") -> list[Action]:
         trace = self.trace
@@ -265,17 +252,12 @@ class AgentCore:
         # the list must be drained in place (never rebound).
         actions = list(self._pending)
         self._pending.clear()
-        deduplicated: list[Action] = []
         for action in actions:
-            if isinstance(action, type(None)):
-                continue
-            deduplicated.append(action)
-            if action.__class__.__name__ == "StartInvocation":
+            if isinstance(action, StartInvocation):
                 self.invocation_requested = True
-        deduplicated.append(StatusUpdate(state=self.state))
-        for action in deduplicated:
-            if action.__class__.__name__ == "SendResult":
+            elif isinstance(action, SendResult):
                 self.results_sent += 1
+        actions.append(StatusUpdate(state=self.state))
         if trace is not None:
             trace.span(
                 f"agent.{stimulus}",
@@ -290,7 +272,7 @@ class AgentCore:
             "%s: %d reactions, %d actions, state=%s",
             stimulus,
             report.reactions,
-            len(deduplicated),
+            len(actions),
             self.state,
         )
-        return deduplicated
+        return actions

@@ -283,6 +283,15 @@ class Multiset:
         """Add every value from ``values``; returns the added atoms."""
         return [self.add(v) for v in values]
 
+    def _bucket_of(self, atom: Atom) -> list[_Entry]:
+        """The primary (most specific) index bucket ``atom`` lives in, if stored.
+
+        Equal atoms share their primary key and a bucket is a subsequence of
+        ``_entries``, so the first equal (or identical) entry in it is the
+        first one overall: no occurrence lookup scans ``_entries``.
+        """
+        return self._index.get(atom_index_keys(atom)[0], _EMPTY_BUCKET)
+
     def remove(self, atom: Any) -> None:
         """Remove one occurrence of ``atom`` (structural equality).
 
@@ -292,9 +301,9 @@ class Multiset:
             If no equal atom is present.
         """
         target = to_atom(atom)
-        for index, entry in enumerate(self._entries):
+        for entry in self._bucket_of(target):
             if entry.atom == target:
-                self._remove_at(index)
+                self._remove_entry(entry)
                 return
         raise KeyError(f"atom not in multiset: {target!r}")
 
@@ -313,23 +322,20 @@ class Multiset:
         engine can delete precisely those occurrences even when duplicates
         exist.
         """
-        for index, entry in enumerate(self._entries):
+        for entry in self._bucket_of(atom):
             if entry.atom is atom:
-                self._remove_at(index)
+                self._remove_entry(entry)
                 return
         raise KeyError(f"atom object not in multiset: {atom!r}")
 
-    def _remove_at(self, index: int) -> None:
-        entry = self._entries.pop(index)
+    def _remove_entry(self, entry: _Entry) -> None:
+        # `_Entry` defines no `__eq__`: each `list.remove` is one C-level
+        # identity scan, and never compares atoms.
+        self._entries.remove(entry)
         atom = entry.atom
         for key in atom_index_keys(atom):
-            bucket = self._index.get(key)
-            if bucket is None:
-                continue
-            for position, candidate in enumerate(bucket):
-                if candidate is entry:
-                    del bucket[position]
-                    break
+            bucket = self._index[key]
+            bucket.remove(entry)
             if not bucket:
                 del self._index[key]
         if atom.kind == "rule":
@@ -361,12 +367,12 @@ class Multiset:
 
     def __contains__(self, value: Any) -> bool:
         target = to_atom(value)
-        return any(entry.atom == target for entry in self._entries)
+        return any(entry.atom == target for entry in self._bucket_of(target))
 
     def count(self, value: Any) -> int:
         """Number of occurrences equal to ``value``."""
         target = to_atom(value)
-        return sum(1 for entry in self._entries if entry.atom == target)
+        return sum(1 for entry in self._bucket_of(target) if entry.atom == target)
 
     def atoms(self) -> list[Atom]:
         """A snapshot list of the current atoms (safe to iterate while mutating)."""
@@ -467,7 +473,11 @@ class Multiset:
 
     def remove_symbol(self, name: str) -> bool:
         """Remove one occurrence of symbol ``name`` if present."""
-        return self.discard(Symbol(name))
+        bucket = self._index.get(("symbol", name))
+        if not bucket:
+            return False
+        self._remove_entry(bucket[0])
+        return True
 
     def subsolutions(self) -> list[Subsolution]:
         """Every top-level sub-solution atom."""

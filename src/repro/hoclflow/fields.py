@@ -4,7 +4,10 @@ A task sub-solution (the ``T1 : <...>`` of Fig. 3) contains one *field tuple*
 per reserved keyword: ``SRC : <...>``, ``DST : <...>``, ``SRV : "s1"``,
 ``IN : <...>``, ``RES : <...>`` and, once set up, ``PAR : [...]``.  This
 module centralises how those tuples are built and read, both for the
-centralised translation and for the service agents' local solutions.
+centralised translation and for the service agents' local solutions.  The
+agents edit their fields *in place* between reductions
+(:func:`remove_task_name`, :func:`add_to_field`): a received result costs one
+removed ``SRC`` atom and one added ``IN`` atom, never a rebuilt field.
 
 Transferred results are stored in the destination's ``IN`` solution as
 *tagged* pairs ``Ti : value`` (a 2-tuple whose head is the producing task's
@@ -45,7 +48,8 @@ __all__ = [
     "tagged_input_value",
     "get_field",
     "get_task_names",
-    "set_task_names",
+    "remove_task_name",
+    "add_to_field",
     "get_src",
     "get_dst",
     "get_service",
@@ -138,10 +142,26 @@ def get_task_names(solution: Multiset, keyword: str) -> list[str]:
     return [atom.name for atom in body if isinstance(atom, Symbol)]
 
 
-def set_task_names(solution: Multiset, keyword: str, task_names: Iterable[str]) -> None:
-    """Replace the ``SRC``/``DST`` field with the given task names."""
-    builder = src_field if keyword == kw.SRC else dst_field
-    solution.replace_tuple(keyword, builder(task_names))
+def remove_task_name(solution: Multiset, keyword: str, task_name: str) -> bool:
+    """Drop every occurrence of ``task_name`` from the ``SRC``/``DST`` field, in place.
+
+    Returns whether the name was listed.  The field tuple stays where it is
+    and the other names keep their order; the name is located through the
+    field body's ``("symbol", name)`` bucket, so the cost does not depend on
+    how many names the field lists.
+    """
+    body = _field_solution(solution, keyword)
+    listed = False
+    while body is not None and body.remove_symbol(task_name):
+        listed = True
+    return listed
+
+
+def add_to_field(solution: Multiset, keyword: str, value: Any) -> None:
+    """Add ``value`` to the sub-solution of field ``keyword``, in place (no-op without one)."""
+    body = _field_solution(solution, keyword)
+    if body is not None:
+        body.add(value)
 
 
 def get_src(solution: Multiset) -> list[str]:

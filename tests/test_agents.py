@@ -1,6 +1,7 @@
 """Unit tests for the service-agent core, coordinator and recovery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents import (
     AgentCore,
@@ -13,7 +14,11 @@ from repro.agents import (
     rebuild_agent,
     replay_messages,
 )
-from repro.hoclflow import encode_workflow
+from repro.hocl import Multiset, Symbol
+from repro.hoclflow import encode_workflow, keywords as kw
+from repro.hoclflow.fields import src_field, tagged_input
+from repro.hoclflow.generic_rules import generic_task_rules
+from repro.hoclflow.translator import TaskEncoding
 from repro.messaging import Message, MessageKind, agent_topic
 from repro.workflow import AdaptationSpec, Task, Workflow, diamond_workflow
 
@@ -275,3 +280,152 @@ class TestRecovery:
         assert destination.receive_result("T_1_1", "a") == []
         assert destination.invocation_requested == invoked_before
         assert destination.duplicates_ignored == 1
+
+
+def fan_in_encoding(listed_sources):
+    """A task waiting for ``listed_sources`` (as listed: repeats allowed)."""
+    return TaskEncoding(
+        name="merge", service="s", inputs=["seed"], duration=0.0, metadata={},
+        sources=list(listed_sources), destinations=["sink"], local_rules=generic_task_rules("merge"),
+    )
+
+
+def receive_result_by_rebuild(core, source, value):
+    """``receive_result`` as it was before the in-place edit: the reference.
+
+    Reads every pending source, rebuilds the whole ``SRC`` field without
+    ``source`` and swaps it in with ``Multiset.replace_tuple``.
+    """
+    sources = core.pending_sources()
+    if source not in sources:
+        core.duplicates_ignored += 1
+        return []
+    core.solution.replace_tuple(kw.SRC, src_field([name for name in sources if name != source]))
+    core.solution.find_tuple(kw.IN).elements[1].solution.add(tagged_input(source, value))
+    return core._reduce_and_collect("receive_result")
+
+
+def observable_state(core):
+    """Everything the cost model, the audits and the STATUS payloads read."""
+    return {
+        "status": core.status(),
+        "content_hash": core.solution.content_hash(),
+        "parameters": core.current_parameters(),
+        "match_attempts": core.match_attempts,
+        "reactions": core.reactions,
+        "reduction_units": core.reduction_units,
+        "rule_fires": dict(core.rule_fires),
+        "duplicates_ignored": core.duplicates_ignored,
+        "invocation_requested": core.invocation_requested,
+        "results_sent": core.results_sent,
+    }
+
+
+@st.composite
+def result_scripts(draw):
+    """``(sources as listed in SRC, senders of the RESULT messages in arrival order)``.
+
+    Every source reports at least once, in random order; duplicated results
+    and results of a task that was never a source are mixed in anywhere, and
+    one source may be listed twice in ``SRC``.
+    """
+    fan_in = draw(st.integers(1, 64))
+    sources = [f"S{index}" for index in range(fan_in)]
+    listed = list(sources)
+    if draw(st.booleans()):
+        listed.insert(draw(st.integers(0, fan_in)), draw(st.sampled_from(sources)))
+    senders = list(draw(st.permutations(sources)))
+    for extra in draw(st.lists(st.sampled_from(sources + ["stale"]), max_size=8)):
+        senders.insert(draw(st.integers(0, len(senders))), extra)
+    return listed, senders
+
+
+class TestStimulusPath:
+    """``receive_result`` edits ``SRC``/``IN`` in place, at a fan-in-independent cost."""
+
+    @given(result_scripts(), st.sampled_from([None, "batch"]))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_edit_matches_the_rebuild_reference(self, script, reduction):
+        listed, senders = script
+        encoding = fan_in_encoding(listed)
+        live = AgentCore(encoding, reduction=reduction)
+        reference = AgentCore(encoding, reduction=reduction)
+        assert live.boot() == reference.boot()
+        for number, sender in enumerate(senders):
+            value = f"value-{number}"
+            assert live.receive_result(sender, value) == receive_result_by_rebuild(reference, sender, value)
+            assert observable_state(live) == observable_state(reference)
+        assert live.pending_sources() == []
+        assert live.invocation_requested
+        assert live.duplicates_ignored == len(senders) - len(set(listed))
+        assert live.invocation_succeeded("done") == reference.invocation_succeeded("done")
+        assert observable_state(live) == observable_state(reference)
+
+    @given(result_scripts())
+    @settings(max_examples=40, deadline=None)
+    def test_replay_of_the_same_messages_reaches_the_live_state(self, script):
+        listed, senders = script
+        encoding = fan_in_encoding(listed)
+        live = AgentCore(encoding)
+        live_actions = list(live.boot())
+        messages = []
+        for number, sender in enumerate(senders):
+            live_actions.extend(live.receive_result(sender, f"value-{number}"))
+            messages.append(
+                Message(topic=agent_topic("merge"), kind=MessageKind.RESULT, sender=sender,
+                        recipient="merge", payload=f"value-{number}")
+            )
+        rebuilt, replayed_actions = rebuild_agent(encoding, messages)
+        assert replayed_actions == live_actions
+        assert observable_state(rebuilt) == observable_state(live)
+
+    def test_sources_keep_their_order_and_the_src_tuple_stays_put(self):
+        core = AgentCore(fan_in_encoding(["a", "b", "c", "b", "d"]))
+        core.boot()
+        src_tuple = core.solution.find_tuple(kw.SRC)
+        core.receive_result("b", 1)  # both occurrences leave
+        assert core.pending_sources() == ["a", "c", "d"]
+        core.receive_result("a", 2)
+        assert core.pending_sources() == ["c", "d"]
+        assert core.solution.find_tuple(kw.SRC) is src_tuple
+        assert core.receive_result("b", 3) == [] and core.duplicates_ignored == 1
+
+    def test_cost_per_stimulus_does_not_depend_on_the_fan_in(self, monkeypatch):
+        """No clock: count the atoms a stimulus builds, at fan-in 32 and 512.
+
+        Rebuilding ``SRC`` per message re-creates every remaining source —
+        about fan-in/2 ``Symbol`` constructions and ``Multiset.add`` calls per
+        stimulus; the in-place edit makes a constant handful.
+        """
+        counts = {"add": 0, "symbol": 0}
+        real_add, real_new = Multiset.add, Symbol.__new__
+
+        def counting_add(self, value):
+            counts["add"] += 1
+            return real_add(self, value)
+
+        def counting_new(cls, name):
+            counts["symbol"] += 1
+            return real_new(cls, name)
+
+        def per_stimulus(fan_in):
+            sources = [f"S{index}" for index in range(fan_in)]
+            core = AgentCore(fan_in_encoding(sources))
+            core.boot()
+            seen = []
+            # the last result fires gw_setup/gw_call, which read all of IN once
+            for source in sources[:-1]:
+                before = dict(counts)
+                core.receive_result(source, "value")
+                seen.append((counts["add"] - before["add"], counts["symbol"] - before["symbol"]))
+            core.receive_result(sources[-1], "value")
+            assert core.invocation_requested
+            return seen
+
+        monkeypatch.setattr(Multiset, "add", counting_add)
+        monkeypatch.setattr(Symbol, "__new__", staticmethod(counting_new))
+        narrow, wide = per_stimulus(32), per_stimulus(512)
+        assert len(set(narrow)) == 1, "every stimulus of one agent costs the same"
+        assert set(wide) == set(narrow), f"fan-in 512 {sorted(set(wide))} vs fan-in 32 {sorted(set(narrow))}"
+        adds, symbols = narrow[0]
+        assert adds <= 4 and symbols <= 4

@@ -1,8 +1,21 @@
 """Unit tests for the Multiset container."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.hocl import IntAtom, Multiset, Rule, Subsolution, Symbol, TupleAtom, Var
+from repro.hocl import (
+    BoolAtom,
+    FloatAtom,
+    IntAtom,
+    ListAtom,
+    Multiset,
+    Rule,
+    StringAtom,
+    Subsolution,
+    Symbol,
+    TupleAtom,
+    Var,
+)
 
 
 def make_rule(name="r"):
@@ -231,3 +244,190 @@ class TestCandidateIndex:
         inner.add(4)
         assert first.version > v_first  # still contained once
         assert second.version == v_second  # fully disowned
+
+
+def one_of_each_kind():
+    """One atom per kind (and per index-key shape), freshly built each call."""
+    return {
+        "int": IntAtom(1),
+        "float": FloatAtom(1.0),
+        "bool": BoolAtom(True),
+        "string": StringAtom("a"),
+        "list": ListAtom([1, 2]),
+        "solution": Subsolution([1]),
+        "symbol": Symbol("A"),
+        "tuple-symbol-head": TupleAtom([Symbol("SRC"), 1]),
+        "tuple-other-head": TupleAtom([1, 2]),
+        "tuple-with-solution": TupleAtom([Symbol("T"), Subsolution([1])]),
+        "rule": make_rule("r1"),
+    }
+
+
+#: same kind — so the same kind bucket, and for symbols/tuples/rules a
+#: *different* primary bucket — but not equal
+LOOKALIKES = {
+    "int": IntAtom(2),
+    "float": FloatAtom(2.0),
+    "bool": BoolAtom(False),
+    "string": StringAtom("b"),
+    "list": ListAtom([1]),
+    "solution": Subsolution([2]),
+    "symbol": Symbol("B"),
+    "tuple-symbol-head": TupleAtom([Symbol("SRC"), 2]),
+    "tuple-other-head": TupleAtom([1, 3]),
+    "tuple-with-solution": TupleAtom([Symbol("T"), Subsolution([2])]),
+    "rule": make_rule("r2"),
+}
+
+KINDS = sorted(LOOKALIKES)
+
+
+def ids(atoms):
+    """Object identities, to compare *which* occurrences a multiset holds."""
+    return [id(atom) for atom in atoms]
+
+
+class TestIndexAddressedRemoval:
+    """Occurrences are located through the atom's primary index bucket."""
+
+    def test_first_duplicate_leaves_later_ones_stay(self):
+        first, second, third = IntAtom(1), IntAtom(1), IntAtom(1)
+        ms = Multiset([first, IntAtom(2), second, third])
+        ms.remove(1)
+        assert ids(ms.atoms()[1:]) == ids([second, third])
+        assert ms.count(1) == 2
+        ms.remove(1)
+        assert ids(ms.atoms()[1:]) == ids([third])
+
+    def test_bucket_deleted_only_when_empty(self):
+        ms = Multiset([Symbol("A"), Symbol("A"), Symbol("B")])
+        ms.remove(Symbol("A"))
+        assert ms.has_candidates(("symbol", "A"))
+        assert ms.has_symbol("A")
+        ms.remove(Symbol("A"))
+        assert not ms.has_candidates(("symbol", "A"))
+        assert not ms.has_symbol("A")
+        assert ms.has_candidates(("kind", "symbol"))  # B still holds the kind bucket
+        ms.remove(Symbol("B"))
+        assert not ms.has_candidates(("kind", "symbol"))
+        assert ms.candidates(None) == []
+
+    def test_remove_identical_skips_an_equal_twin(self):
+        twin, target = TupleAtom([Symbol("SRC"), 1]), TupleAtom([Symbol("SRC"), 1])
+        assert twin == target and twin is not target
+        ms = Multiset([twin, target])
+        ms.remove_identical(target)
+        assert len(ms) == 1 and ms.atoms()[0] is twin
+        assert ms.candidates(("tuple", "SRC")) == [twin]
+        with pytest.raises(KeyError):
+            ms.remove_identical(target)  # only the equal twin is left
+
+    def test_remove_identical_of_a_repeated_object_takes_the_first_occurrence(self):
+        marker = Symbol("ADAPT")
+        ms = Multiset([marker, 7, marker])
+        ms.remove_identical(marker)
+        assert [str(a) for a in ms.atoms()] == ["7", "ADAPT"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_present_atom_of_every_kind_is_found_and_removed(self, kind):
+        atom = one_of_each_kind()[kind]
+        ms = Multiset([LOOKALIKES[kind], atom])
+        assert atom in ms and ms.count(atom) == 1
+        ms.remove(atom.copy())  # an equal atom, not the stored object
+        assert atom not in ms and ms.count(atom) == 0
+        assert ms.atoms() == [LOOKALIKES[kind]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("neighbour", [False, True], ids=["empty", "lookalike-present"])
+    def test_absent_atom_of_every_kind(self, kind, neighbour):
+        atom = one_of_each_kind()[kind]
+        ms = Multiset([LOOKALIKES[kind]] if neighbour else [])
+        before = ms.version
+        assert atom not in ms
+        assert ms.count(atom) == 0
+        assert ms.discard(atom) is False
+        with pytest.raises(KeyError):
+            ms.remove(atom)
+        with pytest.raises(KeyError):
+            ms.remove_identical(atom)
+        assert ms.version == before and len(ms) == int(neighbour)
+
+    def test_remove_symbol_absent_with_other_symbols_present(self):
+        ms = Multiset([Symbol("A")])
+        assert ms.remove_symbol("B") is False
+        assert ms.remove_symbol("A") is True
+        assert len(ms) == 0
+
+    def test_no_cross_kind_match(self):
+        ms = Multiset([IntAtom(1), StringAtom("A")])
+        assert FloatAtom(1.0) not in ms and BoolAtom(True) not in ms and Symbol("A") not in ms
+        assert not ms.discard(FloatAtom(1.0)) and not ms.discard(Symbol("A"))
+        assert len(ms) == 2
+
+    def test_removing_one_alias_of_a_nested_solution_keeps_the_other_wired(self):
+        inner = Multiset([1])
+        sub = Subsolution(inner)
+        first = TupleAtom([Symbol("T"), sub])
+        second = TupleAtom([Symbol("T"), sub])  # same solution aliased into two entries
+        ms = Multiset([first, 5, second])
+        assert ms.nested_solutions() == [inner, inner]
+        ms.remove(first)  # equality finds the first occurrence
+        assert ms.atoms()[1] is second
+        assert ms.nested_solutions() == [inner]
+        assert [atom for atom, _ in ms.nested_solution_items()] == [second]
+        ms.note_inert()
+        inner.add(2)  # still contained once: must still invalidate the parent
+        assert not ms.known_inert
+        ms.remove_identical(second)
+        assert ms.nested_solutions() == []
+        before = ms.version
+        inner.add(3)  # fully disowned
+        assert ms.version == before
+
+    def test_rule_removal_refreshes_the_priority_cache(self):
+        low, high = make_rule("low"), Rule("high", [Var("x", kind="int")], [], priority=5)
+        ms = Multiset([low, high])
+        assert ms.rules_by_priority() == [high, low]
+        ms.remove(make_rule("high"))  # rules are equal by name
+        assert ms.rules_by_priority() == [low] and ms.rules() == [low]
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["add", "remove", "remove_identical", "discard"]), st.integers(0, 11)),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_naive_list_scan(self, script):
+        """Same occurrence, same order, same answers as scanning a plain list."""
+        pool = [
+            IntAtom(1), IntAtom(1), FloatAtom(1.0), StringAtom("1"), Symbol("A"), Symbol("A"),
+            TupleAtom([Symbol("A"), 1]), TupleAtom([Symbol("A"), 1]), TupleAtom([1, Symbol("A")]),
+            ListAtom([1]), Subsolution([1]), Subsolution([1]),
+        ]
+        ms, model = Multiset(), []
+        for operation, which in script:
+            atom = pool[which]
+            if operation == "add":
+                ms.add(atom)
+                model.append(atom)
+                continue
+            if operation == "remove_identical":
+                position = next((i for i, stored in enumerate(model) if stored is atom), None)
+            else:
+                position = next((i for i, stored in enumerate(model) if stored == atom), None)
+            if position is not None:
+                del model[position]
+            if operation == "discard":
+                assert ms.discard(atom) is (position is not None)
+            elif position is None:
+                with pytest.raises(KeyError):
+                    getattr(ms, operation)(atom)
+            else:
+                getattr(ms, operation)(atom)
+            assert ids(ms.atoms()) == ids(model)
+            for probe in pool:
+                assert (probe in ms) is any(stored == probe for stored in model)
+                assert ms.count(probe) == sum(1 for stored in model if stored == probe)
+            for kind in {stored.kind for stored in pool}:
+                assert ids(ms.candidates(("kind", kind))) == ids([a for a in model if a.kind == kind])
