@@ -32,6 +32,12 @@ against the committed ``BENCH_reduction.json``:
   quadratic rebuild path, which on a scaled-down scenario moves the rewrite
   share far more than the total wall.
 
+* **scaling exponent** — under ``GINFLOW_FULL``, the least-squares exponent
+  of the serial wall over the centralised Montage at 100/500/1000/2000 tasks
+  is measured and must stay <= 1.4 (1.0 would mean the cost of a reaction
+  does not depend on the size of its level).  A ratio of walls taken in one
+  process: no calibration.  The quick profile prints the committed value.
+
 Gating several structurally distinct scenarios means a data-layer change
 that only bites wide fan-ins (cybershake) or fragmented independent regions
 (sipht) fails the PR even when the montage chain is unaffected.
@@ -61,10 +67,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_bench_reduction import (  # noqa: E402
     _ARTIFACT,
+    _full_profile,
+    measure_scaling,
     naive_calibration,
     reduce_scenario,
     reduce_scenario_mode,
 )
+
+#: Ceiling of ``scaling.montage_serial_exponent`` in the full profile.
+MAX_SCALING_EXPONENT = 1.4
 
 #: Scenarios gated by default: the montage chain plus one wide-fan-in and one
 #: fragmented-fan-in family from the scenario catalog.
@@ -215,6 +226,27 @@ def main() -> int:
             scenario, committed_scenarios[scenario], args.runs, tolerance, args.slack
         ):
             failed = True
+
+    # The quick profile leaves the scaling rows to the suite (it writes them
+    # to BENCH_reduction.latest.json); only the full profile measures and gates.
+    committed_exponent = committed.get("scaling", {}).get("montage_serial_exponent", "-")
+    if _full_profile():
+        scaling = measure_scaling(full=True)
+        exponent = scaling["montage_serial_exponent"]
+        detail = (
+            f"montage serial exponent {exponent} over {scaling['tasks']} tasks "
+            f"({scaling['us_per_reaction']} us/reaction; committed {committed_exponent})"
+        )
+        if exponent > MAX_SCALING_EXPONENT:
+            print(f"FAIL scaling: {detail} exceeds {MAX_SCALING_EXPONENT}")
+            failed = True
+        else:
+            print(f"OK scaling: {detail}")
+    else:
+        print(
+            f"SKIP scaling: committed montage serial exponent {committed_exponent} "
+            f"(measured and gated <= {MAX_SCALING_EXPONENT} under GINFLOW_FULL)"
+        )
     return 1 if failed else 0
 
 

@@ -19,7 +19,10 @@ into one per-scenario trend table so that drift becomes visible:
   commit of that (scenario, mode) — the number the 20%-per-PR gate cannot
   see;
 * commits are ordered by artifact modification time (artifact downloads
-  preserve upload order); ``--order name`` sorts by SHA instead.
+  preserve upload order); ``--order name`` sorts by SHA instead;
+* below the table, one line per artifact that carries a ``scaling`` object
+  (schema 5): the least-squares exponent of the serial Montage wall over its
+  size, and the microseconds per reaction at each size.
 
 Usage::
 
@@ -79,6 +82,8 @@ def _label(path: Path) -> str:
     match = _STAMPED.match(path.name)
     if match:
         return match.group("sha")[:12]
+    if path.name == "BENCH_reduction.latest.json":
+        return "latest"
     return "committed" if path.name == "BENCH_reduction.json" else path.stem
 
 
@@ -129,6 +134,23 @@ def load_rows(path: Path) -> Iterator[dict[str, Any]]:
                 "naive_wall_seconds": naive.get("wall_seconds") if serial_row else None,
                 "speedup": speedup.get("wall_clock") if serial_row else None,
             }
+
+
+def scaling_lines(files: list[Path]) -> list[str]:
+    """One ``scaling`` line per artifact that states its scaling exponent."""
+    lines = []
+    for path in files:
+        try:
+            scaling = json.loads(path.read_text()).get("scaling")
+        except (OSError, json.JSONDecodeError, AttributeError):
+            continue
+        if scaling:
+            lines.append(
+                f"scaling {_label(path)}: montage serial exponent "
+                f"{scaling.get('montage_serial_exponent')} over {scaling.get('tasks')} tasks, "
+                f"{scaling.get('us_per_reaction')} us/reaction"
+            )
+    return lines
 
 
 def collate(
@@ -327,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     print(format_table(rows))
+    for line in scaling_lines(files):
+        print(line)
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(_COLUMNS))

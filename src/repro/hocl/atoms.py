@@ -210,17 +210,6 @@ class Symbol(Atom):
         return self.name
 
 
-def _nested_solutions_in(items: Sequence["Atom"]) -> tuple:
-    """All solutions transitively nested in ``items`` (for version stamps)."""
-    solutions: list = []
-    for element in items:
-        if isinstance(element, Subsolution):
-            solutions.append(element.solution)
-        elif element._mutable:
-            solutions.extend(element._nested_sols)  # type: ignore[attr-defined]
-    return tuple(solutions)
-
-
 class TupleAtom(Atom):
     """An ordered tuple of atoms, written ``A1 : A2 : ... : An``.
 
@@ -231,7 +220,7 @@ class TupleAtom(Atom):
     address fields of a task sub-solution.
     """
 
-    __slots__ = ("elements", "_hash", "_mutable", "_index_keys", "_nested_sols", "_reject_memo")
+    __slots__ = ("elements", "_hash", "_mutable", "_index_keys")
     kind = "tuple"
 
     def __init__(self, elements: Sequence[Any]):
@@ -242,23 +231,6 @@ class TupleAtom(Atom):
         self._hash = None
         self._mutable = any(e._mutable for e in items)
         self._index_keys = None
-        self._nested_sols = _nested_solutions_in(items) if self._mutable else ()
-        #: pattern -> structure version at which the pattern proved this
-        #: tuple unmatchable (see TuplePattern.quick_reject); lazily created
-        self._reject_memo: dict | None = None
-
-    def structure_version(self) -> int:
-        """Monotonic stamp of the tuple's mutable state.
-
-        The elements themselves never change; only nested solutions can.
-        Solution versions only ever grow (and every deep mutation bumps its
-        enclosing solutions), so an unchanged sum proves the whole structure
-        is unchanged.  Immutable tuples always return 0.
-        """
-        total = 0
-        for solution in self._nested_sols:
-            total += solution.version
-        return total
 
     # -- structure ---------------------------------------------------------
     def is_structured(self) -> bool:
@@ -332,14 +304,13 @@ class ListAtom(Atom):
     they may be empty and are built by the ``list()`` external function.
     """
 
-    __slots__ = ("items", "_hash", "_mutable", "_nested_sols")
+    __slots__ = ("items", "_hash", "_mutable")
     kind = "list"
 
     def __init__(self, items: Iterable[Any] = ()):  # noqa: B008 - immutable default
         self.items = tuple(to_atom(i) for i in items)
         self._hash = None
         self._mutable = any(i._mutable for i in self.items)
-        self._nested_sols = _nested_solutions_in(self.items) if self._mutable else ()
 
     def is_structured(self) -> bool:
         return True

@@ -22,7 +22,7 @@ Copy-on-write semantics: a delta never deep-copies a payload.  Atoms added
 by a patch are shared by reference (exactly as ``Ref``/``Splice`` expansion
 shares them), and the atoms *around* the patch — the tuple spine, the other
 fields, the untouched inputs — are not rebuilt: they keep their cached
-hashes and their rejection memos.  Invalidation rides the existing version
+hashes.  Invalidation rides the existing version
 machinery: mutating a nested :class:`~repro.hocl.multiset.Multiset` bumps
 its version through every enclosing solution (``Multiset._touch``), which is
 precisely the set of caches the patch can have stale — nothing else is

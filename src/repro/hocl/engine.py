@@ -24,20 +24,19 @@ By default the engine is *incremental*: it relies on the dirty tracking of
 :class:`~repro.hocl.multiset.Multiset` to avoid redoing work that cannot
 have changed since the last reduction:
 
-* a solution proven inert is stamped (:meth:`Multiset.note_inert`) and is
-  skipped — along with its whole subtree — until any mutation anywhere
-  below it bumps its version again;
-* rules are drawn from the multiset's cached priority ordering, and a rule
-  is only *tried* (and only then charged a ``match_attempt``) when every
-  one of its patterns has at least one candidate in the solution's
-  head-symbol index; after a reaction this leaves only the plausibly
-  applicable rules.
+* a solution proven inert is stamped (:meth:`Multiset.note_inert`) and
+  skipped with its whole subtree until a mutation below it bumps its version;
+  the descent reads the entries the multiset flagged, not every nested one;
+* rules come from the multiset's cached priority ordering, and a rule is only
+  *tried* (and charged a ``match_attempt``) when each of its patterns has a
+  candidate in the head-symbol index;
+* a pattern keyed by a whole kind bucket searches the bucket's
+  plausible-candidate memory: what its ``quick_reject`` has not refuted.
 
-Both optimisations are trace-preserving: skipping an inert solution skips
-zero reactions, and skipping an index-refuted rule skips a search that was
-guaranteed to fail, so :attr:`ReductionReport.history` is identical to the
-naive engine's (``incremental=False``), which remains available as the
-reference implementation and as the baseline of the reduction benchmarks.
+All of it is trace-preserving — only searches and candidates guaranteed to
+fail are skipped — so :attr:`ReductionReport.history` is identical to the
+naive engine's (``incremental=False``), kept as the reference implementation
+and as the baseline of the reduction benchmarks.
 """
 
 from __future__ import annotations
@@ -327,15 +326,6 @@ class ReductionEngine:
         return not self._has_applicable_rule(solution, report)
 
     # --------------------------------------------------------------- internal
-    def _nested_solutions(self, solution: Multiset) -> list[Multiset]:
-        """Sub-solutions at this level, including those wrapped in tuples.
-
-        The multiset maintains this list incrementally (in exactly the
-        depth-first descent order a scan would produce), so re-descending
-        after every reaction costs O(nested) instead of O(atoms).
-        """
-        return solution.nested_solutions()
-
     def _reduce_level(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
         if self.batch:
             self._reduce_level_batch(solution, depth, report)
@@ -351,13 +341,8 @@ class ReductionEngine:
                 # through the parent chain).
                 return
             # 1. bring every nested solution to inertness first
-            for nested in self._nested_solutions(solution):
-                if incremental and nested.known_inert:
-                    continue
-                self._reduce_level(nested, depth + 1, report)
-                if report.reactions >= self.max_steps:
-                    report.inert = False
-                    return
+            if not self._reduce_nested(solution, depth, report):
+                return
             # 2. then react at this level: one reaction, then loop — the
             # reaction may have created new nested solutions or re-enabled
             # nested rules.
@@ -365,6 +350,35 @@ class ReductionEngine:
                 if incremental:
                     solution.note_inert()
                 return
+
+    def _reduce_nested(
+        self, solution: Multiset, depth: int, report: ReductionReport, mark: "Callable[[Atom], None] | None" = None
+    ) -> bool:
+        """Bring the solutions nested in ``solution`` to inertness, in entry order.
+
+        ``mark`` is told, at once, each top-level atom below which something
+        reacted; ``False`` means the step limit cut the descent short.  The
+        incremental engine only visits the entries the multiset still holds
+        flagged, and asks again until none is left: a sibling reduced later can
+        re-open an aliased solution.  The naive engine walks every entry once.
+        """
+        incremental = self.incremental
+        items = solution.unsettled_items() if incremental else solution.nested_solution_items()
+        while items:
+            for atom, nested in items:
+                if incremental and nested.known_inert:
+                    continue  # an alias, reduced earlier in this round
+                before = report.reactions
+                self._reduce_level(nested, depth + 1, report)
+                if mark is not None and report.reactions != before:
+                    mark(atom)
+                if report.reactions >= self.max_steps:
+                    report.inert = False
+                    return False
+            if not incremental:
+                break
+            items = solution.unsettled_items()
+        return True
 
     def _frontier_for(self, solution: Multiset) -> _LevelFrontier:
         """The frontier state of ``solution``, reset if the level changed
@@ -411,19 +425,11 @@ class ReductionEngine:
         while True:
             # 1. bring every nested solution to inertness first; any nested
             # activity makes the owning atom part of this level's frontier.
-            nested_active = False
-            for atom, nested in solution.nested_solution_items():
-                if incremental and nested.known_inert:
-                    continue
-                before = report.reactions
-                self._reduce_level_batch(nested, depth + 1, report)
-                if report.reactions >= self.max_steps:
-                    report.inert = False
-                    state.version = solution.version
-                    return
-                if report.reactions != before:
-                    nested_active = True
-                    state.mark(atom)
+            before = report.reactions
+            if not self._reduce_nested(solution, depth, report, state.mark):
+                state.version = solution.version
+                return
+            nested_active = report.reactions != before
             # 2. then react at this level: one frontier pass applies every
             # applicable disjoint match involving a dirty atom.
             applied = self._apply_batch(solution, depth, report, state)
@@ -439,15 +445,10 @@ class ReductionEngine:
     def _try_one_reaction(self, solution: Multiset, depth: int, report: ReductionReport) -> bool:
         if self.incremental and solution.known_inert:
             return False
-        for nested in self._nested_solutions(solution):
+        for nested in solution.nested_solutions():
             if self._try_one_reaction(nested, depth + 1, report):
                 return True
         return self._apply_first_applicable(solution, depth, report)
-
-    def _ordered_rules(self, solution: Multiset) -> list[Rule]:
-        # priority descending, insertion order preserved among equals —
-        # cached by the multiset and invalidated only when rules change.
-        return solution.rules_by_priority()
 
     def _plausible(self, rule: Rule, solution: Multiset) -> bool:
         """Whether the index leaves any candidates for every pattern of ``rule``.
@@ -465,7 +466,7 @@ class ReductionEngine:
         self, solution: Multiset, depth: int, report: ReductionReport
     ) -> bool:
         started = perf_counter()
-        for rule in self._ordered_rules(solution):
+        for rule in solution.rules_by_priority():
             if self.incremental and not self._plausible(rule, solution):
                 continue
             report.match_attempts += 1
@@ -557,7 +558,7 @@ class ReductionEngine:
                 for entry in solution.live_entries(atom_index_keys(atom)[0]):
                     if entry.atom is atom:
                         dirty_entries.append(entry)
-        for rule in self._ordered_rules(solution):
+        for rule in solution.rules_by_priority():
             if id(rule) in claimed:
                 continue  # consumed by an earlier reaction of this pass
             if self.incremental and not self._plausible(rule, solution):
@@ -581,18 +582,21 @@ class ReductionEngine:
                     ]
                     enumerations = []
                     for lead, key in enumerate(rule.pattern_index_keys):
-                        # structural pre-filter (memoized): an enumeration
-                        # whose every pinned candidate quick-rejects cannot
-                        # yield, and skipping it here skips the full
-                        # candidate iteration of the patterns before the
-                        # pinned one.
+                        # structural pre-filter: an enumeration whose every
+                        # pinned candidate quick-rejects cannot yield; skipping
+                        # it skips the candidate iteration of the patterns
+                        # before the pinned one (a memory has most on record).
                         pattern = rule.patterns[lead]
-                        lead_entries = [
-                            e
-                            for e in live
-                            if (key is None or key in atom_index_keys(e.atom))
-                            and not pattern.quick_reject(e.atom)
-                        ]
+                        memory = solution.memory_for(pattern, key)
+                        lead_entries = []
+                        for e in live:
+                            if (key is None or key in atom_index_keys(e.atom)) and (
+                                memory is None or e in memory.entries
+                            ):
+                                if not pattern.quick_reject(e.atom):
+                                    lead_entries.append(e)
+                                elif memory is not None:
+                                    memory.refute(e)
                         if lead_entries:
                             enumerations.append(
                                 rule.find_matches_from(
@@ -670,10 +674,10 @@ class ReductionEngine:
     def _has_applicable_rule(self, solution: Multiset, report: ReductionReport) -> bool:
         if self.incremental and solution.known_inert:
             return False
-        for nested in self._nested_solutions(solution):
+        for nested in solution.nested_solutions():
             if self._has_applicable_rule(nested, report):
                 return True
-        for rule in self._ordered_rules(solution):
+        for rule in solution.rules_by_priority():
             if self.incremental and not self._plausible(rule, solution):
                 continue
             report.match_attempts += 1

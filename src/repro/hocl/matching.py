@@ -22,13 +22,13 @@ occurrences to multi-pattern rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .atoms import Atom
 from .multiset import Multiset
 from .patterns import Bindings, Pattern
 
-__all__ = ["Match", "find_matches", "find_matches_pinned", "find_first_match", "count_matches"]
+__all__ = ["Match", "find_matches", "find_first_match", "count_matches"]
 
 
 @dataclass
@@ -54,6 +54,9 @@ def find_matches(
     condition: Callable[[Bindings], bool] | None = None,
     initial_bindings: Bindings | None = None,
     exclude: Callable[[Atom], bool] | None = None,
+    *,
+    pinned: int | None = None,
+    pinned_entries: Sequence[Any] = (),
 ) -> Iterator[Match]:
     """Yield every match of ``patterns`` against distinct atoms of ``solution``.
 
@@ -76,6 +79,13 @@ def find_matches(
         matching.  The batched engine passes its claimed-atom check here, so
         candidates consumed earlier in the same batch cost one call instead
         of a full pattern descent.
+    pinned, pinned_entries:
+        The batched engine's *frontier* enumeration: pattern ``pinned`` draws
+        its candidates from ``pinned_entries`` (the occurrence entries of
+        atoms that changed since the last pass) instead of its bucket.  The
+        patterns still run in **declaration order**, keeping the selectivity
+        rule authors encode in it: with the frontier atom in a *late* pattern
+        (a fan-in hub), the earlier ones bind the join variables first.
     """
     base: Bindings = dict(initial_bindings) if initial_bindings else {}
     # Cheap structural refutation first: every pattern needs at least one
@@ -83,20 +93,29 @@ def find_matches(
     for pattern in patterns:
         if not solution.has_candidates(pattern.index_key()):
             return
-    # Candidate lists are snapshots (candidate_entries copies), fetched
-    # lazily per recursion step so patterns after the first can narrow their
-    # bucket with the bindings accumulated so far (index_key_with) — e.g.
-    # ``gw_pass`` looks up its destination tuple directly instead of
-    # scanning every task.  Fetches are cached per (position, key) so a
-    # backtracking search copies each bucket at most once.
+    # Candidate lists are snapshots, fetched lazily per recursion step so
+    # patterns after the first can narrow their bucket with the bindings
+    # accumulated so far (index_key_with) — e.g. ``gw_pass`` looks up its
+    # destination tuple directly instead of scanning every task.  A pattern
+    # left with a whole kind bucket (or no key) draws from the level's
+    # plausible-candidate memory: the same entries, in the same order, minus
+    # those its quick_reject already refuted.  Fetches are cached per
+    # (position, key) so a backtracking search copies each bucket once.
     fetched: dict[tuple[int, Any], list] = {}
+    memories: dict[int, Any] = {}  # position -> the memory it drew from, if any
 
     def candidates_at(index: int, env: Bindings) -> list:
         pattern = patterns[index]
         key = pattern.index_key_with(env) if env else pattern.index_key()
         cached = fetched.get((index, key))
         if cached is None:
-            cached = fetched[(index, key)] = solution.candidate_entries(key)
+            memory = solution.memory_for(pattern, key)
+            if memory is None:
+                cached = solution.candidate_entries(key)
+            else:
+                cached = memory.snapshot()
+                memories[index] = memory
+            fetched[(index, key)] = cached
         return cached
 
     def recurse(index: int, used: list, env: Bindings) -> Iterator[Match]:
@@ -105,7 +124,7 @@ def find_matches(
                 yield Match(bindings=env, consumed=[entry.atom for entry in used])
             return
         pattern = patterns[index]
-        for entry in candidates_at(index, env):
+        for entry in pinned_entries if index == pinned else candidates_at(index, env):
             # `used` is at most len(patterns) long, and entries have no
             # __eq__, so `in` is a C-speed identity scan.
             if entry in used:
@@ -113,70 +132,16 @@ def find_matches(
             if exclude is not None and exclude(entry.atom):
                 continue
             # binding-free pre-check: skip the generator cascade for the
-            # (overwhelmingly common) structurally impossible candidates
+            # (overwhelmingly common) structurally impossible candidates — for
+            # good where a memory keeps track (it holds under any bindings)
             if pattern.quick_reject(entry.atom):
+                if index in memories:
+                    memories[index].refute(entry)
                 continue
             for extended in pattern.match(entry.atom, env):
                 yield from recurse(index + 1, used + [entry], extended)
 
     yield from recurse(0, [], base)
-
-
-def find_matches_pinned(
-    patterns: Sequence[Pattern],
-    solution: Multiset,
-    condition: Callable[[Bindings], bool] | None = None,
-    *,
-    pinned: int,
-    pinned_entries: Sequence[Any],
-    exclude: Callable[[Atom], bool] | None = None,
-) -> Iterator[Match]:
-    """Yield matches with pattern ``pinned`` restricted to a fixed entry set.
-
-    The batched engine's *frontier* enumeration: pattern ``pinned`` draws its
-    candidates from ``pinned_entries`` — the occurrence entries of atoms that
-    changed since the last pass — while every other pattern runs over its
-    (binding-narrowed) bucket as usual.  Every match in which the pinned
-    pattern consumes one of the given occurrences is produced; matches
-    touching none of them are the previous passes' responsibility.
-
-    The patterns are tried in **declaration order** even when the pinned one
-    comes late.  This preserves the selectivity rule authors encode in their
-    pattern order (the serial engine relies on the same order): when the
-    frontier atom sits in a *late* pattern — e.g. a fan-in hub rewritten by
-    every ``gw_pass`` firing — the earlier, cheaper-to-refute patterns bind
-    the join variables first, so the hub's internal nondeterminism (which
-    source to pull) is explored with those variables already fixed instead of
-    once per remaining source.
-    """
-    total = len(patterns)
-    fetched: dict[tuple[int, Any], list] = {}
-
-    def candidates_at(index: int, env: Bindings) -> list:
-        key = patterns[index].index_key_with(env)
-        cached = fetched.get((index, key))
-        if cached is None:
-            cached = fetched[(index, key)] = solution.candidate_entries(key)
-        return cached
-
-    def recurse(index: int, used: list, env: Bindings) -> Iterator[Match]:
-        if index == total:
-            if condition is None or condition(env):
-                yield Match(bindings=env, consumed=[entry.atom for entry in used])
-            return
-        pattern = patterns[index]
-        entries = pinned_entries if index == pinned else candidates_at(index, env)
-        for entry in entries:
-            if entry in used:
-                continue
-            if exclude is not None and exclude(entry.atom):
-                continue
-            if pattern.quick_reject(entry.atom):
-                continue
-            for extended in pattern.match(entry.atom, env):
-                yield from recurse(index + 1, used + [entry], extended)
-
-    yield from recurse(0, [], {})
 
 
 def find_first_match(

@@ -12,12 +12,17 @@ testing) but none of the public semantics depend on that order.
 Incrementality support
 ----------------------
 Reduction dominates the cost of large GinFlow runs, so the multiset carries
-three pieces of book-keeping that let the engine work incrementally:
+the book-keeping that lets the engine work incrementally:
 
 * a **version counter** (:attr:`version`), bumped on every mutation and
   propagated up the chain of enclosing solutions (a sub-solution knows the
-  multiset that currently contains it), so any change anywhere in the tree
-  invalidates the cached inertness of every ancestor;
+  multisets, and the top-level entries in them, that currently hold it), so
+  any change anywhere in the tree invalidates the cached inertness of every
+  ancestor;
+* **flagged entries** (:meth:`unsettled_items`): the same propagation flags,
+  in each enclosing multiset, the entry below which something changed — the
+  engine descends into those only, and every **plausible-candidate memory**
+  (:meth:`memory_for`) takes the entry back;
 * a **candidate index** keyed by the "head shape" of each atom (rule name,
   bare-symbol name, tuple head symbol, or atom kind), from which the matcher
   draws candidates instead of scanning every atom for every pattern — see
@@ -34,7 +39,8 @@ enumeration — and therefore the reduction trace — identical to a naive scan.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .atoms import (
     Atom,
@@ -73,6 +79,16 @@ def _nested_solutions_of(atom: Atom) -> "list[Multiset]":
             element.solution for element in atom.elements if isinstance(element, Subsolution)
         ]
     return []
+
+
+def _held_solutions(atom: Atom) -> "list[Multiset]":
+    """Every solution held anywhere in ``atom`` — through tuples and lists, one
+    per occurrence, not inside those solutions: what a change can come from."""
+    if isinstance(atom, Subsolution):
+        return [atom.solution]
+    # a tuple or a list: nothing else holds solutions without being one
+    items = atom.elements if isinstance(atom, TupleAtom) else atom.items  # type: ignore[attr-defined]
+    return [held for item in items if item._mutable for held in _held_solutions(item)]
 
 
 def atom_index_keys(atom: Atom) -> tuple[Any, ...]:
@@ -121,15 +137,54 @@ del _atom_class
 
 
 class _Entry:
-    """One stored occurrence of an atom (duplicates get distinct entries)."""
+    """One stored occurrence of an atom (duplicates get distinct entries).
 
-    __slots__ = ("atom",)
+    ``seq`` (the multiset's version when the entry joined) grows along
+    ``_entries`` and every bucket: sorting by it restores entry order.
+    """
 
-    def __init__(self, atom: Atom):
+    __slots__ = ("atom", "seq")
+
+    def __init__(self, atom: Atom, seq: int):
         self.atom = atom
+        self.seq = seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"_Entry({self.atom!r})"
+
+
+_seq = attrgetter("seq")
+
+
+class _Memory:
+    """The plausible candidates of one broad-keyed pattern at one level: the
+    entries of bucket ``key`` its ``quick_reject`` has not refuted since they
+    last changed, in bucket order (an entry returning out of turn clears
+    ``in_order``; the next read re-sorts)."""
+
+    __slots__ = ("key", "entries", "in_order")
+
+    def __init__(self, key: Any, bucket: Iterable[_Entry]):
+        self.key = key
+        self.entries: dict[_Entry, None] = dict.fromkeys(bucket)
+        self.in_order = True
+
+    def admit(self, entry: _Entry, keys: tuple[Any, ...], last: bool) -> None:
+        """Take ``entry`` (its atom's index ``keys``) if it is of this bucket."""
+        if (self.key is None or self.key in keys) and entry not in self.entries:
+            self.entries[entry] = None
+            self.in_order = self.in_order and last
+
+    def refute(self, entry: _Entry) -> None:
+        """``quick_reject`` refuted ``entry``: forget it until it changes."""
+        self.entries.pop(entry, None)
+
+    def snapshot(self) -> list[_Entry]:
+        """The remembered entries in bucket order, safe across mutations."""
+        if not self.in_order:
+            self.entries = dict.fromkeys(sorted(self.entries, key=_seq))
+            self.in_order = True
+        return list(self.entries)
 
 
 class Multiset:
@@ -151,37 +206,37 @@ class Multiset:
         "_rules_cache",
         "_rules_dirty",
         "_nested",
+        "_flagged",
+        "_memories",
         "_content_hash",
         "_hash_version",
-        "_reject_cache",
     )
 
     def __init__(self, contents: Iterable[Any] = ()):  # noqa: B008
         self._entries: list[_Entry] = []
         self._index: dict[Any, list[_Entry]] = {}
         self._version = 0
-        #: every multiset currently containing this one (via a Subsolution
-        #: atom), used to propagate invalidation upwards.  One entry per
-        #: containment, so aliasing a sub-solution into several solutions —
-        #: or twice into the same one — keeps all of them invalidated.
-        self._parents: list[Multiset] = []
+        #: every ``(multiset, top-level entry)`` currently holding this one
+        #: (a Subsolution atom anywhere inside the entry's atom), to propagate
+        #: invalidation upwards.  One pair per containment, so aliasing into
+        #: several entries — or twice into one — invalidates them all.
+        self._parents: list[tuple[Multiset, _Entry]] = []
         self._inert_version = -1
         self._rules_cache: list[Atom] = []
         self._rules_dirty = True
-        #: directly nested solutions in reduction order (sub-solution atoms,
-        #: plus sub-solutions stored inside tuple elements) — maintained on
-        #: every add/remove so the engine's depth-first descent does not
-        #: rescan every atom after every reaction.  Each occurrence is tagged
-        #: with its owning entry so removal is positional even when the same
-        #: solution object is aliased into several entries.
-        self._nested: list[tuple[_Entry, Multiset]] = []
+        #: entry -> the solutions directly nested in its atom (a sub-solution
+        #: atom's, or those of a tuple's sub-solution elements), in entry
+        #: order: the engine's depth-first descent order.  O(1) removal.
+        #: ``None`` (like the two maps below) until needed: most are leaves.
+        self._nested: dict[_Entry, list[Multiset]] | None = None
+        #: the keys of ``_nested`` below which something changed since their
+        #: solutions were last proven inert: a superset of the entries holding
+        #: a solution that is not ``known_inert``.  Created with ``_nested``.
+        self._flagged: set[_Entry] | None = None
+        #: pattern object (identity hash) -> its memory at this level
+        self._memories: dict[Any, _Memory] | None = None
         self._content_hash = 0
         self._hash_version = -1
-        #: pattern -> version at which the pattern's quick check proved the
-        #: solution unmatchable; valid while the version is unchanged (see
-        #: SolutionPattern.quick_reject).  Keyed by the pattern object itself
-        #: (identity hash) so a recycled id can never alias a stale entry.
-        self._reject_cache: dict[Any, int] = {}
         for value in contents:
             self.add(value)
 
@@ -206,7 +261,7 @@ class Multiset:
         self._inert_version = self._version
 
     def _touch(self) -> None:
-        """Bump this solution's version and every enclosing solution's.
+        """Bump this and every enclosing solution's version; flag the holder in each.
 
         Walks the whole parent graph (a solution may be contained several
         times) with a visited guard, so even pathological aliasing cycles
@@ -216,53 +271,40 @@ class Multiset:
         if not self._parents:
             return
         seen = {id(self)}
-        stack: list[Multiset] = list(self._parents)
+        stack = list(self._parents)
         while stack:
-            node = stack.pop()
+            node, entry = stack.pop()
+            # something changed below `entry`: descent and memories look again
+            if node._nested is not None and entry in node._nested:
+                node._flagged.add(entry)  # type: ignore[union-attr]
+            if node._memories is not None:
+                keys = atom_index_keys(entry.atom)
+                for memory in node._memories.values():
+                    memory.admit(entry, keys, False)
             if id(node) in seen:
                 continue
             seen.add(id(node))
             node._version += 1
             stack.extend(node._parents)
 
-    def _adopt(self, atom: Atom) -> None:
-        """Register this multiset as a parent of solutions nested in ``atom``."""
-        if isinstance(atom, Subsolution):
-            atom.solution._parents.append(self)
-        elif isinstance(atom, TupleAtom):
-            for element in atom.elements:
-                if element._mutable:
-                    self._adopt(element)
-        elif isinstance(atom, ListAtom):
-            for item in atom.items:
-                if item._mutable:
-                    self._adopt(item)
-
-    def _disown(self, atom: Atom) -> None:
-        """Drop one parent registration per solution nested in ``atom``."""
-        if isinstance(atom, Subsolution):
-            parents = atom.solution._parents
-            for index, parent in enumerate(parents):
-                if parent is self:
+    def _disown(self, atom: Atom, entry: _Entry) -> None:
+        """Drop one holder registration per solution held in ``atom``."""
+        for solution in _held_solutions(atom):
+            parents = solution._parents
+            for index, pair in enumerate(parents):
+                if pair[1] is entry:
                     del parents[index]
                     break
-        elif isinstance(atom, TupleAtom):
-            for element in atom.elements:
-                if element._mutable:
-                    self._disown(element)
-        elif isinstance(atom, ListAtom):
-            for item in atom.items:
-                if item._mutable:
-                    self._disown(item)
 
     # ------------------------------------------------------------------ core
     def add(self, value: Any) -> Atom:
         """Add a single atom (coercing plain values) and return it."""
         atom = to_atom(value)
-        entry = _Entry(atom)
+        entry = _Entry(atom, self._version)  # bumped below: later entries sort later
         self._entries.append(entry)
         index = self._index
-        for key in atom_index_keys(atom):
+        keys = atom_index_keys(atom)
+        for key in keys:
             bucket = index.get(key)
             if bucket is None:
                 index[key] = [entry]
@@ -270,12 +312,21 @@ class Multiset:
                 bucket.append(entry)
         if atom.kind == "rule":
             self._rules_dirty = True
+        if self._memories is not None:
+            for memory in self._memories.values():
+                memory.admit(entry, keys, True)  # the last of its buckets: order kept
         if atom._mutable:
-            # only atoms holding a sub-solution somewhere need parent wiring
+            # only atoms holding a sub-solution somewhere need holder wiring
             # and nested-solution tracking
-            for solution in _nested_solutions_of(atom):
-                self._nested.append((entry, solution))
-            self._adopt(atom)
+            nested = _nested_solutions_of(atom)
+            if nested:
+                if self._nested is None:
+                    self._nested = {}
+                    self._flagged = set()
+                self._nested[entry] = nested
+                self._flagged.add(entry)  # type: ignore[union-attr]
+            for solution in _held_solutions(atom):
+                solution._parents.append((self, entry))
         self._touch()
         return atom
 
@@ -338,23 +389,32 @@ class Multiset:
             bucket.remove(entry)
             if not bucket:
                 del self._index[key]
+        memories = self._memories
+        if memories is not None:
+            for memory in memories.values():
+                memory.entries.pop(entry, None)
         if atom.kind == "rule":
             self._rules_dirty = True
+            if memories is not None:
+                # a retired rule's memories go with it
+                for pattern in atom.patterns:  # type: ignore[attr-defined]
+                    memories.pop(pattern, None)
         if atom._mutable:
-            # drop exactly this entry's occurrences (identity on the entry,
-            # not the solution: the same solution may be aliased elsewhere)
-            self._nested = [pair for pair in self._nested if pair[0] is not entry]
-            self._disown(atom)
+            if self._nested is not None and self._nested.pop(entry, None):
+                self._flagged.discard(entry)  # type: ignore[union-attr]
+            self._disown(atom, entry)
         self._touch()
 
     def clear(self) -> None:
         """Remove every atom."""
         for entry in self._entries:
             if entry.atom._mutable:
-                self._disown(entry.atom)
+                self._disown(entry.atom, entry)
         self._entries.clear()
         self._index.clear()
-        self._nested.clear()
+        self._nested = None
+        self._flagged = None
+        self._memories = None
         self._rules_dirty = True
         self._touch()
 
@@ -491,16 +551,56 @@ class Multiset:
         order — exactly the depth-first descent order of the reduction
         engine.  Returns a snapshot safe to iterate across mutations.
         """
-        return [solution for _entry, solution in self._nested]
+        return [solution for _atom, solution in self.nested_solution_items()]
 
     def nested_solution_items(self) -> list[tuple[Atom, "Multiset"]]:
         """Like :meth:`nested_solutions`, paired with the atom holding each.
 
-        The batched engine uses the owning atom to mark the right top-level
+        The sharded reducer uses the owning atom to mark the right top-level
         candidate dirty when a nested reduction changed something below it.
         Returns a snapshot safe to iterate across mutations.
         """
-        return [(entry.atom, solution) for entry, solution in self._nested]
+        nested_by_entry = self._nested or {}
+        return [(entry.atom, s) for entry, nested in nested_by_entry.items() for s in nested]
+
+    def unsettled_items(self) -> Sequence[tuple[Atom, "Multiset"]]:
+        """The part of :meth:`nested_solution_items` not proven inert.
+
+        Only the flagged entries — a handful, whatever the size of the level
+        — are looked at.  One whose solutions are all :attr:`known_inert` is
+        unflagged here and nowhere else: a flag only yields to that proof.
+        """
+        flagged = self._flagged
+        if not flagged:
+            return ()
+        items = []
+        for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else list(flagged):
+            settled = True
+            for solution in self._nested[entry]:  # type: ignore[index]
+                if solution._inert_version != solution._version:
+                    items.append((entry.atom, solution))
+                    settled = False
+            if settled:
+                flagged.discard(entry)
+        return items
+
+    def memory_for(self, pattern: Any, key: Any) -> "_Memory | None":
+        """The plausible-candidate memory of ``pattern`` at this level.
+
+        Only a pattern whose index key ``key`` is a whole kind bucket or
+        ``None`` has one (head keys name short buckets: ``None`` is returned).
+        It starts as the whole bucket; whoever sees ``quick_reject`` refute
+        an entry reports it (:meth:`_Memory.refute`); the entry returns when
+        something changes below it (:meth:`_touch`); a re-added atom is new.
+        """
+        if key is not None and key[0] != "kind":
+            return None
+        if self._memories is None:
+            self._memories = {}
+        memory = self._memories.get(pattern)
+        if memory is None:
+            memory = self._memories[pattern] = _Memory(key, self.live_entries(key))
+        return memory
 
     def rules(self) -> list[Atom]:
         """Every top-level rule atom (higher-order content of the solution)."""

@@ -63,28 +63,6 @@ __all__ = [
 #: variable name -> list of atoms for omega (rest) variables.
 Bindings = dict[str, Any]
 
-#: Rejection-memo size at which dead entries are pruned.  Long adaptive runs
-#: retire one-shot rules (and their pattern objects) continually; entries
-#: stamped at an older version/structure stamp can never hit again, so
-#: dropping them bounds both the dict and the strong references it holds.
-_MEMO_PRUNE_SIZE = 64
-
-
-def _prune_memo(memo: dict, current_stamp: int) -> None:
-    """Bound a rejection memo: drop stale entries, clear if still over-full.
-
-    Entries stamped at an older version can never hit again and go first.
-    When every entry carries the current stamp (e.g. an immutable tuple,
-    whose stamp is always 0), the memo is cleared outright — the entries are
-    valid but recomputing them is cheap, and an unbounded dict would pin
-    every retired rule's pattern objects forever.
-    """
-    for key in [key for key, stamp in memo.items() if stamp != current_stamp]:
-        del memo[key]
-    if len(memo) >= _MEMO_PRUNE_SIZE:
-        memo.clear()
-
-
 def _bind(bindings: Bindings, name: str, value: Any) -> Bindings | None:
     """Extend ``bindings`` with ``name=value`` if consistent, else ``None``."""
     if name in bindings:
@@ -271,7 +249,7 @@ class Literal(Pattern):
             yield bindings
 
     def quick_reject(self, atom: Atom) -> bool:
-        return atom != self.atom
+        return atom is not self.atom and atom != self.atom  # symbols are interned
 
     def index_key(self) -> Any | None:
         # Structural equality implies identical index keys, so the literal's
@@ -335,34 +313,14 @@ class TuplePattern(Pattern):
     def quick_reject(self, atom: Atom) -> bool:
         if not isinstance(atom, TupleAtom):
             return True
-        # Per-atom memo: a rejection is permanent for immutable tuples and
-        # valid while the structure version (sum of nested solution
-        # versions, monotonic) is unchanged for mutable ones.  The candidate
-        # scans of the engine revisit mostly-unchanged tuples after every
-        # reaction, so this is a single dict lookup in the common case.
-        stamp = 0
-        for solution in atom._nested_sols:
-            stamp += solution._version
-        memo = atom._reject_memo
-        if memo is not None and memo.get(self) == stamp:
-            return True
-        size = len(atom.elements)
+        elements = atom.elements
         own = self.elements
-        if (size != len(own)) if self.rest is None else (size < len(own)):
-            rejected = True
-        else:
-            rejected = False
-            for pattern, element in zip(own, atom.elements):
-                if pattern.quick_reject(element):
-                    rejected = True
-                    break
-        if rejected:
-            if memo is None:
-                memo = atom._reject_memo = {}
-            elif len(memo) >= _MEMO_PRUNE_SIZE:
-                _prune_memo(memo, stamp)
-            memo[self] = stamp
-        return rejected
+        if (len(elements) != len(own)) if self.rest is None else (len(elements) < len(own)):
+            return True
+        for pattern, element in zip(own, elements):
+            if pattern.quick_reject(element):
+                return True
+        return False
 
     def variables(self) -> set[str]:
         names: set[str] = set()
@@ -485,33 +443,16 @@ class SolutionPattern(Pattern):
         if not isinstance(atom, Subsolution):
             return True
         solution = atom.solution
-        # Version-stamped memo: a rejection proven at the solution's current
-        # version holds until the solution mutates.  Task sub-solutions are
-        # scanned by the same patterns after every reaction while changing
-        # rarely, so this collapses the repeated scans to one dict lookup.
-        version = solution._version
-        cache = solution._reject_cache
-        if cache.get(self) == version:
-            return True
-        if len(cache) >= _MEMO_PRUNE_SIZE:
-            _prune_memo(cache, version)
         size = len(solution._entries)
         own = self.elements
-        if self.rest is None:
-            if size != len(own):
-                cache[self] = version
-                return True
-        elif size < len(own):
-            cache[self] = version
+        if (size != len(own)) if self.rest is None else (size < len(own)):
             return True
         for pattern, key in zip(own, self._element_keys):
             entries = solution.live_entries(key)
             if not entries:
-                cache[self] = version
                 return True
             # a single candidate in the bucket must itself survive the check
             if len(entries) == 1 and pattern.quick_reject(entries[0].atom):
-                cache[self] = version
                 return True
         return False
 

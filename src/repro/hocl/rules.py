@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .atoms import Atom, from_atom
 from .deltas import RewriteDelta
 from .errors import RuleError
-from .matching import Match, find_first_match, find_matches, find_matches_pinned
+from .matching import Match, find_first_match, find_matches
 from .multiset import Multiset
 from .patterns import Bindings, as_pattern
 from .templates import Compute, expand_templates, template_referenced_names
@@ -231,15 +231,15 @@ class Rule(Atom):
         declaration order with binding-narrowed bucket lookups, except that
         pattern ``lead`` only considers the given occurrence entries (atoms
         dirtied since the last pass).  See
-        :func:`~repro.hocl.matching.find_matches_pinned`.
+        :func:`~repro.hocl.matching.find_matches`.
         """
-        return find_matches_pinned(
+        return find_matches(
             self.patterns,
             solution,
             self._wrapped_condition(),
+            exclude=exclude,
             pinned=lead,
             pinned_entries=lead_entries,
-            exclude=exclude,
         )
 
     def is_applicable(self, solution: Multiset) -> bool:

@@ -49,6 +49,7 @@ from repro.hocl import (
     Ref,
     Var,
     from_atom,
+    to_atom,
 )
 
 from . import keywords as kw
@@ -251,17 +252,12 @@ def register_workflow_externals(
             parameters = [parameters]
         try:
             result = invoke(task_name, service_name, parameters)
+            if isinstance(result, str) and result == kw.ERROR:
+                return kw.ERROR_SYM
+            # a value with no atom form (None, a dict, ...) fails the task too
+            return to_atom(result)
         except Exception:  # noqa: BLE001 - a failed invocation is an ERROR result
             return kw.ERROR_SYM
-        if isinstance(result, Symbol) and result.name == kw.ERROR:
-            return kw.ERROR_SYM
-        if isinstance(result, str) and result == kw.ERROR:
-            return kw.ERROR_SYM
-        if isinstance(result, Atom):
-            return result
-        from repro.hocl import to_atom
-
-        return to_atom(result)
 
     registry.register("params", params_external)
     registry.register("invoke", invoke_external)

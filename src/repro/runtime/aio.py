@@ -228,7 +228,7 @@ class AsyncioRun:
             except Exception as exc:  # noqa: BLE001 - converted into a task failure
                 outcome = replace(outcome, value=None, failed=True, error=str(exc))
             else:
-                outcome = replace(outcome, value=value)
+                outcome = prepared.checked(replace(outcome, value=value))
         engine = self._engine
         engine.dispatch(agent, await self._stimulate(agent, engine.complete_invocation, outcome))
 

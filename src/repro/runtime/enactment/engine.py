@@ -26,8 +26,9 @@ and when to feed the outcome back through :meth:`EnactmentEngine.complete_invoca
 
 from __future__ import annotations
 
+import inspect
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -35,6 +36,7 @@ from repro.agents import Coordinator, SendAdapt, SendResult, StartInvocation, St
 from repro.agents.actions import Action
 from repro.agents.core import AgentCore
 from repro.agents.recovery import rebuild_agent
+from repro.hocl import AtomError, to_atom
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
 from repro.obs import Observability
@@ -106,7 +108,7 @@ class PreparedInvocation:
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
         try:
-            outcome = self.service.invoke(self.parameters, self.context)
+            outcome = self.checked(self.service.invoke(self.parameters, self.context))
         except Exception as exc:  # noqa: BLE001 - converted into a task failure
             outcome = InvocationResult(
                 value=None,
@@ -125,6 +127,24 @@ class PreparedInvocation:
                 failed=outcome.failed,
             )
         return outcome
+
+    def checked(self, outcome: InvocationResult) -> InvocationResult:
+        """``outcome`` with its value in atom form, or a failed result when it has none.
+
+        Such a value (``None``, a dict, ...) fails the task like any other
+        error, instead of raising ``AtomError`` in whichever worker stores it;
+        the agent stores the atom built here as it is.  An awaitable passes:
+        the asyncio runtime awaits it, then checks.
+        """
+        if outcome.failed or inspect.isawaitable(outcome.value):
+            return outcome
+        try:
+            return replace(outcome, value=to_atom(outcome.value))
+        except AtomError:
+            name = getattr(self.service, "name", type(self.service).__name__)
+            kind = type(outcome.value).__name__
+            error = f"service {name!r} returned {kind}, which has no HOCL atom form"
+            return InvocationResult(None, outcome.duration, failed=True, error=error)
 
 
 class EnactmentEngine:

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.hocl import (
     BoolAtom,
@@ -9,11 +10,16 @@ from repro.hocl import (
     IntAtom,
     ListAtom,
     Multiset,
+    Omega,
+    ReductionEngine,
     Rule,
+    SolutionPattern,
     StringAtom,
     Subsolution,
     Symbol,
+    SymbolPattern,
     TupleAtom,
+    TuplePattern,
     Var,
 )
 
@@ -431,3 +437,193 @@ class TestIndexAddressedRemoval:
                 assert ms.count(probe) == sum(1 for stored in model if stored == probe)
             for kind in {stored.kind for stored in pool}:
                 assert ids(ms.candidates(("kind", kind))) == ids([a for a in model if a.kind == kind])
+
+
+# --------------------------------------------------------------------------
+# Flagged entries and plausible-candidate memories: the two things the engine
+# stops re-deriving by walking the level
+# --------------------------------------------------------------------------
+
+#: broad-keyed patterns (kind bucket or no key): the ones that get a memory
+_RESULT_HOLDER = TuplePattern(
+    Var("t", kind="symbol"),
+    SolutionPattern(
+        TuplePattern(SymbolPattern("RES"), SolutionPattern(Var("r"), rest=Omega("wres"))),
+        rest=Omega("wt"),
+    ),
+)
+_NESTED_TUPLE = TuplePattern(
+    Var("h", kind="symbol"),
+    TuplePattern(Var("g", kind="symbol"), SolutionPattern(Var("x"), rest=Omega("w"))),
+)
+_NON_EMPTY = SolutionPattern(Var("x", kind="int"), rest=Omega("w"))
+_MEMORY_PATTERNS = (_RESULT_HOLDER, _NESTED_TUPLE, _NON_EMPTY, Var("n", kind="int"), Var("any"))
+
+
+def _held_solutions(atom):
+    """Every solution held anywhere in ``atom`` (not inside those solutions)."""
+    if isinstance(atom, Subsolution):
+        return [atom.solution]
+    if isinstance(atom, TupleAtom):
+        return [s for element in atom.elements for s in _held_solutions(element)]
+    if isinstance(atom, ListAtom):
+        return [s for item in atom.items for s in _held_solutions(item)]
+    return []
+
+
+class FlagsAndMemories(RuleBasedStateMachine):
+    """Random nested solutions under random mutations and engine-like passes.
+
+    After every step, at every level: the flagged entries' solutions cover
+    the nested solutions not proven inert, in ``nested_solutions()`` order;
+    every solution knows exactly the entries that hold it; and at the root
+    each memory covers the bucket entries ``quick_reject`` does not refute,
+    in bucket order.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.root = Multiset()
+        #: every solution ever made, kept alive so no identity is recycled
+        self.solutions = [self.root]
+        self.shared = self.fresh([1])
+        self.tasks = 0
+
+    def fresh(self, contents=()):
+        solution = Multiset(contents)
+        self.solutions.append(solution)
+        return solution
+
+    # ------------------------------------------------------------- mutations
+    @rule(with_result=st.booleans())
+    def add_task(self, with_result):
+        self.tasks += 1
+        fields = self.fresh([
+            TupleAtom([Symbol("RES"), Subsolution(self.fresh([7] if with_result else []))]),
+            TupleAtom([Symbol("IN"), Subsolution(self.fresh())]),
+        ])
+        self.root.add(TupleAtom([Symbol(f"T{self.tasks}"), Subsolution(fields)]))
+
+    @rule(value=st.integers(0, 2))
+    def add_scalar(self, value):
+        self.root.add(value)
+
+    @rule(size=st.integers(0, 2))
+    def add_subsolution(self, size):
+        self.root.add(Subsolution(self.fresh(range(size))))
+
+    @rule(twice=st.booleans())
+    def add_alias(self, twice):
+        # one solution aliased into several entries, or twice into one
+        holders = [Subsolution(self.shared)] * (2 if twice else 1)
+        self.root.add(TupleAtom([Symbol("A"), *holders]))
+
+    @rule()
+    def add_tuple_in_tuple(self):
+        self.root.add(TupleAtom([Symbol("N"), TupleAtom([Symbol("M"), Subsolution(self.fresh())])]))
+
+    @rule()
+    def add_list_held(self):
+        self.root.add(ListAtom([Subsolution(self.fresh())]))
+
+    @precondition(lambda self: len(self.root))
+    @rule(back=st.integers(0, 31))
+    def remove_entry(self, back):
+        atoms = self.root.atoms()
+        self.root.remove_identical(atoms[-1 - back % len(atoms)])
+
+    @rule(back=st.integers(0, 31), value=st.integers(0, 2), adding=st.booleans())
+    def patch_below(self, back, value, adding):
+        # any solution but the root: one, two or three levels down, held or not
+        # (counted from the newest, which small draws then favour)
+        target = self.solutions[1:][-1 - back % (len(self.solutions) - 1)]
+        if adding:
+            target.add(value)
+        else:
+            target.discard(value)
+
+    @rule()
+    def clear(self):
+        self.root.clear()
+
+    # ------------------------------------------------- what the engine does
+    @rule(prove=st.booleans())
+    def engine_pass(self, prove):
+        """Refute through the memories, prove nested solutions inert, settle."""
+        for pattern in _MEMORY_PATTERNS:
+            memory = self.root.memory_for(pattern, pattern.index_key())
+            for entry in memory.snapshot():
+                if pattern.quick_reject(entry.atom):
+                    memory.refute(entry)
+        for level in self.solutions:
+            for _atom, solution in level.unsettled_items():
+                if prove:
+                    solution.note_inert()
+            level.unsettled_items()  # unflags what is now proven, nothing else
+
+    # ------------------------------------------------------------ invariants
+    @invariant()
+    def flagged_entries_cover_what_is_not_inert(self):
+        for level in self.solutions:
+            open_solutions = [id(s) for s in level.nested_solutions() if not s.known_inert]
+            flagged = level._flagged or ()
+            under_flags = [
+                id(s)
+                for entry, nested in (level._nested or {}).items()
+                if entry in flagged
+                for s in nested
+                if not s.known_inert
+            ]
+            assert under_flags == open_solutions
+            assert [id(s) for _atom, s in level.unsettled_items()] == open_solutions
+
+    @invariant()
+    def every_solution_knows_its_holders(self):
+        expected = {}
+        for level in self.solutions:
+            for entry in level.live_entries():
+                for held in _held_solutions(entry.atom):
+                    expected.setdefault(id(held), []).append((id(level), id(entry)))
+        for solution in self.solutions:
+            known = [(id(level), id(entry)) for level, entry in solution._parents]
+            assert sorted(known) == sorted(expected.get(id(solution), []))
+
+    @invariant()
+    def memories_cover_what_is_not_refuted(self):
+        for pattern in _MEMORY_PATTERNS:
+            key = pattern.index_key()
+            remembered = self.root.memory_for(pattern, key).snapshot()
+            kept = set(remembered)
+            bucket = self.root.live_entries(key)
+            assert remembered == [entry for entry in bucket if entry in kept]
+            assert all(entry in kept for entry in bucket if not pattern.quick_reject(entry.atom))
+
+
+FlagsAndMemories.TestCase.settings = settings(max_examples=100, stateful_step_count=50, deadline=None)
+TestFlagsAndMemories = FlagsAndMemories.TestCase
+
+
+class TestMemoryLifetime:
+    def test_head_keyed_patterns_get_no_memory(self):
+        ms = Multiset([TupleAtom([Symbol("RES"), 1])])
+        pattern = TuplePattern(SymbolPattern("RES"), Var("x"))
+        assert ms.memory_for(pattern, pattern.index_key()) is None
+        assert ms._memories is None  # and nothing was allocated to find that out
+
+    def test_a_retired_rule_takes_its_memories_along(self):
+        once = Rule("once", [Var("x", kind="int"), Var("y", kind="int")], [], one_shot=True)
+        ms = Multiset([once, 1, 2, 3])
+        assert ReductionEngine().reduce(ms).reactions == 1
+        assert once not in ms.rules()
+        assert not ms._memories
+
+    def test_a_refuted_entry_returns_when_something_changes_below_it(self):
+        waiting = Multiset()
+        ms = Multiset([5, Subsolution(waiting)])
+        memory = ms.memory_for(_NON_EMPTY, _NON_EMPTY.index_key())
+        (entry,) = memory.snapshot()
+        assert _NON_EMPTY.quick_reject(entry.atom)
+        memory.refute(entry)
+        assert memory.snapshot() == []
+        waiting.add(1)
+        assert memory.snapshot() == [entry]

@@ -1,12 +1,13 @@
 """Trace parity of the optimized incremental engine against the naive engine.
 
-The PR-2/PR-4 optimisations (inertness caching, head-symbol indexing,
-quick-reject pre-checks, version-stamped rejection memos, cached structural
-hashes) are all required to be *trace-preserving*: reducing the same solution
-must fire exactly the same rules in exactly the same order as the naive
-re-reduce-everything engine.  These tests lock that property on the two
-workflow shapes the paper measures (Montage and the fully-connected diamond)
-and on the cache-invalidation edges the memoization introduces.
+The engine's optimisations (inertness caching, head-symbol indexing,
+quick-reject pre-checks, flagged-entry descent, plausible-candidate memories,
+cached structural hashes) are all required to be *trace-preserving*: reducing
+the same solution must fire exactly the same rules in exactly the same order
+as the naive re-reduce-everything engine.  These tests lock that property on
+the two workflow shapes the paper measures (Montage and the fully-connected
+diamond), against a brute-force search on random programs and every scenario
+family, and on the invalidation edges the book-keeping introduces.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hocl import (
+    IntAtom,
     Multiset,
     Omega,
     ReductionEngine,
@@ -34,7 +36,7 @@ from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
 
 
-def _reduce_centralized(workflow, incremental: bool):
+def _reduce_centralized(workflow, incremental: bool, engine_class=ReductionEngine, observer=None):
     """One centralised reduction of ``workflow``; returns the report."""
     encoding = encode_workflow(workflow)
     solution = encoding.to_multiset()
@@ -57,7 +59,9 @@ def _reduce_centralized(workflow, incremental: bool):
 
     externals = default_registry()
     register_workflow_externals(externals, invoke)
-    engine = ReductionEngine(externals=externals, max_steps=1_000_000, incremental=incremental)
+    engine = engine_class(
+        externals=externals, max_steps=1_000_000, incremental=incremental, observer=observer
+    )
     report = engine.reduce(solution)
     assert report.inert
     return report
@@ -104,13 +108,13 @@ class TestWorkflowTraceParity:
 
 
 class TestRejectionCacheInvalidation:
-    """The quick-reject memos must never survive a relevant mutation."""
+    """A quick-reject verdict must never survive a relevant mutation."""
 
     def test_solution_pattern_rejection_expires_on_mutation(self):
         pattern = SolutionPattern(Var("x"), rest=Omega("w"))
         empty = Subsolution()
         assert pattern.quick_reject(empty)  # needs at least one atom
-        assert pattern.quick_reject(empty)  # cached rejection
+        assert pattern.quick_reject(empty)
         empty.solution.add(1)
         assert not pattern.quick_reject(empty)
         matches = list(pattern.match(empty, {}))
@@ -123,7 +127,7 @@ class TestRejectionCacheInvalidation:
         )
         res = TupleAtom([Symbol("RES"), Subsolution()])
         assert pattern.quick_reject(res)
-        assert pattern.quick_reject(res)  # memoised on the structure version
+        assert pattern.quick_reject(res)
         res.elements[1].solution.add("value")
         assert not pattern.quick_reject(res)
         assert list(pattern.match(res, {}))
@@ -317,3 +321,264 @@ class TestReportMergeAccounting:
         assert merged.rule_fires == {"r": 2}
         assert merged.timings["index"] == pytest.approx(0.1)
         assert sum(merged.rule_fires.values()) == merged.reactions
+
+
+# --------------------------------------------------------------------------
+# Brute-force reference search, scaling of the book-keeping, kept flags
+# --------------------------------------------------------------------------
+
+from collections import Counter  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.hocl import (  # noqa: E402
+    Compute,
+    Literal,
+    Match,
+    PatchRemove,
+    ReductionError,
+    Ref,
+    RewriteDelta,
+    RulePattern,
+    Splice,
+    SolutionTemplate,
+    TupleTemplate,
+)
+
+
+class BruteForceEngine(ReductionEngine):
+    """The reference search: every atom of the level, in solution order, for
+    every pattern — no index, no ``quick_reject``, no candidate memory.  Run
+    with ``incremental=False`` it also walks every nested solution and tries
+    every rule, so all it shares with the engine under test is ``_apply``."""
+
+    @staticmethod
+    def _find_match_excluding_self(rule, solution):
+        atoms = solution.atoms()
+        condition = rule._wrapped_condition()
+
+        def search(index, used, env):
+            if index == len(rule.patterns):
+                if condition is None or condition(env):
+                    yield Match(bindings=env, consumed=[atoms[position] for position in used])
+                return
+            for position, atom in enumerate(atoms):
+                if position not in used:
+                    for extended in rule.patterns[index].match(atom, env):
+                        yield from search(index + 1, used + [position], extended)
+
+        for match in search(0, [], {}):
+            if not any(consumed is rule for consumed in match.consumed):
+                return match
+        return None
+
+
+def _firing_log():
+    """An observer recording each reaction with the atoms it matched."""
+    log = []
+
+    def observer(rule, match, depth):
+        log.append((rule.name, depth, [str(atom) for atom in match.consumed]))
+
+    return log, observer
+
+
+class TestAgainstBruteForceSearch:
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_every_scenario_family_fires_the_same_reactions(self, family):
+        fast_log, fast_observer = _firing_log()
+        slow_log, slow_observer = _firing_log()
+        fast = _reduce_centralized(
+            build_scenario(f"{family}:size=12,seed=1"), True, observer=fast_observer
+        )
+        slow = _reduce_centralized(
+            build_scenario(f"{family}:size=12,seed=1"), False, BruteForceEngine, slow_observer
+        )
+        assert fast_log == slow_log
+        assert _trace(fast) == _trace(slow)
+        assert fast.rule_fires == slow.rule_fires
+
+    @staticmethod
+    def _cells_program(cells, take_first):
+        """Cells ``Ci : <VAL : <ints, max>>`` under two top-level rules.
+
+        ``take`` (variable head: a whole-bucket pattern) moves a cell's
+        reduced value to the top level, where ``sum`` (two kind-keyed
+        patterns nothing ever refutes) folds the values.  A drained cell is
+        refuted until something is put back into it.
+        """
+        fold = Rule(
+            "max",
+            [Var("x", kind="int"), Var("y", kind="int")],
+            [Compute(lambda b: max(b.value("x"), b.value("y")))],
+        )
+        take = Rule(
+            "take",
+            [
+                TuplePattern(
+                    Var("c", kind="symbol"),
+                    SolutionPattern(
+                        TuplePattern(
+                            SymbolPattern("VAL"),
+                            SolutionPattern(Var("x", kind="int"), rest=Omega("w")),
+                        ),
+                        rest=Omega("wc"),
+                    ),
+                )
+            ],
+            [
+                TupleTemplate(
+                    Ref("c"),
+                    SolutionTemplate(
+                        TupleTemplate(Literal(Symbol("VAL")).atom, SolutionTemplate(Splice("w"))),
+                        Splice("wc"),
+                    ),
+                ),
+                Ref("x"),
+            ],
+            priority=1 if take_first else 0,
+            delta=RewriteDelta(
+                ops=(PatchRemove(at=0, path=("VAL",), items=(Ref("x"),)),), produce=(Ref("x"),)
+            ),
+        )
+        total = Rule(
+            "sum",
+            [Var("a", kind="int"), Var("b", kind="int")],
+            [Compute(lambda b: b.value("a") + b.value("b"))],
+            priority=0 if take_first else 1,
+        )
+        solution = Multiset([take, total])
+        for index, values in enumerate(cells):
+            body = Multiset([TupleAtom([Symbol("VAL"), Subsolution([*values, fold])])])
+            solution.add(TupleAtom([Symbol(f"C{index}"), Subsolution(body)]))
+        return solution
+
+    @staticmethod
+    def _refill(solution, cell, value):
+        holder = solution.find_tuple(f"C{cell}")
+        holder.elements[1].solution.find_tuple("VAL").elements[1].solution.add(value)
+
+    @given(
+        cells=st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1, max_size=6),
+        refills=st.lists(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=3), max_size=4
+        ),
+        take_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_programs_fire_the_same_reactions_round_after_round(
+        self, cells, refills, take_first
+    ):
+        fast_log, fast_observer = _firing_log()
+        slow_log, slow_observer = _firing_log()
+        fast_solution = self._cells_program(cells, take_first)
+        slow_solution = self._cells_program(cells, take_first)
+        batch_solution = self._cells_program(cells, take_first)
+        fast = ReductionEngine(observer=fast_observer)
+        slow = BruteForceEngine(incremental=False, observer=slow_observer)
+        batch = ReductionEngine(batch=True)
+        for refill in [[]] + refills:
+            for cell, value in refill:
+                for solution in (fast_solution, slow_solution, batch_solution):
+                    self._refill(solution, cell % len(cells), value)
+            fast_report = fast.reduce(fast_solution)
+            slow_report = slow.reduce(slow_solution)
+            batch_report = batch.reduce(batch_solution)
+            assert fast_log == slow_log
+            assert _trace(fast_report) == _trace(slow_report)
+            assert str(fast_solution) == str(slow_solution)  # same atoms, same order
+            assert batch_report.rule_fires == fast_report.rule_fires
+            assert batch_solution.content_hash() == fast_solution.content_hash()
+            assert fast.is_inert(fast_solution)
+
+
+class TestBookkeepingScaling:
+    def test_checks_per_reaction_do_not_grow_with_the_level(self, monkeypatch):
+        """Clock-free: the structural checks (``quick_reject``) and inertness
+        probes (``known_inert``) one reaction costs are the same on an
+        8x larger centralised Montage — they follow what changed, not how
+        many task sub-solutions sit in the level."""
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for cls in (Var, Literal, TuplePattern, SolutionPattern, RulePattern):
+            monkeypatch.setattr(cls, "quick_reject", counted("quick_reject", cls.quick_reject))
+        monkeypatch.setattr(
+            Multiset, "known_inert", property(counted("known_inert", Multiset.known_inert.fget))
+        )
+        per_reaction = {}
+        for tasks in (100, 800):
+            calls.clear()
+            report = _reduce_centralized(montage_workflow(projections=tasks - 10), True)
+            per_reaction[tasks] = {name: count / report.reactions for name, count in calls.items()}
+        for name in ("quick_reject", "known_inert"):
+            small, large = per_reaction[100][name], per_reaction[800][name]
+            assert 0.75 * small <= large <= 1.25 * small, per_reaction
+
+
+class TestFlagsSurviveFailure:
+    def test_a_nested_solution_is_visited_again_after_a_reduction_error(self):
+        failures = [RuntimeError("transient")]
+
+        def flaky(bindings):
+            if failures:
+                raise failures.pop()
+            return bindings.value("x") + 1
+
+        bump = Rule("bump", [Var("x", kind="int")], [Compute(flaky)], one_shot=True)
+        nested = Multiset([1, bump])
+        sibling = Multiset([Rule("mark", [SymbolPattern("GO")], ["went"], one_shot=True), Symbol("GO")])
+        solution = Multiset([Subsolution(nested), TupleAtom([Symbol("S"), Subsolution(sibling)])])
+        engine = ReductionEngine()
+        with pytest.raises(ReductionError):
+            engine.reduce(solution)
+        assert not nested.known_inert and bump in nested.rules()
+        report = engine.reduce(solution)
+        assert report.inert and report.rule_fires == {"bump": 1, "mark": 1}
+        assert IntAtom(2) in nested and "went" in sibling
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("same_engine", [False, True])
+    def test_the_step_limit_leaves_the_rest_for_the_next_reduce(self, batch, same_engine):
+        """The cut keeps the flags — and, for the engine that was cut, its
+        frontier: the outer rule still sees the entry whose solution had
+        finished before the limit was hit."""
+
+        def countdown():
+            return Rule(
+                "down",
+                [Var("x", kind="int")],
+                [Compute(lambda b: b.value("x") - 1)],
+                condition=lambda b: b.value("x") > 0,
+            )
+
+        def settled(name):
+            pattern = TuplePattern(SymbolPattern(name), SolutionPattern(Literal(0), rest=Omega("w")))
+            return Rule(f"settled-{name}", [pattern], [f"{name}-done"], one_shot=True)
+
+        first, second = Multiset([3, countdown()]), Multiset([3, countdown()])
+        solution = Multiset(
+            [
+                TupleAtom([Symbol("A"), Subsolution(first)]),
+                TupleAtom([Symbol("B"), Subsolution(second)]),
+                settled("A"),
+                settled("B"),
+            ]
+        )
+        engine = ReductionEngine(batch=batch, max_steps=4)
+        cut = engine.reduce(solution)
+        assert not cut.inert and cut.reactions == 4
+        if same_engine:
+            engine.max_steps = 100
+        else:
+            engine = ReductionEngine(batch=batch)
+        rest = engine.reduce(solution)
+        assert rest.inert and rest.reactions == 4
+        assert IntAtom(0) in first and IntAtom(0) in second
+        assert "A-done" in solution and "B-done" in solution

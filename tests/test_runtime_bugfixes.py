@@ -1,4 +1,4 @@
-"""Regression tests for the three runtime-layer bugfixes of PR 4.
+"""Regression tests for the runtime-layer bugfixes of PR 4 and PR 14.
 
 * ADAPT payload coercion: live delivery (``EnactmentEngine.deliver``) and
   log-replay recovery (``recovery.replay_messages``) must apply the *same*
@@ -10,18 +10,24 @@
 * Timeout swallowing: a run cut off by its wall-clock timeout must report
   ``timed_out=True`` and ``succeeded=False`` in both the asyncio and the
   threaded runtimes.
+* A service result with no HOCL atom form (``None``, a dict, ...) is a failure
+  of the task on every runtime — not an ``AtomError`` or ``ReductionError``
+  out of ``run``, nor a worker lost to one and a wait until the timeout.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+
+import pytest
 
 from repro.agents import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import InProcessBroker, Message, MessageKind, adapt_count, agent_topic
-from repro.runtime import GinFlowConfig, run_asyncio, run_threaded
-from repro.runtime.enactment import AgentHost, EnactmentEngine, MonotonicClock
+from repro.runtime import GinFlow, GinFlowConfig, RunReport, run_asyncio, run_threaded
+from repro.runtime.enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation
 from repro.services import InvocationContext, InvocationResult, Service, ServiceRegistry
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow
 
@@ -109,10 +115,64 @@ class TestInvocationLoss:
         self._check(run_threaded, "threaded")
 
 
+class TestResultWithoutAtomForm:
+    @staticmethod
+    def _run(mode: str, nothing) -> "RunReport":
+        """``A -> B`` where the exit task ``B`` runs the service under test."""
+        ginflow = GinFlow()
+        ginflow.register_service("one", lambda *args: 1)
+        ginflow.register_service("nothing", nothing)
+        workflow = Workflow("nothing")
+        workflow.add_task(Task("A", "one"))
+        workflow.add_task(Task("B", "nothing"))
+        workflow.add_dependency("A", "B")
+        start = time.monotonic()
+        report = ginflow.run(workflow, mode=mode, timeout=10.0)
+        assert time.monotonic() - start < 5.0
+        return report
+
+    @pytest.mark.parametrize("mode", ["centralized", "simulated", "threaded", "asyncio"])
+    @pytest.mark.parametrize("returned", [None, {"a": 1}, [1, None]])
+    def test_it_fails_the_task_on_every_runtime(self, mode, returned):
+        report = self._run(mode, lambda *args: returned)
+        assert report.succeeded is False
+        assert report.timed_out is False
+        assert report.tasks["A"].result == 1 and not report.tasks["A"].error
+        assert report.tasks["B"].error and report.tasks["B"].result is None
+        if mode != "centralized":  # the one runtime that keeps no per-task counters
+            assert report.tasks["B"].failures == 1
+
+    def test_an_awaited_result_is_checked_too(self):
+        async def nothing(*args):
+            return None
+
+        report = self._run("asyncio", nothing)
+        assert not report.succeeded and not report.timed_out
+        assert report.tasks["B"].error and report.tasks["B"].failures == 1
+
+    def test_the_failed_result_names_the_service_and_the_type(self):
+        registry = ServiceRegistry()
+        registry.register_function("nothing", lambda *args: None)
+        prepared = PreparedInvocation(
+            host=None,
+            service=registry.resolve("nothing"),
+            parameters=[],
+            context=InvocationContext(task_name="A", duration=0.0),
+        )
+        outcome = prepared.invoke()
+        assert outcome.failed and outcome.value is None
+        assert outcome.error == "service 'nothing' returned NoneType, which has no HOCL atom form"
+
+
 class TestTimeoutSurfacing:
-    def _stuck_workflow(self, registry: ServiceRegistry, blocking: bool) -> Workflow:
-        if blocking:
-            registry.register_function("stuck", lambda: time.sleep(30.0))
+    def _stuck_workflow(
+        self, registry: ServiceRegistry, blocking: "threading.Event | None" = None
+    ) -> Workflow:
+        if blocking is not None:
+            # held until the test lets go: the agent thread must not outlive
+            # the test (it used to sleep on for 30 s, then die on the `None`
+            # that `time.sleep` returns, inside whichever test ran by then)
+            registry.register_function("stuck", lambda: blocking.wait(30.0))
         else:
 
             async def stuck():  # never finishes within the timeout
@@ -127,7 +187,7 @@ class TestTimeoutSurfacing:
 
     def test_asyncio_timeout_is_reported(self):
         registry = ServiceRegistry()
-        workflow = self._stuck_workflow(registry, blocking=False)
+        workflow = self._stuck_workflow(registry)
         report = run_asyncio(
             workflow, GinFlowConfig(mode="asyncio", registry=registry), timeout=0.2
         )
@@ -136,10 +196,14 @@ class TestTimeoutSurfacing:
 
     def test_threaded_timeout_is_reported(self):
         registry = ServiceRegistry()
-        workflow = self._stuck_workflow(registry, blocking=True)
-        report = run_threaded(
-            workflow, GinFlowConfig(mode="threaded", registry=registry), timeout=0.2
-        )
+        release = threading.Event()
+        workflow = self._stuck_workflow(registry, blocking=release)
+        try:
+            report = run_threaded(
+                workflow, GinFlowConfig(mode="threaded", registry=registry), timeout=0.2
+            )
+        finally:
+            release.set()
         assert report.timed_out
         assert not report.succeeded
 
