@@ -22,7 +22,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro.hocl import Multiset, ReductionEngine, Symbol, default_registry, from_atom, to_atom
+from repro.hocl import Multiset, ReductionEngine, Symbol, from_atom, to_atom
 from repro.hocl.parallel import resolve_policy
 from repro.obs.logs import get_logger
 from repro.obs.tracer import Tracer, active as active_tracer
@@ -43,13 +43,16 @@ from repro.hoclflow.fields import (
     res_field,
     tagged_input,
 )
-from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.hoclflow.translator import TaskEncoding
 
 from .actions import Action, SendResult, StartInvocation, StatusUpdate
-from .local_rules import build_local_rules
+from .local_rules import LOCAL_EXTERNALS, build_local_rules
 
 __all__ = ["AgentState", "AgentCore"]
+
+#: One logger for every agent (the task name goes in the message): a logger
+#: per task name would stay registered in the logging manager for good.
+logger = get_logger("agents")
 
 
 class AgentState:
@@ -100,25 +103,20 @@ class AgentCore:
         self.encoding = encoding
         self.name = encoding.name
         self.trace = active_tracer(trace)
-        self.log = get_logger(f"agents.{self.name}")
-        self._pending: list[Action] = []
         self.solution: Multiset = encoding.initial_solution(include_rules=False)
-        local_rules = build_local_rules(encoding, self._pending.append)
+        # shared rule objects (see local_rules): only the atoms above are this agent's own
+        local_rules = build_local_rules(encoding)
         self.solution.add_all(local_rules)
         #: names of every rule registered in this agent's local solution;
         #: the dynamic analyzer diffs this against `rule_fires` for coverage
         self.rule_names: tuple[str, ...] = tuple(rule.name for rule in local_rules)
-        externals = default_registry()
-        # Only the pure externals are needed locally: the decentralised
-        # gw_call never calls `invoke` (the runtime owns the invocation).
-        register_workflow_externals(externals, lambda *_args: None)
         # Incremental: between stimuli the local solution stays stamped
         # inert, so re-entering reduction after a stimulus only re-examines
         # the parts of the solution the stimulus actually dirtied.
         self.policy = resolve_policy(reduction)
         self.reducer = reducer
         self.engine = ReductionEngine(
-            externals=externals,
+            externals=LOCAL_EXTERNALS,
             max_steps=max_reduction_steps,
             incremental=True,
             trace=self.trace,
@@ -210,11 +208,6 @@ class AgentCore:
         self.adaptations_applied += 1
         return self._reduce_and_collect("receive_adapt")
 
-    def invocation_started(self) -> list[Action]:
-        """Record that the runtime actually started the service invocation."""
-        self.state = AgentState.INVOKING
-        return [StatusUpdate(state=self.state)]
-
     def invocation_succeeded(self, value: Any) -> list[Action]:
         """Handle the service result: store it and let ``gw_pass`` send it."""
         self._store_result(to_atom(value))
@@ -248,10 +241,9 @@ class AgentCore:
             self.reduction_timings[phase] = self.reduction_timings.get(phase, 0.0) + seconds
         for rule_name, fires in report.rule_fires.items():
             self.rule_fires[rule_name] = self.rule_fires.get(rule_name, 0) + fires
-        # NOTE: the rules' effect hooks hold a reference to self._pending, so
-        # the list must be drained in place (never rebound).
-        actions = list(self._pending)
-        self._pending.clear()
+        # what this reduction's rules requested, and nobody else's: the
+        # report is the only sink the shared rules' effects have
+        actions: list[Action] = report.effects
         for action in actions:
             if isinstance(action, StartInvocation):
                 self.invocation_requested = True
@@ -268,8 +260,9 @@ class AgentCore:
                 match_attempts=report.match_attempts,
                 state=self.state,
             )
-        self.log.debug(
-            "%s: %d reactions, %d actions, state=%s",
+        logger.debug(
+            "%s %s: %d reactions, %d actions, state=%s",
+            self.name,
             stimulus,
             report.reactions,
             len(actions),

@@ -1,4 +1,4 @@
-"""Decentralised variants of the enactment rules.
+"""Decentralised variants of the enactment rules — one compiled set per run.
 
 Section IV-A: "the rules presented in Section III-B do not enable a
 decentralised execution by themselves.  In particular, the ``gw_pass`` rule
@@ -22,11 +22,22 @@ The local rule set of one agent is therefore:
 * the adaptation rules proper (``add_dst`` / ``mv_src`` / ``activate``) are
   *already* local — the same rule objects produced by
   :mod:`repro.hoclflow.adaptation` are reused verbatim.
+
+The shared-rule contract
+------------------------
+The rules are the same for every agent, so they are compiled once and every
+agent's solution holds the same objects: :data:`GW_SETUP`, :data:`GW_CALL`
+and :data:`GW_PASS` exist once per process, ``trigger_adapt`` once per
+:class:`~repro.hoclflow.adaptation.AdaptationPlan` (i.e. per encoded
+workflow), and :data:`LOCAL_EXTERNALS` is the one registry every agent's
+engine calls.  None of them holds per-agent state: patterns, templates and
+deltas are immutable, and an effect hook *returns* its actions, which come
+back in the :class:`~repro.hocl.engine.ReductionReport` of the ``reduce``
+call that fired the rule — so agents reduced concurrently on different
+threads never see each other's actions.  An agent owns only its atoms.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.hocl import (
     BindingView,
@@ -37,131 +48,111 @@ from repro.hocl import (
     SolutionPattern,
     SolutionTemplate,
     Splice,
-    Symbol,
     SymbolPattern,
     TuplePattern,
     TupleTemplate,
     Ref,
     Var,
-    from_atom,
+    default_registry,
 )
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import AdaptationPlan
-from repro.hoclflow.generic_rules import make_gw_setup
+from repro.hoclflow.generic_rules import gw_pass_condition, make_gw_setup, register_workflow_externals
 from repro.hoclflow.translator import TaskEncoding
 
 from .actions import Action, SendAdapt, SendResult, StartInvocation
 
-__all__ = ["build_local_rules"]
-
-#: Callback through which the rules hand their actions back to the agent core.
-ActionSink = Callable[[Action], None]
-
-#: ``gw_setup`` carries no per-agent state (no effect hook), so every agent
-#: shares one immutable instance: the engine's per-rule index keys are then
-#: computed once per process instead of once per agent.
-_SHARED_GW_SETUP = make_gw_setup()
+__all__ = ["GW_SETUP", "GW_CALL", "GW_PASS", "LOCAL_EXTERNALS", "local_trigger", "build_local_rules"]
 
 
-def _make_local_gw_call(emit: ActionSink) -> Rule:
-    """Local ``gw_call``: request the invocation instead of performing it."""
-
-    def effect(bindings: BindingView) -> None:
-        service = str(bindings.value("s"))
-        parameters = bindings.value("par")
-        if not isinstance(parameters, list):
-            parameters = [parameters]
-        emit(StartInvocation(service=service, parameters=tuple(parameters)))
-
-    return Rule(
-        name="gw_call",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
-            TuplePattern(SymbolPattern(kw.SRV), Var("s")),
-            TuplePattern(SymbolPattern(kw.PAR), Var("par")),
-        ],
-        products=[
-            TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
-            TupleTemplate(kw.SRV_SYM, Ref("s")),
-            kw.INVOKING_SYM,
-        ],
-        one_shot=True,
-        effect=effect,
-        # Delta form: SRC/SRV stay in place, PAR is consumed, the INVOKING
-        # marker is the only new atom.
-        delta=RewriteDelta(consume=(2,), produce=(kw.INVOKING_SYM,)),
-    )
+def _start_invocation(bindings: BindingView) -> list[Action]:
+    parameters = bindings.value("par")
+    if not isinstance(parameters, list):
+        parameters = [parameters]
+    return [StartInvocation(service=str(bindings.value("s")), parameters=tuple(parameters))]
 
 
-def _make_local_gw_pass(emit: ActionSink) -> Rule:
-    """Local ``gw_pass``: send the result to one pending destination."""
-
-    def condition(bindings: BindingView) -> bool:
-        result = bindings.atom("res")
-        return not (isinstance(result, Symbol) and result.name == kw.ERROR)
-
-    def effect(bindings: BindingView) -> None:
-        destination = bindings.value("tj")
-        emit(SendResult(destination=str(destination), value=bindings.value("res")))
-
-    return Rule(
-        name="gw_pass",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.RES), SolutionPattern(Var("res"), rest=Omega("wres"))),
-            TuplePattern(SymbolPattern(kw.DST), SolutionPattern(Var("tj", kind="symbol"), rest=Omega("wdst"))),
-        ],
-        products=[
-            TupleTemplate(kw.RES_SYM, SolutionTemplate(Ref("res"), Splice("wres"))),
-            TupleTemplate(kw.DST_SYM, SolutionTemplate(Splice("wdst"))),
-        ],
-        condition=condition,
-        one_shot=False,
-        effect=effect,
-        # Delta form: RES stays untouched; the served destination is dropped
-        # from the kept DST body in place.
-        delta=RewriteDelta(ops=(PatchRemove(at=1, items=(Ref("tj"),)),)),
-    )
+def _send_result(bindings: BindingView) -> list[Action]:
+    return [SendResult(destination=str(bindings.value("tj")), value=bindings.value("res"))]
 
 
-def _make_local_trigger(plan: AdaptationPlan, emit: ActionSink) -> Rule:
-    """Local ``trigger_adapt``: broadcast ``ADAPT`` when this task fails."""
+GW_SETUP = make_gw_setup()
 
-    marker_counts = plan.adapt_marker_counts()
+#: Local ``gw_call``: request the invocation instead of performing it.
+GW_CALL = Rule(
+    name="gw_call",
+    patterns=[
+        TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
+        TuplePattern(SymbolPattern(kw.SRV), Var("s")),
+        TuplePattern(SymbolPattern(kw.PAR), Var("par")),
+    ],
+    products=[
+        TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
+        TupleTemplate(kw.SRV_SYM, Ref("s")),
+        kw.INVOKING_SYM,
+    ],
+    one_shot=True,
+    effect=_start_invocation,
+    # Delta form: SRC/SRV stay in place, PAR is consumed, the INVOKING
+    # marker is the only new atom.
+    delta=RewriteDelta(consume=(2,), produce=(kw.INVOKING_SYM,)),
+)
 
-    def effect(_bindings: BindingView) -> None:
-        for task_name, count in marker_counts.items():
-            emit(SendAdapt(destination=task_name, count=count, adaptation=plan.spec.name))
+#: Local ``gw_pass``: send the (non-``ERROR``) result to one pending destination.
+GW_PASS = Rule(
+    name="gw_pass",
+    patterns=[
+        TuplePattern(SymbolPattern(kw.RES), SolutionPattern(Var("res"), rest=Omega("wres"))),
+        TuplePattern(SymbolPattern(kw.DST), SolutionPattern(Var("tj", kind="symbol"), rest=Omega("wdst"))),
+    ],
+    products=[
+        TupleTemplate(kw.RES_SYM, SolutionTemplate(Ref("res"), Splice("wres"))),
+        TupleTemplate(kw.DST_SYM, SolutionTemplate(Splice("wdst"))),
+    ],
+    condition=gw_pass_condition,
+    one_shot=False,
+    effect=_send_result,
+    # Delta form: RES stays untouched; the served destination is dropped
+    # from the kept DST body in place.
+    delta=RewriteDelta(ops=(PatchRemove(at=1, items=(Ref("tj"),)),)),
+)
 
-    return Rule(
-        name=f"trigger_adapt:{plan.spec.name}",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres"))),
-        ],
-        products=[],  # keep_matched=True puts the matched RES tuple back untouched
-        one_shot=True,
-        keep_matched=True,
-        effect=effect,
-        priority=10,
-    )
+#: ``params`` and the built-ins; the decentralised ``gw_call`` never calls
+#: ``invoke`` (the runtime owns the invocation), so that one does nothing.
+LOCAL_EXTERNALS = register_workflow_externals(default_registry(), lambda *_args: None)
 
 
-def build_local_rules(encoding: TaskEncoding, emit: ActionSink) -> list[Rule]:
-    """The complete local rule set of the agent managing ``encoding``.
+def local_trigger(plan: AdaptationPlan) -> Rule:
+    """Local ``trigger_adapt`` of ``plan``: broadcast ``ADAPT`` when this task fails.
 
-    ``emit`` is called by the rules' effects with the actions they request;
-    the agent core collects them and the runtime executes them.
+    Built on first use and memoised on the plan, so every trigger task of one
+    encoded workflow holds the same rule object.
+    """
+    if plan.local_trigger is None:
+        # the same immutable actions at every firing
+        broadcast = tuple(
+            SendAdapt(destination=task_name, count=count, adaptation=plan.spec.name)
+            for task_name, count in plan.adapt_marker_counts().items()
+        )
+        plan.local_trigger = Rule(
+            name=f"trigger_adapt:{plan.spec.name}",
+            patterns=[
+                TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres"))),
+            ],
+            products=[],  # keep_matched=True puts the matched RES tuple back untouched
+            one_shot=True,
+            keep_matched=True,
+            effect=lambda _bindings: broadcast,
+            priority=10,
+        )
+    return plan.local_trigger
+
+
+def build_local_rules(encoding: TaskEncoding) -> list[Rule]:
+    """The local rule set of the agent managing ``encoding``: shared objects, listed.
 
     Every rule's *first* pattern names a head symbol (``SRC``, ``RES``,
     ``DST``...), so the engine's rule index can refute inapplicable rules
     from the local solution's head-symbol buckets without running a match.
     """
-    rules: list[Rule] = [_SHARED_GW_SETUP, _make_local_gw_call(emit), _make_local_gw_pass(emit)]
-    for plan in encoding.trigger_plans:
-        rules.append(_make_local_trigger(plan, emit))
-    for rule in encoding.local_rules:
-        # reuse the adaptation rules; skip the centralised gw_setup/gw_call,
-        # which the local variants above replace.
-        if rule.name in ("gw_setup", "gw_call"):
-            continue
-        rules.append(rule)
-    return rules
+    return [GW_SETUP, GW_CALL, GW_PASS, *map(local_trigger, encoding.trigger_plans), *encoding.adaptation_rules]

@@ -40,14 +40,20 @@ def replay_messages(core: AgentCore, messages: list[Message]) -> list[Action]:
     return actions
 
 
-def rebuild_agent(encoding: TaskEncoding, logged_messages: list[Message]) -> tuple[AgentCore, list[Action]]:
+def rebuild_agent(
+    encoding: TaskEncoding, logged_messages: list[Message], core: AgentCore | None = None
+) -> tuple[AgentCore, list[Action]]:
     """Create a replacement agent and bring it to the failed agent's state.
 
-    Returns the new core and the combined actions produced by the boot and
-    the replay (the runtime re-executes the invocation and the sends; the
-    duplicate sends are harmless by construction).
+    ``core`` is the fresh core to replay into — the runtime passes one wired
+    like the agent being replaced (same reduction policy, reducer, tracer);
+    by default a plain ``AgentCore(encoding)``.  Returns the core and the
+    combined actions produced by the boot and the replay (the runtime
+    re-executes the invocation and the sends; the duplicate sends are
+    harmless by construction).
     """
-    core = AgentCore(encoding)
+    if core is None:
+        core = AgentCore(encoding)
     actions = list(core.boot())
     actions.extend(replay_messages(core, logged_messages))
     return core, actions

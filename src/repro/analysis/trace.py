@@ -57,8 +57,8 @@ def _run_checks(kind: str, context: Any) -> AnalysisReport:
 def enactment_rules(encoding: WorkflowEncoding, mode: str = "simulated") -> tuple[Rule, ...]:
     """The rule universe a run of ``encoding`` registers, unique by name.
 
-    Decentralised modes instantiate :func:`~repro.agents.local_rules.build_local_rules`
-    per agent (local ``gw_call``/``gw_pass`` variants plus per-plan local
+    Decentralised agents hold :func:`~repro.agents.local_rules.build_local_rules`
+    (the shared local ``gw_call``/``gw_pass`` variants plus per-plan local
     triggers); the centralised mode folds the global rules and every task's
     own local rules into one multiset.  Fire counters aggregate by *name*
     across agents, so the universe does too.
@@ -73,11 +73,8 @@ def enactment_rules(encoding: WorkflowEncoding, mode: str = "simulated") -> tupl
     else:
         from repro.agents.local_rules import build_local_rules
 
-        def _sink(_action: Any) -> None:
-            return None
-
         for task in encoding.tasks.values():
-            for rule in build_local_rules(task, _sink):
+            for rule in build_local_rules(task):
                 rules.setdefault(rule.name, rule)
     return tuple(rules.values())
 

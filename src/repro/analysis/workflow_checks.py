@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-import networkx as nx
-
 from repro.workflow.dag import Workflow
 from repro.workflow.errors import JSONFormatError, WorkflowValidationError
 from repro.workflow.json_format import workflow_from_dict, workflow_to_dict
@@ -56,15 +54,14 @@ class WorkflowContext:
 )
 def check_cycle(context: WorkflowContext) -> Iterator[Finding]:
     """A dependency cycle deadlocks enactment: no task in it can ever start."""
-    graph = context.workflow.to_networkx()
-    if nx.is_directed_acyclic_graph(graph):
+    cycle = context.workflow.find_cycle()
+    if cycle is None:
         return
-    cycle = nx.find_cycle(graph)
-    rendered = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
+    rendered = " -> ".join(cycle + cycle[:1])
     yield Finding(
         check="workflow-cycle",
         severity=Severity.ERROR,
-        subject=cycle[0][0],
+        subject=cycle[0],
         message=f"workflow {context.workflow.name!r} contains a cycle: {rendered}",
         fix_hint="remove one dependency of the cycle so every task has a start order",
         location=context.label,

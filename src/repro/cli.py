@@ -83,6 +83,20 @@ def _resolve_workflow_source(args: argparse.Namespace):
     raise ValueError("a workflow source is required: a JSON file path or --scenario NAME[:K=V,...]")
 
 
+def _add_findings_arguments(parser: argparse.ArgumentParser, all_scenarios_help: str) -> None:
+    """Target and reporting flags shared by ``lint`` and ``audit``."""
+    _add_workflow_source(parser)
+    parser.add_argument("--all-scenarios", action="store_true", help=all_scenarios_help)
+    parser.add_argument(
+        "--fail-on",
+        choices=["warning", "error"],
+        default="error",
+        help="exit non-zero when a finding of at least this severity exists (default: error)",
+    )
+    parser.add_argument("--json", action="store_true", help="print the findings as JSON")
+    parser.add_argument("--json-out", metavar="PATH", help="also write the JSON findings report to PATH")
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     """Configuration flags shared by ``run`` and ``sweep`` (registry-driven)."""
     parser.add_argument("--mode", default="simulated", choices=available_runtimes())
@@ -176,22 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "families) without executing anything; see the README's "
         "'Static analysis' section for the check catalog.",
     )
-    _add_workflow_source(lint_parser)
-    lint_parser.add_argument(
-        "--all-scenarios",
-        action="store_true",
-        help="lint every registered scenario at its default parameters",
-    )
-    lint_parser.add_argument(
-        "--fail-on",
-        choices=["warning", "error"],
-        default="error",
-        help="exit non-zero when a finding of at least this severity exists (default: error)",
-    )
-    lint_parser.add_argument("--json", action="store_true", help="print the findings as JSON")
-    lint_parser.add_argument(
-        "--json-out", metavar="PATH", help="also write the JSON findings report to PATH"
-    )
+    _add_findings_arguments(lint_parser, "lint every registered scenario at its default parameters")
 
     audit_parser = subparsers.add_parser(
         "audit",
@@ -201,12 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run produces; see the README's 'Dynamic analysis' section for the "
         "check catalog.",
     )
-    _add_workflow_source(audit_parser)
-    audit_parser.add_argument(
-        "--all-scenarios",
-        action="store_true",
-        help="audit every registered scenario at a small size (size=20)",
-    )
+    _add_findings_arguments(audit_parser, "audit every registered scenario at a small size (size=20)")
     audit_parser.add_argument("--mode", default="simulated", choices=available_runtimes())
     audit_parser.add_argument("--reduction", default="serial", choices=available_reductions(),
                               help="HOCL reduction strategy audited runs use")
@@ -215,16 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_parser.add_argument(
         "--repeats", type=int, default=1,
         help="runs per workflow (seeds seed..seed+repeats-1); rule coverage merges all runs",
-    )
-    audit_parser.add_argument(
-        "--fail-on",
-        choices=["warning", "error"],
-        default="error",
-        help="exit non-zero when a finding of at least this severity exists (default: error)",
-    )
-    audit_parser.add_argument("--json", action="store_true", help="print the findings as JSON")
-    audit_parser.add_argument(
-        "--json-out", metavar="PATH", help="also write the JSON findings report to PATH"
     )
 
     trace_parser = subparsers.add_parser(
@@ -483,84 +467,57 @@ def _command_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import AnalysisReport, Severity, analyze_all_scenarios, analyze_document, analyze_scenario
-
-    sources = sum(1 for given in (args.workflow, args.scenario, args.all_scenarios) if given)
-    if sources != 1:
+def _findings_target(args: argparse.Namespace, verb: str) -> None:
+    """``lint``/``audit`` take exactly one of: a JSON path, --scenario, --all-scenarios."""
+    if sum(1 for given in (args.workflow, args.scenario, args.all_scenarios) if given) != 1:
         raise ValueError(
-            "pass exactly one lint target: a workflow JSON path, --scenario NAME[:K=V,...], "
+            f"pass exactly one {verb} target: a workflow JSON path, --scenario NAME[:K=V,...], "
             "or --all-scenarios"
         )
-    report: AnalysisReport
+
+
+def _emit_findings(args: argparse.Namespace, report: Any) -> int:
+    from repro.analysis import Severity
+
+    fail_on = Severity.parse(args.fail_on)
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json(fail_on) + "\n")
+    print(report.to_json(fail_on) if args.json else report.format_text())
+    return 0 if report.ok(fail_on) else 1
+
+
+def _command_lint(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_all_scenarios, analyze_document, analyze_scenario
+
+    _findings_target(args, "lint")
     if args.all_scenarios:
         report = analyze_all_scenarios()
     elif args.scenario:
         report = analyze_scenario(args.scenario)
     else:
         report = analyze_document(args.workflow)
-    fail_on = Severity.parse(args.fail_on)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json(fail_on) + "\n")
-    if args.json:
-        print(report.to_json(fail_on))
-    else:
-        print(report.format_text())
-    return 0 if report.ok(fail_on) else 1
+    return _emit_findings(args, report)
 
 
 def _command_audit(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        AnalysisReport,
-        Severity,
-        audit_all_scenarios,
-        audit_scenario,
-        audit_workflow,
-    )
+    from repro.analysis import audit_all_scenarios, audit_scenario, audit_workflow
 
-    sources = sum(1 for given in (args.workflow, args.scenario, args.all_scenarios) if given)
-    if sources != 1:
-        raise ValueError(
-            "pass exactly one audit target: a workflow JSON path, --scenario NAME[:K=V,...], "
-            "or --all-scenarios"
-        )
-    report: AnalysisReport
+    _findings_target(args, "audit")
+    options = {
+        "mode": args.mode,
+        "nodes": args.nodes,
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "reduction": args.reduction,
+    }
     if args.all_scenarios:
-        report = audit_all_scenarios(
-            mode=args.mode,
-            nodes=args.nodes,
-            seed=args.seed,
-            repeats=args.repeats,
-            reduction=args.reduction,
-        )
+        report = audit_all_scenarios(**options)
     elif args.scenario:
-        report = audit_scenario(
-            args.scenario,
-            mode=args.mode,
-            nodes=args.nodes,
-            seed=args.seed,
-            repeats=args.repeats,
-            reduction=args.reduction,
-        )
+        report = audit_scenario(args.scenario, **options)
     else:
-        report = audit_workflow(
-            workflow_from_json(args.workflow),
-            mode=args.mode,
-            nodes=args.nodes,
-            seed=args.seed,
-            repeats=args.repeats,
-            reduction=args.reduction,
-        )
-    fail_on = Severity.parse(args.fail_on)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json(fail_on) + "\n")
-    if args.json:
-        print(report.to_json(fail_on))
-    else:
-        print(report.format_text())
-    return 0 if report.ok(fail_on) else 1
+        report = audit_workflow(workflow_from_json(args.workflow), **options)
+    return _emit_findings(args, report)
 
 
 def _command_trace(args: argparse.Namespace) -> int:

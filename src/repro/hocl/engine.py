@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.tracer import Tracer, active as active_tracer
 
@@ -52,7 +52,7 @@ from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
 from .matching import Match
 from .multiset import Multiset, atom_index_keys
-from .rules import Rule
+from .rules import BindingView, Rule
 
 __all__ = ["ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
 
@@ -115,6 +115,10 @@ class ReductionReport:
         (:class:`~repro.hocl.deltas.RewriteDelta`) rather than by rebuilding
         products; ``patched <= reactions`` always, and the ratio measures
         how much of the rewrite work the deltas absorbed.
+    effects:
+        What the fired rules' effect hooks returned, in firing order (see
+        :class:`~repro.hocl.rules.Rule`): the report of one ``reduce`` call
+        is the only sink an effect has.
     """
 
     reactions: int = 0
@@ -127,6 +131,7 @@ class ReductionReport:
     rule_fires: dict[str, int] = field(default_factory=dict)
     batches: int = 0
     patched: int = 0
+    effects: list[Any] = field(default_factory=list)
 
     def merge(self, other: "ReductionReport") -> None:
         """Accumulate ``other`` into this report.
@@ -141,6 +146,7 @@ class ReductionReport:
         self.match_attempts += other.match_attempts
         self.inert = self.inert and other.inert
         self.history.extend(other.history)
+        self.effects.extend(other.effects)
         self.batches += other.batches
         self.patched += other.patched
         for phase, seconds in other.timings.items():
@@ -785,7 +791,8 @@ class ReductionEngine:
                 rule=rule.name, depth=depth, consumed=len(match.consumed), produced=len(dirty)
             )
         )
-        rule.fire_effect(match)
+        if rule.effect is not None:
+            report.effects.extend(rule.effect(BindingView(match.bindings)) or ())
         if self.observer is not None:
             self.observer(rule, match, depth)
         return removed, dirty, kept

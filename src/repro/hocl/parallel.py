@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from .engine import ReductionEngine, ReductionReport
 from .multiset import Multiset
+
+if TYPE_CHECKING:  # pragma: no cover - the pools (and multiprocessing) load with the first pool
+    from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 __all__ = ["ReductionPolicy", "ParallelReducer", "reduce_sharded", "resolve_policy"]
 
@@ -158,6 +160,8 @@ class ParallelReducer:
 
     # ------------------------------------------------------------- lifecycle
     def _thread_pool(self) -> ThreadPoolExecutor:
+        from concurrent.futures import ThreadPoolExecutor
+
         if self._threads is None:
             self._threads = ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="hocl-reduce"
@@ -165,6 +169,8 @@ class ParallelReducer:
         return self._threads
 
     def _process_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._processes is None:
             self._processes = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._processes

@@ -42,7 +42,7 @@ from .atoms import Atom, FloatAtom, IntAtom, ListAtom, StringAtom, Subsolution, 
 from .errors import ParseError
 from .multiset import Multiset
 from .patterns import Literal, Omega, Pattern, RulePattern, SolutionPattern, SymbolPattern, TuplePattern, Var
-from .rules import BindingView, Rule
+from .rules import BindingView, Rule, with_inject
 from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate
 
 __all__ = ["Program", "parse_program", "parse_solution"]
@@ -189,7 +189,7 @@ class _Parser:
         if style == "with":
             self._expect_name("inject")
             products = self._parse_product_list()
-            return Rule.with_inject(name, patterns, products)
+            return with_inject(name, patterns, products)
         self._expect_name("by")
         products = self._parse_product_list()
         condition = None

@@ -16,21 +16,21 @@ Two firing disciplines exist, mirroring the paper's syntax:
   this to make duplicate message deliveries harmless after an agent recovery.
 
 The ``with X inject M`` sugar of HOCLflow is provided by
-:func:`Rule.with_inject`: it keeps the matched atoms and adds the injected
+:func:`with_inject`: it keeps the matched atoms and adds the injected
 ones (it is defined in the paper as ``replace-one X by X, M``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .atoms import Atom, from_atom
 from .deltas import RewriteDelta
 from .errors import RuleError
-from .matching import Match, find_first_match, find_matches
+from .matching import Match, find_matches
 from .multiset import Multiset
 from .patterns import Bindings, as_pattern
-from .templates import Compute, expand_templates, template_referenced_names
+from .templates import expand_templates, template_referenced_names
 
 __all__ = ["BindingView", "Rule", "replace", "replace_one", "with_inject"]
 
@@ -58,9 +58,10 @@ class BindingView(dict):
 #: Type of reaction conditions: a predicate over the binding environment.
 Condition = Callable[[BindingView], bool]
 
-#: Type of side-effect hooks invoked when a rule fires (used by the
-#: decentralised engine to emit messages).
-EffectHook = Callable[[BindingView], None]
+#: Type of effect hooks invoked when a rule fires: a function of the bindings
+#: alone, returning the values the firing emits (or ``None``).  The engine
+#: collects them in :attr:`~repro.hocl.engine.ReductionReport.effects`.
+EffectHook = Callable[[BindingView], "Iterable[Any] | None"]
 
 
 class Rule(Atom):
@@ -84,9 +85,14 @@ class Rule(Atom):
         ``True`` for ``with ... inject`` rules: the matched atoms are put
         back in addition to the products.
     effect:
-        Optional side-effect hook called (with the bindings) every time the
-        rule fires — after the products have been computed.  The
-        decentralised engine uses this to send messages to other agents.
+        Optional hook called with the bindings every time the rule fires,
+        after the products have been computed.  It returns the values the
+        firing emits (an iterable, or ``None``) and the engine appends them,
+        in firing order, to the ``effects`` of the
+        :class:`~repro.hocl.engine.ReductionReport` of *that* ``reduce`` call.
+        A hook holds no sink of its own and depends on its bindings only, so
+        one rule object can serve many solutions reduced concurrently (the
+        agents of a run share theirs) without their emissions ever mixing.
     priority:
         Rules with a higher priority are tried first by the engine; used by
         GinFlow to favour adaptation rules over regular progress when both
@@ -161,29 +167,6 @@ class Rule(Atom):
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
 
-    # ----------------------------------------------------------- constructors
-    @classmethod
-    def with_inject(
-        cls,
-        name: str,
-        patterns: Sequence[Any],
-        inject: Sequence[Any],
-        condition: Condition | None = None,
-        effect: EffectHook | None = None,
-        priority: int = 0,
-    ) -> "Rule":
-        """Build a ``with X inject M`` rule (one-shot, keeps the matched atoms)."""
-        return cls(
-            name,
-            patterns,
-            products=inject,
-            condition=condition,
-            one_shot=True,
-            keep_matched=True,
-            effect=effect,
-            priority=priority,
-        )
-
     # -------------------------------------------------------------- matching
     def _wrapped_condition(self) -> Callable[[Bindings], bool] | None:
         if self.condition is None:
@@ -201,10 +184,6 @@ class Rule(Atom):
                 return False
 
         return wrapped
-
-    def find_match(self, solution: Multiset, initial_bindings: Bindings | None = None) -> Match | None:
-        """First match of this rule's left-hand side in ``solution``, or ``None``."""
-        return find_first_match(self.patterns, solution, self._wrapped_condition(), initial_bindings)
 
     def find_all_matches(
         self, solution: Multiset, exclude: "Callable[[Atom], bool] | None" = None
@@ -242,10 +221,6 @@ class Rule(Atom):
             pinned_entries=lead_entries,
         )
 
-    def is_applicable(self, solution: Multiset) -> bool:
-        """Whether the rule can fire on ``solution`` right now."""
-        return self.find_match(solution) is not None
-
     # -------------------------------------------------------------- products
     def produce(self, match: Match, externals: Any = None) -> list[Atom]:
         """Atoms produced by firing the rule on ``match`` (not yet inserted)."""
@@ -255,11 +230,6 @@ class Rule(Atom):
             produced.extend(match.consumed)
         produced.extend(expand_templates(self.products, view, externals))
         return produced
-
-    def fire_effect(self, match: Match) -> None:
-        """Run the side-effect hook, if any."""
-        if self.effect is not None:
-            self.effect(BindingView(match.bindings))
 
     # --------------------------------------------------------- introspection
     def bound_variables(self) -> set[str]:
@@ -282,8 +252,7 @@ class Rule(Atom):
         Covers both product forms: the rebuild templates and, when present,
         the delta's patches and produce templates.
         :class:`~repro.hocl.templates.Compute` products are opaque and
-        contribute nothing here; check :meth:`has_opaque_products` before
-        treating the result as exhaustive.
+        contribute nothing here.
         """
         names: set[str] = set()
         for product in self.products:
@@ -291,10 +260,6 @@ class Rule(Atom):
         if self.delta is not None:
             names |= self.delta.referenced_names()
         return names
-
-    def has_opaque_products(self) -> bool:
-        """Whether any product is an unanalysable :class:`Compute` escape hatch."""
-        return any(isinstance(product, Compute) for product in self.products)
 
     # -------------------------------------------------------------- identity
     def copy(self) -> "Rule":
@@ -353,5 +318,5 @@ def with_inject(
     condition: Condition | None = None,
     **kwargs: Any,
 ) -> Rule:
-    """Convenience constructor for a ``with X inject M`` rule."""
-    return Rule.with_inject(name, patterns, inject, condition=condition, **kwargs)
+    """Build a ``with X inject M`` rule (one-shot, keeps the matched atoms)."""
+    return Rule(name, patterns, inject, condition=condition, one_shot=True, keep_matched=True, **kwargs)

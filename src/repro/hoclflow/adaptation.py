@@ -93,6 +93,9 @@ class AdaptationPlan:
     new_sources:
         Replacement exit tasks that become sources of the destination (the
         ``MVSRC`` links).
+    local_trigger:
+        The decentralised ``trigger_adapt`` of this plan, memoised here by
+        :func:`repro.agents.local_rules.local_trigger`: one object per run.
     """
 
     spec: "AdaptationSpec"
@@ -104,6 +107,7 @@ class AdaptationPlan:
     exit_tasks: list[str]
     added_destinations: dict[str, list[str]] = field(default_factory=dict)
     new_sources: list[str] = field(default_factory=list)
+    local_trigger: Rule | None = field(default=None, init=False, repr=False, compare=False)
 
     def affected_tasks(self) -> list[str]:
         """Every task that receives the ``ADAPT`` marker when the plan triggers."""

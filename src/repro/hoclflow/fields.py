@@ -238,10 +238,9 @@ def task_solution(
     destination_tasks: Iterable[str],
     service: str,
     inputs: Iterable[Any] = (),
-    extra_atoms: Iterable[Any] = (),
 ) -> Multiset:
     """The initial local solution of one task (its fields, no rules)."""
-    solution = Multiset(
+    return Multiset(
         [
             src_field(source_tasks),
             dst_field(destination_tasks),
@@ -250,8 +249,6 @@ def task_solution(
             res_field(),
         ]
     )
-    solution.add_all(extra_atoms)
-    return solution
 
 
 def task_tuple(
@@ -260,9 +257,6 @@ def task_tuple(
     destination_tasks: Iterable[str],
     service: str,
     inputs: Iterable[Any] = (),
-    extra_atoms: Iterable[Any] = (),
 ) -> TupleAtom:
     """The ``Tname : <fields...>`` tuple placed in the global solution."""
-    return TupleAtom(
-        [Symbol(task_name), Subsolution(task_solution(source_tasks, destination_tasks, service, inputs, extra_atoms))]
-    )
+    return TupleAtom([Symbol(task_name), Subsolution(task_solution(source_tasks, destination_tasks, service, inputs))])

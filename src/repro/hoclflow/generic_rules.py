@@ -59,7 +59,7 @@ __all__ = [
     "make_gw_setup",
     "make_gw_call",
     "make_gw_pass",
-    "generic_task_rules",
+    "gw_pass_condition",
     "register_workflow_externals",
 ]
 
@@ -138,7 +138,7 @@ def make_gw_call(task_name: str) -> Rule:
     )
 
 
-def _gw_pass_condition(bindings: BindingView) -> bool:
+def gw_pass_condition(bindings: BindingView) -> bool:
     """The transferred result must not be the ``ERROR`` marker."""
     result = bindings.atom("res")
     return not (isinstance(result, Symbol) and result.name == kw.ERROR)
@@ -206,7 +206,7 @@ def make_gw_pass() -> Rule:
                 ),
             ),
         ],
-        condition=_gw_pass_condition,
+        condition=gw_pass_condition,
         one_shot=False,
         delta=RewriteDelta(
             ops=(
@@ -216,11 +216,6 @@ def make_gw_pass() -> Rule:
             ),
         ),
     )
-
-
-def generic_task_rules(task_name: str) -> list[Rule]:
-    """The per-task generic rules (``gw_setup`` and ``gw_call``)."""
-    return [make_gw_setup(), make_gw_call(task_name)]
 
 
 #: Signature of the service-invocation callback plugged into the registry:

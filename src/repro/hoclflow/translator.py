@@ -13,11 +13,15 @@ DAG (plus adaptation specifications), produce
 The same encoding feeds both execution modes: the centralised executor folds
 everything into a single multiset (the concrete workflow of Fig. 8), while
 the distributed executors hand each task encoding to its service agent.
+Only the first needs the per-task centralised rules (``gw_setup`` and
+``gw_call(task)``), so those are built when first read
+(:attr:`TaskEncoding.local_rules`): a decentralised run never constructs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.hocl import Multiset, Rule, Subsolution, Symbol, TupleAtom
@@ -26,7 +30,7 @@ from repro.workflow.dag import Workflow
 from . import keywords as kw
 from .adaptation import AdaptationPlan, build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
 from .fields import task_solution
-from .generic_rules import generic_task_rules, make_gw_pass
+from .generic_rules import make_gw_call, make_gw_pass, make_gw_setup
 
 __all__ = ["TaskEncoding", "WorkflowEncoding", "encode_workflow"]
 
@@ -45,8 +49,13 @@ class TaskEncoding:
         the ``TRIGGER`` placeholder for replacement entry tasks.
     destinations:
         Tasks this task sends its result to (its initial ``DST``).
+    adaptation_rules:
+        The adaptation rules assigned to the task (``add_dst`` / ``mv_src`` /
+        ``activate``); the same objects serve both execution modes.
     local_rules:
-        Rules living inside the task's sub-solution.
+        Rules living inside the task's centralised sub-solution: its own
+        ``gw_setup``/``gw_call`` followed by :attr:`adaptation_rules`, built
+        on first access.
     trigger_plans:
         Adaptation plans triggered by this task's failure (used by the
         decentralised engine, where the trigger is a message rather than a
@@ -66,21 +75,22 @@ class TaskEncoding:
     sources: list[str]
     destinations: list[str]
     has_trigger_placeholder: bool = False
-    local_rules: list[Rule] = field(default_factory=list)
+    adaptation_rules: list[Rule] = field(default_factory=list)
     trigger_plans: list[AdaptationPlan] = field(default_factory=list)
     is_replacement: bool = False
     adaptation: str | None = None
 
+    @cached_property
+    def local_rules(self) -> list[Rule]:
+        return [make_gw_setup(), make_gw_call(self.name), *self.adaptation_rules]
+
     def initial_solution(self, include_rules: bool = True) -> Multiset:
         """The task's initial (local) solution."""
-        sources: list[str] = list(self.sources)
-        extra: list[Any] = []
         solution = task_solution(
-            source_tasks=sources + ([kw.TRIGGER] if self.has_trigger_placeholder else []),
+            source_tasks=self.sources + ([kw.TRIGGER] if self.has_trigger_placeholder else []),
             destination_tasks=self.destinations,
             service=self.service,
             inputs=self.inputs,
-            extra_atoms=extra,
         )
         if include_rules:
             solution.add_all(self.local_rules)
@@ -124,23 +134,24 @@ class WorkflowEncoding:
 
 def encode_workflow(workflow: Workflow) -> WorkflowEncoding:
     """Encode ``workflow`` (and its adaptations) into HOCL building blocks."""
-    workflow.validate()
+    workflow.ensure_valid()
     plans = [build_plan(workflow, spec) for spec in workflow.adaptations]
 
-    encodings: dict[str, TaskEncoding] = {}
-
-    # --- original tasks ----------------------------------------------------
-    for task in workflow:
+    def encode(task: Any, sources: list[str], destinations: list[str], **extra: Any) -> None:
         encodings[task.name] = TaskEncoding(
             name=task.name,
             service=task.service,
             inputs=list(task.inputs),
             duration=task.duration,
             metadata=dict(task.metadata),
-            sources=workflow.predecessors(task.name),
-            destinations=workflow.successors(task.name),
-            local_rules=generic_task_rules(task.name),
+            sources=sources,
+            destinations=destinations,
+            **extra,
         )
+
+    encodings: dict[str, TaskEncoding] = {}
+    for task in workflow:
+        encode(task, workflow.predecessors(task.name), workflow.successors(task.name))
 
     # --- replacement tasks --------------------------------------------------
     for plan in plans:
@@ -154,16 +165,11 @@ def encode_workflow(workflow: Workflow) -> WorkflowEncoding:
                 sources = list(plan.spec.entry_sources.get(task.name, [])) + sources
             if task.name in exit_tasks:
                 destinations = destinations + [plan.destination]
-            encodings[task.name] = TaskEncoding(
-                name=task.name,
-                service=task.service,
-                inputs=list(task.inputs),
-                duration=task.duration,
-                metadata=dict(task.metadata),
-                sources=sources,
-                destinations=destinations,
+            encode(
+                task,
+                sources,
+                destinations,
                 has_trigger_placeholder=task.name in entry_tasks,
-                local_rules=generic_task_rules(task.name),
                 is_replacement=True,
                 adaptation=plan.spec.name,
             )
@@ -175,9 +181,9 @@ def encode_workflow(workflow: Workflow) -> WorkflowEncoding:
             global_rules.append(make_trigger_adapt(plan, trigger_task))
             encodings[trigger_task].trigger_plans.append(plan)
         for source in plan.sources:
-            encodings[source].local_rules.append(make_add_dst(plan, source))
-        encodings[plan.destination].local_rules.append(make_mv_src(plan))
+            encodings[source].adaptation_rules.append(make_add_dst(plan, source))
+        encodings[plan.destination].adaptation_rules.append(make_mv_src(plan))
         for entry in plan.entry_tasks:
-            encodings[entry].local_rules.append(make_activate(plan, entry))
+            encodings[entry].adaptation_rules.append(make_activate(plan, entry))
 
     return WorkflowEncoding(workflow=workflow, tasks=encodings, global_rules=global_rules, plans=plans)

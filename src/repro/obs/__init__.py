@@ -22,7 +22,11 @@ executors.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
+from typing import Iterator
 
 from .export import (
     from_chrome,
@@ -90,3 +94,40 @@ class Observability:
     def active_tracer(self) -> Tracer | None:
         """The tracer normalised for hot-seam guards (see :func:`active`)."""
         return active(self.tracer)
+
+    @contextmanager
+    def watching_gc(self) -> Iterator[None]:
+        """Measure the cyclic collector while the block runs (a ``gc.callbacks`` hook).
+
+        Every collection adds its pause to the ``gc.pause_s`` counter, one to
+        ``gc.collections.gen<N>``, and a ``gc.collect`` span to the ``gc``
+        track.  A collection can start under any lock the tracer or the
+        registry holds, so the hook only touches counters resolved up front
+        and a list; the spans are recorded when the block ends.
+        """
+        tracer, metrics = self.active_tracer(), self.metrics or MetricsRegistry()
+        pause = metrics.counter("gc.pause_s")
+        collections = [metrics.counter(f"gc.collections.gen{generation}") for generation in range(3)]
+        spans: list[SpanRecord] = []
+        started = 0.0
+
+        def on_gc(phase: str, info: dict[str, int]) -> None:
+            nonlocal started
+            if phase == "start":
+                started = perf_counter()
+                return
+            ended = perf_counter()
+            pause.inc(ended - started)
+            collections[info["generation"]].inc()
+            if tracer is not None:
+                vt = tracer.vt_source() if tracer.vt_source is not None else None
+                spans.append(SpanRecord("gc.collect", "gc", started, ended, vt, {"generation": info["generation"]}))
+
+        gc.callbacks.append(on_gc)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(on_gc)
+            if tracer is not None:
+                for span in spans:
+                    tracer.record_span(span)

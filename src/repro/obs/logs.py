@@ -1,10 +1,10 @@
 """Stdlib-logging wiring for the library.
 
 Every diagnostic in library code paths goes through a logger under the
-``repro`` namespace (per-agent loggers are ``repro.agents.<task>``); the
-package installs a :class:`logging.NullHandler` on the root ``repro``
-logger, so embedding the library stays silent until the host application —
-or ``ginflow --log-level`` — configures handlers.
+``repro`` namespace (all agents share ``repro.agents``, the task name leads
+the message); the package installs a :class:`logging.NullHandler` on the
+root ``repro`` logger, so embedding the library stays silent until the host
+application — or ``ginflow --log-level`` — configures handlers.
 """
 
 from __future__ import annotations

@@ -120,6 +120,8 @@ def format_summary(summary: dict[str, Any]) -> str:
     for phase in _PHASES:
         lines.append(f"  {phase:<8} {summary['phases'][phase]:.6f}")
     per_track = summary["per_track"]
+    if "gc" in per_track:  # the cyclic collector's own track (Observability.watching_gc)
+        lines.append(f"gc: {per_track['gc']['spans']} collections, {per_track['gc']['busy_seconds']:.6f}s paused")
     if per_track:
         lines.append("")
         lines.append("per-agent rollup:")

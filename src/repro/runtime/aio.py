@@ -33,13 +33,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.agents import AgentCore
 from repro.hoclflow.translator import encode_workflow
-from repro.messaging import InProcessBroker, agent_topic
+from repro.messaging import agent_topic
 from repro.obs.logs import get_logger
 from repro.workflow.dag import Workflow
 
-from .backends import get_backend, register_runtime
+from .backends import register_runtime
 from .config import GinFlowConfig
 from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation, ReportAssembler
 from .results import RunReport
@@ -59,7 +58,8 @@ class _AsyncAgent(AgentHost):
     task: "asyncio.Task | None" = None
     #: serializes this agent's stimuli when they are offloaded to the
     #: reduction pool (the agent loop and an invocation-completion task
-    #: would otherwise interleave once off the loop thread)
+    #: would otherwise interleave once off the loop thread); ``None``
+    #: without a pool
     lock: "asyncio.Lock | None" = None
 
 
@@ -82,13 +82,9 @@ class AsyncioRun:
     async def run_async(self, timeout: float = 60.0) -> RunReport:
         """Execute the workflow on the current event loop."""
         encoding = encode_workflow(self.workflow)
-        # Same transport family as the threaded runtime: the in-process
-        # broker delivers synchronously, so `put_nowait` lands on the loop.
-        broker_backend = get_backend("broker", self.config.broker)
-        broker_cls = broker_backend.capability("broker_class", InProcessBroker)
-        broker = broker_cls(self.config.broker_profile())
-        broker.attach_observability(self.config.obs)
-        tracer = self.config.obs.active_tracer() if self.config.obs is not None else None
+        # Same transport as the threaded runtime: the in-process broker
+        # delivers synchronously, so `put_nowait` lands on the loop.
+        broker = self.config.build_local_broker()
         self._done = asyncio.Event()
         engine = EnactmentEngine(
             config=self.config,
@@ -107,62 +103,48 @@ class AsyncioRun:
         # stimuli (the threaded runtime drives it that way); the per-agent
         # lock keeps each *single* agent's stimuli serialized.  The core
         # gets the policy (for batch engines) but no nested reducer.
-        policy = self.config.reduction_policy()
-        self._reducer = policy.make_reducer()
+        self._reducer = engine.policy.make_reducer()
         for name, task_encoding in encoding.tasks.items():
             agent = engine.add_host(
                 _AsyncAgent(
                     encoding=task_encoding,
-                    core=AgentCore(task_encoding, reduction=policy, trace=tracer),
+                    core=engine.new_core(task_encoding),
                 )
             )
             agent.queue = asyncio.Queue()
-            agent.lock = asyncio.Lock()
+            if self._reducer is not None:
+                agent.lock = asyncio.Lock()
             broker.subscribe(agent_topic(name), agent.queue.put_nowait)
         engine.subscribe_status()
 
         start = time.monotonic()
-        for agent in engine.hosts.values():
-            agent.task = asyncio.create_task(self._agent_loop(agent), name=f"sa-{agent.name}")
-        timed_out = False
-        try:
-            await asyncio.wait_for(self._done.wait(), timeout=timeout)
-        except asyncio.TimeoutError:
-            # surfaced on the report below: a cut-off run must not read like
-            # a normal one
-            timed_out = True
-        # shut the agent tasks down, then drop any still-pending invocation
-        for agent in engine.hosts.values():
-            agent.queue.put_nowait(_POISON)
-        outcomes = await asyncio.gather(
-            *(agent.task for agent in engine.hosts.values()), return_exceptions=True
-        )
-        for agent, outcome in zip(engine.hosts.values(), outcomes):
-            if isinstance(outcome, BaseException) and not isinstance(outcome, asyncio.CancelledError):
-                # an agent task died on a protocol bug: surface the traceback
-                # (mirrors the threaded runtime's thread excepthook output)
-                logger.error(
-                    "exception in asyncio agent task %r:", agent.name, exc_info=outcome
-                )
-        for pending in list(self._invocations):
-            pending.cancel()
+        with engine.enacting():
+            for agent in engine.hosts.values():
+                agent.task = asyncio.create_task(self._agent_loop(agent), name=f"sa-{agent.name}")
+            timed_out = False
+            try:
+                await asyncio.wait_for(self._done.wait(), timeout=timeout)
+            except asyncio.TimeoutError:
+                timed_out = True  # surfaced on the report
+            # shut the agent tasks down, then drop any still-pending invocation
+            for agent in engine.hosts.values():
+                agent.queue.put_nowait(_POISON)
+            outcomes = await asyncio.gather(
+                *(agent.task for agent in engine.hosts.values()), return_exceptions=True
+            )
+            for agent, outcome in zip(engine.hosts.values(), outcomes):
+                if isinstance(outcome, BaseException) and not isinstance(outcome, asyncio.CancelledError):
+                    # an agent task died on a protocol bug: surface the traceback
+                    # (mirrors the threaded runtime's thread excepthook output)
+                    logger.error(
+                        "exception in asyncio agent task %r:", agent.name, exc_info=outcome
+                    )
+            for pending in list(self._invocations):
+                pending.cancel()
         if self._reducer is not None:
             self._reducer.shutdown()
             self._reducer = None
-        elapsed = time.monotonic() - start
-        report = ReportAssembler(engine).assemble(
-            mode="asyncio",
-            executor="local",
-            broker=self.config.broker,
-            nodes=1,
-            deployment_time=0.0,
-            execution_time=elapsed,
-            makespan=elapsed,
-        )
-        if timed_out:
-            report.timed_out = True
-            report.succeeded = False
-        return report
+        return ReportAssembler(engine).assemble_local("asyncio", time.monotonic() - start, timed_out)
 
     # ----------------------------------------------------------- agent loop
     async def _stimulate(self, agent: _AsyncAgent, fn: Any, *args: Any) -> Any:

@@ -132,10 +132,6 @@ class GinFlowConfig:
             raise ValueError("threaded_time_scale must be >= 0")
 
     # -------------------------------------------------------------- builders
-    def runtime_backend(self) -> backends.Backend:
-        """The runtime backend selected by ``mode``."""
-        return backends.get_backend("runtime", self.mode)
-
     def build_cluster(self) -> Cluster:
         """The cluster to run on (explicit cluster, or the named preset)."""
         if self.cluster is not None:
@@ -165,6 +161,16 @@ class GinFlowConfig:
     def broker_profile(self) -> Any:
         """The broker profile selected by ``broker`` (from the broker backends)."""
         return backends.get_backend("broker", self.broker).build(self)
+
+    def build_local_broker(self) -> Any:
+        """The in-process broker of the wall-clock runtimes (the backend's optional
+        ``broker_class`` capability selects a specialised one), observability attached."""
+        from repro.messaging import InProcessBroker
+
+        broker_class = backends.get_backend("broker", self.broker).capability("broker_class", InProcessBroker)
+        broker = broker_class(self.broker_profile())
+        broker.attach_observability(self.obs)
+        return broker
 
     def reduction_policy(self) -> Any:
         """The resolved reduction policy selected by ``reduction``."""

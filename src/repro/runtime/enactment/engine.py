@@ -26,11 +26,13 @@ and when to feed the outcome back through :meth:`EnactmentEngine.complete_invoca
 
 from __future__ import annotations
 
+import gc
 import inspect
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.agents import Coordinator, SendAdapt, SendResult, StartInvocation, StatusUpdate
 from repro.agents.actions import Action
@@ -172,6 +174,7 @@ class EnactmentEngine:
         self.obs = obs if obs is not None else config.obs
         self._trace = self.obs.active_tracer() if self.obs is not None else None
         self._metrics = self.obs.metrics if self.obs is not None else None
+        self.policy = config.reduction_policy()
         # Tasks whose failure triggers an adaptation must not fail-fast the
         # run: their ERROR is the *start* of the recovery, not the end.
         adaptable = {name for name, task in encoding.tasks.items() if task.trigger_plans}
@@ -187,6 +190,11 @@ class EnactmentEngine:
         self._lock = threading.Lock()
 
     # ---------------------------------------------------------------- hosts
+    def new_core(self, encoding: TaskEncoding, reducer: Any = None) -> AgentCore:
+        """An agent core on this run's reduction policy and tracer — the one
+        place cores are made, so a recovered agent reduces and traces like the first."""
+        return AgentCore(encoding, reduction=self.policy, reducer=reducer, trace=self._trace)
+
     def add_host(self, host: AgentHost) -> AgentHost:
         """Register one hosted agent (insertion order is report order)."""
         self.hosts[host.name] = host
@@ -195,6 +203,25 @@ class EnactmentEngine:
     def subscribe_status(self) -> None:
         """Route the shared-space STATUS topic into the coordinator."""
         self.transport.subscribe(STATUS_TOPIC, self.on_status_message)
+
+    @contextmanager
+    def enacting(self) -> Iterator[None]:
+        """The enactment proper: every host is registered, stimuli start now.
+
+        What set-up built lives until the run ends, so it is frozen out of
+        the cyclic collector's reach while the block runs: the collections
+        the enactment's own garbage triggers stop re-traversing it.  Leaving
+        the block, however it is left, gives everything back; a heap somebody
+        else froze is left alone both ways.
+        """
+        frozen = gc.get_freeze_count() == 0
+        if frozen:
+            gc.freeze()
+        try:
+            yield
+        finally:
+            if frozen:
+                gc.unfreeze()
 
     # -------------------------------------------------------------- stimuli
     def boot(self, host: AgentHost) -> list[Action]:
@@ -318,7 +345,8 @@ class EnactmentEngine:
         number of replayed messages (for the driver's cost accounting).
         """
         logged = self.transport.replay(agent_topic(host.name)) if self.transport.supports_replay else []
-        core, actions = rebuild_agent(host.encoding, logged)
-        host.core = core
+        host.core, actions = rebuild_agent(
+            host.encoding, logged, core=self.new_core(host.encoding, host.core.reducer)
+        )
         host.alive = True
         return actions, len(logged)

@@ -25,6 +25,24 @@ class ReportAssembler:
     def __init__(self, engine: "EnactmentEngine") -> None:
         self.engine = engine
 
+    def assemble_local(self, mode: str, elapsed: float, timed_out: bool) -> RunReport:
+        """The report of a wall-clock run on this machine (threaded, asyncio)."""
+        report = self.assemble(
+            mode=mode,
+            executor="local",
+            broker=self.engine.config.broker,
+            nodes=1,
+            deployment_time=0.0,
+            execution_time=elapsed,
+            makespan=elapsed,
+        )
+        if timed_out:
+            # the wait elapsed before the coordinator reported completion: a
+            # cut-off run must never read like a successful one
+            report.timed_out = True
+            report.succeeded = False
+        return report
+
     def assemble(
         self,
         *,

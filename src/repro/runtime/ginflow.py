@@ -33,6 +33,7 @@ Third-party runtimes registered with
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any
 
 from repro.executors.centralized import CentralizedExecutor
@@ -86,9 +87,11 @@ class GinFlow:
         if not isinstance(workflow, Workflow):
             workflow = workflow_from_json(workflow)
         config = self._effective_config(overrides)
-        workflow.validate()
+        workflow.ensure_valid()
         runtime = get_backend("runtime", config.mode)
-        return runtime.build(workflow, config, timeout=timeout)
+        # with observability on, the collector is one more measured layer
+        with config.obs.watching_gc() if config.obs is not None else nullcontext():
+            return runtime.build(workflow, config, timeout=timeout)
 
     # ---------------------------------------------------------------- sweep
     def sweep(

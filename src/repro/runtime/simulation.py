@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.agents import AgentCore
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import Message, MessageKind, SimulatedBroker, agent_topic
 from repro.services import InvocationResult
@@ -108,12 +107,11 @@ class SimulatedRun:
         # Virtual time is single-threaded by construction, so a parallel
         # policy degrades to its batch component here: same final solutions,
         # no pool.  (Simulated timings model the *platform*, not host CPU.)
-        policy = config.reduction_policy()
         for name in agent_names:
             agent = engine.add_host(
                 _SimAgent(
                     encoding=encoding.tasks[name],
-                    core=AgentCore(encoding.tasks[name], reduction=policy, trace=tracer),
+                    core=engine.new_core(encoding.tasks[name]),
                     node=plan.placement.get(name, "unknown"),
                     serial=SerialQueue(self._sim, name=f"agent-{name}"),
                 )
@@ -131,7 +129,8 @@ class SimulatedRun:
                 self._make_boot_callback(agent),
             )
 
-        self._sim.run(until=config.max_virtual_time)
+        with engine.enacting():
+            self._sim.run(until=config.max_virtual_time)
 
         return self._build_report(plan.deployment_time)
 

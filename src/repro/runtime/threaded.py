@@ -26,12 +26,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.agents import AgentCore
 from repro.hoclflow.translator import encode_workflow
-from repro.messaging import InProcessBroker, Message, agent_topic
+from repro.messaging import Message, agent_topic
 from repro.workflow.dag import Workflow
 
-from .backends import get_backend, register_runtime
+from .backends import register_runtime
 from .config import GinFlowConfig
 from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation, ReportAssembler
 from .results import RunReport
@@ -62,14 +61,7 @@ class ThreadedRun:
     def run(self, timeout: float = 60.0) -> RunReport:
         """Execute the workflow; ``timeout`` bounds the wall-clock wait."""
         encoding = encode_workflow(self.workflow)
-        # Any registered broker backend works here: its profile carries the
-        # persistence flag, and `broker_class` (optional capability) selects
-        # a specialised in-process implementation.
-        broker_backend = get_backend("broker", self.config.broker)
-        broker_cls = broker_backend.capability("broker_class", InProcessBroker)
-        broker = broker_cls(self.config.broker_profile())
-        broker.attach_observability(self.config.obs)
-        tracer = self.config.obs.active_tracer() if self.config.obs is not None else None
+        broker = self.config.build_local_broker()
         engine = EnactmentEngine(
             config=self.config,
             encoding=encoding,
@@ -84,36 +76,35 @@ class ThreadedRun:
         # not parallel).  AgentCore.run blocks the calling agent thread, so
         # per-agent stimuli stay serialized; the pool only bounds how many
         # CPU-heavy reductions run at once across agents.
-        policy = self.config.reduction_policy()
-        reducer = policy.make_reducer()
+        reducer = engine.policy.make_reducer()
         for name, task_encoding in encoding.tasks.items():
             agent = engine.add_host(
                 _ThreadedAgent(
                     encoding=task_encoding,
-                    core=AgentCore(task_encoding, reduction=policy, reducer=reducer, trace=tracer),
+                    core=engine.new_core(task_encoding, reducer),
                 )
             )
             broker.subscribe(agent_topic(name), agent.inbox.put)
         engine.subscribe_status()
 
         start = time.monotonic()
-        for agent in engine.hosts.values():
-            agent.thread = threading.Thread(
-                target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
-            )
-            agent.thread.start()
+        with engine.enacting():
+            for agent in engine.hosts.values():
+                agent.thread = threading.Thread(
+                    target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
+                )
+                agent.thread.start()
 
-        completed = self._done.wait(timeout=timeout)
-        # shut the agent threads down
-        for agent in engine.hosts.values():
-            agent.inbox.put(_POISON)
-        for agent in engine.hosts.values():
-            if agent.thread is not None:
-                agent.thread.join(timeout=2.0)
+            completed = self._done.wait(timeout=timeout)
+            # shut the agent threads down
+            for agent in engine.hosts.values():
+                agent.inbox.put(_POISON)
+            for agent in engine.hosts.values():
+                if agent.thread is not None:
+                    agent.thread.join(timeout=2.0)
         if reducer is not None:
             reducer.shutdown()
-        elapsed = time.monotonic() - start
-        return self._build_report(elapsed, timed_out=not completed)
+        return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, timed_out=not completed)
 
     # ----------------------------------------------------------- agent loop
     def _agent_loop(self, agent: _ThreadedAgent) -> None:
@@ -139,26 +130,6 @@ class ThreadedRun:
         outcome = prepared.invoke()
         engine = self._engine
         engine.dispatch(agent, engine.complete_invocation(agent, outcome))
-
-    # --------------------------------------------------------------- report
-    def _build_report(self, elapsed: float, timed_out: bool = False) -> RunReport:
-        engine = self._engine
-        assert engine is not None
-        report = ReportAssembler(engine).assemble(
-            mode="threaded",
-            executor="local",
-            broker=self.config.broker,
-            nodes=1,
-            deployment_time=0.0,
-            execution_time=elapsed,
-            makespan=elapsed,
-        )
-        if timed_out:
-            # the wait elapsed before the coordinator reported completion: a
-            # cut-off run must never read like a successful one
-            report.timed_out = True
-            report.succeeded = False
-        return report
 
 
 def run_threaded(workflow: Workflow, config: GinFlowConfig | None = None, timeout: float = 60.0) -> RunReport:

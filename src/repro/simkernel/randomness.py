@@ -10,8 +10,10 @@ randomness never perturbs the draws of existing ones.
 from __future__ import annotations
 
 import zlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported at the first draw
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -26,6 +28,8 @@ class RandomStreams:
     def stream(self, label: str) -> np.random.Generator:
         """The generator associated with ``label`` (created on first use)."""
         if label not in self._streams:
+            import numpy as np  # at the first draw: most runs never draw
+
             derived = zlib.crc32(label.encode("utf-8")) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
             self._streams[label] = np.random.default_rng(derived)
         return self._streams[label]

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from .errors import AdaptationValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -137,7 +135,7 @@ class AdaptationSpec:
                 f"adaptation {self.name!r}: replacement task names collide with the "
                 f"workflow: {collisions}"
             )
-        self.replacement.validate()
+        self.replacement.ensure_valid()
 
         # (a) connected replaced region.  Connectivity is evaluated on the
         # region plus its boundary (sources and destination): the paper's own
@@ -149,8 +147,14 @@ class AdaptationSpec:
         for task_name in self.replaced:
             for successor in workflow.successors(task_name):
                 region_with_boundary.add(successor)
-        region_graph = workflow.to_networkx().subgraph(region_with_boundary).to_undirected()
-        if len(region_with_boundary) > 1 and not nx.is_connected(region_graph):
+        reached: set[str] = set()
+        frontier = [next(iter(region_with_boundary))]
+        while frontier:
+            task_name = frontier.pop()
+            if task_name in region_with_boundary and task_name not in reached:
+                reached.add(task_name)
+                frontier += workflow.successors(task_name) + workflow.predecessors(task_name)
+        if reached != region_with_boundary:
             raise AdaptationValidationError(
                 f"adaptation {self.name!r}: the replaced region (with its boundary) must be connected"
             )
@@ -200,10 +204,6 @@ class AdaptationSpec:
                 )
 
     # ------------------------------------------------------------- utility
-    def all_task_names(self) -> list[str]:
-        """Replaced plus replacement task names (used for disjointness checks)."""
-        return list(self.replaced) + self.replacement.task_names()
-
     def copy(self) -> "AdaptationSpec":
         """Deep copy of the specification."""
         return AdaptationSpec(

@@ -15,9 +15,8 @@ of the service in seconds, used by the simulated services.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Any, Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from .errors import WorkflowValidationError
 
@@ -92,6 +91,8 @@ class Workflow:
         self._successors: dict[str, list[str]] = {}
         self._predecessors: dict[str, list[str]] = {}
         self.adaptations: list[Any] = []  # list[AdaptationSpec]; untyped to avoid an import cycle
+        #: whether :meth:`validate` passed since the last mutation
+        self._valid = False
         for task in tasks:
             self.add_task(task)
 
@@ -115,6 +116,7 @@ class Workflow:
         self._tasks[task.name] = task
         self._successors.setdefault(task.name, [])
         self._predecessors.setdefault(task.name, [])
+        self._valid = False
         return task
 
     def add_dependency(self, source: str, destination: str) -> None:
@@ -128,6 +130,7 @@ class Workflow:
             return  # idempotent
         self._successors[source].append(destination)
         self._predecessors[destination].append(source)
+        self._valid = False
 
     def chain(self, *task_names: str) -> None:
         """Add dependencies forming a chain ``task_names[0] -> ... -> [-1]``."""
@@ -139,6 +142,7 @@ class Workflow:
         if name not in self._tasks:
             raise WorkflowValidationError(f"unknown task {name!r}")
         del self._tasks[name]
+        self._valid = False
         self._successors.pop(name, None)
         self._predecessors.pop(name, None)
         for successors in self._successors.values():
@@ -159,6 +163,7 @@ class Workflow:
                     f"{spec.name!r} overlaps {existing.name!r} on {sorted(overlap)}"
                 )
         self.adaptations.append(spec)
+        self._valid = False
 
     # -------------------------------------------------------------- queries
     def __contains__(self, name: str) -> bool:
@@ -213,24 +218,40 @@ class Workflow:
         return [name for name in self._tasks if not self._successors.get(name)]
 
     def topological_order(self) -> list[str]:
-        """Task names in a valid execution order (raises on cycles)."""
-        graph = self.to_networkx()
-        try:
-            return list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise WorkflowValidationError(f"workflow {self.name!r} contains a cycle") from exc
+        """Task names in a valid execution order: :meth:`levels`, flattened."""
+        return [name for level in self.levels() for name in level]
 
     def levels(self) -> list[list[str]]:
-        """Tasks grouped by longest-path depth (level 0 = entry tasks)."""
-        order = self.topological_order()
-        depth: dict[str, int] = {}
-        for name in order:
-            predecessors = self._predecessors.get(name, [])
-            depth[name] = 0 if not predecessors else 1 + max(depth[p] for p in predecessors)
-        grouped: dict[int, list[str]] = {}
-        for name, level in depth.items():
-            grouped.setdefault(level, []).append(name)
-        return [grouped[level] for level in sorted(grouped)]
+        """Tasks grouped by longest-path depth (level 0 = entry tasks); raises on cycles.
+
+        Kahn's algorithm by generations — entry tasks in insertion order, then
+        the tasks each level releases, in release order: the scenario
+        generators and bench drivers iterate it, so the order is pinned by a test.
+        """
+        pending = {name: len(sources) for name, sources in self._predecessors.items() if sources}
+        levels: list[list[str]] = []
+        level = [name for name in self._tasks if name not in pending]
+        while level:
+            levels.append(level)
+            released: list[str] = []
+            for name in level:
+                for successor in self._successors.get(name, ()):
+                    pending[successor] -= 1
+                    if not pending[successor]:
+                        del pending[successor]
+                        released.append(successor)
+            level = released
+        if pending:
+            raise WorkflowValidationError(f"workflow {self.name!r} contains a cycle")
+        return levels
+
+    def find_cycle(self) -> list[str] | None:
+        """The tasks of one dependency cycle, in edge order, or ``None``."""
+        try:
+            TopologicalSorter(self._predecessors).prepare()
+        except CycleError as exc:
+            return list(exc.args[1][:-1])  # graphlib repeats the first task at the end
+        return None
 
     def critical_path_length(self) -> float:
         """Length (sum of task durations) of the longest path through the DAG."""
@@ -259,24 +280,28 @@ class Workflow:
                 result.add_dependency(source, destination)
         return result
 
-    def to_networkx(self) -> "nx.DiGraph":
-        """The dependency graph as a :class:`networkx.DiGraph` (task names as nodes)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._tasks)
-        graph.add_edges_from(self.dependencies())
-        return graph
-
     # ----------------------------------------------------------- validation
     def validate(self) -> None:
         """Check the structural invariants; raise ``WorkflowValidationError`` otherwise."""
+        self._valid = False
         if not self._tasks:
             raise WorkflowValidationError(f"workflow {self.name!r} has no task")
-        graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
+        cycle = self.find_cycle()
+        if cycle is not None:
             raise WorkflowValidationError(f"workflow {self.name!r} contains a cycle: {cycle}")
         for spec in self.adaptations:
             spec.validate(self)
+        self._valid = True
+
+    def ensure_valid(self) -> None:
+        """:meth:`validate`, unless it passed since the last mutation.
+
+        What the layers of one run call, so a workflow is checked once however
+        many of them it crosses.  Only this class's mutators reset the memo:
+        after editing a specification in place, call :meth:`validate`.
+        """
+        if not self._valid:
+            self.validate()
 
     def is_valid(self) -> bool:
         """Whether :meth:`validate` passes."""

@@ -21,9 +21,12 @@ the recovery mechanism re-invokes them after an agent failure.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dag import Task, Workflow
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported by the two functions that draw
+    import numpy as np
 
 __all__ = ["montage_workflow", "duration_classes", "duration_cdf", "MONTAGE_TASK_COUNT"]
 
@@ -61,6 +64,8 @@ def _projection_durations(count: int, seed: int) -> np.ndarray:
     seeds — the paper reports a 484 s mean with a 13.5 s standard deviation
     caused by platform noise, which the simulation models separately.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     low, high = _PROJECTION_RANGE
     base = np.linspace(low, high, count)
@@ -162,6 +167,8 @@ def duration_cdf(workflow: Workflow) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(durations, fraction)`` where ``fraction[i]`` is the fraction
     of tasks whose duration is ≤ ``durations[i]``.
     """
+    import numpy as np
+
     durations = np.sort(np.array([task.duration for task in workflow], dtype=float))
     fraction = np.arange(1, len(durations) + 1) / len(durations)
     return durations, fraction

@@ -17,7 +17,6 @@ from repro.agents import (
 from repro.hocl import Multiset, Symbol
 from repro.hoclflow import encode_workflow, keywords as kw
 from repro.hoclflow.fields import src_field, tagged_input
-from repro.hoclflow.generic_rules import generic_task_rules
 from repro.hoclflow.translator import TaskEncoding
 from repro.messaging import Message, MessageKind, agent_topic
 from repro.workflow import AdaptationSpec, Task, Workflow, diamond_workflow
@@ -286,7 +285,7 @@ def fan_in_encoding(listed_sources):
     """A task waiting for ``listed_sources`` (as listed: repeats allowed)."""
     return TaskEncoding(
         name="merge", service="s", inputs=["seed"], duration=0.0, metadata={},
-        sources=list(listed_sources), destinations=["sink"], local_rules=generic_task_rules("merge"),
+        sources=list(listed_sources), destinations=["sink"],
     )
 
 

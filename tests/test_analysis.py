@@ -377,7 +377,7 @@ class TestCatalogClean:
 
         encoding = encode_workflow(adaptive_diamond_workflow(2, 2))
         for name, task in encoding.tasks.items():
-            rules = build_local_rules(task, lambda action: None)
+            rules = build_local_rules(task)
             report = analyze_rules(
                 rules,
                 solution=task.initial_solution(include_rules=False),

@@ -1,0 +1,474 @@
+"""Tests for the per-run floor: what a run pays besides the enactment itself.
+
+* one compiled local rule set per run — every agent holds the *same* rule
+  objects, an effect's actions come back through the report of the reduction
+  that fired it (never through anything shared), and the decentralised path
+  builds no centralised per-task rule;
+* a stated memory budget per stage (GC-tracked objects per encoded task and
+  per agent);
+* the cyclic collector is given back exactly as it was found, on every way
+  out of ``GinFlow.run``, and is a measured layer when observability is on;
+* a start-up without numpy and networkx;
+* one validation per workflow object per run, ``topological_order`` pinned
+  against networkx (a test-only oracle);
+* a recovered agent keeps its tracer.
+"""
+
+import gc
+import logging
+import subprocess
+import sys
+import threading
+
+import pytest
+
+import repro.hoclflow.translator as translator
+from repro import GinFlow, adaptive_diamond_workflow, diamond_workflow, workflow_to_json
+from repro.agents import AgentCore, SendResult, StartInvocation, StatusUpdate
+from repro.agents.local_rules import GW_CALL, GW_PASS, GW_SETUP, LOCAL_EXTERNALS
+from repro.executors.centralized import CentralizedExecutor
+from repro.hocl import ReductionEngine
+from repro.hoclflow import encode_workflow
+from repro.obs import MetricsRegistry, Observability, RecordingTracer
+from repro.obs.summarize import format_summary, summarize
+from repro.runtime import GinFlowConfig
+from repro.runtime.aio import AsyncioRun
+from repro.scenarios import available_scenarios, build_scenario
+from repro.services import FailureModel
+from repro.simkernel import Simulator
+from repro.workflow import Workflow, workflow_from_json
+
+MODES = ("simulated", "threaded", "asyncio", "centralized")
+
+
+# ------------------------------------------------------------- shared rules
+class TestSharedRules:
+    def test_all_agents_hold_the_same_rule_objects(self):
+        workflow = adaptive_diamond_workflow(3, 3)
+        workflow.adaptations[0].trigger_on = None  # every replaced task triggers the plan
+        workflow.validate()
+        encoding = encode_workflow(workflow)
+        cores = [AgentCore(task) for task in encoding.tasks.values()]
+        held: dict[str, list] = {}
+        for core in cores:
+            for rule in core.solution.rules():
+                held.setdefault(rule.name, []).append(rule)
+        assert all(rule is rules[0] for rules in held.values() for rule in rules)
+        assert held["gw_setup"][0] is GW_SETUP
+        assert held["gw_call"][0] is GW_CALL and len(held["gw_call"]) == len(cores)
+        assert held["gw_pass"][0] is GW_PASS
+        # one local trigger per plan, held by each of its trigger tasks
+        (trigger_name,) = [name for name in held if name.startswith("trigger_adapt:")]
+        assert len(held[trigger_name]) == len(encoding.plans[0].trigger_tasks) > 1
+        assert all(core.engine.externals is LOCAL_EXTERNALS for core in cores)
+
+    def test_recovered_agent_rebinds_to_the_same_rules(self):
+        encoding = encode_workflow(diamond_workflow(2, 2))
+        first, second = (AgentCore(encoding.tasks["split"]) for _ in range(2))
+        assert all(a is b for a, b in zip(first.solution.rules(), second.solution.rules()))
+
+    def test_decentralised_path_builds_no_centralised_gw_call(self, monkeypatch):
+        built = []
+        original = translator.make_gw_call
+
+        def counting(task_name):
+            built.append(task_name)
+            return original(task_name)
+
+        monkeypatch.setattr(translator, "make_gw_call", counting)
+        workflow = adaptive_diamond_workflow(2, 2, duration=0.01)
+        for mode in ("simulated", "threaded", "asyncio"):
+            assert GinFlow().run(workflow, mode=mode, nodes=3).succeeded
+        assert built == []
+        encoding = encode_workflow(workflow)
+        assert built == []
+        encoding.to_multiset()  # a centralised solution is asked for: now they exist
+        assert sorted(built) == sorted(encoding.tasks)
+        encoding.to_multiset()
+        assert len(built) == len(encoding.tasks)  # and are built once
+
+
+def assert_own_actions(core, actions):
+    """Every action ``core`` got back was requested by ``core``'s own rules."""
+    encoding = core.encoding
+    assert isinstance(actions[-1], StatusUpdate)
+    for action in actions[:-1]:
+        if isinstance(action, StartInvocation):
+            assert action.service == encoding.service
+        else:
+            assert isinstance(action, SendResult)
+            assert action.destination in encoding.destinations and action.value == encoding.name
+
+
+def drive(core, actions_of):
+    """One agent's whole life, every stimulus checked against its own encoding."""
+    actions = core.boot()
+    for source in core.encoding.sources:
+        assert_own_actions(core, actions)
+        actions = core.receive_result(source, f"from-{source}")
+    assert_own_actions(core, actions)
+    assert any(isinstance(action, StartInvocation) for action in actions)
+    actions = core.invocation_succeeded(core.encoding.name)
+    assert_own_actions(core, actions)
+    assert len(actions) == len(core.encoding.destinations) + 1
+    actions_of[core.name] = actions
+
+
+def wide_workflow(width):
+    """``width`` independent three-task chains, each task on its own service."""
+    workflow = Workflow("wide")
+    for column in range(width):
+        names = [f"t{column}_{row}" for row in range(3)]
+        for name in names:
+            workflow.add_task(name, service=f"svc-{name}", inputs=["x"] if name.endswith("_0") else [])
+        workflow.chain(*names)
+    return workflow
+
+
+class TestActionsStayWithTheirAgent:
+    def test_concurrent_agents_never_see_each_others_actions(self):
+        """Stress: more threads than cores, each driving its own agents, all
+        sharing the rule objects; a lost or foreign action breaks an invariant."""
+        encoding = encode_workflow(wide_workflow(40))
+        cores = [AgentCore(task) for task in encoding.tasks.values()]
+        actions_of: dict[str, list] = {}
+        errors: list[BaseException] = []
+
+        def worker(mine):
+            try:
+                for core in mine:
+                    drive(core, actions_of)
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(cores[index::8],)) for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:1]
+        assert sorted(actions_of) == sorted(encoding.tasks)
+
+    @pytest.mark.parametrize("global_sink", [False, True])
+    def test_a_global_sink_mutant_dies(self, monkeypatch, global_sink):
+        """The check above has teeth: make the sink global (the pre-report
+        design: one pending list, drained after the reduction) and two agents
+        reducing at the same time steal each other's actions.  The barrier
+        makes the interleaving certain instead of likely."""
+        barrier = threading.Barrier(2, timeout=30.0)
+        pending: list = []
+        lock = threading.Lock()
+        original = ReductionEngine.reduce
+
+        def reduce(self, solution):
+            report = original(self, solution)
+            if global_sink:
+                pending.extend(report.effects)
+            barrier.wait()  # both agents have reduced, neither has collected
+            if global_sink:
+                with lock:
+                    report.effects = list(pending)
+                    pending.clear()
+            return report
+
+        monkeypatch.setattr(ReductionEngine, "reduce", reduce)
+        encoding = encode_workflow(wide_workflow(2))
+        cores = [AgentCore(encoding.tasks[name]) for name in ("t0_0", "t1_0")]
+        failures: list[BaseException] = []
+
+        def worker(core):
+            try:
+                assert_own_actions(core, core.boot())
+            except AssertionError as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(core,)) for core in cores]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bool(failures) is global_sink
+
+
+# ------------------------------------------------------------------- budget
+def tracked_objects_per_item(build, items):
+    """GC-tracked objects ``build()`` leaves behind, per item."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = build()
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    del kept
+    return (after - before) / items
+
+
+class TestObjectBudget:
+    def test_budget_per_task_and_per_agent(self):
+        workflow = build_scenario("longchain:size=500")
+        workflow.validate()
+        encodings = []
+        per_task = tracked_objects_per_item(lambda: encodings.append(encode_workflow(workflow)), 500)
+        tasks = list(encodings[0].tasks.values())
+        per_agent = tracked_objects_per_item(lambda: [AgentCore(task) for task in tasks], 500)
+        assert per_task <= 12, per_task
+        assert per_agent <= 110, per_agent
+
+
+# ----------------------------------------------------------------------- gc
+RAISES_INSIDE = {
+    "simulated": (Simulator, "run"),
+    "threaded": (threading.Thread, "start"),
+    "asyncio": (AsyncioRun, "_agent_loop"),
+    "centralized": (CentralizedExecutor, "execute"),
+}
+
+
+class TestCollectorIsGivenBack:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gc_state_restored_after_return(self, mode):
+        before = (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks))
+        report = GinFlow().run(diamond_workflow(2, 2, duration=0.01), mode=mode, nodes=3)
+        assert report.succeeded
+        assert (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks)) == before
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gc_state_restored_after_raise(self, mode, monkeypatch):
+        owner, attribute = RAISES_INSIDE[mode]
+
+        def explode(*_args, **_kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(owner, attribute, explode)
+        obs = Observability(tracer=RecordingTracer())
+        before = (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks))
+        with pytest.raises(RuntimeError, match="injected"):
+            GinFlow().run(diamond_workflow(2, 2, duration=0.01), mode=mode, nodes=3, obs=obs)
+        assert (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks)) == before
+
+    def test_set_up_is_frozen_during_enactment_only(self, monkeypatch):
+        seen = []
+        original = Simulator.run
+
+        def run(self, *args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        assert gc.get_freeze_count() == 0
+        GinFlow().run(diamond_workflow(2, 2), nodes=3)
+        assert seen[0] > 0 and gc.get_freeze_count() == 0
+
+    def test_a_heap_frozen_by_the_caller_is_left_alone(self):
+        gc.freeze()
+        try:
+            GinFlow().run(diamond_workflow(2, 2), nodes=3)
+            assert gc.get_freeze_count() > 0  # the run did not unfreeze what it did not freeze
+        finally:
+            gc.unfreeze()
+
+
+class TestCollectorIsMeasured:
+    def test_pauses_feed_metrics_and_trace(self):
+        obs = Observability(tracer=RecordingTracer(), metrics=MetricsRegistry())
+        report = GinFlow().run(build_scenario("montage:size=60"), nodes=5, obs=obs)
+        assert report.succeeded
+        spans = [span for span in obs.tracer.spans if span.name == "gc.collect"]
+        assert spans and all(span.track == "gc" and span.end >= span.start for span in spans)
+        counters = obs.metrics.snapshot()["counters"]
+        collections = sum(counters[f"gc.collections.gen{generation}"] for generation in range(3))
+        assert collections == len(spans)
+        assert counters["gc.pause_s"] == pytest.approx(sum(span.end - span.start for span in spans))
+        assert f"gc: {len(spans)} collections, " in format_summary(summarize(obs.tracer.records()))
+
+    def test_tracing_off_installs_nothing(self, monkeypatch):
+        installed = []
+        original = Simulator.run
+
+        def run(self, *args, **kwargs):
+            installed.append(list(gc.callbacks))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        before = list(gc.callbacks)
+        GinFlow().run(diamond_workflow(2, 2), nodes=3)
+        assert installed == [before]
+
+
+# ----------------------------------------------------------------- start-up
+def modules_after(argv, tmp_path):
+    """Which of numpy / networkx a fresh interpreter holds after ``ginflow argv``."""
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print('LOADED', status, sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={"PYTHONPATH": ":".join(sys.path), "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+class TestStartUpWithoutNumpyAndNetworkx:
+    def test_scenario_run_on_asyncio(self, tmp_path):
+        argv = ["run", "--scenario", "longchain:size=20", "--mode", "asyncio"]
+        assert modules_after(argv, tmp_path) == "LOADED 0 []"
+
+    def test_json_file_run(self, tmp_path):
+        path = tmp_path / "adaptive.json"
+        workflow_to_json(adaptive_diamond_workflow(2, 2, duration=0.01), path)
+        # (the simulated runtime draws its broker jitter from numpy: first draw, first import)
+        assert modules_after(["run", str(path), "--mode", "threaded"], tmp_path) == "LOADED 0 []"
+
+    @pytest.mark.parametrize("argv", [["scenarios", "--names"], ["backends"]])
+    def test_listing_commands(self, argv, tmp_path):
+        assert modules_after(argv, tmp_path) == "LOADED 0 []"
+
+    def test_no_networkx_import_left_in_src(self):
+        import pathlib
+
+        import repro
+
+        sources = pathlib.Path(repro.__file__).parent.rglob("*.py")
+        assert not [str(path) for path in sources if "import networkx" in path.read_text(encoding="utf-8")]
+
+
+# --------------------------------------------------------------- validation
+class TestValidateOncePerRun:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = Workflow.validate
+
+        def validate(self):
+            seen.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(Workflow, "validate", validate)
+        return seen
+
+    def test_json_run_validates_each_workflow_object_once(self, calls, tmp_path):
+        path = tmp_path / "adaptive.json"
+        workflow_to_json(adaptive_diamond_workflow(3, 3, duration=0.01), path)
+        calls.clear()  # building the workflow above validated too
+        assert GinFlow().run(str(path), nodes=3).succeeded
+        assert len(calls) == 2 and len(set(calls)) == 2  # the workflow and its replacement
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_object_run_validates_once_and_again_after_a_mutation(self, calls, mode):
+        workflow = diamond_workflow(2, 2, duration=0.01)
+        for _ in range(2):
+            assert GinFlow().run(workflow, mode=mode, nodes=3).succeeded
+        assert len(calls) == 1
+        workflow.add_task("late", service="s", inputs=["x"])
+        GinFlow().run(workflow, mode=mode, nodes=3)
+        assert len(calls) == 2
+
+    def test_a_cycle_added_after_validation_is_still_caught(self):
+        workflow = diamond_workflow(2, 2)
+        workflow.validate()
+        workflow.add_dependency("merge", "split")
+        with pytest.raises(Exception, match="cycle"):
+            GinFlow().run(workflow)
+        with pytest.raises(Exception, match="cycle"):
+            encode_workflow(workflow)
+
+    def test_find_cycle_names_the_tasks_in_edge_order(self):
+        workflow = workflow_from_json({"name": "ok", "tasks": [{"name": name, "service": "s"} for name in "abcd"]})
+        workflow.chain("a", "b", "c", "a")
+        cycle = workflow.find_cycle()
+        assert sorted(cycle) == ["a", "b", "c"]
+        assert all(later in workflow.successors(earlier) for earlier, later in zip(cycle, cycle[1:] + cycle[:1]))
+        assert diamond_workflow(2, 2).find_cycle() is None
+
+
+class TestTopologicalOrderIsPinned:
+    @pytest.mark.parametrize("family", available_scenarios())
+    def test_same_order_and_levels_as_networkx(self, family):
+        nx = pytest.importorskip("networkx")
+        for seed in (1, 2):
+            workflow = build_scenario(f"{family}:size=60,seed={seed}")
+            graph = nx.DiGraph()
+            graph.add_nodes_from(workflow.task_names())
+            graph.add_edges_from(workflow.dependencies())
+            assert workflow.topological_order() == list(nx.topological_sort(graph))
+            depth = {}
+            for name in nx.topological_sort(graph):
+                depth[name] = 1 + max((depth[p] for p in graph.predecessors(name)), default=-1)
+            levels = [[n for n in depth if depth[n] == level] for level in range(max(depth.values()) + 1)]
+            assert workflow.levels() == levels
+
+    def test_nine_families(self):
+        assert len(available_scenarios()) == 9
+
+
+# ----------------------------------------------------------------- recovery
+class TestRecoveredAgentKeepsItsTracer:
+    def test_agent_spans_after_the_crash(self):
+        obs = Observability(tracer=RecordingTracer())
+        config = GinFlowConfig(
+            executor="mesos", broker="kafka", nodes=10, seed=1, obs=obs, reduction="batch",
+            failures=FailureModel(probability=0.5, delay=15.0),
+        )
+        report = GinFlow(config).run(build_scenario("montage:size=60,seed=1"))
+        assert report.succeeded and report.recoveries > 0
+        crashed_at = {}
+        for event in report.timeline:
+            if event.event == "failure":
+                crashed_at.setdefault(event.task, event.time)
+        assert crashed_at
+        for task, moment in crashed_at.items():
+            after = [
+                span for span in obs.tracer.spans
+                if span.track == task and span.name.startswith("agent.") and span.vt > moment
+            ]
+            assert after, f"no agent.* span on {task!r} after its crash at {moment}"
+            # and the reduction spans inside them: the engine got the tracer too
+            assert any(
+                span.track == task and span.name.startswith("reduction.") and span.vt > moment
+                for span in obs.tracer.spans
+            )
+
+    def test_recovered_agent_keeps_its_reduction_policy(self, monkeypatch):
+        config = GinFlowConfig(
+            executor="mesos", broker="kafka", nodes=10, seed=1, reduction="batch",
+            failures=FailureModel(probability=0.5, delay=15.0),
+        )
+        policies = []
+        original = AgentCore.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            policies.append(self.policy.name)
+
+        monkeypatch.setattr(AgentCore, "__init__", init)
+        report = GinFlow(config).run(build_scenario("montage:size=60,seed=1"))
+        assert report.recoveries > 0 and len(policies) == len(report.tasks) + report.recoveries
+        assert set(policies) == {"batch"}
+
+
+# ------------------------------------------------------------------ logging
+class TestOneAgentsLogger:
+    def test_no_logger_per_task_name(self):
+        manager = logging.Logger.manager
+        before = set(manager.loggerDict)
+        GinFlow().run(build_scenario("longchain:size=50"), mode="asyncio")
+        assert set(manager.loggerDict) - before <= {"repro.agents"}
+
+    def test_task_name_is_in_the_message(self, caplog):
+        encoding = encode_workflow(diamond_workflow(2, 2))
+        with caplog.at_level(logging.DEBUG, logger="repro.agents"):
+            AgentCore(encoding.tasks["split"]).boot()
+        assert any(record.name == "repro.agents" and "split boot" in record.getMessage() for record in caplog.records)
