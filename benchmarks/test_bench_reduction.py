@@ -252,9 +252,10 @@ def _measure(scenario: str) -> dict:
         }
 
     # Delta parity: the full-rebuild reference path (delta=False) must reach
-    # the same final solution with the same reaction trace.  Kept anchors are
-    # repositioned where rebuild appends its products, so this is exact trace
-    # identity — not just confluence-up-to-order.
+    # the same final solution with the same reaction trace.  The batched
+    # engine gives the kept anchors the role of rebuild's replacement products
+    # (unclaimed, no frontier lead of the running pass), so under ``batch``
+    # this is exact trace identity — not just confluence-up-to-order.
     rebuild, seconds_rebuild, rebuild_solution = reduce_scenario_mode(
         scenario, "batch", delta=False
     )

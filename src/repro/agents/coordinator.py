@@ -10,7 +10,7 @@ records a timeline of events for the run report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = ["TaskStatus", "TimelineEvent", "Coordinator"]
@@ -24,8 +24,6 @@ class TaskStatus:
     state: str = "unknown"
     has_result: bool = False
     has_error: bool = False
-    pending_sources: list[str] = field(default_factory=list)
-    pending_destinations: list[str] = field(default_factory=list)
     updates: int = 0
     last_update_time: float = 0.0
 
@@ -78,8 +76,6 @@ class Coordinator:
         entry.state = str(status.get("state", entry.state))
         entry.has_result = bool(status.get("has_result", entry.has_result))
         entry.has_error = bool(status.get("has_error", entry.has_error))
-        entry.pending_sources = list(status.get("pending_sources", entry.pending_sources))
-        entry.pending_destinations = list(status.get("pending_destinations", entry.pending_destinations))
         entry.updates += 1
         entry.last_update_time = time
         if entry.state != previous_state:

@@ -167,14 +167,19 @@ class AgentCore:
         return build_parameters(get_in_atoms(self.solution))
 
     def status(self) -> dict[str, Any]:
-        """A status snapshot, the payload of ``STATUS`` messages."""
+        """A status snapshot, the payload of ``STATUS`` messages.
+
+        Sent with every stimulus, so it costs one read of ``RES`` whatever the
+        agent's fan-in and fan-out: who it still waits for is answered from
+        the solution (:meth:`pending_sources` / :meth:`pending_destinations`).
+        """
+        results = get_res_atoms(self.solution)
+        error = kw.ERROR_SYM in results
         return {
             "task": self.name,
             "state": self.state,
-            "pending_sources": self.pending_sources(),
-            "pending_destinations": self.pending_destinations(),
-            "has_result": self.has_result(),
-            "has_error": self.has_error(),
+            "has_result": bool(results) and not error,
+            "has_error": error,
         }
 
     # -------------------------------------------------------------- stimuli

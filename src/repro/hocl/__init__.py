@@ -31,7 +31,7 @@ from .atoms import (
     from_atom,
     to_atom,
 )
-from .deltas import AppliedDelta, DeltaOp, PatchAdd, PatchRemove, RewriteDelta
+from .deltas import DeltaOp, PatchAdd, PatchRemove, RewriteDelta
 from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
 from .parallel import ParallelReducer, ReductionPolicy, reduce_sharded, resolve_policy
 from .errors import (
@@ -121,7 +121,6 @@ __all__ = [
     "DeltaOp",
     "PatchAdd",
     "PatchRemove",
-    "AppliedDelta",
     # matching / engine
     "Match",
     "find_matches",

@@ -28,15 +28,17 @@ its version through every enclosing solution (``Multiset._touch``), which is
 precisely the set of caches the patch can have stale — nothing else is
 re-hashed or re-expanded.
 
-Kept anchors are *repositioned*: after the patches, every kept matched atom
-is removed and re-appended at the end of the level (an O(index keys)
-operation on the anchor alone — the payload below it is untouched), exactly
-where the rebuild path would insert its replacement product.  This makes the
-two paths leave the level in the same order, so enumeration — and therefore
-the reaction history, ``match_attempts`` and batch composition — is
-*identical* between ``ReductionEngine(delta=True)`` and ``delta=False``,
-provided the rule's rebuild products list the kept fields first, in pattern
-order (all the workflow rules do).
+Kept anchors *stay put*: a kept matched atom keeps its occurrence entry, its
+position in the level and in every index bucket, and its holder wiring — a
+patch below it already bumps the enclosing versions and re-admits it to the
+candidate memories (``Multiset._touch``).  The rebuild path appends its
+replacement products at the end of the level instead, so the two paths may
+enumerate a level in different orders.  The parity contract, stated once:
+same final ``content_hash``, same ``rule_fires``, same ``match_attempts``,
+same ``patched``, bit-identical simulated timeline; ``history`` equal as a
+multiset, and equal in order wherever every top-level pattern is head-keyed
+(all agent-local solutions), because a head bucket holds one field tuple
+whose place cannot matter.
 
 Addressing
 ----------
@@ -69,7 +71,7 @@ from .templates import expand_template, expand_templates, template_referenced_na
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .externals import ExternalRegistry
 
-__all__ = ["DeltaOp", "PatchAdd", "PatchRemove", "RewriteDelta", "AppliedDelta"]
+__all__ = ["DeltaOp", "PatchAdd", "PatchRemove", "RewriteDelta"]
 
 
 def _anchor_solution(anchor: Atom) -> Multiset:
@@ -179,31 +181,6 @@ class PatchRemove(DeltaOp):
         return f"PatchRemove(at={self.at}, path={self.path!r}, items={self.items!r})"
 
 
-class AppliedDelta:
-    """What one delta application did — the engine's accounting view.
-
-    Attributes
-    ----------
-    removed:
-        Top-level atoms taken out of the solution (the consumed patterns).
-    added:
-        New top-level atoms inserted (the expanded ``produce`` templates).
-    kept:
-        Matched atoms still in the solution — patched or not — repositioned
-        at the end of the level.  The batched engine treats them exactly as
-        it would rebuilt replacement products: released from the pass's
-        claim set, excluded from the pass's remaining frontier leads, and
-        marked dirty for the next frontier.
-    """
-
-    __slots__ = ("removed", "added", "kept")
-
-    def __init__(self, removed: list[Atom], added: list[Atom], kept: list[Atom]):
-        self.removed = removed
-        self.added = added
-        self.kept = kept
-
-
 class RewriteDelta:
     """The delta-producing product form of a :class:`~repro.hocl.rules.Rule`.
 
@@ -227,45 +204,34 @@ class RewriteDelta:
         produce: Sequence[Any] = (),
     ):
         self.ops = tuple(ops)
-        self.consume = tuple(int(index) for index in consume)
+        self.consume = tuple(sorted({int(index) for index in consume}))
         self.produce = tuple(produce)
-        consumed = set(self.consume)
         for op in self.ops:
-            if op.at in consumed:
-                raise DeltaError(
-                    f"delta patches pattern {op.at}, which it also consumes"
-                )
+            if op.at in self.consume:
+                raise DeltaError(f"delta patches pattern {op.at}, which it also consumes")
 
     def apply(
         self,
         match: Match,
         solution: Multiset,
         externals: "ExternalRegistry | None",
-    ) -> AppliedDelta:
-        """Apply the delta in place on ``solution``; returns the accounting.
+    ) -> tuple[list[Atom], list[Atom]]:
+        """Apply the delta in place on ``solution``; returns ``(removed, added)``.
 
-        Mirrors the rebuild path's mutation order: matched atoms leave the
-        level in pattern order, then the kept ones re-enter at the end
-        (payloads untouched — only the anchors' own index entries move),
-        then the ``produce`` expansions follow.
+        The patches edit the kept atoms' bodies, the atoms matched by the
+        ``consume`` patterns leave the level (in pattern order) and the
+        ``produce`` expansions join it; nothing else moves.
         """
         for op in self.ops:
             op.apply(match, externals)
-        consumed_indices = set(self.consume)
-        removed: list[Atom] = []
-        kept: list[Atom] = []
-        for index, atom in enumerate(match.consumed):
+        matched = match.consumed
+        removed = [matched[index] for index in self.consume]
+        for atom in removed:
             solution.remove_identical(atom)
-            if index in consumed_indices:
-                removed.append(atom)
-            else:
-                kept.append(atom)
-        for atom in kept:
-            solution.add(atom)
-        added = expand_templates(self.produce, match.bindings, externals)
+        added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
         for atom in added:
             solution.add(atom)
-        return AppliedDelta(removed=removed, added=added, kept=kept)
+        return removed, added
 
     def referenced_names(self) -> set[str]:
         """Variable names the delta reads when applied (for static analysis)."""

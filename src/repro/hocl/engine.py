@@ -26,12 +26,16 @@ have changed since the last reduction:
 
 * a solution proven inert is stamped (:meth:`Multiset.note_inert`) and
   skipped with its whole subtree until a mutation below it bumps its version;
-  the descent reads the entries the multiset flagged, not every nested one;
+  the descent reads the entries the multiset flagged, not every nested one,
+  and a solution holding no rule and no nested solution is never flagged:
+  a field body cannot react, so editing it costs no visit;
 * rules come from the multiset's cached priority ordering, and a rule is only
   *tried* (and charged a ``match_attempt``) when each of its patterns has a
   candidate in the head-symbol index;
 * a pattern keyed by a whole kind bucket searches the bucket's
-  plausible-candidate memory: what its ``quick_reject`` has not refuted.
+  plausible-candidate memory: what its ``quick_reject`` has not refuted;
+* the search itself is :func:`~repro.hocl.matching.first_match` — the engine
+  only ever consumes the first admissible match, so it asks for that.
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to the
@@ -50,7 +54,7 @@ from repro.obs.tracer import Tracer, active as active_tracer
 from .atoms import Atom
 from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
-from .matching import Match
+from .matching import Match, first_match
 from .multiset import Multiset, atom_index_keys
 from .rules import BindingView, Rule
 
@@ -456,24 +460,14 @@ class ReductionEngine:
                 return True
         return self._apply_first_applicable(solution, depth, report)
 
-    def _plausible(self, rule: Rule, solution: Multiset) -> bool:
-        """Whether the index leaves any candidates for every pattern of ``rule``.
-
-        A ``False`` answer proves the rule cannot match (each pattern's key
-        names a bucket that must contain any atom it matches), so the search
-        — and its ``match_attempts`` charge — is skipped entirely.
-        """
-        for key in rule.pattern_index_keys:
-            if key is not None and not solution.has_candidates(key):
-                return False
-        return True
-
     def _apply_first_applicable(
         self, solution: Multiset, depth: int, report: ReductionReport
     ) -> bool:
         started = perf_counter()
         for rule in solution.rules_by_priority():
-            if self.incremental and not self._plausible(rule, solution):
+            # an empty bucket under one of its patterns proves the rule cannot
+            # match: the search — and its ``match_attempts`` charge — is skipped
+            if self.incremental and not solution.has_all_candidates(rule.pattern_index_keys):
                 continue
             report.match_attempts += 1
             match = self._find_match_excluding_self(rule, solution)
@@ -519,7 +513,7 @@ class ReductionEngine:
         each rule, one enumeration per pattern position with that position
         pinned to the frontier candidates, the other patterns running in
         declaration order over binding-narrowed buckets
-        (:meth:`~repro.hocl.rules.Rule.find_matches_from`).  By the frontier
+        (:func:`~repro.hocl.matching.first_match`).  By the frontier
         invariant (see :class:`_LevelFrontier`) matches among clean atoms
         cannot exist, so a pass that applies nothing proves the level inert
         as reliably as a full exhaustion — at a cost proportional to what
@@ -540,8 +534,8 @@ class ReductionEngine:
         may otherwise be freed mid-pass and a *product* allocated at the
         recycled address, aliasing the dead claim and silently excluding the
         product from the rest of the pass (heap-layout-dependent
-        ``match_attempts``).  Kept delta anchors are released from the map
-        once their reaction fires — they play the role of fresh products.
+        ``match_attempts``).  Only what a reaction removed is claimed: a kept
+        delta anchor stays matchable, in the role of a fresh product.
         """
         claimed: dict[int, object] = {}
 
@@ -567,7 +561,7 @@ class ReductionEngine:
         for rule in solution.rules_by_priority():
             if id(rule) in claimed:
                 continue  # consumed by an earlier reaction of this pass
-            if self.incremental and not self._plausible(rule, solution):
+            if self.incremental and not solution.has_all_candidates(rule.pattern_index_keys):
                 continue
             charged = False
             while True:
@@ -577,16 +571,12 @@ class ReductionEngine:
                     if not charged:
                         report.match_attempts += 1
                         charged = True
-                    for candidate in rule.find_all_matches(solution, exclude=is_claimed):
-                        if any(consumed is rule for consumed in candidate.consumed):
-                            continue  # a rule never consumes itself
-                        match = candidate
-                        break
+                    match = first_match(rule, solution, is_claimed)
                 else:
                     live = [
                         entry for entry in dirty_entries if id(entry.atom) not in claimed
                     ]
-                    enumerations = []
+                    leads = []
                     for lead, key in enumerate(rule.pattern_index_keys):
                         # structural pre-filter: an enumeration whose every
                         # pinned candidate quick-rejects cannot yield; skipping
@@ -604,22 +594,14 @@ class ReductionEngine:
                                 elif memory is not None:
                                     memory.refute(e)
                         if lead_entries:
-                            enumerations.append(
-                                rule.find_matches_from(
-                                    solution, lead, lead_entries, exclude=is_claimed
-                                )
-                            )
-                    if not enumerations:
+                            leads.append((lead, lead_entries))
+                    if not leads:
                         break  # no frontier atom can feed this rule: no search
                     if not charged:
                         report.match_attempts += 1
                         charged = True
-                    for enumeration in enumerations:
-                        for candidate in enumeration:
-                            if any(consumed is rule for consumed in candidate.consumed):
-                                continue
-                            match = candidate
-                            break
+                    for lead, lead_entries in leads:
+                        match = first_match(rule, solution, is_claimed, lead, lead_entries)
                         if match is not None:
                             break
                 if match is None:
@@ -630,10 +612,6 @@ class ReductionEngine:
                     if self.trace is not None:
                         self.trace.span("reduction.match", self.trace_track, started, now, depth=depth)
                     return applied
-                for atom in match.consumed:
-                    claimed[id(atom)] = atom
-                if rule.one_shot:
-                    claimed[id(rule)] = rule
                 now = perf_counter()
                 report.timings["match"] += now - started
                 if self.trace is not None:
@@ -642,22 +620,15 @@ class ReductionEngine:
                     )
                 removed, dirty, kept = self._apply(rule, match, solution, depth, report)
                 applied += 1
-                for atom in removed:
+                for atom in [*removed, rule] if rule.one_shot else removed:
+                    claimed[id(atom)] = atom
                     state.forget(atom)
-                if rule.one_shot:
-                    state.forget(rule)
-                if kept:
-                    # delta path: the kept-and-repositioned anchors now play
-                    # the role of fresh rebuild products — matchable again
-                    # within this pass (unclaimed), but never as this pass's
-                    # frontier leads (their pass-start entries are stale).
+                if kept and dirty_entries is not None:
+                    # delta path: the kept anchors play the role of fresh
+                    # rebuild products — never claimed, so matchable again
+                    # within this pass, but, like products, no lead of it.
                     kept_ids = {id(atom) for atom in kept}
-                    for kept_id in kept_ids:
-                        claimed.pop(kept_id, None)
-                    if dirty_entries is not None:
-                        dirty_entries = [
-                            entry for entry in dirty_entries if id(entry.atom) not in kept_ids
-                        ]
+                    dirty_entries = [entry for entry in dirty_entries if id(entry.atom) not in kept_ids]
                 for atom in dirty:
                     state.mark_next(atom)
                     if atom.kind == "rule":
@@ -684,7 +655,7 @@ class ReductionEngine:
             if self._has_applicable_rule(nested, report):
                 return True
         for rule in solution.rules_by_priority():
-            if self.incremental and not self._plausible(rule, solution):
+            if self.incremental and not solution.has_all_candidates(rule.pattern_index_keys):
                 continue
             report.match_attempts += 1
             if self._find_match_excluding_self(rule, solution) is not None:
@@ -695,13 +666,8 @@ class ReductionEngine:
             solution.note_inert()
         return False
 
-    @staticmethod
-    def _find_match_excluding_self(rule: Rule, solution: Multiset) -> Match | None:
-        """First match of ``rule`` whose consumed atoms do not include the rule itself."""
-        for match in rule.find_all_matches(solution):
-            if not any(consumed is rule for consumed in match.consumed):
-                return match
-        return None
+    #: ``(rule, solution)`` -> first match that does not consume the rule itself
+    _find_match_excluding_self = staticmethod(first_match)
 
     def _apply(
         self, rule: Rule, match: Match, solution: Multiset, depth: int, report: ReductionReport
@@ -711,17 +677,16 @@ class ReductionEngine:
         ``removed`` lists the top-level atoms the reaction took out of the
         solution and ``dirty`` the atoms it left needing another look —
         inserted products plus, on the delta path, every kept matched atom.
-        ``kept`` is the delta path's kept-and-repositioned subset of
-        ``dirty`` (empty on the rebuild path): the batched engine must treat
-        those exactly like fresh products — release them from the pass's
-        claim set and drop them from the pass's remaining frontier leads —
-        so both paths enumerate identically.
+        ``kept`` is the delta path's subset of ``dirty`` that never left the
+        level (empty on the rebuild path): the batched engine gives those
+        the role of the rebuild path's replacement products, so both paths
+        compose the same batches.
         """
         started = perf_counter()
         delta = rule.delta if self.delta else None
         if delta is not None:
             try:
-                applied = delta.apply(match, solution, self.externals)
+                removed, added = delta.apply(match, solution, self.externals)
             except Exception as exc:  # noqa: BLE001 - context added
                 raise ReductionError(
                     f"rule {rule.name!r} failed to apply its rewrite delta: {exc}"
@@ -747,9 +712,9 @@ class ReductionEngine:
                     depth=depth,
                     index_seconds=indexed_at - patched_at,
                 )
-            removed = applied.removed
-            kept = applied.kept
-            dirty = kept + applied.added
+            consume = delta.consume
+            kept = [atom for index, atom in enumerate(match.consumed) if index not in consume]
+            dirty = kept + added
         else:
             try:
                 products = rule.produce(match, self.externals)

@@ -20,9 +20,10 @@ the book-keeping that lets the engine work incrementally:
   any change anywhere in the tree invalidates the cached inertness of every
   ancestor;
 * **flagged entries** (:meth:`unsettled_items`): the same propagation flags,
-  in each enclosing multiset, the entry below which something changed — the
-  engine descends into those only, and every **plausible-candidate memory**
-  (:meth:`memory_for`) takes the entry back;
+  in each enclosing multiset, the entry below which something that can react
+  (:attr:`can_react`: it holds a rule or a nested solution) changed — the
+  engine descends into those only — and every **plausible-candidate memory**
+  (:meth:`memory_for`) takes the entry back, whatever changed below it;
 * a **candidate index** keyed by the "head shape" of each atom (rule name,
   bare-symbol name, tuple head symbol, or atom kind), from which the matcher
   draws candidates instead of scanning every atom for every pattern — see
@@ -231,7 +232,8 @@ class Multiset:
         self._nested: dict[_Entry, list[Multiset]] | None = None
         #: the keys of ``_nested`` below which something changed since their
         #: solutions were last proven inert: a superset of the entries holding
-        #: a solution that is not ``known_inert``.  Created with ``_nested``.
+        #: a solution that can react and is not ``known_inert``.  Created with
+        #: ``_nested``.
         self._flagged: set[_Entry] | None = None
         #: pattern object (identity hash) -> its memory at this level
         self._memories: dict[Any, _Memory] | None = None
@@ -251,6 +253,16 @@ class Multiset:
         """Whether the solution was proven inert at its current version."""
         return self._inert_version == self._version
 
+    @property
+    def can_react(self) -> bool:
+        """Whether the solution holds a rule or a nested solution right now.
+
+        One that holds neither is inert by construction and never worth a
+        visit, whatever its version says; read off the live index, so a rule
+        injected into it makes it visitable at once.
+        """
+        return bool(self._nested) or _KIND_RULE in self._index
+
     def note_inert(self) -> None:
         """Record that the solution (including nested ones) is inert *now*.
 
@@ -265,27 +277,29 @@ class Multiset:
 
         Walks the whole parent graph (a solution may be contained several
         times) with a visited guard, so even pathological aliasing cycles
-        terminate.
+        terminate.  A solution that cannot react (:attr:`can_react`) raises
+        no descent flag on its holders: there is nothing to visit in it.
         """
         self._version += 1
         if not self._parents:
             return
         seen = {id(self)}
-        stack = list(self._parents)
-        while stack:
-            node, entry = stack.pop()
-            # something changed below `entry`: descent and memories look again
-            if node._nested is not None and entry in node._nested:
-                node._flagged.add(entry)  # type: ignore[union-attr]
-            if node._memories is not None:
-                keys = atom_index_keys(entry.atom)
-                for memory in node._memories.values():
-                    memory.admit(entry, keys, False)
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            node._version += 1
-            stack.extend(node._parents)
+        changed = [self]
+        while changed:
+            below = changed.pop()
+            can_react = below.can_react
+            for node, entry in below._parents:
+                # something changed below `entry`: descent and memories look again
+                if can_react and node._nested is not None and entry in node._nested:
+                    node._flagged.add(entry)  # type: ignore[union-attr]
+                if node._memories is not None:
+                    keys = atom_index_keys(entry.atom)
+                    for memory in node._memories.values():
+                        memory.admit(entry, keys, False)
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    node._version += 1
+                    changed.append(node)
 
     def _disown(self, atom: Atom, entry: _Entry) -> None:
         """Drop one holder registration per solution held in ``atom``."""
@@ -465,9 +479,10 @@ class Multiset:
 
     def live_entries(self, key: Any = None) -> list[_Entry]:
         """Like :meth:`candidate_entries` but returning the *live* internal
-        list (no copy) — the matcher's inner loops use this on sub-solutions,
-        where a snapshot per candidate would dominate the match cost.  Callers
-        must not mutate the result nor hold it across solution mutations.
+        list (no copy) — what the matcher reads, at every level: nothing
+        mutates a solution while one search runs, and a snapshot per fetch
+        would dominate the match cost.  Callers must not mutate the result
+        nor hold it across solution mutations.
         """
         if key is None:
             return self._entries
@@ -482,6 +497,14 @@ class Multiset:
         if key is None:
             return bool(self._entries)
         return key in self._index
+
+    def has_all_candidates(self, keys: Iterable[Any]) -> bool:
+        """Whether every bucket ``keys`` names holds an atom (``None`` names none)."""
+        index = self._index
+        for key in keys:
+            if key is not None and key not in index:
+                return False
+        return True
 
     def rules_by_priority(self) -> list[Atom]:
         """Rules ordered by the engine policy: priority desc, insertion order.
@@ -564,11 +587,12 @@ class Multiset:
         return [(entry.atom, s) for entry, nested in nested_by_entry.items() for s in nested]
 
     def unsettled_items(self) -> Sequence[tuple[Atom, "Multiset"]]:
-        """The part of :meth:`nested_solution_items` not proven inert.
+        """The part of :meth:`nested_solution_items` worth a visit: what can
+        react and is not proven inert.
 
         Only the flagged entries — a handful, whatever the size of the level
-        — are looked at.  One whose solutions are all :attr:`known_inert` is
-        unflagged here and nowhere else: a flag only yields to that proof.
+        — are looked at.  One whose solutions are all :attr:`known_inert` or
+        unable to react is unflagged here and nowhere else.
         """
         flagged = self._flagged
         if not flagged:
@@ -577,7 +601,7 @@ class Multiset:
         for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else list(flagged):
             settled = True
             for solution in self._nested[entry]:  # type: ignore[index]
-                if solution._inert_version != solution._version:
+                if solution._inert_version != solution._version and solution.can_react:
                     items.append((entry.atom, solution))
                     settled = False
             if settled:

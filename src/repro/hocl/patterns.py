@@ -146,7 +146,9 @@ class Pattern:
         scan into a single-bucket lookup.  The same guarantee as
         :meth:`index_key` holds relative to ``bindings``: every atom the
         pattern can match *under this environment* carries the returned key,
-        and bucket order keeps the narrowed enumeration trace-identical.
+        and bucket order keeps the narrowed enumeration trace-identical.  The
+        matcher only asks where the static key is broad (a whole kind bucket,
+        or none): a head key is as sharp as a key gets.
         """
         return self.index_key()
 

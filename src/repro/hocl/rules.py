@@ -22,13 +22,12 @@ ones (it is defined in the paper as ``replace-one X by X, M``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .atoms import Atom, from_atom
 from .deltas import RewriteDelta
 from .errors import RuleError
-from .matching import Match, find_matches
-from .multiset import Multiset
+from .matching import Match
 from .patterns import Bindings, as_pattern
 from .templates import expand_templates, template_referenced_names
 
@@ -62,6 +61,27 @@ Condition = Callable[[BindingView], bool]
 #: alone, returning the values the firing emits (or ``None``).  The engine
 #: collects them in :attr:`~repro.hocl.engine.ReductionReport.effects`.
 EffectHook = Callable[[BindingView], "Iterable[Any] | None"]
+
+
+class _GuardedCondition:
+    """A reaction condition as the matcher calls it, on raw bindings.
+
+    A condition that cannot even be evaluated on the candidate atoms (e.g.
+    comparing an integer with a rule) simply means the reaction is not
+    possible — mirror HOCL's typed semantics by treating it as a non-match
+    rather than an error.  (A class, not a closure: it pickles with its rule.)
+    """
+
+    __slots__ = ("condition",)
+
+    def __init__(self, condition: Condition):
+        self.condition = condition
+
+    def __call__(self, bindings: Bindings) -> bool:
+        try:
+            return bool(self.condition(BindingView(bindings)))
+        except (TypeError, KeyError, AttributeError):
+            return False
 
 
 class Rule(Atom):
@@ -119,6 +139,7 @@ class Rule(Atom):
         "priority",
         "delta",
         "pattern_index_keys",
+        "guarded_condition",
         "_index_keys",
     )
     kind = "rule"
@@ -165,61 +186,9 @@ class Rule(Atom):
         #: possibly match — e.g. after a reaction, only rules whose head
         #: symbols are present in the solution are tried again.
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
+        #: The condition as the matcher calls it, built once like the keys.
+        self.guarded_condition = _GuardedCondition(condition) if condition is not None else None
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
-
-    # -------------------------------------------------------------- matching
-    def _wrapped_condition(self) -> Callable[[Bindings], bool] | None:
-        if self.condition is None:
-            return None
-        condition = self.condition
-
-        def wrapped(bindings: Bindings) -> bool:
-            # A condition that cannot even be evaluated on the candidate
-            # atoms (e.g. comparing an integer with a rule) simply means the
-            # reaction is not possible — mirror HOCL's typed semantics by
-            # treating it as a non-match rather than an error.
-            try:
-                return bool(condition(BindingView(bindings)))
-            except (TypeError, KeyError, AttributeError):
-                return False
-
-        return wrapped
-
-    def find_all_matches(
-        self, solution: Multiset, exclude: "Callable[[Atom], bool] | None" = None
-    ) -> Iterator[Match]:
-        """Iterate over every current match of the rule in ``solution``.
-
-        ``exclude`` skips top-level candidates by identity before any
-        structural matching (see :func:`~repro.hocl.matching.find_matches`);
-        the batched engine uses it to prune atoms already claimed by earlier
-        reactions of the same batch.
-        """
-        return find_matches(self.patterns, solution, self._wrapped_condition(), exclude=exclude)
-
-    def find_matches_from(
-        self,
-        solution: Multiset,
-        lead: int,
-        lead_entries: Sequence[Any],
-        exclude: "Callable[[Atom], bool] | None" = None,
-    ) -> Iterator[Match]:
-        """Matches in which pattern ``lead`` consumes one of ``lead_entries``.
-
-        The batched engine's frontier search: the patterns run in their
-        declaration order with binding-narrowed bucket lookups, except that
-        pattern ``lead`` only considers the given occurrence entries (atoms
-        dirtied since the last pass).  See
-        :func:`~repro.hocl.matching.find_matches`.
-        """
-        return find_matches(
-            self.patterns,
-            solution,
-            self._wrapped_condition(),
-            exclude=exclude,
-            pinned=lead,
-            pinned_entries=lead_entries,
-        )
 
     # -------------------------------------------------------------- products
     def produce(self, match: Match, externals: Any = None) -> list[Atom]:

@@ -117,6 +117,33 @@ def workflow_to_json(workflow: Workflow, path: str | Path | None = None, indent:
     return text
 
 
+#: key -> JSON type, per level.  A key outside its table is a typo that would
+#: otherwise be dropped in silence (``sources`` for ``depends_on``).
+_DOCUMENT: dict[str, Any] = {"name": str, "tasks": list, "adaptations": list}
+_TASK: dict[str, Any] = dict(
+    name=str, service=str, inputs=list, duration=(int, float), depends_on=list, metadata=Mapping
+)
+_ADAPTATION: dict[str, Any] = dict(
+    name=str, replaced=list, trigger_on=list, entry_sources=Mapping, clear_destination_inputs=bool, replacement=Mapping
+)
+_KINDS = {str: "a string", list: "a list", Mapping: "an object", bool: "true or false", (int, float): "a number"}
+
+
+def _checked(value: Any, schema: dict[str, Any], context: str) -> Mapping[str, Any]:
+    """``value``, checked to be an object whose every key is in ``schema`` and
+    holds a value of the JSON type the schema gives it."""
+    if not isinstance(value, Mapping):
+        raise JSONFormatError(f"{context}: expected an object, got {value!r:.40}")
+    for key, item in value.items():
+        kind = schema.get(key)
+        if kind is None or not isinstance(item, kind) or (isinstance(item, bool) and kind is not bool):
+            named = f"{context} {value['name']!r}" if isinstance(value.get("name"), str) else context
+            if kind is None:
+                raise JSONFormatError(f"{named}: unknown key {key!r}; known keys: {', '.join(schema)}")
+            raise JSONFormatError(f"{named}: {key!r} must be {_KINDS[kind]}, got {item!r:.40}")
+    return value
+
+
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     if key not in mapping:
         raise JSONFormatError(f"{context}: missing required key {key!r}")
@@ -124,46 +151,54 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
 
 
 def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
-    """Build a workflow from a parsed JSON document."""
-    if not isinstance(document, Mapping):
-        raise JSONFormatError(f"workflow document must be an object, got {type(document).__name__}")
+    """Build a workflow from a parsed JSON document.
+
+    Unknown keys (at document, task and adaptation level) and values of the
+    wrong JSON type are rejected with a :class:`JSONFormatError` naming the
+    workflow, the task and the field: a document is run as written or not
+    at all.
+    """
+    _checked(document, _DOCUMENT, "workflow document")
     name = document.get("name", "workflow")
-    tasks = _require(document, "tasks", f"workflow {name!r}")
-    if not isinstance(tasks, list) or not tasks:
-        raise JSONFormatError(f"workflow {name!r}: 'tasks' must be a non-empty list")
+    context = f"workflow {name!r}"
+    tasks = _require(document, "tasks", context)
+    if not tasks:
+        raise JSONFormatError(f"{context}: 'tasks' must be a non-empty list")
 
     workflow = Workflow(name=name)
     dependencies: list[tuple[str, str]] = []
     for entry in tasks:
-        if not isinstance(entry, Mapping):
-            raise JSONFormatError(f"workflow {name!r}: each task must be an object")
-        task_name = _require(entry, "name", f"workflow {name!r} task")
-        service = _require(entry, "service", f"task {task_name!r}")
+        _checked(entry, _TASK, f"{context} task")
+        task_name = _require(entry, "name", f"{context} task")
         task = Task(
             name=task_name,
-            service=service,
-            inputs=list(entry.get("inputs", [])),
+            service=_require(entry, "service", f"{context} task {task_name!r}"),
+            inputs=list(entry.get("inputs", ())),
             duration=float(entry.get("duration", 0.0)),
-            metadata=dict(entry.get("metadata", {})),
+            metadata=dict(entry.get("metadata", ())),
         )
         workflow.add_task(task)
-        for source in entry.get("depends_on", []):
+        for source in entry.get("depends_on", ()):
             dependencies.append((source, task_name))
     for source, destination in dependencies:
         workflow.add_dependency(source, destination)
 
-    for adaptation in document.get("adaptations", []):
-        spec_name = _require(adaptation, "name", "adaptation")
-        replacement_doc = _require(adaptation, "replacement", f"adaptation {spec_name!r}")
+    for adaptation in document.get("adaptations", ()):
+        _checked(adaptation, _ADAPTATION, f"{context} adaptation")
+        spec_name = _require(adaptation, "name", f"{context} adaptation")
+        where = f"{context} adaptation {spec_name!r}"
+        entry_sources = {}
+        for entry_task, sources in adaptation.get("entry_sources", {}).items():
+            if not isinstance(sources, list):
+                raise JSONFormatError(f"{where}: 'entry_sources' of {entry_task!r} must be a list, got {sources!r:.40}")
+            entry_sources[entry_task] = list(sources)
         spec = AdaptationSpec(
             name=spec_name,
-            replaced=list(_require(adaptation, "replaced", f"adaptation {spec_name!r}")),
-            replacement=workflow_from_dict(replacement_doc),
-            entry_sources={
-                key: list(value) for key, value in adaptation.get("entry_sources", {}).items()
-            },
-            trigger_on=list(adaptation["trigger_on"]) if adaptation.get("trigger_on") else None,
-            clear_destination_inputs=bool(adaptation.get("clear_destination_inputs", False)),
+            replaced=list(_require(adaptation, "replaced", where)),
+            replacement=workflow_from_dict(_require(adaptation, "replacement", where)),
+            entry_sources=entry_sources,
+            trigger_on=list(adaptation.get("trigger_on", ())) or None,
+            clear_destination_inputs=adaptation.get("clear_destination_inputs", False),
         )
         workflow.add_adaptation(spec)
 

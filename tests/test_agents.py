@@ -120,9 +120,18 @@ class TestAgentLifecycle:
         core = AgentCore(encodings["merge"])
         core.boot()
         status = core.status()
+        # the per-stimulus payload: fixed size whatever the fan-in and fan-out
+        assert set(status) == {"task", "state", "has_result", "has_error"}
         assert status["task"] == "merge"
         assert status["state"] == AgentState.READY
-        assert set(status["pending_sources"]) == {"T_1_1", "T_1_2"}
+        assert status["has_result"] is False and status["has_error"] is False
+        # who the agent still waits for is read from its solution
+        assert set(core.pending_sources()) == {"T_1_1", "T_1_2"}
+        core.invocation_failed("boom")
+        assert core.status()["has_error"] is True and core.status()["has_result"] is False
+        core.solution = encodings["merge"].initial_solution(include_rules=False)
+        core.invocation_succeeded("ok")
+        assert core.status()["has_result"] is True and core.status()["has_error"] is False
 
     def test_reduction_counters_increase(self):
         encodings = encodings_for(diamond_workflow(2, 1))

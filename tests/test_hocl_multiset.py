@@ -471,14 +471,26 @@ def _held_solutions(atom):
     return []
 
 
+def _can_react(solution):
+    """A scan for what ``Multiset.can_react`` reads off the index: a rule, or
+    a solution the engine descends into (an atom's own, or a tuple element's)."""
+    return any(
+        atom.kind == "rule"
+        or isinstance(atom, Subsolution)
+        or (isinstance(atom, TupleAtom) and any(isinstance(e, Subsolution) for e in atom.elements))
+        for atom in solution.atoms()
+    )
+
+
 class FlagsAndMemories(RuleBasedStateMachine):
     """Random nested solutions under random mutations and engine-like passes.
 
     After every step, at every level: the flagged entries' solutions cover
-    the nested solutions not proven inert, in ``nested_solutions()`` order;
-    every solution knows exactly the entries that hold it; and at the root
-    each memory covers the bucket entries ``quick_reject`` does not refute,
-    in bucket order.
+    the nested solutions that can react (hold a rule or a nested solution)
+    and are not proven inert, in ``nested_solutions()`` order, and a solution
+    that cannot react is never handed out for a visit; every solution knows
+    exactly the entries that hold it; and at the root each memory covers the
+    bucket entries ``quick_reject`` does not refute, in bucket order.
     """
 
     def __init__(self):
@@ -537,10 +549,24 @@ class FlagsAndMemories(RuleBasedStateMachine):
         # any solution but the root: one, two or three levels down, held or not
         # (counted from the newest, which small draws then favour)
         target = self.solutions[1:][-1 - back % (len(self.solutions) - 1)]
+        enclosing, reached = {}, [target]
+        while reached:  # every solution the change must invalidate, however deep it sits
+            for holder, _entry in reached.pop()._parents:
+                if id(holder) not in enclosing:
+                    enclosing[id(holder)] = (holder, holder.version)
+                    reached.append(holder)
+        changed = target.add(value) is not None if adding else target.discard(value)
+        assert all((holder.version > before) is changed for holder, before in enclosing.values())
+
+    @rule(back=st.integers(0, 31), adding=st.booleans())
+    def rule_below(self, back, adding):
+        # a rule injected into (or retired from) any solution, field bodies
+        # included: what makes a leaf able to react, and unable again
+        target = self.solutions[-1 - back % len(self.solutions)]
         if adding:
-            target.add(value)
+            target.add(make_rule("injected"))
         else:
-            target.discard(value)
+            target.discard(make_rule("injected"))
 
     @rule()
     def clear(self):
@@ -563,16 +589,19 @@ class FlagsAndMemories(RuleBasedStateMachine):
 
     # ------------------------------------------------------------ invariants
     @invariant()
-    def flagged_entries_cover_what_is_not_inert(self):
+    def flagged_entries_cover_what_can_react_and_is_not_inert(self):
         for level in self.solutions:
-            open_solutions = [id(s) for s in level.nested_solutions() if not s.known_inert]
+            assert level.can_react == _can_react(level)
+            open_solutions = [
+                id(s) for s in level.nested_solutions() if _can_react(s) and not s.known_inert
+            ]
             flagged = level._flagged or ()
             under_flags = [
                 id(s)
                 for entry, nested in (level._nested or {}).items()
                 if entry in flagged
                 for s in nested
-                if not s.known_inert
+                if _can_react(s) and not s.known_inert
             ]
             assert under_flags == open_solutions
             assert [id(s) for _atom, s in level.unsettled_items()] == open_solutions

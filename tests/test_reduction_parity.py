@@ -335,6 +335,7 @@ from repro.hocl import (  # noqa: E402
     Compute,
     Literal,
     Match,
+    PatchAdd,
     PatchRemove,
     ReductionError,
     Ref,
@@ -343,7 +344,11 @@ from repro.hocl import (  # noqa: E402
     Splice,
     SolutionTemplate,
     TupleTemplate,
+    find_matches,
 )
+from repro.hocl import engine as engine_module  # noqa: E402
+from repro.hocl.matching import first_match  # noqa: E402
+from repro.hocl.templates import expand_templates  # noqa: E402
 
 
 class BruteForceEngine(ReductionEngine):
@@ -355,7 +360,7 @@ class BruteForceEngine(ReductionEngine):
     @staticmethod
     def _find_match_excluding_self(rule, solution):
         atoms = solution.atoms()
-        condition = rule._wrapped_condition()
+        condition = rule.guarded_condition
 
         def search(index, used, env):
             if index == len(rule.patterns):
@@ -371,6 +376,27 @@ class BruteForceEngine(ReductionEngine):
             if not any(consumed is rule for consumed in match.consumed):
                 return match
         return None
+
+
+class RepositioningDelta(RewriteDelta):
+    """The delta application this engine replaced, kept as the oracle: every
+    matched atom leaves the level and the kept ones re-enter at its end, where
+    the rebuild path appends its replacement products."""
+
+    __slots__ = ()
+
+    def apply(self, match, solution, externals):
+        for op in self.ops:
+            op.apply(match, externals)
+        for atom in match.consumed:
+            solution.remove_identical(atom)
+        for index, atom in enumerate(match.consumed):
+            if index not in self.consume:
+                solution.add(atom)
+        added = expand_templates(self.produce, match.bindings, externals)
+        for atom in added:
+            solution.add(atom)
+        return [match.consumed[index] for index in self.consume], added
 
 
 def _firing_log():
@@ -399,7 +425,7 @@ class TestAgainstBruteForceSearch:
         assert fast.rule_fires == slow.rule_fires
 
     @staticmethod
-    def _cells_program(cells, take_first):
+    def _cells_program(cells, take_first, delta_class=RewriteDelta):
         """Cells ``Ci : <VAL : <ints, max>>`` under two top-level rules.
 
         ``take`` (variable head: a whole-bucket pattern) moves a cell's
@@ -437,7 +463,7 @@ class TestAgainstBruteForceSearch:
                 Ref("x"),
             ],
             priority=1 if take_first else 0,
-            delta=RewriteDelta(
+            delta=delta_class(
                 ops=(PatchRemove(at=0, path=("VAL",), items=(Ref("x"),)),), produce=(Ref("x"),)
             ),
         )
@@ -520,6 +546,222 @@ class TestBookkeepingScaling:
         for name in ("quick_reject", "known_inert"):
             small, large = per_reaction[100][name], per_reaction[800][name]
             assert 0.75 * small <= large <= 1.25 * small, per_reaction
+
+
+#: the random cell programs of `TestAgainstBruteForceSearch`, and their refills
+_CELLS = st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1, max_size=6)
+_REFILLS = st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=3), max_size=4)
+
+
+class TestInPlaceReactions:
+    """Clock-free: a reaction costs what it changes.  Kept anchors stay put,
+    a rule-free field body is never visited, and the engine's first-match
+    search is the enumerator's first result."""
+
+    @staticmethod
+    def _agent(task, width=2):
+        from repro.agents import AgentCore
+
+        core = AgentCore(encode_workflow(diamond_workflow(width, 1)).tasks[task])
+        core.boot()
+        return core
+
+    @staticmethod
+    def _layout(solution):
+        """Every occurrence entry by identity: the level, then each bucket."""
+        return (
+            [id(entry) for entry in solution.live_entries()],
+            {key: [id(entry) for entry in bucket] for key, bucket in solution._index.items()},
+        )
+
+    def test_a_kept_anchor_keeps_its_entry_and_its_place(self):
+        bag = TupleAtom([Symbol("BAG"), Subsolution([1, 2, 3])])
+        sink = TupleAtom([Symbol("SINK"), Subsolution()])
+        drain = Rule(
+            "drain",
+            [
+                TuplePattern(SymbolPattern("BAG"), SolutionPattern(Var("x", kind="int"), rest=Omega("w"))),
+                TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
+            ],
+            [],
+            delta=RewriteDelta(
+                ops=(PatchRemove(at=0, items=(Ref("x"),)), PatchAdd(at=1, templates=(Ref("x"),)))
+            ),
+        )
+        solution = Multiset(["first", bag, "between", sink, drain, "last"])
+        before = self._layout(solution)
+        report = ReductionEngine().reduce(solution)
+        assert report.patched == 3 and len(sink.elements[1].solution) == 3
+        assert self._layout(solution) == before
+
+    def test_an_agent_local_gw_pass_firing_moves_nothing_at_the_top_level(self, monkeypatch):
+        core = self._agent("split")  # booted: invoking, two destinations pending
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(self, *args):
+                calls[name] += self is core.solution
+                return function(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(Multiset, "add", counted("add", Multiset.add))
+        monkeypatch.setattr(Multiset, "_remove_entry", counted("remove", Multiset._remove_entry))
+        before = self._layout(core.solution)
+        core.invocation_succeeded("value")
+        assert core.rule_fires["gw_pass"] == 2 and core.results_sent == 2
+        assert (calls["add"], calls["remove"]) == (0, 0)
+        assert self._layout(core.solution) == before
+
+    @pytest.mark.parametrize("fan_in", [32, 512])
+    def test_a_stimulus_visits_the_level_and_no_field_body(self, fan_in, monkeypatch):
+        core = self._agent("merge", width=fan_in)
+        visited = []
+        reduce_level = ReductionEngine._reduce_level
+
+        def counted(engine, solution, depth, report):
+            visited.append(id(solution))
+            return reduce_level(engine, solution, depth, report)
+
+        monkeypatch.setattr(ReductionEngine, "_reduce_level", counted)
+        core.receive_result("T_1_1", "x")
+        assert len(core.pending_sources()) == fan_in - 1
+        assert visited == [id(core.solution)]
+        # a rule makes its body able to react: visited on the very next reduce
+        body = core.solution.find_tuple("IN").elements[1].solution
+        assert not body.can_react
+        body.add(Rule("never", [SymbolPattern("NEVER")], []))
+        del visited[:]
+        core.receive_result("T_1_2", "y")
+        assert visited == [id(core.solution), id(body)]
+
+    @given(
+        cells=_CELLS,
+        refills=_REFILLS,
+        take_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_programs_agree_with_repositioned_anchors(self, cells, refills, take_first):
+        """``take`` has a variable head: which cell it drains first may depend
+        on where the anchors sit, the rest of the contract may not."""
+        program = TestAgainstBruteForceSearch._cells_program
+        refill = TestAgainstBruteForceSearch._refill
+        in_place, moved = program(cells, take_first), program(cells, take_first, RepositioningDelta)
+        engines = ReductionEngine(), ReductionEngine()
+        for round_ in [[]] + refills:
+            for cell, value in round_:
+                refill(in_place, cell % len(cells), value)
+                refill(moved, cell % len(cells), value)
+            here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
+            assert in_place.content_hash() == moved.content_hash()
+            assert here.rule_fires == there.rule_fires
+            assert here.match_attempts == there.match_attempts
+            assert here.patched == there.patched
+            assert sorted(_trace(here)) == sorted(_trace(there))
+
+    @given(
+        bags=st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=5),
+        refills=st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=3), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_head_keyed_programs_fire_in_the_same_order(self, bags, refills):
+        """One drain rule per bag, every top-level pattern keyed by a head that
+        names one tuple: where a kept anchor sits cannot matter."""
+
+        def program(delta_class):
+            solution = Multiset([TupleAtom([Symbol("SINK"), Subsolution()])])
+            for index, values in enumerate(bags):
+                solution.add(TupleAtom([Symbol(f"B{index}"), Subsolution(values)]))
+                solution.add(
+                    Rule(
+                        f"drain{index}",
+                        [
+                            TuplePattern(
+                                SymbolPattern(f"B{index}"),
+                                SolutionPattern(Var("x", kind="int"), rest=Omega("w")),
+                            ),
+                            TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
+                        ],
+                        [],
+                        delta=delta_class(
+                            ops=(
+                                PatchRemove(at=0, items=(Ref("x"),)),
+                                PatchAdd(at=1, templates=(Ref("x"),)),
+                            )
+                        ),
+                    )
+                )
+            return solution
+
+        logs = _firing_log(), _firing_log()
+        in_place, moved = program(RewriteDelta), program(RepositioningDelta)
+        engines = ReductionEngine(observer=logs[0][1]), ReductionEngine(observer=logs[1][1])
+        for round_ in [[]] + refills:
+            for bag, value in round_:
+                for solution in (in_place, moved):
+                    solution.find_tuple(f"B{bag % len(bags)}").elements[1].solution.add(value)
+            here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
+            assert logs[0][0] == logs[1][0]
+            assert _trace(here) == _trace(there)
+            assert here.match_attempts == there.match_attempts
+            assert in_place.content_hash() == moved.content_hash()
+
+    @staticmethod
+    def _checked_first_match(searches):
+        """``first_match``, held to the enumerator on every call it serves."""
+
+        def checked(rule, solution, exclude=None, pinned=None, pinned_entries=()):
+            found = first_match(rule, solution, exclude, pinned, pinned_entries)
+            enumerated = find_matches(
+                rule.patterns, solution, rule.guarded_condition, None, exclude,
+                pinned=pinned, pinned_entries=pinned_entries,
+            )  # fmt: skip
+            expected = next(
+                (m for m in enumerated if not any(atom is rule for atom in m.consumed)), None
+            )
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert [id(atom) for atom in found.consumed] == [id(atom) for atom in expected.consumed]
+                assert found.bindings == expected.bindings
+            searches[exclude is not None, pinned is not None] += 1
+            return found
+
+        return checked
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_first_match_is_the_enumerators_first_on_every_family(self, family, monkeypatch):
+        searches = Counter()
+        checked = self._checked_first_match(searches)
+        monkeypatch.setattr(engine_module, "first_match", checked)
+        monkeypatch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
+        for batch in (False, True):
+            outcome = CentralizedExecutor(reduction="batch" if batch else "serial").execute(
+                build_scenario(f"{family}:size=12,seed=1")
+            )
+            assert outcome.report.inert
+        # serial searches, batch full scans (exclude) and frontier leads (pinned)
+        assert searches[False, False] and searches[True, False] and searches[True, True]
+
+    @given(
+        cells=_CELLS,
+        refills=_REFILLS,
+        take_first=st.booleans(),
+        batch=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_match_is_the_enumerators_first_on_random_programs(
+        self, cells, refills, take_first, batch
+    ):
+        checked = self._checked_first_match(Counter())
+        solution = TestAgainstBruteForceSearch._cells_program(cells, take_first)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "first_match", checked)
+            patch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
+            engine = ReductionEngine(batch=batch)
+            for round_ in [[]] + refills:
+                for cell, value in round_:
+                    TestAgainstBruteForceSearch._refill(solution, cell % len(cells), value)
+                assert engine.reduce(solution).inert
 
 
 class TestFlagsSurviveFailure:

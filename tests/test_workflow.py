@@ -1,8 +1,11 @@
 """Unit tests for the workflow model: DAG, adaptation specs, generators, JSON."""
 
 import json
+import re
 
 import pytest
+
+from repro.cli import main
 
 from repro.workflow import (
     AdaptationSpec,
@@ -390,3 +393,93 @@ class TestJSONFormat:
     def test_json_is_valid_json(self):
         text = workflow_to_json(sequence_workflow(2))
         assert json.loads(text)["tasks"]
+
+
+# --------------------------------------------------------------------------
+# Hostile documents: the JSON front door runs a document as written or not
+# at all — through `workflow_from_json` and through `ginflow run`
+# --------------------------------------------------------------------------
+
+
+def _document(task_extra=None, document_extra=None, adaptation_extra=None):
+    """A valid two-task adaptive document, with the given keys forced in."""
+    document = {
+        "name": "w",
+        "tasks": [
+            {"name": "a", "service": "s", "inputs": ["in"]},
+            {"name": "b", "service": "s", "depends_on": ["a"], **(task_extra or {})},
+            {"name": "c", "service": "s", "depends_on": ["b"]},
+        ],
+        "adaptations": [
+            {
+                "name": "swap-b",
+                "replaced": ["b"],
+                "entry_sources": {"b2": ["a"]},
+                "replacement": {"name": "alt", "tasks": [{"name": "b2", "service": "s2"}]},
+                **(adaptation_extra or {}),
+            }
+        ],
+        **(document_extra or {}),
+    }
+    return json.dumps(document)
+
+
+#: fixture -> (document text, what the one error line must name)
+HOSTILE_DOCUMENTS = {
+    "UNKNOWN_DOCUMENT_KEY": (_document(document_extra={"task": []}), r"workflow document 'w': unknown key 'task'; known keys: name, tasks"),
+    "UNKNOWN_TASK_KEY": (_document({"sources": ["a"]}), r"workflow 'w' task 'b': unknown key 'sources'; known keys: .*depends_on"),
+    "UNKNOWN_ADAPTATION_KEY": (_document(adaptation_extra={"replace": ["b"]}), r"workflow 'w' adaptation 'swap-b': unknown key 'replace'; known keys: .*replaced"),
+    "STRING_FOR_LIST": (_document({"depends_on": "a"}), r"workflow 'w' task 'b': 'depends_on' must be a list"),
+    "NUMBER_FOR_LIST": (_document({"inputs": 5}), r"task 'b': 'inputs' must be a list, got 5"),
+    "LIST_FOR_OBJECT": (_document({"metadata": [1]}), r"task 'b': 'metadata' must be an object"),
+    "STRING_FOR_NUMBER": (_document({"duration": "abc"}), r"task 'b': 'duration' must be a number, got 'abc'"),
+    "BOOLEAN_FOR_NUMBER": (_document({"duration": True}), r"task 'b': 'duration' must be a number"),
+    "NUMBER_FOR_NAME": (_document({"name": 7}), r"workflow 'w' task: 'name' must be a string"),
+    "OBJECT_FOR_TASK_LIST": (_document(document_extra={"tasks": {"a": 1}}), r"workflow document 'w': 'tasks' must be a list"),
+    "NUMBER_FOR_ADAPTATION": (_document(document_extra={"adaptations": [5]}), r"workflow 'w' adaptation: expected an object, got 5"),
+    "STRING_FOR_ENTRY_SOURCES": (
+        _document(adaptation_extra={"entry_sources": {"b2": "a"}}),
+        r"adaptation 'swap-b': 'entry_sources' of 'b2' must be a list",
+    ),
+    "NUMBER_FOR_REPLACEMENT": (
+        _document(adaptation_extra={"replacement": 3}),
+        r"adaptation 'swap-b': 'replacement' must be an object",
+    ),
+    "STRING_FOR_FLAG": (
+        _document(adaptation_extra={"clear_destination_inputs": "yes"}),
+        r"adaptation 'swap-b': 'clear_destination_inputs' must be true or false",
+    ),
+    "LIST_FOR_DOCUMENT": ("[1, 2]", r"workflow document: expected an object"),
+    "TRUNCATED": (_document()[:-3], r"invalid JSON workflow document"),
+}
+
+
+class TestHostileJSON:
+    def test_the_base_document_is_valid(self, tmp_path, capsys):
+        workflow = workflow_from_json(_document())
+        assert workflow.dependencies() == [("a", "b"), ("b", "c")] and len(workflow.adaptations) == 1
+        path = tmp_path / "good.json"
+        path.write_text(_document(), encoding="utf-8")
+        assert main(["run", str(path), "--nodes", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_what_the_writer_emits_loads_unchanged(self):
+        document = workflow_to_dict(adaptive_diamond_workflow(3, 3, "full", "simple"))
+        assert workflow_to_dict(workflow_from_dict(document)) == document
+
+    @pytest.mark.parametrize("fixture", HOSTILE_DOCUMENTS)
+    def test_rejected_by_the_loader_naming_the_field(self, fixture):
+        text, named = HOSTILE_DOCUMENTS[fixture]
+        with pytest.raises(JSONFormatError, match=named):
+            workflow_from_json(text)
+
+    @pytest.mark.parametrize("fixture", HOSTILE_DOCUMENTS)
+    def test_rejected_by_ginflow_run_with_one_error_line(self, fixture, tmp_path, capsys):
+        text, named = HOSTILE_DOCUMENTS[fixture]
+        path = tmp_path / f"{fixture.lower()}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path), "--nodes", "5"]) != 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert re.search(named, lines[0]) and "Traceback" not in captured.err
