@@ -25,6 +25,13 @@ Five claims are checked and written to ``BENCH_reduction.latest.json``:
   final solution, reaction multiset and match-attempt count as the
   full-rebuild reference path (``delta=False``) on every scenario.
 
+Every scenario row carries a ``compiled`` object (schema_version 6): the
+number of distinct compiled left-hand sides the scenario's rules hold
+(:func:`repro.hocl.matching.compiled_search`: one per distinct left-hand side,
+not per task) and the bytes of the compiled form — ``sys.getsizeof`` summed over
+the closures, their cells and the containers they close over, the memory
+budget of trading the interpreter for a fixed chain of stages.
+
 Every scenario row carries a ``modes`` object (schema_version 5): per
 strategy (``serial``/``batch``/``parallel``), the match attempts, the wall
 seconds (``serial`` also as ``us_per_reaction``), the
@@ -75,11 +82,14 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import time
+import types
 from pathlib import Path
 
 from repro.hocl import ReductionEngine, default_registry
 from repro.hocl.parallel import reduce_sharded, resolve_policy
+from repro.hocl.patterns import Layout
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.scenarios import build_scenario
@@ -207,6 +217,42 @@ def _trace(report):
     return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
 
 
+def compiled_footprint(solution) -> dict:
+    """Distinct compiled left-hand sides held by the rules of ``solution``
+    (nested solutions included) and the bytes of their compiled form.
+
+    Counted: every closure reachable from a search, its cells, and the tuples,
+    lists, dicts and register layouts they close over.  Not counted: what the
+    compiled form only refers to and the rules hold anyway (patterns, atoms,
+    strings, code objects — one per ``def``, shared by every compiled search).
+    """
+    searches, levels = {}, [solution]
+    while levels:
+        level = levels.pop()
+        levels.extend(level.nested_solutions())
+        searches.update((id(rule.search), rule.search) for rule in level.rules())
+    seen, pending, total = set(), list(searches.values()), 0
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, types.FunctionType):
+            pending.extend(item.__closure__ or ())
+        elif isinstance(item, types.CellType):
+            pending.append(item.cell_contents)
+        elif isinstance(item, (tuple, list)):
+            pending.extend(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, Layout):
+            pending.append(item.slots)  # (its instance dict shares keys: no stable size of its own)
+        else:
+            continue
+        total += sys.getsizeof(item)
+    return {"left_hand_sides": len(searches), "bytes": total}
+
+
 def _measure(scenario: str) -> dict:
     """Run one scenario under every strategy; check parity, package the row."""
     serial, seconds_serial, serial_solution = reduce_scenario_mode(scenario, "serial")
@@ -277,6 +323,7 @@ def _measure(scenario: str) -> dict:
 
     return {
         "reactions": serial.reactions,
+        "compiled": compiled_footprint(encode_workflow(_SCENARIOS[scenario]()).to_multiset()),
         # legacy alias of modes.serial (schema v2 consumers: the CI gate's
         # committed-row lookup and the trend collator's fallback)
         "incremental": modes["serial"],
@@ -465,7 +512,7 @@ def test_benchmark_matrix_and_artifact():
 
     payload = {
         "benchmark": "hocl-reduction",
-        "schema_version": 5,
+        "schema_version": 6,
         "scaling": measure_scaling(_full_profile()),
         "scenarios": scenarios,
     }

@@ -57,7 +57,7 @@ from repro.hocl import (
 )
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import AdaptationPlan
-from repro.hoclflow.generic_rules import gw_pass_condition, make_gw_setup, register_workflow_externals
+from repro.hoclflow.generic_rules import GW_CALL_PATTERNS, GW_SETUP, gw_pass_condition, register_workflow_externals
 from repro.hoclflow.translator import TaskEncoding
 
 from .actions import Action, SendAdapt, SendResult, StartInvocation
@@ -76,16 +76,10 @@ def _send_result(bindings: BindingView) -> list[Action]:
     return [SendResult(destination=str(bindings.value("tj")), value=bindings.value("res"))]
 
 
-GW_SETUP = make_gw_setup()
-
 #: Local ``gw_call``: request the invocation instead of performing it.
 GW_CALL = Rule(
     name="gw_call",
-    patterns=[
-        TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
-        TuplePattern(SymbolPattern(kw.SRV), Var("s")),
-        TuplePattern(SymbolPattern(kw.PAR), Var("par")),
-    ],
+    patterns=GW_CALL_PATTERNS[:3],  # SRC : <>, SRV : s, PAR : par — no RES to patch
     products=[
         TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
         TupleTemplate(kw.SRV_SYM, Ref("s")),

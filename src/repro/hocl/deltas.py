@@ -66,7 +66,7 @@ from .atoms import Atom, Subsolution, TupleAtom
 from .errors import DeltaError
 from .matching import Match
 from .multiset import Multiset
-from .templates import expand_template, expand_templates, template_referenced_names
+from .templates import Call, Compute, _referenced_in_all, expand_template, expand_templates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .externals import ExternalRegistry
@@ -97,6 +97,13 @@ def _resolve_target(anchor: Atom, path: tuple[str, ...]) -> Multiset:
     return solution
 
 
+def _is_opaque(template: Any) -> bool:
+    """Whether expanding ``template`` can read bindings it does not name."""
+    if isinstance(template, (Call, Compute)):
+        return True
+    return any(_is_opaque(element) for element in getattr(template, "elements", ()))
+
+
 class DeltaOp:
     """One in-place edit of a nested solution of a kept matched atom."""
 
@@ -117,9 +124,13 @@ class DeltaOp:
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def expanded(self) -> tuple[Any, ...]:
+        """The templates the op expands when applied."""
+        return ()
+
     def referenced_names(self) -> set[str]:
         """Variable names the op reads from the bindings when applied."""
-        return set()
+        return _referenced_in_all(self.expanded())
 
 
 class PatchAdd(DeltaOp):
@@ -136,11 +147,8 @@ class PatchAdd(DeltaOp):
         for atom in expand_templates(self.templates, match.bindings, externals):
             target.add(atom)
 
-    def referenced_names(self) -> set[str]:
-        names: set[str] = set()
-        for template in self.templates:
-            names |= template_referenced_names(template)
-        return names
+    def expanded(self) -> tuple[Any, ...]:
+        return self.templates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PatchAdd(at={self.at}, path={self.path!r}, templates={self.templates!r})"
@@ -171,11 +179,8 @@ class PatchRemove(DeltaOp):
                         f"patch removes {atom}, absent from the target solution"
                     ) from exc
 
-    def referenced_names(self) -> set[str]:
-        names: set[str] = set()
-        for item in self.items:
-            names |= template_referenced_names(item)
-        return names
+    def expanded(self) -> tuple[Any, ...]:
+        return self.items
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PatchRemove(at={self.at}, path={self.path!r}, items={self.items!r})"
@@ -195,7 +200,7 @@ class RewriteDelta:
         Templates for new top-level atoms, expanded like classic products.
     """
 
-    __slots__ = ("ops", "consume", "produce")
+    __slots__ = ("ops", "consume", "produce", "eager")
 
     def __init__(
         self,
@@ -209,6 +214,11 @@ class RewriteDelta:
         for op in self.ops:
             if op.at in self.consume:
                 raise DeltaError(f"delta patches pattern {op.at}, which it also consumes")
+        #: The names read once the patching has started, which the engine
+        #: therefore reads before (an omega is copied out of its solution at its
+        #: first read); ``None``: any — a ``Call``/``Compute`` sees every binding.
+        opaque = any(_is_opaque(template) for template in self.expanded())
+        self.eager = None if opaque else tuple(sorted(self.referenced_names()))
 
     def apply(
         self,
@@ -233,14 +243,13 @@ class RewriteDelta:
             solution.add(atom)
         return removed, added
 
+    def expanded(self) -> tuple[Any, ...]:
+        """Every template the delta expands when applied."""
+        return (*(template for op in self.ops for template in op.expanded()), *self.produce)
+
     def referenced_names(self) -> set[str]:
         """Variable names the delta reads when applied (for static analysis)."""
-        names: set[str] = set()
-        for op in self.ops:
-            names |= op.referenced_names()
-        for template in self.produce:
-            names |= template_referenced_names(template)
-        return names
+        return _referenced_in_all(self.expanded())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

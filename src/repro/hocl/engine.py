@@ -56,7 +56,7 @@ from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
 from .matching import Match, first_match
 from .multiset import Multiset, atom_index_keys
-from .rules import BindingView, Rule
+from .rules import Rule
 
 __all__ = ["ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
 
@@ -684,6 +684,15 @@ class ReductionEngine:
         """
         started = perf_counter()
         delta = rule.delta if self.delta else None
+        # What outlives the first mutation is read now (an omega is copied out
+        # of its solution at its first read): what the delta expands between
+        # patches — the rebuild path expands everything first — and whatever an
+        # observer may read; the effect, a pure function of the bindings, runs now.
+        bindings = match.bindings
+        eager = () if delta is None else delta.eager
+        for name in bindings if eager is None or self.observer is not None else eager:
+            bindings.atom(name)
+        emitted = list(rule.effect(bindings) or ()) if rule.effect is not None else ()
         if delta is not None:
             try:
                 removed, added = delta.apply(match, solution, self.externals)
@@ -756,8 +765,7 @@ class ReductionEngine:
                 rule=rule.name, depth=depth, consumed=len(match.consumed), produced=len(dirty)
             )
         )
-        if rule.effect is not None:
-            report.effects.extend(rule.effect(BindingView(match.bindings)) or ())
+        report.effects.extend(emitted)
         if self.observer is not None:
             self.observer(rule, match, depth)
         return removed, dirty, kept

@@ -5,16 +5,16 @@ atoms of the solution simultaneously, under a single consistent binding
 environment, and subject to the rule's reaction condition.  This module
 implements that search.
 
-The matcher is one backtracking search (``_search``) asked two ways:
-:func:`first_match` returns the first admissible match of a rule — all the
-reduction engine ever consumes — and :func:`find_matches` enumerates every
-match of a pattern sequence (diagnostics, tests).  It draws its candidates from
-the multiset's head-symbol index (:meth:`~repro.hocl.multiset.Multiset.live_entries`)
-instead of scanning every atom for every pattern: a pattern such as
-``RES : <...>`` only ever sees the tuples whose head is ``RES``.  Because
-every bucket preserves insertion order and is a guaranteed superset of the
-atoms its patterns can match, the sequence of matches produced — and hence
-the engine's reduction trace — is identical to a naive full scan.
+The matcher is one backtracking search, compiled once per distinct left-hand
+side (:func:`compiled_search`) and asked two ways: :func:`first_match` returns
+the first admissible match of a rule — all the reduction engine ever consumes —
+and :func:`find_matches` enumerates every match of a pattern sequence.  It
+draws its candidates from the multiset's head-symbol index
+(:meth:`~repro.hocl.multiset.Multiset.live_entries`) instead of scanning every
+atom for every pattern: ``RES : <...>`` only ever sees the tuples whose head is
+``RES``.  Because every bucket preserves insertion order and is a guaranteed
+superset of the atoms its patterns can match, the sequence of matches produced
+— and hence the engine's reduction trace — is identical to a naive full scan.
 
 Distinctness is tracked per *occurrence* (the index hands out one entry per
 stored occurrence), so a solution holding the same atom object twice — e.g.
@@ -25,16 +25,17 @@ occurrences to multi-pattern rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from weakref import WeakValueDictionary
 
-from .atoms import Atom
+from .atoms import Atom, Symbol
 from .multiset import Multiset
-from .patterns import Bindings, Pattern
+from .patterns import UNBOUND, Bindings, BindingView, Continuation, Layout, Matcher, Pattern, Registers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rules import Rule
 
-__all__ = ["Match", "first_match", "find_matches", "find_first_match", "count_matches"]
+__all__ = ["Match", "compiled_search", "first_match", "find_matches", "find_first_match", "count_matches"]
 
 
 @dataclass
@@ -44,7 +45,7 @@ class Match:
     Attributes
     ----------
     bindings:
-        Variable environment produced by the match.
+        Variable environment produced by the match (a plain mapping is wrapped).
     consumed:
         The exact atom objects (by identity) matched by the left-hand side;
         the engine removes these when the rule fires.
@@ -53,94 +54,121 @@ class Match:
     bindings: Bindings
     consumed: list[Atom] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.bindings, BindingView):
+            self.bindings = BindingView(self.bindings)
 
-def _search(
-    patterns: Sequence[Pattern],
-    solution: Multiset,
-    condition: Callable[[Bindings], bool] | None,
-    initial_bindings: Bindings | None,
-    exclude: Callable[[Atom], bool] | None,
-    pinned: int | None,
-    pinned_entries: Sequence[Any],
-    first: bool,
-    keys: Sequence[Any] | None = None,
-    owner: Atom | None = None,
-) -> list[Match]:
-    """The one backtracking search: every match in enumeration order, or —
-    ``first`` — only the first one.
 
-    ``keys`` are the patterns' static index keys.  A rule brings its own,
-    computed once, and its engine has checked them; for bare patterns they
-    are computed here, with the cheap structural refutation first: every
-    pattern needs a candidate in its static bucket for a match to exist.
-    Each recursion step fetches its candidates when it is reached, so
-    patterns after the first can narrow a broad key (a kind bucket, or none)
-    with the bindings accumulated so far (``index_key_with``) — e.g.
-    ``gw_pass`` looks up its destination tuple directly instead of scanning
-    every task.  A pattern left with a whole kind bucket (or no key) draws
-    from the level's plausible-candidate memory: the same entries, in the
-    same order, minus those its ``quick_reject`` already refuted.  Fetches
-    are cached per (position, key) so a backtracking search reads each bucket
-    once; nothing mutates the solution while a search runs, so a bucket is
-    read live.  A match that would consume ``owner`` (the searching rule) is
-    not one.
+#: ``search(solution, condition, owner, initial_bindings, exclude, pinned,
+#: pinned_entries, first)``: every match in enumeration order, or — ``first``
+#: — only the first one.  A match that would consume ``owner`` is not one.
+Search = Callable[..., "list[Match]"]
+#: the registers every search reserves for what it was asked
+_SOLUTION, _CONDITION, _OWNER, _EXCLUDE, _PINNED, _PINNED_ENTRIES, _FIRST, _FOUND = range(8)
+#: left-hand side (its pattern objects) -> its search, while a rule holds it
+_COMPILED: "WeakValueDictionary[tuple[Pattern, ...], Search]" = WeakValueDictionary()
+
+
+def compiled_search(patterns: Sequence[Pattern]) -> Search:
+    """The search of the left-hand side ``patterns``, compiled on first use.
+
+    One per distinct left-hand side per process: rules built on the same
+    pattern objects (the per-task ``gw_call`` rules) share it, and so do agents
+    and threads — it holds no state, every call lays out its own registers.
     """
-    found: list[Match] = []
-    if keys is None:
-        keys = [pattern.index_key() for pattern in patterns]
-        if not all(solution.has_candidates(key) for key in keys):
-            return found
-    last = len(patterns)
-    fetched: dict[tuple[int, Any], tuple[Sequence[Any], Any]] = {}
+    key = tuple(patterns)
+    search = _COMPILED.get(key)
+    if search is None:
+        search = _COMPILED[key] = _compile(key)
+    return search
 
-    def recurse(index: int, used: list, env: Bindings) -> bool:
-        """Search from pattern ``index`` on; ``True`` stops the whole search."""
-        if index == last:
-            if condition is not None and not condition(env):
-                return False
-            consumed = [entry.atom for entry in used]
-            if owner is not None:
-                for atom in consumed:
-                    if atom is owner:
-                        return False
-            found.append(Match(env, consumed))
-            return first
-        pattern = patterns[index]
+
+def _compile(patterns: tuple[Pattern, ...]) -> Search:
+    layout = Layout(reserved=_FOUND + 1)
+    count = len(patterns)
+    used = layout.scratch(count)  # the entry each pattern took
+
+    def finish(registers: Registers) -> bool:
+        bindings = layout.view(registers)
+        condition = registers[_CONDITION]
+        if condition is not None and not condition(bindings):
+            return False
+        consumed = [entry.atom for entry in registers[used : used + count]]
+        if id(registers[_OWNER]) in map(id, consumed):  # by identity: rules are equal by name
+            return False
+        registers[_FOUND].append(Match(bindings, consumed))
+        return registers[_FIRST]
+
+    then: Continuation = finish
+    for index in range(count - 1, -1, -1):
+        then = _draw(patterns[index], patterns[index].compile(layout, then), layout, used, index)
+
+    def search(
+        solution: Multiset,
+        condition: Callable[[Bindings], bool] | None = None,
+        owner: Atom | None = None,
+        initial_bindings: Mapping[str, Any] | None = None,
+        exclude: Callable[[Atom], bool] | None = None,
+        pinned: int | None = None,
+        pinned_entries: Sequence[Any] = (),
+        first: bool = False,
+    ) -> list[Match]:
+        found: list[Match] = []
+        registers = layout.registers(initial_bindings)
+        registers[: _FOUND + 1] = solution, condition, owner, exclude, pinned, pinned_entries, first, found
+        then(registers)
+        return found
+
+    return search
+
+
+def _draw(pattern: Pattern, match: Matcher, layout: Layout, used: int, index: int) -> Continuation:
+    """Pattern ``index`` of a left-hand side: try, in bucket order, every
+    candidate entry no earlier pattern took.
+
+    The candidates are drawn when the pattern is reached, so a broad key (a
+    kind bucket, or none) can be narrowed by what the patterns before bound:
+    ``gw_pass`` looks up its destination tuple instead of scanning every task.
+    A pattern left with a broad key draws from the level's plausible-candidate
+    memory — the same entries, in the same order, minus those its
+    ``quick_reject`` refuted (for good: it holds under any bindings) — in one
+    snapshot per search.  Any other bucket is short, and read live: nothing
+    mutates the solution while a search runs.
+    """
+    key = pattern.index_key()
+    broad = key is None or key[0] == "kind"
+    narrowing = pattern.narrowing_variable() if broad else None
+    narrow = layout.slot(narrowing) if narrowing is not None else None
+    fetched = layout.scratch()  # (snapshot, memory) of this search
+
+    def draw(registers: Registers) -> bool:
+        solution = registers[_SOLUTION]
         memory = None
-        if index == pinned:
-            entries = pinned_entries
+        if index == registers[_PINNED]:
+            entries = registers[_PINNED_ENTRIES]
+        elif not broad:
+            entries = solution.live_entries(key)
+        elif narrow is not None and isinstance(registers[narrow], Symbol):
+            entries = solution.live_entries(("tuple", registers[narrow].name))
         else:
-            key = keys[index]
-            if env and (key is None or key[0] == "kind"):
-                key = pattern.index_key_with(env)  # a head key is as sharp as it gets
-            cached = fetched.get((index, key))
-            if cached is None:
+            if registers[fetched] is UNBOUND:
                 memory = solution.memory_for(pattern, key)
-                entries = solution.live_entries(key) if memory is None else memory.snapshot()
-                fetched[(index, key)] = (entries, memory)
-            else:
-                entries, memory = cached
+                registers[fetched] = memory.snapshot(), memory
+            entries, memory = registers[fetched]
+        exclude = registers[_EXCLUDE]
+        taken = registers[used : used + index]  # `_Entry` has no `__eq__`: `in` is an identity scan
         for entry in entries:
-            # `used` is at most len(patterns) long, and entries have no
-            # __eq__, so `in` is a C-speed identity scan.
-            if entry in used:
+            if entry in taken or (exclude is not None and exclude(entry.atom)):
                 continue
-            if exclude is not None and exclude(entry.atom):
+            if memory is not None and pattern.quick_reject(entry.atom):
+                memory.refute(entry)
                 continue
-            # binding-free pre-check: skip the generator cascade for the
-            # (overwhelmingly common) structurally impossible candidates — for
-            # good where a memory keeps track (it holds under any bindings)
-            if pattern.quick_reject(entry.atom):
-                if memory is not None:
-                    memory.refute(entry)
-                continue
-            for extended in pattern.match(entry.atom, env):
-                if recurse(index + 1, used + [entry], extended):
-                    return True
+            registers[used + index] = entry
+            if match(entry.atom, registers):
+                return True
         return False
 
-    recurse(0, [], dict(initial_bindings) if initial_bindings else {})
-    return found
+    return draw
 
 
 def first_match(
@@ -153,24 +181,13 @@ def first_match(
     """The first match of ``rule`` in ``solution`` that does not consume the
     rule itself — all the reduction engine ever asks for.
 
-    Runs on what the rule built once (patterns, index keys, guarded
-    condition) and leaves the has-candidates refutation to the engine, which
-    decides on it whether a search is charged at all.  ``exclude`` and
+    Runs on what the rule built once (compiled search, guarded condition)
+    and leaves the has-candidates refutation to the engine, which decides
+    on it whether a search is charged at all.  ``exclude`` and
     ``pinned``/``pinned_entries`` are the batched engine's claim check and
     frontier lead, as in :func:`find_matches`.
     """
-    found = _search(
-        rule.patterns,
-        solution,
-        rule.guarded_condition,
-        None,
-        exclude,
-        pinned,
-        pinned_entries,
-        True,
-        keys=rule.pattern_index_keys,
-        owner=rule,
-    )
+    found = rule.search(solution, rule.guarded_condition, rule, None, exclude, pinned, pinned_entries, True)
     return found[0] if found else None
 
 
@@ -213,7 +230,8 @@ def find_matches(
         rule authors encode in it: with the frontier atom in a *late* pattern
         (a fan-in hub), the earlier ones bind the join variables first.
     """
-    return iter(_search(patterns, solution, condition, initial_bindings, exclude, pinned, pinned_entries, False))
+    search = compiled_search(patterns)
+    return iter(search(solution, condition, None, initial_bindings, exclude, pinned, pinned_entries))
 
 
 def find_first_match(
@@ -223,7 +241,7 @@ def find_first_match(
     initial_bindings: Bindings | None = None,
 ) -> Match | None:
     """Return the first match of ``patterns`` against ``solution`` or ``None``."""
-    found = _search(patterns, solution, condition, initial_bindings, None, None, (), True)
+    found = compiled_search(patterns)(solution, condition, None, initial_bindings, first=True)
     return found[0] if found else None
 
 

@@ -492,12 +492,6 @@ class Multiset:
         """The atoms a pattern with index key ``key`` could match (in order)."""
         return [entry.atom for entry in self.candidate_entries(key)]
 
-    def has_candidates(self, key: Any) -> bool:
-        """Whether at least one atom lives in bucket ``key`` (``None``: any)."""
-        if key is None:
-            return bool(self._entries)
-        return key in self._index
-
     def has_all_candidates(self, keys: Iterable[Any]) -> bool:
         """Whether every bucket ``keys`` names holds an atom (``None`` names none)."""
         index = self._index

@@ -28,9 +28,9 @@ solution hash and the reaction multiset, not the ordered history.
 Process pools
 -------------
 ``ParallelReducer(kind="process")`` opts into a process pool for the shard
-phase.  Shards must then survive a pickle round-trip — including every rule
-condition/effect and every external the shard's rules call.  The real
-workflow rules close over runtime callbacks (``invoke``), which do not
+phase.  Shards must then survive a pickle round-trip — a rule pickles as its
+definition (condition and effect included) and compiles again on load.  The
+real workflow rules close over runtime callbacks (``invoke``), which do not
 pickle; any shard that fails to pickle is transparently reduced on threads
 instead and counted in :attr:`ParallelReducer.process_fallbacks`, so the
 opt-in can never corrupt a run — it only helps pure-chemistry workloads.

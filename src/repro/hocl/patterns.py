@@ -33,21 +33,31 @@ Pattern classes
     Matches a rule atom (higher order), optionally by name — this is what
     lets the ``clean`` rule of the getMax example remove ``max``.
 
-Bindings are plain dictionaries mapping variable names to
-:class:`~repro.hocl.atoms.Atom` (or ``list[Atom]`` for omegas).  A variable
-appearing several times must bind structurally equal atoms.
+Bindings are a :class:`BindingView`, equal to the plain dictionary mapping
+variable names to :class:`~repro.hocl.atoms.Atom` (or ``list[Atom]`` for
+omegas).  A variable appearing several times must bind structurally equal atoms.
+
+Nothing interprets a pattern tree at match time: :meth:`Pattern.compile` turns
+a pattern, once, into a closure ``match(atom, registers) -> bool`` that runs a
+fixed continuation for every way the atom matches.  The registers (one list
+per search, laid out by :class:`Layout`) hold a slot per variable — bound,
+continued, unbound — and the scratch slots of the pattern nodes: a search
+allocates no generator, closure or dictionary, and the compiled form holds no
+state, so rules, agents and threads share it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable
 
-from .atoms import Atom, Subsolution, Symbol, TupleAtom, to_atom
+from .atoms import Atom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
 from .errors import PatternError
-from .multiset import atom_index_keys
+from .multiset import Multiset, atom_index_keys
 
 __all__ = [
     "Bindings",
+    "BindingView",
     "Pattern",
     "Var",
     "Omega",
@@ -59,25 +69,142 @@ __all__ = [
     "as_pattern",
 ]
 
-#: A variable environment produced by matching: variable name -> atom, or
-#: variable name -> list of atoms for omega (rest) variables.
-Bindings = dict[str, Any]
+Registers = list[Any]
+#: What runs once a pattern has matched; ``True`` stops the whole search.
+Continuation = Callable[[Registers], bool]
+#: A compiled pattern: runs the continuation for every way ``atom`` matches and
+#: leaves the registers as found; ``True`` as soon as a continuation said so.
+Matcher = Callable[[Any, Registers], bool]
+#: what a register holds until something is bound or stored there
+UNBOUND: Any = object()
 
-def _bind(bindings: Bindings, name: str, value: Any) -> Bindings | None:
-    """Extend ``bindings`` with ``name=value`` if consistent, else ``None``."""
-    if name in bindings:
-        existing = bindings[name]
-        if isinstance(existing, list) or isinstance(value, list):
-            if not isinstance(existing, list) or not isinstance(value, list):
-                return None
-            if len(existing) != len(value) or any(a != b for a, b in zip(existing, value)):
-                return None
-        elif existing != value:
-            return None
-        return bindings
-    extended = dict(bindings)
-    extended[name] = value
-    return extended
+
+class _Rest:
+    """A pending ω: the atoms of ``solution`` but those of the ``used`` entries."""
+
+    __slots__ = ("solution", "used", "version")
+
+    def __init__(self, solution: Multiset, used: list[Any]):
+        self.solution = solution
+        self.used = used
+        self.version = solution.version
+
+    def read(self, name: str) -> list[Atom]:
+        if self.solution.version != self.version:
+            raise PatternError(f"omega {name!r} read after the solution it is the remainder of changed")
+        used = self.used  # `_Entry` has no `__eq__`: `in` is an identity scan
+        return [entry.atom for entry in self.solution.live_entries() if entry not in used]
+
+    def __eq__(self, other: object) -> bool:  # an ω name bound twice: compare the lists
+        return self.read("ω") == (other.read("ω") if isinstance(other, _Rest) else other)
+
+
+class BindingView(Mapping[str, Any]):
+    """The variable environment of a match: name -> atom, or name -> list of
+    atoms for an omega, with the accessors reaction conditions want
+    (``lambda b: b.value("x") >= b.value("y")``).
+
+    An omega's list is copied out of its solution at the first read of the
+    name and kept: one nobody reads costs nothing.  A first read after that
+    solution changed raises :class:`~repro.hocl.errors.PatternError` (the
+    engine reads what outlives the reaction before it rewrites).
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: "Mapping[str, Any] | Iterable[tuple[str, Any]]" = ()):
+        self._data: dict[str, Any] = dict(data)
+
+    def __getitem__(self, name: str) -> Any:
+        bound = self._data[name]
+        if bound.__class__ is _Rest:
+            bound = self._data[name] = bound.read(name)
+        return bound
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._data
+
+    def __iter__(self) -> Any:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def value(self, name: str) -> Any:
+        """Unwrapped Python value of variable ``name``."""
+        bound = self[name]
+        if isinstance(bound, list):
+            return [from_atom(item) for item in bound]
+        return from_atom(bound)
+
+    def atom(self, name: str) -> Any:
+        """Raw atom (or list of atoms) bound to ``name``."""
+        return self[name]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"BindingView({dict(self)!r})"
+
+
+Bindings = BindingView  #: A variable environment produced by matching.
+
+
+class Layout:
+    """The registers of one compiled search: a slot per variable name and the
+    scratch slots of the pattern nodes, handed out as the patterns compile;
+    slot ``extra`` holds the bindings the search started from."""
+
+    def __init__(self, reserved: int = 0):
+        self.slots: dict[str, int] = {}
+        self.extra = reserved
+        self.size = reserved + 1
+
+    def slot(self, name: str) -> int:
+        """The register of variable ``name``."""
+        if name not in self.slots:
+            self.slots[name] = self.scratch()
+        return self.slots[name]
+
+    def scratch(self, count: int = 1) -> int:
+        """``count`` fresh consecutive registers; the index of the first."""
+        self.size += count
+        return self.size - count
+
+    def registers(self, bindings: "Mapping[str, Any] | None" = None) -> Registers:
+        """Fresh registers (once everything is compiled), holding ``bindings``."""
+        registers = [UNBOUND] * self.size
+        self.store(registers, bindings or {})
+        return registers
+
+    def store(self, registers: Registers, bindings: Mapping[str, Any]) -> None:
+        """Bind every pair of ``bindings``: all are kept in ``extra``, a variable's in its register too."""
+        registers[self.extra] = bindings
+        for name in bindings:
+            if name in self.slots:
+                registers[self.slots[name]] = bindings[name]
+
+    def view(self, registers: Registers) -> BindingView:
+        """What the registers bind right now."""
+        bound = {name: registers[slot] for name, slot in self.slots.items() if registers[slot] is not UNBOUND}
+        return BindingView({**registers[self.extra], **bound})
+
+
+def _binder(slot: int, then: Continuation, kinds: tuple[str, ...] | None = None) -> Matcher:
+    """Bind register ``slot`` (or hold it to what it is bound to), continue, unbind."""
+
+    def bind(value: Any, registers: Registers) -> bool:
+        if kinds is not None and value.kind not in kinds:
+            return False
+        bound = registers[slot]
+        if bound is UNBOUND:
+            registers[slot] = value
+            if then(registers):
+                return True
+            registers[slot] = UNBOUND
+            return False
+        # a list (an omega) never equals an atom, whichever came first
+        return (bound is value or bound == value) and then(registers)
+
+    return bind
 
 
 class Pattern:
@@ -85,18 +212,46 @@ class Pattern:
 
     __slots__ = ()
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        """Yield every extension of ``bindings`` under which ``atom`` matches."""
-        raise NotImplementedError
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        """This pattern as a closure over ``layout``'s registers, continued by
+        ``then``.  The default serves a subclass the compiler does not know,
+        through its own :meth:`match`: it gets the registers as a dictionary
+        and every extension it returns goes back into them."""
+        if type(self).match is Pattern.match:
+            raise NotImplementedError(f"{type(self).__name__} defines neither compile() nor match()")
+
+        def match(atom: Any, registers: Registers) -> bool:
+            saved = registers[:]
+            for extended in self.match(atom, dict(layout.view(registers))):
+                layout.store(registers, extended)
+                if then(registers):
+                    return True
+                registers[:] = saved
+            return False
+
+        return match
+
+    def match(self, atom: Atom, bindings: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
+        """Every extension of ``bindings`` under which ``atom`` matches, in order
+        (compiles per call: searches run on what a rule compiled once)."""
+        layout = Layout()
+        found: list[BindingView] = []
+
+        def collect(registers: Registers) -> bool:
+            found.append(layout.view(registers))
+            return False
+
+        self.compile(layout, collect)(atom, layout.registers(bindings))
+        return found
 
     def quick_reject(self, atom: Atom) -> bool:
-        """Cheap, binding-free pre-check used by the matcher's candidate loops.
+        """Cheap, binding-free structural pre-check.
 
-        Returns ``True`` only when :meth:`match` provably yields nothing for
-        ``atom`` under *any* binding environment — the check must be
-        conservative, since it cannot see variable constraints.  The default
-        rejects nothing.  This is the matcher's main early exit: a failing
-        candidate costs a few attribute reads instead of a generator cascade.
+        Returns ``True`` only when the pattern provably cannot match ``atom``
+        under *any* binding environment — conservative, since it cannot see
+        variable constraints; the default rejects nothing.  A plausible-candidate
+        memory (:meth:`~repro.hocl.multiset.Multiset.memory_for`) keeps the
+        verdict: a refuted entry is not offered again until it changes.
         """
         return False
 
@@ -136,21 +291,15 @@ class Pattern:
         """
         return None
 
-    def index_key_with(self, bindings: Bindings) -> Any | None:
-        """Like :meth:`index_key`, but sharpened by an existing environment.
+    def narrowing_variable(self) -> str | None:
+        """The variable whose binding sharpens a broad :meth:`index_key`, if any.
 
-        During a multi-pattern search, variables bound by earlier patterns
-        can make a later pattern far more selective — e.g. a ``Tj : <...>``
-        tuple pattern whose head variable is already bound to a symbol can
-        only match tuples in that symbol's bucket, turning an O(solution)
-        scan into a single-bucket lookup.  The same guarantee as
-        :meth:`index_key` holds relative to ``bindings``: every atom the
-        pattern can match *under this environment* carries the returned key,
-        and bucket order keeps the narrowed enumeration trace-identical.  The
-        matcher only asks where the static key is broad (a whole kind bucket,
-        or none): a head key is as sharp as a key gets.
+        A ``Tj : <...>`` tuple pattern whose head variable an earlier pattern
+        bound to a symbol can only match in that symbol's ``("tuple", name)``
+        bucket: a scan of the level becomes one bucket lookup, under the same
+        guarantee as :meth:`index_key`, so in the same enumeration order.
         """
-        return self.index_key()
+        return None
 
 
 class Var(Pattern):
@@ -167,32 +316,21 @@ class Var(Pattern):
         ints and floats.
     """
 
-    __slots__ = ("name", "kind")
+    __slots__ = ("name", "kind", "kinds")
 
     def __init__(self, name: str, kind: str | None = None):
         if not name:
             raise PatternError("Var requires a non-empty name")
         self.name = name
         self.kind = kind
+        #: the ``Atom.kind`` values accepted (``None``: any)
+        self.kinds = None if kind is None else ("int", "float") if kind == "number" else (kind,)
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        if self.kind is not None:
-            if self.kind == "number":
-                if atom.kind not in ("int", "float"):
-                    return
-            elif atom.kind != self.kind:
-                return
-        extended = _bind(bindings, self.name, atom)
-        if extended is not None:
-            yield extended
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        return _binder(layout.slot(self.name), then, self.kinds)
 
     def quick_reject(self, atom: Atom) -> bool:
-        kind = self.kind
-        if kind is None:
-            return False
-        if kind == "number":
-            return atom.kind not in ("int", "float")
-        return atom.kind != kind
+        return self.kinds is not None and atom.kind not in self.kinds
 
     def variables(self) -> set[str]:
         return {self.name}
@@ -222,11 +360,8 @@ class Omega(Pattern):
             raise PatternError("Omega requires a non-empty name")
         self.name = name
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:  # pragma: no cover
-        raise PatternError(
-            "Omega patterns capture the remainder of a solution; they cannot "
-            "match a single atom directly"
-        )
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        raise PatternError("an Omega captures the remainder of a solution: it cannot match a single atom")
 
     def variables(self) -> set[str]:
         return {self.name}
@@ -246,9 +381,9 @@ class Literal(Pattern):
     def __init__(self, value: Any):
         self.atom = to_atom(value)
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        if atom == self.atom:
-            yield bindings
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        own = self.atom  # symbols are interned
+        return lambda atom, registers: (atom is own or atom == own) and then(registers)
 
     def quick_reject(self, atom: Atom) -> bool:
         return atom is not self.atom and atom != self.atom  # symbols are interned
@@ -289,28 +424,26 @@ class TuplePattern(Pattern):
             raise PatternError("use the rest= parameter for omega capture in tuples")
         self.rest = rest
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        if not isinstance(atom, TupleAtom):
-            return
-        if self.rest is None:
-            if len(atom.elements) != len(self.elements):
-                return
-        elif len(atom.elements) < len(self.elements):
-            return
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        elements, rest = self.elements, self.rest
+        count = len(elements)
+        held = layout.scratch()  # the matched tuple's elements, for the continuations
+        if rest is not None:
+            bind = _binder(layout.slot(rest.name), then)
+            then = lambda registers: bind(list(registers[held][count:]), registers)
+        for index in range(count - 1, -1, -1):
+            then = _element(elements[index].compile(layout, then), held, index)
 
-        def recurse(index: int, env: Bindings) -> Iterator[Bindings]:
-            if index == len(self.elements):
-                if self.rest is None:
-                    yield env
-                else:
-                    extended = _bind(env, self.rest.name, list(atom.elements[index:]))
-                    if extended is not None:
-                        yield extended
-                return
-            for extended in self.elements[index].match(atom.elements[index], env):
-                yield from recurse(index + 1, extended)
+        def match(atom: Any, registers: Registers) -> bool:
+            if not isinstance(atom, TupleAtom):
+                return False
+            items = atom.elements
+            if (len(items) != count) if rest is None else (len(items) < count):
+                return False
+            registers[held] = items
+            return then(registers)
 
-        yield from recurse(0, bindings)
+        return match
 
     def quick_reject(self, atom: Atom) -> bool:
         if not isinstance(atom, TupleAtom):
@@ -349,17 +482,13 @@ class TuplePattern(Pattern):
                 return ("tuple", first.atom.name)
         return ("kind", "tuple")
 
-    def index_key_with(self, bindings: Bindings) -> Any | None:
+    def narrowing_variable(self) -> str | None:
         # A variable head already bound to a symbol (``gw_pass`` binds Tj
         # inside Ti's DST before trying Tj's own tuple) pins the search to
         # that symbol's tuple bucket.
-        if self.elements:
-            first = self.elements[0]
-            if isinstance(first, Var):
-                bound = bindings.get(first.name)
-                if isinstance(bound, Symbol):
-                    return ("tuple", bound.name)
-        return self.index_key()
+        if self.elements and isinstance(self.elements[0], Var):
+            return self.elements[0].name
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TuplePattern({', '.join(repr(e) for e in self.elements)}, rest={self.rest!r})"
@@ -392,54 +521,30 @@ class SolutionPattern(Pattern):
             raise PatternError("omega supplied both positionally and via rest=")
         self.elements = tuple(patterns)
         self.rest = rest if rest is not None else rest_from_elements
-        #: element index keys, precomputed once: consulted per candidate in
-        #: the match/quick-reject hot loops
+        #: element index keys, precomputed once
         self._element_keys = tuple(e.index_key() for e in self.elements)
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        if not isinstance(atom, Subsolution):
-            return
-        solution = atom.solution
-        size = len(solution)
-        if self.rest is None and size != len(self.elements):
-            return
-        if size < len(self.elements):
-            return
-        # Draw each element pattern's candidates from the sub-solution's own
-        # head-symbol index (same subsequence-of-insertion-order guarantee as
-        # the top-level matcher, so enumeration order is unchanged).  Live
-        # bucket views: nothing mutates the solution during one match search.
-        candidate_lists = []
-        for key in self._element_keys:
-            entries = solution.live_entries(key)
-            if not entries:
-                return
-            candidate_lists.append(entries)
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        elements, rest = self.elements, self.rest
+        count = len(elements)
+        held = layout.scratch()  # the matched solution
+        used = layout.scratch(count)  # the entry each element pattern took
+        if rest is not None:
+            bind = _binder(layout.slot(rest.name), then)
+            then = lambda registers: bind(_Rest(registers[held], registers[used : used + count]), registers)
+        for index in range(count - 1, -1, -1):
+            then = _pick(elements[index].compile(layout, then), self._element_keys[index], held, used, index)
 
-        def recurse(index: int, used: list, env: Bindings) -> Iterator[Bindings]:
-            if index == len(self.elements):
-                if self.rest is None:
-                    yield env
-                else:
-                    # `used` holds _Entry objects (no __eq__), so `in` is an
-                    # identity test at C speed
-                    remainder = [
-                        entry.atom for entry in solution.live_entries() if entry not in used
-                    ]
-                    extended = _bind(env, self.rest.name, remainder)
-                    if extended is not None:
-                        yield extended
-                return
-            pattern = self.elements[index]
-            for entry in candidate_lists[index]:
-                if entry in used:
-                    continue
-                if pattern.quick_reject(entry.atom):
-                    continue
-                for extended in pattern.match(entry.atom, env):
-                    yield from recurse(index + 1, used + [entry], extended)
+        def match(atom: Any, registers: Registers) -> bool:
+            if not isinstance(atom, Subsolution):
+                return False
+            size = len(atom.solution)
+            if (size != count) if rest is None else (size < count):
+                return False
+            registers[held] = atom.solution
+            return then(registers)
 
-        yield from recurse(0, [], bindings)
+        return match
 
     def quick_reject(self, atom: Atom) -> bool:
         if not isinstance(atom, Subsolution):
@@ -494,19 +599,16 @@ class RulePattern(Pattern):
         self.name = name
         self.bind_as = bind_as
 
-    def match(self, atom: Atom, bindings: Bindings) -> Iterator[Bindings]:
-        from .rules import Rule  # local import to avoid a cycle
+    def compile(self, layout: Layout, then: Continuation) -> Matcher:
+        name = self.name
+        bind = _binder(layout.slot(self.bind_as), then) if self.bind_as is not None else None
 
-        if not isinstance(atom, Rule):
-            return
-        if self.name is not None and atom.name != self.name:
-            return
-        if self.bind_as is None:
-            yield bindings
-            return
-        extended = _bind(bindings, self.bind_as, atom)
-        if extended is not None:
-            yield extended
+        def match(atom: Any, registers: Registers) -> bool:
+            if atom.kind != "rule" or (name is not None and atom.name != name):
+                return False
+            return then(registers) if bind is None else bind(atom, registers)
+
+        return match
 
     def quick_reject(self, atom: Atom) -> bool:
         if atom.kind != "rule":
@@ -523,6 +625,28 @@ class RulePattern(Pattern):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
+
+
+def _element(match: Matcher, held: int, index: int) -> Continuation:
+    """Continue with element ``index`` of the tuple a tuple pattern holds."""
+    return lambda registers: match(registers[held][index], registers)
+
+
+def _pick(match: Matcher, key: Any, held: int, used: int, index: int) -> Continuation:
+    """Element ``index`` of a solution pattern: try every entry of its bucket
+    no earlier element took — in the sub-solution's own index, a subsequence of
+    insertion order like the top-level search's, read live (nothing mutates)."""
+
+    def pick(registers: Registers) -> bool:
+        taken = registers[used : used + index]  # `_Entry` has no `__eq__`: `in` is an identity scan
+        for entry in registers[held].live_entries(key):
+            if entry not in taken:
+                registers[used + index] = entry
+                if match(entry.atom, registers):
+                    return True
+        return False
+
+    return pick
 
 
 def as_pattern(value: Any) -> Pattern:

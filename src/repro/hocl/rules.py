@@ -24,34 +24,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-from .atoms import Atom, from_atom
+from .atoms import Atom
 from .deltas import RewriteDelta
 from .errors import RuleError
-from .matching import Match
-from .patterns import Bindings, as_pattern
+from .matching import Match, compiled_search
+from .patterns import BindingView, as_pattern
 from .templates import expand_templates, template_referenced_names
 
 __all__ = ["BindingView", "Rule", "replace", "replace_one", "with_inject"]
-
-
-class BindingView(dict):
-    """A bindings dictionary with convenience accessors.
-
-    The raw mapping stores atom objects (or lists of atoms for omegas); the
-    :meth:`value` helper unwraps them into plain Python values, which is what
-    reaction conditions usually want (``lambda b: b.value("x") >= b.value("y")``).
-    """
-
-    def value(self, name: str) -> Any:
-        """Unwrapped Python value of variable ``name``."""
-        bound = self[name]
-        if isinstance(bound, list):
-            return [from_atom(item) for item in bound]
-        return from_atom(bound)
-
-    def atom(self, name: str) -> Any:
-        """Raw atom (or list of atoms) bound to ``name``."""
-        return self[name]
 
 
 #: Type of reaction conditions: a predicate over the binding environment.
@@ -63,25 +43,22 @@ Condition = Callable[[BindingView], bool]
 EffectHook = Callable[[BindingView], "Iterable[Any] | None"]
 
 
-class _GuardedCondition:
-    """A reaction condition as the matcher calls it, on raw bindings.
+def _guarded(condition: Condition) -> Condition:
+    """``condition`` as the matcher calls it.
 
     A condition that cannot even be evaluated on the candidate atoms (e.g.
     comparing an integer with a rule) simply means the reaction is not
     possible — mirror HOCL's typed semantics by treating it as a non-match
-    rather than an error.  (A class, not a closure: it pickles with its rule.)
+    rather than an error.
     """
 
-    __slots__ = ("condition",)
-
-    def __init__(self, condition: Condition):
-        self.condition = condition
-
-    def __call__(self, bindings: Bindings) -> bool:
+    def guarded(bindings: BindingView) -> bool:
         try:
-            return bool(self.condition(BindingView(bindings)))
+            return bool(condition(bindings))
         except (TypeError, KeyError, AttributeError):
             return False
+
+    return guarded
 
 
 class Rule(Atom):
@@ -106,13 +83,14 @@ class Rule(Atom):
         back in addition to the products.
     effect:
         Optional hook called with the bindings every time the rule fires,
-        after the products have been computed.  It returns the values the
-        firing emits (an iterable, or ``None``) and the engine appends them,
-        in firing order, to the ``effects`` of the
-        :class:`~repro.hocl.engine.ReductionReport` of *that* ``reduce`` call.
-        A hook holds no sink of its own and depends on its bindings only, so
-        one rule object can serve many solutions reduced concurrently (the
-        agents of a run share theirs) without their emissions ever mixing.
+        before the solution is rewritten (so an omega it reads is the
+        pre-reaction remainder).  It returns the values the firing emits (an
+        iterable, or ``None``) and the engine appends them, in firing order,
+        to the ``effects`` of the :class:`~repro.hocl.engine.ReductionReport`
+        of *that* ``reduce`` call.  A hook holds no sink of its own and is a
+        pure function of its bindings, so one rule object can serve many
+        solutions reduced concurrently (the agents of a run share theirs)
+        without their emissions ever mixing.
     priority:
         Rules with a higher priority are tried first by the engine; used by
         GinFlow to favour adaptation rules over regular progress when both
@@ -140,6 +118,7 @@ class Rule(Atom):
         "delta",
         "pattern_index_keys",
         "guarded_condition",
+        "search",
         "_index_keys",
     )
     kind = "rule"
@@ -187,17 +166,18 @@ class Rule(Atom):
         #: symbols are present in the solution are tried again.
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
         #: The condition as the matcher calls it, built once like the keys.
-        self.guarded_condition = _GuardedCondition(condition) if condition is not None else None
+        self.guarded_condition = _guarded(condition) if condition is not None else None
+        #: The left-hand side's search, shared by every rule built on the same pattern objects.
+        self.search = compiled_search(self.patterns)
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
 
     # -------------------------------------------------------------- products
     def produce(self, match: Match, externals: Any = None) -> list[Atom]:
         """Atoms produced by firing the rule on ``match`` (not yet inserted)."""
-        view = BindingView(match.bindings)
         produced: list[Atom] = []
         if self.keep_matched:
             produced.extend(match.consumed)
-        produced.extend(expand_templates(self.products, view, externals))
+        produced.extend(expand_templates(self.products, match.bindings, externals))
         return produced
 
     # --------------------------------------------------------- introspection
@@ -231,6 +211,12 @@ class Rule(Atom):
         return names
 
     # -------------------------------------------------------------- identity
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The compiled search is a closure: a rule pickles as its definition
+        # and compiles again on load (the process-pool reduction path).
+        definition = (self.name, self.patterns, self.products, self.condition, self.one_shot)
+        return Rule, (*definition, self.keep_matched, self.effect, self.priority, self.delta)
+
     def copy(self) -> "Rule":
         return self  # rules are immutable; sharing is safe
 

@@ -214,6 +214,14 @@ def make_trigger_adapt(plan: AdaptationPlan, trigger_task: str) -> Rule:
     )
 
 
+#: One left-hand side — one compiled search — for every source's ``add_dst`` and every entry's ``activate``.
+_ADD_DST_PATTERNS = (TuplePattern(SymbolPattern(kw.DST), SolutionPattern(rest=Omega("wdst"))), SymbolPattern(kw.ADAPT))
+_ACTIVATE_PATTERNS = (
+    TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(SymbolPattern(kw.TRIGGER), rest=Omega("wsrc"))),
+    SymbolPattern(kw.ADAPT),
+)
+
+
 def make_add_dst(plan: AdaptationPlan, source_task: str) -> Rule:
     """The ``add_dst`` rule of one region source (its sub-solution).
 
@@ -226,10 +234,7 @@ def make_add_dst(plan: AdaptationPlan, source_task: str) -> Rule:
     new_destinations = plan.added_destinations.get(source_task, [])
     return Rule(
         name=f"add_dst:{plan.spec.name}:{source_task}",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.DST), SolutionPattern(rest=Omega("wdst"))),
-            SymbolPattern(kw.ADAPT),
-        ],
+        patterns=_ADD_DST_PATTERNS,
         products=[
             TupleTemplate(
                 kw.DST_SYM,
@@ -307,10 +312,7 @@ def make_activate(plan: AdaptationPlan, entry_task: str) -> Rule:
     """
     return Rule(
         name=f"activate:{plan.spec.name}:{entry_task}",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(SymbolPattern(kw.TRIGGER), rest=Omega("wsrc"))),
-            SymbolPattern(kw.ADAPT),
-        ],
+        patterns=_ACTIVATE_PATTERNS,
         products=[TupleTemplate(kw.SRC_SYM, SolutionTemplate(Splice("wsrc")))],
         one_shot=True,
         priority=5,

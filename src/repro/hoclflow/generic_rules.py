@@ -56,6 +56,8 @@ from . import keywords as kw
 from .fields import build_parameters
 
 __all__ = [
+    "GW_SETUP",
+    "GW_CALL_PATTERNS",
     "make_gw_setup",
     "make_gw_call",
     "make_gw_pass",
@@ -93,6 +95,20 @@ def make_gw_setup() -> Rule:
     )
 
 
+#: The one ``gw_setup`` of the process: the rule holds no per-task state, so
+#: every task sub-solution, centralised or agent-local, holds this object.
+GW_SETUP = make_gw_setup()
+
+#: The left-hand side every per-task ``gw_call`` shares (paper 4.04): one
+#: compiled search for all of them, only the right-hand side names the task.
+GW_CALL_PATTERNS = (
+    TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
+    TuplePattern(SymbolPattern(kw.SRV), Var("s")),
+    TuplePattern(SymbolPattern(kw.PAR), Var("par")),
+    TuplePattern(SymbolPattern(kw.RES), SolutionPattern(rest=Omega("wres"))),
+)
+
+
 def make_gw_call(task_name: str) -> Rule:
     """``gw_call``: invoke the service on the prepared parameters (one-shot).
 
@@ -111,12 +127,7 @@ def make_gw_call(task_name: str) -> Rule:
     """
     return Rule(
         name="gw_call",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
-            TuplePattern(SymbolPattern(kw.SRV), Var("s")),
-            TuplePattern(SymbolPattern(kw.PAR), Var("par")),
-            TuplePattern(SymbolPattern(kw.RES), SolutionPattern(rest=Omega("wres"))),
-        ],
+        patterns=GW_CALL_PATTERNS,
         products=[
             TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
             TupleTemplate(kw.SRV_SYM, Ref("s")),

@@ -13,9 +13,9 @@ DAG (plus adaptation specifications), produce
 The same encoding feeds both execution modes: the centralised executor folds
 everything into a single multiset (the concrete workflow of Fig. 8), while
 the distributed executors hand each task encoding to its service agent.
-Only the first needs the per-task centralised rules (``gw_setup`` and
-``gw_call(task)``), so those are built when first read
-(:attr:`TaskEncoding.local_rules`): a decentralised run never constructs them.
+Only the first needs the per-task centralised ``gw_call(task)`` rules, so
+those are built when first read (:attr:`TaskEncoding.local_rules`): a
+decentralised run never constructs them.  ``gw_setup`` is one object for all.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.workflow.dag import Workflow
 from . import keywords as kw
 from .adaptation import AdaptationPlan, build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
 from .fields import task_solution
-from .generic_rules import make_gw_call, make_gw_pass, make_gw_setup
+from .generic_rules import GW_SETUP, make_gw_call, make_gw_pass
 
 __all__ = ["TaskEncoding", "WorkflowEncoding", "encode_workflow"]
 
@@ -53,8 +53,8 @@ class TaskEncoding:
         The adaptation rules assigned to the task (``add_dst`` / ``mv_src`` /
         ``activate``); the same objects serve both execution modes.
     local_rules:
-        Rules living inside the task's centralised sub-solution: its own
-        ``gw_setup``/``gw_call`` followed by :attr:`adaptation_rules`, built
+        Rules living inside the task's centralised sub-solution: the shared
+        ``gw_setup``, its own ``gw_call`` and :attr:`adaptation_rules`, built
         on first access.
     trigger_plans:
         Adaptation plans triggered by this task's failure (used by the
@@ -82,7 +82,7 @@ class TaskEncoding:
 
     @cached_property
     def local_rules(self) -> list[Rule]:
-        return [make_gw_setup(), make_gw_call(self.name), *self.adaptation_rules]
+        return [GW_SETUP, make_gw_call(self.name), *self.adaptation_rules]
 
     def initial_solution(self, include_rules: bool = True) -> Multiset:
         """The task's initial (local) solution."""

@@ -345,8 +345,12 @@ class EnactmentEngine:
         number of replayed messages (for the driver's cost accounting).
         """
         logged = self.transport.replay(agent_topic(host.name)) if self.transport.supports_replay else []
+        crashed = host.core
         host.core, actions = rebuild_agent(
-            host.encoding, logged, core=self.new_core(host.encoding, host.core.reducer)
+            host.encoding, logged, core=self.new_core(host.encoding, crashed.reducer)
         )
+        # the dead core's solution is cyclic garbage (nested solutions know their
+        # holders): taken apart, it goes now and not at some later collector pass
+        crashed.solution.clear()
         host.alive = True
         return actions, len(logged)

@@ -198,8 +198,8 @@ class TestCandidateIndex:
         ms = Multiset([Symbol("ADAPT"), TupleAtom([Symbol("SRC"), 1]), 7])
         assert [str(a) for a in ms.candidates(("symbol", "ADAPT"))] == ["ADAPT"]
         assert [str(a) for a in ms.candidates(("tuple", "SRC"))] == ["SRC:1"]
-        assert ms.has_candidates(("kind", "int"))
-        assert not ms.has_candidates(("tuple", "DST"))
+        assert ms.has_all_candidates([("kind", "int")])
+        assert not ms.has_all_candidates([("tuple", "DST")])
 
     def test_none_key_returns_all_in_insertion_order(self):
         ms = Multiset([3, Symbol("A"), 1])
@@ -308,14 +308,14 @@ class TestIndexAddressedRemoval:
     def test_bucket_deleted_only_when_empty(self):
         ms = Multiset([Symbol("A"), Symbol("A"), Symbol("B")])
         ms.remove(Symbol("A"))
-        assert ms.has_candidates(("symbol", "A"))
+        assert ms.has_all_candidates([("symbol", "A")])
         assert ms.has_symbol("A")
         ms.remove(Symbol("A"))
-        assert not ms.has_candidates(("symbol", "A"))
+        assert not ms.has_all_candidates([("symbol", "A")])
         assert not ms.has_symbol("A")
-        assert ms.has_candidates(("kind", "symbol"))  # B still holds the kind bucket
+        assert ms.has_all_candidates([("kind", "symbol")])  # B still holds the kind bucket
         ms.remove(Symbol("B"))
-        assert not ms.has_candidates(("kind", "symbol"))
+        assert not ms.has_all_candidates([("kind", "symbol")])
         assert ms.candidates(None) == []
 
     def test_remove_identical_skips_an_equal_twin(self):

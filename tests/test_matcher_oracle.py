@@ -1,0 +1,480 @@
+"""The compiled matcher against the interpreter it replaced.
+
+``repro.hocl`` compiles each rule's left-hand side once into one search
+(:func:`repro.hocl.matching.compiled_search`) and binds ω on demand
+(:class:`repro.hocl.BindingView`).  The interpreter it replaced lives on in
+``tests/matcher_reference.py``; everything here holds the compiled form to it
+or to the contract the engine relies on:
+
+* differential, on random pattern trees and solutions: same matches, in the
+  same order, with the same bindings and the same memory refutations, under
+  ``initial_bindings``, ``exclude`` and ``pinned`` (``GINFLOW_FULL`` raises
+  the example count);
+* no state on the compiled form: a condition that searches its own rule, and
+  eight threads searching one compiled left-hand side at once;
+* ω laziness, counted not timed: no remainder is copied for a ``gw_pass``
+  firing, local or centralised, whatever the fan-in; the rebuild path still
+  splices the right lists; an effect or an observer reads the pre-reaction
+  remainder; a read after the solution changed raises;
+* a pattern class of the caller's own is matched through its ``match``;
+* a rule pickles as its definition and compiles again on load, so the process
+  pool of ``repro.hocl.parallel`` takes pure-chemistry shards.
+"""
+
+import os
+import pickle
+import sys
+import threading
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import matcher_reference
+from repro import GinFlow, diamond_workflow
+from repro.hocl import (
+    BindingView,
+    IntAtom,
+    Literal,
+    Multiset,
+    Omega,
+    ParallelReducer,
+    PatchRemove,
+    Pattern,
+    PatternError,
+    ReductionEngine,
+    Ref,
+    RewriteDelta,
+    Rule,
+    RulePattern,
+    SolutionPattern,
+    SolutionTemplate,
+    Splice,
+    Subsolution,
+    Symbol,
+    SymbolPattern,
+    TupleAtom,
+    TuplePattern,
+    TupleTemplate,
+    Var,
+    default_registry,
+    find_first_match,
+    find_matches,
+)
+from repro.hocl import patterns as patterns_module
+from repro.hocl.matching import compiled_search, first_match
+from repro.hoclflow import encode_workflow
+from repro.hoclflow.generic_rules import make_gw_pass, register_workflow_externals
+
+_EXAMPLES = 1500 if os.environ.get("GINFLOW_FULL") else 200
+
+# ------------------------------------------------------------ random programs
+#: few names, so that variables repeat, an ω name comes twice, or also as a Var
+_NAMES = st.sampled_from(["x", "y", "w"])
+_KINDS = st.sampled_from([None, None, "int", "symbol", "number", "tuple", "solution", "rule"])
+_SYMBOLS = st.sampled_from(["A", "B", "C"]).map(Symbol)
+_INTS = st.integers(0, 2).map(IntAtom)
+_RESTS = st.one_of(st.none(), _NAMES.map(Omega))
+
+_LEAF_PATTERNS = st.one_of(
+    st.builds(Var, _NAMES, _KINDS),
+    st.one_of(_INTS, _SYMBOLS).map(Literal),
+    st.builds(RulePattern, st.sampled_from([None, "r", "other"]), st.one_of(st.none(), _NAMES)),
+)
+
+
+def _composite_patterns(children):
+    heads = st.one_of(_SYMBOLS.map(Literal), children)
+    return st.one_of(
+        st.builds(lambda head, tail, rest: TuplePattern(head, *tail, rest=rest), heads, st.lists(children, max_size=2), _RESTS),
+        st.builds(lambda rest: TuplePattern(rest=rest), _NAMES.map(Omega)),
+        st.builds(lambda elements, rest: SolutionPattern(*elements, rest=rest), st.lists(children, max_size=2), _RESTS),
+    )
+
+
+_PATTERNS = st.recursive(_LEAF_PATTERNS, _composite_patterns, max_leaves=6)
+
+
+def _composite_atoms(children):
+    return st.one_of(
+        st.builds(lambda head, tail: TupleAtom([head, *tail]), st.one_of(_SYMBOLS, children), st.lists(children, max_size=3)),
+        st.lists(children, max_size=4).map(Subsolution),
+    )
+
+
+_RULE_ATOMS = st.sampled_from(["r", "s"]).map(lambda name: Rule(name, [Var("k")], []))
+_ATOMS = st.recursive(st.one_of(_INTS, _SYMBOLS, _RULE_ATOMS), _composite_atoms, max_leaves=8)
+
+_OF_KIND = {
+    None: st.one_of(_INTS, _SYMBOLS),
+    "int": _INTS,
+    "number": _INTS,
+    "symbol": _SYMBOLS,
+    "tuple": st.builds(lambda head, item: TupleAtom([head, item]), _SYMBOLS, _INTS),
+    "solution": st.lists(_INTS, max_size=2).map(Subsolution),
+    "rule": _RULE_ATOMS,
+}
+
+
+def _instance(draw, pattern, env):
+    """An atom ``pattern`` is likely to match, a repeated variable likely bound alike."""
+    if isinstance(pattern, Var):
+        if pattern.name in env and draw(st.booleans()):
+            return env[pattern.name]
+        return env.setdefault(pattern.name, draw(_OF_KIND[pattern.kind]))
+    if isinstance(pattern, Literal):
+        return pattern.atom
+    if isinstance(pattern, RulePattern):
+        return Rule(pattern.name or "r", [Var("k")], [])
+    items = [_instance(draw, element, env) for element in pattern.elements]
+    if pattern.rest is not None:
+        items += draw(st.lists(_ATOMS, max_size=2))
+    if isinstance(pattern, SolutionPattern):
+        return Subsolution(draw(st.permutations(items)))
+    return TupleAtom(items) if items else draw(_OF_KIND["tuple"])
+
+
+@st.composite
+def _programs(draw):
+    """A left-hand side, and a level holding an instance of each of its patterns among others."""
+    patterns = draw(st.lists(_PATTERNS, min_size=1, max_size=3))
+    env = {}
+    atoms = [_instance(draw, pattern, env) for pattern in patterns if draw(st.integers(0, 7))]
+    return patterns, draw(st.permutations(atoms + draw(st.lists(_ATOMS, max_size=4))))
+
+
+_INITIAL = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"x": st.one_of(_INTS, _SYMBOLS)}),
+    st.fixed_dictionaries({"w": st.lists(_INTS, max_size=2)}),
+    st.fixed_dictionaries({"elsewhere": _SYMBOLS}),
+)
+
+_CONDITIONS = st.sampled_from(
+    [
+        None,
+        lambda b: "x" not in b or b["x"] != IntAtom(1),
+        lambda b: len(b.get("w", ())) != 1 if isinstance(b.get("w"), list) else True,
+    ]
+)
+
+
+def _refutations(patterns, solution):
+    """Per broad-keyed pattern, the positions its memory still holds."""
+    position = {entry: index for index, entry in enumerate(solution.live_entries())}
+    held = {}
+    for index, pattern in enumerate(patterns):
+        memory = (solution._memories or {}).get(pattern)
+        if memory is not None:
+            held[index] = sorted(position[entry] for entry in memory.entries)
+    return held
+
+
+def _same(found, expected):
+    assert len(found) == len(expected)
+    for ours, theirs in zip(found, expected):
+        assert [id(atom) for atom in ours.consumed] == [id(atom) for atom in theirs.consumed]
+        assert isinstance(ours.bindings, BindingView)
+        assert dict(ours.bindings) == dict(theirs.bindings)
+
+
+class TestAgainstTheInterpreter:
+    @given(
+        program=_programs(),
+        condition=_CONDITIONS,
+        initial=_INITIAL,
+        excluded=st.one_of(st.none(), st.integers(0, 5)),
+        pinned=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.lists(st.integers(0, 5), max_size=3, unique=True))),
+    )
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    def test_same_matches_same_order_same_refutations(self, program, condition, initial, excluded, pinned):
+        patterns, atoms = program
+        ours, theirs = Multiset(atoms), Multiset(atoms)  # the same atom objects, two sets of entries
+        exclude = None
+        if excluded is not None and excluded < len(atoms):
+            exclude = lambda atom: atom is atoms[excluded]  # noqa: E731
+        pin, pinned_ours, pinned_theirs = None, (), ()
+        if pinned is not None and pinned[0] < len(patterns):
+            pin = pinned[0]
+            positions = sorted(position for position in pinned[1] if position < len(atoms))
+            pinned_ours = [ours.live_entries()[position] for position in positions]
+            pinned_theirs = [theirs.live_entries()[position] for position in positions]
+        found = list(
+            find_matches(patterns, ours, condition, initial, exclude, pinned=pin, pinned_entries=pinned_ours)
+        )
+        expected = matcher_reference.search(
+            patterns, theirs, condition, initial, exclude, pin, pinned_theirs,
+            keys=[pattern.index_key() for pattern in patterns],
+        )  # fmt: skip
+        _same(found, expected)
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+        if pin is None and exclude is None:
+            first = find_first_match(patterns, Multiset(atoms), condition, initial)
+            _same([first] if first else [], expected[:1])
+
+    @pytest.mark.parametrize(
+        "patterns, atoms, matches",
+        [
+            # two elements of one solution pattern never take the same occurrence
+            ([SolutionPattern(Var("x"), Var("y"), rest=Omega("w"))], [Subsolution([1, 2, 2])], 6),
+            # a repeated variable, top level and nested
+            ([Var("x", kind="int"), TuplePattern(SymbolPattern("T"), Var("x"))], [1, 2, TupleAtom([Symbol("T"), 2]), 2], 2),
+            # one omega name for a tuple's rest and a solution's remainder: equal lists only
+            (
+                [TuplePattern(Var("h"), rest=Omega("w")), SolutionPattern(Literal(0), rest=Omega("w"))],
+                [TupleAtom([Symbol("A"), 1, 2]), TupleAtom([Symbol("B"), 1]), Subsolution([0, 1, 2]), Subsolution([1, 0])],
+                2,
+            ),
+            # an omega name that is also a variable never binds both
+            ([Var("w"), SolutionPattern(rest=Omega("w"))], [1, Subsolution([1])], 0),
+        ],
+    )
+    def test_hand_picked_programs(self, patterns, atoms, matches):
+        atoms = list(Multiset(atoms))  # plain values become atoms once, for both
+        ours, theirs = Multiset(atoms), Multiset(atoms)
+        found = list(find_matches(patterns, ours))
+        _same(found, matcher_reference.search(patterns, theirs))
+        assert len(found) == matches
+
+    @given(program=_programs())
+    @settings(max_examples=_EXAMPLES // 2, deadline=None)
+    def test_a_rule_never_matches_itself(self, program):
+        patterns, atoms = program
+        rule = Rule("r", patterns, [], condition=lambda b: "y" not in b or b["y"] != Symbol("A"))
+        ours, theirs = Multiset([*atoms, rule]), Multiset([*atoms, rule])
+        found, expected = first_match(rule, ours), matcher_reference.first_match(rule, theirs)
+        _same([found] if found else [], [expected] if expected else [])
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+
+    @given(pattern=_PATTERNS, atom=_ATOMS, initial=_INITIAL)
+    @settings(max_examples=_EXAMPLES // 2, deadline=None)
+    def test_one_pattern_on_one_atom(self, pattern, atom, initial):
+        expected = list(matcher_reference.match(pattern, atom, dict(initial or {})))
+        assert [dict(found) for found in pattern.match(atom, initial or {})] == expected
+
+
+# ------------------------------------------------------------------ no state
+def _central_solution(width):
+    return encode_workflow(diamond_workflow(width, 1)).to_multiset()
+
+
+def _with_results(solution):
+    """Give every task a result, so that ``gw_pass`` has many matches."""
+    for task in solution.find_all(lambda atom: isinstance(atom, TupleAtom)):
+        task.elements[1].solution.find_tuple("RES").elements[1].solution.add("done")
+    return solution
+
+
+class TestNoStateOnTheCompiledForm:
+    def test_a_condition_that_searches_its_own_rule(self):
+        patterns = [Var("x", kind="int"), Var("y", kind="int")]
+        solution = Multiset([1, 2, 3, 4])
+        plain = [dict(match.bindings) for match in find_matches(patterns, solution)]
+        inner = []
+
+        def condition(bindings):
+            if bindings["x"] == IntAtom(2):  # mid-search: run the same compiled search again
+                inner.append([dict(match.bindings) for match in find_matches(patterns, solution)])
+            return True
+
+        assert [dict(match.bindings) for match in find_matches(patterns, solution, condition)] == plain
+        assert len(plain) == 12 and len(inner) == 3 and all(again == plain for again in inner)
+
+    def test_eight_threads_on_one_compiled_left_hand_side(self):
+        gw_pass = make_gw_pass()
+        search = compiled_search(gw_pass.patterns)
+        assert search is gw_pass.search  # built on the same pattern objects: the same search
+        solutions = [_with_results(_central_solution(width)) for width in range(2, 10)]
+        expected = [
+            [[str(atom) for atom in match.consumed] for match in matcher_reference.search(gw_pass.patterns, solution)]
+            for solution in solutions
+        ]
+        assert all(len(matches) == 2 * width for matches, width in zip(expected, range(2, 10)))
+        seen, errors = {}, []
+
+        def worker(index):
+            try:
+                for _ in range(20):
+                    found = search(solutions[index], gw_pass.guarded_condition)
+                    seen[index] = [[str(atom) for atom in match.consumed] for match in found]
+                    assert seen[index] == expected[index]
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:1]
+        assert sorted(seen) == list(range(8))
+
+
+# ----------------------------------------------------------------- lazy omega
+@pytest.fixture
+def remainder_copies(monkeypatch):
+    """Count the remainders copied, by the rule being applied (``None``: while searching)."""
+    copies, applying = Counter(), [None]
+    read, apply = patterns_module._Rest.read, ReductionEngine._apply
+
+    def counted_read(self, name):
+        copies[applying[0]] += 1
+        return read(self, name)
+
+    def tracked_apply(self, rule, *args):
+        applying[0] = rule.name
+        try:
+            return apply(self, rule, *args)
+        finally:
+            applying[0] = None
+
+    monkeypatch.setattr(patterns_module._Rest, "read", counted_read)
+    monkeypatch.setattr(ReductionEngine, "_apply", tracked_apply)
+    return copies
+
+
+class TestOmegaIsBoundOnDemand:
+    @pytest.mark.parametrize("width", [32, 512])
+    @pytest.mark.parametrize("mode", ["simulated", "centralized"])
+    def test_no_remainder_is_copied_for_a_gw_pass_firing(self, remainder_copies, mode, width):
+        report = GinFlow().run(diamond_workflow(width, 1, duration=0.01), mode=mode, nodes=25)
+        assert report.succeeded
+        assert report.extra["rule_fires"]["gw_pass"] == 2 * width  # local or centralised: one per edge
+        assert remainder_copies["gw_pass"] == 0 and remainder_copies[None] == 0
+        # what is copied is what somebody reads: IN for gw_setup's parameter list ...
+        assert remainder_copies["gw_setup"] == width + 2
+        # ... and, centralised, RES for the external gw_call hands its bindings to
+        assert remainder_copies["gw_call"] == (width + 2 if mode == "centralized" else 0)
+
+    def test_the_rebuild_path_still_splices_the_right_lists(self, remainder_copies):
+        patched, rebuilt = _central_solution(6), _central_solution(6)
+        externals = register_workflow_externals(default_registry(), lambda task, service, parameters: task)
+        assert ReductionEngine(externals=externals).reduce(patched).inert
+        assert remainder_copies["gw_pass"] == 0
+        assert ReductionEngine(externals=externals, delta=False).reduce(rebuilt).inert
+        assert remainder_copies["gw_pass"] == 6 * 12  # six omegas spliced per firing
+        assert rebuilt.content_hash() == patched.content_hash()
+        assert rebuilt == patched
+
+    @staticmethod
+    def _drain(effect=None):
+        """``BAG : <x, w>`` -> ``BAG : <w>``, patched in place: ``x`` leaves the bag ``w`` views."""
+        return Rule(
+            "drain",
+            [TuplePattern(SymbolPattern("BAG"), SolutionPattern(Var("x", kind="int"), rest=Omega("w")))],
+            [TupleTemplate(Symbol("BAG"), SolutionTemplate(Splice("w")))],
+            effect=effect,
+            delta=RewriteDelta(ops=(PatchRemove(at=0, items=(Ref("x"),)),)),
+        )
+
+    @staticmethod
+    def _bag():
+        return TupleAtom([Symbol("BAG"), Subsolution([1, 2, 3])])
+
+    def test_an_effect_reads_the_pre_reaction_remainder(self):
+        rule = self._drain(effect=lambda bindings: [bindings.value("w")])
+        report = ReductionEngine().reduce(Multiset([self._bag(), rule]))
+        assert report.effects == [[2, 3], [3], []] and report.patched == 3
+
+    def test_an_observer_reads_the_pre_reaction_remainder(self):
+        seen = []
+        engine = ReductionEngine(observer=lambda rule, match, depth: seen.append(match.bindings.value("w")))
+        assert engine.reduce(Multiset([self._bag(), self._drain()])).reactions == 3
+        assert seen == [[2, 3], [3], []]
+
+    def test_nobody_reads_nothing_is_copied(self, remainder_copies):
+        assert ReductionEngine().reduce(Multiset([self._bag(), self._drain()])).reactions == 3
+        assert not remainder_copies
+
+    def test_a_read_after_the_solution_changed_raises(self):
+        bag = self._bag()
+        solution = Multiset([bag])
+        early, late = (find_first_match(self._drain().patterns, solution) for _ in range(2))
+        assert "w" in early.bindings and len(early.bindings) == 2  # neither copies
+        assert early.bindings["w"] == [IntAtom(2), IntAtom(3)]
+        bag.elements[1].solution.remove(2)
+        assert early.bindings["w"] == [IntAtom(2), IntAtom(3)]  # read before: kept
+        with pytest.raises(PatternError, match="omega 'w' read after"):
+            late.bindings.atom("w")
+        with pytest.raises(PatternError, match="omega 'w' read after"):
+            dict(late.bindings)
+        assert late.bindings["x"] == IntAtom(1)  # everything else still reads
+
+
+# ------------------------------------------------------- patterns from outside
+class Even(Pattern):
+    """A pattern class the compiler does not know: even integers, halved."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def match(self, atom, bindings):
+        if atom.kind == "int" and atom.value % 2 == 0 and bindings.get(self.name, atom) == atom:
+            yield {**bindings, self.name: atom, f"half_{self.name}": IntAtom(atom.value // 2)}
+
+    def index_key(self):
+        return ("kind", "int")
+
+
+class TestAPatternClassOfTheCallersOwn:
+    def test_it_is_matched_through_its_own_match(self):
+        patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), Even("x"), Even("y"))]
+        solution = Multiset([2, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 3, 6])])
+        found = list(find_matches(patterns, solution))
+        _same(found, matcher_reference.search(patterns, solution))
+        assert [dict(match.bindings) for match in found] == [
+            {"x": IntAtom(4), "half_x": IntAtom(2), "y": IntAtom(6), "half_y": IntAtom(3)}
+        ]
+
+    def test_it_fires_in_a_rule(self):
+        halve = Rule("halve", [Even("n")], [Ref("half_n")])
+        solution = Multiset([12, 5, halve])
+        assert ReductionEngine().reduce(solution).reactions == 2
+        assert sorted(atom.value for atom in solution.non_rule_atoms()) == [3, 5]
+
+    def test_one_that_defines_nothing_is_refused(self):
+        class Nothing(Pattern):
+            __slots__ = ()
+
+        with pytest.raises(NotImplementedError, match="Nothing"):
+            Rule("nothing", [Nothing()], [])
+
+
+# ---------------------------------------------------------------- pickling
+def _bigger_first(bindings):
+    return bindings.value("x") >= bindings.value("y")
+
+
+class TestARulePicklesAsItsDefinition:
+    def test_round_trip_compiles_again(self):
+        rule = Rule(
+            "max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")],
+            condition=_bigger_first, priority=3, one_shot=True,
+        )  # fmt: skip
+        clone = pickle.loads(pickle.dumps(rule))
+        assert clone is not rule and clone == rule and clone.search is not rule.search
+        assert (clone.priority, clone.one_shot, clone.condition) == (3, True, _bigger_first)
+        solution = Multiset([1, 5, 3])
+        ours, theirs = first_match(rule, solution), first_match(clone, solution)
+        assert [atom.value for atom in theirs.consumed] == [atom.value for atom in ours.consumed] == [5, 1]
+        assert theirs.bindings == ours.bindings
+
+    def test_the_process_pool_takes_pure_chemistry_shards(self):
+        def shard(values):
+            fold = Rule("max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")], condition=_bigger_first)
+            return Multiset([*values, fold])
+
+        shards = [shard(range(start, start + 6)) for start in (0, 10, 20)]
+        with ParallelReducer(max_workers=2, kind="process") as reducer:
+            report = reducer.reduce_shards(shards, ReductionEngine)
+            assert reducer.process_fallbacks == 0
+        assert report.inert and report.reactions == 15
+        assert [[atom.value for atom in shard.non_rule_atoms()] for shard in shards] == [[5], [15], [25]]

@@ -350,12 +350,15 @@ from repro.hocl import engine as engine_module  # noqa: E402
 from repro.hocl.matching import first_match  # noqa: E402
 from repro.hocl.templates import expand_templates  # noqa: E402
 
+import matcher_reference  # noqa: E402  (tests/: the interpreted matcher, kept as the oracle)
+
 
 class BruteForceEngine(ReductionEngine):
     """The reference search: every atom of the level, in solution order, for
-    every pattern — no index, no ``quick_reject``, no candidate memory.  Run
-    with ``incremental=False`` it also walks every nested solution and tries
-    every rule, so all it shares with the engine under test is ``_apply``."""
+    every pattern — no index, no candidate memory, and the interpreted
+    ``matcher_reference.match`` instead of the compiled patterns.  Run with
+    ``incremental=False`` it also walks every nested solution and tries every
+    rule, so all it shares with the engine under test is ``_apply``."""
 
     @staticmethod
     def _find_match_excluding_self(rule, solution):
@@ -364,12 +367,12 @@ class BruteForceEngine(ReductionEngine):
 
         def search(index, used, env):
             if index == len(rule.patterns):
-                if condition is None or condition(env):
+                if condition is None or condition(matcher_reference.BindingView(env)):
                     yield Match(bindings=env, consumed=[atoms[position] for position in used])
                 return
             for position, atom in enumerate(atoms):
                 if position not in used:
-                    for extended in rule.patterns[index].match(atom, env):
+                    for extended in matcher_reference.match(rule.patterns[index], atom, env):
                         yield from search(index + 1, used + [position], extended)
 
         for match in search(0, [], {}):

@@ -5,13 +5,14 @@
   that fired it (never through anything shared), and the decentralised path
   builds no centralised per-task rule;
 * a stated memory budget per stage (GC-tracked objects per encoded task and
-  per agent);
+  per agent), a matcher that leaves the cyclic collector nothing to find, and
+  a handful of compiled left-hand sides per run whatever its size;
 * the cyclic collector is given back exactly as it was found, on every way
   out of ``GinFlow.run``, and is a measured layer when observability is on;
 * a start-up without numpy and networkx;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
-* a recovered agent keeps its tracer.
+* a recovered agent keeps its tracer, and the core it replaces is taken apart.
 """
 
 import gc
@@ -222,6 +223,62 @@ class TestObjectBudget:
         per_agent = tracked_objects_per_item(lambda: [AgentCore(task) for task in tasks], 500)
         assert per_task <= 12, per_task
         assert per_agent <= 110, per_agent
+
+
+def drive_all(encoding):
+    """Every agent of ``encoding`` through its whole life, without a runtime:
+    each action answered at once.  Returns the cores and the stimuli handled."""
+    cores = {name: AgentCore(task) for name, task in encoding.tasks.items()}
+    pending = [(core, action) for core in cores.values() for action in core.boot()]
+    stimuli = len(cores)
+    while pending:
+        core, action = pending.pop()
+        if isinstance(action, StartInvocation):
+            answer, actions = core, core.invocation_succeeded(core.name)
+        elif isinstance(action, SendResult):
+            answer = cores[action.destination]
+            actions = answer.receive_result(core.name, action.value)
+        else:
+            continue
+        stimuli += 1
+        pending.extend((answer, action) for action in actions)
+    return cores, stimuli
+
+
+def compiled_searches(solutions):
+    """The distinct compiled left-hand sides of every rule held in ``solutions``, nested ones included."""
+    searches, pending = {}, list(solutions)
+    while pending:
+        solution = pending.pop()
+        pending.extend(solution.nested_solutions())
+        searches.update((id(rule.search), rule.search) for rule in solution.rules())
+    return searches
+
+
+class TestMatcherBudget:
+    def test_a_run_leaves_the_cyclic_collector_nothing_to_find(self):
+        """Clock-free: the compiled search allocates no generator and no
+        self-referencing closure, so reference counts free what a stimulus
+        allocates (72,032 unreachable objects with the interpreted matcher)."""
+        encoding = encode_workflow(build_scenario("montage:size=200,seed=1"))
+        gc.collect()
+        gc.disable()
+        try:
+            cores, stimuli = drive_all(encoding)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert stimuli == 790
+        assert all(core.state == "completed" and not core.pending_destinations() for core in cores.values())
+        assert unreachable <= 50, unreachable
+
+    @pytest.mark.parametrize("size", [50, 400])
+    def test_compiled_left_hand_sides_per_run_do_not_grow_with_the_run(self, size):
+        encoding = encode_workflow(build_scenario(f"montage:size={size},seed=1"))
+        local = compiled_searches(AgentCore(task).solution for task in encoding.tasks.values())
+        central = compiled_searches([encoding.to_multiset()])
+        # gw_setup (shared with the agents), one gw_call for all tasks, gw_pass
+        assert len(central) == 3 and len(local) == 3 and len({**local, **central}) == 5 <= 8
 
 
 # ----------------------------------------------------------------------- gc
@@ -440,6 +497,34 @@ class TestRecoveredAgentKeepsItsTracer:
                 span.track == task and span.name.startswith("reduction.") and span.vt > moment
                 for span in obs.tracer.spans
             )
+
+    def test_the_replaced_core_is_taken_apart(self, monkeypatch):
+        """Its solution is cyclic garbage (nested solutions know their
+        holders): ``recover`` empties it, so no dead core waits for a pass of
+        the collector (up to 56 unreachable objects per recovery otherwise)."""
+        from repro.runtime.enactment.engine import EnactmentEngine
+
+        sizes, unreachable = [], []
+        original = EnactmentEngine.recover
+
+        def recover(self, host):
+            crashed = host.core
+            before = len(crashed.solution)
+            gc.collect()
+            result = original(self, host)
+            sizes.append((before, len(crashed.solution)))
+            del crashed  # nobody holds the dead core any more
+            unreachable.append(gc.collect())
+            return result
+
+        monkeypatch.setattr(EnactmentEngine, "recover", recover)
+        config = GinFlowConfig(
+            executor="mesos", broker="kafka", nodes=10, seed=1, failures=FailureModel(probability=0.5, delay=15.0)
+        )
+        report = GinFlow(config).run(build_scenario("montage:size=60,seed=1"))
+        assert report.succeeded and len(sizes) == report.recoveries > 0
+        assert all(before > 0 and after == 0 for before, after in sizes)
+        assert sum(unreachable) == 0, unreachable
 
     def test_recovered_agent_keeps_its_reduction_policy(self, monkeypatch):
         config = GinFlowConfig(
