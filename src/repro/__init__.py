@@ -10,7 +10,9 @@ stack described in the paper:
 * :mod:`repro.workflow` — the user-facing workflow model (tasks, DAGs, JSON
   format, adaptation specifications, workload generators),
 * :mod:`repro.services` — service abstraction and failure injection,
-* :mod:`repro.simkernel` — a deterministic discrete-event simulation kernel,
+* :mod:`repro.simkernel` — a deterministic discrete-event simulation kernel:
+  a time-ordered queue of plain calls (``call_at`` / ``call_in`` /
+  ``SerialQueue.submit`` and ``run``), one entry and one call per modelled hop,
 * :mod:`repro.cluster` — the simulated infrastructure (nodes, network,
   Grid'5000-like presets, a Mesos-like resource-offer master),
 * :mod:`repro.messaging` — ActiveMQ-like and Kafka-like message brokers,

@@ -9,19 +9,19 @@ Three kinds of messages circulate in GinFlow (Section IV-A):
 * ``STATUS`` — the update every agent pushes to the shared multiset so that
   the workflow status stays observable.
 
-Messages are immutable value objects; the broker assigns the delivery
-metadata (offset, delivery time).
+Messages are immutable value objects (a named tuple: one is built per hop of
+every run, so building one costs a tuple, not a dataclass); the broker assigns
+the delivery metadata (offset, delivery time).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["MessageKind", "Message", "agent_topic", "adapt_count", "STATUS_TOPIC"]
 
-_COUNTER = itertools.count(1)
+_next_id = itertools.count(1).__next__
 
 #: Topic on which every agent publishes its status updates (the shared multiset).
 STATUS_TOPIC = "ginflow.status"
@@ -53,9 +53,18 @@ def adapt_count(payload: Any) -> int:
     return int(payload) if payload is not None else 1
 
 
-@dataclass(frozen=True)
-class Message:
-    """One message published on a broker topic.
+class _Fields(NamedTuple):
+    topic: str
+    kind: str
+    sender: str
+    recipient: str
+    payload: Any
+    size_bytes: int
+    message_id: int
+
+
+class Message(_Fields):
+    """One message published on a broker topic (an immutable record).
 
     Attributes
     ----------
@@ -77,13 +86,21 @@ class Message:
         Unique, monotonically increasing identifier (assigned at creation).
     """
 
-    topic: str
-    kind: str
-    sender: str
-    recipient: str
-    payload: Any = None
-    size_bytes: int = 512
-    message_id: int = field(default_factory=lambda: next(_COUNTER))
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        topic: str,
+        kind: str,
+        sender: str,
+        recipient: str,
+        payload: Any = None,
+        size_bytes: int = 512,
+        message_id: int | None = None,
+    ) -> "Message":
+        if message_id is None:
+            message_id = _next_id()
+        return tuple.__new__(cls, (topic, kind, sender, recipient, payload, size_bytes, message_id))
 
     def describe(self) -> str:
         """Short human-readable description used by traces."""

@@ -1,9 +1,10 @@
 """Virtual-time broker used by the simulation runtime.
 
 The broker owns a single serial dispatcher (a
-:class:`~repro.simkernel.resources.SerialQueue`): every published message
-occupies the dispatcher for the profile's ``per_message_time``, then travels
-over the network model and is delivered to the subscribed callback.  This
+:class:`~repro.simkernel.SerialQueue`): every published message occupies the
+dispatcher for the profile's ``per_message_time``, then travels over the
+network model and is delivered to the subscribed callback — two modelled
+hops, two kernel entries, each a bound method carrying the message.  This
 serialisation is what makes message-heavy workflows (the fully-connected
 diamonds of Fig. 12(b), the Kafka columns of Fig. 14) pay for their traffic.
 
@@ -42,6 +43,7 @@ class SimulatedBroker(Broker):
         self.profile = profile
         self.network = network or NetworkModel()
         self.randomness = randomness or RandomStreams(0)
+        self._jitter = self.randomness.uniforms("broker-jitter")
         self._queues = [SerialQueue(sim, name=f"{profile.name}-dispatcher-{i}") for i in range(dispatchers)]
         self._subscribers: dict[str, list[Callable[[Message], None]]] = {}
         self._log = MessageLog() if profile.persistent else None
@@ -61,16 +63,13 @@ class SimulatedBroker(Broker):
         if self._log is not None:
             self._log.append(message)
         queue = self._queues[message.message_id % len(self._queues)]
-        processing_done = queue.submit(self.profile.per_message_time)
+        queue.submit(self.profile.per_message_time, self._dispatched, message)
 
-        def deliver(_event: object) -> None:
-            transfer = self.network.transfer_time(
-                message.size_bytes, self.randomness.uniform("broker-jitter")
-            )
-            total_delay = self.profile.delivery_overhead + transfer
-            self.sim.call_in(total_delay, lambda: self._deliver(message))
-
-        processing_done.add_callback(deliver)
+    def _dispatched(self, message: Message) -> None:
+        # the jitter is drawn here, when the dispatcher is done with the
+        # message: in completion order, not publish order
+        transfer = self.network.transfer_time(message.size_bytes, next(self._jitter))
+        self.sim.call_in(self.profile.delivery_overhead + transfer, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         # Count one delivery per subscriber actually handed the message (a

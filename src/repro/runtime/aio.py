@@ -38,7 +38,6 @@ from repro.messaging import agent_topic
 from repro.obs.logs import get_logger
 from repro.workflow.dag import Workflow
 
-from .backends import register_runtime
 from .config import GinFlowConfig
 from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation, ReportAssembler
 from .results import RunReport
@@ -215,21 +214,9 @@ class AsyncioRun:
         engine.dispatch(agent, await self._stimulate(agent, engine.complete_invocation, outcome))
 
 
-def run_asyncio(workflow: Workflow, config: GinFlowConfig | None = None, timeout: float = 60.0) -> RunReport:
-    """Convenience wrapper: run ``workflow`` on the asyncio runtime."""
-    return AsyncioRun(workflow, config).run(timeout=timeout)
-
-
-@register_runtime(
-    "asyncio",
-    capabilities={
-        "distributed": False,
-        "wall_clock": True,
-        "supports_failures": False,
-        "single_threaded": True,
-    },
-    description="one asyncio event loop: agents as tasks, concurrency without threads",
-)
-def _asyncio_runtime(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
-    """Runtime backend entry point (``timeout`` bounds the wall-clock wait)."""
-    return AsyncioRun(workflow, config).run(timeout=timeout if timeout is not None else 60.0)
+def run_asyncio(
+    workflow: Workflow, config: GinFlowConfig | None = None, timeout: float | None = None
+) -> RunReport:
+    """Run ``workflow`` on the asyncio runtime — also the ``asyncio`` backend's
+    entry point (``timeout`` bounds the wall-clock wait: 60 s when ``None``)."""
+    return AsyncioRun(workflow, config).run(timeout=60.0 if timeout is None else timeout)

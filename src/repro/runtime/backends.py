@@ -17,7 +17,8 @@ chains.  Backends come in four *kinds*:
   ``(config) -> ReductionPolicy``.
 
 Built-in backends register themselves in the modules that define them
-(:mod:`repro.executors.ssh`, :mod:`repro.messaging.kafka`, ...); third-party
+(:mod:`repro.executors.ssh`, :mod:`repro.messaging.kafka`, ...), except the
+execution modes, which are listed here by name and load on use; third-party
 backends register the same way, through the public decorators, without
 touching any engine file::
 
@@ -33,7 +34,8 @@ touching any engine file::
 This module deliberately imports nothing from the rest of :mod:`repro`, so
 any leaf package can depend on it without creating import cycles; the
 built-in implementations are imported lazily by
-:func:`ensure_builtin_backends` on first lookup.
+:func:`ensure_builtin_backends` on first lookup — the execution modes'
+driver modules later still, when a run on that mode is built.
 """
 
 from __future__ import annotations
@@ -299,14 +301,42 @@ DERIVED_VIEWS: dict[str, Callable[[], tuple[str, ...]]] = {
 
 
 # ------------------------------------------------------ built-in backends
-#: Modules whose import registers the built-in backends (in registration
-#: order — this order is what `available_*()` and the CLI choices show).
+#: The built-in execution modes, in the order `available_runtimes()` and the
+#: CLI choices show them: name, ``module:function`` of the driver,
+#: capabilities, description.  Listing a runtime must not cost its driver's
+#: imports (``repro.runtime.aio`` alone pulls in asyncio, ssl, socket,
+#: subprocess, selectors), so the module is imported when the runtime is built.
+_BUILTIN_RUNTIMES: tuple[tuple[str, str, dict[str, Any], str], ...] = (
+    (
+        "centralized",
+        "repro.runtime.ginflow:run_centralized",
+        {"distributed": False, "supports_failures": False, "wall_clock": True},
+        "single HOCL interpreter with synchronous service calls",
+    ),
+    (
+        "simulated",
+        "repro.runtime.simulation:run_simulation",
+        {"distributed": True, "virtual_time": True, "supports_failures": True, "deterministic": True},
+        "virtual-time distributed simulation over the modelled cluster",
+    ),
+    (
+        "threaded",
+        "repro.runtime.threaded:run_threaded",
+        {"distributed": False, "wall_clock": True, "supports_failures": False},
+        "real threads and an in-process broker on the local machine",
+    ),
+    (
+        "asyncio",
+        "repro.runtime.aio:run_asyncio",
+        {"distributed": False, "wall_clock": True, "supports_failures": False, "single_threaded": True},
+        "one asyncio event loop: agents as tasks, concurrency without threads",
+    ),
+)
+
+#: Modules whose import registers the other built-in backends (in
+#: registration order — what `available_*()` and the CLI choices show).
 _BUILTIN_MODULES = (
     "repro.runtime.reduction",
-    "repro.runtime.simulation",
-    "repro.runtime.threaded",
-    "repro.runtime.aio",
-    "repro.runtime.ginflow",
     "repro.executors.ssh",
     "repro.executors.mesos",
     "repro.messaging.activemq",
@@ -322,14 +352,26 @@ _builtins_loaded = False
 _builtins_lock = threading.RLock()
 
 
+def _driver(entry: str) -> _Factory:
+    """The runtime factory ``module:function``, its module imported at the first build."""
+    module_name, _, function = entry.partition(":")
+
+    def build(workflow: Any, config: Any, timeout: float | None = None) -> Any:
+        return getattr(importlib.import_module(module_name), function)(workflow, config, timeout)
+
+    return build
+
+
 def ensure_builtin_backends() -> None:
-    """Import every built-in backend module exactly once (idempotent, thread-safe)."""
+    """Register every built-in backend exactly once (idempotent, thread-safe)."""
     global _builtins_loaded
     if _builtins_loaded:
         return
     with _builtins_lock:
         if _builtins_loaded:
             return
+        for name, entry, capabilities, description in _BUILTIN_RUNTIMES:
+            register_runtime(name, _driver(entry), capabilities=capabilities, description=description)
         for module_name in _BUILTIN_MODULES:
             importlib.import_module(module_name)
         _builtins_loaded = True

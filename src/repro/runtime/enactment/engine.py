@@ -253,19 +253,19 @@ class EnactmentEngine:
     def dispatch(self, host: AgentHost, actions: list[Action]) -> None:
         """Execute the actions one reduction emitted (the protocol's I/O)."""
         costs = self.config.costs
+        trace, metrics = self._trace, self._metrics
+        publish, sender = self.transport.publish, host.name
         for action in actions:
-            if self._trace is not None:
-                self._trace.event(
-                    "enactment.dispatch", host.name, action=type(action).__name__
-                )
-            if self._metrics is not None:
-                self._metrics.counter("enactment.actions").inc()
+            if trace is not None:
+                trace.event("enactment.dispatch", sender, action=type(action).__name__)
+            if metrics is not None:
+                metrics.counter("enactment.actions").inc()
             if isinstance(action, SendResult):
-                self.transport.publish(
+                publish(
                     Message(
                         topic=agent_topic(action.destination),
                         kind=MessageKind.RESULT,
-                        sender=host.name,
+                        sender=sender,
                         recipient=action.destination,
                         payload=action.value,
                         size_bytes=costs.result_message_size,
@@ -275,11 +275,11 @@ class EnactmentEngine:
                 if action.adaptation:
                     with self._lock:
                         self.triggered_adaptations.add(action.adaptation)
-                self.transport.publish(
+                publish(
                     Message(
                         topic=agent_topic(action.destination),
                         kind=MessageKind.ADAPT,
-                        sender=host.name,
+                        sender=sender,
                         recipient=action.destination,
                         payload=action.count,
                         size_bytes=costs.status_update_size,
@@ -289,11 +289,11 @@ class EnactmentEngine:
                 self._start_invocation(host, action)
             elif isinstance(action, StatusUpdate):
                 if costs.status_update_enabled:
-                    self.transport.publish(
+                    publish(
                         Message(
                             topic=STATUS_TOPIC,
                             kind=MessageKind.STATUS,
-                            sender=host.name,
+                            sender=sender,
                             recipient="coordinator",
                             payload=host.core.status(),
                             size_bytes=costs.status_update_size,
@@ -301,7 +301,7 @@ class EnactmentEngine:
                     )
                 else:
                     # keep completion detection working without broker load
-                    self.record_status(host.name, host.core.status())
+                    self.record_status(sender, host.core.status())
 
     def _start_invocation(self, host: AgentHost, action: StartInvocation) -> None:
         host.attempts += 1

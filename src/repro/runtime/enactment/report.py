@@ -27,7 +27,7 @@ class ReportAssembler:
 
     def assemble_local(self, mode: str, elapsed: float, timed_out: bool) -> RunReport:
         """The report of a wall-clock run on this machine (threaded, asyncio)."""
-        report = self.assemble(
+        return self.assemble(
             mode=mode,
             executor="local",
             broker=self.engine.config.broker,
@@ -35,13 +35,8 @@ class ReportAssembler:
             deployment_time=0.0,
             execution_time=elapsed,
             makespan=elapsed,
+            timed_out=timed_out,
         )
-        if timed_out:
-            # the wait elapsed before the coordinator reported completion: a
-            # cut-off run must never read like a successful one
-            report.timed_out = True
-            report.succeeded = False
-        return report
 
     def assemble(
         self,
@@ -53,8 +48,13 @@ class ReportAssembler:
         deployment_time: float,
         execution_time: float,
         makespan: float,
+        timed_out: bool = False,
     ) -> RunReport:
-        """Fill the engine's report with the shared, runtime-agnostic rows."""
+        """Fill the engine's report with the shared, runtime-agnostic rows.
+
+        ``timed_out``: the driver stopped waiting (wall-clock timeout, virtual
+        horizon) before the coordinator reported completion.
+        """
         engine = self.engine
         coordinator = engine.coordinator
         report = engine.report
@@ -67,7 +67,9 @@ class ReportAssembler:
         report.deployment_time = deployment_time
         report.execution_time = execution_time
         report.makespan = makespan
-        report.succeeded = coordinator.succeeded
+        # a cut-off run must never read like a successful one
+        report.timed_out = timed_out
+        report.succeeded = coordinator.succeeded and not timed_out
         report.messages_published = engine.transport.published_count()
         report.messages_delivered = engine.transport.delivered_count()
         report.adaptations_triggered = len(engine.triggered_adaptations)

@@ -41,11 +41,11 @@ from repro.services import ServiceRegistry
 from repro.workflow.dag import Workflow
 from repro.workflow.json_format import workflow_from_json
 
-from .backends import get_backend, register_runtime
+from .backends import get_backend
 from .config import GinFlowConfig
 from .results import RunReport, TaskOutcome
 
-__all__ = ["GinFlow"]
+__all__ = ["GinFlow", "run_centralized"]
 
 
 class GinFlow:
@@ -155,13 +155,9 @@ class GinFlow:
         return self._base_cache[1]
 
 
-@register_runtime(
-    "centralized",
-    capabilities={"distributed": False, "supports_failures": False, "wall_clock": True},
-    description="single HOCL interpreter with synchronous service calls",
-)
-def _centralized_runtime(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
-    """Run ``workflow`` on a single centralised HOCL interpreter."""
+def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
+    """Run ``workflow`` on a single centralised HOCL interpreter (the
+    ``centralized`` backend's entry point; ``timeout`` is unused)."""
     executor = CentralizedExecutor(
         registry=config.build_registry(), reduction=config.reduction_policy(), obs=config.obs
     )

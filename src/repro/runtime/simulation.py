@@ -34,15 +34,16 @@ The flow of one run:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
+from repro.agents.actions import Action
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import Message, MessageKind, SimulatedBroker, agent_topic
 from repro.services import InvocationResult
 from repro.simkernel import RandomStreams, SerialQueue, Simulator
 from repro.workflow.dag import Workflow
 
-from .backends import register_runtime
 from .config import GinFlowConfig
 from .enactment import AgentHost, EnactmentEngine, PreparedInvocation, ReportAssembler, VirtualClock
 from .results import RunReport
@@ -116,59 +117,40 @@ class SimulatedRun:
                     serial=SerialQueue(self._sim, name=f"agent-{name}"),
                 )
             )
-            broker.subscribe(agent_topic(name), self._make_message_handler(agent))
+            broker.subscribe(agent_topic(name), partial(self._on_message, agent))
         engine.subscribe_status()
 
         # Enactment starts once deployment completes (the stacked bars of
         # Fig. 14 split deployment time from execution time).
         self._enactment_start = plan.deployment_time
-        for name in agent_names:
-            agent = engine.hosts[name]
-            self._sim.call_at(
-                plan.deployment_time + costs.agent_boot_time,
-                self._make_boot_callback(agent),
-            )
+        boot_time = plan.deployment_time + costs.agent_boot_time
+        for agent in engine.hosts.values():
+            self._sim.call_at(boot_time, self._handle, agent, engine.boot)
 
         with engine.enacting():
             self._sim.run(until=config.max_virtual_time)
 
         return self._build_report(plan.deployment_time)
 
-    # ------------------------------------------------------------ callbacks
-    def _make_boot_callback(self, agent: _SimAgent) -> Callable[[], None]:
-        def boot() -> None:
-            self._handle(agent, lambda: self._engine.boot(agent))
-
-        return boot
-
-    def _make_message_handler(self, agent: _SimAgent) -> Callable[[Message], None]:
-        def on_message(message: Message) -> None:
-            if not agent.alive:
-                # The agent is down: a persistent broker keeps the message in
-                # its log, so the recovery replay will deliver it; with a
-                # transient broker the message is lost.
-                return
-            if message.kind in (MessageKind.RESULT, MessageKind.ADAPT):
-                self._handle(agent, lambda: self._engine.deliver(agent, message))
-
-        return on_message
-
     # ------------------------------------------------------------- handling
-    def _handle(
-        self, agent: _SimAgent, stimulus: Callable[[], Any], extra_cost: float = 0.0
-    ) -> None:
-        """Run one agent stimulus and dispatch its actions after the modelled cost."""
+    def _on_message(self, agent: _SimAgent, message: Message) -> None:
+        # A message for an agent that is down is dropped (`_handle`): a persistent
+        # broker keeps it in its log, so the recovery replay will deliver it;
+        # with a transient broker it is lost.
+        if message.kind in (MessageKind.RESULT, MessageKind.ADAPT):
+            self._handle(agent, self._engine.deliver, message)
+
+    def _handle(self, agent: _SimAgent, stimulus: Callable[..., list[Action]], *args: Any) -> None:
+        """Run ``stimulus(agent, *args)`` and dispatch its actions after the modelled cost."""
         if not agent.alive:
             return
-        units_before = agent.core.reduction_units
-        actions = stimulus()
-        units = agent.core.reduction_units - units_before
-        cost = self.config.costs.handling_cost(units) + extra_cost
-        incarnation = agent.incarnation
-        done = agent.serial.submit(cost)
-        done.add_callback(lambda _event: self._dispatch(agent, actions, incarnation))
+        core = agent.core
+        units_before = core.reduction_units
+        actions = stimulus(agent, *args)
+        cost = self.config.costs.handling_cost(core.reduction_units - units_before)
+        agent.serial.submit(cost, self._dispatch, agent, actions, agent.incarnation)
 
-    def _dispatch(self, agent: _SimAgent, actions: Any, incarnation: int) -> None:
+    def _dispatch(self, agent: _SimAgent, actions: list[Action], incarnation: int) -> None:
         if not agent.alive or agent.incarnation != incarnation:
             return
         self._engine.dispatch(agent, actions)
@@ -178,20 +160,17 @@ class SimulatedRun:
         """Engine invoker: schedule the invocation's end on the virtual clock."""
         outcome = prepared.invoke()
         duration = max(0.0, outcome.duration) + self.config.costs.invocation_overhead
-        incarnation = agent.incarnation
-
         crash_after = self.config.failures.crash_time(
             duration, self._randomness, label=f"crash:{agent.name}:{agent.attempts}"
         )
         if crash_after is not None and crash_after < duration:
-            self._sim.call_in(crash_after, lambda: self._crash(agent, incarnation))
+            self._sim.call_in(crash_after, self._crash, agent, agent.incarnation)
         else:
-            self._sim.call_in(duration, lambda: self._complete_invocation(agent, incarnation, outcome))
+            self._sim.call_in(duration, self._complete_invocation, agent, agent.incarnation, outcome)
 
     def _complete_invocation(self, agent: _SimAgent, incarnation: int, outcome: InvocationResult) -> None:
-        if not agent.alive or agent.incarnation != incarnation:
-            return
-        self._handle(agent, lambda: self._engine.complete_invocation(agent, outcome))
+        if agent.incarnation == incarnation:
+            self._handle(agent, self._engine.complete_invocation, outcome)
 
     # -------------------------------------------------------------- failures
     def _crash(self, agent: _SimAgent, incarnation: int) -> None:
@@ -202,16 +181,17 @@ class SimulatedRun:
         agent.failures += 1
         self.report.failures_injected += 1
         self._engine.coordinator.record_event(self._sim.now, agent.name, "failure", f"attempt {agent.attempts}")
-        self._sim.call_in(self.config.failures.recovery_overhead(), lambda: self._recover(agent))
+        self._sim.call_in(self.config.failures.recovery_overhead(), self._recover, agent)
 
     def _recover(self, agent: _SimAgent) -> None:
         self.report.recoveries += 1
         actions, replayed = self._engine.recover(agent)
         costs = self.config.costs
         replay_cost = costs.agent_boot_time + costs.replay_cost(replayed)
-        incarnation = agent.incarnation
-        done = agent.serial.submit(replay_cost + costs.handling_cost(agent.core.reduction_units))
-        done.add_callback(lambda _event: self._dispatch(agent, actions, incarnation))
+        agent.serial.submit(
+            replay_cost + costs.handling_cost(agent.core.reduction_units),
+            self._dispatch, agent, actions, agent.incarnation,
+        )
         self._engine.coordinator.record_event(
             self._sim.now, agent.name, "recovery", f"replayed {replayed} messages"
         )
@@ -231,6 +211,9 @@ class SimulatedRun:
             deployment_time=deployment_time,
             execution_time=max(0.0, end - self._enactment_start),
             makespan=end,
+            # stopped at the horizon with work still queued; a queue that
+            # drains without completion is a stall, not a time-out
+            timed_out=completion is None and self._sim.pending() > 0,
         )
         report.extra["status_updates"] = engine.coordinator.status_updates
         report.extra["virtual_events"] = self._sim.processed_events
@@ -238,21 +221,9 @@ class SimulatedRun:
         return report
 
 
-def run_simulation(workflow: Workflow, config: GinFlowConfig | None = None) -> RunReport:
-    """Convenience wrapper: simulate ``workflow`` under ``config``."""
-    return SimulatedRun(workflow, config).run()
-
-
-@register_runtime(
-    "simulated",
-    capabilities={
-        "distributed": True,
-        "virtual_time": True,
-        "supports_failures": True,
-        "deterministic": True,
-    },
-    description="virtual-time distributed simulation over the modelled cluster",
-)
-def _simulated_runtime(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
-    """Runtime backend entry point (``timeout`` has no meaning in virtual time)."""
+def run_simulation(
+    workflow: Workflow, config: GinFlowConfig | None = None, timeout: float | None = None
+) -> RunReport:
+    """Simulate ``workflow`` under ``config`` — also the ``simulated`` backend's
+    entry point (``timeout`` has no meaning in virtual time)."""
     return SimulatedRun(workflow, config).run()

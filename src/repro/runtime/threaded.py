@@ -30,7 +30,6 @@ from repro.hoclflow.translator import encode_workflow
 from repro.messaging import Message, agent_topic
 from repro.workflow.dag import Workflow
 
-from .backends import register_runtime
 from .config import GinFlowConfig
 from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation, ReportAssembler
 from .results import RunReport
@@ -132,16 +131,9 @@ class ThreadedRun:
         engine.dispatch(agent, engine.complete_invocation(agent, outcome))
 
 
-def run_threaded(workflow: Workflow, config: GinFlowConfig | None = None, timeout: float = 60.0) -> RunReport:
-    """Convenience wrapper: run ``workflow`` on the threaded runtime."""
-    return ThreadedRun(workflow, config).run(timeout=timeout)
-
-
-@register_runtime(
-    "threaded",
-    capabilities={"distributed": False, "wall_clock": True, "supports_failures": False},
-    description="real threads and an in-process broker on the local machine",
-)
-def _threaded_runtime(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
-    """Runtime backend entry point (``timeout`` bounds the wall-clock wait)."""
-    return ThreadedRun(workflow, config).run(timeout=timeout if timeout is not None else 60.0)
+def run_threaded(
+    workflow: Workflow, config: GinFlowConfig | None = None, timeout: float | None = None
+) -> RunReport:
+    """Run ``workflow`` on the threaded runtime — also the ``threaded`` backend's
+    entry point (``timeout`` bounds the wall-clock wait: 60 s when ``None``)."""
+    return ThreadedRun(workflow, config).run(timeout=60.0 if timeout is None else timeout)

@@ -1,20 +1,11 @@
-"""A deterministic discrete-event simulation kernel (virtual time)."""
+"""A deterministic discrete-event simulation kernel (virtual time).
 
-from .events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
+A time-ordered queue of plain calls: :meth:`Simulator.call_at`,
+:meth:`Simulator.call_in` and :meth:`SerialQueue.submit` add an entry,
+:meth:`Simulator.run` pops, advances the clock, counts and calls.
+"""
+
 from .randomness import RandomStreams
-from .resources import Resource, SerialQueue, Store
-from .sim import Simulator
+from .sim import SerialQueue, Simulator
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Store",
-    "Resource",
-    "SerialQueue",
-    "RandomStreams",
-]
+__all__ = ["Simulator", "SerialQueue", "RandomStreams"]

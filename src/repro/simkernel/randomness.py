@@ -10,12 +10,15 @@ randomness never perturbs the draws of existing ones.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - numpy is imported at the first draw
     import numpy as np
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "UNIFORM_BLOCK"]
+
+#: draws per numpy call of :meth:`RandomStreams.uniforms`
+UNIFORM_BLOCK = 512
 
 
 class RandomStreams:
@@ -34,17 +37,20 @@ class RandomStreams:
             self._streams[label] = np.random.default_rng(derived)
         return self._streams[label]
 
-    def uniform(self, label: str, low: float = 0.0, high: float = 1.0) -> float:
-        """One uniform draw from the named stream."""
-        return float(self.stream(label).uniform(low, high))
+    def uniforms(self, label: str) -> Iterator[float]:
+        """The named stream's uniform draws in ``[0, 1)``, one per ``next``.
+
+        Drawn ``UNIFORM_BLOCK`` at a time — ``uniform(size=n)`` yields exactly
+        the values of n scalar draws — so a draw costs an iterator step, not
+        a numpy call.  Nothing is drawn (and numpy not imported) before the
+        first ``next``; the stream must have no other consumer.
+        """
+        while True:
+            yield from self.stream(label).uniform(0.0, 1.0, size=UNIFORM_BLOCK).tolist()
 
     def bernoulli(self, label: str, probability: float) -> bool:
         """One biased coin flip from the named stream."""
         return bool(self.stream(label).random() < probability)
-
-    def exponential(self, label: str, mean: float) -> float:
-        """One exponential draw with the given mean."""
-        return float(self.stream(label).exponential(mean))
 
     def spawn(self, label: str) -> "RandomStreams":
         """A child family whose streams are independent of the parent's."""

@@ -1,33 +1,38 @@
-"""The discrete-event simulator: virtual clock plus event queue.
+"""The discrete-event simulator: a virtual clock over a time-ordered queue of calls.
 
 All GinFlow experiments run on virtual time: deploying 1000 service agents on
 a 25-node cluster, injecting hundreds of failures, or sweeping a 7×7 grid of
 diamond sizes completes in seconds of wall-clock time while preserving the
 ordering and queueing behaviour that produce the paper's figures.
 
-The simulator is deterministic: events scheduled at the same virtual time are
-processed in scheduling order (a monotonically increasing sequence number
-breaks ties), and all randomness used by higher layers flows from seeded
-generators (:mod:`repro.simkernel.random`).
+The kernel is exactly what the simulated runtime needs and nothing else: a
+heap of ``(time, sequence, function, arguments)`` entries, three ways to add
+one (:meth:`Simulator.call_at`, :meth:`Simulator.call_in` and
+:meth:`SerialQueue.submit`) and :meth:`Simulator.run`, which pops the earliest
+entry, advances the clock to it, counts it and calls it.  One modelled hop is
+one entry and one call.
+
+The simulator is deterministic: entries scheduled at the same virtual time run
+in scheduling order (a monotonically increasing sequence number breaks ties),
+and all randomness used by higher layers flows from seeded generators
+(:mod:`repro.simkernel.randomness`).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable
 
-from .events import AllOf, AnyOf, Event, Process, Timeout
-
-__all__ = ["Simulator"]
+__all__ = ["Simulator", "SerialQueue"]
 
 
 class Simulator:
-    """Owner of the virtual clock and the pending-event queue."""
+    """Owner of the virtual clock and the queue of pending calls."""
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, Event, Any]] = []
+        self._queue: list[tuple[float, int, Callable[..., Any], tuple[Any, ...]]] = []
         self._sequence = 0
         self._processed_events = 0
         self._wall_seconds = 0.0
@@ -40,7 +45,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events processed so far (diagnostics)."""
+        """Number of queue entries run so far (diagnostics)."""
         return self._processed_events
 
     @property
@@ -54,116 +59,93 @@ class Simulator:
         return self._wall_seconds
 
     def pending(self) -> int:
-        """Number of events waiting in the queue."""
+        """Number of calls waiting in the queue."""
         return len(self._queue)
 
-    # ------------------------------------------------------------- factories
-    def event(self) -> Event:
-        """A new pending event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event triggering ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator[Event, Any, Any], name: str = "process") -> Process:
-        """Start a generator-driven process."""
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event triggering when every event in ``events`` has triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event triggering when any event in ``events`` triggers."""
-        return AnyOf(self, events)
-
-    def call_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at absolute virtual time ``time`` (>= now)."""
+    # ------------------------------------------------------------ scheduling
+    def call_at(self, time: float, function: Callable[..., Any], *args: Any) -> None:
+        """Run ``function(*args)`` at absolute virtual time ``time`` (>= now)."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        event = Event(self)
-        event.add_callback(lambda _event: callback())
-        self._schedule_at(time, event, None)
-        return event
-
-    def call_in(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` after ``delay`` seconds of virtual time."""
-        return self.call_at(self._now + delay, callback)
-
-    # -------------------------------------------------------------- plumbing
-    def _schedule_at(self, time: float, event: Event, value: Any) -> None:
         self._sequence += 1
-        heapq.heappush(self._queue, (time, self._sequence, event, value))
+        heappush(self._queue, (time, self._sequence, function, args))
 
-    def _schedule_triggered(self, event: Event) -> None:
-        """Queue an already-triggered event so its callbacks run in order."""
-        # Callbacks of an event triggered "now" run at the same virtual time,
-        # after the currently running callback returns.
+    def call_in(self, delay: float, function: Callable[..., Any], *args: Any) -> None:
+        """Run ``function(*args)`` after ``delay`` (>= 0) seconds of virtual time."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now, self._sequence, _TriggeredMarker(event), None))
-
-    def _schedule_call(self, callback: Callable[[], None]) -> None:
-        event = Event(self)
-        event.add_callback(lambda _event: callback())
-        self._schedule_at(self._now, event, None)
+        heappush(self._queue, (self._now + delay, self._sequence, function, args))
 
     # ------------------------------------------------------------------- run
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Process events until the queue is empty (or a bound is reached).
+        """Run queued calls in ``(time, scheduling order)`` until none is left
+        (or a bound is reached).
 
         Parameters
         ----------
         until:
-            Stop once the virtual clock would pass this time (the clock is
-            left at ``until``).
+            Stop before the first call later than this time (the clock is
+            left at ``until``; the call stays queued).
         max_events:
-            Safety bound on the number of processed events.
+            Safety bound on :attr:`processed_events`.
 
         Returns
         -------
         float
-            The virtual time when the run stopped.
+            The virtual time when the run stopped.  A call that raises leaves
+            the clock at its time and every later call queued.
         """
+        queue = self._queue
         started = perf_counter()
         try:
-            while self._queue:
-                if max_events is not None and self._processed_events >= max_events:
+            while queue:
+                if until is not None and queue[0][0] > until:
                     break
-                time, _seq, entry, value = heapq.heappop(self._queue)
-                if until is not None and time > until:
-                    # push back and stop at the horizon
-                    heapq.heappush(self._queue, (time, _seq, entry, value))
-                    self._now = until
-                    return self._now
-                self._now = time
+                if max_events is not None and self._processed_events >= max_events:
+                    return self._now  # calls are left before the horizon: the clock stays
+                self._now, _sequence, function, args = heappop(queue)
                 self._processed_events += 1
-                if isinstance(entry, _TriggeredMarker):
-                    self._dispatch(entry.event)
-                else:
-                    event = entry
-                    if not event.triggered:
-                        event._triggered = True  # noqa: SLF001 - kernel-internal
-                        event._ok = True  # noqa: SLF001
-                        event._value = value  # noqa: SLF001
-                    self._dispatch(event)
+                function(*args)
             if until is not None and self._now < until:
                 self._now = until
             return self._now
         finally:
             self._wall_seconds += perf_counter() - started
 
-    @staticmethod
-    def _dispatch(event: Event) -> None:
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
 
+class SerialQueue:
+    """A serially-processed queue: one job at a time, in submission order.
 
-class _TriggeredMarker:
-    """Queue entry used to defer the callbacks of an already-triggered event."""
+    ``submit(work_time, function, *args)`` schedules ``function(*args)`` for
+    when a job of ``work_time`` seconds completes, after every previously
+    submitted job; the queue therefore models the head-of-line queueing of a
+    single-threaded dispatcher (the behaviour that makes large fully-connected
+    workflows pay for every message they emit) and of an agent that handles
+    one stimulus at a time.
+    """
 
-    __slots__ = ("event",)
+    def __init__(self, sim: Simulator, name: str = "serial-queue"):
+        self.sim = sim
+        self.name = name
+        self._next_free = 0.0
+        self.processed = 0
+        self.busy_time = 0.0
 
-    def __init__(self, event: Event):
-        self.event = event
+    def submit(self, work_time: float, function: Callable[..., Any], *args: Any) -> None:
+        """Queue one job of ``work_time`` seconds; ``function(*args)`` runs at its end."""
+        if work_time < 0:
+            raise ValueError("work_time must be >= 0")
+        now = self.sim.now
+        finish = max(now, self._next_free) + work_time
+        self._next_free = finish
+        self.processed += 1
+        self.busy_time += work_time
+        # `now + (finish - now)`, not `finish`: the two differ in the last bit
+        # and every pinned timeline was produced by the former
+        self.sim.call_in(finish - now, function, *args)
+
+    @property
+    def backlog(self) -> float:
+        """Seconds of work already queued ahead of a job submitted now."""
+        return max(0.0, self._next_free - self.sim.now)

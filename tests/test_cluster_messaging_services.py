@@ -32,6 +32,7 @@ from repro.services import (
     SyntheticService,
 )
 from repro.simkernel import RandomStreams, Simulator
+from repro.simkernel.randomness import UNIFORM_BLOCK
 
 
 class TestNodesAndCluster:
@@ -172,6 +173,34 @@ class TestBrokers:
         b = Message(topic="t", kind="RESULT", sender="x", recipient="y")
         assert a.message_id != b.message_id
 
+    def test_message_ids_increase_in_creation_order(self):
+        ids = [Message("t", "RESULT", "x", "y").message_id for _ in range(50)]
+        assert ids == sorted(set(ids))
+
+    def test_message_is_immutable(self):
+        message = Message(topic="t", kind="RESULT", sender="x", recipient="y")
+        for field in ("topic", "payload", "message_id"):
+            with pytest.raises(AttributeError):
+                setattr(message, field, "other")
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+    def test_message_equality_is_field_wise(self):
+        a = Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=7)
+        assert a == Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=7)
+        assert hash(Message("t", "RESULT", "x", "y", message_id=7)) == hash(Message("t", "RESULT", "x", "y", message_id=7))
+        assert a != Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=8)
+        assert a != Message("t", "RESULT", "x", "other", payload=[1, 2], message_id=7)
+
+    def test_message_keyword_and_positional_construction(self):
+        by_keyword = Message(
+            topic="t", kind="ADAPT", sender="x", recipient="y", payload=3, size_bytes=256, message_id=11
+        )
+        assert by_keyword == Message("t", "ADAPT", "x", "y", 3, 256, 11)
+        defaults = Message("t", "RESULT", "x", "y")
+        assert (defaults.payload, defaults.size_bytes) == (None, 512)
+        assert by_keyword.describe() == "ADAPT x->y (#11)"
+
     def test_simulated_broker_delivers_with_delay(self):
         sim = Simulator()
         broker = SimulatedBroker(sim, ACTIVEMQ_PROFILE, randomness=RandomStreams(1))
@@ -193,6 +222,35 @@ class TestBrokers:
         sim.run()
         assert times == sorted(times)
         assert times[-1] - times[0] >= 2 * KAFKA_PROFILE.per_message_time * 0.99
+
+    @pytest.mark.parametrize("dispatchers", [1, 3])
+    def test_block_drawn_jitter_equals_one_numpy_draw_per_message(self, dispatchers):
+        class OneDrawPerCall(RandomStreams):
+            """The oracle: every jitter value is its own scalar numpy draw."""
+
+            def uniforms(self, label):
+                generator = self.stream(label)
+                while True:
+                    yield float(generator.uniform(0.0, 1.0))
+
+        def delivery_instants(randomness):
+            sim = Simulator()
+            broker = SimulatedBroker(
+                sim, ACTIVEMQ_PROFILE, network=grid5000_network(), randomness=randomness, dispatchers=dispatchers
+            )
+            instants = []
+            broker.subscribe("t", lambda message: instants.append((message.message_id, sim.now)))
+            # bursts that outrun the dispatchers, then gaps that let them drain
+            for message_id in range(1, 1001):
+                burst_start = 0.25 * (message_id // 40)
+                sim.call_at(burst_start, broker.publish, Message("t", "RESULT", "a", "b", message_id=message_id))
+            sim.run()
+            return instants
+
+        blocks = delivery_instants(RandomStreams(5))
+        assert len(blocks) == 1000 > UNIFORM_BLOCK  # a block boundary was crossed
+        assert blocks == delivery_instants(OneDrawPerCall(5))
+        assert len({instant for _message_id, instant in blocks}) == 1000  # the jitter is really there
 
     def test_simulated_broker_replay_requires_persistence(self):
         sim = Simulator()

@@ -1,11 +1,11 @@
-"""End-to-end failure propagation through the event layer into sweeps.
+"""End-to-end failure propagation through the simulation kernel into sweeps.
 
 A fault injected by :class:`repro.services.FailureModel` fails the
-invocation *event*; a process joining a batch of invocations with
-``AllOf`` must observe that failure, and the failure must surface in the
-:class:`~repro.experiments.report.SweepReport` rows — before the simkernel
-fixes, ``AllOf`` recorded the exception object as a plain value and the
-join still succeeded, so fault-injection sweeps silently reported success.
+invocation it hits; a join over a batch of invocations must observe that
+failure, and the failure must surface in the
+:class:`~repro.experiments.report.SweepReport` rows — a join that recorded
+the exception object as a plain value and still succeeded would make
+fault-injection sweeps silently report success.
 """
 
 from __future__ import annotations
@@ -15,13 +15,35 @@ from repro.runtime import GinFlowConfig
 from repro.simkernel import RandomStreams, Simulator
 
 
-def _stage_runner(workflow, config, cell):
-    """Simulate one parallel stage of invocations joined by ``AllOf``.
+class _Join:
+    """Completes once every member reported success; the first failure wins."""
 
-    Every task's invocation is an event; the cell's failure model decides
-    (seeded, through the event layer — never by peeking at agent state)
-    whether the invocation crashes, in which case its event *fails*.  The
-    watcher process only learns about faults through the join.
+    def __init__(self, members: int) -> None:
+        self.values: list[object] = [None] * members
+        self.pending = members
+        self.error: BaseException | None = None
+
+    def succeed(self, index: int, value: object) -> None:
+        if self.error is None:
+            self.values[index] = value
+            self.pending -= 1
+
+    def fail(self, error: BaseException) -> None:
+        if self.error is None:
+            self.error = error
+
+    @property
+    def succeeded(self) -> bool:
+        return self.error is None and self.pending == 0
+
+
+def _stage_runner(workflow, config, cell):
+    """Simulate one parallel stage of invocations and join them.
+
+    Every task's invocation ends in one timed call; the cell's failure model
+    decides (seeded — never by peeking at agent state) whether the invocation
+    crashes, in which case that call *fails* the join instead of completing
+    its member.  The row only learns about faults through the join.
     """
     sim = Simulator()
     randomness = RandomStreams(config.seed)
@@ -29,37 +51,20 @@ def _stage_runner(workflow, config, cell):
     task_count = int(cell.get("tasks", 8))
     durations = [30.0 + 10.0 * index for index in range(task_count)]
 
-    events = []
+    join = _Join(task_count)
     injected = 0
     for index, duration in enumerate(durations):
-        event = sim.event()
         crash_after = model.crash_time(duration, randomness, label=f"crash:{index}")
         if crash_after is not None:
             injected += 1
-            sim.call_in(
-                crash_after,
-                lambda e=event, i=index: e.fail(RuntimeError(f"task-{i} crashed")),
-            )
+            sim.call_in(crash_after, join.fail, RuntimeError(f"task-{index} crashed"))
         else:
-            sim.call_in(duration, lambda e=event, i=index: e.succeed(f"task-{i} done"))
-        events.append(event)
-
-    outcome: dict[str, object] = {}
-
-    def watcher():
-        try:
-            values = yield sim.all_of(events)
-        except RuntimeError as exc:
-            outcome["error"] = str(exc)
-            return "failed"
-        outcome["values"] = values
-        return "completed"
-
-    sim.process(watcher())
+            sim.call_in(duration, join.succeed, index, f"task-{index} done")
     sim.run()
+    assert join.succeeded == all(isinstance(value, str) for value in join.values)
     return {
-        "succeeded": "values" in outcome,
-        "surfaced_error": outcome.get("error"),
+        "succeeded": join.succeeded,
+        "surfaced_error": str(join.error) if join.error is not None else None,
         "failures": injected,
     }
 
@@ -85,8 +90,8 @@ class TestFailureSurfacesInSweeps:
         assert all(row["succeeded"] and row["failures"] == 0 for row in clean)
         # p=0.9 over 8 exposed tasks: every seeded repeat injects faults
         assert all(row["failures"] > 0 for row in faulty)
-        # and every injected fault surfaces: the AllOf join must fail —
-        # never succeed with an exception object among its values
+        # and every injected fault surfaces: the join must fail — never
+        # succeed with an exception object among its values
         for row in faulty:
             assert not row["succeeded"]
             assert row["surfaced_error"] and "crashed" in row["surfaced_error"]

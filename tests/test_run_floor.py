@@ -9,7 +9,8 @@
   a handful of compiled left-hand sides per run whatever its size;
 * the cyclic collector is given back exactly as it was found, on every way
   out of ``GinFlow.run``, and is a measured layer when observability is on;
-* a start-up without numpy and networkx;
+* a start-up without numpy and networkx, and without the runtime drivers
+  (asyncio with them) a run does not use;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
 * a recovered agent keeps its tracer, and the core it replaces is taken apart.
@@ -362,13 +363,13 @@ class TestCollectorIsMeasured:
 
 
 # ----------------------------------------------------------------- start-up
-def modules_after(argv, tmp_path):
-    """Which of numpy / networkx a fresh interpreter holds after ``ginflow argv``."""
+def modules_after(argv, tmp_path, watched=("numpy", "networkx")):
+    """Which of the ``watched`` modules a fresh interpreter holds after ``ginflow argv``."""
     script = (
         "import sys\n"
         "from repro.cli import main\n"
         f"status = main({argv!r})\n"
-        "print('LOADED', status, sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+        f"print('LOADED', status, sorted(m for m in {watched!r} if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, cwd=tmp_path,
@@ -392,6 +393,15 @@ class TestStartUpWithoutNumpyAndNetworkx:
     @pytest.mark.parametrize("argv", [["scenarios", "--names"], ["backends"]])
     def test_listing_commands(self, argv, tmp_path):
         assert modules_after(argv, tmp_path) == "LOADED 0 []"
+
+    @pytest.mark.parametrize("mode", ["simulated", "centralized", "threaded"])
+    def test_a_runtime_driver_loads_when_it_is_built_not_when_it_is_listed(self, mode, tmp_path):
+        # every run lists the runtimes (--mode choices); only an asyncio run pays for asyncio
+        drivers = ("asyncio", "repro.runtime.aio", "repro.runtime.simulation", "repro.runtime.threaded")
+        argv = ["run", "--scenario", "longchain:size=20", "--mode", mode]
+        own = {"simulated": ["repro.runtime.simulation"], "threaded": ["repro.runtime.threaded"], "centralized": []}
+        assert modules_after(argv, tmp_path, drivers) == f"LOADED 0 {own[mode]}"
+        assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 
     def test_no_networkx_import_left_in_src(self):
         import pathlib

@@ -11,6 +11,7 @@ from repro.runtime import (
     run_simulation,
     run_threaded,
 )
+from repro.runtime.enactment import EnactmentEngine
 from repro.services import FailureModel, ServiceRegistry
 from repro.workflow import (
     Task,
@@ -188,6 +189,55 @@ class TestSimulatedRuntime:
     def test_duplicate_results_counter_zero_without_failures(self):
         report = run_simulation(diamond_workflow(3, 3, duration=0.1), GinFlowConfig(nodes=5))
         assert report.duplicate_results_ignored == 0
+
+
+class TestKernelEntryAccounting:
+    """One kernel entry per modelled hop, and nothing else:
+
+    ``virtual_events == 2·messages + stimuli + boots + invocations + crashes + recoveries``
+    — a message is two entries (dispatcher done, network arrival), a stimulus
+    one (its actions dispatch when its handling cost elapsed), a boot, an
+    invocation's end, a crash's restart delay and a recovery's replay one each.
+    """
+
+    @pytest.mark.parametrize(
+        "workflow, options, expected",
+        [
+            # Fig. 13, the e2e benchmark's adapt-diamond-sim: 53,802 = 2·20,460 + 11,114 + 884 + 884
+            (lambda: adaptive_diamond_workflow(21, 21, "full", "simple", duration=0.1), {}, 53_802),
+            (lambda: montage_workflow(60, seed=1), {"costs": CostModel(broker_dispatchers=3)}, None),
+            (
+                lambda: montage_workflow(60, seed=1),
+                {"broker": "kafka", "executor": "mesos", "failures": FailureModel(probability=0.5, delay=15.0)},
+                None,
+            ),
+        ],
+        ids=["adaptive-diamond-21x21", "montage-3-dispatchers", "montage-failures"],
+    )
+    def test_every_entry_is_a_modelled_hop(self, workflow, options, expected, monkeypatch):
+        stimuli = []
+        for name in ("boot", "deliver", "complete_invocation"):
+            original = getattr(EnactmentEngine, name)
+
+            def counted(self, host, *args, _original=original):
+                stimuli.append(host.name)
+                return _original(self, host, *args)
+
+            monkeypatch.setattr(EnactmentEngine, name, counted)
+        report = run_simulation(workflow(), GinFlowConfig(seed=1, **options))
+        assert report.succeeded
+        boots = len(report.tasks)
+        invocations = sum(task.attempts for task in report.tasks.values())
+        assert report.failures_injected == report.recoveries
+        assert bool(report.failures_injected) == ("failures" in options)
+        assert report.extra["virtual_events"] == (
+            2 * report.messages_published + len(stimuli) + boots + invocations
+            + report.failures_injected + report.recoveries
+        )
+        if expected is not None:
+            assert (report.extra["virtual_events"], report.messages_published, len(stimuli), boots, invocations) == (
+                expected, 20_460, 11_114, 884, 884
+            )
 
 
 class TestThreadedRuntime:

@@ -9,7 +9,8 @@
   task, not hang the run until timeout.
 * Timeout swallowing: a run cut off by its wall-clock timeout must report
   ``timed_out=True`` and ``succeeded=False`` in both the asyncio and the
-  threaded runtimes.
+  threaded runtimes — and so must a simulated run cut off at its virtual
+  horizon with calls still queued (a queue that drains is a stall, not that).
 * A service result with no HOCL atom form (``None``, a dict, ...) is a failure
   of the task on every runtime — not an ``AtomError`` or ``ReductionError``
   out of ``run``, nor a worker lost to one and a wait until the timeout.
@@ -17,19 +18,21 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
+from repro import cli
 from repro.agents import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import InProcessBroker, Message, MessageKind, adapt_count, agent_topic
-from repro.runtime import GinFlow, GinFlowConfig, RunReport, run_asyncio, run_threaded
+from repro.runtime import GinFlow, GinFlowConfig, RunReport, run_asyncio, run_simulation, run_threaded
 from repro.runtime.enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation
 from repro.services import InvocationContext, InvocationResult, Service, ServiceRegistry
-from repro.workflow import Task, Workflow, adaptive_diamond_workflow
+from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 
 
 class TestAdaptCoercionParity:
@@ -206,6 +209,33 @@ class TestTimeoutSurfacing:
             release.set()
         assert report.timed_out
         assert not report.succeeded
+
+    def test_simulated_run_cut_off_at_its_horizon_is_reported(self):
+        # 3 calls are still queued when the clock reaches 10 s; the run completes at 15.2 s
+        report = run_simulation(diamond_workflow(3, 3, "simple"), GinFlowConfig(seed=1, max_virtual_time=10.0))
+        assert report.timed_out and not report.succeeded
+        assert report.makespan == 10.0
+
+    def test_simulated_run_completing_before_its_horizon_is_not_timed_out(self):
+        report = run_simulation(diamond_workflow(3, 3, "simple"), GinFlowConfig(seed=1, max_virtual_time=100.0))
+        assert report.succeeded and not report.timed_out
+        assert report.makespan < 100.0
+
+    def test_simulated_stall_is_not_a_time_out(self):
+        # a failed body task starves the merge: the queue drains, nothing was cut off
+        workflow = diamond_workflow(2, 2, "simple")
+        workflow.task("T_1_1").metadata["force_error"] = True
+        report = run_simulation(workflow, GinFlowConfig(seed=1))
+        assert not report.succeeded and not report.timed_out
+
+    def test_cli_exits_1_on_a_cut_off_simulated_run(self, monkeypatch, capsys):
+        base_config = cli._base_config
+        monkeypatch.setattr(
+            cli, "_base_config", lambda *args: base_config(*args).with_overrides(max_virtual_time=10.0)
+        )
+        assert cli.main(["run", "--scenario", "longchain:size=20", "--json"]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["timed_out"] is True and summary["succeeded"] is False
 
     def test_completed_run_is_not_marked_timed_out(self):
         workflow = Workflow("quick")

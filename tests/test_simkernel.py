@@ -1,27 +1,31 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit and property tests for the discrete-event simulation kernel."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simkernel import (
-    Event,
-    Interrupt,
-    RandomStreams,
-    Resource,
-    SerialQueue,
-    Simulator,
-    Store,
-)
+from repro.simkernel import RandomStreams, SerialQueue, Simulator
 
 
 class TestSimulatorBasics:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
 
-    def test_timeout_advances_clock(self):
+    def test_call_in_advances_clock(self):
         sim = Simulator()
-        sim.timeout(5.0)
+        sim.call_in(5.0, lambda: None)
         sim.run()
         assert sim.now == 5.0
+
+    def test_arguments_are_passed_to_the_call(self):
+        sim = Simulator()
+        seen = []
+        sim.call_in(2.0, seen.append, "b")
+        sim.call_at(1.0, seen.append, "a")
+        sim.run()
+        assert seen == ["a", "b"]
 
     def test_call_in_order(self):
         sim = Simulator()
@@ -62,254 +66,141 @@ class TestSimulatorBasics:
         sim.run(max_events=3)
         assert sim.processed_events == 3
 
-    def test_negative_timeout_rejected(self):
+    def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Simulator().timeout(-1.0)
+            Simulator().call_in(-1.0, lambda: None)
 
-
-class TestEvents:
-    def test_succeed_runs_callbacks(self):
+    def test_max_events_leaves_the_clock_at_the_last_call(self):
+        # the clock must not jump to the horizon over calls still queued before it
         sim = Simulator()
-        event = sim.event()
+        for delay in (1.0, 2.0, 3.0):
+            sim.call_in(delay, lambda: None)
+        assert sim.run(until=10.0, max_events=2) == 2.0
+        assert sim.pending() == 1
+        assert sim.run(until=10.0) == 10.0
+
+    def test_raising_call_propagates_and_leaves_the_rest_queued(self):
+        sim = Simulator()
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        event.succeed(42)
-        sim.run()
-        assert seen == [42]
 
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed(1)
-        with pytest.raises(RuntimeError):
-            event.succeed(2)
+        def boom():
+            raise RuntimeError("boom")
 
-    def test_callback_after_trigger_runs_immediately(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed(7)
-        seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        assert seen == [7]
-
-    def test_all_of(self):
-        sim = Simulator()
-        a, b = sim.timeout(1.0, "a"), sim.timeout(2.0, "b")
-        combined = sim.all_of([a, b])
-        sim.run()
-        assert combined.triggered
-        assert combined.value == ["a", "b"]
-
-    def test_any_of(self):
-        sim = Simulator()
-        combined = sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-        sim.run()
-        assert combined.value == "fast"
-
-    def test_all_of_empty(self):
-        sim = Simulator()
-        combined = sim.all_of([])
-        assert combined.triggered
-
-    def test_all_of_fails_on_member_failure(self):
-        sim = Simulator()
-        good, bad = sim.event(), sim.event()
-        combined = sim.all_of([good, bad])
-        error = RuntimeError("boom")
-        bad.fail(error)
-        sim.run()
-        assert combined.triggered
-        assert not combined.ok
-        assert combined.value is error
-        # the late success of the sibling must not re-trigger the join
-        good.succeed("late")
-        sim.run()
-        assert not combined.ok
-
-    def test_all_of_propagates_first_failure_only(self):
-        sim = Simulator()
-        first, second = sim.event(), sim.event()
-        combined = sim.all_of([first, second])
-        e1, e2 = RuntimeError("first"), RuntimeError("second")
-        first.fail(e1)
-        second.fail(e2)
-        sim.run()
-        assert not combined.ok
-        assert combined.value is e1
-
-    def test_process_sees_all_of_failure(self):
-        sim = Simulator()
-        member = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield sim.all_of([sim.timeout(1.0, "ok"), member])
-            except RuntimeError as exc:
-                caught.append(exc)
-            return "handled"
-
-        process = sim.process(waiter())
-        error = RuntimeError("task crashed")
-        sim.call_in(0.5, lambda: member.fail(error))
-        sim.run()
-        assert caught == [error]
-        assert process.value == "handled"
-
-    def test_any_of_fails_on_failed_winner(self):
-        sim = Simulator()
-        slow, bad = sim.timeout(5.0, "slow"), sim.event()
-        combined = sim.any_of([slow, bad])
-        error = RuntimeError("boom")
-        bad.fail(error)
-        sim.run()
-        assert not combined.ok
-        assert combined.value is error
-
-    def test_any_of_success_still_wins(self):
-        sim = Simulator()
-        combined = sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-        sim.run()
-        assert combined.ok
-        assert combined.value == "fast"
-
-    def test_any_of_empty_triggers_immediately(self):
-        # AnyOf([]) used to deadlock (never trigger); it now matches AllOf([])
-        sim = Simulator()
-        combined = sim.any_of([])
-        assert combined.triggered
-        assert combined.ok
-        assert combined.value == []
-
-
-class TestProcesses:
-    def test_process_waits_on_timeouts(self):
-        sim = Simulator()
-        trace = []
-
-        def worker():
-            trace.append(("start", sim.now))
-            yield sim.timeout(3.0)
-            trace.append(("middle", sim.now))
-            yield sim.timeout(2.0)
-            trace.append(("end", sim.now))
-            return "done"
-
-        process = sim.process(worker())
-        sim.run()
-        assert trace == [("start", 0.0), ("middle", 3.0), ("end", 5.0)]
-        assert process.value == "done"
-
-    def test_process_waits_on_process(self):
-        sim = Simulator()
-
-        def child():
-            yield sim.timeout(2.0)
-            return 7
-
-        def parent():
-            value = yield sim.process(child())
-            return value + 1
-
-        parent_process = sim.process(parent())
-        sim.run()
-        assert parent_process.value == 8
-
-    def test_interrupt(self):
-        sim = Simulator()
-        outcome = []
-
-        def worker():
-            try:
-                yield sim.timeout(100.0)
-                outcome.append("finished")
-            except Interrupt as interrupt:
-                outcome.append(("interrupted", interrupt.cause, sim.now))
-
-        process = sim.process(worker())
-        sim.call_in(1.0, lambda: process.interrupt("crash"))
-        sim.run()
-        assert outcome == [("interrupted", "crash", 1.0)]
-
-    def test_yield_non_event_raises(self):
-        sim = Simulator()
-
-        def bad():
-            yield 42
-
-        sim.process(bad())
-        with pytest.raises(TypeError):
+        sim.call_in(1.0, seen.append, "a")
+        sim.call_in(2.0, boom)
+        sim.call_in(2.0, seen.append, "c")
+        sim.call_in(3.0, seen.append, "d")
+        with pytest.raises(RuntimeError, match="boom"):
             sim.run()
-
-
-class TestStoreAndResource:
-    def test_store_fifo(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        values = []
-        store.get().add_callback(lambda e: values.append(e.value))
-        store.get().add_callback(lambda e: values.append(e.value))
+        assert (sim.now, seen, sim.pending(), sim.processed_events) == (2.0, ["a"], 2, 2)
         sim.run()
-        assert values == ["a", "b"]
+        assert seen == ["a", "c", "d"]
 
-    def test_store_get_before_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        values = []
-        store.get().add_callback(lambda e: values.append(e.value))
-        store.put("later")
-        sim.run()
-        assert values == ["later"]
 
-    def test_store_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(1)
-        assert store.try_get() == 1
+# a few distinct delays, so that equal times — where only insertion order
+# decides — are the common case
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+#: a call: (delay, the calls it schedules when it runs)
+CALLS = st.recursive(
+    st.tuples(DELAYS, st.just(())),
+    lambda calls: st.tuples(DELAYS, st.lists(calls, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+#: how `run` is bounded before the final unbounded run: (until, further events)
+STOPS = st.lists(
+    st.tuples(st.one_of(st.none(), st.floats(0.0, 8.0)), st.one_of(st.none(), st.integers(0, 5))), max_size=4
+)
 
-    def test_resource_capacity(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        order = []
-        resource.acquire().add_callback(lambda e: order.append("first"))
-        resource.acquire().add_callback(lambda e: order.append("second"))
-        sim.run()
-        assert order == ["first"]
-        resource.release()
-        sim.run()
-        assert order == ["first", "second"]
 
-    def test_resource_release_without_acquire(self):
-        with pytest.raises(RuntimeError):
-            Resource(Simulator(), capacity=1).release()
+def run_on_kernel(program, stops):
+    """The (time, label) trace of ``program`` and the state after each bounded run."""
+    sim = Simulator()
+    trace, states, labels = [], [], itertools.count()
 
-    def test_resource_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
+    def schedule(call):
+        delay, children = call
+        label = next(labels)  # == insertion order
+        if label % 2:
+            sim.call_at(sim.now + delay, fire, label, children)
+        else:
+            sim.call_in(delay, fire, label, children)
 
+    def fire(label, children):
+        trace.append((sim.now, label))
+        for child in children:
+            schedule(child)
+
+    for call in program:
+        schedule(call)
+    for until, events in stops:
+        sim.run(until=until, max_events=None if events is None else sim.processed_events + events)
+        states.append((sim.now, sim.processed_events, sim.pending()))
+    sim.run()
+    return trace, states, sim.pending()
+
+
+def run_on_sorted_list(program, stops):
+    """The same, from a list re-sorted by (time, insertion) before every step."""
+    now, queue, trace, states, labels = 0.0, [], [], [], itertools.count()
+
+    def step():
+        nonlocal now
+        queue.sort(key=lambda entry: entry[:2])
+        now, label, children = queue.pop(0)
+        trace.append((now, label))
+        queue.extend((now + delay, next(labels), grandchildren) for delay, grandchildren in children)
+
+    queue.extend((now + delay, next(labels), children) for delay, children in program)
+    for until, events in stops:
+        budget = float("inf") if events is None else events
+        horizon = float("inf") if until is None else until
+        while queue and budget > 0 and min(queue, key=lambda entry: entry[:2])[0] <= horizon:
+            step()
+            budget -= 1
+        if until is not None and all(time > until for time, _label, _children in queue):
+            now = max(now, until)
+        states.append((now, len(trace), len(queue)))
+    while queue:
+        step()
+    return trace, states, 0
+
+
+class TestRunsInTimeThenInsertionOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(program=st.lists(CALLS, max_size=6), stops=STOPS)
+    def test_random_programs_match_the_sorted_list_oracle(self, program, stops):
+        assert run_on_kernel(program, stops) == run_on_sorted_list(program, stops)
+
+
+class TestSerialQueue:
     def test_serial_queue_serialises_work(self):
         sim = Simulator()
         queue = SerialQueue(sim)
         finishes = []
-        queue.submit(2.0).add_callback(lambda e: finishes.append(sim.now))
-        queue.submit(3.0).add_callback(lambda e: finishes.append(sim.now))
+        queue.submit(2.0, lambda: finishes.append(sim.now))
+        queue.submit(3.0, lambda: finishes.append(sim.now))
         sim.run()
         assert finishes == [2.0, 5.0]
         assert queue.processed == 2
         assert queue.busy_time == 5.0
 
+    def test_serial_queue_passes_arguments_and_waits_for_an_idle_start(self):
+        sim = Simulator()
+        queue = SerialQueue(sim)
+        seen = []
+        sim.call_in(10.0, queue.submit, 1.5, seen.append, "late")
+        sim.run()
+        assert seen == ["late"] and sim.now == 11.5
+
     def test_serial_queue_backlog(self):
         sim = Simulator()
         queue = SerialQueue(sim)
-        queue.submit(4.0)
+        queue.submit(4.0, lambda: None)
         assert queue.backlog == 4.0
 
     def test_serial_queue_negative_work_rejected(self):
         with pytest.raises(ValueError):
-            SerialQueue(Simulator()).submit(-1.0)
+            SerialQueue(Simulator()).submit(-1.0, lambda: None)
 
 
 class TestRandomStreams:
@@ -328,8 +219,8 @@ class TestRandomStreams:
         assert streams.bernoulli("y", 0.999999)
 
     def test_uniform_bounds(self):
-        value = RandomStreams(3).uniform("u", 2.0, 4.0)
-        assert 2.0 <= value <= 4.0
+        draws = RandomStreams(3).uniforms("u")
+        assert all(0.0 <= next(draws) < 1.0 for _ in range(100))
 
     def test_spawn_changes_draws(self):
         parent = RandomStreams(7)
