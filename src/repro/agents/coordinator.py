@@ -71,7 +71,9 @@ class Coordinator:
     def record_status(self, task: str, status: dict[str, Any], time: float = 0.0) -> None:
         """Apply one ``STATUS`` payload coming from an agent."""
         self.status_updates += 1
-        entry = self.statuses.setdefault(task, TaskStatus(task=task))
+        entry = self.statuses.get(task)
+        if entry is None:
+            entry = self.statuses[task] = TaskStatus(task=task)
         previous_state = entry.state
         entry.state = str(status.get("state", entry.state))
         entry.has_result = bool(status.get("has_result", entry.has_result))

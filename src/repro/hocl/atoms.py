@@ -163,7 +163,7 @@ class Symbol(Atom):
     symbol-equality checks of the matcher short-circuit on identity.
     """
 
-    __slots__ = ("name", "_hash", "_index_keys")
+    __slots__ = ("name", "_hash", "_index_keys", "_head_keys")
     kind = "symbol"
 
     #: Interning table; bounded so pathological name churn cannot leak.
@@ -184,7 +184,7 @@ class Symbol(Atom):
             raise AtomError(f"Symbol requires a non-empty string name, got {name!r}")
         self.name = name
         self._hash = hash(("Symbol", name))
-        self._index_keys = None
+        self._index_keys = self._head_keys = None  # its own keys; those of the tuples it heads
         if type(self) is Symbol and len(Symbol._interned) < Symbol._INTERN_LIMIT:
             Symbol._interned.setdefault(name, self)
 

@@ -311,8 +311,8 @@ class ReductionEngine:
         self.trace_track = trace_track
         #: per-solution frontier states of the batched engine, keyed by
         #: ``id(solution)``; the stored solution reference both keeps the id
-        #: stable and detects a recycled id.
-        self._frontiers: dict[int, tuple[Multiset, _LevelFrontier]] = {}
+        #: stable and detects a recycled id.  Allocated by the first batched pass.
+        self._frontiers: dict[int, tuple[Multiset, _LevelFrontier]] | None = None
 
     # ----------------------------------------------------------------- public
     def reduce(self, solution: Multiset) -> ReductionReport:
@@ -394,6 +394,8 @@ class ReductionEngine:
         """The frontier state of ``solution``, reset if the level changed
         outside the engine's own (tracked) mutations."""
         key = id(solution)
+        if self._frontiers is None:
+            self._frontiers = {}
         item = self._frontiers.get(key)
         if item is None or item[0] is not solution:
             state = _LevelFrontier()
@@ -416,7 +418,7 @@ class ReductionEngine:
         """
         if not self.batch:
             return
-        item = self._frontiers.get(id(solution))
+        item = self._frontiers.get(id(solution)) if self._frontiers else None
         if item is None or item[0] is not solution:
             return  # no state yet: the first surface pass scans everything
         state = item[1]

@@ -61,8 +61,9 @@ __all__ = ["Multiset", "atom_index_keys"]
 #: Index key of the bucket holding every rule atom.
 _KIND_RULE = ("kind", "rule")
 
-#: Shared empty bucket returned for absent keys (never mutated).
-_EMPTY_BUCKET: list = []
+#: Shared empty list (never mutated): the bucket of an absent key, and what a
+#: multiset holds until its first holder / first rule ordering allocates its own.
+_EMPTY: list = []
 
 
 def _nested_solutions_of(atom: Atom) -> "list[Multiset]":
@@ -117,8 +118,14 @@ def atom_index_keys(atom: Atom) -> tuple[Any, ...]:
     if isinstance(atom, Symbol):
         keys: tuple[Any, ...] = (("symbol", atom.name), kind_key)
     elif isinstance(atom, TupleAtom):
-        head = atom.head_symbol()
-        keys = (("tuple", head), kind_key) if head is not None else (kind_key,)
+        head = atom.elements[0]
+        if not isinstance(head, Symbol):
+            keys = (kind_key,)
+        else:
+            # one keys tuple for every tuple the (interned) symbol heads, kept on the symbol
+            if head._head_keys is None:
+                head._head_keys = (("tuple", head.name), kind_key)
+            keys = head._head_keys
     elif atom.kind == "rule":
         keys = (("rule", atom.name), kind_key)  # type: ignore[attr-defined]
     else:
@@ -221,9 +228,9 @@ class Multiset:
         #: (a Subsolution atom anywhere inside the entry's atom), to propagate
         #: invalidation upwards.  One pair per containment, so aliasing into
         #: several entries — or twice into one — invalidates them all.
-        self._parents: list[tuple[Multiset, _Entry]] = []
+        self._parents: list[tuple[Multiset, _Entry]] = _EMPTY
         self._inert_version = -1
-        self._rules_cache: list[Atom] = []
+        self._rules_cache: list[Atom] = _EMPTY
         self._rules_dirty = True
         #: entry -> the solutions directly nested in its atom (a sub-solution
         #: atom's, or those of a tuple's sub-solution elements), in entry
@@ -340,7 +347,7 @@ class Multiset:
                 self._nested[entry] = nested
                 self._flagged.add(entry)  # type: ignore[union-attr]
             for solution in _held_solutions(atom):
-                solution._parents.append((self, entry))
+                solution._parents = [*solution._parents, (self, entry)]
         self._touch()
         return atom
 
@@ -355,7 +362,7 @@ class Multiset:
         ``_entries``, so the first equal (or identical) entry in it is the
         first one overall: no occurrence lookup scans ``_entries``.
         """
-        return self._index.get(atom_index_keys(atom)[0], _EMPTY_BUCKET)
+        return self._index.get(atom_index_keys(atom)[0], _EMPTY)
 
     def remove(self, atom: Any) -> None:
         """Remove one occurrence of ``atom`` (structural equality).
@@ -486,7 +493,7 @@ class Multiset:
         """
         if key is None:
             return self._entries
-        return self._index.get(key, _EMPTY_BUCKET)
+        return self._index.get(key, _EMPTY)
 
     def candidates(self, key: Any) -> list[Atom]:
         """The atoms a pattern with index key ``key`` could match (in order)."""

@@ -1,4 +1,4 @@
-"""The asyncio local runtime: one event loop, agents as tasks, no threads.
+"""The asyncio local runtime: one event loop, every stimulus a callback on it, no threads.
 
 This is the proof that the enactment protocol is runtime-agnostic: the whole
 driver fits in ~100 lines because everything protocol-shaped — action
@@ -6,17 +6,29 @@ dispatch, invocation lifecycle, status routing, fail-fast completion, report
 rows — comes from :mod:`repro.runtime.enactment`.  What this module adds is
 only the asyncio hosting decisions:
 
-* every service agent is an :class:`asyncio.Task` draining its own
-  :class:`asyncio.Queue` (the broker subscription is ``put_nowait``);
-* service invocations run as separate tasks on the same loop, so agents
-  keep exchanging messages while a service awaits its nominal duration —
-  real-service concurrency without a single thread;
+* a hosted agent is its engine record and nothing else — no Task, no Queue.
+  Its broker subscription is ``loop.call_soon(stimulate, agent, deliver,
+  message)``: the loop's ready queue is every agent's inbox at once, FIFO, so
+  each agent sees its stimuli in arrival order and a stimulus costs one loop
+  handle.  Boot is one ``call_soon`` per host, queued in host order before
+  the loop turns, so it precedes every message;
+* a synchronous service runs from its own callback (``call_soon``, or
+  ``call_later`` after its nominal duration when ``threaded_time_scale``
+  scales that in) and feeds ``complete_invocation`` in the same callback —
+  agents keep exchanging messages meanwhile.  It must be quick/non-blocking:
+  it runs on the loop itself (that is the no-threads trade-off; blocking
+  services belong on ``threaded``);
 * **async services are first-class**: a registered service callable may be
-  an ``async def`` (or return any awaitable) — its coroutine is awaited on
-  the loop, so N awaiting services genuinely overlap.  Plain synchronous
-  services must be quick/non-blocking: they run on the loop itself (that
-  is the no-threads trade-off; blocking services belong on ``threaded``);
-* completion is an :class:`asyncio.Event` fired by the coordinator.
+  an ``async def`` (or return any awaitable).  Only such an invocation
+  becomes an :class:`asyncio.Task`, so N awaiting services genuinely overlap;
+* a *stimulus* that raises — a protocol bug; a service that raises or returns
+  a non-atom merely fails its task — ends the run at once: the first
+  exception is kept and :meth:`AsyncioRun.run` / ``run_async`` re-raise it;
+* completion, the timeout and such an exception resolve the one future the
+  run awaits.  Whatever is still pending then is cancelled, and callbacks
+  left on a caller's loop are no-ops;
+* under ``reduction="parallel"`` (a pool reducer) each stimulus is instead a
+  coroutine that runs it on the pool under its agent's lock.
 
 Like the threaded runtime it is meant for functional use (examples, real
 Python services, integration tests), not performance studies.  Use
@@ -28,14 +40,15 @@ Python services, integration tests), not performance studies.  Use
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
-from dataclasses import dataclass, replace
-from typing import Any
+from functools import partial
+from typing import Any, Awaitable, Callable
 
+from repro.agents.actions import Action
+from repro.hocl import Atom
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import agent_topic
-from repro.obs.logs import get_logger
+from repro.services import InvocationResult
 from repro.workflow.dag import Workflow
 
 from .config import GinFlowConfig
@@ -43,23 +56,6 @@ from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvoc
 from .results import RunReport
 
 __all__ = ["AsyncioRun", "run_asyncio"]
-
-_POISON: Any = object()
-
-logger = get_logger("runtime.aio")
-
-
-@dataclass
-class _AsyncAgent(AgentHost):
-    """One asyncio service agent: engine host + its task and queue."""
-
-    queue: "asyncio.Queue[Any] | None" = None
-    task: "asyncio.Task | None" = None
-    #: serializes this agent's stimuli when they are offloaded to the
-    #: reduction pool (the agent loop and an invocation-completion task
-    #: would otherwise interleave once off the loop thread); ``None``
-    #: without a pool
-    lock: "asyncio.Lock | None" = None
 
 
 class AsyncioRun:
@@ -69,149 +65,158 @@ class AsyncioRun:
         self.workflow = workflow
         self.config = config or GinFlowConfig(mode="asyncio")
         self._engine: EnactmentEngine | None = None
-        self._done: asyncio.Event | None = None
-        self._invocations: set[asyncio.Task] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: resolved, with ``timed_out``, by whichever comes first: completion,
+        #: the timeout, a stimulus that raised (kept in ``_error``)
+        self._done: "asyncio.Future[bool] | None" = None
+        self._error: BaseException | None = None
+        #: what the end of the run cancels: the timers still running, by the id
+        #: of what waits for them (a prepared invocation; the run, for its
+        #: timeout), and the Tasks of awaiting services and pooled stimuli
+        self._timers: dict[int, asyncio.TimerHandle] = {}
+        self._tasks: "set[asyncio.Future[Any]]" = set()
+        self._closed = False
+        #: under a parallel policy: the reduction pool, and the lock per agent that
+        #: keeps its stimuli serialized once they leave the loop thread
         self._reducer = None
+        self._locks: dict[str, asyncio.Lock] = {}
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
         """Execute the workflow in a fresh event loop (blocking entry point)."""
-        return asyncio.run(self.run_async(timeout=timeout))
+        reports: list[RunReport] = []
+
+        async def main() -> None:
+            # the report stays off the main task's result: restoring SIGINT,
+            # `asyncio.run` formats the repr of that result — twice
+            reports.append(await self.run_async(timeout=timeout))
+
+        asyncio.run(main())
+        return reports[0]
 
     async def run_async(self, timeout: float = 60.0) -> RunReport:
         """Execute the workflow on the current event loop."""
         encoding = encode_workflow(self.workflow)
         # Same transport as the threaded runtime: the in-process broker
-        # delivers synchronously, so `put_nowait` lands on the loop.
+        # delivers synchronously, so `call_soon` lands on the loop.
         broker = self.config.build_local_broker()
-        self._done = asyncio.Event()
-        engine = EnactmentEngine(
+        loop = self._loop = asyncio.get_running_loop()
+        self._done = loop.create_future()
+        engine = self._engine = EnactmentEngine(
             config=self.config,
             encoding=encoding,
             clock=MonotonicClock(),
             transport=broker,
             invoker=self._invoke,
-            on_complete=lambda _time: self._done.set(),
+            on_complete=lambda _time: self._finish(),
         )
-        self._engine = engine
-
-        # Under a parallel policy, whole stimuli (boot/deliver/completion)
-        # run on the reducer's thread pool via `run_async`, so the CPU-heavy
-        # reductions of different agents genuinely overlap while the loop
-        # stays free.  The engine already supports concurrent per-agent
-        # stimuli (the threaded runtime drives it that way); the per-agent
-        # lock keeps each *single* agent's stimuli serialized.  The core
-        # gets the policy (for batch engines) but no nested reducer.
+        # a pool under a parallel policy, else None (see `_stimulate_on_pool`); the
+        # cores get the policy (for batch engines) but no nested reducer
         self._reducer = engine.policy.make_reducer()
-        for name, task_encoding in encoding.tasks.items():
-            agent = engine.add_host(
-                _AsyncAgent(
-                    encoding=task_encoding,
-                    core=engine.new_core(task_encoding),
-                )
-            )
-            agent.queue = asyncio.Queue()
-            if self._reducer is not None:
-                agent.lock = asyncio.Lock()
-            broker.subscribe(agent_topic(name), agent.queue.put_nowait)
-        engine.subscribe_status()
+        try:
+            with engine.enacting():
+                stimulate, deliver, boot = self._stimulate, engine.deliver, engine.boot
+                for name, task_encoding in encoding.tasks.items():
+                    agent = engine.add_host(AgentHost(encoding=task_encoding, core=engine.new_core(task_encoding)))
+                    broker.subscribe(agent_topic(name), partial(loop.call_soon, stimulate, agent, deliver))
+                engine.subscribe_status()
 
-        start = time.monotonic()
-        with engine.enacting():
-            for agent in engine.hosts.values():
-                agent.task = asyncio.create_task(self._agent_loop(agent), name=f"sa-{agent.name}")
-            timed_out = False
-            try:
-                await asyncio.wait_for(self._done.wait(), timeout=timeout)
-            except asyncio.TimeoutError:
-                timed_out = True  # surfaced on the report
-            # shut the agent tasks down, then drop any still-pending invocation
-            for agent in engine.hosts.values():
-                agent.queue.put_nowait(_POISON)
-            outcomes = await asyncio.gather(
-                *(agent.task for agent in engine.hosts.values()), return_exceptions=True
-            )
-            for agent, outcome in zip(engine.hosts.values(), outcomes):
-                if isinstance(outcome, BaseException) and not isinstance(outcome, asyncio.CancelledError):
-                    # an agent task died on a protocol bug: surface the traceback
-                    # (mirrors the threaded runtime's thread excepthook output)
-                    logger.error(
-                        "exception in asyncio agent task %r:", agent.name, exc_info=outcome
-                    )
-            for pending in list(self._invocations):
+                start = time.monotonic()
+                for agent in engine.hosts.values():
+                    loop.call_soon(stimulate, agent, boot)
+                self._timers[id(self)] = loop.call_later(timeout, self._finish, True)
+                timed_out = await self._done  # surfaced on the report
+                if self._error is not None:
+                    raise self._error
+                return ReportAssembler(engine).assemble_local("asyncio", time.monotonic() - start, timed_out)
+        finally:
+            self._closed = True
+            for pending in (*self._timers.values(), *self._tasks):
                 pending.cancel()
+            if self._reducer is not None:
+                self._reducer.shutdown()
+
+    def _finish(self, timed_out: bool = False, error: BaseException | None = None) -> None:
+        """End the wait of :meth:`run_async`; only the first call counts."""
+        if not self._done.done():
+            self._error = error
+            self._done.set_result(timed_out)
+
+    # -------------------------------------------------------------- stimuli
+    def _stimulate(self, agent: AgentHost, stimulus: Callable[..., list[Action]], *args: Any) -> None:
+        """One stimulus, one loop callback: run it, dispatch the actions it asked for."""
+        if self._closed:
+            return  # left on a caller's loop by a run that is over
         if self._reducer is not None:
-            self._reducer.shutdown()
-            self._reducer = None
-        return ReportAssembler(engine).assemble_local("asyncio", time.monotonic() - start, timed_out)
+            self._hold(self._stimulate_on_pool(agent, stimulus, *args), self._pooled_done)
+            return
+        try:
+            self._engine.dispatch(agent, stimulus(agent, *args))
+        except Exception as exc:  # noqa: BLE001 - a protocol bug: ends the run, which re-raises it
+            self._finish(error=exc)
 
-    # ----------------------------------------------------------- agent loop
-    async def _stimulate(self, agent: _AsyncAgent, fn: Any, *args: Any) -> Any:
-        """Run one engine stimulus, offloaded to the reduction pool if any.
+    async def _stimulate_on_pool(
+        self, agent: AgentHost, stimulus: Callable[..., list[Action]], *args: Any
+    ) -> None:
+        """The same under a parallel policy: the stimulus — which ends in the
+        agent's HOCL reduction — runs on the reducer's thread pool, so the
+        reductions of different agents overlap while the loop stays free (the
+        engine supports concurrent per-agent stimuli: the threaded runtime
+        drives it that way).  The agent's lock keeps its own stimuli serialized,
+        in arrival order; dispatch stays on the loop (it schedules callbacks
+        and posts to the broker)."""
+        lock = self._locks.get(agent.name) or self._locks.setdefault(agent.name, asyncio.Lock())
+        async with lock:
+            actions = await self._reducer.run_async(stimulus, agent, *args)
+        self._engine.dispatch(agent, actions)
 
-        Dispatch stays on the loop (it creates tasks and posts to the
-        broker); only the stimulus itself — which ends in the agent's HOCL
-        reduction — moves to the pool.
-        """
-        if self._reducer is None:
-            return fn(agent, *args)
-        async with agent.lock:
-            return await self._reducer.run_async(fn, agent, *args)
+    def _hold(self, awaitable: Awaitable[Any], done: "Callable[[asyncio.Future[Any]], None]") -> None:
+        """Run ``awaitable`` as a Task the run keeps until ``done`` has seen
+        its outcome (so no exception is lost), and cancels at its own end."""
+        task = asyncio.ensure_future(awaitable)
+        self._tasks.add(task)
+        task.add_done_callback(done)
 
-    async def _agent_loop(self, agent: _AsyncAgent) -> None:
-        engine = self._engine
-        engine.dispatch(agent, await self._stimulate(agent, engine.boot))
-        while True:
-            message = await agent.queue.get()
-            if message is _POISON:
-                return
-            engine.dispatch(agent, await self._stimulate(agent, engine.deliver, message))
+    def _pooled_done(self, task: "asyncio.Future[Any]") -> None:
+        self._tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self._finish(error=task.exception())  # a protocol bug, as in `_stimulate`
 
     # ----------------------------------------------------------- invocation
-    def _invoke(self, agent: _AsyncAgent, prepared: PreparedInvocation) -> None:
-        """Engine invoker: run the invocation as its own task on the loop."""
-        task = asyncio.create_task(self._run_invocation(agent, prepared), name=f"invoke-{agent.name}")
-        self._invocations.add(task)
-        task.add_done_callback(self._on_invocation_done)
-
-    def _on_invocation_done(self, task: "asyncio.Task") -> None:
-        """Retrieve every invocation task's outcome so no exception is lost.
-
-        Service-level failures are already converted into failed
-        ``InvocationResult``s inside :meth:`_run_invocation`; anything left
-        here is a protocol bug in the dispatch itself, which must be surfaced
-        (an unretrieved task exception would otherwise vanish into asyncio's
-        garbage-collection warning and the run would hang until timeout).
-        """
-        self._invocations.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None:
-            logger.error(
-                "exception in asyncio invocation task %r:", task.get_name(), exc_info=exc
-            )
-
-    async def _run_invocation(self, agent: _AsyncAgent, prepared: PreparedInvocation) -> None:
-        scale = self.config.threaded_time_scale
-        if scale > 0 and agent.encoding.duration > 0:
-            await asyncio.sleep(agent.encoding.duration * scale)
+    def _invoke(self, agent: AgentHost, prepared: PreparedInvocation) -> None:
+        """Engine invoker: the service runs from a loop callback of its own, so
+        concurrent agents interleave — after its nominal duration when scaled in."""
+        delay = agent.encoding.duration * self.config.threaded_time_scale
+        if delay > 0:
+            self._timers[id(prepared)] = self._loop.call_later(delay, self._run_invocation, agent, prepared)
         else:
-            await asyncio.sleep(0)  # yield so concurrent agents interleave
+            self._loop.call_soon(self._run_invocation, agent, prepared)
+
+    def _run_invocation(self, agent: AgentHost, prepared: PreparedInvocation) -> None:
+        self._timers.pop(id(prepared), None)
+        if self._closed:
+            return
         # a raising service is converted into a failed result inside
         # PreparedInvocation.invoke, identically for every runtime
         outcome = prepared.invoke()
-        if inspect.isawaitable(outcome.value):
-            # async service: the callable returned a coroutine — await it on
-            # the loop so concurrent invocations genuinely overlap
-            try:
-                value = await outcome.value
-            except Exception as exc:  # noqa: BLE001 - converted into a task failure
-                outcome = replace(outcome, value=None, failed=True, error=str(exc))
-            else:
-                outcome = prepared.checked(replace(outcome, value=value))
-        engine = self._engine
-        engine.dispatch(agent, await self._stimulate(agent, engine.complete_invocation, outcome))
+        if outcome.failed or isinstance(outcome.value, Atom):
+            self._stimulate(agent, self._engine.complete_invocation, outcome)
+        else:
+            # the awaitable `checked` let through — an async service: awaited on
+            # the loop, so concurrent invocations genuinely overlap
+            self._hold(outcome.value, partial(self._service_done, agent, prepared, outcome.duration))
+
+    def _service_done(
+        self, agent: AgentHost, prepared: PreparedInvocation, duration: float, task: "asyncio.Future[Any]"
+    ) -> None:
+        self._tasks.discard(task)
+        if task.cancelled():
+            return
+        if task.exception() is not None:  # converted into a task failure
+            outcome = InvocationResult(None, duration, failed=True, error=str(task.exception()))
+        else:
+            outcome = prepared.checked(InvocationResult(task.result(), duration))
+        self._stimulate(agent, self._engine.complete_invocation, outcome)
 
 
 def run_asyncio(

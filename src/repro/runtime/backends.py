@@ -329,7 +329,7 @@ _BUILTIN_RUNTIMES: tuple[tuple[str, str, dict[str, Any], str], ...] = (
         "asyncio",
         "repro.runtime.aio:run_asyncio",
         {"distributed": False, "wall_clock": True, "supports_failures": False, "single_threaded": True},
-        "one asyncio event loop: agents as tasks, concurrency without threads",
+        "one asyncio event loop: every stimulus a callback, concurrency without threads",
     ),
 )
 

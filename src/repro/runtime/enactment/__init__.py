@@ -13,7 +13,7 @@ protocol enacts workflows regardless of how the service agents are hosted
 * :class:`~repro.runtime.enactment.engine.AgentHost` is the
   runtime-agnostic book-keeping record of one hosted agent (runtimes
   subclass it to attach their scheduling state: a virtual-time serial
-  queue, a thread and its inbox, an asyncio task and its queue);
+  queue, a thread and its inbox; the asyncio runtime needs none);
 * :class:`~repro.runtime.enactment.clock.Clock` and
   :class:`~repro.runtime.enactment.transport.Transport` are the two seams a
   runtime plugs in — virtual vs monotonic time, simulated vs in-process

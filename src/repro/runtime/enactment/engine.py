@@ -17,7 +17,7 @@ runtime.  It owns:
   transport's replayable log (Section IV-B).
 
 A runtime driver owns only scheduling: *when and where* each stimulus runs
-(virtual-time callbacks, threads, asyncio tasks) and how a started
+(virtual-time callbacks, threads, event-loop callbacks) and how a started
 invocation's completion is waited for.  The driver hands the engine an
 ``invoker`` callable for exactly that purpose: the engine prepares the
 invocation (bookkeeping included) and the driver decides how to execute it
@@ -30,7 +30,7 @@ import gc
 import inspect
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -54,14 +54,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AgentHost", "PreparedInvocation", "EnactmentEngine"]
 
+#: hosts registered between two freezes of the set-up heap: enough allocations
+#: for young collections to keep running, few enough that no full one walks much
+FREEZE_STRIDE = 128
+
 
 @dataclass
 class AgentHost:
     """Runtime-agnostic book-keeping of one hosted service agent.
 
     Runtimes subclass this record to attach their scheduling state (a
-    virtual-time serial queue, a thread and its inbox, an asyncio task and
-    its queue); the engine only ever touches the fields below.
+    virtual-time serial queue, a thread and its inbox; the asyncio runtime
+    needs none); the engine only ever touches the fields below.
     """
 
     encoding: TaskEncoding
@@ -102,7 +106,7 @@ class PreparedInvocation:
 
         Services contract to *return* failures rather than raise, but a
         broken implementation that raises anyway must not kill the hosting
-        runtime's worker (thread, asyncio task, simulated callback) with the
+        runtime's worker (thread, loop or simulated callback) with the
         invocation unaccounted — every runtime would hang until timeout with
         no error attributed to the task.  The exception is converted into a
         failed result here so all runtimes inherit the same behaviour.
@@ -135,14 +139,17 @@ class PreparedInvocation:
 
         Such a value (``None``, a dict, ...) fails the task like any other
         error, instead of raising ``AtomError`` in whichever worker stores it;
-        the agent stores the atom built here as it is.  An awaitable passes:
-        the asyncio runtime awaits it, then checks.
+        the agent stores the atom built here as it is.  An awaitable passes —
+        the one successful value that is not an atom: the asyncio runtime
+        awaits it, then checks.
         """
-        if outcome.failed or inspect.isawaitable(outcome.value):
+        if outcome.failed:
             return outcome
         try:
-            return replace(outcome, value=to_atom(outcome.value))
+            return InvocationResult(to_atom(outcome.value), outcome.duration, False, outcome.error)
         except AtomError:
+            if inspect.isawaitable(outcome.value):
+                return outcome
             name = getattr(self.service, "name", type(self.service).__name__)
             kind = type(outcome.value).__name__
             error = f"service {name!r} returned {kind}, which has no HOCL atom form"
@@ -151,6 +158,14 @@ class PreparedInvocation:
 
 class EnactmentEngine:
     """The shared enactment protocol, parameterised by clock and transport."""
+
+    #: ``gc.freeze()`` zeroes the collector's generation counts, so a process
+    #: enacting one workflow after another would never reach a full collection
+    #: — and every run leaves cyclic garbage (nested solutions know their
+    #: holders).  The young collections each freeze wipes off the tally towards
+    #: the next full one are summed here instead, across runs; past the caller's
+    #: own thresholds, the next run starts with the collection that is due.
+    _wiped = 0
 
     def __init__(
         self,
@@ -188,6 +203,8 @@ class EnactmentEngine:
         # Shared-state guard for real-concurrency runtimes; uncontended (and
         # harmless) under the single-threaded simulated/asyncio drivers.
         self._lock = threading.Lock()
+        #: inside `enacting()`, on a heap nobody else froze
+        self._freezes = False
 
     # ---------------------------------------------------------------- hosts
     def new_core(self, encoding: TaskEncoding, reducer: Any = None) -> AgentCore:
@@ -196,8 +213,19 @@ class EnactmentEngine:
         return AgentCore(encoding, reduction=self.policy, reducer=reducer, trace=self._trace)
 
     def add_host(self, host: AgentHost) -> AgentHost:
-        """Register one hosted agent (insertion order is report order)."""
+        """Register one hosted agent (insertion order is report order).
+
+        Inside :meth:`enacting`, what has been built so far is frozen out of
+        the collector's reach every :data:`FREEZE_STRIDE` hosts and at the last
+        one: set-up is built once and never re-walked, young collections keep
+        running in between.
+        """
         self.hosts[host.name] = host
+        count = len(self.hosts)
+        if self._freezes and (count % FREEZE_STRIDE == 0 or count == len(self.encoding.tasks)):
+            _, young, old = gc.get_count()
+            EnactmentEngine._wiped += young + old * gc.get_threshold()[1]
+            gc.freeze()
         return host
 
     def subscribe_status(self) -> None:
@@ -206,21 +234,25 @@ class EnactmentEngine:
 
     @contextmanager
     def enacting(self) -> Iterator[None]:
-        """The enactment proper: every host is registered, stimuli start now.
+        """The run, from the first :meth:`add_host` to the assembled report.
 
-        What set-up built lives until the run ends, so it is frozen out of
-        the cyclic collector's reach while the block runs: the collections
-        the enactment's own garbage triggers stop re-traversing it.  Leaving
-        the block, however it is left, gives everything back; a heap somebody
+        What set-up builds lives until the run ends, so :meth:`add_host`
+        freezes it out of the cyclic collector's reach as it is built: neither
+        the collections set-up triggers nor those of the enactment's own
+        garbage re-traverse it.  Leaving the block, however it is left — a
+        set-up that raises included — gives everything back; a heap somebody
         else froze is left alone both ways.
         """
-        frozen = gc.get_freeze_count() == 0
-        if frozen:
-            gc.freeze()
+        self._freezes = gc.get_freeze_count() == 0
+        _, per_old, per_full = gc.get_threshold()
+        if self._freezes and gc.isenabled() and EnactmentEngine._wiped > per_old * per_full:
+            EnactmentEngine._wiped = 0
+            gc.collect()
         try:
             yield
         finally:
-            if frozen:
+            if self._freezes:
+                self._freezes = False
                 gc.unfreeze()
 
     # -------------------------------------------------------------- stimuli

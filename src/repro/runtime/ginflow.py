@@ -14,8 +14,8 @@ and dispatches through the runtime backend registry
 * ``simulated`` — virtual-time distributed execution over the simulated
   cluster (the default; this is what the benchmarks use);
 * ``threaded`` — real threads and in-process brokers on the local machine;
-* ``asyncio`` — one event loop, agents as tasks, concurrency without
-  threads;
+* ``asyncio`` — one event loop, every stimulus a callback on it,
+  concurrency without threads;
 * ``centralized`` — single HOCL interpreter, synchronous service calls.
 
 ``simulated``, ``threaded`` and ``asyncio`` are all thin drivers over the

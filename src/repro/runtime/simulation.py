@@ -108,29 +108,28 @@ class SimulatedRun:
         # Virtual time is single-threaded by construction, so a parallel
         # policy degrades to its batch component here: same final solutions,
         # no pool.  (Simulated timings model the *platform*, not host CPU.)
-        for name in agent_names:
-            agent = engine.add_host(
-                _SimAgent(
-                    encoding=encoding.tasks[name],
-                    core=engine.new_core(encoding.tasks[name]),
-                    node=plan.placement.get(name, "unknown"),
-                    serial=SerialQueue(self._sim, name=f"agent-{name}"),
-                )
-            )
-            broker.subscribe(agent_topic(name), partial(self._on_message, agent))
-        engine.subscribe_status()
-
-        # Enactment starts once deployment completes (the stacked bars of
-        # Fig. 14 split deployment time from execution time).
-        self._enactment_start = plan.deployment_time
-        boot_time = plan.deployment_time + costs.agent_boot_time
-        for agent in engine.hosts.values():
-            self._sim.call_at(boot_time, self._handle, agent, engine.boot)
-
         with engine.enacting():
-            self._sim.run(until=config.max_virtual_time)
+            for name in agent_names:
+                agent = engine.add_host(
+                    _SimAgent(
+                        encoding=encoding.tasks[name],
+                        core=engine.new_core(encoding.tasks[name]),
+                        node=plan.placement.get(name, "unknown"),
+                        serial=SerialQueue(self._sim, name=f"agent-{name}"),
+                    )
+                )
+                broker.subscribe(agent_topic(name), partial(self._on_message, agent))
+            engine.subscribe_status()
 
-        return self._build_report(plan.deployment_time)
+            # Enactment starts once deployment completes (the stacked bars of
+            # Fig. 14 split deployment time from execution time).
+            self._enactment_start = plan.deployment_time
+            boot_time = plan.deployment_time + costs.agent_boot_time
+            for agent in engine.hosts.values():
+                self._sim.call_at(boot_time, self._handle, agent, engine.boot)
+
+            self._sim.run(until=config.max_virtual_time)
+            return self._build_report(plan.deployment_time)
 
     # ------------------------------------------------------------- handling
     def _on_message(self, agent: _SimAgent, message: Message) -> None:

@@ -76,34 +76,33 @@ class ThreadedRun:
         # per-agent stimuli stay serialized; the pool only bounds how many
         # CPU-heavy reductions run at once across agents.
         reducer = engine.policy.make_reducer()
-        for name, task_encoding in encoding.tasks.items():
-            agent = engine.add_host(
-                _ThreadedAgent(
-                    encoding=task_encoding,
-                    core=engine.new_core(task_encoding, reducer),
-                )
-            )
-            broker.subscribe(agent_topic(name), agent.inbox.put)
-        engine.subscribe_status()
+        try:
+            with engine.enacting():
+                for name, task_encoding in encoding.tasks.items():
+                    agent = engine.add_host(
+                        _ThreadedAgent(encoding=task_encoding, core=engine.new_core(task_encoding, reducer))
+                    )
+                    broker.subscribe(agent_topic(name), agent.inbox.put)
+                engine.subscribe_status()
 
-        start = time.monotonic()
-        with engine.enacting():
-            for agent in engine.hosts.values():
-                agent.thread = threading.Thread(
-                    target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
-                )
-                agent.thread.start()
+                start = time.monotonic()
+                for agent in engine.hosts.values():
+                    agent.thread = threading.Thread(
+                        target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
+                    )
+                    agent.thread.start()
 
-            completed = self._done.wait(timeout=timeout)
-            # shut the agent threads down
-            for agent in engine.hosts.values():
-                agent.inbox.put(_POISON)
-            for agent in engine.hosts.values():
-                if agent.thread is not None:
-                    agent.thread.join(timeout=2.0)
-        if reducer is not None:
-            reducer.shutdown()
-        return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, timed_out=not completed)
+                completed = self._done.wait(timeout=timeout)
+                # shut the agent threads down
+                for agent in engine.hosts.values():
+                    agent.inbox.put(_POISON)
+                for agent in engine.hosts.values():
+                    if agent.thread is not None:
+                        agent.thread.join(timeout=2.0)
+                return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, not completed)
+        finally:
+            if reducer is not None:
+                reducer.shutdown()
 
     # ----------------------------------------------------------- agent loop
     def _agent_loop(self, agent: _ThreadedAgent) -> None:

@@ -34,13 +34,15 @@ from repro.hoclflow import encode_workflow
 from repro.obs import MetricsRegistry, Observability, RecordingTracer
 from repro.obs.summarize import format_summary, summarize
 from repro.runtime import GinFlowConfig
-from repro.runtime.aio import AsyncioRun
+from repro.runtime.enactment import EnactmentEngine
+from repro.runtime.enactment.engine import FREEZE_STRIDE
 from repro.scenarios import available_scenarios, build_scenario
 from repro.services import FailureModel
 from repro.simkernel import Simulator
 from repro.workflow import Workflow, workflow_from_json
 
-MODES = ("simulated", "threaded", "asyncio", "centralized")
+AGENT_MODES = ("simulated", "threaded", "asyncio")
+MODES = (*AGENT_MODES, "centralized")
 
 
 # ------------------------------------------------------------- shared rules
@@ -200,6 +202,11 @@ class TestActionsStayWithTheirAgent:
 
 
 # ------------------------------------------------------------------- budget
+#: GC-tracked objects per agent core: 73 today — its five fields, their index
+#: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
+AGENT_BUDGET = 78
+
+
 def tracked_objects_per_item(build, items):
     """GC-tracked objects ``build()`` leaves behind, per item."""
     gc.collect()
@@ -223,7 +230,25 @@ class TestObjectBudget:
         tasks = list(encodings[0].tasks.values())
         per_agent = tracked_objects_per_item(lambda: [AgentCore(task) for task in tasks], 500)
         assert per_task <= 12, per_task
-        assert per_agent <= 110, per_agent
+        assert per_agent <= AGENT_BUDGET, per_agent
+
+    @pytest.mark.parametrize("mode", AGENT_MODES)
+    def test_set_up_is_never_re_walked(self, mode, monkeypatch):
+        """What the collector can still walk (frozen objects are not listed) stays
+        within two strides' worth of hosted agents — core, host record,
+        subscription — of where set-up started, however many agents there are."""
+        walkable = []
+        original = AgentCore.__init__
+
+        def init(self, *args, **kwargs):
+            walkable.append(len(gc.get_objects()))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AgentCore, "__init__", init)
+        assert GinFlow().run(build_scenario("longchain:size=1000"), mode=mode, timeout=120.0).succeeded
+        assert len(walkable) == 1000
+        assert max(walkable) - walkable[0] <= 2 * FREEZE_STRIDE * (AGENT_BUDGET + 12), max(walkable) - walkable[0]
+        assert gc.get_freeze_count() == 0
 
 
 def drive_all(encoding):
@@ -286,7 +311,7 @@ class TestMatcherBudget:
 RAISES_INSIDE = {
     "simulated": (Simulator, "run"),
     "threaded": (threading.Thread, "start"),
-    "asyncio": (AsyncioRun, "_agent_loop"),
+    "asyncio": (EnactmentEngine, "boot"),  # a stimulus that raises ends the run: no wait for the timeout
     "centralized": (CentralizedExecutor, "execute"),
 }
 
@@ -313,6 +338,26 @@ class TestCollectorIsGivenBack:
             GinFlow().run(diamond_workflow(2, 2, duration=0.01), mode=mode, nodes=3, obs=obs)
         assert (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks)) == before
 
+    @pytest.mark.parametrize("mode", AGENT_MODES)
+    def test_gc_state_restored_after_a_set_up_that_raises(self, mode, monkeypatch):
+        """Past the second freeze of the set-up heap and before any stimulus."""
+        made = []
+        original = AgentCore.__init__
+
+        def init(self, *args, **kwargs):
+            made.append(gc.get_freeze_count())
+            if len(made) == 300:
+                raise RuntimeError("injected into set-up")
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AgentCore, "__init__", init)
+        obs = Observability(tracer=RecordingTracer())
+        before = (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks))
+        with pytest.raises(RuntimeError, match="injected into set-up"):
+            GinFlow().run(build_scenario("longchain:size=400"), mode=mode, obs=obs)
+        assert made[0] == 0 and made[FREEZE_STRIDE] > 0 and made[-1] > made[FREEZE_STRIDE]
+        assert (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks)) == before
+
     def test_set_up_is_frozen_during_enactment_only(self, monkeypatch):
         seen = []
         original = Simulator.run
@@ -333,6 +378,33 @@ class TestCollectorIsGivenBack:
             assert gc.get_freeze_count() > 0  # the run did not unfreeze what it did not freeze
         finally:
             gc.unfreeze()
+
+    @pytest.mark.parametrize("mode", AGENT_MODES)
+    def test_a_heap_frozen_by_the_caller_is_not_added_to(self, mode):
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            # more hosts than a stride, and still nothing of the run's joins the caller's frozen set
+            assert GinFlow().run(build_scenario(f"longchain:size={FREEZE_STRIDE + 20}"), mode=mode).succeeded
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
+
+class TestRunAfterRunInOneProcess:
+    @pytest.mark.parametrize("mode", ["simulated", "asyncio"])
+    def test_what_runs_leave_behind_is_collected(self, mode):
+        """``gc.freeze()`` zeroes the collector's counts: left at that, a sweep
+        never reaches a full collection and keeps every finished run's agents
+        (cyclic garbage) — 5,000 objects a run here, 1 MiB, for good."""
+        workflow = diamond_workflow(8, 8, duration=0.0)
+        left = []
+        for _ in range(40):
+            assert GinFlow().run(workflow, mode=mode, nodes=10).succeeded
+            left.append(len(gc.get_objects()))
+        per_run = len(workflow.tasks) * 60  # what one run's agents amount to, at the least
+        assert max(left[20:]) - max(left[:20]) < 5 * per_run, (left[0], max(left[:20]), max(left[20:]))
 
 
 class TestCollectorIsMeasured:
@@ -512,8 +584,6 @@ class TestRecoveredAgentKeepsItsTracer:
         """Its solution is cyclic garbage (nested solutions know their
         holders): ``recover`` empties it, so no dead core waits for a pass of
         the collector (up to 56 unreachable objects per recovery otherwise)."""
-        from repro.runtime.enactment.engine import EnactmentEngine
-
         sizes, unreachable = [], []
         original = EnactmentEngine.recover
 
