@@ -43,16 +43,15 @@ def _characterize(workflow, config, cell) -> dict[str, Any]:
     classes = duration_classes(workflow)
     levels = workflow.levels()
     cdf_points = [
-        {"duration": float(duration), "fraction": float(fraction)}
-        for duration, fraction in zip(durations, fractions)
+        {"duration": duration, "fraction": fraction} for duration, fraction in zip(durations, fractions)
     ]
     return {
         "task_count": len(workflow),
         "level_widths": [len(level) for level in levels],
         "max_parallelism": max(len(level) for level in levels),
         "duration_classes": classes,
-        "duration_min": float(durations[0]),
-        "duration_max": float(durations[-1]),
+        "duration_min": durations[0],
+        "duration_max": durations[-1],
         "critical_path": workflow.critical_path_length(),
         "cdf": cdf_points,
     }

@@ -34,6 +34,9 @@ Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import sys
 from typing import Any, Sequence
@@ -560,8 +563,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # once per process, however often main() is called
+def _freeze_at_exit() -> None:
+    """Keep the interpreter's last collection off the finished run: cyclic
+    garbage it would walk just before the OS reclaims the pages.  Until exit
+    nothing is frozen, so a caller of :func:`main` gets its collector back."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``ginflow`` console script."""
+    _freeze_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.log_level:

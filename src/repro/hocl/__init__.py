@@ -16,6 +16,9 @@ semantics the paper relies on (Section III-A):
 * an ASCII :mod:`parser <repro.hocl.parser>` for textual HOCL programs.
 """
 
+import importlib
+from typing import Any
+
 from .atoms import (
     Atom,
     BoolAtom,
@@ -33,7 +36,6 @@ from .atoms import (
 )
 from .deltas import DeltaOp, PatchAdd, PatchRemove, RewriteDelta
 from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
-from .parallel import ParallelReducer, ReductionPolicy, reduce_sharded, resolve_policy
 from .errors import (
     AtomError,
     DeltaError,
@@ -48,7 +50,6 @@ from .errors import (
 from .externals import ExternalRegistry, default_registry
 from .matching import Match, count_matches, find_first_match, find_matches
 from .multiset import Multiset
-from .parser import Program, parse_program, parse_solution
 from .patterns import (
     Literal,
     Omega,
@@ -72,6 +73,22 @@ from .templates import (
     expand_template,
     expand_templates,
 )
+
+#: what the modules no enactment needs at start-up (the textual parser, the
+#: shard pool) export here, imported on first attribute access
+_LAZY = {
+    "parser": ("Program", "parse_program", "parse_solution"),
+    "parallel": ("ParallelReducer", "ReductionPolicy", "reduce_sharded", "resolve_policy"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module_name, exported in _LAZY.items():
+        if name in exported:
+            value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module_name}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     # atoms

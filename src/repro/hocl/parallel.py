@@ -39,7 +39,6 @@ opt-in can never corrupt a run — it only helps pure-chemistry workloads.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
@@ -128,6 +127,8 @@ def _default_workers() -> int:
 
 def _reduce_shard_payload(payload: bytes) -> bytes:
     """Process-pool worker: unpickle one shard, reduce it, pickle it back."""
+    import pickle
+
     shard, batch, delta, max_steps = pickle.loads(payload)
     engine = ReductionEngine(max_steps=max_steps, incremental=True, batch=batch, delta=delta)
     report = engine.reduce(shard)
@@ -256,6 +257,8 @@ class ParallelReducer:
         the original shard object in place (the parent solution references
         that object), then the shard is re-stamped inert.
         """
+        import pickle  # here, not at the top: every run imports this module for its policy
+
         probe = engine_factory()
         futures: list[tuple[int, "Future[bytes] | None"]] = []
         fallback: list[tuple[int, Multiset]] = []

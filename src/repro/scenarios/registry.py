@@ -107,7 +107,10 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: {exc} (accepted parameters: {accepted})"
             ) from None
-        workflow = self.factory(**params)
+        try:
+            workflow = self.factory(**params)
+        except ValueError as exc:  # a parameter the factory (or its generator) refused
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         if not isinstance(workflow, Workflow):
             raise ScenarioError(
                 f"scenario {self.name!r} factory returned {type(workflow).__name__}, not a Workflow"

@@ -21,12 +21,9 @@ the recovery mechanism re-invokes them after an agent failure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from repro.simkernel.randomness import PCG64
 
 from .dag import Task, Workflow
-
-if TYPE_CHECKING:  # pragma: no cover - numpy is imported by the two functions that draw
-    import numpy as np
 
 __all__ = ["montage_workflow", "duration_classes", "duration_cdf", "MONTAGE_TASK_COUNT"]
 
@@ -55,7 +52,7 @@ _FIXED_DURATIONS: dict[str, float] = {
 _PROJECTION_RANGE = (60.0, 310.0)
 
 
-def _projection_durations(count: int, seed: int) -> np.ndarray:
+def _projection_durations(count: int, seed: int) -> list[float]:
     """Heterogeneous projection durations, deterministic for a given seed.
 
     Durations are evenly spread over the published range with a small seeded
@@ -64,13 +61,11 @@ def _projection_durations(count: int, seed: int) -> np.ndarray:
     seeds — the paper reports a 484 s mean with a 13.5 s standard deviation
     caused by platform noise, which the simulation models separately.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     low, high = _PROJECTION_RANGE
-    base = np.linspace(low, high, count)
-    jitter = rng.uniform(-5.0, 5.0, size=count)
-    durations = np.clip(base + jitter, low, high)
+    step = (high - low) / max(count - 1, 1)
+    jitter = rng.uniform(-5.0, 5.0, count)
+    durations = [min(max(index * step + low + offset, low), high) for index, offset in enumerate(jitter)]
     durations[-1] = high  # pin the longest projection
     return rng.permutation(durations)
 
@@ -114,7 +109,7 @@ def montage_workflow(
     projection_durations = _projection_durations(projections, seed)
     for index in range(1, projections + 1):
         task_name = f"mProject_{index}"
-        add(task_name, float(projection_durations[index - 1]), "project", index=index)
+        add(task_name, projection_durations[index - 1], "project", index=index)
         workflow.add_dependency("mHdr", task_name)
 
     add("mImgtbl", _FIXED_DURATIONS["mImgtbl"], "table")
@@ -161,14 +156,12 @@ def duration_classes(workflow: Workflow) -> dict[str, int]:
     return counts
 
 
-def duration_cdf(workflow: Workflow) -> tuple[np.ndarray, np.ndarray]:
+def duration_cdf(workflow: Workflow) -> tuple[list[float], list[float]]:
     """The task-duration CDF plotted on Fig. 15.
 
     Returns ``(durations, fraction)`` where ``fraction[i]`` is the fraction
     of tasks whose duration is ≤ ``durations[i]``.
     """
-    import numpy as np
-
-    durations = np.sort(np.array([task.duration for task in workflow], dtype=float))
-    fraction = np.arange(1, len(durations) + 1) / len(durations)
+    durations = sorted(float(task.duration) for task in workflow)
+    fraction = [rank / len(durations) for rank in range(1, len(durations) + 1)]
     return durations, fraction

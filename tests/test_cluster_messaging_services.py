@@ -1,5 +1,7 @@
 """Unit tests for the cluster model, the messaging substrate and the services."""
 
+import zlib
+
 import pytest
 
 from repro.cluster import (
@@ -32,7 +34,6 @@ from repro.services import (
     SyntheticService,
 )
 from repro.simkernel import RandomStreams, Simulator
-from repro.simkernel.randomness import UNIFORM_BLOCK
 
 
 class TestNodesAndCluster:
@@ -224,12 +225,15 @@ class TestBrokers:
         assert times[-1] - times[0] >= 2 * KAFKA_PROFILE.per_message_time * 0.99
 
     @pytest.mark.parametrize("dispatchers", [1, 3])
-    def test_block_drawn_jitter_equals_one_numpy_draw_per_message(self, dispatchers):
-        class OneDrawPerCall(RandomStreams):
-            """The oracle: every jitter value is its own scalar numpy draw."""
+    def test_delivery_instants_equal_one_scalar_numpy_draw_per_message(self, dispatchers):
+        numpy = pytest.importorskip("numpy")
+
+        class NumpyStreams(RandomStreams):
+            """The oracle: every jitter value is its own scalar numpy draw from the label's derived seed."""
 
             def uniforms(self, label):
-                generator = self.stream(label)
+                derived = zlib.crc32(label.encode("utf-8")) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
+                generator = numpy.random.default_rng(derived)
                 while True:
                     yield float(generator.uniform(0.0, 1.0))
 
@@ -247,10 +251,10 @@ class TestBrokers:
             sim.run()
             return instants
 
-        blocks = delivery_instants(RandomStreams(5))
-        assert len(blocks) == 1000 > UNIFORM_BLOCK  # a block boundary was crossed
-        assert blocks == delivery_instants(OneDrawPerCall(5))
-        assert len({instant for _message_id, instant in blocks}) == 1000  # the jitter is really there
+        instants = delivery_instants(RandomStreams(5))
+        assert len(instants) == 1000
+        assert instants == delivery_instants(NumpyStreams(5))
+        assert len({instant for _message_id, instant in instants}) == 1000  # the jitter is really there
 
     def test_simulated_broker_replay_requires_persistence(self):
         sim = Simulator()

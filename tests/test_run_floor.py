@@ -9,15 +9,20 @@
   a handful of compiled left-hand sides per run whatever its size;
 * the cyclic collector is given back exactly as it was found, on every way
   out of ``GinFlow.run``, and is a measured layer when observability is on;
-* a start-up without numpy and networkx, and without the runtime drivers
-  (asyncio with them) a run does not use;
+* a process that exits without sweeping the finished run (``gc.freeze`` at
+  exit, registered once by ``repro.cli.main``), invisible to in-process callers;
+* no numpy and no networkx on any run path, and a start-up without the
+  runtime drivers (asyncio with them), the textual parser and pickle;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
 * a recovered agent keeps its tracer, and the core it replaces is taken apart.
 """
 
+import atexit
 import gc
+import json
 import logging
+import re
 import subprocess
 import sys
 import threading
@@ -26,12 +31,14 @@ import pytest
 
 import repro.hoclflow.translator as translator
 from repro import GinFlow, adaptive_diamond_workflow, diamond_workflow, workflow_to_json
+from repro.cli import main
 from repro.agents import AgentCore, SendResult, StartInvocation, StatusUpdate
 from repro.agents.local_rules import GW_CALL, GW_PASS, GW_SETUP, LOCAL_EXTERNALS
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import ReductionEngine
 from repro.hoclflow import encode_workflow
 from repro.obs import MetricsRegistry, Observability, RecordingTracer
+from repro.obs.export import read_trace
 from repro.obs.summarize import format_summary, summarize
 from repro.runtime import GinFlowConfig
 from repro.runtime.enactment import EnactmentEngine
@@ -434,6 +441,75 @@ class TestCollectorIsMeasured:
         assert installed == [before]
 
 
+# --------------------------------------------------------------------- exit
+def fresh_interpreter(script, tmp_path):
+    """``script`` to the interpreter's own exit in a new process with this one's import path."""
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={"PYTHONPATH": ":".join(sys.path), "PATH": ""},
+    )
+
+
+def ginflow(argv, tmp_path, prelude=""):
+    """``ginflow argv`` as the console script runs it: ``sys.exit(main(argv))``."""
+    return fresh_interpreter(f"{prelude}\nimport sys\nfrom repro.cli import main\nsys.exit(main({argv!r}))\n", tmp_path)
+
+
+class TestExitDoesNotSweep:
+    RUN = ["run", "--scenario", "montage:size=30,seed=1", "--nodes", "5"]
+
+    def test_main_returns_to_an_unfrozen_heap_and_registers_once(self, capsys):
+        assert main(self.RUN) == 0
+        registered = atexit._ncallbacks()
+        assert gc.get_freeze_count() == 0
+        assert main(self.RUN) == 0 and main(["backends"]) == 0
+        assert atexit._ncallbacks() == registered and gc.get_freeze_count() == 0
+        capsys.readouterr()
+
+    def test_the_finished_run_is_frozen_when_the_process_exits(self, tmp_path):
+        # handlers run last-registered first: this one, registered before main(), sees what main()'s left
+        prelude = "import atexit, gc\natexit.register(lambda: print('FROZEN AT EXIT', gc.get_freeze_count()))"
+        done = ginflow([*self.RUN, "--json"], tmp_path, prelude)
+        assert done.returncode == 0, done.stderr
+        frozen = int(re.search(r"FROZEN AT EXIT (\d+)", done.stdout).group(1))
+        assert frozen > 30 * 60  # the 30 agents' worth and the interpreter's own
+
+    def test_set_up_still_freezes_after_main_ran_in_the_process(self, monkeypatch, capsys):
+        assert main(self.RUN) == 0
+        capsys.readouterr()
+        seen = []
+        original = Simulator.run
+
+        def run(self, *args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        GinFlow().run(diamond_workflow(2, 2), nodes=3)
+        assert seen[0] > 0 and gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("trace_format", ["jsonl", "chrome"])
+    def test_a_traced_run_leaves_complete_artifacts(self, trace_format, tmp_path):
+        trace = tmp_path / "run.trace"
+        done = ginflow([*self.RUN, "--json", "--trace", str(trace), "--trace-format", trace_format], tmp_path)
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout)
+        assert summary["succeeded"] and summary["makespan"] == 503.104
+        names = [record.name for record in read_trace(trace)]
+        assert names.count("enactment.invoke") == 30 and names.count("broker.deliver") == 160
+
+    def test_a_sweep_leaves_complete_artifacts(self, tmp_path):
+        argv = [
+            "sweep", "--scenario", "montage:size=30,seed=1", "--param", "nodes=5,10",
+            "--csv", str(tmp_path / "rows.csv"), "--json-out", str(tmp_path / "sweep.json"), "--json",
+        ]
+        done = ginflow(argv, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["rows"]) == 2
+        assert len(json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))["rows"]) == 2
+        assert len((tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()) == 3
+
+
 # ----------------------------------------------------------------- start-up
 def modules_after(argv, tmp_path, watched=("numpy", "networkx")):
     """Which of the ``watched`` modules a fresh interpreter holds after ``ginflow argv``."""
@@ -443,10 +519,7 @@ def modules_after(argv, tmp_path, watched=("numpy", "networkx")):
         f"status = main({argv!r})\n"
         f"print('LOADED', status, sorted(m for m in {watched!r} if m in sys.modules))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, cwd=tmp_path,
-        env={"PYTHONPATH": ":".join(sys.path), "PATH": ""},
-    )
+    done = fresh_interpreter(script, tmp_path)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
 
@@ -456,11 +529,25 @@ class TestStartUpWithoutNumpyAndNetworkx:
         argv = ["run", "--scenario", "longchain:size=20", "--mode", "asyncio"]
         assert modules_after(argv, tmp_path) == "LOADED 0 []"
 
-    def test_json_file_run(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["simulated", "threaded"])
+    def test_json_file_run(self, mode, tmp_path):
         path = tmp_path / "adaptive.json"
         workflow_to_json(adaptive_diamond_workflow(2, 2, duration=0.01), path)
-        # (the simulated runtime draws its broker jitter from numpy: first draw, first import)
-        assert modules_after(["run", str(path), "--mode", "threaded"], tmp_path) == "LOADED 0 []"
+        assert modules_after(["run", str(path), "--mode", mode], tmp_path) == "LOADED 0 []"
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--mode", "simulated"],
+            ["--mode", "centralized"],
+            ["--mode", "simulated", "--executor", "mesos", "--broker", "kafka",
+             "--failure-probability", "0.5", "--failure-delay", "15"],
+        ],
+        ids=["simulated", "centralized", "recovering"],
+    )
+    def test_montage_draws_without_numpy(self, options, tmp_path):
+        argv = ["run", "--scenario", "montage:size=30,seed=1", *options, "--seed", "1", "--json"]
+        assert modules_after(argv, tmp_path) == "LOADED 0 []"
 
     @pytest.mark.parametrize("argv", [["scenarios", "--names"], ["backends"]])
     def test_listing_commands(self, argv, tmp_path):
@@ -475,13 +562,20 @@ class TestStartUpWithoutNumpyAndNetworkx:
         assert modules_after(argv, tmp_path, drivers) == f"LOADED 0 {own[mode]}"
         assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 
-    def test_no_networkx_import_left_in_src(self):
+    def test_what_no_command_uses_is_not_imported_at_start_up(self, tmp_path):
+        unused = ("pickle", "repro.hocl.parser")
+        assert modules_after(["backends"], tmp_path, unused) == "LOADED 0 []"
+        argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
+        assert modules_after(argv, tmp_path, unused) == "LOADED 0 []"
+
+    def test_no_numpy_or_networkx_import_left_in_src(self):
         import pathlib
 
         import repro
 
+        oracle_only = re.compile(r"(import|from) +(numpy|networkx)")
         sources = pathlib.Path(repro.__file__).parent.rglob("*.py")
-        assert not [str(path) for path in sources if "import networkx" in path.read_text(encoding="utf-8")]
+        assert not [str(path) for path in sources if oracle_only.search(path.read_text(encoding="utf-8"))]
 
 
 # --------------------------------------------------------------- validation

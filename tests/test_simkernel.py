@@ -205,13 +205,13 @@ class TestSerialQueue:
 
 class TestRandomStreams:
     def test_streams_reproducible(self):
-        a = RandomStreams(42).stream("x").random(5).tolist()
-        b = RandomStreams(42).stream("x").random(5).tolist()
-        assert a == b
+        a = RandomStreams(42).stream("x").uniform(0.0, 1.0, 5)
+        b = RandomStreams(42).stream("x").uniform(0.0, 1.0, 5)
+        assert a == b and len(set(a)) == 5
 
     def test_streams_independent_by_label(self):
         streams = RandomStreams(42)
-        assert streams.stream("a").random(3).tolist() != streams.stream("b").random(3).tolist()
+        assert streams.stream("a").uniform(0.0, 1.0, 3) != streams.stream("b").uniform(0.0, 1.0, 3)
 
     def test_bernoulli_extremes(self):
         streams = RandomStreams(1)
@@ -225,4 +225,4 @@ class TestRandomStreams:
     def test_spawn_changes_draws(self):
         parent = RandomStreams(7)
         child = parent.spawn("child")
-        assert parent.stream("x").random(3).tolist() != child.stream("x").random(3).tolist()
+        assert parent.stream("x").uniform(0.0, 1.0, 3) != child.stream("x").uniform(0.0, 1.0, 3)

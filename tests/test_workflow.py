@@ -483,3 +483,25 @@ class TestHostileJSON:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert re.search(named, lines[0]) and "Traceback" not in captured.err
+
+
+#: scenario spec -> what the one error line must name
+HOSTILE_SEEDS = {
+    "montage:size=30,seed=-1": r"scenario 'montage': seed must be a non-negative integer, got -1$",
+    "montage:size=30,seed=1.5": r"scenario 'montage': seed must be a non-negative integer, got 1\.5$",
+}
+
+
+class TestHostileSeeds:
+    @pytest.mark.parametrize("spec", HOSTILE_SEEDS)
+    def test_rejected_by_ginflow_run_with_one_error_line(self, spec, capsys):
+        assert main(["run", "--scenario", spec]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert re.search(HOSTILE_SEEDS[spec], lines[0]) and captured.out == ""
+
+    def test_a_negative_root_seed_still_runs(self, capsys):
+        # stream seeds are derived from the root seed and masked to 32 bits
+        assert main(["run", "--scenario", "montage:size=30,seed=2", "--seed", "-3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == -3
