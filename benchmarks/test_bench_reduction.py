@@ -25,12 +25,13 @@ Five claims are checked and written to ``BENCH_reduction.latest.json``:
   final solution, reaction multiset and match-attempt count as the
   full-rebuild reference path (``delta=False``) on every scenario.
 
-Every scenario row carries a ``compiled`` object (schema_version 6): the
+Every scenario row carries a ``compiled`` object (schema_version 7): the
 number of distinct compiled left-hand sides the scenario's rules hold
 (:func:`repro.hocl.matching.compiled_search`: one per distinct left-hand side,
-not per task) and the bytes of the compiled form — ``sys.getsizeof`` summed over
-the closures, their cells and the containers they close over, the memory
-budget of trading the interpreter for a fixed chain of stages.
+not per task) and the bytes of their generated form — bytecode and constants
+of each distinct code object, plus the function and the closure cells of each
+left-hand side: the memory budget of trading the interpreter for straight-line
+code (schema 6 counted the closure chains this replaced: 31,008 bytes).
 
 Every scenario row carries a ``modes`` object (schema_version 5): per
 strategy (``serial``/``batch``/``parallel``), the match attempts, the wall
@@ -84,12 +85,10 @@ import math
 import os
 import sys
 import time
-import types
 from pathlib import Path
 
 from repro.hocl import ReductionEngine, default_registry
 from repro.hocl.parallel import reduce_sharded, resolve_policy
-from repro.hocl.patterns import Layout
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.scenarios import build_scenario
@@ -219,37 +218,27 @@ def _trace(report):
 
 def compiled_footprint(solution) -> dict:
     """Distinct compiled left-hand sides held by the rules of ``solution``
-    (nested solutions included) and the bytes of their compiled form.
+    (nested solutions included) and the bytes of their generated form.
 
-    Counted: every closure reachable from a search, its cells, and the tuples,
-    lists, dicts and register layouts they close over.  Not counted: what the
-    compiled form only refers to and the rules hold anyway (patterns, atoms,
-    strings, code objects — one per ``def``, shared by every compiled search).
+    Counted: per distinct code object (left-hand sides of one shape share it)
+    its bytecode and its constants; per left-hand side its function object and
+    the closure cells through which the factory hands it its symbols, index
+    keys and pattern objects.  Not counted: those values themselves, which the
+    rules hold anyway, and the source text (``search.__source__``).
     """
     searches, levels = {}, [solution]
     while levels:
         level = levels.pop()
         levels.extend(level.nested_solutions())
         searches.update((id(rule.search), rule.search) for rule in level.rules())
-    seen, pending, total = set(), list(searches.values()), 0
-    while pending:
-        item = pending.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, types.FunctionType):
-            pending.extend(item.__closure__ or ())
-        elif isinstance(item, types.CellType):
-            pending.append(item.cell_contents)
-        elif isinstance(item, (tuple, list)):
-            pending.extend(item)
-        elif isinstance(item, dict):
-            pending.extend(item.values())
-        elif isinstance(item, Layout):
-            pending.append(item.slots)  # (its instance dict shares keys: no stable size of its own)
-        else:
-            continue
-        total += sys.getsizeof(item)
+    codes, total = {}, 0
+    for search in searches.values():
+        assert search.__source__  # generated at the first search: ask for it now
+        cells = search.run.__closure__ or ()
+        total += sys.getsizeof(search.run) + sys.getsizeof(cells) + sum(map(sys.getsizeof, cells))
+        codes[id(search.run.__code__)] = search.run.__code__
+    for code in codes.values():
+        total += sys.getsizeof(code.co_code) + sys.getsizeof(code.co_consts) + sum(map(sys.getsizeof, code.co_consts))
     return {"left_hand_sides": len(searches), "bytes": total}
 
 
@@ -512,7 +501,7 @@ def test_benchmark_matrix_and_artifact():
 
     payload = {
         "benchmark": "hocl-reduction",
-        "schema_version": 6,
+        "schema_version": 7,
         "scaling": measure_scaling(_full_profile()),
         "scenarios": scenarios,
     }

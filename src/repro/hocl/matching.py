@@ -5,11 +5,16 @@ atoms of the solution simultaneously, under a single consistent binding
 environment, and subject to the rule's reaction condition.  This module
 implements that search.
 
-The matcher is one backtracking search, compiled once per distinct left-hand
-side (:func:`compiled_search`) and asked two ways: :func:`first_match` returns
-the first admissible match of a rule — all the reduction engine ever consumes —
-and :func:`find_matches` enumerates every match of a pattern sequence.  It
-draws its candidates from the multiset's head-symbol index
+The matcher is one backtracking search per distinct left-hand side
+(:func:`compiled_search`), *generated*: the patterns write the Python source of
+one flat function (:meth:`~repro.hocl.patterns.Pattern.emit` — nested ``for``
+loops over index buckets, variables as locals, the condition and the
+:class:`Match` at the innermost level), compiled once per distinct text at the
+first search and readable as ``compiled_search(patterns).__source__``.  It is
+asked two ways: :func:`first_match` returns the first admissible match of a
+rule — all the reduction engine ever consumes — and :func:`find_matches`
+enumerates every match of a pattern sequence.  It draws its candidates from
+the multiset's head-symbol index
 (:meth:`~repro.hocl.multiset.Multiset.live_entries`) instead of scanning every
 atom for every pattern: ``RES : <...>`` only ever sees the tuples whose head is
 ``RES``.  Because every bucket preserves insertion order and is a guaranteed
@@ -24,13 +29,16 @@ occurrences to multi-pattern rules.
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from itertools import count
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from weakref import WeakValueDictionary
 
-from .atoms import Atom, Symbol
-from .multiset import Multiset
-from .patterns import UNBOUND, Bindings, BindingView, Continuation, Layout, Matcher, Pattern, Registers
+from .atoms import Atom, Subsolution, Symbol, TupleAtom
+from .multiset import _EMPTY, Multiset
+from .errors import PatternError
+from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rules import Rule
@@ -59,116 +67,173 @@ class Match:
             self.bindings = BindingView(self.bindings)
 
 
-#: ``search(solution, condition, owner, initial_bindings, exclude, pinned,
-#: pinned_entries, first)``: every match in enumeration order, or — ``first``
-#: — only the first one.  A match that would consume ``owner`` is not one.
-Search = Callable[..., "list[Match]"]
-#: the registers every search reserves for what it was asked
-_SOLUTION, _CONDITION, _OWNER, _EXCLUDE, _PINNED, _PINNED_ENTRIES, _FIRST, _FOUND = range(8)
+#: what every generated text may name without being handed it
+_NAMES = {
+    "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
+    "Subsolution": Subsolution, "Rest": _Rest, "View": BindingView, "Match": Match,
+}  # fmt: skip
+_SIGNATURE = "solution, condition=None, owner=None, initial_bindings=None, exclude=None, pinned=None, pinned_entries=(), first=False"
+#: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search of one left-hand side
+_FACTORIES: dict[str, Callable[..., Any]] = {}
+_FACTORY_LIMIT = 512  #: shape churn (random programs) cannot leak
+_serial = count(1)
 #: left-hand side (its pattern objects) -> its search, while a rule holds it
 _COMPILED: "WeakValueDictionary[tuple[Pattern, ...], Search]" = WeakValueDictionary()
 
 
+class Search:
+    """The search of one left-hand side: ``search(solution, condition, owner,
+    initial_bindings, exclude, pinned, pinned_entries, first)`` is every match in
+    enumeration order, or — ``first`` — only the first one; a match that would
+    consume ``owner`` is not one.
+
+    ``run`` is the generated function (what the engine calls) and ``__source__``
+    its text, both written at the first search: a left-hand side nothing ever
+    searches costs nothing.
+    """
+
+    __slots__ = ("patterns", "run", "__source__", "__weakref__")
+
+    def __init__(self, patterns: tuple[Pattern, ...]):
+        self.patterns = patterns
+
+    def __call__(self, *args: Any, **kwargs: Any) -> "list[Match]":
+        return self.run(*args, **kwargs)
+
+    def __getattr__(self, name: str) -> Any:
+        # only an unset slot gets here: nothing searched yet
+        if name == "run":
+            return self._first
+        if name == "__source__":
+            self._generate(None)
+            return self.__source__
+        raise AttributeError(name)
+
+    def _first(self, solution: Multiset, condition: Any = None, owner: Any = None, *rest: Any, **more: Any) -> "list[Match]":
+        self._generate(getattr(owner, "name", None))
+        return self.run(solution, condition, owner, *rest, **more)
+
+    def _generate(self, rule: str | None) -> None:
+        text, constants = _write(self.patterns)
+        factory = _FACTORIES.get(text)
+        if factory is None:
+            factory = _load(text, f"<hocl-lhs {rule or 'patterns'} #{next(_serial)}>")
+        self.__source__, self.run = text, factory(*constants)
+
+
 def compiled_search(patterns: Sequence[Pattern]) -> Search:
-    """The search of the left-hand side ``patterns``, compiled on first use.
+    """The search of the left-hand side ``patterns``, generated at its first use.
 
     One per distinct left-hand side per process: rules built on the same
     pattern objects (the per-task ``gw_call`` rules) share it, and so do agents
-    and threads — it holds no state, every call lays out its own registers.
+    and threads — it holds no state, every call runs on its own locals.
     """
     key = tuple(patterns)
     search = _COMPILED.get(key)
     if search is None:
-        search = _COMPILED[key] = _compile(key)
+        for pattern in key:
+            _refuse(pattern)
+        search = _COMPILED[key] = Search(key)
     return search
 
 
-def _compile(patterns: tuple[Pattern, ...]) -> Search:
-    layout = Layout(reserved=_FOUND + 1)
-    count = len(patterns)
-    used = layout.scratch(count)  # the entry each pattern took
-
-    def finish(registers: Registers) -> bool:
-        bindings = layout.view(registers)
-        condition = registers[_CONDITION]
-        if condition is not None and not condition(bindings):
-            return False
-        consumed = [entry.atom for entry in registers[used : used + count]]
-        if id(registers[_OWNER]) in map(id, consumed):  # by identity: rules are equal by name
-            return False
-        registers[_FOUND].append(Match(bindings, consumed))
-        return registers[_FIRST]
-
-    then: Continuation = finish
-    for index in range(count - 1, -1, -1):
-        then = _draw(patterns[index], patterns[index].compile(layout, then), layout, used, index)
-
-    def search(
-        solution: Multiset,
-        condition: Callable[[Bindings], bool] | None = None,
-        owner: Atom | None = None,
-        initial_bindings: Mapping[str, Any] | None = None,
-        exclude: Callable[[Atom], bool] | None = None,
-        pinned: int | None = None,
-        pinned_entries: Sequence[Any] = (),
-        first: bool = False,
-    ) -> list[Match]:
-        found: list[Match] = []
-        registers = layout.registers(initial_bindings)
-        registers[: _FOUND + 1] = solution, condition, owner, exclude, pinned, pinned_entries, first, found
-        then(registers)
-        return found
-
-    return search
+def _refuse(pattern: Pattern) -> None:
+    """Raise, when the left-hand side is built, what no search of it could run."""
+    if isinstance(pattern, Omega):
+        raise PatternError("an Omega captures the remainder of a solution: it cannot match a single atom")
+    if type(pattern).emit is Pattern.emit and type(pattern).match is Pattern.match:
+        raise NotImplementedError(f"{type(pattern).__name__} defines neither emit() nor match()")
+    for element in getattr(pattern, "elements", ()):
+        _refuse(element)
 
 
-def _draw(pattern: Pattern, match: Matcher, layout: Layout, used: int, index: int) -> Continuation:
-    """Pattern ``index`` of a left-hand side: try, in bucket order, every
-    candidate entry no earlier pattern took.
+def _load(text: str, filename: str) -> Callable[..., Any]:
+    """Compile ``text`` — the one place that does — and keep its factory; the
+    lines stay readable in a traceback under ``filename``."""
+    if len(_FACTORIES) >= _FACTORY_LIMIT:
+        for stale in _FACTORIES.values():
+            linecache.cache.pop(stale.__code__.co_filename, None)
+        _FACTORIES.clear()
+    scope = dict(_NAMES)
+    exec(compile(text, filename, "exec"), scope)  # noqa: S102 - text this module wrote
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    factory = _FACTORIES[text] = scope["factory"]
+    return factory
 
-    The candidates are drawn when the pattern is reached, so a broad key (a
-    kind bucket, or none) can be narrowed by what the patterns before bound:
-    ``gw_pass`` looks up its destination tuple instead of scanning every task.
-    A pattern left with a broad key draws from the level's plausible-candidate
-    memory — the same entries, in the same order, minus those its
-    ``quick_reject`` refuted (for good: it holds under any bindings) — in one
-    snapshot per search.  Any other bucket is short, and read live: nothing
-    mutates the solution while a search runs.
+
+def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
+    """The text of the search of ``patterns`` and the constants it names.
+
+    One nested ``for`` per pattern, in declaration order, over every candidate
+    entry no earlier pattern took, in bucket order.  The candidates are drawn
+    when the pattern is reached, so a broad key (a kind bucket, or none) can be
+    narrowed by what the patterns before bound: ``gw_pass`` looks up its
+    destination tuple instead of scanning every task.  A pattern left with a
+    broad key draws from the level's plausible-candidate memory — the same
+    entries, in the same order, minus those its ``quick_reject`` refuted (for
+    good: it holds under any bindings) — iterated in place: what this search
+    refutes is forgotten when it ends, however it ends.  Any other bucket is
+    short, and read live: nothing mutates the solution while a search runs.
     """
-    key = pattern.index_key()
-    broad = key is None or key[0] == "kind"
-    narrowing = pattern.narrowing_variable() if broad else None
-    narrow = layout.slot(narrowing) if narrowing is not None else None
-    fetched = layout.scratch()  # (snapshot, memory) of this search
-
-    def draw(registers: Registers) -> bool:
-        solution = registers[_SOLUTION]
-        memory = None
-        if index == registers[_PINNED]:
-            entries = registers[_PINNED_ENTRIES]
-        elif not broad:
-            entries = solution.live_entries(key)
-        elif narrow is not None and isinstance(registers[narrow], Symbol):
-            entries = solution.live_entries(("tuple", registers[narrow].name))
+    keys = [pattern.index_key() for pattern in patterns]
+    broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
+    opened = [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
+    out = Source(3 if broad else 2, 1 if broad else 0, opened)
+    entries: list[str] = []
+    atoms: list[str] = []
+    if not patterns:
+        out.loop("for _ in (None,):")
+    for index, (pattern, key) in enumerate(zip(patterns, keys)):
+        entry, atom = out.local("e"), out.local("a")
+        if index in broad:
+            own = out.const(pattern)
+            out.line(f"if pinned == {index}: n{index} = pinned_entries; q{index} = None")
+            narrowing = pattern.narrowing_variable()
+            if narrowing is not None:
+                held = out.held(narrowing)
+                out.line(f"elif isinstance({held}, Symbol): n{index} = solution._index.get(('tuple', {held}.name), EMPTY); q{index} = None")
+            out.line("else:")
+            out.line(f"    if m{index} is None: m{index} = solution.memory_for({own}, {out.const(key)}); d{index} = m{index}.open()")
+            out.line(f"    n{index} = d{index}; q{index} = {own}.quick_reject")
+            out.loop(f"for {entry} in n{index}:")
         else:
-            if registers[fetched] is UNBOUND:
-                memory = solution.memory_for(pattern, key)
-                registers[fetched] = memory.snapshot(), memory
-            entries, memory = registers[fetched]
-        exclude = registers[_EXCLUDE]
-        taken = registers[used : used + index]  # `_Entry` has no `__eq__`: `in` is an identity scan
-        for entry in entries:
-            if entry in taken or (exclude is not None and exclude(entry.atom)):
-                continue
-            if memory is not None and pattern.quick_reject(entry.atom):
-                memory.refute(entry)
-                continue
-            registers[used + index] = entry
-            if match(entry.atom, registers):
-                return True
-        return False
-
-    return draw
+            out.loop(f"for {entry} in pinned_entries if pinned == {index} else {out.bucket('solution', key)}:")
+        if entries:  # `_Entry` has no `__eq__`: identity is all there is to test
+            out.line(f"if {' or '.join(f'{entry} is {other}' for other in entries)}: continue")
+        out.line(f"{atom} = {entry}.atom")
+        out.line(f"if exclude is not None and exclude({atom}): continue")
+        if index in broad:
+            out.line(f"if q{index} is not None and q{index}({atom}): r{index}.append({entry}); continue")
+        pattern.emit(out, atom)
+        entries.append(entry)
+        atoms.append(atom)
+    out.line(f"b = View({out.bindings()})")
+    out.line("if condition is not None and not condition(b): continue")
+    if atoms:  # by identity: rules are equal by name
+        out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
+    out.line(f"found.append(Match(b, [{', '.join(atoms)}]))")
+    out.line(f"if first: {out.stop}")
+    out.close()
+    head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def search({_SIGNATURE}):"]
+    head.append("        found = []")
+    if out.initial:
+        head.append("        if initial_bindings:")
+        head.append("            get = initial_bindings.get")
+        head.extend(f"            {held} = get({name!r}, U)" for name, held in out.initial.items())
+        head.append("        else:")
+        head.append(f"            initial_bindings = NOTHING; {' = '.join(out.initial.values())} = U")
+    else:
+        head.append("        if not initial_bindings: initial_bindings = NOTHING")
+    tail = []
+    if broad:
+        head.append(f"        {' = '.join(opened)} = None")
+        head.extend(f"        r{index} = []" for index in broad)
+        head.append("        try:")
+        tail.append("        finally:")
+        tail.extend(f"            if m{index} is not None: m{index}.close(r{index})" for index in broad)
+    tail.append("        return found")
+    tail.append("    return search")
+    return "\n".join([*head, *out.lines, *tail, ""]), out.constants
 
 
 def first_match(
@@ -187,7 +252,7 @@ def first_match(
     ``pinned``/``pinned_entries`` are the batched engine's claim check and
     frontier lead, as in :func:`find_matches`.
     """
-    found = rule.search(solution, rule.guarded_condition, rule, None, exclude, pinned, pinned_entries, True)
+    found = rule.search.run(solution, rule.guarded_condition, rule, None, exclude, pinned, pinned_entries, True)
     return found[0] if found else None
 
 
@@ -230,7 +295,7 @@ def find_matches(
         rule authors encode in it: with the frontier atom in a *late* pattern
         (a fan-in hub), the earlier ones bind the join variables first.
     """
-    search = compiled_search(patterns)
+    search = compiled_search(patterns).run
     return iter(search(solution, condition, None, initial_bindings, exclude, pinned, pinned_entries))
 
 
@@ -241,7 +306,7 @@ def find_first_match(
     initial_bindings: Bindings | None = None,
 ) -> Match | None:
     """Return the first match of ``patterns`` against ``solution`` or ``None``."""
-    found = compiled_search(patterns)(solution, condition, None, initial_bindings, first=True)
+    found = compiled_search(patterns).run(solution, condition, None, initial_bindings, first=True)
     return found[0] if found else None
 
 

@@ -170,12 +170,13 @@ class _Memory:
     last changed, in bucket order (an entry returning out of turn clears
     ``in_order``; the next read re-sorts)."""
 
-    __slots__ = ("key", "entries", "in_order")
+    __slots__ = ("key", "entries", "in_order", "readers")
 
     def __init__(self, key: Any, bucket: Iterable[_Entry]):
         self.key = key
         self.entries: dict[_Entry, None] = dict.fromkeys(bucket)
         self.in_order = True
+        self.readers = 0  # searches iterating ``entries`` right now
 
     def admit(self, entry: _Entry, keys: tuple[Any, ...], last: bool) -> None:
         """Take ``entry`` (its atom's index ``keys``) if it is of this bucket."""
@@ -187,12 +188,32 @@ class _Memory:
         """``quick_reject`` refuted ``entry``: forget it until it changes."""
         self.entries.pop(entry, None)
 
-    def snapshot(self) -> list[_Entry]:
-        """The remembered entries in bucket order, safe across mutations."""
+    def _ordered(self) -> dict[_Entry, None]:
         if not self.in_order:
             self.entries = dict.fromkeys(sorted(self.entries, key=_seq))
             self.in_order = True
-        return list(self.entries)
+        return self.entries
+
+    def snapshot(self) -> list[_Entry]:
+        """The remembered entries in bucket order, safe across mutations."""
+        return list(self._ordered())
+
+    def open(self) -> dict[_Entry, None]:
+        """The remembered entries in bucket order, to iterate in place — no copy
+        per search.  What the reader refutes meanwhile it hands to :meth:`close`."""
+        self.readers += 1
+        return self._ordered()
+
+    def close(self, refuted: list[_Entry]) -> None:
+        """End a read begun by :meth:`open`, forgetting the ``refuted`` entries."""
+        self.readers -= 1
+        if self.readers and refuted:
+            # a search run from inside a search (by a condition): the outer one
+            # goes on over the dictionary it holds, this one leaves a new one
+            self.entries = {entry: None for entry in self.entries if entry not in refuted}
+        else:
+            for entry in refuted:
+                self.entries.pop(entry, None)
 
 
 class Multiset:
@@ -599,14 +620,14 @@ class Multiset:
         if not flagged:
             return ()
         items = []
-        for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else list(flagged):
-            settled = True
+        # a set never shrinks its table: the one that held the whole level at
+        # the first pass is replaced by one of what is still unsettled
+        unsettled = self._flagged = set()
+        for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else flagged:
             for solution in self._nested[entry]:  # type: ignore[index]
                 if solution._inert_version != solution._version and solution.can_react:
                     items.append((entry.atom, solution))
-                    settled = False
-            if settled:
-                flagged.discard(entry)
+                    unsettled.add(entry)
         return items
 
     def memory_for(self, pattern: Any, key: Any) -> "_Memory | None":

@@ -37,23 +37,24 @@ Bindings are a :class:`BindingView`, equal to the plain dictionary mapping
 variable names to :class:`~repro.hocl.atoms.Atom` (or ``list[Atom]`` for
 omegas).  A variable appearing several times must bind structurally equal atoms.
 
-Nothing interprets a pattern tree at match time: :meth:`Pattern.compile` turns
-a pattern, once, into a closure ``match(atom, registers) -> bool`` that runs a
-fixed continuation for every way the atom matches.  The registers (one list
-per search, laid out by :class:`Layout`) hold a slot per variable — bound,
-continued, unbound — and the scratch slots of the pattern nodes: a search
-allocates no generator, closure or dictionary, and the compiled form holds no
-state, so rules, agents and threads share it.
+Nothing interprets a pattern tree at match time, and nothing chains closures
+over it either: :meth:`Pattern.emit` writes, once, the Python lines that hold
+one atom (a local of the generated function) to the pattern — a failed test is
+a ``continue`` of the loop it stands in, a bucket to try is one more nested
+``for``, a variable is a local.  :class:`Source` collects the lines of a whole
+left-hand side and :func:`repro.hocl.matching.compiled_search` turns them into
+one flat function: a search allocates no generator, closure or register list,
+and the generated function holds no state, so rules, agents and threads share it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .atoms import Atom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
 from .errors import PatternError
-from .multiset import Multiset, atom_index_keys
+from .multiset import Multiset, _Entry, atom_index_keys
 
 __all__ = [
     "Bindings",
@@ -69,13 +70,7 @@ __all__ = [
     "as_pattern",
 ]
 
-Registers = list[Any]
-#: What runs once a pattern has matched; ``True`` stops the whole search.
-Continuation = Callable[[Registers], bool]
-#: A compiled pattern: runs the continuation for every way ``atom`` matches and
-#: leaves the registers as found; ``True`` as soon as a continuation said so.
-Matcher = Callable[[Any, Registers], bool]
-#: what a register holds until something is bound or stored there
+#: what the local of a variable holds until something is bound to it
 UNBOUND: Any = object()
 
 
@@ -148,63 +143,111 @@ class BindingView(Mapping[str, Any]):
 Bindings = BindingView  #: A variable environment produced by matching.
 
 
-class Layout:
-    """The registers of one compiled search: a slot per variable name and the
-    scratch slots of the pattern nodes, handed out as the patterns compile;
-    slot ``extra`` holds the bindings the search started from."""
+class Source:
+    """The lines of one left-hand side's search, as its patterns write them.
 
-    def __init__(self, reserved: int = 0):
-        self.slots: dict[str, int] = {}
-        self.extra = reserved
-        self.size = reserved + 1
+    :meth:`Pattern.emit` appends what holds one atom — a local — to the pattern.
+    Whatever is not text (symbols, index keys, the pattern objects whose
+    ``quick_reject`` or own ``match`` is called) is a constant ``cN`` the
+    generated function's factory takes: left-hand sides of one shape write one
+    text, whatever they name.  A variable is the local :attr:`bound` maps it
+    to; one not bound yet may still be in :attr:`extra`, the mapping the view
+    of a match starts from.
+    """
 
-    def slot(self, name: str) -> int:
-        """The register of variable ``name``."""
-        if name not in self.slots:
-            self.slots[name] = self.scratch()
-        return self.slots[name]
+    #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
+    BLOCKS = 18
 
-    def scratch(self, count: int = 1) -> int:
-        """``count`` fresh consecutive registers; the index of the first."""
-        self.size += count
-        return self.size - count
+    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = ()):
+        self.lines: list[str] = []
+        self.depth = depth
+        self.blocks = blocks
+        self.shared = ", ".join(shared)  # the locals a nested function rebinds
+        self.nested: list[int] = []  # the depth every open nested function started at
+        self.constants: list[Any] = []
+        self.count = 0
+        self.extra = "initial_bindings"
+        self.bound: dict[str, str] = {}
+        self.initial: dict[str, str] = {}  # variable -> the local read from ``initial_bindings``, once per search
+        self.idents: dict[str, str] = {}
 
-    def registers(self, bindings: "Mapping[str, Any] | None" = None) -> Registers:
-        """Fresh registers (once everything is compiled), holding ``bindings``."""
-        registers = [UNBOUND] * self.size
-        self.store(registers, bindings or {})
-        return registers
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
 
-    def store(self, registers: Registers, bindings: Mapping[str, Any]) -> None:
-        """Bind every pair of ``bindings``: all are kept in ``extra``, a variable's in its register too."""
-        registers[self.extra] = bindings
-        for name in bindings:
-            if name in self.slots:
-                registers[self.slots[name]] = bindings[name]
+    def const(self, value: Any) -> str:
+        """The name ``value`` goes by in the text."""
+        self.constants.append(value)
+        return f"c{len(self.constants) - 1}"
 
-    def view(self, registers: Registers) -> BindingView:
-        """What the registers bind right now."""
-        bound = {name: registers[slot] for name, slot in self.slots.items() if registers[slot] is not UNBOUND}
-        return BindingView({**registers[self.extra], **bound})
+    def bucket(self, solution: str, key: Any) -> str:
+        """An expression for the entries of ``solution`` under index key ``key``:
+        :meth:`~repro.hocl.multiset.Multiset.live_entries` without the call."""
+        return f"{solution}._entries" if key is None else f"{solution}._index.get({self.const(key)}, EMPTY)"
 
+    def local(self, stem: str) -> str:
+        """A local nothing else uses."""
+        self.count += 1
+        return f"{stem}{self.count}"
 
-def _binder(slot: int, then: Continuation, kinds: tuple[str, ...] | None = None) -> Matcher:
-    """Bind register ``slot`` (or hold it to what it is bound to), continue, unbind."""
+    def loop(self, header: str) -> None:
+        """Open one more nested ``for``: every line from here on is its body."""
+        if self.depth > 90:
+            raise PatternError("left-hand side too deep to generate (Python indents 100 levels at most)")
+        if self.blocks == self.BLOCKS:
+            self.nested.append(self.depth)
+            self.line("def deeper():")
+            self.depth += 1
+            if self.shared:
+                self.line(f"nonlocal {self.shared}")
+            self.blocks = 0
+        self.line(header)
+        self.depth += 1
+        self.blocks += 1
 
-    def bind(value: Any, registers: Registers) -> bool:
-        if kinds is not None and value.kind not in kinds:
-            return False
-        bound = registers[slot]
-        if bound is UNBOUND:
-            registers[slot] = value
-            if then(registers):
-                return True
-            registers[slot] = UNBOUND
-            return False
+    @property
+    def stop(self) -> str:
+        """The statement that ends the whole search."""
+        return "return True" if self.nested else "return found"
+
+    def close(self) -> None:
+        """After the innermost line: leave the nested functions, innermost first."""
+        while self.nested:
+            self.depth = self.nested.pop()
+            self.line(f"if deeper(): {self.stop}")
+
+    def _ident(self, name: str) -> str:
+        """What the locals of variable ``name`` end in (a name need not be an identifier)."""
+        if name not in self.idents:
+            self.idents[name] = f"_{name}" if name.isascii() and name.isidentifier() else f"_{len(self.idents)}"
+        return self.idents[name]
+
+    def held(self, name: str) -> str:
+        """An expression for what variable ``name`` is bound to right now, if anything (else ``U``)."""
+        if name in self.bound:
+            return self.bound[name]
+        if self.extra != "initial_bindings":
+            return f"{self.extra}.get({name!r}, U)"
+        return self.initial.setdefault(name, "i" + self._ident(name))
+
+    def bind(self, name: str, value: str) -> None:
+        """Bind variable ``name`` to ``value`` (a local, or an expression that
+        builds a new list), or hold it to what it is bound to already."""
         # a list (an omega) never equals an atom, whichever came first
-        return (bound is value or bound == value) and then(registers)
+        same = "{0} is {1} or {0} == {1}" if value.isidentifier() else "{0} == {1}"
+        held = self.bound.get(name)
+        if held is not None:
+            self.line(f"if not ({same.format(held, value)}): continue")
+            return
+        before = self.held(name)
+        # (a local of its own past a subclass's `match` loop: that may sit in a nested function)
+        held = self.bound[name] = ("v" if self.extra == "initial_bindings" else self.extra) + self._ident(name)
+        self.line(f"{held} = {before}")
+        self.line(f"if {held} is U: {held} = {value}")
+        self.line(f"elif not ({same.format(held, value)}): continue")
 
-    return bind
+    def bindings(self) -> str:
+        """An expression for what is bound right now, as a new dictionary."""
+        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {held}" for name, held in self.bound.items()))
 
 
 class Pattern:
@@ -212,37 +255,25 @@ class Pattern:
 
     __slots__ = ()
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        """This pattern as a closure over ``layout``'s registers, continued by
-        ``then``.  The default serves a subclass the compiler does not know,
-        through its own :meth:`match`: it gets the registers as a dictionary
-        and every extension it returns goes back into them."""
-        if type(self).match is Pattern.match:
-            raise NotImplementedError(f"{type(self).__name__} defines neither compile() nor match()")
-
-        def match(atom: Any, registers: Registers) -> bool:
-            saved = registers[:]
-            for extended in self.match(atom, dict(layout.view(registers))):
-                layout.store(registers, extended)
-                if then(registers):
-                    return True
-                registers[:] = saved
-            return False
-
-        return match
+    def emit(self, out: Source, atom: str) -> None:
+        """Write the lines that hold ``atom`` (a local of the search) to this
+        pattern.  The default serves a subclass the generator does not know,
+        through its own :meth:`match`: one more loop over the extensions it
+        returns of what is bound so far, each the environment from there on
+        (one that defines neither is refused when the left-hand side is built)."""
+        extended = out.local("x")
+        out.loop(f"for {extended} in {out.const(self)}.match({atom}, dict(View({out.bindings()}))):")
+        out.extra = extended
+        out.bound = {}
 
     def match(self, atom: Atom, bindings: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
         """Every extension of ``bindings`` under which ``atom`` matches, in order
-        (compiles per call: searches run on what a rule compiled once)."""
-        layout = Layout()
-        found: list[BindingView] = []
+        (generates per call: searches run on what a rule generated once)."""
+        from .matching import compiled_search  # imports this module
 
-        def collect(registers: Registers) -> bool:
-            found.append(layout.view(registers))
-            return False
-
-        self.compile(layout, collect)(atom, layout.registers(bindings))
-        return found
+        # a one-pattern search pinned to the one candidate never reads a solution
+        found = compiled_search((self,))(None, None, None, bindings, None, 0, (_Entry(atom, 0),))
+        return [match.bindings for match in found]
 
     def quick_reject(self, atom: Atom) -> bool:
         """Cheap, binding-free structural pre-check.
@@ -326,8 +357,11 @@ class Var(Pattern):
         #: the ``Atom.kind`` values accepted (``None``: any)
         self.kinds = None if kind is None else ("int", "float") if kind == "number" else (kind,)
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        return _binder(layout.slot(self.name), then, self.kinds)
+    def emit(self, out: Source, atom: str) -> None:
+        if self.kinds is not None:
+            kinds = self.kinds
+            out.line(f"if {atom}.kind {f'!= {kinds[0]!r}' if len(kinds) == 1 else f'not in {kinds!r}'}: continue")
+        out.bind(self.name, atom)
 
     def quick_reject(self, atom: Atom) -> bool:
         return self.kinds is not None and atom.kind not in self.kinds
@@ -360,9 +394,6 @@ class Omega(Pattern):
             raise PatternError("Omega requires a non-empty name")
         self.name = name
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        raise PatternError("an Omega captures the remainder of a solution: it cannot match a single atom")
-
     def variables(self) -> set[str]:
         return {self.name}
 
@@ -381,9 +412,9 @@ class Literal(Pattern):
     def __init__(self, value: Any):
         self.atom = to_atom(value)
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        own = self.atom  # symbols are interned
-        return lambda atom, registers: (atom is own or atom == own) and then(registers)
+    def emit(self, out: Source, atom: str) -> None:
+        own = out.const(self.atom)  # symbols are interned
+        out.line(f"if not ({atom} is {own} or {atom} == {own}): continue")
 
     def quick_reject(self, atom: Atom) -> bool:
         return atom is not self.atom and atom != self.atom  # symbols are interned
@@ -424,26 +455,18 @@ class TuplePattern(Pattern):
             raise PatternError("use the rest= parameter for omega capture in tuples")
         self.rest = rest
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        elements, rest = self.elements, self.rest
-        count = len(elements)
-        held = layout.scratch()  # the matched tuple's elements, for the continuations
-        if rest is not None:
-            bind = _binder(layout.slot(rest.name), then)
-            then = lambda registers: bind(list(registers[held][count:]), registers)
-        for index in range(count - 1, -1, -1):
-            then = _element(elements[index].compile(layout, then), held, index)
-
-        def match(atom: Any, registers: Registers) -> bool:
-            if not isinstance(atom, TupleAtom):
-                return False
-            items = atom.elements
-            if (len(items) != count) if rest is None else (len(items) < count):
-                return False
-            registers[held] = items
-            return then(registers)
-
-        return match
+    def emit(self, out: Source, atom: str) -> None:
+        items, count = out.local("t"), len(self.elements)
+        out.line(f"if not isinstance({atom}, TupleAtom): continue")
+        out.line(f"{items} = {atom}.elements")
+        if count or self.rest is None:
+            out.line(f"if len({items}) {'!=' if self.rest is None else '<'} {count}: continue")
+        for index, element in enumerate(self.elements):
+            item = out.local("a")
+            out.line(f"{item} = {items}[{index}]")
+            element.emit(out, item)
+        if self.rest is not None:
+            out.bind(self.rest.name, f"list({items}[{count}:])")
 
     def quick_reject(self, atom: Atom) -> bool:
         if not isinstance(atom, TupleAtom):
@@ -524,27 +547,25 @@ class SolutionPattern(Pattern):
         #: element index keys, precomputed once
         self._element_keys = tuple(e.index_key() for e in self.elements)
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        elements, rest = self.elements, self.rest
-        count = len(elements)
-        held = layout.scratch()  # the matched solution
-        used = layout.scratch(count)  # the entry each element pattern took
-        if rest is not None:
-            bind = _binder(layout.slot(rest.name), then)
-            then = lambda registers: bind(_Rest(registers[held], registers[used : used + count]), registers)
-        for index in range(count - 1, -1, -1):
-            then = _pick(elements[index].compile(layout, then), self._element_keys[index], held, used, index)
-
-        def match(atom: Any, registers: Registers) -> bool:
-            if not isinstance(atom, Subsolution):
-                return False
-            size = len(atom.solution)
-            if (size != count) if rest is None else (size < count):
-                return False
-            registers[held] = atom.solution
-            return then(registers)
-
-        return match
+    def emit(self, out: Source, atom: str) -> None:
+        held, taken = out.local("s"), []  # the matched solution; the entry each element took
+        out.line(f"if not isinstance({atom}, Subsolution): continue")
+        out.line(f"{held} = {atom}.solution")
+        if self.elements or self.rest is None:
+            out.line(f"if len({held}._entries) {'!=' if self.rest is None else '<'} {len(self.elements)}: continue")
+        for element, key in zip(self.elements, self._element_keys):
+            # every entry of the element's bucket no earlier element took — in the
+            # sub-solution's own index, a subsequence of insertion order like the
+            # top-level search's, read live (nothing mutates)
+            entry, item = out.local("e"), out.local("a")
+            out.loop(f"for {entry} in {out.bucket(held, key)}:")
+            if taken:  # `_Entry` has no `__eq__`: identity is all there is to test
+                out.line(f"if {' or '.join(f'{entry} is {other}' for other in taken)}: continue")
+            out.line(f"{item} = {entry}.atom")
+            element.emit(out, item)
+            taken.append(entry)
+        if self.rest is not None:
+            out.bind(self.rest.name, f"Rest({held}, [{', '.join(taken)}])")
 
     def quick_reject(self, atom: Atom) -> bool:
         if not isinstance(atom, Subsolution):
@@ -599,16 +620,11 @@ class RulePattern(Pattern):
         self.name = name
         self.bind_as = bind_as
 
-    def compile(self, layout: Layout, then: Continuation) -> Matcher:
-        name = self.name
-        bind = _binder(layout.slot(self.bind_as), then) if self.bind_as is not None else None
-
-        def match(atom: Any, registers: Registers) -> bool:
-            if atom.kind != "rule" or (name is not None and atom.name != name):
-                return False
-            return then(registers) if bind is None else bind(atom, registers)
-
-        return match
+    def emit(self, out: Source, atom: str) -> None:
+        named = "" if self.name is None else f" or {atom}.name != {out.const(self.name)}"
+        out.line(f"if {atom}.kind != 'rule'{named}: continue")
+        if self.bind_as is not None:
+            out.bind(self.bind_as, atom)
 
     def quick_reject(self, atom: Atom) -> bool:
         if atom.kind != "rule":
@@ -625,28 +641,6 @@ class RulePattern(Pattern):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
-
-
-def _element(match: Matcher, held: int, index: int) -> Continuation:
-    """Continue with element ``index`` of the tuple a tuple pattern holds."""
-    return lambda registers: match(registers[held][index], registers)
-
-
-def _pick(match: Matcher, key: Any, held: int, used: int, index: int) -> Continuation:
-    """Element ``index`` of a solution pattern: try every entry of its bucket
-    no earlier element took — in the sub-solution's own index, a subsequence of
-    insertion order like the top-level search's, read live (nothing mutates)."""
-
-    def pick(registers: Registers) -> bool:
-        taken = registers[used : used + index]  # `_Entry` has no `__eq__`: `in` is an identity scan
-        for entry in registers[held].live_entries(key):
-            if entry not in taken:
-                registers[used + index] = entry
-                if match(entry.atom, registers):
-                    return True
-        return False
-
-    return pick
 
 
 def as_pattern(value: Any) -> Pattern:

@@ -167,7 +167,7 @@ class Rule(Atom):
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
         #: The condition as the matcher calls it, built once like the keys.
         self.guarded_condition = _guarded(condition) if condition is not None else None
-        #: The left-hand side's search, shared by every rule built on the same pattern objects.
+        #: The left-hand side's search (generated at its first use), shared by every rule built on the same pattern objects.
         self.search = compiled_search(self.patterns)
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
 
@@ -212,8 +212,8 @@ class Rule(Atom):
 
     # -------------------------------------------------------------- identity
     def __reduce__(self) -> tuple[Any, ...]:
-        # The compiled search is a closure: a rule pickles as its definition
-        # and compiles again on load (the process-pool reduction path).
+        # The search is generated code: a rule pickles as its definition and
+        # generates again on load (the process-pool reduction path).
         definition = (self.name, self.patterns, self.products, self.condition, self.one_shot)
         return Rule, (*definition, self.keep_matched, self.effect, self.priority, self.delta)
 

@@ -11,7 +11,10 @@ chemistry driven by real concurrency instead of virtual time.
 The protocol itself lives in the shared :mod:`repro.runtime.enactment`
 engine; this module is the *driver* — it owns only the thread plumbing:
 one thread + inbox per agent, a synchronous invoker running the service in
-the agent's own thread, and the completion event the coordinator fires.
+the agent's own thread, and the completion event the coordinator fires.  A
+stimulus that raises (a protocol bug — a failing *service* is a task failure)
+ends the run at once: the first exception is kept and :meth:`ThreadedRun.run`
+re-raises it once the agent threads are joined.
 
 It is meant for functional use (examples, integration tests, running real
 Python services), not for performance studies: those use the simulated
@@ -55,6 +58,8 @@ class ThreadedRun:
         self.config = config or GinFlowConfig(mode="threaded")
         self._engine: EnactmentEngine | None = None
         self._done = threading.Event()
+        #: what agent threads raised, first first: it ends the run and ``run`` re-raises it
+        self._errors: list[Exception] = []
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
@@ -99,6 +104,8 @@ class ThreadedRun:
                 for agent in engine.hosts.values():
                     if agent.thread is not None:
                         agent.thread.join(timeout=2.0)
+                if self._errors:
+                    raise self._errors[0]
                 return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, not completed)
         finally:
             if reducer is not None:
@@ -107,18 +114,20 @@ class ThreadedRun:
     # ----------------------------------------------------------- agent loop
     def _agent_loop(self, agent: _ThreadedAgent) -> None:
         engine = self._engine
-        engine.dispatch(agent, engine.boot(agent))
-        while not self._done.is_set():
-            try:
-                item = agent.inbox.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if item is _POISON:
-                return
-            message: Message = item
-            engine.dispatch(agent, engine.deliver(agent, message))
-        # drain remaining poison pill if the run completed first
-        return
+        try:
+            engine.dispatch(agent, engine.boot(agent))
+            while not self._done.is_set():
+                try:
+                    item = agent.inbox.get(timeout=0.1)
+                except queue.Empty:
+                    continue
+                if item is _POISON:
+                    return
+                message: Message = item
+                engine.dispatch(agent, engine.deliver(agent, message))
+        except Exception as error:  # noqa: BLE001 - a protocol bug: ends the run, which re-raises it
+            self._errors.append(error)
+            self._done.set()
 
     # ----------------------------------------------------------- invocation
     def _invoke(self, agent: _ThreadedAgent, prepared: PreparedInvocation) -> None:

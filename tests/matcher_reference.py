@@ -1,14 +1,15 @@
-"""The interpreted matcher, kept as the oracle of the compiled search.
+"""The interpreted matcher, kept as the oracle of the generated search.
 
-This is the tree-walking matcher ``repro.hocl`` ran before its rules compiled
-their left-hand sides (:func:`repro.hocl.matching.compiled_search`): per
-candidate a generator cascade through per-call ``recurse`` closures, a ``dict``
-copy per bound variable, a ``used + [entry]`` list per step and every ω copied
-eagerly.  It shares nothing with the compiler but the pattern objects it reads
-(``elements``, ``rest``, ``kind``, ``index_key``, ``quick_reject``), so
-``tests/test_matcher_oracle.py`` can hold the compiled search to it — same
-matches, same order, same memory refutations — and ``BruteForceEngine``
-(``tests/test_reduction_parity.py``) stays independent of the code under test.
+This is the tree-walking matcher ``repro.hocl`` ran before its rules wrote
+their left-hand sides out as one flat function each
+(:func:`repro.hocl.matching.compiled_search`): per candidate a generator cascade
+through per-call ``recurse`` closures, a ``dict`` copy per bound variable, a
+``used + [entry]`` list per step and every ω copied eagerly.  It shares nothing
+with the generator but the pattern objects it reads (``elements``, ``rest``,
+``kind``, ``index_key``, ``quick_reject``), so ``tests/test_matcher_oracle.py``
+can hold the generated search to it — same matches, same order, same memory
+refutations — and ``BruteForceEngine`` (``tests/test_reduction_parity.py``)
+stays independent of the code under test.
 """
 
 from repro.hocl import (

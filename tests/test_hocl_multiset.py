@@ -656,3 +656,24 @@ class TestMemoryLifetime:
         assert memory.snapshot() == []
         waiting.add(1)
         assert memory.snapshot() == [entry]
+
+
+class TestFlagSetFootprint:
+    def test_the_flag_set_of_a_settled_level_is_small_again(self):
+        """Structural, not timed: ``to_multiset`` flags every task and a set
+        never shrinks its table, so the set that once held the whole level is
+        replaced by one of what is still unsettled — or every later
+        ``unsettled_items()`` walks 2000 slots to find two entries."""
+        import sys
+
+        from repro.hocl import default_registry
+        from repro.hoclflow import encode_workflow
+        from repro.hoclflow.generic_rules import register_workflow_externals
+        from repro.scenarios import build_scenario
+
+        solution = encode_workflow(build_scenario("montage:size=2000,seed=1")).to_multiset()
+        assert len(solution._flagged) == 2000 and sys.getsizeof(solution._flagged) > 32_000
+        externals = register_workflow_externals(default_registry(), lambda task, service, parameters: task)
+        assert ReductionEngine(externals=externals, max_steps=1_000_000).reduce(solution).inert
+        assert len(solution._flagged) <= 8 and sys.getsizeof(solution._flagged) <= sys.getsizeof(set(range(8)))
+        assert not solution.unsettled_items()

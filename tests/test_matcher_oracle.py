@@ -1,30 +1,35 @@
-"""The compiled matcher against the interpreter it replaced.
+"""The generated matcher against the interpreter it replaced.
 
-``repro.hocl`` compiles each rule's left-hand side once into one search
-(:func:`repro.hocl.matching.compiled_search`) and binds ω on demand
-(:class:`repro.hocl.BindingView`).  The interpreter it replaced lives on in
-``tests/matcher_reference.py``; everything here holds the compiled form to it
-or to the contract the engine relies on:
+``repro.hocl`` writes each rule's left-hand side once as the source of one flat
+search function (:func:`repro.hocl.matching.compiled_search`) and binds ω on
+demand (:class:`repro.hocl.BindingView`).  The interpreter it replaced lives on
+in ``tests/matcher_reference.py``; everything here holds the generated form to
+it or to the contract the engine relies on:
 
 * differential, on random pattern trees and solutions: same matches, in the
   same order, with the same bindings and the same memory refutations, under
   ``initial_bindings``, ``exclude`` and ``pinned`` (``GINFLOW_FULL`` raises
   the example count);
-* no state on the compiled form: a condition that searches its own rule, and
-  eight threads searching one compiled left-hand side at once;
+* the text: one per shape whatever the pattern objects and the hash seed, one
+  ``compile()`` per text, a handful per run, readable in a traceback, and past
+  CPython's twenty nested blocks;
+* no state on the generated form: a condition that searches its own rule, and
+  eight threads searching one generated left-hand side at once;
 * ω laziness, counted not timed: no remainder is copied for a ``gw_pass``
   firing, local or centralised, whatever the fan-in; the rebuild path still
   splices the right lists; an effect or an observer reads the pre-reaction
   remainder; a read after the solution changed raises;
 * a pattern class of the caller's own is matched through its ``match``;
-* a rule pickles as its definition and compiles again on load, so the process
+* a rule pickles as its definition and generates again on load, so the process
   pool of ``repro.hocl.parallel`` takes pure-chemistry shards.
 """
 
 import os
 import pickle
+import subprocess
 import sys
 import threading
+import traceback
 from collections import Counter
 
 import pytest
@@ -61,6 +66,7 @@ from repro.hocl import (
     find_first_match,
     find_matches,
 )
+from repro.hocl import matching as matching_module
 from repro.hocl import patterns as patterns_module
 from repro.hocl.matching import compiled_search, first_match
 from repro.hoclflow import encode_workflow
@@ -227,6 +233,14 @@ class TestAgainstTheInterpreter:
             ),
             # an omega name that is also a variable never binds both
             ([Var("w"), SolutionPattern(rest=Omega("w"))], [1, Subsolution([1])], 0),
+            # a rest-less tuple pattern takes its arity, not a prefix
+            ([TuplePattern(SymbolPattern("T"), Var("x"))], [TupleAtom([Symbol("T"), 1, 2]), TupleAtom([Symbol("T"), 3])], 1),
+            # a head variable bound to a symbol by now names the bucket: no memory for the tuple pattern
+            (
+                [Var("h", kind="symbol"), TuplePattern(Var("h"), Var("x"))],
+                [Symbol("A"), Symbol("B"), TupleAtom([Symbol("A"), 1]), TupleAtom([Symbol("B"), 2]), TupleAtom([Symbol("C"), 3]), 4],
+                2,
+            ),
         ],
     )
     def test_hand_picked_programs(self, patterns, atoms, matches):
@@ -235,6 +249,59 @@ class TestAgainstTheInterpreter:
         found = list(find_matches(patterns, ours))
         _same(found, matcher_reference.search(patterns, theirs))
         assert len(found) == matches
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+
+    def test_the_owner_is_told_by_identity(self):
+        """Rules are equal by name: a twin of the searching rule is an atom like any other."""
+        rule, twin = Rule("r", [RulePattern(bind_as="k")], []), Rule("r", [Var("k")], [])
+        assert twin == rule and twin is not rule
+        found = first_match(rule, Multiset([rule, twin]))
+        assert found is not None and found.consumed[0] is twin
+        assert first_match(rule, Multiset([rule])) is None
+
+    @pytest.mark.parametrize(
+        "initial, matches",
+        [
+            ({"x": IntAtom(2), "w": [IntAtom(1)]}, 1),  # a variable and an omega name, both held to
+            ({"x": IntAtom(2), "w": [IntAtom(9)]}, 0),
+            ({"x": IntAtom(2)}, 2),  # the variable only: either remainder
+            ({"w": [IntAtom(1)]}, 1),  # the remainder only: `x` is what is not in it
+            ({"w": IntAtom(1)}, 0),  # an atom where a list is bound: never equal
+            ({"x": [IntAtom(2)]}, 0),  # and a list where an atom is
+            ({"elsewhere": Symbol("A"), "x": IntAtom(3)}, 1),
+        ],
+    )
+    def test_initial_bindings_hold_a_variable_and_an_omega_name(self, initial, matches):
+        patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), SolutionPattern(Var("x"), rest=Omega("w")))]
+        atoms = list(Multiset([1, 2, 3, TupleAtom([Symbol("T"), Subsolution([1, 2])]), TupleAtom([Symbol("T"), Subsolution([2, 3])])]))
+        ours, theirs = Multiset(atoms), Multiset(atoms)
+        found = list(find_matches(patterns, ours, None, initial))
+        _same(found, matcher_reference.search(patterns, theirs, None, initial))
+        assert len(found) == matches
+        for match in found:  # what was given stays bound to what was given
+            assert all(match.bindings[name] is bound for name, bound in initial.items())
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+
+    def test_a_condition_that_raises_half_way_keeps_the_refutations_so_far(self):
+        """The memory is iterated in place and told what was refuted when the
+        search ends — also when it ends by an exception."""
+        patterns = [TuplePattern(Var("h"), Var("x", kind="int"))]  # head-less: a memory on the tuple bucket
+        atoms = [TupleAtom([Symbol("A"), Symbol("no")]), TupleAtom([Symbol("B"), 1]), TupleAtom([Symbol("C"), Symbol("no")]),
+                 TupleAtom([Symbol("D"), 2]), TupleAtom([Symbol("E"), Symbol("no")])]  # fmt: skip
+        ours, theirs = Multiset(atoms), Multiset(atoms)
+
+        def condition(bindings):
+            if bindings["x"] == IntAtom(2):
+                raise ValueError("half-way")
+            return True
+
+        for search, solution in ((find_matches, ours), (matcher_reference.search, theirs)):
+            with pytest.raises(ValueError, match="half-way"):
+                search(patterns, solution, condition)
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs) == {0: [1, 3, 4]}
+        assert ours.memory_for(patterns[0], patterns[0].index_key()).readers == 0
+        _same(list(find_matches(patterns, ours)), matcher_reference.search(patterns, theirs))  # and goes on from there
+        assert _refutations(patterns, ours) == {0: [1, 3]}
 
     @given(program=_programs())
     @settings(max_examples=_EXAMPLES // 2, deadline=None)
@@ -251,6 +318,139 @@ class TestAgainstTheInterpreter:
     def test_one_pattern_on_one_atom(self, pattern, atom, initial):
         expected = list(matcher_reference.match(pattern, atom, dict(initial or {})))
         assert [dict(found) for found in pattern.match(atom, initial or {})] == expected
+
+
+# ------------------------------------------------------------------ the text
+def _fresh_gw_pass_like():
+    """A left-hand side of ``gw_pass``'s shape on fresh pattern objects and other names."""
+    return [
+        TuplePattern(Var("a", kind="symbol"), SolutionPattern(TuplePattern(SymbolPattern("OUT"), SolutionPattern(Var("v"), rest=Omega("w1"))), rest=Omega("w2"))),
+        TuplePattern(Var("b", kind="symbol"), SolutionPattern(TuplePattern(SymbolPattern("FROM"), SolutionPattern(Var("a", kind="symbol"), rest=Omega("w3"))), rest=Omega("w4"))),
+    ]  # fmt: skip
+
+
+_IN_A_CHILD = """
+import sys
+from repro.hocl import matching
+loaded, load = [], matching._load
+def counted(text, filename):
+    loaded.append(filename)
+    return load(text, filename)
+matching._load = counted
+from repro import GinFlow, adaptive_diamond_workflow
+from repro.scenarios import build_scenario
+workflow = adaptive_diamond_workflow(4, 4, "full", "simple", duration=0.01) if sys.argv[1] == "adapt" else build_scenario("montage:size=60,seed=1")
+report = GinFlow().run(workflow, mode=sys.argv[2], nodes=5)
+assert report.succeeded
+print(len(loaded))
+"""
+
+_SOURCES = """
+import hashlib
+from repro.agents.local_rules import GW_CALL, GW_PASS
+from repro.hocl import Omega, RulePattern, SolutionPattern, TuplePattern, Var
+from repro.hocl.matching import compiled_search
+from repro.hoclflow.generic_rules import GW_SETUP, make_gw_pass
+odd = [SolutionPattern(Var("zeta"), Var("alpha"), RulePattern("r", "beta"), rest=Omega("ω")), TuplePattern(Var("x y"), Var("alpha"), rest=Omega("tail"))]
+for patterns in (GW_SETUP.patterns, GW_CALL.patterns, GW_PASS.patterns, make_gw_pass().patterns, odd):
+    print(hashlib.sha1(compiled_search(patterns).__source__.encode()).hexdigest())
+"""
+
+
+def _child(script, *args, hash_seed="0"):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestTheGeneratedText:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The file names handed to the one place that compiles, with nothing compiled yet."""
+        loaded, load = [], matching_module._load
+
+        def counted(text, filename):
+            loaded.append(filename)
+            return load(text, filename)
+
+        monkeypatch.setattr(matching_module, "_FACTORIES", {})
+        monkeypatch.setattr(matching_module, "_load", counted)
+        return loaded
+
+    def test_one_text_and_one_compile_per_shape(self, loads):
+        first, second = compiled_search(_fresh_gw_pass_like()), compiled_search(_fresh_gw_pass_like())
+        assert first is not second and loads == []  # nothing is written before something searches
+        assert first.__source__ == second.__source__ and len(loads) == 1
+        assert first.run is not second.run and first.run.__code__ is second.run.__code__
+        # the names, symbols and keys of a left-hand side are not in its shape's text ...
+        assert "OUT" not in first.__source__ and "FROM" not in first.__source__
+        gw_pass = make_gw_pass()
+        assert gw_pass.search.__source__ != first.__source__  # ... its variable names are
+        assert len(loads) == 2
+        # and a text compiled before costs a look-up
+        assert compiled_search(make_gw_pass().patterns).__source__ == gw_pass.search.__source__ and len(loads) == 2
+
+    def test_nothing_is_generated_until_the_first_search(self, loads):
+        rule = Rule("late", [Var("x", kind="int"), Var("y", kind="symbol")], [])
+        assert loads == []
+        assert first_match(rule, Multiset([1, Symbol("A"), rule])) is not None
+        assert len(loads) == 1 and loads[0].startswith("<hocl-lhs late #")  # named after the rule that searched first
+        assert first_match(rule, Multiset([rule])) is None and len(loads) == 1
+
+    def test_the_text_does_not_depend_on_the_hash_seed(self):
+        texts = {_child(_SOURCES, hash_seed=seed) for seed in ("0", "1", "4242")}
+        assert len(texts) == 1 and len(texts.pop().split()) == 5
+
+    @pytest.mark.parametrize(
+        "workload, mode, most, least",
+        [("adapt", "simulated", 8, 4), ("montage", "simulated", 3, 3), ("montage", "centralized", 3, 3)],
+    )
+    def test_a_whole_run_compiles_a_handful(self, workload, mode, most, least):
+        assert least <= int(_child(_IN_A_CHILD, workload, mode)) <= most
+
+    def test_a_raising_condition_shows_the_rule_and_the_line(self, loads):
+        """(The rule that searched a shape first: rules of one shape share its text, and so its name.)"""
+
+        def condition(bindings):
+            return 1 // (bindings.value("x") - 2) > 0
+
+        rule = Rule("boom", [Var("x", kind="int")], [], condition=condition)
+        with pytest.raises(ZeroDivisionError) as raised:
+            ReductionEngine().reduce(Multiset([3, 2, rule]))
+        shown = "".join(traceback.format_exception(raised.type, raised.value, raised.tb))
+        assert 'File "<hocl-lhs boom #' in shown
+        assert "if condition is not None and not condition(b): continue" in shown
+
+    def test_past_twenty_nested_blocks(self):
+        """CPython compiles twenty statically nested blocks at most: a deeper
+        left-hand side goes on in a nested function — memories opened there,
+        variables bound outside it, the first match returned through it."""
+
+        def cell(index, value):
+            return TupleAtom([Symbol(f"H{index}"), value])
+
+        patterns = [TuplePattern(SymbolPattern(f"H{index}"), Var(f"x{index}")) for index in range(20)]
+        patterns += [Var("x3", kind="int"), TuplePattern(Var("h"), Var("x5")), Var("s", kind="symbol"), SolutionPattern(Var("x7"), rest=Omega("w"))]  # fmt: skip
+        atoms = [cell(index, index) for index in range(20)] + [cell(3, 33), cell(5, 3), IntAtom(3), IntAtom(33)]
+        atoms += [IntAtom(5), Symbol("A"), Subsolution([7, 8]), Subsolution([9]), Subsolution([8, 7])]
+        assert "def deeper():" in compiled_search(patterns).__source__
+        for initial in (None, {"x7": IntAtom(7)}, {"w": [IntAtom(8)]}, {"x3": IntAtom(33)}):
+            for condition in (None, lambda b: b["x3"] != IntAtom(3)):
+                ours, theirs = Multiset(atoms), Multiset(atoms)
+                found = list(find_matches(patterns, ours, condition, initial))
+                expected = matcher_reference.search(patterns, theirs, condition, initial)
+                _same(found, expected)
+                assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+                first = find_first_match(patterns, Multiset(atoms), condition, initial)
+                _same([first] if first else [], expected[:1])
+        assert len(list(find_matches(patterns, Multiset(atoms)))) == 2
+        wide = [TuplePattern(SymbolPattern("T"), SolutionPattern(*map(Literal, range(40)), Var("y"), rest=Omega("w"))), Var("y", kind="int")]
+        assert compiled_search(wide).__source__.count("def deeper():") == 2
+        atoms = list(Multiset([TupleAtom([Symbol("T"), Subsolution([*range(40), 43, 44, 50])]), 43, 44]))
+        found = list(find_matches(wide, Multiset(atoms)))
+        _same(found, matcher_reference.search(wide, Multiset(atoms)))
+        assert [match.bindings.value("y") for match in found] == [43, 44]
 
 
 # ------------------------------------------------------------------ no state
@@ -279,6 +479,24 @@ class TestNoStateOnTheCompiledForm:
 
         assert [dict(match.bindings) for match in find_matches(patterns, solution, condition)] == plain
         assert len(plain) == 12 and len(inner) == 3 and all(again == plain for again in inner)
+
+    def test_a_search_inside_a_search_may_refute(self):
+        """Both iterate one plausible-candidate memory in place: what the inner
+        search refutes must not pull entries from under the outer one."""
+        patterns = [TuplePattern(Var("h"), Var("x", kind="int"))]
+        atoms = [TupleAtom([Symbol(name), value]) for name, value in zip("ABCDEF", [1, Symbol("no"), 2, Symbol("no"), 3, Symbol("no")])]
+        solution, plain = Multiset(atoms), Multiset(atoms)
+        expected = [dict(match.bindings) for match in find_matches(patterns, plain)]
+        inner = []
+
+        def condition(bindings):
+            inner.append([dict(match.bindings) for match in find_matches(patterns, solution)])
+            return True
+
+        assert [dict(match.bindings) for match in find_matches(patterns, solution, condition)] == expected
+        assert len(expected) == 3 and inner == [expected] * 3
+        assert _refutations(patterns, solution) == _refutations(patterns, plain) == {0: [0, 2, 4]}
+        assert solution.memory_for(patterns[0], patterns[0].index_key()).readers == 0
 
     def test_eight_threads_on_one_compiled_left_hand_side(self):
         gw_pass = make_gw_pass()
@@ -433,6 +651,55 @@ class TestAPatternClassOfTheCallersOwn:
         assert [dict(match.bindings) for match in found] == [
             {"x": IntAtom(4), "half_x": IntAtom(2), "y": IntAtom(6), "half_y": IntAtom(3)}
         ]
+
+    @pytest.mark.parametrize("initial", [None, {"x": IntAtom(4)}, {"half_y": IntAtom(3)}, {"half_y": IntAtom(2)}, {"x": IntAtom(6)}])
+    def test_what_it_binds_holds_before_and_after_it(self, initial):
+        """Its extensions are the environment from there on: a variable it
+        binds holds a later pattern to it, one bound before holds it."""
+        patterns = [Even("x"), TuplePattern(SymbolPattern("T"), Var("x"), Even("y")), Var("half_y"), Even("x")]
+        atoms = list(Multiset([2, 4, 3, 6, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 2, 4])]))
+        ours, theirs = Multiset(atoms), Multiset(atoms)
+        found = list(find_matches(patterns, ours, None, initial))
+        _same(found, matcher_reference.search(patterns, theirs, None, initial))
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+        # (`Even` rebinds its `half_` name whatever it was: an extension is taken as it comes)
+        assert len(found) == (0 if initial == {"x": IntAtom(6)} else 2)
+
+    def test_a_refuted_candidate_is_not_matched(self):
+        """Clock-free: what ``quick_reject`` refutes costs that one call — the
+        search does not go on into the candidate to fail there."""
+        asked = []
+
+        class Counted(Even):
+            __slots__ = ()
+
+            def match(self, atom, bindings):
+                asked.append(atom)
+                return Even.match(self, atom, bindings)
+
+            def quick_reject(self, atom):
+                return atom.kind != "int"
+
+        patterns = [TuplePattern(Var("h"), Counted("x"))]  # head-less: a memory, so `quick_reject` is asked
+        atoms = [TupleAtom([Symbol("A"), Symbol("no")]), TupleAtom([Symbol("B"), 4]), TupleAtom([Symbol("C"), Symbol("no")])]
+        solution = Multiset(atoms)
+        assert [match.bindings.value("half_x") for match in find_matches(patterns, solution)] == [2]
+        assert asked == [IntAtom(4)]
+        assert _refutations(patterns, solution) == {0: [1]}
+
+    def test_past_twenty_nested_blocks_too(self):
+        """In the nested function of a deep left-hand side: a variable bound
+        outside it, compared inside it, and bound again past the subclass's loop."""
+        patterns = [TuplePattern(SymbolPattern(f"H{index}"), Var(f"x{index}")) for index in range(20)]
+        patterns += [Var("x3", kind="int"), Even("e"), Var("x3"), Var("half_e")]
+        atoms = [TupleAtom([Symbol(f"H{index}"), index]) for index in range(20)] + [IntAtom(3), IntAtom(3), IntAtom(6), IntAtom(4), IntAtom(2)]
+        assert "def deeper():" in compiled_search(patterns).__source__
+        for initial in (None, {"x3": IntAtom(3)}, {"e": IntAtom(4)}, {"e": IntAtom(6)}):
+            ours, theirs = Multiset(atoms), Multiset(atoms)
+            found = list(find_matches(patterns, ours, None, initial))
+            _same(found, matcher_reference.search(patterns, theirs, None, initial))
+            assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+            assert len(found) == (0 if initial == {"e": IntAtom(6)} else 2)  # half of 6 is taken twice already
 
     def test_it_fires_in_a_rule(self):
         halve = Rule("halve", [Even("n")], [Ref("half_n")])

@@ -1,6 +1,9 @@
 """Tests for the runtime layer: config, costs, reports, simulated / threaded /
 centralised execution, and cross-mode consistency."""
 
+import threading
+import time
+
 import pytest
 
 from repro.runtime import (
@@ -272,6 +275,32 @@ class TestThreadedRuntime:
         config = GinFlowConfig(mode="threaded", broker="kafka")
         report = run_threaded(diamond_workflow(2, 2), config, timeout=30.0)
         assert report.succeeded
+
+    def test_a_raising_stimulus_ends_the_run_at_once(self, monkeypatch):
+        """As on asyncio (``tests/test_aio_driver.py``): re-raised by the run,
+        not lost to a thread's excepthook while the run waits out its timeout."""
+        original = EnactmentEngine.deliver
+
+        def deliver(self, host, message):
+            if host.name == "T_2_2":
+                raise RuntimeError("injected into deliver")
+            return original(self, host, message)
+
+        monkeypatch.setattr(EnactmentEngine, "deliver", deliver)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected into deliver"):
+            GinFlow().run(diamond_workflow(3, 3), mode="threaded", timeout=30)
+        assert time.monotonic() - start < 2.0
+        assert not [thread.name for thread in threading.enumerate() if thread.name.startswith("sa-")]
+
+    def test_a_raising_boot_ends_the_run_too(self, monkeypatch):
+        def boot(self, host):
+            raise RuntimeError("injected into boot")
+
+        monkeypatch.setattr(EnactmentEngine, "boot", boot)
+        with pytest.raises(RuntimeError, match="injected into boot"):
+            run_threaded(diamond_workflow(2, 2), timeout=30.0)
+        assert not [thread.name for thread in threading.enumerate() if thread.name.startswith("sa-")]
 
 
 class TestGinFlowFacade:
