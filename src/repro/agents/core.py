@@ -109,7 +109,7 @@ class AgentCore:
         self.solution.add_all(local_rules)
         #: names of every rule registered in this agent's local solution;
         #: the dynamic analyzer diffs this against `rule_fires` for coverage
-        self.rule_names: tuple[str, ...] = tuple(rule.name for rule in local_rules)
+        self.rule_names: tuple[str, ...] = tuple([rule.name for rule in local_rules])
         # Incremental: between stimuli the local solution stays stamped
         # inert, so re-entering reduction after a stimulus only re-examines
         # the parts of the solution the stimulus actually dirtied.
@@ -254,7 +254,7 @@ class AgentCore:
                 self.invocation_requested = True
             elif isinstance(action, SendResult):
                 self.results_sent += 1
-        actions.append(StatusUpdate(state=self.state))
+        actions.append(StatusUpdate(self.state))
         if trace is not None:
             trace.span(
                 f"agent.{stimulus}",

@@ -34,6 +34,7 @@ from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import get_res_atoms, has_error
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.hoclflow.translator import WorkflowEncoding
+from repro.runtime.frozen import FrozenSetUp
 from repro.services import InvocationContext, ServiceRegistry
 from repro.workflow.dag import Workflow
 
@@ -101,8 +102,12 @@ class CentralizedExecutor:
         return self.execute_encoding(encoding)
 
     def execute_encoding(self, encoding: WorkflowEncoding) -> CentralizedOutcome:
-        """Run an already encoded workflow."""
-        solution = encoding.to_multiset()
+        """Run an already encoded workflow, its global solution frozen as it is built (as an agent set-up is)."""
+        with FrozenSetUp(len(encoding.tasks)) as set_up:
+            return self._reduce(encoding, encoding.to_multiset(built=set_up.built))
+
+    def _reduce(self, encoding: WorkflowEncoding, solution: Multiset) -> CentralizedOutcome:
+        """Reduce the global ``solution`` of ``encoding``; collect per-task results."""
         invocation_counter = {"count": 0}
         attempts: dict[str, int] = {}
         # Under a parallel policy, `invoke` is called from pool workers

@@ -18,7 +18,8 @@ HOCL programs rewrite a *multiset* of *atoms*.  An atom is either
 
 The helper :func:`to_atom` coerces plain Python values (``int``, ``str``,
 ``list``, ...) into atoms so that user code rarely needs to build atom
-objects explicitly.
+objects explicitly.  Building an atom costs its slot stores: a constructor calls no
+other Python function unless it has a plain value to coerce.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class Atom:
     #: classes whose keys are constant get a class-level tuple.
     _index_keys: Any = None
 
-    def is_structured(self) -> bool:
-        """Return ``True`` for tuples, lists and sub-solutions."""
-        return False
-
     def copy(self) -> "Atom":
         """Return a deep copy of the atom (scalars return themselves)."""
         return self
@@ -112,7 +109,8 @@ class IntAtom(ScalarAtom):
     def __init__(self, value: int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise AtomError(f"IntAtom requires an int, got {value!r}")
-        super().__init__(int(value))
+        self.value = value = int(value)
+        self._hash = hash((type(self).__name__, value))
 
 
 class FloatAtom(ScalarAtom):
@@ -124,7 +122,8 @@ class FloatAtom(ScalarAtom):
     def __init__(self, value: float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise AtomError(f"FloatAtom requires a number, got {value!r}")
-        super().__init__(float(value))
+        self.value = value = float(value)
+        self._hash = hash((type(self).__name__, value))
 
 
 class BoolAtom(ScalarAtom):
@@ -136,7 +135,8 @@ class BoolAtom(ScalarAtom):
     def __init__(self, value: bool):
         if not isinstance(value, bool):
             raise AtomError(f"BoolAtom requires a bool, got {value!r}")
-        super().__init__(value)
+        self.value = value
+        self._hash = hash((type(self).__name__, value))
 
 
 class StringAtom(ScalarAtom):
@@ -148,7 +148,8 @@ class StringAtom(ScalarAtom):
     def __init__(self, value: str):
         if not isinstance(value, str):
             raise AtomError(f"StringAtom requires a str, got {value!r}")
-        super().__init__(value)
+        self.value = value
+        self._hash = hash((type(self).__name__, value))
 
 
 class Symbol(Atom):
@@ -165,6 +166,9 @@ class Symbol(Atom):
 
     __slots__ = ("name", "_hash", "_index_keys", "_head_keys")
     kind = "symbol"
+    name: str
+    _hash: int
+    _head_keys: Any
 
     #: Interning table; bounded so pathological name churn cannot leak.
     _interned: dict[str, "Symbol"] = {}
@@ -174,19 +178,16 @@ class Symbol(Atom):
         if cls is Symbol and isinstance(name, str):
             cached = Symbol._interned.get(name)
             if cached is not None:
-                return cached
-        return super().__new__(cls)
-
-    def __init__(self, name: str):
-        if isinstance(name, str) and getattr(self, "name", None) == name:
-            return  # an interned instance handed back by __new__: already set up
+                return cached  # the whole of an interned hit: there is no `__init__` to re-enter
         if not isinstance(name, str) or not name:
             raise AtomError(f"Symbol requires a non-empty string name, got {name!r}")
+        self = super().__new__(cls)
         self.name = name
         self._hash = hash(("Symbol", name))
         self._index_keys = self._head_keys = None  # its own keys; those of the tuples it heads
-        if type(self) is Symbol and len(Symbol._interned) < Symbol._INTERN_LIMIT:
-            Symbol._interned.setdefault(name, self)
+        if cls is Symbol and len(Symbol._interned) < Symbol._INTERN_LIMIT:
+            Symbol._interned[name] = self
+        return self
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -224,18 +225,21 @@ class TupleAtom(Atom):
     kind = "tuple"
 
     def __init__(self, elements: Sequence[Any]):
-        items = tuple(to_atom(e) for e in elements)
-        if len(items) < 1:
+        items: list[Atom] = []
+        mutable = False
+        for element in elements:  # one pass: coerce, and note what holds a solution
+            element = element if isinstance(element, Atom) else to_atom(element)
+            mutable = mutable or element._mutable
+            items.append(element)
+        if not items:
             raise AtomError("TupleAtom requires at least one element")
-        self.elements = items
+        self.elements = tuple(items)
         self._hash = None
-        self._mutable = any(e._mutable for e in items)
-        self._index_keys = None
+        self._mutable = mutable
+        # a symbol keeps the index keys of the tuples it heads (None until the first is indexed)
+        self._index_keys = items[0]._head_keys if items[0].__class__ is Symbol else None  # type: ignore[attr-defined]
 
     # -- structure ---------------------------------------------------------
-    def is_structured(self) -> bool:
-        return True
-
     @property
     def head(self) -> Atom:
         """The first element of the tuple."""
@@ -308,12 +312,15 @@ class ListAtom(Atom):
     kind = "list"
 
     def __init__(self, items: Iterable[Any] = ()):  # noqa: B008 - immutable default
-        self.items = tuple(to_atom(i) for i in items)
+        atoms: list[Atom] = []
+        mutable = False
+        for item in items:  # one pass, as in TupleAtom
+            item = item if isinstance(item, Atom) else to_atom(item)
+            mutable = mutable or item._mutable
+            atoms.append(item)
+        self.items = tuple(atoms)
         self._hash = None
-        self._mutable = any(i._mutable for i in self.items)
-
-    def is_structured(self) -> bool:
-        return True
+        self._mutable = mutable
 
     def __len__(self) -> int:
         return len(self.items)
@@ -382,15 +389,8 @@ class Subsolution(Atom):
     _mutable = True
 
     def __init__(self, contents: Any = ()):  # Multiset | Iterable
-        from .multiset import Multiset  # local import to avoid a cycle
-
-        if isinstance(contents, Multiset):
-            self.solution = contents
-        else:
-            self.solution = Multiset(contents)
-
-    def is_structured(self) -> bool:
-        return True
+        # a multiset is wrapped as it is, not copied
+        self.solution = contents if isinstance(contents, Multiset) else Multiset(contents)
 
     def __len__(self) -> int:
         return len(self.solution)
@@ -464,3 +464,6 @@ def from_atom(atom: Atom) -> Any:
 def atoms_equal(left: Any, right: Any) -> bool:
     """Structural equality between two values after coercion to atoms."""
     return to_atom(left) == to_atom(right)
+
+
+from .multiset import Multiset  # noqa: E402 - last: `multiset` imports the names above

@@ -45,7 +45,6 @@ and as the baseline of the reduction benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
 
@@ -58,11 +57,27 @@ from .matching import Match, first_match
 from .multiset import Multiset, atom_index_keys
 from .rules import Rule
 
-__all__ = ["ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
+__all__ = ["Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
 
 
-@dataclass
-class ReactionRecord:
+class Record:
+    """A value built by slot stores: like a dataclass, equal to one of its class with equal
+    fields (its slots), shown as its keyword constructor call, unhashable unless a subclass says how."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: Any) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ReactionRecord(Record):
     """One rule firing, as recorded in a :class:`ReductionReport`.
 
     ``consumed`` counts the matched atoms and ``produced`` the atoms the
@@ -72,14 +87,13 @@ class ReactionRecord:
     follows) records identical numbers on both paths.
     """
 
-    rule: str
-    depth: int
-    consumed: int
-    produced: int
+    __slots__ = ("rule", "depth", "consumed", "produced")
+
+    def __init__(self, rule: str, depth: int, consumed: int, produced: int):
+        self.rule, self.depth, self.consumed, self.produced = rule, depth, consumed, produced
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(Record):
     """Statistics gathered while reducing a solution.
 
     Attributes
@@ -125,17 +139,20 @@ class ReductionReport:
         is the only sink an effect has.
     """
 
-    reactions: int = 0
-    match_attempts: int = 0
-    inert: bool = True
-    history: list[ReactionRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(
-        default_factory=lambda: {"match": 0.0, "rewrite": 0.0, "patch": 0.0, "index": 0.0}
-    )
-    rule_fires: dict[str, int] = field(default_factory=dict)
-    batches: int = 0
-    patched: int = 0
-    effects: list[Any] = field(default_factory=list)
+    __slots__ = ("reactions", "match_attempts", "inert", "history", "timings", "rule_fires", "batches", "patched",
+                 "effects")  # fmt: skip
+
+    def __init__(
+        self, reactions: int = 0, match_attempts: int = 0, inert: bool = True,
+        history: list[ReactionRecord] | None = None, timings: dict[str, float] | None = None,
+        rule_fires: dict[str, int] | None = None, batches: int = 0, patched: int = 0, effects: list[Any] | None = None,
+    ):  # fmt: skip
+        self.reactions, self.match_attempts, self.inert = reactions, match_attempts, inert
+        self.history = [] if history is None else history
+        self.timings = {"match": 0.0, "rewrite": 0.0, "patch": 0.0, "index": 0.0} if timings is None else timings
+        self.rule_fires = {} if rule_fires is None else rule_fires
+        self.batches, self.patched = batches, patched
+        self.effects = [] if effects is None else effects
 
     def merge(self, other: "ReductionReport") -> None:
         """Accumulate ``other`` into this report.
@@ -762,11 +779,7 @@ class ReductionEngine:
             kept = []
         report.reactions += 1
         report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
-        report.history.append(
-            ReactionRecord(
-                rule=rule.name, depth=depth, consumed=len(match.consumed), produced=len(dirty)
-            )
-        )
+        report.history.append(ReactionRecord(rule.name, depth, len(match.consumed), len(dirty)))
         report.effects.extend(emitted)
         if self.observer is not None:
             self.observer(rule, match, depth)

@@ -30,7 +30,7 @@ occurrences to multi-pattern rules.
 from __future__ import annotations
 
 import linecache
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from weakref import WeakValueDictionary
@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Match", "compiled_search", "first_match", "find_matches", "find_first_match", "count_matches"]
 
 
-@dataclass
 class Match:
     """The result of matching a rule's left-hand side against a solution.
 
@@ -59,12 +58,11 @@ class Match:
         the engine removes these when the rule fires.
     """
 
-    bindings: Bindings
-    consumed: list[Atom] = field(default_factory=list)
+    __slots__ = ("bindings", "consumed")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bindings, BindingView):
-            self.bindings = BindingView(self.bindings)
+    def __init__(self, bindings: Bindings | Mapping[str, Any], consumed: list[Atom] | None = None):
+        self.bindings = bindings if isinstance(bindings, BindingView) else BindingView(bindings)
+        self.consumed = [] if consumed is None else consumed
 
 
 #: what every generated text may name without being handed it

@@ -36,6 +36,9 @@ The index stores one *occurrence entry* per stored atom (the same atom
 object added twice yields two entries), preserving global insertion order
 within every bucket; this is what keeps the indexed matcher's candidate
 enumeration — and therefore the reduction trace — identical to a naive scan.
+
+Every solution is built through :meth:`Multiset.add`: an atom as it is, its cached index keys,
+what it holds wired in one pass, and no :meth:`Multiset._touch` when nothing encloses it.
 """
 
 from __future__ import annotations
@@ -64,23 +67,6 @@ _KIND_RULE = ("kind", "rule")
 #: Shared empty list (never mutated): the bucket of an absent key, and what a
 #: multiset holds until its first holder / first rule ordering allocates its own.
 _EMPTY: list = []
-
-
-def _nested_solutions_of(atom: Atom) -> "list[Multiset]":
-    """The solutions directly nested in ``atom``, in reduction order.
-
-    Mirrors the engine's depth-first descent: a sub-solution atom contributes
-    its own solution, and a tuple contributes the solutions of its
-    sub-solution elements (this is how task fields are encoded).  Solutions
-    inside list atoms are *not* reduced by the engine and are excluded.
-    """
-    if isinstance(atom, Subsolution):
-        return [atom.solution]
-    if isinstance(atom, TupleAtom):
-        return [
-            element.solution for element in atom.elements if isinstance(element, Subsolution)
-        ]
-    return []
 
 
 def _held_solutions(atom: Atom) -> "list[Multiset]":
@@ -161,7 +147,7 @@ class _Entry:
         return f"_Entry({self.atom!r})"
 
 
-_seq = attrgetter("seq")
+_seq, _atom, _priority = attrgetter("seq"), attrgetter("atom"), attrgetter("priority")
 
 
 class _Memory:
@@ -301,27 +287,24 @@ class Multiset:
         self._inert_version = self._version
 
     def _touch(self) -> None:
-        """Bump this and every enclosing solution's version; flag the holder in each.
+        """Bump every enclosing solution's version (a mutation bumps its own); flag the holder in each.
 
         Walks the whole parent graph (a solution may be contained several
         times) with a visited guard, so even pathological aliasing cycles
         terminate.  A solution that cannot react (:attr:`can_react`) raises
         no descent flag on its holders: there is nothing to visit in it.
         """
-        self._version += 1
-        if not self._parents:
-            return
         seen = {id(self)}
         changed = [self]
         while changed:
             below = changed.pop()
-            can_react = below.can_react
+            can_react = bool(below._nested) or _KIND_RULE in below._index  # `can_react`, inline
             for node, entry in below._parents:
                 # something changed below `entry`: descent and memories look again
                 if can_react and node._nested is not None and entry in node._nested:
                     node._flagged.add(entry)  # type: ignore[union-attr]
                 if node._memories is not None:
-                    keys = atom_index_keys(entry.atom)
+                    keys = entry.atom._index_keys  # cached when the entry joined
                     for memory in node._memories.values():
                         memory.admit(entry, keys, False)
                 if id(node) not in seen:
@@ -341,11 +324,13 @@ class Multiset:
     # ------------------------------------------------------------------ core
     def add(self, value: Any) -> Atom:
         """Add a single atom (coercing plain values) and return it."""
-        atom = to_atom(value)
+        atom = value if isinstance(value, Atom) else to_atom(value)
         entry = _Entry(atom, self._version)  # bumped below: later entries sort later
         self._entries.append(entry)
         index = self._index
-        keys = atom_index_keys(atom)
+        keys = atom._index_keys
+        if keys is None:
+            keys = atom_index_keys(atom)
         for key in keys:
             bucket = index.get(key)
             if bucket is None:
@@ -358,18 +343,26 @@ class Multiset:
             for memory in self._memories.values():
                 memory.admit(entry, keys, True)  # the last of its buckets: order kept
         if atom._mutable:
-            # only atoms holding a sub-solution somewhere need holder wiring
-            # and nested-solution tracking
-            nested = _nested_solutions_of(atom)
+            # wire every solution it holds to this entry: its own and a tuple's elements'
+            # are also nested (reduced); one deeper, as in a list (walked whole), is held only
+            pair, nested = (self, entry), []
+            for item in (atom,) if isinstance(atom, Subsolution) else getattr(atom, "elements", (atom,)):
+                if isinstance(item, Subsolution):
+                    held = item.solution
+                    held._parents = [*held._parents, pair]
+                    nested.append(held)
+                elif item._mutable:
+                    for held in _held_solutions(item):
+                        held._parents = [*held._parents, pair]
             if nested:
                 if self._nested is None:
                     self._nested = {}
                     self._flagged = set()
                 self._nested[entry] = nested
                 self._flagged.add(entry)  # type: ignore[union-attr]
-            for solution in _held_solutions(atom):
-                solution._parents = [*solution._parents, (self, entry)]
-        self._touch()
+        self._version += 1
+        if self._parents:
+            self._touch()
         return atom
 
     def add_all(self, values: Iterable[Any]) -> list[Atom]:
@@ -445,7 +438,9 @@ class Multiset:
             if self._nested is not None and self._nested.pop(entry, None):
                 self._flagged.discard(entry)  # type: ignore[union-attr]
             self._disown(atom, entry)
-        self._touch()
+        self._version += 1
+        if self._parents:
+            self._touch()
 
     def clear(self) -> None:
         """Remove every atom."""
@@ -458,7 +453,9 @@ class Multiset:
         self._flagged = None
         self._memories = None
         self._rules_dirty = True
-        self._touch()
+        self._version += 1
+        if self._parents:
+            self._touch()
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -486,10 +483,6 @@ class Multiset:
             if predicate(entry.atom):
                 return entry.atom
         return None
-
-    def find_all(self, predicate: Callable[[Atom], bool]) -> list[Atom]:
-        """Return every atom satisfying ``predicate``."""
-        return [entry.atom for entry in self._entries if predicate(entry.atom)]
 
     # ------------------------------------------------------- index interface
     def candidate_entries(self, key: Any) -> list[_Entry]:
@@ -535,12 +528,9 @@ class Multiset:
         removed — data mutations (the common case) leave it untouched.
         """
         if self._rules_dirty:
-            bucket = self._index.get(_KIND_RULE, ())
-            # stable sort: priority descending, insertion order among equals
-            self._rules_cache = sorted(
-                (entry.atom for entry in bucket),
-                key=lambda rule: -rule.priority,  # type: ignore[attr-defined]
-            )
+            bucket = self._index.get(_KIND_RULE, _EMPTY)
+            # stable, reversed too: priority descending, insertion order among equals
+            self._rules_cache = sorted(map(_atom, bucket), key=_priority, reverse=True)
             self._rules_dirty = False
         return self._rules_cache
 
@@ -557,10 +547,6 @@ class Multiset:
             assert isinstance(atom, TupleAtom)
             return atom
         return None
-
-    def find_tuples(self, head: str) -> list[TupleAtom]:
-        """Return every tuple atom whose head symbol is ``head``."""
-        return [entry.atom for entry in self._index.get(("tuple", head), ())]  # type: ignore[misc]
 
     def replace_tuple(self, head: str, new_tuple: TupleAtom) -> None:
         """Replace the (single) tuple with head ``head`` by ``new_tuple``.
@@ -651,10 +637,6 @@ class Multiset:
     def rules(self) -> list[Atom]:
         """Every top-level rule atom (higher-order content of the solution)."""
         return [entry.atom for entry in self._index.get(_KIND_RULE, ())]
-
-    def non_rule_atoms(self) -> list[Atom]:
-        """Every top-level atom that is not a rule (the 'data' of the solution)."""
-        return [entry.atom for entry in self._entries if entry.atom.kind != "rule"]
 
     # ------------------------------------------------------------- structure
     def copy(self) -> "Multiset":

@@ -82,10 +82,10 @@ class _Rest:
     def __init__(self, solution: Multiset, used: list[Any]):
         self.solution = solution
         self.used = used
-        self.version = solution.version
+        self.version = solution._version
 
     def read(self, name: str) -> list[Atom]:
-        if self.solution.version != self.version:
+        if self.solution._version != self.version:
             raise PatternError(f"omega {name!r} read after the solution it is the remainder of changed")
         used = self.used  # `_Entry` has no `__eq__`: `in` is an identity scan
         return [entry.atom for entry in self.solution.live_entries() if entry not in used]
@@ -102,13 +102,14 @@ class BindingView(Mapping[str, Any]):
     An omega's list is copied out of its solution at the first read of the
     name and kept: one nobody reads costs nothing.  A first read after that
     solution changed raises :class:`~repro.hocl.errors.PatternError` (the
-    engine reads what outlives the reaction before it rewrites).
+    engine reads what outlives the reaction before it rewrites).  A ``dict`` —
+    the one a generated search just built — is wrapped as it is, not copied.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data: "Mapping[str, Any] | Iterable[tuple[str, Any]]" = ()):
-        self._data: dict[str, Any] = dict(data)
+        self._data: dict[str, Any] = data if data.__class__ is dict else dict(data)  # type: ignore[assignment]
 
     def __getitem__(self, name: str) -> Any:
         bound = self._data[name]

@@ -67,12 +67,12 @@ __all__ = [
 # ----------------------------------------------------------------- builders
 def src_field(task_names: Iterable[str] = ()) -> TupleAtom:
     """``SRC : <T...>`` — the tasks this task still waits for."""
-    return TupleAtom([kw.SRC_SYM, Subsolution([Symbol(name) for name in task_names])])
+    return TupleAtom([kw.SRC_SYM, Subsolution(map(Symbol, task_names))])
 
 
 def dst_field(task_names: Iterable[str] = ()) -> TupleAtom:
     """``DST : <T...>`` — the tasks this task must send its result to."""
-    return TupleAtom([kw.DST_SYM, Subsolution([Symbol(name) for name in task_names])])
+    return TupleAtom([kw.DST_SYM, Subsolution(map(Symbol, task_names))])
 
 
 def srv_field(service_name: str) -> TupleAtom:
@@ -82,12 +82,12 @@ def srv_field(service_name: str) -> TupleAtom:
 
 def in_field(values: Iterable[Any] = ()) -> TupleAtom:
     """``IN : <...>`` — initial inputs and received results."""
-    return TupleAtom([kw.IN_SYM, Subsolution([to_atom(value) for value in values])])
+    return TupleAtom([kw.IN_SYM, Subsolution(map(to_atom, values))])
 
 
 def res_field(values: Iterable[Any] = ()) -> TupleAtom:
     """``RES : <...>`` — result(s) of the invocation (empty before it)."""
-    return TupleAtom([kw.RES_SYM, Subsolution([to_atom(value) for value in values])])
+    return TupleAtom([kw.RES_SYM, Subsolution(map(to_atom, values))])
 
 
 def par_field(values: Iterable[Any] = ()) -> TupleAtom:

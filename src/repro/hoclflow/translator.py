@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from repro.hocl import Multiset, Rule, Subsolution, Symbol, TupleAtom
 from repro.workflow.dag import Workflow
@@ -122,13 +122,13 @@ class WorkflowEncoding:
         """Names of the replacement tasks (deployed but initially idle)."""
         return [name for name, encoding in self.tasks.items() if encoding.is_replacement]
 
-    def to_multiset(self, include_rules: bool = True) -> Multiset:
-        """The centralised concrete workflow (Fig. 8): one global multiset."""
-        solution = Multiset()
-        if include_rules:
-            solution.add_all(self.global_rules)
+    def to_multiset(self, include_rules: bool = True, built: Callable[[], None] | None = None) -> Multiset:
+        """The centralised concrete workflow (Fig. 8): one global multiset, ``built()`` called per task tuple."""
+        solution = Multiset(self.global_rules if include_rules else ())
         for encoding in self.tasks.values():
             solution.add(encoding.as_tuple(include_rules))
+            if built is not None:
+                built()
         return solution
 
 

@@ -26,13 +26,11 @@ and when to feed the outcome back through :meth:`EnactmentEngine.complete_invoca
 
 from __future__ import annotations
 
-import gc
 import inspect
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.agents import Coordinator, SendAdapt, SendResult, StartInvocation, StatusUpdate
 from repro.agents.actions import Action
@@ -45,6 +43,7 @@ from repro.obs import Observability
 from repro.obs.tracer import Tracer
 from repro.services import InvocationContext, InvocationResult, Service
 
+from ..frozen import FrozenSetUp
 from ..results import RunReport
 from .clock import Clock
 from .transport import Transport
@@ -53,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import GinFlowConfig
 
 __all__ = ["AgentHost", "PreparedInvocation", "EnactmentEngine"]
-
-#: hosts registered between two freezes of the set-up heap: enough allocations
-#: for young collections to keep running, few enough that no full one walks much
-FREEZE_STRIDE = 128
 
 
 @dataclass
@@ -159,14 +154,6 @@ class PreparedInvocation:
 class EnactmentEngine:
     """The shared enactment protocol, parameterised by clock and transport."""
 
-    #: ``gc.freeze()`` zeroes the collector's generation counts, so a process
-    #: enacting one workflow after another would never reach a full collection
-    #: — and every run leaves cyclic garbage (nested solutions know their
-    #: holders).  The young collections each freeze wipes off the tally towards
-    #: the next full one are summed here instead, across runs; past the caller's
-    #: own thresholds, the next run starts with the collection that is due.
-    _wiped = 0
-
     def __init__(
         self,
         *,
@@ -203,8 +190,8 @@ class EnactmentEngine:
         # Shared-state guard for real-concurrency runtimes; uncontended (and
         # harmless) under the single-threaded simulated/asyncio drivers.
         self._lock = threading.Lock()
-        #: inside `enacting()`, on a heap nobody else froze
-        self._freezes = False
+        #: the hosts, frozen as they are built once `enacting()` is entered
+        self._set_up = FrozenSetUp(len(encoding.tasks))
 
     # ---------------------------------------------------------------- hosts
     def new_core(self, encoding: TaskEncoding, reducer: Any = None) -> AgentCore:
@@ -213,47 +200,20 @@ class EnactmentEngine:
         return AgentCore(encoding, reduction=self.policy, reducer=reducer, trace=self._trace)
 
     def add_host(self, host: AgentHost) -> AgentHost:
-        """Register one hosted agent (insertion order is report order).
-
-        Inside :meth:`enacting`, what has been built so far is frozen out of
-        the collector's reach every :data:`FREEZE_STRIDE` hosts and at the last
-        one: set-up is built once and never re-walked, young collections keep
-        running in between.
-        """
+        """Register one hosted agent (insertion order is report order); inside
+        :meth:`enacting`, one more item of the frozen set-up."""
         self.hosts[host.name] = host
-        count = len(self.hosts)
-        if self._freezes and (count % FREEZE_STRIDE == 0 or count == len(self.encoding.tasks)):
-            _, young, old = gc.get_count()
-            EnactmentEngine._wiped += young + old * gc.get_threshold()[1]
-            gc.freeze()
+        self._set_up.built()
         return host
 
     def subscribe_status(self) -> None:
         """Route the shared-space STATUS topic into the coordinator."""
         self.transport.subscribe(STATUS_TOPIC, self.on_status_message)
 
-    @contextmanager
-    def enacting(self) -> Iterator[None]:
-        """The run, from the first :meth:`add_host` to the assembled report.
-
-        What set-up builds lives until the run ends, so :meth:`add_host`
-        freezes it out of the cyclic collector's reach as it is built: neither
-        the collections set-up triggers nor those of the enactment's own
-        garbage re-traverse it.  Leaving the block, however it is left — a
-        set-up that raises included — gives everything back; a heap somebody
-        else froze is left alone both ways.
-        """
-        self._freezes = gc.get_freeze_count() == 0
-        _, per_old, per_full = gc.get_threshold()
-        if self._freezes and gc.isenabled() and EnactmentEngine._wiped > per_old * per_full:
-            EnactmentEngine._wiped = 0
-            gc.collect()
-        try:
-            yield
-        finally:
-            if self._freezes:
-                self._freezes = False
-                gc.unfreeze()
+    def enacting(self) -> FrozenSetUp:
+        """The run, first :meth:`add_host` to assembled report, as a ``with`` block: the hosts,
+        frozen as built and given back however it is left (:class:`~repro.runtime.frozen.FrozenSetUp`)."""
+        return self._set_up
 
     # -------------------------------------------------------------- stimuli
     def boot(self, host: AgentHost) -> list[Action]:

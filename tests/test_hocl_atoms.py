@@ -122,9 +122,6 @@ class TestTupleAtom:
         inner.solution.add(2)
         assert len(clone[1].solution) == 1
 
-    def test_is_structured(self):
-        assert TupleAtom([1]).is_structured()
-
 
 class TestListAtom:
     def test_empty_list(self):

@@ -89,10 +89,6 @@ class TestQueries:
     def test_find_none(self):
         assert Multiset([1]).find(lambda a: False) is None
 
-    def test_find_all(self):
-        ms = Multiset([1, 2, 3])
-        assert len(ms.find_all(lambda a: isinstance(a, IntAtom))) == 3
-
     def test_find_tuple_by_head(self):
         ms = Multiset([TupleAtom([Symbol("SRC"), Subsolution()]), TupleAtom([Symbol("DST"), Subsolution()])])
         assert ms.find_tuple("SRC").head_symbol() == "SRC"
@@ -125,7 +121,7 @@ class TestQueries:
         rule = make_rule()
         ms = Multiset([rule, 1])
         assert ms.rules() == [rule]
-        assert len(ms.non_rule_atoms()) == 1
+        assert [atom for atom in ms if atom.kind != "rule"] == [IntAtom(1)]
 
 
 class TestStructure:

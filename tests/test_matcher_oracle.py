@@ -460,7 +460,7 @@ def _central_solution(width):
 
 def _with_results(solution):
     """Give every task a result, so that ``gw_pass`` has many matches."""
-    for task in solution.find_all(lambda atom: isinstance(atom, TupleAtom)):
+    for task in [atom for atom in solution if isinstance(atom, TupleAtom)]:
         task.elements[1].solution.find_tuple("RES").elements[1].solution.add("done")
     return solution
 
@@ -705,7 +705,7 @@ class TestAPatternClassOfTheCallersOwn:
         halve = Rule("halve", [Even("n")], [Ref("half_n")])
         solution = Multiset([12, 5, halve])
         assert ReductionEngine().reduce(solution).reactions == 2
-        assert sorted(atom.value for atom in solution.non_rule_atoms()) == [3, 5]
+        assert sorted(atom.value for atom in solution if atom.kind != "rule") == [3, 5]
 
     def test_one_that_defines_nothing_is_refused(self):
         class Nothing(Pattern):
@@ -744,4 +744,4 @@ class TestARulePicklesAsItsDefinition:
             report = reducer.reduce_shards(shards, ReductionEngine)
             assert reducer.process_fallbacks == 0
         assert report.inert and report.reactions == 15
-        assert [[atom.value for atom in shard.non_rule_atoms()] for shard in shards] == [[5], [15], [25]]
+        assert [[atom.value for atom in shard if atom.kind != "rule"] for shard in shards] == [[5], [15], [25]]
