@@ -8,16 +8,12 @@ jumps above its tolerance; slow drift *inside* the tolerance compounds
 silently across PRs.  This script folds any number of downloaded artifacts
 into one per-scenario trend table so that drift becomes visible:
 
-* one row per (commit, scenario, mode): reactions, match_attempts, wall
-  seconds per reduction strategy (``serial``/``batch``/``parallel`` —
-  schema-2 artifacts contribute a single ``serial`` row), the
-  match/rewrite/patch/index split of the wall (schema-4 rows; older
-  artifacts show ``-`` for the keys they lack, e.g. ``patch`` before the
-  delta path existed), plus the naive wall and wall-clock speedup on the
-  serial row;
+* one row per (commit, scenario): reactions, match_attempts, patched
+  reactions and wall seconds of the one reduction loop (schema 8; older
+  artifacts contribute their ``serial`` row), plus the naive wall and the
+  wall-clock speedup over it;
 * a ``drift`` column: the wall relative to the *first* (oldest) collated
-  commit of that (scenario, mode) — the number the 20%-per-PR gate cannot
-  see;
+  commit of that scenario — the number the per-PR gate cannot see;
 * commits are ordered by artifact modification time (artifact downloads
   preserve upload order); ``--order name`` sorts by SHA instead;
 * below the table, one line per artifact that carries a ``scaling`` object
@@ -32,10 +28,9 @@ Usage::
     python benchmarks/collate_trend.py artifacts/ --csv trend.csv --json-out trend.json
     python benchmarks/collate_trend.py artifacts/ --plot trend.svg
 
-``--plot`` renders the trend as a dependency-free SVG (two panels: the wall
-seconds of every collated (scenario, mode) series across commits, and the
-match/rewrite/patch/index split of the heaviest series — the drift the
-per-PR gate tolerance cannot see, as a picture).
+``--plot`` renders the trend as a dependency-free SVG: the wall seconds of
+every collated scenario across commits — the drift the per-PR gate tolerance
+cannot see, as a picture.
 
 Exit status: 0 when at least one artifact was collated, 1 otherwise.
 """
@@ -58,23 +53,14 @@ _STAMPED = re.compile(r"^BENCH_reduction-(?P<sha>[0-9a-fA-F]{7,40})\.json$")
 _COLUMNS = (
     "commit",
     "scenario",
-    "mode",
     "reactions",
     "match_attempts",
+    "patched",
     "wall_seconds",
-    "match_seconds",
-    "rewrite_seconds",
-    "patch_seconds",
-    "index_seconds",
     "naive_wall_seconds",
     "speedup",
     "drift",
 )
-
-#: ``ReductionReport.timings`` keys surfaced as trend columns.  Schema-3
-#: artifacts lack ``patch`` (pre-delta engines), schema-2 rows lack the
-#: whole ``timings`` object; missing keys render as ``-``.
-_TIMING_KEYS = ("match", "rewrite", "patch", "index")
 
 
 def _label(path: Path) -> str:
@@ -115,25 +101,18 @@ def load_rows(path: Path) -> Iterator[dict[str, Any]]:
         print(f"warning: {path} is not a reduction artifact; skipping", file=sys.stderr)
         return
     for scenario, row in sorted(payload.get("scenarios", {}).items()):
-        naive = row.get("naive", {})
-        speedup = row.get("speedup", {})
-        # Schema 3 carries one sub-row per reduction strategy; schema 2
-        # artifacts only measured the serial incremental engine.
-        modes = row.get("modes") or {"serial": row.get("incremental", {})}
-        for mode, measured in sorted(modes.items()):
-            serial_row = mode == "serial"
-            timings = measured.get("timings") or {}
-            yield {
-                "commit": _label(path),
-                "scenario": scenario,
-                "mode": mode,
-                "reactions": row.get("reactions"),
-                "match_attempts": measured.get("match_attempts"),
-                "wall_seconds": measured.get("wall_seconds"),
-                **{f"{key}_seconds": timings.get(key) for key in _TIMING_KEYS},
-                "naive_wall_seconds": naive.get("wall_seconds") if serial_row else None,
-                "speedup": speedup.get("wall_clock") if serial_row else None,
-            }
+        # schemas 3-7 measured several reduction strategies: their serial row is this loop's
+        measured = row if "wall_seconds" in row else (row.get("modes") or {}).get("serial") or row.get("incremental", {})
+        yield {
+            "commit": _label(path),
+            "scenario": scenario,
+            "reactions": row.get("reactions"),
+            "match_attempts": measured.get("match_attempts"),
+            "patched": measured.get("patched"),
+            "wall_seconds": measured.get("wall_seconds"),
+            "naive_wall_seconds": row.get("naive", {}).get("wall_seconds"),
+            "speedup": row.get("speedup", {}).get("wall_clock"),
+        }
 
 
 def scaling_lines(files: list[Path]) -> list[str]:
@@ -153,25 +132,16 @@ def scaling_lines(files: list[Path]) -> list[str]:
     return lines
 
 
-def collate(
-    files: list[Path], scenarios: list[str] | None, modes: list[str] | None = None
-) -> list[dict[str, Any]]:
+def collate(files: list[Path], scenarios: list[str] | None) -> list[dict[str, Any]]:
     """All rows across ``files``, with the cross-commit drift column filled."""
-    rows: list[dict[str, Any]] = []
-    for path in files:
-        for row in load_rows(path):
-            if scenarios and row["scenario"] not in scenarios:
-                continue
-            if modes and row["mode"] not in modes:
-                continue
-            rows.append(row)
-    first_wall: dict[tuple[str, str], float] = {}
+    rows = [row for path in files for row in load_rows(path) if not scenarios or row["scenario"] in scenarios]
+    first_wall: dict[str, float] = {}
     for row in rows:
         wall = row["wall_seconds"]
         if wall is None:
             row["drift"] = None
             continue
-        base = first_wall.setdefault((row["scenario"], row["mode"]), wall)
+        base = first_wall.setdefault(row["scenario"], wall)
         row["drift"] = round((wall - base) / base, 3) if base else None
     return rows
 
@@ -195,20 +165,20 @@ def format_table(rows: list[dict[str, Any]]) -> str:
 
 
 # ------------------------------------------------------------------ plotting
-#: Line colors cycled across (scenario, mode) series / timing phases.
+#: Line colors cycled across scenario series.
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2", "#7f7f7f", "#bcbd22")
 
 
-def _series(rows: list[dict[str, Any]]) -> tuple[list[str], dict[tuple[str, str], dict[str, dict[str, Any]]]]:
-    """Commit order plus one ``{commit: row}`` map per (scenario, mode)."""
+def _series(rows: list[dict[str, Any]]) -> tuple[list[str], dict[str, dict[str, dict[str, Any]]]]:
+    """Commit order plus one ``{commit: row}`` map per scenario."""
     commits: list[str] = []
-    groups: dict[tuple[str, str], dict[str, dict[str, Any]]] = {}
+    groups: dict[str, dict[str, dict[str, Any]]] = {}
     for row in rows:
         if row["commit"] not in commits:
             commits.append(row["commit"])
         if row["wall_seconds"] is not None:
-            groups.setdefault((row["scenario"], row["mode"]), {})[row["commit"]] = row
+            groups.setdefault(row["scenario"], {})[row["commit"]] = row
     return commits, groups
 
 
@@ -257,48 +227,20 @@ def _panel(
 
 
 def render_plot(rows: list[dict[str, Any]], path: Path) -> None:
-    """Write the trend rows as a two-panel SVG (wall trend + phase split)."""
+    """Write the trend rows as an SVG: the wall of every scenario across commits."""
     commits, groups = _series(rows)
     parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="920" height="520" '
-        'viewBox="0 0 920 520" font-family="sans-serif">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="920" height="260" '
+        'viewBox="0 0 920 260" font-family="sans-serif">',
         "<style>.title{font-size:13px;font-weight:bold}.tick{font-size:10px;fill:#444}"
         ".axis{stroke:#999;stroke-width:1}</style>",
-        '<rect width="920" height="520" fill="white"/>',
+        '<rect width="920" height="260" fill="white"/>',
     ]
     wall_lines = []
-    for index, (key, series) in enumerate(sorted(groups.items())):
-        points = [
-            (i, series[commit]["wall_seconds"])
-            for i, commit in enumerate(commits)
-            if commit in series
-        ]
-        wall_lines.append((f"{key[0]} [{key[1]}]", _PALETTE[index % len(_PALETTE)], points))
+    for index, (scenario, series) in enumerate(sorted(groups.items())):
+        points = [(i, series[commit]["wall_seconds"]) for i, commit in enumerate(commits) if commit in series]
+        wall_lines.append((scenario, _PALETTE[index % len(_PALETTE)], points))
     _panel(parts, "reduction wall seconds per commit", wall_lines, commits, top=40.0)
-
-    # Phase split of the heaviest series: where the wall actually goes, so a
-    # phase quietly regrowing inside a flat total is still visible.
-    timed = {
-        key: series
-        for key, series in groups.items()
-        if any(row.get(f"{phase}_seconds") is not None for row in series.values() for phase in _TIMING_KEYS)
-    }
-    phase_lines = []
-    subtitle = "phase split (no timing data collated)"
-    if timed:
-        key, series = max(
-            timed.items(), key=lambda item: max(row["wall_seconds"] for row in item[1].values())
-        )
-        subtitle = f"phase split: {key[0]} [{key[1]}]"
-        for index, phase in enumerate(_TIMING_KEYS):
-            points = [
-                (i, series[commit][f"{phase}_seconds"])
-                for i, commit in enumerate(commits)
-                if commit in series and series[commit].get(f"{phase}_seconds") is not None
-            ]
-            if points:
-                phase_lines.append((phase, _PALETTE[index % len(_PALETTE)], points))
-    _panel(parts, subtitle, phase_lines, commits, top=310.0)
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 
@@ -318,12 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         help="only collate this scenario (repeatable; default: all)",
     )
     parser.add_argument(
-        "--mode",
-        action="append",
-        default=None,
-        help="only collate this reduction strategy (repeatable; default: all)",
-    )
-    parser.add_argument(
         "--order",
         choices=["mtime", "name"],
         default="mtime",
@@ -334,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--plot",
         metavar="PATH",
-        help="also render the trend as an SVG (wall per series + phase split)",
+        help="also render the trend as an SVG (wall per scenario)",
     )
     args = parser.parse_args(argv)
 
@@ -343,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         files.sort(key=lambda path: path.stat().st_mtime)
     else:
         files.sort(key=lambda path: path.name)
-    rows = collate(files, args.scenario, args.mode)
+    rows = collate(files, args.scenario)
     if not rows:
         print("no artifact rows collated", file=sys.stderr)
         return 1

@@ -1,48 +1,32 @@
-"""Benchmark matrix of the HOCL reduction engine.
+"""Benchmark of the HOCL reduction engine.
 
-Five claims are checked and written to ``BENCH_reduction.latest.json``:
+Four claims are checked and written to ``BENCH_reduction.latest.json``
+(schema_version 8, one row per scenario):
 
-* **Equivalence** — the optimized incremental engine (inertness caching,
-  head-symbol indexing, quick-reject pre-checks, flagged-entry descent,
-  plausible-candidate memories) produces a :attr:`ReductionReport.history`
-  identical to the naive engine's on every scenario;
-* **Attempt speedup** — the incremental engine performs at least 5× fewer
-  match attempts than the naive re-reduce-everything engine (deterministic,
-  machine-independent);
-* **Strategy parity** — the ``batch`` and ``parallel`` reduction strategies
-  reach the *same final solution* (content hash) with the *same reaction
-  multiset* (``rule_fires``) as the serial engine, and the batched engine's
-  ``match_attempts`` may only shrink relative to serial;
-* **Wall-clock** — the montage-500 centralised reduction completes in
-  ≤ 5 s (the PR-4 target; PR 2 measured 15.18 s), and — full profile —
-  montage-1000 runs ≥ 1.4× faster in batch or parallel mode than the
-  serial-incremental wall committed when that gate was set (1.724 s,
-  pinned), the batched wall stays ≤ 7.2 s (calibrated; the PR-9
-  delta-rewrite target over the then committed 9.0 s rebuild wall) and
-  full-rebuild rewrite time no longer dominates: the ``rewrite`` share of
-  the batched timing split stays < 30 %;
-* **Delta parity** — the in-place delta path (the default) reaches the same
-  final solution, reaction multiset and match-attempt count as the
-  full-rebuild reference path (``delta=False``) on every scenario.
+* **Equivalence** — the engine (inertness caching, head-symbol indexing,
+  quick-reject pre-checks, flagged-entry descent, plausible-candidate
+  memories, in-place deltas) produces a :attr:`ReductionReport.history`
+  identical to the naive walk's (``NaiveEngine`` of
+  ``tests/reduction_reference.py``) on every scenario;
+* **Attempt speedup** — the engine performs at least 5× fewer match attempts
+  than the naive walk (deterministic, machine-independent);
+* **Delta parity** — under the contract ``reduction_reference`` states, the
+  rebuild form (``RebuildEngine``) reaches the same final solution, reaction
+  multiset and match-attempt count;
+* **No row regresses** against its own committed value
+  (:func:`row_regressions`): ``match_attempts`` and ``patched`` exactly, the
+  wall within a tolerance after calibration by the naive wall.  The suite
+  allows 2× (a slow or busy machine must not fail the tests);
+  ``check_regression.py`` gates CI at 20 %.
 
-Every scenario row carries a ``compiled`` object (schema_version 7): the
-number of distinct compiled left-hand sides the scenario's rules hold
+A row holds the reactions, the match attempts, the reactions patched in
+place, the wall seconds (and per reaction), the naive walk's attempts and
+wall, the speedups over it, and a ``compiled`` object: the number of distinct
+compiled left-hand sides the scenario's rules hold
 (:func:`repro.hocl.matching.compiled_search`: one per distinct left-hand side,
 not per task) and the bytes of their generated form — bytecode and constants
 of each distinct code object, plus the function and the closure cells of each
-left-hand side: the memory budget of trading the interpreter for straight-line
-code (schema 6 counted the closure chains this replaced: 31,008 bytes).
-
-Every scenario row carries a ``modes`` object (schema_version 5): per
-strategy (``serial``/``batch``/``parallel``), the match attempts, the wall
-seconds (``serial`` also as ``us_per_reaction``), the
-match/rewrite/patch/index timing split (``patch`` is the time
-spent applying in-place rewrite deltas, ``rewrite`` what remains on the
-full-rebuild path), the count of delta-``patched`` reactions and — for the
-batched strategies — the number of reaction batches applied.  A ``rebuild``
-object records the reference ``delta=False`` batch run the parity check
-compared against.  The legacy ``incremental`` object aliases ``modes.serial``
-so older tooling keeps working.
+left-hand side.
 
 Scenario matrix (the paper's two workflow shapes at several scales, plus two
 families from the scenario catalog, :mod:`repro.scenarios`):
@@ -59,40 +43,30 @@ families from the scenario catalog, :mod:`repro.scenarios`):
 * ``sipht-200-centralized`` — many independent per-group fan-ins merging,
   the most fragmented solution structure (one agent-region per group).
 
-The two catalog scenarios are regression-gated by ``check_regression.py``
-exactly like montage-100, so a data-layer change that only bites deep
-fan-ins or fragmented regions can no longer sail through CI.
-
-A top-level ``scaling`` object states how the serial wall grows with the
-level: the centralised Montage at 100/500/1000 tasks (2000 too under
-``GINFLOW_FULL``), microseconds per reaction at each size, and the
-least-squares exponent of wall over size (``montage_serial_exponent``; 1.0
-means the cost of a reaction does not depend on how many task sub-solutions
-share its level).
+A top-level ``scaling`` object states how the wall grows with the level: the
+centralised Montage at 100/500/1000 tasks (2000 too under ``GINFLOW_FULL``),
+microseconds per reaction at each size, and the least-squares exponent of
+wall over size (``montage_serial_exponent``; 1.0 means the cost of a reaction
+does not depend on how many task sub-solutions share its level).
 
 The committed ``BENCH_reduction.json`` is the baseline and is only ever read
-here: CI uploads the ``.latest`` file of every build and
-``check_regression.py`` fails a PR whose wall-clock regresses more than 20%
-against the committed copy.  To refresh the baseline, run this file with
-``GINFLOW_FULL=1`` and ``cp BENCH_reduction.latest.json BENCH_reduction.json``.
+here: CI uploads the ``.latest`` file of every build.  To refresh the
+baseline, run this file with ``GINFLOW_FULL=1`` and
+``cp BENCH_reduction.latest.json BENCH_reduction.json``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
-from repro.hocl import ReductionEngine, default_registry
-from repro.hocl.parallel import reduce_sharded, resolve_policy
+from reduction_reference import NaiveEngine, RebuildEngine, assert_parity, reduce_workflow, trace
+from repro.hocl import ReductionEngine
 from repro.hoclflow import encode_workflow
-from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.scenarios import build_scenario
-from repro.services import InvocationContext, ServiceRegistry
 from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
 
@@ -115,105 +89,17 @@ _SCENARIOS = {
 #: Scenarios too slow for the CI quick profile (run with GINFLOW_FULL=1).
 _FULL_ONLY = {"montage-1000-centralized"}
 
-#: Wall-clock ceiling of the PR-4 acceptance criterion (seconds); slower CI
-#: hardware can widen it via GINFLOW_WALL_BUDGET without touching the code.
-_MONTAGE_500_BUDGET = float(os.environ.get("GINFLOW_WALL_BUDGET", "5.0"))
-
-#: Wall-clock ceiling of the PR-9 delta-rewrite criterion: montage-1000
-#: batched reduction, >= 1.25x over the committed 9.0 s rebuild-path wall.
-_MONTAGE_1000_BATCH_BUDGET = 7.2
-
-#: Reference of the PR-8 parallel-reduction criterion (best of batch/parallel
-#: on montage-1000 >= 1.4x faster): the serial-incremental wall and the naive
-#: wall of the same committed row, pinned so that refreshing the baseline with
-#: a faster serial engine does not move the ceiling.
-_MONTAGE_1000_SERIAL_REFERENCE = 1.724
-_MONTAGE_1000_NAIVE_REFERENCE = 15.124
+#: Wall tolerance of the in-suite row gate (``check_regression.py`` uses 20 %).
+_SUITE_TOLERANCE = 1.0
 
 
 def _full_profile() -> bool:
     return bool(os.environ.get("GINFLOW_FULL"))
 
 
-#: Reduction strategies measured per scenario (schema v4 ``modes`` rows).
-_MODES = ("serial", "batch", "parallel")
-
-
-def reduce_scenario(scenario: str, incremental: bool):
-    """Centralised reduction of one scenario; returns (report, wall_seconds)."""
-    return reduce_workflow(_SCENARIOS[scenario](), incremental)
-
-
-def reduce_scenario_mode(scenario: str, mode: str, delta: bool = True):
-    """One scenario under one strategy; returns (report, wall_seconds, solution)."""
-    return reduce_workflow_mode(_SCENARIOS[scenario](), mode, delta=delta)
-
-
-def reduce_workflow(workflow, incremental: bool):
-    """Centralised serial reduction of ``workflow``; returns (report, wall_seconds)."""
-    report, elapsed, _solution = reduce_workflow_mode(workflow, "serial", incremental=incremental)
-    return report, elapsed
-
-
-def reduce_workflow_mode(
-    workflow, mode: str = "serial", incremental: bool = True, delta: bool = True
-):
-    """Centralised reduction of ``workflow`` under one reduction strategy.
-
-    Returns ``(report, wall_seconds, solution)`` — the final solution is what
-    the strategy-parity checks hash.  ``mode`` is a registered strategy name
-    (``serial``/``batch``/``parallel``); ``incremental=False`` selects the
-    naive re-reduce-everything engine (serial only, the calibration baseline);
-    ``delta=False`` forces the full-rebuild reference path (the delta-parity
-    baseline).
-    """
-    encoding = encode_workflow(workflow)
-    solution = encoding.to_multiset()
-    registry = ServiceRegistry()
-    attempts: dict[str, int] = {}
-
-    def invoke(task_name: str, service_name: str, parameters: list) -> object:
-        attempts[task_name] = attempts.get(task_name, 0) + 1
-        task = encoding.tasks[task_name]
-        context = InvocationContext(
-            task_name=task_name, duration=task.duration, metadata=task.metadata,
-            attempt=attempts[task_name],
-        )
-        outcome = registry.resolve(service_name).invoke(list(parameters), context)
-        if outcome.failed:
-            raise RuntimeError(outcome.error or "invocation failed")
-        return outcome.value
-
-    externals = default_registry()
-    register_workflow_externals(externals, invoke)
-    policy = resolve_policy(mode)
-    if not delta:
-        policy = dataclasses.replace(policy, delta=False)
-
-    def engine_factory() -> ReductionEngine:
-        return ReductionEngine(
-            externals=externals,
-            max_steps=5_000_000,
-            incremental=incremental,
-            **policy.engine_options(),
-        )
-
-    start = time.perf_counter()
-    if policy.parallel:
-        reducer = policy.make_reducer()
-        try:
-            report = reduce_sharded(solution, engine_factory, reducer, max_steps=5_000_000)
-        finally:
-            reducer.shutdown()
-    else:
-        report = engine_factory().reduce(solution)
-    elapsed = time.perf_counter() - start
-    assert report.inert
-    return report, elapsed, solution
-
-
-def _trace(report):
-    return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
+def reduce_scenario(scenario: str, engine_class=ReductionEngine):
+    """One scenario reduced by ``engine_class``: ``(report, solution, seconds)``."""
+    return reduce_workflow(_SCENARIOS[scenario](), engine_class)
 
 
 def compiled_footprint(solution) -> dict:
@@ -242,101 +128,68 @@ def compiled_footprint(solution) -> dict:
     return {"left_hand_sides": len(searches), "bytes": total}
 
 
-def _measure(scenario: str) -> dict:
-    """Run one scenario under every strategy; check parity, package the row."""
-    serial, seconds_serial, serial_solution = reduce_scenario_mode(scenario, "serial")
-    naive, seconds_naive = reduce_scenario(scenario, incremental=False)
-    assert _trace(serial) == _trace(naive), f"{scenario}: trace diverged"
-    attempts_speedup = naive.match_attempts / max(1, serial.match_attempts)
+def measure(scenario: str) -> dict:
+    """Reduce one scenario with the engine and both oracles; check parity, package the row."""
+    report, solution, seconds = reduce_scenario(scenario)
+    naive, _naive_solution, seconds_naive = reduce_scenario(scenario, NaiveEngine)
+    assert trace(report) == trace(naive), f"{scenario}: trace diverged from the naive walk"
+    attempts_speedup = naive.match_attempts / max(1, report.match_attempts)
     assert attempts_speedup >= 5.0, (
         f"{scenario}: expected >=5x fewer match attempts, got {attempts_speedup:.1f}x "
-        f"({naive.match_attempts} -> {serial.match_attempts})"
+        f"({naive.match_attempts} -> {report.match_attempts})"
     )
-    serial_hash = serial_solution.content_hash()
-    modes = {
-        "serial": {
-            "match_attempts": serial.match_attempts,
-            "wall_seconds": round(seconds_serial, 3),
-            "us_per_reaction": round(1e6 * seconds_serial / max(1, serial.reactions), 1),
-            "timings": {k: round(v, 3) for k, v in serial.timings.items()},
-            "patched": serial.patched,
-        }
-    }
-    batch_report = None
-    for mode in _MODES[1:]:
-        report, seconds, solution = reduce_scenario_mode(scenario, mode)
-        assert solution.content_hash() == serial_hash, (
-            f"{scenario}: {mode} reached a different final solution than serial"
-        )
-        assert report.rule_fires == serial.rule_fires, (
-            f"{scenario}: {mode} reaction multiset diverged from serial"
-        )
-        assert report.reactions == serial.reactions
-        if mode == "batch":
-            batch_report = report
-            assert report.match_attempts <= serial.match_attempts, (
-                f"{scenario}: batched match_attempts {report.match_attempts} exceed "
-                f"serial-incremental {serial.match_attempts}"
-            )
-        modes[mode] = {
-            "match_attempts": report.match_attempts,
-            "wall_seconds": round(seconds, 3),
-            "timings": {k: round(v, 3) for k, v in report.timings.items()},
-            "batches": report.batches,
-            "patched": report.patched,
-        }
-
-    # Delta parity: the full-rebuild reference path (delta=False) must reach
-    # the same final solution with the same reaction trace.  The batched
-    # engine gives the kept anchors the role of rebuild's replacement products
-    # (unclaimed, no frontier lead of the running pass), so under ``batch``
-    # this is exact trace identity — not just confluence-up-to-order.
-    rebuild, seconds_rebuild, rebuild_solution = reduce_scenario_mode(
-        scenario, "batch", delta=False
-    )
-    assert rebuild_solution.content_hash() == serial_hash, (
-        f"{scenario}: rebuild (delta=False) reached a different final solution"
-    )
-    assert batch_report is not None
-    assert rebuild.rule_fires == batch_report.rule_fires, (
-        f"{scenario}: rebuild (delta=False) reaction multiset diverged"
-    )
-    assert _trace(rebuild) == _trace(batch_report), (
-        f"{scenario}: rebuild (delta=False) trace diverged from the delta path"
-    )
-    assert rebuild.match_attempts == batch_report.match_attempts, (
-        f"{scenario}: rebuild match_attempts {rebuild.match_attempts} != "
-        f"delta {batch_report.match_attempts}"
-    )
-    assert rebuild.patched == 0, f"{scenario}: delta=False engine patched reactions"
-
+    rebuilt, rebuilt_solution, _seconds = reduce_scenario(scenario, RebuildEngine)
+    assert_parity((report, solution), (rebuilt, rebuilt_solution), rebuilt=True)
     return {
-        "reactions": serial.reactions,
+        "reactions": report.reactions,
+        "match_attempts": report.match_attempts,
+        "patched": report.patched,
+        "wall_seconds": round(seconds, 3),
+        "us_per_reaction": round(1e6 * seconds / max(1, report.reactions), 1),
         "compiled": compiled_footprint(encode_workflow(_SCENARIOS[scenario]()).to_multiset()),
-        # legacy alias of modes.serial (schema v2 consumers: the CI gate's
-        # committed-row lookup and the trend collator's fallback)
-        "incremental": modes["serial"],
-        "naive": {
-            "match_attempts": naive.match_attempts,
-            "wall_seconds": round(seconds_naive, 3),
-        },
+        "naive": {"match_attempts": naive.match_attempts, "wall_seconds": round(seconds_naive, 3)},
         "speedup": {
             "match_attempts": round(attempts_speedup, 1),
-            "wall_clock": round(seconds_naive / max(1e-9, seconds_serial), 2),
-        },
-        "modes": modes,
-        # the delta=False batch reference the parity check ran against
-        "rebuild": {
-            "mode": "batch",
-            "match_attempts": rebuild.match_attempts,
-            "wall_seconds": round(seconds_rebuild, 3),
-            "timings": {k: round(v, 3) for k, v in rebuild.timings.items()},
+            "wall_clock": round(seconds_naive / max(1e-9, seconds), 2),
         },
     }
+
+
+def naive_calibration(measured_naive_wall: float, committed_naive_wall: float) -> float:
+    """Machine-speed factor: this machine's naive wall over the committed one.
+
+    Scaling a committed wall by this factor makes a comparison
+    hardware-relative: a uniformly slower machine moves both sides, while a
+    real regression of the engine still shows.
+    """
+    return measured_naive_wall / max(1e-9, committed_naive_wall)
+
+
+def row_regressions(row: dict, committed: dict, tolerance: float, slack: float) -> list[str]:
+    """How a measured row regresses against its own committed value (empty: it does not).
+
+    The counters are deterministic and must match exactly; the wall may
+    exceed the committed one, calibrated by the two naive walls, by
+    ``tolerance`` (relative) plus ``slack`` seconds.
+    """
+    problems = [
+        f"{key} {row[key]} != committed {committed[key]}"
+        for key in ("reactions", "match_attempts", "patched")
+        if key in committed and row[key] != committed[key]
+    ]
+    calibration = naive_calibration(row["naive"]["wall_seconds"], committed["naive"]["wall_seconds"])
+    budget = committed["wall_seconds"] * calibration * (1.0 + tolerance) + slack
+    if row["wall_seconds"] > budget:
+        problems.append(
+            f"wall {row['wall_seconds']:.3f}s exceeds the committed {committed['wall_seconds']}s "
+            f"by more than {tolerance:.0%} after calibration x{calibration:.2f} + {slack}s slack "
+            f"(budget {budget:.3f}s)"
+        )
+    return problems
 
 
 def measure_scaling(full: bool) -> dict:
-    """Serial wall of the centralised Montage over a range of sizes, and its exponent.
+    """Wall of the centralised Montage over a range of sizes, and its exponent.
 
     The exponent is the least-squares slope of ``log(wall)`` over
     ``log(tasks)``.  The full profile, the only one gated on it, adds
@@ -349,17 +202,14 @@ def measure_scaling(full: bool) -> dict:
     for tasks in sizes:
         best = None
         for _ in range(runs):
-            workflow = montage_workflow(projections=tasks - 10, duration_scale=0.01)
-            report, seconds, _solution = reduce_workflow_mode(workflow, "serial")
+            report, _solution, seconds = reduce_workflow(montage_workflow(projections=tasks - 10, duration_scale=0.01))
             best = seconds if best is None else min(best, seconds)
         walls.append(round(best, 3))
         per_reaction.append(round(1e6 * best / report.reactions, 1))
     xs = [math.log(tasks) for tasks in sizes]
     ys = [math.log(max(wall, 1e-6)) for wall in walls]
     mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
-        (x - mean_x) ** 2 for x in xs
-    )
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
     return {
         "montage_serial_exponent": round(slope, 2),
         "tasks": sizes,
@@ -368,130 +218,35 @@ def measure_scaling(full: bool) -> dict:
     }
 
 
+def committed_artifact() -> dict:
+    """The committed baseline (empty when absent or unreadable)."""
+    try:
+        return json.loads(_ARTIFACT.read_text())
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
 def test_reduction_micro_benchmark(benchmark):
-    """Micro-benchmark: one 128-task reduction with the incremental engine."""
+    """Micro-benchmark: one 128-task reduction."""
     report = benchmark.pedantic(
-        lambda: reduce_workflow(
-            montage_workflow(projections=118, duration_scale=0.01), incremental=True
-        )[0],
+        lambda: reduce_workflow(montage_workflow(projections=118, duration_scale=0.01))[0],
         rounds=1,
         iterations=1,
     )
     assert report.reactions > 0
 
 
-def test_trace_equivalence_small():
-    """Incremental and naive engines agree reaction-for-reaction."""
-    scenario = "montage-100-centralized"
-    incremental, _ = reduce_scenario(scenario, incremental=True)
-    naive, _ = reduce_scenario(scenario, incremental=False)
-    assert _trace(incremental) == _trace(naive)
-    assert incremental.reactions == naive.reactions
-    assert incremental.match_attempts < naive.match_attempts
-
-
-def naive_calibration(
-    measured_naive_wall: float, committed_naive_wall: float, floor: float | None = None
-) -> float:
-    """Machine-speed factor: this machine's naive wall over the committed one.
-
-    The one calibration used by both the acceptance budget below and the CI
-    gate (``check_regression.py``): scaling a committed incremental budget by
-    this factor makes the comparison hardware-relative, so a uniformly slower
-    runner moves both sides while a real incremental regression still fails.
-    ``floor`` clamps the factor from below (the acceptance budget uses 1.0 so
-    fast machines keep the strict absolute budget).
-    """
-    factor = measured_naive_wall / max(1e-9, committed_naive_wall)
-    if floor is not None:
-        factor = max(floor, factor)
-    return factor
-
-
-def _committed_scenarios() -> dict:
-    if not _ARTIFACT.exists():
-        return {}
-    try:
-        return json.loads(_ARTIFACT.read_text()).get("scenarios", {})
-    except (json.JSONDecodeError, AttributeError):
-        return {}
-
-
 def test_benchmark_matrix_and_artifact():
-    """Run the scenario matrix, enforce the wall budget, write the latest numbers."""
-    committed = _committed_scenarios()
+    """Run the scenario matrix, gate every row against its committed value, write the latest numbers."""
+    committed = committed_artifact().get("scenarios", {})
     scenarios = {}
     for scenario in _SCENARIOS:
         if scenario in _FULL_ONLY and not _full_profile():
             continue
-        scenarios[scenario] = _measure(scenario)
-
-    # The 5 s acceptance budget is an authoring-machine number.  Calibrate it
-    # by this machine's naive run over the committed naive wall (floored at
-    # 1.0 so fast machines keep the strict budget) — a slower CI runner
-    # scales both sides, a real incremental regression still fails.
-    montage_500 = scenarios["montage-500-centralized"]
-    committed_naive = (
-        committed.get("montage-500-centralized", {}).get("naive", {}).get("wall_seconds")
-    )
-    calibration = 1.0
-    if committed_naive:
-        calibration = naive_calibration(
-            montage_500["naive"]["wall_seconds"], committed_naive, floor=1.0
-        )
-    budget = _MONTAGE_500_BUDGET * calibration
-    assert montage_500["incremental"]["wall_seconds"] <= budget, (
-        f"montage-500 centralised reduction took "
-        f"{montage_500['incremental']['wall_seconds']} s "
-        f"(budget {_MONTAGE_500_BUDGET} s x calibration {calibration:.2f})"
-    )
-
-    # Full profile: the parallel-reduction acceptance gate.  The best of the
-    # batch/parallel strategies on montage-1000 must beat the pinned
-    # serial-incremental reference by >= 1.4x, calibrated to this machine the
-    # same way (via the scenario's own naive run).
-    if "montage-1000-centralized" in scenarios:
-        row = scenarios["montage-1000-centralized"]
-        best_mode, best = min(
-            ((mode, row["modes"][mode]) for mode in ("batch", "parallel")),
-            key=lambda pair: pair[1]["wall_seconds"],
-        )
-        calibration_reference = naive_calibration(
-            row["naive"]["wall_seconds"], _MONTAGE_1000_NAIVE_REFERENCE, floor=1.0
-        )
-        ceiling = _MONTAGE_1000_SERIAL_REFERENCE * calibration_reference / 1.4
-        assert best["wall_seconds"] <= ceiling, (
-            f"montage-1000 {best_mode} wall {best['wall_seconds']} s misses the "
-            f"1.4x speedup over the reference serial {_MONTAGE_1000_SERIAL_REFERENCE} s "
-            f"(calibration x{calibration_reference:.2f}, ceiling {ceiling:.3f} s)"
-        )
-        committed_row = committed.get("montage-1000-centralized", {})
-        committed_naive_1000 = committed_row.get("naive", {}).get("wall_seconds")
-        if committed_naive_1000:
-            calibration_1000 = naive_calibration(
-                row["naive"]["wall_seconds"], committed_naive_1000, floor=1.0
-            )
-            # PR-9 delta-rewrite acceptance: batched wall <= 7.2 s (calibrated)
-            # and full-rebuild rewrite time no longer dominates the split.
-            batch = row["modes"]["batch"]
-            delta_ceiling = _MONTAGE_1000_BATCH_BUDGET * calibration_1000
-            assert batch["wall_seconds"] <= delta_ceiling, (
-                f"montage-1000 batch wall {batch['wall_seconds']} s misses the "
-                f"delta-rewrite budget {_MONTAGE_1000_BATCH_BUDGET} s "
-                f"(calibration x{calibration_1000:.2f})"
-            )
-            timed = sum(batch["timings"].values())
-            rewrite_share = batch["timings"].get("rewrite", 0.0) / max(1e-9, timed)
-            assert rewrite_share < 0.30, (
-                f"montage-1000 batch rewrite share {rewrite_share:.0%} >= 30% — "
-                f"full-rebuild expansion still dominates ({batch['timings']})"
-            )
-            print(
-                f"\nmontage-1000 acceptance: {best_mode} {best['wall_seconds']} s vs "
-                f"reference serial {_MONTAGE_1000_SERIAL_REFERENCE} s "
-                f"({_MONTAGE_1000_SERIAL_REFERENCE * calibration_reference / best['wall_seconds']:.2f}x); "
-                f"batch rewrite share {rewrite_share:.0%}"
-            )
+        row = scenarios[scenario] = measure(scenario)
+        if "wall_seconds" in committed.get(scenario, {}):  # a schema-8 row
+            problems = row_regressions(row, committed[scenario], _SUITE_TOLERANCE, slack=0.1)
+            assert not problems, f"{scenario}: {'; '.join(problems)}"
 
     # keep the committed rows for the scenarios this profile deliberately
     # skipped (and only those: renamed/removed scenarios must not linger)
@@ -501,7 +256,7 @@ def test_benchmark_matrix_and_artifact():
 
     payload = {
         "benchmark": "hocl-reduction",
-        "schema_version": 7,
+        "schema_version": 8,
         "scaling": measure_scaling(_full_profile()),
         "scenarios": scenarios,
     }

@@ -23,15 +23,12 @@ _set = object.__setattr__  # how a constructor stores its fields, past the refus
 
 class Action(Record):
     """Base class of every agent action: an immutable :class:`~repro.hocl.engine.Record`
-    built by slot stores, pickled through its constructor (a process pool ships effects)."""
+    built by slot stores."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return type(self), self._fields()
 
     def __setattr__(self, name: str, *value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")

@@ -11,24 +11,20 @@ received message, the completion of an invocation) is a method call that
 3. returns the list of :class:`~repro.agents.actions.Action` the rules
    requested (messages to send, invocation to start, status updates).
 
-The simulated runtime and the threaded runtime both drive AgentCore; they
-only differ in how they deliver stimuli and execute actions.  Keeping the
-chemistry identical in both paths is what makes the simulation a faithful
+Every runtime (simulated, threaded, asyncio) drives AgentCore; they only
+differ in how they deliver stimuli and execute actions.  Keeping the
+chemistry identical in every path is what makes the simulation a faithful
 stand-in for the real decentralised execution.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.hocl import Multiset, ReductionEngine, Symbol, from_atom, to_atom
-from repro.hocl.parallel import resolve_policy
 from repro.obs.logs import get_logger
 from repro.obs.tracer import Tracer, active as active_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hocl.parallel import ParallelReducer, ReductionPolicy
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import (
     add_to_field,
@@ -74,15 +70,6 @@ class AgentCore:
         The task's HOCLflow encoding (fields + generic rules).
     max_reduction_steps:
         Safety bound on reactions per stimulus.
-    reduction:
-        Reduction strategy (a name or a resolved
-        :class:`~repro.hocl.parallel.ReductionPolicy`); ``None`` means
-        serial.  ``batch`` engines fire whole batches of disjoint matches
-        per pass — same final solution, fewer match sweeps.
-    reducer:
-        Optional shared :class:`~repro.hocl.parallel.ParallelReducer`: when
-        given, each reduction runs on its pool (the caller blocks, so
-        per-agent stimuli stay serialized) instead of the calling thread.
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`: when active, every
         stimulus this core handles is recorded as an ``agent.<stimulus>``
@@ -96,8 +83,6 @@ class AgentCore:
         self,
         encoding: TaskEncoding,
         max_reduction_steps: int = 10_000,
-        reduction: "ReductionPolicy | str | None" = None,
-        reducer: "ParallelReducer | None" = None,
         trace: "Tracer | None" = None,
     ) -> None:
         self.encoding = encoding
@@ -110,18 +95,14 @@ class AgentCore:
         #: names of every rule registered in this agent's local solution;
         #: the dynamic analyzer diffs this against `rule_fires` for coverage
         self.rule_names: tuple[str, ...] = tuple([rule.name for rule in local_rules])
-        # Incremental: between stimuli the local solution stays stamped
-        # inert, so re-entering reduction after a stimulus only re-examines
-        # the parts of the solution the stimulus actually dirtied.
-        self.policy = resolve_policy(reduction)
-        self.reducer = reducer
+        # Between stimuli the local solution stays stamped inert, so
+        # re-entering reduction after a stimulus only re-examines the parts
+        # of the solution the stimulus actually dirtied.
         self.engine = ReductionEngine(
             externals=LOCAL_EXTERNALS,
             max_steps=max_reduction_steps,
-            incremental=True,
             trace=self.trace,
             trace_track=self.name,
-            **self.policy.engine_options(),
         )
         self.state = AgentState.IDLE
         self.invocation_requested = False
@@ -132,9 +113,6 @@ class AgentCore:
         self.match_attempts = 0
         self.reactions = 0
         self.reduction_units = 0.0
-        #: wall-clock seconds per reduction phase (match/rewrite/index),
-        #: aggregated across every stimulus this core handled
-        self.reduction_timings: dict[str, float] = {}
         #: firings per rule name, aggregated across every stimulus
         self.rule_fires: dict[str, int] = {}
 
@@ -235,15 +213,10 @@ class AgentCore:
     def _reduce_and_collect(self, stimulus: str = "stimulus") -> list[Action]:
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
-        if self.reducer is not None:
-            report = self.reducer.run(self.engine.reduce, self.solution)
-        else:
-            report = self.engine.reduce(self.solution)
+        report = self.engine.reduce(self.solution)
         self.match_attempts += report.match_attempts
         self.reactions += report.reactions
         self.reduction_units += report.reduction_units(len(self.solution))
-        for phase, seconds in report.timings.items():
-            self.reduction_timings[phase] = self.reduction_timings.get(phase, 0.0) + seconds
         for rule_name, fires in report.rule_fires.items():
             self.rule_fires[rule_name] = self.rule_fires.get(rule_name, 0) + fires
         # what this reduction's rules requested, and nobody else's: the

@@ -46,8 +46,8 @@ def rebuild_agent(
     """Create a replacement agent and bring it to the failed agent's state.
 
     ``core`` is the fresh core to replay into — the runtime passes one wired
-    like the agent being replaced (same reduction policy, reducer, tracer);
-    by default a plain ``AgentCore(encoding)``.  Returns the core and the
+    like the agent being replaced (same tracer); by default a plain
+    ``AgentCore(encoding)``.  Returns the core and the
     combined actions produced by the boot and the replay (the runtime
     re-executes the invocation and the sends; the duplicate sends are
     harmless by construction).

@@ -31,8 +31,7 @@ Seven check families (see the modules for the catalog):
   log-replay state parity;
 * obs checks (:mod:`repro.analysis.obs_checks`) — recorded-trace
   invariants: spans closed and well-nested, broker publish/deliver events
-  matching the transport counters, reduction-phase span totals reconciling
-  with the report's phase timings.
+  matching the transport counters.
 
 Checks are registered objects (the same idiom as backends and scenarios);
 :func:`register_check` accepts third-party checks, and the drivers pick

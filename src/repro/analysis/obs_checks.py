@@ -3,10 +3,7 @@
 The tracing subsystem (:mod:`repro.obs`) promises structural invariants the
 rest of the toolchain relies on: spans are closed and well-nested (the
 reduction-phase spans of an agent live inside that agent's stimulus span),
-the broker events account for exactly the messages the transport counted,
-and the reduction-phase span durations are the *same numbers* the engine
-accumulated into ``ReductionReport.timings`` — ``ginflow trace summarize``
-reconciles against the run report only because of that last invariant.
+and the broker events account for exactly the messages the transport counted.
 
 :class:`ObsScope` (kind ``"obs"``) carries one run's recorded spans and
 events plus (optionally) the :class:`~repro.runtime.results.RunReport` the
@@ -17,7 +14,6 @@ trace without broker events skips the broker check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,8 +25,7 @@ from .registry import register_check
 
 __all__ = ["ObsScope", "reduction_phase_totals"]
 
-#: Reduction-phase span names and the ``ReductionReport.timings`` key whose
-#: accumulation each span mirrors.
+#: Reduction-phase span names and the timing phase each one records.
 _PHASE_SPANS = {
     "reduction.match": "match",
     "reduction.rewrite": "rewrite",
@@ -65,10 +60,8 @@ def reduction_phase_totals(spans: tuple[SpanRecord, ...]) -> dict[str, float]:
     """Per-phase reduction seconds recovered from the spans.
 
     ``match``/``rewrite``/``patch`` are the span durations; ``index`` is the
-    sum of the ``index_seconds`` attributes stamped on rewrite/patch spans.
-    These are the exact ``perf_counter`` windows the engine accumulated into
-    ``ReductionReport.timings``, so the totals reconcile to float-summation
-    precision.
+    sum of the ``index_seconds`` attributes stamped on rewrite/patch spans —
+    what a traced run reports as ``RunReport.extra["reduction_timings"]``.
     """
     totals = {"match": 0.0, "rewrite": 0.0, "patch": 0.0, "index": 0.0}
     for span in spans:
@@ -179,43 +172,3 @@ def check_broker_accounting(scope: ObsScope) -> Iterator[Finding]:
             "subscribers actually handed the message",
             location=scope.label,
         )
-
-
-@register_check(
-    "obs-reduction-reconcile",
-    kind="obs",
-    severity=Severity.ERROR,
-    description="reduction span totals must reconcile with the report's phase timings",
-)
-def check_reduction_reconcile(scope: ObsScope) -> Iterator[Finding]:
-    """Per-phase span durations must equal ``extra["reduction_timings"]``.
-
-    The engine records each span with the very ``perf_counter`` values it
-    accumulates into the timings, so the totals agree to float-summation
-    precision; real divergence means spans were dropped, duplicated, or a
-    tracer recorded more than one run.  Scopes without reduction spans or
-    without the report timings are skipped.
-    """
-    if scope.report is None:
-        return
-    timings = scope.report.extra.get("reduction_timings")
-    if not isinstance(timings, dict):
-        return
-    totals = reduction_phase_totals(scope.spans)
-    if not any(totals.values()):
-        return
-    for phase, span_total in totals.items():
-        reported = timings.get(phase, 0.0)
-        if not isinstance(reported, (int, float)):
-            continue
-        if not math.isclose(span_total, float(reported), rel_tol=1e-6, abs_tol=1e-9):
-            yield Finding(
-                check="obs-reduction-reconcile",
-                severity=Severity.ERROR,
-                subject=phase,
-                message=f"{phase!r} spans sum to {span_total:.9f}s but the report "
-                f"records {float(reported):.9f}s",
-                fix_hint="spans must record the exact perf_counter window the engine "
-                "accumulates; never resample the clock for the span",
-                location=scope.label,
-            )

@@ -154,7 +154,6 @@ def audit_workflow(
     seed: int = 1,
     repeats: int = 1,
     timeout: float = 120.0,
-    reduction: str = "serial",
     label: str = "",
     **overrides: Any,
 ) -> AnalysisReport:
@@ -184,9 +183,7 @@ def audit_workflow(
         # a fresh tracer per repeat: the obs checks reason about ONE run's
         # spans against that run's report
         obs = Observability(tracer=RecordingTracer(), metrics=MetricsRegistry())
-        config = GinFlowConfig(
-            mode=mode, nodes=nodes, seed=seed + repeat, reduction=reduction, obs=obs
-        )
+        config = GinFlowConfig(mode=mode, nodes=nodes, seed=seed + repeat, obs=obs)
         run = GinFlow(config).run(workflow, timeout=timeout, **overrides)
         runs.append(run)
         run_label = f"{where}: run {repeat + 1}/{max(1, repeats)} ({mode}, seed={seed + repeat})"
@@ -234,7 +231,6 @@ def audit_scenario(
     seed: int = 1,
     repeats: int = 1,
     timeout: float = 120.0,
-    reduction: str = "serial",
     **params: Any,
 ) -> AnalysisReport:
     """Audit one registered scenario (spec syntax ``name[:k=v,...]``)."""
@@ -249,7 +245,6 @@ def audit_scenario(
         seed=seed,
         repeats=repeats,
         timeout=timeout,
-        reduction=reduction,
         label=f"scenario {name!r}",
     )
 
@@ -262,7 +257,6 @@ def audit_all_scenarios(
     seed: int = 1,
     repeats: int = 1,
     timeout: float = 120.0,
-    reduction: str = "serial",
 ) -> AnalysisReport:
     """Audit every registered scenario at a small size (CI smoke profile)."""
     report = AnalysisReport()
@@ -275,7 +269,6 @@ def audit_all_scenarios(
                 seed=seed,
                 repeats=repeats,
                 timeout=timeout,
-                reduction=reduction,
                 size=size,
             )
         )

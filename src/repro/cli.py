@@ -25,8 +25,8 @@ or, without installing the console script::
 
     python -m repro.cli run workflow.json
 
-Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``
-/ ``--reduction``) are drawn dynamically from the backend registry
+Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``)
+are drawn dynamically from the backend registry
 (:mod:`repro.runtime.backends`), so third-party backends registered before
 :func:`main` runs are accepted everywhere without touching this module.
 """
@@ -52,7 +52,6 @@ from repro.runtime.backends import (
     available_brokers,
     available_clusters,
     available_executors,
-    available_reductions,
     available_runtimes,
     ensure_builtin_backends,
     registry,
@@ -107,9 +106,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--broker", default="activemq", choices=available_brokers())
     parser.add_argument("--cluster", default="grid5000", choices=available_clusters(),
                         help="cluster preset (simulated mode)")
-    parser.add_argument("--reduction", default="serial", choices=available_reductions(),
-                        help="HOCL reduction strategy: serial (reference), batch "
-                        "(disjoint matches per pass), parallel (batch + concurrent shards)")
     parser.add_argument("--nodes", type=int, default=25, help="number of cluster nodes (simulated mode)")
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
 
@@ -205,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_findings_arguments(audit_parser, "audit every registered scenario at a small size (size=20)")
     audit_parser.add_argument("--mode", default="simulated", choices=available_runtimes())
-    audit_parser.add_argument("--reduction", default="serial", choices=available_reductions(),
-                              help="HOCL reduction strategy audited runs use")
     audit_parser.add_argument("--nodes", type=int, default=5, help="number of cluster nodes")
     audit_parser.add_argument("--seed", type=int, default=1, help="root random seed")
     audit_parser.add_argument(
@@ -252,7 +246,6 @@ def _base_config(
         mode=args.mode,
         executor=args.executor,
         broker=args.broker,
-        reduction=args.reduction,
         cluster_preset=args.cluster,
         nodes=args.nodes,
         seed=args.seed,
@@ -512,7 +505,6 @@ def _command_audit(args: argparse.Namespace) -> int:
         "nodes": args.nodes,
         "seed": args.seed,
         "repeats": args.repeats,
-        "reduction": args.reduction,
     }
     if args.all_scenarios:
         report = audit_all_scenarios(**options)

@@ -74,19 +74,15 @@ from .templates import (
     expand_templates,
 )
 
-#: what the modules no enactment needs at start-up (the textual parser, the
-#: shard pool) export here, imported on first attribute access
-_LAZY = {
-    "parser": ("Program", "parse_program", "parse_solution"),
-    "parallel": ("ParallelReducer", "ReductionPolicy", "reduce_sharded", "resolve_policy"),
-}
+#: what the textual parser, which no enactment needs at start-up, exports
+#: here, imported on first attribute access
+_LAZY = ("Program", "parse_program", "parse_solution")
 
 
 def __getattr__(name: str) -> Any:
-    for module_name, exported in _LAZY.items():
-        if name in exported:
-            value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module_name}"), name)
-            return value
+    if name in _LAZY:
+        value = globals()[name] = getattr(importlib.import_module(f"{__name__}.parser"), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -143,10 +139,6 @@ __all__ = [
     "find_matches",
     "find_first_match",
     "count_matches",
-    "ParallelReducer",
-    "ReductionPolicy",
-    "reduce_sharded",
-    "resolve_policy",
     "ReductionEngine",
     "ReductionReport",
     "reduce_solution",

@@ -200,8 +200,7 @@ class Symbol(Atom):
     def __reduce__(self) -> tuple:
         # Interning makes the default slots pickling unusable (`__new__`
         # requires the name); reconstructing through the constructor both
-        # pickles cleanly and re-interns on load — needed by the opt-in
-        # process-pool reduction path (`repro.hocl.parallel`).
+        # pickles cleanly and re-interns on load.
         return (type(self), (self.name,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

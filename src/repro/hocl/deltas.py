@@ -53,9 +53,9 @@ A patch names its target as ``(at, path)``:
   body.  ``gw_pass`` patches ``(0, ("DST",))`` — the ``DST`` body of the
   source task — and ``(1, ("IN",))`` — the ``IN`` body of the destination.
 
-Every delta rule keeps its classic product templates as the *rebuild form*;
-``ReductionEngine(delta=False)`` applies those instead, which is what the
-delta-vs-rebuild parity harness runs against.
+Every delta rule keeps its classic product templates as the *rebuild form*:
+the parity oracle (``tests/reduction_reference.py``) applies those instead,
+and holds the engine to the contract above.
 """
 
 from __future__ import annotations

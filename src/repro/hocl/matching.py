@@ -70,7 +70,7 @@ _NAMES = {
     "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
     "Subsolution": Subsolution, "Rest": _Rest, "View": BindingView, "Match": Match,
 }  # fmt: skip
-_SIGNATURE = "solution, condition=None, owner=None, initial_bindings=None, exclude=None, pinned=None, pinned_entries=(), first=False"
+_SIGNATURE = "solution, condition=None, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
 #: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search of one left-hand side
 _FACTORIES: dict[str, Callable[..., Any]] = {}
 _FACTORY_LIMIT = 512  #: shape churn (random programs) cannot leak
@@ -81,7 +81,7 @@ _COMPILED: "WeakValueDictionary[tuple[Pattern, ...], Search]" = WeakValueDiction
 
 class Search:
     """The search of one left-hand side: ``search(solution, condition, owner,
-    initial_bindings, exclude, pinned, pinned_entries, first)`` is every match in
+    initial_bindings, pinned, pinned_entries, first)`` is every match in
     enumeration order, or — ``first`` — only the first one; a match that would
     consume ``owner`` is not one.
 
@@ -199,7 +199,6 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
         if entries:  # `_Entry` has no `__eq__`: identity is all there is to test
             out.line(f"if {' or '.join(f'{entry} is {other}' for other in entries)}: continue")
         out.line(f"{atom} = {entry}.atom")
-        out.line(f"if exclude is not None and exclude({atom}): continue")
         if index in broad:
             out.line(f"if q{index} is not None and q{index}({atom}): r{index}.append({entry}); continue")
         pattern.emit(out, atom)
@@ -234,23 +233,15 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
     return "\n".join([*head, *out.lines, *tail, ""]), out.constants
 
 
-def first_match(
-    rule: "Rule",
-    solution: Multiset,
-    exclude: Callable[[Atom], bool] | None = None,
-    pinned: int | None = None,
-    pinned_entries: Sequence[Any] = (),
-) -> Match | None:
+def first_match(rule: "Rule", solution: Multiset) -> Match | None:
     """The first match of ``rule`` in ``solution`` that does not consume the
     rule itself — all the reduction engine ever asks for.
 
     Runs on what the rule built once (compiled search, guarded condition)
     and leaves the has-candidates refutation to the engine, which decides
-    on it whether a search is charged at all.  ``exclude`` and
-    ``pinned``/``pinned_entries`` are the batched engine's claim check and
-    frontier lead, as in :func:`find_matches`.
+    on it whether a search is charged at all.
     """
-    found = rule.search.run(solution, rule.guarded_condition, rule, None, exclude, pinned, pinned_entries, True)
+    found = rule.search.run(solution, rule.guarded_condition, rule, None, None, (), True)
     return found[0] if found else None
 
 
@@ -259,7 +250,6 @@ def find_matches(
     solution: Multiset,
     condition: Callable[[Bindings], bool] | None = None,
     initial_bindings: Bindings | None = None,
-    exclude: Callable[[Atom], bool] | None = None,
     *,
     pinned: int | None = None,
     pinned_entries: Sequence[Any] = (),
@@ -279,22 +269,14 @@ def find_matches(
     initial_bindings:
         Optional starting environment (used by the engine to pre-bind
         context variables such as the owning task name).
-    exclude:
-        Optional identity predicate over top-level candidates; atoms for
-        which it returns ``True`` are skipped *before* any structural
-        matching.  The batched engine passes its claimed-atom check here, so
-        candidates consumed earlier in the same batch cost one call instead
-        of a full pattern descent.
     pinned, pinned_entries:
-        The batched engine's *frontier* enumeration: pattern ``pinned`` draws
-        its candidates from ``pinned_entries`` (the occurrence entries of
-        atoms that changed since the last pass) instead of its bucket.  The
-        patterns still run in **declaration order**, keeping the selectivity
-        rule authors encode in it: with the frontier atom in a *late* pattern
-        (a fan-in hub), the earlier ones bind the join variables first.
+        Pattern ``pinned`` draws its candidates from ``pinned_entries``
+        (occurrence entries) instead of its bucket — how
+        :meth:`~repro.hocl.patterns.Pattern.match` holds one pattern to one
+        atom.  The patterns still run in declaration order.
     """
     search = compiled_search(patterns).run
-    return iter(search(solution, condition, None, initial_bindings, exclude, pinned, pinned_entries))
+    return iter(search(solution, condition, None, initial_bindings, pinned, pinned_entries))
 
 
 def find_first_match(

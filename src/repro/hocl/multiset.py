@@ -6,7 +6,7 @@ HOCL reduction engine rewrites: rules consume atoms from it and inject new
 atoms into it.
 
 The implementation keeps an insertion-ordered list internally (which makes
-reduction deterministic for a given engine policy and greatly simplifies
+reduction deterministic and greatly simplifies
 testing) but none of the public semantics depend on that order.
 
 Incrementality support
@@ -19,7 +19,7 @@ the book-keeping that lets the engine work incrementally:
   multisets, and the top-level entries in them, that currently hold it), so
   any change anywhere in the tree invalidates the cached inertness of every
   ancestor;
-* **flagged entries** (:meth:`unsettled_items`): the same propagation flags,
+* **flagged entries** (:meth:`unsettled_solutions`): the same propagation flags,
   in each enclosing multiset, the entry below which something that can react
   (:attr:`can_react`: it holds a rule or a nested solution) changed — the
   engine descends into those only — and every **plausible-candidate memory**
@@ -522,7 +522,7 @@ class Multiset:
         return True
 
     def rules_by_priority(self) -> list[Atom]:
-        """Rules ordered by the engine policy: priority desc, insertion order.
+        """Rules in the order the engine tries them: priority desc, insertion order.
 
         The ordering is cached and only recomputed when a rule is added or
         removed — data mutations (the common case) leave it untouched.
@@ -582,21 +582,11 @@ class Multiset:
         order — exactly the depth-first descent order of the reduction
         engine.  Returns a snapshot safe to iterate across mutations.
         """
-        return [solution for _atom, solution in self.nested_solution_items()]
+        return [solution for nested in (self._nested or {}).values() for solution in nested]
 
-    def nested_solution_items(self) -> list[tuple[Atom, "Multiset"]]:
-        """Like :meth:`nested_solutions`, paired with the atom holding each.
-
-        The sharded reducer uses the owning atom to mark the right top-level
-        candidate dirty when a nested reduction changed something below it.
-        Returns a snapshot safe to iterate across mutations.
-        """
-        nested_by_entry = self._nested or {}
-        return [(entry.atom, s) for entry, nested in nested_by_entry.items() for s in nested]
-
-    def unsettled_items(self) -> Sequence[tuple[Atom, "Multiset"]]:
-        """The part of :meth:`nested_solution_items` worth a visit: what can
-        react and is not proven inert.
+    def unsettled_solutions(self) -> Sequence["Multiset"]:
+        """The part of :meth:`nested_solutions` worth a visit: what can react
+        and is not proven inert.
 
         Only the flagged entries — a handful, whatever the size of the level
         — are looked at.  One whose solutions are all :attr:`known_inert` or
@@ -612,7 +602,7 @@ class Multiset:
         for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else flagged:
             for solution in self._nested[entry]:  # type: ignore[index]
                 if solution._inert_version != solution._version and solution.can_react:
-                    items.append((entry.atom, solution))
+                    items.append(solution)
                     unsettled.add(entry)
         return items
 

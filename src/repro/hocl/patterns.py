@@ -273,7 +273,7 @@ class Pattern:
         from .matching import compiled_search  # imports this module
 
         # a one-pattern search pinned to the one candidate never reads a solution
-        found = compiled_search((self,))(None, None, None, bindings, None, 0, (_Entry(atom, 0),))
+        found = compiled_search((self,))(None, None, None, bindings, 0, (_Entry(atom, 0),))
         return [match.bindings for match in found]
 
     def quick_reject(self, atom: Atom) -> bool:

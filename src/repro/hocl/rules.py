@@ -98,12 +98,12 @@ class Rule(Atom):
     delta:
         Optional :class:`~repro.hocl.deltas.RewriteDelta`: the in-place,
         copy-on-write form of the same reaction.  When present, the engine's
-        default delta path applies it instead of expanding ``products`` —
-        matched atoms stay in the solution (minus ``delta.consume``) and the
-        delta's patches edit their nested solutions directly.  ``products``
-        must still describe the equivalent full rebuild; it remains the
-        reference semantics (``ReductionEngine(delta=False)``) and what the
-        parity harness checks the delta against.
+        engine applies it instead of expanding ``products`` — matched atoms
+        stay in the solution (minus ``delta.consume``) and the delta's
+        patches edit their nested solutions directly.  ``products`` must
+        still describe the equivalent full rebuild: the reference semantics
+        the parity oracle (``tests/reduction_reference.py``) checks the delta
+        against.
     """
 
     __slots__ = (
@@ -211,12 +211,6 @@ class Rule(Atom):
         return names
 
     # -------------------------------------------------------------- identity
-    def __reduce__(self) -> tuple[Any, ...]:
-        # The search is generated code: a rule pickles as its definition and
-        # generates again on load (the process-pool reduction path).
-        definition = (self.name, self.patterns, self.products, self.condition, self.one_shot)
-        return Rule, (*definition, self.keep_matched, self.effect, self.priority, self.delta)
-
     def copy(self) -> "Rule":
         return self  # rules are immutable; sharing is safe
 

@@ -1,11 +1,9 @@
 """Trace rollups: per-agent, per-rule and per-phase summaries.
 
 This is what ``ginflow trace summarize`` prints.  The reduction-phase
-totals sum the very ``perf_counter`` windows the engine accumulated into
-:attr:`~repro.hocl.engine.ReductionReport.timings` (match/rewrite/patch
-span durations plus the ``index_seconds`` attribute the rewrite/patch spans
-carry), so they reconcile with ``RunReport.extra["reduction_timings"]`` to
-float-summation precision.  Self-time subtracts the durations of a span's
+totals sum the match/rewrite/patch span durations plus the ``index_seconds``
+attribute the rewrite/patch spans carry — the numbers a traced run reports
+as ``RunReport.extra["reduction_timings"]``.  Self-time subtracts the durations of a span's
 direct children (same-track timestamp containment) — the nesting the Chrome
 export renders.
 """

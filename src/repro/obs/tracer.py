@@ -4,10 +4,9 @@ A *span* is one timed unit of work (a reduction phase, an agent stimulus, a
 service invocation) on a named *track* (one track per agent, plus tracks for
 the broker and the executors).  An *event* is an instantaneous point (a
 broker publish, a STATUS update).  Both carry wall-clock timestamps from
-``time.perf_counter()`` — the same clock the reduction engine's
-:attr:`~repro.hocl.engine.ReductionReport.timings` accumulate, so span
-totals reconcile with the report to float precision — and, when the hosting
-runtime runs under virtual time, a ``vt`` stamp read from its
+``time.perf_counter()`` — the reduction engine's per-phase timings are the
+sums of its spans — and, when the hosting runtime runs under virtual time, a
+``vt`` stamp read from its
 :class:`~repro.runtime.enactment.clock.VirtualClock`.
 
 The zero-overhead contract: every instrumented seam stores ``None`` (not a

@@ -26,9 +26,7 @@ only the asyncio hosting decisions:
   exception is kept and :meth:`AsyncioRun.run` / ``run_async`` re-raise it;
 * completion, the timeout and such an exception resolve the one future the
   run awaits.  Whatever is still pending then is cancelled, and callbacks
-  left on a caller's loop are no-ops;
-* under ``reduction="parallel"`` (a pool reducer) each stimulus is instead a
-  coroutine that runs it on the pool under its agent's lock.
+  left on a caller's loop are no-ops.
 
 Like the threaded runtime it is meant for functional use (examples, real
 Python services, integration tests), not performance studies.  Use
@@ -42,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import time
 from functools import partial
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 from repro.agents.actions import Action
 from repro.hocl import Atom
@@ -72,14 +70,10 @@ class AsyncioRun:
         self._error: BaseException | None = None
         #: what the end of the run cancels: the timers still running, by the id
         #: of what waits for them (a prepared invocation; the run, for its
-        #: timeout), and the Tasks of awaiting services and pooled stimuli
+        #: timeout), and the Tasks of awaiting services
         self._timers: dict[int, asyncio.TimerHandle] = {}
         self._tasks: "set[asyncio.Future[Any]]" = set()
         self._closed = False
-        #: under a parallel policy: the reduction pool, and the lock per agent that
-        #: keeps its stimuli serialized once they leave the loop thread
-        self._reducer = None
-        self._locks: dict[str, asyncio.Lock] = {}
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
@@ -110,9 +104,6 @@ class AsyncioRun:
             invoker=self._invoke,
             on_complete=lambda _time: self._finish(),
         )
-        # a pool under a parallel policy, else None (see `_stimulate_on_pool`); the
-        # cores get the policy (for batch engines) but no nested reducer
-        self._reducer = engine.policy.make_reducer()
         try:
             with engine.enacting():
                 stimulate, deliver, boot = self._stimulate, engine.deliver, engine.boot
@@ -133,8 +124,6 @@ class AsyncioRun:
             self._closed = True
             for pending in (*self._timers.values(), *self._tasks):
                 pending.cancel()
-            if self._reducer is not None:
-                self._reducer.shutdown()
 
     def _finish(self, timed_out: bool = False, error: BaseException | None = None) -> None:
         """End the wait of :meth:`run_async`; only the first call counts."""
@@ -147,40 +136,10 @@ class AsyncioRun:
         """One stimulus, one loop callback: run it, dispatch the actions it asked for."""
         if self._closed:
             return  # left on a caller's loop by a run that is over
-        if self._reducer is not None:
-            self._hold(self._stimulate_on_pool(agent, stimulus, *args), self._pooled_done)
-            return
         try:
             self._engine.dispatch(agent, stimulus(agent, *args))
         except Exception as exc:  # noqa: BLE001 - a protocol bug: ends the run, which re-raises it
             self._finish(error=exc)
-
-    async def _stimulate_on_pool(
-        self, agent: AgentHost, stimulus: Callable[..., list[Action]], *args: Any
-    ) -> None:
-        """The same under a parallel policy: the stimulus — which ends in the
-        agent's HOCL reduction — runs on the reducer's thread pool, so the
-        reductions of different agents overlap while the loop stays free (the
-        engine supports concurrent per-agent stimuli: the threaded runtime
-        drives it that way).  The agent's lock keeps its own stimuli serialized,
-        in arrival order; dispatch stays on the loop (it schedules callbacks
-        and posts to the broker)."""
-        lock = self._locks.get(agent.name) or self._locks.setdefault(agent.name, asyncio.Lock())
-        async with lock:
-            actions = await self._reducer.run_async(stimulus, agent, *args)
-        self._engine.dispatch(agent, actions)
-
-    def _hold(self, awaitable: Awaitable[Any], done: "Callable[[asyncio.Future[Any]], None]") -> None:
-        """Run ``awaitable`` as a Task the run keeps until ``done`` has seen
-        its outcome (so no exception is lost), and cancels at its own end."""
-        task = asyncio.ensure_future(awaitable)
-        self._tasks.add(task)
-        task.add_done_callback(done)
-
-    def _pooled_done(self, task: "asyncio.Future[Any]") -> None:
-        self._tasks.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            self._finish(error=task.exception())  # a protocol bug, as in `_stimulate`
 
     # ----------------------------------------------------------- invocation
     def _invoke(self, agent: AgentHost, prepared: PreparedInvocation) -> None:
@@ -203,8 +162,12 @@ class AsyncioRun:
             self._stimulate(agent, self._engine.complete_invocation, outcome)
         else:
             # the awaitable `checked` let through — an async service: awaited on
-            # the loop, so concurrent invocations genuinely overlap
-            self._hold(outcome.value, partial(self._service_done, agent, prepared, outcome.duration))
+            # the loop, so concurrent invocations genuinely overlap, as a Task the
+            # run keeps until `_service_done` has seen its outcome (so no
+            # exception is lost) and cancels at its own end
+            task = asyncio.ensure_future(outcome.value)
+            self._tasks.add(task)
+            task.add_done_callback(partial(self._service_done, agent, prepared, outcome.duration))
 
     def _service_done(
         self, agent: AgentHost, prepared: PreparedInvocation, duration: float, task: "asyncio.Future[Any]"

@@ -12,9 +12,7 @@ chains.  Backends come in four *kinds*:
 * ``"broker"`` — messaging middlewares; factory signature
   ``(config) -> BrokerProfile``;
 * ``"cluster"`` — infrastructure presets; factory signature
-  ``(config) -> Cluster``;
-* ``"reduction"`` — HOCL reduction strategies; factory signature
-  ``(config) -> ReductionPolicy``.
+  ``(config) -> Cluster``.
 
 Built-in backends register themselves in the modules that define them
 (:mod:`repro.executors.ssh`, :mod:`repro.messaging.kafka`, ...), except the
@@ -56,18 +54,16 @@ __all__ = [
     "register_executor",
     "register_broker",
     "register_cluster",
-    "register_reduction",
     "get_backend",
     "available_runtimes",
     "available_executors",
     "available_brokers",
     "available_clusters",
-    "available_reductions",
     "ensure_builtin_backends",
 ]
 
 #: The backend kinds the engine dispatches on.
-KINDS = ("runtime", "executor", "broker", "cluster", "reduction")
+KINDS = ("runtime", "executor", "broker", "cluster")
 
 
 class BackendError(ValueError):
@@ -247,11 +243,6 @@ def register_cluster(name: str, factory: _Factory | None = None, **kwargs: Any) 
     return registry.register("cluster", name, factory, **kwargs)
 
 
-def register_reduction(name: str, factory: _Factory | None = None, **kwargs: Any) -> _Factory:
-    """Register a reduction strategy (``(config) -> ReductionPolicy``)."""
-    return registry.register("reduction", name, factory, **kwargs)
-
-
 # ----------------------------------------------------------- derived views
 def get_backend(kind: str, name: str) -> Backend:
     """Resolve one backend from the global registry (built-ins loaded first)."""
@@ -283,12 +274,6 @@ def available_clusters() -> tuple[str, ...]:
     return registry.names("cluster")
 
 
-def available_reductions() -> tuple[str, ...]:
-    """Names of every registered reduction strategy."""
-    ensure_builtin_backends()
-    return registry.names("reduction")
-
-
 #: Legacy tuple names resolved as live registry views by the module
 #: ``__getattr__`` hooks of :mod:`repro.runtime` and
 #: :mod:`repro.runtime.config` (single source of truth for both).
@@ -296,7 +281,6 @@ DERIVED_VIEWS: dict[str, Callable[[], tuple[str, ...]]] = {
     "EXECUTION_MODES": available_runtimes,
     "EXECUTORS": available_executors,
     "BROKERS": available_brokers,
-    "REDUCTIONS": available_reductions,
 }
 
 
@@ -336,7 +320,6 @@ _BUILTIN_RUNTIMES: tuple[tuple[str, str, dict[str, Any], str], ...] = (
 #: Modules whose import registers the other built-in backends (in
 #: registration order — what `available_*()` and the CLI choices show).
 _BUILTIN_MODULES = (
-    "repro.runtime.reduction",
     "repro.executors.ssh",
     "repro.executors.mesos",
     "repro.messaging.activemq",

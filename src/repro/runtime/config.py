@@ -51,14 +51,6 @@ class GinFlowConfig:
         distributed modes only).
     broker:
         Messaging middleware name (``"activemq"``, ``"kafka"``, ...).
-    reduction:
-        Reduction strategy name (``"serial"``, ``"batch"``, ``"parallel"``,
-        or any registered third-party strategy).  ``serial`` is the
-        reference one-reaction-per-pass semantics; ``batch`` applies every
-        disjoint applicable match per pass; ``parallel`` adds concurrent
-        reduction of independent shards (per-agent solutions, centralised
-        top-level sub-solutions).  All strategies reach the same final
-        solution on GinFlow's confluent programs.
     cluster_preset:
         Cluster preset name used when no explicit ``cluster`` is given
         (``"grid5000"`` by default).
@@ -94,7 +86,6 @@ class GinFlowConfig:
     mode: str = "simulated"
     executor: str = "ssh"
     broker: str = "activemq"
-    reduction: str = "serial"
     cluster_preset: str = "grid5000"
     nodes: int = 25
     cluster: Cluster | None = None
@@ -118,7 +109,6 @@ class GinFlowConfig:
         backends.registry.get("runtime", self.mode)
         backends.registry.get("executor", self.executor)
         backends.registry.get("broker", self.broker)
-        backends.registry.get("reduction", self.reduction)
         if self.cluster is None:
             backends.registry.get("cluster", self.cluster_preset)
         if self.nodes < 1:
@@ -171,10 +161,6 @@ class GinFlowConfig:
         broker = broker_class(self.broker_profile())
         broker.attach_observability(self.obs)
         return broker
-
-    def reduction_policy(self) -> Any:
-        """The resolved reduction policy selected by ``reduction``."""
-        return backends.get_backend("reduction", self.reduction).build(self)
 
     def build_registry(self) -> ServiceRegistry:
         """The service registry (a fresh default one when none was given)."""

@@ -37,6 +37,7 @@ from repro.agents.actions import Action
 from repro.agents.core import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hocl import AtomError, to_atom
+from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
 from repro.obs import Observability
@@ -176,7 +177,9 @@ class EnactmentEngine:
         self.obs = obs if obs is not None else config.obs
         self._trace = self.obs.active_tracer() if self.obs is not None else None
         self._metrics = self.obs.metrics if self.obs is not None else None
-        self.policy = config.reduction_policy()
+        #: the reduction timings of every core built, recovered ones included
+        #: (traced runs only): one dict per core, each added to by its agent alone
+        self._core_timings: list[dict[str, float]] = []
         # Tasks whose failure triggers an adaptation must not fail-fast the
         # run: their ERROR is the *start* of the recovery, not the end.
         adaptable = {name for name, task in encoding.tasks.items() if task.trigger_plans}
@@ -194,10 +197,19 @@ class EnactmentEngine:
         self._set_up = FrozenSetUp(len(encoding.tasks))
 
     # ---------------------------------------------------------------- hosts
-    def new_core(self, encoding: TaskEncoding, reducer: Any = None) -> AgentCore:
-        """An agent core on this run's reduction policy and tracer — the one
-        place cores are made, so a recovered agent reduces and traces like the first."""
-        return AgentCore(encoding, reduction=self.policy, reducer=reducer, trace=self._trace)
+    def new_core(self, encoding: TaskEncoding) -> AgentCore:
+        """An agent core on this run's tracer — the one place cores are made, so
+        a recovered agent traces like the first and its timings count too."""
+        core = AgentCore(encoding, trace=self._trace)
+        if core.engine.timings is not None:
+            self._core_timings.append(core.engine.timings)
+        return core
+
+    def reduction_timings(self) -> dict[str, float] | None:
+        """Per-phase seconds of every reduction span of the run (``None`` untraced)."""
+        if self._trace is None:
+            return None
+        return {phase: sum(timings[phase] for timings in self._core_timings) for phase in PHASES}
 
     def add_host(self, host: AgentHost) -> AgentHost:
         """Register one hosted agent (insertion order is report order); inside
@@ -338,9 +350,7 @@ class EnactmentEngine:
         """
         logged = self.transport.replay(agent_topic(host.name)) if self.transport.supports_replay else []
         crashed = host.core
-        host.core, actions = rebuild_agent(
-            host.encoding, logged, core=self.new_core(host.encoding, crashed.reducer)
-        )
+        host.core, actions = rebuild_agent(host.encoding, logged, core=self.new_core(host.encoding))
         # the dead core's solution is cyclic garbage (nested solutions know their
         # holders): taken apart, it goes now and not at some later collector pass
         crashed.solution.clear()

@@ -92,9 +92,6 @@ class ReportAssembler:
             report.duplicate_results_ignored += core.duplicates_ignored
             report.reduction_reactions += core.reactions
             report.reduction_match_attempts += core.match_attempts
-            timings = report.extra.setdefault("reduction_timings", {})
-            for phase, seconds in core.reduction_timings.items():
-                timings[phase] = timings.get(phase, 0.0) + seconds
             fires = report.extra.setdefault("rule_fires", {})
             for rule_name, count in core.rule_fires.items():
                 fires[rule_name] = fires.get(rule_name, 0) + count
@@ -104,6 +101,9 @@ class ReportAssembler:
                     registered.append(rule_name)
             if name in exit_tasks and outcome.result is not None:
                 report.results[name] = outcome.result
+        timings = engine.reduction_timings()
+        if timings is not None:
+            report.extra["reduction_timings"] = timings
         if engine.config.collect_timeline:
             report.timeline = list(coordinator.timeline)
         if engine.obs is not None and engine.obs.metrics is not None:

@@ -158,9 +158,7 @@ class GinFlow:
 def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
     """Run ``workflow`` on a single centralised HOCL interpreter (the
     ``centralized`` backend's entry point; ``timeout`` is unused)."""
-    executor = CentralizedExecutor(
-        registry=config.build_registry(), reduction=config.reduction_policy(), obs=config.obs
-    )
+    executor = CentralizedExecutor(registry=config.build_registry(), obs=config.obs)
     outcome = executor.execute(workflow)
     exit_tasks = set(workflow.exit_tasks())
     report = RunReport(
@@ -200,9 +198,8 @@ def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | 
     )
     report.extra["invocations"] = outcome.invocations
     report.extra["rule_fires"] = dict(outcome.report.rule_fires)
-    report.extra["reduction"] = config.reduction
-    report.extra["batches"] = outcome.report.batches
-    report.extra["reduction_timings"] = dict(outcome.report.timings)
+    if outcome.timings is not None:
+        report.extra["reduction_timings"] = dict(outcome.timings)
     if config.obs is not None and config.obs.metrics is not None:
         report.extra["metrics"] = config.obs.metrics.snapshot()
     return report

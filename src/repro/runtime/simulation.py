@@ -105,9 +105,6 @@ class SimulatedRun:
         agent_names = encoding.task_names()
         plan = executor.plan(cluster, agent_names)
 
-        # Virtual time is single-threaded by construction, so a parallel
-        # policy degrades to its batch component here: same final solutions,
-        # no pool.  (Simulated timings model the *platform*, not host CPU.)
         with engine.enacting():
             for name in agent_names:
                 agent = engine.add_host(

@@ -75,41 +75,29 @@ class ThreadedRun:
             on_complete=lambda _time: self._done.set(),
         )
         self._engine = engine
+        with engine.enacting():
+            for name, task_encoding in encoding.tasks.items():
+                agent = engine.add_host(_ThreadedAgent(encoding=task_encoding, core=engine.new_core(task_encoding)))
+                broker.subscribe(agent_topic(name), agent.inbox.put)
+            engine.subscribe_status()
 
-        # One shared reduction pool for every agent (None when the policy is
-        # not parallel).  AgentCore.run blocks the calling agent thread, so
-        # per-agent stimuli stay serialized; the pool only bounds how many
-        # CPU-heavy reductions run at once across agents.
-        reducer = engine.policy.make_reducer()
-        try:
-            with engine.enacting():
-                for name, task_encoding in encoding.tasks.items():
-                    agent = engine.add_host(
-                        _ThreadedAgent(encoding=task_encoding, core=engine.new_core(task_encoding, reducer))
-                    )
-                    broker.subscribe(agent_topic(name), agent.inbox.put)
-                engine.subscribe_status()
+            start = time.monotonic()
+            for agent in engine.hosts.values():
+                agent.thread = threading.Thread(
+                    target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
+                )
+                agent.thread.start()
 
-                start = time.monotonic()
-                for agent in engine.hosts.values():
-                    agent.thread = threading.Thread(
-                        target=self._agent_loop, args=(agent,), daemon=True, name=f"sa-{agent.name}"
-                    )
-                    agent.thread.start()
-
-                completed = self._done.wait(timeout=timeout)
-                # shut the agent threads down
-                for agent in engine.hosts.values():
-                    agent.inbox.put(_POISON)
-                for agent in engine.hosts.values():
-                    if agent.thread is not None:
-                        agent.thread.join(timeout=2.0)
-                if self._errors:
-                    raise self._errors[0]
-                return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, not completed)
-        finally:
-            if reducer is not None:
-                reducer.shutdown()
+            completed = self._done.wait(timeout=timeout)
+            # shut the agent threads down
+            for agent in engine.hosts.values():
+                agent.inbox.put(_POISON)
+            for agent in engine.hosts.values():
+                if agent.thread is not None:
+                    agent.thread.join(timeout=2.0)
+            if self._errors:
+                raise self._errors[0]
+            return ReportAssembler(engine).assemble_local("threaded", time.monotonic() - start, not completed)
 
     # ----------------------------------------------------------- agent loop
     def _agent_loop(self, agent: _ThreadedAgent) -> None:

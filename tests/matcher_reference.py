@@ -8,7 +8,7 @@ through per-call ``recurse`` closures, a ``dict`` copy per bound variable, a
 with the generator but the pattern objects it reads (``elements``, ``rest``,
 ``kind``, ``index_key``, ``quick_reject``), so ``tests/test_matcher_oracle.py``
 can hold the generated search to it — same matches, same order, same memory
-refutations — and ``BruteForceEngine`` (``tests/test_reduction_parity.py``)
+refutations — and ``BruteForceEngine`` (``tests/reduction_reference.py``)
 stays independent of the code under test.
 """
 
@@ -160,7 +160,6 @@ def search(
     solution,
     condition=None,
     initial_bindings=None,
-    exclude=None,
     pinned=None,
     pinned_entries=(),
     first=False,
@@ -209,8 +208,6 @@ def search(
         for entry in entries:
             if entry in used:
                 continue
-            if exclude is not None and exclude(entry.atom):
-                continue
             if pattern.quick_reject(entry.atom):
                 if memory is not None:
                     memory.refute(entry)
@@ -224,10 +221,9 @@ def search(
     return found
 
 
-def first_match(rule, solution, exclude=None, pinned=None, pinned_entries=()):
+def first_match(rule, solution):
     """The reference of :func:`repro.hocl.matching.first_match`."""
     found = search(
-        rule.patterns, solution, rule.guarded_condition, None, exclude, pinned, pinned_entries, True,
-        keys=rule.pattern_index_keys, owner=rule,
-    )  # fmt: skip
+        rule.patterns, solution, rule.guarded_condition, None, first=True, keys=rule.pattern_index_keys, owner=rule
+    )
     return found[0] if found else None

@@ -351,13 +351,13 @@ def result_scripts(draw):
 class TestStimulusPath:
     """``receive_result`` edits ``SRC``/``IN`` in place, at a fan-in-independent cost."""
 
-    @given(result_scripts(), st.sampled_from([None, "batch"]))
+    @given(result_scripts())
     @settings(max_examples=60, deadline=None)
-    def test_in_place_edit_matches_the_rebuild_reference(self, script, reduction):
+    def test_in_place_edit_matches_the_rebuild_reference(self, script):
         listed, senders = script
         encoding = fan_in_encoding(listed)
-        live = AgentCore(encoding, reduction=reduction)
-        reference = AgentCore(encoding, reduction=reduction)
+        live = AgentCore(encoding)
+        reference = AgentCore(encoding)
         assert live.boot() == reference.boot()
         for number, sender in enumerate(senders):
             value = f"value-{number}"

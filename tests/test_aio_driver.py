@@ -9,7 +9,7 @@
 * a stimulus that raises ends the run at once with that exception;
 * the report never becomes the result of the main task (``asyncio.run`` would
   format its repr);
-* under a pool reducer every reduction still leaves the loop thread.
+* every reduction runs on the loop's own thread.
 """
 
 from __future__ import annotations
@@ -213,12 +213,6 @@ class TestRaisingStimulus:
 
         asyncio.run(main())
 
-    def test_under_a_pool_reducer_too(self, broken_deliver):
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="injected into deliver"):
-            run_asyncio(diamond_workflow(3, 3), GinFlowConfig(mode="asyncio", reduction="parallel"), timeout=30.0)
-        assert time.monotonic() - start < 5.0
-
     def test_a_raising_service_still_only_fails_its_task(self):
         registry = ServiceRegistry()
 
@@ -242,8 +236,8 @@ class TestReportStaysOffTheMainTask:
         assert formatted == []
 
 
-class TestPoolPath:
-    def test_every_reduction_leaves_the_loop_thread(self, monkeypatch):
+class TestNoThreads:
+    def test_every_reduction_runs_on_the_loop_thread(self, monkeypatch):
         threads = []
         original = ReductionEngine.reduce
 
@@ -252,10 +246,5 @@ class TestPoolPath:
             return original(self, solution)
 
         monkeypatch.setattr(ReductionEngine, "reduce", reduce)
-        config = GinFlowConfig(mode="asyncio", reduction="parallel")
-        report = run_asyncio(diamond_workflow(3, 3), config, timeout=30.0)
-        assert report.succeeded
-        assert threads and threading.main_thread() not in threads
-        threads.clear()
         assert run_asyncio(diamond_workflow(3, 3), timeout=30.0).succeeded
         assert threads and set(threads) == {threading.main_thread()}

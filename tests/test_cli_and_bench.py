@@ -1,6 +1,7 @@
 """Tests for the command line interface and the benchmark harnesses."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,6 +73,23 @@ class TestCLI:
         # failures need Kafka; the CLI surfaces the configuration error
         assert main(["run", workflow_file, "--failure-probability", "0.5"]) == 2
 
+    def test_the_reduction_flag_is_gone(self):
+        """One reduction loop: ``--reduction`` is an unknown option, refused by
+        argparse with its one ``error:`` line, exit 2 and no traceback."""
+        argv = ["run", "--scenario", "longchain:size=40", "--reduction", "batch"]
+        done = subprocess.run([sys.executable, "-m", "repro.cli", *argv], capture_output=True, text=True, timeout=60)
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert done.returncode == 2 and done.stdout == "", done.stderr
+        assert len(errors) == 1 and errors[0].startswith("ginflow: error: unrecognized arguments: --reduction")
+        assert "Traceback" not in done.stderr
+
+    def test_backends_lists_no_reduction_kind(self, capsys):
+        assert main(["backends"]) == 0
+        kinds = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+        assert kinds == ["runtime", "executor", "broker", "cluster"]
+        assert main(["backends", "--json"]) == 0
+        assert {entry["kind"] for entry in json.loads(capsys.readouterr().out)} == set(kinds)
+
 
 class TestBenchHelpers:
     def test_experiment_scale_default(self, monkeypatch):
@@ -102,24 +120,17 @@ class TestCollateTrendPlot:
     def _artifact(wall):
         return {
             "benchmark": "hocl-reduction",
-            "schema_version": 4,
+            "schema_version": 8,
             "scenarios": {
-                "montage-100-centralized": {
+                name: {
                     "reactions": 100,
-                    "incremental": {"match_attempts": 10, "wall_seconds": wall},
+                    "match_attempts": 10,
+                    "patched": 100,
+                    "wall_seconds": wall * scale,
                     "naive": {"match_attempts": 99, "wall_seconds": wall * 10},
                     "speedup": {"match_attempts": 9.9, "wall_clock": 10.0},
-                    "modes": {
-                        "serial": {
-                            "match_attempts": 10,
-                            "wall_seconds": wall,
-                            "timings": {
-                                "match": wall * 0.5, "rewrite": wall * 0.2,
-                                "patch": wall * 0.2, "index": wall * 0.1,
-                            },
-                        }
-                    },
                 }
+                for name, scale in (("montage-100-centralized", 1), ("sipht-200-centralized", 2))
             },
         }
 
@@ -141,9 +152,8 @@ class TestCollateTrendPlot:
         body = svg.read_text()
         assert body.startswith("<svg")
         assert "reduction wall seconds per commit" in body
-        assert "phase split: montage-100-centralized [serial]" in body
-        # one wall polyline + four phase polylines
-        assert body.count("<polyline") == 5
+        # one wall polyline per scenario
+        assert body.count("<polyline") == 2 and "sipht-200-centralized" in body
 
 
 class TestHarnesses:

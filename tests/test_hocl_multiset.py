@@ -376,7 +376,7 @@ class TestIndexAddressedRemoval:
         ms.remove(first)  # equality finds the first occurrence
         assert ms.atoms()[1] is second
         assert ms.nested_solutions() == [inner]
-        assert [atom for atom, _ in ms.nested_solution_items()] == [second]
+        assert [entry.atom for entry in ms._nested] == [second]
         ms.note_inert()
         inner.add(2)  # still contained once: must still invalidate the parent
         assert not ms.known_inert
@@ -578,10 +578,10 @@ class FlagsAndMemories(RuleBasedStateMachine):
                 if pattern.quick_reject(entry.atom):
                     memory.refute(entry)
         for level in self.solutions:
-            for _atom, solution in level.unsettled_items():
+            for solution in level.unsettled_solutions():
                 if prove:
                     solution.note_inert()
-            level.unsettled_items()  # unflags what is now proven, nothing else
+            level.unsettled_solutions()  # unflags what is now proven, nothing else
 
     # ------------------------------------------------------------ invariants
     @invariant()
@@ -600,7 +600,7 @@ class FlagsAndMemories(RuleBasedStateMachine):
                 if _can_react(s) and not s.known_inert
             ]
             assert under_flags == open_solutions
-            assert [id(s) for _atom, s in level.unsettled_items()] == open_solutions
+            assert [id(s) for s in level.unsettled_solutions()] == open_solutions
 
     @invariant()
     def every_solution_knows_its_holders(self):
@@ -659,7 +659,7 @@ class TestFlagSetFootprint:
         """Structural, not timed: ``to_multiset`` flags every task and a set
         never shrinks its table, so the set that once held the whole level is
         replaced by one of what is still unsettled — or every later
-        ``unsettled_items()`` walks 2000 slots to find two entries."""
+        ``unsettled_solutions()`` walks 2000 slots to find two entries."""
         import sys
 
         from repro.hocl import default_registry
@@ -672,4 +672,4 @@ class TestFlagSetFootprint:
         externals = register_workflow_externals(default_registry(), lambda task, service, parameters: task)
         assert ReductionEngine(externals=externals, max_steps=1_000_000).reduce(solution).inert
         assert len(solution._flagged) <= 8 and sys.getsizeof(solution._flagged) <= sys.getsizeof(set(range(8)))
-        assert not solution.unsettled_items()
+        assert not solution.unsettled_solutions()

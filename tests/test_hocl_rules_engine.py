@@ -2,6 +2,8 @@
 
 import pytest
 
+from reduction_reference import NaiveEngine
+
 from repro.hocl import (
     Call,
     Compute,
@@ -247,11 +249,11 @@ class TestReduction:
         assert is_inert(Multiset([1, 2]))
         assert not is_inert(Multiset([1, 2, max_rule()]))
 
-    def test_step_applies_single_reaction(self):
-        solution = Multiset([1, 2, max_rule()])
-        engine = ReductionEngine()
-        assert engine.step(solution) is True
-        assert engine.step(solution) is False
+    def test_a_step_limit_of_one_applies_a_single_reaction(self):
+        solution = Multiset([1, 2, 3, max_rule()])
+        engine = ReductionEngine(max_steps=1)
+        assert [engine.reduce(solution).reactions for _ in range(3)] == [1, 1, 0]
+        assert solution.count(IntAtom(3)) == 1 and len(solution) == 2
 
     def test_observer_called(self):
         seen = []
@@ -315,8 +317,8 @@ class TestIncrementalReduction:
     def test_identical_history_to_naive_engine(self):
         incremental = self._workflowish_solution()
         naive = self._workflowish_solution()
-        report_inc = ReductionEngine(incremental=True).reduce(incremental)
-        report_naive = ReductionEngine(incremental=False).reduce(naive)
+        report_inc = ReductionEngine().reduce(incremental)
+        report_naive = NaiveEngine().reduce(naive)
         assert self._trace(report_inc) == self._trace(report_naive)
         assert incremental == naive
         assert report_inc.match_attempts <= report_naive.match_attempts
@@ -356,10 +358,10 @@ class TestIncrementalReduction:
         # `max` needs integers: with none present the indexed engine proves
         # inapplicability from the (empty) int bucket without a search.
         solution = Multiset([Symbol("A"), max_rule()])
-        report = ReductionEngine(incremental=True).reduce(solution)
+        report = ReductionEngine().reduce(solution)
         assert report.match_attempts == 0
         assert report.inert
-        naive = ReductionEngine(incremental=False).reduce(Multiset([Symbol("A"), max_rule()]))
+        naive = NaiveEngine().reduce(Multiset([Symbol("A"), max_rule()]))
         assert naive.match_attempts == 1
 
     def test_is_inert_leaves_solution_bit_identical(self):
@@ -393,7 +395,7 @@ class TestIncrementalReduction:
 
         fresh = ReductionEngine()
         fresh_report = ReductionReport()
-        ReductionEngine(incremental=False).reduce(second)  # no marks left behind
+        NaiveEngine().reduce(second)  # no marks left behind
         assert not fresh._has_applicable_rule(second, fresh_report)
         probe = ReductionReport()
         assert not fresh._has_applicable_rule(self._reduced_copy(), probe)
@@ -401,13 +403,14 @@ class TestIncrementalReduction:
 
     def _reduced_copy(self):
         solution = self._workflowish_solution()
-        ReductionEngine(incremental=False).reduce(solution)
+        NaiveEngine().reduce(solution)
         return solution
 
-    def test_step_respects_inertness_cache(self):
+    def test_a_single_step_respects_inertness_cache(self):
         solution = Multiset([1, 2, max_rule()])
         engine = ReductionEngine()
         engine.reduce(solution)
-        assert engine.step(solution) is False
+        engine.max_steps = 1
+        assert engine.reduce(solution).match_attempts == 0
         solution.add(3)
-        assert engine.step(solution) is True
+        assert engine.reduce(solution).reactions == 1

@@ -8,7 +8,7 @@ it or to the contract the engine relies on:
 
 * differential, on random pattern trees and solutions: same matches, in the
   same order, with the same bindings and the same memory refutations, under
-  ``initial_bindings``, ``exclude`` and ``pinned`` (``GINFLOW_FULL`` raises
+  ``initial_bindings`` and ``pinned`` (``GINFLOW_FULL`` raises
   the example count);
 * the text: one per shape whatever the pattern objects and the hash seed, one
   ``compile()`` per text, a handful per run, readable in a traceback, and past
@@ -19,13 +19,10 @@ it or to the contract the engine relies on:
   firing, local or centralised, whatever the fan-in; the rebuild path still
   splices the right lists; an effect or an observer reads the pre-reaction
   remainder; a read after the solution changed raises;
-* a pattern class of the caller's own is matched through its ``match``;
-* a rule pickles as its definition and generates again on load, so the process
-  pool of ``repro.hocl.parallel`` takes pure-chemistry shards.
+* a pattern class of the caller's own is matched through its ``match``.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -36,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matcher_reference
+from reduction_reference import RebuildEngine
 from repro import GinFlow, diamond_workflow
 from repro.hocl import (
     BindingView,
@@ -43,7 +41,6 @@ from repro.hocl import (
     Literal,
     Multiset,
     Omega,
-    ParallelReducer,
     PatchRemove,
     Pattern,
     PatternError,
@@ -189,32 +186,25 @@ class TestAgainstTheInterpreter:
         program=_programs(),
         condition=_CONDITIONS,
         initial=_INITIAL,
-        excluded=st.one_of(st.none(), st.integers(0, 5)),
         pinned=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.lists(st.integers(0, 5), max_size=3, unique=True))),
     )
     @settings(max_examples=_EXAMPLES, deadline=None)
-    def test_same_matches_same_order_same_refutations(self, program, condition, initial, excluded, pinned):
+    def test_same_matches_same_order_same_refutations(self, program, condition, initial, pinned):
         patterns, atoms = program
         ours, theirs = Multiset(atoms), Multiset(atoms)  # the same atom objects, two sets of entries
-        exclude = None
-        if excluded is not None and excluded < len(atoms):
-            exclude = lambda atom: atom is atoms[excluded]  # noqa: E731
         pin, pinned_ours, pinned_theirs = None, (), ()
         if pinned is not None and pinned[0] < len(patterns):
             pin = pinned[0]
             positions = sorted(position for position in pinned[1] if position < len(atoms))
             pinned_ours = [ours.live_entries()[position] for position in positions]
             pinned_theirs = [theirs.live_entries()[position] for position in positions]
-        found = list(
-            find_matches(patterns, ours, condition, initial, exclude, pinned=pin, pinned_entries=pinned_ours)
-        )
+        found = list(find_matches(patterns, ours, condition, initial, pinned=pin, pinned_entries=pinned_ours))
         expected = matcher_reference.search(
-            patterns, theirs, condition, initial, exclude, pin, pinned_theirs,
-            keys=[pattern.index_key() for pattern in patterns],
-        )  # fmt: skip
+            patterns, theirs, condition, initial, pin, pinned_theirs, keys=[pattern.index_key() for pattern in patterns]
+        )
         _same(found, expected)
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
-        if pin is None and exclude is None:
+        if pin is None:
             first = find_first_match(patterns, Multiset(atoms), condition, initial)
             _same([first] if first else [], expected[:1])
 
@@ -539,21 +529,25 @@ class TestNoStateOnTheCompiledForm:
 def remainder_copies(monkeypatch):
     """Count the remainders copied, by the rule being applied (``None``: while searching)."""
     copies, applying = Counter(), [None]
-    read, apply = patterns_module._Rest.read, ReductionEngine._apply
+    read = patterns_module._Rest.read
 
     def counted_read(self, name):
         copies[applying[0]] += 1
         return read(self, name)
 
-    def tracked_apply(self, rule, *args):
-        applying[0] = rule.name
-        try:
-            return apply(self, rule, *args)
-        finally:
-            applying[0] = None
+    def tracked(apply):
+        def tracked_apply(self, rule, *args):
+            applying[0] = rule.name
+            try:
+                return apply(self, rule, *args)
+            finally:
+                applying[0] = None
+
+        return tracked_apply
 
     monkeypatch.setattr(patterns_module._Rest, "read", counted_read)
-    monkeypatch.setattr(ReductionEngine, "_apply", tracked_apply)
+    for engine in (ReductionEngine, RebuildEngine):
+        monkeypatch.setattr(engine, "_apply", tracked(engine._apply))
     return copies
 
 
@@ -575,7 +569,7 @@ class TestOmegaIsBoundOnDemand:
         externals = register_workflow_externals(default_registry(), lambda task, service, parameters: task)
         assert ReductionEngine(externals=externals).reduce(patched).inert
         assert remainder_copies["gw_pass"] == 0
-        assert ReductionEngine(externals=externals, delta=False).reduce(rebuilt).inert
+        assert RebuildEngine(externals=externals).reduce(rebuilt).inert
         assert remainder_copies["gw_pass"] == 6 * 12  # six omegas spliced per firing
         assert rebuilt.content_hash() == patched.content_hash()
         assert rebuilt == patched
@@ -713,35 +707,3 @@ class TestAPatternClassOfTheCallersOwn:
 
         with pytest.raises(NotImplementedError, match="Nothing"):
             Rule("nothing", [Nothing()], [])
-
-
-# ---------------------------------------------------------------- pickling
-def _bigger_first(bindings):
-    return bindings.value("x") >= bindings.value("y")
-
-
-class TestARulePicklesAsItsDefinition:
-    def test_round_trip_compiles_again(self):
-        rule = Rule(
-            "max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")],
-            condition=_bigger_first, priority=3, one_shot=True,
-        )  # fmt: skip
-        clone = pickle.loads(pickle.dumps(rule))
-        assert clone is not rule and clone == rule and clone.search is not rule.search
-        assert (clone.priority, clone.one_shot, clone.condition) == (3, True, _bigger_first)
-        solution = Multiset([1, 5, 3])
-        ours, theirs = first_match(rule, solution), first_match(clone, solution)
-        assert [atom.value for atom in theirs.consumed] == [atom.value for atom in ours.consumed] == [5, 1]
-        assert theirs.bindings == ours.bindings
-
-    def test_the_process_pool_takes_pure_chemistry_shards(self):
-        def shard(values):
-            fold = Rule("max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")], condition=_bigger_first)
-            return Multiset([*values, fold])
-
-        shards = [shard(range(start, start + 6)) for start in (0, 10, 20)]
-        with ParallelReducer(max_workers=2, kind="process") as reducer:
-            report = reducer.reduce_shards(shards, ReductionEngine)
-            assert reducer.process_fallbacks == 0
-        assert report.inert and report.reactions == 15
-        assert [[atom.value for atom in shard if atom.kind != "rule"] for shard in shards] == [[5], [15], [25]]

@@ -1,110 +1,81 @@
-"""Trace parity of the optimized incremental engine against the naive engine.
+"""Trace parity of the incremental engine against the naive walk.
 
 The engine's optimisations (inertness caching, head-symbol indexing,
 quick-reject pre-checks, flagged-entry descent, plausible-candidate memories,
-cached structural hashes) are all required to be *trace-preserving*: reducing
-the same solution must fire exactly the same rules in exactly the same order
-as the naive re-reduce-everything engine.  These tests lock that property on
-the two workflow shapes the paper measures (Montage and the fully-connected
-diamond), against a brute-force search on random programs and every scenario
-family, and on the invalidation edges the book-keeping introduces.
+cached structural hashes, kept anchors) are all required to be
+*trace-preserving*: reducing the same solution must fire exactly the same
+rules in exactly the same order as the naive re-reduce-everything walk of
+``reduction_reference.py``, which states the parity contract.  These tests
+lock that property on the two workflow shapes the paper measures (Montage and
+the fully-connected diamond), against a brute-force search on random programs
+and every scenario family, on every runtime that enacts a family, and on the
+invalidation edges the book-keeping introduces.
 """
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reduction_reference import BruteForceEngine, NaiveEngine, RepositioningDelta, assert_parity, reduce_workflow, trace
+from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
+    Compute,
     IntAtom,
+    Literal,
     Multiset,
     Omega,
+    PatchAdd,
+    PatchRemove,
     ReductionEngine,
+    ReductionError,
+    ReductionReport,
+    Ref,
+    RewriteDelta,
     Rule,
+    RulePattern,
     SolutionPattern,
+    SolutionTemplate,
+    Splice,
     Subsolution,
     Symbol,
     SymbolPattern,
     TupleAtom,
     TuplePattern,
+    TupleTemplate,
     Var,
-    default_registry,
+    find_matches,
 )
+from repro.hocl.matching import first_match
 from repro.hoclflow import encode_workflow
-from repro.hoclflow.generic_rules import register_workflow_externals
-from repro.services import InvocationContext, ServiceRegistry
+from repro.runtime import GinFlow
+from repro.scenarios import available_scenarios, build_scenario
 from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
 
-
-def _reduce_centralized(workflow, incremental: bool, engine_class=ReductionEngine, observer=None):
-    """One centralised reduction of ``workflow``; returns the report."""
-    encoding = encode_workflow(workflow)
-    solution = encoding.to_multiset()
-    registry = ServiceRegistry()
-    attempts: dict[str, int] = {}
-
-    def invoke(task_name: str, service_name: str, parameters: list) -> object:
-        attempts[task_name] = attempts.get(task_name, 0) + 1
-        task = encoding.tasks[task_name]
-        context = InvocationContext(
-            task_name=task_name,
-            duration=task.duration,
-            metadata=task.metadata,
-            attempt=attempts[task_name],
-        )
-        outcome = registry.resolve(service_name).invoke(list(parameters), context)
-        if outcome.failed:
-            raise RuntimeError(outcome.error or "invocation failed")
-        return outcome.value
-
-    externals = default_registry()
-    register_workflow_externals(externals, invoke)
-    engine = engine_class(
-        externals=externals, max_steps=1_000_000, incremental=incremental, observer=observer
-    )
-    report = engine.reduce(solution)
-    assert report.inert
-    return report
-
-
-def _trace(report):
-    return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
+_FAMILIES = available_scenarios()
 
 
 class TestWorkflowTraceParity:
     @pytest.mark.parametrize("projections", [5, 30])
     def test_montage_trace_identical(self, projections):
-        incremental = _reduce_centralized(montage_workflow(projections=projections), True)
-        naive = _reduce_centralized(montage_workflow(projections=projections), False)
-        assert _trace(incremental) == _trace(naive)
-        assert incremental.reactions == naive.reactions
+        incremental, _, _ = reduce_workflow(montage_workflow(projections=projections))
+        naive, _, _ = reduce_workflow(montage_workflow(projections=projections), NaiveEngine)
+        assert trace(incremental) == trace(naive)
         assert incremental.match_attempts <= naive.match_attempts
 
     @pytest.mark.parametrize("width,depth", [(3, 3), (6, 4)])
     def test_fully_connected_diamond_trace_identical(self, width, depth):
-        incremental = _reduce_centralized(
-            diamond_workflow(width, depth, connectivity="full"), True
-        )
-        naive = _reduce_centralized(diamond_workflow(width, depth, connectivity="full"), False)
-        assert _trace(incremental) == _trace(naive)
-        assert incremental.reactions == naive.reactions
+        incremental, _, _ = reduce_workflow(diamond_workflow(width, depth, connectivity="full"))
+        naive, _, _ = reduce_workflow(diamond_workflow(width, depth, connectivity="full"), NaiveEngine)
+        assert trace(incremental) == trace(naive)
 
     def test_simple_diamond_trace_identical(self):
-        incremental = _reduce_centralized(diamond_workflow(4, 3, connectivity="simple"), True)
-        naive = _reduce_centralized(diamond_workflow(4, 3, connectivity="simple"), False)
-        assert _trace(incremental) == _trace(naive)
-
-    def test_timings_populated(self):
-        report = _reduce_centralized(montage_workflow(projections=5), True)
-        assert set(report.timings) >= {"match", "rewrite", "index"}
-        assert all(seconds >= 0.0 for seconds in report.timings.values())
-
-    def test_timings_merge_accumulates(self):
-        first = _reduce_centralized(montage_workflow(projections=5), True)
-        second = _reduce_centralized(montage_workflow(projections=5), True)
-        match_sum = first.timings["match"] + second.timings["match"]
-        first.merge(second)
-        assert first.timings["match"] == pytest.approx(match_sum)
+        incremental, _, _ = reduce_workflow(diamond_workflow(4, 3, connectivity="simple"))
+        naive, _, _ = reduce_workflow(diamond_workflow(4, 3, connectivity="simple"), NaiveEngine)
+        assert trace(incremental) == trace(naive)
 
 
 class TestRejectionCacheInvalidation:
@@ -144,7 +115,7 @@ class TestRejectionCacheInvalidation:
         # a rule refuted by the quick checks must fire once its atom appears
         rule = Rule("grab", [TuplePattern(SymbolPattern("K"), Var("x"))], ["done"])
         solution = Multiset([rule])
-        engine = ReductionEngine(incremental=True)
+        engine = ReductionEngine()
         report = engine.reduce(solution)
         assert report.reactions == 0
         solution.add(TupleAtom([Symbol("K"), 7]))
@@ -225,181 +196,60 @@ class TestDataLayerCaches:
         assert solution.content_hash() != first
 
 
-# --------------------------------------------------------------------------
-# Strategy parity: serial / batch / parallel reduction
-# --------------------------------------------------------------------------
+class TestRuntimeParity:
+    """Every way of enacting a family reaches what one serial reduction does.
 
-from repro.executors.centralized import CentralizedExecutor  # noqa: E402
-from repro.hocl import ReductionReport  # noqa: E402
-from repro.runtime import GinFlow  # noqa: E402
-from repro.scenarios import available_scenarios, build_scenario  # noqa: E402
-
-_FAMILIES = available_scenarios()
-
-
-def _centralized_outcome(workflow, reduction: str):
-    outcome = CentralizedExecutor(reduction=reduction).execute(workflow)
-    assert outcome.report.inert
-    return outcome
-
-
-class TestStrategyParity:
-    """The batch and parallel strategies must be content-equivalent to serial.
-
-    Parity is defined on *content*, not on trace order: identical final
-    solution hash, identical reaction multiset (``rule_fires``), identical
-    per-task results — while ``history`` may interleave differently and the
-    batched ``match_attempts`` may only shrink.
+    The agent runtimes share the agent's interpreter, so the threaded and
+    asyncio runs fire the same rules to the same per-task results as the
+    simulated run; the centralised executor's single interpreter reproduces
+    the naive walk's reaction history in order, with no more searches.
     """
 
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_centralized_strategies_agree(self, family):
-        def fresh():
-            return build_scenario(f"{family}:size=12,seed=1")
-
-        serial = _centralized_outcome(fresh(), "serial")
-        for strategy in ("batch", "parallel"):
-            other = _centralized_outcome(fresh(), strategy)
-            assert other.solution.content_hash() == serial.solution.content_hash()
-            assert other.report.rule_fires == serial.report.rule_fires
-            assert other.report.reactions == serial.report.reactions
-            assert other.results == serial.results
-            assert other.errors == serial.errors
-            assert other.invocations == serial.invocations
-            assert other.report.batches >= 1
-            if strategy == "batch":
-                assert other.report.match_attempts <= serial.report.match_attempts
+    def test_centralized_executor_reproduces_the_naive_walk(self, family):
+        outcome = CentralizedExecutor().execute(build_scenario(f"{family}:size=12,seed=1"))
+        naive, solution, _ = reduce_workflow(build_scenario(f"{family}:size=12,seed=1"), NaiveEngine)
+        assert outcome.report.inert and not outcome.errors
+        assert outcome.solution.content_hash() == solution.content_hash()
+        assert outcome.report.rule_fires == naive.rule_fires
+        assert trace(outcome.report) == trace(naive)
+        assert outcome.report.match_attempts <= naive.match_attempts
 
     @pytest.mark.parametrize("mode", ["threaded", "asyncio"])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_runtime_strategies_agree(self, family, mode):
-        def run(reduction: str):
-            report = GinFlow().run(
-                build_scenario(f"{family}:size=10,seed=1"),
-                mode=mode,
-                reduction=reduction,
-                timeout=60.0,
-            )
+    def test_real_time_runtimes_agree_with_the_simulated_run(self, family, mode):
+        def run(mode):
+            report = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode=mode, timeout=60.0)
             assert report.succeeded and not report.timed_out
             return report
 
-        serial = run("serial")
-        for strategy in ("batch", "parallel"):
-            other = run(strategy)
-            assert other.results == serial.results
-            assert other.extra.get("rule_fires") == serial.extra.get("rule_fires")
-
-    def test_audit_clean_under_parallel_reduction(self):
-        from repro.analysis import Severity, audit_all_scenarios
-
-        report = audit_all_scenarios(size=10, reduction="parallel")
-        errors = [f for f in report if f.severity is Severity.ERROR]
-        assert not errors, [f.message for f in errors]
+        simulated, other = run("simulated"), run(mode)
+        assert other.results == simulated.results
+        assert other.extra["rule_fires"] == simulated.extra["rule_fires"]
+        assert other.reduction_reactions == simulated.reduction_reactions
 
 
 class TestReportMergeAccounting:
     """`ReductionReport.merge` must add keys absent on either side."""
 
-    def test_merge_adds_absent_timing_and_rule_keys(self):
-        left = ReductionReport(reactions=1, timings={"match": 1.0}, rule_fires={"a": 1}, batches=2)
-        right = ReductionReport(
-            reactions=3,
-            timings={"match": 0.5, "rewrite": 0.25},
-            rule_fires={"b": 3},
-            batches=1,
-        )
-        left.merge(right)
-        assert left.timings == {"match": 1.5, "rewrite": 0.25}
+    def test_merge_adds_absent_rule_keys(self):
+        left = ReductionReport(reactions=1, rule_fires={"a": 1}, patched=1)
+        left.merge(ReductionReport(reactions=3, rule_fires={"b": 3}, patched=2))
         assert left.rule_fires == {"a": 1, "b": 3}
-        assert left.reactions == 4
-        assert left.batches == 3
+        assert (left.reactions, left.patched) == (4, 3)
         assert sum(left.rule_fires.values()) == left.reactions
 
     def test_merge_into_empty_report(self):
         merged = ReductionReport()
-        merged.merge(ReductionReport(reactions=2, rule_fires={"r": 2}, timings={"index": 0.1}))
-        assert merged.rule_fires == {"r": 2}
-        assert merged.timings["index"] == pytest.approx(0.1)
+        merged.merge(ReductionReport(reactions=2, rule_fires={"r": 2}, inert=False, effects=["e"]))
+        assert merged.rule_fires == {"r": 2} and merged.effects == ["e"]
+        assert not merged.inert
         assert sum(merged.rule_fires.values()) == merged.reactions
 
 
 # --------------------------------------------------------------------------
 # Brute-force reference search, scaling of the book-keeping, kept flags
 # --------------------------------------------------------------------------
-
-from collections import Counter  # noqa: E402
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from repro.hocl import (  # noqa: E402
-    Compute,
-    Literal,
-    Match,
-    PatchAdd,
-    PatchRemove,
-    ReductionError,
-    Ref,
-    RewriteDelta,
-    RulePattern,
-    Splice,
-    SolutionTemplate,
-    TupleTemplate,
-    find_matches,
-)
-from repro.hocl import engine as engine_module  # noqa: E402
-from repro.hocl.matching import first_match  # noqa: E402
-from repro.hocl.templates import expand_templates  # noqa: E402
-
-import matcher_reference  # noqa: E402  (tests/: the interpreted matcher, kept as the oracle)
-
-
-class BruteForceEngine(ReductionEngine):
-    """The reference search: every atom of the level, in solution order, for
-    every pattern — no index, no candidate memory, and the interpreted
-    ``matcher_reference.match`` instead of the compiled patterns.  Run with
-    ``incremental=False`` it also walks every nested solution and tries every
-    rule, so all it shares with the engine under test is ``_apply``."""
-
-    @staticmethod
-    def _find_match_excluding_self(rule, solution):
-        atoms = solution.atoms()
-        condition = rule.guarded_condition
-
-        def search(index, used, env):
-            if index == len(rule.patterns):
-                if condition is None or condition(matcher_reference.BindingView(env)):
-                    yield Match(bindings=env, consumed=[atoms[position] for position in used])
-                return
-            for position, atom in enumerate(atoms):
-                if position not in used:
-                    for extended in matcher_reference.match(rule.patterns[index], atom, env):
-                        yield from search(index + 1, used + [position], extended)
-
-        for match in search(0, [], {}):
-            if not any(consumed is rule for consumed in match.consumed):
-                return match
-        return None
-
-
-class RepositioningDelta(RewriteDelta):
-    """The delta application this engine replaced, kept as the oracle: every
-    matched atom leaves the level and the kept ones re-enter at its end, where
-    the rebuild path appends its replacement products."""
-
-    __slots__ = ()
-
-    def apply(self, match, solution, externals):
-        for op in self.ops:
-            op.apply(match, externals)
-        for atom in match.consumed:
-            solution.remove_identical(atom)
-        for index, atom in enumerate(match.consumed):
-            if index not in self.consume:
-                solution.add(atom)
-        added = expand_templates(self.produce, match.bindings, externals)
-        for atom in added:
-            solution.add(atom)
-        return [match.consumed[index] for index in self.consume], added
 
 
 def _firing_log():
@@ -417,14 +267,10 @@ class TestAgainstBruteForceSearch:
     def test_every_scenario_family_fires_the_same_reactions(self, family):
         fast_log, fast_observer = _firing_log()
         slow_log, slow_observer = _firing_log()
-        fast = _reduce_centralized(
-            build_scenario(f"{family}:size=12,seed=1"), True, observer=fast_observer
-        )
-        slow = _reduce_centralized(
-            build_scenario(f"{family}:size=12,seed=1"), False, BruteForceEngine, slow_observer
-        )
+        fast, _, _ = reduce_workflow(build_scenario(f"{family}:size=12,seed=1"), observer=fast_observer)
+        slow, _, _ = reduce_workflow(build_scenario(f"{family}:size=12,seed=1"), BruteForceEngine, observer=slow_observer)
         assert fast_log == slow_log
-        assert _trace(fast) == _trace(slow)
+        assert trace(fast) == trace(slow)
         assert fast.rule_fires == slow.rule_fires
 
     @staticmethod
@@ -502,22 +348,17 @@ class TestAgainstBruteForceSearch:
         slow_log, slow_observer = _firing_log()
         fast_solution = self._cells_program(cells, take_first)
         slow_solution = self._cells_program(cells, take_first)
-        batch_solution = self._cells_program(cells, take_first)
         fast = ReductionEngine(observer=fast_observer)
-        slow = BruteForceEngine(incremental=False, observer=slow_observer)
-        batch = ReductionEngine(batch=True)
+        slow = BruteForceEngine(observer=slow_observer)
         for refill in [[]] + refills:
             for cell, value in refill:
-                for solution in (fast_solution, slow_solution, batch_solution):
+                for solution in (fast_solution, slow_solution):
                     self._refill(solution, cell % len(cells), value)
             fast_report = fast.reduce(fast_solution)
             slow_report = slow.reduce(slow_solution)
-            batch_report = batch.reduce(batch_solution)
             assert fast_log == slow_log
-            assert _trace(fast_report) == _trace(slow_report)
+            assert trace(fast_report) == trace(slow_report)
             assert str(fast_solution) == str(slow_solution)  # same atoms, same order
-            assert batch_report.rule_fires == fast_report.rule_fires
-            assert batch_solution.content_hash() == fast_solution.content_hash()
             assert fast.is_inert(fast_solution)
 
 
@@ -544,7 +385,7 @@ class TestBookkeepingScaling:
         per_reaction = {}
         for tasks in (100, 800):
             calls.clear()
-            report = _reduce_centralized(montage_workflow(projections=tasks - 10), True)
+            report, _, _ = reduce_workflow(montage_workflow(projections=tasks - 10))
             per_reaction[tasks] = {name: count / report.reactions for name, count in calls.items()}
         for name in ("quick_reject", "known_inert"):
             small, large = per_reaction[100][name], per_reaction[800][name]
@@ -656,11 +497,8 @@ class TestInPlaceReactions:
                 refill(in_place, cell % len(cells), value)
                 refill(moved, cell % len(cells), value)
             here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
-            assert in_place.content_hash() == moved.content_hash()
-            assert here.rule_fires == there.rule_fires
-            assert here.match_attempts == there.match_attempts
-            assert here.patched == there.patched
-            assert sorted(_trace(here)) == sorted(_trace(there))
+            assert_parity((here, in_place), (there, moved))
+            assert sorted(trace(here)) == sorted(trace(there))
 
     @given(
         bags=st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=5),
@@ -705,20 +543,16 @@ class TestInPlaceReactions:
                     solution.find_tuple(f"B{bag % len(bags)}").elements[1].solution.add(value)
             here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
             assert logs[0][0] == logs[1][0]
-            assert _trace(here) == _trace(there)
-            assert here.match_attempts == there.match_attempts
-            assert in_place.content_hash() == moved.content_hash()
+            assert trace(here) == trace(there)
+            assert_parity((here, in_place), (there, moved))
 
     @staticmethod
     def _checked_first_match(searches):
         """``first_match``, held to the enumerator on every call it serves."""
 
-        def checked(rule, solution, exclude=None, pinned=None, pinned_entries=()):
-            found = first_match(rule, solution, exclude, pinned, pinned_entries)
-            enumerated = find_matches(
-                rule.patterns, solution, rule.guarded_condition, None, exclude,
-                pinned=pinned, pinned_entries=pinned_entries,
-            )  # fmt: skip
+        def checked(rule, solution):
+            found = first_match(rule, solution)
+            enumerated = find_matches(rule.patterns, solution, rule.guarded_condition)
             expected = next(
                 (m for m in enumerated if not any(atom is rule for atom in m.consumed)), None
             )
@@ -726,7 +560,7 @@ class TestInPlaceReactions:
             if found is not None:
                 assert [id(atom) for atom in found.consumed] == [id(atom) for atom in expected.consumed]
                 assert found.bindings == expected.bindings
-            searches[exclude is not None, pinned is not None] += 1
+            searches["first_match"] += 1
             return found
 
         return checked
@@ -735,32 +569,23 @@ class TestInPlaceReactions:
     def test_first_match_is_the_enumerators_first_on_every_family(self, family, monkeypatch):
         searches = Counter()
         checked = self._checked_first_match(searches)
-        monkeypatch.setattr(engine_module, "first_match", checked)
         monkeypatch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
-        for batch in (False, True):
-            outcome = CentralizedExecutor(reduction="batch" if batch else "serial").execute(
-                build_scenario(f"{family}:size=12,seed=1")
-            )
-            assert outcome.report.inert
-        # serial searches, batch full scans (exclude) and frontier leads (pinned)
-        assert searches[False, False] and searches[True, False] and searches[True, True]
+        outcome = CentralizedExecutor().execute(build_scenario(f"{family}:size=12,seed=1"))
+        assert outcome.report.inert
+        assert searches["first_match"] == outcome.report.match_attempts
 
     @given(
         cells=_CELLS,
         refills=_REFILLS,
         take_first=st.booleans(),
-        batch=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_first_match_is_the_enumerators_first_on_random_programs(
-        self, cells, refills, take_first, batch
-    ):
+    def test_first_match_is_the_enumerators_first_on_random_programs(self, cells, refills, take_first):
         checked = self._checked_first_match(Counter())
         solution = TestAgainstBruteForceSearch._cells_program(cells, take_first)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine_module, "first_match", checked)
             patch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
-            engine = ReductionEngine(batch=batch)
+            engine = ReductionEngine()
             for round_ in [[]] + refills:
                 for cell, value in round_:
                     TestAgainstBruteForceSearch._refill(solution, cell % len(cells), value)
@@ -788,12 +613,10 @@ class TestFlagsSurviveFailure:
         assert report.inert and report.rule_fires == {"bump": 1, "mark": 1}
         assert IntAtom(2) in nested and "went" in sibling
 
-    @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("same_engine", [False, True])
-    def test_the_step_limit_leaves_the_rest_for_the_next_reduce(self, batch, same_engine):
-        """The cut keeps the flags — and, for the engine that was cut, its
-        frontier: the outer rule still sees the entry whose solution had
-        finished before the limit was hit."""
+    def test_the_step_limit_leaves_the_rest_for_the_next_reduce(self, same_engine):
+        """The cut keeps the flags: the outer rule still sees the entry whose
+        solution had finished before the limit was hit."""
 
         def countdown():
             return Rule(
@@ -816,13 +639,13 @@ class TestFlagsSurviveFailure:
                 settled("B"),
             ]
         )
-        engine = ReductionEngine(batch=batch, max_steps=4)
+        engine = ReductionEngine(max_steps=4)
         cut = engine.reduce(solution)
         assert not cut.inert and cut.reactions == 4
         if same_engine:
             engine.max_steps = 100
         else:
-            engine = ReductionEngine(batch=batch)
+            engine = ReductionEngine()
         rest = engine.reduce(solution)
         assert rest.inert and rest.reactions == 4
         assert IntAtom(0) in first and IntAtom(0) in second

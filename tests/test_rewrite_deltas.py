@@ -1,34 +1,29 @@
 """Delta-vs-rebuild parity of the HOCL rewrite pipeline.
 
 Every rule that carries a :class:`~repro.hocl.deltas.RewriteDelta` also keeps
-its classic product templates as the rebuild reference, and the engine's two
-paths — ``ReductionEngine(delta=True)`` (the default, in-place copy-on-write
-patches) and ``delta=False`` (full product reconstruction) — are held to one
-parity contract: same final solution (content hash), same reaction multiset
-(``rule_fires``), same ``match_attempts``, same inertness, and the same
-history — as a multiset under the serial engine (kept anchors stay where they
-are, rebuilt products go to the end of the level), in order wherever every
-top-level pattern is head-keyed and under the batched engine.  Three layers
-of evidence:
+its classic product templates as the rebuild form, and the engine (in-place
+copy-on-write patches) is held to :class:`reduction_reference.RebuildEngine`
+(full product reconstruction) under the parity contract stated there; the
+history is equal as a multiset (kept anchors stay where they are, rebuilt
+products go to the end of the level), and in order wherever every top-level
+pattern is head-keyed.  Three layers of evidence:
 
 * **unit** — the delta data model validates its addressing (consume vs patch
   indices, pattern ranges, ``keep_matched`` exclusivity) and its application
   accounting (what left the level, what joined it, what stayed);
 * **property-based fuzz** — hypothesis drives random seeded solutions
-  through both engine paths on hand-written delta rules (a consume-style
-  getMax and a patch-style drain), asserting trace identity;
-* **end-to-end** — every scenario family of the catalog, reduced under every
-  strategy (``serial``/``batch``/``parallel``), agrees between the two
-  paths; and full runtime enactments (simulated/threaded/asyncio/
+  through both forms on hand-written delta rules (a consume-style getMax and
+  a patch-style drain), asserting trace identity;
+* **end-to-end** — every scenario family of the catalog agrees between the
+  two forms; and full runtime enactments (simulated/threaded/asyncio/
   centralized) report the same results either way, with the simulated
   runtime's virtual-time trace bit-identical.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reduction_reference import RebuildEngine, assert_parity, reduce_workflow, trace
 from repro.hocl import (
     DeltaError,
     IntAtom,
@@ -50,13 +45,8 @@ from repro.hocl import (
     TupleTemplate,
     Var,
 )
-from repro.hocl.parallel import BUILTIN_POLICIES, reduce_sharded, resolve_policy
-from repro.hoclflow import encode_workflow
-from repro.hoclflow.generic_rules import register_workflow_externals
-from repro.hocl import default_registry
-from repro.runtime import GinFlow, backends
+from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
-from repro.services import ServiceRegistry
 from repro.workflow import diamond_workflow
 
 
@@ -97,14 +87,9 @@ def drain_rule():
     )
 
 
-def _trace(report):
-    return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
-
-
-def _reduce(atoms, delta, batch=False):
+def _reduce(atoms, engine_class=ReductionEngine):
     solution = Multiset(atoms)
-    report = ReductionEngine(delta=delta, batch=batch).reduce(solution)
-    return report, solution
+    return engine_class().reduce(solution), solution
 
 
 # ------------------------------------------------------------------ unit
@@ -156,8 +141,7 @@ class TestDeltaDataModel:
                 TupleTemplate(Symbol("BAG"), SolutionTemplate(IntAtom(1), IntAtom(2))).expand({}, None)[0],
                 TupleTemplate(Symbol("SINK"), SolutionTemplate()).expand({}, None)[0],
                 drain_rule(),
-            ],
-            delta=True,
+            ]
         )
         assert report.inert
         assert report.patched == 2  # both drains applied in place
@@ -177,21 +161,17 @@ integers = st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, ma
 @settings(max_examples=50, deadline=None)
 @given(integers)
 def test_getmax_delta_parity(values):
-    delta_report, delta_solution = _reduce(values + [getmax_delta_rule()], delta=True)
-    rebuild_report, rebuild_solution = _reduce(values + [getmax_delta_rule()], delta=False)
-    assert delta_report.inert and rebuild_report.inert
-    assert delta_solution.content_hash() == rebuild_solution.content_hash()
-    assert delta_report.rule_fires == rebuild_report.rule_fires
-    assert _trace(delta_report) == _trace(rebuild_report)
-    assert delta_report.match_attempts == rebuild_report.match_attempts
-    assert rebuild_report.patched == 0
+    delta_report, delta_solution = _reduce(values + [getmax_delta_rule()])
+    rebuild_report, rebuild_solution = _reduce(values + [getmax_delta_rule()], RebuildEngine)
+    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution), rebuilt=True)
+    assert trace(delta_report) == trace(rebuild_report)
     remaining = [a.value for a in delta_solution.atoms() if isinstance(a, IntAtom)]
     assert remaining == [max(values)]
 
 
 @settings(max_examples=50, deadline=None)
-@given(integers, st.booleans())
-def test_drain_delta_parity(values, batch):
+@given(integers)
+def test_drain_delta_parity(values):
     def atoms():
         return [
             TupleTemplate(Symbol("BAG"), SolutionTemplate(*[IntAtom(v) for v in values])).expand({}, None)[0],
@@ -199,107 +179,71 @@ def test_drain_delta_parity(values, batch):
             drain_rule(),
         ]
 
-    delta_report, delta_solution = _reduce(atoms(), delta=True, batch=batch)
-    rebuild_report, rebuild_solution = _reduce(atoms(), delta=False, batch=batch)
-    assert delta_report.inert and rebuild_report.inert
-    assert delta_solution.content_hash() == rebuild_solution.content_hash()
-    assert delta_report.rule_fires == rebuild_report.rule_fires
-    assert _trace(delta_report) == _trace(rebuild_report)
-    assert delta_report.match_attempts == rebuild_report.match_attempts
+    delta_report, delta_solution = _reduce(atoms())
+    rebuild_report, rebuild_solution = _reduce(atoms(), RebuildEngine)
+    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution), rebuilt=True)
+    assert trace(delta_report) == trace(rebuild_report)
     assert delta_report.patched == len(values)
-    assert rebuild_report.patched == 0
 
 
-# -------------------------------------------------- scenario/strategy parity
-def _reduce_workflow(workflow, mode, delta):
-    """Centralised reduction under one strategy; mirrors the bench harness."""
-    encoding = encode_workflow(workflow)
-    solution = encoding.to_multiset()
-    registry = ServiceRegistry()
-
-    def invoke(task_name, service_name, parameters):
-        task = encoding.tasks[task_name]
-        from repro.services import InvocationContext
-
-        context = InvocationContext(task_name=task_name, duration=task.duration, metadata=task.metadata, attempt=1)
-        outcome = registry.resolve(service_name).invoke(list(parameters), context)
-        if outcome.failed:
-            raise RuntimeError(outcome.error or "invocation failed")
-        return outcome.value
-
-    externals = default_registry()
-    register_workflow_externals(externals, invoke)
-    policy = resolve_policy(mode)
-    if not delta:
-        policy = dataclasses.replace(policy, delta=False)
-
-    def engine_factory():
-        return ReductionEngine(externals=externals, max_steps=1_000_000, **policy.engine_options())
-
-    if policy.parallel:
-        reducer = policy.make_reducer()
-        try:
-            report = reduce_sharded(solution, engine_factory, reducer, max_steps=1_000_000)
-        finally:
-            reducer.shutdown()
-    else:
-        report = engine_factory().reduce(solution)
-    assert report.inert
-    return report, solution
-
-
-def _small_spec(family):
-    return f"{family}:size=24,seed=3"
-
-
+# ----------------------------------------------------------- scenario parity
 @pytest.mark.parametrize("family", available_scenarios())
-@pytest.mark.parametrize("mode", ["serial", "batch", "parallel"])
-def test_scenario_family_delta_parity(family, mode):
-    delta_report, delta_solution = _reduce_workflow(build_scenario(_small_spec(family)), mode, delta=True)
-    rebuild_report, rebuild_solution = _reduce_workflow(build_scenario(_small_spec(family)), mode, delta=False)
-    assert delta_solution.content_hash() == rebuild_solution.content_hash()
-    assert delta_report.rule_fires == rebuild_report.rule_fires
-    if mode == "serial" and family != "longchain":
+def test_scenario_family_delta_parity(family):
+    spec = f"{family}:size=24,seed=3"
+    delta_report, delta_solution, _ = reduce_workflow(build_scenario(spec))
+    rebuild_report, rebuild_solution, _ = reduce_workflow(build_scenario(spec), RebuildEngine)
+    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution), rebuilt=True)
+    if family == "longchain":
+        assert trace(delta_report) == trace(rebuild_report)
+    else:
         # kept anchors stay where they are while rebuilt products go to the
         # end of the level: the variable-headed ``gw_pass`` patterns of the
         # centralised rules may pick an equally applicable pair first
-        assert sorted(_trace(delta_report)) == sorted(_trace(rebuild_report))
-    else:
-        assert _trace(delta_report) == _trace(rebuild_report)
-    assert delta_report.match_attempts == rebuild_report.match_attempts
-    assert delta_report.patched > 0, f"{family}/{mode}: no reaction took the delta path"
-    assert rebuild_report.patched == 0
+        assert sorted(trace(delta_report)) == sorted(trace(rebuild_report))
+    assert delta_report.patched > 0, f"{family}: no reaction took the delta path"
 
 
 # ------------------------------------------------------------ runtime parity
-@pytest.fixture(scope="module")
-def rebuild_policy_name():
-    """A temporarily registered serial policy forcing the rebuild path."""
-    backends.ensure_builtin_backends()
-    name = "serial-rebuild-parity"
-    backends.register_reduction(
-        name,
-        lambda config=None: dataclasses.replace(BUILTIN_POLICIES["serial"], name=name, delta=False),
-    )
-    yield name
-    backends.registry.unregister("reduction", name)
+@pytest.fixture
+def rebuild_everywhere(monkeypatch):
+    """Every engine a run builds fires its rules by their rebuild form."""
+    return lambda: monkeypatch.setattr(ReductionEngine, "_apply", RebuildEngine._apply)
 
 
 @pytest.mark.parametrize("mode", ["simulated", "threaded", "asyncio", "centralized"])
-def test_runtime_delta_parity(mode, rebuild_policy_name):
+def test_runtime_delta_parity(mode, rebuild_everywhere):
     workflow = diamond_workflow(4, 3)
-    delta_run = GinFlow().run(workflow, mode=mode, nodes=5, reduction="serial")
-    rebuild_run = GinFlow().run(workflow, mode=mode, nodes=5, reduction=rebuild_policy_name)
+    delta_run = GinFlow().run(workflow, mode=mode, nodes=5)
+    rebuild_everywhere()
+    rebuild_run = GinFlow().run(workflow, mode=mode, nodes=5)
     assert delta_run.succeeded and rebuild_run.succeeded
     assert delta_run.results == rebuild_run.results
     assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
 
 
-def test_simulated_trace_bit_identical(rebuild_policy_name):
+@pytest.mark.parametrize("mode", ["simulated", "threaded", "asyncio", "centralized"])
+@pytest.mark.parametrize("family", available_scenarios())
+def test_scenario_family_runtime_delta_parity(family, mode, rebuild_everywhere):
+    """Every family enacted both ways on every runtime, the agents' own delta
+    rules included; the simulated timeline does not move."""
+    spec = f"{family}:size=10,seed=1"
+    delta_run = GinFlow().run(build_scenario(spec), mode=mode, nodes=5)
+    rebuild_everywhere()
+    rebuild_run = GinFlow().run(build_scenario(spec), mode=mode, nodes=5)
+    assert delta_run.succeeded and rebuild_run.succeeded
+    assert delta_run.results == rebuild_run.results
+    assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
+    if mode == "simulated":
+        assert delta_run.reduction_match_attempts == rebuild_run.reduction_match_attempts
+        assert delta_run.timeline == rebuild_run.timeline
+
+
+def test_simulated_trace_bit_identical(rebuild_everywhere):
     """The simulated runtime's virtual-time trace is identical either way."""
     workflow = diamond_workflow(6, 4, connectivity="full")
-    delta_run = GinFlow().run(workflow, mode="simulated", nodes=10, reduction="serial")
-    rebuild_run = GinFlow().run(workflow, mode="simulated", nodes=10, reduction=rebuild_policy_name)
+    delta_run = GinFlow().run(workflow, mode="simulated", nodes=10)
+    rebuild_everywhere()
+    rebuild_run = GinFlow().run(workflow, mode="simulated", nodes=10)
     assert delta_run.succeeded and rebuild_run.succeeded
     assert delta_run.results == rebuild_run.results
     assert delta_run.makespan == rebuild_run.makespan

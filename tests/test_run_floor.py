@@ -12,10 +12,12 @@
 * a process that exits without sweeping the finished run (``gc.freeze`` at
   exit, registered once by ``repro.cli.main``), invisible to in-process callers;
 * no numpy and no networkx on any run path, and a start-up without the
-  runtime drivers (asyncio with them), the textual parser and pickle;
+  runtime drivers (asyncio with them), the textual parser, pickle and no
+  module of the reduction modes the one loop replaced;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
-* a recovered agent keeps its tracer, and the core it replaces is taken apart.
+* a recovered agent keeps its tracer, its reduction timings count in the
+  run's, and the core it replaces is taken apart.
 """
 
 import atexit
@@ -212,10 +214,12 @@ class TestActionsStayWithTheirAgent:
 #: GC-tracked objects per agent core: 73 — its five fields, their index
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
-#: Python-level calls per chain agent built and per steady-state stimulus: 54
-#: and 81 today, 158 and 110 while atoms, multisets, matches, reports and
-#: actions were built through generators, dataclasses and `to_atom`
-CALLS_PER_AGENT, CALLS_PER_STIMULUS = 70, 95
+#: Python-level calls per chain agent built and per steady-state stimulus: 52
+#: and 80.7 today, 54 and 85.7 while the engine carried its batch/parallel
+#: modes and read the clock untraced, 158 and 110 while atoms, multisets,
+#: matches, reports and actions were built through generators, dataclasses
+#: and `to_atom`
+CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 84
 
 
 def tracked_objects_per_item(build, items):
@@ -651,7 +655,7 @@ class TestStartUpWithoutNumpyAndNetworkx:
         assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 
     def test_what_no_command_uses_is_not_imported_at_start_up(self, tmp_path):
-        unused = ("pickle", "repro.hocl.parser")
+        unused = ("pickle", "repro.hocl.parser", "repro.hocl.parallel", "repro.runtime.reduction")
         assert modules_after(["backends"], tmp_path, unused) == "LOADED 0 []"
         argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
         assert modules_after(argv, tmp_path, unused) == "LOADED 0 []"
@@ -740,7 +744,7 @@ class TestRecoveredAgentKeepsItsTracer:
     def test_agent_spans_after_the_crash(self):
         obs = Observability(tracer=RecordingTracer())
         config = GinFlowConfig(
-            executor="mesos", broker="kafka", nodes=10, seed=1, obs=obs, reduction="batch",
+            executor="mesos", broker="kafka", nodes=10, seed=1, obs=obs,
             failures=FailureModel(probability=0.5, delay=15.0),
         )
         report = GinFlow(config).run(build_scenario("montage:size=60,seed=1"))
@@ -788,22 +792,27 @@ class TestRecoveredAgentKeepsItsTracer:
         assert all(before > 0 and after == 0 for before, after in sizes)
         assert sum(unreachable) == 0, unreachable
 
-    def test_recovered_agent_keeps_its_reduction_policy(self, monkeypatch):
+    def test_a_recovered_agents_timings_count_too(self, monkeypatch):
+        """Every core, recovered ones included, times its own reduction spans
+        and the run sums them all: the report's phase seconds are the span totals."""
+        obs = Observability(tracer=RecordingTracer())
         config = GinFlowConfig(
-            executor="mesos", broker="kafka", nodes=10, seed=1, reduction="batch",
+            executor="mesos", broker="kafka", nodes=10, seed=1, obs=obs,
             failures=FailureModel(probability=0.5, delay=15.0),
         )
-        policies = []
+        sinks = []
         original = AgentCore.__init__
 
         def init(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            policies.append(self.policy.name)
+            sinks.append(self.engine.timings)
 
         monkeypatch.setattr(AgentCore, "__init__", init)
         report = GinFlow(config).run(build_scenario("montage:size=60,seed=1"))
-        assert report.recoveries > 0 and len(policies) == len(report.tasks) + report.recoveries
-        assert set(policies) == {"batch"}
+        assert report.recoveries > 0 and len(sinks) == len(report.tasks) + report.recoveries
+        assert len({id(sink) for sink in sinks}) == len(sinks)  # no dict shared between agents
+        phases = summarize(obs.tracer.records())["phases"]
+        assert report.extra["reduction_timings"] == pytest.approx(phases, rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------------ logging

@@ -312,17 +312,7 @@ class TestObsChecks:
         run = RunReport(succeeded=True, messages_published=5)
         assert run_obs_check("obs-broker-accounting", ObsScope(label="f", report=run)) == []
 
-    def test_reduction_totals_must_reconcile(self):
-        run = RunReport(succeeded=True)
-        run.extra["reduction_timings"] = {"match": 0.5, "rewrite": 0.0, "patch": 0.0, "index": 0.0}
-        spans = (SpanRecord(name="reduction.match", track="a", start=0.0, end=0.3),)
-        (finding,) = run_obs_check(
-            "obs-reduction-reconcile", ObsScope(label="f", spans=spans, report=run)
-        )
-        assert finding.subject == "match"
-        assert "0.300000000" in finding.message and "0.500000000" in finding.message
-
-    def test_reconciling_totals_are_clean(self):
+    def test_phase_totals_sum_the_reduction_spans(self):
         spans = (
             SpanRecord(name="reduction.match", track="a", start=0.0, end=0.3),
             SpanRecord(
@@ -330,27 +320,15 @@ class TestObsChecks:
                 attrs={"index_seconds": 0.1},
             ),
         )
-        totals = reduction_phase_totals(spans)
-        run = RunReport(succeeded=True)
-        run.extra["reduction_timings"] = totals
-        scope = ObsScope(label="f", spans=spans, report=run)
-        assert run_obs_check("obs-reduction-reconcile", scope) == []
-        assert totals == pytest.approx(
+        assert reduction_phase_totals(spans) == pytest.approx(
             {"match": 0.3, "rewrite": 0.2, "patch": 0.0, "index": 0.1}
         )
-
-    def test_reconcile_skips_without_timings_or_spans(self):
-        run = RunReport(succeeded=True)
-        spans = (SpanRecord(name="reduction.match", track="a", start=0.0, end=0.3),)
-        assert run_obs_check("obs-reduction-reconcile", ObsScope(label="f", spans=spans, report=run)) == []
-        run.extra["reduction_timings"] = {"match": 0.5}
-        assert run_obs_check("obs-reduction-reconcile", ObsScope(label="f", report=run)) == []
 
     def test_audited_runs_record_clean_traces(self):
         # audit_workflow wires a RecordingTracer per repeat; a clean workflow
         # must produce zero obs findings across the whole composition
         report = audit_workflow(diamond_workflow(2, 2, duration=0.05))
-        for check_id in ("obs-span-unclosed", "obs-broker-accounting", "obs-reduction-reconcile"):
+        for check_id in ("obs-span-unclosed", "obs-broker-accounting"):
             assert not findings_for(report, check_id), check_id
 
 
@@ -567,5 +545,4 @@ class TestDynamicCheckRegistry:
             "plan-replay-parity",
             "obs-span-unclosed",
             "obs-broker-accounting",
-            "obs-reduction-reconcile",
         } <= ids
