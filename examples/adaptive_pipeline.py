@@ -68,7 +68,7 @@ def main() -> int:
     ginflow = GinFlow()
     register_services(ginflow)
 
-    report = ginflow.run(workflow, mode="threaded")
+    report = ginflow.run(workflow, mode="asyncio")
     print("pipeline succeeded:", report.succeeded)
     print("adaptations triggered:", report.adaptations_triggered)
     print("flaky task in error?:", report.tasks["denoise_gpu"].error)

@@ -6,7 +6,7 @@ This example builds the small diamond workflow of the paper's Fig. 2
 for each task, and executes it three times — once per execution mode:
 
 * ``centralized`` — one HOCL interpreter rewrites the whole multiset;
-* ``threaded``    — one service-agent thread per task, in-process broker;
+* ``asyncio``     — one service agent per task on one event loop, in-process broker;
 * ``simulated``   — the virtual-time distributed runtime on a simulated
   25-node cluster (what the paper's experiments use).
 
@@ -58,7 +58,7 @@ def main() -> int:
     print(f"workflow: {workflow.name} — {len(workflow)} tasks, {len(workflow.dependencies())} dependencies")
     print()
 
-    for mode in ("centralized", "threaded", "simulated"):
+    for mode in ("centralized", "asyncio", "simulated"):
         report = ginflow.run(workflow, mode=mode, nodes=5)
         print(f"[{mode}] succeeded={report.succeeded}  T4 result: {report.results.get('T4')!r}")
         if mode == "simulated":

@@ -4,9 +4,9 @@ The decentralised rules (:mod:`repro.agents.local_rules`) do not perform I/O
 themselves: when they fire, they record an :class:`Action` describing what
 the hosting runtime must do — send a result to another agent, broadcast the
 ``ADAPT`` marker, start a service invocation, or push a status update to the
-shared space.  Keeping the rules pure lets the simulated and the threaded
-runtimes share exactly the same agent logic while differing only in how they
-execute the actions (virtual-time scheduling vs. real threads and queues).
+shared space.  Keeping the rules pure lets the virtual and the real clock
+share exactly the same agent logic and driver while differing only in when
+they execute the actions (a simulation kernel vs. an event loop).
 """
 
 from __future__ import annotations

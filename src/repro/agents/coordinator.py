@@ -97,7 +97,7 @@ class Coordinator:
             status = self.statuses.get(task)
             if status is not None and status.has_error and not status.has_result and task not in self.adaptable_tasks:
                 # Terminal exit-task error: fail fast instead of blocking
-                # until timeout (threaded) or draining the queue (simulated).
+                # until timeout (asyncio) or draining the queue (simulated).
                 self._finish(time, succeeded=False)
                 return
             if status is None or not status.has_result:

@@ -11,7 +11,7 @@ received message, the completion of an invocation) is a method call that
 3. returns the list of :class:`~repro.agents.actions.Action` the rules
    requested (messages to send, invocation to start, status updates).
 
-Every runtime (simulated, threaded, asyncio) drives AgentCore; they only
+Every runtime (simulated, asyncio, centralised) drives AgentCore; they only
 differ in how they deliver stimuli and execute actions.  Keeping the
 chemistry identical in every path is what makes the simulation a faithful
 stand-in for the real decentralised execution.

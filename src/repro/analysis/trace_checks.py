@@ -101,7 +101,7 @@ class RunScope:
     Attributes
     ----------
     label:
-        Which run this is (``"scenario 'forkjoin:size=20' (threaded)"``).
+        Which run this is (``"scenario 'forkjoin:size=20' (asyncio)"``).
     report:
         The report the runtime assembled.
     exit_tasks:

@@ -18,7 +18,7 @@ Usage::
     ginflow lint --scenario epigenomics --json
     ginflow lint --all-scenarios --fail-on error
     ginflow audit --scenario forkjoin:size=20 --repeats 3
-    ginflow audit --all-scenarios --mode threaded
+    ginflow audit --all-scenarios --mode asyncio
     ginflow show-hocl workflow.json
 
 or, without installing the console script::

@@ -19,7 +19,7 @@ __all__ = ["ActiveMQBroker"]
 
 
 class ActiveMQBroker(InProcessBroker):
-    """In-process ActiveMQ-like broker (threaded runtime)."""
+    """In-process ActiveMQ-like broker (asyncio runtime)."""
 
     def __init__(self, profile: BrokerProfile | None = None) -> None:
         super().__init__(profile or ACTIVEMQ_PROFILE)

@@ -10,16 +10,15 @@ their properties:
   fault-recovery mechanism of Section IV-B possible, captured by
   :class:`MessageLog` and the ``persistent`` flag.
 
-Concrete broker implementations come in two flavours: the in-process,
-thread-safe brokers of :mod:`repro.messaging.activemq` /
-:mod:`repro.messaging.kafka` used by the threaded runtime, and the
-virtual-time :class:`~repro.messaging.simulated.SimulatedBroker` used by the
-simulation runtime.  All share the profiles and log defined here.
+Concrete broker implementations come in two flavours: the in-process
+brokers of :mod:`repro.messaging.activemq` / :mod:`repro.messaging.kafka`
+used by the asyncio runtime, and the virtual-time
+:class:`~repro.messaging.simulated.SimulatedBroker` used by the simulation
+runtime.  All share the profiles and log defined here.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -109,29 +108,20 @@ class MessageLog:
 
     def __init__(self) -> None:
         self._topics: dict[str, list[Message]] = {}
-        self._lock = threading.Lock()
 
     def append(self, message: Message) -> int:
         """Store ``message``; returns its offset within its topic."""
-        with self._lock:
-            log = self._topics.setdefault(message.topic, [])
-            log.append(message)
-            return len(log) - 1
+        log = self._topics.setdefault(message.topic, [])
+        log.append(message)
+        return len(log) - 1
 
     def replay(self, topic: str, from_offset: int = 0) -> list[Message]:
         """Messages of ``topic`` starting at ``from_offset``, in publication order."""
-        with self._lock:
-            return list(self._topics.get(topic, [])[from_offset:])
+        return list(self._topics.get(topic, [])[from_offset:])
 
     def size(self, topic: str) -> int:
         """Number of messages stored for ``topic``."""
-        with self._lock:
-            return len(self._topics.get(topic, []))
-
-    def topics(self) -> list[str]:
-        """Every topic with at least one stored message."""
-        with self._lock:
-            return sorted(self._topics)
+        return len(self._topics.get(topic, []))
 
 
 class Broker:
@@ -180,11 +170,11 @@ class Broker:
 
 
 class InProcessBroker(Broker):
-    """A thread-safe, in-process broker used by the threaded runtime.
+    """An in-process broker: the asyncio runtime's transport, on one thread.
 
-    Delivery is synchronous from the publisher's thread (the subscribing
-    agent enqueues the message into its own inbox, so the publisher never
-    blocks on the consumer's work).
+    Delivery is synchronous, inside :meth:`publish` (the asyncio runtime's
+    subscription queues the message on the event loop, so the publisher never
+    runs the consumer's work).
     """
 
     def __init__(self, profile: BrokerProfile) -> None:
@@ -193,15 +183,13 @@ class InProcessBroker(Broker):
         self._log = MessageLog() if profile.persistent else None
         self._published = 0
         self._delivered = 0
-        self._lock = threading.Lock()
 
     def publish(self, message: Message) -> None:
         if self._log is not None:
             self._log.append(message)
-        with self._lock:
-            self._published += 1
-            callbacks = list(self._subscribers.get(message.topic, []))
-            self._delivered += len(callbacks)
+        self._published += 1
+        callbacks = list(self._subscribers.get(message.topic, []))
+        self._delivered += len(callbacks)
         if self.trace is not None:
             self.trace.event(
                 "broker.publish", "broker", topic=message.topic, kind=message.kind, sender=message.sender
@@ -217,14 +205,12 @@ class InProcessBroker(Broker):
             callback(message)
 
     def subscribe(self, topic: str, callback: Callable[[Message], None]) -> None:
-        with self._lock:
-            self._subscribers.setdefault(topic, []).append(callback)
+        self._subscribers.setdefault(topic, []).append(callback)
 
     def unsubscribe(self, topic: str, callback: Callable[[Message], None]) -> None:
-        with self._lock:
-            callbacks = self._subscribers.get(topic, [])
-            if callback in callbacks:
-                callbacks.remove(callback)
+        callbacks = self._subscribers.get(topic, [])
+        if callback in callbacks:
+            callbacks.remove(callback)
 
     def replay(self, topic: str, from_offset: int = 0) -> list[Message]:
         if self._log is None:
@@ -239,10 +225,3 @@ class InProcessBroker(Broker):
         not an echo of the publish counter: a message published to a topic
         nobody subscribes to is published but never delivered)."""
         return self._delivered
-
-    def subscriber_count(self, topic: str | None = None) -> int:
-        """Number of subscriptions (for one topic, or overall)."""
-        with self._lock:
-            if topic is not None:
-                return len(self._subscribers.get(topic, []))
-            return sum(len(callbacks) for callbacks in self._subscribers.values())

@@ -20,7 +20,7 @@ __all__ = ["KafkaBroker"]
 
 
 class KafkaBroker(InProcessBroker):
-    """In-process Kafka-like broker (threaded runtime)."""
+    """In-process Kafka-like broker (asyncio runtime)."""
 
     def __init__(self, profile: BrokerProfile | None = None) -> None:
         super().__init__(profile or KAFKA_PROFILE)

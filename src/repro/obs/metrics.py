@@ -3,8 +3,8 @@
 The registry is a per-run bundle (one instance per
 :class:`~repro.obs.Observability`): the runtimes and brokers increment it at
 their hot seams and the report assembly snapshots it into
-``RunReport.extra["metrics"]``.  Thread-safe (the threaded runtime's
-agent threads hit it concurrently) and picklable (process-pool sweeps
+``RunReport.extra["metrics"]``.  Thread-safe (the sweep's
+thread workers share one registry) and picklable (process-pool sweeps
 ship the whole configuration to workers).
 """
 

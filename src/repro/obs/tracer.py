@@ -6,8 +6,8 @@ the broker and the executors).  An *event* is an instantaneous point (a
 broker publish, a STATUS update).  Both carry wall-clock timestamps from
 ``time.perf_counter()`` — the reduction engine's per-phase timings are the
 sums of its spans — and, when the hosting runtime runs under virtual time, a
-``vt`` stamp read from its
-:class:`~repro.runtime.enactment.clock.VirtualClock`.
+``vt`` stamp read from its virtual clock
+(:meth:`~repro.runtime.simulation.SimulatedRun.now`).
 
 The zero-overhead contract: every instrumented seam stores ``None`` (not a
 :class:`NullTracer`) when tracing is off and guards each record with a

@@ -40,8 +40,6 @@ __all__ = [
     "TaskOutcome",
     "SimulatedRun",
     "run_simulation",
-    "ThreadedRun",
-    "run_threaded",
     "AsyncioRun",
     "run_asyncio",
     "EnactmentEngine",
@@ -74,8 +72,6 @@ _LAZY = {
     "TaskOutcome": (".results", "TaskOutcome"),
     "SimulatedRun": (".simulation", "SimulatedRun"),
     "run_simulation": (".simulation", "run_simulation"),
-    "ThreadedRun": (".threaded", "ThreadedRun"),
-    "run_threaded": (".threaded", "run_threaded"),
     "AsyncioRun": (".aio", "AsyncioRun"),
     "run_asyncio": (".aio", "run_asyncio"),
     "EnactmentEngine": (".enactment", "EnactmentEngine"),

@@ -1,36 +1,25 @@
-"""The asyncio local runtime: one event loop, every stimulus a callback on it, no threads.
+"""The asyncio local runtime: the agent driver on the real clock, one event loop, no threads.
 
-This is the proof that the enactment protocol is runtime-agnostic: the whole
-driver fits in ~100 lines because everything protocol-shaped — action
-dispatch, invocation lifecycle, status routing, fail-fast completion, report
-rows — comes from :mod:`repro.runtime.enactment`.  What this module adds is
-only the asyncio hosting decisions:
+The driver is :class:`~repro.runtime.driver.AgentRun`'s; this module supplies
+the real clock (``time.monotonic``, the running loop's ``call_soon`` /
+``call_later``):
 
-* a hosted agent is its engine record and nothing else — no Task, no Queue.
-  Its broker subscription is ``loop.call_soon(stimulate, agent, deliver,
-  message)``: the loop's ready queue is every agent's inbox at once, FIFO, so
-  each agent sees its stimuli in arrival order and a stimulus costs one loop
-  handle.  Boot is one ``call_soon`` per host, queued in host order before
-  the loop turns, so it precedes every message;
-* a synchronous service runs from its own callback (``call_soon``, or
-  ``call_later`` after its nominal duration when ``threaded_time_scale``
-  scales that in) and feeds ``complete_invocation`` in the same callback —
-  agents keep exchanging messages meanwhile.  It must be quick/non-blocking:
-  it runs on the loop itself (that is the no-threads trade-off; blocking
-  services belong on ``threaded``);
-* **async services are first-class**: a registered service callable may be
-  an ``async def`` (or return any awaitable).  Only such an invocation
-  becomes an :class:`asyncio.Task`, so N awaiting services genuinely overlap;
-* a *stimulus* that raises — a protocol bug; a service that raises or returns
-  a non-atom merely fails its task — ends the run at once: the first
-  exception is kept and :meth:`AsyncioRun.run` / ``run_async`` re-raise it;
-* completion, the timeout and such an exception resolve the one future the
-  run awaits.  Whatever is still pending then is cancelled, and callbacks
-  left on a caller's loop are no-ops.
+* a hosted agent is its engine record — no Task, no Queue.  A message is
+  queued with ``loop.call_soon``: the loop's ready queue is every agent's
+  inbox at once, FIFO, and boots are queued first, in host order;
+* a stimulus is served at once; a synchronous service runs at dispatch, on
+  the loop (it must be quick), and its completion is one more ``call_soon``;
+* an ``async def`` service (or any awaitable result) becomes an
+  :class:`asyncio.Task`, so N awaiting services genuinely overlap;
+* a *stimulus* that raises — a protocol bug; a failing service only fails its
+  task — ends the run at once, and :meth:`AsyncioRun.run` / ``run_async``
+  re-raise it.  Completion, the timeout or that exception resolves the one
+  future the run awaits; then every agent is taken down and whatever is
+  pending is cancelled, so callbacks left on a caller's loop are no-ops.
 
-Like the threaded runtime it is meant for functional use (examples, real
-Python services, integration tests), not performance studies.  Use
-:meth:`AsyncioRun.run_async` when already inside an event loop;
+It is meant for functional use (examples, real Python services), not
+performance studies, and injects no failures: a service has run before a
+crash could land.  :meth:`AsyncioRun.run_async` runs inside a running loop;
 :meth:`AsyncioRun.run` (and the ``"asyncio"`` backend) wrap it in
 :func:`asyncio.run`.
 """
@@ -43,37 +32,32 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.agents.actions import Action
-from repro.hocl import Atom
-from repro.hoclflow.translator import encode_workflow
-from repro.messaging import agent_topic
 from repro.services import InvocationResult
 from repro.workflow.dag import Workflow
 
 from .config import GinFlowConfig
-from .enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation, ReportAssembler
+from .driver import AgentRun
+from .enactment import AgentHost, PreparedInvocation, ReportAssembler
 from .results import RunReport
 
 __all__ = ["AsyncioRun", "run_asyncio"]
 
 
-class AsyncioRun:
+class AsyncioRun(AgentRun):
     """One asyncio execution of a workflow (single event loop, no threads)."""
 
+    now = staticmethod(time.monotonic)
+
     def __init__(self, workflow: Workflow, config: GinFlowConfig | None = None) -> None:
-        self.workflow = workflow
-        self.config = config or GinFlowConfig(mode="asyncio")
-        self._engine: EnactmentEngine | None = None
+        super().__init__(workflow, config or GinFlowConfig(mode="asyncio"))
         self._loop: asyncio.AbstractEventLoop | None = None
         #: resolved, with ``timed_out``, by whichever comes first: completion,
         #: the timeout, a stimulus that raised (kept in ``_error``)
         self._done: "asyncio.Future[bool] | None" = None
         self._error: BaseException | None = None
-        #: what the end of the run cancels: the timers still running, by the id
-        #: of what waits for them (a prepared invocation; the run, for its
-        #: timeout), and the Tasks of awaiting services
-        self._timers: dict[int, asyncio.TimerHandle] = {}
+        #: what the end of the run cancels: its timers and the Tasks of awaiting services
+        self._timers: list[asyncio.TimerHandle] = []
         self._tasks: "set[asyncio.Future[Any]]" = set()
-        self._closed = False
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
@@ -90,39 +74,26 @@ class AsyncioRun:
 
     async def run_async(self, timeout: float = 60.0) -> RunReport:
         """Execute the workflow on the current event loop."""
-        encoding = encode_workflow(self.workflow)
-        # Same transport as the threaded runtime: the in-process broker
-        # delivers synchronously, so `call_soon` lands on the loop.
-        broker = self.config.build_local_broker()
         loop = self._loop = asyncio.get_running_loop()
         self._done = loop.create_future()
-        engine = self._engine = EnactmentEngine(
-            config=self.config,
-            encoding=encoding,
-            clock=MonotonicClock(),
-            transport=broker,
-            invoker=self._invoke,
-            on_complete=lambda _time: self._finish(),
-        )
+        engine = self._enact(self.config.build_local_broker(), on_complete=lambda _time: self._finish())
         try:
             with engine.enacting():
-                stimulate, deliver, boot = self._stimulate, engine.deliver, engine.boot
-                for name, task_encoding in encoding.tasks.items():
-                    agent = engine.add_host(AgentHost(encoding=task_encoding, core=engine.new_core(task_encoding)))
-                    broker.subscribe(agent_topic(name), partial(loop.call_soon, stimulate, agent, deliver))
-                engine.subscribe_status()
-
+                self._host_agents(0.0)
                 start = time.monotonic()
-                for agent in engine.hosts.values():
-                    loop.call_soon(stimulate, agent, boot)
-                self._timers[id(self)] = loop.call_later(timeout, self._finish, True)
+                self._timers.append(loop.call_later(timeout, self._finish, True))
                 timed_out = await self._done  # surfaced on the report
                 if self._error is not None:
                     raise self._error
-                return ReportAssembler(engine).assemble_local("asyncio", time.monotonic() - start, timed_out)
+                elapsed = time.monotonic() - start
+                return ReportAssembler(engine).assemble(
+                    mode="asyncio", executor="local", broker=self.config.broker, nodes=1,
+                    deployment_time=0.0, execution_time=elapsed, makespan=elapsed, timed_out=timed_out,
+                )
         finally:
-            self._closed = True
-            for pending in (*self._timers.values(), *self._tasks):
+            for agent in engine.hosts.values():
+                agent.alive = False  # what is still queued for it is a no-op
+            for pending in (*self._timers, *self._tasks):
                 pending.cancel()
 
     def _finish(self, timed_out: bool = False, error: BaseException | None = None) -> None:
@@ -131,46 +102,34 @@ class AsyncioRun:
             self._error = error
             self._done.set_result(timed_out)
 
-    # -------------------------------------------------------------- stimuli
-    def _stimulate(self, agent: AgentHost, stimulus: Callable[..., list[Action]], *args: Any) -> None:
-        """One stimulus, one loop callback: run it, dispatch the actions it asked for."""
-        if self._closed:
-            return  # left on a caller's loop by a run that is over
-        try:
-            self._engine.dispatch(agent, stimulus(agent, *args))
-        except Exception as exc:  # noqa: BLE001 - a protocol bug: ends the run, which re-raises it
-            self._finish(error=exc)
-
-    # ----------------------------------------------------------- invocation
-    def _invoke(self, agent: AgentHost, prepared: PreparedInvocation) -> None:
-        """Engine invoker: the service runs from a loop callback of its own, so
-        concurrent agents interleave — after its nominal duration when scaled in."""
-        delay = agent.encoding.duration * self.config.threaded_time_scale
+    # ---------------------------------------------------------------- clock
+    def call_later(self, delay: float, function: Callable[..., Any], *args: Any) -> None:
         if delay > 0:
-            self._timers[id(prepared)] = self._loop.call_later(delay, self._run_invocation, agent, prepared)
+            self._timers.append(self._loop.call_later(delay, function, *args))
         else:
-            self._loop.call_soon(self._run_invocation, agent, prepared)
+            self._loop.call_soon(function, *args)
 
-    def _run_invocation(self, agent: AgentHost, prepared: PreparedInvocation) -> None:
-        self._timers.pop(id(prepared), None)
-        if self._closed:
-            return
-        # a raising service is converted into a failed result inside
-        # PreparedInvocation.invoke, identically for every runtime
-        outcome = prepared.invoke()
-        if outcome.failed or isinstance(outcome.value, Atom):
-            self._stimulate(agent, self._engine.complete_invocation, outcome)
-        else:
-            # the awaitable `checked` let through — an async service: awaited on
-            # the loop, so concurrent invocations genuinely overlap, as a Task the
-            # run keeps until `_service_done` has seen its outcome (so no
-            # exception is lost) and cancels at its own end
-            task = asyncio.ensure_future(outcome.value)
-            self._tasks.add(task)
-            task.add_done_callback(partial(self._service_done, agent, prepared, outcome.duration))
+    def _inbox(self) -> Callable[..., None]:
+        # the in-process broker delivers inside `publish`: the stimulus is queued on the loop
+        return partial(self._loop.call_soon, self._stimulate)
+
+    def _serve(self, agent: AgentHost, actions: list[Action], units: float, replayed: int | None = None) -> None:
+        self.engine.dispatch(agent, actions)
+
+    def _invocation_time(self, duration: float) -> float:
+        return 0.0
+
+    def _awaitable(self, agent: AgentHost, prepared: PreparedInvocation, outcome: InvocationResult) -> None:
+        # awaited on the loop, so concurrent invocations genuinely overlap, as a
+        # Task the run keeps until `_service_done` has seen its outcome (so no
+        # exception is lost) and cancels at its own end
+        task = asyncio.ensure_future(outcome.value)
+        self._tasks.add(task)
+        task.add_done_callback(partial(self._service_done, agent, agent.incarnation, prepared, outcome.duration))
 
     def _service_done(
-        self, agent: AgentHost, prepared: PreparedInvocation, duration: float, task: "asyncio.Future[Any]"
+        self, agent: AgentHost, incarnation: int, prepared: PreparedInvocation, duration: float,
+        task: "asyncio.Future[Any]",
     ) -> None:
         self._tasks.discard(task)
         if task.cancelled():
@@ -179,7 +138,10 @@ class AsyncioRun:
             outcome = InvocationResult(None, duration, failed=True, error=str(task.exception()))
         else:
             outcome = prepared.checked(InvocationResult(task.result(), duration))
-        self._stimulate(agent, self._engine.complete_invocation, outcome)
+        self._complete_invocation(agent, incarnation, outcome)
+
+    def _raised(self, error: Exception) -> None:
+        self._finish(error=error)
 
 
 def run_asyncio(

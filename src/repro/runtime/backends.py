@@ -304,12 +304,6 @@ _BUILTIN_RUNTIMES: tuple[tuple[str, str, dict[str, Any], str], ...] = (
         "virtual-time distributed simulation over the modelled cluster",
     ),
     (
-        "threaded",
-        "repro.runtime.threaded:run_threaded",
-        {"distributed": False, "wall_clock": True, "supports_failures": False},
-        "real threads and an in-process broker on the local machine",
-    ),
-    (
         "asyncio",
         "repro.runtime.aio:run_asyncio",
         {"distributed": False, "wall_clock": True, "supports_failures": False, "single_threaded": True},

@@ -44,7 +44,7 @@ class GinFlowConfig:
     ----------
     mode:
         Execution mode, resolved against the runtime backends
-        (``"simulated"``, ``"threaded"``, ``"centralized"``, or any
+        (``"simulated"``, ``"asyncio"``, ``"centralized"``, or any
         registered third-party runtime).
     executor:
         Distributed executor name (``"ssh"``, ``"mesos"``, ...;
@@ -61,16 +61,14 @@ class GinFlowConfig:
     network:
         Network model (defaults to the Grid'5000 1 Gbps preset).
     failures:
-        Failure-injection model (requires a persistent broker when enabled).
+        Failure-injection model (when enabled, requires a runtime that
+        advertises ``supports_failures`` and a persistent broker).
     costs:
         Cost model for the simulated runtime.
     seed:
         Root seed of every random stream of the run.
     registry:
         Service registry resolving task services.
-    threaded_time_scale:
-        In threaded mode, nominal task durations are multiplied by this
-        factor before sleeping (0 disables sleeping entirely).
     collect_timeline:
         Whether to keep the per-task event timeline in the report.
     max_virtual_time:
@@ -94,7 +92,6 @@ class GinFlowConfig:
     costs: CostModel = field(default_factory=CostModel)
     seed: int = 1
     registry: ServiceRegistry | None = None
-    threaded_time_scale: float = 0.0
     collect_timeline: bool = True
     max_virtual_time: float = 1_000_000.0
     obs: Observability | None = None
@@ -106,20 +103,23 @@ class GinFlowConfig:
     def validate(self) -> None:
         """Check the configuration coherence; raise ``ValueError`` otherwise."""
         backends.ensure_builtin_backends()
-        backends.registry.get("runtime", self.mode)
+        runtime = backends.registry.get("runtime", self.mode)
         backends.registry.get("executor", self.executor)
         backends.registry.get("broker", self.broker)
         if self.cluster is None:
             backends.registry.get("cluster", self.cluster_preset)
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
+        if self.failures.enabled and not runtime.capability("supports_failures", False):
+            raise ValueError(
+                f"the {self.mode!r} runtime cannot inject failures: only a runtime that "
+                "advertises supports_failures (e.g. 'simulated') crashes and recovers agents"
+            )
         if self.failures.enabled and not self.broker_profile().persistent:
             raise ValueError(
                 "failure injection requires a persistent broker (e.g. Kafka): the recovery "
                 "mechanism replays the messages logged by the broker (Section IV-B)"
             )
-        if self.threaded_time_scale < 0:
-            raise ValueError("threaded_time_scale must be >= 0")
 
     # -------------------------------------------------------------- builders
     def build_cluster(self) -> Cluster:

@@ -11,25 +11,22 @@ protocol enacts workflows regardless of how the service agents are hosted
   lifecycle (attempt counting, failure/success stimuli, adaptation
   bookkeeping) and the coordinator wiring;
 * :class:`~repro.runtime.enactment.engine.AgentHost` is the
-  runtime-agnostic book-keeping record of one hosted agent (runtimes
-  subclass it to attach their scheduling state: a virtual-time serial
-  queue, a thread and its inbox; the asyncio runtime needs none);
-* :class:`~repro.runtime.enactment.clock.Clock` and
+  runtime-agnostic book-keeping record of one hosted agent (the virtual
+  clock subclasses it to attach a serial queue; the real clock needs none);
+* :class:`~repro.runtime.enactment.engine.Clock` and
   :class:`~repro.runtime.enactment.transport.Transport` are the two seams a
-  runtime plugs in — virtual vs monotonic time, simulated vs in-process
-  broker;
+  driver plugs in — its own ``now()``, and a simulated or in-process broker;
 * :class:`~repro.runtime.enactment.report.ReportAssembler` builds the
   :class:`~repro.runtime.results.RunReport` /
   :class:`~repro.runtime.results.TaskOutcome` rows identically for every
   runtime.
 
-A new runtime (async, process-sharded, remote...) is a thin driver: decide
-*when and where* stimuli run, and let the engine decide *what happens*.  See
-:mod:`repro.runtime.aio` for a complete example in ~100 lines.
+The one driver of the engine, for both clocks, is
+:class:`~repro.runtime.driver.AgentRun`: it decides *when* stimuli run, and
+the engine decides *what happens*.
 """
 
-from .clock import Clock, MonotonicClock, VirtualClock
-from .engine import AgentHost, EnactmentEngine, PreparedInvocation
+from .engine import AgentHost, Clock, EnactmentEngine, PreparedInvocation
 from .report import ReportAssembler
 from .transport import Transport
 
@@ -37,9 +34,7 @@ __all__ = [
     "AgentHost",
     "Clock",
     "EnactmentEngine",
-    "MonotonicClock",
     "PreparedInvocation",
     "ReportAssembler",
     "Transport",
-    "VirtualClock",
 ]

@@ -16,21 +16,21 @@ runtime.  It owns:
 * the **recovery protocol** — rebuilding a crashed agent from the
   transport's replayable log (Section IV-B).
 
-A runtime driver owns only scheduling: *when and where* each stimulus runs
-(virtual-time callbacks, threads, event-loop callbacks) and how a started
-invocation's completion is waited for.  The driver hands the engine an
-``invoker`` callable for exactly that purpose: the engine prepares the
-invocation (bookkeeping included) and the driver decides how to execute it
-and when to feed the outcome back through :meth:`EnactmentEngine.complete_invocation`.
+The driver (:class:`~repro.runtime.driver.AgentRun`) owns only scheduling:
+*when* each stimulus runs on its clock and how a started invocation's
+completion is waited for.  It hands the engine an ``invoker`` callable for
+exactly that purpose: the engine prepares the invocation (bookkeeping
+included) and the driver decides how to execute it and when to feed the
+outcome back through :meth:`EnactmentEngine.complete_invocation`.  The driver
+is also the engine's :class:`Clock`.
 """
 
 from __future__ import annotations
 
 import inspect
-import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.agents import Coordinator, SendAdapt, SendResult, StartInvocation, StatusUpdate
 from repro.agents.actions import Action
@@ -40,28 +40,32 @@ from repro.hocl import AtomError, to_atom
 from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
-from repro.obs import Observability
 from repro.obs.tracer import Tracer
 from repro.services import InvocationContext, InvocationResult, Service
 
 from ..frozen import FrozenSetUp
 from ..results import RunReport
-from .clock import Clock
 from .transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import GinFlowConfig
 
-__all__ = ["AgentHost", "PreparedInvocation", "EnactmentEngine"]
+__all__ = ["AgentHost", "Clock", "PreparedInvocation", "EnactmentEngine"]
+
+
+class Clock(Protocol):
+    """What the engine reads every timestamp from, in seconds: the run's driver."""
+
+    def now(self) -> float: ...
 
 
 @dataclass
 class AgentHost:
     """Runtime-agnostic book-keeping of one hosted service agent.
 
-    Runtimes subclass this record to attach their scheduling state (a
-    virtual-time serial queue, a thread and its inbox; the asyncio runtime
-    needs none); the engine only ever touches the fields below.
+    A clock may subclass this record to attach its scheduling state (the
+    virtual clock's serial queue; the real clock needs none); the engine only
+    ever touches the fields below.
     """
 
     encoding: TaskEncoding
@@ -83,9 +87,8 @@ class AgentHost:
 class PreparedInvocation:
     """One service invocation, fully prepared by the engine.
 
-    The hosting runtime decides *how* to execute it (synchronously in the
-    agent's thread, scheduled on the virtual clock, awaited in a task) and
-    feeds the outcome back through
+    The driver runs it at dispatch, awaits what an async service returned
+    when its clock can, and feeds the outcome back through
     :meth:`EnactmentEngine.complete_invocation`.
     """
 
@@ -97,15 +100,20 @@ class PreparedInvocation:
     #: call then records the invocation span identically
     trace: Tracer | None = None
 
+    @property
+    def service_name(self) -> str:
+        """The service's registered name (its type's, for an anonymous one)."""
+        return getattr(self.service, "name", type(self.service).__name__)
+
     def invoke(self) -> InvocationResult:
         """Run the service call itself (pure; no engine bookkeeping).
 
         Services contract to *return* failures rather than raise, but a
-        broken implementation that raises anyway must not kill the hosting
-        runtime's worker (thread, loop or simulated callback) with the
-        invocation unaccounted — every runtime would hang until timeout with
-        no error attributed to the task.  The exception is converted into a
-        failed result here so all runtimes inherit the same behaviour.
+        broken implementation that raises anyway must not end the run (loop
+        or simulated callback) with the invocation unaccounted — the run
+        would wait out its timeout with no error attributed to the task.  The
+        exception is converted into a failed result here so both clocks
+        inherit the same behaviour.
         """
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
@@ -124,7 +132,7 @@ class PreparedInvocation:
                 self.host.name,
                 started,
                 perf_counter(),
-                service=getattr(self.service, "name", type(self.service).__name__),
+                service=self.service_name,
                 attempt=self.context.attempt,
                 failed=outcome.failed,
             )
@@ -136,8 +144,8 @@ class PreparedInvocation:
         Such a value (``None``, a dict, ...) fails the task like any other
         error, instead of raising ``AtomError`` in whichever worker stores it;
         the agent stores the atom built here as it is.  An awaitable passes —
-        the one successful value that is not an atom: the asyncio runtime
-        awaits it, then checks.
+        the one successful value that is not an atom: the real clock awaits
+        it, then checks.
         """
         if outcome.failed:
             return outcome
@@ -146,9 +154,8 @@ class PreparedInvocation:
         except AtomError:
             if inspect.isawaitable(outcome.value):
                 return outcome
-            name = getattr(self.service, "name", type(self.service).__name__)
             kind = type(outcome.value).__name__
-            error = f"service {name!r} returned {kind}, which has no HOCL atom form"
+            error = f"service {self.service_name!r} returned {kind}, which has no HOCL atom form"
             return InvocationResult(None, outcome.duration, failed=True, error=error)
 
 
@@ -164,8 +171,6 @@ class EnactmentEngine:
         transport: Transport,
         invoker: Callable[[AgentHost, PreparedInvocation], None],
         on_complete: Callable[[float], None] | None = None,
-        report: RunReport | None = None,
-        obs: Observability | None = None,
     ) -> None:
         self.config = config
         self.encoding = encoding
@@ -173,8 +178,8 @@ class EnactmentEngine:
         self.transport = transport
         self._invoker = invoker
         self.registry = config.build_registry()
-        self.report = report if report is not None else RunReport()
-        self.obs = obs if obs is not None else config.obs
+        self.report = RunReport()
+        self.obs = config.obs
         self._trace = self.obs.active_tracer() if self.obs is not None else None
         self._metrics = self.obs.metrics if self.obs is not None else None
         #: the reduction timings of every core built, recovered ones included
@@ -190,9 +195,6 @@ class EnactmentEngine:
         )
         self.hosts: dict[str, AgentHost] = {}
         self.triggered_adaptations: set[str] = set()
-        # Shared-state guard for real-concurrency runtimes; uncontended (and
-        # harmless) under the single-threaded simulated/asyncio drivers.
-        self._lock = threading.Lock()
         #: the hosts, frozen as they are built once `enacting()` is entered
         self._set_up = FrozenSetUp(len(encoding.tasks))
 
@@ -258,7 +260,7 @@ class EnactmentEngine:
         """Execute the actions one reduction emitted (the protocol's I/O)."""
         costs = self.config.costs
         trace, metrics = self._trace, self._metrics
-        publish, sender = self.transport.publish, host.name
+        publish, sender = self.transport.publish, host.encoding.name
         for action in actions:
             if trace is not None:
                 trace.event("enactment.dispatch", sender, action=type(action).__name__)
@@ -277,8 +279,7 @@ class EnactmentEngine:
                 )
             elif isinstance(action, SendAdapt):
                 if action.adaptation:
-                    with self._lock:
-                        self.triggered_adaptations.add(action.adaptation)
+                    self.triggered_adaptations.add(action.adaptation)
                 publish(
                     Message(
                         topic=agent_topic(action.destination),
@@ -314,7 +315,7 @@ class EnactmentEngine:
             service=self.registry.resolve(action.service),
             parameters=list(action.parameters),
             context=InvocationContext(
-                task_name=host.name,
+                task_name=host.encoding.name,
                 duration=host.encoding.duration,
                 metadata=host.encoding.metadata,
                 attempt=host.attempts,
@@ -332,13 +333,12 @@ class EnactmentEngine:
             self.record_status(message.sender, message.payload)
 
     def record_status(self, task: str, status: dict[str, Any]) -> None:
-        """Apply one status payload at the current clock time (thread-safe)."""
+        """Apply one status payload at the current clock time."""
         if self._trace is not None:
             self._trace.event("enactment.status", task, state=status.get("state"))
         if self._metrics is not None:
             self._metrics.counter("enactment.status_updates").inc()
-        with self._lock:
-            self.coordinator.record_status(task, status, time=self.clock.now())
+        self.coordinator.record_status(task, status, time=self.clock.now())
 
     # ------------------------------------------------------------- recovery
     def recover(self, host: AgentHost) -> tuple[list[Action], int]:

@@ -25,19 +25,6 @@ class ReportAssembler:
     def __init__(self, engine: "EnactmentEngine") -> None:
         self.engine = engine
 
-    def assemble_local(self, mode: str, elapsed: float, timed_out: bool) -> RunReport:
-        """The report of a wall-clock run on this machine (threaded, asyncio)."""
-        return self.assemble(
-            mode=mode,
-            executor="local",
-            broker=self.engine.config.broker,
-            nodes=1,
-            deployment_time=0.0,
-            execution_time=elapsed,
-            makespan=elapsed,
-            timed_out=timed_out,
-        )
-
     def assemble(
         self,
         *,

@@ -7,20 +7,20 @@ True
 
 A :class:`GinFlow` instance holds a base configuration
 (:class:`~repro.runtime.config.GinFlowConfig`); :meth:`run` accepts per-call
-overrides (``executor="mesos"``, ``broker="kafka"``, ``mode="threaded"``...)
+overrides (``executor="mesos"``, ``broker="kafka"``, ``mode="asyncio"``...)
 and dispatches through the runtime backend registry
-(:mod:`repro.runtime.backends`).  The four built-in runtimes are:
+(:mod:`repro.runtime.backends`).  The three built-in runtimes are:
 
 * ``simulated`` — virtual-time distributed execution over the simulated
   cluster (the default; this is what the benchmarks use);
-* ``threaded`` — real threads and in-process brokers on the local machine;
-* ``asyncio`` — one event loop, every stimulus a callback on it,
-  concurrency without threads;
+* ``asyncio`` — real time on one event loop, every stimulus a callback on
+  it, concurrency without threads;
 * ``centralized`` — single HOCL interpreter, synchronous service calls.
 
-``simulated``, ``threaded`` and ``asyncio`` are all thin drivers over the
-shared enactment engine (:mod:`repro.runtime.enactment`), so they enact the
-exact same decentralised protocol.
+``simulated`` and ``asyncio`` are one agent driver
+(:class:`~repro.runtime.driver.AgentRun`) on two clocks, over the shared
+enactment engine (:mod:`repro.runtime.enactment`), so they enact the exact
+same decentralised protocol.
 
 Third-party runtimes registered with
 :func:`~repro.runtime.backends.register_runtime` dispatch the same way.
@@ -82,7 +82,7 @@ class GinFlow:
         ``overrides`` are applied on top of the instance configuration for
         this run only (e.g. ``broker="kafka"``, ``nodes=10``,
         ``mode="centralized"``).  ``timeout`` only applies to wall-clock
-        runtimes (the threaded one, for the built-ins).
+        runtimes (the asyncio one, for the built-ins).
         """
         if not isinstance(workflow, Workflow):
             workflow = workflow_from_json(workflow)

@@ -48,7 +48,7 @@ class RunReport:
         Echo of the configuration actually used.
     deployment_time:
         Time spent provisioning the service agents (0 for centralised and
-        threaded runs).
+        asyncio runs).
     execution_time:
         Time between the start of the enactment (all agents ready) and the
         completion of the last exit task.

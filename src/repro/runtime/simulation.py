@@ -1,4 +1,4 @@
-"""The simulated distributed runtime.
+"""The simulated distributed runtime: the agent driver on the virtual clock.
 
 This is the virtual-time counterpart of a GinFlow deployment: every service
 agent runs the *real* decentralised chemistry
@@ -10,16 +10,11 @@ failures are injected according to the paper's model (Section V-D).  Only the
 *durations* of platform operations are modelled, through the
 :class:`~repro.runtime.costs.CostModel`.
 
-The protocol itself (action dispatch, invocation lifecycle, status routing,
-report rows) lives in the shared :mod:`repro.runtime.enactment` engine; this
-module is the *driver* — it owns only what is specific to virtual time:
-
-* charging every stimulus its modelled handling cost on the agent's serial
-  queue before its actions dispatch;
-* scheduling invocation completions (and injected crashes) on the virtual
-  clock, with the cost model's invocation overhead;
-* the crash/recovery choreography (incarnation counting, recovery delay,
-  boot-and-replay cost) around the engine's recovery protocol.
+The driver is :class:`~repro.runtime.driver.AgentRun`'s; this module supplies
+the virtual clock (:class:`~repro.simkernel.Simulator`): a stimulus is served
+by the agent's serial queue for its modelled handling cost, an invocation
+completes after its duration plus the invocation overhead, a service that
+returns an awaitable fails its task, and a raising stimulus propagates.
 
 The flow of one run:
 
@@ -34,18 +29,17 @@ The flow of one run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable
 
 from repro.agents.actions import Action
-from repro.hoclflow.translator import encode_workflow
-from repro.messaging import Message, MessageKind, SimulatedBroker, agent_topic
+from repro.hoclflow.translator import TaskEncoding
+from repro.messaging import SimulatedBroker
 from repro.services import InvocationResult
-from repro.simkernel import RandomStreams, SerialQueue, Simulator
+from repro.simkernel import SerialQueue, Simulator
 from repro.workflow.dag import Workflow
 
 from .config import GinFlowConfig
-from .enactment import AgentHost, EnactmentEngine, PreparedInvocation, ReportAssembler, VirtualClock
+from .driver import AgentRun
+from .enactment import AgentHost, PreparedInvocation, ReportAssembler
 from .results import RunReport
 
 __all__ = ["SimulatedRun", "run_simulation"]
@@ -58,162 +52,93 @@ class _SimAgent(AgentHost):
     serial: SerialQueue | None = None
 
 
-class SimulatedRun:
+class SimulatedRun(AgentRun):
     """One simulated distributed execution of a workflow."""
 
     def __init__(self, workflow: Workflow, config: GinFlowConfig | None = None) -> None:
-        self.workflow = workflow
-        self.config = config or GinFlowConfig()
-        self.report = RunReport()
+        super().__init__(workflow, config or GinFlowConfig())
         self._sim = Simulator()
-        self._randomness = RandomStreams(self.config.seed)
-        self._engine: EnactmentEngine | None = None
-        self._enactment_start = 0.0
+        self._costs = self.config.costs
+        # the clock's `call_later` is the kernel's `call_in` itself: no wrapper call per entry
+        self.call_later = self._sim.call_in  # type: ignore[method-assign]
+        self._placement: dict[str, str] = {}
 
     # ------------------------------------------------------------------ run
     def run(self) -> RunReport:
         """Execute the workflow and return its report."""
-        config = self.config
-        costs = config.costs
-        encoding = encode_workflow(self.workflow)
-
+        config, costs = self.config, self._costs
         cluster = config.build_cluster()
-        network = config.build_network()
         broker = SimulatedBroker(
             self._sim,
             config.broker_profile(),
-            network=network,
-            randomness=self._randomness.spawn("broker"),
+            network=config.build_network(),
+            randomness=self.randomness.spawn("broker"),
             dispatchers=costs.broker_dispatchers,
         )
         tracer = config.obs.active_tracer() if config.obs is not None else None
         if tracer is not None:
-            # Stamp every record with the virtual instant it happened at.
-            tracer.vt_source = lambda: self._sim.now
+            tracer.vt_source = self.now  # every record stamped with its virtual instant
         broker.attach_observability(config.obs)
-        engine = EnactmentEngine(
-            config=config,
-            encoding=encoding,
-            clock=VirtualClock(self._sim),
-            transport=broker,
-            invoker=self._invoke,
-            report=self.report,
-        )
-        self._engine = engine
-
-        executor = config.build_executor()
-        agent_names = encoding.task_names()
-        plan = executor.plan(cluster, agent_names)
+        engine = self._enact(broker)
+        plan = config.build_executor().plan(cluster, engine.encoding.task_names())
+        self._placement = plan.placement
 
         with engine.enacting():
-            for name in agent_names:
-                agent = engine.add_host(
-                    _SimAgent(
-                        encoding=encoding.tasks[name],
-                        core=engine.new_core(encoding.tasks[name]),
-                        node=plan.placement.get(name, "unknown"),
-                        serial=SerialQueue(self._sim, name=f"agent-{name}"),
-                    )
-                )
-                broker.subscribe(agent_topic(name), partial(self._on_message, agent))
-            engine.subscribe_status()
-
             # Enactment starts once deployment completes (the stacked bars of
             # Fig. 14 split deployment time from execution time).
-            self._enactment_start = plan.deployment_time
-            boot_time = plan.deployment_time + costs.agent_boot_time
-            for agent in engine.hosts.values():
-                self._sim.call_at(boot_time, self._handle, agent, engine.boot)
-
+            self._host_agents(plan.deployment_time + costs.agent_boot_time)
             self._sim.run(until=config.max_virtual_time)
-            return self._build_report(plan.deployment_time)
+            return self._build_report(len(cluster), plan.deployment_time)
 
-    # ------------------------------------------------------------- handling
-    def _on_message(self, agent: _SimAgent, message: Message) -> None:
-        # A message for an agent that is down is dropped (`_handle`): a persistent
-        # broker keeps it in its log, so the recovery replay will deliver it;
-        # with a transient broker it is lost.
-        if message.kind in (MessageKind.RESULT, MessageKind.ADAPT):
-            self._handle(agent, self._engine.deliver, message)
+    # ---------------------------------------------------------------- clock
+    def now(self) -> float:
+        return self._sim.now
 
-    def _handle(self, agent: _SimAgent, stimulus: Callable[..., list[Action]], *args: Any) -> None:
-        """Run ``stimulus(agent, *args)`` and dispatch its actions after the modelled cost."""
-        if not agent.alive:
-            return
-        core = agent.core
-        units_before = core.reduction_units
-        actions = stimulus(agent, *args)
-        cost = self.config.costs.handling_cost(core.reduction_units - units_before)
-        agent.serial.submit(cost, self._dispatch, agent, actions, agent.incarnation)
-
-    def _dispatch(self, agent: _SimAgent, actions: list[Action], incarnation: int) -> None:
-        if not agent.alive or agent.incarnation != incarnation:
-            return
-        self._engine.dispatch(agent, actions)
-
-    # ----------------------------------------------------------- invocation
-    def _invoke(self, agent: _SimAgent, prepared: PreparedInvocation) -> None:
-        """Engine invoker: schedule the invocation's end on the virtual clock."""
-        outcome = prepared.invoke()
-        duration = max(0.0, outcome.duration) + self.config.costs.invocation_overhead
-        crash_after = self.config.failures.crash_time(
-            duration, self._randomness, label=f"crash:{agent.name}:{agent.attempts}"
+    def _new_host(self, encoding: TaskEncoding) -> AgentHost:
+        return _SimAgent(
+            encoding=encoding,
+            core=self.engine.new_core(encoding),
+            node=self._placement.get(encoding.name, "unknown"),
+            serial=SerialQueue(self._sim, name=f"agent-{encoding.name}"),
         )
-        if crash_after is not None and crash_after < duration:
-            self._sim.call_in(crash_after, self._crash, agent, agent.incarnation)
-        else:
-            self._sim.call_in(duration, self._complete_invocation, agent, agent.incarnation, outcome)
 
-    def _complete_invocation(self, agent: _SimAgent, incarnation: int, outcome: InvocationResult) -> None:
-        if agent.incarnation == incarnation:
-            self._handle(agent, self._engine.complete_invocation, outcome)
+    def _serve(self, agent: AgentHost, actions: list[Action], units: float, replayed: int | None = None) -> None:
+        costs = self._costs
+        work = costs.handling_cost(units)
+        if replayed is not None:
+            work = costs.agent_boot_time + costs.replay_cost(replayed) + work
+        agent.serial.submit(work, self._dispatch, agent, actions, agent.incarnation)  # type: ignore[attr-defined]
 
-    # -------------------------------------------------------------- failures
-    def _crash(self, agent: _SimAgent, incarnation: int) -> None:
-        if not agent.alive or agent.incarnation != incarnation:
-            return
-        agent.alive = False
-        agent.incarnation += 1
-        agent.failures += 1
-        self.report.failures_injected += 1
-        self._engine.coordinator.record_event(self._sim.now, agent.name, "failure", f"attempt {agent.attempts}")
-        self._sim.call_in(self.config.failures.recovery_overhead(), self._recover, agent)
+    def _invocation_time(self, duration: float) -> float:
+        return max(0.0, duration) + self._costs.invocation_overhead
 
-    def _recover(self, agent: _SimAgent) -> None:
-        self.report.recoveries += 1
-        actions, replayed = self._engine.recover(agent)
-        costs = self.config.costs
-        replay_cost = costs.agent_boot_time + costs.replay_cost(replayed)
-        agent.serial.submit(
-            replay_cost + costs.handling_cost(agent.core.reduction_units),
-            self._dispatch, agent, actions, agent.incarnation,
-        )
-        self._engine.coordinator.record_event(
-            self._sim.now, agent.name, "recovery", f"replayed {replayed} messages"
-        )
+    def _awaitable(self, agent: AgentHost, prepared: PreparedInvocation, outcome: InvocationResult) -> InvocationResult:
+        close = getattr(outcome.value, "close", None)
+        if close is not None:
+            close()  # a coroutine: closed, never awaited
+        error = f"service {prepared.service_name!r} returned an awaitable, which the virtual clock cannot await"
+        return InvocationResult(None, outcome.duration, failed=True, error=error)
 
     # --------------------------------------------------------------- report
-    def _build_report(self, deployment_time: float) -> RunReport:
-        engine = self._engine
-        assert engine is not None
-        config = self.config
+    def _build_report(self, nodes: int, deployment_time: float) -> RunReport:
+        engine, sim = self.engine, self._sim
         completion = engine.coordinator.completion_time
-        end = completion if completion is not None else self._sim.now
+        end = completion if completion is not None else sim.now
         report = ReportAssembler(engine).assemble(
             mode="simulated",
-            executor=config.executor,
-            broker=config.broker,
-            nodes=len(config.build_cluster()) if config.cluster is None else len(config.cluster),
+            executor=self.config.executor,
+            broker=self.config.broker,
+            nodes=nodes,
             deployment_time=deployment_time,
-            execution_time=max(0.0, end - self._enactment_start),
+            execution_time=max(0.0, end - deployment_time),
             makespan=end,
             # stopped at the horizon with work still queued; a queue that
             # drains without completion is a stall, not a time-out
-            timed_out=completion is None and self._sim.pending() > 0,
+            timed_out=completion is None and sim.pending() > 0,
         )
         report.extra["status_updates"] = engine.coordinator.status_updates
-        report.extra["virtual_events"] = self._sim.processed_events
-        report.extra["sim_wall_seconds"] = round(self._sim.wall_seconds, 6)
+        report.extra["virtual_events"] = sim.processed_events
+        report.extra["sim_wall_seconds"] = round(sim.wall_seconds, 6)
         return report
 
 

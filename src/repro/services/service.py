@@ -5,11 +5,10 @@ invocation of the service" — in this reproduction a service is any object
 implementing :class:`Service`.  Two implementations cover every experiment:
 
 * :class:`PythonService` — wraps a Python callable; used by the examples and
-  by the centralised/threaded runtimes when the workflow does real work.
+  by the centralised/asyncio runtimes when the workflow does real work.
 * :class:`SyntheticService` — produces a deterministic placeholder result
   and reports the task's nominal ``duration``; the simulated runtime charges
-  that duration to the virtual clock, and the threaded runtime optionally
-  sleeps a scaled-down version of it.
+  that duration to the virtual clock (the real clock does not sleep it).
 
 The :class:`ServiceRegistry` resolves the ``SRV`` field of a task to a
 service instance; unknown names fall back to a synthetic service so that

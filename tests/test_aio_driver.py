@@ -143,20 +143,31 @@ class TestNothingOutlivesTheRun:
             brokers.append(self)
 
         monkeypatch.setattr(InProcessBroker, "__init__", init)
-        # every service "takes" 0.2 s: the run is cut in the middle of the third row
-        config = GinFlowConfig(mode="asyncio", threaded_time_scale=1.0)
+        registry = ServiceRegistry()
+
+        async def slow(*parameters):
+            await asyncio.sleep(0.2)
+            return "out"
+
+        registry.register_function("slow", slow)
+        workflow = diamond_workflow(3, 6)
+        for task in workflow.tasks.values():
+            task.service = "slow"
+        # every service takes 0.2 s: the run is cut in the middle of the third row
+        config = GinFlowConfig(mode="asyncio", registry=registry)
 
         async def main():
             loop = asyncio.get_running_loop()
-            report = await AsyncioRun(diamond_workflow(3, 6, duration=0.2), config).run_async(timeout=0.5)
+            report = await AsyncioRun(workflow, config).run_async(timeout=0.5)
             (broker,) = brokers
             published = broker.published_count()
             assert report.timed_out and not report.succeeded and published > 0
-            # cut with invocations still sleeping: their timers (and the timeout's) are cancelled already
-            assert loop._scheduled and all(handle.cancelled() for handle in loop._scheduled)
             for _ in range(10):
                 await asyncio.sleep(0)
+            # cut with services still sleeping: their Tasks are gone, and no timer
+            # of theirs (nor the timeout's) is left live
             assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert all(handle.cancelled() for handle in loop._scheduled)
             await asyncio.sleep(0.3)  # those invocations would have ended by now
             assert broker.published_count() == published
 
@@ -164,13 +175,12 @@ class TestNothingOutlivesTheRun:
 
 
     def test_an_async_service_cut_before_its_first_step_is_closed_not_leaked(self):
-        """The Task is the service's own coroutine: cancelling it before it ever
-        ran still closes it (no "coroutine ... was never awaited")."""
-        started = []
+        """The Task is the service's own coroutine, started at dispatch: a run cut
+        at once leaves it neither pending nor unawaited (no "coroutine ... was
+        never awaited")."""
         registry = ServiceRegistry()
 
         async def service(*parameters):
-            started.append(parameters)
             return "out"
 
         registry.register_function("async-service", service)
@@ -180,7 +190,7 @@ class TestNothingOutlivesTheRun:
             warnings.simplefilter("always")
             report = run_asyncio(workflow, GinFlowConfig(mode="asyncio", registry=registry), timeout=0.0)
             gc.collect()
-        assert report.timed_out and report.tasks["A"].attempts == 1 and started == []
+        assert report.timed_out and report.tasks["A"].attempts == 1
         assert not [str(warning.message) for warning in caught if "never awaited" in str(warning.message)]
 
 
@@ -212,6 +222,16 @@ class TestRaisingStimulus:
             assert asyncio.all_tasks() == {asyncio.current_task()}
 
         asyncio.run(main())
+
+    def test_a_raising_boot_ends_the_run_too(self, monkeypatch):
+        def boot(self, host):
+            raise RuntimeError("injected into boot")
+
+        monkeypatch.setattr(EnactmentEngine, "boot", boot)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected into boot"):
+            run_asyncio(diamond_workflow(2, 2), timeout=30.0)
+        assert time.monotonic() - start < 2.0
 
     def test_a_raising_service_still_only_fails_its_task(self):
         registry = ServiceRegistry()

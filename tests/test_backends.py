@@ -42,7 +42,7 @@ def scratch_backend():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert set(available_runtimes()) >= {"simulated", "threaded", "centralized"}
+        assert set(available_runtimes()) >= {"simulated", "asyncio", "centralized"}
         assert set(available_executors()) >= {"ssh", "mesos"}
         assert set(available_brokers()) >= {"activemq", "kafka"}
         assert set(available_clusters()) >= {"grid5000", "uniform"}
@@ -206,8 +206,8 @@ class TestThirdPartyBackends:
         simulated = GinFlow().run(diamond_workflow(3, 2, duration=0.1), broker="inmemory", nodes=5)
         assert simulated.succeeded and simulated.broker == "inmemory"
 
-        threaded = GinFlow().run(diamond_workflow(2, 2), mode="threaded", broker="inmemory")
-        assert threaded.succeeded
+        real_time = GinFlow().run(diamond_workflow(2, 2), mode="asyncio", broker="inmemory")
+        assert real_time.succeeded
 
         # persistence makes the recovery mechanism available
         injected = GinFlow().run(

@@ -1,10 +1,10 @@
 """Tests for the runtime-agnostic enactment engine and its drivers.
 
 Covers the coordinator query helpers and fail-fast completion, the report
-parity guarantee (same workflow → identical task rows across the simulated,
-threaded and asyncio runtimes, modulo timing/placement fields), the real
-delivered-message accounting of the in-process broker, and the asyncio
-runtime end-to-end (the same workflow tests the threaded runtime passes).
+parity guarantee (same workflow → identical task rows on both clocks of the
+one agent driver, modulo timing/placement fields — and on every scenario
+family), the run as the engine's clock, the real delivered-message
+accounting of the in-process broker, and the asyncio runtime end-to-end.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from repro.runtime import (
     AsyncioRun,
     GinFlow,
     GinFlowConfig,
+    SimulatedRun,
     available_runtimes,
     run_asyncio,
     run_simulation,
-    run_threaded,
 )
-from repro.runtime.enactment import MonotonicClock, VirtualClock
+from repro.scenarios import available_scenarios, build_scenario
 from repro.services import ServiceRegistry
-from repro.simkernel import Simulator
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 
 
@@ -102,16 +101,8 @@ class TestCoordinatorFailFast:
 
 class TestFailFastEndToEnd:
     """A workflow whose exit task holds ERROR completes as failed — it no
-    longer blocks until timeout (threaded/asyncio) or drains the virtual
-    event queue (simulated)."""
-
-    def test_threaded_returns_before_timeout(self):
-        start = time.monotonic()
-        report = run_threaded(_failing_exit_diamond(), timeout=30.0)
-        assert time.monotonic() - start < 10.0
-        assert not report.succeeded
-        assert report.tasks["merge"].error
-        assert report.tasks["merge"].failures == 1
+    longer blocks until timeout (asyncio) or drains the virtual event queue
+    (simulated)."""
 
     def test_simulated_completes_as_failed(self):
         report = run_simulation(_failing_exit_diamond(), GinFlowConfig(nodes=5))
@@ -122,7 +113,9 @@ class TestFailFastEndToEnd:
         start = time.monotonic()
         report = run_asyncio(_failing_exit_diamond(), timeout=30.0)
         assert time.monotonic() - start < 10.0
-        assert not report.succeeded
+        assert not report.succeeded and not report.timed_out
+        assert report.tasks["merge"].error
+        assert report.tasks["merge"].failures == 1
 
 
 class TestReportParity:
@@ -142,19 +135,16 @@ class TestReportParity:
     ], ids=["diamond", "adaptive-diamond"])
     def test_task_rows_identical_across_runtimes(self, make_workflow):
         simulated = run_simulation(make_workflow(), GinFlowConfig(nodes=5))
-        threaded = run_threaded(make_workflow(), timeout=30.0)
         asyncio_report = run_asyncio(make_workflow(), timeout=30.0)
-        assert simulated.succeeded and threaded.succeeded and asyncio_report.succeeded
-        assert self._rows(simulated) == self._rows(threaded) == self._rows(asyncio_report)
-        assert simulated.results == threaded.results == asyncio_report.results
+        assert simulated.succeeded and asyncio_report.succeeded
+        assert self._rows(simulated) == self._rows(asyncio_report)
+        assert simulated.results == asyncio_report.results
 
     def test_service_level_failures_counted_in_every_runtime(self):
         # The adaptive diamond's trigger task fails its (single) invocation:
-        # `failures` counts it identically everywhere (satellite: threaded
-        # used to always report 0).
+        # `failures` counts it identically on both clocks.
         for report in (
             run_simulation(adaptive_diamond_workflow(2, 2), GinFlowConfig(nodes=5)),
-            run_threaded(adaptive_diamond_workflow(2, 2), timeout=30.0),
             run_asyncio(adaptive_diamond_workflow(2, 2), timeout=30.0),
         ):
             outcome = report.tasks["T_2_2"]
@@ -173,14 +163,6 @@ class TestDeliveredAccounting:
         assert broker.published_count() == 2
         assert broker.delivered_count() == 1  # no subscriber, no delivery
         assert len(received) == 1
-
-    def test_threaded_report_uses_delivered_counter(self):
-        report = run_threaded(diamond_workflow(2, 2), timeout=30.0)
-        # every published message has exactly one subscriber here, and the
-        # report field is the broker's real delivery counter (not an echo
-        # of published_count)
-        assert report.messages_delivered == report.messages_published
-        assert report.messages_delivered > 0
 
 
 class TestAsyncioRuntime:
@@ -282,16 +264,38 @@ class TestAsyncioRuntime:
         assert {row["broker"] for row in sweep.rows} == {"activemq", "kafka"}
 
 
-class TestClockSeam:
-    def test_virtual_clock_reads_the_simulator(self):
-        sim = Simulator()
-        clock = VirtualClock(sim)
-        assert clock.now() == 0.0
-        sim.call_in(5.0, lambda: None)
-        sim.run()
-        assert clock.now() == 5.0
+class TestCrossClockDifferential:
+    """One driver, two clocks: on every scenario family the virtual and the real
+    clock enact the same protocol — the same rows, results, rule firings,
+    messages and reactions; only the timing fields are the clock's own."""
 
-    def test_monotonic_clock_is_non_decreasing(self):
-        clock = MonotonicClock()
-        first = clock.now()
-        assert clock.now() >= first
+    @pytest.mark.parametrize("family", available_scenarios())
+    def test_both_clocks_agree(self, family):
+        spec = f"{family}:size=20,seed=3"
+        simulated = run_simulation(build_scenario(spec), GinFlowConfig(nodes=5))
+        real = run_asyncio(build_scenario(spec), timeout=60.0)
+        assert simulated.succeeded and real.succeeded and not real.timed_out
+        assert TestReportParity._rows(real) == TestReportParity._rows(simulated)
+        assert real.results == simulated.results
+        assert real.extra["rule_fires"] == simulated.extra["rule_fires"]
+        assert real.messages_published == simulated.messages_published
+        assert real.reduction_reactions == simulated.reduction_reactions
+
+
+class TestTheRunIsTheClock:
+    def test_virtual_stamps_are_the_kernels(self):
+        run = SimulatedRun(diamond_workflow(2, 2), GinFlowConfig(nodes=3))
+        report = run.run()
+        assert run.engine.clock is run
+        # every agent booted at the one virtual instant deployment ended
+        boot = report.deployment_time + run.config.costs.agent_boot_time
+        assert {outcome.started_at for outcome in report.tasks.values()} == {boot}
+        assert max(outcome.finished_at for outcome in report.tasks.values()) <= report.makespan <= run.now()
+
+    def test_real_stamps_are_monotonic_time(self):
+        run = AsyncioRun(diamond_workflow(2, 2))
+        before = time.monotonic()
+        report = run.run(timeout=30.0)
+        assert run.engine.clock is run
+        stamps = [stamp for outcome in report.tasks.values() for stamp in (outcome.started_at, outcome.finished_at)]
+        assert before <= min(stamps) <= max(stamps) <= run.now()

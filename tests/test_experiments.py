@@ -283,7 +283,7 @@ class TestSweepCLI:
 
         assert main(["backends"]) == 0
         output = capsys.readouterr().out
-        for name in ("runtime", "simulated", "threaded", "centralized", "ssh", "mesos",
+        for name in ("runtime", "simulated", "asyncio", "centralized", "ssh", "mesos",
                      "activemq", "kafka", "grid5000", "uniform"):
             assert name in output
 

@@ -39,7 +39,7 @@ def fig5_workflow(force_error=True):
 
 
 class TestFig5Scenario:
-    @pytest.mark.parametrize("mode", ["simulated", "threaded", "centralized"])
+    @pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
     def test_failure_triggers_replacement(self, mode):
         report = GinFlow().run(fig5_workflow(force_error=True), mode=mode, nodes=5)
         assert report.succeeded
@@ -47,7 +47,7 @@ class TestFig5Scenario:
         assert report.tasks["T2p"].result == "T2p-out"
         assert report.tasks["T4"].result == "T4-out"
 
-    @pytest.mark.parametrize("mode", ["simulated", "threaded", "centralized"])
+    @pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
     def test_no_failure_means_no_adaptation(self, mode):
         report = GinFlow().run(fig5_workflow(force_error=False), mode=mode, nodes=5)
         assert report.succeeded
@@ -149,7 +149,7 @@ class TestCrossModeConsistency:
         workflow = diamond_workflow(3, 3)
         reports = {
             mode: GinFlow().run(workflow, mode=mode, nodes=5)
-            for mode in ("simulated", "threaded", "centralized")
+            for mode in ("simulated", "asyncio", "centralized")
         }
         reference = {name: outcome.result for name, outcome in reports["centralized"].tasks.items()}
         for mode, report in reports.items():
@@ -158,7 +158,7 @@ class TestCrossModeConsistency:
 
     def test_adaptive_error_tasks_identical_across_modes(self):
         workflow = adaptive_diamond_workflow(2, 2)
-        for mode in ("simulated", "threaded", "centralized"):
+        for mode in ("simulated", "asyncio", "centralized"):
             report = GinFlow().run(workflow, mode=mode, nodes=5)
             assert report.tasks["T_2_2"].error, mode
             assert report.tasks["R_1_1"].result is not None, mode

@@ -44,7 +44,7 @@ from repro.obs.summarize import format_summary, summarize
 from repro.runtime import GinFlow, GinFlowConfig
 from repro.workflow import diamond_workflow, workflow_to_json
 
-MODES = ("simulated", "threaded", "asyncio", "centralized")
+MODES = ("simulated", "asyncio", "centralized")
 
 
 def run_diamond(mode, obs=None, seed=3):

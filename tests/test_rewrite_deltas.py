@@ -15,7 +15,7 @@ pattern is head-keyed.  Three layers of evidence:
   through both forms on hand-written delta rules (a consume-style getMax and
   a patch-style drain), asserting trace identity;
 * **end-to-end** — every scenario family of the catalog agrees between the
-  two forms; and full runtime enactments (simulated/threaded/asyncio/
+  two forms; and full runtime enactments (simulated/asyncio/
   centralized) report the same results either way, with the simulated
   runtime's virtual-time trace bit-identical.
 """
@@ -210,7 +210,7 @@ def rebuild_everywhere(monkeypatch):
     return lambda: monkeypatch.setattr(ReductionEngine, "_apply", RebuildEngine._apply)
 
 
-@pytest.mark.parametrize("mode", ["simulated", "threaded", "asyncio", "centralized"])
+@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
 def test_runtime_delta_parity(mode, rebuild_everywhere):
     workflow = diamond_workflow(4, 3)
     delta_run = GinFlow().run(workflow, mode=mode, nodes=5)
@@ -221,7 +221,7 @@ def test_runtime_delta_parity(mode, rebuild_everywhere):
     assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
 
 
-@pytest.mark.parametrize("mode", ["simulated", "threaded", "asyncio", "centralized"])
+@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
 @pytest.mark.parametrize("family", available_scenarios())
 def test_scenario_family_runtime_delta_parity(family, mode, rebuild_everywhere):
     """Every family enacted both ways on every runtime, the agents' own delta

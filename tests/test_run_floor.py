@@ -14,6 +14,7 @@
 * no numpy and no networkx on any run path, and a start-up without the
   runtime drivers (asyncio with them), the textual parser, pickle and no
   module of the reduction modes the one loop replaced;
+* a Python-call budget per stimulus through each clock's agent driver;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
 * a recovered agent keeps its tracer, its reduction timings count in the
@@ -24,6 +25,7 @@ import atexit
 import gc
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -31,6 +33,7 @@ import threading
 
 import pytest
 
+import repro
 import repro.hoclflow.translator as translator
 from repro import GinFlow, adaptive_diamond_workflow, diamond_workflow, workflow_to_json
 from repro.cli import main
@@ -42,15 +45,15 @@ from repro.hoclflow import encode_workflow
 from repro.obs import MetricsRegistry, Observability, RecordingTracer
 from repro.obs.export import read_trace
 from repro.obs.summarize import format_summary, summarize
-from repro.runtime import GinFlowConfig
-from repro.runtime.enactment import EnactmentEngine
+from repro.runtime import GinFlowConfig, run_asyncio, run_simulation
+from repro.runtime.enactment import EnactmentEngine, ReportAssembler
 from repro.runtime.frozen import FREEZE_STRIDE, FrozenSetUp
 from repro.scenarios import available_scenarios, build_scenario
 from repro.services import FailureModel, Service, ServiceRegistry
 from repro.simkernel import Simulator
 from repro.workflow import Workflow, workflow_from_json
 
-AGENT_MODES = ("simulated", "threaded", "asyncio")
+AGENT_MODES = ("simulated", "asyncio")
 MODES = (*AGENT_MODES, "centralized")
 
 
@@ -90,7 +93,7 @@ class TestSharedRules:
 
         monkeypatch.setattr(translator, "make_gw_call", counting)
         workflow = adaptive_diamond_workflow(2, 2, duration=0.01)
-        for mode in ("simulated", "threaded", "asyncio"):
+        for mode in AGENT_MODES:
             assert GinFlow().run(workflow, mode=mode, nodes=3).succeeded
         assert built == []
         encoding = encode_workflow(workflow)
@@ -220,6 +223,11 @@ AGENT_BUDGET = 73
 #: matches, reports and actions were built through generators, dataclasses
 #: and `to_atom`
 CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 84
+#: Python calls per stimulus through each clock's agent driver on a 500-deep
+#: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
+#: one driver, 40.70 and 19.68 while each had its own — pinned at today's, so
+#: a single call more per stimulus on either path fails
+DRIVER_CALLS_PER_STIMULUS = {"simulated": 39.35, "asyncio": 18.35}
 
 
 def tracked_objects_per_item(build, items):
@@ -299,6 +307,57 @@ class TestCallBudget:
         assert per_agent <= CALLS_PER_AGENT, per_agent
         assert per_stimulus <= CALLS_PER_STIMULUS, per_stimulus
 
+    @pytest.mark.parametrize("mode", AGENT_MODES)
+    def test_driver_calls_per_stimulus(self, mode):
+        """Host-independent: what the one agent driver costs a stimulus on each
+        clock, from the first boot to the report — the kernel or loop calls it
+        makes, the engine, the broker — so no per-stimulus indirection joins
+        the chain-aio path unseen."""
+        run = {"simulated": run_simulation, "asyncio": run_asyncio}[mode]
+        run(build_scenario("longchain:size=500"))  # every left-hand side generated, every name interned
+        report, calls, stimuli = driver_calls(lambda: run(build_scenario("longchain:size=500")))
+        assert report.succeeded and stimuli == 1499
+        assert calls / stimuli <= DRIVER_CALLS_PER_STIMULUS[mode], calls / stimuli
+
+
+def driver_calls(run):
+    """``run()``, and from its first boot to its report the Python calls of
+    ``repro`` code and the calls it made into the standard library, with
+    everything below an ``AgentCore`` method left out; and the stimuli run."""
+    package = os.path.dirname(repro.__file__)
+    core = {getattr(value, "fget", value) for value in vars(AgentCore).values()}
+    core = {function.__code__ for function in core if hasattr(function, "__code__")}
+    first, last = EnactmentEngine.boot.__code__, ReportAssembler.assemble.__code__
+    stimuli = {first, EnactmentEngine.deliver.__code__, EnactmentEngine.complete_invocation.__code__}
+    state = {"counting": False, "done": False, "depth": 0, "core_at": None, "calls": 0, "stimuli": 0}
+
+    def count(frame, event, _arg):
+        if event == "return":
+            if state["core_at"] == state["depth"]:
+                state["core_at"] = None
+            state["depth"] -= 1
+        elif event == "call":
+            state["depth"] += 1
+            code = frame.f_code
+            if state["done"] or not (state["counting"] or code is first):
+                return
+            state["counting"] = True
+            if code is last:
+                state["done"] = True
+            elif state["core_at"] is None:
+                state["stimuli"] += code in stimuli
+                if code in core:
+                    state["core_at"] = state["depth"]
+                elif code.co_filename.startswith(package) or frame.f_back.f_code.co_filename.startswith(package):
+                    state["calls"] += 1
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, state["calls"], state["stimuli"]
+
 
 def drive_all(encoding):
     """Every agent of ``encoding`` through its whole life, without a runtime:
@@ -359,7 +418,6 @@ class TestMatcherBudget:
 # ----------------------------------------------------------------------- gc
 RAISES_INSIDE = {
     "simulated": (Simulator, "run"),
-    "threaded": (threading.Thread, "start"),
     "asyncio": (EnactmentEngine, "boot"),  # a stimulus that raises ends the run: no wait for the timeout
     "centralized": (CentralizedExecutor, "execute"),
 }
@@ -621,7 +679,7 @@ class TestStartUpWithoutNumpyAndNetworkx:
         argv = ["run", "--scenario", "longchain:size=20", "--mode", "asyncio"]
         assert modules_after(argv, tmp_path) == "LOADED 0 []"
 
-    @pytest.mark.parametrize("mode", ["simulated", "threaded"])
+    @pytest.mark.parametrize("mode", AGENT_MODES)
     def test_json_file_run(self, mode, tmp_path):
         path = tmp_path / "adaptive.json"
         workflow_to_json(adaptive_diamond_workflow(2, 2, duration=0.01), path)
@@ -645,12 +703,16 @@ class TestStartUpWithoutNumpyAndNetworkx:
     def test_listing_commands(self, argv, tmp_path):
         assert modules_after(argv, tmp_path) == "LOADED 0 []"
 
-    @pytest.mark.parametrize("mode", ["simulated", "centralized", "threaded"])
+    @pytest.mark.parametrize("mode", ["simulated", "centralized", "asyncio"])
     def test_a_runtime_driver_loads_when_it_is_built_not_when_it_is_listed(self, mode, tmp_path):
         # every run lists the runtimes (--mode choices); only an asyncio run pays for asyncio
-        drivers = ("asyncio", "repro.runtime.aio", "repro.runtime.simulation", "repro.runtime.threaded")
+        drivers = ("asyncio", "repro.runtime.aio", "repro.runtime.driver", "repro.runtime.simulation")
         argv = ["run", "--scenario", "longchain:size=20", "--mode", mode]
-        own = {"simulated": ["repro.runtime.simulation"], "threaded": ["repro.runtime.threaded"], "centralized": []}
+        own = {
+            "simulated": ["repro.runtime.driver", "repro.runtime.simulation"],
+            "asyncio": ["asyncio", "repro.runtime.aio", "repro.runtime.driver"],
+            "centralized": [],
+        }
         assert modules_after(argv, tmp_path, drivers) == f"LOADED 0 {own[mode]}"
         assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 

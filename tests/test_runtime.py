@@ -1,21 +1,20 @@
-"""Tests for the runtime layer: config, costs, reports, simulated / threaded /
+"""Tests for the runtime layer: config, costs, reports, simulated / asyncio /
 centralised execution, and cross-mode consistency."""
-
-import threading
-import time
 
 import pytest
 
+from repro.cli import main
 from repro.runtime import (
+    BackendError,
     CostModel,
     GinFlow,
     GinFlowConfig,
     RunReport,
+    available_runtimes,
     run_simulation,
-    run_threaded,
 )
 from repro.runtime.enactment import EnactmentEngine
-from repro.services import FailureModel, ServiceRegistry
+from repro.services import FailureModel
 from repro.workflow import (
     Task,
     Workflow,
@@ -48,6 +47,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             GinFlowConfig(broker="activemq", failures=FailureModel(probability=0.5))
         GinFlowConfig(broker="kafka", failures=FailureModel(probability=0.5))
+
+    @pytest.mark.parametrize("mode", ["asyncio", "centralized"])
+    def test_failures_require_a_runtime_that_injects_them(self, mode):
+        """Refused, not silently ignored: the run would read as if no crash had been drawn."""
+        with pytest.raises(ValueError, match=f"the '{mode}' runtime cannot inject failures"):
+            GinFlow().run(
+                diamond_workflow(2, 2), mode=mode, broker="kafka", failures=FailureModel(probability=0.5, delay=15.0)
+            )
+
+    def test_cli_refuses_failures_on_asyncio_with_one_error_line(self, capsys):
+        argv = [
+            "run", "--scenario", "montage:size=30,seed=1", "--mode", "asyncio", "--broker", "kafka",
+            "--failure-probability", "0.5", "--failure-delay", "15", "--json",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the 'asyncio' runtime cannot inject failures: only a runtime that advertises "
+            "supports_failures (e.g. 'simulated') crashes and recovers agents"
+        ]
 
     def test_with_overrides_does_not_mutate_original(self):
         config = GinFlowConfig()
@@ -243,66 +263,6 @@ class TestKernelEntryAccounting:
             )
 
 
-class TestThreadedRuntime:
-    def test_diamond_completes(self):
-        report = run_threaded(diamond_workflow(3, 2), timeout=30.0)
-        assert report.succeeded
-        assert report.results["merge"] == "merge-out"
-        assert report.mode == "threaded"
-
-    def test_adaptive_diamond_completes(self):
-        report = run_threaded(adaptive_diamond_workflow(2, 2), timeout=30.0)
-        assert report.succeeded
-        assert report.adaptations_triggered == 1
-        assert report.tasks["T_2_2"].error
-
-    def test_real_python_services(self):
-        registry = ServiceRegistry()
-        registry.register_function("square", lambda value: value * value)
-        registry.register_function("sum2", lambda a, b: a + b)
-        workflow = Workflow("math")
-        workflow.add_task(Task("A", "square", inputs=[3]))
-        workflow.add_task(Task("B", "square", inputs=[4]))
-        workflow.add_task(Task("C", "sum2"))
-        workflow.add_dependency("A", "C")
-        workflow.add_dependency("B", "C")
-        config = GinFlowConfig(mode="threaded", registry=registry)
-        report = run_threaded(workflow, config, timeout=30.0)
-        assert report.succeeded
-        assert report.results["C"] == 25
-
-    def test_kafka_broker_mode(self):
-        config = GinFlowConfig(mode="threaded", broker="kafka")
-        report = run_threaded(diamond_workflow(2, 2), config, timeout=30.0)
-        assert report.succeeded
-
-    def test_a_raising_stimulus_ends_the_run_at_once(self, monkeypatch):
-        """As on asyncio (``tests/test_aio_driver.py``): re-raised by the run,
-        not lost to a thread's excepthook while the run waits out its timeout."""
-        original = EnactmentEngine.deliver
-
-        def deliver(self, host, message):
-            if host.name == "T_2_2":
-                raise RuntimeError("injected into deliver")
-            return original(self, host, message)
-
-        monkeypatch.setattr(EnactmentEngine, "deliver", deliver)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="injected into deliver"):
-            GinFlow().run(diamond_workflow(3, 3), mode="threaded", timeout=30)
-        assert time.monotonic() - start < 2.0
-        assert not [thread.name for thread in threading.enumerate() if thread.name.startswith("sa-")]
-
-    def test_a_raising_boot_ends_the_run_too(self, monkeypatch):
-        def boot(self, host):
-            raise RuntimeError("injected into boot")
-
-        monkeypatch.setattr(EnactmentEngine, "boot", boot)
-        with pytest.raises(RuntimeError, match="injected into boot"):
-            run_threaded(diamond_workflow(2, 2), timeout=30.0)
-        assert not [thread.name for thread in threading.enumerate() if thread.name.startswith("sa-")]
-
-
 class TestGinFlowFacade:
     def test_default_simulated_run(self):
         report = GinFlow().run(diamond_workflow(2, 2, duration=0.1), nodes=5)
@@ -311,8 +271,17 @@ class TestGinFlowFacade:
     def test_mode_override_per_run(self):
         ginflow = GinFlow()
         assert ginflow.run(diamond_workflow(2, 1), mode="centralized").mode == "centralized"
-        assert ginflow.run(diamond_workflow(2, 1), mode="threaded").mode == "threaded"
         assert ginflow.run(diamond_workflow(2, 1), mode="asyncio").mode == "asyncio"
+
+    def test_the_threaded_runtime_is_gone(self, capsys):
+        """One agent driver, two clocks: no third runtime, and no alias for it."""
+        assert available_runtimes() == ("centralized", "simulated", "asyncio")
+        with pytest.raises(BackendError, match="unknown runtime 'threaded'"):
+            GinFlow().run(diamond_workflow(2, 1), mode="threaded")
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--scenario", "longchain:size=5", "--mode", "threaded"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err
 
     def test_json_workflow_input(self):
         from repro.workflow import workflow_to_json
@@ -338,7 +307,7 @@ class TestGinFlowFacade:
         workflow = diamond_workflow(3, 2)
         ginflow = GinFlow()
         results = {}
-        for mode in ("simulated", "threaded", "asyncio", "centralized"):
+        for mode in ("simulated", "asyncio", "centralized"):
             report = ginflow.run(workflow, mode=mode, nodes=5)
             assert report.succeeded, mode
             results[mode] = report.results["merge"]
@@ -347,7 +316,7 @@ class TestGinFlowFacade:
     def test_all_modes_agree_on_adaptive_results(self):
         workflow = adaptive_diamond_workflow(2, 2)
         ginflow = GinFlow()
-        for mode in ("simulated", "threaded", "asyncio", "centralized"):
+        for mode in ("simulated", "asyncio", "centralized"):
             report = ginflow.run(workflow, mode=mode, nodes=5)
             assert report.succeeded, mode
             assert report.tasks["R_2_2"].result == "R_2_2-out", mode

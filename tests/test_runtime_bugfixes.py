@@ -8,9 +8,9 @@
   *raises* (instead of returning a failed result) must surface as a failed
   task, not hang the run until timeout.
 * Timeout swallowing: a run cut off by its wall-clock timeout must report
-  ``timed_out=True`` and ``succeeded=False`` in both the asyncio and the
-  threaded runtimes — and so must a simulated run cut off at its virtual
-  horizon with calls still queued (a queue that drains is a stall, not that).
+  ``timed_out=True`` and ``succeeded=False`` on the asyncio runtime — and so
+  must a simulated run cut off at its virtual horizon with calls still queued
+  (a queue that drains is a stall, not that).
 * A service result with no HOCL atom form (``None``, a dict, ...) is a failure
   of the task on every runtime — not an ``AtomError`` or ``ReductionError``
   out of ``run``, nor a worker lost to one and a wait until the timeout.
@@ -18,9 +18,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
-import threading
 import time
+import warnings
 
 import pytest
 
@@ -29,8 +30,8 @@ from repro.agents import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import InProcessBroker, Message, MessageKind, adapt_count, agent_topic
-from repro.runtime import GinFlow, GinFlowConfig, RunReport, run_asyncio, run_simulation, run_threaded
-from repro.runtime.enactment import AgentHost, EnactmentEngine, MonotonicClock, PreparedInvocation
+from repro.runtime import AsyncioRun, GinFlow, GinFlowConfig, RunReport, run_asyncio, run_simulation
+from repro.runtime.enactment import AgentHost, EnactmentEngine, PreparedInvocation
 from repro.services import InvocationContext, InvocationResult, Service, ServiceRegistry
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 
@@ -59,11 +60,11 @@ class TestAdaptCoercionParity:
         task_encoding = encoding.tasks[task_name]
 
         for payload in (None, 0, 1, 2, "2"):
-            config = GinFlowConfig(mode="threaded")
+            config = GinFlowConfig(mode="asyncio")
             engine = EnactmentEngine(
                 config=config,
                 encoding=encoding,
-                clock=MonotonicClock(),
+                clock=AsyncioRun(workflow, config),
                 transport=InProcessBroker(config.broker_profile()),
                 invoker=lambda host, prepared: None,
             )
@@ -114,8 +115,8 @@ class TestInvocationLoss:
     def test_raising_invoke_fails_the_task_instead_of_hanging_asyncio(self):
         self._check(run_asyncio, "asyncio")
 
-    def test_raising_invoke_fails_the_task_instead_of_hanging_threaded(self):
-        self._check(run_threaded, "threaded")
+    def test_raising_invoke_fails_the_task_instead_of_hanging_simulated(self):
+        self._check(run_simulation, "simulated")
 
 
 class TestResultWithoutAtomForm:
@@ -134,7 +135,7 @@ class TestResultWithoutAtomForm:
         assert time.monotonic() - start < 5.0
         return report
 
-    @pytest.mark.parametrize("mode", ["centralized", "simulated", "threaded", "asyncio"])
+    @pytest.mark.parametrize("mode", ["centralized", "simulated", "asyncio"])
     @pytest.mark.parametrize("returned", [None, {"a": 1}, [1, None]])
     def test_it_fails_the_task_on_every_runtime(self, mode, returned):
         report = self._run(mode, lambda *args: returned)
@@ -153,6 +154,30 @@ class TestResultWithoutAtomForm:
         assert not report.succeeded and not report.timed_out
         assert report.tasks["B"].error and report.tasks["B"].failures == 1
 
+    def test_an_async_service_on_the_virtual_clock_fails_its_task(self, monkeypatch):
+        """Virtual time cannot await: the task fails with an error naming the
+        service, and its coroutine is closed — no ``AtomError`` out of ``run``,
+        no "coroutine ... was never awaited"."""
+        errors = []
+        complete = EnactmentEngine.complete_invocation
+
+        def recording(self, host, outcome):
+            errors.append(outcome.error)
+            return complete(self, host, outcome)
+
+        monkeypatch.setattr(EnactmentEngine, "complete_invocation", recording)
+
+        async def later(*args):
+            return 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self._run("simulated", later)
+            gc.collect()
+        assert not report.succeeded and not report.timed_out
+        assert report.tasks["B"].error and report.tasks["B"].attempts == report.tasks["B"].failures == 1
+        assert errors == [None, "service 'nothing' returned an awaitable, which the virtual clock cannot await"]
+
     def test_the_failed_result_names_the_service_and_the_type(self):
         registry = ServiceRegistry()
         registry.register_function("nothing", lambda *args: None)
@@ -168,22 +193,13 @@ class TestResultWithoutAtomForm:
 
 
 class TestTimeoutSurfacing:
-    def _stuck_workflow(
-        self, registry: ServiceRegistry, blocking: "threading.Event | None" = None
-    ) -> Workflow:
-        if blocking is not None:
-            # held until the test lets go: the agent thread must not outlive
-            # the test (it used to sleep on for 30 s, then die on the `None`
-            # that `time.sleep` returns, inside whichever test ran by then)
-            registry.register_function("stuck", lambda: blocking.wait(30.0))
-        else:
+    def _stuck_workflow(self, registry: ServiceRegistry) -> Workflow:
+        async def stuck():  # never finishes within the timeout
+            import asyncio
 
-            async def stuck():  # never finishes within the timeout
-                import asyncio
+            await asyncio.sleep(30.0)
 
-                await asyncio.sleep(30.0)
-
-            registry.register_function("stuck", stuck)
+        registry.register_function("stuck", stuck)
         workflow = Workflow("stuck")
         workflow.add_task(Task("A", "stuck"))
         return workflow
@@ -194,19 +210,6 @@ class TestTimeoutSurfacing:
         report = run_asyncio(
             workflow, GinFlowConfig(mode="asyncio", registry=registry), timeout=0.2
         )
-        assert report.timed_out
-        assert not report.succeeded
-
-    def test_threaded_timeout_is_reported(self):
-        registry = ServiceRegistry()
-        release = threading.Event()
-        workflow = self._stuck_workflow(registry, blocking=release)
-        try:
-            report = run_threaded(
-                workflow, GinFlowConfig(mode="threaded", registry=registry), timeout=0.2
-            )
-        finally:
-            release.set()
         assert report.timed_out
         assert not report.succeeded
 
@@ -240,7 +243,7 @@ class TestTimeoutSurfacing:
     def test_completed_run_is_not_marked_timed_out(self):
         workflow = Workflow("quick")
         workflow.add_task(Task("A", "anything"))
-        report = run_threaded(workflow, GinFlowConfig(mode="threaded"), timeout=10.0)
+        report = run_asyncio(workflow, GinFlowConfig(mode="asyncio"), timeout=10.0)
         assert report.succeeded
         assert not report.timed_out
         assert report.summary()["timed_out"] is False

@@ -463,7 +463,7 @@ class TestCatalogAuditsClean:
         assert not errors, [f"{f.check}: {f.message}" for f in errors]
         assert len(available_scenarios()) >= 8
 
-    @pytest.mark.parametrize("mode", ["threaded", "asyncio", "centralized"])
+    @pytest.mark.parametrize("mode", ["asyncio", "centralized"])
     def test_other_runtimes_audit_clean(self, mode):
         report = audit_scenario("epigenomics:size=10", mode=mode)
         errors = [f for f in report if f.severity is Severity.ERROR]
