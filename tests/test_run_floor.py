@@ -225,9 +225,9 @@ AGENT_BUDGET = 73
 CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 84
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
 #: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
-#: one driver, 40.70 and 19.68 while each had its own — pinned at today's, so
-#: a single call more per stimulus on either path fails
-DRIVER_CALLS_PER_STIMULUS = {"simulated": 39.35, "asyncio": 18.35}
+#: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
+#: so sharing the driver may not cost a stimulus more calls than two drivers did
+DRIVER_CALLS_PER_STIMULUS = {"simulated": 40.70, "asyncio": 19.68}
 
 
 def tracked_objects_per_item(build, items):
