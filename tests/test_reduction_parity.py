@@ -8,8 +8,8 @@ rules in exactly the same order as the naive re-reduce-everything walk of
 ``reduction_reference.py``, which states the parity contract.  These tests
 lock that property on the two workflow shapes the paper measures (Montage and
 the fully-connected diamond), against a brute-force search on random programs
-and every scenario family, on the centralised executor that enacts a family,
-and on the invalidation edges the book-keeping introduces.
+and every scenario family, on every runtime that enacts a family, and on the
+invalidation edges the book-keeping introduces.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.hocl import (
 )
 from repro.hocl.matching import first_match
 from repro.hoclflow import encode_workflow
+from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
 from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
@@ -198,10 +199,12 @@ class TestDataLayerCaches:
 class TestRuntimeParity:
     """Every way of enacting a family reaches what one serial reduction does.
 
-    The centralised executor's single interpreter reproduces the naive walk's
-    reaction history in order, with no more searches.  (The agent runtimes
-    share the agent's interpreter: both clocks fire the same rules to the same
-    per-task results, ``test_enactment.py::TestCrossClockDifferential``.)
+    The agent runtimes share the agent's interpreter, so the real clock's run
+    fires the same rules to the same per-task results as the virtual clock's
+    (here at another size and seed than
+    ``test_enactment.py::TestCrossClockDifferential``'s); the centralised
+    executor's single interpreter reproduces the naive walk's reaction history
+    in order, with no more searches.
     """
 
     @pytest.mark.parametrize("family", _FAMILIES)
@@ -213,6 +216,19 @@ class TestRuntimeParity:
         assert outcome.report.rule_fires == naive.rule_fires
         assert trace(outcome.report) == trace(naive)
         assert outcome.report.match_attempts <= naive.match_attempts
+
+    @pytest.mark.parametrize("mode", ["asyncio"])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_real_time_runtimes_agree_with_the_simulated_run(self, family, mode):
+        def run(mode):
+            report = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode=mode, timeout=60.0)
+            assert report.succeeded and not report.timed_out
+            return report
+
+        simulated, other = run("simulated"), run(mode)
+        assert other.results == simulated.results
+        assert other.extra["rule_fires"] == simulated.extra["rule_fires"]
+        assert other.reduction_reactions == simulated.reduction_reactions
 
 
 class TestReportMergeAccounting:
