@@ -9,7 +9,7 @@ silently across PRs.  This script folds any number of downloaded artifacts
 into one per-scenario trend table so that drift becomes visible:
 
 * one row per (commit, scenario): reactions, match_attempts, patched
-  reactions and wall seconds of the one reduction loop (schema 8; older
+  reactions and wall seconds of the one reduction loop (schema 8 on; older
   artifacts contribute their ``serial`` row), plus the naive wall and the
   wall-clock speedup over it;
 * a ``drift`` column: the wall relative to the *first* (oldest) collated
@@ -18,7 +18,8 @@ into one per-scenario trend table so that drift becomes visible:
   preserve upload order); ``--order name`` sorts by SHA instead;
 * below the table, one line per artifact that carries a ``scaling`` object
   (schema 5): the least-squares exponent of the serial Montage wall over its
-  size, and the microseconds per reaction at each size.
+  size, and the microseconds per reaction at each size (and from schema 9 the
+  same for the centralised SIPHT).
 
 Usage::
 
@@ -124,10 +125,13 @@ def scaling_lines(files: list[Path]) -> list[str]:
         except (OSError, json.JSONDecodeError, AttributeError):
             continue
         if scaling:
+            sipht = scaling.get("sipht")  # schema 9 on
             lines.append(
                 f"scaling {_label(path)}: montage serial exponent "
                 f"{scaling.get('montage_serial_exponent')} over {scaling.get('tasks')} tasks, "
                 f"{scaling.get('us_per_reaction')} us/reaction"
+                + (f"; sipht central exponent {scaling.get('sipht_central_exponent')} over {sipht['tasks']} "
+                   f"tasks, {sipht['us_per_reaction']} us/reaction" if sipht else "")
             )
     return lines
 

@@ -11,29 +11,20 @@ they execute the actions (a simulation kernel vs. an event loop).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Any
 
-from repro.hocl.engine import Record
+from repro.records import Frozen
 
 __all__ = ["Action", "SendResult", "SendAdapt", "StartInvocation", "StatusUpdate"]
 
 _set = object.__setattr__  # how a constructor stores its fields, past the refusing `__setattr__`
 
 
-class Action(Record):
-    """Base class of every agent action: an immutable :class:`~repro.hocl.engine.Record`
+class Action(Frozen):
+    """Base class of every agent action: an immutable :class:`~repro.records.Frozen` record
     built by slot stores."""
 
     __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __setattr__(self, name: str, *value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 class SendResult(Action):

@@ -10,32 +10,33 @@ records a timeline of events for the run report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.records import Record
 
 __all__ = ["TaskStatus", "TimelineEvent", "Coordinator"]
 
 
-@dataclass
-class TaskStatus:
+class TaskStatus(Record):
     """Last known status of one task, as seen by the shared space."""
 
-    task: str
-    state: str = "unknown"
-    has_result: bool = False
-    has_error: bool = False
-    updates: int = 0
-    last_update_time: float = 0.0
+    __slots__ = ("task", "state", "has_result", "has_error", "updates", "last_update_time")
+
+    def __init__(
+        self, task: str, state: str = "unknown", has_result: bool = False, has_error: bool = False,
+        updates: int = 0, last_update_time: float = 0.0,
+    ):
+        self.task, self.state, self.has_result, self.has_error = task, state, has_result, has_error
+        self.updates, self.last_update_time = updates, last_update_time
 
 
-@dataclass
-class TimelineEvent:
+class TimelineEvent(Record):
     """One entry of the run timeline."""
 
-    time: float
-    task: str
-    event: str
-    detail: str = ""
+    __slots__ = ("time", "task", "event", "detail")
+
+    def __init__(self, time: float, task: str, event: str, detail: str = ""):
+        self.time, self.task, self.event, self.detail = time, task, event, detail
 
 
 class Coordinator:
@@ -60,6 +61,10 @@ class Coordinator:
         self.exit_tasks = list(exit_tasks)
         self.on_complete = on_complete
         self.adaptable_tasks = set(adaptable_tasks or ())
+        #: the exits, and those holding a result: kept by `record_status`, so an
+        #: update costs O(1) however many exits there are
+        self._exits = frozenset(self.exit_tasks)
+        self._holding: set[str] = set()
         self.statuses: dict[str, TaskStatus] = {}
         self.timeline: list[TimelineEvent] = []
         self.completed = False
@@ -82,27 +87,25 @@ class Coordinator:
         entry.last_update_time = time
         if entry.state != previous_state:
             self.record_event(time, task, entry.state)
-        self._check_completion(time)
+        if task in self._exits:
+            (self._holding.add if entry.has_result else self._holding.discard)(task)
+            self._check_completion(task, entry, time)
 
     def record_event(self, time: float, task: str, event: str, detail: str = "") -> None:
         """Append an arbitrary event to the timeline (failures, recoveries...)."""
         self.timeline.append(TimelineEvent(time=time, task=task, event=event, detail=detail))
 
     # ----------------------------------------------------------- completion
-    def _check_completion(self, time: float) -> None:
+    def _check_completion(self, task: str, entry: TaskStatus, time: float) -> None:
+        """After an update of exit ``task``: an exit's terminal error can only
+        arise at its own update, which completes the run at once."""
         if self.completed:
             return
-        all_hold_results = True
-        for task in self.exit_tasks:
-            status = self.statuses.get(task)
-            if status is not None and status.has_error and not status.has_result and task not in self.adaptable_tasks:
-                # Terminal exit-task error: fail fast instead of blocking
-                # until timeout (asyncio) or draining the queue (simulated).
-                self._finish(time, succeeded=False)
-                return
-            if status is None or not status.has_result:
-                all_hold_results = False
-        if all_hold_results:
+        if entry.has_error and not entry.has_result and task not in self.adaptable_tasks:
+            # Terminal exit-task error: fail fast instead of blocking
+            # until timeout (asyncio) or draining the queue (simulated).
+            self._finish(time, succeeded=False)
+        elif len(self._holding) == len(self._exits):
             self._finish(time, succeeded=True)
 
     def _finish(self, time: float, succeeded: bool) -> None:

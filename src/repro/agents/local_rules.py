@@ -122,13 +122,13 @@ def local_trigger(plan: AdaptationPlan) -> Rule:
     Built on first use and memoised on the plan, so every trigger task of one
     encoded workflow holds the same rule object.
     """
-    if plan.local_trigger is None:
+    if plan._local_trigger is None:
         # the same immutable actions at every firing
         broadcast = tuple(
             SendAdapt(destination=task_name, count=count, adaptation=plan.spec.name)
             for task_name, count in plan.adapt_marker_counts().items()
         )
-        plan.local_trigger = Rule(
+        plan._local_trigger = Rule(
             name=f"trigger_adapt:{plan.spec.name}",
             patterns=[
                 TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres"))),
@@ -139,7 +139,7 @@ def local_trigger(plan: AdaptationPlan) -> Rule:
             effect=lambda _bindings: broadcast,
             priority=10,
         )
-    return plan.local_trigger
+    return plan._local_trigger
 
 
 def build_local_rules(encoding: TaskEncoding) -> list[Rule]:

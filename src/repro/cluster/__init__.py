@@ -8,7 +8,7 @@ while this package is still initialising.
 
 from .node import Cluster, Node
 from .network import NetworkModel
-from .mesos_master import MesosMaster, ResourceOffer
+from .mesos_master import MesosMaster
 from .grid5000 import (
     GRID5000_NODES,
     GRID5000_TOTAL_CORES,
@@ -22,7 +22,6 @@ __all__ = [
     "Cluster",
     "NetworkModel",
     "MesosMaster",
-    "ResourceOffer",
     "grid5000_cluster",
     "grid5000_network",
     "GRID5000_NODES",

@@ -10,22 +10,9 @@ deployment time of Fig. 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .node import Cluster, Node
 
-__all__ = ["ResourceOffer", "MesosMaster"]
-
-
-@dataclass
-class ResourceOffer:
-    """One resource offer: a set of machines with at least one free agent slot."""
-
-    round_index: int
-    nodes: list[Node]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+__all__ = ["MesosMaster"]
 
 
 class MesosMaster:
@@ -53,14 +40,10 @@ class MesosMaster:
         """Virtual time (relative to deployment start) of the next offer round."""
         return self.registration_delay + self._round * self.offer_interval
 
-    def make_offer(self) -> ResourceOffer:
+    def make_offer(self) -> list[Node]:
         """Produce the next offer: every node that still has a free slot."""
-        offer = ResourceOffer(
-            round_index=self._round,
-            nodes=[node for node in self.cluster.nodes if node.free_slots > 0],
-        )
         self._round += 1
-        return offer
+        return [node for node in self.cluster.nodes if node.free_slots > 0]
 
     def reset(self) -> None:
         """Restart the offer cycle."""

@@ -9,13 +9,12 @@ processing, not by payload size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.records import Record
 
 __all__ = ["NetworkModel"]
 
 
-@dataclass
-class NetworkModel:
+class NetworkModel(Record):
     """Point-to-point network cost model.
 
     Attributes
@@ -29,9 +28,10 @@ class NetworkModel:
         Maximum uniform jitter added to each transfer, in seconds.
     """
 
-    latency: float = 0.0005
-    bandwidth: float = 125_000_000.0  # 1 Gbps in bytes/s
-    jitter: float = 0.0
+    __slots__ = ("latency", "bandwidth", "jitter")
+
+    def __init__(self, latency: float = 0.0005, bandwidth: float = 125_000_000.0, jitter: float = 0.0):
+        self.latency, self.bandwidth, self.jitter = latency, bandwidth, jitter  # 1 Gbps in bytes/s by default
 
     def transfer_time(self, size_bytes: float = 1024.0, jitter_draw: float = 0.0) -> float:
         """Time to move ``size_bytes`` from one node to another.

@@ -8,14 +8,14 @@ model exactly that capacity accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from repro.records import Record
 
 __all__ = ["Node", "Cluster"]
 
 
-@dataclass
-class Node:
+class Node(Record):
     """One compute node.
 
     Attributes
@@ -28,10 +28,11 @@ class Node:
         Deployment limit of service agents per core (2 in the paper).
     """
 
-    name: str
-    cores: int
-    agents_per_core: int = 2
-    assigned: list[str] = field(default_factory=list)
+    __slots__ = ("name", "cores", "agents_per_core", "assigned")
+
+    def __init__(self, name: str, cores: int, agents_per_core: int = 2, assigned: list[str] | None = None):
+        self.name, self.cores, self.agents_per_core = name, cores, agents_per_core
+        self.assigned: list[str] = [] if assigned is None else assigned
 
     @property
     def capacity(self) -> int:

@@ -15,16 +15,15 @@ the centralised executor (single interpreter, no deployment) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.cluster import Cluster
+from repro.records import Record
 
 __all__ = ["DeploymentPlan", "DistributedExecutor"]
 
 
-@dataclass
-class DeploymentPlan:
+class DeploymentPlan(Record):
     """Result of planning the provisioning of the service agents.
 
     Attributes
@@ -40,10 +39,15 @@ class DeploymentPlan:
         Name of the executor that produced the plan.
     """
 
-    placement: dict[str, str] = field(default_factory=dict)
-    ready_times: dict[str, float] = field(default_factory=dict)
-    deployment_time: float = 0.0
-    executor: str = "unknown"
+    __slots__ = ("placement", "ready_times", "deployment_time", "executor")
+
+    def __init__(
+        self, placement: dict[str, str] | None = None, ready_times: dict[str, float] | None = None,
+        deployment_time: float = 0.0, executor: str = "unknown",
+    ):
+        self.placement: dict[str, str] = {} if placement is None else placement
+        self.ready_times: dict[str, float] = {} if ready_times is None else ready_times
+        self.deployment_time, self.executor = deployment_time, executor
 
     def agents_on(self, node_name: str) -> list[str]:
         """Agents placed on ``node_name``."""
@@ -60,9 +64,11 @@ class DeploymentPlan:
                 raise ValueError("deployment_time is earlier than the last agent's ready time")
 
 
-class DistributedExecutor:
-    """Base class of the distributed executors (SSH, Mesos, EC2, ...)."""
+class DistributedExecutor(Record):
+    """Base class of the distributed executors (SSH, Mesos, EC2, ...): a record
+    of the executor's model constants."""
 
+    __slots__ = ()
     name = "distributed"
 
     def plan(self, cluster: Cluster, agent_names: Sequence[str]) -> DeploymentPlan:

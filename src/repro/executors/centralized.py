@@ -13,7 +13,6 @@ engine must produce the same final results, which the integration tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
@@ -32,6 +31,7 @@ from repro.hoclflow import keywords as kw
 from repro.hoclflow.fields import get_res_atoms, has_error
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.hoclflow.translator import WorkflowEncoding
+from repro.records import Record
 from repro.runtime.frozen import FrozenSetUp
 from repro.services import InvocationContext, ServiceRegistry
 from repro.workflow.dag import Workflow
@@ -39,17 +39,19 @@ from repro.workflow.dag import Workflow
 __all__ = ["CentralizedOutcome", "CentralizedExecutor"]
 
 
-@dataclass
-class CentralizedOutcome:
-    """Result of a centralised execution."""
+class CentralizedOutcome(Record):
+    """Result of a centralised execution; ``timings`` holds the per-phase
+    reduction seconds, summed from the engine's spans (traced runs only)."""
 
-    solution: Multiset
-    report: ReductionReport
-    results: dict[str, Any] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
-    invocations: int = 0
-    #: per-phase reduction seconds, summed from the engine's spans (traced runs only)
-    timings: dict[str, float] | None = None
+    __slots__ = ("solution", "report", "results", "errors", "invocations", "timings")
+
+    def __init__(
+        self, solution: Multiset, report: ReductionReport, results: dict[str, Any] | None = None,
+        errors: dict[str, str] | None = None, invocations: int = 0, timings: dict[str, float] | None = None,
+    ):
+        self.solution, self.report, self.invocations, self.timings = solution, report, invocations, timings
+        self.results: dict[str, Any] = {} if results is None else results
+        self.errors: dict[str, str] = {} if errors is None else errors
 
     def result_of(self, task_name: str) -> Any:
         """Result value of ``task_name`` (``None`` if it produced none)."""

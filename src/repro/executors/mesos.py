@@ -15,7 +15,6 @@ rounds — linearly decreasing in the node count for a fixed agent count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster import Cluster, MesosMaster
@@ -26,7 +25,6 @@ from .base import DeploymentPlan, DistributedExecutor
 __all__ = ["MesosExecutor"]
 
 
-@dataclass
 class MesosExecutor(DistributedExecutor):
     """Offer-based provisioning of the service agents.
 
@@ -40,11 +38,12 @@ class MesosExecutor(DistributedExecutor):
         Time for a Mesos slave to launch one SA after accepting the offer.
     """
 
-    offer_interval: float = 2.0
-    registration_delay: float = 1.0
-    agent_start_time: float = 0.5
-
+    __slots__ = ("offer_interval", "registration_delay", "agent_start_time")
     name = "mesos"
+
+    def __init__(self, offer_interval: float = 2.0, registration_delay: float = 1.0, agent_start_time: float = 0.5):
+        self.offer_interval, self.registration_delay = offer_interval, registration_delay
+        self.agent_start_time = agent_start_time
 
     def plan(self, cluster: Cluster, agent_names: Sequence[str]) -> DeploymentPlan:
         self._check_capacity(cluster, agent_names)
@@ -58,12 +57,12 @@ class MesosExecutor(DistributedExecutor):
         while remaining:
             offer_time = master.next_offer_time()
             offer = master.make_offer()
-            if not offer.nodes:
+            if not offer:
                 raise RuntimeError(
                     f"mesos executor: cluster {cluster.name!r} ran out of capacity with "
                     f"{len(remaining)} agents still to place"
                 )
-            for node in offer.nodes:
+            for node in offer:
                 if not remaining:
                     break
                 agent = remaining.pop(0)

@@ -18,7 +18,6 @@ The model therefore has two components:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster import Cluster
@@ -29,7 +28,6 @@ from .base import DeploymentPlan, DistributedExecutor
 __all__ = ["SSHExecutor"]
 
 
-@dataclass
 class SSHExecutor(DistributedExecutor):
     """Round-robin SSH provisioning of the service agents.
 
@@ -43,11 +41,12 @@ class SSHExecutor(DistributedExecutor):
         Fixed cost (reading the configuration, keys, ...).
     """
 
-    connection_overhead: float = 0.6
-    agent_start_time: float = 0.35
-    base_overhead: float = 1.0
-
+    __slots__ = ("connection_overhead", "agent_start_time", "base_overhead")
     name = "ssh"
+
+    def __init__(self, connection_overhead: float = 0.6, agent_start_time: float = 0.35, base_overhead: float = 1.0):
+        self.connection_overhead, self.agent_start_time = connection_overhead, agent_start_time
+        self.base_overhead = base_overhead
 
     def plan(self, cluster: Cluster, agent_names: Sequence[str]) -> DeploymentPlan:
         self._check_capacity(cluster, agent_names)

@@ -28,7 +28,7 @@ but the whole sweep stays reproducible.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.runtime.config import GinFlowConfig
@@ -45,7 +45,7 @@ __all__ = ["Experiment"]
 #: Cell keys translated into a FailureModel instead of a config field.
 _FAILURE_KEYS = ("failure_probability", "failure_delay")
 
-_CONFIG_FIELDS = frozenset(spec.name for spec in dataclass_fields(GinFlowConfig))
+_CONFIG_FIELDS = frozenset(GinFlowConfig.__match_args__)
 
 
 def _execute_point(point: tuple["Experiment", dict[str, Any], int]) -> dict[str, Any]:

@@ -54,6 +54,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.obs.tracer import Tracer, active as active_tracer
+from repro.records import Record
 
 from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
@@ -68,23 +69,6 @@ __all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEn
 #: (applying a rewrite delta) and ``index`` (the top-level removals and
 #: insertions that follow either).
 PHASES = ("match", "rewrite", "patch", "index")
-
-
-class Record:
-    """A value built by slot stores: like a dataclass, equal to one of its class with equal
-    fields (its slots), shown as its keyword constructor call, unhashable unless a subclass says how."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple[Any, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: Any) -> bool:
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
 
 
 class ReactionRecord(Record):

@@ -43,6 +43,8 @@ what it holds wired in one pass, and no :meth:`Multiset._touch` when nothing enc
 
 from __future__ import annotations
 
+from bisect import insort
+from heapq import merge
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -153,53 +155,82 @@ _seq, _atom, _priority = attrgetter("seq"), attrgetter("atom"), attrgetter("prio
 class _Memory:
     """The plausible candidates of one broad-keyed pattern at one level: the
     entries of bucket ``key`` its ``quick_reject`` has not refuted since they
-    last changed, in bucket order (an entry returning out of turn clears
-    ``in_order``; the next read re-sorts)."""
+    last changed, in bucket order.
 
-    __slots__ = ("key", "entries", "in_order", "readers")
+    ``entries`` is in bucket order.  An entry returning out of turn (something
+    changed below it) waits in ``late``, kept in bucket order too, and a read
+    merges the two as it goes: what did not move is never re-sorted, so a
+    read costs what it visits, not the size of the memory.  ``late`` is folded
+    into ``entries`` in one pass only once it outgrows an eighth of it, so
+    each pass is paid for by as many returns."""
+
+    __slots__ = ("key", "entries", "late", "readers")
 
     def __init__(self, key: Any, bucket: Iterable[_Entry]):
         self.key = key
         self.entries: dict[_Entry, None] = dict.fromkeys(bucket)
-        self.in_order = True
-        self.readers = 0  # searches iterating ``entries`` right now
+        self.late: list[_Entry] = []
+        self.readers = 0  # searches iterating the memory right now
 
     def admit(self, entry: _Entry, keys: tuple[Any, ...], last: bool) -> None:
-        """Take ``entry`` (its atom's index ``keys``) if it is of this bucket."""
-        if (self.key is None or self.key in keys) and entry not in self.entries:
-            self.entries[entry] = None
-            self.in_order = self.in_order and last
+        """Take ``entry`` (its atom's index ``keys``) if it is of this bucket;
+        ``last``: it is the newest entry of the level (it goes last)."""
+        if (self.key is None or self.key in keys) and entry not in self.entries and entry not in self.late:
+            if last:
+                self.entries[entry] = None
+            else:
+                insort(self.late, entry, key=_seq)
 
     def refute(self, entry: _Entry) -> None:
-        """``quick_reject`` refuted ``entry``: forget it until it changes."""
-        self.entries.pop(entry, None)
+        """``quick_reject`` refuted ``entry`` (or it left the level): forget it until it changes."""
+        late = self.late
+        if self.entries.pop(entry, late) is late and entry in late:
+            late.remove(entry)
 
-    def _ordered(self) -> dict[_Entry, None]:
-        if not self.in_order:
-            self.entries = dict.fromkeys(sorted(self.entries, key=_seq))
-            self.in_order = True
-        return self.entries
+    def _merged(self) -> Iterable[_Entry]:
+        """The remembered entries in bucket order, read in place (as often as asked)."""
+        if not self.late:
+            return self.entries
+        if len(self.late) * 8 > len(self.entries):
+            self.entries = dict.fromkeys(merge(self.entries, self.late, key=_seq))
+            self.late = []
+            return self.entries
+        return _Merged(self.entries, self.late)
 
     def snapshot(self) -> list[_Entry]:
         """The remembered entries in bucket order, safe across mutations."""
-        return list(self._ordered())
+        return list(self._merged())
 
-    def open(self) -> dict[_Entry, None]:
+    def open(self) -> Iterable[_Entry]:
         """The remembered entries in bucket order, to iterate in place — no copy
         per search.  What the reader refutes meanwhile it hands to :meth:`close`."""
+        merged = self._merged()
         self.readers += 1
-        return self._ordered()
+        return merged
 
     def close(self, refuted: list[_Entry]) -> None:
         """End a read begun by :meth:`open`, forgetting the ``refuted`` entries."""
         self.readers -= 1
         if self.readers and refuted:
             # a search run from inside a search (by a condition): the outer one
-            # goes on over the dictionary it holds, this one leaves a new one
+            # goes on over the containers it holds, this one leaves new ones
             self.entries = {entry: None for entry in self.entries if entry not in refuted}
+            self.late = [entry for entry in self.late if entry not in refuted]
         else:
             for entry in refuted:
-                self.entries.pop(entry, None)
+                self.refute(entry)
+
+
+class _Merged:
+    """A memory's entries and its late ones, iterated as one sequence in bucket order."""
+
+    __slots__ = ("entries", "late")
+
+    def __init__(self, entries: dict[_Entry, None], late: list[_Entry]):
+        self.entries, self.late = entries, late
+
+    def __iter__(self) -> Iterator[_Entry]:
+        return merge(self.entries, self.late, key=_seq)
 
 
 class Multiset:
@@ -427,7 +458,7 @@ class Multiset:
         memories = self._memories
         if memories is not None:
             for memory in memories.values():
-                memory.entries.pop(entry, None)
+                memory.refute(entry)
         if atom.kind == "rule":
             self._rules_dirty = True
             if memories is not None:

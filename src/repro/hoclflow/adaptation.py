@@ -28,7 +28,6 @@ then compiled into the three kinds of rules of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.hocl import (
@@ -50,6 +49,7 @@ from repro.hocl import (
     TuplePattern,
     TupleTemplate,
 )
+from repro.records import Record
 
 from . import keywords as kw
 from .fields import is_tagged_input, tagged_input_source
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class AdaptationPlan:
+class AdaptationPlan(Record):
     """An adaptation specification resolved against its workflow.
 
     Attributes
@@ -93,21 +92,27 @@ class AdaptationPlan:
     new_sources:
         Replacement exit tasks that become sources of the destination (the
         ``MVSRC`` links).
-    local_trigger:
-        The decentralised ``trigger_adapt`` of this plan, memoised here by
-        :func:`repro.agents.local_rules.local_trigger`: one object per run.
+
+    ``_local_trigger`` is the decentralised ``trigger_adapt`` of this plan,
+    memoised here by :func:`repro.agents.local_rules.local_trigger`: one
+    object per run, neither compared nor shown.
     """
 
-    spec: "AdaptationSpec"
-    replaced: list[str]
-    trigger_tasks: list[str]
-    sources: list[str]
-    destination: str
-    entry_tasks: list[str]
-    exit_tasks: list[str]
-    added_destinations: dict[str, list[str]] = field(default_factory=dict)
-    new_sources: list[str] = field(default_factory=list)
-    local_trigger: Rule | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "spec", "replaced", "trigger_tasks", "sources", "destination", "entry_tasks", "exit_tasks",
+        "added_destinations", "new_sources", "_local_trigger",
+    )
+
+    def __init__(
+        self, spec: "AdaptationSpec", replaced: list[str], trigger_tasks: list[str], sources: list[str],
+        destination: str, entry_tasks: list[str], exit_tasks: list[str],
+        added_destinations: dict[str, list[str]] | None = None, new_sources: list[str] | None = None,
+    ):
+        self.spec, self.replaced, self.trigger_tasks, self.sources = spec, replaced, trigger_tasks, sources
+        self.destination, self.entry_tasks, self.exit_tasks = destination, entry_tasks, exit_tasks
+        self.added_destinations: dict[str, list[str]] = {} if added_destinations is None else added_destinations
+        self.new_sources: list[str] = [] if new_sources is None else new_sources
+        self._local_trigger: Rule | None = None
 
     def affected_tasks(self) -> list[str]:
         """Every task that receives the ``ADAPT`` marker when the plan triggers."""

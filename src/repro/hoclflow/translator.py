@@ -20,11 +20,10 @@ decentralised run never constructs them.  ``gw_setup`` is one object for all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable
 
 from repro.hocl import Multiset, Rule, Subsolution, Symbol, TupleAtom
+from repro.records import Record
 from repro.workflow.dag import Workflow
 
 from . import keywords as kw
@@ -35,8 +34,7 @@ from .generic_rules import GW_SETUP, make_gw_call, make_gw_pass
 __all__ = ["TaskEncoding", "WorkflowEncoding", "encode_workflow"]
 
 
-@dataclass
-class TaskEncoding:
+class TaskEncoding(Record):
     """Everything needed to instantiate one task, locally or centrally.
 
     Attributes
@@ -67,22 +65,29 @@ class TaskEncoding:
         Name of the adaptation owning this replacement task, if any.
     """
 
-    name: str
-    service: str
-    inputs: list[Any]
-    duration: float
-    metadata: dict[str, Any]
-    sources: list[str]
-    destinations: list[str]
-    has_trigger_placeholder: bool = False
-    adaptation_rules: list[Rule] = field(default_factory=list)
-    trigger_plans: list[AdaptationPlan] = field(default_factory=list)
-    is_replacement: bool = False
-    adaptation: str | None = None
+    __slots__ = (
+        "name", "service", "inputs", "duration", "metadata", "sources", "destinations", "has_trigger_placeholder",
+        "adaptation_rules", "trigger_plans", "is_replacement", "adaptation", "_local_rules",
+    )
 
-    @cached_property
+    def __init__(
+        self, name: str, service: str, inputs: list[Any], duration: float, metadata: dict[str, Any],
+        sources: list[str], destinations: list[str], has_trigger_placeholder: bool = False,
+        adaptation_rules: list[Rule] | None = None, trigger_plans: list[AdaptationPlan] | None = None,
+        is_replacement: bool = False, adaptation: str | None = None,
+    ):
+        self.name, self.service, self.inputs, self.duration, self.metadata = name, service, inputs, duration, metadata
+        self.sources, self.destinations, self.has_trigger_placeholder = sources, destinations, has_trigger_placeholder
+        self.adaptation_rules: list[Rule] = [] if adaptation_rules is None else adaptation_rules
+        self.trigger_plans: list[AdaptationPlan] = [] if trigger_plans is None else trigger_plans
+        self.is_replacement, self.adaptation = is_replacement, adaptation
+        self._local_rules: list[Rule] | None = None
+
+    @property
     def local_rules(self) -> list[Rule]:
-        return [GW_SETUP, make_gw_call(self.name), *self.adaptation_rules]
+        if self._local_rules is None:
+            self._local_rules = [GW_SETUP, make_gw_call(self.name), *self.adaptation_rules]
+        return self._local_rules
 
     def initial_solution(self, include_rules: bool = True) -> Multiset:
         """The task's initial (local) solution."""
@@ -101,14 +106,15 @@ class TaskEncoding:
         return TupleAtom([Symbol(self.name), Subsolution(self.initial_solution(include_rules))])
 
 
-@dataclass
-class WorkflowEncoding:
+class WorkflowEncoding(Record):
     """The complete HOCL encoding of a workflow (tasks + global rules)."""
 
-    workflow: Workflow
-    tasks: dict[str, TaskEncoding]
-    global_rules: list[Rule]
-    plans: list[AdaptationPlan]
+    __slots__ = ("workflow", "tasks", "global_rules", "plans")
+
+    def __init__(
+        self, workflow: Workflow, tasks: dict[str, TaskEncoding], global_rules: list[Rule], plans: list[AdaptationPlan]
+    ):
+        self.workflow, self.tasks, self.global_rules, self.plans = workflow, tasks, global_rules, plans
 
     def task_names(self) -> list[str]:
         """Every encoded task (original + replacement), in insertion order."""

@@ -19,8 +19,9 @@ runtime.  All share the profiles and log defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+from repro.records import Frozen
 
 from .message import Message
 
@@ -32,8 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BrokerProfile", "ACTIVEMQ_PROFILE", "KAFKA_PROFILE", "MessageLog", "Broker", "profile_by_name"]
 
 
-@dataclass(frozen=True)
-class BrokerProfile:
+class BrokerProfile(Frozen):
     """Performance/feature profile of a message-queue middleware.
 
     Attributes
@@ -52,10 +52,14 @@ class BrokerProfile:
         the agent-recovery mechanism.
     """
 
+    __slots__ = ("name", "per_message_time", "delivery_overhead", "persistent")
     name: str
     per_message_time: float
     delivery_overhead: float
     persistent: bool
+
+    def __init__(self, name: str, per_message_time: float, delivery_overhead: float, persistent: bool):
+        self._init(name, per_message_time, delivery_overhead, persistent)
 
     def scaled(self, factor: float) -> "BrokerProfile":
         """A profile with all time costs multiplied by ``factor``."""

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator
+from typing import Any, Iterator
+
+from repro.records import Record
 
 from .export import (
     from_chrome,
@@ -78,18 +79,23 @@ __all__ = [
     "configure_logging",
 ]
 
+#: the default of ``Observability.metrics``: a registry of the bundle's own
+_FRESH: Any = object()
 
-@dataclass
-class Observability:
+
+class Observability(Record):
     """The per-run observability bundle: one tracer, one metrics registry.
 
-    ``Observability()`` is fully enabled (a recording tracer would still
-    need to be supplied); the *absence* of a bundle — ``config.obs is
-    None``, the default — is the zero-overhead off state.
+    ``Observability()`` is fully enabled, on a fresh registry (a recording
+    tracer would still need to be supplied); the *absence* of a bundle —
+    ``config.obs is None``, the default — is the zero-overhead off state.
     """
 
-    tracer: Tracer | None = None
-    metrics: MetricsRegistry | None = field(default_factory=MetricsRegistry)
+    __slots__ = ("tracer", "metrics")
+
+    def __init__(self, tracer: Tracer | None = None, metrics: MetricsRegistry | None = _FRESH):
+        self.tracer = tracer
+        self.metrics = MetricsRegistry() if metrics is _FRESH else metrics
 
     def active_tracer(self) -> Tracer | None:
         """The tracer normalised for hot-seam guards (see :func:`active`)."""

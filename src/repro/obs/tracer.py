@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, TextIO
+
+from repro.records import Record
 
 __all__ = [
     "SpanRecord",
@@ -37,16 +38,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class SpanRecord:
+class SpanRecord(Record):
     """One completed span: ``[start, end]`` seconds on ``track``."""
 
-    name: str
-    track: str
-    start: float
-    end: float
-    vt: float | None = None
-    attrs: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "track", "start", "end", "vt", "attrs")
+
+    def __init__(
+        self, name: str, track: str, start: float, end: float, vt: float | None = None,
+        attrs: dict[str, Any] | None = None,
+    ):
+        self.name, self.track, self.start, self.end, self.vt = name, track, start, end, vt
+        self.attrs: dict[str, Any] = {} if attrs is None else attrs
 
     @property
     def duration(self) -> float:
@@ -67,15 +69,16 @@ class SpanRecord:
         return payload
 
 
-@dataclass
-class EventRecord:
+class EventRecord(Record):
     """One instantaneous event at ``time`` seconds on ``track``."""
 
-    name: str
-    track: str
-    time: float
-    vt: float | None = None
-    attrs: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "track", "time", "vt", "attrs")
+
+    def __init__(
+        self, name: str, track: str, time: float, vt: float | None = None, attrs: dict[str, Any] | None = None
+    ):
+        self.name, self.track, self.time, self.vt = name, track, time, vt
+        self.attrs: dict[str, Any] = {} if attrs is None else attrs
 
     def to_json(self) -> dict[str, Any]:
         payload: dict[str, Any] = {

@@ -29,9 +29,9 @@ touching any engine file::
 
     report = GinFlow().run(workflow, broker="inmemory")
 
-This module deliberately imports nothing from the rest of :mod:`repro`, so
-any leaf package can depend on it without creating import cycles; the
-built-in implementations are imported lazily by
+This module deliberately imports nothing from the rest of :mod:`repro` but
+the leaf :mod:`repro.records`, so any leaf package can depend on it without
+creating import cycles; the built-in implementations are imported lazily by
 :func:`ensure_builtin_backends` on first lookup — the execution modes'
 driver modules later still, when a run on that mode is built.
 """
@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import importlib
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
+
+from repro.records import Frozen
 
 __all__ = [
     "KINDS",
@@ -70,8 +71,7 @@ class BackendError(ValueError):
     """Raised on unknown backend names or conflicting registrations."""
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(Frozen):
     """One registered backend: a named factory plus advertised capabilities.
 
     Attributes
@@ -91,11 +91,18 @@ class Backend:
         One-line human description shown by ``ginflow backends``.
     """
 
+    __slots__ = ("kind", "name", "factory", "capabilities", "description")
     kind: str
     name: str
     factory: Callable[..., Any]
-    capabilities: Mapping[str, Any] = field(default_factory=dict)
-    description: str = ""
+    capabilities: Mapping[str, Any]
+    description: str
+
+    def __init__(
+        self, kind: str, name: str, factory: Callable[..., Any], capabilities: Mapping[str, Any] | None = None,
+        description: str = "",
+    ):
+        self._init(kind, name, factory, {} if capabilities is None else capabilities, description)
 
     def build(self, *args: Any, **kwargs: Any) -> Any:
         """Invoke the factory (the only way the engine uses a backend)."""

@@ -15,19 +15,19 @@ engine file.  The historical ``EXECUTION_MODES`` / ``EXECUTORS`` /
 ``BROKERS`` tuples are kept as *derived views* of the registry (module-level
 ``__getattr__``), so they can never drift from it.
 
-The configuration is a frozen dataclass: it validates once on construction
-and can only be varied through :meth:`GinFlowConfig.with_overrides`, which
-returns a new validated instance.
+The configuration is a frozen record (:class:`~repro.records.Frozen`): it
+validates once on construction and can only be varied through
+:meth:`GinFlowConfig.with_overrides`, which returns a new validated instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import Cluster
 from repro.obs import Observability
+from repro.records import Frozen
 from repro.services import NO_FAILURES, FailureModel, ServiceRegistry
 
 from . import backends
@@ -36,8 +36,7 @@ from .costs import CostModel
 __all__ = ["GinFlowConfig", "EXECUTION_MODES", "EXECUTORS", "BROKERS"]
 
 
-@dataclass(frozen=True)
-class GinFlowConfig:
+class GinFlowConfig(Frozen):
     """Configuration of one GinFlow run (immutable; validated on creation).
 
     Attributes
@@ -81,22 +80,36 @@ class GinFlowConfig:
         metrics snapshot lands in ``RunReport.extra["metrics"]``.
     """
 
-    mode: str = "simulated"
-    executor: str = "ssh"
-    broker: str = "activemq"
-    cluster_preset: str = "grid5000"
-    nodes: int = 25
-    cluster: Cluster | None = None
-    network: NetworkModel | None = None
-    failures: FailureModel = NO_FAILURES
-    costs: CostModel = field(default_factory=CostModel)
-    seed: int = 1
-    registry: ServiceRegistry | None = None
-    collect_timeline: bool = True
-    max_virtual_time: float = 1_000_000.0
-    obs: Observability | None = None
+    __slots__ = (
+        "mode", "executor", "broker", "cluster_preset", "nodes", "cluster", "network", "failures", "costs", "seed",
+        "registry", "collect_timeline", "max_virtual_time", "obs",
+    )
+    mode: str
+    executor: str
+    broker: str
+    cluster_preset: str
+    nodes: int
+    cluster: Cluster | None
+    network: NetworkModel | None
+    failures: FailureModel
+    costs: CostModel
+    seed: int
+    registry: ServiceRegistry | None
+    collect_timeline: bool
+    max_virtual_time: float
+    obs: Observability | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, mode: str = "simulated", executor: str = "ssh", broker: str = "activemq",
+        cluster_preset: str = "grid5000", nodes: int = 25, cluster: Cluster | None = None,
+        network: NetworkModel | None = None, failures: FailureModel = NO_FAILURES, costs: CostModel | None = None,
+        seed: int = 1, registry: ServiceRegistry | None = None, collect_timeline: bool = True,
+        max_virtual_time: float = 1_000_000.0, obs: Observability | None = None,
+    ):
+        self._init(
+            mode, executor, broker, cluster_preset, nodes, cluster, network, failures,
+            CostModel() if costs is None else costs, seed, registry, collect_timeline, max_virtual_time, obs,
+        )
         self.validate()
 
     # ------------------------------------------------------------ validation
@@ -169,11 +182,10 @@ class GinFlowConfig:
     # --------------------------------------------------------------- utility
     def with_overrides(self, **overrides: Any) -> "GinFlowConfig":
         """A validated copy of the configuration with some attributes replaced."""
-        unknown = set(overrides) - {spec.name for spec in fields(self)}
+        unknown = set(overrides) - set(self.__match_args__)
         if unknown:
             raise ValueError(f"unknown configuration field(s): {sorted(unknown)}")
-        # replace() re-runs __post_init__, which validates the copy.
-        return replace(self, **overrides)
+        return self._replace(**overrides)  # the constructor validates the copy
 
 
 def __getattr__(name: str) -> Any:

@@ -18,16 +18,15 @@ shape (and roughly the same magnitudes) as the paper's:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.messaging.broker import ACTIVEMQ_PROFILE, KAFKA_PROFILE, BrokerProfile
+from repro.records import Frozen
 
 __all__ = ["CostModel"]
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Frozen):
     """Durations charged to the virtual clock by the simulated runtime.
 
     Attributes
@@ -67,17 +66,35 @@ class CostModel:
         recovery (Kafka consumer catch-up).
     """
 
-    agent_boot_time: float = 0.05
-    handling_base: float = 0.120
-    reduction_unit_cost: float = 0.00010
-    invocation_overhead: float = 1.0
-    status_update_enabled: bool = True
-    status_update_size: int = 256
-    result_message_size: int = 1024
-    activemq: BrokerProfile = field(default_factory=lambda: ACTIVEMQ_PROFILE)
-    kafka: BrokerProfile = field(default_factory=lambda: KAFKA_PROFILE)
-    broker_dispatchers: int = 1
-    recovery_replay_cost_per_message: float = 0.01
+    __slots__ = (
+        "agent_boot_time", "handling_base", "reduction_unit_cost", "invocation_overhead", "status_update_enabled",
+        "status_update_size", "result_message_size", "activemq", "kafka", "broker_dispatchers",
+        "recovery_replay_cost_per_message",
+    )
+    agent_boot_time: float
+    handling_base: float
+    reduction_unit_cost: float
+    invocation_overhead: float
+    status_update_enabled: bool
+    status_update_size: int
+    result_message_size: int
+    activemq: BrokerProfile
+    kafka: BrokerProfile
+    broker_dispatchers: int
+    recovery_replay_cost_per_message: float
+
+    def __init__(
+        self, agent_boot_time: float = 0.05, handling_base: float = 0.120, reduction_unit_cost: float = 0.00010,
+        invocation_overhead: float = 1.0, status_update_enabled: bool = True, status_update_size: int = 256,
+        result_message_size: int = 1024, activemq: BrokerProfile = ACTIVEMQ_PROFILE,
+        kafka: BrokerProfile = KAFKA_PROFILE, broker_dispatchers: int = 1,
+        recovery_replay_cost_per_message: float = 0.01,
+    ):
+        self._init(
+            agent_boot_time, handling_base, reduction_unit_cost, invocation_overhead, status_update_enabled,
+            status_update_size, result_message_size, activemq, kafka, broker_dispatchers,
+            recovery_replay_cost_per_message,
+        )
 
     # ------------------------------------------------------------- helpers
     def broker_profile(self, name: str) -> BrokerProfile:
@@ -105,4 +122,4 @@ class CostModel:
 
     def with_overrides(self, **overrides: Any) -> "CostModel":
         """A copy of the model with some attributes replaced."""
-        return replace(self, **overrides)
+        return self._replace(**overrides)

@@ -27,8 +27,6 @@ is also the engine's :class:`Clock`.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
@@ -41,6 +39,7 @@ from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
 from repro.obs.tracer import Tracer
+from repro.records import Record
 from repro.services import InvocationContext, InvocationResult, Service
 
 from ..frozen import FrozenSetUp
@@ -59,8 +58,7 @@ class Clock(Protocol):
     def now(self) -> float: ...
 
 
-@dataclass
-class AgentHost:
+class AgentHost(Record):
     """Runtime-agnostic book-keeping of one hosted service agent.
 
     A clock may subclass this record to attach its scheduling state (the
@@ -68,37 +66,38 @@ class AgentHost:
     ever touches the fields below.
     """
 
-    encoding: TaskEncoding
-    core: AgentCore
-    node: str = "localhost"
-    alive: bool = True
-    incarnation: int = 0
-    attempts: int = 0
-    failures: int = 0
-    started_at: float | None = None
-    finished_at: float | None = None
+    __slots__ = (
+        "encoding", "core", "node", "alive", "incarnation", "attempts", "failures", "started_at", "finished_at"
+    )
+
+    def __init__(self, encoding: TaskEncoding, core: AgentCore, node: str = "localhost"):
+        self.encoding, self.core, self.node, self.alive = encoding, core, node, True
+        self.incarnation = self.attempts = self.failures = 0
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
 
     @property
     def name(self) -> str:
         return self.encoding.name
 
 
-@dataclass
-class PreparedInvocation:
+class PreparedInvocation(Record):
     """One service invocation, fully prepared by the engine.
 
     The driver runs it at dispatch, awaits what an async service returned
     when its clock can, and feeds the outcome back through
-    :meth:`EnactmentEngine.complete_invocation`.
+    :meth:`EnactmentEngine.complete_invocation`.  ``trace`` is attached by the
+    engine when tracing is on; every runtime's ``invoke`` call then records
+    the invocation span identically.
     """
 
-    host: AgentHost
-    service: Service
-    parameters: list[Any]
-    context: InvocationContext
-    #: attached by the engine when tracing is on; every runtime's `invoke`
-    #: call then records the invocation span identically
-    trace: Tracer | None = None
+    __slots__ = ("host", "service", "parameters", "context", "trace")
+
+    def __init__(
+        self, host: AgentHost, service: Service, parameters: list[Any], context: InvocationContext,
+        trace: Tracer | None = None,
+    ):
+        self.host, self.service, self.parameters, self.context, self.trace = host, service, parameters, context, trace
 
     @property
     def service_name(self) -> str:
@@ -152,6 +151,8 @@ class PreparedInvocation:
         try:
             return InvocationResult(to_atom(outcome.value), outcome.duration, False, outcome.error)
         except AtomError:
+            import inspect  # only a value with no atom form gets here
+
             if inspect.isawaitable(outcome.value):
                 return outcome
             kind = type(outcome.value).__name__

@@ -8,31 +8,28 @@ full event timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.agents.coordinator import TimelineEvent
+from repro.records import Record
 
 __all__ = ["TaskOutcome", "RunReport"]
 
 
-@dataclass
-class TaskOutcome:
+class TaskOutcome(Record):
     """Final state of one task after the run."""
 
-    task: str
-    state: str
-    result: Any = None
-    error: bool = False
-    node: str | None = None
-    started_at: float | None = None
-    finished_at: float | None = None
-    attempts: int = 0
-    failures: int = 0
+    __slots__ = ("task", "state", "result", "error", "node", "started_at", "finished_at", "attempts", "failures")
+
+    def __init__(
+        self, task: str, state: str, result: Any = None, error: bool = False, node: str | None = None,
+        started_at: float | None = None, finished_at: float | None = None, attempts: int = 0, failures: int = 0,
+    ):
+        self.task, self.state, self.result, self.error, self.node = task, state, result, error, node
+        self.started_at, self.finished_at, self.attempts, self.failures = started_at, finished_at, attempts, failures
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Outcome of one GinFlow run (any execution mode).
 
     Attributes
@@ -74,28 +71,33 @@ class RunReport:
         Free-form additional measurements filled by the harnesses.
     """
 
-    succeeded: bool = False
-    timed_out: bool = False
-    mode: str = "simulated"
-    executor: str = "ssh"
-    broker: str = "activemq"
-    nodes: int = 0
-    seed: int = 0
-    deployment_time: float = 0.0
-    execution_time: float = 0.0
-    makespan: float = 0.0
-    tasks: dict[str, TaskOutcome] = field(default_factory=dict)
-    results: dict[str, Any] = field(default_factory=dict)
-    messages_published: int = 0
-    messages_delivered: int = 0
-    failures_injected: int = 0
-    recoveries: int = 0
-    adaptations_triggered: int = 0
-    duplicate_results_ignored: int = 0
-    reduction_reactions: int = 0
-    reduction_match_attempts: int = 0
-    timeline: list[TimelineEvent] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "succeeded", "timed_out", "mode", "executor", "broker", "nodes", "seed", "deployment_time", "execution_time",
+        "makespan", "tasks", "results", "messages_published", "messages_delivered", "failures_injected", "recoveries",
+        "adaptations_triggered", "duplicate_results_ignored", "reduction_reactions", "reduction_match_attempts",
+        "timeline", "extra",
+    )
+
+    def __init__(
+        self, succeeded: bool = False, timed_out: bool = False, mode: str = "simulated", executor: str = "ssh",
+        broker: str = "activemq", nodes: int = 0, seed: int = 0, deployment_time: float = 0.0,
+        execution_time: float = 0.0, makespan: float = 0.0, tasks: dict[str, TaskOutcome] | None = None,
+        results: dict[str, Any] | None = None, messages_published: int = 0, messages_delivered: int = 0,
+        failures_injected: int = 0, recoveries: int = 0, adaptations_triggered: int = 0,
+        duplicate_results_ignored: int = 0, reduction_reactions: int = 0, reduction_match_attempts: int = 0,
+        timeline: list[TimelineEvent] | None = None, extra: dict[str, Any] | None = None,
+    ):
+        self.succeeded, self.timed_out, self.mode, self.executor = succeeded, timed_out, mode, executor
+        self.broker, self.nodes, self.seed, self.deployment_time = broker, nodes, seed, deployment_time
+        self.execution_time, self.makespan = execution_time, makespan
+        self.tasks: dict[str, TaskOutcome] = {} if tasks is None else tasks
+        self.results: dict[str, Any] = {} if results is None else results
+        self.messages_published, self.messages_delivered = messages_published, messages_delivered
+        self.failures_injected, self.recoveries = failures_injected, recoveries
+        self.adaptations_triggered, self.duplicate_results_ignored = adaptations_triggered, duplicate_results_ignored
+        self.reduction_reactions, self.reduction_match_attempts = reduction_reactions, reduction_match_attempts
+        self.timeline: list[TimelineEvent] = [] if timeline is None else timeline
+        self.extra: dict[str, Any] = {} if extra is None else extra
 
     # ------------------------------------------------------------- queries
     def task_outcome(self, name: str) -> TaskOutcome:

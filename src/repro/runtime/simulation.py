@@ -28,9 +28,8 @@ The flow of one run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.agents.actions import Action
+from repro.agents.core import AgentCore
 from repro.hoclflow.translator import TaskEncoding
 from repro.messaging import SimulatedBroker
 from repro.services import InvocationResult
@@ -45,11 +44,14 @@ from .results import RunReport
 __all__ = ["SimulatedRun", "run_simulation"]
 
 
-@dataclass
 class _SimAgent(AgentHost):
     """One simulated service agent: engine host + its virtual serial queue."""
 
-    serial: SerialQueue | None = None
+    __slots__ = ("serial",)
+
+    def __init__(self, encoding: TaskEncoding, core: AgentCore, node: str, serial: SerialQueue):
+        super().__init__(encoding, core, node)
+        self.serial = serial
 
 
 class SimulatedRun(AgentRun):

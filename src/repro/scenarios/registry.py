@@ -37,11 +37,11 @@ built-in catalog (:mod:`repro.scenarios.catalog`) is imported lazily by
 
 from __future__ import annotations
 
-import inspect
 import threading
-from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Any, Callable, Mapping
 
+from repro.records import Frozen
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -62,8 +62,36 @@ class ScenarioError(ValueError):
     """Raised on unknown scenario names, bad specs or conflicting registrations."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+#: the default of a factory parameter that has none
+_REQUIRED: Any = object()
+
+
+def _keywords(factory: Callable[..., Any]) -> tuple[dict[str, Any], bool]:
+    """The parameters ``factory`` takes by keyword, each with its default (``_REQUIRED``
+    when it has none), and whether it takes any other keyword (``**kwargs``).
+
+    A plain function is read off its code object; any other callable (a
+    ``functools.partial``, a class, a wrapped function) through :mod:`inspect`.
+    """
+    if not isinstance(factory, FunctionType) or hasattr(factory, "__wrapped__"):
+        import inspect
+
+        parameters = inspect.signature(factory).parameters.values()
+        keywords = {
+            spec.name: _REQUIRED if spec.default is spec.empty else spec.default
+            for spec in parameters
+            if spec.kind in (spec.POSITIONAL_OR_KEYWORD, spec.KEYWORD_ONLY)
+        }
+        return keywords, any(spec.kind == spec.VAR_KEYWORD for spec in parameters)
+    code, positional = factory.__code__, factory.__defaults__ or ()
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    defaults = dict(zip(names[code.co_argcount - len(positional) : code.co_argcount], positional))
+    defaults.update(factory.__kwdefaults__ or {})
+    keywords = {name: defaults.get(name, _REQUIRED) for name in names[code.co_posonlyargcount :]}
+    return keywords, bool(code.co_flags & 0x08)  # CO_VARKEYWORDS
+
+
+class Scenario(Frozen):
     """One registered scenario: a named workflow generator plus its declared profile.
 
     Attributes
@@ -89,24 +117,34 @@ class Scenario:
         Free-form labels (``"pegasus"``, ``"synthetic"``, ``"stress"``).
     """
 
+    __slots__ = ("name", "factory", "description", "structure", "cost_profile", "failure_profile", "tags")
     name: str
     factory: Callable[..., Workflow]
-    description: str = ""
-    structure: str = ""
-    cost_profile: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    failure_profile: Mapping[str, Any] = field(default_factory=dict)
-    tags: tuple[str, ...] = ()
+    description: str
+    structure: str
+    cost_profile: Mapping[str, tuple[float, float]]
+    failure_profile: Mapping[str, Any]
+    tags: tuple[str, ...]
+
+    def __init__(
+        self, name: str, factory: Callable[..., Workflow], description: str = "", structure: str = "",
+        cost_profile: Mapping[str, tuple[float, float]] | None = None, failure_profile: Mapping[str, Any] | None = None,
+        tags: tuple[str, ...] = (),
+    ):
+        self._init(
+            name, factory, description, structure, {} if cost_profile is None else cost_profile,
+            {} if failure_profile is None else failure_profile, tags,
+        )
 
     def build(self, **params: Any) -> Workflow:
         """Generate the workflow (unknown parameters raise :class:`ScenarioError`)."""
-        try:
-            signature = inspect.signature(self.factory)
-            signature.bind_partial(**params)
-        except TypeError as exc:
-            accepted = sorted(inspect.signature(self.factory).parameters)
+        keywords, any_keyword = _keywords(self.factory)
+        unknown = [name for name in params if name not in keywords]
+        if unknown and not any_keyword:
             raise ScenarioError(
-                f"scenario {self.name!r}: {exc} (accepted parameters: {accepted})"
-            ) from None
+                f"scenario {self.name!r}: got an unexpected keyword argument {unknown[0]!r} "
+                f"(accepted parameters: {sorted(keywords)})"
+            )
         try:
             workflow = self.factory(**params)
         except ValueError as exc:  # a parameter the factory (or its generator) refused
@@ -119,11 +157,7 @@ class Scenario:
 
     def parameters(self) -> dict[str, Any]:
         """The factory's keyword parameters and their defaults."""
-        return {
-            name: (None if spec.default is inspect.Parameter.empty else spec.default)
-            for name, spec in inspect.signature(self.factory).parameters.items()
-            if spec.kind in (spec.POSITIONAL_OR_KEYWORD, spec.KEYWORD_ONLY)
-        }
+        return {name: None if default is _REQUIRED else default for name, default in _keywords(self.factory)[0].items()}
 
 
 class ScenarioRegistry:
@@ -151,7 +185,7 @@ class ScenarioRegistry:
         def _store(func: Callable[..., Workflow]) -> Callable[..., Workflow]:
             if not callable(func):
                 raise ScenarioError(f"scenario {name!r}: factory must be callable")
-            parameters = inspect.signature(func).parameters
+            parameters = _keywords(func)[0]
             for required in ("size", "seed"):
                 if required not in parameters:
                     raise ScenarioError(

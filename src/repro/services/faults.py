@@ -13,15 +13,13 @@ detection and the automatic restart take additional, configurable delays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.records import Frozen
 from repro.simkernel import RandomStreams
 
 __all__ = ["FailureModel", "NO_FAILURES"]
 
 
-@dataclass(frozen=True)
-class FailureModel:
+class FailureModel(Frozen):
     """Parameters of the failure-injection model.
 
     Attributes
@@ -37,16 +35,20 @@ class FailureModel:
         Time to start the replacement agent (scheduling + process start).
     """
 
-    probability: float = 0.0
-    delay: float = 0.0
-    detection_delay: float = 0.5
-    restart_delay: float = 1.5
+    __slots__ = ("probability", "delay", "detection_delay", "restart_delay")
+    probability: float
+    delay: float
+    detection_delay: float
+    restart_delay: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability < 1.0:
+    def __init__(
+        self, probability: float = 0.0, delay: float = 0.0, detection_delay: float = 0.5, restart_delay: float = 1.5
+    ):
+        if not 0.0 <= probability < 1.0:
             raise ValueError("failure probability must be in [0, 1)")
-        if self.delay < 0 or self.detection_delay < 0 or self.restart_delay < 0:
+        if delay < 0 or detection_delay < 0 or restart_delay < 0:
             raise ValueError("failure-model delays must be >= 0")
+        self._init(probability, delay, detection_delay, restart_delay)
 
     @property
     def enabled(self) -> bool:

@@ -18,8 +18,9 @@ registration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.records import Record
 
 __all__ = [
     "InvocationContext",
@@ -36,8 +37,7 @@ class ServiceFailure(Exception):
     """Raised by a service invocation to signal failure (becomes ``ERROR``)."""
 
 
-@dataclass
-class InvocationContext:
+class InvocationContext(Record):
     """Information available to a service when it is invoked.
 
     Attributes
@@ -53,20 +53,20 @@ class InvocationContext:
         agent recovery.
     """
 
-    task_name: str
-    duration: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
-    attempt: int = 1
+    __slots__ = ("task_name", "duration", "metadata", "attempt")
+
+    def __init__(self, task_name: str, duration: float = 0.0, metadata: dict[str, Any] | None = None, attempt: int = 1):
+        self.task_name, self.duration, self.attempt = task_name, duration, attempt
+        self.metadata: dict[str, Any] = {} if metadata is None else metadata
 
 
-@dataclass
-class InvocationResult:
+class InvocationResult(Record):
     """Outcome of a service invocation."""
 
-    value: Any
-    duration: float
-    failed: bool = False
-    error: str | None = None
+    __slots__ = ("value", "duration", "failed", "error")
+
+    def __init__(self, value: Any, duration: float, failed: bool = False, error: str | None = None):
+        self.value, self.duration, self.failed, self.error = value, duration, failed, error
 
 
 class Service:

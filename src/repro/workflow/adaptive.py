@@ -22,8 +22,9 @@ The paper restricts which replacements are legal (Fig. 9):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.records import Record
 
 from .errors import AdaptationValidationError
 
@@ -33,8 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AdaptationSpec"]
 
 
-@dataclass
-class AdaptationSpec:
+class AdaptationSpec(Record):
     """One replacement scenario attached to a workflow.
 
     Attributes
@@ -63,12 +63,16 @@ class AdaptationSpec:
         region.  See DESIGN.md for the rationale.
     """
 
-    name: str
-    replaced: list[str]
-    replacement: "Workflow"
-    entry_sources: dict[str, list[str]] = field(default_factory=dict)
-    trigger_on: list[str] | None = None
-    clear_destination_inputs: bool = False
+    __slots__ = ("name", "replaced", "replacement", "entry_sources", "trigger_on", "clear_destination_inputs")
+
+    def __init__(
+        self, name: str, replaced: list[str], replacement: "Workflow",
+        entry_sources: dict[str, list[str]] | None = None, trigger_on: list[str] | None = None,
+        clear_destination_inputs: bool = False,
+    ):
+        self.name, self.replaced, self.replacement, self.trigger_on = name, replaced, replacement, trigger_on
+        self.entry_sources: dict[str, list[str]] = {} if entry_sources is None else entry_sources
+        self.clear_destination_inputs = clear_destination_inputs
 
     # ------------------------------------------------------------ derived
     def trigger_tasks(self) -> list[str]:

@@ -14,17 +14,17 @@ of the service in seconds, used by the simulated services.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Any, Iterable, Iterator, Mapping
+
+from repro.records import Record
 
 from .errors import WorkflowValidationError
 
 __all__ = ["Task", "Workflow"]
 
 
-@dataclass
-class Task:
+class Task(Record):
     """One node of the workflow DAG.
 
     Attributes
@@ -45,21 +45,21 @@ class Task:
         Free-form extra information (workload class, level index, ...).
     """
 
-    name: str
-    service: str
-    inputs: list[Any] = field(default_factory=list)
-    duration: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "service", "inputs", "duration", "metadata")
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise WorkflowValidationError(f"task name must be a non-empty string, got {self.name!r}")
-        if not self.service or not isinstance(self.service, str):
-            raise WorkflowValidationError(
-                f"task {self.name!r}: service must be a non-empty string, got {self.service!r}"
-            )
-        if self.duration < 0:
-            raise WorkflowValidationError(f"task {self.name!r}: duration must be >= 0")
+    def __init__(
+        self, name: str, service: str, inputs: list[Any] | None = None, duration: float = 0.0,
+        metadata: dict[str, Any] | None = None,
+    ):
+        if not name or not isinstance(name, str):
+            raise WorkflowValidationError(f"task name must be a non-empty string, got {name!r}")
+        if not service or not isinstance(service, str):
+            raise WorkflowValidationError(f"task {name!r}: service must be a non-empty string, got {service!r}")
+        if duration < 0:
+            raise WorkflowValidationError(f"task {name!r}: duration must be >= 0")
+        self.name, self.service, self.duration = name, service, duration
+        self.inputs: list[Any] = [] if inputs is None else inputs
+        self.metadata: dict[str, Any] = {} if metadata is None else metadata
 
     def copy(self) -> "Task":
         """An independent copy of the task."""

@@ -5,8 +5,6 @@ public ``repro`` facade and run workflows on them — no file under
 ``src/repro/runtime/`` (or anywhere else in the engine) is modified.
 """
 
-import dataclasses
-
 import pytest
 
 from repro import (
@@ -24,6 +22,7 @@ from repro import (
     register_cluster,
     register_executor,
 )
+from repro.records import FrozenError
 from repro.runtime.backends import BackendRegistry, registry
 
 
@@ -114,9 +113,9 @@ class TestConfigValidation:
 
     def test_config_is_immutable(self):
         config = GinFlowConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             config.nodes = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             config.broker = "kafka"
 
     def test_with_overrides_validates(self):

@@ -653,6 +653,32 @@ class TestMemoryLifetime:
         waiting.add(1)
         assert memory.snapshot() == [entry]
 
+    def test_an_entry_returning_out_of_turn_waits_apart_and_reads_in_bucket_order(self):
+        """Structural, not timed: the entries that did not move stay where they
+        are (the same dictionary, never re-sorted), and a read merges the late one
+        into bucket order; folding waits until the late ones outgrow an eighth."""
+        held = [Multiset() for _ in range(40)]
+        ms = Multiset([Subsolution(solution) for solution in held])
+        memory = ms.memory_for(_NON_EMPTY, _NON_EMPTY.index_key())
+        entries = list(ms.live_entries(_NON_EMPTY.index_key()))
+        for entry in entries[:20]:  # what the engine refutes: every empty one up to here
+            memory.refute(entry)
+        kept = memory.entries
+        held[12].add(1)
+        held[3].add(1)
+        assert memory.late == [entries[3], entries[12]] and memory.entries is kept
+        assert memory.snapshot() == [entries[3], entries[12], *entries[20:]] and memory.entries is kept
+        memory.refute(entries[12])
+        held[7].add(1)
+        held[5].add(1)  # three late ones against twenty: past an eighth, the next read folds them
+        assert memory.late == [entries[3], entries[5], entries[7]]
+        assert memory.snapshot() == [entries[3], entries[5], entries[7], *entries[20:]]
+        assert memory.late == [] and list(memory.entries) == memory.snapshot()
+        held[9].add(1)
+        ms.remove_identical(entries[9].atom)  # gone from the level: gone from the memory, late or not
+        ms.remove_identical(entries[5].atom)
+        assert memory.late == [] and memory.snapshot() == [entries[3], entries[7], *entries[20:]]
+
 
 class TestFlagSetFootprint:
     def test_the_flag_set_of_a_settled_level_is_small_again(self):

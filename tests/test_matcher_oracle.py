@@ -66,6 +66,7 @@ from repro.hocl import (
 from repro.hocl import matching as matching_module
 from repro.hocl import patterns as patterns_module
 from repro.hocl.matching import compiled_search, first_match
+from repro.hocl.multiset import _held_solutions
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import make_gw_pass, register_workflow_externals
 
@@ -169,7 +170,7 @@ def _refutations(patterns, solution):
     for index, pattern in enumerate(patterns):
         memory = (solution._memories or {}).get(pattern)
         if memory is not None:
-            held[index] = sorted(position[entry] for entry in memory.entries)
+            held[index] = sorted(position[entry] for entry in memory.snapshot())
     return held
 
 
@@ -292,6 +293,30 @@ class TestAgainstTheInterpreter:
         assert ours.memory_for(patterns[0], patterns[0].index_key()).readers == 0
         _same(list(find_matches(patterns, ours)), matcher_reference.search(patterns, theirs))  # and goes on from there
         assert _refutations(patterns, ours) == {0: [1, 3]}
+
+    @given(
+        program=_programs(),
+        rounds=st.lists(st.lists(st.integers(0, 11), max_size=3), max_size=3),
+        condition=_CONDITIONS,
+    )
+    @settings(max_examples=_EXAMPLES // 2, deadline=None)
+    def test_what_returns_out_of_turn_is_read_in_turn(self, program, rounds, condition):
+        """Between searches something changes below some atoms, so their entries
+        return to the memories out of turn: every search still finds what a search
+        of a fresh level of the same atoms finds, in the same order, and refutes
+        what the interpreter refutes."""
+        patterns, atoms = program
+        ours, theirs = Multiset(atoms), Multiset(atoms)
+        holders = [held for atom in atoms if atom._mutable for held in _held_solutions(atom)]
+        keys = [pattern.index_key() for pattern in patterns]
+        for changes in [[], *rounds]:
+            for change in changes:
+                if holders:
+                    holders[change % len(holders)].add(IntAtom(change % 3))
+            found = list(find_matches(patterns, ours, condition))
+            _same(found, list(find_matches(patterns, Multiset(atoms), condition)))
+            _same(found, matcher_reference.search(patterns, theirs, condition, keys=keys))
+            assert _refutations(patterns, ours) == _refutations(patterns, theirs)
 
     @given(program=_programs())
     @settings(max_examples=_EXAMPLES // 2, deadline=None)
@@ -487,6 +512,39 @@ class TestNoStateOnTheCompiledForm:
         assert len(expected) == 3 and inner == [expected] * 3
         assert _refutations(patterns, solution) == _refutations(patterns, plain) == {0: [0, 2, 4]}
         assert solution.memory_for(patterns[0], patterns[0].index_key()).readers == 0
+
+    def test_late_entries_are_read_again_for_every_outer_candidate_and_inside_a_search(self):
+        """Two memory-backed patterns: the second memory is iterated once per
+        candidate of the first, in bucket order, while entries that came back out
+        of turn wait apart — also under a search run from inside the search, which
+        refutes a late entry the outer reads are already past the head of."""
+        patterns = [
+            TuplePattern(Var("h"), SolutionPattern(Var("x", kind="int"))),
+            TuplePattern(Var("k"), SolutionPattern(Var("y", kind="int"))),
+        ]
+        held = [Multiset([index] if index < 40 else []) for index in range(46)]
+        atoms = [TupleAtom([Symbol(f"T{index}"), Subsolution(solution)]) for index, solution in enumerate(held)]
+        solution = Multiset(atoms)
+        assert len(list(find_matches(patterns, solution))) == 40 * 39  # and the six empty tuples refuted
+        for index in (44, 42, 43):
+            held[index].add(index)
+        held[41].add(Symbol("S"))  # back, and refuted again by the first search that reads it
+        memories = [solution.memory_for(pattern, pattern.index_key()) for pattern in patterns]
+        assert [memory.late for memory in memories] == [[solution.live_entries()[index] for index in (41, 42, 43, 44)]] * 2
+        fresh = list(find_matches(patterns, Multiset(atoms)))
+        inner = []
+
+        def condition(_bindings):
+            if not inner:
+                inner.append(list(find_matches(patterns, solution)))
+            return True
+
+        found = list(find_matches(patterns, solution, condition))
+        assert len(found) == 43 * 42 and all(len(memory.late) == 3 for memory in memories)  # not the refuted one
+        _same(found, fresh)
+        _same(inner[0], fresh)
+        _same(list(find_matches(patterns, solution)), matcher_reference.search(patterns, Multiset(atoms)))
+        assert all(memory.readers == 0 for memory in memories)
 
     def test_eight_threads_on_one_compiled_left_hand_side(self):
         gw_pass = make_gw_pass()

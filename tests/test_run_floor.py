@@ -722,6 +722,24 @@ class TestStartUpWithoutNumpyAndNetworkx:
         argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
         assert modules_after(argv, tmp_path, unused) == "LOADED 0 []"
 
+    def test_nothing_generated_at_start_up(self, tmp_path):
+        """Run-path records are written out by hand: ``dataclasses`` and the
+        ``inspect`` it pulls in were 60 % of ``import repro.cli``."""
+        generators = ("dataclasses", "inspect")
+        script = f"import sys\nimport repro.cli\nprint(sorted(m for m in {generators!r} if m in sys.modules))\n"
+        done = fresh_interpreter(script, tmp_path)
+        assert done.returncode == 0 and done.stdout.split() == ["[]"], done.stderr
+        path = tmp_path / "adaptive.json"
+        workflow_to_json(adaptive_diamond_workflow(2, 2, duration=0.01), path)
+        for options in (["--mode", "simulated"], ["--mode", "centralized"],
+                        ["--mode", "simulated", "--broker", "kafka", "--failure-probability", "0.5"]):  # fmt: skip
+            argv = ["run", "--scenario", "montage:size=30,seed=1", *options, "--json"]
+            assert modules_after(argv, tmp_path, generators) == "LOADED 0 []", options
+        assert modules_after(["run", str(path), "--mode", "simulated"], tmp_path, generators) == "LOADED 0 []"
+        # asyncio imports inspect itself; nothing of ours generates a record there either
+        argv = ["run", "--scenario", "longchain:size=20", "--mode", "asyncio"]
+        assert modules_after(argv, tmp_path, ("dataclasses",)) == "LOADED 0 []"
+
     def test_no_numpy_or_networkx_import_left_in_src(self):
         import pathlib
 

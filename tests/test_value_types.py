@@ -1,7 +1,8 @@
-"""The value types of the chemistry and of the agents keep their contract as
-plain slotted classes: what a dataclass gave them (equality by class and
-fields, ``repr``, keyword construction, immutability where there was any),
-and the atoms' constructor errors and sharing rules."""
+"""The value types of the chemistry, of the agents and of the run path keep their
+contract as plain slotted classes: what a dataclass gave them (equality by class
+and fields, ``repr``, keyword construction, hashing and immutability where there
+was any, pickling), held to a dataclass of the same fields as the oracle, and
+their constructor errors and sharing rules."""
 
 import dataclasses
 import pickle
@@ -25,7 +26,25 @@ from repro.hocl import (
     Symbol,
     TupleAtom,
 )
+from repro.agents.coordinator import TaskStatus, TimelineEvent
+from repro.cluster import NetworkModel, Node
+from repro.executors.base import DeploymentPlan
+from repro.executors.mesos import MesosExecutor
+from repro.executors.ssh import SSHExecutor
+from repro.experiments.experiment import _CONFIG_FIELDS
 from repro.hocl.engine import ReactionRecord
+from repro.hoclflow.translator import TaskEncoding
+from repro.messaging import BrokerProfile
+from repro.obs import EventRecord, Observability, SpanRecord
+from repro.records import Frozen, FrozenError
+from repro.runtime import CostModel, GinFlowConfig
+from repro.runtime.backends import Backend, available_runtimes
+from repro.runtime.enactment import AgentHost
+from repro.runtime.results import RunReport, TaskOutcome
+from repro.runtime.simulation import _SimAgent
+from repro.scenarios.registry import Scenario
+from repro.services import FailureModel, InvocationContext, InvocationResult
+from repro.workflow import Task, WorkflowValidationError
 
 ACTIONS = [
     SendResult("merge", IntAtom(3)),
@@ -51,9 +70,9 @@ class TestActions:
     @pytest.mark.parametrize("action", ACTIONS, ids=lambda action: type(action).__name__)
     def test_assignment_raises(self, action):
         field = action.__slots__[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             setattr(action, field, "elsewhere")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenError):
             delattr(action, field)
         with pytest.raises(AttributeError):
             action.extra = 1
@@ -171,3 +190,122 @@ class TestAtoms:
         assert late == Symbol("c") and late is not Symbol("c") and hash(late) == hash(Symbol("c"))
         assert sorted(Symbol._interned) == ["a", "b"]
         assert pickle.loads(pickle.dumps(Symbol("a"))) is Symbol("a")
+
+
+# ---------------------------------------------------- the run path's records
+#: one of each record of the run path whose fields compare by value
+RECORDS = [
+    TaskStatus("a", "ready", True, False, 2, 1.5),
+    TimelineEvent(1.0, "a", "failure", "attempt 1"),
+    Node("n1", 4, 2, ["a"]),
+    NetworkModel(0.001, 1000.0, 0.1),
+    DeploymentPlan({"a": "n"}, {"a": 1.0}, 1.0, "ssh"),
+    SSHExecutor(0.5, 0.2, 1.0),
+    MesosExecutor(1.0, 0.5, 0.25),
+    BrokerProfile("x", 0.1, 0.2, True),
+    CostModel(agent_boot_time=0.1),
+    FailureModel(0.5, 15.0),
+    GinFlowConfig(nodes=5, broker="kafka", failures=FailureModel(0.5, 15.0)),
+    InvocationContext("t", 1.0, {"k": 1}, 2),
+    InvocationResult(IntAtom(3), 1.0),
+    TaskOutcome("t", "completed", "x", False, "n1", 0.0, 1.0, 1, 0),
+    RunReport(succeeded=True, tasks={"t": TaskOutcome("t", "completed")}, timeline=[TimelineEvent(1.0, "t", "ready")]),
+    SpanRecord("s", "t", 0.0, 1.0, None, {"k": 1}),
+    EventRecord("e", "t", 1.0, 2.0),
+    Observability(None, None),
+    Task("t", "s", ["in"], 1.0, {"k": 1}),
+    TaskEncoding("t", "s", [], 1.0, {}, ["a"], ["b"], is_replacement=True, adaptation="swap"),
+    Backend("runtime", "x", available_runtimes, {"persistent": True}, "d"),
+    Scenario("s", available_runtimes, "d", "a chain", {"task": (0.1, 0.5)}, {}, ("synthetic",)),
+]
+
+
+def _twin(record):
+    """The dataclass of ``record``'s fields (frozen where it is), holding the same values."""
+    cls = type(record)
+    twin = dataclasses.make_dataclass(cls.__qualname__, cls.__match_args__, frozen=isinstance(record, Frozen))
+    return twin(*record._fields())
+
+
+def _hash_of(value):
+    try:
+        return hash(value)
+    except TypeError as error:  # a field holding a dict or a list
+        return type(error)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+class TestRunPathRecords:
+    def test_equal_to_an_equal_one_and_not_to_another_class(self, record):
+        again = type(record)(*record._fields())
+        assert again == record and again is not record and not record != again
+        assert record != _twin(record) and record != record._fields()
+
+    def test_shown_hashed_and_frozen_as_the_dataclass_was(self, record):
+        twin = _twin(record)
+        assert repr(record) == repr(twin)
+        assert (type(record).__hash__ is None) is (type(twin).__hash__ is None)
+        if type(record).__hash__ is not None:
+            assert _hash_of(record) == _hash_of(twin)
+        field = record.__match_args__[0]
+        if isinstance(record, Frozen):
+            with pytest.raises(FrozenError, match=f"cannot assign to or delete field '{field}'"):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        else:
+            setattr(record, field, getattr(record, field))
+        assert not hasattr(record, "__dict__")
+
+    def test_pickled_and_back(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+class TestRunPathRecordContracts:
+    def test_fields_follow_the_class_chain_and_skip_private_slots(self):
+        assert _SimAgent.__match_args__ == (*AgentHost.__match_args__, "serial")
+        assert "_local_rules" not in TaskEncoding.__match_args__ and "_local_rules" in TaskEncoding.__slots__
+
+    def test_experiments_read_the_configuration_fields(self):
+        assert _CONFIG_FIELDS == set(GinFlowConfig.__match_args__)
+        assert {"mode", "broker", "nodes", "costs", "seed", "obs"} <= _CONFIG_FIELDS
+
+    def test_defaults_are_fresh_per_record(self):
+        first, second = RunReport(), RunReport()
+        first.extra["k"] = 1
+        first.tasks["t"] = TaskOutcome("t", "done")
+        assert second.extra == {} and second.tasks == {} and Task("a", "s").inputs is not Task("b", "s").inputs
+        assert GinFlowConfig().costs == CostModel() and Observability().metrics is not Observability().metrics
+
+    def test_with_overrides_validates_and_rejects_unknown_fields(self):
+        config = GinFlowConfig()
+        assert config.with_overrides(nodes=3) == GinFlowConfig(nodes=3) != config
+        with pytest.raises(ValueError, match="unknown configuration field"):
+            config.with_overrides(nodez=3)
+        with pytest.raises(ValueError, match="nodes must be >= 1"):
+            config.with_overrides(nodes=0)
+        assert CostModel().with_overrides(handling_base=1.0).handling_base == 1.0
+        with pytest.raises(TypeError, match="handling_bass"):
+            CostModel().with_overrides(handling_bass=1.0)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: FailureModel(probability=1.0), ValueError, "failure probability must be in [0, 1)"),
+            (lambda: FailureModel(delay=-1), ValueError, "failure-model delays must be >= 0"),
+            (lambda: GinFlowConfig(nodes=0), ValueError, "nodes must be >= 1"),
+            (lambda: Task("", "s"), WorkflowValidationError, "task name must be a non-empty string, got ''"),
+            (lambda: Task("a", ""), WorkflowValidationError, "task 'a': service must be a non-empty string, got ''"),
+            (lambda: Task("a", "s", duration=-1), WorkflowValidationError, "task 'a': duration must be >= 0"),
+        ],
+    )
+    def test_constructor_errors_unchanged(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("cls", [TaskStatus, TimelineEvent, BrokerProfile, Task, InvocationResult])
+    def test_a_missing_or_unknown_argument_is_a_type_error(self, cls):
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError, match="bogus"):
+            cls(*cls.__match_args__, bogus=1)
