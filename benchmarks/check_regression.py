@@ -8,10 +8,9 @@ Two gates:
   families, ``cybershake-200-centralized`` and ``sipht-200-centralized``) is
   re-measured ``--runs`` times (the best wall counts) and held to its row of
   the committed ``BENCH_reduction.json`` by
-  :func:`test_bench_reduction.row_regressions`: ``reactions``,
-  ``match_attempts`` and ``patched`` exactly (the search is deterministic, so
-  any drift is a real behavioural change, and a rule silently losing its
-  delta form shows as fewer ``patched``), the wall within the tolerance
+  :func:`test_bench_reduction.row_regressions`: ``reactions`` and
+  ``match_attempts`` exactly (the search is deterministic, so any drift is a
+  real behavioural change), the wall within the tolerance
   (default 20 %) after *calibration* — the naive walk runs the same scenario
   in the same process, and the committed wall is scaled by the measured over
   the committed naive wall, so a uniformly slower runner moves both sides;
@@ -82,7 +81,7 @@ def check_scenario(scenario: str, committed: dict, runs: int, tolerance: float, 
         print(
             f"OK {scenario}: wall {best['wall_seconds']:.3f}s (committed {committed['wall_seconds']}s, "
             f"naive {best['naive']['wall_seconds']:.3f}s vs {committed['naive']['wall_seconds']}s), "
-            f"match_attempts {best['match_attempts']}, patched {best['patched']} (unchanged)"
+            f"reactions {best['reactions']}, match_attempts {best['match_attempts']} (unchanged)"
         )
     return not problems
 

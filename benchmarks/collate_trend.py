@@ -8,8 +8,8 @@ jumps above its tolerance; slow drift *inside* the tolerance compounds
 silently across PRs.  This script folds any number of downloaded artifacts
 into one per-scenario trend table so that drift becomes visible:
 
-* one row per (commit, scenario): reactions, match_attempts, patched
-  reactions and wall seconds of the one reduction loop (schema 8 on; older
+* one row per (commit, scenario): reactions, match_attempts and wall
+  seconds of the one reduction loop (schema 8 on; older
   artifacts contribute their ``serial`` row), plus the naive wall and the
   wall-clock speedup over it;
 * a ``drift`` column: the wall relative to the *first* (oldest) collated
@@ -56,7 +56,6 @@ _COLUMNS = (
     "scenario",
     "reactions",
     "match_attempts",
-    "patched",
     "wall_seconds",
     "naive_wall_seconds",
     "speedup",
@@ -109,7 +108,6 @@ def load_rows(path: Path) -> Iterator[dict[str, Any]]:
             "scenario": scenario,
             "reactions": row.get("reactions"),
             "match_attempts": measured.get("match_attempts"),
-            "patched": measured.get("patched"),
             "wall_seconds": measured.get("wall_seconds"),
             "naive_wall_seconds": row.get("naive", {}).get("wall_seconds"),
             "speedup": row.get("speedup", {}).get("wall_clock"),

@@ -1,11 +1,11 @@
 """Benchmark of the HOCL reduction engine.
 
 Five claims are checked and written to ``BENCH_reduction.latest.json``
-(schema_version 9, one row per scenario):
+(schema_version 10, one row per scenario):
 
 * **Equivalence** — the engine (inertness caching, head-symbol indexing,
   quick-reject pre-checks, flagged-entry descent, plausible-candidate
-  memories, in-place deltas) produces a :attr:`ReductionReport.history`
+  memories, in-place derived deltas) produces a :attr:`ReductionReport.history`
   identical to the naive walk's (``NaiveEngine`` of
   ``tests/reduction_reference.py``) on every scenario;
 * **Attempt speedup** — the engine performs at least 5× fewer match attempts
@@ -15,14 +15,14 @@ Five claims are checked and written to ``BENCH_reduction.latest.json``
   multiset and match-attempt count;
 * **Scaling** — the centralised SIPHT exponent is at most 1.2;
 * **No row regresses** against its own committed value
-  (:func:`row_regressions`): ``match_attempts`` and ``patched`` exactly, the
+  (:func:`row_regressions`): ``reactions`` and ``match_attempts`` exactly, the
   wall within a tolerance after calibration by the naive wall.  The suite
   allows 2× (a slow or busy machine must not fail the tests);
   ``check_regression.py`` gates CI at 20 %.
 
-A row holds the reactions, the match attempts, the reactions patched in
-place, the wall seconds (and per reaction), the naive walk's attempts and
-wall, the speedups over it, and a ``compiled`` object: the number of distinct
+A row holds the reactions, the match attempts, the wall seconds (and per
+reaction), the naive walk's attempts and wall, the speedups over it, and a
+``compiled`` object: the number of distinct
 compiled left-hand sides the scenario's rules hold
 (:func:`repro.hocl.matching.compiled_search`: one per distinct left-hand side,
 not per task) and the bytes of their generated form — bytecode and constants
@@ -148,11 +148,10 @@ def measure(scenario: str) -> dict:
         f"({naive.match_attempts} -> {report.match_attempts})"
     )
     rebuilt, rebuilt_solution, _seconds = reduce_scenario(scenario, RebuildEngine)
-    assert_parity((report, solution), (rebuilt, rebuilt_solution), rebuilt=True)
+    assert_parity((report, solution), (rebuilt, rebuilt_solution))
     return {
         "reactions": report.reactions,
         "match_attempts": report.match_attempts,
-        "patched": report.patched,
         "wall_seconds": round(seconds, 3),
         "us_per_reaction": round(1e6 * seconds / max(1, report.reactions), 1),
         "compiled": compiled_footprint(encode_workflow(_SCENARIOS[scenario]()).to_multiset()),
@@ -183,7 +182,7 @@ def row_regressions(row: dict, committed: dict, tolerance: float, slack: float) 
     """
     problems = [
         f"{key} {row[key]} != committed {committed[key]}"
-        for key in ("reactions", "match_attempts", "patched")
+        for key in ("reactions", "match_attempts")
         if key in committed and row[key] != committed[key]
     ]
     calibration = naive_calibration(row["naive"]["wall_seconds"], committed["naive"]["wall_seconds"])
@@ -278,7 +277,7 @@ def test_benchmark_matrix_and_artifact():
 
     payload = {
         "benchmark": "hocl-reduction",
-        "schema_version": 9,
+        "schema_version": 10,
         "scaling": measure_scaling(_full_profile()),
         "scenarios": scenarios,
     }

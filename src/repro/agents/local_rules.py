@@ -42,8 +42,6 @@ from __future__ import annotations
 from repro.hocl import (
     BindingView,
     Omega,
-    PatchRemove,
-    RewriteDelta,
     Rule,
     SolutionPattern,
     SolutionTemplate,
@@ -87,9 +85,6 @@ GW_CALL = Rule(
     ],
     one_shot=True,
     effect=_start_invocation,
-    # Delta form: SRC/SRV stay in place, PAR is consumed, the INVOKING
-    # marker is the only new atom.
-    delta=RewriteDelta(consume=(2,), produce=(kw.INVOKING_SYM,)),
 )
 
 #: Local ``gw_pass``: send the (non-``ERROR``) result to one pending destination.
@@ -106,9 +101,6 @@ GW_PASS = Rule(
     condition=gw_pass_condition,
     one_shot=False,
     effect=_send_result,
-    # Delta form: RES stays untouched; the served destination is dropped
-    # from the kept DST body in place.
-    delta=RewriteDelta(ops=(PatchRemove(at=1, items=(Ref("tj"),)),)),
 )
 
 #: ``params`` and the built-ins; the decentralised ``gw_call`` never calls
@@ -133,7 +125,7 @@ def local_trigger(plan: AdaptationPlan) -> Rule:
             patterns=[
                 TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres"))),
             ],
-            products=[],  # keep_matched=True puts the matched RES tuple back untouched
+            products=[],  # keep_matched=True: the matched RES tuple stays where it is
             one_shot=True,
             keep_matched=True,
             effect=lambda _bindings: broadcast,

@@ -28,7 +28,6 @@ __all__ = ["ObsScope", "reduction_phase_totals"]
 #: Reduction-phase span names and the timing phase each one records.
 _PHASE_SPANS = {
     "reduction.match": "match",
-    "reduction.rewrite": "rewrite",
     "reduction.patch": "patch",
 }
 
@@ -59,11 +58,11 @@ class ObsScope:
 def reduction_phase_totals(spans: tuple[SpanRecord, ...]) -> dict[str, float]:
     """Per-phase reduction seconds recovered from the spans.
 
-    ``match``/``rewrite``/``patch`` are the span durations; ``index`` is the
-    sum of the ``index_seconds`` attributes stamped on rewrite/patch spans —
-    what a traced run reports as ``RunReport.extra["reduction_timings"]``.
+    ``match``/``patch`` are the span durations; ``index`` is the sum of the
+    ``index_seconds`` attributes stamped on patch spans — what a traced run
+    reports as ``RunReport.extra["reduction_timings"]``.
     """
-    totals = {"match": 0.0, "rewrite": 0.0, "patch": 0.0, "index": 0.0}
+    totals = {"match": 0.0, "patch": 0.0, "index": 0.0}
     for span in spans:
         phase = _PHASE_SPANS.get(span.name)
         if phase is None:

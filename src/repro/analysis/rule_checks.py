@@ -379,51 +379,3 @@ def check_template_arity(scope: RuleScope) -> Iterator[Finding]:
                     fix_hint=f"use Ref({node.name!r}) for scalar bindings",
                     location=scope.label,
                 )
-
-
-@register_check(
-    "rule-rebuild-unchanged-fields",
-    kind="rule",
-    severity=Severity.INFO,
-    description="a rule re-emitting a tuple with a matched head could patch it in place",
-)
-def check_rebuild_unchanged_fields(scope: RuleScope) -> Iterator[Finding]:
-    """Delta-eligible rules still doing full reconstruction are a perf smell.
-
-    A rule that matches a field tuple by head (``SRC : <...>``) and re-emits
-    a top-level product tuple with the *same* head is usually re-creating a
-    structure it mostly kept — the quadratic-rebuild class the in-place
-    :class:`~repro.hocl.deltas.RewriteDelta` form eliminates.  Purely
-    informational: the rebuild form stays correct, it just costs O(field
-    size) per fire instead of O(change).  Rules that already carry a delta,
-    keep their match verbatim (``keep_matched``), or compute their products
-    opaquely (``Call``/``Compute`` — nothing to patch statically) are exempt.
-    """
-    for rule in scope.rules:
-        if rule.delta is not None or rule.keep_matched:
-            continue
-        matched_heads = {
-            key[1]
-            for key in rule.pattern_index_keys
-            if isinstance(key, tuple) and key and key[0] == "tuple"
-        }
-        if not matched_heads:
-            continue
-        rebuilt: set[str] = set()
-        for product in rule.products:
-            if isinstance(product, TupleTemplate) and product.elements:
-                head = product.elements[0]
-                if isinstance(head, Symbol) and head.name in matched_heads:
-                    rebuilt.add(head.name)
-        if rebuilt:
-            heads = ", ".join(repr(name) for name in sorted(rebuilt))
-            yield Finding(
-                check="rule-rebuild-unchanged-fields",
-                severity=Severity.INFO,
-                subject=rule.name,
-                message=f"rule {rule.name!r} rebuilds the {heads} tuple(s) it "
-                "matched; a RewriteDelta could patch them in place",
-                fix_hint="add a delta= form with PatchAdd/PatchRemove ops against "
-                "the kept fields (keep the products as the rebuild reference)",
-                location=scope.label,
-            )

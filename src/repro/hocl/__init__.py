@@ -34,7 +34,6 @@ from .atoms import (
     from_atom,
     to_atom,
 )
-from .deltas import DeltaOp, PatchAdd, PatchRemove, RewriteDelta
 from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
 from .errors import (
     AtomError,
@@ -129,11 +128,6 @@ __all__ = [
     "replace",
     "replace_one",
     "with_inject",
-    # rewrite deltas
-    "RewriteDelta",
-    "DeltaOp",
-    "PatchAdd",
-    "PatchRemove",
     # matching / engine
     "Match",
     "find_matches",

@@ -1,61 +1,48 @@
-"""In-place rewrite deltas — copy-on-write rule application.
+"""In-place rewrite deltas — how the engine fires every rule.
 
-The classic right-hand side of a rule *rebuilds*: the engine removes every
-matched atom and expands fresh product templates, even when most of the
-product is structurally identical to what was just consumed.  For the
-workflow rules this is quadratic in the data size — ``gw_pass`` re-creates
-two whole task tuples (re-inserting and re-indexing every ``IN``/``SRC``
-entry) to move one result across one edge.
+A rule is written once, as HOCL writes it: patterns and products.  Fired to
+the letter it would *rebuild*: remove every matched atom and expand fresh
+products, even where a product restates most of what was matched —
+``gw_pass`` would re-create two whole task tuples, re-inserting and
+re-indexing every ``IN``/``SRC`` entry, to move one result across one edge.
+The engine fires the rule's :class:`RewriteDelta` instead, which
+:func:`derive_delta` reads off the two sides at the rule's first fire:
 
-A :class:`RewriteDelta` describes the same reaction as *patches against the
-matched atoms*:
+* a product that *restates* a matched atom keeps that atom: a ``Ref(x)``
+  restates ``Var(x)``, a symbol its ``SymbolPattern`` (an equal atom any
+  ``Literal``), a tuple a tuple field by field, a sub-solution a sub-solution;
+* inside a kept solution body whose ω is spliced back, a sub-pattern the
+  template drops becomes a :class:`PatchRemove`, a template element with no
+  sub-pattern it restates a :class:`PatchAdd`, and a ``HEAD : <...>`` field
+  restated under its head is patched in turn, one level down;
+* every other matched atom is consumed and every other product produced; a
+  ``keep_matched`` rule keeps every matched atom.
 
-* the matched atoms stay in the solution (same objects, same index entries)
-  unless explicitly listed in :attr:`RewriteDelta.consume`;
-* :class:`PatchAdd` / :class:`PatchRemove` operations edit the *nested
-  solutions* of kept atoms in place — adds and removes proportional to the
-  change, not to the field size;
-* :attr:`RewriteDelta.produce` templates expand new top-level atoms exactly
-  like classic products.
+``gw_pass`` (paper 4.07–4.11) derives three patches — ``tj`` out of the
+source's ``DST``, ``ti`` out of the destination's ``SRC``, ``ti : res`` into
+its ``IN`` — and consumes nothing; ``mv_src``, whose one product is an opaque
+``Compute``, restates nothing and consumes all it matched.
 
-Copy-on-write semantics: a delta never deep-copies a payload.  Atoms added
-by a patch are shared by reference (exactly as ``Ref``/``Splice`` expansion
-shares them), and the atoms *around* the patch — the tuple spine, the other
-fields, the untouched inputs — are not rebuilt: they keep their cached
-hashes.  Invalidation rides the existing version
-machinery: mutating a nested :class:`~repro.hocl.multiset.Multiset` bumps
-its version through every enclosing solution (``Multiset._touch``), which is
-precisely the set of caches the patch can have stale — nothing else is
-re-hashed or re-expanded.
-
-Kept anchors *stay put*: a kept matched atom keeps its occurrence entry, its
-position in the level and in every index bucket, and its holder wiring — a
-patch below it already bumps the enclosing versions and re-admits it to the
-candidate memories (``Multiset._touch``).  The rebuild path appends its
-replacement products at the end of the level instead, so the two paths may
-enumerate a level in different orders.  The parity contract, stated once:
-same final ``content_hash``, same ``rule_fires``, same ``match_attempts``,
-same ``patched``, bit-identical simulated timeline; ``history`` equal as a
-multiset, and equal in order wherever every top-level pattern is head-keyed
-(all agent-local solutions), because a head bucket holds one field tuple
-whose place cannot matter.
+Copy-on-write: a delta never deep-copies a payload.  Atoms added by a patch
+are shared by reference (as ``Ref``/``Splice`` expansion shares them), and the
+atoms around the patch — the tuple spine, the other fields, the untouched
+inputs — keep their cached hashes.  Mutating a nested
+:class:`~repro.hocl.multiset.Multiset` bumps its version through every
+enclosing solution (``Multiset._touch``): exactly the caches the patch can
+have made stale.  A kept matched atom keeps its occurrence entry, its place in
+the level and in every index bucket, and its holder wiring.
 
 Addressing
 ----------
-A patch names its target as ``(at, path)``:
-
-* ``at`` is the index of the left-hand-side pattern whose matched atom
-  anchors the patch (``match.consumed[at]``);
-* ``path`` is a sequence of field heads walked *into* the anchor: the anchor
-  resolves to its directly nested solution (a sub-solution atom resolves to
-  itself, a tuple to its sub-solution element), then every head selects the
-  ``head : <...>`` field tuple of the current solution and descends into its
-  body.  ``gw_pass`` patches ``(0, ("DST",))`` — the ``DST`` body of the
-  source task — and ``(1, ("IN",))`` — the ``IN`` body of the destination.
-
-Every delta rule keeps its classic product templates as the *rebuild form*:
-the parity oracle (``tests/reduction_reference.py``) applies those instead,
-and holds the engine to the contract above.
+A patch names its target as ``(at, path)``: ``at`` is the index of the
+left-hand-side pattern whose matched atom anchors it (``match.consumed[at]``);
+the anchor resolves to its directly nested solution (a sub-solution atom to
+itself, a tuple to its first sub-solution element), then every head in
+``path`` selects the ``head : <...>`` field tuple of the current solution and
+descends into its body.  ``gw_pass`` patches ``(0, ("DST",))`` and
+``(1, ("SRC",))`` / ``(1, ("IN",))``.  A path names a field by its head, so
+the derivation relies on the HOCLflow convention of one field per head in a
+body.
 """
 
 from __future__ import annotations
@@ -66,12 +53,23 @@ from .atoms import Atom, Subsolution, TupleAtom
 from .errors import DeltaError
 from .matching import Match
 from .multiset import Multiset
-from .templates import Call, Compute, _referenced_in_all, expand_template, expand_templates
+from .patterns import Literal, Pattern, RulePattern, SolutionPattern, TuplePattern, Var
+from .templates import (
+    Call,
+    Compute,
+    Ref,
+    SolutionTemplate,
+    Splice,
+    TupleTemplate,
+    _referenced_in_all,
+    expand_template,
+    expand_templates,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .externals import ExternalRegistry
 
-__all__ = ["DeltaOp", "PatchAdd", "PatchRemove", "RewriteDelta"]
+__all__ = ["derive_delta"]
 
 
 def _anchor_solution(anchor: Atom) -> Multiset:
@@ -101,7 +99,7 @@ def _is_opaque(template: Any) -> bool:
     """Whether expanding ``template`` can read bindings it does not name."""
     if isinstance(template, (Call, Compute)):
         return True
-    return any(_is_opaque(element) for element in getattr(template, "elements", ()))
+    return any(map(_is_opaque, getattr(template, "elements", ())))
 
 
 class DeltaOp:
@@ -115,8 +113,6 @@ class DeltaOp:
 
     def target(self, match: Match) -> Multiset:
         """The solution this op edits, resolved against the match."""
-        if not 0 <= self.at < len(match.consumed):
-            raise DeltaError(f"patch anchor {self.at} is out of range for the match")
         return _resolve_target(match.consumed[self.at], self.path)
 
     def apply(
@@ -127,10 +123,6 @@ class DeltaOp:
     def expanded(self) -> tuple[Any, ...]:
         """The templates the op expands when applied."""
         return ()
-
-    def referenced_names(self) -> set[str]:
-        """Variable names the op reads from the bindings when applied."""
-        return _referenced_in_all(self.expanded())
 
 
 class PatchAdd(DeltaOp):
@@ -150,7 +142,7 @@ class PatchAdd(DeltaOp):
     def expanded(self) -> tuple[Any, ...]:
         return self.templates
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"PatchAdd(at={self.at}, path={self.path!r}, templates={self.templates!r})"
 
 
@@ -159,7 +151,7 @@ class PatchRemove(DeltaOp):
 
     Items are templates (usually ``Ref``/literals); each expanded atom is
     removed by structural equality — the counterpart of matching it with a
-    pattern and not re-emitting it in the rebuild form.
+    pattern and not re-emitting it in the products.
     """
 
     __slots__ = ("items",)
@@ -182,22 +174,22 @@ class PatchRemove(DeltaOp):
     def expanded(self) -> tuple[Any, ...]:
         return self.items
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"PatchRemove(at={self.at}, path={self.path!r}, items={self.items!r})"
 
 
 class RewriteDelta:
-    """The delta-producing product form of a :class:`~repro.hocl.rules.Rule`.
+    """The in-place form of a :class:`~repro.hocl.rules.Rule` (see :func:`derive_delta`).
 
     Parameters
     ----------
     ops:
         In-place edits against kept matched atoms, applied in order.
     consume:
-        Indices of left-hand-side patterns whose matched atoms *are* removed
+        Indices of left-hand-side patterns whose matched atoms are removed
         from the solution (everything not listed is kept in place).
     produce:
-        Templates for new top-level atoms, expanded like classic products.
+        Templates for new top-level atoms.
     """
 
     __slots__ = ("ops", "consume", "produce", "eager")
@@ -209,16 +201,15 @@ class RewriteDelta:
         produce: Sequence[Any] = (),
     ):
         self.ops = tuple(ops)
-        self.consume = tuple(sorted({int(index) for index in consume}))
+        self.consume = tuple(consume)
         self.produce = tuple(produce)
-        for op in self.ops:
-            if op.at in self.consume:
-                raise DeltaError(f"delta patches pattern {op.at}, which it also consumes")
         #: The names read once the patching has started, which the engine
         #: therefore reads before (an omega is copied out of its solution at its
         #: first read); ``None``: any — a ``Call``/``Compute`` sees every binding.
-        opaque = any(_is_opaque(template) for template in self.expanded())
-        self.eager = None if opaque else tuple(sorted(self.referenced_names()))
+        expanded = list(self.produce)
+        for op in self.ops:
+            expanded += op.expanded()
+        self.eager = None if any(map(_is_opaque, expanded)) else tuple(sorted(_referenced_in_all(expanded)))
 
     def apply(
         self,
@@ -228,31 +219,157 @@ class RewriteDelta:
     ) -> tuple[list[Atom], list[Atom]]:
         """Apply the delta in place on ``solution``; returns ``(removed, added)``.
 
-        The patches edit the kept atoms' bodies, the atoms matched by the
-        ``consume`` patterns leave the level (in pattern order) and the
-        ``produce`` expansions join it; nothing else moves.
+        The ``produce`` templates expand first (a raising one leaves the
+        solution as it was), then the patches edit the kept atoms' bodies, the
+        atoms matched by the ``consume`` patterns leave the level (in pattern
+        order) and the expansions join it; nothing else moves.
         """
+        added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
         for op in self.ops:
             op.apply(match, externals)
         matched = match.consumed
         removed = [matched[index] for index in self.consume]
         for atom in removed:
             solution.remove_identical(atom)
-        added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
         for atom in added:
             solution.add(atom)
         return removed, added
 
-    def expanded(self) -> tuple[Any, ...]:
-        """Every template the delta expands when applied."""
-        return (*(template for op in self.ops for template in op.expanded()), *self.produce)
+    def __repr__(self) -> str:
+        return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
 
-    def referenced_names(self) -> set[str]:
-        """Variable names the delta reads when applied (for static analysis)."""
-        return _referenced_in_all(self.expanded())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, "
-            f"produce={self.produce!r})"
-        )
+def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matched: bool = False) -> RewriteDelta:
+    """The in-place form of the rule ``patterns -> products`` (see the module docstring).
+
+    Each product, in order, keeps the first matched atom not kept yet that it
+    restates; the patches that restatement needs join ``ops``.
+    """
+    if keep_matched:
+        return RewriteDelta(produce=products)
+    kept: set[int] = set()
+    ops: list[DeltaOp] = []
+    produce = []
+    for product in products:
+        for at, pattern in enumerate(patterns):
+            patches = None if at in kept else _restated(pattern, product, at, ())
+            if patches is not None:
+                kept.add(at)
+                ops += patches
+                break
+        else:
+            produce.append(product)
+    return RewriteDelta(ops, [at for at in range(len(patterns)) if at not in kept], produce)
+
+
+def _restated(pattern: Pattern, template: Any, at: int, path: tuple[str, ...] | None) -> list[DeltaOp] | None:
+    """The patches turning the atom ``pattern`` matched into ``template``'s
+    expansion; ``None`` when ``template`` does not restate it.
+
+    ``path`` reaches the atom's patchable body from the anchor ``at``;
+    ``None``: no path does, so only an unchanged restatement keeps the atom.
+    """
+    if isinstance(pattern, Var):
+        return [] if isinstance(template, Ref) and template.name == pattern.name else None
+    if isinstance(pattern, Literal):  # a symbol is interned: identity first
+        return [] if template is pattern.atom or isinstance(template, Atom) and template == pattern.atom else None
+    if isinstance(pattern, SolutionPattern):
+        return _patched_body(pattern, template, at, path) if isinstance(template, SolutionTemplate) else None
+    if not (isinstance(pattern, TuplePattern) and isinstance(template, TupleTemplate)):
+        return None
+    fields = template.elements
+    if pattern.rest is not None:
+        if not (fields and isinstance(fields[-1], Splice) and fields[-1].name == pattern.rest.name):
+            return None
+        fields = fields[:-1]
+    if len(fields) != len(pattern.elements):
+        return None
+    ops: list[DeltaOp] = []
+    for element, field in zip(pattern.elements, fields):
+        # the path reaches the tuple's first sub-solution, and no later one
+        patches = _restated(element, field, at, path if isinstance(element, SolutionPattern) else None)
+        if patches is None:
+            return None
+        ops += patches
+        if path is not None and _may_hold_solution(element):
+            path = None
+    return ops
+
+
+def _patched_body(
+    pattern: SolutionPattern, template: SolutionTemplate, at: int, path: tuple[str, ...] | None
+) -> list[DeltaOp] | None:
+    """The patches turning the body ``pattern`` matched into ``template``'s;
+    ``None`` when the body does not survive (its ω is not spliced back, or a
+    dropped sub-pattern cannot be named) or changes where no path reaches."""
+    # each sub-pattern not restated yet, and the path to its body: a field's
+    # head names it, unless another sub-pattern shares that head
+    left: list[tuple[Pattern, tuple[str, ...] | None]] = []
+    if pattern.elements:
+        heads = [_head(element) for element in pattern.elements]
+        for sub, head in zip(pattern.elements, heads):
+            left.append((sub, None if path is None or head is None or heads.count(head) > 1 else (*path, head)))
+    rest = pattern.rest
+    ops: list[DeltaOp] = []
+    added = []
+    for element in template.elements:
+        if rest is not None and isinstance(element, Splice) and element.name == rest.name:
+            rest = None  # the remainder stays where it is
+            continue
+        for index, (sub, below) in enumerate(left):
+            patches = _restated(sub, element, at, below)
+            if patches is not None:
+                del left[index]
+                ops += patches
+                break
+        else:
+            added.append(element)
+    if rest is not None:
+        return None
+    removed = []
+    for sub, _below in left:
+        item = _rebuilt(sub)
+        if item is None:
+            return None
+        removed.append(item)
+    if removed or added:
+        if path is None:
+            return None
+        if removed:
+            ops.append(PatchRemove(at, path, removed))
+        if added:
+            ops.append(PatchAdd(at, path, added))
+    return ops
+
+
+def _head(pattern: Pattern) -> str | None:
+    """The head of a ``HEAD : ...`` field pattern (``None`` for anything else)."""
+    key = pattern.index_key()
+    return key[1] if isinstance(pattern, TuplePattern) and key[0] == "tuple" else None
+
+
+def _may_hold_solution(pattern: Pattern) -> bool:
+    """Whether the atom ``pattern`` matches can be a sub-solution."""
+    if isinstance(pattern, Var):
+        return pattern.kinds is None or "solution" in pattern.kinds
+    if isinstance(pattern, Literal):
+        return isinstance(pattern.atom, Subsolution)
+    return isinstance(pattern, SolutionPattern)
+
+
+def _rebuilt(pattern: Pattern) -> Any:
+    """A template expanding to (an atom equal to) what ``pattern`` matched; ``None`` if none can."""
+    if isinstance(pattern, Var):
+        return Ref(pattern.name)
+    if isinstance(pattern, Literal):
+        return pattern.atom
+    if isinstance(pattern, RulePattern):
+        return None if pattern.bind_as is None else Ref(pattern.bind_as)
+    if not isinstance(pattern, (TuplePattern, SolutionPattern)):
+        return None
+    elements = [_rebuilt(element) for element in pattern.elements]
+    if any(element is None for element in elements):
+        return None
+    if pattern.rest is not None:
+        elements.append(Splice(pattern.rest.name))
+    return (TupleTemplate if isinstance(pattern, TuplePattern) else SolutionTemplate)(*elements)

@@ -36,15 +36,15 @@ have changed since the last reduction:
   plausible-candidate memory: what its ``quick_reject`` has not refuted;
 * the search itself is :func:`~repro.hocl.matching.first_match` — the engine
   only ever consumes the first admissible match, so it asks for that;
-* a rule carrying a :class:`~repro.hocl.deltas.RewriteDelta` fires through it:
-  matched atoms stay in place (minus the delta's consume set) and the patches
-  edit their nested solutions, instead of everything matched being removed
-  and the products rebuilt.
+* a rule fires through its :class:`~repro.hocl.deltas.RewriteDelta`, derived
+  from its two sides: the atoms a product restates stay in place and the
+  patches edit their nested solutions, instead of everything matched being
+  removed and the products rebuilt.
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to a naive
 walk's that visits every nested solution and tries every rule.  That walk, and
-the rebuild application of delta rules, live in ``tests/reduction_reference.py``
+the rebuild application of the products, live in ``tests/reduction_reference.py``
 as the oracle the engine is held to.
 """
 
@@ -65,20 +65,17 @@ from .rules import Rule
 __all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
 
 #: The reduction phases a traced engine times: ``match`` (searching for an
-#: applicable rule), ``rewrite`` (expanding rebuild products), ``patch``
-#: (applying a rewrite delta) and ``index`` (the top-level removals and
-#: insertions that follow either).
-PHASES = ("match", "rewrite", "patch", "index")
+#: applicable rule), ``patch`` (applying its rewrite delta) and ``index`` (the
+#: one-shot rule's removal that follows).
+PHASES = ("match", "patch", "index")
 
 
 class ReactionRecord(Record):
     """One rule firing, as recorded in a :class:`ReductionReport`.
 
     ``consumed`` counts the matched atoms and ``produced`` the atoms the
-    firing left behind — products on the rebuild path, kept anchors plus
-    ``produce`` expansions on the delta path.  A delta rule whose rebuild
-    products list the kept fields first (the convention every workflow rule
-    follows) records identical numbers on both paths.
+    firing left behind: the kept anchors plus the ``produce`` expansions —
+    as many as expanding the products would make.
     """
 
     __slots__ = ("rule", "depth", "consumed", "produced")
@@ -109,28 +106,22 @@ class ReductionReport(Record):
         reduction (and across merged reports).  ``sum(rule_fires.values())``
         always equals ``reactions``; the dynamic analyzer uses this to flag
         registered rules that never fired over a run or sweep.
-    patched:
-        Number of reactions applied through the in-place delta path
-        (:class:`~repro.hocl.deltas.RewriteDelta`) rather than by rebuilding
-        products; ``patched <= reactions`` always, and the ratio measures
-        how much of the rewrite work the deltas absorbed.
     effects:
         What the fired rules' effect hooks returned, in firing order (see
         :class:`~repro.hocl.rules.Rule`): the report of one ``reduce`` call
         is the only sink an effect has.
     """
 
-    __slots__ = ("reactions", "match_attempts", "inert", "history", "rule_fires", "patched", "effects")
+    __slots__ = ("reactions", "match_attempts", "inert", "history", "rule_fires", "effects")
 
     def __init__(
         self, reactions: int = 0, match_attempts: int = 0, inert: bool = True,
         history: list[ReactionRecord] | None = None, rule_fires: dict[str, int] | None = None,
-        patched: int = 0, effects: list[Any] | None = None,
+        effects: list[Any] | None = None,
     ):  # fmt: skip
         self.reactions, self.match_attempts, self.inert = reactions, match_attempts, inert
         self.history = [] if history is None else history
         self.rule_fires = {} if rule_fires is None else rule_fires
-        self.patched = patched
         self.effects = [] if effects is None else effects
 
     def merge(self, other: "ReductionReport") -> None:
@@ -147,7 +138,6 @@ class ReductionReport(Record):
         self.inert = self.inert and other.inert
         self.history.extend(other.history)
         self.effects.extend(other.effects)
-        self.patched += other.patched
         for name, fires in other.rule_fires.items():
             self.rule_fires[name] = self.rule_fires.get(name, 0) + fires
 
@@ -187,8 +177,8 @@ class ReductionEngine:
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`.  When active, every
         reduction phase is recorded as a span (``reduction.match`` /
-        ``reduction.rewrite`` / ``reduction.patch``, the index-maintenance
-        share as an ``index_seconds`` attribute) and its seconds are added to
+        ``reduction.patch``, the index-maintenance share as an
+        ``index_seconds`` attribute) and its seconds are added to
         :attr:`timings`.  A disabled tracer is normalised to ``None``: an
         untraced engine reads no clock and keeps no timings.  Tracing never
         changes what reduction does: history, ``match_attempts`` and the
@@ -305,59 +295,38 @@ class ReductionEngine:
         trace.span(f"reduction.{phase}", self.trace_track, started, ended, **attrs)
 
     def _apply(self, rule: Rule, match: Match, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        """Fire ``rule`` on ``match``: through its delta when it has one, else by
-        removing everything matched and adding the expanded products."""
+        """Fire ``rule`` on ``match`` through its rewrite delta: the patches edit
+        the kept atoms' bodies, the consumed atoms leave the level and the
+        produced ones join it."""
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
-        delta = rule.delta
+        delta = rule._delta or rule.delta  # the cached delta; the property derives it at the first fire
         # What outlives the first mutation is read now (an omega is copied out
-        # of its solution at its first read): what the delta expands between
-        # patches — the rebuild path expands everything first — and whatever an
-        # observer may read; the effect, a pure function of the bindings, runs now.
+        # of its solution at its first read): what the delta expands and
+        # whatever an observer may read; the effect, a pure function of the bindings, runs now.
         bindings = match.bindings
-        eager = () if delta is None else delta.eager
+        eager = delta.eager
         for name in bindings if eager is None or self.observer is not None else eager:
             bindings.atom(name)
         emitted = list(rule.effect(bindings) or ()) if rule.effect is not None else ()
-        if delta is not None:
+        try:
+            removed, added = delta.apply(match, solution, self.externals)
+        except Exception as exc:  # noqa: BLE001 - context added
+            raise ReductionError(f"rule {rule.name!r} failed to apply its rewrite delta: {exc}") from exc
+        written = perf_counter() if trace is not None else 0.0
+        if rule.one_shot:
+            # the rule removes itself once fired (replace-one semantics)
             try:
-                removed, added = delta.apply(match, solution, self.externals)
-            except Exception as exc:  # noqa: BLE001 - context added
-                raise ReductionError(f"rule {rule.name!r} failed to apply its rewrite delta: {exc}") from exc
-            written = perf_counter() if trace is not None else 0.0
-            if rule.one_shot:
-                # the rule removes itself once fired (replace-one semantics)
-                try:
-                    solution.remove_identical(rule)
-                except KeyError:
-                    solution.discard(rule)
-            report.patched += 1
-            # the kept anchors plus the `produce` expansions
-            produced = len(match.consumed) - len(removed) + len(added)
-            phase = "patch"
-        else:
-            try:
-                products = rule.produce(match, self.externals)
-            except Exception as exc:  # noqa: BLE001 - context added
-                raise ReductionError(f"rule {rule.name!r} failed to produce its products: {exc}") from exc
-            written = perf_counter() if trace is not None else 0.0
-            for consumed in match.consumed:
-                solution.remove_identical(consumed)
-            if rule.one_shot:
-                try:
-                    solution.remove_identical(rule)
-                except KeyError:
-                    solution.discard(rule)
-            for atom in products:
-                solution.add(atom)
-            produced = len(products)
-            phase = "rewrite"
+                solution.remove_identical(rule)
+            except KeyError:
+                solution.discard(rule)
         if trace is not None:
-            indexed = perf_counter()
-            self._record(phase, started, written, rule=rule.name, depth=depth, index_seconds=indexed - written)
+            self._record("patch", started, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
         report.reactions += 1
         report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
-        report.history.append(ReactionRecord(rule.name, depth, len(match.consumed), produced))
+        # produced: the kept anchors plus the `produce` expansions
+        consumed = len(match.consumed)
+        report.history.append(ReactionRecord(rule.name, depth, consumed, consumed - len(removed) + len(added)))
         report.effects.extend(emitted)
         if self.observer is not None:
             self.observer(rule, match, depth)

@@ -37,9 +37,9 @@ class ReductionError(HOCLError):
 
 
 class DeltaError(HOCLError):
-    """Raised when a rewrite delta is structurally invalid or cannot be
-    applied to the matched atoms (e.g. a patch path naming a field tuple the
-    anchor's solution does not contain)."""
+    """Raised when a rewrite delta cannot be applied to the matched atoms
+    (e.g. a patch path naming a field tuple the anchor's solution does not
+    contain)."""
 
 
 class ExternalFunctionError(HOCLError):

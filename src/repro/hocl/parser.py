@@ -89,14 +89,7 @@ def _tokenize(source: str) -> list[_Token]:
             line += newlines
             line_start = match.start() + text.rfind("\n") + 1
         position = match.end()
-    # merge `replace` `-`? the tokenizer has no '-' token; handle replace-one
-    merged: list[_Token] = []
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        merged.append(token)
-        index += 1
-    return merged
+    return tokens
 
 
 def _merge_replace_one(source: str) -> str:
@@ -399,10 +392,10 @@ class _Parser:
             self._next()
             contents: list[Atom] = []
             if not self._at(">"):
-                contents.append(self._parse_body_element())
+                contents.append(self._parse_value())
                 while self._at(","):
                     self._next()
-                    contents.append(self._parse_body_element())
+                    contents.append(self._parse_value())
             self._expect(">")
             return Subsolution(contents)
         if token.text == "[":
@@ -428,11 +421,6 @@ class _Parser:
                 return self.rules[name]
             return Symbol(name)
         raise ParseError(f"unexpected token {token.text!r} in value", token.line, token.column)
-
-    def _parse_body_element(self) -> Atom:
-        # solution elements may themselves start with let-definitions? No —
-        # definitions only appear at program top level; elements are values.
-        return self._parse_value()
 
 
 def _number_atom(text: str) -> Atom:

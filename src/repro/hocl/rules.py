@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from .atoms import Atom
-from .deltas import RewriteDelta
+from .deltas import RewriteDelta, derive_delta
 from .errors import RuleError
-from .matching import Match, compiled_search
+from .matching import compiled_search
 from .patterns import BindingView, as_pattern
-from .templates import expand_templates, template_referenced_names
+from .templates import template_referenced_names
 
 __all__ = ["BindingView", "Rule", "replace", "replace_one", "with_inject"]
 
@@ -95,15 +95,9 @@ class Rule(Atom):
         Rules with a higher priority are tried first by the engine; used by
         GinFlow to favour adaptation rules over regular progress when both
         are enabled.
-    delta:
-        Optional :class:`~repro.hocl.deltas.RewriteDelta`: the in-place,
-        copy-on-write form of the same reaction.  When present, the engine's
-        engine applies it instead of expanding ``products`` — matched atoms
-        stay in the solution (minus ``delta.consume``) and the delta's
-        patches edit their nested solutions directly.  ``products`` must
-        still describe the equivalent full rebuild: the reference semantics
-        the parity oracle (``tests/reduction_reference.py``) checks the delta
-        against.
+
+    The engine fires the rule through :attr:`delta`, the in-place form its
+    two sides imply.
     """
 
     __slots__ = (
@@ -115,10 +109,10 @@ class Rule(Atom):
         "keep_matched",
         "effect",
         "priority",
-        "delta",
         "pattern_index_keys",
         "guarded_condition",
         "search",
+        "_delta",
         "_index_keys",
     )
     kind = "rule"
@@ -133,24 +127,11 @@ class Rule(Atom):
         keep_matched: bool = False,
         effect: EffectHook | None = None,
         priority: int = 0,
-        delta: RewriteDelta | None = None,
     ):
         if not name:
             raise RuleError("rules require a non-empty name")
         if not patterns:
             raise RuleError(f"rule {name!r} has an empty left-hand side")
-        if delta is not None:
-            if keep_matched:
-                raise RuleError(
-                    f"rule {name!r} mixes keep_matched with a delta; a delta keeps "
-                    "every matched atom not listed in its consume set already"
-                )
-            for index in set(delta.consume) | {op.at for op in delta.ops}:
-                if not 0 <= index < len(patterns):
-                    raise RuleError(
-                        f"rule {name!r} delta addresses pattern {index}, but the "
-                        f"left-hand side has {len(patterns)} patterns"
-                    )
         self.name = name
         self.patterns = tuple(as_pattern(p) for p in patterns)
         self.products = tuple(products)
@@ -159,7 +140,6 @@ class Rule(Atom):
         self.keep_matched = bool(keep_matched)
         self.effect = effect
         self.priority = int(priority)
-        self.delta = delta
         #: Per-pattern multiset index keys, precomputed once (rules are
         #: immutable).  The engine consults them to skip rules that cannot
         #: possibly match — e.g. after a reaction, only rules whose head
@@ -169,16 +149,16 @@ class Rule(Atom):
         self.guarded_condition = _guarded(condition) if condition is not None else None
         #: The left-hand side's search (generated at its first use), shared by every rule built on the same pattern objects.
         self.search = compiled_search(self.patterns)
+        self._delta: RewriteDelta | None = None  # derived at the first fire
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
 
-    # -------------------------------------------------------------- products
-    def produce(self, match: Match, externals: Any = None) -> list[Atom]:
-        """Atoms produced by firing the rule on ``match`` (not yet inserted)."""
-        produced: list[Atom] = []
-        if self.keep_matched:
-            produced.extend(match.consumed)
-        produced.extend(expand_templates(self.products, match.bindings, externals))
-        return produced
+    @property
+    def delta(self) -> RewriteDelta:
+        """How the engine fires the rule: the in-place form of its two sides
+        (:func:`~repro.hocl.deltas.derive_delta`), derived once, when first asked."""
+        if self._delta is None:
+            self._delta = derive_delta(self.patterns, self.products, self.keep_matched)
+        return self._delta
 
     # --------------------------------------------------------- introspection
     def bound_variables(self) -> set[str]:
@@ -198,16 +178,12 @@ class Rule(Atom):
     def referenced_variables(self) -> set[str]:
         """Variable names the declared products read when the rule fires.
 
-        Covers both product forms: the rebuild templates and, when present,
-        the delta's patches and produce templates.
         :class:`~repro.hocl.templates.Compute` products are opaque and
         contribute nothing here.
         """
         names: set[str] = set()
         for product in self.products:
             names |= template_referenced_names(product)
-        if self.delta is not None:
-            names |= self.delta.referenced_names()
         return names
 
     # -------------------------------------------------------------- identity

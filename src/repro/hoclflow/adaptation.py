@@ -36,9 +36,6 @@ from repro.hocl import (
     Compute,
     Multiset,
     Omega,
-    PatchAdd,
-    PatchRemove,
-    RewriteDelta,
     Rule,
     SolutionPattern,
     SolutionTemplate,
@@ -198,7 +195,6 @@ def make_trigger_adapt(plan: AdaptationPlan, trigger_task: str) -> Rule:
             ),
         )
     ]
-    ops = []
     for index, task_name in enumerate(affected):
         omega_name = f"wadapt{index}"
         patterns.append(TuplePattern(SymbolPattern(task_name), SolutionPattern(rest=Omega(omega_name))))
@@ -206,16 +202,12 @@ def make_trigger_adapt(plan: AdaptationPlan, trigger_task: str) -> Rule:
         products.append(
             TupleTemplate(Symbol(task_name), SolutionTemplate(*markers, Splice(omega_name)))
         )
-        # Delta form: drop the marker into each affected task's kept
-        # sub-solution (pattern 0 is the trigger task, hence index + 1).
-        ops.append(PatchAdd(at=index + 1, templates=tuple(markers)))
     return Rule(
         name=f"trigger_adapt:{plan.spec.name}:{trigger_task}",
         patterns=patterns,
         products=products,
         one_shot=True,
         priority=10,
-        delta=RewriteDelta(ops=tuple(ops)),
     )
 
 
@@ -248,11 +240,6 @@ def make_add_dst(plan: AdaptationPlan, source_task: str) -> Rule:
         ],
         one_shot=True,
         priority=5,
-        # Delta form: consume the ADAPT marker, extend the kept DST body.
-        delta=RewriteDelta(
-            consume=(1,),
-            ops=(PatchAdd(at=0, templates=tuple(Symbol(name) for name in new_destinations)),),
-        ),
     )
 
 
@@ -268,9 +255,9 @@ def make_mv_src(plan: AdaptationPlan) -> Rule:
     atom moves the source) and, unless ``clear_destination_inputs`` is set, to
     drop only the inputs received from replaced tasks.
 
-    This rule stays rebuild-only (no delta): its product is an opaque
-    :class:`Compute` doing binding-dependent list surgery, and it fires at
-    most once per adaptation — nothing to gain from patching in place.
+    Its one product is an opaque :class:`Compute` doing binding-dependent list
+    surgery: it restates nothing, so the rule consumes everything it matched
+    (it fires at most once per adaptation).
     """
     replaced = set(plan.replaced)
     new_sources = list(plan.new_sources)
@@ -321,10 +308,4 @@ def make_activate(plan: AdaptationPlan, entry_task: str) -> Rule:
         products=[TupleTemplate(kw.SRC_SYM, SolutionTemplate(Splice("wsrc")))],
         one_shot=True,
         priority=5,
-        # Delta form: consume the ADAPT marker, drop the TRIGGER placeholder
-        # from the kept SRC body in place.
-        delta=RewriteDelta(
-            consume=(1,),
-            ops=(PatchRemove(at=0, items=(kw.TRIGGER_SYM,)),),
-        ),
     )

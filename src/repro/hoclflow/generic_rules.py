@@ -35,9 +35,6 @@ from repro.hocl import (
     ExternalRegistry,
     ListAtom,
     Omega,
-    PatchAdd,
-    PatchRemove,
-    RewriteDelta,
     Rule,
     SolutionPattern,
     SolutionTemplate,
@@ -73,9 +70,6 @@ def make_gw_setup() -> Rule:
 
         gw_setup = replace-one SRC : <>, IN : <w>
                    by SRC : <>, PAR : list(w)
-
-    Delta form: the (empty) ``SRC`` tuple is kept untouched; only the ``IN``
-    tuple is consumed and the ``PAR`` tuple produced.
     """
     return Rule(
         name="gw_setup",
@@ -88,10 +82,6 @@ def make_gw_setup() -> Rule:
             TupleTemplate(kw.PAR_SYM, Call("params", Splice("win"))),
         ],
         one_shot=True,
-        delta=RewriteDelta(
-            consume=(1,),
-            produce=(TupleTemplate(kw.PAR_SYM, Call("params", Splice("win"))),),
-        ),
     )
 
 
@@ -120,10 +110,6 @@ def make_gw_call(task_name: str) -> Rule:
     The task name is baked into the ``invoke`` call so the external function
     knows which task's metadata (duration, forced errors, ...) applies — the
     paper's interpreter gets the same information from the enclosing agent.
-
-    Delta form: ``SRC``/``SRV``/``RES`` are kept in place, ``PAR`` is
-    consumed, and the invocation result is patched straight into the kept
-    ``RES`` body.
     """
     return Rule(
         name="gw_call",
@@ -137,15 +123,6 @@ def make_gw_call(task_name: str) -> Rule:
             ),
         ],
         one_shot=True,
-        delta=RewriteDelta(
-            consume=(2,),
-            ops=(
-                PatchAdd(
-                    at=3,
-                    templates=(Call("invoke", task_name, Ref("s"), Ref("par")),),
-                ),
-            ),
-        ),
     )
 
 
@@ -169,12 +146,6 @@ def make_gw_pass() -> Rule:
     only fires when a non-``ERROR`` result is present, and the transferred
     value is tagged with its producer (``Ti : value``) inside the
     destination's ``IN``.
-
-    Delta form — the motivating case: both task tuples are kept in place and
-    three small patches move the result across the edge (drop ``Tj`` from the
-    source's ``DST``, drop ``Ti`` from the destination's ``SRC``, add the
-    tagged result to the destination's ``IN``), instead of rebuilding two
-    whole task tuples and re-indexing every untouched ``IN``/``SRC`` entry.
     """
     return Rule(
         name="gw_pass",
@@ -219,13 +190,6 @@ def make_gw_pass() -> Rule:
         ],
         condition=gw_pass_condition,
         one_shot=False,
-        delta=RewriteDelta(
-            ops=(
-                PatchRemove(at=0, path=(kw.DST,), items=(Ref("tj"),)),
-                PatchRemove(at=1, path=(kw.SRC,), items=(Ref("ti"),)),
-                PatchAdd(at=1, path=(kw.IN,), templates=(TupleTemplate(Ref("ti"), Ref("res")),)),
-            ),
-        ),
     )
 
 

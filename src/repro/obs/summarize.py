@@ -1,8 +1,8 @@
 """Trace rollups: per-agent, per-rule and per-phase summaries.
 
 This is what ``ginflow trace summarize`` prints.  The reduction-phase
-totals sum the match/rewrite/patch span durations plus the ``index_seconds``
-attribute the rewrite/patch spans carry — the numbers a traced run reports
+totals sum the match/patch span durations plus the ``index_seconds``
+attribute the patch spans carry — the numbers a traced run reports
 as ``RunReport.extra["reduction_timings"]``.  Self-time subtracts the durations of a span's
 direct children (same-track timestamp containment) — the nesting the Chrome
 export renders.
@@ -19,10 +19,9 @@ __all__ = ["summarize", "format_summary"]
 #: span-name → timing phase of the reduction engine's accounting
 _PHASE_SPANS = {
     "reduction.match": "match",
-    "reduction.rewrite": "rewrite",
     "reduction.patch": "patch",
 }
-_PHASES = ("match", "rewrite", "patch", "index")
+_PHASES = ("match", "patch", "index")
 
 
 def _self_times(spans: list[SpanRecord]) -> dict[int, float]:

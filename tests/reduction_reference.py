@@ -1,24 +1,24 @@
 """The reference reductions the engine is held to (a helper module, not a test file).
 
-``repro.hocl.engine.ReductionEngine`` is one incremental loop that fires delta
-rules in place.  What it replaced lives on here, each oracle a subclass that
-swaps out one part — the walk, the search or the rule application:
+``repro.hocl.engine.ReductionEngine`` is one incremental loop that fires every
+rule through the delta derived from its two sides.  What it replaced lives on
+here, each oracle a subclass that swaps out one part — the walk, the search or
+the rule application:
 
 * :class:`NaiveEngine` — the naive walk: every nested solution visited, every
   rule searched, no inertness stamp read or written, no index refutation;
 * :class:`BruteForceEngine` — the naive walk over the interpreted matcher of
   ``matcher_reference.py``, scanning every atom of the level for every pattern;
 * :class:`RebuildEngine` — every rule fires by its rebuild form: everything
-  matched leaves the level and the products are expanded, even for a rule that
-  carries a :class:`~repro.hocl.deltas.RewriteDelta`;
-* :class:`RepositioningDelta` — the delta application that kept anchors in
-  place replaced: matched atoms leave and the kept ones re-enter at the end.
+  matched leaves the level and the products are expanded;
+* :class:`RepositioningDelta` (:func:`repositioned`) — the delta application
+  that kept anchors in place replaced: matched atoms leave and the kept ones
+  re-enter at the end.
 
 The parity contract, stated once (:func:`assert_parity`): against an oracle
 that searches like it, the engine reaches the same final solution
-(``content_hash``), fires the same rules (``rule_fires``) after the same
-searches (``match_attempts``) and patches as many reactions in place
-(``patched``; the rebuild form patches none).  Against the naive walk, which
+(``content_hash``) and fires the same rules (``rule_fires``) after the same
+searches (``match_attempts``).  Against the naive walk, which
 searches more by design, the reaction history is identical in order.  The
 simulated timeline, pinned by the 51 digest cells of
 ``tests/fixtures/sim_timeline_digests.json``, depends on nothing else.
@@ -26,7 +26,8 @@ simulated timeline, pinned by the 51 digest cells of
 
 from time import perf_counter
 
-from repro.hocl import Match, ReductionEngine, ReductionError, RewriteDelta, default_registry
+from repro.hocl import Match, ReductionEngine, ReductionError, default_registry
+from repro.hocl.deltas import RewriteDelta
 from repro.hocl.engine import ReactionRecord
 from repro.hocl.templates import expand_templates
 from repro.hoclflow import encode_workflow
@@ -97,7 +98,8 @@ class RebuildEngine(ReductionEngine):
                 match.bindings.atom(name)
         emitted = list(rule.effect(match.bindings) or ()) if rule.effect is not None else ()
         try:
-            products = rule.produce(match, self.externals)
+            products = list(match.consumed) if rule.keep_matched else []
+            products += expand_templates(rule.products, match.bindings, self.externals)
         except Exception as exc:
             raise ReductionError(f"rule {rule.name!r} failed to produce its products: {exc}") from exc
         for consumed in match.consumed:
@@ -137,23 +139,25 @@ class RepositioningDelta(RewriteDelta):
         return [match.consumed[index] for index in self.consume], added
 
 
+def repositioned(rule):
+    """``rule``, firing through a :class:`RepositioningDelta` of its derived delta."""
+    delta = rule.delta
+    rule._delta = RepositioningDelta(delta.ops, delta.consume, delta.produce)
+    return rule
+
+
 def trace(report):
     """The reaction history as comparable tuples."""
     return [(r.rule, r.depth, r.consumed, r.produced) for r in report.history]
 
 
-def assert_parity(ours, theirs, rebuilt=False):
-    """The parity contract: ``ours`` and ``theirs`` are ``(report, solution)``
-    pairs; ``rebuilt`` when ``theirs`` is the rebuild form, which patches nothing."""
+def assert_parity(ours, theirs):
+    """The parity contract: ``ours`` and ``theirs`` are ``(report, solution)`` pairs."""
     (report, solution), (reference, reference_solution) = ours, theirs
     assert report.inert and reference.inert
     assert solution.content_hash() == reference_solution.content_hash()
     assert report.rule_fires == reference.rule_fires
     assert report.match_attempts == reference.match_attempts
-    if rebuilt:
-        assert reference.patched == 0
-    else:
-        assert report.patched == reference.patched
 
 
 def reduce_workflow(workflow, engine_class=ReductionEngine, max_steps=5_000_000, **options):

@@ -28,16 +28,10 @@ from repro.cli import main
 from repro.hocl import (
     Multiset,
     Omega,
-    PatchAdd,
     Ref,
-    RewriteDelta,
-    Rule,
-    SolutionPattern,
-    SolutionTemplate,
     Splice,
     Symbol,
     TuplePattern,
-    TupleTemplate,
     Var,
     replace,
     replace_one,
@@ -152,50 +146,6 @@ class TestRuleChecks:
         (finding,) = findings
         assert finding.severity is Severity.WARNING
         assert "Ref" in finding.fix_hint
-
-    def test_rebuild_unchanged_fields(self):
-        rule = replace_one(
-            "rebuilds_src",
-            [
-                TuplePattern(Symbol("SRC"), SolutionPattern(rest=Omega("w"))),
-                Symbol("GO"),
-            ],
-            [TupleTemplate(Symbol("SRC"), SolutionTemplate(Splice("w")))],
-        )
-        report = analyze_rules(
-            [rule], solution=Multiset([Symbol("GO")]), injected_wildcard=True
-        )
-        (finding,) = findings_for(report, "rule-rebuild-unchanged-fields")
-        assert finding.severity is Severity.INFO
-        assert finding.subject == "rebuilds_src"
-        assert "'SRC'" in finding.message
-        assert "RewriteDelta" in finding.message
-        assert "delta=" in finding.fix_hint
-
-    def test_rebuild_check_exempts_delta_and_fresh_heads(self):
-        patterns = [
-            TuplePattern(Symbol("SRC"), SolutionPattern(rest=Omega("w"))),
-            Symbol("GO"),
-        ]
-        converted = replace_one(
-            "already_delta",
-            patterns,
-            [TupleTemplate(Symbol("SRC"), SolutionTemplate(Splice("w")))],
-            delta=RewriteDelta(
-                consume=(1,), ops=(PatchAdd(at=0, templates=(Symbol("DONE"),)),)
-            ),
-        )
-        fresh_head = replace_one(
-            "fresh_head",
-            patterns,
-            [TupleTemplate(Symbol("OUT"), SolutionTemplate(Splice("w")))],
-        )
-        report = analyze_rules(
-            [converted, fresh_head],
-            solution=Multiset([Symbol("GO")]),
-            injected_wildcard=True,
-        )
-        assert not findings_for(report, "rule-rebuild-unchanged-fields")
 
 
 # ----------------------------------------------------------- workflow checks

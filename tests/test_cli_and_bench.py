@@ -120,12 +120,11 @@ class TestCollateTrendPlot:
     def _artifact(wall):
         return {
             "benchmark": "hocl-reduction",
-            "schema_version": 8,
+            "schema_version": 10,
             "scenarios": {
                 name: {
                     "reactions": 100,
                     "match_attempts": 10,
-                    "patched": 100,
                     "wall_seconds": wall * scale,
                     "naive": {"match_attempts": 99, "wall_seconds": wall * 10},
                     "speedup": {"match_attempts": 9.9, "wall_clock": 10.0},

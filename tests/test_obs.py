@@ -172,7 +172,7 @@ def sample_records():
             vt=0.0, attrs={"rule": "gw_setup", "depth": 0},
         ),
         SpanRecord(
-            name="reduction.rewrite", track="a", start=0.4, end=0.6,
+            name="reduction.patch", track="a", start=0.4, end=0.6,
             vt=0.0, attrs={"rule": "gw_setup", "index_seconds": 0.05},
         ),
         EventRecord(name="broker.publish", track="broker", time=0.5, attrs={"topic": "t"}),
@@ -234,7 +234,7 @@ class TestSummarize:
         summary = summarize(sample_records())
         assert summary["spans"] == 3 and summary["events"] == 1 and summary["tracks"] == 2
         assert summary["phases"] == pytest.approx(
-            {"match": 0.3, "rewrite": 0.2, "patch": 0.0, "index": 0.05}
+            {"match": 0.3, "patch": 0.2, "index": 0.05}
         )
         # boot's self-time excludes its two nested reduction spans
         track = summary["per_track"]["a"]
@@ -306,7 +306,7 @@ class TestTraceIdentity:
         assert "reduction_timings" not in run_diamond(mode).extra
         traced = run_diamond(mode, obs=Observability(tracer=RecordingTracer()))
         timings = traced.extra["reduction_timings"]
-        assert set(timings) == {"match", "rewrite", "patch", "index"} and timings["match"] > 0.0
+        assert set(timings) == {"match", "patch", "index"} and timings["match"] > 0.0
 
 
 # ------------------------------------------------------------ reconciliation

@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reduction_reference import BruteForceEngine, NaiveEngine, RepositioningDelta, assert_parity, reduce_workflow, trace
+from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     Compute,
@@ -27,13 +27,10 @@ from repro.hocl import (
     Literal,
     Multiset,
     Omega,
-    PatchAdd,
-    PatchRemove,
     ReductionEngine,
     ReductionError,
     ReductionReport,
     Ref,
-    RewriteDelta,
     Rule,
     RulePattern,
     SolutionPattern,
@@ -235,10 +232,10 @@ class TestReportMergeAccounting:
     """`ReductionReport.merge` must add keys absent on either side."""
 
     def test_merge_adds_absent_rule_keys(self):
-        left = ReductionReport(reactions=1, rule_fires={"a": 1}, patched=1)
-        left.merge(ReductionReport(reactions=3, rule_fires={"b": 3}, patched=2))
+        left = ReductionReport(reactions=1, rule_fires={"a": 1})
+        left.merge(ReductionReport(reactions=3, rule_fires={"b": 3}))
         assert left.rule_fires == {"a": 1, "b": 3}
-        assert (left.reactions, left.patched) == (4, 3)
+        assert left.reactions == 4
         assert sum(left.rule_fires.values()) == left.reactions
 
     def test_merge_into_empty_report(self):
@@ -276,7 +273,7 @@ class TestAgainstBruteForceSearch:
         assert fast.rule_fires == slow.rule_fires
 
     @staticmethod
-    def _cells_program(cells, take_first, delta_class=RewriteDelta):
+    def _cells_program(cells, take_first, reposition=False):
         """Cells ``Ci : <VAL : <ints, max>>`` under two top-level rules.
 
         ``take`` (variable head: a whole-bucket pattern) moves a cell's
@@ -314,9 +311,6 @@ class TestAgainstBruteForceSearch:
                 Ref("x"),
             ],
             priority=1 if take_first else 0,
-            delta=delta_class(
-                ops=(PatchRemove(at=0, path=("VAL",), items=(Ref("x"),)),), produce=(Ref("x"),)
-            ),
         )
         total = Rule(
             "sum",
@@ -324,7 +318,7 @@ class TestAgainstBruteForceSearch:
             [Compute(lambda b: b.value("a") + b.value("b"))],
             priority=0 if take_first else 1,
         )
-        solution = Multiset([take, total])
+        solution = Multiset([repositioned(take) if reposition else take, total])
         for index, values in enumerate(cells):
             body = Multiset([TupleAtom([Symbol("VAL"), Subsolution([*values, fold])])])
             solution.add(TupleAtom([Symbol(f"C{index}"), Subsolution(body)]))
@@ -429,15 +423,15 @@ class TestInPlaceReactions:
                 TuplePattern(SymbolPattern("BAG"), SolutionPattern(Var("x", kind="int"), rest=Omega("w"))),
                 TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
             ],
-            [],
-            delta=RewriteDelta(
-                ops=(PatchRemove(at=0, items=(Ref("x"),)), PatchAdd(at=1, templates=(Ref("x"),)))
-            ),
+            [
+                TupleTemplate(Symbol("BAG"), SolutionTemplate(Splice("w"))),
+                TupleTemplate(Symbol("SINK"), SolutionTemplate(Ref("x"), Splice("ws"))),
+            ],
         )
         solution = Multiset(["first", bag, "between", sink, drain, "last"])
         before = self._layout(solution)
         report = ReductionEngine().reduce(solution)
-        assert report.patched == 3 and len(sink.elements[1].solution) == 3
+        assert report.reactions == 3 and len(sink.elements[1].solution) == 3
         assert self._layout(solution) == before
 
     def test_an_agent_local_gw_pass_firing_moves_nothing_at_the_top_level(self, monkeypatch):
@@ -492,7 +486,7 @@ class TestInPlaceReactions:
         on where the anchors sit, the rest of the contract may not."""
         program = TestAgainstBruteForceSearch._cells_program
         refill = TestAgainstBruteForceSearch._refill
-        in_place, moved = program(cells, take_first), program(cells, take_first, RepositioningDelta)
+        in_place, moved = program(cells, take_first), program(cells, take_first, reposition=True)
         engines = ReductionEngine(), ReductionEngine()
         for round_ in [[]] + refills:
             for cell, value in round_:
@@ -511,33 +505,29 @@ class TestInPlaceReactions:
         """One drain rule per bag, every top-level pattern keyed by a head that
         names one tuple: where a kept anchor sits cannot matter."""
 
-        def program(delta_class):
+        def program(reposition):
             solution = Multiset([TupleAtom([Symbol("SINK"), Subsolution()])])
             for index, values in enumerate(bags):
                 solution.add(TupleAtom([Symbol(f"B{index}"), Subsolution(values)]))
-                solution.add(
-                    Rule(
-                        f"drain{index}",
-                        [
-                            TuplePattern(
-                                SymbolPattern(f"B{index}"),
-                                SolutionPattern(Var("x", kind="int"), rest=Omega("w")),
-                            ),
-                            TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
-                        ],
-                        [],
-                        delta=delta_class(
-                            ops=(
-                                PatchRemove(at=0, items=(Ref("x"),)),
-                                PatchAdd(at=1, templates=(Ref("x"),)),
-                            )
+                drain = Rule(
+                    f"drain{index}",
+                    [
+                        TuplePattern(
+                            SymbolPattern(f"B{index}"),
+                            SolutionPattern(Var("x", kind="int"), rest=Omega("w")),
                         ),
-                    )
+                        TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
+                    ],
+                    [
+                        TupleTemplate(Symbol(f"B{index}"), SolutionTemplate(Splice("w"))),
+                        TupleTemplate(Symbol("SINK"), SolutionTemplate(Ref("x"), Splice("ws"))),
+                    ],
                 )
+                solution.add(repositioned(drain) if reposition else drain)
             return solution
 
         logs = _firing_log(), _firing_log()
-        in_place, moved = program(RewriteDelta), program(RepositioningDelta)
+        in_place, moved = program(False), program(True)
         engines = ReductionEngine(observer=logs[0][1]), ReductionEngine(observer=logs[1][1])
         for round_ in [[]] + refills:
             for bag, value in round_:

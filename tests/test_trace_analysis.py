@@ -316,12 +316,12 @@ class TestObsChecks:
         spans = (
             SpanRecord(name="reduction.match", track="a", start=0.0, end=0.3),
             SpanRecord(
-                name="reduction.rewrite", track="a", start=0.3, end=0.5,
+                name="reduction.patch", track="a", start=0.3, end=0.5,
                 attrs={"index_seconds": 0.1},
             ),
         )
         assert reduction_phase_totals(spans) == pytest.approx(
-            {"match": 0.3, "rewrite": 0.2, "patch": 0.0, "index": 0.1}
+            {"match": 0.3, "patch": 0.2, "index": 0.1}
         )
 
     def test_audited_runs_record_clean_traces(self):

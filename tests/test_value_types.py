@@ -89,9 +89,9 @@ class TestActions:
 
 class TestReports:
     def test_keyword_construction_and_fresh_defaults(self):
-        report = ReductionReport(reactions=2, match_attempts=3, inert=False, rule_fires={"r": 2}, patched=1)
+        report = ReductionReport(reactions=2, match_attempts=3, inert=False, rule_fires={"r": 2})
         assert (report.reactions, report.match_attempts, report.inert, report.rule_fires) == (2, 3, False, {"r": 2})
-        assert (report.patched, report.history, report.effects) == (1, [], [])
+        assert (report.history, report.effects) == ([], [])
         first, second = ReductionReport(), ReductionReport()
         first.history.append(ReactionRecord("r", 0, 1, 1))
         first.rule_fires["r"] = 1
@@ -101,12 +101,12 @@ class TestReports:
     def test_merge_and_equality(self):
         left = ReductionReport(reactions=1, match_attempts=2, rule_fires={"a": 1})
         left.history.append(ReactionRecord("a", 0, 2, 1))
-        right = ReductionReport(reactions=2, inert=False, rule_fires={"a": 1, "b": 1}, patched=2)
+        right = ReductionReport(reactions=2, inert=False, rule_fires={"a": 1, "b": 1})
         right.effects.append(SendResult("b", 1))
         left.merge(right)
         assert left == ReductionReport(
             reactions=3, match_attempts=2, inert=False, history=[ReactionRecord("a", 0, 2, 1)],
-            rule_fires={"a": 2, "b": 1}, patched=2, effects=[SendResult("b", 1)],
+            rule_fires={"a": 2, "b": 1}, effects=[SendResult("b", 1)],
         )  # fmt: skip
         assert left != right and ReductionReport() != object()
 
