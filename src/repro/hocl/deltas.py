@@ -40,9 +40,15 @@ the anchor resolves to its directly nested solution (a sub-solution atom to
 itself, a tuple to its first sub-solution element), then every head in
 ``path`` selects the ``head : <...>`` field tuple of the current solution and
 descends into its body.  ``gw_pass`` patches ``(0, ("DST",))`` and
-``(1, ("SRC",))`` / ``(1, ("IN",))``.  A path names a field by its head, so
-the derivation relies on the HOCLflow convention of one field per head in a
-body.
+``(1, ("SRC",))`` / ``(1, ("IN",))``.
+
+A path names a field by its head, and a patch edits a solution every holder
+sees.  So a firing whose path meets a body holding more than one field under
+a head (the match does not record which one it bound), or a solution held
+more than once (``Ref``/``Splice`` expansion shares atoms), has no safe target:
+it takes the rule's rebuild form instead — everything matched consumed, every
+product expanded, as the rule reads to the letter.  The targets are resolved
+before anything moves, so such a firing changes nothing in place.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .atoms import Atom, Subsolution, TupleAtom
 from .errors import DeltaError
 from .matching import Match
 from .multiset import Multiset
-from .patterns import Literal, Pattern, RulePattern, SolutionPattern, TuplePattern, Var
+from .patterns import Bindings, Literal, Pattern, RulePattern, SolutionPattern, TuplePattern, Var
 from .templates import (
     Call,
     Compute,
@@ -84,15 +90,19 @@ def _anchor_solution(anchor: Atom) -> Multiset:
     raise DeltaError(f"matched atom {anchor!r} has no nested solution to patch")
 
 
-def _resolve_target(anchor: Atom, path: tuple[str, ...]) -> Multiset:
-    """Walk ``path`` (field heads) from ``anchor`` down to the target solution."""
+def _resolve_target(anchor: Atom, path: tuple[str, ...]) -> Multiset | None:
+    """Walk ``path`` (field heads) from ``anchor`` down to the target solution;
+    ``None`` when no patch may land there: a head names more than one field of
+    a body on the way, or a solution on the way has more than one holder."""
     solution = _anchor_solution(anchor)
     for head in path:
-        field = solution.find_tuple(head)
-        if field is None:
+        fields = solution._index.get(("tuple", head))
+        if not fields:
             raise DeltaError(f"patch path names field {head!r}, absent from {anchor}")
-        solution = _anchor_solution(field)
-    return solution
+        if len(fields) > 1 or len(solution._parents) > 1:
+            return None
+        solution = _anchor_solution(fields[0].atom)
+    return None if len(solution._parents) > 1 else solution
 
 
 def _is_opaque(template: Any) -> bool:
@@ -111,12 +121,8 @@ class DeltaOp:
         self.at = int(at)
         self.path = tuple(path)
 
-    def target(self, match: Match) -> Multiset:
-        """The solution this op edits, resolved against the match."""
-        return _resolve_target(match.consumed[self.at], self.path)
-
     def apply(
-        self, match: Match, externals: "ExternalRegistry | None"
+        self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None"
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -134,9 +140,8 @@ class PatchAdd(DeltaOp):
         super().__init__(at, path)
         self.templates = tuple(templates)
 
-    def apply(self, match: Match, externals: "ExternalRegistry | None") -> None:
-        target = self.target(match)
-        for atom in expand_templates(self.templates, match.bindings, externals):
+    def apply(self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None") -> None:
+        for atom in expand_templates(self.templates, bindings, externals):
             target.add(atom)
 
     def expanded(self) -> tuple[Any, ...]:
@@ -160,10 +165,9 @@ class PatchRemove(DeltaOp):
         super().__init__(at, path)
         self.items = tuple(items)
 
-    def apply(self, match: Match, externals: "ExternalRegistry | None") -> None:
-        target = self.target(match)
+    def apply(self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None") -> None:
         for item in self.items:
-            for atom in expand_template(item, match.bindings, externals):
+            for atom in expand_template(item, bindings, externals):
                 try:
                     target.remove(atom)
                 except KeyError as exc:
@@ -190,19 +194,24 @@ class RewriteDelta:
         from the solution (everything not listed is kept in place).
     produce:
         Templates for new top-level atoms.
+    rebuild:
+        The rule's products, expanded whole (everything matched consumed) by
+        a firing in which an op has no safe target.
     """
 
-    __slots__ = ("ops", "consume", "produce", "eager")
+    __slots__ = ("ops", "consume", "produce", "rebuild", "eager")
 
     def __init__(
         self,
         ops: Sequence[DeltaOp] = (),
         consume: Sequence[int] = (),
         produce: Sequence[Any] = (),
+        rebuild: Sequence[Any] = (),
     ):
         self.ops = tuple(ops)
         self.consume = tuple(consume)
         self.produce = tuple(produce)
+        self.rebuild = tuple(rebuild)
         #: The names read once the patching has started, which the engine
         #: therefore reads before (an omega is copied out of its solution at its
         #: first read); ``None``: any — a ``Call``/``Compute`` sees every binding.
@@ -210,6 +219,18 @@ class RewriteDelta:
         for op in self.ops:
             expanded += op.expanded()
         self.eager = None if any(map(_is_opaque, expanded)) else tuple(sorted(_referenced_in_all(expanded)))
+
+    def targets(self, match: Match) -> list[Multiset] | None:
+        """The solution each op edits, resolved before anything moves; ``None``
+        when one has no safe target."""
+        consumed = match.consumed
+        targets = []
+        for op in self.ops:
+            target = _resolve_target(consumed[op.at], op.path)
+            if target is None:
+                return None
+            targets.append(target)
+        return targets
 
     def apply(
         self,
@@ -222,13 +243,20 @@ class RewriteDelta:
         The ``produce`` templates expand first (a raising one leaves the
         solution as it was), then the patches edit the kept atoms' bodies, the
         atoms matched by the ``consume`` patterns leave the level (in pattern
-        order) and the expansions join it; nothing else moves.
+        order) and the expansions join it; nothing else moves.  Without a safe
+        target for every op, the ``rebuild`` products expand and everything
+        matched leaves instead.
         """
-        added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
-        for op in self.ops:
-            op.apply(match, externals)
-        matched = match.consumed
-        removed = [matched[index] for index in self.consume]
+        targets = self.targets(match) if self.ops else ()
+        if targets is None:
+            added = expand_templates(self.rebuild, match.bindings, externals)
+            removed = list(match.consumed)
+        else:
+            added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
+            for op, target in zip(self.ops, targets):
+                op.apply(target, match.bindings, externals)
+            matched = match.consumed
+            removed = [matched[index] for index in self.consume]
         for atom in removed:
             solution.remove_identical(atom)
         for atom in added:
@@ -259,7 +287,8 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
                 break
         else:
             produce.append(product)
-    return RewriteDelta(ops, [at for at in range(len(patterns)) if at not in kept], produce)
+    consume = [at for at in range(len(patterns)) if at not in kept]
+    return RewriteDelta(ops, consume, produce, products if ops else ())
 
 
 def _restated(pattern: Pattern, template: Any, at: int, path: tuple[str, ...] | None) -> list[DeltaOp] | None:

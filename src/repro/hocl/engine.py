@@ -300,7 +300,7 @@ class ReductionEngine:
         produced ones join it."""
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
-        delta = rule._delta or rule.delta  # the cached delta; the property derives it at the first fire
+        delta = rule.delta
         # What outlives the first mutation is read now (an omega is copied out
         # of its solution at its first read): what the delta expands and
         # whatever an observer may read; the effect, a pure function of the bindings, runs now.

@@ -268,10 +268,15 @@ def _referenced_in_all(templates: Sequence[Any]) -> set[str]:
 
 
 def expand_template(template: Any, bindings: Bindings, externals: Any = None) -> list[Atom]:
-    """Expand a single template (or literal value) into a list of atoms."""
+    """Expand a single template (or literal value) into a list of atoms.
+
+    A literal that holds a solution is copied: a patch or a nested reduction
+    edits the solution it lands in, and must not edit the rule.
+    """
     if isinstance(template, Template):
         return template.expand(bindings, externals)
-    return [to_atom(template)]
+    atom = to_atom(template)
+    return [atom.copy() if atom._mutable else atom]
 
 
 def expand_templates(

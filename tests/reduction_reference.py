@@ -26,7 +26,7 @@ simulated timeline, pinned by the 51 digest cells of
 
 from time import perf_counter
 
-from repro.hocl import Match, ReductionEngine, ReductionError, default_registry
+from repro.hocl import Match, ReductionEngine, ReductionError, Rule, default_registry
 from repro.hocl.deltas import RewriteDelta
 from repro.hocl.engine import ReactionRecord
 from repro.hocl.templates import expand_templates
@@ -126,8 +126,11 @@ class RepositioningDelta(RewriteDelta):
     __slots__ = ()
 
     def apply(self, match, solution, externals):
-        for op in self.ops:
-            op.apply(match, externals)
+        targets = self.targets(match)
+        if targets is None:
+            return super().apply(match, solution, externals)
+        for op, target in zip(self.ops, targets):
+            op.apply(target, match.bindings, externals)
         for atom in match.consumed:
             solution.remove_identical(atom)
         for index, atom in enumerate(match.consumed):
@@ -139,11 +142,33 @@ class RepositioningDelta(RewriteDelta):
         return [match.consumed[index] for index in self.consume], added
 
 
+class RepositionedRule(Rule):
+    """A rule firing through a :class:`RepositioningDelta` of the delta it derives."""
+
+    __slots__ = ("_repositioned",)
+
+    @property
+    def delta(self):
+        try:
+            return self._repositioned
+        except AttributeError:
+            derived = super().delta
+            self._repositioned = RepositioningDelta(derived.ops, derived.consume, derived.produce, derived.rebuild)
+            return self._repositioned
+
+
 def repositioned(rule):
-    """``rule``, firing through a :class:`RepositioningDelta` of its derived delta."""
-    delta = rule.delta
-    rule._delta = RepositioningDelta(delta.ops, delta.consume, delta.produce)
-    return rule
+    """A copy of ``rule`` firing through a :class:`RepositioningDelta` of its derived delta."""
+    return RepositionedRule(
+        rule.name,
+        rule.patterns,
+        rule.products,
+        condition=rule.condition,
+        one_shot=rule.one_shot,
+        keep_matched=rule.keep_matched,
+        effect=rule.effect,
+        priority=rule.priority,
+    )
 
 
 def trace(report):

@@ -241,34 +241,103 @@ def test_a_parsed_rule_derives_the_constructed_delta():
 
 
 # ------------------------------------------------------------------ unit
-class TestAppliedDelta:
-    def test_a_path_reaching_the_wrong_field_fails_loudly(self):
-        """A path names a field by its head: with two ``H`` fields in one body,
-        the patch lands on the first one, which is not the one matched."""
-        rule = Rule(
-            "strip",
-            [
-                TuplePattern(
-                    SymbolPattern("S"),
-                    SolutionPattern(
-                        TuplePattern(SymbolPattern("H"), SolutionPattern(SymbolPattern("GHOST"), rest=Omega("a"))),
-                        rest=Omega("w"),
-                    ),
-                )
-            ],
-            [
-                TupleTemplate(
-                    Symbol("S"),
-                    SolutionTemplate(TupleTemplate(Symbol("H"), SolutionTemplate(Splice("a"))), Splice("w")),
-                )
-            ],
-            one_shot=True,
-        )
-        assert shape(rule.delta)[0] == [("PatchRemove", 0, ("H",), repr((Symbol("GHOST"),)))]
-        solution = Multiset([field("S", field("H"), field("H", Symbol("GHOST"))), rule])
-        with pytest.raises(ReductionError, match="rewrite delta"):
-            ReductionEngine().reduce(solution)
+def _both_forms(build):
+    """Reduce what ``build()`` returns by the engine and by the rebuild form;
+    the two must agree.  Returns the engine's solution."""
+    (report, solution), (reference, reference_solution) = _reduce(build()), _reduce(build(), RebuildEngine)
+    assert_parity((report, solution), (reference, reference_solution))
+    assert trace(report) == trace(reference)
+    return solution
 
+
+class TestUnsafeTargets:
+    """A patch names a field by its head and edits a solution every holder
+    sees: where a head names two fields, or a solution has two holders, the
+    firing takes the rule's rebuild form."""
+
+    @pytest.mark.parametrize(
+        "rule, ops, body, expected",
+        [
+            (
+                "replace-one S : <H : <TAG, ?a>, ?w> by S : <H : <TAG, NEW, ?a>, ?w>",
+                [("PatchAdd", 0, ("H",), "(Symbol('NEW'),)")],
+                [field("H"), field("H", Symbol("TAG"))],
+                [field("H", Symbol("TAG"), Symbol("NEW")), field("H")],
+            ),
+            (
+                "replace-one S : <H : <GHOST, ?a>, ?w> by S : <H : <?a>, ?w>",
+                [("PatchRemove", 0, ("H",), "(Symbol('GHOST'),)")],
+                [field("H"), field("H", Symbol("GHOST"))],
+                [field("H"), field("H")],
+            ),
+        ],
+        ids=["add", "remove"],
+    )
+    def test_a_head_naming_two_fields_takes_the_rebuild_form(self, rule, ops, body, expected):
+        edit = parse_program(f"let edit = {rule} in <>").rules["edit"]
+        assert shape(edit.delta)[0] == ops
+        solution = _both_forms(lambda: [field("S", *(atom.copy() for atom in body)), edit])
+        assert solution.content_hash() == Multiset([field("S", *expected)]).content_hash()
+
+    def test_a_head_naming_one_field_is_patched_in_place(self):
+        program = parse_program(
+            "let edit = replace-one S : <H : <TAG, ?a>, ?w> by S : <H : <TAG, NEW, ?a>, ?w> in "
+            "<S : <H : <TAG>, K : <>>, edit>"
+        )
+        anchor = program.solution.find_tuple("S")
+        ReductionEngine().reduce(program.solution)
+        assert program.solution.atoms() == [anchor]  # the same tuple object, edited
+        assert anchor == field("S", field("H", Symbol("TAG"), Symbol("NEW")), field("K"))
+
+    @pytest.mark.parametrize("shared", ["the same tuple twice", "one body in two tuples"])
+    def test_a_shared_body_takes_the_rebuild_form(self, shared):
+        """``dup`` shares atoms (``x`` twice, or ``b`` in two tuples); ``bump``
+        then edits one ``H``, and only that one."""
+
+        def build():
+            if shared == "the same tuple twice":
+                dup = Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1)
+            else:
+                copy = TupleTemplate(Symbol("H"), Ref("b"))
+                dup = Rule("dup", [TuplePattern(SymbolPattern("H"), Var("b"))], [copy, copy], one_shot=True, priority=1)
+            bump = Rule(
+                "bump",
+                [TuplePattern(SymbolPattern("H"), SolutionPattern(IntAtom(1), rest=Omega("w")))],
+                [TupleTemplate(Symbol("H"), SolutionTemplate(IntAtom(2), Splice("w")))],
+                one_shot=True,
+            )
+            return [field("H", IntAtom(1)), dup, bump]
+
+        assert shape(build()[2].delta)[0] == [
+            ("PatchRemove", 0, (), "(IntAtom(1),)"),
+            ("PatchAdd", 0, (), "(IntAtom(2),)"),
+        ]
+        solution = _both_forms(build)
+        assert solution.content_hash() == Multiset([field("H", IntAtom(1)), field("H", IntAtom(2))]).content_hash()
+
+    def test_a_literal_product_is_copied(self):
+        """``bump`` edits what ``seed`` produced, between two of its firings:
+        the second still produces ``H : <1>``."""
+        literal = field("H", IntAtom(1))
+
+        def build():
+            seed = Rule("seed", [SymbolPattern("GO")], [literal])
+            bump = Rule(
+                "bump",
+                [TuplePattern(SymbolPattern("H"), SolutionPattern(IntAtom(1), rest=Omega("w")))],
+                [TupleTemplate(Symbol("H"), SolutionTemplate(IntAtom(2), Splice("w")))],
+                one_shot=True,
+                priority=1,
+            )
+            return [Symbol("GO"), Symbol("GO"), seed, bump]
+
+        solution = _both_forms(build)
+        assert literal == field("H", IntAtom(1))
+        fields = [atom for atom in solution.atoms() if isinstance(atom, TupleAtom)]
+        assert Multiset(fields).content_hash() == Multiset([field("H", IntAtom(1)), field("H", IntAtom(2))]).content_hash()
+
+
+class TestAppliedDelta:
     def test_applied_delta_accounting(self):
         report, solution = _reduce([field("BAG", IntAtom(1), IntAtom(2)), field("SINK"), drain_rule()])
         assert report.inert and report.reactions == 2
@@ -307,18 +376,23 @@ def test_drain_delta_parity(values):
 @st.composite
 def two_field_programs(draw):
     """A one-shot rule over ``BAG : <...>`` and ``SINK : <...>`` (up to two
-    int variables and an optional ``TAG`` each, plus a remainder), whose
-    products keep each field with random element drops and additions, drop
-    it, or re-create it without its remainder; and the two fields' contents.
+    int variables, an optional ``TAG`` and an optional nested ``H : <...>``
+    field each, plus a remainder), whose products keep each field with random
+    element drops and additions, drop it, or re-create it without its
+    remainder; the two fields' contents, where a body may hold a second ``H``
+    field; and maybe a ``dup`` rule that fires first and shares one field (the
+    same tuple twice, or its body in two tuples).
 
-    One firing: both forms fire on the same match.  A second one would search
-    bodies the two forms leave in different orders, where a rule that is not
-    confluent (drop ``x`` of ``<x, y, w>``) may pick other atoms."""
+    The edit fires once: both forms fire it on the same match.  A second
+    firing would search bodies the two forms leave in different orders, where
+    a rule that is not confluent (drop ``x`` of ``<x, y, w>``) may pick other
+    atoms."""
     fields = []
     for head in ("BAG", "SINK"):
         names = [f"{head.lower()}{index}" for index in range(draw(st.integers(0, 2)))]
-        fields.append((head, names, draw(st.booleans())))
-    bound = [name for _, names, _ in fields for name in names]
+        nested = draw(st.sampled_from([None, "H : <?h>", "H : <TAG, ?h>"]))
+        fields.append((head, names, draw(st.booleans()), nested))
+    bound = [name for _, names, _, _ in fields for name in names]
     additions = st.lists(
         st.one_of(
             st.sampled_from([Ref(name) for name in bound]) if bound else st.nothing(),
@@ -329,40 +403,66 @@ def two_field_programs(draw):
         max_size=2,
     )
     patterns, products = [], []
-    for head, names, tagged in fields:
+    for head, names, tagged, nested in fields:
+        lower = head.lower()
         elements = [Var(name, kind="int") for name in names] + ([SymbolPattern("TAG")] if tagged else [])
-        patterns.append(TuplePattern(SymbolPattern(head), SolutionPattern(*elements, rest=Omega(f"w_{head.lower()}"))))
+        if nested:
+            inner = [SymbolPattern("TAG")] if "TAG" in nested else []
+            elements.append(TuplePattern(SymbolPattern("H"), SolutionPattern(*inner, rest=Omega(f"h_{lower}"))))
+        patterns.append(TuplePattern(SymbolPattern(head), SolutionPattern(*elements, rest=Omega(f"w_{lower}"))))
         mode = draw(st.sampled_from(["keep", "drop", "renew"]))
         if mode == "drop":
             continue
         body = list(draw(additions))
         if mode == "keep":
-            body += [Splice(f"w_{head.lower()}")]
+            body += [Splice(f"w_{lower}")]
             body += [Ref(name) for name in names if draw(st.booleans())]
             body += [Symbol("TAG")] if tagged and draw(st.booleans()) else []
+            if nested and draw(st.booleans()):  # restated: kept, maybe edited one level down
+                inner = [Splice(f"h_{lower}")]
+                inner += [Symbol("TAG")] if "TAG" in nested and draw(st.booleans()) else []
+                inner += [Symbol("NEW")] if draw(st.booleans()) else []
+                body.append(TupleTemplate(Symbol("H"), SolutionTemplate(*draw(st.permutations(inner)))))
         products.append(TupleTemplate(Symbol(head), SolutionTemplate(*draw(st.permutations(body)))))
     products = draw(st.permutations(products))
     if bound and draw(st.booleans()):
         products.append(Ref(draw(st.sampled_from(bound))))  # restates no top-level pattern: produced
-    rule = Rule("edit", patterns, products, one_shot=True)
+    rules = [Rule("edit", patterns, products, one_shot=True)]
+    shared = draw(st.sampled_from([None, "BAG", "SINK"]))
+    if shared is not None:
+        if draw(st.booleans()):  # the same tuple twice
+            rules.append(Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1,
+                              condition=lambda b, head=Symbol(shared): b.atom("x").elements[0] == head))
+        else:  # one body in two tuples
+            copy = TupleTemplate(Symbol(shared), Ref("b"))
+            pattern = TuplePattern(SymbolPattern(shared), Var("b"))
+            rules.append(Rule("dup", [pattern], [copy, copy], one_shot=True, priority=1))
     contents = []
-    for _, names, tagged in fields:  # enough for the rule to match, and maybe more
+    for _, names, tagged, nested in fields:  # enough for the rule to match, and maybe more
         values = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names) + 2))
-        contents.append(values + [Symbol("TAG")] * (tagged + draw(st.integers(0, 1))))
-    return rule, contents
+        body = [IntAtom(value) for value in values] + [Symbol("TAG")] * (tagged + draw(st.integers(0, 1)))
+        if nested:  # the field the rule matches, and maybe a second one under the same head
+            body.append(field("H", *([Symbol("TAG")] if "TAG" in nested else []), *map(IntAtom, draw(integers_0_3))))
+        if draw(st.booleans()):
+            body.append(field("H", *([Symbol("TAG")] if draw(st.booleans()) else []), *map(IntAtom, draw(integers_0_3))))
+        contents.append(draw(st.permutations(body)))
+    return rules, contents
 
 
-@settings(max_examples=150, deadline=None)
+integers_0_3 = st.lists(st.integers(0, 3), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
 @given(two_field_programs())
 def test_two_field_edits_agree_with_the_rebuild_form(program):
-    rule, (bag, sink) = program
+    rules, (bag, sink) = program
 
-    def atoms():
-        return [field("BAG", *bag), field("SINK", *sink), rule]
+    def atoms():  # fresh copies: the engine edits the bodies in place
+        return [field("BAG", *(atom.copy() for atom in bag)), field("SINK", *(atom.copy() for atom in sink)), *rules]
 
     delta_report, delta_solution = _reduce(atoms())
     rebuild_report, rebuild_solution = _reduce(atoms(), RebuildEngine)
-    assert delta_report.rule_fires == {"edit": 1}
+    assert delta_report.rule_fires == {rule.name: 1 for rule in rules}
     assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution))
     assert trace(delta_report) == trace(rebuild_report)
 
