@@ -237,11 +237,12 @@ def first_match(rule: "Rule", solution: Multiset) -> Match | None:
     """The first match of ``rule`` in ``solution`` that does not consume the
     rule itself — all the reduction engine ever asks for.
 
-    Runs on what the rule built once (compiled search, guarded condition)
-    and leaves the has-candidates refutation to the engine, which decides
-    on it whether a search is charged at all.
+    Runs on what the rule built once (compiled search, guarded condition),
+    from the rule's :attr:`~repro.hocl.rules.Rule.given` bindings, and leaves
+    the has-candidates refutation to the engine, which decides on it whether
+    a search is charged at all.
     """
-    found = rule.search.run(solution, rule.guarded_condition, rule, None, None, (), True)
+    found = rule.search.run(solution, rule.guarded_condition, rule, rule.given, None, (), True)
     return found[0] if found else None
 
 
@@ -267,8 +268,8 @@ def find_matches(
         Optional reaction condition evaluated on the bindings; matches for
         which it returns ``False`` are discarded.
     initial_bindings:
-        Optional starting environment (used by the engine to pre-bind
-        context variables such as the owning task name).
+        Optional starting environment: context variables such as the owning
+        task name (what :func:`first_match` passes as a rule's ``given``).
     pinned, pinned_entries:
         Pattern ``pinned`` draws its candidates from ``pinned_entries``
         (occurrence entries) instead of its bucket — how

@@ -22,9 +22,9 @@ ones (it is defined in the paper as ``replace-one X by X, M``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .atoms import Atom
+from .atoms import Atom, to_atom
 from .deltas import RewriteDelta, derive_delta
 from .errors import RuleError
 from .matching import compiled_search
@@ -95,6 +95,12 @@ class Rule(Atom):
         Rules with a higher priority are tried first by the engine; used by
         GinFlow to favour adaptation rules over regular progress when both
         are enabled.
+    given:
+        Variables bound before the left-hand side is matched (values are
+        coerced to atoms): the context an interpreter supplies, as the
+        enclosing task is to the paper's ``gw_call``.  Products, condition and
+        effect read them like pattern-bound variables; :meth:`bind` makes
+        such a rule a sibling of one written without them.
 
     The engine fires the rule through :attr:`delta`, the in-place form its
     two sides imply.
@@ -109,6 +115,7 @@ class Rule(Atom):
         "keep_matched",
         "effect",
         "priority",
+        "given",
         "pattern_index_keys",
         "guarded_condition",
         "search",
@@ -127,6 +134,7 @@ class Rule(Atom):
         keep_matched: bool = False,
         effect: EffectHook | None = None,
         priority: int = 0,
+        given: Mapping[str, Any] | None = None,
     ):
         if not name:
             raise RuleError("rules require a non-empty name")
@@ -140,6 +148,8 @@ class Rule(Atom):
         self.keep_matched = bool(keep_matched)
         self.effect = effect
         self.priority = int(priority)
+        #: What every match starts from (the generated search's ``initial_bindings``).
+        self.given: dict[str, Atom] = {name: to_atom(value) for name, value in given.items()} if given else {}
         #: Per-pattern multiset index keys, precomputed once (rules are
         #: immutable).  The engine consults them to skip rules that cannot
         #: possibly match — e.g. after a reaction, only rules whose head
@@ -160,10 +170,27 @@ class Rule(Atom):
             self._delta = derive_delta(self.patterns, self.products, self.keep_matched)
         return self._delta
 
+    def bind(self, **given: Any) -> "Rule":
+        """A sibling of this rule whose matches also start from ``given``.
+
+        It is this rule in every other respect and shares its objects: the
+        patterns and their compiled search, the products, the condition and
+        the :attr:`delta`, derived here, once, on this rule.  One rule written
+        without a context literal thus serves every context:
+        ``make_gw_call(task)`` is the centralised ``gw_call`` bound to ``task``.
+        """
+        sibling = object.__new__(type(self))
+        for slot in Rule.__slots__:
+            setattr(sibling, slot, getattr(self, slot))
+        sibling._delta = self.delta
+        sibling.given = {**self.given, **{name: to_atom(value) for name, value in given.items()}}
+        return sibling
+
     # --------------------------------------------------------- introspection
     def bound_variables(self) -> set[str]:
-        """Variable names bound by the left-hand side when the rule matches."""
-        names: set[str] = set()
+        """Variable names bound when the rule matches: its :attr:`given` ones
+        and those the left-hand side binds."""
+        names: set[str] = set(self.given)
         for pattern in self.patterns:
             names |= pattern.bound_names()
         return names

@@ -89,13 +89,27 @@ def make_gw_setup() -> Rule:
 #: every task sub-solution, centralised or agent-local, holds this object.
 GW_SETUP = make_gw_setup()
 
-#: The left-hand side every per-task ``gw_call`` shares (paper 4.04): one
-#: compiled search for all of them, only the right-hand side names the task.
+#: The left-hand side of ``gw_call`` (paper 4.04); the agent-local rule
+#: matches its first three patterns.
 GW_CALL_PATTERNS = (
     TuplePattern(SymbolPattern(kw.SRC), SolutionPattern()),
     TuplePattern(SymbolPattern(kw.SRV), Var("s")),
     TuplePattern(SymbolPattern(kw.PAR), Var("par")),
     TuplePattern(SymbolPattern(kw.RES), SolutionPattern(rest=Omega("wres"))),
+)
+
+
+#: The centralised ``gw_call`` (paper 4.04-4.06), written once: ``invoke``
+#: reads the task from the context binding ``task``, which no pattern binds.
+_GW_CALL = Rule(
+    name="gw_call",
+    patterns=GW_CALL_PATTERNS,
+    products=[
+        TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
+        TupleTemplate(kw.SRV_SYM, Ref("s")),
+        TupleTemplate(kw.RES_SYM, SolutionTemplate(Call("invoke", Ref("task"), Ref("s"), Ref("par")), Splice("wres"))),
+    ],
+    one_shot=True,
 )
 
 
@@ -107,23 +121,13 @@ def make_gw_call(task_name: str) -> Rule:
         gw_call = replace-one SRC : <>, SRV : s, PAR : p, RES : <w>
                   by SRC : <>, SRV : s, RES : <invoke(s, p), w>
 
-    The task name is baked into the ``invoke`` call so the external function
-    knows which task's metadata (duration, forced errors, ...) applies — the
-    paper's interpreter gets the same information from the enclosing agent.
+    The paper's interpreter knows which task's metadata (duration, forced
+    errors, ...) an ``invoke`` concerns from its enclosing agent; here the
+    task is that context binding, ``task``, given to the one centralised
+    rule (:meth:`~repro.hocl.rules.Rule.bind`).  Every task's rule shares its
+    patterns, products, search and derived delta.
     """
-    return Rule(
-        name="gw_call",
-        patterns=GW_CALL_PATTERNS,
-        products=[
-            TupleTemplate(kw.SRC_SYM, SolutionTemplate()),
-            TupleTemplate(kw.SRV_SYM, Ref("s")),
-            TupleTemplate(
-                kw.RES_SYM,
-                SolutionTemplate(Call("invoke", task_name, Ref("s"), Ref("par")), Splice("wres")),
-            ),
-        ],
-        one_shot=True,
-    )
+    return _GW_CALL.bind(task=task_name)
 
 
 def gw_pass_condition(bindings: BindingView) -> bool:

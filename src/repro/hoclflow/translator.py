@@ -13,9 +13,11 @@ DAG (plus adaptation specifications), produce
 The same encoding feeds both execution modes: the centralised executor folds
 everything into a single multiset (the concrete workflow of Fig. 8), while
 the distributed executors hand each task encoding to its service agent.
-Only the first needs the per-task centralised ``gw_call(task)`` rules, so
-those are built when first read (:attr:`TaskEncoding.local_rules`): a
-decentralised run never constructs them.  ``gw_setup`` is one object for all.
+Only the first needs a centralised ``gw_call`` per task: the one centralised
+rule bound to the task's name (``make_gw_call``), sharing its products,
+search and delta with every other task's, and bound when first read
+(:attr:`TaskEncoding.local_rules`), so a decentralised run never binds one.
+``gw_setup`` is one object for all.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class TaskEncoding(Record):
         ``activate``); the same objects serve both execution modes.
     local_rules:
         Rules living inside the task's centralised sub-solution: the shared
-        ``gw_setup``, its own ``gw_call`` and :attr:`adaptation_rules`, built
-        on first access.
+        ``gw_setup``, the ``gw_call`` bound to this task and
+        :attr:`adaptation_rules`, built on first access.
     trigger_plans:
         Adaptation plans triggered by this task's failure (used by the
         decentralised engine, where the trigger is a message rather than a

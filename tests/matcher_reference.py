@@ -224,6 +224,6 @@ def search(
 def first_match(rule, solution):
     """The reference of :func:`repro.hocl.matching.first_match`."""
     found = search(
-        rule.patterns, solution, rule.guarded_condition, None, first=True, keys=rule.pattern_index_keys, owner=rule
+        rule.patterns, solution, rule.guarded_condition, rule.given, first=True, keys=rule.pattern_index_keys, owner=rule
     )
     return found[0] if found else None

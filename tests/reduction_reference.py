@@ -83,7 +83,7 @@ class BruteForceEngine(NaiveEngine):
                     for extended in matcher_reference.match(rule.patterns[index], atom, env):
                         yield from search(index + 1, used + [position], extended)
 
-        for match in search(0, [], {}):
+        for match in search(0, [], dict(rule.given)):
             if not any(consumed is rule for consumed in match.consumed):
                 return match
         return None
@@ -168,6 +168,7 @@ def repositioned(rule):
         keep_matched=rule.keep_matched,
         effect=rule.effect,
         priority=rule.priority,
+        given=rule.given,
     )
 
 

@@ -59,6 +59,13 @@ class TestRuleChecks:
         assert "'y'" in finding.message
         assert "bind" in finding.fix_hint
 
+    def test_a_given_name_binds_a_product_variable(self):
+        rule = replace("context", [Var("x")], [Ref("task"), Ref("other"), Ref("x")], given={"other": 1})
+        (finding,) = findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-product")
+        assert finding.severity is Severity.ERROR and "'task'" in finding.message and "'other'" not in finding.message
+        sibling = rule.bind(task="T1")
+        assert not findings_for(analyze_rules([sibling], solution=Multiset([1])), "rule-unbound-product")
+
     def test_unbound_condition_variable(self):
         rule = replace(
             "bad_condition",

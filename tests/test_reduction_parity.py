@@ -544,7 +544,7 @@ class TestInPlaceReactions:
 
         def checked(rule, solution):
             found = first_match(rule, solution)
-            enumerated = find_matches(rule.patterns, solution, rule.guarded_condition)
+            enumerated = find_matches(rule.patterns, solution, rule.guarded_condition, rule.given)
             expected = next(
                 (m for m in enumerated if not any(atom is rule for atom in m.consumed)), None
             )

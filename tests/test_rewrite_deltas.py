@@ -11,6 +11,8 @@ every top-level pattern is head-keyed.  The evidence:
 * **derivation** — each workflow rule derives, op for op, the delta that used
   to be written by hand beside it; a parsed rule derives what the same rule
   built in Python derives;
+* **sharing** — every task's centralised ``gw_call`` is one rule bound to its
+  task, so a 1000-task run derives each delta once;
 * **property-based differential** — hypothesis draws drain-shaped two-field
   rules with random keep / drop / add edits and random solutions, and both
   forms must agree;
@@ -20,11 +22,15 @@ every top-level pattern is head-keyed.  The evidence:
   virtual-time trace bit-identical.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reduction_reference import RebuildEngine, assert_parity, reduce_workflow, trace
 from repro.agents.local_rules import GW_CALL, GW_PASS, local_trigger
+from repro.executors.centralized import CentralizedExecutor
+from repro.hocl import rules as rules_module
 from repro.hocl import (
     Call,
     IntAtom,
@@ -38,6 +44,7 @@ from repro.hocl import (
     SolutionPattern,
     SolutionTemplate,
     Splice,
+    StringAtom,
     Subsolution,
     Symbol,
     SymbolPattern,
@@ -47,7 +54,7 @@ from repro.hocl import (
     Var,
     parse_program,
 )
-from repro.hocl.deltas import PatchAdd, PatchRemove, RewriteDelta
+from repro.hocl.deltas import PatchAdd, PatchRemove, RewriteDelta, derive_delta
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
 from repro.hoclflow.generic_rules import make_gw_call, make_gw_pass, make_gw_setup
@@ -118,7 +125,7 @@ def _hand_written(plan):
             make_gw_call("T"),
             RewriteDelta(
                 consume=(2,),
-                ops=(PatchAdd(at=3, templates=(Call("invoke", "T", Ref("s"), Ref("par")),)),),
+                ops=(PatchAdd(at=3, templates=(Call("invoke", Ref("task"), Ref("s"), Ref("par")),)),),
             ),
         ),
         "gw_pass": (
@@ -238,6 +245,39 @@ def test_a_parsed_rule_derives_the_constructed_delta():
     report, built = _reduce([field("BAG", 1, 2, 3), field("SINK"), drain_rule()])
     assert ReductionEngine().reduce(program.solution).rule_fires == report.rule_fires == {"drain": 3}
     assert program.solution.content_hash() == built.content_hash()
+
+
+# ------------------------------------------------------------------ sharing
+def test_every_centralised_gw_call_shares_one_rule_body():
+    """The task is a given binding: the rule body is written, searched and derived once."""
+    first, second = make_gw_call("a"), make_gw_call("b")
+    assert first.delta is second.delta
+    assert first.products is second.products and first.search is second.search
+    assert shape(first.delta) == shape(derive_delta(first.patterns, first.products))
+    assert (first.given, second.given) == ({"task": StringAtom("a")}, {"task": StringAtom("b")})
+    assert "task" in first.bound_variables()
+
+
+def test_a_centralised_montage_derives_each_delta_once(monkeypatch):
+    derived = Counter()
+
+    def counting(patterns, products, keep_matched=False):
+        derived[(*map(id, patterns), *map(id, products))] += 1
+        return derive_delta(patterns, products, keep_matched)
+
+    monkeypatch.setattr(rules_module, "derive_delta", counting)
+    report = CentralizedExecutor().execute(build_scenario("montage:size=1000,seed=1")).report
+    assert report.rule_fires["gw_call"] == 1000
+    assert set(derived.values()) <= {1}
+    assert len(derived) <= 3  # gw_setup, gw_call, gw_pass: not one per task
+
+
+def test_a_forced_error_fails_its_own_task_only():
+    workflow = diamond_workflow(2, 2)
+    workflow.task("T_1_1").metadata["force_error"] = True
+    outcome = CentralizedExecutor().execute(workflow)
+    assert outcome.errors == {"T_1_1": "ERROR"}
+    assert set(outcome.results) == {"split", "T_1_2", "T_2_2"}  # T_2_1 and merge wait on T_1_1
 
 
 # ------------------------------------------------------------------ unit
