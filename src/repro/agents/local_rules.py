@@ -18,7 +18,8 @@ The local rule set of one agent is therefore:
   :class:`~repro.agents.actions.SendResult` action and drop the destination;
 * ``trigger_adapt`` (local) — when ``RES`` contains ``ERROR`` and this task
   triggers an adaptation plan, emit :class:`~repro.agents.actions.SendAdapt`
-  actions towards every affected task;
+  actions towards every affected task (the ``targets`` given to the plan's
+  binding);
 * the adaptation rules proper (``add_dst`` / ``mv_src`` / ``activate``) are
   *already* local — the same rule objects produced by
   :mod:`repro.hoclflow.adaptation` are reused verbatim.
@@ -27,11 +28,12 @@ The shared-rule contract
 ------------------------
 The rules are the same for every agent, so they are compiled once and every
 agent's solution holds the same objects: :data:`GW_SETUP`, :data:`GW_CALL`
-and :data:`GW_PASS` exist once per process, ``trigger_adapt`` once per
-:class:`~repro.hoclflow.adaptation.AdaptationPlan` (i.e. per encoded
-workflow), and :data:`LOCAL_EXTERNALS` is the one registry every agent's
-engine calls.  None of them holds per-agent state: patterns, templates and
-deltas are immutable, and an effect hook *returns* its actions, which come
+and :data:`GW_PASS` exist once per process, a trigger task holds the one
+local ``trigger_adapt`` bound to its plan (:meth:`~repro.hocl.rules.Rule.bind`:
+same search, products, delta and effect), and :data:`LOCAL_EXTERNALS` is the
+one registry every agent's engine calls.  None of them holds per-agent state:
+patterns, templates, givens and deltas are immutable, and an effect hook is a
+module-level function that *returns* its actions, which come
 back in the :class:`~repro.hocl.engine.ReductionReport` of the ``reduce``
 call that fired the rule — so agents reduced concurrently on different
 threads never see each other's actions.  An agent owns only its atoms.
@@ -41,12 +43,15 @@ from __future__ import annotations
 
 from repro.hocl import (
     BindingView,
+    IntAtom,
     Omega,
     Rule,
     SolutionPattern,
     SolutionTemplate,
     Splice,
+    Symbol,
     SymbolPattern,
+    TupleAtom,
     TuplePattern,
     TupleTemplate,
     Ref,
@@ -72,6 +77,11 @@ def _start_invocation(bindings: BindingView) -> list[Action]:
 
 def _send_result(bindings: BindingView) -> list[Action]:
     return [SendResult(destination=str(bindings.value("tj")), value=bindings.value("res"))]
+
+
+def _send_adapt(bindings: BindingView) -> list[Action]:
+    adaptation = bindings.value("adaptation")
+    return [SendAdapt(task, count, adaptation) for task, count in bindings.value("targets")]
 
 
 #: Local ``gw_call``: request the invocation instead of performing it.
@@ -103,35 +113,27 @@ GW_PASS = Rule(
     effect=_send_result,
 )
 
+#: Local ``trigger_adapt``, written once and bound per plan (:func:`local_trigger`):
+#: send ``count`` ``ADAPT`` markers to each ``task : count`` of the ``targets``.
+_TRIGGER_ADAPT = Rule(
+    name="trigger_adapt",
+    patterns=[TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres")))],
+    products=[],  # keep_matched=True: the matched RES tuple stays where it is
+    one_shot=True,
+    keep_matched=True,
+    effect=_send_adapt,
+    priority=10,
+)
+
 #: ``params`` and the built-ins; the decentralised ``gw_call`` never calls
 #: ``invoke`` (the runtime owns the invocation), so that one does nothing.
 LOCAL_EXTERNALS = register_workflow_externals(default_registry(), lambda *_args: None)
 
 
 def local_trigger(plan: AdaptationPlan) -> Rule:
-    """Local ``trigger_adapt`` of ``plan``: broadcast ``ADAPT`` when this task fails.
-
-    Built on first use and memoised on the plan, so every trigger task of one
-    encoded workflow holds the same rule object.
-    """
-    if plan._local_trigger is None:
-        # the same immutable actions at every firing
-        broadcast = tuple(
-            SendAdapt(destination=task_name, count=count, adaptation=plan.spec.name)
-            for task_name, count in plan.adapt_marker_counts().items()
-        )
-        plan._local_trigger = Rule(
-            name=f"trigger_adapt:{plan.spec.name}",
-            patterns=[
-                TuplePattern(SymbolPattern(kw.RES), SolutionPattern(SymbolPattern(kw.ERROR), rest=Omega("wres"))),
-            ],
-            products=[],  # keep_matched=True: the matched RES tuple stays where it is
-            one_shot=True,
-            keep_matched=True,
-            effect=lambda _bindings: broadcast,
-            priority=10,
-        )
-    return plan._local_trigger
+    """Local ``trigger_adapt`` of ``plan``: broadcast ``ADAPT`` when this task fails."""
+    targets = [TupleAtom([Symbol(task), IntAtom(count)]) for task, count in plan.adapt_marker_counts().items()]
+    return _TRIGGER_ADAPT.bind(name=f"trigger_adapt:{plan.spec.name}", targets=targets, adaptation=plan.spec.name)
 
 
 def build_local_rules(encoding: TaskEncoding) -> list[Rule]:

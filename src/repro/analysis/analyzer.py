@@ -26,7 +26,6 @@ from repro.hocl.multiset import Multiset, atom_index_keys
 from repro.hocl.rules import Rule
 from repro.hocl.templates import (
     Call,
-    Compute,
     ListTemplate,
     Ref,
     SolutionTemplate,
@@ -45,7 +44,7 @@ from repro.workflow.errors import JSONFormatError, WorkflowValidationError
 
 from .findings import AnalysisReport, Finding, Severity
 from .registry import checks_for
-from .rule_checks import RuleScope
+from .rule_checks import RuleScope, given_atoms
 from .scenario_checks import ScenarioContext
 from .workflow_checks import WorkflowContext
 
@@ -74,44 +73,42 @@ def _nested_injected_keys(rules: Iterable[Rule]) -> tuple[set[Any], bool]:
     atoms (the ``ADAPT`` marker) inside the task's sub-solution; from the
     task scope's point of view those atoms arrive from outside.  Walks every
     ``SolutionTemplate`` in the products and collects the keys of its
-    element atoms; elements that are themselves dynamic (``Ref``/``Call``/
-    ``Compute``/tuples with unknown heads) set the wildcard flag.
+    element atoms; elements that are themselves dynamic (``Call`` results,
+    tuples with unknown heads) set the wildcard flag.
     """
     keys: set[Any] = set()
     wildcard = False
-    stack: list[Any] = []
     for rule in rules:
-        stack.extend(rule.products)
-    in_solution: list[Any] = []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SolutionTemplate):
-            in_solution.extend(node.elements)
-        elif isinstance(node, (TupleTemplate, ListTemplate)):
-            stack.extend(node.elements)
-        elif isinstance(node, Call):
-            stack.extend(node.arguments)
-        elif isinstance(node, Compute):
-            wildcard = True
-    while in_solution:
-        node = in_solution.pop()
-        if isinstance(node, Atom):
-            keys.update(atom_index_keys(node))
-        elif isinstance(node, SolutionTemplate):
-            keys.add(("kind", "solution"))
-            in_solution.extend(node.elements)
-        elif isinstance(node, TupleTemplate):
-            head = node.elements[0] if node.elements else None
-            if isinstance(head, Symbol):
-                keys.add(("tuple", head.name))
-                keys.add(("kind", "tuple"))
-            else:
+        stack: list[Any] = list(rule.products)
+        in_solution: list[Any] = []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, SolutionTemplate):
+                in_solution.extend(node.elements)
+            elif isinstance(node, (TupleTemplate, ListTemplate)):
+                stack.extend(node.elements)
+            elif isinstance(node, Call):
+                stack.extend(node.arguments)
+        while in_solution:
+            node = in_solution.pop()
+            if isinstance(node, Atom):
+                keys.update(atom_index_keys(node))
+            elif isinstance(node, SolutionTemplate):
+                keys.add(("kind", "solution"))
+                in_solution.extend(node.elements)
+            elif isinstance(node, TupleTemplate):
+                head = node.elements[0] if node.elements else None
+                if isinstance(head, Symbol):
+                    keys.add(("tuple", head.name))
+                    keys.add(("kind", "tuple"))
+                else:
+                    wildcard = True
+                in_solution.extend(node.elements[1:] if isinstance(head, Symbol) else node.elements)
+            elif isinstance(node, (Ref, Splice)):
+                # a matched atom is re-inserted (no new key); a given one is new
+                in_solution.extend(given_atoms(rule, node.name))
+            elif isinstance(node, Call):
                 wildcard = True
-            in_solution.extend(node.elements[1:] if isinstance(head, Symbol) else node.elements)
-        elif isinstance(node, (Ref, Splice)):
-            pass  # re-inserts already-present atoms: no new keys
-        elif isinstance(node, (Call, Compute)):
-            wildcard = True
     return keys, wildcard
 
 

@@ -91,8 +91,6 @@ def _referenced_tasks(plan: AdaptationPlan) -> Iterator[tuple[str, str]]:
         yield "ADDDST source", source
         for entry in entries:
             yield "ADDDST target", entry
-    for task in plan.new_sources:
-        yield "MVSRC source", task
 
 
 # ---------------------------------------------------------------- the checks

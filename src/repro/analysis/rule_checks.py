@@ -26,7 +26,6 @@ from repro.hocl.multiset import Multiset, atom_index_keys
 from repro.hocl.rules import Rule
 from repro.hocl.templates import (
     Call,
-    Compute,
     ListTemplate,
     Ref,
     SolutionTemplate,
@@ -38,7 +37,7 @@ from repro.hocl.templates import (
 from .findings import Finding, Severity
 from .registry import register_check
 
-__all__ = ["RuleScope", "condition_variables", "producible_keys"]
+__all__ = ["RuleScope", "condition_variables", "given_atoms", "producible_keys"]
 
 
 @dataclass
@@ -105,6 +104,12 @@ def condition_variables(closure: Callable[..., Any] | None) -> set[str]:
     return names
 
 
+def given_atoms(rule: Rule, name: str) -> list[Atom]:
+    """The atoms ``rule`` is given as ``name`` (none if a pattern binds it)."""
+    given = rule.given.get(name)
+    return [] if given is None else given if isinstance(given, list) else [given]
+
+
 def _walk_templates(products: tuple[Any, ...]) -> Iterator[Any]:
     """Every template node reachable from ``products`` (containers included)."""
     stack = list(products)
@@ -123,19 +128,20 @@ def producible_keys(rules: tuple[Rule, ...]) -> tuple[set[Any], bool, bool]:
     Returns ``(keys, any_tuple, any_atom)``: the concrete keys producible by
     the rules' top-level products, whether some product builds a tuple with
     a statically unknown head (any ``("tuple", *)`` key becomes reachable),
-    and whether some product can create arbitrary atoms (``Call``/``Compute``
-    results are external values — the check must then assume anything).
+    and whether some product can create arbitrary atoms (``Call`` results
+    are external values — the check must then assume anything).
 
-    ``Ref``/``Splice`` products re-insert atoms that were just consumed from
-    the same solution, so they cannot make a *new* key appear and contribute
-    nothing.
+    ``Ref``/``Splice`` products of a pattern-bound variable re-insert atoms
+    that were just consumed from the same solution, so they cannot make a
+    *new* key appear and contribute nothing; of a :attr:`~Rule.given` one,
+    they add the given atoms.
     """
     keys: set[Any] = set()
     any_tuple = False
     any_atom = False
     for rule in rules:
         for node in _walk_templates(rule.products):
-            if isinstance(node, (Call, Compute)):
+            if isinstance(node, Call):
                 any_atom = True
             elif isinstance(node, TupleTemplate):
                 head = node.elements[0] if node.elements else None
@@ -149,7 +155,8 @@ def producible_keys(rules: tuple[Rule, ...]) -> tuple[set[Any], bool, bool]:
             elif isinstance(node, ListTemplate):
                 keys.add(("kind", "list"))
             elif isinstance(node, (Ref, Splice)):
-                pass
+                for atom in given_atoms(rule, node.name):
+                    keys.update(atom_index_keys(atom))
             elif isinstance(node, Atom):
                 keys.update(atom_index_keys(node))
             elif not isinstance(node, Template):

@@ -30,15 +30,15 @@ from .common import format_table
 __all__ = ["run_matching_cost_ablation", "run_status_update_ablation", "format_ablation"]
 
 
+def _x_is_larger(bindings) -> bool:
+    """getMax's reaction condition, ``if x >= y``."""
+    return bindings.value("x") >= bindings.value("y")
+
+
 def _measure_matching_cost(workflow, config, cell) -> dict[str, Any]:
     """Custom sweep runner: reduce a getMax multiset and time it."""
     size = cell["solution_size"]
-    max_rule = Rule(
-        "max",
-        [Var("x", kind="int"), Var("y", kind="int")],
-        [Ref("x")],
-        condition=lambda b: b.value("x") >= b.value("y"),
-    )
+    max_rule = Rule("max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")], condition=_x_is_larger)
     solution = Multiset(list(range(size)) + [max_rule])
     started = time.perf_counter()
     report = reduce_solution(solution)

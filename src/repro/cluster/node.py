@@ -1,4 +1,4 @@
-"""Compute nodes of the simulated infrastructure.
+"""The nodes of the simulated infrastructure.
 
 The paper's experiments ran on up to 25 Grid'5000 nodes totalling 568 cores,
 with the number of service agents per core limited to two (which is what

@@ -62,7 +62,6 @@ from .patterns import (
 from .rules import BindingView, Rule, replace, replace_one, with_inject
 from .templates import (
     Call,
-    Compute,
     ListTemplate,
     Ref,
     SolutionTemplate,
@@ -119,7 +118,6 @@ __all__ = [
     "SolutionTemplate",
     "ListTemplate",
     "Call",
-    "Compute",
     "expand_template",
     "expand_templates",
     # rules

@@ -20,8 +20,9 @@ The engine fires the rule's :class:`RewriteDelta` instead, which
 
 ``gw_pass`` (paper 4.07–4.11) derives three patches — ``tj`` out of the
 source's ``DST``, ``ti`` out of the destination's ``SRC``, ``ti : res`` into
-its ``IN`` — and consumes nothing; ``mv_src``, whose one product is an opaque
-``Compute``, restates nothing and consumes all it matched.
+its ``IN`` — and consumes nothing; ``mv_src``, whose bodies are rebuilt by
+the externals ``minus`` and ``drop_inputs``, restates nothing and consumes all
+it matched.
 
 Copy-on-write: a delta never deep-copies a payload.  Atoms added by a patch
 are shared by reference (as ``Ref``/``Splice`` expansion shares them), and the
@@ -62,7 +63,6 @@ from .multiset import Multiset
 from .patterns import Bindings, Literal, Pattern, RulePattern, SolutionPattern, TuplePattern, Var
 from .templates import (
     Call,
-    Compute,
     Ref,
     SolutionTemplate,
     Splice,
@@ -107,7 +107,7 @@ def _resolve_target(anchor: Atom, path: tuple[str, ...]) -> Multiset | None:
 
 def _is_opaque(template: Any) -> bool:
     """Whether expanding ``template`` can read bindings it does not name."""
-    if isinstance(template, (Call, Compute)):
+    if isinstance(template, Call):
         return True
     return any(map(_is_opaque, getattr(template, "elements", ())))
 
@@ -214,7 +214,7 @@ class RewriteDelta:
         self.rebuild = tuple(rebuild)
         #: The names read once the patching has started, which the engine
         #: therefore reads before (an omega is copied out of its solution at its
-        #: first read); ``None``: any — a ``Call``/``Compute`` sees every binding.
+        #: first read); ``None``: any — a ``Call`` sees every binding.
         expanded = list(self.produce)
         for op in self.ops:
             expanded += op.expanded()

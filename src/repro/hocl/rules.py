@@ -61,6 +61,15 @@ def _guarded(condition: Condition) -> Condition:
     return guarded
 
 
+def _given_atoms(given: Mapping[str, Any]) -> dict[str, Any]:
+    """``given`` as a match binds it: a list stays a list of atoms (an omega
+    binding, which ``Splice`` reads), any other value becomes one atom."""
+    return {
+        name: [to_atom(item) for item in value] if isinstance(value, list) else to_atom(value)
+        for name, value in given.items()
+    }
+
+
 class Rule(Atom):
     """A reaction rule, itself an atom of the solution.
 
@@ -97,10 +106,11 @@ class Rule(Atom):
         are enabled.
     given:
         Variables bound before the left-hand side is matched (values are
-        coerced to atoms): the context an interpreter supplies, as the
-        enclosing task is to the paper's ``gw_call``.  Products, condition and
-        effect read them like pattern-bound variables; :meth:`bind` makes
-        such a rule a sibling of one written without them.
+        coerced to atoms, a list to a list of atoms, read by ``Splice``): the
+        context an interpreter supplies, as the enclosing task is to the
+        paper's ``gw_call``.  Products, condition and effect read them like
+        pattern-bound variables; :meth:`bind` makes such a rule a sibling of
+        one written without them.
 
     The engine fires the rule through :attr:`delta`, the in-place form its
     two sides imply.
@@ -149,7 +159,7 @@ class Rule(Atom):
         self.effect = effect
         self.priority = int(priority)
         #: What every match starts from (the generated search's ``initial_bindings``).
-        self.given: dict[str, Atom] = {name: to_atom(value) for name, value in given.items()} if given else {}
+        self.given: dict[str, Any] = _given_atoms(given or {})
         #: Per-pattern multiset index keys, precomputed once (rules are
         #: immutable).  The engine consults them to skip rules that cannot
         #: possibly match — e.g. after a reaction, only rules whose head
@@ -170,20 +180,26 @@ class Rule(Atom):
             self._delta = derive_delta(self.patterns, self.products, self.keep_matched)
         return self._delta
 
-    def bind(self, **given: Any) -> "Rule":
-        """A sibling of this rule whose matches also start from ``given``.
+    def bind(self, name: str | None = None, **given: Any) -> "Rule":
+        """A sibling of this rule, called ``name`` (this rule's name by
+        default), whose matches also start from ``given``.
 
         It is this rule in every other respect and shares its objects: the
-        patterns and their compiled search, the products, the condition and
-        the :attr:`delta`, derived here, once, on this rule.  One rule written
-        without a context literal thus serves every context:
-        ``make_gw_call(task)`` is the centralised ``gw_call`` bound to ``task``.
+        patterns and their compiled search, the products, the condition, the
+        effect and the :attr:`delta`, derived here, once, on this rule.  One
+        rule written without a context literal thus serves every context:
+        ``make_gw_call(task)`` is the centralised ``gw_call`` bound to
+        ``task``, and ``make_add_dst(plan, source)`` the one ``add_dst`` bound
+        to the entry tasks ``new`` that ``source`` now feeds.
         """
         sibling = object.__new__(type(self))
         for slot in Rule.__slots__:
             setattr(sibling, slot, getattr(self, slot))
         sibling._delta = self.delta
-        sibling.given = {**self.given, **{name: to_atom(value) for name, value in given.items()}}
+        sibling.given = {**self.given, **_given_atoms(given)}
+        if name is not None:
+            sibling.name = name
+            sibling._index_keys = None  # the rule's bucket is its name
         return sibling
 
     # --------------------------------------------------------- introspection
@@ -196,18 +212,15 @@ class Rule(Atom):
         return names
 
     def omega_variables(self) -> set[str]:
-        """Left-hand-side variable names bound to *lists* of atoms (omegas)."""
-        names: set[str] = set()
+        """Variable names bound to *lists* of atoms: the left-hand side's omegas
+        and the :attr:`given` lists."""
+        names = {name for name, value in self.given.items() if isinstance(value, list)}
         for pattern in self.patterns:
             names |= pattern.omega_names()
         return names
 
     def referenced_variables(self) -> set[str]:
-        """Variable names the declared products read when the rule fires.
-
-        :class:`~repro.hocl.templates.Compute` products are opaque and
-        contribute nothing here.
-        """
+        """Variable names the products read when the rule fires."""
         names: set[str] = set()
         for product in self.products:
             names |= template_referenced_names(product)

@@ -22,10 +22,6 @@ Template nodes
     expanded arguments; the returned value(s) are coerced to atoms.  This is
     how ``gw_call`` invokes the service (``invoke(s, par)``) and how
     ``gw_setup`` builds the parameter list (``list(w)``).
-``Compute(callable)``
-    Escape hatch: call a Python function ``callable(bindings)`` and coerce
-    its result.  Used by the GinFlow middleware for rules whose effect is a
-    message send rather than a pure rewrite.
 
 Any plain value (or :class:`~repro.hocl.atoms.Atom`) used as a template is a
 literal.
@@ -33,7 +29,7 @@ literal.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .atoms import Atom, ListAtom, Subsolution, TupleAtom, to_atom
 from .errors import ExternalFunctionError, PatternError
@@ -50,7 +46,6 @@ __all__ = [
     "SolutionTemplate",
     "ListTemplate",
     "Call",
-    "Compute",
     "expand_template",
     "expand_templates",
     "template_referenced_names",
@@ -71,8 +66,6 @@ class Template:
 
         The static-analysis entry point: :mod:`repro.analysis` compares this
         set against the pattern's bound names without expanding anything.
-        Opaque templates (:class:`Compute`) return the empty set — they must
-        be treated as unanalysable by callers, not as reference-free.
         """
         return set()
 
@@ -221,29 +214,8 @@ class Call(Template):
         return f"Call({self.function!r}, {', '.join(repr(a) for a in self.arguments)})"
 
 
-class Compute(Template):
-    """Call ``function(bindings)`` and coerce the result to atoms.
-
-    The callable receives the raw bindings dictionary (atom-valued).  It may
-    return ``None`` (producing no atom), a single value, or a list/tuple of
-    values.  GinFlow uses this for rules whose products depend on the agent
-    context (e.g. the decentralised ``gw_pass`` which sends messages).
-    """
-
-    __slots__ = ("function",)
-
-    def __init__(self, function: Callable[[Bindings], Any]):
-        self.function = function
-
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        return _coerce_result(self.function(bindings))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Compute({self.function!r})"
-
-
 def _coerce_result(result: Any) -> list[Atom]:
-    """Coerce the return value of a Call/Compute into a list of atoms."""
+    """Coerce the return value of a Call into a list of atoms."""
     if result is None:
         return []
     if isinstance(result, Atom):

@@ -24,6 +24,10 @@ then compiled into the three kinds of rules of the paper:
     When ``ADAPT`` is present, remove the ``TRIGGER`` placeholder from the
     entry task's ``SRC`` so that it can start once its inputs arrive — this
     realises the ``TRIGGER : T2'`` atom of Fig. 6.
+
+``add_dst``, ``mv_src`` and ``activate`` are written once, at module level;
+each task's rule is one of them bound (:meth:`~repro.hocl.rules.Rule.bind`)
+to its name and to what the plan gives it.
 """
 
 from __future__ import annotations
@@ -31,16 +35,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.hocl import (
-    Atom,
-    BindingView,
-    Compute,
-    Multiset,
+    Call,
+    ListTemplate,
     Omega,
     Rule,
     SolutionPattern,
     SolutionTemplate,
     Splice,
-    Subsolution,
     Symbol,
     SymbolPattern,
     TuplePattern,
@@ -49,7 +50,6 @@ from repro.hocl import (
 from repro.records import Record
 
 from . import keywords as kw
-from .fields import is_tagged_input, tagged_input_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workflow.adaptive import AdaptationSpec
@@ -82,34 +82,26 @@ class AdaptationPlan(Record):
     destination:
         The single original task consuming the region's output.
     entry_tasks / exit_tasks:
-        Entry and exit tasks of the replacement sub-workflow.
+        Entry and exit tasks of the replacement sub-workflow; the exit tasks
+        become sources of the destination (the ``MVSRC`` links).
     added_destinations:
         For each source, the replacement entry tasks it must now also feed
         (the ``ADDDST`` links).
-    new_sources:
-        Replacement exit tasks that become sources of the destination (the
-        ``MVSRC`` links).
-
-    ``_local_trigger`` is the decentralised ``trigger_adapt`` of this plan,
-    memoised here by :func:`repro.agents.local_rules.local_trigger`: one
-    object per run, neither compared nor shown.
     """
 
     __slots__ = (
         "spec", "replaced", "trigger_tasks", "sources", "destination", "entry_tasks", "exit_tasks",
-        "added_destinations", "new_sources", "_local_trigger",
+        "added_destinations",
     )
 
     def __init__(
         self, spec: "AdaptationSpec", replaced: list[str], trigger_tasks: list[str], sources: list[str],
         destination: str, entry_tasks: list[str], exit_tasks: list[str],
-        added_destinations: dict[str, list[str]] | None = None, new_sources: list[str] | None = None,
+        added_destinations: dict[str, list[str]] | None = None,
     ):
         self.spec, self.replaced, self.trigger_tasks, self.sources = spec, replaced, trigger_tasks, sources
         self.destination, self.entry_tasks, self.exit_tasks = destination, entry_tasks, exit_tasks
         self.added_destinations: dict[str, list[str]] = {} if added_destinations is None else added_destinations
-        self.new_sources: list[str] = [] if new_sources is None else new_sources
-        self._local_trigger: Rule | None = None
 
     def affected_tasks(self) -> list[str]:
         """Every task that receives the ``ADAPT`` marker when the plan triggers."""
@@ -159,7 +151,6 @@ def build_plan(workflow: "Workflow", spec: "AdaptationSpec") -> AdaptationPlan:
         entry_tasks=entry_tasks,
         exit_tasks=exit_tasks,
         added_destinations=added,
-        new_sources=list(exit_tasks),
     )
 
 
@@ -211,11 +202,43 @@ def make_trigger_adapt(plan: AdaptationPlan, trigger_task: str) -> Rule:
     )
 
 
-#: One left-hand side — one compiled search — for every source's ``add_dst`` and every entry's ``activate``.
-_ADD_DST_PATTERNS = (TuplePattern(SymbolPattern(kw.DST), SolutionPattern(rest=Omega("wdst"))), SymbolPattern(kw.ADAPT))
-_ACTIVATE_PATTERNS = (
-    TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(SymbolPattern(kw.TRIGGER), rest=Omega("wsrc"))),
-    SymbolPattern(kw.ADAPT),
+_ADAPT = SymbolPattern(kw.ADAPT)
+
+#: ``add_dst`` written once; each source's rule is it bound to the entry tasks ``new`` it must now feed.
+_ADD_DST = Rule(
+    name="add_dst",
+    patterns=[TuplePattern(SymbolPattern(kw.DST), SolutionPattern(rest=Omega("wdst"))), _ADAPT],
+    products=[TupleTemplate(kw.DST_SYM, SolutionTemplate(Splice("new"), Splice("wdst")))],
+    one_shot=True,
+    priority=5,
+)
+
+_MV_SRC_PATTERNS = (
+    TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(rest=Omega("wsrc"))),
+    TuplePattern(SymbolPattern(kw.IN), SolutionPattern(rest=Omega("win"))),
+    _ADAPT,
+)
+
+
+def _mv_src(inputs: SolutionTemplate) -> Rule:
+    """``mv_src`` written once with ``IN : inputs``; the destination's rule is
+    it bound to the ``replaced`` tasks and the ``new`` sources."""
+    replaced = ListTemplate(Splice("replaced"))
+    sources = SolutionTemplate(Call("minus", ListTemplate(Splice("wsrc")), replaced), Splice("new"))
+    products = [TupleTemplate(kw.SRC_SYM, sources), TupleTemplate(kw.IN_SYM, inputs)]
+    return Rule(name="mv_src", patterns=_MV_SRC_PATTERNS, products=products, one_shot=True, priority=5)
+
+
+_MV_SRC = _mv_src(SolutionTemplate(Call("drop_inputs", ListTemplate(Splice("win")), ListTemplate(Splice("replaced")))))
+_MV_SRC_CLEARING = _mv_src(SolutionTemplate())  # the paper's IN : <>
+
+#: ``activate`` written once; each entry task's rule is it under its own name.
+_ACTIVATE = Rule(
+    name="activate",
+    patterns=[TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(SymbolPattern(kw.TRIGGER), rest=Omega("wsrc"))), _ADAPT],
+    products=[TupleTemplate(kw.SRC_SYM, SolutionTemplate(Splice("wsrc")))],
+    one_shot=True,
+    priority=5,
 )
 
 
@@ -226,21 +249,11 @@ def make_add_dst(plan: AdaptationPlan, source_task: str) -> Rule:
 
         add_dst = replace-one DST : <>, ADAPT by DST : <T2'>
 
-    Generalised to preserve any destinations still pending in ``DST``.
+    Generalised to preserve any destinations still pending in ``DST``:
+    ``DST : <new, wdst>``, with ``new`` the entry tasks the source now feeds.
     """
-    new_destinations = plan.added_destinations.get(source_task, [])
-    return Rule(
-        name=f"add_dst:{plan.spec.name}:{source_task}",
-        patterns=_ADD_DST_PATTERNS,
-        products=[
-            TupleTemplate(
-                kw.DST_SYM,
-                SolutionTemplate(*[Symbol(name) for name in new_destinations], Splice("wdst")),
-            )
-        ],
-        one_shot=True,
-        priority=5,
-    )
+    new = [Symbol(name) for name in plan.added_destinations.get(source_task, [])]
+    return _ADD_DST.bind(name=f"add_dst:{plan.spec.name}:{source_task}", new=new)
 
 
 def make_mv_src(plan: AdaptationPlan) -> Rule:
@@ -253,46 +266,18 @@ def make_mv_src(plan: AdaptationPlan) -> Rule:
 
     Refined to *remove* the replaced tasks from ``SRC`` (the paper's ``MVSRC``
     atom moves the source) and, unless ``clear_destination_inputs`` is set, to
-    drop only the inputs received from replaced tasks.
+    drop only the inputs received from replaced tasks::
 
-    Its one product is an opaque :class:`Compute` doing binding-dependent list
-    surgery: it restates nothing, so the rule consumes everything it matched
-    (it fires at most once per adaptation).
+        by SRC : <minus(wsrc, replaced), new>, IN : <drop_inputs(win, replaced)>
+
+    with ``new`` the replacement's exit tasks.  It restates nothing, so the
+    rule consumes everything it matched (it fires at most once per adaptation).
     """
-    replaced = set(plan.replaced)
-    new_sources = list(plan.new_sources)
-    clear_all = plan.spec.clear_destination_inputs
-
-    def rebuild(bindings: BindingView) -> list[Atom]:
-        old_sources = bindings.atom("wsrc")
-        old_inputs = bindings.atom("win")
-        kept_sources = [
-            atom for atom in old_sources if not (isinstance(atom, Symbol) and atom.name in replaced)
-        ]
-        source_atoms = kept_sources + [Symbol(name) for name in new_sources]
-        if clear_all:
-            kept_inputs: list[Atom] = []
-        else:
-            kept_inputs = [
-                atom
-                for atom in old_inputs
-                if not (is_tagged_input(atom) and tagged_input_source(atom) in replaced)
-            ]
-        return [
-            TupleTemplate(kw.SRC_SYM, SolutionTemplate(*source_atoms)).expand({}, None)[0],
-            TupleTemplate(kw.IN_SYM, SolutionTemplate(*kept_inputs)).expand({}, None)[0],
-        ]
-
-    return Rule(
+    rule = _MV_SRC_CLEARING if plan.spec.clear_destination_inputs else _MV_SRC
+    return rule.bind(
         name=f"mv_src:{plan.spec.name}:{plan.destination}",
-        patterns=[
-            TuplePattern(SymbolPattern(kw.SRC), SolutionPattern(rest=Omega("wsrc"))),
-            TuplePattern(SymbolPattern(kw.IN), SolutionPattern(rest=Omega("win"))),
-            SymbolPattern(kw.ADAPT),
-        ],
-        products=[Compute(rebuild)],
-        one_shot=True,
-        priority=5,
+        replaced=[Symbol(name) for name in plan.replaced],
+        new=[Symbol(name) for name in plan.exit_tasks],
     )
 
 
@@ -302,10 +287,4 @@ def make_activate(plan: AdaptationPlan, entry_task: str) -> Rule:
     Removes the ``TRIGGER`` placeholder from the entry task's ``SRC`` once the
     adaptation has fired, letting the replacement sub-workflow start.
     """
-    return Rule(
-        name=f"activate:{plan.spec.name}:{entry_task}",
-        patterns=_ACTIVATE_PATTERNS,
-        products=[TupleTemplate(kw.SRC_SYM, SolutionTemplate(Splice("wsrc")))],
-        one_shot=True,
-        priority=5,
-    )
+    return _ACTIVATE.bind(name=f"activate:{plan.spec.name}:{entry_task}")

@@ -50,7 +50,7 @@ from repro.hocl import (
 )
 
 from . import keywords as kw
-from .fields import build_parameters
+from .fields import build_parameters, is_tagged_input, tagged_input_source
 
 __all__ = [
     "GW_SETUP",
@@ -197,6 +197,20 @@ def make_gw_pass() -> Rule:
     )
 
 
+def _minus(args: list[Atom], _bindings: Any) -> list[Atom]:
+    """``minus(w, d)``: the atoms of the list ``w`` that are not in the list ``d``."""
+    atoms, dropped = args
+    excluded = set(dropped)
+    return [atom for atom in atoms if atom not in excluded]
+
+
+def _drop_inputs(args: list[Atom], _bindings: Any) -> list[Atom]:
+    """``drop_inputs(w, d)``: the inputs of the list ``w`` not tagged by a task of ``d``."""
+    inputs, dropped = args
+    sources = {task.name for task in dropped}
+    return [atom for atom in inputs if not (is_tagged_input(atom) and tagged_input_source(atom) in sources)]
+
+
 #: Signature of the service-invocation callback plugged into the registry:
 #: ``invoke(task_name, service_name, parameters) -> result value`` (return
 #: the string ``"ERROR"``/the ERROR symbol, or raise, to signal failure).
@@ -207,7 +221,8 @@ def register_workflow_externals(
     registry: ExternalRegistry,
     invoke: InvokeCallback,
 ) -> ExternalRegistry:
-    """Register the ``params`` and ``invoke`` externals used by the generic rules.
+    """Register the externals the workflow rules call: ``params`` and
+    ``invoke`` (the generic rules), ``minus`` and ``drop_inputs`` (``mv_src``).
 
     ``invoke`` failures (exceptions) are converted into the ``ERROR`` marker
     atom, which is what enables the adaptation rules downstream.
@@ -235,4 +250,6 @@ def register_workflow_externals(
 
     registry.register("params", params_external)
     registry.register("invoke", invoke_external)
+    registry.register("minus", _minus)
+    registry.register("drop_inputs", _drop_inputs)
     return registry

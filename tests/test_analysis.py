@@ -25,18 +25,23 @@ from repro.analysis import (
     registry,
 )
 from repro.cli import main
+from repro.analysis.analyzer import _nested_injected_keys
 from repro.hocl import (
     Multiset,
     Omega,
     Ref,
+    SolutionTemplate,
     Splice,
     Symbol,
     TuplePattern,
+    TupleTemplate,
     Var,
     replace,
     replace_one,
     with_inject,
 )
+from repro.hoclflow import adaptation
+from repro.hoclflow.adaptation import build_plan, make_mv_src
 from repro.hoclflow.translator import encode_workflow
 from repro.scenarios import available_scenarios, register_scenario
 from repro.scenarios.registry import registry as scenario_registry
@@ -92,11 +97,24 @@ class TestRuleChecks:
         report = analyze_rules([rule], solution=Multiset([Symbol("GO")]))
         assert not findings_for(report, "rule-dead-index-key")
 
-    def test_index_key_live_via_producing_rule(self):
-        producer = replace_one("producer", [Var("x")], [Symbol("GO")])
+    @pytest.mark.parametrize(
+        "producer",
+        [
+            replace_one("producer", [Var("x")], [Symbol("GO")]),
+            replace_one("producer", [Var("x")], [Splice("new")]).bind(new=[Symbol("GO")]),
+        ],
+        ids=["literal", "given"],
+    )
+    def test_index_key_live_via_producing_rule(self, producer):
         consumer = replace("consumer", [Symbol("GO")], [])
         report = analyze_rules([producer, consumer], solution=Multiset([1]))
         assert not findings_for(report, "rule-dead-index-key")
+
+    def test_a_given_splice_injects_its_atoms_into_a_nested_solution(self):
+        body = TupleTemplate(Symbol("DST"), SolutionTemplate(Splice("new"), Splice("w")))
+        rule = replace_one("adds", [TuplePattern(Symbol("DST"), rest=Omega("w"))], [body]).bind(new=[Symbol("R1")])
+        keys, wildcard = _nested_injected_keys([rule])
+        assert ("symbol", "R1") in keys and not wildcard
 
     def test_index_key_live_via_injection(self):
         rule = replace("adaptation", [Symbol("ADAPT")], [])
@@ -153,6 +171,26 @@ class TestRuleChecks:
         (finding,) = findings
         assert finding.severity is Severity.WARNING
         assert "Ref" in finding.fix_hint
+
+
+    def test_a_given_list_is_an_omega_binding(self):
+        rule = replace("context", [Var("x")], [Ref("x")]).bind(new=["A", "B"], task="T")
+        assert rule.omega_variables() == {"new"}
+        spliced = replace("spliced", [Var("x")], [Ref("x"), Splice("new"), Ref("task")]).bind(new=["A"], task="T")
+        assert not findings_for(analyze_rules([spliced], solution=Multiset([1])), "rule-template-arity")
+        referenced = replace("referenced", [Var("x")], [Ref("new")]).bind(new=["A"])
+        (finding,) = findings_for(analyze_rules([referenced], solution=Multiset([1])), "rule-template-arity")
+        assert finding.severity is Severity.ERROR and "Splice('new')" in finding.fix_hint
+
+    def test_mv_src_bound_without_replaced_reads_an_unbound_name(self):
+        workflow = adaptive_diamond_workflow(2, 2)
+        plan = build_plan(workflow, workflow.adaptations[0])
+        rule = make_mv_src(plan)
+        assert not findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-product")
+        assert {"wsrc", "win", "replaced", "new"} <= rule.referenced_variables()
+        sibling = adaptation._MV_SRC.bind(name="mv_src:no-replaced", new=["R_2_1"])
+        (finding,) = findings_for(analyze_rules([sibling], solution=Multiset([1])), "rule-unbound-product")
+        assert finding.subject == "mv_src:no-replaced" and "'replaced'" in finding.message
 
 
 # ----------------------------------------------------------- workflow checks

@@ -6,7 +6,6 @@ from reduction_reference import NaiveEngine
 
 from repro.hocl import (
     Call,
-    Compute,
     ExternalFunctionError,
     ExternalRegistry,
     IntAtom,
@@ -25,6 +24,7 @@ from repro.hocl import (
     SolutionPattern,
     SolutionTemplate,
     Splice,
+    StringAtom,
     Subsolution,
     Symbol,
     SymbolPattern,
@@ -37,6 +37,7 @@ from repro.hocl import (
     replace_one,
     with_inject,
 )
+from repro.hocl.multiset import atom_index_keys
 
 
 def max_rule():
@@ -87,11 +88,15 @@ class TestTemplates:
         atoms = Call("list", 1, 2).expand({}, registry)
         assert atoms == [ListAtom([1, 2])]
 
-    def test_compute_none_produces_nothing(self):
-        assert Compute(lambda b: None).expand({}, None) == []
+    def test_call_none_produces_nothing(self):
+        registry = default_registry()
+        registry.register("nothing", lambda args, _bindings: None)
+        assert Call("nothing").expand({}, registry) == []
 
-    def test_compute_value_coerced(self):
-        assert Compute(lambda b: 7).expand({}, None) == [IntAtom(7)]
+    def test_call_value_coerced(self):
+        registry = default_registry()
+        registry.register("seven", lambda args, _bindings: 7)
+        assert Call("seven").expand({}, registry) == [IntAtom(7)]
 
 
 class TestExternals:
@@ -171,6 +176,15 @@ class TestRuleConstruction:
     def test_rules_equal_by_name(self):
         assert Rule("a", [Var("x")], []) == Rule("a", [Var("y")], [])
         assert Rule("a", [Var("x")], []) != Rule("b", [Var("x")], [])
+
+    def test_a_sibling_bound_to_a_name_is_that_rule(self):
+        rule = Rule("a", [Var("x")], [Splice("new")])
+        held = Multiset([rule])  # the rule's index keys are computed here
+        sibling = rule.bind(name="b", new=["A", Symbol("B")])
+        assert held.rules() == [rule] and Multiset([sibling]).rules() == [sibling]
+        assert sibling.name == "b" and sibling != rule and sibling.delta is rule.delta
+        assert sibling.given == {"new": [StringAtom("A"), Symbol("B")]} and rule.given == {}
+        assert atom_index_keys(sibling)[0] == ("rule", "b")
 
     def test_condition_type_error_means_no_match(self):
         solution = Multiset([1, Symbol("A"), 2, max_rule()])

@@ -1,5 +1,7 @@
 """Unit tests for the HOCLflow layer: fields, generic rules, adaptation, translator."""
 
+import pytest
+
 from repro.hocl import (
     IntAtom,
     Multiset,
@@ -41,6 +43,8 @@ from repro.hoclflow import (
     task_solution,
     task_tuple,
 )
+from repro.runtime import GinFlow
+from repro.services import ServiceRegistry
 from repro.workflow import AdaptationSpec, Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 
 
@@ -212,6 +216,27 @@ class TestAdaptationPlan:
         assert make_trigger_adapt(plan, "T2").name.startswith("trigger_adapt:")
         assert make_add_dst(plan, "T1").name.startswith("add_dst:")
         assert make_mv_src(plan).name.startswith("mv_src:")
+
+
+class TestClearDestinationInputs:
+    """``mv_src`` with and without the paper's exact ``IN : <>``: the
+    destination of an adaptive diamond also fed by ``split`` gathers its
+    inputs, so its result shows what ``IN`` held once the adaptation fired."""
+
+    @pytest.mark.parametrize("mode", ["simulated", "centralized"])
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_destination_inputs_after_adaptation(self, mode, clear):
+        workflow = adaptive_diamond_workflow(2, 2, "full", "simple")
+        workflow.add_dependency("split", "merge")
+        workflow.task("merge").service = "gather"
+        workflow.adaptations[0].clear_destination_inputs = clear
+        services = ServiceRegistry()
+        services.register_function("gather", lambda *inputs: "+".join(sorted(map(str, inputs))))
+        report = GinFlow().run(workflow, mode=mode, registry=services)
+        assert report.succeeded
+        # T_2_1 is replaced: its input is dropped either way; split's only without the flag
+        kept = [] if clear else ["split-out"]
+        assert report.results["merge"] == "+".join(["R_2_1-out", "R_2_2-out", *kept])
 
 
 class TestTranslator:

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
-    Compute,
+    Call,
     IntAtom,
     Literal,
     Multiset,
@@ -43,6 +43,7 @@ from repro.hocl import (
     TuplePattern,
     TupleTemplate,
     Var,
+    default_registry,
     find_matches,
 )
 from repro.hocl.matching import first_match
@@ -53,6 +54,18 @@ from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
 
 _FAMILIES = available_scenarios()
+
+
+def _integers(function):
+    """An external applying ``function`` to the values of its integer arguments."""
+    return lambda args, _bindings: function(*(atom.value for atom in args))
+
+
+#: The externals the integer programs below call.
+ARITHMETIC = default_registry()
+ARITHMETIC.register("max", _integers(max))
+ARITHMETIC.register("add", _integers(lambda a, b: a + b))
+ARITHMETIC.register("pred", _integers(lambda x: x - 1))
 
 
 class TestWorkflowTraceParity:
@@ -284,7 +297,7 @@ class TestAgainstBruteForceSearch:
         fold = Rule(
             "max",
             [Var("x", kind="int"), Var("y", kind="int")],
-            [Compute(lambda b: max(b.value("x"), b.value("y")))],
+            [Call("max", Ref("x"), Ref("y"))],
         )
         take = Rule(
             "take",
@@ -315,7 +328,7 @@ class TestAgainstBruteForceSearch:
         total = Rule(
             "sum",
             [Var("a", kind="int"), Var("b", kind="int")],
-            [Compute(lambda b: b.value("a") + b.value("b"))],
+            [Call("add", Ref("a"), Ref("b"))],
             priority=0 if take_first else 1,
         )
         solution = Multiset([repositioned(take) if reposition else take, total])
@@ -344,8 +357,8 @@ class TestAgainstBruteForceSearch:
         slow_log, slow_observer = _firing_log()
         fast_solution = self._cells_program(cells, take_first)
         slow_solution = self._cells_program(cells, take_first)
-        fast = ReductionEngine(observer=fast_observer)
-        slow = BruteForceEngine(observer=slow_observer)
+        fast = ReductionEngine(externals=ARITHMETIC, observer=fast_observer)
+        slow = BruteForceEngine(externals=ARITHMETIC, observer=slow_observer)
         for refill in [[]] + refills:
             for cell, value in refill:
                 for solution in (fast_solution, slow_solution):
@@ -487,7 +500,7 @@ class TestInPlaceReactions:
         program = TestAgainstBruteForceSearch._cells_program
         refill = TestAgainstBruteForceSearch._refill
         in_place, moved = program(cells, take_first), program(cells, take_first, reposition=True)
-        engines = ReductionEngine(), ReductionEngine()
+        engines = ReductionEngine(externals=ARITHMETIC), ReductionEngine(externals=ARITHMETIC)
         for round_ in [[]] + refills:
             for cell, value in round_:
                 refill(in_place, cell % len(cells), value)
@@ -577,7 +590,7 @@ class TestInPlaceReactions:
         solution = TestAgainstBruteForceSearch._cells_program(cells, take_first)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
-            engine = ReductionEngine()
+            engine = ReductionEngine(externals=ARITHMETIC)
             for round_ in [[]] + refills:
                 for cell, value in round_:
                     TestAgainstBruteForceSearch._refill(solution, cell % len(cells), value)
@@ -588,16 +601,18 @@ class TestFlagsSurviveFailure:
     def test_a_nested_solution_is_visited_again_after_a_reduction_error(self):
         failures = [RuntimeError("transient")]
 
-        def flaky(bindings):
+        def flaky(args, _bindings):
             if failures:
                 raise failures.pop()
-            return bindings.value("x") + 1
+            return args[0].value + 1
 
-        bump = Rule("bump", [Var("x", kind="int")], [Compute(flaky)], one_shot=True)
+        externals = default_registry()
+        externals.register("flaky", flaky)
+        bump = Rule("bump", [Var("x", kind="int")], [Call("flaky", Ref("x"))], one_shot=True)
         nested = Multiset([1, bump])
         sibling = Multiset([Rule("mark", [SymbolPattern("GO")], ["went"], one_shot=True), Symbol("GO")])
         solution = Multiset([Subsolution(nested), TupleAtom([Symbol("S"), Subsolution(sibling)])])
-        engine = ReductionEngine()
+        engine = ReductionEngine(externals=externals)
         with pytest.raises(ReductionError):
             engine.reduce(solution)
         assert not nested.known_inert and bump in nested.rules()
@@ -614,7 +629,7 @@ class TestFlagsSurviveFailure:
             return Rule(
                 "down",
                 [Var("x", kind="int")],
-                [Compute(lambda b: b.value("x") - 1)],
+                [Call("pred", Ref("x"))],
                 condition=lambda b: b.value("x") > 0,
             )
 
@@ -631,13 +646,13 @@ class TestFlagsSurviveFailure:
                 settled("B"),
             ]
         )
-        engine = ReductionEngine(max_steps=4)
+        engine = ReductionEngine(externals=ARITHMETIC, max_steps=4)
         cut = engine.reduce(solution)
         assert not cut.inert and cut.reactions == 4
         if same_engine:
             engine.max_steps = 100
         else:
-            engine = ReductionEngine()
+            engine = ReductionEngine(externals=ARITHMETIC)
         rest = engine.reduce(solution)
         assert rest.inert and rest.reactions == 4
         assert IntAtom(0) in first and IntAtom(0) in second

@@ -28,7 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reduction_reference import RebuildEngine, assert_parity, reduce_workflow, trace
-from repro.agents.local_rules import GW_CALL, GW_PASS, local_trigger
+from repro.agents import local_rules
+from repro.agents.actions import SendAdapt
+from repro.agents.local_rules import GW_CALL, GW_PASS, LOCAL_EXTERNALS, local_trigger
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import rules as rules_module
 from repro.hocl import (
@@ -56,8 +58,10 @@ from repro.hocl import (
 )
 from repro.hocl.deltas import PatchAdd, PatchRemove, RewriteDelta, derive_delta
 from repro.hoclflow import keywords as kw
+from repro.hoclflow import adaptation
 from repro.hoclflow.adaptation import build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
-from repro.hoclflow.generic_rules import make_gw_call, make_gw_pass, make_gw_setup
+from repro.hoclflow.fields import get_in_atoms, get_src, tagged_input
+from repro.hoclflow.generic_rules import GW_SETUP, make_gw_call, make_gw_pass, make_gw_setup
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
 from repro.workflow import adaptive_diamond_workflow, diamond_workflow
@@ -93,9 +97,13 @@ def field(head, *atoms):
     return TupleAtom([Symbol(head), Subsolution(list(atoms))])
 
 
-def _reduce(atoms, engine_class=ReductionEngine):
+def _reduce(atoms, engine_class=ReductionEngine, externals=None):
     solution = Multiset(atoms)
-    return engine_class().reduce(solution), solution
+    return engine_class(externals=externals).reduce(solution), solution
+
+
+#: The adaptation rule bodies every plan's rules are bound from.
+_ADAPTATION_BODIES = (adaptation._ADD_DST, adaptation._MV_SRC, adaptation._MV_SRC_CLEARING, adaptation._ACTIVATE)
 
 
 def shape(delta):
@@ -105,10 +113,15 @@ def shape(delta):
 
 
 # ----------------------------------------------------------------- derivation
+def adaptive_plan(clear_destination_inputs=False):
+    workflow = adaptive_diamond_workflow(3, 3, "full", "simple")
+    workflow.adaptations[0].clear_destination_inputs = clear_destination_inputs
+    return build_plan(workflow, workflow.adaptations[0])
+
+
 @pytest.fixture(scope="module")
 def plan():
-    workflow = adaptive_diamond_workflow(3, 3, "full", "simple")
-    return build_plan(workflow, workflow.adaptations[0])
+    return adaptive_plan()
 
 
 def _hand_written(plan):
@@ -151,7 +164,7 @@ def _hand_written(plan):
             make_add_dst(plan, source),
             RewriteDelta(
                 consume=(1,),
-                ops=(PatchAdd(at=0, templates=tuple(Symbol(name) for name in plan.added_destinations[source])),),
+                ops=(PatchAdd(at=0, templates=(Splice("new"),)),),
             ),
         ),
         "activate": (
@@ -217,10 +230,12 @@ def test_what_restates_what(pattern, product, ops, kept):
     assert (delta.consume, len(delta.produce)) == (((), 0) if kept else ((0,), 1))
 
 
-def test_an_opaque_product_consumes_everything_matched(plan):
-    rule = make_mv_src(plan)
+@pytest.mark.parametrize("clear", [False, True])
+def test_an_opaque_product_consumes_everything_matched(clear):
+    rule = make_mv_src(adaptive_plan(clear))
     assert shape(rule.delta) == shape(RewriteDelta(consume=(0, 1, 2), produce=rule.products))
-    assert rule.delta.eager is None  # a Compute sees every binding
+    assert rule.delta.eager is None  # a Call sees every binding
+    assert rule.name == "mv_src:adaptive-diamond-3x3-full-to-simple:replace-body:merge"
 
 
 def test_the_local_trigger_keeps_its_res_tuple_in_place(plan):
@@ -230,7 +245,10 @@ def test_the_local_trigger_keeps_its_res_tuple_in_place(plan):
     solution = Multiset(["first", res, rule, "last"])
     kept = [entry for entry in solution.live_entries() if entry.atom is not rule]
     report = ReductionEngine().reduce(solution)
-    assert report.rule_fires == {rule.name: 1} and len(report.effects) == len(plan.adapt_marker_counts())
+    assert report.rule_fires == {rule.name: 1}
+    assert report.effects == [
+        SendAdapt(task, count, plan.spec.name) for task, count in plan.adapt_marker_counts().items()
+    ]
     assert list(solution.live_entries()) == kept
     assert report.history[0].produced == 1
 
@@ -272,6 +290,26 @@ def test_a_centralised_montage_derives_each_delta_once(monkeypatch):
     assert len(derived) <= 3  # gw_setup, gw_call, gw_pass: not one per task
 
 
+def test_a_simulated_adaptive_diamond_derives_each_delta_once(monkeypatch):
+    """``add_dst``, ``mv_src``, ``activate`` and the local ``trigger_adapt`` are
+    written once and bound per source, plan and entry task: 21 entry tasks
+    share one ``activate`` body, and a run derives seven bodies, not 27."""
+    derived = Counter()
+
+    def counting(patterns, products, keep_matched=False):
+        derived[(*map(id, patterns), *map(id, products))] += 1
+        return derive_delta(patterns, products, keep_matched)
+
+    monkeypatch.setattr(rules_module, "derive_delta", counting)
+    for body in (GW_SETUP, GW_CALL, GW_PASS, local_rules._TRIGGER_ADAPT, *_ADAPTATION_BODIES):
+        monkeypatch.setattr(body, "_delta", None)  # derived here, whatever ran before
+    report = GinFlow().run(adaptive_diamond_workflow(21, 21, "full", "simple"), mode="simulated")
+    fires = report.extra["rule_fires"]
+    assert report.succeeded and sum(count for name, count in fires.items() if name.startswith("activate:")) == 21
+    assert set(derived.values()) == {1}
+    assert len(derived) == 7  # gw_setup, gw_call, gw_pass, trigger_adapt, add_dst, mv_src, activate
+
+
 def test_a_forced_error_fails_its_own_task_only():
     workflow = diamond_workflow(2, 2)
     workflow.task("T_1_1").metadata["force_error"] = True
@@ -281,13 +319,34 @@ def test_a_forced_error_fails_its_own_task_only():
 
 
 # ------------------------------------------------------------------ unit
-def _both_forms(build):
+def _both_forms(build, externals=None):
     """Reduce what ``build()`` returns by the engine and by the rebuild form;
     the two must agree.  Returns the engine's solution."""
-    (report, solution), (reference, reference_solution) = _reduce(build()), _reduce(build(), RebuildEngine)
+    (report, solution), (reference, reference_solution) = (
+        _reduce(build(), externals=externals),
+        _reduce(build(), RebuildEngine, externals),
+    )
     assert_parity((report, solution), (reference, reference_solution))
     assert trace(report) == trace(reference)
     return solution
+
+
+@pytest.mark.parametrize("clear", [False, True])
+def test_mv_src_agrees_with_its_rebuild_form(clear):
+    """Both ``mv_src`` bodies: the replaced sources leave ``SRC`` and the exits
+    join it; ``IN`` keeps what no replaced task sent, or nothing (``IN : <>``)."""
+    plan = adaptive_plan(clear)
+    kept = [tagged_input("split", "s"), StringAtom("seed")]
+    dropped = [tagged_input(task, "r") for task in plan.replaced[-3:]]
+
+    def build():
+        sources = field("SRC", *(Symbol(task) for task in [*plan.replaced[-3:], "split"]))
+        return [sources, field("IN", *dropped, *kept), kw.ADAPT_SYM, make_mv_src(plan)]
+
+    solution = _both_forms(build, LOCAL_EXTERNALS)
+    assert get_src(solution) == ["split", *plan.exit_tasks]
+    assert get_in_atoms(solution) == ([] if clear else kept)
+    assert kw.ADAPT_SYM not in solution
 
 
 class TestUnsafeTargets:

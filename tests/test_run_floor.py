@@ -69,13 +69,18 @@ class TestSharedRules:
         for core in cores:
             for rule in core.solution.rules():
                 held.setdefault(rule.name, []).append(rule)
+        # one local trigger per plan, held by each of its trigger tasks: the
+        # plan's rule bound in each, one body (search, products, delta, effect)
+        (trigger_name,) = [name for name in held if name.startswith("trigger_adapt:")]
+        triggers = held.pop(trigger_name)
+        assert len(triggers) == len(encoding.plans[0].trigger_tasks) > 1
+        for part in ("search", "products", "delta", "effect"):
+            assert len({id(getattr(rule, part)) for rule in triggers}) == 1, part
+        assert all(rule.given == triggers[0].given for rule in triggers)
         assert all(rule is rules[0] for rules in held.values() for rule in rules)
         assert held["gw_setup"][0] is GW_SETUP
         assert held["gw_call"][0] is GW_CALL and len(held["gw_call"]) == len(cores)
         assert held["gw_pass"][0] is GW_PASS
-        # one local trigger per plan, held by each of its trigger tasks
-        (trigger_name,) = [name for name in held if name.startswith("trigger_adapt:")]
-        assert len(held[trigger_name]) == len(encoding.plans[0].trigger_tasks) > 1
         assert all(core.engine.externals is LOCAL_EXTERNALS for core in cores)
 
     def test_recovered_agent_rebinds_to_the_same_rules(self):

@@ -360,13 +360,13 @@ class TestPlanChecks:
 
     def test_ghost_task_reference(self, monkeypatch):
         def tamper(plan):
-            plan.new_sources = ["ghost-task"]
+            plan.exit_tasks = ["ghost-task"]
 
         report = audit_plans(tampered_encoding(monkeypatch, tamper))
         (finding,) = findings_for(report, "plan-task-existence")
         assert finding.severity is Severity.ERROR
         assert finding.subject == "ghost-task"
-        assert "MVSRC" in finding.message
+        assert "replacement exit" in finding.message
 
     def test_missing_adapt_consumer(self):
         # tamper *after* encoding: the translator never placed an add_dst
@@ -487,7 +487,7 @@ class TestAuditCLI:
             return adaptive_diamond_workflow(2, 2)
 
         def tamper(plan):
-            plan.new_sources = ["ghost-task"]
+            plan.exit_tasks = ["ghost-task"]
 
         scratch_scenario("broken-plan-scratch", factory)
         monkeypatch.setattr(
