@@ -207,11 +207,16 @@ def _size_axis(build, sizes: list[int], runs: int) -> tuple[float, list[float], 
             best = seconds if best is None else min(best, seconds)
         walls.append(round(best, 3))
         per_reaction.append(round(1e6 * best / report.reactions, 1))
-    xs = [math.log(tasks) for tasks in sizes]
+    return size_exponent(sizes, walls), walls, per_reaction
+
+
+def size_exponent(sizes: list[int], walls: list[float]) -> float:
+    """The least-squares slope of ``log(wall)`` over ``log(size)``."""
+    xs = [math.log(size) for size in sizes]
     ys = [math.log(max(wall, 1e-6)) for wall in walls]
     mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
-    return round(slope, 2), walls, per_reaction
+    return round(slope, 2)
 
 
 def measure_scaling(full: bool) -> dict:

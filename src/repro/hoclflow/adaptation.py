@@ -130,8 +130,8 @@ class AdaptationPlan(Record):
 
 
 def build_plan(workflow: "Workflow", spec: "AdaptationSpec") -> AdaptationPlan:
-    """Resolve ``spec`` against ``workflow`` into an :class:`AdaptationPlan`."""
-    spec.validate(workflow)
+    """Resolve ``spec``, one of ``workflow``'s adaptations, into an :class:`AdaptationPlan`."""
+    workflow.ensure_valid()
     sources = spec.region_sources(workflow)
     destination = spec.destination(workflow)
     entry_tasks = spec.replacement_entry_tasks()

@@ -435,17 +435,6 @@ def forkjoin_workflow(size: int = 20, seed: int = 0, width: int = 4) -> Workflow
     return builder.workflow
 
 
-def _topological_levels(workflow: Workflow) -> dict[str, int]:
-    """Longest-path depth of every task (entry tasks are level 0)."""
-    predecessors: dict[str, list[str]] = {}
-    for source, destination in workflow.dependencies():
-        predecessors.setdefault(destination, []).append(source)
-    levels: dict[str, int] = {}
-    for name in workflow.topological_order():
-        levels[name] = max((levels[parent] + 1 for parent in predecessors.get(name, [])), default=0)
-    return levels
-
-
 #: Stage duration bounds of the Montage pipeline — the fixed-duration tasks
 #: of :mod:`repro.workflow.montage` plus the paper's 60–310 s projection range.
 _MONTAGE_COSTS = {
@@ -478,7 +467,7 @@ def montage_scenario(size: int = 118, seed: int = 0) -> Workflow:
     )
     # montage_workflow stamps stage/idempotent; the catalog contract also
     # wants scenario/cost_class/level on every task
-    levels = _topological_levels(workflow)
+    levels = {name: level for level, names in enumerate(workflow.levels()) for name in names}
     for task in workflow:
         task.metadata.update(
             {

@@ -22,6 +22,8 @@ The paper restricts which replacements are legal (Fig. 9):
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.records import Record
@@ -85,28 +87,24 @@ class AdaptationSpec(Record):
         These are the tasks that receive an ``add_dst`` rule: upon adaptation
         they must re-send their results to the replacement's entry tasks.
         """
-        replaced = set(self.replaced)
-        sources: list[str] = []
-        for task_name in self.replaced:
-            for predecessor in workflow.predecessors(task_name):
-                if predecessor not in replaced and predecessor not in sources:
-                    sources.append(predecessor)
-        return sources
+        return self._outside(workflow.predecessors)
 
     def destination(self, workflow: "Workflow") -> str:
         """The single task outside the region that consumes the region's output."""
-        replaced = set(self.replaced)
-        destinations: list[str] = []
-        for task_name in self.replaced:
-            for successor in workflow.successors(task_name):
-                if successor not in replaced and successor not in destinations:
-                    destinations.append(successor)
+        destinations = self._outside(workflow.successors)
         if len(destinations) != 1:
             raise AdaptationValidationError(
                 f"adaptation {self.name!r}: the replaced region must have exactly one "
                 f"destination outside it, found {destinations or 'none'}"
             )
         return destinations[0]
+
+    def _outside(self, neighbours: Callable[[str], list[str]]) -> list[str]:
+        """The ``neighbours`` of the region's tasks that lie outside it, first seen first."""
+        replaced = set(self.replaced)
+        return list(dict.fromkeys(
+            neighbour for task_name in self.replaced for neighbour in neighbours(task_name) if neighbour not in replaced
+        ))
 
     def replacement_entry_tasks(self) -> list[str]:
         """Entry tasks of the replacement sub-workflow."""
@@ -126,7 +124,7 @@ class AdaptationSpec(Record):
             raise AdaptationValidationError(
                 f"adaptation {self.name!r}: replaced tasks not in workflow: {unknown}"
             )
-        duplicates = {name for name in self.replaced if self.replaced.count(name) > 1}
+        duplicates = {name for name, count in Counter(self.replaced).items() if count > 1}
         if duplicates:
             raise AdaptationValidationError(
                 f"adaptation {self.name!r}: duplicated replaced tasks {sorted(duplicates)}"
@@ -146,11 +144,9 @@ class AdaptationSpec(Record):
         # Fig. 13 experiment replaces the whole body of a *simple-connected*
         # diamond, whose columns only connect through the split and merge
         # tasks.
-        boundary = set(self.region_sources(workflow))
-        region_with_boundary = set(self.replaced) | boundary
-        for task_name in self.replaced:
-            for successor in workflow.successors(task_name):
-                region_with_boundary.add(successor)
+        replaced = set(self.replaced)
+        region_sources = set(self.region_sources(workflow))
+        region_with_boundary = replaced | region_sources | set(self._outside(workflow.successors))
         reached: set[str] = set()
         frontier = [next(iter(region_with_boundary))]
         while frontier:
@@ -169,7 +165,6 @@ class AdaptationSpec(Record):
         # (c) entry sources must be actual upstream neighbours of the region,
         #     and must reference replacement entry tasks — Fig. 9(d) guards
         #     against the replacement talking to extra services.
-        region_sources = set(self.region_sources(workflow))
         entry_tasks = set(self.replacement_entry_tasks())
         for replacement_task, sources in self.entry_sources.items():
             if replacement_task not in self.replacement:
@@ -201,7 +196,7 @@ class AdaptationSpec(Record):
 
         # trigger tasks must belong to the replaced region
         for trigger in self.trigger_tasks():
-            if trigger not in self.replaced:
+            if trigger not in replaced:
                 raise AdaptationValidationError(
                     f"adaptation {self.name!r}: trigger task {trigger!r} is not part of the "
                     "replaced region"

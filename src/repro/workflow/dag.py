@@ -14,7 +14,6 @@ of the service in seconds, used by the simulated services.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.records import Record
@@ -126,10 +125,12 @@ class Workflow:
                 raise WorkflowValidationError(f"dependency references unknown task {endpoint!r}")
         if source == destination:
             raise WorkflowValidationError(f"task {source!r} cannot depend on itself")
-        if destination in self._successors[source]:
-            return  # idempotent
-        self._successors[source].append(destination)
-        self._predecessors[destination].append(source)
+        # idempotent; the shorter side keeps a wide fan-out or fan-in O(1) per edge
+        successors, predecessors = self._successors[source], self._predecessors[destination]
+        if (destination in successors) if len(successors) <= len(predecessors) else (source in predecessors):
+            return
+        successors.append(destination)
+        predecessors.append(source)
         self._valid = False
 
     def chain(self, *task_names: str) -> None:
@@ -143,17 +144,17 @@ class Workflow:
             raise WorkflowValidationError(f"unknown task {name!r}")
         del self._tasks[name]
         self._valid = False
-        self._successors.pop(name, None)
-        self._predecessors.pop(name, None)
-        for successors in self._successors.values():
-            if name in successors:
-                successors.remove(name)
-        for predecessors in self._predecessors.values():
-            if name in predecessors:
-                predecessors.remove(name)
+        for successor in self._successors.pop(name):
+            self._predecessors[successor].remove(name)
+        for predecessor in self._predecessors.pop(name):
+            self._successors[predecessor].remove(name)
 
     def add_adaptation(self, spec: Any) -> None:
-        """Attach an adaptation specification (validated against this workflow)."""
+        """Attach an adaptation specification (validated against this workflow).
+
+        A valid workflow stays valid: the specification is the one thing
+        :meth:`validate` would check anew.
+        """
         spec.validate(self)
         for existing in self.adaptations:
             overlap = set(existing.replaced) & set(spec.replaced)
@@ -163,7 +164,6 @@ class Workflow:
                     f"{spec.name!r} overlaps {existing.name!r} on {sorted(overlap)}"
                 )
         self.adaptations.append(spec)
-        self._valid = False
 
     # -------------------------------------------------------------- queries
     def __contains__(self, name: str) -> bool:
@@ -247,6 +247,8 @@ class Workflow:
 
     def find_cycle(self) -> list[str] | None:
         """The tasks of one dependency cycle, in edge order, or ``None``."""
+        from graphlib import CycleError, TopologicalSorter
+
         try:
             TopologicalSorter(self._predecessors).prepare()
         except CycleError as exc:
@@ -286,19 +288,21 @@ class Workflow:
         self._valid = False
         if not self._tasks:
             raise WorkflowValidationError(f"workflow {self.name!r} has no task")
-        cycle = self.find_cycle()
-        if cycle is not None:
-            raise WorkflowValidationError(f"workflow {self.name!r} contains a cycle: {cycle}")
+        try:
+            self.levels()
+        except WorkflowValidationError:
+            raise WorkflowValidationError(f"workflow {self.name!r} contains a cycle: {self.find_cycle()}") from None
         for spec in self.adaptations:
             spec.validate(self)
         self._valid = True
 
     def ensure_valid(self) -> None:
-        """:meth:`validate`, unless it passed since the last mutation.
+        """:meth:`validate`, unless it passed since the last change to the graph.
 
         What the layers of one run call, so a workflow is checked once however
-        many of them it crosses.  Only this class's mutators reset the memo:
-        after editing a specification in place, call :meth:`validate`.
+        many of them it crosses.  Only this class's graph mutators reset the
+        memo (:meth:`add_adaptation` checks its specification itself): after
+        editing a specification in place, call :meth:`validate`.
         """
         if not self._valid:
             self.validate()

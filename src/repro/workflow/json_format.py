@@ -30,8 +30,9 @@ path; ``workflow_to_json`` is its inverse (round-trip safe).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .adaptive import AdaptationSpec
 from .dag import Task, Workflow
@@ -183,6 +184,7 @@ def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
     for source, destination in dependencies:
         workflow.add_dependency(source, destination)
 
+    specs: list[AdaptationSpec] = []
     for adaptation in document.get("adaptations", ()):
         _checked(adaptation, _ADAPTATION, f"{context} adaptation")
         spec_name = _require(adaptation, "name", f"{context} adaptation")
@@ -192,17 +194,18 @@ def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
             if not isinstance(sources, list):
                 raise JSONFormatError(f"{where}: 'entry_sources' of {entry_task!r} must be a list, got {sources!r:.40}")
             entry_sources[entry_task] = list(sources)
-        spec = AdaptationSpec(
+        specs.append(AdaptationSpec(
             name=spec_name,
             replaced=list(_require(adaptation, "replaced", where)),
             replacement=workflow_from_dict(_require(adaptation, "replacement", where)),
             entry_sources=entry_sources,
             trigger_on=list(adaptation.get("trigger_on", ())) or None,
             clear_destination_inputs=adaptation.get("clear_destination_inputs", False),
-        )
-        workflow.add_adaptation(spec)
-
+        ))
+    # each specification is checked once, as it is attached to the valid workflow
     workflow.validate()
+    for spec in specs:
+        workflow.add_adaptation(spec)
     return workflow
 
 

@@ -4,8 +4,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.hoclflow import build_plan, encode_workflow
 
 from repro.workflow import (
     AdaptationSpec,
@@ -111,10 +113,10 @@ class TestWorkflowStructure:
 
     def test_cycle_detection(self):
         workflow = self.build()
-        workflow._successors["D"].append("A")  # force a cycle
-        workflow._predecessors["A"].append("D")
-        with pytest.raises(WorkflowValidationError):
+        workflow.add_dependency("D", "A")  # force a cycle
+        with pytest.raises(WorkflowValidationError) as raised:
             workflow.validate()
+        assert str(raised.value) == f"workflow 'w' contains a cycle: {workflow.find_cycle()}"
 
     def test_empty_workflow_invalid(self):
         with pytest.raises(WorkflowValidationError):
@@ -260,6 +262,124 @@ class TestAdaptationSpecValidation:
         clone.replaced.append("X")
         assert spec.replaced == ["B"]
 
+
+
+@st.composite
+def repeated_edge_dags(draw):
+    """Task names and the forward edges (so a DAG) to insert, in order; a prefix is inserted twice."""
+    size = draw(st.integers(2, 9))
+    names = [f"N{index}" for index in range(size)]
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(lambda edge: edge[0] < edge[1])
+    inserted = [(names[i], names[j]) for i, j in draw(st.lists(pair, max_size=3 * size))]
+    return names, inserted + inserted[: draw(st.integers(0, len(inserted)))]
+
+
+def _reference_levels(names, successors, predecessors):
+    """Kahn by generations over plain adjacency lists, entry tasks in insertion order."""
+    pending = {name: len(predecessors[name]) for name in names}
+    level, levels = [name for name in names if not pending[name]], []
+    while level:
+        levels.append(level)
+        released = []
+        for name in level:
+            for successor in successors[name]:
+                pending[successor] -= 1
+                if not pending[successor]:
+                    released.append(successor)
+        level = released
+    return levels
+
+
+class TestAdjacency:
+    """The ordered adjacency lists hold first-insertion order however often an edge is added."""
+
+    @staticmethod
+    def built(names, inserted):
+        workflow = Workflow("w", [Task(name, "svc") for name in names])
+        for source, destination in inserted:
+            workflow.add_dependency(source, destination)
+        return workflow
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_edge_dags(), st.data())
+    def test_lists_dedup_in_first_insertion_order(self, dag, data):
+        names, inserted = dag
+        workflow = self.built(names, inserted)
+        edges = list(dict.fromkeys(inserted))
+        successors = {name: [d for s, d in edges if s == name] for name in names}
+        predecessors = {name: [s for s, d in edges if d == name] for name in names}
+        assert {name: workflow.successors(name) for name in names} == successors
+        assert {name: workflow.predecessors(name) for name in names} == predecessors
+        assert workflow.dependencies() == [(name, d) for name in names for d in successors[name]]
+        assert workflow.levels() == _reference_levels(names, successors, predecessors)
+
+        removed = data.draw(st.sampled_from(names))
+        workflow.remove_task(removed)
+        kept = [edge for edge in edges if removed not in edge]
+        assert workflow.dependencies() == [(s, d) for name in names for s, d in kept if s == name]
+        for name in workflow.task_names():
+            assert workflow.predecessors(name) == [s for s, d in kept if d == name]
+            assert all(neighbour in workflow for neighbour in workflow.successors(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_edge_dags(), st.data())
+    def test_validate_agrees_with_find_cycle(self, dag, data):
+        names, inserted = dag
+        workflow = self.built(names, inserted)
+        back_edges = data.draw(st.lists(st.sampled_from(inserted), max_size=2)) if inserted else []
+        for source, destination in back_edges:
+            workflow.add_dependency(destination, source)  # closes a cycle
+        cycle = workflow.find_cycle()
+        if cycle is None:
+            workflow.validate()
+        else:
+            with pytest.raises(WorkflowValidationError, match=re.escape(f"contains a cycle: {cycle}")):
+                workflow.validate()
+
+
+class TestValidateOnce:
+    """Each adaptation specification is validated once per load and encode."""
+
+    @staticmethod
+    def counting(monkeypatch) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        validate = AdaptationSpec.validate
+
+        def counted(spec, workflow):
+            counts[spec.name] = counts.get(spec.name, 0) + 1
+            validate(spec, workflow)
+
+        monkeypatch.setattr(AdaptationSpec, "validate", counted)
+        return counts
+
+    def test_json_load_and_encode_validate_each_spec_once(self, monkeypatch):
+        document = workflow_to_dict(adaptive_diamond_workflow(4, 4))
+        counts = self.counting(monkeypatch)
+        workflow = workflow_from_json(document)
+        encode_workflow(workflow)
+        assert counts == {spec.name: 1 for spec in workflow.adaptations}
+
+    def test_explicit_validate_rechecks_a_spec_edited_in_place(self, monkeypatch):
+        workflow = workflow_from_json(workflow_to_dict(adaptive_diamond_workflow(4, 4)))
+        counts = self.counting(monkeypatch)
+        workflow.ensure_valid()
+        assert counts == {}
+        workflow.adaptations[0].trigger_on = ["split"]
+        with pytest.raises(AdaptationValidationError, match="trigger task 'split' is not part of the replaced region"):
+            workflow.validate()
+        assert list(counts.values()) == [1]
+
+    def test_build_plan_validates_a_workflow_never_validated(self, monkeypatch):
+        workflow = adaptive_diamond_workflow(4, 4)
+        counts = self.counting(monkeypatch)
+        spec = workflow.adaptations[0]
+        build_plan(workflow, spec)
+        build_plan(workflow, spec)
+        assert counts == {spec.name: 1}
+        workflow.add_task("extra", service="svc")
+        workflow.add_dependency(spec.replaced[0], "extra")  # a second destination outside the region
+        with pytest.raises(AdaptationValidationError, match="exactly one destination"):
+            build_plan(workflow, spec)
 
 class TestGenerators:
     def test_sequence(self):
