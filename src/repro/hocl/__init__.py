@@ -37,7 +37,6 @@ from .atoms import (
 from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
 from .errors import (
     AtomError,
-    DeltaError,
     ExternalFunctionError,
     HOCLError,
     MatchError,
@@ -149,7 +148,6 @@ __all__ = [
     "MatchError",
     "RuleError",
     "ReductionError",
-    "DeltaError",
     "ExternalFunctionError",
     "ParseError",
 ]

@@ -13,8 +13,8 @@ The engine fires the rule's :class:`RewriteDelta` instead, which
   ``Literal``), a tuple a tuple field by field, a sub-solution a sub-solution;
 * inside a kept solution body whose ω is spliced back, a sub-pattern the
   template drops becomes a :class:`PatchRemove`, a template element with no
-  sub-pattern it restates a :class:`PatchAdd`, and a ``HEAD : <...>`` field
-  restated under its head is patched in turn, one level down;
+  sub-pattern it restates a :class:`PatchAdd`, and a restated element is
+  patched in turn, one level down;
 * every other matched atom is consumed and every other product produced; a
   ``keep_matched`` rule keeps every matched atom.
 
@@ -35,20 +35,23 @@ the level and in every index bucket, and its holder wiring.
 
 Addressing
 ----------
-A patch names its target as ``(at, path)``: ``at`` is the index of the
-left-hand-side pattern whose matched atom anchors it (``match.consumed[at]``);
-the anchor resolves to its directly nested solution (a sub-solution atom to
-itself, a tuple to its first sub-solution element), then every head in
-``path`` selects the ``head : <...>`` field tuple of the current solution and
-descends into its body.  ``gw_pass`` patches ``(0, ("DST",))`` and
-``(1, ("SRC",))`` / ``(1, ("IN",))``.
+A delta edits by the sites the match recorded (:attr:`Match.sites
+<repro.hocl.matching.Match.sites>`): the entry each top-level pattern took,
+then, per solution pattern in the walk of
+:func:`~repro.hocl.patterns.solution_patterns`, the solution it matched and
+the entry each of its elements took.  :func:`derive_delta` numbers the same
+slots by the same walk.  A :class:`PatchRemove` unlinks the entries its
+dropped sub-patterns took from the solution in its slot — the matched
+occurrences, not equal ones — a :class:`PatchAdd` adds to that solution, and
+a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
+``RES : <res, ωres>, DST : <tj, ωdst>``, sites ``e_RES, e_DST, <RES>, e_res,
+<DST>, e_tj``) derives ``PatchRemove(4, (5,))``.
 
-A path names a field by its head, and a patch edits a solution every holder
-sees.  So a firing whose path meets a body holding more than one field under
-a head (the match does not record which one it bound), or a solution held
-more than once (``Ref``/``Splice`` expansion shares atoms), has no safe target:
-it takes the rule's rebuild form instead — everything matched consumed, every
-product expanded, as the rule reads to the letter.  The targets are resolved
+A patch edits a solution every holder sees.  So a firing in which a matched
+solution on the way to an edited one has more than one holder (``Ref`` /
+``Splice`` expansion shares atoms) takes the rule's rebuild form instead —
+everything matched consumed, every product expanded, as the rule reads to
+the letter.  The holders are read off the sites (:attr:`RewriteDelta.guards`)
 before anything moves, so such a firing changes nothing in place.
 """
 
@@ -56,11 +59,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .atoms import Atom, Subsolution, TupleAtom
-from .errors import DeltaError
+from .atoms import Atom
 from .matching import Match
 from .multiset import Multiset
-from .patterns import Bindings, Literal, Pattern, RulePattern, SolutionPattern, TuplePattern, Var
+from .patterns import Bindings, Literal, Pattern, SolutionPattern, TuplePattern, Var, solution_patterns
 from .templates import (
     Call,
     Ref,
@@ -68,7 +70,6 @@ from .templates import (
     Splice,
     TupleTemplate,
     _referenced_in_all,
-    expand_template,
     expand_templates,
 )
 
@@ -78,33 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["derive_delta"]
 
 
-def _anchor_solution(anchor: Atom) -> Multiset:
-    """The solution directly nested in ``anchor`` (its patchable body)."""
-    if isinstance(anchor, Subsolution):
-        return anchor.solution
-    if isinstance(anchor, TupleAtom):
-        for element in anchor.elements:
-            if isinstance(element, Subsolution):
-                return element.solution
-        raise DeltaError(f"matched tuple {anchor} carries no sub-solution to patch")
-    raise DeltaError(f"matched atom {anchor!r} has no nested solution to patch")
-
-
-def _resolve_target(anchor: Atom, path: tuple[str, ...]) -> Multiset | None:
-    """Walk ``path`` (field heads) from ``anchor`` down to the target solution;
-    ``None`` when no patch may land there: a head names more than one field of
-    a body on the way, or a solution on the way has more than one holder."""
-    solution = _anchor_solution(anchor)
-    for head in path:
-        fields = solution._index.get(("tuple", head))
-        if not fields:
-            raise DeltaError(f"patch path names field {head!r}, absent from {anchor}")
-        if len(fields) > 1 or len(solution._parents) > 1:
-            return None
-        solution = _anchor_solution(fields[0].atom)
-    return None if len(solution._parents) > 1 else solution
-
-
 def _is_opaque(template: Any) -> bool:
     """Whether expanding ``template`` can read bindings it does not name."""
     if isinstance(template, Call):
@@ -112,17 +86,21 @@ def _is_opaque(template: Any) -> bool:
     return any(map(_is_opaque, getattr(template, "elements", ())))
 
 
+def _span(pattern: Pattern) -> int:
+    """How many sites the solution patterns in ``pattern`` record."""
+    return sum(1 + len(found.elements) for found in solution_patterns(pattern))
+
+
 class DeltaOp:
-    """One in-place edit of a nested solution of a kept matched atom."""
+    """One in-place edit of the solution a match recorded at ``sites[site]``."""
 
-    __slots__ = ("at", "path")
+    __slots__ = ("site",)
 
-    def __init__(self, at: int, path: Sequence[str] = ()):
-        self.at = int(at)
-        self.path = tuple(path)
+    def __init__(self, site: int):
+        self.site = int(site)
 
     def apply(
-        self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None"
+        self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None"
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -132,15 +110,16 @@ class DeltaOp:
 
 
 class PatchAdd(DeltaOp):
-    """Add the expansion of ``templates`` to the target solution."""
+    """Add the expansion of ``templates`` to the solution at ``site``."""
 
     __slots__ = ("templates",)
 
-    def __init__(self, at: int, path: Sequence[str] = (), templates: Sequence[Any] = ()):
-        super().__init__(at, path)
+    def __init__(self, site: int, templates: Sequence[Any] = ()):
+        super().__init__(site)
         self.templates = tuple(templates)
 
-    def apply(self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None") -> None:
+    def apply(self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None") -> None:
+        target = sites[self.site]
         for atom in expand_templates(self.templates, bindings, externals):
             target.add(atom)
 
@@ -148,38 +127,27 @@ class PatchAdd(DeltaOp):
         return self.templates
 
     def __repr__(self) -> str:
-        return f"PatchAdd(at={self.at}, path={self.path!r}, templates={self.templates!r})"
+        return f"PatchAdd({self.site}, templates={self.templates!r})"
 
 
 class PatchRemove(DeltaOp):
-    """Remove one occurrence of each expanded item from the target solution.
+    """Unlink, from the solution at ``site``, the entries at ``entries``: the
+    occurrences the dropped sub-patterns took — the counterpart of matching
+    an atom with a pattern and not re-emitting it in the products."""
 
-    Items are templates (usually ``Ref``/literals); each expanded atom is
-    removed by structural equality — the counterpart of matching it with a
-    pattern and not re-emitting it in the products.
-    """
+    __slots__ = ("entries",)
 
-    __slots__ = ("items",)
+    def __init__(self, site: int, entries: Sequence[int] = ()):
+        super().__init__(site)
+        self.entries = tuple(entries)
 
-    def __init__(self, at: int, path: Sequence[str] = (), items: Sequence[Any] = ()):
-        super().__init__(at, path)
-        self.items = tuple(items)
-
-    def apply(self, target: Multiset, bindings: Bindings, externals: "ExternalRegistry | None") -> None:
-        for item in self.items:
-            for atom in expand_template(item, bindings, externals):
-                try:
-                    target.remove(atom)
-                except KeyError as exc:
-                    raise DeltaError(
-                        f"patch removes {atom}, absent from the target solution"
-                    ) from exc
-
-    def expanded(self) -> tuple[Any, ...]:
-        return self.items
+    def apply(self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None") -> None:
+        target = sites[self.site]
+        for entry in self.entries:
+            target._remove_entry(sites[entry])
 
     def __repr__(self) -> str:
-        return f"PatchRemove(at={self.at}, path={self.path!r}, items={self.items!r})"
+        return f"PatchRemove({self.site}, entries={self.entries!r})"
 
 
 class RewriteDelta:
@@ -188,7 +156,7 @@ class RewriteDelta:
     Parameters
     ----------
     ops:
-        In-place edits against kept matched atoms, applied in order.
+        In-place edits of matched solutions, applied in order.
     consume:
         Indices of left-hand-side patterns whose matched atoms are removed
         from the solution (everything not listed is kept in place).
@@ -196,10 +164,13 @@ class RewriteDelta:
         Templates for new top-level atoms.
     rebuild:
         The rule's products, expanded whole (everything matched consumed) by
-        a firing in which an op has no safe target.
+        a firing in which a guarded solution has more than one holder.
+    guards:
+        The sites of the matched solutions on the way to an edited one,
+        edited ones included: each must have one holder for the ops to land.
     """
 
-    __slots__ = ("ops", "consume", "produce", "rebuild", "eager")
+    __slots__ = ("ops", "consume", "produce", "rebuild", "guards", "eager")
 
     def __init__(
         self,
@@ -207,11 +178,13 @@ class RewriteDelta:
         consume: Sequence[int] = (),
         produce: Sequence[Any] = (),
         rebuild: Sequence[Any] = (),
+        guards: Sequence[int] = (),
     ):
         self.ops = tuple(ops)
         self.consume = tuple(consume)
         self.produce = tuple(produce)
         self.rebuild = tuple(rebuild)
+        self.guards = tuple(guards)
         #: The names read once the patching has started, which the engine
         #: therefore reads before (an omega is copied out of its solution at its
         #: first read); ``None``: any — a ``Call`` sees every binding.
@@ -219,18 +192,6 @@ class RewriteDelta:
         for op in self.ops:
             expanded += op.expanded()
         self.eager = None if any(map(_is_opaque, expanded)) else tuple(sorted(_referenced_in_all(expanded)))
-
-    def targets(self, match: Match) -> list[Multiset] | None:
-        """The solution each op edits, resolved before anything moves; ``None``
-        when one has no safe target."""
-        consumed = match.consumed
-        targets = []
-        for op in self.ops:
-            target = _resolve_target(consumed[op.at], op.path)
-            if target is None:
-                return None
-            targets.append(target)
-        return targets
 
     def apply(
         self,
@@ -241,30 +202,36 @@ class RewriteDelta:
         """Apply the delta in place on ``solution``; returns ``(removed, added)``.
 
         The ``produce`` templates expand first (a raising one leaves the
-        solution as it was), then the patches edit the kept atoms' bodies, the
-        atoms matched by the ``consume`` patterns leave the level (in pattern
-        order) and the expansions join it; nothing else moves.  Without a safe
-        target for every op, the ``rebuild`` products expand and everything
-        matched leaves instead.
+        solution as it was), then the patches edit the matched solutions, the
+        atoms matched by the ``consume`` patterns leave the level through
+        their entries (in pattern order) and the expansions join it; nothing
+        else moves.  Where a guarded solution has more than one holder, the
+        ``rebuild`` products expand and everything matched leaves instead.
         """
-        targets = self.targets(match) if self.ops else ()
-        if targets is None:
-            added = expand_templates(self.rebuild, match.bindings, externals)
-            removed = list(match.consumed)
+        sites = match.sites
+        for guard in self.guards:
+            if len(sites[guard]._parents) > 1:
+                added = expand_templates(self.rebuild, match.bindings, externals)
+                removed = match.consumed
+                gone: Sequence[int] = range(len(removed))
+                break
         else:
             added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
-            for op, target in zip(self.ops, targets):
-                op.apply(target, match.bindings, externals)
+            for op in self.ops:
+                op.apply(sites, match.bindings, externals)
             matched = match.consumed
             removed = [matched[index] for index in self.consume]
-        for atom in removed:
-            solution.remove_identical(atom)
+            gone = self.consume
+        for index in gone:
+            solution._remove_entry(sites[index])
         for atom in added:
             solution.add(atom)
         return removed, added
 
     def __repr__(self) -> str:
-        return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
+        return (
+            f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r}, guards={self.guards!r})"
+        )
 
 
 def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matched: bool = False) -> RewriteDelta:
@@ -275,12 +242,18 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
     """
     if keep_matched:
         return RewriteDelta(produce=products)
+    firsts: list[int] = []  # the site of each pattern's first solution pattern
+    site = len(patterns)
+    for pattern in patterns:
+        firsts.append(site)
+        site += _span(pattern)
+    chains: dict[int, tuple[int, ...]] = {}
     kept: set[int] = set()
     ops: list[DeltaOp] = []
     produce = []
     for product in products:
         for at, pattern in enumerate(patterns):
-            patches = None if at in kept else _restated(pattern, product, at, ())
+            patches = None if at in kept else _restated(pattern, product, firsts[at], (), chains)
             if patches is not None:
                 kept.add(at)
                 ops += patches
@@ -288,22 +261,26 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
         else:
             produce.append(product)
     consume = [at for at in range(len(patterns)) if at not in kept]
-    return RewriteDelta(ops, consume, produce, products if ops else ())
+    guards = list(dict.fromkeys(guard for op in ops for guard in chains[op.site]))
+    return RewriteDelta(ops, consume, produce, products if ops else (), guards)
 
 
-def _restated(pattern: Pattern, template: Any, at: int, path: tuple[str, ...] | None) -> list[DeltaOp] | None:
+def _restated(
+    pattern: Pattern, template: Any, first: int, above: tuple[int, ...], chains: dict[int, tuple[int, ...]]
+) -> list[DeltaOp] | None:
     """The patches turning the atom ``pattern`` matched into ``template``'s
     expansion; ``None`` when ``template`` does not restate it.
 
-    ``path`` reaches the atom's patchable body from the anchor ``at``;
-    ``None``: no path does, so only an unchanged restatement keeps the atom.
+    ``first`` is the site of the first solution pattern in ``pattern``,
+    ``above`` the sites of the matched solutions enclosing it; ``chains``
+    takes, per edited solution, the sites from the outermost down to it.
     """
     if isinstance(pattern, Var):
         return [] if isinstance(template, Ref) and template.name == pattern.name else None
     if isinstance(pattern, Literal):  # a symbol is interned: identity first
         return [] if template is pattern.atom or isinstance(template, Atom) and template == pattern.atom else None
     if isinstance(pattern, SolutionPattern):
-        return _patched_body(pattern, template, at, path) if isinstance(template, SolutionTemplate) else None
+        return _patched_body(pattern, template, first, above, chains) if isinstance(template, SolutionTemplate) else None
     if not (isinstance(pattern, TuplePattern) and isinstance(template, TupleTemplate)):
         return None
     fields = template.elements
@@ -315,29 +292,31 @@ def _restated(pattern: Pattern, template: Any, at: int, path: tuple[str, ...] | 
         return None
     ops: list[DeltaOp] = []
     for element, field in zip(pattern.elements, fields):
-        # the path reaches the tuple's first sub-solution, and no later one
-        patches = _restated(element, field, at, path if isinstance(element, SolutionPattern) else None)
+        patches = _restated(element, field, first, above, chains)
         if patches is None:
             return None
         ops += patches
-        if path is not None and _may_hold_solution(element):
-            path = None
+        first += _span(element)
     return ops
 
 
 def _patched_body(
-    pattern: SolutionPattern, template: SolutionTemplate, at: int, path: tuple[str, ...] | None
+    pattern: SolutionPattern,
+    template: SolutionTemplate,
+    site: int,
+    above: tuple[int, ...],
+    chains: dict[int, tuple[int, ...]],
 ) -> list[DeltaOp] | None:
-    """The patches turning the body ``pattern`` matched into ``template``'s;
-    ``None`` when the body does not survive (its ω is not spliced back, or a
-    dropped sub-pattern cannot be named) or changes where no path reaches."""
-    # each sub-pattern not restated yet, and the path to its body: a field's
-    # head names it, unless another sub-pattern shares that head
-    left: list[tuple[Pattern, tuple[str, ...] | None]] = []
-    if pattern.elements:
-        heads = [_head(element) for element in pattern.elements]
-        for sub, head in zip(pattern.elements, heads):
-            left.append((sub, None if path is None or head is None or heads.count(head) > 1 else (*path, head)))
+    """The patches turning the body ``pattern`` matched (at ``site``) into
+    ``template``'s; ``None`` when the body does not survive: its ω is not
+    spliced back."""
+    above = (*above, site)
+    # each sub-pattern not restated yet: the site of its entry, and of its first solution pattern
+    left: list[tuple[int, Pattern, int]] = []
+    first = site + 1 + len(pattern.elements)
+    for entry, sub in enumerate(pattern.elements, site + 1):
+        left.append((entry, sub, first))
+        first += _span(sub)
     rest = pattern.rest
     ops: list[DeltaOp] = []
     added = []
@@ -345,8 +324,8 @@ def _patched_body(
         if rest is not None and isinstance(element, Splice) and element.name == rest.name:
             rest = None  # the remainder stays where it is
             continue
-        for index, (sub, below) in enumerate(left):
-            patches = _restated(sub, element, at, below)
+        for index, (_entry, sub, below) in enumerate(left):
+            patches = _restated(sub, element, below, above, chains)
             if patches is not None:
                 del left[index]
                 ops += patches
@@ -355,50 +334,10 @@ def _patched_body(
             added.append(element)
     if rest is not None:
         return None
-    removed = []
-    for sub, _below in left:
-        item = _rebuilt(sub)
-        if item is None:
-            return None
-        removed.append(item)
-    if removed or added:
-        if path is None:
-            return None
-        if removed:
-            ops.append(PatchRemove(at, path, removed))
-        if added:
-            ops.append(PatchAdd(at, path, added))
+    if left:
+        ops.append(PatchRemove(site, [entry for entry, _sub, _below in left]))
+    if added:
+        ops.append(PatchAdd(site, added))
+    if left or added:
+        chains[site] = above
     return ops
-
-
-def _head(pattern: Pattern) -> str | None:
-    """The head of a ``HEAD : ...`` field pattern (``None`` for anything else)."""
-    key = pattern.index_key()
-    return key[1] if isinstance(pattern, TuplePattern) and key[0] == "tuple" else None
-
-
-def _may_hold_solution(pattern: Pattern) -> bool:
-    """Whether the atom ``pattern`` matches can be a sub-solution."""
-    if isinstance(pattern, Var):
-        return pattern.kinds is None or "solution" in pattern.kinds
-    if isinstance(pattern, Literal):
-        return isinstance(pattern.atom, Subsolution)
-    return isinstance(pattern, SolutionPattern)
-
-
-def _rebuilt(pattern: Pattern) -> Any:
-    """A template expanding to (an atom equal to) what ``pattern`` matched; ``None`` if none can."""
-    if isinstance(pattern, Var):
-        return Ref(pattern.name)
-    if isinstance(pattern, Literal):
-        return pattern.atom
-    if isinstance(pattern, RulePattern):
-        return None if pattern.bind_as is None else Ref(pattern.bind_as)
-    if not isinstance(pattern, (TuplePattern, SolutionPattern)):
-        return None
-    elements = [_rebuilt(element) for element in pattern.elements]
-    if any(element is None for element in elements):
-        return None
-    if pattern.rest is not None:
-        elements.append(Splice(pattern.rest.name))
-    return (TupleTemplate if isinstance(pattern, TuplePattern) else SolutionTemplate)(*elements)

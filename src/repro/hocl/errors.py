@@ -36,12 +36,6 @@ class ReductionError(HOCLError):
     while rewriting a solution (e.g. a product builder raising)."""
 
 
-class DeltaError(HOCLError):
-    """Raised when a rewrite delta cannot be applied to the matched atoms
-    (e.g. a patch path naming a field tuple the anchor's solution does not
-    contain)."""
-
-
 class ExternalFunctionError(HOCLError):
     """Raised when an external function referenced by a rule is unknown or
     fails during evaluation."""

@@ -54,15 +54,23 @@ class Match:
     bindings:
         Variable environment produced by the match (a plain mapping is wrapped).
     consumed:
-        The exact atom objects (by identity) matched by the left-hand side;
-        the engine removes these when the rule fires.
+        The exact atom objects (by identity) matched by the left-hand side.
+    sites:
+        Where the search bound, as it held it: the entry each top-level
+        pattern took, then, per solution pattern in the order
+        :func:`~repro.hocl.patterns.solution_patterns` walks them, the
+        solution it matched and the entry each of its elements took.  A rule
+        fires by these (:class:`~repro.hocl.deltas.RewriteDelta`).
     """
 
-    __slots__ = ("bindings", "consumed")
+    __slots__ = ("bindings", "consumed", "sites")
 
-    def __init__(self, bindings: Bindings | Mapping[str, Any], consumed: list[Atom] | None = None):
+    def __init__(
+        self, bindings: Bindings | Mapping[str, Any], consumed: list[Atom] | None = None, sites: tuple[Any, ...] = ()
+    ):
         self.bindings = bindings if isinstance(bindings, BindingView) else BindingView(bindings)
         self.consumed = [] if consumed is None else consumed
+        self.sites = sites
 
 
 #: what every generated text may name without being handed it
@@ -176,7 +184,7 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
     keys = [pattern.index_key() for pattern in patterns]
     broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
     opened = [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
-    out = Source(3 if broad else 2, 1 if broad else 0, opened)
+    out = Source(3 if broad else 2, 1 if broad else 0, opened, patterns)
     entries: list[str] = []
     atoms: list[str] = []
     if not patterns:
@@ -208,7 +216,8 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
     out.line("if condition is not None and not condition(b): continue")
     if atoms:  # by identity: rules are equal by name
         out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
-    out.line(f"found.append(Match(b, [{', '.join(atoms)}]))")
+    sites = [*entries, *out.sites]
+    out.line(f"found.append(Match(b, [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})))")
     out.line(f"if first: {out.stop}")
     out.close()
     head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def search({_SIGNATURE}):"]

@@ -450,7 +450,7 @@ class Multiset:
         # identity scan, and never compares atoms.
         self._entries.remove(entry)
         atom = entry.atom
-        for key in atom_index_keys(atom):
+        for key in atom._index_keys or atom_index_keys(atom):  # cached when the entry joined
             bucket = self._index[key]
             bucket.remove(entry)
             if not bucket:

@@ -50,7 +50,7 @@ and the generated function holds no state, so rules, agents and threads share it
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .atoms import Atom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
 from .errors import PatternError
@@ -68,6 +68,7 @@ __all__ = [
     "SolutionPattern",
     "RulePattern",
     "as_pattern",
+    "solution_patterns",
 ]
 
 #: what the local of a variable holds until something is bound to it
@@ -153,13 +154,15 @@ class Source:
     generated function's factory takes: left-hand sides of one shape write one
     text, whatever they name.  A variable is the local :attr:`bound` maps it
     to; one not bound yet may still be in :attr:`extra`, the mapping the view
-    of a match starts from.
+    of a match starts from.  :attr:`sites` are the locals a match records where
+    it bound, in the order of the walk :func:`solution_patterns` makes over
+    ``patterns``.
     """
 
     #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
     BLOCKS = 18
 
-    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = ()):
+    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = (), patterns: Iterable[Pattern] = ()):
         self.lines: list[str] = []
         self.depth = depth
         self.blocks = blocks
@@ -171,6 +174,15 @@ class Source:
         self.bound: dict[str, str] = {}
         self.initial: dict[str, str] = {}  # variable -> the local read from ``initial_bindings``, once per search
         self.idents: dict[str, str] = {}
+        self.sites: list[str] = []
+        self.walk = (found for pattern in patterns for found in solution_patterns(pattern))
+
+    def site(self, pattern: SolutionPattern, solution: str, entries: list[str]) -> None:
+        """Record the solution ``pattern`` matched and the entry each of its
+        elements took: the next sites of the match, in walk order."""
+        if next(self.walk, None) is not pattern:
+            raise PatternError("a solution pattern records its sites out of walk order")
+        self.sites += [solution, *entries]
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -549,22 +561,23 @@ class SolutionPattern(Pattern):
         self._element_keys = tuple(e.index_key() for e in self.elements)
 
     def emit(self, out: Source, atom: str) -> None:
-        held, taken = out.local("s"), []  # the matched solution; the entry each element took
+        held = out.local("s")  # the matched solution; the entry each element takes
+        taken = [out.local("e") for _ in self.elements]
+        out.site(self, held, taken)
         out.line(f"if not isinstance({atom}, Subsolution): continue")
         out.line(f"{held} = {atom}.solution")
         if self.elements or self.rest is None:
             out.line(f"if len({held}._entries) {'!=' if self.rest is None else '<'} {len(self.elements)}: continue")
-        for element, key in zip(self.elements, self._element_keys):
+        for index, (element, key, entry) in enumerate(zip(self.elements, self._element_keys, taken)):
             # every entry of the element's bucket no earlier element took — in the
             # sub-solution's own index, a subsequence of insertion order like the
             # top-level search's, read live (nothing mutates)
-            entry, item = out.local("e"), out.local("a")
+            item = out.local("a")
             out.loop(f"for {entry} in {out.bucket(held, key)}:")
-            if taken:  # `_Entry` has no `__eq__`: identity is all there is to test
-                out.line(f"if {' or '.join(f'{entry} is {other}' for other in taken)}: continue")
+            if index:  # `_Entry` has no `__eq__`: identity is all there is to test
+                out.line(f"if {' or '.join(f'{entry} is {other}' for other in taken[:index])}: continue")
             out.line(f"{item} = {entry}.atom")
             element.emit(out, item)
-            taken.append(entry)
         if self.rest is not None:
             out.bind(self.rest.name, f"Rest({held}, [{', '.join(taken)}])")
 
@@ -642,6 +655,19 @@ class RulePattern(Pattern):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
+
+
+def solution_patterns(pattern: Pattern) -> Iterator[SolutionPattern]:
+    """Every :class:`SolutionPattern` in ``pattern``, each before its elements,
+    elements in order: the walk a search records its sites in (after the
+    entry of each top-level pattern, per solution pattern the solution it
+    matched, then the entry each of its elements took), and the one
+    :func:`~repro.hocl.deltas.derive_delta` numbers them by."""
+    if isinstance(pattern, SolutionPattern):
+        yield pattern
+    if isinstance(pattern, (TuplePattern, SolutionPattern)):
+        for element in pattern.elements:
+            yield from solution_patterns(element)
 
 
 def as_pattern(value: Any) -> Pattern:

@@ -48,6 +48,15 @@ def _bind(bindings, name, value):
 
 def match(pattern, atom, bindings):
     """Yield every extension of ``bindings`` (a dict) under which ``atom`` matches."""
+    for extended, _sites in match_sites(pattern, atom, bindings):
+        yield extended
+
+
+def match_sites(pattern, atom, bindings):
+    """Yield ``(extension, sites)`` for every extension of ``bindings`` under
+    which ``atom`` matches: ``sites`` is where the match bound below ``atom`` —
+    per solution pattern, before those nested in it, the solution it matched
+    and the entry each of its elements took."""
     if isinstance(pattern, Var):
         if pattern.kind is not None:
             if pattern.kind == "number":
@@ -57,10 +66,10 @@ def match(pattern, atom, bindings):
                 return
         extended = _bind(bindings, pattern.name, atom)
         if extended is not None:
-            yield extended
+            yield extended, ()
     elif isinstance(pattern, Literal):
         if atom == pattern.atom:
-            yield bindings
+            yield bindings, ()
     elif isinstance(pattern, TuplePattern):
         yield from _match_tuple(pattern, atom, bindings)
     elif isinstance(pattern, SolutionPattern):
@@ -71,15 +80,16 @@ def match(pattern, atom, bindings):
         if pattern.name is not None and atom.name != pattern.name:
             return
         if pattern.bind_as is None:
-            yield bindings
+            yield bindings, ()
             return
         extended = _bind(bindings, pattern.bind_as, atom)
         if extended is not None:
-            yield extended
+            yield extended, ()
     elif isinstance(pattern, Omega):
         raise PatternError("Omega patterns capture the remainder of a solution")
     else:  # a pattern class of the caller's own
-        yield from pattern.match(atom, bindings)
+        for extended in pattern.match(atom, bindings):
+            yield extended, ()
 
 
 def _match_tuple(pattern, atom, bindings):
@@ -91,19 +101,19 @@ def _match_tuple(pattern, atom, bindings):
     elif len(atom.elements) < len(pattern.elements):
         return
 
-    def recurse(index, env):
+    def recurse(index, env, sites):
         if index == len(pattern.elements):
             if pattern.rest is None:
-                yield env
+                yield env, sites
             else:
                 extended = _bind(env, pattern.rest.name, list(atom.elements[index:]))
                 if extended is not None:
-                    yield extended
+                    yield extended, sites
             return
-        for extended in match(pattern.elements[index], atom.elements[index], env):
-            yield from recurse(index + 1, extended)
+        for extended, below in match_sites(pattern.elements[index], atom.elements[index], env):
+            yield from recurse(index + 1, extended, sites + below)
 
-    yield from recurse(0, bindings)
+    yield from recurse(0, bindings, ())
 
 
 def _match_solution(pattern, atom, bindings):
@@ -122,15 +132,15 @@ def _match_solution(pattern, atom, bindings):
             return
         candidate_lists.append(entries)
 
-    def recurse(index, used, env):
+    def recurse(index, used, env, sites):
         if index == len(pattern.elements):
             if pattern.rest is None:
-                yield env
+                yield env, (solution, *used, *sites)
             else:
                 remainder = [entry.atom for entry in solution.live_entries() if entry not in used]
                 extended = _bind(env, pattern.rest.name, remainder)
                 if extended is not None:
-                    yield extended
+                    yield extended, (solution, *used, *sites)
             return
         element = pattern.elements[index]
         for entry in candidate_lists[index]:
@@ -138,10 +148,10 @@ def _match_solution(pattern, atom, bindings):
                 continue
             if element.quick_reject(entry.atom):
                 continue
-            for extended in match(element, entry.atom, env):
-                yield from recurse(index + 1, used + [entry], extended)
+            for extended, below in match_sites(element, entry.atom, env):
+                yield from recurse(index + 1, used + [entry], extended, sites + below)
 
-    yield from recurse(0, [], bindings)
+    yield from recurse(0, [], bindings, ())
 
 
 def _index_key_with(pattern, bindings):
@@ -179,7 +189,7 @@ def search(
     last = len(patterns)
     fetched = {}
 
-    def recurse(index, used, env):
+    def recurse(index, used, env, sites):
         if index == last:
             if condition is not None and not condition(BindingView(env)):
                 return False
@@ -188,7 +198,7 @@ def search(
                 for atom in consumed:
                     if atom is owner:
                         return False
-            found.append(Match(env, consumed))
+            found.append(Match(env, consumed, (*used, *sites)))
             return first
         pattern = patterns[index]
         memory = None
@@ -212,12 +222,12 @@ def search(
                 if memory is not None:
                     memory.refute(entry)
                 continue
-            for extended in match(pattern, entry.atom, env):
-                if recurse(index + 1, used + [entry], extended):
+            for extended, below in match_sites(pattern, entry.atom, env):
+                if recurse(index + 1, used + [entry], extended, sites + below):
                     return True
         return False
 
-    recurse(0, [], dict(initial_bindings) if initial_bindings else {})
+    recurse(0, [], dict(initial_bindings) if initial_bindings else {}, ())
     return found
 
 

@@ -66,24 +66,25 @@ class NaiveEngine(ReductionEngine):
 class BruteForceEngine(NaiveEngine):
     """The reference search: every atom of the level, in solution order, for
     every pattern — no index, no candidate memory, and the interpreted
-    ``matcher_reference.match`` instead of the compiled patterns."""
+    ``matcher_reference.match_sites`` instead of the compiled patterns."""
 
     @staticmethod
     def _find_match_excluding_self(rule, solution):
-        atoms = solution.atoms()
+        entries = list(solution.live_entries())
         condition = rule.guarded_condition
 
-        def search(index, used, env):
+        def search(index, used, env, sites):
             if index == len(rule.patterns):
                 if condition is None or condition(matcher_reference.BindingView(env)):
-                    yield Match(bindings=env, consumed=[atoms[position] for position in used])
+                    taken = [entries[position] for position in used]
+                    yield Match(env, [entry.atom for entry in taken], (*taken, *sites))
                 return
-            for position, atom in enumerate(atoms):
+            for position, entry in enumerate(entries):
                 if position not in used:
-                    for extended in matcher_reference.match(rule.patterns[index], atom, env):
-                        yield from search(index + 1, used + [position], extended)
+                    for extended, below in matcher_reference.match_sites(rule.patterns[index], entry.atom, env):
+                        yield from search(index + 1, used + [position], extended, sites + below)
 
-        for match in search(0, [], dict(rule.given)):
+        for match in search(0, [], dict(rule.given), ()):
             if not any(consumed is rule for consumed in match.consumed):
                 return match
         return None
@@ -126,11 +127,10 @@ class RepositioningDelta(RewriteDelta):
     __slots__ = ()
 
     def apply(self, match, solution, externals):
-        targets = self.targets(match)
-        if targets is None:
+        if any(len(match.sites[guard]._parents) > 1 for guard in self.guards):
             return super().apply(match, solution, externals)
-        for op, target in zip(self.ops, targets):
-            op.apply(target, match.bindings, externals)
+        for op in self.ops:
+            op.apply(match.sites, match.bindings, externals)
         for atom in match.consumed:
             solution.remove_identical(atom)
         for index, atom in enumerate(match.consumed):
@@ -153,7 +153,9 @@ class RepositionedRule(Rule):
             return self._repositioned
         except AttributeError:
             derived = super().delta
-            self._repositioned = RepositioningDelta(derived.ops, derived.consume, derived.produce, derived.rebuild)
+            self._repositioned = RepositioningDelta(
+                derived.ops, derived.consume, derived.produce, derived.rebuild, derived.guards
+            )
             return self._repositioned
 
 

@@ -173,9 +173,18 @@ def _refutations(patterns, solution):
 
 
 def _same(found, expected):
+    """Same matches in the same order: the same atoms, bindings and sites —
+    the top-level entries of the two solutions (built alike) by their place,
+    what the atoms hold (shared by both) by identity."""
     assert len(found) == len(expected)
     for ours, theirs in zip(found, expected):
         assert [id(atom) for atom in ours.consumed] == [id(atom) for atom in theirs.consumed]
+        top = len(ours.consumed)
+        assert [(entry.atom, entry.seq) for entry in ours.sites[:top]] == [
+            (entry.atom, entry.seq) for entry in theirs.sites[:top]
+        ]
+        assert all(entry.atom is atom for entry, atom in zip(ours.sites, ours.consumed))
+        assert list(map(id, ours.sites[top:])) == list(map(id, theirs.sites[top:]))
         assert isinstance(ours.bindings, BindingView)
         assert dict(ours.bindings) == dict(theirs.bindings)
 

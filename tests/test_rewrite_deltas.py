@@ -9,8 +9,15 @@ they are, rebuilt products go to the end of the level), and in order wherever
 every top-level pattern is head-keyed.  The evidence:
 
 * **derivation** — each workflow rule derives, op for op, the delta that used
-  to be written by hand beside it; a parsed rule derives what the same rule
-  built in Python derives;
+  to be written by hand beside it, in site form (an op names the slot of
+  ``Match.sites`` it edits); a parsed rule derives what the same rule built
+  in Python derives;
+* **where a firing lands** — by the entries the match took: two fields under
+  one head patch in place, the matched occurrence of equal atoms is the one
+  that leaves, and a solution with two holders takes the rebuild form;
+* **seeded mutants** — a site off by one, removal by equality (in a body or
+  at the level), a dropped or narrowed holder check and sites recorded out of
+  walk order each fail that evidence;
 * **sharing** — every task's centralised ``gw_call`` is one rule bound to its
   task, so a 1000-task run derives each delta once;
 * **property-based differential** — hypothesis draws drain-shaped two-field
@@ -36,6 +43,7 @@ from repro.hocl import rules as rules_module
 from repro.hocl import (
     Call,
     IntAtom,
+    Match,
     Multiset,
     Omega,
     ReductionEngine,
@@ -57,6 +65,7 @@ from repro.hocl import (
     parse_program,
 )
 from repro.hocl.deltas import PatchAdd, PatchRemove, RewriteDelta, derive_delta
+from repro.hocl.patterns import Source
 from repro.hoclflow import keywords as kw
 from repro.hoclflow import adaptation
 from repro.hoclflow.adaptation import build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
@@ -107,9 +116,10 @@ _ADAPTATION_BODIES = (adaptation._ADD_DST, adaptation._MV_SRC, adaptation._MV_SR
 
 
 def shape(delta):
-    """A delta as comparable values: each op's kind, anchor, path and templates."""
-    ops = [(type(op).__name__, op.at, op.path, repr(op.expanded())) for op in delta.ops]
-    return ops, delta.consume, repr(delta.produce), delta.eager
+    """A delta as comparable values: each op's kind, site and the entries it
+    unlinks or the templates it adds; what it consumes, produces, guards, reads."""
+    ops = [(type(op).__name__, op.site, op.entries if isinstance(op, PatchRemove) else repr(op.templates)) for op in delta.ops]
+    return ops, delta.consume, repr(delta.produce), delta.guards, delta.eager
 
 
 # ----------------------------------------------------------------- derivation
@@ -125,8 +135,10 @@ def plan():
 
 
 def _hand_written(plan):
-    """The eight deltas the workflow rules used to carry, as they were written:
-    ``(rule, delta)`` by name."""
+    """The eight deltas the workflow rules used to carry, as they were written,
+    in site form: ``(rule, delta)`` by name.  The sites are the entry of each
+    top-level pattern, then per solution pattern (outer before inner) the
+    solution and the entry of each of its elements."""
     trigger, source, entry = plan.trigger_tasks[0], plan.sources[0], plan.entry_tasks[0]
     counts = plan.adapt_marker_counts()
     return {
@@ -138,41 +150,52 @@ def _hand_written(plan):
             make_gw_call("T"),
             RewriteDelta(
                 consume=(2,),
-                ops=(PatchAdd(at=3, templates=(Call("invoke", Ref("task"), Ref("s"), Ref("par")),)),),
+                # sites 0-3 the four fields, 4 <> of SRC, 5 the RES body
+                ops=(PatchAdd(5, templates=(Call("invoke", Ref("task"), Ref("s"), Ref("par")),)),),
+                guards=(5,),
             ),
         ),
         "gw_pass": (
             make_gw_pass(),
+            # sites 0-1 Ti and Tj; 2 Ti's body, 3-4 its RES and DST; 5 the RES
+            # body, 6 res; 7 the DST body, 8 tj; 9 Tj's body, 10-11 its SRC and
+            # IN; 12 the SRC body, 13 ti; 14 the IN body
             RewriteDelta(
                 ops=(
-                    PatchRemove(at=0, path=(kw.DST,), items=(Ref("tj"),)),
-                    PatchRemove(at=1, path=(kw.SRC,), items=(Ref("ti"),)),
-                    PatchAdd(at=1, path=(kw.IN,), templates=(TupleTemplate(Ref("ti"), Ref("res")),)),
+                    PatchRemove(7, entries=(8,)),
+                    PatchRemove(12, entries=(13,)),
+                    PatchAdd(14, templates=(TupleTemplate(Ref("ti"), Ref("res")),)),
                 ),
+                guards=(2, 7, 9, 12, 14),
             ),
         ),
         "trigger_adapt": (
             make_trigger_adapt(plan, trigger),
+            # sites 0-5 the six tasks; 6-9 the trigger's body and RES; 10- the affected tasks' bodies
             RewriteDelta(
                 ops=tuple(
-                    PatchAdd(at=index + 1, templates=(kw.ADAPT_SYM,) * counts.get(task, 1))
+                    PatchAdd(10 + index, templates=(kw.ADAPT_SYM,) * counts.get(task, 1))
                     for index, task in enumerate(plan.affected_tasks())
-                )
+                ),
+                guards=tuple(range(10, 10 + len(plan.affected_tasks()))),
             ),
         ),
         "add_dst": (
             make_add_dst(plan, source),
             RewriteDelta(
                 consume=(1,),
-                ops=(PatchAdd(at=0, templates=(Splice("new"),)),),
+                ops=(PatchAdd(2, templates=(Splice("new"),)),),  # sites 0 DST, 1 ADAPT, 2 the DST body
+                guards=(2,),
             ),
         ),
         "activate": (
             make_activate(plan, entry),
-            RewriteDelta(consume=(1,), ops=(PatchRemove(at=0, items=(kw.TRIGGER_SYM,)),)),
+            # sites 0 SRC, 1 ADAPT, 2 the SRC body, 3 TRIGGER
+            RewriteDelta(consume=(1,), ops=(PatchRemove(2, entries=(3,)),), guards=(2,)),
         ),
         "local gw_call": (GW_CALL, RewriteDelta(consume=(2,), produce=(kw.INVOKING_SYM,))),
-        "local gw_pass": (GW_PASS, RewriteDelta(ops=(PatchRemove(at=1, items=(Ref("tj"),)),))),
+        # sites 0 RES, 1 DST, 2 the RES body, 3 res, 4 the DST body, 5 tj
+        "local gw_pass": (GW_PASS, RewriteDelta(ops=(PatchRemove(4, entries=(5,)),), guards=(4,))),
     }
 
 
@@ -196,32 +219,30 @@ _S = SolutionTemplate
         # a tuple with a remainder, restated with it
         (TuplePattern(SymbolPattern("M"), Var("t"), rest=Omega("r")), _T(Symbol("M"), Ref("t"), Splice("r")), [], True),
         (TuplePattern(SymbolPattern("M"), Var("t"), rest=Omega("r")), _T(Symbol("M"), Ref("t")), [], False),
-        # a sub-solution atom is an anchor too
-        (SolutionPattern(Var("x"), rest=Omega("w")), _S(Splice("w")), [("PatchRemove", 0, (), "(Ref('x'),)")], True),
+        # a sub-solution atom is kept too (sites: the atom, its solution, x)
+        (SolutionPattern(Var("x"), rest=Omega("w")), _S(Splice("w")), [("PatchRemove", 1, (2,))], True),
         # the remainder not spliced back: the body does not survive
         (TuplePattern(SymbolPattern("IN"), SolutionPattern(rest=Omega("w"))), _T(Symbol("IN"), _S()), [], False),
-        # a field restated under its head is patched one level down ...
+        # a field restated under its head is patched one level down (sites: the
+        # atom, its solution, H, H's body) ...
         (
             SolutionPattern(TuplePattern(SymbolPattern("H"), SolutionPattern(rest=Omega("a"))), rest=Omega("w")),
             _S(_T(Symbol("H"), _S(Symbol("NEW"), Splice("a"))), Splice("w")),
-            [("PatchAdd", 0, ("H",), "(Symbol('NEW'),)")],
+            [("PatchAdd", 3, "(Symbol('NEW'),)")],
             True,
         ),
-        # ... and, where two share the head, replaced whole
+        # ... and so is one of two under one head: the match names the field it bound
         (
             SolutionPattern(
                 TuplePattern(SymbolPattern("H"), SolutionPattern(rest=Omega("a"))),
                 TuplePattern(SymbolPattern("H"), SolutionPattern(rest=Omega("b"))),
             ),
             _S(_T(Symbol("H"), _S(Symbol("NEW"), Splice("a"))), _T(Symbol("H"), _S(Splice("b")))),
-            [
-                ("PatchRemove", 0, (), "(TupleTemplate(Symbol('H'), SolutionTemplate(Splice('a'))),)"),
-                ("PatchAdd", 0, (), "(TupleTemplate(Symbol('H'), SolutionTemplate(Symbol('NEW'), Splice('a'))),)"),
-            ],
+            [("PatchAdd", 4, "(Symbol('NEW'),)")],
             True,
         ),
-        # an unnamed rule cannot be removed by a template: nothing to patch with
-        (SolutionPattern(RulePattern("r"), rest=Omega("w")), _S(Splice("w")), [], False),
+        # an unnamed rule leaves by the entry it took: no template need name it
+        (SolutionPattern(RulePattern("r"), rest=Omega("w")), _S(Splice("w")), [("PatchRemove", 1, (2,))], True),
     ],
 )
 def test_what_restates_what(pattern, product, ops, kept):
@@ -349,34 +370,112 @@ def test_mv_src_agrees_with_its_rebuild_form(clear):
     assert kw.ADAPT_SYM not in solution
 
 
-class TestUnsafeTargets:
-    """A patch names a field by its head and edits a solution every holder
-    sees: where a head names two fields, or a solution has two holders, the
-    firing takes the rule's rebuild form."""
+#: ``(rule, ops, body of S, S's body after)``: a rule editing one of two fields under one head
+TWO_FIELDS_UNDER_ONE_HEAD = [
+    (
+        "replace-one S : <H : <TAG, ?a>, ?w> by S : <H : <TAG, NEW, ?a>, ?w>",
+        [("PatchAdd", 3, "(Symbol('NEW'),)")],  # sites: S, its body, H, H's body, TAG
+        [field("H"), field("H", Symbol("TAG"))],
+        [field("H"), field("H", Symbol("TAG"), Symbol("NEW"))],
+    ),
+    (
+        "replace-one S : <H : <GHOST, ?a>, ?w> by S : <H : <?a>, ?w>",
+        [("PatchRemove", 3, (4,))],
+        [field("H"), field("H", Symbol("GHOST"))],
+        [field("H"), field("H")],
+    ),
+]
 
-    @pytest.mark.parametrize(
-        "rule, ops, body, expected",
-        [
-            (
-                "replace-one S : <H : <TAG, ?a>, ?w> by S : <H : <TAG, NEW, ?a>, ?w>",
-                [("PatchAdd", 0, ("H",), "(Symbol('NEW'),)")],
-                [field("H"), field("H", Symbol("TAG"))],
-                [field("H", Symbol("TAG"), Symbol("NEW")), field("H")],
-            ),
-            (
-                "replace-one S : <H : <GHOST, ?a>, ?w> by S : <H : <?a>, ?w>",
-                [("PatchRemove", 0, ("H",), "(Symbol('GHOST'),)")],
-                [field("H"), field("H", Symbol("GHOST"))],
-                [field("H"), field("H")],
-            ),
-        ],
-        ids=["add", "remove"],
+
+def _edit(rule):
+    return parse_program(f"let edit = {rule} in <>").rules["edit"]
+
+
+def two_fields_patch_in_place(rule, body, expected):
+    edit = _edit(rule)
+    solution = _both_forms(lambda: [field("S", *(atom.copy() for atom in body)), edit])
+    assert solution.content_hash() == Multiset([field("S", *expected)]).content_hash()
+    # in place: the same S tuple, and the same field objects in its body
+    fields = [atom.copy() for atom in body]
+    anchor = field("S", *fields)
+    solution = Multiset([anchor, edit])
+    ReductionEngine().reduce(solution)
+    assert list(map(id, solution.atoms())) == [id(anchor)]
+    assert list(map(id, anchor.elements[1].solution)) == list(map(id, fields))
+    assert anchor == field("S", *expected)
+
+
+def keep_x_drop_y():
+    """``BAG : <x, y, ?w>`` keeps ``x`` and drops ``y``."""
+    return Rule(
+        "drop",
+        [TuplePattern(SymbolPattern("BAG"), SolutionPattern(Var("x", kind="int"), Var("y", kind="int"), rest=Omega("w")))],
+        [TupleTemplate(Symbol("BAG"), SolutionTemplate(Ref("x"), Splice("w")))],
+        one_shot=True,
     )
-    def test_a_head_naming_two_fields_takes_the_rebuild_form(self, rule, ops, body, expected):
-        edit = parse_program(f"let edit = {rule} in <>").rules["edit"]
-        assert shape(edit.delta)[0] == ops
-        solution = _both_forms(lambda: [field("S", *(atom.copy() for atom in body)), edit])
-        assert solution.content_hash() == Multiset([field("S", *expected)]).content_hash()
+
+
+def the_matched_occurrence_leaves(where):
+    """Two equal atoms that are not the same object (an int is not interned):
+    the one the match took is the one that goes, in a patched body
+    (``drop``'s ``y``) and at the level (``max`` consumes its ``y``)."""
+
+    def build(first, second):
+        if where == "in a patched body":
+            return [field("BAG", first, second), keep_x_drop_y()]
+        return [first, second, getmax_delta_rule()]
+
+    _both_forms(lambda: build(IntAtom(1), IntAtom(1)))
+    first = IntAtom(1)
+    atoms = build(first, IntAtom(1))
+    solution = Multiset(atoms)
+    ReductionEngine().reduce(solution)
+    left = atoms[0].elements[1].solution.atoms() if where == "in a patched body" else solution.atoms()[:1]
+    assert [id(atom) for atom in left] == [id(first)]
+
+
+def dup_then_bump(shared):
+    """``dup`` shares atoms (``x`` twice, or ``b`` in two tuples); ``bump``
+    then edits one ``H``, and only that one.  ``S`` around ``H``: the shared
+    solution is the one on the way to the edited body, not the edited one."""
+    outer = shared.endswith("around")
+    if shared.startswith("the same tuple twice"):
+        dup = Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1)
+    else:
+        head = "S" if outer else "H"
+        copy = TupleTemplate(Symbol(head), Ref("b"))
+        dup = Rule("dup", [TuplePattern(SymbolPattern(head), Var("b"))], [copy, copy], one_shot=True, priority=1)
+    one, two = SolutionPattern(IntAtom(1), rest=Omega("w")), SolutionTemplate(IntAtom(2), Splice("w"))
+    bump = TuplePattern(SymbolPattern("H"), one), TupleTemplate(Symbol("H"), two)
+    if outer:
+        bump = (
+            TuplePattern(SymbolPattern("S"), SolutionPattern(bump[0], rest=Omega("ws"))),
+            TupleTemplate(Symbol("S"), SolutionTemplate(bump[1], Splice("ws"))),
+        )
+    edited = field("S", field("H", IntAtom(1))) if outer else field("H", IntAtom(1))
+    return [edited, dup, Rule("bump", [bump[0]], [bump[1]], one_shot=True)]
+
+
+def a_shared_solution_takes_the_rebuild_form(shared):
+    outer = shared.endswith("around")
+    solution = _both_forms(lambda: dup_then_bump(shared))
+    one, two = field("H", IntAtom(1)), field("H", IntAtom(2))
+    expected = [field("S", one), field("S", two)] if outer else [one, two]
+    assert solution.content_hash() == Multiset(expected).content_hash()
+
+
+SHARED = ["the same tuple twice", "one body in two tuples", "the same tuple twice, S around", "one body in two tuples, S around"]
+
+
+class TestWhereAFiringLands:
+    """A firing edits by the sites its match recorded: the field it bound,
+    the occurrence it took; a solution with two holders, on the way to an
+    edited one or edited itself, takes the rebuild form."""
+
+    @pytest.mark.parametrize("rule, ops, body, expected", TWO_FIELDS_UNDER_ONE_HEAD, ids=["add", "remove"])
+    def test_two_fields_under_one_head_patch_in_place(self, rule, ops, body, expected):
+        assert shape(_edit(rule).delta)[0] == ops
+        two_fields_patch_in_place(rule, body, expected)
 
     def test_a_head_naming_one_field_is_patched_in_place(self):
         program = parse_program(
@@ -388,31 +487,22 @@ class TestUnsafeTargets:
         assert program.solution.atoms() == [anchor]  # the same tuple object, edited
         assert anchor == field("S", field("H", Symbol("TAG"), Symbol("NEW")), field("K"))
 
-    @pytest.mark.parametrize("shared", ["the same tuple twice", "one body in two tuples"])
-    def test_a_shared_body_takes_the_rebuild_form(self, shared):
-        """``dup`` shares atoms (``x`` twice, or ``b`` in two tuples); ``bump``
-        then edits one ``H``, and only that one."""
+    @pytest.mark.parametrize("where", ["in a patched body", "at the level"])
+    def test_the_matched_occurrence_leaves(self, where):
+        if where == "in a patched body":
+            assert shape(keep_x_drop_y().delta)[0] == [("PatchRemove", 1, (3,))]  # sites: BAG, its body, x, y
+        else:
+            assert getmax_delta_rule().delta.consume == (1,)
+        the_matched_occurrence_leaves(where)
 
-        def build():
-            if shared == "the same tuple twice":
-                dup = Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1)
-            else:
-                copy = TupleTemplate(Symbol("H"), Ref("b"))
-                dup = Rule("dup", [TuplePattern(SymbolPattern("H"), Var("b"))], [copy, copy], one_shot=True, priority=1)
-            bump = Rule(
-                "bump",
-                [TuplePattern(SymbolPattern("H"), SolutionPattern(IntAtom(1), rest=Omega("w")))],
-                [TupleTemplate(Symbol("H"), SolutionTemplate(IntAtom(2), Splice("w")))],
-                one_shot=True,
-            )
-            return [field("H", IntAtom(1)), dup, bump]
-
-        assert shape(build()[2].delta)[0] == [
-            ("PatchRemove", 0, (), "(IntAtom(1),)"),
-            ("PatchAdd", 0, (), "(IntAtom(2),)"),
-        ]
-        solution = _both_forms(build)
-        assert solution.content_hash() == Multiset([field("H", IntAtom(1)), field("H", IntAtom(2))]).content_hash()
+    @pytest.mark.parametrize("shared", SHARED)
+    def test_a_shared_solution_takes_the_rebuild_form(self, shared):
+        bump = dup_then_bump(shared)[2].delta
+        if shared.endswith("around"):  # sites: S, its body, H, H's body, 1
+            assert (shape(bump)[0], bump.guards) == ([("PatchRemove", 3, (4,)), ("PatchAdd", 3, "(IntAtom(2),)")], (1, 3))
+        else:  # sites: H, its body, 1
+            assert (shape(bump)[0], bump.guards) == ([("PatchRemove", 1, (2,)), ("PatchAdd", 1, "(IntAtom(2),)")], (1,))
+        a_shared_solution_takes_the_rebuild_form(shared)
 
     def test_a_literal_product_is_copied(self):
         """``bump`` edits what ``seed`` produced, between two of its firings:
@@ -434,6 +524,85 @@ class TestUnsafeTargets:
         assert literal == field("H", IntAtom(1))
         fields = [atom for atom in solution.atoms() if isinstance(atom, TupleAtom)]
         assert Multiset(fields).content_hash() == Multiset([field("H", IntAtom(1)), field("H", IntAtom(2))]).content_hash()
+
+
+# -------------------------------------------------------------- seeded mutants
+def _derived_as(edit):
+    """A mutant of ``derive_delta``: what it derives, passed through ``edit``."""
+
+    def mutant(monkeypatch):
+        monkeypatch.setattr(rules_module, "derive_delta", lambda *args: edit(derive_delta(*args)))
+
+    return mutant
+
+
+def _entries_off_by_one(delta):
+    ops = [PatchRemove(op.site, [entry - 1 for entry in op.entries]) if isinstance(op, PatchRemove) else op for op in delta.ops]
+    return RewriteDelta(ops, delta.consume, delta.produce, delta.rebuild, delta.guards)
+
+
+def _removal_by_equality(monkeypatch):
+    def apply(self, sites, bindings, externals):
+        for entry in self.entries:
+            sites[self.site].remove(sites[entry].atom)
+
+    monkeypatch.setattr(PatchRemove, "apply", apply)
+
+
+def _consumed_by_equality(monkeypatch):
+    """Each consumed atom leaves through the first entry of the level holding an equal atom."""
+    original = RewriteDelta.apply
+
+    def apply(self, match, solution, externals):
+        top = len(match.consumed)
+        equal = [next(entry for entry in solution.live_entries() if entry.atom == atom) for atom in match.consumed]
+        return original(self, Match(match.bindings, match.consumed, (*equal, *match.sites[top:])), solution, externals)
+
+    monkeypatch.setattr(RewriteDelta, "apply", apply)
+
+
+def _sites_out_of_walk_order(monkeypatch):
+    """Each solution pattern's sites go first: the walk read backwards."""
+
+    def site(self, pattern, solution, entries):
+        next(self.walk, None)
+        self.sites[:0] = [solution, *entries]
+
+    monkeypatch.setattr(Source, "site", site)
+
+
+MUTANTS = {
+    "site off by one": _derived_as(_entries_off_by_one),
+    "removal by equality": _removal_by_equality,
+    "holder check dropped": _derived_as(
+        lambda delta: RewriteDelta(delta.ops, delta.consume, delta.produce, delta.rebuild)
+    ),
+    "holder check of the edited solution only": _derived_as(
+        lambda delta: RewriteDelta(delta.ops, delta.consume, delta.produce, delta.rebuild, [op.site for op in delta.ops])
+    ),
+    "consumed atom removed by equality": _consumed_by_equality,
+    "sites out of walk order": _sites_out_of_walk_order,
+}
+
+
+def where_a_firing_lands():
+    """The evidence each mutant must fail: the cases of :class:`TestWhereAFiringLands`
+    (which hold them unmutated) on rules built here, so nothing was derived or
+    searched before the mutant."""
+    for rule, _ops, body, expected in TWO_FIELDS_UNDER_ONE_HEAD:
+        two_fields_patch_in_place(rule, body, expected)
+    for where in ("in a patched body", "at the level"):
+        the_matched_occurrence_leaves(where)
+    for shared in SHARED:
+        a_shared_solution_takes_the_rebuild_form(shared)
+
+
+class TestSeededMutantsDie:
+    @pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
+    def test_the_evidence_tells_it(self, mutant, monkeypatch):
+        mutant(monkeypatch)
+        with pytest.raises((AssertionError, ReductionError)):
+            where_a_firing_lands()
 
 
 class TestAppliedDelta:

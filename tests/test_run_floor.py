@@ -223,11 +223,15 @@ class TestActionsStayWithTheirAgent:
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
 #: Python-level calls per chain agent built and per steady-state stimulus: 52
-#: and 80.7 today, 54 and 85.7 while the engine carried its batch/parallel
-#: modes and read the clock untraced, 158 and 110 while atoms, multisets,
-#: matches, reports and actions were built through generators, dataclasses
-#: and `to_atom`
-CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 84
+#: and 72.7 today, 81.7 while a firing looked up again what its search had
+#: bound, 54 and 85.7 while the engine carried its batch/parallel modes and
+#: read the clock untraced, 158 and 110 while atoms, multisets, matches,
+#: reports and actions were built through generators, dataclasses and `to_atom`
+CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 73
+#: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
+#: montage:size=300,seed=1: 88.94 since a firing edits by the sites its match
+#: recorded, 108.9 while it walked field heads and removed by equality
+CALLS_PER_REACTION = 89
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
 #: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
 #: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
@@ -311,6 +315,24 @@ class TestCallBudget:
         assert stimuli == 1499 and generated == 0
         assert per_agent <= CALLS_PER_AGENT, per_agent
         assert per_stimulus <= CALLS_PER_STIMULUS, per_stimulus
+
+    def test_calls_per_reaction_of_the_centralised_engine(self, monkeypatch):
+        """Host-independent: what a reaction costs the centralised engine — one
+        level of 300 task sub-solutions, every result moved across every edge
+        by `gw_pass` — in Python calls, the services it invokes included."""
+        reduce, counted = ReductionEngine.reduce, []
+
+        def counting(engine, solution):
+            report, calls, _ = python_calls(lambda: reduce(engine, solution))
+            counted.append((report.reactions, calls))
+            return report
+
+        CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))  # every left-hand side generated
+        monkeypatch.setattr(ReductionEngine, "reduce", counting)
+        CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))
+        reactions, calls = map(sum, zip(*counted))
+        assert reactions == 1190
+        assert calls / reactions <= CALLS_PER_REACTION, calls / reactions
 
     @pytest.mark.parametrize("mode", AGENT_MODES)
     def test_driver_calls_per_stimulus(self, mode):
