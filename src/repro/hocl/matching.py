@@ -184,7 +184,7 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
     keys = [pattern.index_key() for pattern in patterns]
     broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
     opened = [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
-    out = Source(3 if broad else 2, 1 if broad else 0, opened, patterns)
+    out = Source(3 if broad else 2, 1 if broad else 0, opened)
     entries: list[str] = []
     atoms: list[str] = []
     if not patterns:

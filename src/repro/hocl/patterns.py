@@ -50,7 +50,7 @@ and the generated function holds no state, so rules, agents and threads share it
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .atoms import Atom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
 from .errors import PatternError
@@ -155,14 +155,13 @@ class Source:
     text, whatever they name.  A variable is the local :attr:`bound` maps it
     to; one not bound yet may still be in :attr:`extra`, the mapping the view
     of a match starts from.  :attr:`sites` are the locals a match records where
-    it bound, in the order of the walk :func:`solution_patterns` makes over
-    ``patterns``.
+    it bound, in the order :func:`solution_patterns` lists them.
     """
 
     #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
     BLOCKS = 18
 
-    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = (), patterns: Iterable[Pattern] = ()):
+    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = ()):
         self.lines: list[str] = []
         self.depth = depth
         self.blocks = blocks
@@ -175,13 +174,10 @@ class Source:
         self.initial: dict[str, str] = {}  # variable -> the local read from ``initial_bindings``, once per search
         self.idents: dict[str, str] = {}
         self.sites: list[str] = []
-        self.walk = (found for pattern in patterns for found in solution_patterns(pattern))
 
-    def site(self, pattern: SolutionPattern, solution: str, entries: list[str]) -> None:
-        """Record the solution ``pattern`` matched and the entry each of its
-        elements took: the next sites of the match, in walk order."""
-        if next(self.walk, None) is not pattern:
-            raise PatternError("a solution pattern records its sites out of walk order")
+    def site(self, solution: str, entries: list[str]) -> None:
+        """Record the solution a solution pattern matched and the entry each of
+        its elements took: the next sites of the match."""
         self.sites += [solution, *entries]
 
     def line(self, text: str) -> None:
@@ -563,7 +559,7 @@ class SolutionPattern(Pattern):
     def emit(self, out: Source, atom: str) -> None:
         held = out.local("s")  # the matched solution; the entry each element takes
         taken = [out.local("e") for _ in self.elements]
-        out.site(self, held, taken)
+        out.site(held, taken)
         out.line(f"if not isinstance({atom}, Subsolution): continue")
         out.line(f"{held} = {atom}.solution")
         if self.elements or self.rest is None:
@@ -657,17 +653,17 @@ class RulePattern(Pattern):
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
 
 
-def solution_patterns(pattern: Pattern) -> Iterator[SolutionPattern]:
+def solution_patterns(pattern: Pattern) -> list[SolutionPattern]:
     """Every :class:`SolutionPattern` in ``pattern``, each before its elements,
-    elements in order: the walk a search records its sites in (after the
+    elements in order: the order a search records its sites in (after the
     entry of each top-level pattern, per solution pattern the solution it
     matched, then the entry each of its elements took), and the one
     :func:`~repro.hocl.deltas.derive_delta` numbers them by."""
-    if isinstance(pattern, SolutionPattern):
-        yield pattern
+    found = [pattern] if isinstance(pattern, SolutionPattern) else []
     if isinstance(pattern, (TuplePattern, SolutionPattern)):
         for element in pattern.elements:
-            yield from solution_patterns(element)
+            found += solution_patterns(element)
+    return found
 
 
 def as_pattern(value: Any) -> Pattern:

@@ -564,8 +564,7 @@ def _consumed_by_equality(monkeypatch):
 def _sites_out_of_walk_order(monkeypatch):
     """Each solution pattern's sites go first: the walk read backwards."""
 
-    def site(self, pattern, solution, entries):
-        next(self.walk, None)
+    def site(self, solution, entries):
         self.sites[:0] = [solution, *entries]
 
     monkeypatch.setattr(Source, "site", site)

@@ -223,13 +223,15 @@ class TestActionsStayWithTheirAgent:
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
 #: Python-level calls per chain agent built and per steady-state stimulus: 52
-#: and 72.7 today, 81.7 while a firing looked up again what its search had
+#: and 72.7 today on CPython 3.10 and 3.11 (50.0 and 70.0 on 3.12), pinned at
+#: the highest, 81.7 while a firing looked up again what its search had
 #: bound, 54 and 85.7 while the engine carried its batch/parallel modes and
 #: read the clock untraced, 158 and 110 while atoms, multisets, matches,
 #: reports and actions were built through generators, dataclasses and `to_atom`
 CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 73
 #: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
-#: montage:size=300,seed=1: 88.94 since a firing edits by the sites its match
+#: montage:size=300,seed=1: 88.86 on CPython 3.10 and 3.11 (86.34 on 3.12),
+#: pinned at the highest, since a firing edits by the sites its match
 #: recorded, 108.9 while it walked field heads and removed by equality
 CALLS_PER_REACTION = 89
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
