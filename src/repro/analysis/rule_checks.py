@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.hocl.atoms import Atom, Symbol, to_atom
+from repro.hocl.errors import AtomError
 from repro.hocl.multiset import Multiset, atom_index_keys
 from repro.hocl.rules import Rule
 from repro.hocl.templates import (
@@ -162,7 +163,7 @@ def producible_keys(rules: tuple[Rule, ...]) -> tuple[set[Any], bool, bool]:
             elif not isinstance(node, Template):
                 try:
                     keys.update(atom_index_keys(to_atom(node)))
-                except Exception:  # pragma: no cover - unconvertible literal
+                except AtomError:  # an unconvertible literal: anything
                     any_atom = True
     return keys, any_tuple, any_atom
 

@@ -1,8 +1,8 @@
 """In-place rewrite deltas — how the engine fires every rule.
 
 A rule is written once, as HOCL writes it: patterns and products.  Fired to
-the letter it would *rebuild*: remove every matched atom and expand fresh
-products, even where a product restates most of what was matched —
+the letter it would remove every matched atom and expand fresh products,
+even where a product restates most of what was matched —
 ``gw_pass`` would re-create two whole task tuples, re-inserting and
 re-indexing every ``IN``/``SRC`` entry, to move one result across one edge.
 The engine fires the rule's :class:`RewriteDelta` instead, which
@@ -24,13 +24,13 @@ its ``IN`` — and consumes nothing; ``mv_src``, whose bodies are rebuilt by
 the externals ``minus`` and ``drop_inputs``, restates nothing and consumes all
 it matched.
 
-Copy-on-write: a delta never deep-copies a payload.  Atoms added by a patch
-are shared by reference (as ``Ref``/``Splice`` expansion shares them), and the
-atoms around the patch — the tuple spine, the other fields, the untouched
+Copy-on-write: atoms added by a patch are shared by reference — only one
+holding a solution is expanded as a copy, for a solution has one holder — and
+the atoms around the patch — the tuple spine, the other fields, the untouched
 inputs — keep their cached hashes.  Mutating a nested
-:class:`~repro.hocl.multiset.Multiset` bumps its version through every
-enclosing solution (``Multiset._touch``): exactly the caches the patch can
-have made stale.  A kept matched atom keeps its occurrence entry, its place in
+:class:`~repro.hocl.multiset.Multiset` bumps its version through the one
+chain of enclosing solutions (``Multiset._touch``): exactly the caches the
+patch can have made stale.  A kept matched atom keeps its occurrence entry, its place in
 the level and in every index bucket, and its holder wiring.
 
 Addressing
@@ -46,13 +46,6 @@ occurrences, not equal ones — a :class:`PatchAdd` adds to that solution, and
 a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
 ``RES : <res, ωres>, DST : <tj, ωdst>``, sites ``e_RES, e_DST, <RES>, e_res,
 <DST>, e_tj``) derives ``PatchRemove(4, (5,))``.
-
-A patch edits a solution every holder sees.  So a firing in which a matched
-solution on the way to an edited one has more than one holder (``Ref`` /
-``Splice`` expansion shares atoms) takes the rule's rebuild form instead —
-everything matched consumed, every product expanded, as the rule reads to
-the letter.  The holders are read off the sites (:attr:`RewriteDelta.guards`)
-before anything moves, so such a firing changes nothing in place.
 """
 
 from __future__ import annotations
@@ -162,29 +155,14 @@ class RewriteDelta:
         from the solution (everything not listed is kept in place).
     produce:
         Templates for new top-level atoms.
-    rebuild:
-        The rule's products, expanded whole (everything matched consumed) by
-        a firing in which a guarded solution has more than one holder.
-    guards:
-        The sites of the matched solutions on the way to an edited one,
-        edited ones included: each must have one holder for the ops to land.
     """
 
-    __slots__ = ("ops", "consume", "produce", "rebuild", "guards", "eager")
+    __slots__ = ("ops", "consume", "produce", "eager")
 
-    def __init__(
-        self,
-        ops: Sequence[DeltaOp] = (),
-        consume: Sequence[int] = (),
-        produce: Sequence[Any] = (),
-        rebuild: Sequence[Any] = (),
-        guards: Sequence[int] = (),
-    ):
+    def __init__(self, ops: Sequence[DeltaOp] = (), consume: Sequence[int] = (), produce: Sequence[Any] = ()):
         self.ops = tuple(ops)
         self.consume = tuple(consume)
         self.produce = tuple(produce)
-        self.rebuild = tuple(rebuild)
-        self.guards = tuple(guards)
         #: The names read once the patching has started, which the engine
         #: therefore reads before (an omega is copied out of its solution at its
         #: first read); ``None``: any — a ``Call`` sees every binding.
@@ -205,33 +183,21 @@ class RewriteDelta:
         solution as it was), then the patches edit the matched solutions, the
         atoms matched by the ``consume`` patterns leave the level through
         their entries (in pattern order) and the expansions join it; nothing
-        else moves.  Where a guarded solution has more than one holder, the
-        ``rebuild`` products expand and everything matched leaves instead.
+        else moves.
         """
-        sites = match.sites
-        for guard in self.guards:
-            if len(sites[guard]._parents) > 1:
-                added = expand_templates(self.rebuild, match.bindings, externals)
-                removed = match.consumed
-                gone: Sequence[int] = range(len(removed))
-                break
-        else:
-            added = expand_templates(self.produce, match.bindings, externals) if self.produce else []
-            for op in self.ops:
-                op.apply(sites, match.bindings, externals)
-            matched = match.consumed
-            removed = [matched[index] for index in self.consume]
-            gone = self.consume
-        for index in gone:
+        sites, bindings = match.sites, match.bindings
+        added = expand_templates(self.produce, bindings, externals) if self.produce else []
+        for op in self.ops:
+            op.apply(sites, bindings, externals)
+        matched = match.consumed
+        for index in self.consume:
             solution._remove_entry(sites[index])
         for atom in added:
             solution.add(atom)
-        return removed, added
+        return [matched[index] for index in self.consume], added
 
     def __repr__(self) -> str:
-        return (
-            f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r}, guards={self.guards!r})"
-        )
+        return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
 
 
 def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matched: bool = False) -> RewriteDelta:
@@ -247,13 +213,12 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
     for pattern in patterns:
         firsts.append(site)
         site += _span(pattern)
-    chains: dict[int, tuple[int, ...]] = {}
     kept: set[int] = set()
     ops: list[DeltaOp] = []
     produce = []
     for product in products:
         for at, pattern in enumerate(patterns):
-            patches = None if at in kept else _restated(pattern, product, firsts[at], (), chains)
+            patches = None if at in kept else _restated(pattern, product, firsts[at])
             if patches is not None:
                 kept.add(at)
                 ops += patches
@@ -261,26 +226,21 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
         else:
             produce.append(product)
     consume = [at for at in range(len(patterns)) if at not in kept]
-    guards = list(dict.fromkeys(guard for op in ops for guard in chains[op.site]))
-    return RewriteDelta(ops, consume, produce, products if ops else (), guards)
+    return RewriteDelta(ops, consume, produce)
 
 
-def _restated(
-    pattern: Pattern, template: Any, first: int, above: tuple[int, ...], chains: dict[int, tuple[int, ...]]
-) -> list[DeltaOp] | None:
+def _restated(pattern: Pattern, template: Any, first: int) -> list[DeltaOp] | None:
     """The patches turning the atom ``pattern`` matched into ``template``'s
     expansion; ``None`` when ``template`` does not restate it.
 
-    ``first`` is the site of the first solution pattern in ``pattern``,
-    ``above`` the sites of the matched solutions enclosing it; ``chains``
-    takes, per edited solution, the sites from the outermost down to it.
+    ``first`` is the site of the first solution pattern in ``pattern``.
     """
     if isinstance(pattern, Var):
         return [] if isinstance(template, Ref) and template.name == pattern.name else None
     if isinstance(pattern, Literal):  # a symbol is interned: identity first
         return [] if template is pattern.atom or isinstance(template, Atom) and template == pattern.atom else None
     if isinstance(pattern, SolutionPattern):
-        return _patched_body(pattern, template, first, above, chains) if isinstance(template, SolutionTemplate) else None
+        return _patched_body(pattern, template, first) if isinstance(template, SolutionTemplate) else None
     if not (isinstance(pattern, TuplePattern) and isinstance(template, TupleTemplate)):
         return None
     fields = template.elements
@@ -292,7 +252,7 @@ def _restated(
         return None
     ops: list[DeltaOp] = []
     for element, field in zip(pattern.elements, fields):
-        patches = _restated(element, field, first, above, chains)
+        patches = _restated(element, field, first)
         if patches is None:
             return None
         ops += patches
@@ -300,17 +260,10 @@ def _restated(
     return ops
 
 
-def _patched_body(
-    pattern: SolutionPattern,
-    template: SolutionTemplate,
-    site: int,
-    above: tuple[int, ...],
-    chains: dict[int, tuple[int, ...]],
-) -> list[DeltaOp] | None:
+def _patched_body(pattern: SolutionPattern, template: SolutionTemplate, site: int) -> list[DeltaOp] | None:
     """The patches turning the body ``pattern`` matched (at ``site``) into
     ``template``'s; ``None`` when the body does not survive: its ω is not
     spliced back."""
-    above = (*above, site)
     # each sub-pattern not restated yet: the site of its entry, and of its first solution pattern
     left: list[tuple[int, Pattern, int]] = []
     first = site + 1 + len(pattern.elements)
@@ -325,7 +278,7 @@ def _patched_body(
             rest = None  # the remainder stays where it is
             continue
         for index, (_entry, sub, below) in enumerate(left):
-            patches = _restated(sub, element, below, above, chains)
+            patches = _restated(sub, element, below)
             if patches is not None:
                 del left[index]
                 ops += patches
@@ -338,6 +291,4 @@ def _patched_body(
         ops.append(PatchRemove(site, [entry for entry, _sub, _below in left]))
     if added:
         ops.append(PatchAdd(site, added))
-    if left or added:
-        chains[site] = above
     return ops

@@ -231,13 +231,10 @@ class ReductionEngine:
                 return
             # 1. bring every nested solution to inertness first, in entry
             # order: only what the multiset still holds flagged, asked again
-            # until nothing is left — a sibling reduced later can re-open an
-            # aliased solution.
+            # until nothing is left — the asking unflags what is now inert.
             nested = solution.unsettled_solutions()
             while nested:
                 for inner in nested:
-                    if inner.known_inert:
-                        continue  # an alias, reduced earlier in this round
                     self._reduce_level(inner, depth + 1, report)
                     if report.reactions >= max_steps:
                         report.inert = False

@@ -16,9 +16,8 @@ the book-keeping that lets the engine work incrementally:
 
 * a **version counter** (:attr:`version`), bumped on every mutation and
   propagated up the chain of enclosing solutions (a sub-solution knows the
-  multisets, and the top-level entries in them, that currently hold it), so
-  any change anywhere in the tree invalidates the cached inertness of every
-  ancestor;
+  one multiset, and the top-level entry in it, that holds it), so any change
+  anywhere in the tree invalidates the cached inertness of every ancestor;
 * **flagged entries** (:meth:`unsettled_solutions`): the same propagation flags,
   in each enclosing multiset, the entry below which something that can react
   (:attr:`can_react`: it holds a rule or a nested solution) changed — the
@@ -39,6 +38,11 @@ enumeration — and therefore the reduction trace — identical to a naive scan.
 
 Every solution is built through :meth:`Multiset.add`: an atom as it is, its cached index keys,
 what it holds wired in one pass, and no :meth:`Multiset._touch` when nothing encloses it.
+
+A sub-solution is one molecule of one enclosing solution: :meth:`Multiset.add`
+refuses (``AtomError``, nothing changed) an atom holding a solution that
+already has a holder, or one enclosing the receiver.  A solution goes
+elsewhere as a copy (``Atom.copy``), which is how rule products expand.
 """
 
 from __future__ import annotations
@@ -60,14 +64,15 @@ from .atoms import (
     TupleAtom,
     to_atom,
 )
+from .errors import AtomError
 
 __all__ = ["Multiset", "atom_index_keys"]
 
 #: Index key of the bucket holding every rule atom.
 _KIND_RULE = ("kind", "rule")
 
-#: Shared empty list (never mutated): the bucket of an absent key, and what a
-#: multiset holds until its first holder / first rule ordering allocates its own.
+#: Shared empty list (never mutated): the bucket of an absent key, and the rule
+#: ordering of a multiset until its first ordering allocates its own.
 _EMPTY: list = []
 
 
@@ -247,7 +252,7 @@ class Multiset:
         "_entries",
         "_index",
         "_version",
-        "_parents",
+        "_holder",
         "_inert_version",
         "_rules_cache",
         "_rules_dirty",
@@ -262,11 +267,10 @@ class Multiset:
         self._entries: list[_Entry] = []
         self._index: dict[Any, list[_Entry]] = {}
         self._version = 0
-        #: every ``(multiset, top-level entry)`` currently holding this one
-        #: (a Subsolution atom anywhere inside the entry's atom), to propagate
-        #: invalidation upwards.  One pair per containment, so aliasing into
-        #: several entries — or twice into one — invalidates them all.
-        self._parents: list[tuple[Multiset, _Entry]] = _EMPTY
+        #: the ``(multiset, top-level entry)`` holding this one (a Subsolution
+        #: atom anywhere inside the entry's atom), to propagate invalidation
+        #: upwards; ``None`` at the root
+        self._holder: tuple[Multiset, _Entry] | None = None
         self._inert_version = -1
         self._rules_cache: list[Atom] = _EMPTY
         self._rules_dirty = True
@@ -320,43 +324,66 @@ class Multiset:
     def _touch(self) -> None:
         """Bump every enclosing solution's version (a mutation bumps its own); flag the holder in each.
 
-        Walks the whole parent graph (a solution may be contained several
-        times) with a visited guard, so even pathological aliasing cycles
-        terminate.  A solution that cannot react (:attr:`can_react`) raises
-        no descent flag on its holders: there is nothing to visit in it.
+        Walks the one chain of holders up to the root.  A solution that cannot
+        react (:attr:`can_react`) raises no descent flag on its holder: there
+        is nothing to visit in it.
         """
-        seen = {id(self)}
-        changed = [self]
-        while changed:
-            below = changed.pop()
-            can_react = bool(below._nested) or _KIND_RULE in below._index  # `can_react`, inline
-            for node, entry in below._parents:
-                # something changed below `entry`: descent and memories look again
-                if can_react and node._nested is not None and entry in node._nested:
-                    node._flagged.add(entry)  # type: ignore[union-attr]
-                if node._memories is not None:
-                    keys = entry.atom._index_keys  # cached when the entry joined
-                    for memory in node._memories.values():
-                        memory.admit(entry, keys, False)
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    node._version += 1
-                    changed.append(node)
+        below, holder = self, self._holder
+        while holder is not None:
+            node, entry = holder
+            # something changed below `entry`: descent and memories look again
+            if (below._nested or _KIND_RULE in below._index) and node._nested is not None and entry in node._nested:
+                node._flagged.add(entry)  # type: ignore[union-attr]
+            if node._memories is not None:
+                keys = entry.atom._index_keys  # cached when the entry joined
+                for memory in node._memories.values():
+                    memory.admit(entry, keys, False)
+            node._version += 1
+            below, holder = node, node._holder
 
-    def _disown(self, atom: Atom, entry: _Entry) -> None:
-        """Drop one holder registration per solution held in ``atom``."""
+    @staticmethod
+    def _disown(atom: Atom) -> None:
+        """Clear the holder of every solution held in ``atom``."""
         for solution in _held_solutions(atom):
-            parents = solution._parents
-            for index, pair in enumerate(parents):
-                if pair[1] is entry:
-                    del parents[index]
-                    break
+            solution._holder = None
 
     # ------------------------------------------------------------------ core
     def add(self, value: Any) -> Atom:
-        """Add a single atom (coercing plain values) and return it."""
+        """Add a single atom (coercing plain values) and return it.
+
+        Raises
+        ------
+        AtomError
+            If the atom holds a solution that already has a holder, or one
+            enclosing this multiset; the multiset is left as it was.
+        """
         atom = value if isinstance(value, Atom) else to_atom(value)
         entry = _Entry(atom, self._version)  # bumped below: later entries sort later
+        if atom._mutable:
+            # wire every solution it holds to this entry: its own and a tuple's elements'
+            # are also nested (reduced); one deeper, as in a list (walked whole), is held only
+            pair, nested, held = (self, entry), [], []
+            for item in (atom,) if isinstance(atom, Subsolution) else getattr(atom, "elements", (atom,)):
+                if isinstance(item, Subsolution):
+                    nested.append(item.solution)
+                    held.append(item.solution)
+                elif item._mutable:
+                    held += _held_solutions(item)
+            root = self  # a holderless solution enclosing this one can only be its root
+            while root._holder is not None:
+                root = root._holder[0]
+            for index, solution in enumerate(held):
+                if solution._holder is not None or solution is root:
+                    for wired in held[:index]:
+                        wired._holder = None
+                    raise AtomError(f"a solution has one holder: {atom} holds one held already, or one enclosing this multiset")
+                solution._holder = pair
+            if nested:
+                if self._nested is None:
+                    self._nested = {}
+                    self._flagged = set()
+                self._nested[entry] = nested
+                self._flagged.add(entry)  # type: ignore[union-attr]
         self._entries.append(entry)
         index = self._index
         keys = atom._index_keys
@@ -373,26 +400,8 @@ class Multiset:
         if self._memories is not None:
             for memory in self._memories.values():
                 memory.admit(entry, keys, True)  # the last of its buckets: order kept
-        if atom._mutable:
-            # wire every solution it holds to this entry: its own and a tuple's elements'
-            # are also nested (reduced); one deeper, as in a list (walked whole), is held only
-            pair, nested = (self, entry), []
-            for item in (atom,) if isinstance(atom, Subsolution) else getattr(atom, "elements", (atom,)):
-                if isinstance(item, Subsolution):
-                    held = item.solution
-                    held._parents = [*held._parents, pair]
-                    nested.append(held)
-                elif item._mutable:
-                    for held in _held_solutions(item):
-                        held._parents = [*held._parents, pair]
-            if nested:
-                if self._nested is None:
-                    self._nested = {}
-                    self._flagged = set()
-                self._nested[entry] = nested
-                self._flagged.add(entry)  # type: ignore[union-attr]
         self._version += 1
-        if self._parents:
+        if self._holder:
             self._touch()
         return atom
 
@@ -468,16 +477,16 @@ class Multiset:
         if atom._mutable:
             if self._nested is not None and self._nested.pop(entry, None):
                 self._flagged.discard(entry)  # type: ignore[union-attr]
-            self._disown(atom, entry)
+            self._disown(atom)
         self._version += 1
-        if self._parents:
+        if self._holder:
             self._touch()
 
     def clear(self) -> None:
         """Remove every atom."""
         for entry in self._entries:
             if entry.atom._mutable:
-                self._disown(entry.atom, entry)
+                self._disown(entry.atom)
         self._entries.clear()
         self._index.clear()
         self._nested = None
@@ -485,7 +494,7 @@ class Multiset:
         self._memories = None
         self._rules_dirty = True
         self._version += 1
-        if self._parents:
+        if self._holder:
             self._touch()
 
     # --------------------------------------------------------------- queries

@@ -86,7 +86,8 @@ class Ref(Template):
             raise PatternError(
                 f"variable {self.name!r} is an omega binding; use Splice({self.name!r})"
             )
-        return [to_atom(value)]
+        # a solution has one holder: one bound stays where it was bound
+        return [atom.copy() if (atom := to_atom(value))._mutable else atom]
 
     def referenced_names(self) -> set[str]:
         return {self.name}
@@ -108,8 +109,8 @@ class Splice(Template):
             raise PatternError(f"product references unbound omega {self.name!r}")
         value = bindings[self.name]
         if not isinstance(value, list):
-            return [to_atom(value)]
-        return [to_atom(item) for item in value]
+            return [atom.copy() if (atom := to_atom(value))._mutable else atom]
+        return [atom.copy() if (atom := to_atom(item))._mutable else atom for item in value]
 
     def referenced_names(self) -> set[str]:
         return {self.name}
@@ -215,14 +216,15 @@ class Call(Template):
 
 
 def _coerce_result(result: Any) -> list[Atom]:
-    """Coerce the return value of a Call into a list of atoms."""
+    """Coerce the return value of a Call into a list of atoms (one holding a
+    solution copied: the external may keep it, or have read it from a binding)."""
     if result is None:
         return []
     if isinstance(result, Atom):
-        return [result]
+        return [result.copy() if result._mutable else result]
     if isinstance(result, (list, tuple)) and all(isinstance(item, Atom) for item in result):
-        return [item for item in result]
-    return [to_atom(result)]
+        return [item.copy() if item._mutable else item for item in result]
+    return [atom.copy() if (atom := to_atom(result))._mutable else atom]
 
 
 def template_referenced_names(template: Any) -> set[str]:
@@ -242,8 +244,9 @@ def _referenced_in_all(templates: Sequence[Any]) -> set[str]:
 def expand_template(template: Any, bindings: Bindings, externals: Any = None) -> list[Atom]:
     """Expand a single template (or literal value) into a list of atoms.
 
-    A literal that holds a solution is copied: a patch or a nested reduction
-    edits the solution it lands in, and must not edit the rule.
+    Whatever holds a solution is copied — a literal, a bound atom, a call's
+    result: a patch or a nested reduction edits the solution it lands in, and
+    must not edit the rule or the solution it was read from.
     """
     if isinstance(template, Template):
         return template.expand(bindings, externals)

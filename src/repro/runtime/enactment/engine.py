@@ -352,8 +352,8 @@ class EnactmentEngine:
         logged = self.transport.replay(agent_topic(host.name)) if self.transport.supports_replay else []
         crashed = host.core
         host.core, actions = rebuild_agent(host.encoding, logged, core=self.new_core(host.encoding))
-        # the dead core's solution is cyclic garbage (nested solutions know their
-        # holders): taken apart, it goes now and not at some later collector pass
+        # the dead core's solution is cyclic garbage (a nested solution knows its
+        # holder): taken apart, it goes now and not at some later collector pass
         crashed.solution.clear()
         host.alive = True
         return actions, len(logged)

@@ -127,8 +127,6 @@ class RepositioningDelta(RewriteDelta):
     __slots__ = ()
 
     def apply(self, match, solution, externals):
-        if any(len(match.sites[guard]._parents) > 1 for guard in self.guards):
-            return super().apply(match, solution, externals)
         for op in self.ops:
             op.apply(match.sites, match.bindings, externals)
         for atom in match.consumed:
@@ -153,9 +151,7 @@ class RepositionedRule(Rule):
             return self._repositioned
         except AttributeError:
             derived = super().delta
-            self._repositioned = RepositioningDelta(
-                derived.ops, derived.consume, derived.produce, derived.rebuild, derived.guards
-            )
+            self._repositioned = RepositioningDelta(derived.ops, derived.consume, derived.produce)
             return self._repositioned
 
 

@@ -26,6 +26,7 @@ from repro.analysis import (
 )
 from repro.cli import main
 from repro.analysis.analyzer import _nested_injected_keys
+from repro.analysis.rule_checks import producible_keys
 from repro.hocl import (
     Multiset,
     Omega,
@@ -191,6 +192,10 @@ class TestRuleChecks:
         sibling = adaptation._MV_SRC.bind(name="mv_src:no-replaced", new=["R_2_1"])
         (finding,) = findings_for(analyze_rules([sibling], solution=Multiset([1])), "rule-unbound-product")
         assert finding.subject == "mv_src:no-replaced" and "'replaced'" in finding.message
+
+    def test_an_unconvertible_literal_product_may_be_anything(self):
+        """``to_atom`` refuses it with an ``AtomError``: the scope can then produce any atom."""
+        assert producible_keys((replace("r", [Var("x")], [object()]),)) == (set(), False, True)
 
 
 # ----------------------------------------------------------- workflow checks

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.hocl import (
+    AtomError,
     BoolAtom,
     FloatAtom,
     IntAtom,
@@ -26,6 +27,28 @@ from repro.hocl import (
 
 def make_rule(name="r"):
     return Rule(name, [Var("x", kind="int")], [])
+
+
+def _state(solution):
+    """What a refused add must leave as it was: version, entries, index,
+    nested solutions, flags and memories."""
+    return (
+        solution.version,
+        [id(entry) for entry in solution.live_entries()],
+        {key: [id(entry) for entry in bucket] for key, bucket in solution._index.items()},
+        {id(entry): [id(held) for held in nested] for entry, nested in (solution._nested or {}).items()},
+        sorted(map(id, solution._flagged or ())),
+        {id(pattern): [id(entry) for entry in memory.snapshot()] for pattern, memory in (solution._memories or {}).items()},
+    )
+
+
+def assert_refused(solution, atom):
+    """``solution.add(atom)`` raises ``AtomError`` and changes nothing, wires no holder."""
+    before, holders = _state(solution), [held._holder for held in _held_solutions(atom)]
+    with pytest.raises(AtomError, match="one holder"):
+        solution.add(atom)
+    assert _state(solution) == before
+    assert [held._holder for held in _held_solutions(atom)] == holders
 
 
 class TestBasicOperations:
@@ -226,26 +249,35 @@ class TestCandidateIndex:
         ms.remove_identical(high)
         assert [r.name for r in ms.rules_by_priority()] == ["low"]
 
-    def test_aliased_subsolution_invalidates_every_container(self):
-        # the same sub-solution object contained in two multisets (and twice
-        # in one) must invalidate all of its containers on mutation
+    def test_a_held_subsolution_is_refused_a_second_holder(self):
+        # a solution has one holder: a second multiset, a second entry of the
+        # same one, or twice in one atom is refused, and the holder still hears
         inner = Multiset([1])
         sub = Subsolution(inner)
-        first = Multiset([sub, sub])
-        second = Multiset([sub])
+        first, second = Multiset([sub]), Multiset([2])
+        assert_refused(first, sub)
+        assert_refused(second, sub)
+        assert_refused(second, TupleAtom([Symbol("T"), sub]))
+        twice = Subsolution()
+        assert_refused(second, TupleAtom([Symbol("T"), twice, twice]))
+        assert twice.solution._holder is None  # the first of the two is unwired again
         v_first, v_second = first.version, second.version
         inner.add(2)
-        assert first.version > v_first
-        assert second.version > v_second
-        first.remove_identical(sub)  # one occurrence gone, one left
-        v_first = first.version
-        inner.add(3)
-        assert first.version > v_first
-        second.remove_identical(sub)
+        assert (first.version > v_first, second.version) == (True, v_second)
+        first.remove_identical(sub)
+        second.add(sub)  # disowned: free to join another
         v_first, v_second = first.version, second.version
-        inner.add(4)
-        assert first.version > v_first  # still contained once
-        assert second.version == v_second  # fully disowned
+        inner.add(3)
+        assert (first.version, second.version > v_second) == (v_first, True)
+
+    def test_a_solution_is_refused_below_itself(self):
+        """A root added under its own child, or under itself, would be a cycle."""
+        root, child = Multiset(), Multiset([1])
+        root.add(TupleAtom([Symbol("C"), Subsolution(child)]))
+        assert_refused(child, Subsolution(root))
+        assert_refused(root, Subsolution(root))
+        assert_refused(child, ListAtom([Subsolution(root)]))
+        assert root._holder is None and child._holder[0] is root
 
 
 def one_of_each_kind():
@@ -333,7 +365,7 @@ class TestIndexAddressedRemoval:
     @pytest.mark.parametrize("kind", KINDS)
     def test_present_atom_of_every_kind_is_found_and_removed(self, kind):
         atom = one_of_each_kind()[kind]
-        ms = Multiset([LOOKALIKES[kind], atom])
+        ms = Multiset([LOOKALIKES[kind].copy(), atom])
         assert atom in ms and ms.count(atom) == 1
         ms.remove(atom.copy())  # an equal atom, not the stored object
         assert atom not in ms and ms.count(atom) == 0
@@ -343,7 +375,7 @@ class TestIndexAddressedRemoval:
     @pytest.mark.parametrize("neighbour", [False, True], ids=["empty", "lookalike-present"])
     def test_absent_atom_of_every_kind(self, kind, neighbour):
         atom = one_of_each_kind()[kind]
-        ms = Multiset([LOOKALIKES[kind]] if neighbour else [])
+        ms = Multiset([LOOKALIKES[kind].copy()] if neighbour else [])
         before = ms.version
         assert atom not in ms
         assert ms.count(atom) == 0
@@ -366,25 +398,24 @@ class TestIndexAddressedRemoval:
         assert not ms.discard(FloatAtom(1.0)) and not ms.discard(Symbol("A"))
         assert len(ms) == 2
 
-    def test_removing_one_alias_of_a_nested_solution_keeps_the_other_wired(self):
+    def test_a_second_entry_for_a_nested_solution_is_refused(self):
         inner = Multiset([1])
         sub = Subsolution(inner)
         first = TupleAtom([Symbol("T"), sub])
-        second = TupleAtom([Symbol("T"), sub])  # same solution aliased into two entries
-        ms = Multiset([first, 5, second])
-        assert ms.nested_solutions() == [inner, inner]
-        ms.remove(first)  # equality finds the first occurrence
-        assert ms.atoms()[1] is second
+        second = TupleAtom([Symbol("T"), sub])  # the same solution in a second tuple
+        ms = Multiset([first, 5])
+        assert_refused(ms, second)
         assert ms.nested_solutions() == [inner]
-        assert [entry.atom for entry in ms._nested] == [second]
         ms.note_inert()
-        inner.add(2)  # still contained once: must still invalidate the parent
+        inner.add(2)  # held by the first entry: still invalidates the parent
         assert not ms.known_inert
-        ms.remove_identical(second)
-        assert ms.nested_solutions() == []
+        ms.remove_identical(first)
+        assert ms.nested_solutions() == [] and inner._holder is None
         before = ms.version
-        inner.add(3)  # fully disowned
+        inner.add(3)  # disowned
         assert ms.version == before
+        ms.add(second)  # free to join again, as the second tuple
+        assert ms.nested_solutions() == [inner] and [entry.atom for entry in ms._nested] == [second]
 
     def test_rule_removal_refreshes_the_priority_cache(self):
         low, high = make_rule("low"), Rule("high", [Var("x", kind="int")], [], priority=5)
@@ -411,8 +442,11 @@ class TestIndexAddressedRemoval:
         for operation, which in script:
             atom = pool[which]
             if operation == "add":
-                ms.add(atom)
-                model.append(atom)
+                if atom._mutable and any(stored is atom for stored in model):
+                    assert_refused(ms, atom)  # a solution has one holder
+                else:
+                    ms.add(atom)
+                    model.append(atom)
                 continue
             if operation == "remove_identical":
                 position = next((i for i, stored in enumerate(model) if stored is atom), None)
@@ -467,6 +501,13 @@ def _held_solutions(atom):
     return []
 
 
+def _root_of(solution):
+    """The outermost solution enclosing ``solution`` (itself when nothing holds it)."""
+    while solution._holder is not None:
+        solution = solution._holder[0]
+    return solution
+
+
 def _can_react(solution):
     """A scan for what ``Multiset.can_react`` reads off the index: a rule, or
     a solution the engine descends into (an atom's own, or a tuple element's)."""
@@ -485,7 +526,8 @@ class FlagsAndMemories(RuleBasedStateMachine):
     the nested solutions that can react (hold a rule or a nested solution)
     and are not proven inert, in ``nested_solutions()`` order, and a solution
     that cannot react is never handed out for a visit; every solution knows
-    exactly the entries that hold it; and at the root each memory covers the
+    the one entry that holds it, and a second holder or a cycle is refused;
+    and at the root each memory covers the
     bucket entries ``quick_reject`` does not refute, in bucket order.
     """
 
@@ -522,9 +564,19 @@ class FlagsAndMemories(RuleBasedStateMachine):
 
     @rule(twice=st.booleans())
     def add_alias(self, twice):
-        # one solution aliased into several entries, or twice into one
+        # one solution into a second entry, or twice into one: refused
         holders = [Subsolution(self.shared)] * (2 if twice else 1)
-        self.root.add(TupleAtom([Symbol("A"), *holders]))
+        atom = TupleAtom([Symbol("A"), *holders])
+        if twice or self.shared._holder is not None:
+            assert_refused(self.root, atom)
+        else:
+            self.root.add(atom)
+
+    @rule(back=st.integers(0, 31))
+    def add_root_below(self, back):
+        # the root under itself or anything it encloses: a cycle, refused
+        below = [solution for solution in self.solutions if _root_of(solution) is self.root]
+        assert_refused(below[-1 - back % len(below)], Subsolution(self.root))
 
     @rule()
     def add_tuple_in_tuple(self):
@@ -545,14 +597,12 @@ class FlagsAndMemories(RuleBasedStateMachine):
         # any solution but the root: one, two or three levels down, held or not
         # (counted from the newest, which small draws then favour)
         target = self.solutions[1:][-1 - back % (len(self.solutions) - 1)]
-        enclosing, reached = {}, [target]
-        while reached:  # every solution the change must invalidate, however deep it sits
-            for holder, _entry in reached.pop()._parents:
-                if id(holder) not in enclosing:
-                    enclosing[id(holder)] = (holder, holder.version)
-                    reached.append(holder)
+        enclosing, holder = [], target._holder
+        while holder is not None:  # every solution the change must invalidate, however deep it sits
+            enclosing.append((holder[0], holder[0].version))
+            holder = holder[0]._holder
         changed = target.add(value) is not None if adding else target.discard(value)
-        assert all((holder.version > before) is changed for holder, before in enclosing.values())
+        assert all((holder.version > before) is changed for holder, before in enclosing)
 
     @rule(back=st.integers(0, 31), adding=st.booleans())
     def rule_below(self, back, adding):
@@ -603,15 +653,16 @@ class FlagsAndMemories(RuleBasedStateMachine):
             assert [id(s) for s in level.unsettled_solutions()] == open_solutions
 
     @invariant()
-    def every_solution_knows_its_holders(self):
+    def every_solution_knows_its_holder(self):
         expected = {}
         for level in self.solutions:
             for entry in level.live_entries():
                 for held in _held_solutions(entry.atom):
-                    expected.setdefault(id(held), []).append((id(level), id(entry)))
+                    assert id(held) not in expected  # one holder
+                    expected[id(held)] = (id(level), id(entry))
         for solution in self.solutions:
-            known = [(id(level), id(entry)) for level, entry in solution._parents]
-            assert sorted(known) == sorted(expected.get(id(solution), []))
+            holder = solution._holder
+            assert (holder and (id(holder[0]), id(holder[1]))) == expected.get(id(solution))
 
     @invariant()
     def memories_cover_what_is_not_refuted(self):

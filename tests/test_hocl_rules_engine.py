@@ -28,6 +28,7 @@ from repro.hocl import (
     Subsolution,
     Symbol,
     SymbolPattern,
+    TupleAtom,
     TupleTemplate,
     Var,
     default_registry,
@@ -97,6 +98,24 @@ class TestTemplates:
         registry = default_registry()
         registry.register("seven", lambda args, _bindings: 7)
         assert Call("seven").expand({}, registry) == [IntAtom(7)]
+
+    @pytest.mark.parametrize(
+        "template",
+        [Ref("x"), Splice("w"), Splice("one"), Call("atom"), Call("atoms"), Call("value")],
+        ids=["Ref", "Splice", "Splice of one", "Call atom", "Call atoms", "Call value"],
+    )
+    def test_an_expansion_holding_a_solution_is_a_copy(self, template):
+        """A solution has one holder: what expansion reads off a binding, or an
+        external hands back, joins a solution as a copy."""
+        held = TupleAtom([Symbol("T"), Subsolution([1])])
+        level = Multiset([held])
+        registry = default_registry()
+        registry.register("atom", lambda args, _bindings: held)
+        registry.register("atoms", lambda args, _bindings: [held])
+        registry.register("value", lambda args, _bindings: [held, 2])  # a list of values: one ListAtom
+        (atom,) = template.expand({"x": held, "w": [held], "one": held}, registry)
+        assert atom == (ListAtom([held, 2]) if getattr(template, "function", None) == "value" else held)
+        assert Multiset([atom]).atoms() == [atom] and level.atoms() == [held]
 
 
 class TestExternals:

@@ -120,10 +120,10 @@ _OF_KIND = {
 
 def _instance(draw, pattern, env):
     """An atom ``pattern`` is likely to match, a repeated variable likely bound alike."""
-    if isinstance(pattern, Var):
+    if isinstance(pattern, Var):  # equal atoms, not one: a solution has one holder
         if pattern.name in env and draw(st.booleans()):
-            return env[pattern.name]
-        return env.setdefault(pattern.name, draw(_OF_KIND[pattern.kind]))
+            return env[pattern.name].copy()
+        return env.setdefault(pattern.name, draw(_OF_KIND[pattern.kind])).copy()
     if isinstance(pattern, Literal):
         return pattern.atom
     if isinstance(pattern, RulePattern):
@@ -172,21 +172,40 @@ def _refutations(patterns, solution):
     return held
 
 
-def _same(found, expected):
-    """Same matches in the same order: the same atoms, bindings and sites —
-    the top-level entries of the two solutions (built alike) by their place,
-    what the atoms hold (shared by both) by identity."""
+def _twins(ours, theirs, twins=None):
+    """id of each entry, atom and solution of the level ``ours`` -> the one at
+    its place in ``theirs`` (built alike: a copy holds no solution of the other)."""
+    twins = {} if twins is None else twins
+    twins[id(ours)] = theirs
+    for mine, other in zip(ours.live_entries(), theirs.live_entries()):
+        twins[id(mine)] = other
+        pairs = [(mine.atom, other.atom)]
+        while pairs:
+            atom, twin = pairs.pop()
+            twins[id(atom)] = twin
+            if isinstance(atom, Subsolution):
+                _twins(atom.solution, twin.solution, twins)
+            elif isinstance(atom, TupleAtom):
+                pairs += zip(atom.elements, twin.elements)
+    return twins
+
+
+def _same(found, expected, ours, theirs):
+    """Same matches in the same order, of the levels ``ours`` and ``theirs``
+    (built alike): the same atoms, bindings and sites — the top-level entries
+    by their place, what was consumed and the sites below by their twins."""
     assert len(found) == len(expected)
-    for ours, theirs in zip(found, expected):
-        assert [id(atom) for atom in ours.consumed] == [id(atom) for atom in theirs.consumed]
-        top = len(ours.consumed)
-        assert [(entry.atom, entry.seq) for entry in ours.sites[:top]] == [
-            (entry.atom, entry.seq) for entry in theirs.sites[:top]
+    twin = _twins(ours, theirs)
+    for mine, other in zip(found, expected):
+        assert [id(twin[id(atom)]) for atom in mine.consumed] == [id(atom) for atom in other.consumed]
+        top = len(mine.consumed)
+        assert [(entry.atom, entry.seq) for entry in mine.sites[:top]] == [
+            (entry.atom, entry.seq) for entry in other.sites[:top]
         ]
-        assert all(entry.atom is atom for entry, atom in zip(ours.sites, ours.consumed))
-        assert list(map(id, ours.sites[top:])) == list(map(id, theirs.sites[top:]))
-        assert isinstance(ours.bindings, BindingView)
-        assert dict(ours.bindings) == dict(theirs.bindings)
+        assert all(entry.atom is atom for entry, atom in zip(mine.sites, mine.consumed))
+        assert [id(twin[id(site)]) for site in mine.sites[top:]] == list(map(id, other.sites[top:]))
+        assert isinstance(mine.bindings, BindingView)
+        assert dict(mine.bindings) == dict(other.bindings)
 
 
 class TestAgainstTheInterpreter:
@@ -199,7 +218,8 @@ class TestAgainstTheInterpreter:
     @settings(max_examples=_EXAMPLES, deadline=None)
     def test_same_matches_same_order_same_refutations(self, program, condition, initial, pinned):
         patterns, atoms = program
-        ours, theirs = Multiset(atoms), Multiset(atoms)  # the same atom objects, two sets of entries
+        ours = Multiset(atoms)
+        theirs = ours.copy()  # the same atoms, two sets of entries
         pin, pinned_ours, pinned_theirs = None, (), ()
         if pinned is not None and pinned[0] < len(patterns):
             pin = pinned[0]
@@ -210,11 +230,12 @@ class TestAgainstTheInterpreter:
         expected = matcher_reference.search(
             patterns, theirs, condition, initial, pin, pinned_theirs, keys=[pattern.index_key() for pattern in patterns]
         )
-        _same(found, expected)
+        _same(found, expected, ours, theirs)
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
         if pin is None:
-            first = find_first_match(patterns, Multiset(atoms), condition, initial)
-            _same([first] if first else [], expected[:1])
+            fresh = ours.copy()
+            first = find_first_match(patterns, fresh, condition, initial)
+            _same([first] if first else [], expected[:1], fresh, theirs)
 
     @pytest.mark.parametrize(
         "patterns, atoms, matches",
@@ -242,10 +263,10 @@ class TestAgainstTheInterpreter:
         ],
     )
     def test_hand_picked_programs(self, patterns, atoms, matches):
-        atoms = list(Multiset(atoms))  # plain values become atoms once, for both
-        ours, theirs = Multiset(atoms), Multiset(atoms)
+        ours = Multiset(atoms)
+        theirs = ours.copy()
         found = list(find_matches(patterns, ours))
-        _same(found, matcher_reference.search(patterns, theirs))
+        _same(found, matcher_reference.search(patterns, theirs), ours, theirs)
         assert len(found) == matches
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
 
@@ -271,10 +292,10 @@ class TestAgainstTheInterpreter:
     )
     def test_initial_bindings_hold_a_variable_and_an_omega_name(self, initial, matches):
         patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), SolutionPattern(Var("x"), rest=Omega("w")))]
-        atoms = list(Multiset([1, 2, 3, TupleAtom([Symbol("T"), Subsolution([1, 2])]), TupleAtom([Symbol("T"), Subsolution([2, 3])])]))
-        ours, theirs = Multiset(atoms), Multiset(atoms)
+        ours = Multiset([1, 2, 3, TupleAtom([Symbol("T"), Subsolution([1, 2])]), TupleAtom([Symbol("T"), Subsolution([2, 3])])])
+        theirs = ours.copy()
         found = list(find_matches(patterns, ours, None, initial))
-        _same(found, matcher_reference.search(patterns, theirs, None, initial))
+        _same(found, matcher_reference.search(patterns, theirs, None, initial), ours, theirs)
         assert len(found) == matches
         for match in found:  # what was given stays bound to what was given
             assert all(match.bindings[name] is bound for name, bound in initial.items())
@@ -298,7 +319,7 @@ class TestAgainstTheInterpreter:
                 search(patterns, solution, condition)
         assert _refutations(patterns, ours) == _refutations(patterns, theirs) == {0: [1, 3, 4]}
         assert ours.memory_for(patterns[0], patterns[0].index_key()).readers == 0
-        _same(list(find_matches(patterns, ours)), matcher_reference.search(patterns, theirs))  # and goes on from there
+        _same(list(find_matches(patterns, ours)), matcher_reference.search(patterns, theirs), ours, theirs)  # and goes on from there
         assert _refutations(patterns, ours) == {0: [1, 3]}
 
     @given(
@@ -313,16 +334,21 @@ class TestAgainstTheInterpreter:
         of a fresh level of the same atoms finds, in the same order, and refutes
         what the interpreter refutes."""
         patterns, atoms = program
-        ours, theirs = Multiset(atoms), Multiset(atoms)
-        holders = [held for atom in atoms if atom._mutable for held in _held_solutions(atom)]
+        ours = Multiset(atoms)
+        theirs = ours.copy()
+        holders = [
+            [held for atom in level if atom._mutable for held in _held_solutions(atom)] for level in (ours, theirs)
+        ]
         keys = [pattern.index_key() for pattern in patterns]
         for changes in [[], *rounds]:
             for change in changes:
-                if holders:
-                    holders[change % len(holders)].add(IntAtom(change % 3))
+                for held in holders:  # the same change below both levels
+                    if held:
+                        held[change % len(held)].add(IntAtom(change % 3))
+            fresh = ours.copy()
             found = list(find_matches(patterns, ours, condition))
-            _same(found, list(find_matches(patterns, Multiset(atoms), condition)))
-            _same(found, matcher_reference.search(patterns, theirs, condition, keys=keys))
+            _same(found, list(find_matches(patterns, fresh, condition)), ours, fresh)
+            _same(found, matcher_reference.search(patterns, theirs, condition, keys=keys), ours, theirs)
             assert _refutations(patterns, ours) == _refutations(patterns, theirs)
 
     @given(program=_programs())
@@ -330,9 +356,10 @@ class TestAgainstTheInterpreter:
     def test_a_rule_never_matches_itself(self, program):
         patterns, atoms = program
         rule = Rule("r", patterns, [], condition=lambda b: "y" not in b or b["y"] != Symbol("A"))
-        ours, theirs = Multiset([*atoms, rule]), Multiset([*atoms, rule])
+        ours = Multiset([*atoms, rule])
+        theirs = ours.copy()  # a rule copies as itself
         found, expected = first_match(rule, ours), matcher_reference.first_match(rule, theirs)
-        _same([found] if found else [], [expected] if expected else [])
+        _same([found] if found else [], [expected] if expected else [], ours, theirs)
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
 
     @given(pattern=_PATTERNS, atom=_ATOMS, initial=_INITIAL)
@@ -456,22 +483,24 @@ class TestTheGeneratedText:
         patterns += [Var("x3", kind="int"), TuplePattern(Var("h"), Var("x5")), Var("s", kind="symbol"), SolutionPattern(Var("x7"), rest=Omega("w"))]  # fmt: skip
         atoms = [cell(index, index) for index in range(20)] + [cell(3, 33), cell(5, 3), IntAtom(3), IntAtom(33)]
         atoms += [IntAtom(5), Symbol("A"), Subsolution([7, 8]), Subsolution([9]), Subsolution([8, 7])]
+        level = Multiset(atoms)
         assert "def deeper():" in compiled_search(patterns).__source__
         for initial in (None, {"x7": IntAtom(7)}, {"w": [IntAtom(8)]}, {"x3": IntAtom(33)}):
             for condition in (None, lambda b: b["x3"] != IntAtom(3)):
-                ours, theirs = Multiset(atoms), Multiset(atoms)
+                ours, theirs, fresh = level.copy(), level.copy(), level.copy()
                 found = list(find_matches(patterns, ours, condition, initial))
                 expected = matcher_reference.search(patterns, theirs, condition, initial)
-                _same(found, expected)
+                _same(found, expected, ours, theirs)
                 assert _refutations(patterns, ours) == _refutations(patterns, theirs)
-                first = find_first_match(patterns, Multiset(atoms), condition, initial)
-                _same([first] if first else [], expected[:1])
-        assert len(list(find_matches(patterns, Multiset(atoms)))) == 2
+                first = find_first_match(patterns, fresh, condition, initial)
+                _same([first] if first else [], expected[:1], fresh, theirs)
+        assert len(list(find_matches(patterns, level))) == 2
         wide = [TuplePattern(SymbolPattern("T"), SolutionPattern(*map(Literal, range(40)), Var("y"), rest=Omega("w"))), Var("y", kind="int")]
         assert compiled_search(wide).__source__.count("def deeper():") == 2
-        atoms = list(Multiset([TupleAtom([Symbol("T"), Subsolution([*range(40), 43, 44, 50])]), 43, 44]))
-        found = list(find_matches(wide, Multiset(atoms)))
-        _same(found, matcher_reference.search(wide, Multiset(atoms)))
+        ours = Multiset([TupleAtom([Symbol("T"), Subsolution([*range(40), 43, 44, 50])]), 43, 44])
+        theirs = ours.copy()
+        found = list(find_matches(wide, ours))
+        _same(found, matcher_reference.search(wide, theirs), ours, theirs)
         assert [match.bindings.value("y") for match in found] == [43, 44]
 
 
@@ -538,7 +567,8 @@ class TestNoStateOnTheCompiledForm:
         held[41].add(Symbol("S"))  # back, and refuted again by the first search that reads it
         memories = [solution.memory_for(pattern, pattern.index_key()) for pattern in patterns]
         assert [memory.late for memory in memories] == [[solution.live_entries()[index] for index in (41, 42, 43, 44)]] * 2
-        fresh = list(find_matches(patterns, Multiset(atoms)))
+        level = solution.copy()
+        fresh = list(find_matches(patterns, level))
         inner = []
 
         def condition(_bindings):
@@ -548,9 +578,10 @@ class TestNoStateOnTheCompiledForm:
 
         found = list(find_matches(patterns, solution, condition))
         assert len(found) == 43 * 42 and all(len(memory.late) == 3 for memory in memories)  # not the refuted one
-        _same(found, fresh)
-        _same(inner[0], fresh)
-        _same(list(find_matches(patterns, solution)), matcher_reference.search(patterns, Multiset(atoms)))
+        _same(found, fresh, solution, level)
+        _same(inner[0], fresh, solution, level)
+        reference = solution.copy()
+        _same(list(find_matches(patterns, solution)), matcher_reference.search(patterns, reference), solution, reference)
         assert all(memory.readers == 0 for memory in memories)
 
     def test_eight_threads_on_one_compiled_left_hand_side(self):
@@ -705,7 +736,7 @@ class TestAPatternClassOfTheCallersOwn:
         patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), Even("x"), Even("y"))]
         solution = Multiset([2, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 3, 6])])
         found = list(find_matches(patterns, solution))
-        _same(found, matcher_reference.search(patterns, solution))
+        _same(found, matcher_reference.search(patterns, solution), solution, solution)
         assert [dict(match.bindings) for match in found] == [
             {"x": IntAtom(4), "half_x": IntAtom(2), "y": IntAtom(6), "half_y": IntAtom(3)}
         ]
@@ -715,10 +746,10 @@ class TestAPatternClassOfTheCallersOwn:
         """Its extensions are the environment from there on: a variable it
         binds holds a later pattern to it, one bound before holds it."""
         patterns = [Even("x"), TuplePattern(SymbolPattern("T"), Var("x"), Even("y")), Var("half_y"), Even("x")]
-        atoms = list(Multiset([2, 4, 3, 6, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 2, 4])]))
-        ours, theirs = Multiset(atoms), Multiset(atoms)
+        ours = Multiset([2, 4, 3, 6, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 2, 4])])
+        theirs = ours.copy()
         found = list(find_matches(patterns, ours, None, initial))
-        _same(found, matcher_reference.search(patterns, theirs, None, initial))
+        _same(found, matcher_reference.search(patterns, theirs, None, initial), ours, theirs)
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
         # (`Even` rebinds its `half_` name whatever it was: an extension is taken as it comes)
         assert len(found) == (0 if initial == {"x": IntAtom(6)} else 2)
@@ -753,9 +784,10 @@ class TestAPatternClassOfTheCallersOwn:
         atoms = [TupleAtom([Symbol(f"H{index}"), index]) for index in range(20)] + [IntAtom(3), IntAtom(3), IntAtom(6), IntAtom(4), IntAtom(2)]
         assert "def deeper():" in compiled_search(patterns).__source__
         for initial in (None, {"x3": IntAtom(3)}, {"e": IntAtom(4)}, {"e": IntAtom(6)}):
-            ours, theirs = Multiset(atoms), Multiset(atoms)
+            ours = Multiset(atoms)
+            theirs = ours.copy()
             found = list(find_matches(patterns, ours, None, initial))
-            _same(found, matcher_reference.search(patterns, theirs, None, initial))
+            _same(found, matcher_reference.search(patterns, theirs, None, initial), ours, theirs)
             assert _refutations(patterns, ours) == _refutations(patterns, theirs)
             assert len(found) == (0 if initial == {"e": IntAtom(6)} else 2)  # half of 6 is taken twice already
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
+    AtomError,
     Call,
     IntAtom,
     Literal,
@@ -175,28 +176,20 @@ class TestDataLayerCaches:
         solution.remove_identical(inner)
         assert [id(s) for s in solution.nested_solutions()] == [id(s) for s in scan()]
 
-    def test_nested_solutions_order_survives_aliased_removal(self):
-        # the same sub-solution aliased into two non-adjacent entries: a
-        # removal must drop that entry's occurrence, not the first equal one
+    def test_nested_solutions_order_survives_a_refused_second_holder(self):
+        # the same sub-solution into a second, non-adjacent entry is refused
+        # and the order stays; once its entry has left it joins at the end
         shared = Subsolution([1])
         solution = Multiset()
         first = solution.add(TupleAtom([Symbol("T1"), shared]))
         solution.add(Subsolution([2]))
-        second = solution.add(TupleAtom([Symbol("T2"), shared]))
-        assert [id(s) for s in solution.nested_solutions()] == [
-            id(shared.solution),
-            id(solution.atoms()[1].solution),
-            id(shared.solution),
-        ]
-        solution.remove_identical(second)
-        assert [id(s) for s in solution.nested_solutions()] == [
-            id(shared.solution),
-            id(solution.atoms()[1].solution),
-        ]
+        order, version = [id(shared.solution), id(solution.atoms()[1].solution)], solution.version
+        with pytest.raises(AtomError):
+            solution.add(TupleAtom([Symbol("T2"), shared]))
+        assert [id(s) for s in solution.nested_solutions()] == order and solution.version == version
         solution.remove_identical(first)
-        assert [id(s) for s in solution.nested_solutions()] == [
-            id(solution.atoms()[0].solution)
-        ]
+        solution.add(TupleAtom([Symbol("T2"), shared]))
+        assert [id(s) for s in solution.nested_solutions()] == order[::-1]
 
     def test_content_hash_changes_with_contents(self):
         solution = Multiset([1, 2])

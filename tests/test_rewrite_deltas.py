@@ -14,10 +14,12 @@ every top-level pattern is head-keyed.  The evidence:
   in Python derives;
 * **where a firing lands** — by the entries the match took: two fields under
   one head patch in place, the matched occurrence of equal atoms is the one
-  that leaves, and a solution with two holders takes the rebuild form;
+  that leaves, and a product restating a bound solution is a copy (a solution
+  has one holder), which a later firing patches in place;
 * **seeded mutants** — a site off by one, removal by equality (in a body or
-  at the level), a dropped or narrowed holder check and sites recorded out of
-  walk order each fail that evidence;
+  at the level), sites recorded out of walk order, a ``Ref`` expansion that
+  shares a solution and an ``add`` that wires a second holder each fail that
+  evidence;
 * **sharing** — every task's centralised ``gw_call`` is one rule bound to its
   task, so a 1000-task run derives each delta once;
 * **property-based differential** — hypothesis draws drain-shaped two-field
@@ -41,6 +43,7 @@ from repro.agents.local_rules import GW_CALL, GW_PASS, LOCAL_EXTERNALS, local_tr
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import rules as rules_module
 from repro.hocl import (
+    AtomError,
     Call,
     IntAtom,
     Match,
@@ -117,9 +120,9 @@ _ADAPTATION_BODIES = (adaptation._ADD_DST, adaptation._MV_SRC, adaptation._MV_SR
 
 def shape(delta):
     """A delta as comparable values: each op's kind, site and the entries it
-    unlinks or the templates it adds; what it consumes, produces, guards, reads."""
+    unlinks or the templates it adds; what it consumes, produces, reads."""
     ops = [(type(op).__name__, op.site, op.entries if isinstance(op, PatchRemove) else repr(op.templates)) for op in delta.ops]
-    return ops, delta.consume, repr(delta.produce), delta.guards, delta.eager
+    return ops, delta.consume, repr(delta.produce), delta.eager
 
 
 # ----------------------------------------------------------------- derivation
@@ -152,7 +155,6 @@ def _hand_written(plan):
                 consume=(2,),
                 # sites 0-3 the four fields, 4 <> of SRC, 5 the RES body
                 ops=(PatchAdd(5, templates=(Call("invoke", Ref("task"), Ref("s"), Ref("par")),)),),
-                guards=(5,),
             ),
         ),
         "gw_pass": (
@@ -166,7 +168,6 @@ def _hand_written(plan):
                     PatchRemove(12, entries=(13,)),
                     PatchAdd(14, templates=(TupleTemplate(Ref("ti"), Ref("res")),)),
                 ),
-                guards=(2, 7, 9, 12, 14),
             ),
         ),
         "trigger_adapt": (
@@ -177,7 +178,6 @@ def _hand_written(plan):
                     PatchAdd(10 + index, templates=(kw.ADAPT_SYM,) * counts.get(task, 1))
                     for index, task in enumerate(plan.affected_tasks())
                 ),
-                guards=tuple(range(10, 10 + len(plan.affected_tasks()))),
             ),
         ),
         "add_dst": (
@@ -185,17 +185,16 @@ def _hand_written(plan):
             RewriteDelta(
                 consume=(1,),
                 ops=(PatchAdd(2, templates=(Splice("new"),)),),  # sites 0 DST, 1 ADAPT, 2 the DST body
-                guards=(2,),
             ),
         ),
         "activate": (
             make_activate(plan, entry),
             # sites 0 SRC, 1 ADAPT, 2 the SRC body, 3 TRIGGER
-            RewriteDelta(consume=(1,), ops=(PatchRemove(2, entries=(3,)),), guards=(2,)),
+            RewriteDelta(consume=(1,), ops=(PatchRemove(2, entries=(3,)),)),
         ),
         "local gw_call": (GW_CALL, RewriteDelta(consume=(2,), produce=(kw.INVOKING_SYM,))),
         # sites 0 RES, 1 DST, 2 the RES body, 3 res, 4 the DST body, 5 tj
-        "local gw_pass": (GW_PASS, RewriteDelta(ops=(PatchRemove(4, entries=(5,)),), guards=(4,))),
+        "local gw_pass": (GW_PASS, RewriteDelta(ops=(PatchRemove(4, entries=(5,)),))),
     }
 
 
@@ -394,6 +393,7 @@ def _edit(rule):
 def two_fields_patch_in_place(rule, body, expected):
     edit = _edit(rule)
     solution = _both_forms(lambda: [field("S", *(atom.copy() for atom in body)), edit])
+    expected = [atom.copy() for atom in expected]  # the table's atoms stay unheld
     assert solution.content_hash() == Multiset([field("S", *expected)]).content_hash()
     # in place: the same S tuple, and the same field objects in its body
     fields = [atom.copy() for atom in body]
@@ -402,7 +402,7 @@ def two_fields_patch_in_place(rule, body, expected):
     ReductionEngine().reduce(solution)
     assert list(map(id, solution.atoms())) == [id(anchor)]
     assert list(map(id, anchor.elements[1].solution)) == list(map(id, fields))
-    assert anchor == field("S", *expected)
+    assert anchor == field("S", *(atom.copy() for atom in expected))
 
 
 def keep_x_drop_y():
@@ -435,9 +435,10 @@ def the_matched_occurrence_leaves(where):
 
 
 def dup_then_bump(shared):
-    """``dup`` shares atoms (``x`` twice, or ``b`` in two tuples); ``bump``
-    then edits one ``H``, and only that one.  ``S`` around ``H``: the shared
-    solution is the one on the way to the edited body, not the edited one."""
+    """``dup`` restates a bound solution twice (``x`` twice, or ``b`` in two
+    tuples): the second is a copy; ``bump`` then edits one ``H``, and only that
+    one.  ``S`` around ``H``: the copied solution is the one on the way to the
+    edited body, not the edited one."""
     outer = shared.endswith("around")
     if shared.startswith("the same tuple twice"):
         dup = Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1)
@@ -456,12 +457,42 @@ def dup_then_bump(shared):
     return [edited, dup, Rule("bump", [bump[0]], [bump[1]], one_shot=True)]
 
 
-def a_shared_solution_takes_the_rebuild_form(shared):
+def _spine(solution):
+    """The ids of every tuple and solution below ``solution``, in entry order."""
+    found = []
+    for atom in solution:
+        if isinstance(atom, (TupleAtom, Subsolution)):
+            found.append(id(atom))
+        for inner in [atom] if isinstance(atom, Subsolution) else getattr(atom, "elements", ()):
+            if isinstance(inner, Subsolution):
+                found += [id(inner.solution), *_spine(inner.solution)]
+    return found
+
+
+def dup_copies_and_bump_patches_in_place(shared):
     outer = shared.endswith("around")
     solution = _both_forms(lambda: dup_then_bump(shared))
     one, two = field("H", IntAtom(1)), field("H", IntAtom(2))
     expected = [field("S", one), field("S", two)] if outer else [one, two]
     assert solution.content_hash() == Multiset(expected).content_hash()
+    # two bodies, and bump moves no tuple or solution dup left
+    solution, spines = Multiset(dup_then_bump(shared)), []
+    ReductionEngine(observer=lambda rule, match, depth: spines.append(_spine(solution))).reduce(solution)
+    assert len(set(spines[0])) == len(spines[0]) and spines == [spines[0]] * 2
+
+
+def a_second_holder_is_refused():
+    """A solution has one holder: a tuple holding one already held is refused,
+    and the holder and the refusing level are left as they were."""
+    body = field("H", IntAtom(1)).elements[1]
+    first, second = Multiset([TupleAtom([Symbol("H"), body])]), Multiset([Symbol("K")])
+    try:
+        second.add(TupleAtom([Symbol("H"), body]))
+    except AtomError:
+        pass
+    else:
+        raise AssertionError("a second holder was wired")
+    assert body.solution._holder[0] is first and second.atoms() == [Symbol("K")]
 
 
 SHARED = ["the same tuple twice", "one body in two tuples", "the same tuple twice, S around", "one body in two tuples, S around"]
@@ -469,8 +500,8 @@ SHARED = ["the same tuple twice", "one body in two tuples", "the same tuple twic
 
 class TestWhereAFiringLands:
     """A firing edits by the sites its match recorded: the field it bound,
-    the occurrence it took; a solution with two holders, on the way to an
-    edited one or edited itself, takes the rebuild form."""
+    the occurrence it took; a product restating a bound solution is a copy,
+    on the way to an edited one or edited itself, patched in place."""
 
     @pytest.mark.parametrize("rule, ops, body, expected", TWO_FIELDS_UNDER_ONE_HEAD, ids=["add", "remove"])
     def test_two_fields_under_one_head_patch_in_place(self, rule, ops, body, expected):
@@ -496,13 +527,16 @@ class TestWhereAFiringLands:
         the_matched_occurrence_leaves(where)
 
     @pytest.mark.parametrize("shared", SHARED)
-    def test_a_shared_solution_takes_the_rebuild_form(self, shared):
+    def test_dup_copies_and_bump_patches_in_place(self, shared):
         bump = dup_then_bump(shared)[2].delta
         if shared.endswith("around"):  # sites: S, its body, H, H's body, 1
-            assert (shape(bump)[0], bump.guards) == ([("PatchRemove", 3, (4,)), ("PatchAdd", 3, "(IntAtom(2),)")], (1, 3))
+            assert shape(bump)[0] == [("PatchRemove", 3, (4,)), ("PatchAdd", 3, "(IntAtom(2),)")]
         else:  # sites: H, its body, 1
-            assert (shape(bump)[0], bump.guards) == ([("PatchRemove", 1, (2,)), ("PatchAdd", 1, "(IntAtom(2),)")], (1,))
-        a_shared_solution_takes_the_rebuild_form(shared)
+            assert shape(bump)[0] == [("PatchRemove", 1, (2,)), ("PatchAdd", 1, "(IntAtom(2),)")]
+        dup_copies_and_bump_patches_in_place(shared)
+
+    def test_a_second_holder_is_refused(self):
+        a_second_holder_is_refused()
 
     def test_a_literal_product_is_copied(self):
         """``bump`` edits what ``seed`` produced, between two of its firings:
@@ -522,7 +556,7 @@ class TestWhereAFiringLands:
 
         solution = _both_forms(build)
         assert literal == field("H", IntAtom(1))
-        fields = [atom for atom in solution.atoms() if isinstance(atom, TupleAtom)]
+        fields = [atom.copy() for atom in solution.atoms() if isinstance(atom, TupleAtom)]
         assert Multiset(fields).content_hash() == Multiset([field("H", IntAtom(1)), field("H", IntAtom(2))]).content_hash()
 
 
@@ -538,7 +572,7 @@ def _derived_as(edit):
 
 def _entries_off_by_one(delta):
     ops = [PatchRemove(op.site, [entry - 1 for entry in op.entries]) if isinstance(op, PatchRemove) else op for op in delta.ops]
-    return RewriteDelta(ops, delta.consume, delta.produce, delta.rebuild, delta.guards)
+    return RewriteDelta(ops, delta.consume, delta.produce)
 
 
 def _removal_by_equality(monkeypatch):
@@ -570,15 +604,30 @@ def _sites_out_of_walk_order(monkeypatch):
     monkeypatch.setattr(Source, "site", site)
 
 
+def _ref_shares_a_solution(monkeypatch):
+    """``Ref`` expands to the bound atom itself, solution and all."""
+    monkeypatch.setattr(Ref, "expand", lambda self, bindings, externals=None: [bindings.atom(self.name)])
+
+
+def _add_wires_a_second_holder(monkeypatch):
+    """``add`` takes a held solution from its holder instead of refusing it."""
+    original = Multiset.add
+
+    def add(self, value):
+        if isinstance(value, (TupleAtom, Subsolution)):
+            for held in [value] if isinstance(value, Subsolution) else value.elements:
+                if isinstance(held, Subsolution):
+                    held.solution._holder = None
+        return original(self, value)
+
+    monkeypatch.setattr(Multiset, "add", add)
+
+
 MUTANTS = {
     "site off by one": _derived_as(_entries_off_by_one),
     "removal by equality": _removal_by_equality,
-    "holder check dropped": _derived_as(
-        lambda delta: RewriteDelta(delta.ops, delta.consume, delta.produce, delta.rebuild)
-    ),
-    "holder check of the edited solution only": _derived_as(
-        lambda delta: RewriteDelta(delta.ops, delta.consume, delta.produce, delta.rebuild, [op.site for op in delta.ops])
-    ),
+    "Ref expansion shares a solution": _ref_shares_a_solution,
+    "add wires a second holder": _add_wires_a_second_holder,
     "consumed atom removed by equality": _consumed_by_equality,
     "sites out of walk order": _sites_out_of_walk_order,
 }
@@ -593,7 +642,8 @@ def where_a_firing_lands():
     for where in ("in a patched body", "at the level"):
         the_matched_occurrence_leaves(where)
     for shared in SHARED:
-        a_shared_solution_takes_the_rebuild_form(shared)
+        dup_copies_and_bump_patches_in_place(shared)
+    a_second_holder_is_refused()
 
 
 class TestSeededMutantsDie:
@@ -647,8 +697,9 @@ def two_field_programs(draw):
     field each, plus a remainder), whose products keep each field with random
     element drops and additions, drop it, or re-create it without its
     remainder; the two fields' contents, where a body may hold a second ``H``
-    field; and maybe a ``dup`` rule that fires first and shares one field (the
-    same tuple twice, or its body in two tuples).
+    field; and maybe a ``dup`` rule that fires first and restates one field
+    twice (the same tuple twice, or its body in two tuples): the second is a
+    copy, a solution has one holder.
 
     The edit fires once: both forms fire it on the same match.  A second
     firing would search bodies the two forms leave in different orders, where
