@@ -63,6 +63,7 @@ baseline, run this file with ``GINFLOW_FULL=1`` and
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -198,15 +199,20 @@ def row_regressions(row: dict, committed: dict, tolerance: float, slack: float) 
 
 def _size_axis(build, sizes: list[int], runs: int) -> tuple[float, list[float], list[float]]:
     """The least-squares slope of ``log(wall)`` over ``log(tasks)`` of the centralised
-    reduction of ``build(tasks)``, the best wall of ``runs`` per size, and its µs per reaction."""
-    walls, per_reaction = [], []
-    for tasks in sizes:
-        best = None
-        for _ in range(runs):
+    reduction of ``build(tasks)``, the best wall of ``runs`` per size, and its µs per reaction.
+
+    The sizes are reduced round-robin — each round reduces every size once,
+    after a collection — so a stretch of slow CPU on a shared host hits every
+    size alike instead of inflating one size's wall, and with it the slope,
+    and no run collects what an earlier (larger) one left."""
+    best, reactions = [math.inf] * len(sizes), [0] * len(sizes)
+    for _ in range(runs):
+        for index, tasks in enumerate(sizes):
+            gc.collect()
             report, _solution, seconds = reduce_workflow(build(tasks))
-            best = seconds if best is None else min(best, seconds)
-        walls.append(round(best, 3))
-        per_reaction.append(round(1e6 * best / report.reactions, 1))
+            best[index], reactions[index] = min(best[index], seconds), report.reactions
+    walls = [round(wall, 3) for wall in best]
+    per_reaction = [round(1e6 * wall / count, 1) for wall, count in zip(best, reactions)]
     return size_exponent(sizes, walls), walls, per_reaction
 
 

@@ -67,8 +67,6 @@ from .templates import (
     Splice,
     Template,
     TupleTemplate,
-    expand_template,
-    expand_templates,
 )
 
 #: what the textual parser, which no enactment needs at start-up, exports
@@ -117,8 +115,6 @@ __all__ = [
     "SolutionTemplate",
     "ListTemplate",
     "Call",
-    "expand_template",
-    "expand_templates",
     # rules
     "Rule",
     "BindingView",

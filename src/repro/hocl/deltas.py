@@ -46,42 +46,115 @@ occurrences, not equal ones — a :class:`PatchAdd` adds to that solution, and
 a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
 ``RES : <res, ωres>, DST : <tj, ωdst>``, sites ``e_RES, e_DST, <RES>, e_res,
 <DST>, e_tj``) derives ``PatchRemove(4, (5,))``.
+
+Firing
+------
+Nothing interprets a delta when it fires: like a left-hand side's search, it
+is written as the text of one straight-line function (:class:`Fire` collects
+the lines the ops, the templates' :meth:`~repro.hocl.templates.Template.emit`
+and the ``consume`` / ``produce`` tables write), compiled once per distinct
+text at the first fire and readable as ``rule.delta.__source__``.  The local
+``gw_pass`` fires as ``sites[4]._remove_entry(sites[5])``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from .atoms import Atom
-from .matching import Match
-from .multiset import Multiset
-from .patterns import Bindings, Literal, Pattern, SolutionPattern, TuplePattern, Var, solution_patterns
-from .templates import (
-    Call,
-    Ref,
-    SolutionTemplate,
-    Splice,
-    TupleTemplate,
-    _referenced_in_all,
-    expand_templates,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .externals import ExternalRegistry
+from .matching import _FACTORIES, _load, _serial
+from .patterns import Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, solution_patterns
+from .templates import Ref, SolutionTemplate, Splice, TupleTemplate, display, emit_template
 
 __all__ = ["derive_delta"]
-
-
-def _is_opaque(template: Any) -> bool:
-    """Whether expanding ``template`` can read bindings it does not name."""
-    if isinstance(template, Call):
-        return True
-    return any(map(_is_opaque, getattr(template, "elements", ())))
 
 
 def _span(pattern: Pattern) -> int:
     """How many sites the solution patterns in ``pattern`` record."""
     return sum(1 + len(found.elements) for found in solution_patterns(pattern))
+
+
+class Fire(Source):
+    """The lines of one delta's fire, as its ops and templates write them:
+    :attr:`lines` expand what it adds, :attr:`edits` then change the solution.
+
+    A name is read into a local once, before the first expansion that reads
+    it; a name the left-hand side binds is there, one it does not (a ``given``
+    one) is looked up and checked.
+    """
+
+    def __init__(self, patterns: Sequence[Pattern]):
+        super().__init__(2)
+        self.edits: list[str] = []
+        self.names: set[str] = set()  # what every match binds
+        self.omegas: set[str] = set()  # ... to a list
+        for pattern in patterns:
+            self.names |= pattern.bound_names()
+            self.omegas |= pattern.omega_names()
+        self.lists: dict[str, str] = {}  # variable -> the local of its atoms, as a list
+        self.registry = False  # whether the externals were checked
+
+    def edit(self, text: str) -> None:
+        self.edits.append("    " * self.depth + text)
+
+    def atom(self, name: str) -> str:
+        """The local of the one atom ``name`` is bound to."""
+        held = self.bound.get(name)
+        if held is None:
+            held = self.bound[name] = "v" + self._ident(name)
+            omega = f"variable {name!r} is an omega binding; use Splice({name!r})"
+            if name in self.omegas:
+                self.line(f"raise PatternError({omega!r})")
+            elif name in self.names:
+                self.line(f"{held} = d[{name!r}]")
+            else:
+                self.line(f"{held} = d.get({name!r}, U)")
+                self.line(f"if {held} is U: raise PatternError({f'product references unbound variable {name!r}'!r})")
+                self.line(f"if isinstance({held}, list): raise PatternError({omega!r})")
+        return held
+
+    def atoms(self, name: str) -> str:
+        """The local of the atoms ``name`` is bound to, as a list (an omega
+        copied out of its solution here)."""
+        held = self.lists.get(name)
+        if held is None:
+            held = self.lists[name] = "l" + self._ident(name)
+            if name in self.names and name not in self.omegas:
+                self.line(f"{held} = [d[{name!r}]]")
+                return held
+            if name in self.names:
+                self.line(f"{held} = d[{name!r}]")
+            else:
+                self.line(f"{held} = d.get({name!r}, U)")
+                self.line(f"if {held} is U: raise PatternError({f'product references unbound omega {name!r}'!r})")
+            self.line(f"if {held}.__class__ is Rest: {held} = d[{name!r}] = {held}.read({name!r})")
+            if name not in self.omegas:
+                self.line(f"elif not isinstance({held}, list): {held} = [{held}]")
+        return held
+
+    def externals(self, function: str) -> str:
+        """The registry a ``Call`` of ``function`` invokes, checked before the first."""
+        if not self.registry:
+            self.registry = True
+            refused = f"rule product calls {function!r} but no external registry is available"
+            self.line(f"if externals is None: raise ExternalFunctionError({refused!r})")
+        return "externals"
+
+    def adding(self, target: str, templates: Sequence[Any]) -> str:
+        """Expand ``templates`` and add the atoms to the solution ``target``;
+        an expression for the list of them."""
+        items = [emit_template(template, self) for template in templates]
+        if any(item[0] == "*" for item in items):
+            held = self.local("p")
+            self.line(f"{held} = {display(items)}")
+            self.edit(f"for atom in {held}: {target}.add(atom)")
+            return held
+        locals_ = [self.local("p") for _ in items]
+        for held, item in zip(locals_, items):
+            self.line(f"{held} = {item}")
+        for held in locals_:
+            self.edit(f"{target}.add({held})")
+        return f"[{', '.join(locals_)}]"
 
 
 class DeltaOp:
@@ -92,14 +165,9 @@ class DeltaOp:
     def __init__(self, site: int):
         self.site = int(site)
 
-    def apply(
-        self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None"
-    ) -> None:  # pragma: no cover - abstract
+    def emit(self, out: Fire) -> None:  # pragma: no cover - abstract
+        """Write what the edit expands and the edit itself."""
         raise NotImplementedError
-
-    def expanded(self) -> tuple[Any, ...]:
-        """The templates the op expands when applied."""
-        return ()
 
 
 class PatchAdd(DeltaOp):
@@ -111,13 +179,8 @@ class PatchAdd(DeltaOp):
         super().__init__(site)
         self.templates = tuple(templates)
 
-    def apply(self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None") -> None:
-        target = sites[self.site]
-        for atom in expand_templates(self.templates, bindings, externals):
-            target.add(atom)
-
-    def expanded(self) -> tuple[Any, ...]:
-        return self.templates
+    def emit(self, out: Fire) -> None:
+        out.adding(f"sites[{self.site}]", self.templates)
 
     def __repr__(self) -> str:
         return f"PatchAdd({self.site}, templates={self.templates!r})"
@@ -134,10 +197,9 @@ class PatchRemove(DeltaOp):
         super().__init__(site)
         self.entries = tuple(entries)
 
-    def apply(self, sites: tuple[Any, ...], bindings: Bindings, externals: "ExternalRegistry | None") -> None:
-        target = sites[self.site]
+    def emit(self, out: Fire) -> None:
         for entry in self.entries:
-            target._remove_entry(sites[entry])
+            out.edit(f"sites[{self.site}]._remove_entry(sites[{entry}])")
 
     def __repr__(self) -> str:
         return f"PatchRemove({self.site}, entries={self.entries!r})"
@@ -155,46 +217,65 @@ class RewriteDelta:
         from the solution (everything not listed is kept in place).
     produce:
         Templates for new top-level atoms.
+    patterns:
+        The left-hand side it fires on: a name it binds is read without a check.
+
+    ``apply(match, solution, externals)`` fires it in place on ``solution``
+    and returns ``(removed, added)``: everything it adds is expanded first —
+    ``produce``, then each patch's templates, each name read once, every
+    ``Call`` run — so a raising expansion leaves the solution as it was and
+    no expansion sees an edit; then the patches edit the matched solutions,
+    the atoms matched by the ``consume`` patterns leave the level through
+    their entries (in pattern order) and the ``produce`` expansions join it;
+    nothing else moves.  ``apply`` is a generated function, written at the
+    first fire and compiled once per distinct text (deltas of one shape share
+    it); ``__source__`` is its text.
     """
 
-    __slots__ = ("ops", "consume", "produce", "eager")
+    __slots__ = ("ops", "consume", "produce", "patterns", "apply", "__source__")
 
-    def __init__(self, ops: Sequence[DeltaOp] = (), consume: Sequence[int] = (), produce: Sequence[Any] = ()):
+    def __init__(
+        self, ops: Sequence[DeltaOp] = (), consume: Sequence[int] = (), produce: Sequence[Any] = (),
+        patterns: Sequence[Pattern] = (),
+    ):  # fmt: skip
         self.ops = tuple(ops)
         self.consume = tuple(consume)
         self.produce = tuple(produce)
-        #: The names read once the patching has started, which the engine
-        #: therefore reads before (an omega is copied out of its solution at its
-        #: first read); ``None``: any — a ``Call`` sees every binding.
-        expanded = list(self.produce)
-        for op in self.ops:
-            expanded += op.expanded()
-        self.eager = None if any(map(_is_opaque, expanded)) else tuple(sorted(_referenced_in_all(expanded)))
+        self.patterns = tuple(patterns)
 
-    def apply(
-        self,
-        match: Match,
-        solution: Multiset,
-        externals: "ExternalRegistry | None",
-    ) -> tuple[list[Atom], list[Atom]]:
-        """Apply the delta in place on ``solution``; returns ``(removed, added)``.
+    def __getattr__(self, name: str) -> Any:
+        # only an unset slot gets here: never fired yet
+        if name not in ("apply", "__source__"):
+            raise AttributeError(name)
+        text, constants = self._write()
+        factory = _FACTORIES.get(text) or _load(text, f"<hocl-fire #{next(_serial)}>")
+        self.__source__, self.apply = text, factory(*constants)
+        return getattr(self, name)
 
-        The ``produce`` templates expand first (a raising one leaves the
-        solution as it was), then the patches edit the matched solutions, the
-        atoms matched by the ``consume`` patterns leave the level through
-        their entries (in pattern order) and the expansions join it; nothing
-        else moves.
-        """
-        sites, bindings = match.sites, match.bindings
-        added = expand_templates(self.produce, bindings, externals) if self.produce else []
+    def _write(self) -> tuple[str, list[Any]]:
+        """The text of the fire and the constants it names."""
+        out = Fire(self.patterns)
+        added, joining = "[]", []
+        if self.produce:  # expanded first, joins the level last
+            added = out.adding("solution", self.produce)
+            joining, out.edits = out.edits, []
         for op in self.ops:
-            op.apply(sites, bindings, externals)
-        matched = match.consumed
+            op.emit(out)
         for index in self.consume:
-            solution._remove_entry(sites[index])
-        for atom in added:
-            solution.add(atom)
-        return [matched[index] for index in self.consume], added
+            out.edit(f"solution._remove_entry(sites[{index}])")
+        out.edits += joining
+        removed = ", ".join(f"match.consumed[{index}]" for index in self.consume)
+        head = [
+            f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):",
+            "    def fire(match, solution, externals):",
+            "        sites = match.sites",
+        ]
+        if out.registry:  # a ``Call`` hands its external every binding
+            head.append("        b = match.bindings")
+        if out.bound or out.lists:
+            head.append(f"        d = {'b' if out.registry else 'match.bindings'}._data")
+        tail = [f"        return [{removed}], {added}", "    return fire", ""]
+        return "\n".join([*head, *out.lines, *out.edits, *tail]), out.constants
 
     def __repr__(self) -> str:
         return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
@@ -207,7 +288,7 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
     restates; the patches that restatement needs join ``ops``.
     """
     if keep_matched:
-        return RewriteDelta(produce=products)
+        return RewriteDelta(produce=products, patterns=patterns)
     firsts: list[int] = []  # the site of each pattern's first solution pattern
     site = len(patterns)
     for pattern in patterns:
@@ -226,7 +307,7 @@ def derive_delta(patterns: Sequence[Pattern], products: Sequence[Any], keep_matc
         else:
             produce.append(product)
     consume = [at for at in range(len(patterns)) if at not in kept]
-    return RewriteDelta(ops, consume, produce)
+    return RewriteDelta(ops, consume, produce, patterns)
 
 
 def _restated(pattern: Pattern, template: Any, first: int) -> list[DeltaOp] | None:

@@ -33,13 +33,13 @@ have changed since the last reduction:
   *tried* (and charged a ``match_attempt``) when each of its patterns has a
   candidate in the head-symbol index;
 * a pattern keyed by a whole kind bucket searches the bucket's
-  plausible-candidate memory: what its ``quick_reject`` has not refuted;
+  plausible-candidate memory: what its pre-check has not refuted;
 * the search itself is :func:`~repro.hocl.matching.first_match` — the engine
   only ever consumes the first admissible match, so it asks for that;
 * a rule fires through its :class:`~repro.hocl.deltas.RewriteDelta`, derived
-  from its two sides: the atoms a product restates stay in place and the
-  patches edit their nested solutions, instead of everything matched being
-  removed and the products rebuilt.
+  from its two sides and generated like the search: the atoms a product
+  restates stay in place and the patches edit their nested solutions,
+  instead of everything matched being removed and the products rebuilt.
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to a naive
@@ -297,17 +297,17 @@ class ReductionEngine:
         produced ones join it."""
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
-        delta = rule.delta
-        # What outlives the first mutation is read now (an omega is copied out
-        # of its solution at its first read): what the delta expands and
-        # whatever an observer may read; the effect, a pure function of the bindings, runs now.
+        # the effect, a pure function of the bindings, runs before the solution
+        # changes, and so does whatever the fire reads; what an observer may
+        # read after it is read now (an omega is copied out of its solution at
+        # its first read)
         bindings = match.bindings
-        eager = delta.eager
-        for name in bindings if eager is None or self.observer is not None else eager:
-            bindings.atom(name)
+        if self.observer is not None:
+            for name in bindings:
+                bindings.atom(name)
         emitted = list(rule.effect(bindings) or ()) if rule.effect is not None else ()
         try:
-            removed, added = delta.apply(match, solution, self.externals)
+            removed, added = rule.delta.apply(match, solution, self.externals)
         except Exception as exc:  # noqa: BLE001 - context added
             raise ReductionError(f"rule {rule.name!r} failed to apply its rewrite delta: {exc}") from exc
         written = perf_counter() if trace is not None else 0.0

@@ -35,10 +35,11 @@ from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from weakref import WeakValueDictionary
 
-from .atoms import Atom, Subsolution, Symbol, TupleAtom
+from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom
 from .multiset import _EMPTY, Multiset
-from .errors import PatternError
+from .errors import ExternalFunctionError, PatternError
 from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest
+from .templates import coerce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rules import Rule
@@ -73,13 +74,15 @@ class Match:
         self.sites = sites
 
 
-#: what every generated text may name without being handed it
+#: what every generated text (a search, a fire) may name without being handed it
 _NAMES = {
     "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
-    "Subsolution": Subsolution, "Rest": _Rest, "View": BindingView, "Match": Match,
+    "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView, "Match": Match,
+    "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
 }  # fmt: skip
 _SIGNATURE = "solution, condition=None, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
-#: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search of one left-hand side
+#: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search
+#: of one left-hand side, or the fire of one delta
 _FACTORIES: dict[str, Callable[..., Any]] = {}
 _FACTORY_LIMIT = 512  #: shape churn (random programs) cannot leak
 _serial = count(1)
@@ -121,9 +124,7 @@ class Search:
 
     def _generate(self, rule: str | None) -> None:
         text, constants = _write(self.patterns)
-        factory = _FACTORIES.get(text)
-        if factory is None:
-            factory = _load(text, f"<hocl-lhs {rule or 'patterns'} #{next(_serial)}>")
+        factory = _FACTORIES.get(text) or _load(text, f"<hocl-lhs {rule or 'patterns'} #{next(_serial)}>")
         self.__source__, self.run = text, factory(*constants)
 
 
@@ -161,7 +162,7 @@ def _load(text: str, filename: str) -> Callable[..., Any]:
             linecache.cache.pop(stale.__code__.co_filename, None)
         _FACTORIES.clear()
     scope = dict(_NAMES)
-    exec(compile(text, filename, "exec"), scope)  # noqa: S102 - text this module wrote
+    exec(compile(text, filename, "exec"), scope)  # noqa: S102 - text a generator of this package wrote
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     factory = _FACTORIES[text] = scope["factory"]
     return factory
@@ -176,10 +177,11 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
     narrowed by what the patterns before bound: ``gw_pass`` looks up its
     destination tuple instead of scanning every task.  A pattern left with a
     broad key draws from the level's plausible-candidate memory — the same
-    entries, in the same order, minus those its ``quick_reject`` refuted (for
-    good: it holds under any bindings) — iterated in place: what this search
-    refutes is forgotten when it ends, however it ends.  Any other bucket is
-    short, and read live: nothing mutates the solution while a search runs.
+    entries, in the same order, minus those its pre-check refuted (for good:
+    :meth:`~repro.hocl.patterns.Pattern.reject` holds under any bindings) —
+    iterated in place: what this search refutes is forgotten when it ends,
+    however it ends.  Any other bucket is short, and read live: nothing
+    mutates the solution while a search runs.
     """
     keys = [pattern.index_key() for pattern in patterns]
     broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
@@ -193,22 +195,22 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
         entry, atom = out.local("e"), out.local("a")
         if index in broad:
             own = out.const(pattern)
-            out.line(f"if pinned == {index}: n{index} = pinned_entries; q{index} = None")
+            out.line(f"if pinned == {index}: n{index} = pinned_entries; q{index} = False")
             narrowing = pattern.narrowing_variable()
             if narrowing is not None:
                 held = out.held(narrowing)
-                out.line(f"elif isinstance({held}, Symbol): n{index} = solution._index.get(('tuple', {held}.name), EMPTY); q{index} = None")
+                out.line(f"elif isinstance({held}, Symbol): n{index} = solution._index.get(('tuple', {held}.name), EMPTY); q{index} = False")
             out.line("else:")
             out.line(f"    if m{index} is None: m{index} = solution.memory_for({own}, {out.const(key)}); d{index} = m{index}.open()")
-            out.line(f"    n{index} = d{index}; q{index} = {own}.quick_reject")
+            out.line(f"    n{index} = d{index}; q{index} = True")
             out.loop(f"for {entry} in n{index}:")
         else:
             out.loop(f"for {entry} in pinned_entries if pinned == {index} else {out.bucket('solution', key)}:")
         if entries:  # `_Entry` has no `__eq__`: identity is all there is to test
             out.line(f"if {' or '.join(f'{entry} is {other}' for other in entries)}: continue")
         out.line(f"{atom} = {entry}.atom")
-        if index in broad:
-            out.line(f"if q{index} is not None and q{index}({atom}): r{index}.append({entry}); continue")
+        if index in broad and (rejected := pattern.reject(out, atom)) != "False":
+            out.line(f"if q{index} and ({rejected}): r{index}.append({entry}); continue")
         pattern.emit(out, atom)
         entries.append(entry)
         atoms.append(atom)

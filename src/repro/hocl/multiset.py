@@ -159,7 +159,7 @@ _seq, _atom, _priority = attrgetter("seq"), attrgetter("atom"), attrgetter("prio
 
 class _Memory:
     """The plausible candidates of one broad-keyed pattern at one level: the
-    entries of bucket ``key`` its ``quick_reject`` has not refuted since they
+    entries of bucket ``key`` its pre-check (``reject``) has not refuted since they
     last changed, in bucket order.
 
     ``entries`` is in bucket order.  An entry returning out of turn (something
@@ -187,7 +187,7 @@ class _Memory:
                 insort(self.late, entry, key=_seq)
 
     def refute(self, entry: _Entry) -> None:
-        """``quick_reject`` refuted ``entry`` (or it left the level): forget it until it changes."""
+        """The pre-check refuted ``entry`` (or it left the level): forget it until it changes."""
         late = self.late
         if self.entries.pop(entry, late) is late and entry in late:
             late.remove(entry)
@@ -651,7 +651,7 @@ class Multiset:
 
         Only a pattern whose index key ``key`` is a whole kind bucket or
         ``None`` has one (head keys name short buckets: ``None`` is returned).
-        It starts as the whole bucket; whoever sees ``quick_reject`` refute
+        It starts as the whole bucket; whoever sees the pre-check refute
         an entry reports it (:meth:`_Memory.refute`); the entry returns when
         something changes below it (:meth:`_touch`); a re-added atom is new.
         """

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any, Iterable
 
-from .atoms import Atom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
+from .atoms import Atom, Symbol, from_atom, to_atom
 from .errors import PatternError
 from .multiset import Multiset, _Entry, atom_index_keys
 
@@ -149,8 +149,8 @@ class Source:
     """The lines of one left-hand side's search, as its patterns write them.
 
     :meth:`Pattern.emit` appends what holds one atom — a local — to the pattern.
-    Whatever is not text (symbols, index keys, the pattern objects whose
-    ``quick_reject`` or own ``match`` is called) is a constant ``cN`` the
+    Whatever is not text (symbols, index keys, the pattern objects a memory
+    is kept for or whose own ``match`` is called) is a constant ``cN`` the
     generated function's factory takes: left-hand sides of one shape write one
     text, whatever they name.  A variable is the local :attr:`bound` maps it
     to; one not bound yet may still be in :attr:`extra`, the mapping the view
@@ -284,16 +284,17 @@ class Pattern:
         found = compiled_search((self,))(None, None, None, bindings, 0, (_Entry(atom, 0),))
         return [match.bindings for match in found]
 
-    def quick_reject(self, atom: Atom) -> bool:
-        """Cheap, binding-free structural pre-check.
+    def reject(self, out: Source, atom: str) -> str:
+        """The cheap, binding-free structural pre-check of ``atom`` (an
+        expression of the search), as one expression.
 
-        Returns ``True`` only when the pattern provably cannot match ``atom``
-        under *any* binding environment — conservative, since it cannot see
-        variable constraints; the default rejects nothing.  A plausible-candidate
+        It is true only when the pattern provably cannot match the atom under
+        *any* binding environment — conservative, since it cannot see variable
+        constraints; the default rejects nothing.  A plausible-candidate
         memory (:meth:`~repro.hocl.multiset.Multiset.memory_for`) keeps the
         verdict: a refuted entry is not offered again until it changes.
         """
-        return False
+        return "False"
 
     def variables(self) -> set[str]:
         """Names of all variables (including omegas) referenced by the pattern."""
@@ -368,12 +369,14 @@ class Var(Pattern):
 
     def emit(self, out: Source, atom: str) -> None:
         if self.kinds is not None:
-            kinds = self.kinds
-            out.line(f"if {atom}.kind {f'!= {kinds[0]!r}' if len(kinds) == 1 else f'not in {kinds!r}'}: continue")
+            out.line(f"if {self.reject(out, atom)}: continue")
         out.bind(self.name, atom)
 
-    def quick_reject(self, atom: Atom) -> bool:
-        return self.kinds is not None and atom.kind not in self.kinds
+    def reject(self, out: Source, atom: str) -> str:
+        kinds = self.kinds
+        if kinds is None:
+            return "False"
+        return f"{atom}.kind {f'!= {kinds[0]!r}' if len(kinds) == 1 else f'not in {kinds!r}'}"
 
     def variables(self) -> set[str]:
         return {self.name}
@@ -422,11 +425,11 @@ class Literal(Pattern):
         self.atom = to_atom(value)
 
     def emit(self, out: Source, atom: str) -> None:
-        own = out.const(self.atom)  # symbols are interned
-        out.line(f"if not ({atom} is {own} or {atom} == {own}): continue")
+        out.line(f"if {self.reject(out, atom)}: continue")
 
-    def quick_reject(self, atom: Atom) -> bool:
-        return atom is not self.atom and atom != self.atom  # symbols are interned
+    def reject(self, out: Source, atom: str) -> str:
+        own = out.const(self.atom)  # symbols are interned
+        return f"{atom} is not {own} and {atom} != {own}"
 
     def index_key(self) -> Any | None:
         # Structural equality implies identical index keys, so the literal's
@@ -477,17 +480,11 @@ class TuplePattern(Pattern):
         if self.rest is not None:
             out.bind(self.rest.name, f"list({items}[{count}:])")
 
-    def quick_reject(self, atom: Atom) -> bool:
-        if not isinstance(atom, TupleAtom):
-            return True
-        elements = atom.elements
-        own = self.elements
-        if (len(elements) != len(own)) if self.rest is None else (len(elements) < len(own)):
-            return True
-        for pattern, element in zip(own, elements):
-            if pattern.quick_reject(element):
-                return True
-        return False
+    def reject(self, out: Source, atom: str) -> str:
+        items, count = out.local("t"), len(self.elements)
+        tests = [f"not isinstance({atom}, TupleAtom)", f"len({items} := {atom}.elements) {'!=' if self.rest is None else '<'} {count}"]
+        tests += [element.reject(out, f"{items}[{index}]") for index, element in enumerate(self.elements)]
+        return _any(tests)
 
     def variables(self) -> set[str]:
         names: set[str] = set()
@@ -577,22 +574,16 @@ class SolutionPattern(Pattern):
         if self.rest is not None:
             out.bind(self.rest.name, f"Rest({held}, [{', '.join(taken)}])")
 
-    def quick_reject(self, atom: Atom) -> bool:
-        if not isinstance(atom, Subsolution):
-            return True
-        solution = atom.solution
-        size = len(solution._entries)
-        own = self.elements
-        if (size != len(own)) if self.rest is None else (size < len(own)):
-            return True
-        for pattern, key in zip(own, self._element_keys):
-            entries = solution.live_entries(key)
-            if not entries:
-                return True
+    def reject(self, out: Source, atom: str) -> str:
+        held, count = out.local("s"), len(self.elements)
+        tests = [f"not isinstance({atom}, Subsolution)", f"len(({held} := {atom}.solution)._entries) {'!=' if self.rest is None else '<'} {count}"]
+        for element, key in zip(self.elements, self._element_keys):
+            entries = out.local("k")
+            tests.append(f"not ({entries} := {out.bucket(held, key)})")
             # a single candidate in the bucket must itself survive the check
-            if len(entries) == 1 and pattern.quick_reject(entries[0].atom):
-                return True
-        return False
+            if (single := element.reject(out, f"{entries}[0].atom")) != "False":
+                tests.append(f"len({entries}) == 1 and ({single})")
+        return _any(tests)
 
     def variables(self) -> set[str]:
         names: set[str] = set()
@@ -631,15 +622,12 @@ class RulePattern(Pattern):
         self.bind_as = bind_as
 
     def emit(self, out: Source, atom: str) -> None:
-        named = "" if self.name is None else f" or {atom}.name != {out.const(self.name)}"
-        out.line(f"if {atom}.kind != 'rule'{named}: continue")
+        out.line(f"if {self.reject(out, atom)}: continue")
         if self.bind_as is not None:
             out.bind(self.bind_as, atom)
 
-    def quick_reject(self, atom: Atom) -> bool:
-        if atom.kind != "rule":
-            return True
-        return self.name is not None and atom.name != self.name  # type: ignore[attr-defined]
+    def reject(self, out: Source, atom: str) -> str:
+        return f"{atom}.kind != 'rule'" + ("" if self.name is None else f" or {atom}.name != {out.const(self.name)}")
 
     def variables(self) -> set[str]:
         return {self.bind_as} if self.bind_as else set()
@@ -651,6 +639,11 @@ class RulePattern(Pattern):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
+
+
+def _any(tests: list[str]) -> str:
+    """One expression true when any of ``tests`` is (those that are never true left out)."""
+    return " or ".join(f"({test})" for test in tests if test != "False")
 
 
 def solution_patterns(pattern: Pattern) -> list[SolutionPattern]:

@@ -1,8 +1,11 @@
 """Right-hand-side templates of HOCL rules.
 
 The product (``by`` part) of a rule is described by *templates*.  When a rule
-fires, every template is expanded under the match bindings to produce the
-atoms injected back into the solution.
+fires, every template it does not restate is expanded under the match
+bindings to produce the atoms injected back into the solution.  Nothing
+interprets a template tree then: :meth:`Template.emit` writes, once, the
+expression that builds its atoms, and :mod:`repro.hocl.deltas` compiles the
+expressions of a whole rule into its generated fire.
 
 Template nodes
 --------------
@@ -31,12 +34,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .atoms import Atom, ListAtom, Subsolution, TupleAtom, to_atom
-from .errors import ExternalFunctionError, PatternError
-from .patterns import Bindings
+from .atoms import Atom, to_atom
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .externals import ExternalRegistry
+    from .deltas import Fire
 
 __all__ = [
     "Template",
@@ -46,8 +47,6 @@ __all__ = [
     "SolutionTemplate",
     "ListTemplate",
     "Call",
-    "expand_template",
-    "expand_templates",
     "template_referenced_names",
 ]
 
@@ -57,12 +56,14 @@ class Template:
 
     __slots__ = ()
 
-    def expand(self, bindings: Bindings, externals: "ExternalRegistry | None") -> list[Atom]:
-        """Return the atoms this template produces under ``bindings``."""
+    def emit(self, out: "Fire") -> str:
+        """An item of a list display that builds the atoms this template
+        produces: one atom's expression, or ``*`` and a list's.  What it reads
+        of the bindings, ``out`` reads into a local before it."""
         raise NotImplementedError
 
     def referenced_names(self) -> set[str]:
-        """Variable names :meth:`expand` reads from the bindings.
+        """Variable names the expansion reads from the bindings.
 
         The static-analysis entry point: :mod:`repro.analysis` compares this
         set against the pattern's bound names without expanding anything.
@@ -78,16 +79,10 @@ class Ref(Template):
     def __init__(self, name: str):
         self.name = name
 
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        if self.name not in bindings:
-            raise PatternError(f"product references unbound variable {self.name!r}")
-        value = bindings[self.name]
-        if isinstance(value, list):
-            raise PatternError(
-                f"variable {self.name!r} is an omega binding; use Splice({self.name!r})"
-            )
+    def emit(self, out: "Fire") -> str:
         # a solution has one holder: one bound stays where it was bound
-        return [atom.copy() if (atom := to_atom(value))._mutable else atom]
+        held = out.atom(self.name)
+        return f"({held}.copy() if {held}._mutable else {held})"
 
     def referenced_names(self) -> set[str]:
         return {self.name}
@@ -104,13 +99,8 @@ class Splice(Template):
     def __init__(self, name: str):
         self.name = name
 
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        if self.name not in bindings:
-            raise PatternError(f"product references unbound omega {self.name!r}")
-        value = bindings[self.name]
-        if not isinstance(value, list):
-            return [atom.copy() if (atom := to_atom(value))._mutable else atom]
-        return [atom.copy() if (atom := to_atom(item))._mutable else atom for item in value]
+    def emit(self, out: "Fire") -> str:
+        return f"*[a.copy() if a._mutable else a for a in {out.atoms(self.name)}]"
 
     def referenced_names(self) -> set[str]:
         return {self.name}
@@ -119,76 +109,54 @@ class Splice(Template):
         return f"Splice({self.name!r})"
 
 
-class TupleTemplate(Template):
-    """Build a tuple atom from element templates (splices are flattened)."""
+class _Built(Template):
+    """A template building one atom of class :attr:`builds` from element
+    templates (splices are flattened)."""
 
     __slots__ = ("elements",)
+    builds = ""
 
     def __init__(self, *elements: Any) -> None:
         self.elements = tuple(elements)
 
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        produced: list[Atom] = []
-        for element in self.elements:
-            produced.extend(expand_template(element, bindings, externals))
-        return [TupleAtom(produced)]
+    def emit(self, out: "Fire") -> str:
+        return f"{self.builds}({emit_list(self.elements, out)})"
 
     def referenced_names(self) -> set[str]:
         return _referenced_in_all(self.elements)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"TupleTemplate({', '.join(repr(e) for e in self.elements)})"
+        return f"{type(self).__name__}({', '.join(repr(e) for e in self.elements)})"
 
 
-class SolutionTemplate(Template):
+class TupleTemplate(_Built):
+    """Build a tuple atom from element templates."""
+
+    __slots__ = ()
+    builds = "TupleAtom"
+
+
+class SolutionTemplate(_Built):
     """Build a sub-solution atom from element templates."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, *elements: Any) -> None:
-        self.elements = tuple(elements)
-
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        produced: list[Atom] = []
-        for element in self.elements:
-            produced.extend(expand_template(element, bindings, externals))
-        return [Subsolution(produced)]
-
-    def referenced_names(self) -> set[str]:
-        return _referenced_in_all(self.elements)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SolutionTemplate({', '.join(repr(e) for e in self.elements)})"
+    __slots__ = ()
+    builds = "Subsolution"
 
 
-class ListTemplate(Template):
+class ListTemplate(_Built):
     """Build an HOCLflow list atom from element templates."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, *elements: Any) -> None:
-        self.elements = tuple(elements)
-
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        produced: list[Atom] = []
-        for element in self.elements:
-            produced.extend(expand_template(element, bindings, externals))
-        return [ListAtom(produced)]
-
-    def referenced_names(self) -> set[str]:
-        return _referenced_in_all(self.elements)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ListTemplate({', '.join(repr(e) for e in self.elements)})"
+    __slots__ = ()
+    builds = "ListAtom"
 
 
 class Call(Template):
     """Invoke an external function on the expanded arguments.
 
     The function is looked up in the :class:`~repro.hocl.externals.ExternalRegistry`
-    supplied by the engine; its return value is coerced to one or more atoms
-    (a returned list/tuple of atoms is spliced, any other value becomes a
-    single atom).
+    supplied by the engine, and handed the arguments and every binding; its
+    return value is coerced to one or more atoms (a returned list/tuple of
+    atoms is spliced, any other value becomes a single atom).
     """
 
     __slots__ = ("function", "arguments")
@@ -197,16 +165,9 @@ class Call(Template):
         self.function = function
         self.arguments = tuple(arguments)
 
-    def expand(self, bindings: Bindings, externals: Any = None) -> list[Atom]:
-        if externals is None:
-            raise ExternalFunctionError(
-                f"rule product calls {self.function!r} but no external registry is available"
-            )
-        args: list[Atom] = []
-        for argument in self.arguments:
-            args.extend(expand_template(argument, bindings, externals))
-        result = externals.invoke(self.function, args, bindings)
-        return _coerce_result(result)
+    def emit(self, out: "Fire") -> str:
+        registry = out.externals(self.function)
+        return f"*coerce({registry}.invoke({self.function!r}, {emit_list(self.arguments, out)}, b))"
 
     def referenced_names(self) -> set[str]:
         return _referenced_in_all(self.arguments)
@@ -215,7 +176,7 @@ class Call(Template):
         return f"Call({self.function!r}, {', '.join(repr(a) for a in self.arguments)})"
 
 
-def _coerce_result(result: Any) -> list[Atom]:
+def coerce(result: Any) -> list[Atom]:
     """Coerce the return value of a Call into a list of atoms (one holding a
     solution copied: the external may keep it, or have read it from a binding)."""
     if result is None:
@@ -241,24 +202,25 @@ def _referenced_in_all(templates: Sequence[Any]) -> set[str]:
     return names
 
 
-def expand_template(template: Any, bindings: Bindings, externals: Any = None) -> list[Atom]:
-    """Expand a single template (or literal value) into a list of atoms.
+def emit_template(template: Any, out: "Fire") -> str:
+    """:meth:`Template.emit` of ``template``, or the constant of a literal.
 
     Whatever holds a solution is copied — a literal, a bound atom, a call's
     result: a patch or a nested reduction edits the solution it lands in, and
     must not edit the rule or the solution it was read from.
     """
     if isinstance(template, Template):
-        return template.expand(bindings, externals)
+        return template.emit(out)
     atom = to_atom(template)
-    return [atom.copy() if atom._mutable else atom]
+    return f"{out.const(atom)}.copy()" if atom._mutable else out.const(atom)
 
 
-def expand_templates(
-    templates: Sequence[Any], bindings: Bindings, externals: Any = None
-) -> list[Atom]:
-    """Expand a sequence of templates into the flat list of produced atoms."""
-    produced: list[Atom] = []
-    for template in templates:
-        produced.extend(expand_template(template, bindings, externals))
-    return produced
+def emit_list(templates: Sequence[Any], out: "Fire") -> str:
+    """An expression for a new list of what ``templates`` produce, in order."""
+    return display([emit_template(template, out) for template in templates])
+
+
+def display(items: list[str]) -> str:
+    """An expression for a new list of ``items`` (items of a list display)."""
+    # a spread item is a new list already (a comprehension, a coerced result)
+    return items[0][1:] if len(items) == 1 and items[0][0] == "*" else f"[{', '.join(items)}]"

@@ -4,12 +4,16 @@ This is the tree-walking matcher ``repro.hocl`` ran before its rules wrote
 their left-hand sides out as one flat function each
 (:func:`repro.hocl.matching.compiled_search`): per candidate a generator cascade
 through per-call ``recurse`` closures, a ``dict`` copy per bound variable, a
-``used + [entry]`` list per step and every ω copied eagerly.  It shares nothing
-with the generator but the pattern objects it reads (``elements``, ``rest``,
-``kind``, ``index_key``, ``quick_reject``), so ``tests/test_matcher_oracle.py``
-can hold the generated search to it — same matches, same order, same memory
-refutations — and ``BruteForceEngine`` (``tests/reduction_reference.py``)
-stays independent of the code under test.
+``used + [entry]`` list per step and every ω copied eagerly — and its
+structural pre-check, :func:`quick_reject`, the interpreted form of what
+``Pattern.reject`` writes into the search.  It shares nothing with the
+generator but the pattern objects it reads (``elements``, ``rest``, ``kind``,
+``index_key``), so ``tests/test_matcher_oracle.py`` can hold the generated
+search to it — same matches, same order, same memory refutations — and
+``BruteForceEngine`` (``tests/reduction_reference.py``) stays independent of
+the code under test.  A pattern class of the caller's own is the exception:
+it is matched through its own ``match`` and pre-checked by its own ``reject``
+(:func:`compiled_reject`).
 """
 
 from repro.hocl import (
@@ -22,11 +26,54 @@ from repro.hocl import (
     SolutionPattern,
     Subsolution,
     Symbol,
+    SymbolPattern,
     TupleAtom,
     TuplePattern,
     Var,
 )
+from repro.hocl.matching import _FACTORIES, _load
+from repro.hocl.patterns import Source
 from repro.hocl.rules import BindingView
+
+
+def quick_reject(pattern, atom):
+    """Whether ``pattern`` provably cannot match ``atom`` under any bindings."""
+    if type(pattern) is Var:
+        return pattern.kinds is not None and atom.kind not in pattern.kinds
+    if type(pattern) in (Literal, SymbolPattern):
+        return atom is not pattern.atom and atom != pattern.atom  # symbols are interned
+    if type(pattern) is TuplePattern:
+        if not isinstance(atom, TupleAtom):
+            return True
+        elements, own = atom.elements, pattern.elements
+        if (len(elements) != len(own)) if pattern.rest is None else (len(elements) < len(own)):
+            return True
+        return any(quick_reject(element, item) for element, item in zip(own, elements))
+    if type(pattern) is SolutionPattern:
+        if not isinstance(atom, Subsolution):
+            return True
+        solution, own = atom.solution, pattern.elements
+        if (len(solution) != len(own)) if pattern.rest is None else (len(solution) < len(own)):
+            return True
+        for element in own:
+            entries = solution.live_entries(element.index_key())
+            # a single candidate in the bucket must itself survive the check
+            if not entries or len(entries) == 1 and quick_reject(element, entries[0].atom):
+                return True
+        return False
+    if type(pattern) is RulePattern:
+        return atom.kind != "rule" or pattern.name is not None and atom.name != pattern.name
+    return compiled_reject(pattern)(atom)
+
+
+def compiled_reject(pattern):
+    """The pre-check the generated search runs for ``pattern`` (what its
+    ``reject`` writes), as a function of one atom."""
+    out = Source(2)
+    test = pattern.reject(out, "atom")
+    constants = ", ".join(f"c{index}" for index in range(len(out.constants)))
+    text = f"def factory({constants}):\n    def reject(atom):\n        return bool({test})\n    return reject\n"
+    return (_FACTORIES.get(text) or _load(text, "<reject>"))(*out.constants)
 
 
 def _bind(bindings, name, value):
@@ -146,7 +193,7 @@ def _match_solution(pattern, atom, bindings):
         for entry in candidate_lists[index]:
             if entry in used:
                 continue
-            if element.quick_reject(entry.atom):
+            if quick_reject(element, entry.atom):
                 continue
             for extended, below in match_sites(element, entry.atom, env):
                 yield from recurse(index + 1, used + [entry], extended, sites + below)
@@ -218,7 +265,7 @@ def search(
         for entry in entries:
             if entry in used:
                 continue
-            if pattern.quick_reject(entry.atom):
+            if quick_reject(pattern, entry.atom):
                 if memory is not None:
                     memory.refute(entry)
                 continue

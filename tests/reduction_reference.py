@@ -13,7 +13,10 @@ the rule application:
   matched leaves the level and the products are expanded;
 * :class:`RepositioningDelta` (:func:`repositioned`) — the delta application
   that kept anchors in place replaced: matched atoms leave and the kept ones
-  re-enter at the end.
+  re-enter at the end;
+* :func:`expand` and :func:`apply_op` — the interpreted template expansion
+  and patch the generated fire (``RewriteDelta.apply``) replaced, which the
+  two oracles above fire by.
 
 The parity contract, stated once (:func:`assert_parity`): against an oracle
 that searches like it, the engine reaches the same final solution
@@ -26,10 +29,28 @@ simulated timeline, pinned by the 51 digest cells of
 
 from time import perf_counter
 
-from repro.hocl import Match, ReductionEngine, ReductionError, Rule, default_registry
-from repro.hocl.deltas import RewriteDelta
+from repro.hocl import (
+    Call,
+    ExternalFunctionError,
+    ListAtom,
+    ListTemplate,
+    Match,
+    PatternError,
+    ReductionEngine,
+    ReductionError,
+    Ref,
+    Rule,
+    SolutionTemplate,
+    Splice,
+    Subsolution,
+    TupleAtom,
+    TupleTemplate,
+    default_registry,
+    to_atom,
+)
+from repro.hocl.deltas import PatchAdd, RewriteDelta
 from repro.hocl.engine import ReactionRecord
-from repro.hocl.templates import expand_templates
+from repro.hocl.templates import coerce
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import register_workflow_externals
 from repro.services import InvocationContext, ServiceRegistry
@@ -100,7 +121,7 @@ class RebuildEngine(ReductionEngine):
         emitted = list(rule.effect(match.bindings) or ()) if rule.effect is not None else ()
         try:
             products = list(match.consumed) if rule.keep_matched else []
-            products += expand_templates(rule.products, match.bindings, self.externals)
+            products += expand_all(rule.products, match.bindings, self.externals)
         except Exception as exc:
             raise ReductionError(f"rule {rule.name!r} failed to produce its products: {exc}") from exc
         for consumed in match.consumed:
@@ -128,16 +149,62 @@ class RepositioningDelta(RewriteDelta):
 
     def apply(self, match, solution, externals):
         for op in self.ops:
-            op.apply(match.sites, match.bindings, externals)
+            apply_op(op, match.sites, match.bindings, externals)
         for atom in match.consumed:
             solution.remove_identical(atom)
         for index, atom in enumerate(match.consumed):
             if index not in self.consume:
                 solution.add(atom)
-        added = expand_templates(self.produce, match.bindings, externals)
+        added = expand_all(self.produce, match.bindings, externals)
         for atom in added:
             solution.add(atom)
         return [match.consumed[index] for index in self.consume], added
+
+
+def _copied(atom):
+    return atom.copy() if atom._mutable else atom
+
+
+_BUILT = {TupleTemplate: TupleAtom, SolutionTemplate: Subsolution, ListTemplate: ListAtom}
+
+
+def expand(template, bindings, externals=None):
+    """The atoms ``template`` (or a literal) produces under ``bindings``,
+    interpreted: what holds a solution is a copy."""
+    if isinstance(template, (Ref, Splice)):
+        name, ref = template.name, isinstance(template, Ref)
+        if name not in bindings:
+            raise PatternError(f"product references unbound {'variable' if ref else 'omega'} {name!r}")
+        value = bindings[name]
+        if not isinstance(value, list):
+            return [_copied(to_atom(value))]
+        if ref:
+            raise PatternError(f"variable {name!r} is an omega binding; use Splice({name!r})")
+        return [_copied(to_atom(item)) for item in value]
+    if type(template) in _BUILT:
+        return [_BUILT[type(template)](expand_all(template.elements, bindings, externals))]
+    if isinstance(template, Call):
+        if externals is None:
+            raise ExternalFunctionError(f"rule product calls {template.function!r} but no external registry is available")
+        return coerce(externals.invoke(template.function, expand_all(template.arguments, bindings, externals), bindings))
+    return [_copied(to_atom(template))]
+
+
+def expand_all(templates, bindings, externals=None):
+    """The flat list of atoms ``templates`` produce, in order."""
+    return [atom for template in templates for atom in expand(template, bindings, externals)]
+
+
+def apply_op(op, sites, bindings, externals):
+    """One patch, interpreted: add the expansion of a ``PatchAdd``'s templates
+    to the solution at its site, or unlink a ``PatchRemove``'s entries from it."""
+    target = sites[op.site]
+    if isinstance(op, PatchAdd):
+        for atom in expand_all(op.templates, bindings, externals):
+            target.add(atom)
+    else:
+        for entry in op.entries:
+            target._remove_entry(sites[entry])
 
 
 class RepositionedRule(Rule):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from matcher_reference import compiled_reject
+
 from repro.hocl import (
     AtomError,
     BoolAtom,
@@ -528,7 +530,7 @@ class FlagsAndMemories(RuleBasedStateMachine):
     that cannot react is never handed out for a visit; every solution knows
     the one entry that holds it, and a second holder or a cycle is refused;
     and at the root each memory covers the
-    bucket entries ``quick_reject`` does not refute, in bucket order.
+    bucket entries the pattern's pre-check does not refute, in bucket order.
     """
 
     def __init__(self):
@@ -624,8 +626,9 @@ class FlagsAndMemories(RuleBasedStateMachine):
         """Refute through the memories, prove nested solutions inert, settle."""
         for pattern in _MEMORY_PATTERNS:
             memory = self.root.memory_for(pattern, pattern.index_key())
+            rejects = compiled_reject(pattern)
             for entry in memory.snapshot():
-                if pattern.quick_reject(entry.atom):
+                if rejects(entry.atom):
                     memory.refute(entry)
         for level in self.solutions:
             for solution in level.unsettled_solutions():
@@ -672,7 +675,8 @@ class FlagsAndMemories(RuleBasedStateMachine):
             kept = set(remembered)
             bucket = self.root.live_entries(key)
             assert remembered == [entry for entry in bucket if entry in kept]
-            assert all(entry in kept for entry in bucket if not pattern.quick_reject(entry.atom))
+            rejects = compiled_reject(pattern)
+            assert all(entry in kept for entry in bucket if not rejects(entry.atom))
 
 
 FlagsAndMemories.TestCase.settings = settings(max_examples=100, stateful_step_count=50, deadline=None)
@@ -698,7 +702,7 @@ class TestMemoryLifetime:
         ms = Multiset([5, Subsolution(waiting)])
         memory = ms.memory_for(_NON_EMPTY, _NON_EMPTY.index_key())
         (entry,) = memory.snapshot()
-        assert _NON_EMPTY.quick_reject(entry.atom)
+        assert compiled_reject(_NON_EMPTY)(entry.atom)
         memory.refute(entry)
         assert memory.snapshot() == []
         waiting.add(1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reduction_reference import NaiveEngine
+from reduction_reference import NaiveEngine, expand
 
 from repro.hocl import (
     Call,
@@ -16,6 +16,7 @@ from repro.hocl import (
     Omega,
     PatternError,
     ReductionEngine,
+    ReductionError,
     ReductionReport,
     Ref,
     Rule,
@@ -38,6 +39,7 @@ from repro.hocl import (
     replace_one,
     with_inject,
 )
+from repro.hocl.matching import first_match
 from repro.hocl.multiset import atom_index_keys
 
 
@@ -51,53 +53,55 @@ def max_rule():
 
 
 class TestTemplates:
+    """The interpreted expansion the oracles fire by (``reduction_reference.expand``)."""
+
     def test_ref_expands_bound_atom(self):
-        assert Ref("x").expand({"x": IntAtom(1)}, None) == [IntAtom(1)]
+        assert expand(Ref("x"), {"x": IntAtom(1)}) == [IntAtom(1)]
 
     def test_ref_unbound_raises(self):
         with pytest.raises(PatternError):
-            Ref("x").expand({}, None)
+            expand(Ref("x"), {})
 
     def test_ref_on_omega_binding_raises(self):
         with pytest.raises(PatternError):
-            Ref("w").expand({"w": [IntAtom(1)]}, None)
+            expand(Ref("w"), {"w": [IntAtom(1)]})
 
     def test_splice_expands_list(self):
-        assert Splice("w").expand({"w": [IntAtom(1), IntAtom(2)]}, None) == [IntAtom(1), IntAtom(2)]
+        assert expand(Splice("w"), {"w": [IntAtom(1), IntAtom(2)]}) == [IntAtom(1), IntAtom(2)]
 
     def test_splice_single_value(self):
-        assert Splice("w").expand({"w": IntAtom(1)}, None) == [IntAtom(1)]
+        assert expand(Splice("w"), {"w": IntAtom(1)}) == [IntAtom(1)]
 
     def test_tuple_template(self):
-        atoms = TupleTemplate(Symbol("SRC"), Splice("w")).expand({"w": [IntAtom(1)]}, None)
+        atoms = expand(TupleTemplate(Symbol("SRC"), Splice("w")), {"w": [IntAtom(1)]})
         assert atoms[0].elements == (Symbol("SRC"), IntAtom(1))
 
     def test_solution_template(self):
-        atoms = SolutionTemplate(1, 2).expand({}, None)
+        atoms = expand(SolutionTemplate(1, 2), {})
         assert atoms[0] == Subsolution([1, 2])
 
     def test_list_template(self):
-        atoms = ListTemplate(1, Splice("w")).expand({"w": [IntAtom(2)]}, None)
+        atoms = expand(ListTemplate(1, Splice("w")), {"w": [IntAtom(2)]})
         assert atoms[0] == ListAtom([1, 2])
 
     def test_call_requires_registry(self):
         with pytest.raises(ExternalFunctionError):
-            Call("list", 1).expand({}, None)
+            expand(Call("list", 1), {})
 
     def test_call_invokes_registered_function(self):
         registry = default_registry()
-        atoms = Call("list", 1, 2).expand({}, registry)
+        atoms = expand(Call("list", 1, 2), {}, registry)
         assert atoms == [ListAtom([1, 2])]
 
     def test_call_none_produces_nothing(self):
         registry = default_registry()
         registry.register("nothing", lambda args, _bindings: None)
-        assert Call("nothing").expand({}, registry) == []
+        assert expand(Call("nothing"), {}, registry) == []
 
     def test_call_value_coerced(self):
         registry = default_registry()
         registry.register("seven", lambda args, _bindings: 7)
-        assert Call("seven").expand({}, registry) == [IntAtom(7)]
+        assert expand(Call("seven"), {}, registry) == [IntAtom(7)]
 
     @pytest.mark.parametrize(
         "template",
@@ -107,15 +111,73 @@ class TestTemplates:
     def test_an_expansion_holding_a_solution_is_a_copy(self, template):
         """A solution has one holder: what expansion reads off a binding, or an
         external hands back, joins a solution as a copy."""
-        held = TupleAtom([Symbol("T"), Subsolution([1])])
-        level = Multiset([held])
-        registry = default_registry()
-        registry.register("atom", lambda args, _bindings: held)
-        registry.register("atoms", lambda args, _bindings: [held])
-        registry.register("value", lambda args, _bindings: [held, 2])  # a list of values: one ListAtom
-        (atom,) = template.expand({"x": held, "w": [held], "one": held}, registry)
+        held, level, registry, given = _held_and_registry()
+        (atom,) = expand(template, given, registry)
         assert atom == (ListAtom([held, 2]) if getattr(template, "function", None) == "value" else held)
         assert Multiset([atom]).atoms() == [atom] and level.atoms() == [held]
+
+
+def _held_and_registry():
+    """A tuple holding a solution, the level holding it, externals handing
+    it back, and bindings naming it (``x``, ``one``) or a list of it (``w``)."""
+    held = TupleAtom([Symbol("T"), Subsolution([1])])
+    level = Multiset([held])
+    registry = default_registry()
+    registry.register("atom", lambda args, _bindings: held)
+    registry.register("atoms", lambda args, _bindings: [held])
+    registry.register("value", lambda args, _bindings: [held, 2])  # a list of values: one ListAtom
+    return held, level, registry, {"x": held, "w": [held], "one": held}
+
+
+class TestTheGeneratedFire:
+    """What the interpreted expansion raises, a rule's generated fire raises
+    too: through the engine, as a ``ReductionError`` with nothing changed."""
+
+    @pytest.mark.parametrize(
+        "product, given, message",
+        [
+            (Ref("x"), {}, "unbound variable 'x'"),
+            (Splice("x"), {}, "unbound omega 'x'"),
+            (Ref("v"), {"v": [1]}, "omega binding"),
+            (Ref("w"), {}, "omega binding"),  # the left-hand side's omega
+            (TupleTemplate(Symbol("T"), Ref("x")), {}, "unbound variable 'x'"),
+        ],
+        ids=["unbound", "unbound omega", "given omega as Ref", "omega as Ref", "unbound in a tuple"],
+    )
+    def test_an_expansion_error_arrives_as_a_reduction_error(self, product, given, message):
+        rule = Rule("bad", [SolutionPattern(SymbolPattern("GO"), rest=Omega("w"))], [product], given=given)
+        solution = Multiset([Subsolution([Symbol("GO")]), rule])
+        before = solution.content_hash()
+        with pytest.raises(ReductionError, match=message):
+            ReductionEngine().reduce(solution)
+        assert solution.content_hash() == before
+
+    def test_a_call_with_no_registry_raises(self):
+        rule = Rule("call", [SymbolPattern("GO")], [SymbolPattern("GONE").atom, Call("list", 1)])
+        solution = Multiset([Symbol("GO"), rule])
+        match = first_match(rule, solution)
+        with pytest.raises(ExternalFunctionError, match="'list' but no external registry"):
+            rule.delta.apply(match, solution, None)
+        assert solution.atoms() == [Symbol("GO"), rule]
+
+    @pytest.mark.parametrize(
+        "template",
+        [Ref("x"), Splice("w"), Splice("one"), Call("atom"), Call("atoms"), Call("value")],
+        ids=["Ref", "Splice", "Splice of one", "Call atom", "Call atoms", "Call value"],
+    )
+    def test_an_expansion_holding_a_solution_is_a_copy(self, template):
+        held, level, registry, given = _held_and_registry()
+        solution = Multiset([Symbol("GO"), Rule("make", [SymbolPattern("GO")], [template], given=given)])
+        ReductionEngine(externals=registry).reduce(solution)  # a shared solution: `add` refuses it
+        (atom,) = [atom for atom in solution if atom.kind != "rule"]
+        assert atom == (ListAtom([held, 2]) if getattr(template, "function", None) == "value" else held)
+        assert level.atoms() == [held] and held.elements[1].solution._holder[0] is level
+
+    def test_its_text_is_readable(self):
+        rule = Rule("pair", [Var("x", kind="int"), Var("y", kind="int")], [TupleTemplate(Ref("x"), Ref("y"))])
+        assert ReductionEngine().reduce(Multiset([1, 2, rule])).reactions == 1
+        assert "def fire(match, solution, externals):" in rule.delta.__source__
+        assert "TupleAtom([" in rule.delta.__source__
 
 
 class TestExternals:

@@ -381,17 +381,13 @@ def _fresh_gw_pass_like():
 _IN_A_CHILD = """
 import sys
 from repro.hocl import matching
-loaded, load = [], matching._load
-def counted(text, filename):
-    loaded.append(filename)
-    return load(text, filename)
-matching._load = counted
 from repro import GinFlow, adaptive_diamond_workflow
 from repro.scenarios import build_scenario
 workflow = adaptive_diamond_workflow(4, 4, "full", "simple", duration=0.01) if sys.argv[1] == "adapt" else build_scenario("montage:size=60,seed=1")
 report = GinFlow().run(workflow, mode=sys.argv[2], nodes=5)
 assert report.succeeded
-print(len(loaded))
+compiled = [factory.__code__.co_filename for factory in matching._FACTORIES.values()]
+print(sum(name.startswith("<hocl-lhs ") for name in compiled), sum(name.startswith("<hocl-fire ") for name in compiled), len(compiled))
 """
 
 _SOURCES = """
@@ -456,7 +452,10 @@ class TestTheGeneratedText:
         [("adapt", "simulated", 8, 4), ("montage", "simulated", 3, 3), ("montage", "centralized", 3, 3)],
     )
     def test_a_whole_run_compiles_a_handful(self, workload, mode, most, least):
-        assert least <= int(_child(_IN_A_CHILD, workload, mode)) <= most
+        """A handful of searches, and of fires: one text per shape of rule."""
+        searches, fires, compiled = map(int, _child(_IN_A_CHILD, workload, mode).split())
+        assert least <= searches <= most and searches + fires == compiled
+        assert fires == {"adapt": 7, "montage": 3}[workload]
 
     def test_a_raising_condition_shows_the_rule_and_the_line(self, loads):
         """(The rule that searched a shape first: rules of one shape share its text, and so its name.)"""
@@ -657,8 +656,9 @@ class TestOmegaIsBoundOnDemand:
         assert remainder_copies["gw_pass"] == 0 and remainder_copies[None] == 0
         # what is copied is what somebody reads: IN for gw_setup's parameter list ...
         assert remainder_copies["gw_setup"] == width + 2
-        # ... and, centralised, RES for the external gw_call hands its bindings to
-        assert remainder_copies["gw_call"] == (width + 2 if mode == "centralized" else 0)
+        # ... and not RES, which the external gw_call is handed with every
+        # binding, centralised: it runs before the fire's first edit, and reads none
+        assert remainder_copies["gw_call"] == 0
 
     def test_the_rebuild_path_still_splices_the_right_lists(self, remainder_copies):
         patched, rebuilt = _central_solution(6), _central_solution(6)
@@ -755,8 +755,8 @@ class TestAPatternClassOfTheCallersOwn:
         assert len(found) == (0 if initial == {"x": IntAtom(6)} else 2)
 
     def test_a_refuted_candidate_is_not_matched(self):
-        """Clock-free: what ``quick_reject`` refutes costs that one call — the
-        search does not go on into the candidate to fail there."""
+        """Clock-free: what its pre-check (``reject``) refutes costs that test —
+        the search does not go on into the candidate to fail there."""
         asked = []
 
         class Counted(Even):
@@ -766,10 +766,10 @@ class TestAPatternClassOfTheCallersOwn:
                 asked.append(atom)
                 return Even.match(self, atom, bindings)
 
-            def quick_reject(self, atom):
-                return atom.kind != "int"
+            def reject(self, out, atom):
+                return f"{atom}.kind != 'int'"
 
-        patterns = [TuplePattern(Var("h"), Counted("x"))]  # head-less: a memory, so `quick_reject` is asked
+        patterns = [TuplePattern(Var("h"), Counted("x"))]  # head-less: a memory, so the pre-check runs
         atoms = [TupleAtom([Symbol("A"), Symbol("no")]), TupleAtom([Symbol("B"), 4]), TupleAtom([Symbol("C"), Symbol("no")])]
         solution = Multiset(atoms)
         assert [match.bindings.value("half_x") for match in find_matches(patterns, solution)] == [2]

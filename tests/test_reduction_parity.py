@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcher_reference import compiled_reject
 from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
@@ -33,7 +34,6 @@ from repro.hocl import (
     ReductionReport,
     Ref,
     Rule,
-    RulePattern,
     SolutionPattern,
     SolutionTemplate,
     Splice,
@@ -48,6 +48,7 @@ from repro.hocl import (
     find_matches,
 )
 from repro.hocl.matching import first_match
+from repro.hocl.multiset import _Memory
 from repro.hoclflow import encode_workflow
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
@@ -94,11 +95,11 @@ class TestRejectionCacheInvalidation:
 
     def test_solution_pattern_rejection_expires_on_mutation(self):
         pattern = SolutionPattern(Var("x"), rest=Omega("w"))
-        empty = Subsolution()
-        assert pattern.quick_reject(empty)  # needs at least one atom
-        assert pattern.quick_reject(empty)
+        rejects, empty = compiled_reject(pattern), Subsolution()
+        assert rejects(empty)  # needs at least one atom
+        assert rejects(empty)
         empty.solution.add(1)
-        assert not pattern.quick_reject(empty)
+        assert not rejects(empty)
         matches = list(pattern.match(empty, {}))
         assert len(matches) == 1
 
@@ -107,20 +108,20 @@ class TestRejectionCacheInvalidation:
         pattern = TuplePattern(
             SymbolPattern("RES"), SolutionPattern(Var("res"), rest=Omega("w"))
         )
-        res = TupleAtom([Symbol("RES"), Subsolution()])
-        assert pattern.quick_reject(res)
-        assert pattern.quick_reject(res)
+        rejects, res = compiled_reject(pattern), TupleAtom([Symbol("RES"), Subsolution()])
+        assert rejects(res)
+        assert rejects(res)
         res.elements[1].solution.add("value")
-        assert not pattern.quick_reject(res)
+        assert not rejects(res)
         assert list(pattern.match(res, {}))
 
     def test_immutable_tuple_rejection_is_permanent_and_sound(self):
-        pattern = TuplePattern(SymbolPattern("SRC"), Var("x"))
+        rejects = compiled_reject(TuplePattern(SymbolPattern("SRC"), Var("x")))
         other = TupleAtom([Symbol("DST"), 1])
-        assert pattern.quick_reject(other)
-        assert pattern.quick_reject(other)
+        assert rejects(other)
+        assert rejects(other)
         matching = TupleAtom([Symbol("SRC"), 2])
-        assert not pattern.quick_reject(matching)
+        assert not rejects(matching)
 
     def test_engine_refires_after_inertness_with_new_atoms(self):
         # a rule refuted by the quick checks must fire once its atom appears
@@ -364,32 +365,47 @@ class TestAgainstBruteForceSearch:
             assert fast.is_inert(fast_solution)
 
 
+class _Visited:
+    """A memory's entries as a search reads them, each one counted as it is
+    offered to the pattern's pre-check."""
+
+    def __init__(self, entries, calls):
+        self.entries, self.calls = entries, calls
+
+    def __iter__(self):
+        for entry in self.entries:
+            self.calls["visited"] += 1
+            yield entry
+
+
 class TestBookkeepingScaling:
     def test_checks_per_reaction_do_not_grow_with_the_level(self, monkeypatch):
-        """Clock-free: the structural checks (``quick_reject``) and inertness
-        probes (``known_inert``) one reaction costs are the same on an
-        8x larger centralised Montage — they follow what changed, not how
+        """Clock-free: the structural pre-checks the generated searches run
+        (the memory entries they visit, and those they refute) and the
+        inertness probes (``known_inert``) one reaction costs are the same on
+        an 8x larger centralised Montage — they follow what changed, not how
         many task sub-solutions sit in the level."""
         calls = Counter()
+        opened, closed, inert = _Memory.open, _Memory.close, Multiset.known_inert.fget
 
-        def counted(name, function):
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
+        def close(memory, refuted):
+            calls["refuted"] += len(refuted)
+            return closed(memory, refuted)
 
-            return wrapper
+        def known_inert(solution):
+            calls["known_inert"] += 1
+            return inert(solution)
 
-        for cls in (Var, Literal, TuplePattern, SolutionPattern, RulePattern):
-            monkeypatch.setattr(cls, "quick_reject", counted("quick_reject", cls.quick_reject))
-        monkeypatch.setattr(
-            Multiset, "known_inert", property(counted("known_inert", Multiset.known_inert.fget))
-        )
+        monkeypatch.setattr(_Memory, "open", lambda memory: _Visited(opened(memory), calls))
+        monkeypatch.setattr(_Memory, "close", close)
+        monkeypatch.setattr(Multiset, "known_inert", property(known_inert))
         per_reaction = {}
         for tasks in (100, 800):
             calls.clear()
             report, _, _ = reduce_workflow(montage_workflow(projections=tasks - 10))
             per_reaction[tasks] = {name: count / report.reactions for name, count in calls.items()}
-        for name in ("quick_reject", "known_inert"):
+        assert all(per_reaction[tasks]["visited"] and per_reaction[tasks]["refuted"] for tasks in per_reaction)
+        for name in ("visited", "refuted", "known_inert"):
             small, large = per_reaction[100][name], per_reaction[800][name]
             assert 0.75 * small <= large <= 1.25 * small, per_reaction
 

@@ -18,8 +18,9 @@ every top-level pattern is head-keyed.  The evidence:
   has one holder), which a later firing patches in place;
 * **seeded mutants** — a site off by one, removal by equality (in a body or
   at the level), sites recorded out of walk order, a ``Ref`` expansion that
-  shares a solution and an ``add`` that wires a second holder each fail that
-  evidence;
+  shares a solution, an ``add`` that wires a second holder and a pre-check
+  that refutes a candidate that matches each fail that evidence (a mutant of
+  the fire or the search patches what writes it);
 * **sharing** — every task's centralised ``gw_call`` is one rule bound to its
   task, so a 1000-task run derives each delta once;
 * **property-based differential** — hypothesis draws drain-shaped two-field
@@ -45,6 +46,7 @@ from repro.hocl import rules as rules_module
 from repro.hocl import (
     AtomError,
     Call,
+    default_registry,
     IntAtom,
     Match,
     Multiset,
@@ -73,7 +75,7 @@ from repro.hoclflow import keywords as kw
 from repro.hoclflow import adaptation
 from repro.hoclflow.adaptation import build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
 from repro.hoclflow.fields import get_in_atoms, get_src, tagged_input
-from repro.hoclflow.generic_rules import GW_SETUP, make_gw_call, make_gw_pass, make_gw_setup
+from repro.hoclflow.generic_rules import GW_SETUP, make_gw_call, make_gw_pass, make_gw_setup, register_workflow_externals
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
 from repro.workflow import adaptive_diamond_workflow, diamond_workflow
@@ -120,9 +122,9 @@ _ADAPTATION_BODIES = (adaptation._ADD_DST, adaptation._MV_SRC, adaptation._MV_SR
 
 def shape(delta):
     """A delta as comparable values: each op's kind, site and the entries it
-    unlinks or the templates it adds; what it consumes, produces, reads."""
+    unlinks or the templates it adds; what it consumes and produces."""
     ops = [(type(op).__name__, op.site, op.entries if isinstance(op, PatchRemove) else repr(op.templates)) for op in delta.ops]
-    return ops, delta.consume, repr(delta.produce), delta.eager
+    return ops, delta.consume, repr(delta.produce)
 
 
 # ----------------------------------------------------------------- derivation
@@ -252,10 +254,29 @@ def test_what_restates_what(pattern, product, ops, kept):
 
 @pytest.mark.parametrize("clear", [False, True])
 def test_an_opaque_product_consumes_everything_matched(clear):
-    rule = make_mv_src(adaptive_plan(clear))
+    plan = adaptive_plan(clear)
+    rule = make_mv_src(plan)
     assert shape(rule.delta) == shape(RewriteDelta(consume=(0, 1, 2), produce=rule.products))
-    assert rule.delta.eager is None  # a Call sees every binding
     assert rule.name == "mv_src:adaptive-diamond-3x3-full-to-simple:replace-body:merge"
+    # a Call sees every binding: each one reads them all, as they were before the reaction ...
+    seen, externals = [], register_workflow_externals(default_registry(), lambda *_: None)
+    for name in ("minus", "drop_inputs"):
+
+        def reading(args, bindings, function=externals._functions[name]):
+            seen.append({key: bindings[key] for key in bindings})
+            return function(args, bindings)
+
+        externals.register(name, reading)
+    sources = [Symbol(task) for task in plan.replaced]
+    inputs = [tagged_input(task, "r") for task in plan.replaced]
+    solution = Multiset([field("SRC", *sources), field("IN", *(atom.copy() for atom in inputs)), kw.ADAPT_SYM, rule])
+    assert ReductionEngine(externals=externals).reduce(solution).rule_fires == {rule.name: 1}
+    new = [Symbol(task) for task in plan.exit_tasks]
+    assert seen == [{"replaced": sources, "new": new, "wsrc": sources, "win": inputs}] * (1 if clear else 2)
+    # ... for the fire runs every one before its first edit
+    lines = rule.delta.__source__.splitlines()
+    edits = [at for at, line in enumerate(lines) if "._remove_entry(" in line or ".add(" in line]
+    assert edits and max(at for at, line in enumerate(lines) if ".invoke(" in line) < min(edits)
 
 
 def test_the_local_trigger_keeps_its_res_tuple_in_place(plan):
@@ -495,6 +516,25 @@ def a_second_holder_is_refused():
     assert body.solution._holder[0] is first and second.atoms() == [Symbol("K")]
 
 
+def headless_drop():
+    """``?h : <x, ?w>`` by ``h : <w>``: a head variable, so a tuple pattern
+    searched through the level's candidate memory, pre-checked candidate by
+    candidate."""
+    return Rule(
+        "drop",
+        [TuplePattern(Var("h", kind="symbol"), SolutionPattern(Var("x", kind="int"), rest=Omega("w")))],
+        [TupleTemplate(Ref("h"), SolutionTemplate(Splice("w")))],
+        one_shot=True,
+    )
+
+
+def a_headless_field_is_found():
+    """``headless_drop`` drops the ``x`` of the one field with an int in its body."""
+    solution = _both_forms(lambda: [field("A"), field("B", Symbol("K")), field("C", IntAtom(1), Symbol("K")), headless_drop()])
+    expected = [field("A"), field("B", Symbol("K")), field("C", Symbol("K"))]
+    assert solution.content_hash() == Multiset(expected).content_hash()
+
+
 SHARED = ["the same tuple twice", "one body in two tuples", "the same tuple twice, S around", "one body in two tuples, S around"]
 
 
@@ -538,6 +578,10 @@ class TestWhereAFiringLands:
     def test_a_second_holder_is_refused(self):
         a_second_holder_is_refused()
 
+    def test_a_headless_field_is_found(self):
+        assert shape(headless_drop().delta)[0] == [("PatchRemove", 1, (2,))]  # sites: the field, its body, x
+        a_headless_field_is_found()
+
     def test_a_literal_product_is_copied(self):
         """``bump`` edits what ``seed`` produced, between two of its firings:
         the second still produces ``H : <1>``."""
@@ -576,23 +620,23 @@ def _entries_off_by_one(delta):
 
 
 def _removal_by_equality(monkeypatch):
-    def apply(self, sites, bindings, externals):
+    def emit(self, out):
         for entry in self.entries:
-            sites[self.site].remove(sites[entry].atom)
+            out.edit(f"sites[{self.site}].remove(sites[{entry}].atom)")
 
-    monkeypatch.setattr(PatchRemove, "apply", apply)
+    monkeypatch.setattr(PatchRemove, "emit", emit)
 
 
 def _consumed_by_equality(monkeypatch):
     """Each consumed atom leaves through the first entry of the level holding an equal atom."""
-    original = RewriteDelta.apply
+    original = ReductionEngine._apply
 
-    def apply(self, match, solution, externals):
+    def _apply(self, rule, match, solution, depth, report):
         top = len(match.consumed)
         equal = [next(entry for entry in solution.live_entries() if entry.atom == atom) for atom in match.consumed]
-        return original(self, Match(match.bindings, match.consumed, (*equal, *match.sites[top:])), solution, externals)
+        return original(self, rule, Match(match.bindings, match.consumed, (*equal, *match.sites[top:])), solution, depth, report)
 
-    monkeypatch.setattr(RewriteDelta, "apply", apply)
+    monkeypatch.setattr(ReductionEngine, "_apply", _apply)
 
 
 def _sites_out_of_walk_order(monkeypatch):
@@ -606,7 +650,12 @@ def _sites_out_of_walk_order(monkeypatch):
 
 def _ref_shares_a_solution(monkeypatch):
     """``Ref`` expands to the bound atom itself, solution and all."""
-    monkeypatch.setattr(Ref, "expand", lambda self, bindings, externals=None: [bindings.atom(self.name)])
+    monkeypatch.setattr(Ref, "emit", lambda self, out: out.atom(self.name))
+
+
+def _reject_refutes_a_match(monkeypatch):
+    """A tuple pattern's pre-check refutes every candidate, one that matches too."""
+    monkeypatch.setattr(TuplePattern, "reject", lambda self, out, atom: "True")
 
 
 def _add_wires_a_second_holder(monkeypatch):
@@ -630,6 +679,7 @@ MUTANTS = {
     "add wires a second holder": _add_wires_a_second_holder,
     "consumed atom removed by equality": _consumed_by_equality,
     "sites out of walk order": _sites_out_of_walk_order,
+    "reject refutes a candidate that matches": _reject_refutes_a_match,
 }
 
 
@@ -644,6 +694,7 @@ def where_a_firing_lands():
     for shared in SHARED:
         dup_copies_and_bump_patches_in_place(shared)
     a_second_holder_is_refused()
+    a_headless_field_is_found()
 
 
 class TestSeededMutantsDie:
