@@ -33,7 +33,7 @@ local ``trigger_adapt`` bound to its plan (:meth:`~repro.hocl.rules.Rule.bind`:
 same search, products, delta and effect), and :data:`LOCAL_EXTERNALS` is the
 one registry every agent's engine calls.  None of them holds per-agent state:
 patterns, templates, givens and deltas are immutable, and an effect hook is a
-module-level function that *returns* its actions, which come
+module-level function of the values it names that *returns* its actions, which come
 back in the :class:`~repro.hocl.engine.ReductionReport` of the ``reduce``
 call that fired the rule — so agents reduced concurrently on different
 threads never see each other's actions.  An agent owns only its atoms.
@@ -42,7 +42,6 @@ threads never see each other's actions.  An agent owns only its atoms.
 from __future__ import annotations
 
 from repro.hocl import (
-    BindingView,
     IntAtom,
     Omega,
     Rule,
@@ -60,7 +59,7 @@ from repro.hocl import (
 )
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import AdaptationPlan
-from repro.hoclflow.generic_rules import GW_CALL_PATTERNS, GW_SETUP, gw_pass_condition, register_workflow_externals
+from repro.hoclflow.generic_rules import GW_CALL_PATTERNS, GW_SETUP, RESULT_NOT_ERROR, register_workflow_externals
 from repro.hoclflow.translator import TaskEncoding
 
 from .actions import Action, SendAdapt, SendResult, StartInvocation
@@ -68,20 +67,16 @@ from .actions import Action, SendAdapt, SendResult, StartInvocation
 __all__ = ["GW_SETUP", "GW_CALL", "GW_PASS", "LOCAL_EXTERNALS", "local_trigger", "build_local_rules"]
 
 
-def _start_invocation(bindings: BindingView) -> list[Action]:
-    parameters = bindings.value("par")
-    if not isinstance(parameters, list):
-        parameters = [parameters]
-    return [StartInvocation(service=str(bindings.value("s")), parameters=tuple(parameters))]
+def _start_invocation(s: object, par: object) -> list[Action]:
+    return [StartInvocation(service=str(s), parameters=tuple(par if isinstance(par, list) else [par]))]
 
 
-def _send_result(bindings: BindingView) -> list[Action]:
-    return [SendResult(destination=str(bindings.value("tj")), value=bindings.value("res"))]
+def _send_result(tj: object, res: object) -> list[Action]:
+    return [SendResult(destination=str(tj), value=res)]
 
 
-def _send_adapt(bindings: BindingView) -> list[Action]:
-    adaptation = bindings.value("adaptation")
-    return [SendAdapt(task, count, adaptation) for task, count in bindings.value("targets")]
+def _send_adapt(adaptation: str, targets: list[tuple[str, int]]) -> list[Action]:
+    return [SendAdapt(task, count, adaptation) for task, count in targets]
 
 
 #: Local ``gw_call``: request the invocation instead of performing it.
@@ -108,7 +103,7 @@ GW_PASS = Rule(
         TupleTemplate(kw.RES_SYM, SolutionTemplate(Ref("res"), Splice("wres"))),
         TupleTemplate(kw.DST_SYM, SolutionTemplate(Splice("wdst"))),
     ],
-    condition=gw_pass_condition,
+    condition=RESULT_NOT_ERROR,
     one_shot=False,
     effect=_send_result,
 )

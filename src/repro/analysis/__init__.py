@@ -3,9 +3,10 @@
 The whole system rests on hand-written chemical rules and generated DAGs;
 when one of them is wrong, it usually fails *at enactment time*, often as a
 silent hang.  This package diagnoses that failure class from both sides:
-statically (walking :class:`~repro.hocl.patterns.Pattern` trees,
-introspecting :class:`~repro.hocl.rules.Rule` products and conditions,
-cross-checking pattern index keys against the target solution) and
+statically (reading the :class:`~repro.hocl.deltas.RuleSummary` the engine
+derives for every :class:`~repro.hocl.rules.Rule` — what it binds, reads,
+matches and can add — and cross-checking pattern index keys against the
+target solution) and
 dynamically (holding the artifacts a run produces — fire counters, message
 accounting, timelines, adaptation plans — to the invariants the enactment
 protocol promises).

@@ -22,17 +22,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.hocl.multiset import Multiset, atom_index_keys
+from repro.hocl.multiset import Multiset
 from repro.hocl.rules import Rule
-from repro.hocl.templates import (
-    Call,
-    ListTemplate,
-    Ref,
-    SolutionTemplate,
-    Splice,
-    TupleTemplate,
-)
-from repro.hocl.atoms import Atom, Symbol
 from repro.hoclflow.translator import WorkflowEncoding, encode_workflow
 from repro.scenarios.registry import (
     available_scenarios,
@@ -44,7 +35,7 @@ from repro.workflow.errors import JSONFormatError, WorkflowValidationError
 
 from .findings import AnalysisReport, Finding, Severity
 from .registry import checks_for
-from .rule_checks import RuleScope, given_atoms
+from .rule_checks import RuleScope
 from .scenario_checks import ScenarioContext
 from .workflow_checks import WorkflowContext
 
@@ -66,50 +57,12 @@ def _run_checks(kind: str, context: Any) -> AnalysisReport:
     return report
 
 
-def _nested_injected_keys(rules: Iterable[Rule]) -> tuple[set[Any], bool]:
-    """Index keys the rules can inject into *nested* solutions.
-
-    A global rule like ``trigger_adapt`` rewrites a task tuple and plants
-    atoms (the ``ADAPT`` marker) inside the task's sub-solution; from the
-    task scope's point of view those atoms arrive from outside.  Walks every
-    ``SolutionTemplate`` in the products and collects the keys of its
-    element atoms; elements that are themselves dynamic (``Call`` results,
-    tuples with unknown heads) set the wildcard flag.
-    """
-    keys: set[Any] = set()
-    wildcard = False
-    for rule in rules:
-        stack: list[Any] = list(rule.products)
-        in_solution: list[Any] = []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, SolutionTemplate):
-                in_solution.extend(node.elements)
-            elif isinstance(node, (TupleTemplate, ListTemplate)):
-                stack.extend(node.elements)
-            elif isinstance(node, Call):
-                stack.extend(node.arguments)
-        while in_solution:
-            node = in_solution.pop()
-            if isinstance(node, Atom):
-                keys.update(atom_index_keys(node))
-            elif isinstance(node, SolutionTemplate):
-                keys.add(("kind", "solution"))
-                in_solution.extend(node.elements)
-            elif isinstance(node, TupleTemplate):
-                head = node.elements[0] if node.elements else None
-                if isinstance(head, Symbol):
-                    keys.add(("tuple", head.name))
-                    keys.add(("kind", "tuple"))
-                else:
-                    wildcard = True
-                in_solution.extend(node.elements[1:] if isinstance(head, Symbol) else node.elements)
-            elif isinstance(node, (Ref, Splice)):
-                # a matched atom is re-inserted (no new key); a given one is new
-                in_solution.extend(given_atoms(rule, node.name))
-            elif isinstance(node, Call):
-                wildcard = True
-    return keys, wildcard
+def _injected_keys(rules: Iterable[Rule]) -> tuple[set[Any], bool]:
+    """Index keys the rules can add one solution down from their own, and
+    whether they can add any atom there: what the global rules inject into
+    the task sub-solutions (``trigger_adapt`` plants the ``ADAPT`` marker)."""
+    added = [rule.summary.added(1, rule.given) for rule in rules]
+    return set().union(*(keys for keys, _ in added)), any(anything for _, anything in added)
 
 
 # ------------------------------------------------------------------- drivers
@@ -148,16 +101,15 @@ def analyze_encoding(encoding: WorkflowEncoding, label: str = "") -> AnalysisRep
             label=f"{prefix}global solution",
         )
     )
-    injected, wildcard = _nested_injected_keys(encoding.global_rules)
+    injected, wildcard = _injected_keys(encoding.global_rules)
     for name, task in encoding.tasks.items():
-        task_injected, task_wildcard = _nested_injected_keys(task.local_rules)
         report.merge(
             analyze_rules(
                 task.local_rules,
                 solution=task.initial_solution(include_rules=True),
                 label=f"{prefix}task {name!r}",
-                injected_keys=injected | task_injected,
-                injected_wildcard=wildcard or task_wildcard,
+                injected_keys=injected,
+                injected_wildcard=wildcard,
             )
         )
     return report

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.hocl.atoms import Symbol
-from repro.hocl.patterns import Literal, SolutionPattern, TuplePattern
 from repro.hocl.rules import Rule
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import AdaptationPlan
@@ -61,17 +59,8 @@ class PlanScope:
 
 
 def _consumes_adapt(rule: Rule) -> bool:
-    """Whether ``rule``'s patterns structurally consume an ``ADAPT`` marker."""
-    stack = list(rule.patterns)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Literal):
-            atom = node.atom
-            if isinstance(atom, Symbol) and atom.name == kw.ADAPT:
-                return True
-        elif isinstance(node, (TuplePattern, SolutionPattern)):
-            stack.extend(node.elements)
-    return False
+    """Whether ``rule``'s patterns structurally consume an ``ADAPT`` marker, at any depth."""
+    return ("symbol", kw.ADAPT) in rule.summary.matched()
 
 
 def _referenced_tasks(plan: AdaptationPlan) -> Iterator[tuple[str, str]]:

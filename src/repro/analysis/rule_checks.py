@@ -1,13 +1,13 @@
 """Static checks over HOCL rules in the context of a target solution.
 
 Each check inspects :class:`~repro.hocl.rules.Rule` objects *without running
-a reduction*, through the introspection hooks the rule layer exposes —
-:meth:`Pattern.bound_names`, :meth:`Template.referenced_names`,
-:meth:`Rule.referenced_variables` — plus a conservative bytecode scan of
-condition/effect closures.  The failure class they target is the silent one:
-a rule whose product references an unbound variable raises only when it
-finally fires, a rule whose index key can never appear simply never fires,
-and both look exactly like a hang at enactment time.
+a reduction*, through the one model of a rule the engine derives beside its
+delta, :attr:`Rule.summary <repro.hocl.rules.Rule.summary>`
+(:class:`~repro.hocl.deltas.RuleSummary`): the names a rule binds and reads,
+the index keys it matches and those it can add, per depth.  The failure class
+they target is the silent one: a rule whose product references an unbound
+variable raises only when it finally fires, a rule whose index key can never
+appear simply never fires, and both look exactly like a hang at enactment time.
 
 Checks receive a :class:`RuleScope`: the rules of one solution (a task
 sub-solution or the global solution) together with that solution's initial
@@ -16,29 +16,17 @@ contents and the index keys the outside world may inject into it.
 
 from __future__ import annotations
 
-import dis
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.hocl.atoms import Atom, Symbol, to_atom
-from repro.hocl.errors import AtomError
 from repro.hocl.multiset import Multiset, atom_index_keys
 from repro.hocl.rules import Rule
-from repro.hocl.templates import (
-    Call,
-    ListTemplate,
-    Ref,
-    SolutionTemplate,
-    Splice,
-    Template,
-    TupleTemplate,
-)
 
 from .findings import Finding, Severity
 from .registry import register_check
 
-__all__ = ["RuleScope", "condition_variables", "given_atoms", "producible_keys"]
+__all__ = ["RuleScope"]
 
 
 @dataclass
@@ -70,113 +58,6 @@ class RuleScope:
     injected_wildcard: bool = False
 
 
-# --------------------------------------------------------------- introspection
-def condition_variables(closure: Callable[..., Any] | None) -> set[str]:
-    """Variable names a condition/effect closure reads from its bindings.
-
-    A conservative bytecode scan: it recognises the three idioms the
-    codebase uses — ``bindings.value("x")``, ``bindings.atom("x")`` and
-    ``bindings["x"]`` — and returns only names it is certain about.  A
-    closure using none of these idioms yields the empty set, which callers
-    must treat as "unknown", not as "reads nothing".
-    """
-    code = getattr(closure, "__code__", None)
-    if code is None:
-        return set()
-    names: set[str] = set()
-    previous: dis.Instruction | None = None
-    for instruction in dis.get_instructions(code):
-        if (
-            previous is not None
-            and previous.opname in ("LOAD_ATTR", "LOAD_METHOD")
-            and previous.argval in ("value", "atom", "get")
-            and instruction.opname == "LOAD_CONST"
-            and isinstance(instruction.argval, str)
-        ):
-            names.add(instruction.argval)
-        if (
-            instruction.opname == "BINARY_SUBSCR"
-            and previous is not None
-            and previous.opname == "LOAD_CONST"
-            and isinstance(previous.argval, str)
-        ):
-            names.add(previous.argval)
-        previous = instruction
-    return names
-
-
-def given_atoms(rule: Rule, name: str) -> list[Atom]:
-    """The atoms ``rule`` is given as ``name`` (none if a pattern binds it)."""
-    given = rule.given.get(name)
-    return [] if given is None else given if isinstance(given, list) else [given]
-
-
-def _walk_templates(products: tuple[Any, ...]) -> Iterator[Any]:
-    """Every template node reachable from ``products`` (containers included)."""
-    stack = list(products)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (TupleTemplate, SolutionTemplate, ListTemplate)):
-            stack.extend(node.elements)
-        elif isinstance(node, Call):
-            stack.extend(node.arguments)
-
-
-def producible_keys(rules: tuple[Rule, ...]) -> tuple[set[Any], bool, bool]:
-    """Index keys the rules of a scope can create in their own solution.
-
-    Returns ``(keys, any_tuple, any_atom)``: the concrete keys producible by
-    the rules' top-level products, whether some product builds a tuple with
-    a statically unknown head (any ``("tuple", *)`` key becomes reachable),
-    and whether some product can create arbitrary atoms (``Call`` results
-    are external values — the check must then assume anything).
-
-    ``Ref``/``Splice`` products of a pattern-bound variable re-insert atoms
-    that were just consumed from the same solution, so they cannot make a
-    *new* key appear and contribute nothing; of a :attr:`~Rule.given` one,
-    they add the given atoms.
-    """
-    keys: set[Any] = set()
-    any_tuple = False
-    any_atom = False
-    for rule in rules:
-        for node in _walk_templates(rule.products):
-            if isinstance(node, Call):
-                any_atom = True
-            elif isinstance(node, TupleTemplate):
-                head = node.elements[0] if node.elements else None
-                if isinstance(head, Symbol):
-                    keys.add(("tuple", head.name))
-                    keys.add(("kind", "tuple"))
-                else:
-                    any_tuple = True
-            elif isinstance(node, SolutionTemplate):
-                keys.add(("kind", "solution"))
-            elif isinstance(node, ListTemplate):
-                keys.add(("kind", "list"))
-            elif isinstance(node, (Ref, Splice)):
-                for atom in given_atoms(rule, node.name):
-                    keys.update(atom_index_keys(atom))
-            elif isinstance(node, Atom):
-                keys.update(atom_index_keys(node))
-            elif not isinstance(node, Template):
-                try:
-                    keys.update(atom_index_keys(to_atom(node)))
-                except AtomError:  # an unconvertible literal: anything
-                    any_atom = True
-    return keys, any_tuple, any_atom
-
-
-def _key_multiset(rule: Rule) -> Counter[Any]:
-    """The rule's pattern index keys as a multiset (``None`` = any bucket)."""
-    return Counter(rule.pattern_index_keys)
-
-
-def _is_sub_multiset(smaller: Counter[Any], larger: Counter[Any]) -> bool:
-    return all(larger.get(key, 0) >= count for key, count in smaller.items())
-
-
 # ---------------------------------------------------------------- the checks
 @register_check(
     "rule-unbound-product",
@@ -187,7 +68,8 @@ def _is_sub_multiset(smaller: Counter[Any], larger: Counter[Any]) -> bool:
 def check_unbound_product(scope: RuleScope) -> Iterator[Finding]:
     """Products referencing unbound variables raise only when the rule fires."""
     for rule in scope.rules:
-        unbound = sorted(rule.referenced_variables() - rule.bound_variables())
+        summary = rule.summary
+        unbound = sorted((summary.reads["ref"] | summary.reads["splice"]) - summary.bound(rule.given))
         if unbound:
             names = ", ".join(repr(name) for name in unbound)
             yield Finding(
@@ -205,20 +87,20 @@ def check_unbound_product(scope: RuleScope) -> Iterator[Finding]:
     "rule-unbound-condition",
     kind="rule",
     severity=Severity.WARNING,
-    description="condition/effect closures must only read variables the patterns bind",
+    description="conditions and effects must only read variables the patterns bind",
 )
 def check_unbound_condition(scope: RuleScope) -> Iterator[Finding]:
     """An unbound condition variable makes the rule silently never fire.
 
-    The engine treats a ``KeyError`` raised by a condition as a non-match,
-    so the rule just never applies — the exact hang-until-timeout class.
-    The bytecode scan is conservative, hence the warning severity.
+    A condition side naming a variable that is neither bound nor given is
+    no match, so the rule just never applies — the exact
+    hang-until-timeout class; an effect reading one raises when it fires.
     """
     for rule in scope.rules:
-        bound = rule.bound_variables()
-        for role, closure in (("condition", rule.condition), ("effect", rule.effect)):
-            referenced = condition_variables(closure)
-            unbound = sorted(referenced - bound)
+        summary = rule.summary
+        bound = summary.bound(rule.given)
+        for role in ("condition", "effect"):
+            unbound = sorted(summary.reads[role] - bound)
             if unbound:
                 names = ", ".join(repr(name) for name in unbound)
                 yield Finding(
@@ -242,32 +124,24 @@ def check_unbound_condition(scope: RuleScope) -> Iterator[Finding]:
 def check_dead_index_key(scope: RuleScope) -> Iterator[Finding]:
     """A rule whose index key can never appear is registered but structurally dead.
 
-    A key is *live* when the initial solution contains it, when another rule
-    of the scope can produce it, or when the outside world can inject it
-    (``scope.injected_keys``).  The engine's plausibility filter skips rules
-    with no candidates in their buckets, so a dead key means the rule never
-    even reaches the matcher.
+    A key is *live* when the initial solution contains it, when a rule of
+    the scope can add it at the scope's level (depth 0 of its summary), or
+    when the outside world can inject it (``scope.injected_keys``).  The
+    engine's plausibility filter skips rules with no candidates in their
+    buckets, so a dead key means the rule never even reaches the matcher.
     """
     if scope.solution is None or scope.injected_wildcard:
         return
-    live: set[Any] = set()
+    live: set[Any] = set(scope.injected_keys)
     for atom in scope.solution.atoms():
         live.update(atom_index_keys(atom))
-    live.update(scope.injected_keys)
-    produced, any_tuple, any_atom = producible_keys(scope.rules)
-    if any_atom:
-        return
-    live.update(produced)
     for rule in scope.rules:
-        dead = []
-        for key in rule.pattern_index_keys:
-            if key is None or key in live:
-                continue
-            if key[0] == "tuple" and any_tuple:
-                continue
-            if key == ("kind", "tuple") and any_tuple:
-                continue
-            dead.append(key)
+        added, anything = rule.summary.added(0, rule.given)
+        if anything:
+            return
+        live |= added
+    for rule in scope.rules:
+        dead = [key for key in rule.pattern_index_keys if key is not None and key not in live]
         if dead:
             rendered = ", ".join(f"{kind}:{name}" for kind, name in dead)
             yield Finding(
@@ -327,7 +201,7 @@ def check_shadowed(scope: RuleScope) -> Iterator[Finding]:
     may never fire.
     """
     for index, later in enumerate(scope.rules):
-        later_keys = _key_multiset(later)
+        later_keys = Counter(later.pattern_index_keys)  # a multiset: None is any bucket
         for earlier in scope.rules[:index]:
             if earlier.priority != later.priority:
                 continue
@@ -335,7 +209,7 @@ def check_shadowed(scope: RuleScope) -> Iterator[Finding]:
                 continue
             if earlier.name == later.name:
                 continue  # rule-duplicate-name covers identical names
-            if _is_sub_multiset(_key_multiset(earlier), later_keys):
+            if Counter(earlier.pattern_index_keys) <= later_keys:
                 yield Finding(
                     check="rule-shadowed",
                     severity=Severity.WARNING,
@@ -364,26 +238,24 @@ def check_template_arity(scope: RuleScope) -> Iterator[Finding]:
     single atom, which usually hides a wrong pattern.
     """
     for rule in scope.rules:
-        omegas = rule.omega_variables()
-        scalars = rule.bound_variables() - omegas
-        for node in _walk_templates(rule.products):
-            if isinstance(node, Ref) and node.name in omegas:
-                yield Finding(
-                    check="rule-template-arity",
-                    severity=Severity.ERROR,
-                    subject=rule.name,
-                    message=f"rule {rule.name!r} uses Ref({node.name!r}) but "
-                    f"{node.name!r} is omega-bound (a list of atoms)",
-                    fix_hint=f"use Splice({node.name!r}) to splice the captured atoms",
-                    location=scope.label,
-                )
-            elif isinstance(node, Splice) and node.name in scalars:
-                yield Finding(
-                    check="rule-template-arity",
-                    severity=Severity.WARNING,
-                    subject=rule.name,
-                    message=f"rule {rule.name!r} uses Splice({node.name!r}) but "
-                    f"{node.name!r} is bound to a single atom",
-                    fix_hint=f"use Ref({node.name!r}) for scalar bindings",
-                    location=scope.label,
-                )
+        summary = rule.summary
+        omegas = summary.omega(rule.given)
+        scalars = summary.bound(rule.given) - omegas
+        for name in sorted(summary.reads["ref"] & omegas):
+            yield Finding(
+                check="rule-template-arity",
+                severity=Severity.ERROR,
+                subject=rule.name,
+                message=f"rule {rule.name!r} uses Ref({name!r}) but {name!r} is omega-bound (a list of atoms)",
+                fix_hint=f"use Splice({name!r}) to splice the captured atoms",
+                location=scope.label,
+            )
+        for name in sorted(summary.reads["splice"] & scalars):
+            yield Finding(
+                check="rule-template-arity",
+                severity=Severity.WARNING,
+                subject=rule.name,
+                message=f"rule {rule.name!r} uses Splice({name!r}) but {name!r} is bound to a single atom",
+                fix_hint=f"use Ref({name!r}) for scalar bindings",
+                location=scope.label,
+            )

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.hocl.atoms import Symbol
 from repro.hocl.engine import ReductionReport
-from repro.hocl.patterns import Literal, SolutionPattern, TuplePattern
 from repro.hocl.rules import Rule
 from repro.hoclflow import keywords as kw
 from repro.runtime.results import RunReport
@@ -47,24 +45,17 @@ _CONDITIONAL_MARKERS = frozenset({kw.ADAPT, kw.ERROR, kw.TRIGGER})
 def conditional_rule_names(rules: Iterable[Rule]) -> frozenset[str]:
     """Names of rules that structurally wait for a failure/adaptation marker.
 
-    A rule whose patterns contain the ``ADAPT``, ``ERROR`` or ``TRIGGER``
-    symbol can only fire on the failure path; a run where every service
-    succeeded never exercises it, which is expected — the coverage check
-    downgrades such never-fired rules to :attr:`Severity.INFO`.
+    A rule whose patterns match the ``ADAPT``, ``ERROR`` or ``TRIGGER``
+    symbol (or a tuple it heads), at any depth, can only fire on the failure
+    path; a run where every service succeeded never exercises it, which is
+    expected — the coverage check downgrades such never-fired rules to
+    :attr:`Severity.INFO`.
     """
-    conditional: set[str] = set()
-    for rule in rules:
-        stack = list(rule.patterns)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Literal):
-                atom = node.atom
-                if isinstance(atom, Symbol) and atom.name in _CONDITIONAL_MARKERS:
-                    conditional.add(rule.name)
-                    break
-            elif isinstance(node, (TuplePattern, SolutionPattern)):
-                stack.extend(node.elements)
-    return frozenset(conditional)
+    return frozenset(
+        rule.name
+        for rule in rules
+        if any(kind in ("symbol", "tuple") and name in _CONDITIONAL_MARKERS for kind, name in rule.summary.matched())
+    )
 
 
 @dataclass

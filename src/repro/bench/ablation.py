@@ -21,7 +21,7 @@ import time
 from typing import Any
 
 from repro.experiments import ParameterGrid
-from repro.hocl import Multiset, Ref, Rule, Var, reduce_solution
+from repro.hocl import Compare, Multiset, Ref, Rule, Var, reduce_solution
 from repro.runtime import CostModel, GinFlow, GinFlowConfig
 from repro.workflow import diamond_workflow
 
@@ -30,15 +30,10 @@ from .common import format_table
 __all__ = ["run_matching_cost_ablation", "run_status_update_ablation", "format_ablation"]
 
 
-def _x_is_larger(bindings) -> bool:
-    """getMax's reaction condition, ``if x >= y``."""
-    return bindings.value("x") >= bindings.value("y")
-
-
 def _measure_matching_cost(workflow, config, cell) -> dict[str, Any]:
     """Custom sweep runner: reduce a getMax multiset and time it."""
     size = cell["solution_size"]
-    max_rule = Rule("max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")], condition=_x_is_larger)
+    max_rule = Rule("max", [Var("x", kind="int"), Var("y", kind="int")], [Ref("x")], condition=Compare(">=", Ref("x"), Ref("y")))
     solution = Multiset(list(range(size)) + [max_rule])
     started = time.perf_counter()
     report = reduce_solution(solution)

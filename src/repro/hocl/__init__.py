@@ -58,7 +58,7 @@ from .patterns import (
     TuplePattern,
     Var,
 )
-from .rules import BindingView, Rule, replace, replace_one, with_inject
+from .rules import BindingView, Compare, Rule, replace, replace_one, with_inject
 from .templates import (
     Call,
     ListTemplate,
@@ -117,6 +117,7 @@ __all__ = [
     "Call",
     # rules
     "Rule",
+    "Compare",
     "BindingView",
     "replace",
     "replace_one",

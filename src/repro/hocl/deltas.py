@@ -59,14 +59,17 @@ text at the first fire and readable as ``rule.delta.__source__``.  The local
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from math import inf
+from typing import Any, Mapping, Sequence
 
-from .atoms import Atom
+from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, to_atom
+from .errors import AtomError
 from .matching import _FACTORIES, _load, _serial
+from .multiset import atom_index_keys
 from .patterns import Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, solution_patterns
-from .templates import Ref, SolutionTemplate, Splice, TupleTemplate, display, emit_template
+from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate, display, emit_template
 
-__all__ = ["derive_delta"]
+__all__ = ["RuleSummary", "derive_delta"]
 
 
 def _span(pattern: Pattern) -> int:
@@ -373,3 +376,147 @@ def _patched_body(pattern: SolutionPattern, template: SolutionTemplate, site: in
     if added:
         ops.append(PatchAdd(site, added))
     return ops
+
+
+class RuleSummary:
+    """What a rule binds, reads, matches and can add, read once off its two
+    sides, its condition, its effect and its :class:`RewriteDelta`: the one
+    model of a rule :mod:`repro.analysis` reads.  It depends on the rule's
+    body alone, so :meth:`~repro.hocl.rules.Rule.bind` siblings share it, and
+    resolve their ``given`` names through :meth:`bound`, :meth:`omega` and
+    :meth:`added`.  A depth counts solutions from the one the rule lives in
+    (0) to the one an atom is a member of.
+
+    Attributes
+    ----------
+    binds, omegas:
+        The names the patterns bind, and those of them bound to a list.
+    reads:
+        Role -> the names the rule reads in it: ``"ref"`` and ``"splice"``
+        (the products' ``Ref`` and ``Splice``), ``"condition"`` and
+        ``"effect"`` (the effect's parameters).
+    matches:
+        Depth -> the index keys the patterns match there.
+    adds:
+        Depth -> the index keys the atoms a firing makes can have there,
+        given atoms aside: read off the delta's ``produce`` and each
+        :class:`PatchAdd`'s templates.  What a firing restates is not made,
+        and a matched atom a product moves elsewhere is not made either.
+    """
+
+    __slots__ = ("binds", "omegas", "reads", "matches", "adds", "givens", "anywhere", "below")
+
+    def __init__(
+        self, patterns: Sequence[Pattern], products: Sequence[Any], condition: Any, effect_names: Sequence[str],
+        delta: RewriteDelta,
+    ):  # fmt: skip
+        self.binds: set[str] = set()
+        self.omegas: set[str] = set()
+        for pattern in patterns:
+            self.binds |= pattern.bound_names()
+            self.omegas |= pattern.omega_names()
+        conditional = () if condition is None else condition.names
+        self.reads = {"ref": set(), "splice": set(), "condition": set(conditional), "effect": set(effect_names)}
+        self.matches: dict[int, set[Any]] = {}
+        self.adds: dict[int, set[Any]] = {}
+        self.givens: list[tuple[str, int, bool]] = []  # a name no pattern binds, the depth its atoms join, as members
+        self.anywhere: set[int] = set()  # the depths a firing can add any atom at
+        self.below = inf  # ... and every depth from this one on
+        bodies: list[tuple[int, int]] = []  # (depth, elements) of each solution pattern's body, in site order
+        for pattern in patterns:
+            self._match(pattern, 0, True, bodies)
+        depths, site = {}, len(patterns)
+        for depth, size in bodies:
+            depths[site] = depth
+            site += 1 + size
+        for product in products:
+            self._read(product)
+        for template in delta.produce:
+            self._add(template, 0, True)
+        for op in delta.ops:
+            for template in op.templates if isinstance(op, PatchAdd) else ():
+                self._add(template, depths[op.site], True)
+
+    def bound(self, given: Mapping[str, Any]) -> set[str]:
+        """The names a match of the rule given ``given`` binds."""
+        return self.binds | given.keys()
+
+    def omega(self, given: Mapping[str, Any]) -> set[str]:
+        """Those of :meth:`bound` bound to a list."""
+        return self.omegas | {name for name, value in given.items() if isinstance(value, list)}
+
+    def matched(self) -> set[Any]:
+        """The index keys the patterns match, at any depth."""
+        return set().union(*self.matches.values())
+
+    def added(self, depth: int, given: Mapping[str, Any]) -> tuple[set[Any], bool]:
+        """The index keys a firing of the rule given ``given`` can add at
+        ``depth``, and whether it can add any atom there."""
+        keys = {depth: set(self.adds.get(depth, ()))}
+        for name, at, member in self.givens:
+            value = given.get(name)
+            for atom in value if isinstance(value, list) else () if value is None else (value,):
+                _atom_adds(atom, at, member, keys)
+        return keys[depth], depth in self.anywhere or depth >= self.below
+
+    def _match(self, pattern: Pattern, depth: int, member: bool, bodies: list[tuple[int, int]]) -> None:
+        if member and (key := pattern.index_key()) is not None:
+            self.matches.setdefault(depth, set()).add(key)
+        if isinstance(pattern, SolutionPattern):
+            bodies.append((depth + 1, len(pattern.elements)))
+        if isinstance(pattern, (TuplePattern, SolutionPattern)):
+            inner = isinstance(pattern, SolutionPattern)
+            for element in pattern.elements:
+                self._match(element, depth + inner, inner, bodies)
+
+    def _read(self, template: Any) -> None:
+        if isinstance(template, (Ref, Splice)):
+            self.reads["ref" if isinstance(template, Ref) else "splice"].add(template.name)
+        elif isinstance(template, Template):
+            for inner in template.arguments if isinstance(template, Call) else template.elements:  # type: ignore[attr-defined]
+                self._read(inner)
+
+    def _anything(self, depth: int, member: bool) -> None:
+        """Any atom can join at ``depth`` (as a member), holding any atom below it."""
+        if member:
+            self.anywhere.add(depth)
+        self.below = min(self.below, depth + 1)
+
+    def _add(self, template: Any, depth: int, member: bool) -> None:
+        """Note what expanding ``template`` adds at ``depth``, as a member of
+        that level or a field of an atom of it."""
+        if isinstance(template, (Ref, Splice)):
+            if template.name not in self.binds:  # a matched atom only moves
+                self.givens.append((template.name, depth, member))
+        elif isinstance(template, Call):
+            self._anything(depth, member)
+        elif isinstance(template, Template):
+            inner = isinstance(template, SolutionTemplate)
+            for element in template.elements:  # type: ignore[attr-defined]
+                self._add(element, depth + inner, inner)
+            if not member:
+                return
+            kind = "solution" if inner else "list" if isinstance(template, ListTemplate) else "tuple"
+            head = template.elements[0] if template.elements else None  # type: ignore[attr-defined]
+            if kind == "tuple" and (head is None or isinstance(head, Template)):
+                self.anywhere.add(depth)  # a tuple of a head unknown here
+            else:
+                named = [("tuple", head.name)] if kind == "tuple" and isinstance(head, Symbol) else []
+                self.adds.setdefault(depth, set()).update([*named, ("kind", kind)])
+        else:
+            try:
+                _atom_adds(to_atom(template), depth, member, self.adds)
+            except AtomError:  # no atom: nothing is known of what a firing makes of it
+                self._anything(depth, member)
+
+
+def _atom_adds(atom: Atom, depth: int, member: bool, keys: dict[int, set[Any]]) -> None:
+    """Note in ``keys`` the index keys ``atom``, joining at ``depth``, adds there and below."""
+    if member:
+        keys.setdefault(depth, set()).update(atom_index_keys(atom))
+    if isinstance(atom, Subsolution):
+        for inner in atom.solution:
+            _atom_adds(inner, depth + 1, True, keys)
+    elif isinstance(atom, (TupleAtom, ListAtom)):
+        for inner in atom.elements if isinstance(atom, TupleAtom) else atom.items:
+            _atom_adds(inner, depth, False, keys)

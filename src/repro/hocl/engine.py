@@ -305,7 +305,7 @@ class ReductionEngine:
         if self.observer is not None:
             for name in bindings:
                 bindings.atom(name)
-        emitted = list(rule.effect(bindings) or ()) if rule.effect is not None else ()
+        emitted = list(rule.effect(*map(bindings.value, rule.effect_names)) or ()) if rule.effect is not None else ()
         try:
             removed, added = rule.delta.apply(match, solution, self.externals)
         except Exception as exc:  # noqa: BLE001 - context added

@@ -8,9 +8,10 @@ implements that search.
 The matcher is one backtracking search per distinct left-hand side
 (:func:`compiled_search`), *generated*: the patterns write the Python source of
 one flat function (:meth:`~repro.hocl.patterns.Pattern.emit` — nested ``for``
-loops over index buckets, variables as locals, the condition and the
-:class:`Match` at the innermost level), compiled once per distinct text at the
-first search and readable as ``compiled_search(patterns).__source__``.  It is
+loops over index buckets, variables as locals, the reaction condition
+(:meth:`~repro.hocl.rules.Compare.emit`) and the :class:`Match` at the
+innermost level), compiled once per distinct text at the first search and
+readable as ``compiled_search(patterns, condition).__source__``.  It is
 asked two ways: :func:`first_match` returns the first admissible match of a
 rule — all the reduction engine ever consumes — and :func:`find_matches`
 enumerates every match of a pattern sequence.  It draws its candidates from
@@ -42,7 +43,7 @@ from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _R
 from .templates import coerce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .rules import Rule
+    from .rules import Compare, Rule
 
 __all__ = ["Match", "compiled_search", "first_match", "find_matches", "find_first_match", "count_matches"]
 
@@ -80,31 +81,32 @@ _NAMES = {
     "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView, "Match": Match,
     "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
 }  # fmt: skip
-_SIGNATURE = "solution, condition=None, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
+_SIGNATURE = "solution, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
 #: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search
 #: of one left-hand side, or the fire of one delta
 _FACTORIES: dict[str, Callable[..., Any]] = {}
 _FACTORY_LIMIT = 512  #: shape churn (random programs) cannot leak
 _serial = count(1)
-#: left-hand side (its pattern objects) -> its search, while a rule holds it
-_COMPILED: "WeakValueDictionary[tuple[Pattern, ...], Search]" = WeakValueDictionary()
+#: left-hand side (its pattern objects and condition) -> its search, while a rule holds it
+_COMPILED: "WeakValueDictionary[tuple[Any, ...], Search]" = WeakValueDictionary()
 
 
 class Search:
-    """The search of one left-hand side: ``search(solution, condition, owner,
-    initial_bindings, pinned, pinned_entries, first)`` is every match in
-    enumeration order, or — ``first`` — only the first one; a match that would
-    consume ``owner`` is not one.
+    """The search of one left-hand side and its reaction condition:
+    ``search(solution, owner, initial_bindings, pinned, pinned_entries,
+    first)`` is every match in enumeration order, or — ``first`` — only the
+    first one; a match that would consume ``owner`` is not one.
 
     ``run`` is the generated function (what the engine calls) and ``__source__``
     its text, both written at the first search: a left-hand side nothing ever
     searches costs nothing.
     """
 
-    __slots__ = ("patterns", "run", "__source__", "__weakref__")
+    __slots__ = ("patterns", "condition", "run", "__source__", "__weakref__")
 
-    def __init__(self, patterns: tuple[Pattern, ...]):
+    def __init__(self, patterns: tuple[Pattern, ...], condition: "Compare | None"):
         self.patterns = patterns
+        self.condition = condition
 
     def __call__(self, *args: Any, **kwargs: Any) -> "list[Match]":
         return self.run(*args, **kwargs)
@@ -118,29 +120,32 @@ class Search:
             return self.__source__
         raise AttributeError(name)
 
-    def _first(self, solution: Multiset, condition: Any = None, owner: Any = None, *rest: Any, **more: Any) -> "list[Match]":
+    def _first(self, solution: Multiset, owner: Any = None, *rest: Any, **more: Any) -> "list[Match]":
         self._generate(getattr(owner, "name", None))
-        return self.run(solution, condition, owner, *rest, **more)
+        return self.run(solution, owner, *rest, **more)
 
     def _generate(self, rule: str | None) -> None:
-        text, constants = _write(self.patterns)
+        text, constants = _write(self.patterns, self.condition)
         factory = _FACTORIES.get(text) or _load(text, f"<hocl-lhs {rule or 'patterns'} #{next(_serial)}>")
         self.__source__, self.run = text, factory(*constants)
 
 
-def compiled_search(patterns: Sequence[Pattern]) -> Search:
-    """The search of the left-hand side ``patterns``, generated at its first use.
+def compiled_search(patterns: Sequence[Pattern], condition: "Compare | None" = None) -> Search:
+    """The search of the left-hand side ``patterns`` under ``condition``, generated at its first use.
 
     One per distinct left-hand side per process: rules built on the same
-    pattern objects (the per-task ``gw_call`` rules) share it, and so do agents
-    and threads — it holds no state, every call runs on its own locals.
+    pattern and condition objects (the per-task ``gw_call`` rules) share it,
+    and so do agents and threads — it holds no state, every call runs on its
+    own locals.
     """
-    key = tuple(patterns)
+    key = (*patterns, condition)
     search = _COMPILED.get(key)
     if search is None:
-        for pattern in key:
+        for pattern in patterns:
             _refuse(pattern)
-        search = _COMPILED[key] = Search(key)
+        if condition is not None:
+            condition.refuse(name for pattern in patterns for name in pattern.omega_names())
+        search = _COMPILED[key] = Search(tuple(patterns), condition)
     return search
 
 
@@ -168,8 +173,8 @@ def _load(text: str, filename: str) -> Callable[..., Any]:
     return factory
 
 
-def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
-    """The text of the search of ``patterns`` and the constants it names.
+def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[str, list[Any]]:
+    """The text of the search of ``patterns`` under ``condition`` and the constants it names.
 
     One nested ``for`` per pattern, in declaration order, over every candidate
     entry no earlier pattern took, in bucket order.  The candidates are drawn
@@ -214,8 +219,9 @@ def _write(patterns: tuple[Pattern, ...]) -> tuple[str, list[Any]]:
         pattern.emit(out, atom)
         entries.append(entry)
         atoms.append(atom)
+    if condition is not None:
+        condition.emit(out)
     out.line(f"b = View({out.bindings()})")
-    out.line("if condition is not None and not condition(b): continue")
     if atoms:  # by identity: rules are equal by name
         out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
     sites = [*entries, *out.sites]
@@ -248,19 +254,19 @@ def first_match(rule: "Rule", solution: Multiset) -> Match | None:
     """The first match of ``rule`` in ``solution`` that does not consume the
     rule itself — all the reduction engine ever asks for.
 
-    Runs on what the rule built once (compiled search, guarded condition),
-    from the rule's :attr:`~repro.hocl.rules.Rule.given` bindings, and leaves
+    Runs on what the rule built once (its compiled search, condition
+    included), from the rule's :attr:`~repro.hocl.rules.Rule.given` bindings, and leaves
     the has-candidates refutation to the engine, which decides on it whether
     a search is charged at all.
     """
-    found = rule.search.run(solution, rule.guarded_condition, rule, rule.given, None, (), True)
+    found = rule.search.run(solution, rule, rule.given, None, (), True)
     return found[0] if found else None
 
 
 def find_matches(
     patterns: Sequence[Pattern],
     solution: Multiset,
-    condition: Callable[[Bindings], bool] | None = None,
+    condition: "Compare | None" = None,
     initial_bindings: Bindings | None = None,
     *,
     pinned: int | None = None,
@@ -276,8 +282,8 @@ def find_matches(
     solution:
         The multiset to search.
     condition:
-        Optional reaction condition evaluated on the bindings; matches for
-        which it returns ``False`` are discarded.
+        Optional reaction condition (a :class:`~repro.hocl.rules.Compare`);
+        matches it does not hold for are discarded.
     initial_bindings:
         Optional starting environment: context variables such as the owning
         task name (what :func:`first_match` passes as a rule's ``given``).
@@ -287,25 +293,25 @@ def find_matches(
         :meth:`~repro.hocl.patterns.Pattern.match` holds one pattern to one
         atom.  The patterns still run in declaration order.
     """
-    search = compiled_search(patterns).run
-    return iter(search(solution, condition, None, initial_bindings, pinned, pinned_entries))
+    search = compiled_search(patterns, condition).run
+    return iter(search(solution, None, initial_bindings, pinned, pinned_entries))
 
 
 def find_first_match(
     patterns: Sequence[Pattern],
     solution: Multiset,
-    condition: Callable[[Bindings], bool] | None = None,
+    condition: "Compare | None" = None,
     initial_bindings: Bindings | None = None,
 ) -> Match | None:
     """Return the first match of ``patterns`` against ``solution`` or ``None``."""
-    found = compiled_search(patterns).run(solution, condition, None, initial_bindings, first=True)
+    found = compiled_search(patterns, condition).run(solution, None, initial_bindings, first=True)
     return found[0] if found else None
 
 
 def count_matches(
     patterns: Sequence[Pattern],
     solution: Multiset,
-    condition: Callable[[Bindings], bool] | None = None,
+    condition: "Compare | None" = None,
 ) -> int:
     """Count the matches of ``patterns`` against ``solution`` (diagnostics)."""
     return sum(1 for _ in find_matches(patterns, solution, condition))

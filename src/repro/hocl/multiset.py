@@ -169,13 +169,12 @@ class _Memory:
     into ``entries`` in one pass only once it outgrows an eighth of it, so
     each pass is paid for by as many returns."""
 
-    __slots__ = ("key", "entries", "late", "readers")
+    __slots__ = ("key", "entries", "late")
 
     def __init__(self, key: Any, bucket: Iterable[_Entry]):
         self.key = key
         self.entries: dict[_Entry, None] = dict.fromkeys(bucket)
         self.late: list[_Entry] = []
-        self.readers = 0  # searches iterating the memory right now
 
     def admit(self, entry: _Entry, keys: tuple[Any, ...], last: bool) -> None:
         """Take ``entry`` (its atom's index ``keys``) if it is of this bucket;
@@ -192,8 +191,10 @@ class _Memory:
         if self.entries.pop(entry, late) is late and entry in late:
             late.remove(entry)
 
-    def _merged(self) -> Iterable[_Entry]:
-        """The remembered entries in bucket order, read in place (as often as asked)."""
+    def open(self) -> Iterable[_Entry]:
+        """The remembered entries in bucket order, to iterate in place (as
+        often as asked) — no copy per search: no search runs inside another.
+        What the reader refutes meanwhile it hands to :meth:`close`."""
         if not self.late:
             return self.entries
         if len(self.late) * 8 > len(self.entries):
@@ -204,26 +205,12 @@ class _Memory:
 
     def snapshot(self) -> list[_Entry]:
         """The remembered entries in bucket order, safe across mutations."""
-        return list(self._merged())
-
-    def open(self) -> Iterable[_Entry]:
-        """The remembered entries in bucket order, to iterate in place — no copy
-        per search.  What the reader refutes meanwhile it hands to :meth:`close`."""
-        merged = self._merged()
-        self.readers += 1
-        return merged
+        return list(self.open())
 
     def close(self, refuted: list[_Entry]) -> None:
         """End a read begun by :meth:`open`, forgetting the ``refuted`` entries."""
-        self.readers -= 1
-        if self.readers and refuted:
-            # a search run from inside a search (by a condition): the outer one
-            # goes on over the containers it holds, this one leaves new ones
-            self.entries = {entry: None for entry in self.entries if entry not in refuted}
-            self.late = [entry for entry in self.late if entry not in refuted]
-        else:
-            for entry in refuted:
-                self.refute(entry)
+        for entry in refuted:
+            self.refute(entry)
 
 
 class _Merged:

@@ -24,8 +24,9 @@ Syntax conventions
 * Rule definitions: ``let NAME = replace LHS by RHS [if COND] in BODY``,
   ``replace-one`` for one-shot rules and ``with LHS inject RHS`` for the
   HOCLflow sugar.
-* Conditions are comparisons between two operands (variables or literals)
-  with ``<= >= < > == !=``.
+* Conditions are comparisons between two operands (variables or literals:
+  numbers, strings, symbols) with ``<= >= < > == !=``; ``==`` and ``!=``
+  compare atoms, the others their plain values (a symbol's is its name).
 * ``#`` starts a comment running to the end of the line.
 
 The parser returns a :class:`Program` exposing the top-level solution (a
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .atoms import Atom, FloatAtom, IntAtom, ListAtom, StringAtom, Subsolution, Symbol, TupleAtom
 from .errors import ParseError
 from .multiset import Multiset
 from .patterns import Literal, Omega, Pattern, RulePattern, SolutionPattern, SymbolPattern, TuplePattern, Var
-from .rules import BindingView, Rule, with_inject
+from .rules import Compare, Rule, with_inject
 from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate
 
 __all__ = ["Program", "parse_program", "parse_solution"]
@@ -328,49 +329,22 @@ class _Parser:
         raise ParseError(f"unexpected token {token.text!r} in product", token.line, token.column)
 
     # ------------------------------------------------------------- condition
-    def _parse_condition(self) -> Callable[..., bool]:
+    def _parse_condition(self) -> Compare:
         left = self._parse_condition_operand()
         op_token = self._next()
         if op_token.text not in ("<=", ">=", "<", ">", "==", "!="):
             raise ParseError(f"expected a comparison operator, got {op_token.text!r}", op_token.line, op_token.column)
-        right = self._parse_condition_operand()
-        operator = op_token.text
-
-        def evaluate(operand: Any, view: BindingView) -> Any:
-            kind, value = operand
-            if kind == "var":
-                return view.value(value)
-            return value
-
-        def condition(view: BindingView, _l: Any = left, _r: Any = right, _op: str = operator) -> bool:
-            lhs = evaluate(_l, view)
-            rhs = evaluate(_r, view)
-            if _op == "<=":
-                return lhs <= rhs
-            if _op == ">=":
-                return lhs >= rhs
-            if _op == "<":
-                return lhs < rhs
-            if _op == ">":
-                return lhs > rhs
-            if _op == "==":
-                return lhs == rhs
-            return lhs != rhs
-
-        return condition
+        return Compare(op_token.text, left, self._parse_condition_operand())
 
     def _parse_condition_operand(self) -> Any:
-        """Returns a tagged operand: ("var", name) or ("lit", python value)."""
+        """A variable (``Ref``), or a number, string or symbol atom."""
         token = self._next()
         if token.kind == "number":
-            return ("lit", _number_atom(token.text).value)
+            return _number_atom(token.text)
         if token.kind == "string":
-            return ("lit", _unquote(token.text))
+            return StringAtom(_unquote(token.text))
         if token.kind == "name":
-            if token.text[0].isupper():
-                # symbols unwrap to their name when compared in conditions
-                return ("lit", token.text)
-            return ("var", token.text)
+            return Symbol(token.text) if token.text[0].isupper() else Ref(token.text)
         raise ParseError(f"unexpected token {token.text!r} in condition", token.line, token.column)
 
     # ----------------------------------------------------------------- values

@@ -97,8 +97,8 @@ class _Rest:
 
 class BindingView(Mapping[str, Any]):
     """The variable environment of a match: name -> atom, or name -> list of
-    atoms for an omega, with the accessors reaction conditions want
-    (``lambda b: b.value("x") >= b.value("y")``).
+    atoms for an omega, with the accessors an effect's arguments and an
+    external read (``b.value("x")``, the plain value).
 
     An omega's list is copied out of its solution at the first read of the
     name and kept: one nobody reads costs nothing.  A first read after that
@@ -269,7 +269,9 @@ class Pattern:
         pattern.  The default serves a subclass the generator does not know,
         through its own :meth:`match`: one more loop over the extensions it
         returns of what is bound so far, each the environment from there on
-        (one that defines neither is refused when the left-hand side is built)."""
+        (one that defines neither is refused when the left-hand side is built).
+        That ``match`` must not search the level it is matched in: a search
+        iterates the level's candidate memories in place."""
         extended = out.local("x")
         out.loop(f"for {extended} in {out.const(self)}.match({atom}, dict(View({out.bindings()}))):")
         out.extra = extended
@@ -281,7 +283,7 @@ class Pattern:
         from .matching import compiled_search  # imports this module
 
         # a one-pattern search pinned to the one candidate never reads a solution
-        found = compiled_search((self,))(None, None, None, bindings, 0, (_Entry(atom, 0),))
+        found = compiled_search((self,))(None, None, bindings, 0, (_Entry(atom, 0),))
         return [match.bindings for match in found]
 
     def reject(self, out: Source, atom: str) -> str:
@@ -296,28 +298,14 @@ class Pattern:
         """
         return "False"
 
-    def variables(self) -> set[str]:
-        """Names of all variables (including omegas) referenced by the pattern."""
+    def bound_names(self) -> set[str]:
+        """Variable names a successful match of this pattern binds: every
+        variable it names, omegas included (HOCL patterns have no free variables)."""
         return set()
 
-    def bound_names(self) -> set[str]:
-        """Variable names a successful match of this pattern binds.
-
-        Every variable referenced by a pattern is a binder (HOCL patterns
-        have no free variables), so this equals :meth:`variables`; the
-        method exists as the static-analysis entry point — product and
-        condition variables are checked against this set by
-        :mod:`repro.analysis` without running a reduction.
-        """
-        return self.variables()
-
     def omega_names(self) -> set[str]:
-        """Subset of :meth:`bound_names` bound to *lists* of atoms (omegas).
-
-        Products must splice these (``Splice``) rather than reference them
-        (``Ref``); :mod:`repro.analysis` uses the distinction for its
-        template-arity check.
-        """
+        """Those of :meth:`bound_names` bound to *lists* of atoms (omegas),
+        which products splice (``Splice``) rather than reference (``Ref``)."""
         return set()
 
     def index_key(self) -> Any | None:
@@ -378,7 +366,7 @@ class Var(Pattern):
             return "False"
         return f"{atom}.kind {f'!= {kinds[0]!r}' if len(kinds) == 1 else f'not in {kinds!r}'}"
 
-    def variables(self) -> set[str]:
+    def bound_names(self) -> set[str]:
         return {self.name}
 
     def index_key(self) -> Any | None:
@@ -406,7 +394,7 @@ class Omega(Pattern):
             raise PatternError("Omega requires a non-empty name")
         self.name = name
 
-    def variables(self) -> set[str]:
+    def bound_names(self) -> set[str]:
         return {self.name}
 
     def omega_names(self) -> set[str]:
@@ -486,21 +474,11 @@ class TuplePattern(Pattern):
         tests += [element.reject(out, f"{items}[{index}]") for index, element in enumerate(self.elements)]
         return _any(tests)
 
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for element in self.elements:
-            names |= element.variables()
-        if self.rest is not None:
-            names |= self.rest.variables()
-        return names
+    def bound_names(self) -> set[str]:
+        return _inner(self, "bound_names")
 
     def omega_names(self) -> set[str]:
-        names: set[str] = set()
-        for element in self.elements:
-            names |= element.omega_names()
-        if self.rest is not None:
-            names |= self.rest.omega_names()
-        return names
+        return _inner(self, "omega_names")
 
     def index_key(self) -> Any | None:
         # ``HEAD : ...`` patterns (the HOCLflow idiom) restrict the search to
@@ -585,21 +563,11 @@ class SolutionPattern(Pattern):
                 tests.append(f"len({entries}) == 1 and ({single})")
         return _any(tests)
 
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for element in self.elements:
-            names |= element.variables()
-        if self.rest is not None:
-            names |= self.rest.variables()
-        return names
+    def bound_names(self) -> set[str]:
+        return _inner(self, "bound_names")
 
     def omega_names(self) -> set[str]:
-        names: set[str] = set()
-        for element in self.elements:
-            names |= element.omega_names()
-        if self.rest is not None:
-            names |= self.rest.omega_names()
-        return names
+        return _inner(self, "omega_names")
 
     def index_key(self) -> Any | None:
         return ("kind", "solution")
@@ -629,7 +597,7 @@ class RulePattern(Pattern):
     def reject(self, out: Source, atom: str) -> str:
         return f"{atom}.kind != 'rule'" + ("" if self.name is None else f" or {atom}.name != {out.const(self.name)}")
 
-    def variables(self) -> set[str]:
+    def bound_names(self) -> set[str]:
         return {self.bind_as} if self.bind_as else set()
 
     def index_key(self) -> Any | None:
@@ -639,6 +607,14 @@ class RulePattern(Pattern):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RulePattern(name={self.name!r}, bind_as={self.bind_as!r})"
+
+
+def _inner(pattern: "TuplePattern | SolutionPattern", names: str) -> set[str]:
+    """The union of ``names()`` over the element patterns and the ω of ``pattern``."""
+    found: set[str] = set()
+    for inner in (*pattern.elements, *([pattern.rest] if pattern.rest is not None else [])):
+        found |= getattr(inner, names)()
+    return found
 
 
 def _any(tests: list[str]) -> str:

@@ -22,48 +22,98 @@ ones (it is defined in the paper as ``replace-one X by X, M``).
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .atoms import Atom, to_atom
-from .deltas import RewriteDelta, derive_delta
+from .atoms import Atom, Symbol, from_atom, to_atom
+from .deltas import RewriteDelta, RuleSummary, derive_delta
 from .errors import RuleError
 from .matching import compiled_search
-from .patterns import BindingView, as_pattern
-from .templates import template_referenced_names
+from .patterns import BindingView, Source, as_pattern
+from .templates import Ref
 
-__all__ = ["BindingView", "Rule", "replace", "replace_one", "with_inject"]
-
-
-#: Type of reaction conditions: a predicate over the binding environment.
-Condition = Callable[[BindingView], bool]
-
-#: Type of effect hooks invoked when a rule fires: a function of the bindings
-#: alone, returning the values the firing emits (or ``None``).  The engine
-#: collects them in :attr:`~repro.hocl.engine.ReductionReport.effects`.
-EffectHook = Callable[[BindingView], "Iterable[Any] | None"]
+__all__ = ["BindingView", "Compare", "Rule", "replace", "replace_one", "with_inject"]
 
 
-def _guarded(condition: Condition) -> Condition:
-    """``condition`` as the matcher calls it.
+#: Type of effect hooks invoked when a rule fires: a function whose positional
+#: parameters name the variables it reads, called with their values
+#: (:meth:`BindingView.value`), returning the values the firing emits (or
+#: ``None``).  The engine collects them in
+#: :attr:`~repro.hocl.engine.ReductionReport.effects`.
+EffectHook = Callable[..., "Iterable[Any] | None"]
 
-    A condition that cannot even be evaluated on the candidate atoms (e.g.
-    comparing an integer with a rule) simply means the reaction is not
-    possible — mirror HOCL's typed semantics by treating it as a non-match
-    rather than an error.
+
+_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _ordered(op: str, left: Atom, right: Atom) -> bool:
+    """``left op right`` on the plain values; values of no common order are no match."""
+    try:
+        return bool(_ORDERS[op](from_atom(left), from_atom(right)))
+    except TypeError:
+        return False
+
+
+class Compare:
+    """A reaction condition: ``left op right``, each side a :class:`~repro.hocl.templates.Ref`
+    to a variable or a literal atom (a plain value is coerced).
+
+    ``==`` and ``!=`` are atom equality, the one ``Literal`` patterns and the
+    multiset use; ``<``, ``<=``, ``>`` and ``>=`` compare the plain values
+    (:func:`~repro.hocl.atoms.from_atom`), and values of no common order are
+    no match.  So is a side naming a variable that is neither bound nor
+    given.  Nothing calls it: the search writes it inline (:meth:`emit`).
     """
 
-    def guarded(bindings: BindingView) -> bool:
-        try:
-            return bool(condition(bindings))
-        except (TypeError, KeyError, AttributeError):
-            return False
+    __slots__ = ("op", "left", "right", "names")
 
-    return guarded
+    def __init__(self, op: str, left: Any, right: Any):
+        if op not in ("==", "!=", *_ORDERS):
+            raise RuleError(f"unknown comparison operator {op!r}")
+        self.op = op
+        self.left, self.right = (side if isinstance(side, Ref) else to_atom(side) for side in (left, right))
+        #: the variables it reads
+        self.names = tuple(dict.fromkeys(side.name for side in (self.left, self.right) if isinstance(side, Ref)))
+
+    def refuse(self, omegas: Iterable[str]) -> None:
+        """Raise when a side reads one of ``omegas`` (a name bound to a list)."""
+        if compared := sorted(set(self.names).intersection(omegas)):
+            raise RuleError(f"a condition compares atoms, not the omega binding {compared[0]!r}")
+
+    def emit(self, out: Source) -> None:
+        """Write the line of the search ``out`` that drops the match being
+        built (past the last pattern) when the condition does not hold."""
+        unbound, sides = [], []
+        for side in (self.left, self.right):
+            if not isinstance(side, Ref):
+                sides.append(out.const(side))
+                continue
+            sides.append(held := out.held(side.name))
+            if side.name not in out.bound:  # given, or not at all
+                unbound.append(f"{held} is U")
+        left, right = sides
+        if self.op in _ORDERS:
+            fails = f"not {out.const(_ordered)}({self.op!r}, {left}, {right})"
+        else:
+            if isinstance(self.left, Symbol):  # the symbol on the right
+                left, right = right, left
+            if isinstance(self.left, Symbol) or isinstance(self.right, Symbol):
+                # equal to a symbol: that object, or a symbol of its name — no call
+                same = f"{left} is {right} or isinstance({left}, Symbol) and {left}.name == {right}.name"
+            else:
+                same = f"{left} is {right} or {left} == {right}"
+            fails = f"not ({same})" if self.op == "==" else same
+        out.line(f"if {' or '.join([*unbound, fails])}: continue")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"Compare({self.op!r}, {self.left!r}, {self.right!r})"
 
 
-def _given_atoms(given: Mapping[str, Any]) -> dict[str, Any]:
+def _given_atoms(given: Mapping[str, Any], condition: Compare | None) -> dict[str, Any]:
     """``given`` as a match binds it: a list stays a list of atoms (an omega
-    binding, which ``Splice`` reads), any other value becomes one atom."""
+    binding, which ``Splice`` reads and ``condition`` may not), any other value becomes one atom."""
+    if condition is not None:
+        condition.refuse(name for name, value in given.items() if isinstance(value, list))
     return {
         name: [to_atom(item) for item in value] if isinstance(value, list) else to_atom(value)
         for name, value in given.items()
@@ -84,22 +134,25 @@ class Rule(Atom):
         Right-hand-side templates (see :mod:`repro.hocl.templates`); plain
         values are literals.
     condition:
-        Optional reaction condition on the binding environment.
+        Optional reaction condition, a :class:`Compare`; anything else is
+        refused, as is a side reading an omega binding.
     one_shot:
         ``True`` for ``replace-one`` rules, removed after firing.
     keep_matched:
         ``True`` for ``with ... inject`` rules: the matched atoms are put
         back in addition to the products.
     effect:
-        Optional hook called with the bindings every time the rule fires,
-        before the solution is rewritten (so an omega it reads is the
-        pre-reaction remainder).  It returns the values the firing emits (an
-        iterable, or ``None``) and the engine appends them, in firing order,
-        to the ``effects`` of the :class:`~repro.hocl.engine.ReductionReport`
-        of *that* ``reduce`` call.  A hook holds no sink of its own and is a
-        pure function of its bindings, so one rule object can serve many
-        solutions reduced concurrently (the agents of a run share theirs)
-        without their emissions ever mixing.
+        Optional hook called every time the rule fires, before the solution
+        is rewritten (so an omega it reads is the pre-reaction remainder),
+        with the values (:meth:`BindingView.value`) of the variables its
+        positional parameters name — read off its code once, here.  It
+        returns the values the firing emits (an iterable, or ``None``) and
+        the engine appends them, in firing order, to the ``effects`` of the
+        :class:`~repro.hocl.engine.ReductionReport` of *that* ``reduce``
+        call.  A hook holds no sink of its own and is a pure function of its
+        arguments, so one rule object can serve many solutions reduced
+        concurrently (the agents of a run share theirs) without their
+        emissions ever mixing.
     priority:
         Rules with a higher priority are tried first by the engine; used by
         GinFlow to favour adaptation rules over regular progress when both
@@ -113,7 +166,7 @@ class Rule(Atom):
         one written without them.
 
     The engine fires the rule through :attr:`delta`, the in-place form its
-    two sides imply.
+    two sides imply; :attr:`summary` is what it binds, reads, matches and can add.
     """
 
     __slots__ = (
@@ -127,9 +180,10 @@ class Rule(Atom):
         "priority",
         "given",
         "pattern_index_keys",
-        "guarded_condition",
+        "effect_names",
         "search",
         "_delta",
+        "_summary",
         "_index_keys",
     )
     kind = "rule"
@@ -139,7 +193,7 @@ class Rule(Atom):
         name: str,
         patterns: Sequence[Any],
         products: Sequence[Any] = (),
-        condition: Condition | None = None,
+        condition: Compare | None = None,
         one_shot: bool = False,
         keep_matched: bool = False,
         effect: EffectHook | None = None,
@@ -150,6 +204,11 @@ class Rule(Atom):
             raise RuleError("rules require a non-empty name")
         if not patterns:
             raise RuleError(f"rule {name!r} has an empty left-hand side")
+        if condition is not None and not isinstance(condition, Compare):
+            raise RuleError(f"rule {name!r}: a condition is a Compare, not {condition!r}")
+        code = getattr(effect, "__code__", None)
+        if effect is not None and code is None:
+            raise RuleError(f"rule {name!r}: an effect is a Python function, not {effect!r}")
         self.name = name
         self.patterns = tuple(as_pattern(p) for p in patterns)
         self.products = tuple(products)
@@ -157,19 +216,21 @@ class Rule(Atom):
         self.one_shot = bool(one_shot)
         self.keep_matched = bool(keep_matched)
         self.effect = effect
+        #: the variables the effect reads: its positional parameters
+        self.effect_names: tuple[str, ...] = () if code is None else code.co_varnames[: code.co_argcount]
         self.priority = int(priority)
         #: What every match starts from (the generated search's ``initial_bindings``).
-        self.given: dict[str, Any] = _given_atoms(given or {})
+        self.given: dict[str, Any] = _given_atoms(given or {}, condition)
         #: Per-pattern multiset index keys, precomputed once (rules are
         #: immutable).  The engine consults them to skip rules that cannot
         #: possibly match — e.g. after a reaction, only rules whose head
         #: symbols are present in the solution are tried again.
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
-        #: The condition as the matcher calls it, built once like the keys.
-        self.guarded_condition = _guarded(condition) if condition is not None else None
-        #: The left-hand side's search (generated at its first use), shared by every rule built on the same pattern objects.
-        self.search = compiled_search(self.patterns)
+        #: The left-hand side's search, condition included (generated at its
+        #: first use), shared by every rule built on the same pattern and condition objects.
+        self.search = compiled_search(self.patterns, condition)
         self._delta: RewriteDelta | None = None  # derived at the first fire
+        self._summary: RuleSummary | None = None  # derived when first asked
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys
 
     @property
@@ -180,51 +241,36 @@ class Rule(Atom):
             self._delta = derive_delta(self.patterns, self.products, self.keep_matched)
         return self._delta
 
+    @property
+    def summary(self) -> RuleSummary:
+        """What the rule binds, reads, matches and can add
+        (:class:`~repro.hocl.deltas.RuleSummary`), derived once, when first asked."""
+        if self._summary is None:
+            self._summary = RuleSummary(self.patterns, self.products, self.condition, self.effect_names, self.delta)
+        return self._summary
+
     def bind(self, name: str | None = None, **given: Any) -> "Rule":
         """A sibling of this rule, called ``name`` (this rule's name by
         default), whose matches also start from ``given``.
 
         It is this rule in every other respect and shares its objects: the
         patterns and their compiled search, the products, the condition, the
-        effect and the :attr:`delta`, derived here, once, on this rule.  One
-        rule written without a context literal thus serves every context:
-        ``make_gw_call(task)`` is the centralised ``gw_call`` bound to
-        ``task``, and ``make_add_dst(plan, source)`` the one ``add_dst`` bound
-        to the entry tasks ``new`` that ``source`` now feeds.
+        effect, the :attr:`delta` and the :attr:`summary`, derived here, once,
+        on this rule.  One rule written without a context literal thus serves
+        every context: ``make_gw_call(task)`` is the centralised ``gw_call``
+        bound to ``task``, and ``make_add_dst(plan, source)`` the one
+        ``add_dst`` bound to the entry tasks ``new`` that ``source`` now feeds.
         """
         sibling = object.__new__(type(self))
         for slot in Rule.__slots__:
             setattr(sibling, slot, getattr(self, slot))
         sibling._delta = self.delta
-        sibling.given = {**self.given, **_given_atoms(given)}
+        sibling._summary = self.summary
+        sibling.given = {**self.given, **_given_atoms(given, self.condition)}
         if name is not None:
             sibling.name = name
             sibling._index_keys = None  # the rule's bucket is its name
         return sibling
-
-    # --------------------------------------------------------- introspection
-    def bound_variables(self) -> set[str]:
-        """Variable names bound when the rule matches: its :attr:`given` ones
-        and those the left-hand side binds."""
-        names: set[str] = set(self.given)
-        for pattern in self.patterns:
-            names |= pattern.bound_names()
-        return names
-
-    def omega_variables(self) -> set[str]:
-        """Variable names bound to *lists* of atoms: the left-hand side's omegas
-        and the :attr:`given` lists."""
-        names = {name for name, value in self.given.items() if isinstance(value, list)}
-        for pattern in self.patterns:
-            names |= pattern.omega_names()
-        return names
-
-    def referenced_variables(self) -> set[str]:
-        """Variable names the products read when the rule fires."""
-        names: set[str] = set()
-        for product in self.products:
-            names |= template_referenced_names(product)
-        return names
 
     # -------------------------------------------------------------- identity
     def copy(self) -> "Rule":
@@ -258,7 +304,7 @@ def replace(
     name: str,
     patterns: Sequence[Any],
     products: Sequence[Any],
-    condition: Condition | None = None,
+    condition: Compare | None = None,
     **kwargs: Any,
 ) -> Rule:
     """Convenience constructor for an n-shot ``replace`` rule."""
@@ -269,7 +315,7 @@ def replace_one(
     name: str,
     patterns: Sequence[Any],
     products: Sequence[Any],
-    condition: Condition | None = None,
+    condition: Compare | None = None,
     **kwargs: Any,
 ) -> Rule:
     """Convenience constructor for a one-shot ``replace-one`` rule."""
@@ -280,7 +326,7 @@ def with_inject(
     name: str,
     patterns: Sequence[Any],
     inject: Sequence[Any],
-    condition: Condition | None = None,
+    condition: Compare | None = None,
     **kwargs: Any,
 ) -> Rule:
     """Build a ``with X inject M`` rule (one-shot, keeps the matched atoms)."""

@@ -47,7 +47,6 @@ __all__ = [
     "SolutionTemplate",
     "ListTemplate",
     "Call",
-    "template_referenced_names",
 ]
 
 
@@ -61,14 +60,6 @@ class Template:
         produces: one atom's expression, or ``*`` and a list's.  What it reads
         of the bindings, ``out`` reads into a local before it."""
         raise NotImplementedError
-
-    def referenced_names(self) -> set[str]:
-        """Variable names the expansion reads from the bindings.
-
-        The static-analysis entry point: :mod:`repro.analysis` compares this
-        set against the pattern's bound names without expanding anything.
-        """
-        return set()
 
 
 class Ref(Template):
@@ -84,9 +75,6 @@ class Ref(Template):
         held = out.atom(self.name)
         return f"({held}.copy() if {held}._mutable else {held})"
 
-    def referenced_names(self) -> set[str]:
-        return {self.name}
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Ref({self.name!r})"
 
@@ -101,9 +89,6 @@ class Splice(Template):
 
     def emit(self, out: "Fire") -> str:
         return f"*[a.copy() if a._mutable else a for a in {out.atoms(self.name)}]"
-
-    def referenced_names(self) -> set[str]:
-        return {self.name}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Splice({self.name!r})"
@@ -121,9 +106,6 @@ class _Built(Template):
 
     def emit(self, out: "Fire") -> str:
         return f"{self.builds}({emit_list(self.elements, out)})"
-
-    def referenced_names(self) -> set[str]:
-        return _referenced_in_all(self.elements)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({', '.join(repr(e) for e in self.elements)})"
@@ -169,9 +151,6 @@ class Call(Template):
         registry = out.externals(self.function)
         return f"*coerce({registry}.invoke({self.function!r}, {emit_list(self.arguments, out)}, b))"
 
-    def referenced_names(self) -> set[str]:
-        return _referenced_in_all(self.arguments)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Call({self.function!r}, {', '.join(repr(a) for a in self.arguments)})"
 
@@ -186,20 +165,6 @@ def coerce(result: Any) -> list[Atom]:
     if isinstance(result, (list, tuple)) and all(isinstance(item, Atom) for item in result):
         return [item.copy() if item._mutable else item for item in result]
     return [atom.copy() if (atom := to_atom(result))._mutable else atom]
-
-
-def template_referenced_names(template: Any) -> set[str]:
-    """Variable names a template (or literal product value) reads when expanded."""
-    if isinstance(template, Template):
-        return template.referenced_names()
-    return set()
-
-
-def _referenced_in_all(templates: Sequence[Any]) -> set[str]:
-    names: set[str] = set()
-    for template in templates:
-        names |= template_referenced_names(template)
-    return names
 
 
 def emit_template(template: Any, out: "Fire") -> str:

@@ -30,8 +30,8 @@ from typing import Any, Callable
 
 from repro.hocl import (
     Atom,
-    BindingView,
     Call,
+    Compare,
     ExternalRegistry,
     ListAtom,
     Omega,
@@ -39,7 +39,6 @@ from repro.hocl import (
     SolutionPattern,
     SolutionTemplate,
     Splice,
-    Symbol,
     SymbolPattern,
     TuplePattern,
     TupleTemplate,
@@ -58,7 +57,7 @@ __all__ = [
     "make_gw_setup",
     "make_gw_call",
     "make_gw_pass",
-    "gw_pass_condition",
+    "RESULT_NOT_ERROR",
     "register_workflow_externals",
 ]
 
@@ -130,10 +129,9 @@ def make_gw_call(task_name: str) -> Rule:
     return _GW_CALL.bind(task=task_name)
 
 
-def gw_pass_condition(bindings: BindingView) -> bool:
-    """The transferred result must not be the ``ERROR`` marker."""
-    result = bindings.atom("res")
-    return not (isinstance(result, Symbol) and result.name == kw.ERROR)
+#: ``gw_pass``'s reaction condition, centralised and local: the transferred
+#: result is not the ``ERROR`` marker.
+RESULT_NOT_ERROR = Compare("!=", Ref("res"), kw.ERROR_SYM)
 
 
 def make_gw_pass() -> Rule:
@@ -192,7 +190,7 @@ def make_gw_pass() -> Rule:
                 ),
             ),
         ],
-        condition=gw_pass_condition,
+        condition=RESULT_NOT_ERROR,
         one_shot=False,
     )
 

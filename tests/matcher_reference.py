@@ -16,11 +16,14 @@ it is matched through its own ``match`` and pre-checked by its own ``reject``
 (:func:`compiled_reject`).
 """
 
+import operator
+
 from repro.hocl import (
     Literal,
     Match,
     Omega,
     PatternError,
+    Ref,
     Rule,
     RulePattern,
     SolutionPattern,
@@ -30,10 +33,35 @@ from repro.hocl import (
     TupleAtom,
     TuplePattern,
     Var,
+    from_atom,
 )
 from repro.hocl.matching import _FACTORIES, _load
 from repro.hocl.patterns import Source
-from repro.hocl.rules import BindingView
+
+
+_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def holds(condition, env):
+    """Whether the :class:`~repro.hocl.rules.Compare` ``condition`` holds
+    under ``env`` (a mapping, of which it reads only the names it compares)
+    — the interpreted form of what ``Compare.emit`` writes into the search."""
+    if condition is None:
+        return True
+    sides = []
+    for side in (condition.left, condition.right):
+        if isinstance(side, Ref):
+            if side.name not in env:
+                return False
+            side = env[side.name]
+        sides.append(side)
+    left, right = sides
+    if condition.op in ("==", "!="):
+        return (left == right) == (condition.op == "==")
+    try:
+        return bool(_ORDERS[condition.op](from_atom(left), from_atom(right)))
+    except TypeError:
+        return False
 
 
 def quick_reject(pattern, atom):
@@ -238,7 +266,7 @@ def search(
 
     def recurse(index, used, env, sites):
         if index == last:
-            if condition is not None and not condition(BindingView(env)):
+            if not holds(condition, env):
                 return False
             consumed = [entry.atom for entry in used]
             if owner is not None:
@@ -281,6 +309,6 @@ def search(
 def first_match(rule, solution):
     """The reference of :func:`repro.hocl.matching.first_match`."""
     found = search(
-        rule.patterns, solution, rule.guarded_condition, rule.given, first=True, keys=rule.pattern_index_keys, owner=rule
+        rule.patterns, solution, rule.condition, rule.given, first=True, keys=rule.pattern_index_keys, owner=rule
     )
     return found[0] if found else None

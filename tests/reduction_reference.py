@@ -92,11 +92,9 @@ class BruteForceEngine(NaiveEngine):
     @staticmethod
     def _find_match_excluding_self(rule, solution):
         entries = list(solution.live_entries())
-        condition = rule.guarded_condition
-
         def search(index, used, env, sites):
             if index == len(rule.patterns):
-                if condition is None or condition(matcher_reference.BindingView(env)):
+                if matcher_reference.holds(rule.condition, env):
                     taken = [entries[position] for position in used]
                     yield Match(env, [entry.atom for entry in taken], (*taken, *sites))
                 return
@@ -118,7 +116,7 @@ class RebuildEngine(ReductionEngine):
         if self.observer is not None:  # what it reads after the reaction is read now
             for name in match.bindings:
                 match.bindings.atom(name)
-        emitted = list(rule.effect(match.bindings) or ()) if rule.effect is not None else ()
+        emitted = list(rule.effect(*map(match.bindings.value, rule.effect_names)) or ()) if rule.effect is not None else ()
         try:
             products = list(match.consumed) if rule.keep_matched else []
             products += expand_all(rule.products, match.bindings, self.externals)

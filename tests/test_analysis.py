@@ -25,9 +25,9 @@ from repro.analysis import (
     registry,
 )
 from repro.cli import main
-from repro.analysis.analyzer import _nested_injected_keys
-from repro.analysis.rule_checks import producible_keys
+from repro.analysis.analyzer import _injected_keys
 from repro.hocl import (
+    Compare,
     Multiset,
     Omega,
     Ref,
@@ -77,13 +77,27 @@ class TestRuleChecks:
             "bad_condition",
             [Var("x")],
             [Ref("x")],
-            condition=lambda b: b.value("z") > 0,
+            condition=Compare(">", Ref("z"), 0),
         )
         report = analyze_rules([rule], solution=Multiset([1]))
         (finding,) = findings_for(report, "rule-unbound-condition")
         assert finding.severity is Severity.WARNING
         assert finding.subject == "bad_condition"
         assert "'z'" in finding.message
+
+    def test_a_parsed_condition_reading_an_unbound_name(self):
+        """The condition is data the summary reads: a parsed one too."""
+        from repro.hocl import parse_program
+
+        rule = parse_program("let r = replace x by x if z > 0 in <r>").rules["r"]
+        (finding,) = findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-condition")
+        assert finding.subject == "r" and "condition reads 'z'" in finding.message
+
+    def test_an_effect_reads_the_names_of_its_parameters(self):
+        rule = replace("effect", [Var("x")], [Ref("x")], effect=lambda x, late: None)
+        (finding,) = findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-condition")
+        assert "effect reads 'late'" in finding.message
+        assert not findings_for(analyze_rules([rule.bind(late=1)], solution=Multiset([1])), "rule-unbound-condition")
 
     def test_dead_index_key(self):
         rule = replace("waits_forever", [Symbol("GHOST")], [])
@@ -111,10 +125,18 @@ class TestRuleChecks:
         report = analyze_rules([producer, consumer], solution=Multiset([1]))
         assert not findings_for(report, "rule-dead-index-key")
 
+    def test_a_key_made_one_level_down_does_not_make_it_live_here(self):
+        """A producer of ``T : <GO>`` makes ``GO`` at depth 1, not at the top level."""
+        producer = replace_one("producer", [Var("x")], [TupleTemplate(Symbol("T"), SolutionTemplate(Symbol("GO")))])
+        consumer = replace("consumer", [Symbol("GO")], [])
+        (finding,) = findings_for(analyze_rules([producer, consumer], solution=Multiset([1])), "rule-dead-index-key")
+        assert finding.subject == "consumer" and "symbol:GO" in finding.message
+        assert producer.summary.added(1, producer.given) == ({("symbol", "GO"), ("kind", "symbol")}, False)
+
     def test_a_given_splice_injects_its_atoms_into_a_nested_solution(self):
         body = TupleTemplate(Symbol("DST"), SolutionTemplate(Splice("new"), Splice("w")))
         rule = replace_one("adds", [TuplePattern(Symbol("DST"), rest=Omega("w"))], [body]).bind(new=[Symbol("R1")])
-        keys, wildcard = _nested_injected_keys([rule])
+        keys, wildcard = _injected_keys([rule])
         assert ("symbol", "R1") in keys and not wildcard
 
     def test_index_key_live_via_injection(self):
@@ -149,7 +171,7 @@ class TestRuleChecks:
 
     def test_no_shadow_across_priorities_or_conditions(self):
         high = replace("high", [Var("x")], [Ref("x")], priority=1)
-        guarded = replace("guarded", [Var("x")], [Ref("x")], condition=lambda b: True)
+        guarded = replace("guarded", [Var("x")], [Ref("x")], condition=Compare("==", Ref("x"), Ref("x")))
         low = replace("low", [Var("x")], [Ref("x")])
         report = analyze_rules([high, guarded, low], solution=Multiset([1]))
         assert not findings_for(report, "rule-shadowed")
@@ -176,7 +198,7 @@ class TestRuleChecks:
 
     def test_a_given_list_is_an_omega_binding(self):
         rule = replace("context", [Var("x")], [Ref("x")]).bind(new=["A", "B"], task="T")
-        assert rule.omega_variables() == {"new"}
+        assert rule.summary.omega(rule.given) == {"new"}
         spliced = replace("spliced", [Var("x")], [Ref("x"), Splice("new"), Ref("task")]).bind(new=["A"], task="T")
         assert not findings_for(analyze_rules([spliced], solution=Multiset([1])), "rule-template-arity")
         referenced = replace("referenced", [Var("x")], [Ref("new")]).bind(new=["A"])
@@ -188,14 +210,15 @@ class TestRuleChecks:
         plan = build_plan(workflow, workflow.adaptations[0])
         rule = make_mv_src(plan)
         assert not findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-product")
-        assert {"wsrc", "win", "replaced", "new"} <= rule.referenced_variables()
+        assert rule.summary.reads["splice"] == {"wsrc", "win", "replaced", "new"}
         sibling = adaptation._MV_SRC.bind(name="mv_src:no-replaced", new=["R_2_1"])
         (finding,) = findings_for(analyze_rules([sibling], solution=Multiset([1])), "rule-unbound-product")
         assert finding.subject == "mv_src:no-replaced" and "'replaced'" in finding.message
 
     def test_an_unconvertible_literal_product_may_be_anything(self):
         """``to_atom`` refuses it with an ``AtomError``: the scope can then produce any atom."""
-        assert producible_keys((replace("r", [Var("x")], [object()]),)) == (set(), False, True)
+        rule = replace("r", [Var("x")], [object()])
+        assert rule.summary.added(0, rule.given) == (set(), True)
 
 
 # ----------------------------------------------------------- workflow checks

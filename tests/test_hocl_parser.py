@@ -3,9 +3,12 @@
 import pytest
 
 from repro.hocl import (
+    Compare,
+    FloatAtom,
     IntAtom,
     ListAtom,
     ParseError,
+    Ref,
     Rule,
     StringAtom,
     Subsolution,
@@ -86,6 +89,22 @@ class TestRuleDefinitions:
 
     def test_string_condition(self):
         program = parse_program('let r = replace-one x by DONE if x == "go" in <"go", r>')
+        reduce_solution(program.solution)
+        assert program.solution.has_symbol("DONE")
+
+    def test_a_condition_is_a_compare_of_atoms(self):
+        condition = parse_program('let r = replace x by x if x != 2.5 in <r>').rules["r"].condition
+        assert isinstance(condition, Compare) and condition.op == "!="
+        assert isinstance(condition.left, Ref) and condition.left.name == "x" and condition.right == FloatAtom(2.5)
+        sides = [parse_program(f"let r = replace x by x if x == {side} in <r>").rules["r"].condition.right for side in ("3", '"A"', "A")]
+        assert sides == [IntAtom(3), StringAtom("A"), Symbol("A")] and type(sides[2]) is Symbol
+
+    def test_a_symbol_is_never_equal_to_a_string(self):
+        """As nowhere else in the engine: the symbol ``A`` does not equal the string ``"A"``."""
+        program = parse_program('let r = replace-one x by DONE if x == A in <"A", r>')
+        reduce_solution(program.solution)
+        assert not program.solution.has_symbol("DONE") and StringAtom("A") in program.solution
+        program = parse_program("let r = replace-one x by DONE if x == A in <A, r>")
         reduce_solution(program.solution)
         assert program.solution.has_symbol("DONE")
 

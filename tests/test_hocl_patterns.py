@@ -3,11 +3,13 @@
 import pytest
 
 from repro.hocl import (
+    Compare,
     IntAtom,
     Literal,
     Multiset,
     Omega,
     PatternError,
+    Ref,
     Rule,
     RulePattern,
     SolutionPattern,
@@ -164,7 +166,7 @@ class TestMultisetMatching:
             find_matches(
                 [Var("x", kind="int"), Var("y", kind="int")],
                 solution,
-                condition=lambda b: b["x"].value > b["y"].value,
+                condition=Compare(">", Ref("x"), Ref("y")),
             )
         )
         assert len(found) == 1

@@ -12,7 +12,7 @@ The invariants checked here are the ones GinFlow relies on:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hocl import IntAtom, Multiset, Ref, Rule, Var, reduce_solution
+from repro.hocl import Compare, IntAtom, Multiset, Ref, Rule, Var, reduce_solution
 
 
 def max_rule():
@@ -20,7 +20,7 @@ def max_rule():
         "max",
         [Var("x", kind="int"), Var("y", kind="int")],
         [Ref("x")],
-        condition=lambda b: b.value("x") >= b.value("y"),
+        condition=Compare(">=", Ref("x"), Ref("y")),
     )
 
 
@@ -77,7 +77,7 @@ def test_one_shot_rule_fires_exactly_once(values):
         [Var("x", kind="int")],
         [],
         one_shot=True,
-        effect=lambda b: consumed.append(b.value("x")),
+        effect=lambda x: consumed.append(x),
     )
     solution = Multiset(values + [rule])
     reduce_solution(solution)

@@ -6,8 +6,10 @@ from reduction_reference import NaiveEngine, expand
 
 from repro.hocl import (
     Call,
+    Compare,
     ExternalFunctionError,
     ExternalRegistry,
+    FloatAtom,
     IntAtom,
     ListAtom,
     ListTemplate,
@@ -48,7 +50,7 @@ def max_rule():
         "max",
         [Var("x", kind="int"), Var("y", kind="int")],
         [Ref("x")],
-        condition=lambda b: b.value("x") >= b.value("y"),
+        condition=Compare(">=", Ref("x"), Ref("y")),
     )
 
 
@@ -274,6 +276,51 @@ class TestRuleConstruction:
         assert report.inert
 
 
+class TestCompare:
+    """A condition is data: a comparison the search writes inline."""
+
+    def test_anything_but_a_compare_is_refused(self):
+        with pytest.raises(RuleError, match="a condition is a Compare"):
+            Rule("r", [Var("x")], [], condition=lambda b: True)
+        with pytest.raises(RuleError, match="unknown comparison operator"):
+            Compare("=~", Ref("x"), 1)
+
+    def test_a_side_bound_to_an_omega_is_refused_when_the_rule_is_built(self):
+        omega = Compare("==", Ref("w"), 1)
+        with pytest.raises(RuleError, match="omega binding 'w'"):
+            Rule("r", [SolutionPattern(rest=Omega("w"))], [], condition=omega)
+        with pytest.raises(RuleError, match="omega binding 'w'"):
+            Rule("r", [Var("x")], [], condition=omega, given={"w": [1, 2]})
+        with pytest.raises(RuleError, match="omega binding 'w'"):
+            Rule("r", [Var("x")], [], condition=omega).bind(w=[1])
+
+    @pytest.mark.parametrize(
+        "condition, fires",
+        [
+            (Compare("==", Ref("x"), IntAtom(2)), [2]),
+            (Compare("==", Ref("x"), FloatAtom(2.0)), [2.0]),  # atom equality: an int is no float
+            (Compare("!=", Ref("x"), Symbol("A")), [1, 2, 2.0, "A"]),  # a string is no symbol
+            (Compare("==", Symbol("A"), Ref("x")), ["A"]),
+            (Compare(">=", Ref("x"), 2), [2, 2.0]),  # plain values: an int and a float compare
+            (Compare("<", Ref("x"), Ref("nowhere")), []),  # neither bound nor given: no match
+            (Compare("!=", Ref("x"), Ref("nowhere")), []),
+            (Compare("==", Ref("x"), Ref("x")), [1, 2, 2.0, "A", "A"]),
+        ],
+    )
+    def test_what_a_comparison_holds_for(self, condition, fires):
+        fired = []
+        rule = replace("r", [Var("x")], [], condition=condition, effect=lambda x: fired.append(x))
+        candidates = [IntAtom(1), IntAtom(2), FloatAtom(2.0), Symbol("A"), StringAtom("A")]
+        reduce_solution(Multiset([*candidates, rule]))
+        assert sorted(map(str, fired)) == sorted(map(str, fires))
+
+    def test_a_given_side_is_read_per_sibling(self):
+        rule = replace("r", [Var("x", kind="int")], [], condition=Compare("==", Ref("x"), Ref("wanted")))
+        solution = Multiset([1, 2, 3, rule.bind(wanted=2)])
+        reduce_solution(solution)
+        assert sorted(atom.value for atom in solution.atoms() if isinstance(atom, IntAtom)) == [1, 3]
+
+
 class TestReduction:
     def test_getmax(self):
         solution = Multiset([2, 3, 5, 8, 9, max_rule()])
@@ -321,14 +368,14 @@ class TestReduction:
 
     def test_effect_hook_runs_on_fire(self):
         fired = []
-        rule = replace_one("e", [Var("x", kind="int")], [], effect=lambda b: fired.append(b.value("x")))
+        rule = replace_one("e", [Var("x", kind="int")], [], effect=lambda x: fired.append(x))
         reduce_solution(Multiset([5, rule]))
         assert fired == [5]
 
     def test_priority_orders_rule_attempts(self):
         order = []
-        low = replace_one("low", [Var("x", kind="int")], [], effect=lambda b: order.append("low"), priority=0)
-        high = replace_one("high", [Var("x", kind="int")], [], effect=lambda b: order.append("high"), priority=5)
+        low = replace_one("low", [Var("x", kind="int")], [], effect=lambda: order.append("low"), priority=0)
+        high = replace_one("high", [Var("x", kind="int")], [], effect=lambda: order.append("high"), priority=5)
         reduce_solution(Multiset([1, 2, low, high]))
         assert order[0] == "high"
 

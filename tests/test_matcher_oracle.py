@@ -13,8 +13,8 @@ it or to the contract the engine relies on:
 * the text: one per shape whatever the pattern objects and the hash seed, one
   ``compile()`` per text, a handful per run, readable in a traceback, and past
   CPython's twenty nested blocks;
-* no state on the generated form: a condition that searches its own rule, and
-  eight threads searching one generated left-hand side at once;
+* no state on the generated form: eight threads searching one generated
+  left-hand side at once;
 * ω laziness, counted not timed: no remainder is copied for a ``gw_pass``
   firing, local or centralised, whatever the fan-in; the rebuild path still
   splices the right lists; an effect or an observer reads the pre-reaction
@@ -37,6 +37,8 @@ from reduction_reference import RebuildEngine
 from repro import GinFlow, diamond_workflow
 from repro.hocl import (
     BindingView,
+    Call,
+    Compare,
     IntAtom,
     Literal,
     Multiset,
@@ -44,8 +46,10 @@ from repro.hocl import (
     Pattern,
     PatternError,
     ReductionEngine,
+    ReductionError,
     Ref,
     Rule,
+    RuleError,
     RulePattern,
     SolutionPattern,
     SolutionTemplate,
@@ -152,13 +156,28 @@ _INITIAL = st.one_of(
     st.fixed_dictionaries({"elsewhere": _SYMBOLS}),
 )
 
-_CONDITIONS = st.sampled_from(
-    [
-        None,
-        lambda b: "x" not in b or b["x"] != IntAtom(1),
-        lambda b: len(b.get("w", ())) != 1 if isinstance(b.get("w"), list) else True,
-    ]
+_CONDITIONS = st.one_of(
+    st.none(),
+    st.builds(
+        lambda op, name, literal, swapped: Compare(op, literal, Ref(name)) if swapped else Compare(op, Ref(name), literal),
+        st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+        st.sampled_from(["x", "y", "w", "elsewhere", "z"]),  # bound, given, or not at all
+        _ATOMS,
+        st.booleans(),
+    ),
 )
+
+
+def _refused(patterns, condition):
+    """Whether ``condition`` compares an omega of ``patterns``: no search is
+    built then, however it is asked for."""
+    omegas = {name for pattern in patterns for name in pattern.omega_names()}
+    if condition is None or not omegas.intersection(condition.names):
+        return False
+    for ask in (find_matches, find_first_match):
+        with pytest.raises(RuleError, match="omega binding"):
+            ask(patterns, Multiset(), condition)
+    return True
 
 
 def _refutations(patterns, solution):
@@ -218,6 +237,8 @@ class TestAgainstTheInterpreter:
     @settings(max_examples=_EXAMPLES, deadline=None)
     def test_same_matches_same_order_same_refutations(self, program, condition, initial, pinned):
         patterns, atoms = program
+        if _refused(patterns, condition):
+            return
         ours = Multiset(atoms)
         theirs = ours.copy()  # the same atoms, two sets of entries
         pin, pinned_ours, pinned_theirs = None, (), ()
@@ -301,26 +322,29 @@ class TestAgainstTheInterpreter:
             assert all(match.bindings[name] is bound for name, bound in initial.items())
         assert _refutations(patterns, ours) == _refutations(patterns, theirs)
 
-    def test_a_condition_that_raises_half_way_keeps_the_refutations_so_far(self):
+    def test_a_search_that_raises_half_way_keeps_the_refutations_so_far(self):
         """The memory is iterated in place and told what was refuted when the
-        search ends — also when it ends by an exception."""
-        patterns = [TuplePattern(Var("h"), Var("x", kind="int"))]  # head-less: a memory on the tuple bucket
+        search ends — also when it ends by an exception (here, in the
+        ``match`` of a pattern class of the caller's own)."""
+
+        class Raising(Pattern):
+            def match(self, atom, bindings):
+                if bindings["x"] == IntAtom(2):
+                    raise ValueError("half-way")
+                return [bindings]
+
+        patterns = [TuplePattern(Var("h"), Var("x", kind="int")), Raising()]  # head-less: a memory on the tuple bucket
         atoms = [TupleAtom([Symbol("A"), Symbol("no")]), TupleAtom([Symbol("B"), 1]), TupleAtom([Symbol("C"), Symbol("no")]),
                  TupleAtom([Symbol("D"), 2]), TupleAtom([Symbol("E"), Symbol("no")])]  # fmt: skip
         ours, theirs = Multiset(atoms), Multiset(atoms)
-
-        def condition(bindings):
-            if bindings["x"] == IntAtom(2):
-                raise ValueError("half-way")
-            return True
-
         for search, solution in ((find_matches, ours), (matcher_reference.search, theirs)):
             with pytest.raises(ValueError, match="half-way"):
-                search(patterns, solution, condition)
-        assert _refutations(patterns, ours) == _refutations(patterns, theirs) == {0: [1, 3, 4]}
-        assert ours.memory_for(patterns[0], patterns[0].index_key()).readers == 0
-        _same(list(find_matches(patterns, ours)), matcher_reference.search(patterns, theirs), ours, theirs)  # and goes on from there
-        assert _refutations(patterns, ours) == {0: [1, 3]}
+                search(patterns, solution)
+        assert _refutations(patterns, ours) == _refutations(patterns, theirs)
+        assert _refutations(patterns[:1], ours) == {0: [1, 3, 4]}
+        searched = patterns[:1]  # and goes on from there
+        _same(list(find_matches(searched, ours)), matcher_reference.search(searched, theirs), ours, theirs)
+        assert _refutations(searched, ours) == {0: [1, 3]}
 
     @given(
         program=_programs(),
@@ -334,6 +358,8 @@ class TestAgainstTheInterpreter:
         of a fresh level of the same atoms finds, in the same order, and refutes
         what the interpreter refutes."""
         patterns, atoms = program
+        if _refused(patterns, condition):
+            return
         ours = Multiset(atoms)
         theirs = ours.copy()
         holders = [
@@ -355,7 +381,8 @@ class TestAgainstTheInterpreter:
     @settings(max_examples=_EXAMPLES // 2, deadline=None)
     def test_a_rule_never_matches_itself(self, program):
         patterns, atoms = program
-        rule = Rule("r", patterns, [], condition=lambda b: "y" not in b or b["y"] != Symbol("A"))
+        omegas = {name for pattern in patterns for name in pattern.omega_names()}
+        rule = Rule("r", patterns, [], condition=None if "y" in omegas else Compare("!=", Ref("y"), Symbol("A")))
         ours = Multiset([*atoms, rule])
         theirs = ours.copy()  # a rule copies as itself
         found, expected = first_match(rule, ours), matcher_reference.first_match(rule, theirs)
@@ -434,7 +461,8 @@ class TestTheGeneratedText:
         assert gw_pass.search.__source__ != first.__source__  # ... its variable names are
         assert len(loads) == 2
         # and a text compiled before costs a look-up
-        assert compiled_search(make_gw_pass().patterns).__source__ == gw_pass.search.__source__ and len(loads) == 2
+        again = make_gw_pass()
+        assert compiled_search(again.patterns, again.condition).__source__ == gw_pass.search.__source__ and len(loads) == 2
 
     def test_nothing_is_generated_until_the_first_search(self, loads):
         rule = Rule("late", [Var("x", kind="int"), Var("y", kind="symbol")], [])
@@ -457,18 +485,17 @@ class TestTheGeneratedText:
         assert least <= searches <= most and searches + fires == compiled
         assert fires == {"adapt": 7, "montage": 3}[workload]
 
-    def test_a_raising_condition_shows_the_rule_and_the_line(self, loads):
-        """(The rule that searched a shape first: rules of one shape share its text, and so its name.)"""
-
-        def condition(bindings):
-            return 1 // (bindings.value("x") - 2) > 0
-
-        rule = Rule("boom", [Var("x", kind="int")], [], condition=condition)
-        with pytest.raises(ZeroDivisionError) as raised:
-            ReductionEngine().reduce(Multiset([3, 2, rule]))
+    def test_a_raising_external_shows_the_fire_and_the_line(self):
+        """A product's external raising as the rule fires: the traceback shows
+        the generated fire and the line of it that called the external."""
+        registry = default_registry()
+        registry.register("boom", lambda args, _bindings: 1 // (args[0].value - 2))
+        rule = Rule("boom", [Var("x", kind="int")], [Call("boom", Ref("x"))])
+        with pytest.raises(ReductionError, match="'boom' failed") as raised:
+            ReductionEngine(externals=registry).reduce(Multiset([2, rule]))
         shown = "".join(traceback.format_exception(raised.type, raised.value, raised.tb))
-        assert 'File "<hocl-lhs boom #' in shown
-        assert "if condition is not None and not condition(b): continue" in shown
+        assert 'File "<hocl-fire #' in shown and "ZeroDivisionError" in shown
+        assert "p1 = coerce(externals.invoke('boom', [(v_x.copy() if v_x._mutable else v_x)], b))" in shown
 
     def test_past_twenty_nested_blocks(self):
         """CPython compiles twenty statically nested blocks at most: a deeper
@@ -485,7 +512,7 @@ class TestTheGeneratedText:
         level = Multiset(atoms)
         assert "def deeper():" in compiled_search(patterns).__source__
         for initial in (None, {"x7": IntAtom(7)}, {"w": [IntAtom(8)]}, {"x3": IntAtom(33)}):
-            for condition in (None, lambda b: b["x3"] != IntAtom(3)):
+            for condition in (None, Compare("!=", Ref("x3"), IntAtom(3))):
                 ours, theirs, fresh = level.copy(), level.copy(), level.copy()
                 found = list(find_matches(patterns, ours, condition, initial))
                 expected = matcher_reference.search(patterns, theirs, condition, initial)
@@ -516,43 +543,10 @@ def _with_results(solution):
 
 
 class TestNoStateOnTheCompiledForm:
-    def test_a_condition_that_searches_its_own_rule(self):
-        patterns = [Var("x", kind="int"), Var("y", kind="int")]
-        solution = Multiset([1, 2, 3, 4])
-        plain = [dict(match.bindings) for match in find_matches(patterns, solution)]
-        inner = []
-
-        def condition(bindings):
-            if bindings["x"] == IntAtom(2):  # mid-search: run the same compiled search again
-                inner.append([dict(match.bindings) for match in find_matches(patterns, solution)])
-            return True
-
-        assert [dict(match.bindings) for match in find_matches(patterns, solution, condition)] == plain
-        assert len(plain) == 12 and len(inner) == 3 and all(again == plain for again in inner)
-
-    def test_a_search_inside_a_search_may_refute(self):
-        """Both iterate one plausible-candidate memory in place: what the inner
-        search refutes must not pull entries from under the outer one."""
-        patterns = [TuplePattern(Var("h"), Var("x", kind="int"))]
-        atoms = [TupleAtom([Symbol(name), value]) for name, value in zip("ABCDEF", [1, Symbol("no"), 2, Symbol("no"), 3, Symbol("no")])]
-        solution, plain = Multiset(atoms), Multiset(atoms)
-        expected = [dict(match.bindings) for match in find_matches(patterns, plain)]
-        inner = []
-
-        def condition(bindings):
-            inner.append([dict(match.bindings) for match in find_matches(patterns, solution)])
-            return True
-
-        assert [dict(match.bindings) for match in find_matches(patterns, solution, condition)] == expected
-        assert len(expected) == 3 and inner == [expected] * 3
-        assert _refutations(patterns, solution) == _refutations(patterns, plain) == {0: [0, 2, 4]}
-        assert solution.memory_for(patterns[0], patterns[0].index_key()).readers == 0
-
-    def test_late_entries_are_read_again_for_every_outer_candidate_and_inside_a_search(self):
+    def test_late_entries_are_read_again_for_every_outer_candidate(self):
         """Two memory-backed patterns: the second memory is iterated once per
         candidate of the first, in bucket order, while entries that came back out
-        of turn wait apart — also under a search run from inside the search, which
-        refutes a late entry the outer reads are already past the head of."""
+        of turn wait apart, and one refuted again leaves them."""
         patterns = [
             TuplePattern(Var("h"), SolutionPattern(Var("x", kind="int"))),
             TuplePattern(Var("k"), SolutionPattern(Var("y", kind="int"))),
@@ -568,25 +562,16 @@ class TestNoStateOnTheCompiledForm:
         assert [memory.late for memory in memories] == [[solution.live_entries()[index] for index in (41, 42, 43, 44)]] * 2
         level = solution.copy()
         fresh = list(find_matches(patterns, level))
-        inner = []
-
-        def condition(_bindings):
-            if not inner:
-                inner.append(list(find_matches(patterns, solution)))
-            return True
-
-        found = list(find_matches(patterns, solution, condition))
+        found = list(find_matches(patterns, solution))
         assert len(found) == 43 * 42 and all(len(memory.late) == 3 for memory in memories)  # not the refuted one
         _same(found, fresh, solution, level)
-        _same(inner[0], fresh, solution, level)
         reference = solution.copy()
         _same(list(find_matches(patterns, solution)), matcher_reference.search(patterns, reference), solution, reference)
-        assert all(memory.readers == 0 for memory in memories)
 
     def test_eight_threads_on_one_compiled_left_hand_side(self):
         gw_pass = make_gw_pass()
-        search = compiled_search(gw_pass.patterns)
-        assert search is gw_pass.search  # built on the same pattern objects: the same search
+        search = compiled_search(gw_pass.patterns, gw_pass.condition)
+        assert search is gw_pass.search  # built on the same pattern and condition objects: the same search
         solutions = [_with_results(_central_solution(width)) for width in range(2, 10)]
         expected = [
             [[str(atom) for atom in match.consumed] for match in matcher_reference.search(gw_pass.patterns, solution)]
@@ -598,7 +583,7 @@ class TestNoStateOnTheCompiledForm:
         def worker(index):
             try:
                 for _ in range(20):
-                    found = search(solutions[index], gw_pass.guarded_condition)
+                    found = search(solutions[index])
                     seen[index] = [[str(atom) for atom in match.consumed] for match in found]
                     assert seen[index] == expected[index]
             except BaseException as exc:  # noqa: BLE001 - reported by the main thread
@@ -685,7 +670,7 @@ class TestOmegaIsBoundOnDemand:
         return TupleAtom([Symbol("BAG"), Subsolution([1, 2, 3])])
 
     def test_an_effect_reads_the_pre_reaction_remainder(self):
-        rule = self._drain(effect=lambda bindings: [bindings.value("w")])
+        rule = self._drain(effect=lambda w: [w])
         report = ReductionEngine().reduce(Multiset([self._bag(), rule]))
         assert report.effects == [[2, 3], [3], []] and report.reactions == 3
 

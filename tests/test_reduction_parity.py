@@ -25,6 +25,7 @@ from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     AtomError,
     Call,
+    Compare,
     IntAtom,
     Literal,
     Multiset,
@@ -566,7 +567,7 @@ class TestInPlaceReactions:
 
         def checked(rule, solution):
             found = first_match(rule, solution)
-            enumerated = find_matches(rule.patterns, solution, rule.guarded_condition, rule.given)
+            enumerated = find_matches(rule.patterns, solution, rule.condition, rule.given)
             expected = next(
                 (m for m in enumerated if not any(atom is rule for atom in m.consumed)), None
             )
@@ -639,7 +640,7 @@ class TestFlagsSurviveFailure:
                 "down",
                 [Var("x", kind="int")],
                 [Call("pred", Ref("x"))],
-                condition=lambda b: b.value("x") > 0,
+                condition=Compare(">", Ref("x"), 0),
             )
 
         def settled(name):

@@ -46,6 +46,7 @@ from repro.hocl import rules as rules_module
 from repro.hocl import (
     AtomError,
     Call,
+    Compare,
     default_registry,
     IntAtom,
     Match,
@@ -88,7 +89,7 @@ def getmax_delta_rule():
         "max",
         [Var("x", kind="int"), Var("y", kind="int")],
         [Ref("x")],
-        condition=lambda b: b.value("x") >= b.value("y"),
+        condition=Compare(">=", Ref("x"), Ref("y")),
     )
 
 
@@ -314,7 +315,7 @@ def test_every_centralised_gw_call_shares_one_rule_body():
     assert first.products is second.products and first.search is second.search
     assert shape(first.delta) == shape(derive_delta(first.patterns, first.products))
     assert (first.given, second.given) == ({"task": StringAtom("a")}, {"task": StringAtom("b")})
-    assert "task" in first.bound_variables()
+    assert first.summary is second.summary and "task" in first.summary.bound(first.given)
 
 
 def test_a_centralised_montage_derives_each_delta_once(monkeypatch):
@@ -800,8 +801,9 @@ def two_field_programs(draw):
     shared = draw(st.sampled_from([None, "BAG", "SINK"]))
     if shared is not None:
         if draw(st.booleans()):  # the same tuple twice
-            rules.append(Rule("dup", [Var("x", kind="tuple")], [Ref("x"), Ref("x")], one_shot=True, priority=1,
-                              condition=lambda b, head=Symbol(shared): b.atom("x").elements[0] == head))
+            twice = [TupleTemplate(Ref("h"), Splice("r"))] * 2
+            rules.append(Rule("dup", [TuplePattern(Var("h", kind="symbol"), rest=Omega("r"))], twice, one_shot=True,
+                              priority=1, condition=Compare("==", Ref("h"), Symbol(shared))))
         else:  # one body in two tuples
             copy = TupleTemplate(Symbol(shared), Ref("b"))
             pattern = TuplePattern(SymbolPattern(shared), Var("b"))

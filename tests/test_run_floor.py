@@ -223,21 +223,25 @@ class TestActionsStayWithTheirAgent:
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
 #: Python-level calls per chain agent built and per steady-state stimulus: 52
-#: and 65.3 today on CPython 3.10 and 3.11 (50.0 and 63.7 on 3.12), pinned at
-#: the highest, since a rule's fire and pre-check are generated code, 72.7
-#: while they were interpreted (70.0 on 3.12), 81.7
+#: and 64.0 today on CPython 3.11 (a few calls more or less with what the
+#: process ran before), pinned at the next integer up, since a reaction
+#: condition is a comparison the search writes inline, 65.3 while it was a
+#: closure the search called (50.0 and 63.7 on 3.12), since a rule's fire and
+#: pre-check are generated code, 72.7 while they were interpreted (70.0 on 3.12), 81.7
 #: while a firing looked up again what its search had bound, 54 and 85.7
 #: while the engine carried its batch/parallel modes and read the clock
 #: untraced, 158 and 110 while atoms, multisets, matches, reports and actions
 #: were built through generators, dataclasses and `to_atom`
-CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 66
+CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 65
 #: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
-#: montage:size=300,seed=1: 54.57 on CPython 3.10 and 3.11 (53.30 on 3.12),
-#: pinned at the highest, since a rule's fire and pre-check are generated
+#: montage:size=300,seed=1: 52.60 on CPython 3.11, pinned at the highest,
+#: since a reaction condition is a comparison the search writes inline (no
+#: call per condition test), 54.57 while it was a guarded closure (53.30 on
+#: 3.12), since a rule's fire and pre-check are generated
 #: code, 88.86 while they were interpreted (86.34 on 3.12) and a firing edited
 #: by the sites its match recorded, 108.9 while it walked field heads and
 #: removed by equality
-CALLS_PER_REACTION = 55
+CALLS_PER_REACTION = 53
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
 #: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
 #: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
