@@ -88,10 +88,9 @@ class AgentCore:
         self.encoding = encoding
         self.name = encoding.name
         self.trace = active_tracer(trace)
-        self.solution: Multiset = encoding.initial_solution(include_rules=False)
-        # shared rule objects (see local_rules): only the atoms above are this agent's own
+        # shared rule objects (see local_rules): only the fields are this agent's own
         local_rules = build_local_rules(encoding)
-        self.solution.add_all(local_rules)
+        self.solution: Multiset = encoding.initial_solution(local_rules)
         #: names of every rule registered in this agent's local solution;
         #: the dynamic analyzer diffs this against `rule_fires` for coverage
         self.rule_names: tuple[str, ...] = tuple([rule.name for rule in local_rules])

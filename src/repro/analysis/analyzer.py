@@ -106,7 +106,7 @@ def analyze_encoding(encoding: WorkflowEncoding, label: str = "") -> AnalysisRep
         report.merge(
             analyze_rules(
                 task.local_rules,
-                solution=task.initial_solution(include_rules=True),
+                solution=task.initial_solution(),
                 label=f"{prefix}task {name!r}",
                 injected_keys=injected,
                 injected_wildcard=wildcard,

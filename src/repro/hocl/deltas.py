@@ -64,12 +64,12 @@ from typing import Any, Mapping, Sequence
 
 from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, to_atom
 from .errors import AtomError
-from .matching import _FACTORIES, _load, _serial
+from .matching import _FACTORIES, _frame, _layout, _load, _loops, _serial
 from .multiset import atom_index_keys
 from .patterns import Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, solution_patterns
 from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate, display, emit_template
 
-__all__ = ["RuleSummary", "derive_delta"]
+__all__ = ["Reaction", "RuleSummary", "derive_delta"]
 
 
 def _span(pattern: Pattern) -> int:
@@ -81,39 +81,61 @@ class Fire(Source):
     """The lines of one delta's fire, as its ops and templates write them:
     :attr:`lines` expand what it adds, :attr:`edits` then change the solution.
 
-    A name is read into a local once, before the first expansion that reads
-    it; a name the left-hand side binds is there, one it does not (a ``given``
-    one) is looked up and checked.
+    Standalone (:attr:`RewriteDelta.apply`) it reads a match: its bindings
+    (``d``) and its sites (``sites``).  In a :class:`Reaction` (``fused``) it
+    is the search's own :class:`Source`, past the last pattern, and reads the
+    search's locals: :attr:`sited` holds the local of each site.  A name is
+    read into a local once, before the first expansion that reads it; a name
+    the left-hand side binds is there, one it does not (a ``given`` one) is
+    looked up and checked.
     """
 
-    def __init__(self, patterns: Sequence[Pattern]):
-        super().__init__(2)
+    def __init__(self, patterns: Sequence[Pattern], depth: int = 2, blocks: int = 0, shared: Sequence[str] = (), fused: bool = False):
+        super().__init__(depth, blocks, shared, fused)
         self.edits: list[str] = []
         self.names: set[str] = set()  # what every match binds
         self.omegas: set[str] = set()  # ... to a list
         for pattern in patterns:
             self.names |= pattern.bound_names()
             self.omegas |= pattern.omega_names()
+        self.scalars: dict[str, str] = {}  # variable -> the local of its one atom
         self.lists: dict[str, str] = {}  # variable -> the local of its atoms, as a list
+        self.sited: list[str] = []
         self.registry = False  # whether the externals were checked
 
     def edit(self, text: str) -> None:
         self.edits.append("    " * self.depth + text)
 
+    def at(self, site: int) -> str:
+        """An expression for the entry or solution at slot ``site`` of the sites."""
+        return self.sited[site] if self.fused else f"sites[{site}]"
+
+    def fetch(self, name: str, stem: str) -> str:
+        """A local holding what ``name`` is bound to (``U``: nothing): the search's own, or one read here."""
+        if self.fused:
+            held = self.held(name)
+            if held.isidentifier():
+                return held
+        else:
+            held = f"d[{name!r}]" if name in self.names else f"d.get({name!r}, U)"
+        local = ("f" if self.fused else stem) + self._ident(name)
+        self.line(f"{local} = {held}")
+        return local
+
     def atom(self, name: str) -> str:
         """The local of the one atom ``name`` is bound to."""
-        held = self.bound.get(name)
+        held = self.scalars.get(name)
         if held is None:
-            held = self.bound[name] = "v" + self._ident(name)
             omega = f"variable {name!r} is an omega binding; use Splice({name!r})"
             if name in self.omegas:
+                held = "v" + self._ident(name)  # never read: the line raises
                 self.line(f"raise PatternError({omega!r})")
-            elif name in self.names:
-                self.line(f"{held} = d[{name!r}]")
             else:
-                self.line(f"{held} = d.get({name!r}, U)")
-                self.line(f"if {held} is U: raise PatternError({f'product references unbound variable {name!r}'!r})")
-                self.line(f"if isinstance({held}, list): raise PatternError({omega!r})")
+                held = self.fetch(name, "v")
+                if name not in self.names:
+                    self.line(f"if {held} is U: raise PatternError({f'product references unbound variable {name!r}'!r})")
+                    self.line(f"if isinstance({held}, list): raise PatternError({omega!r})")
+            self.scalars[name] = held
         return held
 
     def atoms(self, name: str) -> str:
@@ -123,29 +145,42 @@ class Fire(Source):
         if held is None:
             held = self.lists[name] = "l" + self._ident(name)
             if name in self.names and name not in self.omegas:
-                self.line(f"{held} = [d[{name!r}]]")
+                self.line(f"{held} = [{self.atom(name)}]")
                 return held
-            if name in self.names:
-                self.line(f"{held} = d[{name!r}]")
-            else:
-                self.line(f"{held} = d.get({name!r}, U)")
+            if (source := self.fetch(name, "l")) != held:
+                self.line(f"{held} = {source}")
+            if name not in self.names:
                 self.line(f"if {held} is U: raise PatternError({f'product references unbound omega {name!r}'!r})")
-            self.line(f"if {held}.__class__ is Rest: {held} = d[{name!r}] = {held}.read({name!r})")
+            if name in self.lazy:
+                self.line(f"if {held} is U: {held} = {self.lazy[name]}")
+            elif not self.fused:
+                self.line(f"if {held}.__class__ is Rest: {held} = d[{name!r}] = {held}.read({name!r})")
             if name not in self.omegas:
                 self.line(f"elif not isinstance({held}, list): {held} = [{held}]")
         return held
 
+    def value(self, name: str) -> str:
+        """An expression for the plain value of ``name`` (:meth:`BindingView.value`), an effect's argument."""
+        held = self.atoms(name) if name in self.omegas else self.fetch(name, "v")
+        if name not in self.names:
+            self.line(f"if {held} is U: raise KeyError({name!r})")
+        return f"from_atom({held})" if name in self.names and name not in self.omegas else f"value_of({held})"
+
     def externals(self, function: str) -> str:
-        """The registry a ``Call`` of ``function`` invokes, checked before the first."""
+        """The registry a ``Call`` of ``function`` invokes, checked before the
+        first, and ``b``, every binding it is handed."""
         if not self.registry:
             self.registry = True
             refused = f"rule product calls {function!r} but no external registry is available"
             self.line(f"if externals is None: raise ExternalFunctionError({refused!r})")
+            if self.fused:  # an ω copied for it is the one a splice reads
+                bound = [f"{name!r}: {self.atoms(name) if name in self.lazy else self.read(name)}" for name in list(self.bound)]
+                self.line(f"b = {{**{self.extra}, {', '.join(bound)}}}")
         return "externals"
 
-    def adding(self, target: str, templates: Sequence[Any]) -> str:
+    def adding(self, target: str, templates: Sequence[Any]) -> "str | list[str]":
         """Expand ``templates`` and add the atoms to the solution ``target``;
-        an expression for the list of them."""
+        the local of the list of them, or the local of each."""
         items = [emit_template(template, self) for template in templates]
         if any(item[0] == "*" for item in items):
             held = self.local("p")
@@ -157,7 +192,7 @@ class Fire(Source):
             self.line(f"{held} = {item}")
         for held in locals_:
             self.edit(f"{target}.add({held})")
-        return f"[{', '.join(locals_)}]"
+        return locals_
 
 
 class DeltaOp:
@@ -183,7 +218,7 @@ class PatchAdd(DeltaOp):
         self.templates = tuple(templates)
 
     def emit(self, out: Fire) -> None:
-        out.adding(f"sites[{self.site}]", self.templates)
+        out.adding(out.at(self.site), self.templates)
 
     def __repr__(self) -> str:
         return f"PatchAdd({self.site}, templates={self.templates!r})"
@@ -202,7 +237,7 @@ class PatchRemove(DeltaOp):
 
     def emit(self, out: Fire) -> None:
         for entry in self.entries:
-            out.edit(f"sites[{self.site}]._remove_entry(sites[{entry}])")
+            out.edit(f"{out.at(self.site)}._remove_entry({out.at(entry)})")
 
     def __repr__(self) -> str:
         return f"PatchRemove({self.site}, entries={self.entries!r})"
@@ -255,18 +290,26 @@ class RewriteDelta:
         self.__source__, self.apply = text, factory(*constants)
         return getattr(self, name)
 
-    def _write(self) -> tuple[str, list[Any]]:
-        """The text of the fire and the constants it names."""
-        out = Fire(self.patterns)
-        added, joining = "[]", []
+    def emit(self, out: Fire) -> "str | list[str]":
+        """Write the fire into ``out``: the expansions, then the edits; the
+        local of the list of the ``produce`` expansions, or the local of each."""
+        added: "str | list[str]" = []
+        joining: list[str] = []
         if self.produce:  # expanded first, joins the level last
             added = out.adding("solution", self.produce)
             joining, out.edits = out.edits, []
         for op in self.ops:
             op.emit(out)
         for index in self.consume:
-            out.edit(f"solution._remove_entry(sites[{index}])")
-        out.edits += joining
+            out.edit(f"solution._remove_entry({out.at(index)})")
+        out.lines += [*out.edits, *joining]
+        out.edits = []
+        return added
+
+    def _write(self) -> tuple[str, list[Any]]:
+        """The text of the fire and the constants it names."""
+        out = Fire(self.patterns)
+        added = self.emit(out)
         removed = ", ".join(f"match.consumed[{index}]" for index in self.consume)
         head = [
             f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):",
@@ -275,10 +318,11 @@ class RewriteDelta:
         ]
         if out.registry:  # a ``Call`` hands its external every binding
             head.append("        b = match.bindings")
-        if out.bound or out.lists:
+        if out.scalars or out.lists:
             head.append(f"        d = {'b' if out.registry else 'match.bindings'}._data")
+        added = added if isinstance(added, str) else f"[{', '.join(added)}]"
         tail = [f"        return [{removed}], {added}", "    return fire", ""]
-        return "\n".join([*head, *out.lines, *out.edits, *tail]), out.constants
+        return "\n".join([*head, *out.lines, *tail]), out.constants
 
     def __repr__(self) -> str:
         return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
@@ -376,6 +420,74 @@ def _patched_body(pattern: SolutionPattern, template: SolutionTemplate, site: in
     if added:
         ops.append(PatchAdd(site, added))
     return ops
+
+
+class Reaction:
+    """A rule as the engine tries it: one generated function, shared by
+    :meth:`~repro.hocl.rules.Rule.bind` siblings, that searches the left-hand
+    side and fires the delta where the first admissible match holds, on the
+    search's own locals.  ``run(solution, owner, externals, effects, observed,
+    clock)`` returns ``None`` when nothing matches, else ``(produced, match,
+    searched)``: the atoms the firing left and made, the
+    :class:`~repro.hocl.matching.Match` (built only if ``observed``, every ω
+    copied) and the instant the search ended (read only if ``clock``).  At the
+    match, the candidate memories close first (an edit may give back an entry
+    the search refuted), the effect is called, then the fire runs as
+    :attr:`RewriteDelta.apply` does, a raise there a ``ReductionError`` naming
+    the rule, and what the effect returned joins ``effects``.  No pending ω is
+    built: one is copied where the fire or the effect reads it.  Written at
+    the first reaction, off the rule reacting, and compiled once per distinct
+    text like a search; ``__source__`` is its text.
+    """
+
+    __slots__ = ("run", "__source__")
+
+    def __getattr__(self, name: str) -> Any:
+        # only an unset slot gets here: nothing reacted yet
+        if name == "run":
+            return self._first
+        raise AttributeError(name)
+
+    def _first(self, solution: Any, owner: Any, *rest: Any) -> Any:
+        text, constants = self._write(owner)
+        factory = _FACTORIES.get(text) or _load(text, f"<hocl-reaction {owner.name} #{next(_serial)}>")
+        self.__source__, self.run = text, factory(*constants)
+        return self.run(solution, owner, *rest)
+
+    @staticmethod
+    def _write(rule: Any) -> tuple[str, list[Any]]:
+        """The text of the reaction of ``rule`` and the constants it names."""
+        patterns, delta = rule.patterns, rule.delta
+        _keys, broad, opened = _layout(patterns)
+        out = Fire(patterns, 3 if broad else 2, 1 if broad else 0, opened, fused=True)
+        entries, atoms = _loops(out, patterns, rule.condition, pinnable=False)
+        if atoms:  # by identity: rules are equal by name
+            out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
+        out.sited = sites = [*entries, *out.sites]
+        for index in broad:
+            out.line(f"if m{index} is not None: m{index}.close(r{index}); m{index} = None")
+        out.line("searched = clock and clock()")
+        out.line(f"match = Match(View({out.bindings()}), [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})) if observed else None")
+        if rule.effect is not None:
+            values = ", ".join(out.value(name) for name in rule.effect_names)
+            out.line(f"emitted = list({out.const(rule.effect)}({values}) or ())")
+        out.line("try:")
+        out.depth += 1
+        fired = len(out.lines)
+        added = delta.emit(out)
+        out.depth -= 1
+        if len(out.lines) == fired:  # nothing to expand or edit
+            out.lines.pop()
+        else:
+            out.line("except Exception as exc:")
+            out.line('    raise ReductionError(f"rule {owner.name!r} failed to apply its rewrite delta: {exc}") from exc')
+        if rule.effect is not None:
+            out.line("effects.extend(emitted)")
+        kept = len(patterns) - len(delta.consume)
+        out.line(f"return {f'{kept} + len({added})' if isinstance(added, str) else kept + len(added)}, match, searched")
+        out.close()
+        before = ["        initial_bindings = owner.given"]
+        return _frame(out, patterns, "react", "solution, owner, externals, effects, observed, clock", before, [])
 
 
 class RuleSummary:

@@ -34,12 +34,15 @@ have changed since the last reduction:
   candidate in the head-symbol index;
 * a pattern keyed by a whole kind bucket searches the bucket's
   plausible-candidate memory: what its pre-check has not refuted;
-* the search itself is :func:`~repro.hocl.matching.first_match` — the engine
-  only ever consumes the first admissible match, so it asks for that;
+* a rule is tried by its :class:`~repro.hocl.deltas.Reaction`, one generated
+  function that searches for the first admissible match — the one
+  :func:`~repro.hocl.matching.first_match` finds, all the engine ever
+  consumes — and fires the rule there, on the search's own locals: no match
+  record is built unless an observer reads it;
 * a rule fires through its :class:`~repro.hocl.deltas.RewriteDelta`, derived
-  from its two sides and generated like the search: the atoms a product
-  restates stay in place and the patches edit their nested solutions,
-  instead of everything matched being removed and the products rebuilt.
+  from its two sides: the atoms a product restates stay in place and the
+  patches edit their nested solutions, instead of everything matched being
+  removed and the products rebuilt.
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to a naive
@@ -204,6 +207,9 @@ class ReductionEngine:
         #: per-phase seconds (:data:`PHASES`) of every span this engine
         #: recorded; ``None`` untraced
         self.timings = None if self.trace is None else dict.fromkeys(PHASES, 0.0)
+        #: a rule is searched and fired by its reaction, unless the search or the
+        #: fire below is replaced (by the oracles of the test suite): then by those
+        self._fused = self._find_match_excluding_self is first_match and getattr(self._apply, "__func__", None) is _APPLY
 
     # ----------------------------------------------------------------- public
     def reduce(self, solution: Multiset) -> ReductionReport:
@@ -219,7 +225,8 @@ class ReductionEngine:
 
     # --------------------------------------------------------------- internal
     def _reduce_level(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        max_steps, trace = self.max_steps, self.trace
+        max_steps, trace, fused, observer = self.max_steps, self.trace, self._fused, self.observer
+        clock = perf_counter if trace is not None else None
         while True:
             if report.reactions >= max_steps:
                 report.inert = False
@@ -232,7 +239,7 @@ class ReductionEngine:
             # 1. bring every nested solution to inertness first, in entry
             # order: only what the multiset still holds flagged, asked again
             # until nothing is left — the asking unflags what is now inert.
-            nested = solution.unsettled_solutions()
+            nested = solution.unsettled_solutions() if solution._flagged else ()
             while nested:
                 for inner in nested:
                     self._reduce_level(inner, depth + 1, report)
@@ -244,22 +251,44 @@ class ReductionEngine:
             # that matches fires once, then loop — the reaction may have
             # created new nested solutions or re-enabled nested rules.
             started = perf_counter() if trace is not None else 0.0
-            for rule in solution.rules_by_priority():
+            index = solution._index
+            for rule in solution.rules_by_priority() if solution._rules_dirty else solution._rules_cache:
                 # an empty bucket under one of its patterns proves the rule cannot
-                # match: the search — and its ``match_attempts`` charge — is skipped
-                if not solution.has_all_candidates(rule.pattern_index_keys):
-                    continue
-                report.match_attempts += 1
-                match = self._find_match_excluding_self(rule, solution)
-                if match is not None:
+                # match: the search — and its ``match_attempts`` charge — is
+                # skipped (`has_all_candidates`, inline)
+                for key in rule.pattern_index_keys:
+                    if key is not None and key not in index:
+                        break
+                else:
+                    report.match_attempts += 1
+                    if not fused:
+                        match = self._find_match_excluding_self(rule, solution)
+                        if match is None:
+                            continue
+                        if trace is not None:
+                            self._record("match", started, perf_counter(), depth=depth, rule=rule.name)
+                        self._apply(rule, match, solution, depth, report)
+                        break
+                    fired = rule.reaction.run(solution, rule, self.externals, report.effects, observer is not None, clock)
+                    if fired is None:
+                        continue
+                    produced, match, searched = fired
+                    written = perf_counter() if trace is not None else 0.0
+                    if rule.one_shot:  # an atom of this level, which its own firing never removes
+                        solution.remove_identical(rule)
                     if trace is not None:
-                        self._record("match", started, perf_counter(), depth=depth, rule=rule.name)
-                    self._apply(rule, match, solution, depth, report)
+                        self._record("match", started, searched, depth=depth, rule=rule.name)
+                        self._record("patch", searched, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
+                    report.reactions += 1
+                    report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
+                    report.history.append(ReactionRecord(rule.name, depth, len(rule.patterns), produced))
+                    if observer is not None:
+                        observer(rule, match, depth)
                     break
             else:
                 if trace is not None:
                     self._record("match", started, perf_counter(), depth=depth)
-                solution.note_inert()
+                solution._inert_version = solution._version  # `note_inert`
                 return
 
     def _has_applicable_rule(self, solution: Multiset, report: ReductionReport) -> bool:
@@ -280,6 +309,7 @@ class ReductionEngine:
         return False
 
     #: ``(rule, solution)`` -> first match that does not consume the rule itself
+    #: (what `is_inert` asks; a rule's reaction finds the same one)
     _find_match_excluding_self = staticmethod(first_match)
 
     def _record(self, phase: str, started: float, ended: float, **attrs: Any) -> None:
@@ -292,7 +322,8 @@ class ReductionEngine:
         trace.span(f"reduction.{phase}", self.trace_track, started, ended, **attrs)
 
     def _apply(self, rule: Rule, match: Match, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        """Fire ``rule`` on ``match`` through its rewrite delta: the patches edit
+        """Fire ``rule`` on ``match`` through its rewrite delta's standalone fire
+        — what its reaction does where its search matched: the patches edit
         the kept atoms' bodies, the consumed atoms leave the level and the
         produced ones join it."""
         trace = self.trace
@@ -327,6 +358,9 @@ class ReductionEngine:
         report.effects.extend(emitted)
         if self.observer is not None:
             self.observer(rule, match, depth)
+
+
+_APPLY = ReductionEngine._apply
 
 
 def reduce_solution(

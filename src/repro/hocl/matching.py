@@ -36,10 +36,10 @@ from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from weakref import WeakValueDictionary
 
-from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom
+from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, from_atom
 from .multiset import _EMPTY, Multiset
-from .errors import ExternalFunctionError, PatternError
-from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest
+from .errors import ExternalFunctionError, PatternError, ReductionError
+from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest, remainder, value_of
 from .templates import coerce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,6 +80,7 @@ _NAMES = {
     "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
     "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView, "Match": Match,
     "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
+    "ReductionError": ReductionError, "remainder": remainder, "value_of": value_of, "from_atom": from_atom,
 }  # fmt: skip
 _SIGNATURE = "solution, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
 #: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search
@@ -173,8 +174,18 @@ def _load(text: str, filename: str) -> Callable[..., Any]:
     return factory
 
 
-def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[str, list[Any]]:
-    """The text of the search of ``patterns`` under ``condition`` and the constants it names.
+def _layout(patterns: Sequence[Pattern]) -> tuple[list[Any], list[int], list[str]]:
+    """The index key of each pattern, those that are broad (a kind bucket, or
+    none: searched through a memory), and the locals of their memories."""
+    keys = [pattern.index_key() for pattern in patterns]
+    broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
+    return keys, broad, [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
+
+
+def _loops(out: Source, patterns: Sequence[Pattern], condition: "Compare | None", pinnable: bool = True) -> tuple[list[str], list[str]]:
+    """Write into ``out`` the loops of the search of ``patterns`` under
+    ``condition``, up to where a match holds; the locals of the entry and of
+    the atom each pattern took.
 
     One nested ``for`` per pattern, in declaration order, over every candidate
     entry no earlier pattern took, in bucket order.  The candidates are drawn
@@ -186,12 +197,10 @@ def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[
     :meth:`~repro.hocl.patterns.Pattern.reject` holds under any bindings) —
     iterated in place: what this search refutes is forgotten when it ends,
     however it ends.  Any other bucket is short, and read live: nothing
-    mutates the solution while a search runs.
+    mutates the solution while a search runs.  ``pinnable``: pattern
+    ``pinned`` may draw from ``pinned_entries`` instead.
     """
-    keys = [pattern.index_key() for pattern in patterns]
-    broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
-    opened = [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
-    out = Source(3 if broad else 2, 1 if broad else 0, opened)
+    keys, broad, _opened = _layout(patterns)
     entries: list[str] = []
     atoms: list[str] = []
     if not patterns:
@@ -200,17 +209,22 @@ def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[
         entry, atom = out.local("e"), out.local("a")
         if index in broad:
             own = out.const(pattern)
-            out.line(f"if pinned == {index}: n{index} = pinned_entries; q{index} = False")
+            cases = [(f"pinned == {index}", "pinned_entries")] if pinnable else []
             narrowing = pattern.narrowing_variable()
             if narrowing is not None:
                 held = out.held(narrowing)
-                out.line(f"elif isinstance({held}, Symbol): n{index} = solution._index.get(('tuple', {held}.name), EMPTY); q{index} = False")
-            out.line("else:")
-            out.line(f"    if m{index} is None: m{index} = solution.memory_for({own}, {out.const(key)}); d{index} = m{index}.open()")
-            out.line(f"    n{index} = d{index}; q{index} = True")
+                cases.append((f"isinstance({held}, Symbol)", f"solution._index.get(('tuple', {held}.name), EMPTY)"))
+            for case, (test, drawn) in enumerate(cases):
+                out.line(f"{'elif' if case else 'if'} {test}: n{index} = {drawn}; q{index} = False")
+            indent = "    " if cases else ""
+            if cases:
+                out.line("else:")
+            out.line(f"{indent}if m{index} is None: m{index} = solution.memory_for({own}, {out.const(key)}); d{index} = m{index}.open()")
+            out.line(f"{indent}n{index} = d{index}; q{index} = True")
             out.loop(f"for {entry} in n{index}:")
         else:
-            out.loop(f"for {entry} in pinned_entries if pinned == {index} else {out.bucket('solution', key)}:")
+            pin = f"pinned_entries if pinned == {index} else " if pinnable else ""
+            out.loop(f"for {entry} in {pin}{out.bucket('solution', key)}:")
         if entries:  # `_Entry` has no `__eq__`: identity is all there is to test
             out.line(f"if {' or '.join(f'{entry} is {other}' for other in entries)}: continue")
         out.line(f"{atom} = {entry}.atom")
@@ -221,15 +235,14 @@ def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[
         atoms.append(atom)
     if condition is not None:
         condition.emit(out)
-    out.line(f"b = View({out.bindings()})")
-    if atoms:  # by identity: rules are equal by name
-        out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
-    sites = [*entries, *out.sites]
-    out.line(f"found.append(Match(b, [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})))")
-    out.line(f"if first: {out.stop}")
-    out.close()
-    head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def search({_SIGNATURE}):"]
-    head.append("        found = []")
+    return entries, atoms
+
+
+def _frame(out: Source, patterns: Sequence[Pattern], function: str, signature: str, before: list[str], after: list[str]) -> tuple[str, list[Any]]:
+    """The text of the factory of ``function`` whose body is what
+    ``out`` holds, its memories closed however it ends, and the constants it names."""
+    _keys, broad, opened = _layout(patterns)
+    head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def {function}({signature}):", *before]
     if out.initial:
         head.append("        if initial_bindings:")
         head.append("            get = initial_bindings.get")
@@ -245,9 +258,23 @@ def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[
         head.append("        try:")
         tail.append("        finally:")
         tail.extend(f"            if m{index} is not None: m{index}.close(r{index})" for index in broad)
-    tail.append("        return found")
-    tail.append("    return search")
-    return "\n".join([*head, *out.lines, *tail, ""]), out.constants
+    return "\n".join([*head, *out.lines, *tail, *after, f"    return {function}", ""]), out.constants
+
+
+def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[str, list[Any]]:
+    """The text of the search of ``patterns`` under ``condition`` (see
+    :func:`_loops`) and the constants it names: every match, a :class:`Match`."""
+    _keys, broad, opened = _layout(patterns)
+    out = Source(3 if broad else 2, 1 if broad else 0, opened)
+    entries, atoms = _loops(out, patterns, condition)
+    out.line(f"b = View({out.bindings()})")
+    if atoms:  # by identity: rules are equal by name
+        out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
+    sites = [*entries, *out.sites]
+    out.line(f"found.append(Match(b, [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})))")
+    out.line(f"if first: {out.stop}")
+    out.close()
+    return _frame(out, patterns, "search", _SIGNATURE, ["        found = []"], ["        return found"])
 
 
 def first_match(rule: "Rule", solution: Multiset) -> Match | None:

@@ -36,8 +36,9 @@ object added twice yields two entries), preserving global insertion order
 within every bucket; this is what keeps the indexed matcher's candidate
 enumeration — and therefore the reduction trace — identical to a naive scan.
 
-Every solution is built through :meth:`Multiset.add`: an atom as it is, its cached index keys,
-what it holds wired in one pass, and no :meth:`Multiset._touch` when nothing encloses it.
+A solution is built by its constructor in one pass, to the state :meth:`Multiset.add`
+per atom would leave: an atom as it is, its cached index keys, what it holds wired; a
+fresh solution has no holder to touch and no memory to admit to.
 
 A sub-solution is one molecule of one enclosing solution: :meth:`Multiset.add`
 refuses (``AtomError``, nothing changed) an atom holding a solution that
@@ -232,7 +233,8 @@ class Multiset:
     ----------
     contents:
         Optional iterable of atoms or plain Python values (coerced with
-        :func:`~repro.hocl.atoms.to_atom`).
+        :func:`~repro.hocl.atoms.to_atom`), added in order as :meth:`add`
+        adds them — and refused as it refuses them (``AtomError``).
     """
 
     __slots__ = (
@@ -275,8 +277,22 @@ class Multiset:
         self._memories: dict[Any, _Memory] | None = None
         self._content_hash = 0
         self._hash_version = -1
-        for value in contents:
-            self.add(value)
+        entries, index = self._entries, self._index
+        try:
+            for value in contents:
+                atom = value if isinstance(value, Atom) else to_atom(value)
+                entry = _Entry(atom, len(entries))  # the version when it joins: one bump per atom
+                if atom._mutable:
+                    self._hold(atom, entry)
+                entries.append(entry)
+                for key in atom._index_keys or atom_index_keys(atom):
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [entry]
+                    else:
+                        bucket.append(entry)
+        finally:
+            self._version = len(entries)
 
     # ------------------------------------------------------------ versioning
     @property
@@ -347,30 +363,7 @@ class Multiset:
         atom = value if isinstance(value, Atom) else to_atom(value)
         entry = _Entry(atom, self._version)  # bumped below: later entries sort later
         if atom._mutable:
-            # wire every solution it holds to this entry: its own and a tuple's elements'
-            # are also nested (reduced); one deeper, as in a list (walked whole), is held only
-            pair, nested, held = (self, entry), [], []
-            for item in (atom,) if isinstance(atom, Subsolution) else getattr(atom, "elements", (atom,)):
-                if isinstance(item, Subsolution):
-                    nested.append(item.solution)
-                    held.append(item.solution)
-                elif item._mutable:
-                    held += _held_solutions(item)
-            root = self  # a holderless solution enclosing this one can only be its root
-            while root._holder is not None:
-                root = root._holder[0]
-            for index, solution in enumerate(held):
-                if solution._holder is not None or solution is root:
-                    for wired in held[:index]:
-                        wired._holder = None
-                    raise AtomError(f"a solution has one holder: {atom} holds one held already, or one enclosing this multiset")
-                solution._holder = pair
-            if nested:
-                if self._nested is None:
-                    self._nested = {}
-                    self._flagged = set()
-                self._nested[entry] = nested
-                self._flagged.add(entry)  # type: ignore[union-attr]
+            self._hold(atom, entry)
         self._entries.append(entry)
         index = self._index
         keys = atom._index_keys
@@ -392,9 +385,33 @@ class Multiset:
             self._touch()
         return atom
 
-    def add_all(self, values: Iterable[Any]) -> list[Atom]:
-        """Add every value from ``values``; returns the added atoms."""
-        return [self.add(v) for v in values]
+    def _hold(self, atom: Atom, entry: _Entry) -> None:
+        """Wire every solution ``atom`` holds to ``entry``, joining this multiset:
+        its own and a tuple's elements' are also nested (reduced); one deeper,
+        as in a list (walked whole), is held only.  Raises ``AtomError``,
+        nothing wired, on one held already or one enclosing this multiset."""
+        pair, nested, held = (self, entry), [], []
+        for item in (atom,) if isinstance(atom, Subsolution) else getattr(atom, "elements", (atom,)):
+            if isinstance(item, Subsolution):
+                nested.append(item.solution)
+                held.append(item.solution)
+            elif item._mutable:
+                held += _held_solutions(item)
+        root = self  # a holderless solution enclosing this one can only be its root
+        while root._holder is not None:
+            root = root._holder[0]
+        for index, solution in enumerate(held):
+            if solution._holder is not None or solution is root:
+                for wired in held[:index]:
+                    wired._holder = None
+                raise AtomError(f"a solution has one holder: {atom} holds one held already, or one enclosing this multiset")
+            solution._holder = pair
+        if nested:
+            if self._nested is None:
+                self._nested = {}
+                self._flagged = set()
+            self._nested[entry] = nested
+            self._flagged.add(entry)  # type: ignore[union-attr]
 
     def _bucket_of(self, atom: Atom) -> list[_Entry]:
         """The primary (most specific) index bucket ``atom`` lives in, if stored.
@@ -403,7 +420,7 @@ class Multiset:
         ``_entries``, so the first equal (or identical) entry in it is the
         first one overall: no occurrence lookup scans ``_entries``.
         """
-        return self._index.get(atom_index_keys(atom)[0], _EMPTY)
+        return self._index.get((atom._index_keys or atom_index_keys(atom))[0], _EMPTY)
 
     def remove(self, atom: Any) -> None:
         """Remove one occurrence of ``atom`` (structural equality).
@@ -628,7 +645,7 @@ class Multiset:
         unsettled = self._flagged = set()
         for entry in sorted(flagged, key=_seq) if len(flagged) > 1 else flagged:
             for solution in self._nested[entry]:  # type: ignore[index]
-                if solution._inert_version != solution._version and solution.can_react:
+                if solution._inert_version != solution._version and (solution._nested or _KIND_RULE in solution._index):
                     items.append(solution)
                     unsettled.add(entry)
         return items
@@ -658,17 +675,11 @@ class Multiset:
     # ------------------------------------------------------------- structure
     def copy(self) -> "Multiset":
         """Deep copy of the multiset (sub-solutions are copied recursively)."""
-        clone = Multiset()
-        for entry in self._entries:
-            clone.add(entry.atom.copy())
-        return clone
+        return Multiset([entry.atom.copy() for entry in self._entries])
 
     def union(self, other: "Multiset") -> "Multiset":
         """A new multiset with the contents of both operands."""
-        result = self.copy()
-        for item in other:
-            result.add(item.copy())
-        return result
+        return Multiset([entry.atom.copy() for entry in (*self._entries, *other._entries)])
 
     def size_recursive(self) -> int:
         """Total number of atoms including the contents of nested solutions.

@@ -54,7 +54,7 @@ from typing import Any, Iterable
 
 from .atoms import Atom, Symbol, from_atom, to_atom
 from .errors import PatternError
-from .multiset import Multiset, _Entry, atom_index_keys
+from .multiset import Multiset, _atom, _Entry, atom_index_keys
 
 __all__ = [
     "Bindings",
@@ -88,11 +88,23 @@ class _Rest:
     def read(self, name: str) -> list[Atom]:
         if self.solution._version != self.version:
             raise PatternError(f"omega {name!r} read after the solution it is the remainder of changed")
-        used = self.used  # `_Entry` has no `__eq__`: `in` is an identity scan
-        return [entry.atom for entry in self.solution.live_entries() if entry not in used]
+        return remainder(self.solution, self.used)
 
     def __eq__(self, other: object) -> bool:  # an ω name bound twice: compare the lists
         return self.read("ω") == (other.read("ω") if isinstance(other, _Rest) else other)
+
+
+def remainder(solution: Multiset, used: Iterable[Any]) -> list[Atom]:
+    """The atoms of ``solution`` but those of the ``used`` entries, in entry order: an ω's list."""
+    entries = solution._entries.copy()
+    for entry in used:  # `_Entry` has no `__eq__`: each `remove` is an identity scan
+        entries.remove(entry)
+    return list(map(_atom, entries))
+
+
+def value_of(bound: Any) -> Any:
+    """The plain Python value of what a variable is bound to: an atom's, or each of a list's."""
+    return [from_atom(item) for item in bound] if isinstance(bound, list) else from_atom(bound)
 
 
 class BindingView(Mapping[str, Any]):
@@ -129,10 +141,7 @@ class BindingView(Mapping[str, Any]):
 
     def value(self, name: str) -> Any:
         """Unwrapped Python value of variable ``name``."""
-        bound = self[name]
-        if isinstance(bound, list):
-            return [from_atom(item) for item in bound]
-        return from_atom(bound)
+        return value_of(self[name])
 
     def atom(self, name: str) -> Any:
         """Raw atom (or list of atoms) bound to ``name``."""
@@ -156,13 +165,19 @@ class Source:
     to; one not bound yet may still be in :attr:`extra`, the mapping the view
     of a match starts from.  :attr:`sites` are the locals a match records where
     it bound, in the order :func:`solution_patterns` lists them.
+
+    The search of a reaction (``fused``) binds a solution pattern's ω without
+    copying it: its local holds ``U`` and :attr:`lazy` the expression of its
+    list, which :meth:`read` copies where something reads it.
     """
 
     #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
     BLOCKS = 18
 
-    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = ()):
+    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = (), fused: bool = False):
         self.lines: list[str] = []
+        self.fused = fused
+        self.lazy: dict[str, str] = {}  # omega -> the expression of its list, while its local holds U
         self.depth = depth
         self.blocks = blocks
         self.shared = ", ".join(shared)  # the locals a nested function rebinds
@@ -222,7 +237,7 @@ class Source:
         """After the innermost line: leave the nested functions, innermost first."""
         while self.nested:
             self.depth = self.nested.pop()
-            self.line(f"if deeper(): {self.stop}")
+            self.line("if (done := deeper()) is not None: return done" if self.fused else f"if deeper(): {self.stop}")
 
     def _ident(self, name: str) -> str:
         """What the locals of variable ``name`` end in (a name need not be an identifier)."""
@@ -243,9 +258,8 @@ class Source:
         builds a new list), or hold it to what it is bound to already."""
         # a list (an omega) never equals an atom, whichever came first
         same = "{0} is {1} or {0} == {1}" if value.isidentifier() else "{0} == {1}"
-        held = self.bound.get(name)
-        if held is not None:
-            self.line(f"if not ({same.format(held, value)}): continue")
+        if name in self.bound:
+            self.line(f"if not ({same.format(self.read(name), value)}): continue")
             return
         before = self.held(name)
         # (a local of its own past a subclass's `match` loop: that may sit in a nested function)
@@ -254,9 +268,34 @@ class Source:
         self.line(f"if {held} is U: {held} = {value}")
         self.line(f"elif not ({same.format(held, value)}): continue")
 
+    def remainder(self, name: str, solution: str, taken: list[str]) -> None:
+        """Bind omega ``name`` to the atoms of ``solution`` but those of the ``taken`` entries."""
+        used = f"[{', '.join(taken)}]"
+        if not self.fused:
+            self.bind(name, f"Rest({solution}, {used})")
+            return
+        rest = f"remainder({solution}, {used})"
+        if name in self.bound:
+            self.line(f"if not ({self.read(name)} == {rest}): continue")
+            return
+        before = self.held(name)
+        held = self.bound[name] = ("v" if self.extra == "initial_bindings" else self.extra) + self._ident(name)
+        self.lazy[name] = rest
+        self.line(f"{held} = {before}")
+        self.line(f"if {held} is not U and not ({held} == {rest}): continue")
+
+    def read(self, name: str) -> str:
+        """An expression for what variable ``name`` is bound to right now, an ω not copied yet copied."""
+        held, rest = self.held(name), self.lazy.get(name)
+        return held if rest is None else f"({held} if {held} is not U else {rest})"
+
+    def rebase(self, extended: str) -> None:
+        """From here on, what is bound is the mapping ``extended`` (a subclass's ``match`` made it)."""
+        self.extra, self.bound, self.lazy = extended, {}, {}
+
     def bindings(self) -> str:
         """An expression for what is bound right now, as a new dictionary."""
-        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {held}" for name, held in self.bound.items()))
+        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {self.read(name)}" for name in self.bound))
 
 
 class Pattern:
@@ -274,8 +313,7 @@ class Pattern:
         iterates the level's candidate memories in place."""
         extended = out.local("x")
         out.loop(f"for {extended} in {out.const(self)}.match({atom}, dict(View({out.bindings()}))):")
-        out.extra = extended
-        out.bound = {}
+        out.rebase(extended)
 
     def match(self, atom: Atom, bindings: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
         """Every extension of ``bindings`` under which ``atom`` matches, in order
@@ -550,7 +588,7 @@ class SolutionPattern(Pattern):
             out.line(f"{item} = {entry}.atom")
             element.emit(out, item)
         if self.rest is not None:
-            out.bind(self.rest.name, f"Rest({held}, [{', '.join(taken)}])")
+            out.remainder(self.rest.name, held, taken)
 
     def reject(self, out: Source, atom: str) -> str:
         held, count = out.local("s"), len(self.elements)

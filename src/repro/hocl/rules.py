@@ -26,7 +26,7 @@ import operator
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .atoms import Atom, Symbol, from_atom, to_atom
-from .deltas import RewriteDelta, RuleSummary, derive_delta
+from .deltas import Reaction, RewriteDelta, RuleSummary, derive_delta
 from .errors import RuleError
 from .matching import compiled_search
 from .patterns import BindingView, Source, as_pattern
@@ -166,7 +166,8 @@ class Rule(Atom):
         one written without them.
 
     The engine fires the rule through :attr:`delta`, the in-place form its
-    two sides imply; :attr:`summary` is what it binds, reads, matches and can add.
+    two sides imply, where its :attr:`reaction` finds a match; :attr:`summary`
+    is what it binds, reads, matches and can add.
     """
 
     __slots__ = (
@@ -182,6 +183,7 @@ class Rule(Atom):
         "pattern_index_keys",
         "effect_names",
         "search",
+        "reaction",
         "_delta",
         "_summary",
         "_index_keys",
@@ -229,6 +231,9 @@ class Rule(Atom):
         #: The left-hand side's search, condition included (generated at its
         #: first use), shared by every rule built on the same pattern and condition objects.
         self.search = compiled_search(self.patterns, condition)
+        #: The rule as the engine tries it: its search and its fire in one
+        #: function, generated at its first reaction, shared by :meth:`bind` siblings.
+        self.reaction = Reaction()
         self._delta: RewriteDelta | None = None  # derived at the first fire
         self._summary: RuleSummary | None = None  # derived when first asked
         self._index_keys = None  # lazily filled by repro.hocl.multiset.atom_index_keys

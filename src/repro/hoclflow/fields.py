@@ -238,8 +238,9 @@ def task_solution(
     destination_tasks: Iterable[str],
     service: str,
     inputs: Iterable[Any] = (),
+    rules: Iterable[Any] = (),
 ) -> Multiset:
-    """The initial local solution of one task (its fields, no rules)."""
+    """The initial local solution of one task: its fields, then ``rules``, in one pass."""
     return Multiset(
         [
             src_field(source_tasks),
@@ -247,6 +248,7 @@ def task_solution(
             srv_field(service),
             in_field(inputs),
             res_field(),
+            *rules,
         ]
     )
 

@@ -22,7 +22,7 @@ search and delta with every other task's, and bound when first read
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.hocl import Multiset, Rule, Subsolution, Symbol, TupleAtom
 from repro.records import Record
@@ -91,21 +91,20 @@ class TaskEncoding(Record):
             self._local_rules = [GW_SETUP, make_gw_call(self.name), *self.adaptation_rules]
         return self._local_rules
 
-    def initial_solution(self, include_rules: bool = True) -> Multiset:
-        """The task's initial (local) solution."""
-        solution = task_solution(
+    def initial_solution(self, rules: Sequence[Rule] | None = None) -> Multiset:
+        """The task's initial (local) solution: its fields and ``rules``
+        (:attr:`local_rules` by default), built in one pass."""
+        return task_solution(
             source_tasks=self.sources + ([kw.TRIGGER] if self.has_trigger_placeholder else []),
             destination_tasks=self.destinations,
             service=self.service,
             inputs=self.inputs,
+            rules=self.local_rules if rules is None else rules,
         )
-        if include_rules:
-            solution.add_all(self.local_rules)
-        return solution
 
     def as_tuple(self, include_rules: bool = True) -> TupleAtom:
         """The ``Tname : <...>`` tuple used in the centralised multiset."""
-        return TupleAtom([Symbol(self.name), Subsolution(self.initial_solution(include_rules))])
+        return TupleAtom([Symbol(self.name), Subsolution(self.initial_solution(None if include_rules else ()))])
 
 
 class WorkflowEncoding(Record):
@@ -131,13 +130,14 @@ class WorkflowEncoding(Record):
         return [name for name, encoding in self.tasks.items() if encoding.is_replacement]
 
     def to_multiset(self, include_rules: bool = True, built: Callable[[], None] | None = None) -> Multiset:
-        """The centralised concrete workflow (Fig. 8): one global multiset, ``built()`` called per task tuple."""
-        solution = Multiset(self.global_rules if include_rules else ())
+        """The centralised concrete workflow (Fig. 8): one global multiset, built
+        in one pass, ``built()`` called per task tuple."""
+        atoms: list[Any] = list(self.global_rules) if include_rules else []
         for encoding in self.tasks.values():
-            solution.add(encoding.as_tuple(include_rules))
+            atoms.append(encoding.as_tuple(include_rules))
             if built is not None:
                 built()
-        return solution
+        return Multiset(atoms)
 
 
 def encode_workflow(workflow: Workflow) -> WorkflowEncoding:

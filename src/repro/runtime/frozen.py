@@ -4,24 +4,21 @@ from __future__ import annotations
 
 import gc
 
-__all__ = ["FREEZE_STRIDE", "FrozenSetUp"]
-
-#: items built between two freezes: enough allocations for young collections to
-#: keep running, few enough that no full one walks much
-FREEZE_STRIDE = 128
+__all__ = ["FrozenSetUp"]
 
 
 class FrozenSetUp:
     """``with FrozenSetUp(total) as set_up:`` around a run, ``set_up.built()`` after each
-    of the ``total`` agents or task tuples its set-up builds: frozen every :data:`FREEZE_STRIDE`
-    and at the last, unfrozen however the block is left; a heap somebody else froze is left alone."""
+    of the ``total`` agents or task tuples its set-up builds: the collector held off from
+    the first to the last and the heap frozen once there, unfrozen however the block is
+    left.  A heap somebody else froze, or a collector somebody else disabled, is left as found."""
 
-    #: young collections each freeze wiped off the tally towards a full one, across runs:
-    #: past the caller's own thresholds the next run starts with the full collection due
+    #: young collections each freeze wiped off the tally towards a full one, or held off,
+    #: across runs: past the caller's own thresholds the next run starts with the full collection due
     wiped = 0
 
     def __init__(self, total: int) -> None:
-        self.total, self.count, self.freezes = total, 0, False
+        self.total, self.count, self.freezes, self.holds = total, 0, False, False
 
     def __enter__(self) -> FrozenSetUp:
         self.freezes = gc.get_freeze_count() == 0
@@ -32,13 +29,28 @@ class FrozenSetUp:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
+        self._release()
         if self.freezes:
             self.freezes = False
             gc.unfreeze()
 
     def built(self) -> None:
         self.count += 1
-        if self.freezes and (self.count % FREEZE_STRIDE == 0 or self.count == self.total):
-            _, young, old = gc.get_count()
-            FrozenSetUp.wiped += young + old * gc.get_threshold()[1]
+        if not self.freezes:
+            return
+        if self.count == self.total:
+            allocated, young, old = gc.get_count()
+            per_young, per_old, _ = gc.get_threshold()
+            # what the freeze wipes off the tally, and the young collections the set-up held off
+            FrozenSetUp.wiped += allocated // per_young + young + old * per_old
             gc.freeze()
+            self._release()
+        elif self.count == 1 and gc.isenabled():
+            self.holds = True
+            gc.disable()
+
+    def _release(self) -> None:
+        """Give the collector back, if this set-up held it off."""
+        if self.holds:
+            self.holds = False
+            gc.enable()

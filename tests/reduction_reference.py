@@ -11,6 +11,8 @@ the rule application:
   ``matcher_reference.py``, scanning every atom of the level for every pattern;
 * :class:`RebuildEngine` — every rule fires by its rebuild form: everything
   matched leaves the level and the products are expanded;
+* :class:`TwoStepEngine` — every rule found by its search, then fired by its
+  delta, where the engine runs one generated reaction;
 * :class:`RepositioningDelta` (:func:`repositioned`) — the delta application
   that kept anchors in place replaced: matched atoms leave and the kept ones
   re-enter at the end;
@@ -137,6 +139,14 @@ class RebuildEngine(ReductionEngine):
         report.effects.extend(emitted)
         if self.observer is not None:
             self.observer(rule, match, depth)
+
+
+class TwoStepEngine(ReductionEngine):
+    """The engine, every rule found by its search and then fired by its
+    delta's standalone fire — the two calls one reaction replaced."""
+
+    def _apply(self, rule, match, solution, depth, report):
+        super()._apply(rule, match, solution, depth, report)
 
 
 class RepositioningDelta(RewriteDelta):

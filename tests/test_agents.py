@@ -129,7 +129,7 @@ class TestAgentLifecycle:
         assert set(core.pending_sources()) == {"T_1_1", "T_1_2"}
         core.invocation_failed("boom")
         assert core.status()["has_error"] is True and core.status()["has_result"] is False
-        core.solution = encodings["merge"].initial_solution(include_rules=False)
+        core.solution = encodings["merge"].initial_solution(rules=())
         core.invocation_succeeded("ok")
         assert core.status()["has_result"] is True and core.status()["has_error"] is False
 

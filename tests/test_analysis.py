@@ -403,7 +403,7 @@ class TestCatalogClean:
             rules = build_local_rules(task)
             report = analyze_rules(
                 rules,
-                solution=task.initial_solution(include_rules=False),
+                solution=task.initial_solution(rules=()),
                 label=f"local rules of {name!r}",
                 injected_keys={("symbol", "ADAPT")},
             )

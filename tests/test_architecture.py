@@ -68,8 +68,10 @@ def interpreted_paths(modules):
     generator, or an interpreted firing path has grown back: a generator in
     ``patterns.py`` / ``matching.py``; a register layout or a per-pattern
     ``compile`` in ``repro.hocl``; an ``expand`` / ``quick_reject`` method,
-    ``expand_templates`` or a delta's ``eager`` anywhere; a second ``exec``."""
-    found, execs = [], 0
+    ``expand_templates`` or a delta's ``eager`` anywhere; a second ``exec`` or
+    ``compile`` in ``repro.hocl`` (the search, the fire and the reaction are
+    all compiled by ``matching._load``)."""
+    found, execs, compiles = [], 0, 0
     for path, tree in modules.items():
         in_hocl = path.startswith("hocl/")
         for node in _walked(tree)[0]:
@@ -81,12 +83,13 @@ def interpreted_paths(modules):
             if isinstance(node, ast.Attribute) and node.attr == "eager":
                 found.append(f"{path}:{node.lineno}: .eager")
             execs += in_hocl and _called(node) == "exec" and isinstance(node.func, ast.Name)
+            compiles += in_hocl and _called(node) == "compile" and isinstance(node.func, ast.Name)
         banned = {"expand", "quick_reject", "expand_templates"}
         if in_hocl:
             banned |= {"Layout", "Registers", "_binder", "_element", "_pick"}
         found += [f"{path}:{line}: {name}" for name, line in _walked(tree)[1] if name in banned]
-    if execs != 1:
-        found.append(f"{execs} exec() calls in repro.hocl, not one")
+    if execs != 1 or compiles != 1:
+        found.append(f"{execs} exec() and {compiles} compile() calls in repro.hocl, not one of each")
     return found
 
 
@@ -103,6 +106,7 @@ class TestOneMatcherAndOneFire:
             {"hoclflow__rules": "def f(rule):\n    return rule.delta.eager\n"},
             {"agents__core": "from repro.hocl.templates import expand_templates\n"},
             {"hocl__deltas": "def fire(code):\n    exec(code)\n"},  # a second exec
+            {"hocl__deltas": "def fire(text):\n    return compile(text, '<fire>', 'exec')\n"},  # a second compile
         ],
     )
     def test_a_seeded_interpreter_is_rejected(self, seeded):
@@ -110,9 +114,15 @@ class TestOneMatcherAndOneFire:
         assert interpreted_paths(modules)
 
     def test_the_local_gw_pass_fires_as_one_unlink(self):
+        """Standalone, on the sites a match recorded; in its reaction, on the
+        locals its search bound them to — both written by the one delta."""
         from repro.agents.local_rules import GW_PASS
+        from repro.hocl.deltas import Reaction
 
         assert "sites[4]._remove_entry(sites[5])" in GW_PASS.delta.__source__
+        text = Reaction._write(GW_PASS)[0]
+        assert text.count("._remove_entry(") == 1 and "s14._remove_entry(e15)" in text
+        assert "for e15 in s14._index.get(" in text and "sites" not in text
 
 
 # ----------------------------------------------- no hand-written delta, no body
@@ -257,3 +267,97 @@ def refuses_closures(rule_class):
     except RuleError:
         return True
     return False
+
+
+# ------------------------------------------------------- one simulation kernel
+#: the SimPy-style event layer `repro.simkernel` replaced (a time-ordered queue of plain calls)
+_EVENT_LAYER = {"Event", "Timeout", "Process", "AllOf", "AnyOf", "Interrupt", "Store", "Resource"}
+
+
+def event_layers(modules):
+    """Where an event/process layer has grown back beside the kernel: a class
+    of the retired layer's names in ``repro.simkernel``, or its trigger marker."""
+    found = []
+    for path, tree in modules.items():
+        if not path.startswith("simkernel/"):
+            continue
+        for node in _walked(tree)[0]:
+            if isinstance(node, ast.ClassDef) and node.name in _EVENT_LAYER:
+                found.append(f"{path}:{node.lineno}: class {node.name}")
+        found += [f"{path}:{line}: {name}" for name, line in _walked(tree)[1] if "_TriggeredMarker" in name]
+    return found
+
+
+class TestOneSimulationKernel:
+    def test_the_source(self):
+        assert event_layers(_sources()) == []
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"simkernel__sim": "class Timeout:\n    pass\n"},
+            {"simkernel__events": "class Process(object):\n    def run(self):\n        pass\n"},
+            {"simkernel__sim": "_TriggeredMarker = object()\n"},
+        ],
+    )
+    def test_a_seeded_event_layer_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        assert event_layers(modules)
+
+
+# ----------------------------------------------------------- one agent driver
+#: what running an agent on a thread of its own, or on a queue of its own, takes
+_PER_AGENT = {("threading", "Thread"), ("queue", "Queue"), ("asyncio", "Queue")}
+#: the steps of an agent's life `repro.runtime.driver` runs for both clocks
+_DRIVER_STEPS = {"_crash", "_recover", "_dispatch", "_complete_invocation"}
+
+
+def second_drivers(modules):
+    """Where a second agent driver has grown back: a thread, an inbox queue
+    (used or imported by any name), a poison pill or a per-agent loop under
+    ``repro.runtime``, or one of the driver's steps defined outside
+    ``runtime/driver.py``."""
+    found = []
+    for path, tree in modules.items():
+        in_runtime = path.startswith("runtime/")
+        for node in _walked(tree)[0]:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _DRIVER_STEPS and path != "runtime/driver.py":
+                found.append(f"{path}:{node.lineno}: def {node.name}")
+            if not in_runtime:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+                owner = node.value.id if isinstance(node.value, ast.Name) else node.value.attr
+                if any(owner == module and node.attr.startswith(name) for module, name in _PER_AGENT):
+                    found.append(f"{path}:{node.lineno}: {owner}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and any((node.module, alias.name) in _PER_AGENT for alias in node.names):
+                found.append(f"{path}:{node.lineno}: from {node.module} import")
+        if in_runtime:
+            found += [f"{path}:{line}: {name}" for name, line in _walked(tree)[1] if "_POISON" in name or "_agent_loop" in name]
+    return found
+
+
+class TestOneAgentDriver:
+    def test_the_source(self):
+        assert second_drivers(_sources()) == []
+
+    def test_no_threaded_runtime_is_listed(self):
+        from repro.runtime.backends import available_runtimes, ensure_builtin_backends
+
+        ensure_builtin_backends()
+        assert "threaded" not in available_runtimes()
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"runtime__threads": "import threading\nWORKER = threading.Thread(target=print)\n"},
+            {"runtime__aio": "from asyncio import Queue as Inbox\n"},
+            {"runtime__simulation": "from queue import Queue\n"},
+            {"runtime__aio": "_POISON = object()\n"},
+            {"runtime__simulation": "def _agent_loop(agent):\n    return agent\n"},
+            {"agents__core": "class Core:\n    def _recover(self):\n        pass\n"},
+            {"runtime__aio": "class AsyncioRun:\n    async def _dispatch(self, agent):\n        pass\n"},
+        ],
+    )
+    def test_a_seeded_second_driver_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        assert second_drivers(modules)

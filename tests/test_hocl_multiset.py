@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from matcher_reference import compiled_reject
+from test_matcher_oracle import _ATOMS, _EXAMPLES
 
 from repro.hocl import (
     AtomError,
@@ -176,6 +177,66 @@ class TestStructure:
 
     def test_str_rendering(self):
         assert str(Multiset([1])) == "<1>"
+
+
+def _slots(solution):
+    """Every slot of a solution, each entry and held solution by its place:
+    version, entries (join order and atom), index buckets, nested solutions,
+    flags, the holders of what its atoms hold, and its own holder, memories,
+    rule ordering and inertness stamp."""
+    entries = solution.live_entries()
+    place = {id(entry): at for at, entry in enumerate(entries)}
+    held = [_held_solutions(entry.atom) for entry in entries]
+    return (
+        solution.version,
+        [(entry.seq, entry.atom) for entry in entries],
+        [(key, [place[id(entry)] for entry in bucket]) for key, bucket in solution._index.items()],
+        {place[id(entry)]: [held[place[id(entry)]].index(inner) for inner in nested] for entry, nested in (solution._nested or {}).items()},
+        sorted(place[id(entry)] for entry in solution._flagged or ()),
+        [[inner._holder[0] is solution and place[id(inner._holder[1])] for inner in holding] for holding in held],
+        solution._holder, solution._memories, solution._rules_dirty, solution._inert_version,
+    )
+
+
+def _added(atoms):
+    """``atoms`` added to an empty solution one by one."""
+    solution = Multiset()
+    for atom in atoms:
+        solution.add(atom)
+    return solution
+
+
+class TestBuiltInOnePass:
+    """``Multiset(contents)`` leaves the state ``add`` per atom leaves, and
+    refuses what it refuses: a solution held already, by another solution or
+    by an earlier atom of the contents (nothing can enclose a solution not
+    built yet)."""
+
+    @given(atoms=st.lists(_ATOMS, max_size=6))
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    def test_every_slot_as_add_per_atom(self, atoms):
+        assert _slots(Multiset(atoms)) == _slots(_added([atom.copy() for atom in atoms]))
+
+    @given(atoms=st.lists(_ATOMS, min_size=1, max_size=5), data=st.data())
+    @settings(max_examples=_EXAMPLES, deadline=None)
+    def test_a_held_solution_is_refused_alike(self, atoms, data):
+        holding = [at for at, atom in enumerate(atoms) if _held_solutions(atom)]
+        if not holding:
+            atoms, holding = [*atoms, Subsolution([1])], [len(atoms)]
+        again, at = data.draw(st.sampled_from(holding)), data.draw(st.integers(0, len(atoms)))
+        elsewhere = data.draw(st.booleans())  # held by another solution, or by an earlier atom of these
+        copies = [atom.copy() for atom in atoms]
+        refused = []
+        for contents, build in ((atoms, Multiset), (copies, _added)):
+            if elsewhere:
+                Multiset([contents[again]])
+                contents = [*contents[:at], contents[again], *contents[at:]][:at + 1]
+            else:
+                contents = [*contents[:at], contents[again], *contents[at:]]
+            with pytest.raises(AtomError, match="one holder") as raised:
+                build(contents)
+            refused.append(str(raised.value))
+        assert refused[0] == refused[1]
 
 
 class TestDirtyTracking:

@@ -126,16 +126,14 @@ class TestGenericRules:
         assert get_par_values(solution) is None
 
     def test_gw_call_invokes_service_and_stores_result(self):
-        solution = task_solution([], [], "svc", inputs=["x"])
-        solution.add_all([make_gw_setup(), make_gw_call("T7")])
+        solution = task_solution([], [], "svc", inputs=["x"], rules=[make_gw_setup(), make_gw_call("T7")])
         registry, calls = self._externals()
         ReductionEngine(externals=registry).reduce(solution)
         assert has_result(solution)
         assert calls["calls"] == [("T7", "svc", ("x",))]
 
     def test_gw_call_failure_yields_error_marker(self):
-        solution = task_solution([], [], "svc", inputs=["x"])
-        solution.add_all([make_gw_setup(), make_gw_call("T7")])
+        solution = task_solution([], [], "svc", inputs=["x"], rules=[make_gw_setup(), make_gw_call("T7")])
         registry, _ = self._externals({"fail": True})
         ReductionEngine(externals=registry).reduce(solution)
         assert has_error(solution)

@@ -475,27 +475,24 @@ class TestTheGeneratedText:
         texts = {_child(_SOURCES, hash_seed=seed) for seed in ("0", "1", "4242")}
         assert len(texts) == 1 and len(texts.pop().split()) == 5
 
-    @pytest.mark.parametrize(
-        "workload, mode, most, least",
-        [("adapt", "simulated", 8, 4), ("montage", "simulated", 3, 3), ("montage", "centralized", 3, 3)],
-    )
-    def test_a_whole_run_compiles_a_handful(self, workload, mode, most, least):
-        """A handful of searches, and of fires: one text per shape of rule."""
+    @pytest.mark.parametrize("workload, mode", [("adapt", "simulated"), ("montage", "simulated"), ("montage", "centralized")])
+    def test_a_whole_run_compiles_a_handful(self, workload, mode):
+        """One text per shape of rule — its reaction, which searches and fires —
+        and no search or fire of its own (7 and 14 while the engine ran both)."""
         searches, fires, compiled = map(int, _child(_IN_A_CHILD, workload, mode).split())
-        assert least <= searches <= most and searches + fires == compiled
-        assert fires == {"adapt": 7, "montage": 3}[workload]
+        assert searches == fires == 0 and compiled == {"adapt": 7, "montage": 3}[workload]
 
     def test_a_raising_external_shows_the_fire_and_the_line(self):
         """A product's external raising as the rule fires: the traceback shows
-        the generated fire and the line of it that called the external."""
+        the generated reaction and the line of it that called the external."""
         registry = default_registry()
         registry.register("boom", lambda args, _bindings: 1 // (args[0].value - 2))
         rule = Rule("boom", [Var("x", kind="int")], [Call("boom", Ref("x"))])
         with pytest.raises(ReductionError, match="'boom' failed") as raised:
             ReductionEngine(externals=registry).reduce(Multiset([2, rule]))
         shown = "".join(traceback.format_exception(raised.type, raised.value, raised.tb))
-        assert 'File "<hocl-fire #' in shown and "ZeroDivisionError" in shown
-        assert "p1 = coerce(externals.invoke('boom', [(v_x.copy() if v_x._mutable else v_x)], b))" in shown
+        assert 'File "<hocl-reaction boom #' in shown and "ZeroDivisionError" in shown
+        assert "p3 = coerce(externals.invoke('boom', [(v_x.copy() if v_x._mutable else v_x)], b))" in shown
 
     def test_past_twenty_nested_blocks(self):
         """CPython compiles twenty statically nested blocks at most: a deeper

@@ -70,7 +70,7 @@ from repro.hocl import (
     Var,
     parse_program,
 )
-from repro.hocl.deltas import PatchAdd, PatchRemove, RewriteDelta, derive_delta
+from repro.hocl.deltas import PatchAdd, PatchRemove, Reaction, RewriteDelta, derive_delta
 from repro.hocl.patterns import Source
 from repro.hoclflow import keywords as kw
 from repro.hoclflow import adaptation
@@ -344,7 +344,8 @@ def test_a_simulated_adaptive_diamond_derives_each_delta_once(monkeypatch):
 
     monkeypatch.setattr(rules_module, "derive_delta", counting)
     for body in (GW_SETUP, GW_CALL, GW_PASS, local_rules._TRIGGER_ADAPT, *_ADAPTATION_BODIES):
-        monkeypatch.setattr(body, "_delta", None)  # derived here, whatever ran before
+        monkeypatch.setattr(body, "_delta", None)  # derived here, whatever ran before ...
+        monkeypatch.setattr(body, "reaction", Reaction())  # ... and read off by its reaction, written here
     report = GinFlow().run(adaptive_diamond_workflow(21, 21, "full", "simple"), mode="simulated")
     fires = report.extra["rule_fires"]
     assert report.succeeded and sum(count for name, count in fires.items() if name.startswith("activate:")) == 21

@@ -47,7 +47,7 @@ from repro.obs.export import read_trace
 from repro.obs.summarize import format_summary, summarize
 from repro.runtime import GinFlowConfig, run_asyncio, run_simulation
 from repro.runtime.enactment import EnactmentEngine, ReportAssembler
-from repro.runtime.frozen import FREEZE_STRIDE, FrozenSetUp
+from repro.runtime.frozen import FrozenSetUp
 from repro.scenarios import available_scenarios, build_scenario
 from repro.services import FailureModel, Service, ServiceRegistry
 from repro.simkernel import Simulator
@@ -222,9 +222,14 @@ class TestActionsStayWithTheirAgent:
 #: GC-tracked objects per agent core: 73 — its five fields, their index
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
-#: Python-level calls per chain agent built and per steady-state stimulus: 52
-#: and 64.0 today on CPython 3.11 (a few calls more or less with what the
-#: process ran before), pinned at the next integer up, since a reaction
+#: Python-level calls per chain agent built and per steady-state stimulus: 44
+#: and 43.7 today on CPython 3.11 (44.3 after the rest of the suite: a few
+#: calls more or less with what the process ran before), pinned at the next
+#: integer up, since a solution is
+#: built by its constructor in one pass (fields and rules) and the engine
+#: tries a rule by one generated reaction, reading the candidate buckets and
+#: the rule ordering inline — 52 and 64.0 while every atom went through `add`
+#: and a match was found, then fired — since a reaction
 #: condition is a comparison the search writes inline, 65.3 while it was a
 #: closure the search called (50.0 and 63.7 on 3.12), since a rule's fire and
 #: pre-check are generated code, 72.7 while they were interpreted (70.0 on 3.12), 81.7
@@ -232,16 +237,20 @@ AGENT_BUDGET = 73
 #: while the engine carried its batch/parallel modes and read the clock
 #: untraced, 158 and 110 while atoms, multisets, matches, reports and actions
 #: were built through generators, dataclasses and `to_atom`
-CALLS_PER_AGENT, CALLS_PER_STIMULUS = 55, 65
+CALLS_PER_AGENT, CALLS_PER_STIMULUS = 45, 45
 #: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
-#: montage:size=300,seed=1: 52.60 on CPython 3.11, pinned at the highest,
-#: since a reaction condition is a comparison the search writes inline (no
+#: montage:size=300,seed=1: 32.94 on CPython 3.11, pinned at the next integer
+#: up, since the search and the fire are one generated reaction (no match,
+#: binding view or pending ω built) and the engine reads the candidate
+#: buckets and the rule ordering inline, 52.60 while a rule was searched, then
+#: fired, and each level asked the multiset for both, since a reaction
+#: condition is a comparison the search writes inline (no
 #: call per condition test), 54.57 while it was a guarded closure (53.30 on
 #: 3.12), since a rule's fire and pre-check are generated
 #: code, 88.86 while they were interpreted (86.34 on 3.12) and a firing edited
 #: by the sites its match recorded, 108.9 while it walked field heads and
 #: removed by equality
-CALLS_PER_REACTION = 53
+CALLS_PER_REACTION = 33
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
 #: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
 #: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
@@ -275,22 +284,37 @@ class TestObjectBudget:
         assert round(per_agent) <= AGENT_BUDGET, per_agent
 
     @pytest.mark.parametrize("mode", AGENT_MODES)
-    def test_set_up_is_never_re_walked(self, mode, monkeypatch):
-        """What the collector can still walk (frozen objects are not listed) stays
-        within two strides' worth of hosted agents — core, host record,
-        subscription — of where set-up started, however many agents there are."""
-        walkable = []
-        original = AgentCore.__init__
+    def test_set_up_is_never_walked(self, mode, monkeypatch):
+        """No collection starts while the agents are built: the collector is
+        held off from the first hosted agent to the last, which freezes the
+        set-up at once.  What it can walk when the first agent boots (frozen
+        objects are not listed) is then no more than where set-up started,
+        however many agents were built."""
+        walkable, started, booted = [], [], []
+        original, boot = AgentCore.__init__, EnactmentEngine.boot
 
         def init(self, *args, **kwargs):
-            walkable.append(len(gc.get_objects()))
+            walkable.append((len(gc.get_objects()), gc.isenabled(), len(started)))
             original(self, *args, **kwargs)
 
+        def booting(self, host):
+            booted.append(booted or len(gc.get_objects()))
+            return boot(self, host)
+
+        def watch(phase, info):
+            started.append(phase == "start")
+
         monkeypatch.setattr(AgentCore, "__init__", init)
-        assert GinFlow().run(build_scenario("longchain:size=1000"), mode=mode, timeout=120.0).succeeded
-        assert len(walkable) == 1000
-        assert max(walkable) - walkable[0] <= 2 * FREEZE_STRIDE * (AGENT_BUDGET + 12), max(walkable) - walkable[0]
-        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(EnactmentEngine, "boot", booting)
+        gc.callbacks.append(watch)
+        try:
+            assert GinFlow().run(build_scenario("longchain:size=1000"), mode=mode, timeout=120.0).succeeded
+        finally:
+            gc.callbacks.remove(watch)
+        assert len(walkable) == 1000 and walkable[0][1]
+        assert all(not enabled and collections == walkable[1][2] for _, enabled, collections in walkable[1:])
+        assert booted[0] <= walkable[0][0], (booted[0], walkable[0][0])
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 def python_calls(run):
@@ -484,12 +508,14 @@ class TestCollectorIsGivenBack:
 
     @pytest.mark.parametrize("mode", AGENT_MODES)
     def test_gc_state_restored_after_a_set_up_that_raises(self, mode, monkeypatch):
-        """Past the second freeze of the set-up heap and before any stimulus."""
-        made = []
+        """Inside the set-up window — the collector held off since the first
+        hosted agent, no collection started, nothing frozen yet — and before
+        any stimulus."""
+        made, started = [], []
         original = AgentCore.__init__
 
         def init(self, *args, **kwargs):
-            made.append(gc.get_freeze_count())
+            made.append((gc.isenabled(), gc.get_freeze_count(), len(started)))
             if len(made) == 300:
                 raise RuntimeError("injected into set-up")
             original(self, *args, **kwargs)
@@ -497,10 +523,33 @@ class TestCollectorIsGivenBack:
         monkeypatch.setattr(AgentCore, "__init__", init)
         obs = Observability(tracer=RecordingTracer())
         before = (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks))
-        with pytest.raises(RuntimeError, match="injected into set-up"):
-            GinFlow().run(build_scenario("longchain:size=400"), mode=mode, obs=obs)
-        assert made[0] == 0 and made[FREEZE_STRIDE] > 0 and made[-1] > made[FREEZE_STRIDE]
+        gc.callbacks.append(lambda phase, info: started.append(phase))
+        try:
+            with pytest.raises(RuntimeError, match="injected into set-up"):
+                GinFlow().run(build_scenario("longchain:size=400"), mode=mode, obs=obs)
+        finally:
+            gc.callbacks.pop()
+        assert made[0][:2] == (True, 0) and set(made[1:]) == {(False, 0, made[1][2])}
         assert (gc.isenabled(), gc.get_freeze_count(), list(gc.callbacks)) == before
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_a_collector_the_caller_disabled_stays_disabled(self, mode, raises, monkeypatch):
+        def explode(*_args, **_kwargs):
+            raise RuntimeError("injected")
+
+        if raises:
+            monkeypatch.setattr(*RAISES_INSIDE[mode], explode)
+        gc.disable()
+        try:
+            if raises:
+                with pytest.raises(RuntimeError, match="injected"):
+                    GinFlow().run(build_scenario("longchain:size=200"), mode=mode)
+            else:
+                assert GinFlow().run(build_scenario("longchain:size=200"), mode=mode).succeeded
+            assert not gc.isenabled() and gc.get_freeze_count() == 0
+        finally:
+            gc.enable()
 
     def test_set_up_is_frozen_during_enactment_only(self, monkeypatch):
         seen = []
@@ -529,8 +578,8 @@ class TestCollectorIsGivenBack:
         gc.freeze()
         try:
             frozen = gc.get_freeze_count()
-            # more hosts than a stride, and still nothing of the run's joins the caller's frozen set
-            assert GinFlow().run(build_scenario(f"longchain:size={FREEZE_STRIDE + 20}"), mode=mode).succeeded
+            # more hosts than a freeze stride once was, and still nothing of the run's joins the caller's frozen set
+            assert GinFlow().run(build_scenario(f"longchain:size=148"), mode=mode).succeeded
             assert 0 < gc.get_freeze_count() <= frozen
         finally:
             gc.unfreeze()
@@ -569,7 +618,7 @@ class TestCentralisedSetUpIsFrozen:
                 raise RuntimeError("service down")
 
         executor = CentralizedExecutor(registry=ServiceRegistry(default_factory=Raising))
-        outcome = executor.execute(build_scenario(f"montage:size={2 * FREEZE_STRIDE},seed=1"))
+        outcome = executor.execute(build_scenario("montage:size=256,seed=1"))
         assert outcome.errors and not outcome.results  # the entry tasks failed, nothing ran after them
         assert frozen[0] > 0 and gc.get_freeze_count() == 0
 
@@ -582,7 +631,7 @@ class TestCentralisedSetUpIsFrozen:
 
         monkeypatch.setattr(ReductionEngine, "reduce", reduce)
         with pytest.raises(RuntimeError, match="injected"):
-            CentralizedExecutor().execute(build_scenario(f"montage:size={2 * FREEZE_STRIDE},seed=1"))
+            CentralizedExecutor().execute(build_scenario("montage:size=256,seed=1"))
         assert frozen[0] > 0 and gc.get_freeze_count() == 0
 
 
