@@ -95,7 +95,7 @@ class CentralizedExecutor:
 
     def execute_encoding(self, encoding: WorkflowEncoding) -> CentralizedOutcome:
         """Run an already encoded workflow, its global solution frozen as it is built (as an agent set-up is)."""
-        with FrozenSetUp(len(encoding.tasks)) as set_up:
+        with FrozenSetUp(len(encoding.tasks) + 1) as set_up:
             return self._reduce(encoding, encoding.to_multiset(built=set_up.built))
 
     def _reduce(self, encoding: WorkflowEncoding, solution: Multiset) -> CentralizedOutcome:

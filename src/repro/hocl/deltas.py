@@ -49,12 +49,14 @@ a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
 
 Firing
 ------
-Nothing interprets a delta when it fires: like a left-hand side's search, it
-is written as the text of one straight-line function (:class:`Fire` collects
-the lines the ops, the templates' :meth:`~repro.hocl.templates.Template.emit`
-and the ``consume`` / ``produce`` tables write), compiled once per distinct
-text at the first fire and readable as ``rule.delta.__source__``.  The local
-``gw_pass`` fires as ``sites[4]._remove_entry(sites[5])``.
+Nothing interprets a delta when it fires: it is written into its rule's
+:class:`Reaction`, the search's loops with, at the first admissible match,
+the straight-line lines :class:`Fire` collects (the ops, the templates'
+:meth:`~repro.hocl.templates.Template.emit` and the ``consume`` /
+``produce`` tables), run on the search's own locals; compiled once per
+distinct text at the first reaction and readable as
+``rule.reaction.__source__``.  The local ``gw_pass`` fires as one
+``_remove_entry`` of the entry ``tj`` took, from the ``DST`` body it was in.
 """
 
 from __future__ import annotations
@@ -81,17 +83,15 @@ class Fire(Source):
     """The lines of one delta's fire, as its ops and templates write them:
     :attr:`lines` expand what it adds, :attr:`edits` then change the solution.
 
-    Standalone (:attr:`RewriteDelta.apply`) it reads a match: its bindings
-    (``d``) and its sites (``sites``).  In a :class:`Reaction` (``fused``) it
-    is the search's own :class:`Source`, past the last pattern, and reads the
-    search's locals: :attr:`sited` holds the local of each site.  A name is
-    read into a local once, before the first expansion that reads it; a name
-    the left-hand side binds is there, one it does not (a ``given`` one) is
-    looked up and checked.
+    It is the search's own :class:`Source`, past the last pattern of a
+    :class:`Reaction`, and reads the search's locals: :attr:`sited` holds the
+    local of each site.  A name is read into a local once, before the first
+    expansion that reads it; a name the left-hand side binds is there, one it
+    does not (a ``given`` one) is looked up and checked.
     """
 
-    def __init__(self, patterns: Sequence[Pattern], depth: int = 2, blocks: int = 0, shared: Sequence[str] = (), fused: bool = False):
-        super().__init__(depth, blocks, shared, fused)
+    def __init__(self, patterns: Sequence[Pattern], depth: int = 2, blocks: int = 0, shared: Sequence[str] = ()):
+        super().__init__(depth, blocks, shared)
         self.edits: list[str] = []
         self.names: set[str] = set()  # what every match binds
         self.omegas: set[str] = set()  # ... to a list
@@ -108,17 +108,14 @@ class Fire(Source):
 
     def at(self, site: int) -> str:
         """An expression for the entry or solution at slot ``site`` of the sites."""
-        return self.sited[site] if self.fused else f"sites[{site}]"
+        return self.sited[site]
 
-    def fetch(self, name: str, stem: str) -> str:
+    def fetch(self, name: str) -> str:
         """A local holding what ``name`` is bound to (``U``: nothing): the search's own, or one read here."""
-        if self.fused:
-            held = self.held(name)
-            if held.isidentifier():
-                return held
-        else:
-            held = f"d[{name!r}]" if name in self.names else f"d.get({name!r}, U)"
-        local = ("f" if self.fused else stem) + self._ident(name)
+        held = self.held(name)
+        if held.isidentifier():
+            return held
+        local = "f" + self._ident(name)
         self.line(f"{local} = {held}")
         return local
 
@@ -131,7 +128,7 @@ class Fire(Source):
                 held = "v" + self._ident(name)  # never read: the line raises
                 self.line(f"raise PatternError({omega!r})")
             else:
-                held = self.fetch(name, "v")
+                held = self.fetch(name)
                 if name not in self.names:
                     self.line(f"if {held} is U: raise PatternError({f'product references unbound variable {name!r}'!r})")
                     self.line(f"if isinstance({held}, list): raise PatternError({omega!r})")
@@ -147,35 +144,33 @@ class Fire(Source):
             if name in self.names and name not in self.omegas:
                 self.line(f"{held} = [{self.atom(name)}]")
                 return held
-            if (source := self.fetch(name, "l")) != held:
-                self.line(f"{held} = {source}")
+            self.line(f"{held} = {self.fetch(name)}")
             if name not in self.names:
                 self.line(f"if {held} is U: raise PatternError({f'product references unbound omega {name!r}'!r})")
             if name in self.lazy:
-                self.line(f"if {held} is U: {held} = {self.lazy[name]}")
-            elif not self.fused:
-                self.line(f"if {held}.__class__ is Rest: {held} = d[{name!r}] = {held}.read({name!r})")
+                solution, used = self.lazy[name]
+                self.line(f"if {held} is U: {held} = {solution}.remainder({used})")
             if name not in self.omegas:
                 self.line(f"elif not isinstance({held}, list): {held} = [{held}]")
         return held
 
     def value(self, name: str) -> str:
         """An expression for the plain value of ``name`` (:meth:`BindingView.value`), an effect's argument."""
-        held = self.atoms(name) if name in self.omegas else self.fetch(name, "v")
+        held = self.atoms(name) if name in self.omegas else self.fetch(name)
         if name not in self.names:
             self.line(f"if {held} is U: raise KeyError({name!r})")
         return f"from_atom({held})" if name in self.names and name not in self.omegas else f"value_of({held})"
 
     def externals(self, function: str) -> str:
         """The registry a ``Call`` of ``function`` invokes, checked before the
-        first, and ``b``, every binding it is handed."""
+        first, and ``b``, every binding it is handed: an ω a splice copied
+        already as copied, any other copied only if the external reads it."""
         if not self.registry:
             self.registry = True
             refused = f"rule product calls {function!r} but no external registry is available"
             self.line(f"if externals is None: raise ExternalFunctionError({refused!r})")
-            if self.fused:  # an ω copied for it is the one a splice reads
-                bound = [f"{name!r}: {self.atoms(name) if name in self.lazy else self.read(name)}" for name in list(self.bound)]
-                self.line(f"b = {{**{self.extra}, {', '.join(bound)}}}")
+            bound = [f"{name!r}: {self.lists[name] if name in self.lazy and name in self.lists else self.read(name, True)}" for name in self.bound]
+            self.line(f"b = View({{**{self.extra}{''.join(f', {item}' for item in bound)}}})")
         return "externals"
 
     def adding(self, target: str, templates: Sequence[Any]) -> "str | list[str]":
@@ -258,19 +253,17 @@ class RewriteDelta:
     patterns:
         The left-hand side it fires on: a name it binds is read without a check.
 
-    ``apply(match, solution, externals)`` fires it in place on ``solution``
-    and returns ``(removed, added)``: everything it adds is expanded first —
-    ``produce``, then each patch's templates, each name read once, every
-    ``Call`` run — so a raising expansion leaves the solution as it was and
-    no expansion sees an edit; then the patches edit the matched solutions,
-    the atoms matched by the ``consume`` patterns leave the level through
-    their entries (in pattern order) and the ``produce`` expansions join it;
-    nothing else moves.  ``apply`` is a generated function, written at the
-    first fire and compiled once per distinct text (deltas of one shape share
-    it); ``__source__`` is its text.
+    It is fired by the :class:`Reaction` of its rule, which :meth:`emit`
+    writes the fire of: everything it adds is expanded first — ``produce``,
+    then each patch's templates, each name read once, every ``Call`` run —
+    so a raising expansion leaves the solution as it was and no expansion
+    sees an edit; then the patches edit the matched solutions, the atoms
+    matched by the ``consume`` patterns leave the level through their entries
+    (in pattern order) and the ``produce`` expansions join it; nothing else
+    moves.
     """
 
-    __slots__ = ("ops", "consume", "produce", "patterns", "apply", "__source__")
+    __slots__ = ("ops", "consume", "produce", "patterns")
 
     def __init__(
         self, ops: Sequence[DeltaOp] = (), consume: Sequence[int] = (), produce: Sequence[Any] = (),
@@ -280,15 +273,6 @@ class RewriteDelta:
         self.consume = tuple(consume)
         self.produce = tuple(produce)
         self.patterns = tuple(patterns)
-
-    def __getattr__(self, name: str) -> Any:
-        # only an unset slot gets here: never fired yet
-        if name not in ("apply", "__source__"):
-            raise AttributeError(name)
-        text, constants = self._write()
-        factory = _FACTORIES.get(text) or _load(text, f"<hocl-fire #{next(_serial)}>")
-        self.__source__, self.apply = text, factory(*constants)
-        return getattr(self, name)
 
     def emit(self, out: Fire) -> "str | list[str]":
         """Write the fire into ``out``: the expansions, then the edits; the
@@ -305,24 +289,6 @@ class RewriteDelta:
         out.lines += [*out.edits, *joining]
         out.edits = []
         return added
-
-    def _write(self) -> tuple[str, list[Any]]:
-        """The text of the fire and the constants it names."""
-        out = Fire(self.patterns)
-        added = self.emit(out)
-        removed = ", ".join(f"match.consumed[{index}]" for index in self.consume)
-        head = [
-            f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):",
-            "    def fire(match, solution, externals):",
-            "        sites = match.sites",
-        ]
-        if out.registry:  # a ``Call`` hands its external every binding
-            head.append("        b = match.bindings")
-        if out.scalars or out.lists:
-            head.append(f"        d = {'b' if out.registry else 'match.bindings'}._data")
-        added = added if isinstance(added, str) else f"[{', '.join(added)}]"
-        tail = [f"        return [{removed}], {added}", "    return fire", ""]
-        return "\n".join([*head, *out.lines, *tail]), out.constants
 
     def __repr__(self) -> str:
         return f"RewriteDelta(ops={self.ops!r}, consume={self.consume!r}, produce={self.produce!r})"
@@ -424,20 +390,18 @@ def _patched_body(pattern: SolutionPattern, template: SolutionTemplate, site: in
 
 class Reaction:
     """A rule as the engine tries it: one generated function, shared by
-    :meth:`~repro.hocl.rules.Rule.bind` siblings, that searches the left-hand
-    side and fires the delta where the first admissible match holds, on the
-    search's own locals.  ``run(solution, owner, externals, effects, observed,
-    clock)`` returns ``None`` when nothing matches, else ``(produced, match,
-    searched)``: the atoms the firing left and made, the
+    :meth:`~repro.hocl.rules.Rule.bind` siblings, whose body is the search's
+    loops and, at the first admissible match, the fire its delta writes, on
+    the search's own locals.  ``run(solution, owner, externals, effects,
+    observed, clock)`` returns ``None`` when nothing matches, else
+    ``(produced, match, searched)``: the atoms the firing left and made, the
     :class:`~repro.hocl.matching.Match` (built only if ``observed``, every ω
     copied) and the instant the search ended (read only if ``clock``).  At the
-    match, the candidate memories close first (an edit may give back an entry
-    the search refuted), the effect is called, then the fire runs as
-    :attr:`RewriteDelta.apply` does, a raise there a ``ReductionError`` naming
-    the rule, and what the effect returned joins ``effects``.  No pending ω is
-    built: one is copied where the fire or the effect reads it.  Written at
-    the first reaction, off the rule reacting, and compiled once per distinct
-    text like a search; ``__source__`` is its text.
+    match the candidate memories close first (an edit may give back an entry
+    the search refuted), then the effect is called, the fire runs (a raise
+    there a ``ReductionError`` naming the rule) and what the effect returned
+    joins ``effects``.  Written at the first reaction and compiled once per
+    distinct text; ``__source__`` is its text.
     """
 
     __slots__ = ("run", "__source__")
@@ -451,15 +415,16 @@ class Reaction:
     def _first(self, solution: Any, owner: Any, *rest: Any) -> Any:
         text, constants = self._write(owner)
         factory = _FACTORIES.get(text) or _load(text, f"<hocl-reaction {owner.name} #{next(_serial)}>")
-        self.__source__, self.run = text, factory(*constants)
-        return self.run(solution, owner, *rest)
+        self.__source__, run = text, factory(*constants)
+        self.run = run
+        return run(solution, owner, *rest)
 
     @staticmethod
     def _write(rule: Any) -> tuple[str, list[Any]]:
         """The text of the reaction of ``rule`` and the constants it names."""
         patterns, delta = rule.patterns, rule.delta
         _keys, broad, opened = _layout(patterns)
-        out = Fire(patterns, 3 if broad else 2, 1 if broad else 0, opened, fused=True)
+        out = Fire(patterns, 3 if broad else 2, 1 if broad else 0, opened)
         entries, atoms = _loops(out, patterns, rule.condition, pinnable=False)
         if atoms:  # by identity: rules are equal by name
             out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")

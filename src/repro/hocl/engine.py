@@ -46,9 +46,10 @@ have changed since the last reduction:
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to a naive
-walk's that visits every nested solution and tries every rule.  That walk, and
-the rebuild application of the products, live in ``tests/reduction_reference.py``
-as the oracle the engine is held to.
+walk's that visits every nested solution and tries every rule.  That walk, a
+search followed by an interpreted fire, and the rebuild application of the
+products live in ``tests/reduction_reference.py`` as the oracles the engine is
+held to.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from typing import Any, Callable
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.records import Record
 
-from .errors import ReductionError
 from .externals import ExternalRegistry, default_registry
 from .matching import Match, first_match
 from .multiset import Multiset
@@ -207,9 +207,6 @@ class ReductionEngine:
         #: per-phase seconds (:data:`PHASES`) of every span this engine
         #: recorded; ``None`` untraced
         self.timings = None if self.trace is None else dict.fromkeys(PHASES, 0.0)
-        #: a rule is searched and fired by its reaction, unless the search or the
-        #: fire below is replaced (by the oracles of the test suite): then by those
-        self._fused = self._find_match_excluding_self is first_match and getattr(self._apply, "__func__", None) is _APPLY
 
     # ----------------------------------------------------------------- public
     def reduce(self, solution: Multiset) -> ReductionReport:
@@ -225,7 +222,7 @@ class ReductionEngine:
 
     # --------------------------------------------------------------- internal
     def _reduce_level(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        max_steps, trace, fused, observer = self.max_steps, self.trace, self._fused, self.observer
+        max_steps, trace, observer = self.max_steps, self.trace, self.observer
         clock = perf_counter if trace is not None else None
         while True:
             if report.reactions >= max_steps:
@@ -261,14 +258,6 @@ class ReductionEngine:
                         break
                 else:
                     report.match_attempts += 1
-                    if not fused:
-                        match = self._find_match_excluding_self(rule, solution)
-                        if match is None:
-                            continue
-                        if trace is not None:
-                            self._record("match", started, perf_counter(), depth=depth, rule=rule.name)
-                        self._apply(rule, match, solution, depth, report)
-                        break
                     fired = rule.reaction.run(solution, rule, self.externals, report.effects, observer is not None, clock)
                     if fired is None:
                         continue
@@ -309,7 +298,7 @@ class ReductionEngine:
         return False
 
     #: ``(rule, solution)`` -> first match that does not consume the rule itself
-    #: (what `is_inert` asks; a rule's reaction finds the same one)
+    #: (what `is_inert` asks; a rule's reaction fires at the same one)
     _find_match_excluding_self = staticmethod(first_match)
 
     def _record(self, phase: str, started: float, ended: float, **attrs: Any) -> None:
@@ -320,47 +309,6 @@ class ReductionEngine:
         timings[phase] += ended - started
         timings["index"] += attrs.get("index_seconds", 0.0)
         trace.span(f"reduction.{phase}", self.trace_track, started, ended, **attrs)
-
-    def _apply(self, rule: Rule, match: Match, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        """Fire ``rule`` on ``match`` through its rewrite delta's standalone fire
-        — what its reaction does where its search matched: the patches edit
-        the kept atoms' bodies, the consumed atoms leave the level and the
-        produced ones join it."""
-        trace = self.trace
-        started = perf_counter() if trace is not None else 0.0
-        # the effect, a pure function of the bindings, runs before the solution
-        # changes, and so does whatever the fire reads; what an observer may
-        # read after it is read now (an omega is copied out of its solution at
-        # its first read)
-        bindings = match.bindings
-        if self.observer is not None:
-            for name in bindings:
-                bindings.atom(name)
-        emitted = list(rule.effect(*map(bindings.value, rule.effect_names)) or ()) if rule.effect is not None else ()
-        try:
-            removed, added = rule.delta.apply(match, solution, self.externals)
-        except Exception as exc:  # noqa: BLE001 - context added
-            raise ReductionError(f"rule {rule.name!r} failed to apply its rewrite delta: {exc}") from exc
-        written = perf_counter() if trace is not None else 0.0
-        if rule.one_shot:
-            # the rule removes itself once fired (replace-one semantics)
-            try:
-                solution.remove_identical(rule)
-            except KeyError:
-                solution.discard(rule)
-        if trace is not None:
-            self._record("patch", started, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
-        report.reactions += 1
-        report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
-        # produced: the kept anchors plus the `produce` expansions
-        consumed = len(match.consumed)
-        report.history.append(ReactionRecord(rule.name, depth, consumed, consumed - len(removed) + len(added)))
-        report.effects.extend(emitted)
-        if self.observer is not None:
-            self.observer(rule, match, depth)
-
-
-_APPLY = ReductionEngine._apply
 
 
 def reduce_solution(

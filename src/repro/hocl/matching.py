@@ -39,7 +39,7 @@ from weakref import WeakValueDictionary
 from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, from_atom
 from .multiset import _EMPTY, Multiset
 from .errors import ExternalFunctionError, PatternError, ReductionError
-from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest, remainder, value_of
+from .patterns import UNBOUND, Bindings, BindingView, Omega, Pattern, Source, _Rest, value_of
 from .templates import coerce
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,7 +80,7 @@ _NAMES = {
     "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
     "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView, "Match": Match,
     "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
-    "ReductionError": ReductionError, "remainder": remainder, "value_of": value_of, "from_atom": from_atom,
+    "ReductionError": ReductionError, "value_of": value_of, "from_atom": from_atom,
 }  # fmt: skip
 _SIGNATURE = "solution, owner=None, initial_bindings=None, pinned=None, pinned_entries=(), first=False"
 #: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the search
@@ -267,12 +267,12 @@ def _write(patterns: tuple[Pattern, ...], condition: "Compare | None") -> tuple[
     _keys, broad, opened = _layout(patterns)
     out = Source(3 if broad else 2, 1 if broad else 0, opened)
     entries, atoms = _loops(out, patterns, condition)
-    out.line(f"b = View({out.bindings()})")
+    out.line(f"b = View({out.bindings(pending=True)})")
     if atoms:  # by identity: rules are equal by name
         out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
     sites = [*entries, *out.sites]
     out.line(f"found.append(Match(b, [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})))")
-    out.line(f"if first: {out.stop}")
+    out.line("if first: return found")
     out.close()
     return _frame(out, patterns, "search", _SIGNATURE, ["        found = []"], ["        return found"])
 

@@ -458,6 +458,13 @@ class Multiset:
                 return
         raise KeyError(f"atom object not in multiset: {atom!r}")
 
+    def remainder(self, used: Iterable[_Entry]) -> list[Atom]:
+        """The atoms but those of the ``used`` entries, in entry order: an ω's list."""
+        entries = self._entries.copy()
+        for entry in used:  # `_Entry` has no `__eq__`: each `remove` is an identity scan
+            entries.remove(entry)
+        return list(map(_atom, entries))
+
     def _remove_entry(self, entry: _Entry) -> None:
         # `_Entry` defines no `__eq__`: each `list.remove` is one C-level
         # identity scan, and never compares atoms.

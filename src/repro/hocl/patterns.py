@@ -54,7 +54,7 @@ from typing import Any, Iterable
 
 from .atoms import Atom, Symbol, from_atom, to_atom
 from .errors import PatternError
-from .multiset import Multiset, _atom, _Entry, atom_index_keys
+from .multiset import Multiset, _Entry, atom_index_keys
 
 __all__ = [
     "Bindings",
@@ -88,18 +88,7 @@ class _Rest:
     def read(self, name: str) -> list[Atom]:
         if self.solution._version != self.version:
             raise PatternError(f"omega {name!r} read after the solution it is the remainder of changed")
-        return remainder(self.solution, self.used)
-
-    def __eq__(self, other: object) -> bool:  # an ω name bound twice: compare the lists
-        return self.read("ω") == (other.read("ω") if isinstance(other, _Rest) else other)
-
-
-def remainder(solution: Multiset, used: Iterable[Any]) -> list[Atom]:
-    """The atoms of ``solution`` but those of the ``used`` entries, in entry order: an ω's list."""
-    entries = solution._entries.copy()
-    for entry in used:  # `_Entry` has no `__eq__`: each `remove` is an identity scan
-        entries.remove(entry)
-    return list(map(_atom, entries))
+        return self.solution.remainder(self.used)
 
 
 def value_of(bound: Any) -> Any:
@@ -166,18 +155,18 @@ class Source:
     of a match starts from.  :attr:`sites` are the locals a match records where
     it bound, in the order :func:`solution_patterns` lists them.
 
-    The search of a reaction (``fused``) binds a solution pattern's ω without
-    copying it: its local holds ``U`` and :attr:`lazy` the expression of its
-    list, which :meth:`read` copies where something reads it.
+    A solution pattern's ω is bound without copying it: its local holds
+    ``U`` (or what was given) and :attr:`lazy` where its list is, copied by
+    :meth:`read` where something compares it and left pending (a ``Rest``)
+    in :meth:`bindings`.
     """
 
     #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
     BLOCKS = 18
 
-    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = (), fused: bool = False):
+    def __init__(self, depth: int, blocks: int = 0, shared: Iterable[str] = ()):
         self.lines: list[str] = []
-        self.fused = fused
-        self.lazy: dict[str, str] = {}  # omega -> the expression of its list, while its local holds U
+        self.lazy: dict[str, tuple[str, str]] = {}  # omega -> its solution and the entries not in it, while its local holds U
         self.depth = depth
         self.blocks = blocks
         self.shared = ", ".join(shared)  # the locals a nested function rebinds
@@ -228,16 +217,12 @@ class Source:
         self.depth += 1
         self.blocks += 1
 
-    @property
-    def stop(self) -> str:
-        """The statement that ends the whole search."""
-        return "return True" if self.nested else "return found"
-
     def close(self) -> None:
-        """After the innermost line: leave the nested functions, innermost first."""
+        """After the innermost line: leave the nested functions, innermost first;
+        what one returns, the function it is nested in returns."""
         while self.nested:
             self.depth = self.nested.pop()
-            self.line("if (done := deeper()) is not None: return done" if self.fused else f"if deeper(): {self.stop}")
+            self.line("if (done := deeper()) is not None: return done")
 
     def _ident(self, name: str) -> str:
         """What the locals of variable ``name`` end in (a name need not be an identifier)."""
@@ -269,33 +254,30 @@ class Source:
         self.line(f"elif not ({same.format(held, value)}): continue")
 
     def remainder(self, name: str, solution: str, taken: list[str]) -> None:
-        """Bind omega ``name`` to the atoms of ``solution`` but those of the ``taken`` entries."""
+        """Bind omega ``name`` to the atoms of ``solution`` but those of the ``taken`` entries, not copied yet."""
         used = f"[{', '.join(taken)}]"
-        if not self.fused:
-            self.bind(name, f"Rest({solution}, {used})")
-            return
-        rest = f"remainder({solution}, {used})"
         if name in self.bound:
-            self.line(f"if not ({self.read(name)} == {rest}): continue")
+            self.line(f"if not ({self.read(name)} == {solution}.remainder({used})): continue")
             return
         before = self.held(name)
         held = self.bound[name] = ("v" if self.extra == "initial_bindings" else self.extra) + self._ident(name)
-        self.lazy[name] = rest
+        self.lazy[name] = solution, used
         self.line(f"{held} = {before}")
-        self.line(f"if {held} is not U and not ({held} == {rest}): continue")
+        self.line(f"if {held} is not U and not ({held} == {solution}.remainder({used})): continue")
 
-    def read(self, name: str) -> str:
-        """An expression for what variable ``name`` is bound to right now, an ω not copied yet copied."""
+    def read(self, name: str, pending: bool = False) -> str:
+        """An expression for what variable ``name`` is bound to right now, an ω
+        not copied yet copied — or, ``pending``, a ``Rest`` that copies it when read."""
         held, rest = self.held(name), self.lazy.get(name)
-        return held if rest is None else f"({held} if {held} is not U else {rest})"
+        if rest is None:
+            return held
+        solution, used = rest
+        return f"({held} if {held} is not U else {f'Rest({solution}, {used})' if pending else f'{solution}.remainder({used})'})"
 
-    def rebase(self, extended: str) -> None:
-        """From here on, what is bound is the mapping ``extended`` (a subclass's ``match`` made it)."""
-        self.extra, self.bound, self.lazy = extended, {}, {}
-
-    def bindings(self) -> str:
-        """An expression for what is bound right now, as a new dictionary."""
-        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {self.read(name)}" for name in self.bound))
+    def bindings(self, pending: bool = False) -> str:
+        """An expression for what is bound right now, as a new dictionary (an
+        ω not copied yet copied, or ``pending``)."""
+        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {self.read(name, pending)}" for name in self.bound))
 
 
 class Pattern:
@@ -313,7 +295,7 @@ class Pattern:
         iterates the level's candidate memories in place."""
         extended = out.local("x")
         out.loop(f"for {extended} in {out.const(self)}.match({atom}, dict(View({out.bindings()}))):")
-        out.rebase(extended)
+        out.extra, out.bound, out.lazy = extended, {}, {}
 
     def match(self, atom: Atom, bindings: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
         """Every extension of ``bindings`` under which ``atom`` matches, in order

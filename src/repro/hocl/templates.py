@@ -148,8 +148,8 @@ class Call(Template):
         self.arguments = tuple(arguments)
 
     def emit(self, out: "Fire") -> str:
-        registry = out.externals(self.function)
-        return f"*coerce({registry}.invoke({self.function!r}, {emit_list(self.arguments, out)}, b))"
+        arguments = emit_list(self.arguments, out)  # first: an ω they copy is handed as copied
+        return f"*coerce({out.externals(self.function)}.invoke({self.function!r}, {arguments}, b))"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Call({self.function!r}, {', '.join(repr(a) for a in self.arguments)})"

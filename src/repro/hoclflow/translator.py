@@ -131,13 +131,17 @@ class WorkflowEncoding(Record):
 
     def to_multiset(self, include_rules: bool = True, built: Callable[[], None] | None = None) -> Multiset:
         """The centralised concrete workflow (Fig. 8): one global multiset, built
-        in one pass, ``built()`` called per task tuple."""
+        in one pass, ``built()`` called per task tuple and once for the global
+        multiset itself."""
         atoms: list[Any] = list(self.global_rules) if include_rules else []
         for encoding in self.tasks.values():
             atoms.append(encoding.as_tuple(include_rules))
             if built is not None:
                 built()
-        return Multiset(atoms)
+        solution = Multiset(atoms)
+        if built is not None:
+            built()
+        return solution
 
 
 def encode_workflow(workflow: Workflow) -> WorkflowEncoding:

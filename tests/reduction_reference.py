@@ -1,24 +1,27 @@
 """The reference reductions the engine is held to (a helper module, not a test file).
 
-``repro.hocl.engine.ReductionEngine`` is one incremental loop that fires every
-rule through the delta derived from its two sides.  What it replaced lives on
-here, each oracle a subclass that swaps out one part — the walk, the search or
-the rule application:
+``repro.hocl.engine.ReductionEngine`` is one incremental loop that tries every
+rule by its reaction: one generated function that searches its left-hand side
+and fires the delta derived from its two sides where the first match holds.
+What it replaced lives on here, each oracle swapping out one part — the walk,
+the search or the rule application:
 
+* :class:`TwoStepEngine` — the same walk, every rule found by its search
+  (``first_match``) and then fired by its delta, interpreted
+  (:func:`apply_delta`): the two steps one reaction replaced;
 * :class:`NaiveEngine` — the naive walk: every nested solution visited, every
   rule searched, no inertness stamp read or written, no index refutation;
 * :class:`BruteForceEngine` — the naive walk over the interpreted matcher of
   ``matcher_reference.py``, scanning every atom of the level for every pattern;
 * :class:`RebuildEngine` — every rule fires by its rebuild form: everything
   matched leaves the level and the products are expanded;
-* :class:`TwoStepEngine` — every rule found by its search, then fired by its
-  delta, where the engine runs one generated reaction;
 * :class:`RepositioningDelta` (:func:`repositioned`) — the delta application
-  that kept anchors in place replaced: matched atoms leave and the kept ones
-  re-enter at the end;
-* :func:`expand` and :func:`apply_op` — the interpreted template expansion
-  and patch the generated fire (``RewriteDelta.apply``) replaced, which the
-  two oracles above fire by.
+  that kept anchors in place replaced, written into the reaction: matched
+  atoms leave and the kept ones re-enter at the end;
+* :func:`expand` and :func:`apply_delta` — the interpreted template expansion
+  and delta application the generated fire replaced, which the two-step
+  oracles fire by;
+* :func:`watch_reactions` — every reaction an engine runs handed to a check.
 
 The parity contract, stated once (:func:`assert_parity`): against an oracle
 that searches like it, the engine reaches the same final solution
@@ -50,7 +53,7 @@ from repro.hocl import (
     default_registry,
     to_atom,
 )
-from repro.hocl.deltas import PatchAdd, RewriteDelta
+from repro.hocl.deltas import PatchAdd, Reaction, RewriteDelta
 from repro.hocl.engine import ReactionRecord
 from repro.hocl.templates import coerce
 from repro.hoclflow import encode_workflow
@@ -60,7 +63,62 @@ from repro.services import InvocationContext, ServiceRegistry
 import matcher_reference
 
 
-class NaiveEngine(ReductionEngine):
+class TwoStepEngine(ReductionEngine):
+    """The engine's walk, every rule found by :meth:`_find_match_excluding_self`
+    and then fired by :meth:`_apply`: its delta, interpreted."""
+
+    def _reduce_level(self, solution, depth, report):
+        while True:
+            if report.reactions >= self.max_steps:
+                report.inert = False
+                return
+            if solution.known_inert:
+                return
+            nested = solution.unsettled_solutions() if solution._flagged else ()
+            while nested:
+                for inner in nested:
+                    self._reduce_level(inner, depth + 1, report)
+                    if report.reactions >= self.max_steps:
+                        report.inert = False
+                        return
+                nested = solution.unsettled_solutions()
+            for rule in solution.rules_by_priority():
+                if not solution.has_all_candidates(rule.pattern_index_keys):
+                    continue
+                report.match_attempts += 1
+                match = self._find_match_excluding_self(rule, solution)
+                if match is not None:
+                    self._apply(rule, match, solution, depth, report)
+                    break
+            else:
+                solution.note_inert()
+                return
+
+    def _apply(self, rule, match, solution, depth, report):
+        bindings = match.bindings
+        if self.observer is not None:  # what it reads after the reaction is read now
+            for name in bindings:
+                bindings.atom(name)
+        emitted = list(rule.effect(*map(bindings.value, rule.effect_names)) or ()) if rule.effect is not None else ()
+        try:
+            removed, added = apply_delta(rule.delta, match, solution, self.externals)
+        except Exception as exc:
+            raise ReductionError(f"rule {rule.name!r} failed to apply its rewrite delta: {exc}") from exc
+        if rule.one_shot:
+            try:
+                solution.remove_identical(rule)
+            except KeyError:
+                solution.discard(rule)
+        report.reactions += 1
+        report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
+        consumed = len(match.consumed)
+        report.history.append(ReactionRecord(rule.name, depth, consumed, consumed - len(removed) + len(added)))
+        report.effects.extend(emitted)
+        if self.observer is not None:
+            self.observer(rule, match, depth)
+
+
+class NaiveEngine(TwoStepEngine):
     """Re-reduce everything: the trace the incremental engine must reproduce."""
 
     def _reduce_level(self, solution, depth, report):
@@ -111,7 +169,7 @@ class BruteForceEngine(NaiveEngine):
         return None
 
 
-class RebuildEngine(ReductionEngine):
+class RebuildEngine(TwoStepEngine):
     """Every rule fires by its rebuild form (products expanded, nothing patched)."""
 
     def _apply(self, rule, match, solution, depth, report):
@@ -141,32 +199,28 @@ class RebuildEngine(ReductionEngine):
             self.observer(rule, match, depth)
 
 
-class TwoStepEngine(ReductionEngine):
-    """The engine, every rule found by its search and then fired by its
-    delta's standalone fire — the two calls one reaction replaced."""
-
-    def _apply(self, rule, match, solution, depth, report):
-        super()._apply(rule, match, solution, depth, report)
-
-
 class RepositioningDelta(RewriteDelta):
     """Every matched atom leaves the level and the kept ones re-enter at its
     end, where the rebuild form appends its replacement products."""
 
     __slots__ = ()
 
-    def apply(self, match, solution, externals):
+    def emit(self, out):
+        added, joining = [], []
+        if self.produce:
+            added = out.adding("solution", self.produce)
+            joining, out.edits = out.edits, []
         for op in self.ops:
-            apply_op(op, match.sites, match.bindings, externals)
-        for atom in match.consumed:
-            solution.remove_identical(atom)
-        for index, atom in enumerate(match.consumed):
+            op.emit(out)
+        matched = range(len(self.patterns))
+        for index in matched:
+            out.edit(f"solution._remove_entry({out.at(index)})")
+        for index in matched:
             if index not in self.consume:
-                solution.add(atom)
-        added = expand_all(self.produce, match.bindings, externals)
-        for atom in added:
-            solution.add(atom)
-        return [match.consumed[index] for index in self.consume], added
+                out.edit(f"solution.add({out.at(index)}.atom)")
+        out.lines += [*out.edits, *joining]
+        out.edits = []
+        return added
 
 
 def _copied(atom):
@@ -203,16 +257,41 @@ def expand_all(templates, bindings, externals=None):
     return [atom for template in templates for atom in expand(template, bindings, externals)]
 
 
-def apply_op(op, sites, bindings, externals):
-    """One patch, interpreted: add the expansion of a ``PatchAdd``'s templates
-    to the solution at its site, or unlink a ``PatchRemove``'s entries from it."""
-    target = sites[op.site]
-    if isinstance(op, PatchAdd):
-        for atom in expand_all(op.templates, bindings, externals):
-            target.add(atom)
-    else:
-        for entry in op.entries:
-            target._remove_entry(sites[entry])
+def apply_delta(delta, match, solution, externals):
+    """``delta`` fired on ``match``, interpreted, as its generated fire does it:
+    everything it adds expanded first (``produce``, then each ``PatchAdd``'s
+    templates), then the patches edit the solutions at their sites, the
+    consumed atoms leave through their entries and the ``produce`` expansions
+    join the level.  Returns ``(removed, added)``."""
+    bindings, sites = match.bindings, match.sites
+    added = expand_all(delta.produce, bindings, externals)
+    patched = [expand_all(op.templates, bindings, externals) if isinstance(op, PatchAdd) else None for op in delta.ops]
+    for op, atoms in zip(delta.ops, patched):
+        for atom in atoms or ():
+            sites[op.site].add(atom)
+        for entry in () if atoms is not None else op.entries:
+            sites[op.site]._remove_entry(sites[entry])
+    for index in delta.consume:
+        solution._remove_entry(sites[index])
+    for atom in added:
+        solution.add(atom)
+    return [match.consumed[index] for index in delta.consume], added
+
+
+def watch_reactions(monkeypatch, watcher):
+    """Hand every reaction any engine runs to ``watcher(run, solution, owner,
+    externals, effects, observed, clock)``, ``run`` the reaction itself: it
+    answers for the reaction."""
+    slot = Reaction.__dict__["run"]
+
+    def get(reaction):
+        try:
+            run = slot.__get__(reaction, Reaction)
+        except AttributeError:  # not written yet: its first run writes it
+            run = reaction._first
+        return lambda *args: watcher(run, *args)
+
+    monkeypatch.setattr(Reaction, "run", property(get, slot.__set__))
 
 
 class RepositionedRule(Rule):
@@ -226,7 +305,7 @@ class RepositionedRule(Rule):
             return self._repositioned
         except AttributeError:
             derived = super().delta
-            self._repositioned = RepositioningDelta(derived.ops, derived.consume, derived.produce)
+            self._repositioned = RepositioningDelta(derived.ops, derived.consume, derived.produce, derived.patterns)
             return self._repositioned
 
 

@@ -114,12 +114,10 @@ class TestOneMatcherAndOneFire:
         assert interpreted_paths(modules)
 
     def test_the_local_gw_pass_fires_as_one_unlink(self):
-        """Standalone, on the sites a match recorded; in its reaction, on the
-        locals its search bound them to — both written by the one delta."""
+        """In its reaction, on the locals its search bound the sites to."""
         from repro.agents.local_rules import GW_PASS
         from repro.hocl.deltas import Reaction
 
-        assert "sites[4]._remove_entry(sites[5])" in GW_PASS.delta.__source__
         text = Reaction._write(GW_PASS)[0]
         assert text.count("._remove_entry(") == 1 and "s14._remove_entry(e15)" in text
         assert "for e15 in s14._index.get(" in text and "sites" not in text

@@ -41,7 +41,6 @@ from repro.hocl import (
     replace_one,
     with_inject,
 )
-from repro.hocl.matching import first_match
 from repro.hocl.multiset import atom_index_keys
 
 
@@ -157,9 +156,9 @@ class TestTheGeneratedFire:
     def test_a_call_with_no_registry_raises(self):
         rule = Rule("call", [SymbolPattern("GO")], [SymbolPattern("GONE").atom, Call("list", 1)])
         solution = Multiset([Symbol("GO"), rule])
-        match = first_match(rule, solution)
-        with pytest.raises(ExternalFunctionError, match="'list' but no external registry"):
-            rule.delta.apply(match, solution, None)
+        with pytest.raises(ReductionError, match="'list' but no external registry") as raised:
+            rule.reaction.run(solution, rule, None, [], False, None)
+        assert isinstance(raised.value.__cause__, ExternalFunctionError)
         assert solution.atoms() == [Symbol("GO"), rule]
 
     @pytest.mark.parametrize(
@@ -178,8 +177,8 @@ class TestTheGeneratedFire:
     def test_its_text_is_readable(self):
         rule = Rule("pair", [Var("x", kind="int"), Var("y", kind="int")], [TupleTemplate(Ref("x"), Ref("y"))])
         assert ReductionEngine().reduce(Multiset([1, 2, rule])).reactions == 1
-        assert "def fire(match, solution, externals):" in rule.delta.__source__
-        assert "TupleAtom([" in rule.delta.__source__
+        assert "def react(solution, owner, externals, effects, observed, clock):" in rule.reaction.__source__
+        assert "TupleAtom([" in rule.reaction.__source__
 
 
 class TestExternals:

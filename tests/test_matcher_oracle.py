@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matcher_reference
-from reduction_reference import RebuildEngine
+from reduction_reference import RebuildEngine, watch_reactions
 from repro import GinFlow, diamond_workflow
 from repro.hocl import (
     BindingView,
@@ -414,7 +414,7 @@ workflow = adaptive_diamond_workflow(4, 4, "full", "simple", duration=0.01) if s
 report = GinFlow().run(workflow, mode=sys.argv[2], nodes=5)
 assert report.succeeded
 compiled = [factory.__code__.co_filename for factory in matching._FACTORIES.values()]
-print(sum(name.startswith("<hocl-lhs ") for name in compiled), sum(name.startswith("<hocl-fire ") for name in compiled), len(compiled))
+print(sum(name.startswith("<hocl-lhs ") for name in compiled), sum(name.startswith("<hocl-reaction ") for name in compiled), len(compiled))
 """
 
 _SOURCES = """
@@ -478,9 +478,9 @@ class TestTheGeneratedText:
     @pytest.mark.parametrize("workload, mode", [("adapt", "simulated"), ("montage", "simulated"), ("montage", "centralized")])
     def test_a_whole_run_compiles_a_handful(self, workload, mode):
         """One text per shape of rule — its reaction, which searches and fires —
-        and no search or fire of its own (7 and 14 while the engine ran both)."""
-        searches, fires, compiled = map(int, _child(_IN_A_CHILD, workload, mode).split())
-        assert searches == fires == 0 and compiled == {"adapt": 7, "montage": 3}[workload]
+        and no search of its own (7 and 14 texts while the engine ran both)."""
+        searches, reactions, compiled = map(int, _child(_IN_A_CHILD, workload, mode).split())
+        assert searches == 0 and reactions == compiled == {"adapt": 7, "montage": 3}[workload]
 
     def test_a_raising_external_shows_the_fire_and_the_line(self):
         """A product's external raising as the rule fires: the traceback shows
@@ -604,27 +604,26 @@ class TestNoStateOnTheCompiledForm:
 # ----------------------------------------------------------------- lazy omega
 @pytest.fixture
 def remainder_copies(monkeypatch):
-    """Count the remainders copied, by the rule being applied (``None``: while searching)."""
+    """Count the remainders copied, by the rule reacting or being applied
+    (``None``: by any other search)."""
     copies, applying = Counter(), [None]
-    read = patterns_module._Rest.read
+    remainder = Multiset.remainder
 
-    def counted_read(self, name):
+    def counted(self, used):
         copies[applying[0]] += 1
-        return read(self, name)
+        return remainder(self, used)
 
-    def tracked(apply):
-        def tracked_apply(self, rule, *args):
-            applying[0] = rule.name
-            try:
-                return apply(self, rule, *args)
-            finally:
-                applying[0] = None
+    def by(rule, call, *args):
+        applying[0] = rule.name
+        try:
+            return call(*args)
+        finally:
+            applying[0] = None
 
-        return tracked_apply
-
-    monkeypatch.setattr(patterns_module._Rest, "read", counted_read)
-    for engine in (ReductionEngine, RebuildEngine):
-        monkeypatch.setattr(engine, "_apply", tracked(engine._apply))
+    apply = RebuildEngine._apply
+    monkeypatch.setattr(Multiset, "remainder", counted)
+    watch_reactions(monkeypatch, lambda run, solution, owner, *rest: by(owner, run, solution, owner, *rest))
+    monkeypatch.setattr(RebuildEngine, "_apply", lambda engine, rule, *rest: by(rule, apply, engine, rule, *rest))
     return copies
 
 

@@ -60,10 +60,15 @@ def built(monkeypatch):
 
 
 class TestNoMatchRecord:
-    def test_an_untraced_unobserved_centralised_montage_builds_none(self, built):
+    def test_an_untraced_unobserved_centralised_montage_builds_no_match_record(self, built):
+        """No match record; what a ``Call`` product's external is handed is one
+        view of the bindings per firing, as it always was: ``gw_setup``'s ω
+        copied already for its own parameter list, ``gw_call``'s ``RES`` ω
+        left pending (copied only if the external reads it)."""
         outcome = CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))
         assert outcome.report.reactions == 1190 and not outcome.errors
-        assert built == {"Match": 0, "BindingView": 0, "_Rest": 0}
+        fires = outcome.report.rule_fires
+        assert built == {"Match": 0, "BindingView": fires["gw_setup"] + fires["gw_call"], "_Rest": fires["gw_call"]}
 
     def test_an_observer_is_handed_the_match(self, built):
         seen = []

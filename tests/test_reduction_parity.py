@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcher_reference import compiled_reject
-from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace
+from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace, watch_reactions
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     AtomError,
@@ -562,32 +562,39 @@ class TestInPlaceReactions:
             assert_parity((here, in_place), (there, moved))
 
     @staticmethod
-    def _checked_first_match(searches):
-        """``first_match``, held to the enumerator on every call it serves."""
+    def _checked_reactions(searches):
+        """A reaction watcher: where each reaction fires, and what ``first_match``
+        finds on the same level, held to the enumerator's first admissible match."""
 
-        def checked(rule, solution):
-            found = first_match(rule, solution)
-            enumerated = find_matches(rule.patterns, solution, rule.condition, rule.given)
+        def checked(run, solution, owner, externals, effects, observed, clock):
+            enumerated = find_matches(owner.patterns, solution, owner.condition, owner.given)
             expected = next(
-                (m for m in enumerated if not any(atom is rule for atom in m.consumed)), None
+                (m for m in enumerated if not any(atom is owner for atom in m.consumed)), None
             )
+            found = first_match(owner, solution)
             assert (found is None) == (expected is None)
-            if found is not None:
-                assert [id(atom) for atom in found.consumed] == [id(atom) for atom in expected.consumed]
-                assert found.bindings == expected.bindings
-            searches["first_match"] += 1
-            return found
+            if expected is not None:  # read before the reaction changes the level
+                consumed, bindings = [id(atom) for atom in expected.consumed], dict(expected.bindings)
+                assert [id(atom) for atom in found.consumed] == consumed and dict(found.bindings) == bindings
+            fired = run(solution, owner, externals, effects, True, clock)
+            assert (fired is None) == (expected is None)
+            searches["reaction"] += 1
+            if fired is None:
+                return None
+            produced, match, searched = fired
+            assert [id(atom) for atom in match.consumed] == consumed
+            assert dict(match.bindings) == bindings
+            return produced, match if observed else None, searched
 
         return checked
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_first_match_is_the_enumerators_first_on_every_family(self, family, monkeypatch):
         searches = Counter()
-        checked = self._checked_first_match(searches)
-        monkeypatch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
+        watch_reactions(monkeypatch, self._checked_reactions(searches))
         outcome = CentralizedExecutor().execute(build_scenario(f"{family}:size=12,seed=1"))
         assert outcome.report.inert
-        assert searches["first_match"] == outcome.report.match_attempts
+        assert searches["reaction"] == outcome.report.match_attempts > 0
 
     @given(
         cells=_CELLS,
@@ -596,15 +603,16 @@ class TestInPlaceReactions:
     )
     @settings(max_examples=60, deadline=None)
     def test_first_match_is_the_enumerators_first_on_random_programs(self, cells, refills, take_first):
-        checked = self._checked_first_match(Counter())
+        searches = Counter()
         solution = TestAgainstBruteForceSearch._cells_program(cells, take_first)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ReductionEngine, "_find_match_excluding_self", staticmethod(checked))
+            watch_reactions(patch, self._checked_reactions(searches))
             engine = ReductionEngine(externals=ARITHMETIC)
             for round_ in [[]] + refills:
                 for cell, value in round_:
                     TestAgainstBruteForceSearch._refill(solution, cell % len(cells), value)
                 assert engine.reduce(solution).inert
+        assert searches["reaction"] > 0
 
 
 class TestFlagsSurviveFailure:

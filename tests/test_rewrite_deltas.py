@@ -32,15 +32,18 @@ every top-level pattern is head-keyed.  The evidence:
   virtual-time trace bit-identical.
 """
 
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reduction_reference import RebuildEngine, assert_parity, reduce_workflow, trace
+from repro.agents import core as agents_core
 from repro.agents import local_rules
 from repro.agents.actions import SendAdapt
 from repro.agents.local_rules import GW_CALL, GW_PASS, LOCAL_EXTERNALS, local_trigger
+from repro.executors import centralized
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import rules as rules_module
 from repro.hocl import (
@@ -49,7 +52,6 @@ from repro.hocl import (
     Compare,
     default_registry,
     IntAtom,
-    Match,
     Multiset,
     Omega,
     ReductionEngine,
@@ -70,7 +72,7 @@ from repro.hocl import (
     Var,
     parse_program,
 )
-from repro.hocl.deltas import PatchAdd, PatchRemove, Reaction, RewriteDelta, derive_delta
+from repro.hocl.deltas import Fire, PatchAdd, PatchRemove, Reaction, RewriteDelta, derive_delta
 from repro.hocl.patterns import Source
 from repro.hoclflow import keywords as kw
 from repro.hoclflow import adaptation
@@ -275,7 +277,7 @@ def test_an_opaque_product_consumes_everything_matched(clear):
     new = [Symbol(task) for task in plan.exit_tasks]
     assert seen == [{"replaced": sources, "new": new, "wsrc": sources, "win": inputs}] * (1 if clear else 2)
     # ... for the fire runs every one before its first edit
-    lines = rule.delta.__source__.splitlines()
+    lines = rule.reaction.__source__.splitlines()
     edits = [at for at, line in enumerate(lines) if "._remove_entry(" in line or ".add(" in line]
     assert edits and max(at for at, line in enumerate(lines) if ".invoke(" in line) < min(edits)
 
@@ -624,21 +626,20 @@ def _entries_off_by_one(delta):
 def _removal_by_equality(monkeypatch):
     def emit(self, out):
         for entry in self.entries:
-            out.edit(f"sites[{self.site}].remove(sites[{entry}].atom)")
+            out.edit(f"{out.at(self.site)}.remove({out.at(entry)}.atom)")
 
     monkeypatch.setattr(PatchRemove, "emit", emit)
 
 
 def _consumed_by_equality(monkeypatch):
     """Each consumed atom leaves through the first entry of the level holding an equal atom."""
-    original = ReductionEngine._apply
+    edit = Fire.edit
 
-    def _apply(self, rule, match, solution, depth, report):
-        top = len(match.consumed)
-        equal = [next(entry for entry in solution.live_entries() if entry.atom == atom) for atom in match.consumed]
-        return original(self, rule, Match(match.bindings, match.consumed, (*equal, *match.sites[top:])), solution, depth, report)
+    def by_equality(self, text):
+        consumed = re.fullmatch(r"solution\._remove_entry\((\w+)\)", text)
+        return edit(self, f"solution.remove({consumed[1]}.atom)" if consumed else text)
 
-    monkeypatch.setattr(ReductionEngine, "_apply", _apply)
+    monkeypatch.setattr(Fire, "edit", by_equality)
 
 
 def _sites_out_of_walk_order(monkeypatch):
@@ -859,7 +860,12 @@ def test_scenario_family_delta_parity(family):
 @pytest.fixture
 def rebuild_everywhere(monkeypatch):
     """Every engine a run builds fires its rules by their rebuild form."""
-    return lambda: monkeypatch.setattr(ReductionEngine, "_apply", RebuildEngine._apply)
+
+    def everywhere():
+        for module in (agents_core, centralized):
+            monkeypatch.setattr(module, "ReductionEngine", RebuildEngine)
+
+    return everywhere
 
 
 @pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])

@@ -3,26 +3,28 @@
 :attr:`Rule.summary <repro.hocl.rules.Rule.summary>` is the one model of a
 rule the analyzer reads: the names a rule binds and reads, the index keys it
 matches and those it can add, per depth.  It is read off the rule's two
-sides and its delta, never by running it — so here every match of a rule is
-fired by :class:`~repro.hocl.engine.ReductionEngine` and two things are
-checked of each firing:
+sides and its delta, never by running it — so here rules are fired and two
+things are checked of each firing:
 
 * every atom that joined a level at depth *d* — one that did not exist before
   the firing, kept or moved — has its index keys in the summary's adds at
   *d*, or the summary says the rule can add any atom at *d*;
 * every name the fire, the condition and the effect read is among the
-  summary's reads.
+  summary's reads (of a rule's reaction: every name its text reads).
 
 The rules are the matcher oracle's random programs given random products
 (restating their patterns, so that deltas keep and patch, or building new
-atoms), and every rule of the catalog, adaptive diamond included, fired as a
-run fires it.
+atoms), each fired on every one of its matches by its delta, interpreted
+(``reduction_reference.TwoStepEngine``), and on the first by its reaction;
+and every rule of the catalog, adaptive diamond included, checked at every
+reaction of a run.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import matcher_reference
+from reduction_reference import TwoStepEngine, watch_reactions
 from test_matcher_oracle import _ATOMS, _CONDITIONS, _EXAMPLES, _SYMBOLS, _programs
 from repro import GinFlow, adaptive_diamond_workflow
 from repro.hocl import (
@@ -46,6 +48,7 @@ from repro.hocl import (
     find_matches,
 )
 from repro.hocl.atoms import ListAtom
+from repro.hocl.deltas import Fire, Reaction
 from repro.hocl.multiset import atom_index_keys
 from repro.scenarios import available_scenarios, build_scenario
 
@@ -114,12 +117,60 @@ def _fire_and_check(apply, engine, rule, match, solution, depth, report):
     reads = match.bindings._data = _Reads(match.bindings._data)
     apply(engine, rule, match, solution, depth, report)
     assert reads.read <= summary.reads["ref"] | summary.reads["splice"] | summary.reads["effect"], rule.name
+    _within_adds(rule, solution, ids, before)
+
+
+def _within_adds(rule, solution, ids, before):
+    """Every atom that joined a level of ``solution`` — not one of ``ids``, nor
+    equal to one of ``before`` — is among what ``rule.summary`` says it adds there."""
     for level, at in _levels(solution):
-        added, anything = summary.added(at, rule.given)
+        added, anything = rule.summary.added(at, rule.given)
         for atom in level:
             if anything or id(atom) in ids or any(atom == old for old in before):
                 continue
             assert set(atom_index_keys(atom)) <= added, (rule.name, at, atom)
+
+
+#: a rule body (ids of its patterns and products, its effect's names) -> (those
+#: sides, kept alive so that no id is reused, and the names its reaction's fire reads)
+_FIRE_READS = {}
+
+
+def _fire_reads(rule):
+    """The names the fire of ``rule``'s reaction reads: each one its text
+    fetches into a local, as it is written."""
+    body = id(rule.patterns), id(rule.products), tuple(rule.effect_names)
+    if body not in _FIRE_READS:
+        read, fetch = set(), Fire.fetch
+
+        def fetching(self, name):
+            read.add(name)
+            return fetch(self, name)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Fire, "fetch", fetching)
+            Reaction._write(rule)
+        _FIRE_READS[body] = (rule.patterns, rule.products), read
+    return _FIRE_READS[body][1]
+
+
+def _react_and_check(run, solution, owner, externals, effects, observed, clock):
+    """Run ``owner``'s reaction (``run``) on ``solution``, and hold what it
+    fired, if anything, to ``owner.summary``; return what it returned."""
+    summary = owner.summary
+    kept = _everything(solution)  # the objects, alive: an id is not reused meanwhile
+    ids = {id(atom) for atom in kept}
+    before = [atom.copy() for atom in kept]  # and their values, should they move
+    fired = run(solution, owner, externals, effects, True, clock)
+    if fired is None:
+        return None
+    produced, match, searched = fired  # every ω of the match read before the fire
+    condition = _Reads(dict(match.bindings._data))
+    matcher_reference.holds(owner.condition, condition)
+    assert condition.read <= summary.reads["condition"], owner.name
+    assert _fire_reads(owner) <= summary.reads["ref"] | summary.reads["splice"] | summary.reads["effect"], owner.name
+    _within_adds(owner, solution, ids, before)
+    return produced, match if observed else None, searched
 
 
 # ------------------------------------------------------------ random programs
@@ -200,26 +251,31 @@ class TestRandomRules:
     @settings(max_examples=_EXAMPLES, deadline=None)
     def test_every_firing_stays_within_the_summary(self, program):
         rule, level = program
-        engine = ReductionEngine(externals=default_registry())
+        engine = TwoStepEngine(externals=default_registry())
         engine.externals.register("echo", _echo)
         count = len(list(find_matches(rule.patterns, level.copy(), rule.condition, rule.given)))
         for index in range(count):
             solution = level.copy()
             match = list(find_matches(rule.patterns, solution, rule.condition, rule.given))[index]
-            _fire_and_check(ReductionEngine._apply, engine, rule, match, solution, 0, ReductionReport())
+            _fire_and_check(TwoStepEngine._apply, engine, rule, match, solution, 0, ReductionReport())
+        # ... and, where it fires, by its reaction
+        fired = _react_and_check(rule.reaction.run, level.copy(), rule, engine.externals, [], False, None)
+        assert (fired is None) == (count == 0)
 
 
 # ---------------------------------------------------------------- the catalog
 @pytest.fixture
 def checked_firings(monkeypatch):
-    """Every firing of every engine held to its rule's summary; the rules seen."""
-    apply, seen = ReductionEngine._apply, set()
+    """Every reaction of every engine held to its rule's summary; the rules fired."""
+    seen = set()
 
-    def checked(engine, rule, match, solution, depth, report):
-        seen.add(rule.name.split(":")[0])
-        _fire_and_check(apply, engine, rule, match, solution, depth, report)
+    def checked(run, solution, owner, *rest):
+        fired = _react_and_check(run, solution, owner, *rest)
+        if fired is not None:
+            seen.add(owner.name.split(":")[0])
+        return fired
 
-    monkeypatch.setattr(ReductionEngine, "_apply", checked)
+    watch_reactions(monkeypatch, checked)
     return seen
 
 

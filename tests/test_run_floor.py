@@ -239,10 +239,11 @@ AGENT_BUDGET = 73
 #: were built through generators, dataclasses and `to_atom`
 CALLS_PER_AGENT, CALLS_PER_STIMULUS = 45, 45
 #: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
-#: montage:size=300,seed=1: 32.94 on CPython 3.11, pinned at the next integer
-#: up, since the search and the fire are one generated reaction (no match,
-#: binding view or pending ω built) and the engine reads the candidate
-#: buckets and the rule ordering inline, 52.60 while a rule was searched, then
+#: montage:size=300,seed=1: 33.45 on CPython 3.11, pinned at the next integer
+#: up, since the search and the fire are one generated reaction (no match
+#: built; a binding view, its ω pending, only for a ``Call``'s external) and
+#: the engine reads the candidate buckets and the rule ordering inline,
+#: 52.60 while a rule was searched, then
 #: fired, and each level asked the multiset for both, since a reaction
 #: condition is a comparison the search writes inline (no
 #: call per condition test), 54.57 while it was a guarded closure (53.30 on
@@ -250,7 +251,7 @@ CALLS_PER_AGENT, CALLS_PER_STIMULUS = 45, 45
 #: code, 88.86 while they were interpreted (86.34 on 3.12) and a firing edited
 #: by the sites its match recorded, 108.9 while it walked field heads and
 #: removed by equality
-CALLS_PER_REACTION = 33
+CALLS_PER_REACTION = 34
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
 #: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
 #: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
@@ -608,6 +609,21 @@ class TestCentralisedSetUpIsFrozen:
             gc.callbacks.remove(watch)
         assert len(outcome.results) == 1000 and not outcome.errors
         assert full == [] and gc.get_freeze_count() == 0
+
+    def test_the_global_level_is_frozen_with_the_task_tuples(self, monkeypatch):
+        """The global solution itself — its entries, their list and its index
+        buckets — is built inside the set-up window, not after its freeze."""
+        reduce, tracked = CentralizedExecutor._reduce, []
+
+        def reducing(self, encoding, solution):
+            collectable = {id(obj) for obj in gc.get_objects()}
+            level = [solution, solution._entries, solution._index, *solution._entries, *solution._index.values()]
+            tracked.append([obj for obj in level if id(obj) in collectable])
+            return reduce(self, encoding, solution)
+
+        monkeypatch.setattr(CentralizedExecutor, "_reduce", reducing)
+        outcome = CentralizedExecutor().execute(build_scenario("montage:size=60,seed=1"))
+        assert not outcome.errors and tracked == [[]]
 
     def test_given_back_when_a_service_raises(self):
         frozen = []
