@@ -1,18 +1,16 @@
 """Benchmark of the HOCL reduction engine.
 
-Five claims are checked and written to ``BENCH_reduction.latest.json``
+Four claims are checked and written to ``BENCH_reduction.latest.json``
 (schema_version 10, one row per scenario):
 
 * **Equivalence** — the engine (inertness caching, head-symbol indexing,
   quick-reject pre-checks, flagged-entry descent, plausible-candidate
   memories, in-place derived deltas) produces a :attr:`ReductionReport.history`
   identical to the naive walk's (``NaiveEngine`` of
-  ``tests/reduction_reference.py``) on every scenario;
+  ``tests/reduction_reference.py``: every nested solution visited, every rule
+  tried through its reaction) on every scenario;
 * **Attempt speedup** — the engine performs at least 5× fewer match attempts
   than the naive walk (deterministic, machine-independent);
-* **Delta parity** — under the contract ``reduction_reference`` states, the
-  rebuild form (``RebuildEngine``) reaches the same final solution, reaction
-  multiset and match-attempt count;
 * **Scaling** — the centralised SIPHT exponent is at most 1.2;
 * **No row regresses** against its own committed value
   (:func:`row_regressions`): ``reactions`` and ``match_attempts`` exactly, the
@@ -22,12 +20,11 @@ Five claims are checked and written to ``BENCH_reduction.latest.json``
 
 A row holds the reactions, the match attempts, the wall seconds (and per
 reaction), the naive walk's attempts and wall, the speedups over it, and a
-``compiled`` object: the number of distinct
-compiled left-hand sides the scenario's rules hold
-(:func:`repro.hocl.matching.compiled_search`: one per distinct left-hand side,
-not per task) and the bytes of their generated form — bytecode and constants
-of each distinct code object, plus the function and the closure cells of each
-left-hand side.
+``compiled`` object: the number of distinct reactions the scenario's rules
+ran (:class:`repro.hocl.deltas.Reaction`: one per rule body, not per task)
+and the bytes of their generated form — bytecode and constants of each
+distinct code object, plus the function and the closure cells of each
+reaction.
 
 Scenario matrix (the paper's two workflow shapes at several scales, plus two
 families from the scenario catalog, :mod:`repro.scenarios`):
@@ -49,8 +46,8 @@ centralised Montage at 100/500/1000 tasks (2000 too under ``GINFLOW_FULL``),
 microseconds per reaction at each size, and the least-squares exponent of
 wall over size (``montage_serial_exponent``; 1.0 means the cost of a reaction
 does not depend on how many task sub-solutions share its level); and the same
-for the centralised SIPHT at 1000/2000/4000 tasks (``sipht_central_exponent``,
-best of three per size), whose many independent fan-ins send entries back to
+for the centralised SIPHT at 1000/2000/4000 tasks (``sipht_central_exponent``),
+best of three per size, whose many independent fan-ins send entries back to
 ``gw_pass``'s candidate memory out of turn — Montage never does.  The SIPHT
 exponent is gated at <= 1.2 (it was ≈ 1.4 while such a return re-sorted the
 whole memory at the next read).
@@ -70,7 +67,7 @@ import os
 import sys
 from pathlib import Path
 
-from reduction_reference import NaiveEngine, RebuildEngine, assert_parity, reduce_workflow, trace
+from reduction_reference import NaiveEngine, reduce_workflow, trace, workflow_externals
 from repro.hocl import ReductionEngine
 from repro.hoclflow import encode_workflow
 from repro.scenarios import build_scenario
@@ -112,35 +109,38 @@ def reduce_scenario(scenario: str, engine_class=ReductionEngine):
     return reduce_workflow(_SCENARIOS[scenario](), engine_class)
 
 
-def compiled_footprint(solution) -> dict:
-    """Distinct compiled left-hand sides held by the rules of ``solution``
-    (nested solutions included) and the bytes of their generated form.
+def compiled_footprint(workflow) -> dict:
+    """Distinct reactions a centralised reduction of ``workflow`` runs (its
+    rules', nested solutions included) and the bytes of their generated form.
 
-    Counted: per distinct code object (left-hand sides of one shape share it)
-    its bytecode and its constants; per left-hand side its function object and
-    the closure cells through which the factory hands it its symbols, index
-    keys and pattern objects.  Not counted: those values themselves, which the
-    rules hold anyway, and the source text (``search.__source__``).
+    Counted: per distinct code object (rule bodies of one shape share it) its
+    bytecode and its constants; per reaction its function object and the
+    closure cells through which the factory hands it its symbols, index keys
+    and pattern objects.  Not counted: those values themselves, which the
+    rules hold anyway, the source text (``reaction.__source__``), and a rule
+    whose reaction never ran.
     """
-    searches, levels = {}, [solution]
+    encoding = encode_workflow(workflow)
+    solution = encoding.to_multiset()
+    reactions, levels = {}, [solution]
     while levels:
         level = levels.pop()
         levels.extend(level.nested_solutions())
-        searches.update((id(rule.search), rule.search) for rule in level.rules())
-    codes, total = {}, 0
-    for search in searches.values():
-        assert search.__source__  # generated at the first search: ask for it now
-        cells = search.run.__closure__ or ()
-        total += sys.getsizeof(search.run) + sys.getsizeof(cells) + sum(map(sys.getsizeof, cells))
-        codes[id(search.run.__code__)] = search.run.__code__
+        reactions.update((id(rule.reaction), rule.reaction) for rule in level.rules())
+    ReductionEngine(externals=workflow_externals(encoding)).reduce(solution)
+    codes, total, ran = {}, 0, [reaction for reaction in reactions.values() if hasattr(reaction, "__source__")]
+    for reaction in ran:
+        cells = reaction.run.__closure__ or ()
+        total += sys.getsizeof(reaction.run) + sys.getsizeof(cells) + sum(map(sys.getsizeof, cells))
+        codes[id(reaction.run.__code__)] = reaction.run.__code__
     for code in codes.values():
         total += sys.getsizeof(code.co_code) + sys.getsizeof(code.co_consts) + sum(map(sys.getsizeof, code.co_consts))
-    return {"left_hand_sides": len(searches), "bytes": total}
+    return {"reactions": len(ran), "bytes": total}
 
 
 def measure(scenario: str) -> dict:
-    """Reduce one scenario with the engine and both oracles; check parity, package the row."""
-    report, solution, seconds = reduce_scenario(scenario)
+    """Reduce one scenario with the engine and the naive walk; check the trace, package the row."""
+    report, _solution, seconds = reduce_scenario(scenario)
     naive, _naive_solution, seconds_naive = reduce_scenario(scenario, NaiveEngine)
     assert trace(report) == trace(naive), f"{scenario}: trace diverged from the naive walk"
     attempts_speedup = naive.match_attempts / max(1, report.match_attempts)
@@ -148,14 +148,12 @@ def measure(scenario: str) -> dict:
         f"{scenario}: expected >=5x fewer match attempts, got {attempts_speedup:.1f}x "
         f"({naive.match_attempts} -> {report.match_attempts})"
     )
-    rebuilt, rebuilt_solution, _seconds = reduce_scenario(scenario, RebuildEngine)
-    assert_parity((report, solution), (rebuilt, rebuilt_solution))
     return {
         "reactions": report.reactions,
         "match_attempts": report.match_attempts,
         "wall_seconds": round(seconds, 3),
         "us_per_reaction": round(1e6 * seconds / max(1, report.reactions), 1),
-        "compiled": compiled_footprint(encode_workflow(_SCENARIOS[scenario]()).to_multiset()),
+        "compiled": compiled_footprint(_SCENARIOS[scenario]()),
         "naive": {"match_attempts": naive.match_attempts, "wall_seconds": round(seconds_naive, 3)},
         "speedup": {
             "match_attempts": round(attempts_speedup, 1),
@@ -228,13 +226,13 @@ def size_exponent(sizes: list[int], walls: list[float]) -> float:
 def measure_scaling(full: bool) -> dict:
     """Wall of the centralised Montage and SIPHT over a range of sizes, and their exponents.
 
-    The full profile adds montage-2000 and takes the best of three Montage
-    runs per size; the quick one takes a single one.  SIPHT is always the best
-    of three at 1000/2000/4000 tasks: its exponent is gated in both.
+    The full profile adds montage-2000.  Every size is the best of three
+    runs (one slow run would swing the exponent); SIPHT runs at
+    1000/2000/4000 tasks, its exponent gated in both profiles.
     """
     sizes = [100, 500, 1000] + ([2000] if full else [])
     exponent, walls, per_reaction = _size_axis(
-        lambda tasks: montage_workflow(projections=tasks - 10, duration_scale=0.01), sizes, 3 if full else 1
+        lambda tasks: montage_workflow(projections=tasks - 10, duration_scale=0.01), sizes, 3
     )
     sipht_sizes = [1000, 2000, 4000]
     sipht_exponent, sipht_walls, sipht_per_reaction = _size_axis(

@@ -34,7 +34,7 @@ from .atoms import (
     from_atom,
     to_atom,
 )
-from .engine import ReductionEngine, ReductionReport, is_inert, reduce_solution
+from .engine import ReductionEngine, ReductionReport, reduce_solution
 from .errors import (
     AtomError,
     ExternalFunctionError,
@@ -46,7 +46,6 @@ from .errors import (
     RuleError,
 )
 from .externals import ExternalRegistry, default_registry
-from .matching import Match, count_matches, find_first_match, find_matches
 from .multiset import Multiset
 from .patterns import (
     Literal,
@@ -122,15 +121,10 @@ __all__ = [
     "replace",
     "replace_one",
     "with_inject",
-    # matching / engine
-    "Match",
-    "find_matches",
-    "find_first_match",
-    "count_matches",
+    # engine
     "ReductionEngine",
     "ReductionReport",
     "reduce_solution",
-    "is_inert",
     # externals
     "ExternalRegistry",
     "default_registry",

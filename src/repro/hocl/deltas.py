@@ -35,12 +35,12 @@ the level and in every index bucket, and its holder wiring.
 
 Addressing
 ----------
-A delta edits by the sites the match recorded (:attr:`Match.sites
-<repro.hocl.matching.Match.sites>`): the entry each top-level pattern took,
-then, per solution pattern in the walk of
+A delta edits by the sites the search bound: the entry each top-level pattern
+took, then, per solution pattern in the walk of
 :func:`~repro.hocl.patterns.solution_patterns`, the solution it matched and
-the entry each of its elements took.  :func:`derive_delta` numbers the same
-slots by the same walk.  A :class:`PatchRemove` unlinks the entries its
+the entry each of its elements took (the locals :attr:`Source.sites
+<repro.hocl.patterns.Source.sites>` names).  :func:`derive_delta` numbers the
+same slots by the same walk.  A :class:`PatchRemove` unlinks the entries its
 dropped sub-patterns took from the solution in its slot — the matched
 occurrences, not equal ones — a :class:`PatchAdd` adds to that solution, and
 a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
@@ -49,29 +49,144 @@ a consumed atom leaves through its top-level entry.  ``gw_pass`` (local:
 
 Firing
 ------
-Nothing interprets a delta when it fires: it is written into its rule's
-:class:`Reaction`, the search's loops with, at the first admissible match,
+Nothing interprets a rule when it fires: it is written into its rule's
+:class:`Reaction`, one generated function per rule body — the loops of the
+search of its left-hand side (:func:`_loops`: the patterns'
+:meth:`~repro.hocl.patterns.Pattern.emit`, the condition's
+:meth:`~repro.hocl.rules.Compare.emit`) with, at the first admissible match,
 the straight-line lines :class:`Fire` collects (the ops, the templates'
-:meth:`~repro.hocl.templates.Template.emit` and the ``consume`` /
-``produce`` tables), run on the search's own locals; compiled once per
-distinct text at the first reaction and readable as
-``rule.reaction.__source__``.  The local ``gw_pass`` fires as one
-``_remove_entry`` of the entry ``tj`` took, from the ``DST`` body it was in.
+:meth:`~repro.hocl.templates.Template.emit` and the ``consume`` / ``produce``
+tables), run on the search's own locals.  This module is the one writer:
+:func:`_load` compiles each distinct text once, at the first reaction, and the
+text is readable as ``rule.reaction.__source__``.  The local ``gw_pass``
+fires as one ``_remove_entry`` of the entry ``tj`` took, from the ``DST`` body
+it was in.
 """
 
 from __future__ import annotations
 
+import linecache
+from itertools import count
 from math import inf
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, to_atom
-from .errors import AtomError
-from .matching import _FACTORIES, _frame, _layout, _load, _loops, _serial
-from .multiset import atom_index_keys
-from .patterns import Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, solution_patterns
-from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate, display, emit_template
+from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
+from .errors import AtomError, ExternalFunctionError, PatternError, ReductionError
+from .multiset import _EMPTY, atom_index_keys
+from .patterns import UNBOUND, BindingView, Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, _Rest, solution_patterns, value_of
+from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate, coerce, display, emit_template
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .rules import Compare
 
 __all__ = ["Reaction", "RuleSummary", "derive_delta"]
+
+
+#: what every generated text may name without being handed it
+_NAMES = {
+    "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
+    "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView,
+    "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
+    "ReductionError": ReductionError, "value_of": value_of, "from_atom": from_atom,
+}  # fmt: skip
+#: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the reaction of one rule body
+_FACTORIES: dict[str, Callable[..., Any]] = {}
+_FACTORY_LIMIT = 512  #: shape churn (random programs) cannot leak
+_serial = count(1)
+
+
+def _load(text: str, filename: str) -> Callable[..., Any]:
+    """Compile ``text`` — the one place that does — and keep its factory; the
+    lines stay readable in a traceback under ``filename``."""
+    if len(_FACTORIES) >= _FACTORY_LIMIT:
+        for stale in _FACTORIES.values():
+            linecache.cache.pop(stale.__code__.co_filename, None)
+        _FACTORIES.clear()
+    scope = dict(_NAMES)
+    exec(compile(text, filename, "exec"), scope)  # noqa: S102 - text a generator of this package wrote
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    factory = _FACTORIES[text] = scope["factory"]
+    return factory
+
+
+def _layout(patterns: Sequence[Pattern]) -> tuple[list[Any], list[int], list[str]]:
+    """The index key of each pattern, those that are broad (a kind bucket, or
+    none: searched through a memory), and the locals of their memories."""
+    keys = [pattern.index_key() for pattern in patterns]
+    broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
+    return keys, broad, [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
+
+
+def _loops(out: Source, patterns: Sequence[Pattern], condition: "Compare | None") -> tuple[list[str], list[str]]:
+    """Write into ``out`` the loops of the search of ``patterns`` under
+    ``condition``, up to where a match holds; the locals of the entry and of
+    the atom each pattern took.
+
+    One nested ``for`` per pattern, in declaration order, over every candidate
+    entry no earlier pattern took, in bucket order.  The candidates are drawn
+    when the pattern is reached, so a broad key (a kind bucket, or none) can be
+    narrowed by what the patterns before bound: ``gw_pass`` looks up its
+    destination tuple instead of scanning every task.  A pattern left with a
+    broad key draws from the level's plausible-candidate memory — the same
+    entries, in the same order, minus those its pre-check refuted (for good:
+    :meth:`~repro.hocl.patterns.Pattern.reject` holds under any bindings) —
+    iterated in place: what this search refutes is forgotten when it ends,
+    however it ends.  Any other bucket is short, and read live: nothing
+    mutates the solution while a search runs.
+    """
+    keys, broad, _opened = _layout(patterns)
+    entries: list[str] = []
+    atoms: list[str] = []
+    for index, (pattern, key) in enumerate(zip(patterns, keys)):
+        entry, atom = out.local("e"), out.local("a")
+        if index in broad:
+            own = out.const(pattern)
+            narrowing = pattern.narrowing_variable()
+            indent = ""
+            if narrowing is not None:
+                held = out.held(narrowing)
+                out.line(f"if isinstance({held}, Symbol): n{index} = solution._index.get(('tuple', {held}.name), EMPTY); q{index} = False")
+                out.line("else:")
+                indent = "    "
+            out.line(f"{indent}if m{index} is None: m{index} = solution.memory_for({own}, {out.const(key)}); d{index} = m{index}.open()")
+            out.line(f"{indent}n{index} = d{index}; q{index} = True")
+            out.loop(f"for {entry} in n{index}:")
+        else:
+            out.loop(f"for {entry} in {out.bucket('solution', key)}:")
+        if entries:  # `_Entry` has no `__eq__`: identity is all there is to test
+            out.line(f"if {' or '.join(f'{entry} is {other}' for other in entries)}: continue")
+        out.line(f"{atom} = {entry}.atom")
+        if index in broad and (rejected := pattern.reject(out, atom)) != "False":
+            out.line(f"if q{index} and ({rejected}): r{index}.append({entry}); continue")
+        pattern.emit(out, atom)
+        entries.append(entry)
+        atoms.append(atom)
+    if condition is not None:
+        condition.emit(out)
+    return entries, atoms
+
+
+def _frame(out: Source, patterns: Sequence[Pattern], function: str, signature: str, before: list[str]) -> tuple[str, list[Any]]:
+    """The text of the factory of ``function`` whose body is what
+    ``out`` holds, its memories closed however it ends, and the constants it names."""
+    _keys, broad, opened = _layout(patterns)
+    head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def {function}({signature}):", *before]
+    if out.initial:
+        head.append("        if initial_bindings:")
+        head.append("            get = initial_bindings.get")
+        head.extend(f"            {held} = get({name!r}, U)" for name, held in out.initial.items())
+        head.append("        else:")
+        head.append(f"            initial_bindings = NOTHING; {' = '.join(out.initial.values())} = U")
+    else:
+        head.append("        if not initial_bindings: initial_bindings = NOTHING")
+    tail = []
+    if broad:
+        head.append(f"        {' = '.join(opened)} = None")
+        head.extend(f"        r{index} = []" for index in broad)
+        head.append("        try:")
+        tail.append("        finally:")
+        tail.extend(f"            if m{index} is not None: m{index}.close(r{index})" for index in broad)
+    return "\n".join([*head, *out.lines, *tail, f"    return {function}", ""]), out.constants
 
 
 def _span(pattern: Pattern) -> int:
@@ -170,7 +285,7 @@ class Fire(Source):
             refused = f"rule product calls {function!r} but no external registry is available"
             self.line(f"if externals is None: raise ExternalFunctionError({refused!r})")
             bound = [f"{name!r}: {self.lists[name] if name in self.lazy and name in self.lists else self.read(name, True)}" for name in self.bound]
-            self.line(f"b = View({{**{self.extra}{''.join(f', {item}' for item in bound)}}})")
+            self.line(f"b = View({{**initial_bindings{''.join(f', {item}' for item in bound)}}})")
         return "externals"
 
     def adding(self, target: str, templates: Sequence[Any]) -> "str | list[str]":
@@ -393,15 +508,14 @@ class Reaction:
     :meth:`~repro.hocl.rules.Rule.bind` siblings, whose body is the search's
     loops and, at the first admissible match, the fire its delta writes, on
     the search's own locals.  ``run(solution, owner, externals, effects,
-    observed, clock)`` returns ``None`` when nothing matches, else
-    ``(produced, match, searched)``: the atoms the firing left and made, the
-    :class:`~repro.hocl.matching.Match` (built only if ``observed``, every ω
-    copied) and the instant the search ended (read only if ``clock``).  At the
-    match the candidate memories close first (an edit may give back an entry
-    the search refuted), then the effect is called, the fire runs (a raise
-    there a ``ReductionError`` naming the rule) and what the effect returned
-    joins ``effects``.  Written at the first reaction and compiled once per
-    distinct text; ``__source__`` is its text.
+    clock)`` returns ``None`` when nothing matches, else ``(produced,
+    searched)``: the atoms the firing left and made, and the instant the
+    search ended (read only if ``clock``).  At the match the candidate
+    memories close first (an edit may give back an entry the search refuted),
+    then the effect is called, the fire runs (a raise there a
+    ``ReductionError`` naming the rule) and what the effect returned joins
+    ``effects``.  Written at the first reaction and compiled once per distinct
+    text; ``__source__`` is its text.
     """
 
     __slots__ = ("run", "__source__")
@@ -425,14 +539,13 @@ class Reaction:
         patterns, delta = rule.patterns, rule.delta
         _keys, broad, opened = _layout(patterns)
         out = Fire(patterns, 3 if broad else 2, 1 if broad else 0, opened)
-        entries, atoms = _loops(out, patterns, rule.condition, pinnable=False)
+        entries, atoms = _loops(out, patterns, rule.condition)
         if atoms:  # by identity: rules are equal by name
             out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
-        out.sited = sites = [*entries, *out.sites]
+        out.sited = [*entries, *out.sites]
         for index in broad:
             out.line(f"if m{index} is not None: m{index}.close(r{index}); m{index} = None")
         out.line("searched = clock and clock()")
-        out.line(f"match = Match(View({out.bindings()}), [{', '.join(atoms)}], ({', '.join(sites)}{',' * (len(sites) == 1)})) if observed else None")
         if rule.effect is not None:
             values = ", ".join(out.value(name) for name in rule.effect_names)
             out.line(f"emitted = list({out.const(rule.effect)}({values}) or ())")
@@ -449,10 +562,10 @@ class Reaction:
         if rule.effect is not None:
             out.line("effects.extend(emitted)")
         kept = len(patterns) - len(delta.consume)
-        out.line(f"return {f'{kept} + len({added})' if isinstance(added, str) else kept + len(added)}, match, searched")
+        out.line(f"return {f'{kept} + len({added})' if isinstance(added, str) else kept + len(added)}, searched")
         out.close()
         before = ["        initial_bindings = owner.given"]
-        return _frame(out, patterns, "react", "solution, owner, externals, effects, observed, clock", before, [])
+        return _frame(out, patterns, "react", "solution, owner, externals, effects, clock", before)
 
 
 class RuleSummary:

@@ -35,10 +35,9 @@ have changed since the last reduction:
 * a pattern keyed by a whole kind bucket searches the bucket's
   plausible-candidate memory: what its pre-check has not refuted;
 * a rule is tried by its :class:`~repro.hocl.deltas.Reaction`, one generated
-  function that searches for the first admissible match — the one
-  :func:`~repro.hocl.matching.first_match` finds, all the engine ever
-  consumes — and fires the rule there, on the search's own locals: no match
-  record is built unless an observer reads it;
+  function that searches for the first admissible match — patterns in
+  declaration order, candidates in bucket order — and fires the rule there,
+  on the search's own locals: no match record is built;
 * a rule fires through its :class:`~repro.hocl.deltas.RewriteDelta`, derived
   from its two sides: the atoms a product restates stay in place and the
   patches edit their nested solutions, instead of everything matched being
@@ -46,26 +45,25 @@ have changed since the last reduction:
 
 All of it is trace-preserving — only searches and candidates guaranteed to
 fail are skipped — so :attr:`ReductionReport.history` is identical to a naive
-walk's that visits every nested solution and tries every rule.  That walk, a
-search followed by an interpreted fire, and the rebuild application of the
-products live in ``tests/reduction_reference.py`` as the oracles the engine is
-held to.
+walk's that visits every nested solution and tries every rule.  Every step
+the engine takes is one step of HOCL's one-step relation; that relation,
+stated apart from this package, and the naive walk are what
+``tests/hocl_semantics.py`` and ``tests/reduction_reference.py`` hold the
+engine to.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.records import Record
 
 from .externals import ExternalRegistry, default_registry
-from .matching import Match, first_match
 from .multiset import Multiset
-from .rules import Rule
 
-__all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution", "is_inert"]
+__all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution"]
 
 #: The reduction phases a traced engine times: ``match`` (searching for an
 #: applicable rule), ``patch`` (applying its rewrite delta) and ``index`` (the
@@ -157,11 +155,6 @@ class ReductionReport(Record):
         return self.match_attempts * max(1, solution_size)
 
 
-#: Optional observer invoked after every reaction with
-#: ``(rule, match, depth)``; the GinFlow agents use it for tracing.
-ReactionObserver = Callable[[Rule, Match, int], None]
-
-
 class ReductionEngine:
     """Reduce HOCL solutions to inertness.
 
@@ -175,8 +168,6 @@ class ReductionEngine:
         Workflow programs always terminate, but user-supplied rules might
         not; exceeding the bound marks the report as non-inert instead of
         looping forever.
-    observer:
-        Optional callback invoked after each reaction.
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`.  When active, every
         reduction phase is recorded as a span (``reduction.match`` /
@@ -195,13 +186,11 @@ class ReductionEngine:
         self,
         externals: ExternalRegistry | None = None,
         max_steps: int = 100_000,
-        observer: ReactionObserver | None = None,
         trace: Tracer | None = None,
         trace_track: str = "reduction",
     ):
         self.externals = externals if externals is not None else default_registry()
         self.max_steps = int(max_steps)
-        self.observer = observer
         self.trace = active_tracer(trace)
         self.trace_track = trace_track
         #: per-phase seconds (:data:`PHASES`) of every span this engine
@@ -215,14 +204,9 @@ class ReductionEngine:
         self._reduce_level(solution, depth=0, report=report)
         return report
 
-    def is_inert(self, solution: Multiset) -> bool:
-        """Whether no rule can fire anywhere in ``solution`` (non-mutating)."""
-        report = ReductionReport()
-        return not self._has_applicable_rule(solution, report)
-
     # --------------------------------------------------------------- internal
     def _reduce_level(self, solution: Multiset, depth: int, report: ReductionReport) -> None:
-        max_steps, trace, observer = self.max_steps, self.trace, self.observer
+        max_steps, trace = self.max_steps, self.trace
         clock = perf_counter if trace is not None else None
         while True:
             if report.reactions >= max_steps:
@@ -258,10 +242,10 @@ class ReductionEngine:
                         break
                 else:
                     report.match_attempts += 1
-                    fired = rule.reaction.run(solution, rule, self.externals, report.effects, observer is not None, clock)
+                    fired = rule.reaction.run(solution, rule, self.externals, report.effects, clock)
                     if fired is None:
                         continue
-                    produced, match, searched = fired
+                    produced, searched = fired
                     written = perf_counter() if trace is not None else 0.0
                     if rule.one_shot:  # an atom of this level, which its own firing never removes
                         solution.remove_identical(rule)
@@ -271,35 +255,12 @@ class ReductionEngine:
                     report.reactions += 1
                     report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
                     report.history.append(ReactionRecord(rule.name, depth, len(rule.patterns), produced))
-                    if observer is not None:
-                        observer(rule, match, depth)
                     break
             else:
                 if trace is not None:
                     self._record("match", started, perf_counter(), depth=depth)
                 solution._inert_version = solution._version  # `note_inert`
                 return
-
-    def _has_applicable_rule(self, solution: Multiset, report: ReductionReport) -> bool:
-        if solution.known_inert:
-            return False
-        for nested in solution.nested_solutions():
-            if self._has_applicable_rule(nested, report):
-                return True
-        for rule in solution.rules_by_priority():
-            if not solution.has_all_candidates(rule.pattern_index_keys):
-                continue
-            report.match_attempts += 1
-            if self._find_match_excluding_self(rule, solution) is not None:
-                return True
-        # nothing can fire here or below: remember it (atoms untouched —
-        # `is_inert` stays non-mutating, only the cache marker is set).
-        solution.note_inert()
-        return False
-
-    #: ``(rule, solution)`` -> first match that does not consume the rule itself
-    #: (what `is_inert` asks; a rule's reaction fires at the same one)
-    _find_match_excluding_self = staticmethod(first_match)
 
     def _record(self, phase: str, started: float, ended: float, **attrs: Any) -> None:
         """Record one ``reduction.<phase>`` span and add its seconds, and the
@@ -319,7 +280,3 @@ def reduce_solution(
     """Convenience wrapper: reduce ``solution`` with a fresh engine."""
     return ReductionEngine(externals=externals, max_steps=max_steps).reduce(solution)
 
-
-def is_inert(solution: Multiset, externals: ExternalRegistry | None = None) -> bool:
-    """Convenience wrapper: whether ``solution`` is inert."""
-    return ReductionEngine(externals=externals).is_inert(solution)

@@ -42,9 +42,10 @@ over it either: :meth:`Pattern.emit` writes, once, the Python lines that hold
 one atom (a local of the generated function) to the pattern — a failed test is
 a ``continue`` of the loop it stands in, a bucket to try is one more nested
 ``for``, a variable is a local.  :class:`Source` collects the lines of a whole
-left-hand side and :func:`repro.hocl.matching.compiled_search` turns them into
-one flat function: a search allocates no generator, closure or register list,
-and the generated function holds no state, so rules, agents and threads share it.
+left-hand side and :class:`repro.hocl.deltas.Reaction` turns them, with the
+rule's fire, into one flat function: a search allocates no generator, closure
+or register list, and the generated function holds no state, so rules, agents
+and threads share it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Any, Iterable
 
 from .atoms import Atom, Symbol, from_atom, to_atom
 from .errors import PatternError
-from .multiset import Multiset, _Entry, atom_index_keys
+from .multiset import Multiset, atom_index_keys
 
 __all__ = [
     "Bindings",
@@ -148,17 +149,16 @@ class Source:
 
     :meth:`Pattern.emit` appends what holds one atom — a local — to the pattern.
     Whatever is not text (symbols, index keys, the pattern objects a memory
-    is kept for or whose own ``match`` is called) is a constant ``cN`` the
-    generated function's factory takes: left-hand sides of one shape write one
-    text, whatever they name.  A variable is the local :attr:`bound` maps it
-    to; one not bound yet may still be in :attr:`extra`, the mapping the view
-    of a match starts from.  :attr:`sites` are the locals a match records where
-    it bound, in the order :func:`solution_patterns` lists them.
+    is kept for) is a constant ``cN`` the generated function's factory takes:
+    left-hand sides of one shape write one text, whatever they name.  A
+    variable is the local :attr:`bound` maps it to; one not bound yet may
+    still be given, in ``initial_bindings``, read once into a local of
+    :attr:`initial`.  :attr:`sites` are the locals where a match bound, in the
+    order :func:`solution_patterns` lists them.
 
     A solution pattern's ω is bound without copying it: its local holds
     ``U`` (or what was given) and :attr:`lazy` where its list is, copied by
-    :meth:`read` where something compares it and left pending (a ``Rest``)
-    in :meth:`bindings`.
+    :meth:`read` where something compares it, or left pending (a ``Rest``).
     """
 
     #: CPython compiles 20 statically nested blocks at most: deeper loops go on in a nested function
@@ -173,7 +173,6 @@ class Source:
         self.nested: list[int] = []  # the depth every open nested function started at
         self.constants: list[Any] = []
         self.count = 0
-        self.extra = "initial_bindings"
         self.bound: dict[str, str] = {}
         self.initial: dict[str, str] = {}  # variable -> the local read from ``initial_bindings``, once per search
         self.idents: dict[str, str] = {}
@@ -234,8 +233,6 @@ class Source:
         """An expression for what variable ``name`` is bound to right now, if anything (else ``U``)."""
         if name in self.bound:
             return self.bound[name]
-        if self.extra != "initial_bindings":
-            return f"{self.extra}.get({name!r}, U)"
         return self.initial.setdefault(name, "i" + self._ident(name))
 
     def bind(self, name: str, value: str) -> None:
@@ -247,8 +244,7 @@ class Source:
             self.line(f"if not ({same.format(self.read(name), value)}): continue")
             return
         before = self.held(name)
-        # (a local of its own past a subclass's `match` loop: that may sit in a nested function)
-        held = self.bound[name] = ("v" if self.extra == "initial_bindings" else self.extra) + self._ident(name)
+        held = self.bound[name] = "v" + self._ident(name)
         self.line(f"{held} = {before}")
         self.line(f"if {held} is U: {held} = {value}")
         self.line(f"elif not ({same.format(held, value)}): continue")
@@ -260,7 +256,7 @@ class Source:
             self.line(f"if not ({self.read(name)} == {solution}.remainder({used})): continue")
             return
         before = self.held(name)
-        held = self.bound[name] = ("v" if self.extra == "initial_bindings" else self.extra) + self._ident(name)
+        held = self.bound[name] = "v" + self._ident(name)
         self.lazy[name] = solution, used
         self.line(f"{held} = {before}")
         self.line(f"if {held} is not U and not ({held} == {solution}.remainder({used})): continue")
@@ -274,37 +270,17 @@ class Source:
         solution, used = rest
         return f"({held} if {held} is not U else {f'Rest({solution}, {used})' if pending else f'{solution}.remainder({used})'})"
 
-    def bindings(self, pending: bool = False) -> str:
-        """An expression for what is bound right now, as a new dictionary (an
-        ω not copied yet copied, or ``pending``)."""
-        return "{**%s%s}" % (self.extra, "".join(f", {name!r}: {self.read(name, pending)}" for name in self.bound))
-
 
 class Pattern:
     """Abstract base class of all patterns."""
 
     __slots__ = ()
 
-    def emit(self, out: Source, atom: str) -> None:
+    def emit(self, out: Source, atom: str) -> None:  # pragma: no cover - abstract
         """Write the lines that hold ``atom`` (a local of the search) to this
-        pattern.  The default serves a subclass the generator does not know,
-        through its own :meth:`match`: one more loop over the extensions it
-        returns of what is bound so far, each the environment from there on
-        (one that defines neither is refused when the left-hand side is built).
-        That ``match`` must not search the level it is matched in: a search
-        iterates the level's candidate memories in place."""
-        extended = out.local("x")
-        out.loop(f"for {extended} in {out.const(self)}.match({atom}, dict(View({out.bindings()}))):")
-        out.extra, out.bound, out.lazy = extended, {}, {}
-
-    def match(self, atom: Atom, bindings: Mapping[str, Any]) -> Iterable[Mapping[str, Any]]:
-        """Every extension of ``bindings`` under which ``atom`` matches, in order
-        (generates per call: searches run on what a rule generated once)."""
-        from .matching import compiled_search  # imports this module
-
-        # a one-pattern search pinned to the one candidate never reads a solution
-        found = compiled_search((self,))(None, None, bindings, 0, (_Entry(atom, 0),))
-        return [match.bindings for match in found]
+        pattern: a failed test is a ``continue``; a class that defines none is
+        refused when a rule is built on it."""
+        raise NotImplementedError
 
     def reject(self, out: Source, atom: str) -> str:
         """The cheap, binding-free structural pre-check of ``atom`` (an

@@ -27,9 +27,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .atoms import Atom, Symbol, from_atom, to_atom
 from .deltas import Reaction, RewriteDelta, RuleSummary, derive_delta
-from .errors import RuleError
-from .matching import compiled_search
-from .patterns import BindingView, Source, as_pattern
+from .errors import PatternError, RuleError
+from .patterns import BindingView, Omega, Pattern, Source, as_pattern
 from .templates import Ref
 
 __all__ = ["BindingView", "Compare", "Rule", "replace", "replace_one", "with_inject"]
@@ -109,6 +108,16 @@ class Compare:
         return f"Compare({self.op!r}, {self.left!r}, {self.right!r})"
 
 
+def _refuse(pattern: Pattern) -> None:
+    """Raise, when the left-hand side is built, what no search of it could run."""
+    if isinstance(pattern, Omega):
+        raise PatternError("an Omega captures the remainder of a solution: it cannot match a single atom")
+    if type(pattern).emit is Pattern.emit:
+        raise NotImplementedError(f"{type(pattern).__name__} defines no emit()")
+    for element in getattr(pattern, "elements", ()):
+        _refuse(element)
+
+
 def _given_atoms(given: Mapping[str, Any], condition: Compare | None) -> dict[str, Any]:
     """``given`` as a match binds it: a list stays a list of atoms (an omega
     binding, which ``Splice`` reads and ``condition`` may not), any other value becomes one atom."""
@@ -182,7 +191,6 @@ class Rule(Atom):
         "given",
         "pattern_index_keys",
         "effect_names",
-        "search",
         "reaction",
         "_delta",
         "_summary",
@@ -213,6 +221,10 @@ class Rule(Atom):
             raise RuleError(f"rule {name!r}: an effect is a Python function, not {effect!r}")
         self.name = name
         self.patterns = tuple(as_pattern(p) for p in patterns)
+        for pattern in self.patterns:
+            _refuse(pattern)
+        if condition is not None:
+            condition.refuse(name for pattern in self.patterns for name in pattern.omega_names())
         self.products = tuple(products)
         self.condition = condition
         self.one_shot = bool(one_shot)
@@ -228,9 +240,6 @@ class Rule(Atom):
         #: possibly match — e.g. after a reaction, only rules whose head
         #: symbols are present in the solution are tried again.
         self.pattern_index_keys = tuple(p.index_key() for p in self.patterns)
-        #: The left-hand side's search, condition included (generated at its
-        #: first use), shared by every rule built on the same pattern and condition objects.
-        self.search = compiled_search(self.patterns, condition)
         #: The rule as the engine tries it: its search and its fire in one
         #: function, generated at its first reaction, shared by :meth:`bind` siblings.
         self.reaction = Reaction()
@@ -259,7 +268,7 @@ class Rule(Atom):
         default), whose matches also start from ``given``.
 
         It is this rule in every other respect and shares its objects: the
-        patterns and their compiled search, the products, the condition, the
+        patterns, the reaction, the products, the condition, the
         effect, the :attr:`delta` and the :attr:`summary`, derived here, once,
         on this rule.  One rule written without a context literal thus serves
         every context: ``make_gw_call(task)`` is the centralised ``gw_call``

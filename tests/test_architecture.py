@@ -8,6 +8,10 @@ reject: a gate that cannot fail is not a gate.
 
 import ast
 import functools
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,7 +21,9 @@ from repro.hocl import Compare, Multiset, Ref, Rule, RuleError, Var
 from repro.hocl import patterns as patterns_module
 from repro.hocl import templates as templates_module
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 
 
 @functools.cache
@@ -29,6 +35,12 @@ def _sources():
 def _parsed(**modules):
     """Seeded modules: ``hocl__rules="..."`` is ``hocl/rules.py``."""
     return {f"{name.replace('__', '/')}.py": ast.parse(text) for name, text in modules.items()}
+
+
+@functools.cache
+def _tests():
+    """File name -> parsed module, for every test module and helper under ``tests``."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))}
 
 
 def _names(tree):
@@ -121,6 +133,179 @@ class TestOneMatcherAndOneFire:
         text = Reaction._write(GW_PASS)[0]
         assert text.count("._remove_entry(") == 1 and "s14._remove_entry(e15)" in text
         assert "for e15 in s14._index.get(" in text and "sites" not in text
+
+
+# ------------------------------------------- the engine a run needs, no more
+#: what the reaction replaced in ``repro.hocl``: a second generated search, its
+#: match record and the hooks only the oracles read
+_RETIRED_HOOKS = {"observer", "compiled_search", "first_match"}
+
+
+def oracle_hooks(modules):
+    """Where ``repro.hocl`` has grown back what only an oracle reaches: a
+    ``Match(`` (called, or written into generated text), an ``observer``, a
+    ``compiled_search`` or a ``first_match``."""
+    found = []
+    for path, tree in modules.items():
+        if not path.startswith("hocl/"):
+            continue
+        nodes, names = _walked(tree)
+        found += [f"{path}:{line}: {name}" for name, line in names if name in _RETIRED_HOOKS]
+        for node in nodes:
+            if _called(node) == "Match" or isinstance(node, ast.Constant) and isinstance(node.value, str) and "Match(" in node.value:
+                found.append(f"{path}:{node.lineno}: Match(")
+    return found
+
+
+class TestTheEngineARunNeeds:
+    def test_the_source(self):
+        assert oracle_hooks(_sources()) == []
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"hocl__engine": "def fire(rule, match, observer):\n    observer(rule, match)\n"},
+            {"hocl__deltas": "LINE = 'match = Match(View(b), [], ())'\n"},
+            {"hocl__rules": "from .search import compiled_search\n"},
+            {"hocl__engine": "def probe(rule, solution):\n    return rule.first_match(solution)\n"},
+        ],
+    )
+    def test_a_seeded_hook_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        assert oracle_hooks(modules)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_patches(modules):
+    """Where a test monkeypatches (``setattr``) a private name of ``repro.hocl``:
+    a ``_``-name reached from what it imports of it, or a ``_`` attribute set
+    on it — outside the functions a ``MUTANTS`` table names."""
+    found = []
+    for path, tree in modules.items():
+        hocl, tables = set(), set()  # what it imports of repro.hocl; what its MUTANTS table names
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (getattr(node, "module", None) or "").startswith("repro.hocl"):
+                hocl |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                hocl |= {alias.asname for alias in node.names if alias.name.startswith("repro.hocl") and alias.asname}
+            elif isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "MUTANTS" for target in node.targets):
+                tables |= {inner.id for inner in ast.walk(node.value) if isinstance(inner, ast.Name)}
+        skipped = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef) and function.name in tables for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if id(node) in skipped or not (isinstance(node, ast.Call) and _called(node) == "setattr" and isinstance(node.func, ast.Attribute)):
+                continue
+            target, attribute = (node.args + [None, None])[:2]
+            chain = []
+            while isinstance(target, ast.Attribute):
+                chain.append(target.attr)
+                target = target.value
+            if not (isinstance(target, ast.Name) and target.id in hocl):
+                continue
+            chain.append(target.id)
+            if isinstance(attribute, ast.Constant) and isinstance(attribute.value, str):
+                chain.append(attribute.value)
+            found += [f"{path}:{node.lineno}: {name}" for name in chain if _private(name)]
+    return found
+
+
+class TestNoTestReachesIntoTheEngine:
+    """A test that patches a private hook watches a path a run may no longer
+    take: the oracles are held to what runs through its public faces."""
+
+    def test_the_tests(self):
+        assert private_patches(_tests()) == []
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            "from repro.hocl.multiset import _Memory\ndef test(monkeypatch):\n    monkeypatch.setattr(_Memory, 'open', None)\n",
+            "from repro.hocl import ReductionEngine\ndef test(monkeypatch):\n    monkeypatch.setattr(ReductionEngine, '_reduce_level', None)\n",
+            "from repro.hocl import deltas as d\ndef test(patch):\n    patch.setattr(d, '_load', None)\n",
+            "import repro.hocl.rules as r\ndef test(monkeypatch):\n    monkeypatch.setattr(r.Rule, '_delta', None)\n",
+            # a mutant table names what it patches; anything else does not ride along
+            "from repro.hocl import Multiset\ndef _mutant(monkeypatch):\n    pass\nMUTANTS = {'m': _mutant}\n"
+            "def test(monkeypatch):\n    monkeypatch.setattr(Multiset, '_remove_entry', None)\n",
+        ],
+    )
+    def test_a_seeded_patch_is_rejected(self, seeded):
+        assert private_patches({**_tests(), "test_seeded.py": ast.parse(seeded)})
+
+    def test_a_mutant_table_may(self):
+        seeded = "from repro.hocl import Multiset\ndef _mutant(monkeypatch):\n    monkeypatch.setattr(Multiset, '_remove_entry', None)\nMUTANTS = {'m': _mutant}\n"
+        assert private_patches({"test_seeded.py": ast.parse(seeded)}) == []
+
+
+# ------------------------------------------------ no dataclass on the run path
+_RUN_PATH = """
+import os, sys
+sys.path.insert(0, os.path.join(sys.argv[1], "benchmarks", "e2e"))
+from workloads import ADAPTIVE_DIAMOND_FILE, WORKLOADS, ginflow_argv
+from repro import adaptive_diamond_workflow, workflow_to_json
+from repro.cli import main
+workdir = os.getcwd()  # a temporary directory of the caller's
+workflow_to_json(adaptive_diamond_workflow(4, 4, "full", "simple", duration=0.1), os.path.join(workdir, ADAPTIVE_DIAMOND_FILE))
+for workload in WORKLOADS:
+    assert main(ginflow_argv(workload, "smoke", 1, workdir)) == 0, workload.name
+print("MODULES", *sorted({m.__file__ for n, m in list(sys.modules.items()) if n.startswith("repro")}))
+"""
+
+
+@functools.cache
+def run_path_modules():
+    """Path under ``src/repro`` -> parsed module, of every module the five e2e
+    workloads import, run at smoke scale in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, "-c", _RUN_PATH, str(ROOT)], capture_output=True, text=True, timeout=300, env=env, cwd=cwd)
+    assert done.returncode == 0, done.stderr[-2000:]
+    files = done.stdout.rsplit("MODULES", 1)[1].split()
+    return {path: tree for path, tree in _sources().items() if str(SRC / path) in {str(Path(file).resolve()) for file in files}}
+
+
+def dataclass_machinery(modules):
+    """Where per-class generated code has grown back on the run path: a
+    ``@dataclass`` (however imported) or any import of ``dataclasses`` in a
+    module a run imports, or an import statement run inside a function of
+    ``hocl/atoms.py`` (on every ``Subsolution``)."""
+    found = []
+    for path, tree in modules.items():
+        for node in _walked(tree)[0]:
+            for decorator in getattr(node, "decorator_list", ()):
+                called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (called.id if isinstance(called, ast.Name) else getattr(called, "attr", None)) == "dataclass":
+                    found.append(f"{path}:{decorator.lineno}: @dataclass")
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" or isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names):
+                found.append(f"{path}:{node.lineno}: import dataclasses")
+            if path == "hocl/atoms.py" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path}:{inner.lineno}: import in {node.name}" for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+class TestNoDataclassOnTheRunPath:
+    """Every record a run builds (atoms, multisets, reduction reports, agent
+    actions, configs, tasks, encodings, hosts, reports, ...) is a slotted class
+    on ``repro.records`` with a hand-written ``__init__``; the modules a run
+    imports are listed by running the five e2e workloads at smoke scale.  The
+    call budgets themselves are gated by ``tests/test_run_floor.py``."""
+
+    def test_the_run_path(self):
+        modules = run_path_modules()
+        assert len(modules) > 50 and "hocl/atoms.py" in modules
+        assert dataclass_machinery(modules) == []
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"records": "from dataclasses import dataclass\n\n@dataclass\nclass Report:\n    name: str\n"},
+            {"runtime__config": "import dataclasses as dc\n\n@dc.dataclass(frozen=True)\nclass Config:\n    nodes: int = 1\n"},
+            {"hocl__atoms": "class Subsolution:\n    def __init__(self, contents=()):\n        from .multiset import Multiset\n        self.solution = Multiset(contents)\n"},
+        ],
+    )
+    def test_a_seeded_dataclass_is_rejected(self, seeded):
+        assert dataclass_machinery({**run_path_modules(), **_parsed(**seeded)})
 
 
 # ----------------------------------------------- no hand-written delta, no body

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from matcher_reference import compiled_reject
 from test_matcher_oracle import _ATOMS, _EXAMPLES
 
 from repro.hocl import (
@@ -26,6 +25,18 @@ from repro.hocl import (
     TuplePattern,
     Var,
 )
+from repro.hocl.deltas import _FACTORIES, _load
+from repro.hocl.patterns import Source
+
+
+def compiled_reject(pattern):
+    """The pre-check a generated search runs for ``pattern`` (what its
+    ``reject`` writes), as a function of one atom."""
+    out = Source(2)
+    test = pattern.reject(out, "atom")
+    constants = ", ".join(f"c{index}" for index in range(len(out.constants)))
+    text = f"def factory({constants}):\n    def reject(atom):\n        return bool({test})\n    return reject\n"
+    return (_FACTORIES.get(text) or _load(text, "<reject>"))(*out.constants)
 
 
 def make_rule(name="r"):

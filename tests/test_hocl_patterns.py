@@ -1,7 +1,10 @@
-"""Unit tests for patterns and multiset-level matching."""
+"""Unit tests for patterns and multiset-level matching: what HOCL's one-step
+relation (``hocl_semantics.py``) says matches, and the engine's reaction
+firing exactly where something does."""
 
 import pytest
 
+from hocl_semantics import Chemistry, build, canon
 from repro.hocl import (
     Compare,
     IntAtom,
@@ -9,6 +12,7 @@ from repro.hocl import (
     Multiset,
     Omega,
     PatternError,
+    ReductionEngine,
     Ref,
     Rule,
     RulePattern,
@@ -18,15 +22,47 @@ from repro.hocl import (
     SymbolPattern,
     TupleAtom,
     TuplePattern,
+    TupleTemplate,
     Var,
-    count_matches,
-    find_first_match,
-    find_matches,
 )
 
 
+def _atoms(env):
+    return {name: [build(item) for item in bound] if isinstance(bound, list) else build(bound) for name, bound in env.items()}
+
+
 def matches(pattern, atom, bindings=None):
-    return list(pattern.match(atom, bindings or {}))
+    """Every environment under which ``pattern`` matches ``atom``; the engine
+    fires a rule of that one pattern on that one atom just when there is one."""
+    given = {name: canon(value) for name, value in (bindings or {}).items()}
+    found = [_atoms(env) for env in Chemistry().match(pattern, canon(atom), given)]
+    probe = Rule("probe", [pattern], [], priority=1, given=bindings)
+    report = ReductionEngine(max_steps=1).reduce(Multiset([atom.copy(), probe]))
+    assert report.rule_fires.get("probe", 0) == bool(found)
+    return found
+
+
+def level_matches(patterns, solution, condition=None, given=None):
+    """Every match of ``patterns`` among the atoms of ``solution``, as environments."""
+    rule = Rule("probe", patterns, [], condition=condition, given=given)
+    return [_atoms(env) for env, _taken in Chemistry().matches(rule, canon(solution)[1])]
+
+
+def fired(patterns, solution, given=None):
+    """What the engine's reaction of ``patterns`` binds where it fires in ``solution``, and the atoms it took."""
+    names = sorted({name for pattern in patterns for name in pattern.bound_names()} | set(given or {}))
+    record = TupleTemplate(Symbol("FIRED"), *map(Ref, names))
+    before = list(solution)
+    rule = Rule("probe", patterns, [record], one_shot=True, given=given)
+    solution.add(rule)
+    report = ReductionEngine().reduce(solution)
+    if not report.reactions:
+        solution.remove_identical(rule)
+        return None, []
+    record = solution.find_tuple("FIRED")
+    solution.remove_identical(record)
+    left = {id(atom) for atom in solution}
+    return dict(zip(names, record.elements[1:])), [atom for atom in before if id(atom) not in left]
 
 
 class TestVar:
@@ -67,7 +103,7 @@ class TestLiteralAndSymbol:
 class TestOmega:
     def test_cannot_match_single_atom(self):
         with pytest.raises(PatternError):
-            list(Omega("w").match(IntAtom(1), {}))
+            Rule("r", [Omega("w")], [])
 
     def test_empty_name_rejected(self):
         with pytest.raises(PatternError):
@@ -128,6 +164,7 @@ class TestSolutionPattern:
         pattern = SolutionPattern(Var("x", kind="int"), Var("y", kind="int"))
         assert not matches(pattern, Subsolution([1]))
         assert matches(pattern, Subsolution([1, 2]))
+        assert not matches(SolutionPattern(Var("x"), Var("x"), rest=Omega("w")), Subsolution([1, 2]))
 
     def test_rejects_non_solution(self):
         assert not matches(SolutionPattern(), IntAtom(1))
@@ -150,37 +187,27 @@ class TestRulePattern:
 
 class TestMultisetMatching:
     def test_find_matches_distinct_atoms(self):
-        solution = Multiset([1, 2])
-        found = list(find_matches([Var("x", kind="int"), Var("y", kind="int")], solution))
         # 2 permutations
-        assert len(found) == 2
+        assert len(level_matches([Var("x", kind="int"), Var("y", kind="int")], Multiset([1, 2]))) == 2
 
     def test_consumed_identity(self):
         solution = Multiset([1, 2])
-        match = find_first_match([Literal(2)], solution)
-        assert match.consumed[0] is solution.atoms()[1]
+        second = solution.atoms()[1]
+        assert fired([Literal(2)], solution)[1][0] is second
 
     def test_condition_filters(self):
-        solution = Multiset([1, 2])
-        found = list(
-            find_matches(
-                [Var("x", kind="int"), Var("y", kind="int")],
-                solution,
-                condition=Compare(">", Ref("x"), Ref("y")),
-            )
-        )
-        assert len(found) == 1
+        found = level_matches([Var("x", kind="int"), Var("y", kind="int")], Multiset([1, 2]), Compare(">", Ref("x"), Ref("y")))
+        assert found == [{"x": IntAtom(2), "y": IntAtom(1)}]
 
     def test_initial_bindings_respected(self):
-        solution = Multiset([1, 2])
-        match = find_first_match([Var("x")], solution, initial_bindings={"x": IntAtom(2)})
-        assert match.bindings["x"] == IntAtom(2)
+        bindings, _taken = fired([Var("x")], Multiset([1, 2]), given={"x": IntAtom(2)})
+        assert bindings["x"] == IntAtom(2)
 
     def test_count_matches(self):
-        assert count_matches([Var("x", kind="int")], Multiset([1, 2, 3])) == 3
+        assert len(level_matches([Var("x", kind="int")], Multiset([1, 2, 3]))) == 3
 
     def test_no_match_returns_none(self):
-        assert find_first_match([Literal(9)], Multiset([1])) is None
+        assert fired([Literal(9)], Multiset([1])) == (None, [])
 
     def test_cross_pattern_variable_consistency(self):
         # gw_pass-style consistency: same variable in two patterns
@@ -194,7 +221,5 @@ class TestMultisetMatching:
             TuplePattern(Var("ti", kind="symbol"), SymbolPattern("RES")),
             TuplePattern(Var("tj", kind="symbol"), Var("ti", kind="symbol")),
         ]
-        match = find_first_match(patterns, solution)
-        assert match is not None
-        assert match.bindings["ti"] == Symbol("T1")
-        assert match.bindings["tj"] == Symbol("T2")
+        bindings, _taken = fired(patterns, solution)
+        assert bindings == {"ti": Symbol("T1"), "tj": Symbol("T2")}

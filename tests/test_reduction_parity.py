@@ -1,15 +1,16 @@
-"""Trace parity of the incremental engine against the naive walk.
+"""The incremental engine against the naive walk and HOCL's one-step relation.
 
 The engine's optimisations (inertness caching, head-symbol indexing,
 quick-reject pre-checks, flagged-entry descent, plausible-candidate memories,
 cached structural hashes, kept anchors) are all required to be
 *trace-preserving*: reducing the same solution must fire exactly the same
 rules in exactly the same order as the naive re-reduce-everything walk of
-``reduction_reference.py``, which states the parity contract.  These tests
-lock that property on the two workflow shapes the paper measures (Montage and
-the fully-connected diamond), against a brute-force search on random programs
-and every scenario family, on every runtime that enacts a family, and on the
-invalidation edges the book-keeping introduces.
+``reduction_reference.py``.  And every step it takes is a step of the
+relation ``hocl_semantics.py`` states, the one its promise names (the first
+match in enumeration order).  These tests lock that on the two workflow
+shapes the paper measures (Montage and the fully-connected diamond), on random
+programs and every scenario family, on every runtime that enacts a family,
+and on the invalidation edges the book-keeping introduces.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcher_reference import compiled_reject
-from reduction_reference import BruteForceEngine, NaiveEngine, assert_parity, reduce_workflow, repositioned, trace, watch_reactions
+from hocl_semantics import Chemistry, canon
+from reduction_reference import NaiveEngine, assert_on_the_relation, reduce_workflow, trace, walk_the_relation, workflow_externals
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     AtomError,
@@ -46,10 +47,7 @@ from repro.hocl import (
     TupleTemplate,
     Var,
     default_registry,
-    find_matches,
 )
-from repro.hocl.matching import first_match
-from repro.hocl.multiset import _Memory
 from repro.hoclflow import encode_workflow
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
@@ -57,6 +55,10 @@ from repro.workflow import diamond_workflow
 from repro.workflow.montage import montage_workflow
 
 _FAMILIES = available_scenarios()
+
+#: random cell programs (`TestOnTheRelation._cells_program`), and their refills
+_CELLS = st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1, max_size=6)
+_REFILLS = st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=3), max_size=4)
 
 
 def _integers(function):
@@ -72,12 +74,7 @@ ARITHMETIC.register("pred", _integers(lambda x: x - 1))
 
 
 class TestWorkflowTraceParity:
-    @pytest.mark.parametrize("projections", [5, 30])
-    def test_montage_trace_identical(self, projections):
-        incremental, _, _ = reduce_workflow(montage_workflow(projections=projections))
-        naive, _, _ = reduce_workflow(montage_workflow(projections=projections), NaiveEngine)
-        assert trace(incremental) == trace(naive)
-        assert incremental.match_attempts <= naive.match_attempts
+    """Montage and the other families: ``TestRuntimeParity``."""
 
     @pytest.mark.parametrize("width,depth", [(3, 3), (6, 4)])
     def test_fully_connected_diamond_trace_identical(self, width, depth):
@@ -92,37 +89,8 @@ class TestWorkflowTraceParity:
 
 
 class TestRejectionCacheInvalidation:
-    """A quick-reject verdict must never survive a relevant mutation."""
-
-    def test_solution_pattern_rejection_expires_on_mutation(self):
-        pattern = SolutionPattern(Var("x"), rest=Omega("w"))
-        rejects, empty = compiled_reject(pattern), Subsolution()
-        assert rejects(empty)  # needs at least one atom
-        assert rejects(empty)
-        empty.solution.add(1)
-        assert not rejects(empty)
-        matches = list(pattern.match(empty, {}))
-        assert len(matches) == 1
-
-    def test_tuple_pattern_rejection_expires_on_nested_mutation(self):
-        # RES : <w> with an atom inside — the task-field idiom of gw_call
-        pattern = TuplePattern(
-            SymbolPattern("RES"), SolutionPattern(Var("res"), rest=Omega("w"))
-        )
-        rejects, res = compiled_reject(pattern), TupleAtom([Symbol("RES"), Subsolution()])
-        assert rejects(res)
-        assert rejects(res)
-        res.elements[1].solution.add("value")
-        assert not rejects(res)
-        assert list(pattern.match(res, {}))
-
-    def test_immutable_tuple_rejection_is_permanent_and_sound(self):
-        rejects = compiled_reject(TuplePattern(SymbolPattern("SRC"), Var("x")))
-        other = TupleAtom([Symbol("DST"), 1])
-        assert rejects(other)
-        assert rejects(other)
-        matching = TupleAtom([Symbol("SRC"), 2])
-        assert not rejects(matching)
+    """A quick-reject verdict must never survive a relevant mutation (the
+    verdicts themselves: ``test_hocl_multiset.py``)."""
 
     def test_engine_refires_after_inertness_with_new_atoms(self):
         # a rule refuted by the quick checks must fire once its atom appears
@@ -255,33 +223,21 @@ class TestReportMergeAccounting:
 
 
 # --------------------------------------------------------------------------
-# Brute-force reference search, scaling of the book-keeping, kept flags
+# The one-step relation, scaling of the book-keeping, kept flags
 # --------------------------------------------------------------------------
 
 
-def _firing_log():
-    """An observer recording each reaction with the atoms it matched."""
-    log = []
-
-    def observer(rule, match, depth):
-        log.append((rule.name, depth, [str(atom) for atom in match.consumed]))
-
-    return log, observer
-
-
-class TestAgainstBruteForceSearch:
+class TestOnTheRelation:
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_every_scenario_family_fires_the_same_reactions(self, family):
-        fast_log, fast_observer = _firing_log()
-        slow_log, slow_observer = _firing_log()
-        fast, _, _ = reduce_workflow(build_scenario(f"{family}:size=12,seed=1"), observer=fast_observer)
-        slow, _, _ = reduce_workflow(build_scenario(f"{family}:size=12,seed=1"), BruteForceEngine, observer=slow_observer)
-        assert fast_log == slow_log
-        assert trace(fast) == trace(slow)
-        assert fast.rule_fires == slow.rule_fires
+    def test_every_scenario_family_is_a_path_of_the_relation(self, family):
+        """Each centralised reaction is a step of the relation and, at the top
+        level, the first match in enumeration order; a full reduce reaches the
+        same solution by the same firings."""
+        encoding = encode_workflow(build_scenario(f"{family}:size=12,seed=1"))
+        assert_on_the_relation(encoding.to_multiset, workflow_externals(encoding, once=True))
 
     @staticmethod
-    def _cells_program(cells, take_first, reposition=False):
+    def _cells_program(cells, take_first):
         """Cells ``Ci : <VAL : <ints, max>>`` under two top-level rules.
 
         ``take`` (variable head: a whole-bucket pattern) moves a cell's
@@ -326,7 +282,7 @@ class TestAgainstBruteForceSearch:
             [Call("add", Ref("a"), Ref("b"))],
             priority=0 if take_first else 1,
         )
-        solution = Multiset([repositioned(take) if reposition else take, total])
+        solution = Multiset([take, total])
         for index, values in enumerate(cells):
             body = Multiset([TupleAtom([Symbol("VAL"), Subsolution([*values, fold])])])
             solution.add(TupleAtom([Symbol(f"C{index}"), Subsolution(body)]))
@@ -337,46 +293,81 @@ class TestAgainstBruteForceSearch:
         holder = solution.find_tuple(f"C{cell}")
         holder.elements[1].solution.find_tuple("VAL").elements[1].solution.add(value)
 
-    @given(
-        cells=st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1, max_size=6),
-        refills=st.lists(
-            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=3), max_size=4
-        ),
-        take_first=st.booleans(),
-    )
+    @given(cells=_CELLS, refills=_REFILLS, take_first=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_random_programs_fire_the_same_reactions_round_after_round(
-        self, cells, refills, take_first
-    ):
-        fast_log, fast_observer = _firing_log()
-        slow_log, slow_observer = _firing_log()
-        fast_solution = self._cells_program(cells, take_first)
-        slow_solution = self._cells_program(cells, take_first)
-        fast = ReductionEngine(externals=ARITHMETIC, observer=fast_observer)
-        slow = BruteForceEngine(externals=ARITHMETIC, observer=slow_observer)
+    def test_random_programs_stay_on_the_relation_round_after_round(self, cells, refills, take_first):
+        """Between rounds values are put back below drained cells, whose entries
+        the memories refuted: every step is still one of the relation's, and the
+        stepped solution is the one a full reduce reaches."""
+        chemistry = Chemistry(ARITHMETIC)
+        stepped, whole = self._cells_program(cells, take_first), self._cells_program(cells, take_first)
+        engine = ReductionEngine(externals=ARITHMETIC)
         for refill in [[]] + refills:
             for cell, value in refill:
-                for solution in (fast_solution, slow_solution):
+                for solution in (stepped, whole):
                     self._refill(solution, cell % len(cells), value)
-            fast_report = fast.reduce(fast_solution)
-            slow_report = slow.reduce(slow_solution)
-            assert fast_log == slow_log
-            assert trace(fast_report) == trace(slow_report)
-            assert str(fast_solution) == str(slow_solution)  # same atoms, same order
-            assert fast.is_inert(fast_solution)
+            fired = walk_the_relation(stepped, ARITHMETIC, chemistry)
+            report = engine.reduce(whole)
+            assert dict(fired) == report.rule_fires
+            assert stepped.content_hash() == whole.content_hash()
+
+    @given(cells=st.lists(st.lists(st.integers(0, 9), max_size=2), min_size=1, max_size=3), take_first=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_the_engine_ends_in_the_one_normal_form(self, cells, take_first):
+        """The cell programs are confluent: an exhaustive search of the relation
+        reaches one inert solution, the one the engine reduces to."""
+        solution = self._cells_program(cells, take_first)
+        forms = Chemistry(ARITHMETIC).normal_forms(canon(solution))
+        assert ReductionEngine(externals=ARITHMETIC).reduce(solution).inert
+        assert forms == {canon(solution)}
+
+    @given(
+        bags=st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=5),
+        refills=st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=3), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_head_keyed_programs_stay_on_the_relation(self, bags, refills):
+        """One drain rule per bag, every top-level pattern keyed by a head that
+        names one tuple, the kept anchors in place."""
+        solution = Multiset([TupleAtom([Symbol("SINK"), Subsolution()])])
+        for index, values in enumerate(bags):
+            solution.add(TupleAtom([Symbol(f"B{index}"), Subsolution(values)]))
+            solution.add(
+                Rule(
+                    f"drain{index}",
+                    [
+                        TuplePattern(SymbolPattern(f"B{index}"), SolutionPattern(Var("x", kind="int"), rest=Omega("w"))),
+                        TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
+                    ],
+                    [
+                        TupleTemplate(Symbol(f"B{index}"), SolutionTemplate(Splice("w"))),
+                        TupleTemplate(Symbol("SINK"), SolutionTemplate(Ref("x"), Splice("ws"))),
+                    ],
+                )
+            )
+        chemistry = Chemistry()
+        for round_ in [[]] + refills:
+            for bag, value in round_:
+                solution.find_tuple(f"B{bag % len(bags)}").elements[1].solution.add(value)
+            walk_the_relation(solution, None, chemistry)
+        assert len(solution.find_tuple("SINK").elements[1].solution) == sum(map(len, bags)) + sum(map(len, refills))
 
 
-class _Visited:
-    """A memory's entries as a search reads them, each one counted as it is
-    offered to the pattern's pre-check."""
+class _Counted:
+    """A candidate memory as a search reads it: each entry counted as it is
+    offered to the pattern's pre-check, each refutation as it is handed back."""
 
-    def __init__(self, entries, calls):
-        self.entries, self.calls = entries, calls
+    def __init__(self, memory, calls):
+        self.memory, self.calls = memory, calls
 
-    def __iter__(self):
-        for entry in self.entries:
+    def open(self):
+        for entry in self.memory.open():
             self.calls["visited"] += 1
             yield entry
+
+    def close(self, refuted):
+        self.calls["refuted"] += len(refuted)
+        return self.memory.close(refuted)
 
 
 class TestBookkeepingScaling:
@@ -387,18 +378,17 @@ class TestBookkeepingScaling:
         an 8x larger centralised Montage — they follow what changed, not how
         many task sub-solutions sit in the level."""
         calls = Counter()
-        opened, closed, inert = _Memory.open, _Memory.close, Multiset.known_inert.fget
-
-        def close(memory, refuted):
-            calls["refuted"] += len(refuted)
-            return closed(memory, refuted)
+        memory_for, inert = Multiset.memory_for, Multiset.known_inert.fget
 
         def known_inert(solution):
             calls["known_inert"] += 1
             return inert(solution)
 
-        monkeypatch.setattr(_Memory, "open", lambda memory: _Visited(opened(memory), calls))
-        monkeypatch.setattr(_Memory, "close", close)
+        def counted(solution, pattern, key):
+            memory = memory_for(solution, pattern, key)
+            return None if memory is None else _Counted(memory, calls)
+
+        monkeypatch.setattr(Multiset, "memory_for", counted)
         monkeypatch.setattr(Multiset, "known_inert", property(known_inert))
         per_reaction = {}
         for tasks in (100, 800):
@@ -411,15 +401,9 @@ class TestBookkeepingScaling:
             assert 0.75 * small <= large <= 1.25 * small, per_reaction
 
 
-#: the random cell programs of `TestAgainstBruteForceSearch`, and their refills
-_CELLS = st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1, max_size=6)
-_REFILLS = st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=3), max_size=4)
-
-
 class TestInPlaceReactions:
     """Clock-free: a reaction costs what it changes.  Kept anchors stay put,
-    a rule-free field body is never visited, and the engine's first-match
-    search is the enumerator's first result."""
+    and a rule-free field body is never visited."""
 
     @staticmethod
     def _agent(task, width=2):
@@ -469,150 +453,28 @@ class TestInPlaceReactions:
             return wrapper
 
         monkeypatch.setattr(Multiset, "add", counted("add", Multiset.add))
-        monkeypatch.setattr(Multiset, "_remove_entry", counted("remove", Multiset._remove_entry))
         before = self._layout(core.solution)
         core.invocation_succeeded("value")
         assert core.rule_fires["gw_pass"] == 2 and core.results_sent == 2
-        assert (calls["add"], calls["remove"]) == (0, 0)
+        assert calls["add"] == 0  # and nothing left: every top-level entry is the one it was
         assert self._layout(core.solution) == before
 
     @pytest.mark.parametrize("fan_in", [32, 512])
     def test_a_stimulus_visits_the_level_and_no_field_body(self, fan_in, monkeypatch):
         core = self._agent("merge", width=fan_in)
-        visited = []
-        reduce_level = ReductionEngine._reduce_level
-
-        def counted(engine, solution, depth, report):
-            visited.append(id(solution))
-            return reduce_level(engine, solution, depth, report)
-
-        monkeypatch.setattr(ReductionEngine, "_reduce_level", counted)
+        visited = {}  # every level the engine asks whether it is proven inert, in order
+        inert = Multiset.known_inert.fget
+        monkeypatch.setattr(Multiset, "known_inert", property(lambda solution: visited.setdefault(id(solution)) or inert(solution)))
         core.receive_result("T_1_1", "x")
         assert len(core.pending_sources()) == fan_in - 1
-        assert visited == [id(core.solution)]
+        assert list(visited) == [id(core.solution)]
         # a rule makes its body able to react: visited on the very next reduce
         body = core.solution.find_tuple("IN").elements[1].solution
         assert not body.can_react
         body.add(Rule("never", [SymbolPattern("NEVER")], []))
-        del visited[:]
+        visited.clear()
         core.receive_result("T_1_2", "y")
-        assert visited == [id(core.solution), id(body)]
-
-    @given(
-        cells=_CELLS,
-        refills=_REFILLS,
-        take_first=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_random_programs_agree_with_repositioned_anchors(self, cells, refills, take_first):
-        """``take`` has a variable head: which cell it drains first may depend
-        on where the anchors sit, the rest of the contract may not."""
-        program = TestAgainstBruteForceSearch._cells_program
-        refill = TestAgainstBruteForceSearch._refill
-        in_place, moved = program(cells, take_first), program(cells, take_first, reposition=True)
-        engines = ReductionEngine(externals=ARITHMETIC), ReductionEngine(externals=ARITHMETIC)
-        for round_ in [[]] + refills:
-            for cell, value in round_:
-                refill(in_place, cell % len(cells), value)
-                refill(moved, cell % len(cells), value)
-            here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
-            assert_parity((here, in_place), (there, moved))
-            assert sorted(trace(here)) == sorted(trace(there))
-
-    @given(
-        bags=st.lists(st.lists(st.integers(0, 9), max_size=4), min_size=1, max_size=5),
-        refills=st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=3), max_size=3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_head_keyed_programs_fire_in_the_same_order(self, bags, refills):
-        """One drain rule per bag, every top-level pattern keyed by a head that
-        names one tuple: where a kept anchor sits cannot matter."""
-
-        def program(reposition):
-            solution = Multiset([TupleAtom([Symbol("SINK"), Subsolution()])])
-            for index, values in enumerate(bags):
-                solution.add(TupleAtom([Symbol(f"B{index}"), Subsolution(values)]))
-                drain = Rule(
-                    f"drain{index}",
-                    [
-                        TuplePattern(
-                            SymbolPattern(f"B{index}"),
-                            SolutionPattern(Var("x", kind="int"), rest=Omega("w")),
-                        ),
-                        TuplePattern(SymbolPattern("SINK"), SolutionPattern(rest=Omega("ws"))),
-                    ],
-                    [
-                        TupleTemplate(Symbol(f"B{index}"), SolutionTemplate(Splice("w"))),
-                        TupleTemplate(Symbol("SINK"), SolutionTemplate(Ref("x"), Splice("ws"))),
-                    ],
-                )
-                solution.add(repositioned(drain) if reposition else drain)
-            return solution
-
-        logs = _firing_log(), _firing_log()
-        in_place, moved = program(False), program(True)
-        engines = ReductionEngine(observer=logs[0][1]), ReductionEngine(observer=logs[1][1])
-        for round_ in [[]] + refills:
-            for bag, value in round_:
-                for solution in (in_place, moved):
-                    solution.find_tuple(f"B{bag % len(bags)}").elements[1].solution.add(value)
-            here, there = engines[0].reduce(in_place), engines[1].reduce(moved)
-            assert logs[0][0] == logs[1][0]
-            assert trace(here) == trace(there)
-            assert_parity((here, in_place), (there, moved))
-
-    @staticmethod
-    def _checked_reactions(searches):
-        """A reaction watcher: where each reaction fires, and what ``first_match``
-        finds on the same level, held to the enumerator's first admissible match."""
-
-        def checked(run, solution, owner, externals, effects, observed, clock):
-            enumerated = find_matches(owner.patterns, solution, owner.condition, owner.given)
-            expected = next(
-                (m for m in enumerated if not any(atom is owner for atom in m.consumed)), None
-            )
-            found = first_match(owner, solution)
-            assert (found is None) == (expected is None)
-            if expected is not None:  # read before the reaction changes the level
-                consumed, bindings = [id(atom) for atom in expected.consumed], dict(expected.bindings)
-                assert [id(atom) for atom in found.consumed] == consumed and dict(found.bindings) == bindings
-            fired = run(solution, owner, externals, effects, True, clock)
-            assert (fired is None) == (expected is None)
-            searches["reaction"] += 1
-            if fired is None:
-                return None
-            produced, match, searched = fired
-            assert [id(atom) for atom in match.consumed] == consumed
-            assert dict(match.bindings) == bindings
-            return produced, match if observed else None, searched
-
-        return checked
-
-    @pytest.mark.parametrize("family", _FAMILIES)
-    def test_first_match_is_the_enumerators_first_on_every_family(self, family, monkeypatch):
-        searches = Counter()
-        watch_reactions(monkeypatch, self._checked_reactions(searches))
-        outcome = CentralizedExecutor().execute(build_scenario(f"{family}:size=12,seed=1"))
-        assert outcome.report.inert
-        assert searches["reaction"] == outcome.report.match_attempts > 0
-
-    @given(
-        cells=_CELLS,
-        refills=_REFILLS,
-        take_first=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_first_match_is_the_enumerators_first_on_random_programs(self, cells, refills, take_first):
-        searches = Counter()
-        solution = TestAgainstBruteForceSearch._cells_program(cells, take_first)
-        with pytest.MonkeyPatch.context() as patch:
-            watch_reactions(patch, self._checked_reactions(searches))
-            engine = ReductionEngine(externals=ARITHMETIC)
-            for round_ in [[]] + refills:
-                for cell, value in round_:
-                    TestAgainstBruteForceSearch._refill(solution, cell % len(cells), value)
-                assert engine.reduce(solution).inert
-        assert searches["reaction"] > 0
+        assert list(visited) == [id(core.solution), id(body)]
 
 
 class TestFlagsSurviveFailure:

@@ -2,15 +2,14 @@
 
 Every rule fires through the :class:`~repro.hocl.deltas.RewriteDelta` that
 :func:`~repro.hocl.deltas.derive_delta` reads off its patterns and products,
-and the engine is held to :class:`reduction_reference.RebuildEngine` (the
-products expanded, everything matched removed) under the parity contract
-stated there; the history is equal as a multiset (kept anchors stay where
-they are, rebuilt products go to the end of the level), and in order wherever
-every top-level pattern is head-keyed.  The evidence:
+and the engine is held to HOCL's one-step relation (``hocl_semantics.py``:
+everything matched removed, the products expanded): every reaction is one of
+its steps, at the first match in enumeration order, and a full reduce reaches
+what the reactions one at a time reach.  The evidence:
 
 * **derivation** — each workflow rule derives, op for op, the delta that used
-  to be written by hand beside it, in site form (an op names the slot of
-  ``Match.sites`` it edits); a parsed rule derives what the same rule built
+  to be written by hand beside it, in site form (an op names the slot of the
+  sites a search binds that it edits); a parsed rule derives what the same rule built
   in Python derives;
 * **where a firing lands** — by the entries the match took: two fields under
   one head patch in place, the matched occurrence of equal atoms is the one
@@ -24,12 +23,11 @@ every top-level pattern is head-keyed.  The evidence:
 * **sharing** — every task's centralised ``gw_call`` is one rule bound to its
   task, so a 1000-task run derives each delta once;
 * **property-based differential** — hypothesis draws drain-shaped two-field
-  rules with random keep / drop / add edits and random solutions, and both
-  forms must agree;
-* **end-to-end** — every scenario family of the catalog agrees between the
-  two forms; and full runtime enactments (simulated/asyncio/centralized)
-  report the same results either way, with the simulated runtime's
-  virtual-time trace bit-identical.
+  rules with random keep / drop / add edits and random solutions, each
+  firing on the relation;
+* **end-to-end** — every reduction an agent makes while a simulated run
+  enacts each scenario family is on the relation (the centralised ones are,
+  in ``test_reduction_parity.py``).
 """
 
 import re
@@ -38,12 +36,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reduction_reference import RebuildEngine, assert_parity, reduce_workflow, trace
-from repro.agents import core as agents_core
-from repro.agents import local_rules
+from reduction_reference import assert_on_the_relation, walk_the_relation, watch_reactions
 from repro.agents.actions import SendAdapt
 from repro.agents.local_rules import GW_CALL, GW_PASS, LOCAL_EXTERNALS, local_trigger
-from repro.executors import centralized
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import rules as rules_module
 from repro.hocl import (
@@ -72,13 +67,13 @@ from repro.hocl import (
     Var,
     parse_program,
 )
-from repro.hocl.deltas import Fire, PatchAdd, PatchRemove, Reaction, RewriteDelta, derive_delta
+from repro.hocl.deltas import Fire, PatchAdd, PatchRemove, RewriteDelta, derive_delta
 from repro.hocl.patterns import Source
 from repro.hoclflow import keywords as kw
 from repro.hoclflow import adaptation
 from repro.hoclflow.adaptation import build_plan, make_activate, make_add_dst, make_mv_src, make_trigger_adapt
 from repro.hoclflow.fields import get_in_atoms, get_src, tagged_input
-from repro.hoclflow.generic_rules import GW_SETUP, make_gw_call, make_gw_pass, make_gw_setup, register_workflow_externals
+from repro.hoclflow.generic_rules import make_gw_call, make_gw_pass, make_gw_setup, register_workflow_externals
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
 from repro.workflow import adaptive_diamond_workflow, diamond_workflow
@@ -114,9 +109,9 @@ def field(head, *atoms):
     return TupleAtom([Symbol(head), Subsolution(list(atoms))])
 
 
-def _reduce(atoms, engine_class=ReductionEngine, externals=None):
+def _reduce(atoms, externals=None):
     solution = Multiset(atoms)
-    return engine_class(externals=externals).reduce(solution), solution
+    return ReductionEngine(externals=externals).reduce(solution), solution
 
 
 #: The adaptation rule bodies every plan's rules are bound from.
@@ -314,7 +309,7 @@ def test_every_centralised_gw_call_shares_one_rule_body():
     """The task is a given binding: the rule body is written, searched and derived once."""
     first, second = make_gw_call("a"), make_gw_call("b")
     assert first.delta is second.delta
-    assert first.products is second.products and first.search is second.search
+    assert first.products is second.products and first.reaction is second.reaction
     assert shape(first.delta) == shape(derive_delta(first.patterns, first.products))
     assert (first.given, second.given) == ({"task": StringAtom("a")}, {"task": StringAtom("b")})
     assert first.summary is second.summary and "task" in first.summary.bound(first.given)
@@ -337,22 +332,25 @@ def test_a_centralised_montage_derives_each_delta_once(monkeypatch):
 def test_a_simulated_adaptive_diamond_derives_each_delta_once(monkeypatch):
     """``add_dst``, ``mv_src``, ``activate`` and the local ``trigger_adapt`` are
     written once and bound per source, plan and entry task: 21 entry tasks
-    share one ``activate`` body, and a run derives seven bodies, not 27."""
-    derived = Counter()
+    share one ``activate`` body, and a run reacts with seven bodies, not 27,
+    none derived twice."""
+    derived, bodies = Counter(), {}
 
     def counting(patterns, products, keep_matched=False):
         derived[(*map(id, patterns), *map(id, products))] += 1
         return derive_delta(patterns, products, keep_matched)
 
+    def reacting(run, solution, owner, *rest):
+        bodies.setdefault(id(owner.delta), owner.name.split(":")[0])
+        return run(solution, owner, *rest)
+
     monkeypatch.setattr(rules_module, "derive_delta", counting)
-    for body in (GW_SETUP, GW_CALL, GW_PASS, local_rules._TRIGGER_ADAPT, *_ADAPTATION_BODIES):
-        monkeypatch.setattr(body, "_delta", None)  # derived here, whatever ran before ...
-        monkeypatch.setattr(body, "reaction", Reaction())  # ... and read off by its reaction, written here
+    watch_reactions(monkeypatch, reacting)
     report = GinFlow().run(adaptive_diamond_workflow(21, 21, "full", "simple"), mode="simulated")
     fires = report.extra["rule_fires"]
-    assert report.succeeded and sum(count for name, count in fires.items() if name.startswith("activate:")) == 21
-    assert set(derived.values()) == {1}
-    assert len(derived) == 7  # gw_setup, gw_call, gw_pass, trigger_adapt, add_dst, mv_src, activate
+    assert report.succeeded and sum(count for name, count in fires.items() if name.startswith("activate")) == 21
+    assert set(derived.values()) <= {1}
+    assert sorted(bodies.values()) == ["activate", "add_dst", "gw_call", "gw_pass", "gw_setup", "mv_src", "trigger_adapt"]
 
 
 def test_a_forced_error_fails_its_own_task_only():
@@ -365,19 +363,13 @@ def test_a_forced_error_fails_its_own_task_only():
 
 # ------------------------------------------------------------------ unit
 def _both_forms(build, externals=None):
-    """Reduce what ``build()`` returns by the engine and by the rebuild form;
-    the two must agree.  Returns the engine's solution."""
-    (report, solution), (reference, reference_solution) = (
-        _reduce(build(), externals=externals),
-        _reduce(build(), RebuildEngine, externals),
-    )
-    assert_parity((report, solution), (reference, reference_solution))
-    assert trace(report) == trace(reference)
-    return solution
+    """Reduce what ``build()`` returns one reaction at a time on the relation,
+    and in one reduce; the two must agree.  Returns the latter's solution."""
+    return assert_on_the_relation(lambda: Multiset(build()), externals)
 
 
 @pytest.mark.parametrize("clear", [False, True])
-def test_mv_src_agrees_with_its_rebuild_form(clear):
+def test_mv_src_is_on_the_relation(clear):
     """Both ``mv_src`` bodies: the replaced sources leave ``SRC`` and the exits
     join it; ``IN`` keeps what no replaced task sent, or nothing (``IN : <>``)."""
     plan = adaptive_plan(clear)
@@ -501,8 +493,9 @@ def dup_copies_and_bump_patches_in_place(shared):
     expected = [field("S", one), field("S", two)] if outer else [one, two]
     assert solution.content_hash() == Multiset(expected).content_hash()
     # two bodies, and bump moves no tuple or solution dup left
-    solution, spines = Multiset(dup_then_bump(shared)), []
-    ReductionEngine(observer=lambda rule, match, depth: spines.append(_spine(solution))).reduce(solution)
+    solution, spines, engine = Multiset(dup_then_bump(shared)), [], ReductionEngine(max_steps=1)
+    while engine.reduce(solution).reactions:
+        spines.append(_spine(solution))
     assert len(set(spines[0])) == len(spines[0]) and spines == [spines[0]] * 2
 
 
@@ -716,32 +709,23 @@ class TestAppliedDelta:
         assert {(r.consumed, r.produced) for r in report.history if r.rule == "drain"} == {(2, 2)}
 
 
-# -------------------------------------------------------------- fuzz parity
+# ---------------------------------------------------------- on the relation
 integers = st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=25)
 
 
 @settings(max_examples=50, deadline=None)
 @given(integers)
-def test_getmax_delta_parity(values):
-    delta_report, delta_solution = _reduce(values + [getmax_delta_rule()])
-    rebuild_report, rebuild_solution = _reduce(values + [getmax_delta_rule()], RebuildEngine)
-    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution))
-    assert trace(delta_report) == trace(rebuild_report)
-    remaining = [a.value for a in delta_solution.atoms() if isinstance(a, IntAtom)]
+def test_getmax_is_on_the_relation(values):
+    solution = _both_forms(lambda: [*values, getmax_delta_rule()])
+    remaining = [a.value for a in solution.atoms() if isinstance(a, IntAtom)]
     assert remaining == [max(values)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(integers)
-def test_drain_delta_parity(values):
-    def atoms():
-        return [field("BAG", *[IntAtom(v) for v in values]), field("SINK"), drain_rule()]
-
-    delta_report, delta_solution = _reduce(atoms())
-    rebuild_report, rebuild_solution = _reduce(atoms(), RebuildEngine)
-    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution))
-    assert trace(delta_report) == trace(rebuild_report)
-    assert delta_report.reactions == len(values)
+def test_drain_is_on_the_relation(values):
+    solution = _both_forms(lambda: [field("BAG", *[IntAtom(v) for v in values]), field("SINK"), drain_rule()])
+    assert len(solution.find_tuple("SINK").elements[1].solution) == len(values)
 
 
 @st.composite
@@ -827,90 +811,51 @@ integers_0_3 = st.lists(st.integers(0, 3), max_size=2)
 
 @settings(max_examples=200, deadline=None)
 @given(two_field_programs())
-def test_two_field_edits_agree_with_the_rebuild_form(program):
+def test_two_field_edits_are_on_the_relation(program):
     rules, (bag, sink) = program
 
     def atoms():  # fresh copies: the engine edits the bodies in place
         return [field("BAG", *(atom.copy() for atom in bag)), field("SINK", *(atom.copy() for atom in sink)), *rules]
 
-    delta_report, delta_solution = _reduce(atoms())
-    rebuild_report, rebuild_solution = _reduce(atoms(), RebuildEngine)
-    assert delta_report.rule_fires == {rule.name: 1 for rule in rules}
-    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution))
-    assert trace(delta_report) == trace(rebuild_report)
-
-
-# ----------------------------------------------------------- scenario parity
-@pytest.mark.parametrize("family", available_scenarios())
-def test_scenario_family_delta_parity(family):
-    spec = f"{family}:size=24,seed=3"
-    delta_report, delta_solution, _ = reduce_workflow(build_scenario(spec))
-    rebuild_report, rebuild_solution, _ = reduce_workflow(build_scenario(spec), RebuildEngine)
-    assert_parity((delta_report, delta_solution), (rebuild_report, rebuild_solution))
-    if family == "longchain":
-        assert trace(delta_report) == trace(rebuild_report)
-    else:
-        # kept anchors stay where they are while rebuilt products go to the
-        # end of the level: the variable-headed ``gw_pass`` patterns of the
-        # centralised rules may pick an equally applicable pair first
-        assert sorted(trace(delta_report)) == sorted(trace(rebuild_report))
+    solution = Multiset(atoms())
+    assert dict(walk_the_relation(solution)) == {rule.name: 1 for rule in rules}
 
 
 # ------------------------------------------------------------ runtime parity
 @pytest.fixture
-def rebuild_everywhere(monkeypatch):
-    """Every engine a run builds fires its rules by their rebuild form."""
+def agent_reductions(monkeypatch):
+    """Every reduction a run's agents make held to the relation first, on a
+    copy: the rules it fires, counted."""
+    reduce, walked, walking = ReductionEngine.reduce, Counter(), []
 
-    def everywhere():
-        for module in (agents_core, centralized):
-            monkeypatch.setattr(module, "ReductionEngine", RebuildEngine)
+    def checked(engine, solution):
+        if walking:  # the relation's own one-reaction steps
+            return reduce(engine, solution)
+        copy = solution.copy()
+        walking.append(True)
+        try:
+            fired = walk_the_relation(copy, engine.externals)
+        finally:
+            walking.pop()
+        report = reduce(engine, solution)
+        assert dict(fired) == report.rule_fires and copy.content_hash() == solution.content_hash()
+        walked.update(fired)
+        return report
 
-    return everywhere
+    monkeypatch.setattr(ReductionEngine, "reduce", checked)
+    return walked
 
 
-@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
-def test_runtime_delta_parity(mode, rebuild_everywhere):
-    workflow = diamond_workflow(4, 3)
-    delta_run = GinFlow().run(workflow, mode=mode, nodes=5)
-    rebuild_everywhere()
-    rebuild_run = GinFlow().run(workflow, mode=mode, nodes=5)
-    assert delta_run.succeeded and rebuild_run.succeeded
-    assert delta_run.results == rebuild_run.results
-    assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
-
-
-@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
 @pytest.mark.parametrize("family", available_scenarios())
-def test_scenario_family_runtime_delta_parity(family, mode, rebuild_everywhere):
-    """Every family enacted both ways on every runtime, the agents' own rules
-    included; the simulated timeline does not move."""
-    spec = f"{family}:size=10,seed=1"
-    delta_run = GinFlow().run(build_scenario(spec), mode=mode, nodes=5)
-    rebuild_everywhere()
-    rebuild_run = GinFlow().run(build_scenario(spec), mode=mode, nodes=5)
-    assert delta_run.succeeded and rebuild_run.succeeded
-    assert delta_run.results == rebuild_run.results
-    assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
-    if mode == "simulated":
-        assert delta_run.reduction_match_attempts == rebuild_run.reduction_match_attempts
-        assert delta_run.timeline == rebuild_run.timeline
+def test_every_agent_reduction_is_on_the_relation(family, agent_reductions):
+    """Every family enacted by agents on the simulated runtime: each of their
+    reductions, the agents' own rules included, is a path of the relation."""
+    run = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode="simulated", nodes=5)
+    assert run.succeeded
+    assert agent_reductions == Counter(run.extra["rule_fires"])
 
 
-def test_simulated_trace_bit_identical(rebuild_everywhere):
-    """The simulated runtime's virtual-time trace is identical either way."""
-    workflow = diamond_workflow(6, 4, connectivity="full")
-    delta_run = GinFlow().run(workflow, mode="simulated", nodes=10)
-    rebuild_everywhere()
-    rebuild_run = GinFlow().run(workflow, mode="simulated", nodes=10)
-    assert delta_run.succeeded and rebuild_run.succeeded
-    assert delta_run.results == rebuild_run.results
-    assert delta_run.makespan == rebuild_run.makespan
-    assert delta_run.execution_time == rebuild_run.execution_time
-    assert delta_run.messages_published == rebuild_run.messages_published
-    assert delta_run.messages_delivered == rebuild_run.messages_delivered
-    assert delta_run.reduction_reactions == rebuild_run.reduction_reactions
-    assert delta_run.reduction_match_attempts == rebuild_run.reduction_match_attempts
-    assert delta_run.timeline == rebuild_run.timeline
-    assert {name: outcome.finished_at for name, outcome in delta_run.tasks.items()} == {
-        name: outcome.finished_at for name, outcome in rebuild_run.tasks.items()
-    }
+def test_the_adaptation_rules_are_on_the_relation(agent_reductions):
+    run = GinFlow().run(adaptive_diamond_workflow(3, 3, "full", "simple", duration=0.01), mode="simulated", nodes=5)
+    assert run.succeeded
+    assert {name.split(":")[0] for name in agent_reductions} >= {"trigger_adapt", "add_dst", "mv_src", "activate"}

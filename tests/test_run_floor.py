@@ -70,11 +70,11 @@ class TestSharedRules:
             for rule in core.solution.rules():
                 held.setdefault(rule.name, []).append(rule)
         # one local trigger per plan, held by each of its trigger tasks: the
-        # plan's rule bound in each, one body (search, products, delta, effect)
+        # plan's rule bound in each, one body (reaction, products, delta, effect)
         (trigger_name,) = [name for name in held if name.startswith("trigger_adapt:")]
         triggers = held.pop(trigger_name)
         assert len(triggers) == len(encoding.plans[0].trigger_tasks) > 1
-        for part in ("search", "products", "delta", "effect"):
+        for part in ("reaction", "products", "delta", "effect"):
             assert len({id(getattr(rule, part)) for rule in triggers}) == 1, part
         assert all(rule.given == triggers[0].given for rule in triggers)
         assert all(rule is rules[0] for rules in held.values() for rule in rules)
@@ -222,41 +222,16 @@ class TestActionsStayWithTheirAgent:
 #: GC-tracked objects per agent core: 73 — its five fields, their index
 #: entries, one engine — 94 before the lazily allocated lists, 187 before PR 16
 AGENT_BUDGET = 73
-#: Python-level calls per chain agent built and per steady-state stimulus: 44
-#: and 43.7 today on CPython 3.11 (44.3 after the rest of the suite: a few
-#: calls more or less with what the process ran before), pinned at the next
-#: integer up, since a solution is
-#: built by its constructor in one pass (fields and rules) and the engine
-#: tries a rule by one generated reaction, reading the candidate buckets and
-#: the rule ordering inline — 52 and 64.0 while every atom went through `add`
-#: and a match was found, then fired — since a reaction
-#: condition is a comparison the search writes inline, 65.3 while it was a
-#: closure the search called (50.0 and 63.7 on 3.12), since a rule's fire and
-#: pre-check are generated code, 72.7 while they were interpreted (70.0 on 3.12), 81.7
-#: while a firing looked up again what its search had bound, 54 and 85.7
-#: while the engine carried its batch/parallel modes and read the clock
-#: untraced, 158 and 110 while atoms, multisets, matches, reports and actions
-#: were built through generators, dataclasses and `to_atom`
-CALLS_PER_AGENT, CALLS_PER_STIMULUS = 45, 45
+#: Python-level calls per chain agent built and per steady-state stimulus,
+#: counted in a fresh interpreter (what the process ran before does not move
+#: it) on CPython 3.11 and pinned there: 44.002 and 43.998
+CALLS_PER_AGENT, CALLS_PER_STIMULUS = 44.01, 44.0
 #: Python calls per reaction inside `ReductionEngine.reduce` on the centralised
-#: montage:size=300,seed=1: 33.45 on CPython 3.11, pinned at the next integer
-#: up, since the search and the fire are one generated reaction (no match
-#: built; a binding view, its ω pending, only for a ``Call``'s external) and
-#: the engine reads the candidate buckets and the rule ordering inline,
-#: 52.60 while a rule was searched, then
-#: fired, and each level asked the multiset for both, since a reaction
-#: condition is a comparison the search writes inline (no
-#: call per condition test), 54.57 while it was a guarded closure (53.30 on
-#: 3.12), since a rule's fire and pre-check are generated
-#: code, 88.86 while they were interpreted (86.34 on 3.12) and a firing edited
-#: by the sites its match recorded, 108.9 while it walked field heads and
-#: removed by equality
-CALLS_PER_REACTION = 34
+#: montage:size=300,seed=1, counted alike: 33.42
+CALLS_PER_REACTION = 33.43
 #: Python calls per stimulus through each clock's agent driver on a 500-deep
-#: chain, AgentCore's own left out: 39.34 and 18.34 since the two clocks share
-#: one driver, 40.70 and 19.68 while each had its own — pinned at the latter,
-#: so sharing the driver may not cost a stimulus more calls than two drivers did
-DRIVER_CALLS_PER_STIMULUS = {"simulated": 40.70, "asyncio": 19.68}
+#: chain, AgentCore's own left out, counted alike: 38.34 and 17.34
+DRIVER_CALLS_PER_STIMULUS = {"simulated": 38.35, "asyncio": 17.35}
 
 
 def tracked_objects_per_item(build, items):
@@ -294,8 +269,8 @@ class TestObjectBudget:
         walkable, started, booted = [], [], []
         original, boot = AgentCore.__init__, EnactmentEngine.boot
 
-        def init(self, *args, **kwargs):
-            walkable.append((len(gc.get_objects()), gc.isenabled(), len(started)))
+        def init(self, *args, **kwargs):  # the heap is walked for the first agent only: the one read
+            walkable.append((None if walkable else len(gc.get_objects()), gc.isenabled(), len(started)))
             original(self, *args, **kwargs)
 
         def booting(self, host):
@@ -336,50 +311,84 @@ def python_calls(run):
     return result, *calls
 
 
+def agent_and_stimulus_calls():
+    """Python calls per chain agent built and per steady-state stimulus, the
+    stimuli handled, and the calls into dataclass-generated code."""
+    encoding = encode_workflow(build_scenario("longchain:size=500"))
+    tasks = list(encoding.tasks.values())
+    drive_all(encoding)  # every rule body written, every name interned
+    _, built, _ = python_calls(lambda: [AgentCore(task) for task in tasks])
+    (_, stimuli), driven, generated = python_calls(lambda: drive_all(encoding))
+    return built / len(tasks), (driven - built) / stimuli, stimuli, generated
+
+
+def centralised_reaction_calls():
+    """The reactions of the centralised montage:size=300,seed=1 and the Python
+    calls per reaction inside ``ReductionEngine.reduce``."""
+    reduce, counted = ReductionEngine.reduce, []
+
+    def counting(engine, solution):
+        report, calls, _ = python_calls(lambda: reduce(engine, solution))
+        counted.append((report.reactions, calls))
+        return report
+
+    CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))  # every rule body written
+    ReductionEngine.reduce = counting
+    try:
+        CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))
+    finally:
+        ReductionEngine.reduce = reduce
+    reactions, calls = map(sum, zip(*counted))
+    return reactions, calls / reactions
+
+
+def driver_calls_per_stimulus(mode):
+    """Whether a 500-deep chain succeeded on ``mode``, its stimuli and the driver's calls per stimulus."""
+    run = {"simulated": run_simulation, "asyncio": run_asyncio}[mode]
+    run(build_scenario("longchain:size=500"))  # every rule body written, every name interned
+    report, calls, stimuli = driver_calls(lambda: run(build_scenario("longchain:size=500")))
+    return report.succeeded, stimuli, calls / stimuli
+
+
+def measured_alone(function, *args):
+    """What ``function(*args)`` of this module returns in a fresh interpreter:
+    a call count that does not depend on what the suite ran before."""
+    script = f"import json, test_run_floor\nprint(json.dumps(test_run_floor.{function}(*{args!r})))\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": "0"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestCallBudget:
+    """Host-independent, and counted in a fresh interpreter each."""
+
     def test_calls_per_agent_and_per_stimulus(self):
-        """Host-independent: what building an agent and handling a stimulus
-        cost in Python calls, the budget of the layer that reads and updates a
-        solution — and none of them in a dataclass's generated methods."""
-        encoding = encode_workflow(build_scenario("longchain:size=500"))
-        tasks = list(encoding.tasks.values())
-        drive_all(encoding)  # every left-hand side generated, every name interned
-        _, built, _ = python_calls(lambda: [AgentCore(task) for task in tasks])
-        (_, stimuli), driven, generated = python_calls(lambda: drive_all(encoding))
-        per_agent, per_stimulus = built / len(tasks), (driven - built) / stimuli
+        """What building an agent and handling a stimulus cost in Python
+        calls, the budget of the layer that reads and updates a solution —
+        and none of them in a dataclass's generated methods."""
+        per_agent, per_stimulus, stimuli, generated = measured_alone("agent_and_stimulus_calls")
         assert stimuli == 1499 and generated == 0
         assert per_agent <= CALLS_PER_AGENT, per_agent
         assert per_stimulus <= CALLS_PER_STIMULUS, per_stimulus
 
-    def test_calls_per_reaction_of_the_centralised_engine(self, monkeypatch):
-        """Host-independent: what a reaction costs the centralised engine — one
-        level of 300 task sub-solutions, every result moved across every edge
-        by `gw_pass` — in Python calls, the services it invokes included."""
-        reduce, counted = ReductionEngine.reduce, []
-
-        def counting(engine, solution):
-            report, calls, _ = python_calls(lambda: reduce(engine, solution))
-            counted.append((report.reactions, calls))
-            return report
-
-        CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))  # every left-hand side generated
-        monkeypatch.setattr(ReductionEngine, "reduce", counting)
-        CentralizedExecutor().execute(build_scenario("montage:size=300,seed=1"))
-        reactions, calls = map(sum, zip(*counted))
+    def test_calls_per_reaction_of_the_centralised_engine(self):
+        """What a reaction costs the centralised engine — one level of 300
+        task sub-solutions, every result moved across every edge by
+        `gw_pass` — in Python calls, the services it invokes included."""
+        reactions, per_reaction = measured_alone("centralised_reaction_calls")
         assert reactions == 1190
-        assert calls / reactions <= CALLS_PER_REACTION, calls / reactions
+        assert per_reaction <= CALLS_PER_REACTION, per_reaction
 
     @pytest.mark.parametrize("mode", AGENT_MODES)
     def test_driver_calls_per_stimulus(self, mode):
-        """Host-independent: what the one agent driver costs a stimulus on each
-        clock, from the first boot to the report — the kernel or loop calls it
-        makes, the engine, the broker — so no per-stimulus indirection joins
-        the chain-aio path unseen."""
-        run = {"simulated": run_simulation, "asyncio": run_asyncio}[mode]
-        run(build_scenario("longchain:size=500"))  # every left-hand side generated, every name interned
-        report, calls, stimuli = driver_calls(lambda: run(build_scenario("longchain:size=500")))
-        assert report.succeeded and stimuli == 1499
-        assert calls / stimuli <= DRIVER_CALLS_PER_STIMULUS[mode], calls / stimuli
+        """What the one agent driver costs a stimulus on each clock, from the
+        first boot to the report — the kernel or loop calls it makes, the
+        engine, the broker — so no per-stimulus indirection joins the
+        chain-aio path unseen."""
+        succeeded, stimuli, per_stimulus = measured_alone("driver_calls_per_stimulus", mode)
+        assert succeeded and stimuli == 1499
+        assert per_stimulus <= DRIVER_CALLS_PER_STIMULUS[mode], per_stimulus
 
 
 def driver_calls(run):
@@ -441,14 +450,14 @@ def drive_all(encoding):
     return cores, stimuli
 
 
-def compiled_searches(solutions):
-    """The distinct compiled left-hand sides of every rule held in ``solutions``, nested ones included."""
-    searches, pending = {}, list(solutions)
+def rule_bodies(solutions):
+    """The distinct reactions (one per rule body) of every rule held in ``solutions``, nested ones included."""
+    reactions, pending = {}, list(solutions)
     while pending:
         solution = pending.pop()
         pending.extend(solution.nested_solutions())
-        searches.update((id(rule.search), rule.search) for rule in solution.rules())
-    return searches
+        reactions.update((id(rule.reaction), rule.reaction) for rule in solution.rules())
+    return reactions
 
 
 class TestMatcherBudget:
@@ -469,10 +478,10 @@ class TestMatcherBudget:
         assert unreachable <= 50, unreachable
 
     @pytest.mark.parametrize("size", [50, 400])
-    def test_compiled_left_hand_sides_per_run_do_not_grow_with_the_run(self, size):
+    def test_rule_bodies_per_run_do_not_grow_with_the_run(self, size):
         encoding = encode_workflow(build_scenario(f"montage:size={size},seed=1"))
-        local = compiled_searches(AgentCore(task).solution for task in encoding.tasks.values())
-        central = compiled_searches([encoding.to_multiset()])
+        local = rule_bodies(AgentCore(task).solution for task in encoding.tasks.values())
+        central = rule_bodies([encoding.to_multiset()])
         # gw_setup (shared with the agents), one gw_call for all tasks, gw_pass
         assert len(central) == 3 and len(local) == 3 and len({**local, **central}) == 5 <= 8
 

@@ -5,8 +5,11 @@ was any, pickling), held to a dataclass of the same fields as the oracle, and
 their constructor errors and sharing rules."""
 
 import dataclasses
+import os
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,6 @@ from repro.hocl import (
     FloatAtom,
     IntAtom,
     ListAtom,
-    Match,
     Multiset,
     ReductionReport,
     ScalarAtom,
@@ -119,16 +121,7 @@ class TestReports:
         assert repr(ReductionReport()).startswith("ReductionReport(reactions=0, match_attempts=0, inert=True, history=[],")
 
 
-class TestMatch:
-    def test_a_plain_mapping_is_wrapped(self):
-        atom = IntAtom(1)
-        match = Match({"x": atom}, [atom])
-        assert isinstance(match.bindings, BindingView) and match.bindings == {"x": atom}
-        assert match.consumed == [atom]
-        view = BindingView({"x": atom})
-        assert Match(bindings=view).bindings is view and Match(view).consumed == []
-        assert Match(view).consumed is not Match(view).consumed
-
+class TestBindingView:
     def test_a_view_wraps_a_dict_as_it_is_and_copies_any_other_mapping(self):
         data = {"x": IntAtom(1)}
         shared, copied = BindingView(data), BindingView(BindingView(data))
@@ -182,14 +175,21 @@ class TestAtoms:
         assert holding._mutable and ListAtom([1, Subsolution()])._mutable and not ListAtom([1, "a"])._mutable
         assert TupleAtom([plain])._mutable is False and TupleAtom([1, holding])._mutable is True
 
-    def test_symbol_interning_stops_at_the_limit(self, monkeypatch):
-        monkeypatch.setattr(Symbol, "_interned", {})
-        monkeypatch.setattr(Symbol, "_INTERN_LIMIT", 2)
-        assert Symbol("a") is Symbol("a") and Symbol("b") is Symbol("b")
-        late = Symbol("c")
-        assert late == Symbol("c") and late is not Symbol("c") and hash(late) == hash(Symbol("c"))
-        assert sorted(Symbol._interned) == ["a", "b"]
-        assert pickle.loads(pickle.dumps(Symbol("a"))) is Symbol("a")
+    def test_symbol_interning_stops_at_the_limit(self):
+        """In a fresh interpreter, whose table nothing else fills: past the
+        limit a symbol is equal to its namesakes, not one of them."""
+        script = (
+            "import pickle\nfrom repro.hocl import Symbol\n"
+            "early = Symbol('early')\n"
+            "while len(Symbol._interned) < Symbol._INTERN_LIMIT:\n    Symbol(f'filler-{len(Symbol._interned)}')\n"
+            "late = Symbol('late')\n"
+            "assert late == Symbol('late') and late is not Symbol('late') and hash(late) == hash(Symbol('late'))\n"
+            "assert early is Symbol('early') and 'late' not in Symbol._interned\n"
+            "assert pickle.loads(pickle.dumps(early)) is early\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------- the run path's records
