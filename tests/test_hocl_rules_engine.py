@@ -2,7 +2,7 @@
 
 import pytest
 
-from hocl_semantics import Chemistry, canon
+from hocl_semantics import Chemistry, canon, norm
 from reduction_reference import NaiveEngine
 
 from repro.hocl import (
@@ -13,9 +13,11 @@ from repro.hocl import (
     FloatAtom,
     IntAtom,
     ListAtom,
+    ListTemplate,
     Literal,
     Multiset,
     Omega,
+    PatternError,
     ReductionEngine,
     ReductionError,
     Ref,
@@ -23,6 +25,7 @@ from repro.hocl import (
     RuleError,
     RulePattern,
     SolutionPattern,
+    SolutionTemplate,
     Splice,
     StringAtom,
     Subsolution,
@@ -59,6 +62,90 @@ def _held_and_registry():
     registry.register("atoms", lambda args, _bindings: [held])
     registry.register("value", lambda args, _bindings: [held, 2])  # a list of values: one ListAtom
     return held, level, registry, {"x": held, "w": [held], "one": held}
+
+
+def expand(template, bindings, registry=None):
+    """What ``template`` expands to under ``bindings``: the products of one
+    reaction of a rule given them, held to the relation's expansion
+    (``hocl_semantics.py``) of the same template.  Where the fire raises, it
+    leaves the solution as it was and the relation's error is raised."""
+    rule = Rule("expand", [SymbolPattern("GO")], [template], given=bindings)
+    env = {name: [canon(atom) for atom in bound] if isinstance(bound, list) else canon(bound) for name, bound in rule.given.items()}
+    solution = Multiset([Symbol("GO"), rule])
+    try:
+        rule.reaction.run(solution, rule, registry, [], None)
+    except ReductionError:
+        assert solution.atoms() == [Symbol("GO"), rule]
+        Chemistry(registry)._expand(template, env)
+        raise AssertionError(f"the relation expands {template!r}, which the fire refused") from None
+    solution.remove_identical(rule)
+    assert canon(solution) == norm(("sol", tuple(Chemistry(registry)._expand(template, env))))
+    return solution.atoms()
+
+
+class TestTemplates:
+    """Each template, expanded by a rule's generated fire and by the relation."""
+
+    def test_ref_expands_bound_atom(self):
+        assert expand(Ref("x"), {"x": IntAtom(1)}) == [IntAtom(1)]
+
+    def test_ref_unbound_raises(self):
+        with pytest.raises(PatternError):
+            expand(Ref("x"), {})
+
+    def test_ref_on_omega_binding_raises(self):
+        with pytest.raises(PatternError):
+            expand(Ref("w"), {"w": [IntAtom(1)]})
+
+    def test_splice_expands_list(self):
+        assert expand(Splice("w"), {"w": [IntAtom(1), IntAtom(2)]}) == [IntAtom(1), IntAtom(2)]
+
+    def test_splice_single_value(self):
+        assert expand(Splice("w"), {"w": IntAtom(1)}) == [IntAtom(1)]
+
+    def test_tuple_template(self):
+        atoms = expand(TupleTemplate(Symbol("SRC"), Splice("w")), {"w": [IntAtom(1)]})
+        assert atoms[0].elements == (Symbol("SRC"), IntAtom(1))
+
+    def test_solution_template(self):
+        atoms = expand(SolutionTemplate(1, 2), {})
+        assert atoms[0] == Subsolution([1, 2])
+
+    def test_list_template(self):
+        atoms = expand(ListTemplate(1, Splice("w")), {"w": [IntAtom(2)]})
+        assert atoms[0] == ListAtom([1, 2])
+
+    def test_call_requires_registry(self):
+        with pytest.raises(ExternalFunctionError):
+            expand(Call("list", 1), {})
+
+    def test_call_invokes_registered_function(self):
+        registry = default_registry()
+        atoms = expand(Call("list", 1, 2), {}, registry)
+        assert atoms == [ListAtom([1, 2])]
+
+    def test_call_none_produces_nothing(self):
+        registry = default_registry()
+        registry.register("nothing", lambda args, _bindings: None)
+        assert expand(Call("nothing"), {}, registry) == []
+
+    def test_call_value_coerced(self):
+        registry = default_registry()
+        registry.register("seven", lambda args, _bindings: 7)
+        assert expand(Call("seven"), {}, registry) == [IntAtom(7)]
+
+    @pytest.mark.parametrize(
+        "template",
+        [Ref("x"), Splice("w"), Splice("one"), Call("atom"), Call("atoms"), Call("value")],
+        ids=["Ref", "Splice", "Splice of one", "Call atom", "Call atoms", "Call value"],
+    )
+    def test_an_expansion_holding_a_solution_is_a_copy(self, template):
+        """A solution has one holder: what expansion reads off a binding, or an
+        external hands back, joins a solution as a copy."""
+        held, level, registry, given = _held_and_registry()
+        (atom,) = expand(template, given, registry)
+        assert atom == (ListAtom([held, 2]) if getattr(template, "function", None) == "value" else held)
+        assert level.atoms() == [held] and held.elements[1].solution._holder[0] is level
 
 
 class TestTheGeneratedFire:

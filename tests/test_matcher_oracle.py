@@ -18,7 +18,9 @@ the contract the engine relies on:
   rule body at once;
 * ω laziness, counted not timed: no remainder is copied for a ``gw_pass``
   firing, local or centralised, whatever the fan-in; an effect reads the
-  pre-reaction remainder; a read after the solution changed raises.
+  pre-reaction remainder; a read after the solution changed raises;
+* a pattern class of the caller's own, which writes its own lines, held to
+  the relation told what it means.
 """
 
 import os
@@ -31,7 +33,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hocl_semantics import Chemistry, canon
+from hocl_semantics import Chemistry, _bound, canon
 from reduction_reference import walk_the_relation, watch_reactions
 from repro import GinFlow, diamond_workflow
 from repro.hocl import (
@@ -294,7 +296,15 @@ class TestOnTheRelation:
 
     @pytest.mark.parametrize(
         "initial, matches",
-        [({"x": IntAtom(2), "ws0": [IntAtom(1)]}, 1), ({"x": IntAtom(2), "ws0": [IntAtom(9)]}, 0), ({"ws0": [IntAtom(1)]}, 1), ({"ws0": IntAtom(1)}, 0)],
+        [
+            ({"x": IntAtom(2), "ws0": [IntAtom(1)]}, 1),  # a variable and an omega name, both held to
+            ({"x": IntAtom(2), "ws0": [IntAtom(9)]}, 0),
+            ({"x": IntAtom(2)}, 2),  # the variable only: either remainder
+            ({"ws0": [IntAtom(1)]}, 1),  # the remainder only: `x` is what is not in it
+            ({"ws0": IntAtom(1)}, 0),  # an atom where a list is bound: never equal
+            ({"x": [IntAtom(2)]}, 0),  # and a list where an atom is
+            ({"elsewhere": Symbol("A"), "x": IntAtom(3)}, 1),
+        ],
     )
     def test_a_given_variable_and_omega_are_held_to(self, initial, matches):
         patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), SolutionPattern(Var("x"), rest=Omega("ws0")))]
@@ -367,6 +377,16 @@ class TestTheGeneratedText:
         gw_pass = make_gw_pass()
         ReductionEngine().reduce(Multiset([TupleAtom([Symbol("T"), Subsolution()]), gw_pass]))
         assert gw_pass.reaction.__source__ != first.reaction.__source__
+
+    def test_nothing_is_generated_until_the_first_search(self):
+        """A rule's reaction is written when it first reacts, named after that
+        rule (the variable names, which its text holds, are this test's own)."""
+        rule = Rule("late", [Var("late_x", kind="int"), Var("late_y", kind="symbol")], [])
+        assert not hasattr(rule.reaction, "__source__")
+        assert ReductionEngine().reduce(Multiset([1, Symbol("A"), rule])).reactions == 1
+        code = rule.reaction.run.__code__
+        assert code.co_filename.startswith("<hocl-reaction late #") and "v_late_x" in rule.reaction.__source__
+        assert ReductionEngine().reduce(Multiset([rule])).reactions == 0 and rule.reaction.run.__code__ is code
 
     def test_the_text_does_not_depend_on_the_hash_seed(self):
         texts = {_child(_SOURCES, hash_seed=seed) for seed in ("0", "1", "4242")}
@@ -567,7 +587,106 @@ class TestOmegaIsBoundOnDemand:
 
 
 # ------------------------------------------------------- patterns from outside
+class Even(Pattern):
+    """A pattern class the engine does not ship: an even integer, bound to
+    ``name``, and its half, bound to ``half_<name>``.  It writes its own lines."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def emit(self, out, atom):
+        out.line(f"if {self.reject(out, atom)} or {atom}.value % 2: continue")
+        out.bind(self.name, atom)
+        half = out.local("half")
+        out.line(f"{half} = {out.const(IntAtom)}({atom}.value // 2)")
+        out.bind(f"half_{self.name}", half)
+
+    def reject(self, out, atom):
+        return f"{atom}.kind != 'int'"
+
+    def bound_names(self):
+        return {self.name, f"half_{self.name}"}
+
+    def index_key(self):
+        return ("kind", "int")
+
+
+class EvenChemistry(Chemistry):
+    """The relation, told what :class:`Even` means."""
+
+    def match(self, pattern, value, env):
+        if not isinstance(pattern, Even):
+            yield from super().match(pattern, value, env)
+        elif getattr(value, "kind", None) == "int" and value.value % 2 == 0:
+            for bound in _bound(env, pattern.name, value):
+                yield from _bound(bound, f"half_{pattern.name}", IntAtom(value.value // 2))
+
+
+def _even_matches(rule, level):
+    return list(EvenChemistry().matches(rule, canon(level)[1]))
+
+
 class TestAPatternClassOfTheCallersOwn:
+    def test_it_is_matched_through_its_own_lines(self):
+        rule = _probe([Var("x", kind="int"), TuplePattern(SymbolPattern("T"), Even("x"), Even("y"))])
+        level = Multiset([2, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 3, 6]), rule])
+        ((bindings, _taken),) = _even_matches(rule, level)
+        assert bindings == {"x": IntAtom(4), "half_x": IntAtom(2), "y": IntAtom(6), "half_y": IntAtom(3)}
+        assert walk_the_relation(level, chemistry=EvenChemistry()) == {"probe": 1}
+
+    @pytest.mark.parametrize(
+        "initial, matches",
+        [(None, 2), ({"x": IntAtom(4)}, 2), ({"half_y": IntAtom(3)}, 2), ({"half_y": IntAtom(2)}, 0), ({"x": IntAtom(6)}, 0)],
+    )
+    def test_what_it_binds_holds_before_and_after_it(self, initial, matches):
+        """Its bindings are the environment from there on: a variable it binds
+        holds a later pattern to it, and one bound before (or given) holds it."""
+        patterns = [Even("x"), TuplePattern(SymbolPattern("T"), Var("x"), Even("y")), Var("half_y"), Even("x")]
+        rule = _probe(patterns, initial=initial)
+        level = Multiset([2, 4, 3, 6, 4, TupleAtom([Symbol("T"), 4, 6]), TupleAtom([Symbol("T"), 2, 4]), rule])
+        assert len(_even_matches(rule, level)) == matches
+        assert walk_the_relation(level, chemistry=EvenChemistry())["probe"] == bool(matches)
+
+    def test_a_refuted_candidate_is_not_matched(self):
+        """Clock-free: what its pre-check (``reject``) refutes costs that test —
+        the search does not go on into the candidate to fail there."""
+        asked = []
+
+        class Counted(Even):
+            __slots__ = ()
+
+            def emit(self, out, atom):
+                out.line(f"{out.const(asked.append)}({atom})")
+                Even.emit(self, out, atom)
+
+        rule = Rule("halve", [TuplePattern(Var("h"), Counted("x"))], [Ref("half_x")])  # head-less: a memory, so the pre-check runs
+        atoms = [TupleAtom([Symbol("A"), Symbol("no")]), TupleAtom([Symbol("B"), 4]), TupleAtom([Symbol("C"), Symbol("no")])]
+        level = Multiset([*atoms, rule])
+        assert ReductionEngine().reduce(level).rule_fires == {"halve": 1}
+        assert asked == [IntAtom(4)] and level.count(IntAtom(2)) == 1
+
+    def test_past_twenty_nested_blocks_too(self):
+        """In the nested function of a deep left-hand side: a variable bound
+        outside it, compared inside it, and bound again past the class's lines."""
+        patterns = [TuplePattern(SymbolPattern(f"H{index}"), Var(f"x{index}")) for index in range(20)]
+        patterns += [Var("x3", kind="int"), Even("e"), Var("x3"), Var("half_e")]
+        atoms = [TupleAtom([Symbol(f"H{index}"), index]) for index in range(20)] + [IntAtom(3), IntAtom(3), IntAtom(6), IntAtom(4), IntAtom(2)]
+        for initial in (None, {"x3": IntAtom(3)}, {"e": IntAtom(4)}, {"e": IntAtom(6)}):
+            rule = _probe(patterns, initial=initial)
+            level = Multiset([*atoms, rule])
+            matches = _even_matches(rule, level)
+            assert len(matches) == (0 if initial == {"e": IntAtom(6)} else 2)  # half of 6 is taken twice already
+            assert walk_the_relation(level, chemistry=EvenChemistry())["probe"] == bool(matches)
+            assert "def deeper():" in rule.reaction.__source__
+
+    def test_it_fires_in_a_rule(self):
+        halve = Rule("halve", [Even("n")], [Ref("half_n")])
+        solution = Multiset([12, 5, halve])
+        assert walk_the_relation(solution, chemistry=EvenChemistry()) == {"halve": 2}
+        assert sorted(atom.value for atom in solution if atom.kind != "rule") == [3, 5]
+
     def test_one_that_writes_no_code_is_refused(self):
         class Nothing(Pattern):
             __slots__ = ()

@@ -3,10 +3,10 @@ reaction (``repro.hocl.deltas.Reaction``), one generated function per rule
 body, on the search's own locals.
 
 Each reaction is a step of HOCL's one-step relation (``hocl_semantics.py``),
-here on random rules and where an edit gives a refuted entry back (past
-CPython's twenty nested blocks: ``test_matcher_oracle.py``); and here is what it does *not* do: build a
-binding view nobody reads, time its phases out of order, or leave a
-half-fired solution behind.
+here on random rules, where an edit gives a refuted entry back, and past
+CPython's twenty nested blocks with a pattern class of the caller's own; and
+here is what it does *not* do: build a binding view nobody reads, time its
+phases out of order, or leave a half-fired solution behind.
 """
 
 import pytest
@@ -14,12 +14,13 @@ from hypothesis import given, note, settings
 
 from hocl_semantics import Chemistry, norm, ordered
 from reduction_reference import walk_the_relation
-from test_matcher_oracle import _EXAMPLES
+from test_matcher_oracle import _EXAMPLES, Even, EvenChemistry
 from test_rule_summary import _rules
 
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     Call,
+    IntAtom,
     Multiset,
     Omega,
     ReductionEngine,
@@ -117,6 +118,19 @@ class TestOneReactionIsAStepOfTheRelation:
         rule, level = program
         note(f"{rule.patterns} -> {rule.products}, {rule.condition}, given {rule.given}, keep_matched {rule.keep_matched}")
         _on_the_relation(rule, level)
+
+    @pytest.mark.parametrize("given", [{}, {"w": [IntAtom(8)]}, {"w": [IntAtom(9)]}], ids=["nothing given", "its omega given", "another omega given"])
+    def test_past_twenty_nested_blocks_and_a_pattern_from_outside(self, given):
+        """A reaction deeper than CPython's twenty blocks goes on in a nested
+        function: memories closed, ω copied and the fire run in there."""
+        patterns = [TuplePattern(SymbolPattern(f"H{index}"), Var(f"x{index}")) for index in range(20)]
+        patterns += [Var("x3", kind="int"), Even("e"), SolutionPattern(Var("x7"), rest=Omega("w")), Var("half_e")]
+        products = [TupleTemplate(Symbol("OUT"), Ref("half_e"), SolutionTemplate(Splice("w"))), Ref("x0")]
+        rule = Rule("deep", patterns, products, given=given)
+        level = Multiset([TupleAtom([Symbol(f"H{index}"), index]) for index in range(20)] + [3, 3, 6, 4, 2, Subsolution([7, 8]), rule])
+        fired = walk_the_relation(level, _externals(), EvenChemistry(_externals()), bound=12)
+        assert "def deeper():" in rule.reaction.__source__
+        assert fired == ({} if given == {"w": [IntAtom(9)]} else {"deep": 1})
 
     def test_the_memories_close_before_the_fire_edits(self):
         """``move``'s search refutes ``T1 : <>`` (its body is empty) and its

@@ -20,8 +20,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hocl_semantics import Chemistry, canon
-from reduction_reference import NaiveEngine, assert_on_the_relation, reduce_workflow, trace, walk_the_relation, workflow_externals
+from hocl_semantics import Chemistry, canon, ordered
+from test_hocl_multiset import compiled_reject
+from reduction_reference import (
+    NaiveEngine,
+    assert_on_the_relation,
+    reduce_workflow,
+    trace,
+    walk_the_relation,
+    watch_reactions,
+    workflow_externals,
+)
 from repro.executors.centralized import CentralizedExecutor
 from repro.hocl import (
     AtomError,
@@ -74,7 +83,14 @@ ARITHMETIC.register("pred", _integers(lambda x: x - 1))
 
 
 class TestWorkflowTraceParity:
-    """Montage and the other families: ``TestRuntimeParity``."""
+    """The paper's two shapes here; every family: ``TestRuntimeParity``."""
+
+    @pytest.mark.parametrize("projections", [5, 30])
+    def test_montage_trace_identical(self, projections):
+        incremental, _, _ = reduce_workflow(montage_workflow(projections=projections))
+        naive, _, _ = reduce_workflow(montage_workflow(projections=projections), NaiveEngine)
+        assert trace(incremental) == trace(naive)
+        assert incremental.match_attempts <= naive.match_attempts
 
     @pytest.mark.parametrize("width,depth", [(3, 3), (6, 4)])
     def test_fully_connected_diamond_trace_identical(self, width, depth):
@@ -89,8 +105,37 @@ class TestWorkflowTraceParity:
 
 
 class TestRejectionCacheInvalidation:
-    """A quick-reject verdict must never survive a relevant mutation (the
-    verdicts themselves: ``test_hocl_multiset.py``)."""
+    """A quick-reject verdict must never survive a relevant mutation: a
+    pattern's pre-check (what its ``reject`` writes) refutes an atom only while
+    the relation finds no match of the pattern on it."""
+
+    def test_solution_pattern_rejection_expires_on_mutation(self):
+        pattern = SolutionPattern(Var("x"), rest=Omega("w"))
+        rejects, empty = compiled_reject(pattern), Subsolution()
+        assert rejects(empty)  # needs at least one atom
+        assert rejects(empty)
+        empty.solution.add(1)
+        assert not rejects(empty)
+        assert len(list(Chemistry().match(pattern, canon(empty), {}))) == 1
+
+    def test_tuple_pattern_rejection_expires_on_nested_mutation(self):
+        # RES : <w> with an atom inside — the task-field idiom of gw_call
+        pattern = TuplePattern(SymbolPattern("RES"), SolutionPattern(Var("res"), rest=Omega("w")))
+        rejects, res = compiled_reject(pattern), TupleAtom([Symbol("RES"), Subsolution()])
+        assert rejects(res)
+        assert rejects(res)
+        res.elements[1].solution.add("value")
+        assert not rejects(res)
+        assert list(Chemistry().match(pattern, canon(res), {}))
+
+    def test_immutable_tuple_rejection_is_permanent_and_sound(self):
+        pattern = TuplePattern(SymbolPattern("SRC"), Var("x"))
+        rejects, other, matching = compiled_reject(pattern), TupleAtom([Symbol("DST"), 1]), TupleAtom([Symbol("SRC"), 2])
+        assert rejects(other)
+        assert rejects(other)
+        assert not list(Chemistry().match(pattern, canon(other), {}))
+        assert not rejects(matching)
+        assert list(Chemistry().match(pattern, canon(matching), {}))
 
     def test_engine_refires_after_inertness_with_new_atoms(self):
         # a rule refuted by the quick checks must fire once its atom appears
@@ -403,7 +448,8 @@ class TestBookkeepingScaling:
 
 class TestInPlaceReactions:
     """Clock-free: a reaction costs what it changes.  Kept anchors stay put,
-    and a rule-free field body is never visited."""
+    a rule-free field body is never visited, and every reaction fires its rule
+    at the first match the relation enumerates on its level."""
 
     @staticmethod
     def _agent(task, width=2):
@@ -475,6 +521,48 @@ class TestInPlaceReactions:
         visited.clear()
         core.receive_result("T_1_2", "y")
         assert list(visited) == [id(core.solution), id(body)]
+
+    @staticmethod
+    def _checked_reactions(chemistry, searches):
+        """A reaction watcher: each reaction, at any depth, fires its rule at
+        the first match :meth:`Chemistry.matches` enumerates on the level before
+        it — the level after it is that match fired — or fires nothing where
+        there is none."""
+
+        def checked(run, solution, owner, externals, effects, clock):
+            atoms = ordered(solution)[1]
+            first = next(chemistry.matches(owner, atoms), None)
+            fired = run(solution, owner, externals, effects, clock)
+            searches["reaction"] += 1
+            assert (fired is None) == (first is None), owner.name
+            if first is not None:  # the engine, not the reaction, takes a one-shot rule out
+                assert canon(solution) == chemistry._fire(owner, None, first, atoms), owner.name
+            return fired
+
+        return checked
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_first_match_is_the_enumerators_first_on_every_family(self, family, monkeypatch):
+        encoding = encode_workflow(build_scenario(f"{family}:size=12,seed=1"))
+        externals, searches = workflow_externals(encoding, once=True), Counter()
+        watch_reactions(monkeypatch, self._checked_reactions(Chemistry(externals), searches))
+        report = ReductionEngine(externals=externals).reduce(encoding.to_multiset())
+        assert report.inert
+        assert searches["reaction"] == report.match_attempts > 0
+
+    @given(cells=_CELLS, refills=_REFILLS, take_first=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_first_match_is_the_enumerators_first_on_random_programs(self, cells, refills, take_first):
+        searches = Counter()
+        solution = TestOnTheRelation._cells_program(cells, take_first)
+        with pytest.MonkeyPatch.context() as patch:
+            watch_reactions(patch, self._checked_reactions(Chemistry(ARITHMETIC), searches))
+            engine = ReductionEngine(externals=ARITHMETIC)
+            for round_ in [[]] + refills:
+                for cell, value in round_:
+                    TestOnTheRelation._refill(solution, cell % len(cells), value)
+                assert engine.reduce(solution).inert
+        assert searches["reaction"] > 0
 
 
 class TestFlagsSurviveFailure:

@@ -25,9 +25,10 @@ what the reactions one at a time reach.  The evidence:
 * **property-based differential** — hypothesis draws drain-shaped two-field
   rules with random keep / drop / add edits and random solutions, each
   firing on the relation;
-* **end-to-end** — every reduction an agent makes while a simulated run
-  enacts each scenario family is on the relation (the centralised ones are,
-  in ``test_reduction_parity.py``).
+* **end-to-end** — every reduction a run makes while it enacts each scenario
+  family on each runtime (the agents' on the simulated and the asyncio one,
+  the centralised executor's one) is on the relation, and so is a diamond's;
+  the check leaves a fully connected diamond's simulated run as it is.
 """
 
 import re
@@ -824,8 +825,8 @@ def test_two_field_edits_are_on_the_relation(program):
 # ------------------------------------------------------------ runtime parity
 @pytest.fixture
 def agent_reductions(monkeypatch):
-    """Every reduction a run's agents make held to the relation first, on a
-    copy: the rules it fires, counted."""
+    """Every reduction a run makes held to the relation first, on a copy:
+    the rules it fires, counted."""
     reduce, walked, walking = ReductionEngine.reduce, Counter(), []
 
     def checked(engine, solution):
@@ -846,12 +847,13 @@ def agent_reductions(monkeypatch):
     return walked
 
 
+@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
 @pytest.mark.parametrize("family", available_scenarios())
-def test_every_agent_reduction_is_on_the_relation(family, agent_reductions):
-    """Every family enacted by agents on the simulated runtime: each of their
-    reductions, the agents' own rules included, is a path of the relation."""
-    run = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode="simulated", nodes=5)
-    assert run.succeeded
+def test_every_reduction_of_a_run_is_on_the_relation(family, mode, agent_reductions):
+    """Every family enacted on every runtime: each reduction the run makes,
+    the agents' own rules included, is a path of the relation."""
+    run = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode=mode, nodes=5)
+    assert run.succeeded and sum(agent_reductions.values()) == run.reduction_reactions > 0
     assert agent_reductions == Counter(run.extra["rule_fires"])
 
 
@@ -859,3 +861,31 @@ def test_the_adaptation_rules_are_on_the_relation(agent_reductions):
     run = GinFlow().run(adaptive_diamond_workflow(3, 3, "full", "simple", duration=0.01), mode="simulated", nodes=5)
     assert run.succeeded
     assert {name.split(":")[0] for name in agent_reductions} >= {"trigger_adapt", "add_dst", "mv_src", "activate"}
+
+
+@pytest.mark.parametrize("mode", ["simulated", "asyncio", "centralized"])
+def test_a_diamond_on_every_runtime_is_on_the_relation(mode, agent_reductions):
+    run = GinFlow().run(diamond_workflow(4, 3), mode=mode, nodes=5)
+    assert run.succeeded and sum(agent_reductions.values()) == run.reduction_reactions > 0
+    assert agent_reductions == Counter(run.extra["rule_fires"])
+
+
+def test_simulated_trace_bit_identical(request):
+    """A fully connected diamond's reductions are on the relation, and holding
+    them to it (on copies) leaves the simulated run as it is unchecked: the
+    runs checked are the runs that happen."""
+    workflow = diamond_workflow(6, 4, connectivity="full")
+    unchecked = GinFlow().run(workflow, mode="simulated", nodes=10)
+    reductions = request.getfixturevalue("agent_reductions")
+    checked = GinFlow().run(workflow, mode="simulated", nodes=10)
+    assert unchecked.succeeded and checked.succeeded
+    assert sum(reductions.values()) == checked.reduction_reactions == unchecked.reduction_reactions
+    assert checked.results == unchecked.results
+    assert checked.makespan == unchecked.makespan and checked.execution_time == unchecked.execution_time
+    assert checked.messages_published == unchecked.messages_published
+    assert checked.messages_delivered == unchecked.messages_delivered
+    assert checked.reduction_match_attempts == unchecked.reduction_match_attempts
+    assert checked.timeline == unchecked.timeline
+    assert {name: outcome.finished_at for name, outcome in checked.tasks.items()} == {
+        name: outcome.finished_at for name, outcome in unchecked.tasks.items()
+    }
