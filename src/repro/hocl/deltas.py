@@ -73,7 +73,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from .atoms import Atom, ListAtom, Subsolution, Symbol, TupleAtom, from_atom, to_atom
 from .errors import AtomError, ExternalFunctionError, PatternError, ReductionError
 from .multiset import _EMPTY, atom_index_keys
-from .patterns import UNBOUND, BindingView, Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, _Rest, solution_patterns, value_of
+from .patterns import UNBOUND, BindingView, Literal, Pattern, SolutionPattern, Source, TuplePattern, Var, _Rest, same_atoms
+from .patterns import solution_patterns, value_of
 from .templates import Call, ListTemplate, Ref, SolutionTemplate, Splice, Template, TupleTemplate, coerce, display, emit_template
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -87,7 +88,7 @@ _NAMES = {
     "U": UNBOUND, "NOTHING": {}, "EMPTY": _EMPTY, "Symbol": Symbol, "TupleAtom": TupleAtom,
     "Subsolution": Subsolution, "ListAtom": ListAtom, "Rest": _Rest, "View": BindingView,
     "coerce": coerce, "PatternError": PatternError, "ExternalFunctionError": ExternalFunctionError,
-    "ReductionError": ReductionError, "value_of": value_of, "from_atom": from_atom,
+    "ReductionError": ReductionError, "value_of": value_of, "from_atom": from_atom, "same_atoms": same_atoms,
 }  # fmt: skip
 #: source text -> the factory it defines: ``factory(c0, c1, ...)`` is the reaction of one rule body
 _FACTORIES: dict[str, Callable[..., Any]] = {}
@@ -109,16 +110,11 @@ def _load(text: str, filename: str) -> Callable[..., Any]:
     return factory
 
 
-def _layout(patterns: Sequence[Pattern]) -> tuple[list[Any], list[int], list[str]]:
-    """The index key of each pattern, those that are broad (a kind bucket, or
-    none: searched through a memory), and the locals of their memories."""
-    keys = [pattern.index_key() for pattern in patterns]
-    broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]
-    return keys, broad, [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
-
-
-def _loops(out: Source, patterns: Sequence[Pattern], condition: "Compare | None") -> tuple[list[str], list[str]]:
-    """Write into ``out`` the loops of the search of ``patterns`` under
+def _loops(
+    out: Source, patterns: Sequence[Pattern], keys: Sequence[Any], broad: Sequence[int], condition: "Compare | None"
+) -> tuple[list[str], list[str]]:
+    """Write into ``out`` the loops of the search of ``patterns`` (their index
+    ``keys``, the ``broad`` ones searched through a memory) under
     ``condition``, up to where a match holds; the locals of the entry and of
     the atom each pattern took.
 
@@ -134,7 +130,6 @@ def _loops(out: Source, patterns: Sequence[Pattern], condition: "Compare | None"
     however it ends.  Any other bucket is short, and read live: nothing
     mutates the solution while a search runs.
     """
-    keys, broad, _opened = _layout(patterns)
     entries: list[str] = []
     atoms: list[str] = []
     for index, (pattern, key) in enumerate(zip(patterns, keys)):
@@ -164,29 +159,6 @@ def _loops(out: Source, patterns: Sequence[Pattern], condition: "Compare | None"
     if condition is not None:
         condition.emit(out)
     return entries, atoms
-
-
-def _frame(out: Source, patterns: Sequence[Pattern], function: str, signature: str, before: list[str]) -> tuple[str, list[Any]]:
-    """The text of the factory of ``function`` whose body is what
-    ``out`` holds, its memories closed however it ends, and the constants it names."""
-    _keys, broad, opened = _layout(patterns)
-    head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):", f"    def {function}({signature}):", *before]
-    if out.initial:
-        head.append("        if initial_bindings:")
-        head.append("            get = initial_bindings.get")
-        head.extend(f"            {held} = get({name!r}, U)" for name, held in out.initial.items())
-        head.append("        else:")
-        head.append(f"            initial_bindings = NOTHING; {' = '.join(out.initial.values())} = U")
-    else:
-        head.append("        if not initial_bindings: initial_bindings = NOTHING")
-    tail = []
-    if broad:
-        head.append(f"        {' = '.join(opened)} = None")
-        head.extend(f"        r{index} = []" for index in broad)
-        head.append("        try:")
-        tail.append("        finally:")
-        tail.extend(f"            if m{index} is not None: m{index}.close(r{index})" for index in broad)
-    return "\n".join([*head, *out.lines, *tail, f"    return {function}", ""]), out.constants
 
 
 def _span(pattern: Pattern) -> int:
@@ -537,9 +509,11 @@ class Reaction:
     def _write(rule: Any) -> tuple[str, list[Any]]:
         """The text of the reaction of ``rule`` and the constants it names."""
         patterns, delta = rule.patterns, rule.delta
-        _keys, broad, opened = _layout(patterns)
+        keys = [pattern.index_key() for pattern in patterns]
+        broad = [index for index, key in enumerate(keys) if key is None or key[0] == "kind"]  # a kind bucket, or none
+        opened = [f"{stem}{index}" for index in broad for stem in "md"]  # memory and its entries, once a pattern got that far
         out = Fire(patterns, 3 if broad else 2, 1 if broad else 0, opened)
-        entries, atoms = _loops(out, patterns, rule.condition)
+        entries, atoms = _loops(out, patterns, keys, broad, rule.condition)
         if atoms:  # by identity: rules are equal by name
             out.line(f"if {' or '.join(f'{atom} is owner' for atom in atoms)}: continue")
         out.sited = [*entries, *out.sites]
@@ -564,8 +538,25 @@ class Reaction:
         kept = len(patterns) - len(delta.consume)
         out.line(f"return {f'{kept} + len({added})' if isinstance(added, str) else kept + len(added)}, searched")
         out.close()
-        before = ["        initial_bindings = owner.given"]
-        return _frame(out, patterns, "react", "solution, owner, externals, effects, clock", before)
+        # the frame: the given bindings read, the memories closed however the search ends
+        head = [f"def factory({', '.join(f'c{index}' for index in range(len(out.constants)))}):"]
+        head += ["    def react(solution, owner, externals, effects, clock):", "        initial_bindings = owner.given"]
+        if out.initial:
+            head.append("        if initial_bindings:")
+            head.append("            get = initial_bindings.get")
+            head.extend(f"            {held} = get({name!r}, U)" for name, held in out.initial.items())
+            head.append("        else:")
+            head.append(f"            initial_bindings = NOTHING; {' = '.join(out.initial.values())} = U")
+        else:
+            head.append("        if not initial_bindings: initial_bindings = NOTHING")
+        tail = []
+        if broad:
+            head.append(f"        {' = '.join(opened)} = None")
+            head.extend(f"        r{index} = []" for index in broad)
+            head.append("        try:")
+            tail.append("        finally:")
+            tail.extend(f"            if m{index} is not None: m{index}.close(r{index})" for index in broad)
+        return "\n".join([*head, *out.lines, *tail, "    return react", ""]), out.constants
 
 
 class RuleSummary:

@@ -92,6 +92,22 @@ class _Rest:
         return self.solution.remainder(self.used)
 
 
+def same_atoms(bound: Any, rest: list[Atom]) -> bool:
+    """Whether ``bound`` is a list of the atoms of ``rest``, a solution's ω, each
+    as often and in any order: a multiset's atoms have no order to compare."""
+    if not isinstance(bound, list) or len(bound) != len(rest):
+        return False
+    unmatched = list(rest)
+    for atom in bound:
+        for at, other in enumerate(unmatched):
+            if other == atom:
+                del unmatched[at]
+                break
+        else:
+            return False
+    return True
+
+
 def value_of(bound: Any) -> Any:
     """The plain Python value of what a variable is bound to: an atom's, or each of a list's."""
     return [from_atom(item) for item in bound] if isinstance(bound, list) else from_atom(bound)
@@ -240,6 +256,10 @@ class Source:
         builds a new list), or hold it to what it is bound to already."""
         # a list (an omega) never equals an atom, whichever came first
         same = "{0} is {1} or {0} == {1}" if value.isidentifier() else "{0} == {1}"
+        if name in self.lazy:  # a solution's remainder, unless given: that compares in no order
+            held, (solution, used) = self.bound[name], self.lazy[name]
+            self.line(f"if not ({held} == {value} if {held} is not U else same_atoms({value}, {solution}.remainder({used}))): continue")
+            return
         if name in self.bound:
             self.line(f"if not ({same.format(self.read(name), value)}): continue")
             return
@@ -250,16 +270,18 @@ class Source:
         self.line(f"elif not ({same.format(held, value)}): continue")
 
     def remainder(self, name: str, solution: str, taken: list[str]) -> None:
-        """Bind omega ``name`` to the atoms of ``solution`` but those of the ``taken`` entries, not copied yet."""
+        """Bind omega ``name`` to the atoms of ``solution`` but those of the
+        ``taken`` entries, not copied yet; what it is held to compares with them
+        in no order."""
         used = f"[{', '.join(taken)}]"
         if name in self.bound:
-            self.line(f"if not ({self.read(name)} == {solution}.remainder({used})): continue")
+            self.line(f"if not same_atoms({self.read(name)}, {solution}.remainder({used})): continue")
             return
         before = self.held(name)
         held = self.bound[name] = "v" + self._ident(name)
         self.lazy[name] = solution, used
         self.line(f"{held} = {before}")
-        self.line(f"if {held} is not U and not ({held} == {solution}.remainder({used})): continue")
+        self.line(f"if {held} is not U and not same_atoms({held}, {solution}.remainder({used})): continue")
 
     def read(self, name: str, pending: bool = False) -> str:
         """An expression for what variable ``name`` is bound to right now, an ω

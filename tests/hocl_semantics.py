@@ -1,11 +1,11 @@
 """HOCL's one-step relation, stated apart from the engine (a helper module, not a test file).
 
-This is the chemistry of the paper's Section II, transcribed as directly as
-Python allows: a solution takes one step by firing one rule on one admissible
-match, and it ends when it is inert.  It reads the pattern, template and rule
-objects as data and shares no code with ``repro.hocl.engine``, ``deltas`` or
-the generated search: it matches by walking the pattern tree and fires by
-removing every matched atom and adding the expanded products.
+The chemistry of the paper's Section II, transcribed as directly as Python
+allows: a solution takes one step by firing one rule on one admissible match,
+and ends when inert.  It reads patterns, templates and rules as data and
+shares no code with ``repro.hocl.engine``, ``deltas`` or the generated search:
+it matches by walking the pattern tree and fires by removing every matched
+atom and adding the expanded products.
 
 * A **solution** is a canonical, hashable value: ``("sol", atoms)`` with the
   atoms sorted, a nested solution in the same form, a tuple
@@ -24,9 +24,10 @@ removing every matched atom and adding the expanded products.
   atom of its level or as a field of a tuple atom (how a task's fields are
   encoded); one held deeper, in a list or a tuple inside a tuple, is data.
   At one level only the rules of the highest priority that can fire do.
-  Atoms compare as the engine's do (:func:`same`): structurally, rules by name.
-* :meth:`Chemistry.normal_forms` is every inert solution an exhaustive search
-  reaches.
+  Atoms compare as the engine's do (:func:`same`): structurally, rules by
+  name; a solution's ω, a :class:`Bag`, in no order: spliced into a tuple it
+  takes every order (an external is handed it in the relation's).
+* :meth:`Chemistry.normal_forms` is every inert solution exhaustive search reaches.
 * :meth:`Chemistry.first_step` is the promise the engine adds: at a level
   whose nested solutions are inert, the first rule in priority order (then
   entry order) fires at its first match in enumeration order — patterns in
@@ -35,6 +36,7 @@ removing every matched atom and adding the expanded products.
 """
 
 import operator
+from itertools import permutations
 
 from repro.hocl import ExternalFunctionError, ListAtom, Literal, Multiset, PatternError, Ref, Rule, RulePattern
 from repro.hocl import SolutionPattern, Splice, Subsolution, Symbol, TupleAtom, TuplePattern, Var, from_atom, to_atom
@@ -47,8 +49,7 @@ _BUILT = {"sol": Subsolution, "tuple": TupleAtom, "list": ListAtom}
 
 
 class Molecule:
-    """A rule as a value: the rule object itself, as the engine tells a rule
-    from its twins (a rule never consumes itself)."""
+    """A rule as a value: the rule object itself (a rule never consumes itself, only its twins)."""
 
     __slots__ = ("rule",)
     kind = "rule"
@@ -64,6 +65,10 @@ class Molecule:
 
     def __repr__(self):
         return f"Molecule({self.rule.name!r}, {id(self.rule):#x})"
+
+
+class Bag(list):
+    """A solution's ω: its atoms, in no order."""
 
 
 def _key(value):
@@ -96,8 +101,7 @@ def ordered(thing):
 
 
 def norm(value, named=False):
-    """The canonical value of an :func:`ordered` one (of each item, of a list:
-    an ω); ``named``, a rule stands for its name."""
+    """The canonical value of an :func:`ordered` one (of a list, an ω: of each item); ``named``: rules by name."""
     if isinstance(value, list):
         return [norm(item, named) for item in value]
     if not isinstance(value, tuple):
@@ -107,7 +111,9 @@ def norm(value, named=False):
 
 
 def same(left, right):
-    """Whether two values (or ω lists) are equal as the engine's atoms are."""
+    """Whether two values (or ω lists) are equal as the engine's atoms are; a :class:`Bag` in any order."""
+    if isinstance(left, Bag) or isinstance(right, Bag):
+        return isinstance(left, list) and isinstance(right, list) and _bag(norm(left, True)) == _bag(norm(right, True))
     return norm(left, True) == norm(right, True)
 
 
@@ -141,11 +147,10 @@ class Chemistry:
             atoms, found = solution[1], set()
             for at, atom in enumerate(atoms):  # a step inside one atom
                 found |= {("sol", _bag(atoms[:at] + (changed,) + atoms[at + 1 :])) for changed in self._inner(atom)}
-            rules = [(atom.rule, at) for at, atom in enumerate(atoms) if isinstance(atom, Molecule)]
-            fired = [(rule, at, match) for rule, at in rules for match in self.matches(rule, atoms)]
+            fired = [(a.rule, at, match) for at, a in enumerate(atoms) if isinstance(a, Molecule) for match in self.matches(a.rule, atoms)]
             top = max((rule.priority for rule, _at, _match in fired), default=None)
-            found |= {self._fire(rule, at, match, atoms) for rule, at, match in fired if rule.priority == top}
-            found = self._steps[solution] = frozenset(found)
+            found = found.union(*(self._fire(rule, at, match, atoms) for rule, at, match in fired if rule.priority == top))
+            self._steps[solution] = found = frozenset(found)
         return found
 
     def inert(self, value):
@@ -167,8 +172,7 @@ class Chemistry:
         return inert
 
     def first_step(self, level):
-        """The successor the engine's promise names for ``level`` (an :func:`ordered`
-        solution whose nested solutions are inert), canonical; ``None`` when inert."""
+        """What the engine's promise names for ``level`` (:func:`ordered`, all below inert); ``None``: inert."""
         atoms = level[1]
         rules = sorted((at for at, atom in enumerate(atoms) if isinstance(atom, Molecule)), key=lambda at: -atoms[at].rule.priority)
         for at in rules:
@@ -177,8 +181,7 @@ class Chemistry:
         return None
 
     def _inner(self, atom):
-        """Every value ``atom`` becomes by one step in a solution that reacts in it:
-        itself, or a field of it, a tuple."""
+        """Every value ``atom`` becomes by one step in a solution reacting in it: it, or a field of it."""
         if isinstance(atom, tuple) and atom[0] == "sol":
             yield from self.steps(atom)
         elif isinstance(atom, tuple) and atom[0] == "tuple":
@@ -221,22 +224,19 @@ class Chemistry:
                 yield from (env,) if pattern.bind_as is None else _bound(env, pattern.bind_as, value)
         elif isinstance(pattern, (TuplePattern, SolutionPattern)):
             count, items = len(pattern.elements), value[1] if shape else ()
-            if shape != ("tuple" if isinstance(pattern, TuplePattern) else "sol"):
-                return
-            if len(items) != count if pattern.rest is None else len(items) < count:
-                return
-            yield from self._elements(pattern, items, 0, (), env)
+            sized = len(items) == count if pattern.rest is None else len(items) >= count
+            if sized and shape == ("tuple" if isinstance(pattern, TuplePattern) else "sol"):
+                yield from self._elements(pattern, items, 0, (), env)
         else:
             raise TypeError(f"no meaning for {pattern!r}")
 
     def _elements(self, pattern, items, index, taken, env):
-        """The element patterns from ``index`` on: a tuple's on its fields in
-        order, a solution's each on an atom no earlier one took; then the ω."""
+        """The element patterns from ``index`` on (a tuple's on its fields, a solution's on untaken atoms), then the ω."""
         if index == len(pattern.elements):
             if pattern.rest is None:
                 yield env
             else:
-                rest = list(items[index:]) if isinstance(pattern, TuplePattern) else [item for at, item in enumerate(items) if at not in taken]
+                rest = list(items[index:]) if isinstance(pattern, TuplePattern) else Bag(item for at, item in enumerate(items) if at not in taken)
                 yield from _bound(env, pattern.rest.name, rest)
             return
         places = [index] if isinstance(pattern, TuplePattern) else [at for at in range(len(items)) if at not in taken]
@@ -264,34 +264,37 @@ class Chemistry:
 
     # ------------------------------------------------------------------ firing
     def _fire(self, rule, own, match, atoms):
-        """The level after ``rule`` (at ``own``) fired on ``match``: what it matched
-        leaves (and comes back, ``keep_matched``), the products join, a one-shot rule goes."""
+        """Every level ``rule`` (at ``own``) makes firing on ``match``: the matched leave unless kept, products join, a one-shot rule goes."""
         env, taken = match
-        products = [atoms[at] for at in taken] if rule.keep_matched else []
-        products += self._expand_all(rule.products, env)
-        left = [atom for at, atom in enumerate(atoms) if at not in taken and not (rule.one_shot and at == own)]
-        return norm(("sol", tuple(left + products)))
+        left = [atom for at, atom in enumerate(atoms) if (rule.keep_matched or at not in taken) and not (rule.one_shot and at == own)]
+        return frozenset(norm(("sol", tuple(left + products))) for products in self._expand_all(rule.products, env))
 
-    def _expand_all(self, templates, env):
-        return [value for template in templates for value in self._expand(template, env)]
+    def _expand_all(self, templates, env, in_tuple=False):
+        """Every expansion of ``templates`` (the fields of a tuple, ``in_tuple``), as lists of values."""
+        options = [[]]
+        for template in templates:
+            options = [done + more for done in options for more in self._expand(template, env, in_tuple)]
+        return options
 
-    def _expand(self, template, env):
+    def _expand(self, template, env, in_tuple):
         if isinstance(template, (Ref, Splice)):
             if template.name not in env:
                 raise PatternError(f"product references unbound {template.name!r}")
             bound = env[template.name]
             if isinstance(bound, list) and isinstance(template, Ref):
                 raise PatternError(f"variable {template.name!r} is an omega binding")
-            return list(bound) if isinstance(bound, list) else [bound]
+            if isinstance(bound, Bag) and in_tuple:  # a solution's ω spliced into a tuple: in every order
+                return [list(order) for order in set(permutations(bound))]
+            return [list(bound) if isinstance(bound, list) else [bound]]
         if isinstance(template, (TupleTemplate, SolutionTemplate, ListTemplate)):
-            items = self._expand_all(template.elements, env)
             if isinstance(template, TupleTemplate):
-                return [("tuple", tuple(items))]
-            return [("sol" if isinstance(template, SolutionTemplate) else "list", _bag(items))]
-        if isinstance(template, Call):
+                return [[("tuple", tuple(items))] for items in self._expand_all(template.elements, env, True)]
+            shape = "sol" if isinstance(template, SolutionTemplate) else "list"
+            return [[(shape, _bag(items))] for items in self._expand_all(template.elements, env)]
+        if isinstance(template, Call):  # an external is handed a solution's ω in the relation's order
             if self.externals is None:
                 raise ExternalFunctionError(f"rule product calls {template.function!r} but no external registry is available")
-            arguments = [build(value) for value in self._expand_all(template.arguments, env)]
             view = BindingView({name: [build(item) for item in bound] if isinstance(bound, list) else build(bound) for name, bound in env.items()})
-            return [canon(atom) for atom in coerce(self.externals.invoke(template.function, arguments, view))]
-        return [canon(to_atom(template))]
+            calls = (self.externals.invoke(template.function, list(map(build, arguments)), view) for arguments in self._expand_all(template.arguments, env))
+            return [[canon(atom) for atom in coerce(result)] for result in calls]
+        return [[canon(to_atom(template))]]

@@ -128,30 +128,22 @@ def _instance(draw, pattern, env):
     if isinstance(pattern, RulePattern):
         return Rule(pattern.name or "r", [Var("k")], [])
     items = [_instance(draw, element, env) for element in pattern.elements]
-    if pattern.rest is not None:
-        items += draw(st.lists(_ATOMS, max_size=2))
+    if pattern.rest is not None:  # likely the same atoms wherever an ω name comes, a solution's in any order
+        known = env.get(("rest", pattern.rest.name))
+        if known is not None and draw(st.booleans()):
+            items += [atom.copy() for atom in known]
+        else:
+            fresh = draw(st.lists(_ATOMS, max_size=2))
+            items += env.setdefault(("rest", pattern.rest.name), fresh) if known is None else fresh
     if isinstance(pattern, SolutionPattern):
         return Subsolution(draw(st.permutations(items)))
     return TupleAtom(items) if items else draw(_OF_KIND["tuple"])
 
 
-def _own_rests(patterns, count=None):
-    """Give every solution pattern's ω a name of its own (``ws0``, ``ws1``, ...):
-    the engine compares or splices a solution's remainder in entry order, and
-    the relation knows no entry order."""
-    count = [0] if count is None else count
-    for pattern in patterns:
-        if isinstance(pattern, SolutionPattern) and pattern.rest is not None:
-            pattern.rest = Omega(f"ws{count[0]}")
-            count[0] += 1
-        _own_rests(getattr(pattern, "elements", ()), count)
-    return patterns
-
-
 @st.composite
 def _programs(draw):
     """A left-hand side, and a level holding an instance of each of its patterns among others."""
-    patterns = _own_rests(draw(st.lists(_PATTERNS, min_size=1, max_size=3)))
+    patterns = draw(st.lists(_PATTERNS, min_size=1, max_size=3))
     env = {}
     atoms = [_instance(draw, pattern, env) for pattern in patterns if draw(st.integers(0, 7))]
     return patterns, draw(st.permutations(atoms + draw(st.lists(_ATOMS, max_size=4))))
@@ -161,7 +153,6 @@ _INITIAL = st.one_of(
     st.none(),
     st.fixed_dictionaries({"x": st.one_of(_INTS, _SYMBOLS)}),
     st.fixed_dictionaries({"w": st.lists(_INTS, max_size=2)}),
-    st.fixed_dictionaries({"ws0": st.lists(_INTS, max_size=1)}),  # a solution's ω: in no order, so at most one atom
     st.fixed_dictionaries({"elsewhere": _SYMBOLS}),
 )
 
@@ -179,8 +170,8 @@ _CONDITIONS = st.one_of(
 
 def _record(patterns):
     """A product recording what a match binds, as the relation can compare it:
-    ``FIRED : <V_x : x, V_w : w..., V_ws0 : <ws0...>, ...>`` — a tuple's ω in
-    order, a solution's as a solution."""
+    ``FIRED : <V_x : x, V_w : w..., V_y : <y...>, ...>`` — an ω only tuples
+    bind in order, one a solution binds as a solution."""
     rests = set()
 
     def walk(pattern):
@@ -261,6 +252,17 @@ class TestOnTheRelation:
             ([SolutionPattern(Var("x"), Var("y"), rest=Omega("w"))], [Subsolution([1, 2, 2])], 6),
             # a repeated variable, top level and nested
             ([Var("x", kind="int"), TuplePattern(SymbolPattern("T"), Var("x"))], [1, 2, TupleAtom([Symbol("T"), 2]), 2], 2),
+            # one omega name for a tuple's rest and a solution's remainder: the same atoms, in any order
+            (
+                [TuplePattern(Var("h"), rest=Omega("w")), SolutionPattern(Literal(0), rest=Omega("w"))],
+                [TupleAtom([Symbol("A"), 1, 2]), TupleAtom([Symbol("B"), 1]), Subsolution([0, 1, 2]), Subsolution([1, 0])],
+                2,
+            ),
+            (
+                [TuplePattern(Var("h"), rest=Omega("w")), SolutionPattern(Literal(0), rest=Omega("w"))],
+                [TupleAtom([Symbol("A"), 1, 2]), TupleAtom([Symbol("B"), 2, 1]), Subsolution([2, 0, 1])],
+                2,
+            ),
             # one omega name for two tuples' rests: equal lists only
             (
                 [TuplePattern(Var("h"), rest=Omega("w")), TuplePattern(SymbolPattern("B"), rest=Omega("w"))],
@@ -287,6 +289,28 @@ class TestOnTheRelation:
         assert len(_matches(rule, level)) == matches
         assert walk_the_relation(level)["probe"] == bool(matches)
 
+    @given(
+        rest=st.lists(st.one_of(_INTS, _SYMBOLS), min_size=2, max_size=3),
+        solutions=st.lists(st.booleans(), min_size=2, max_size=2),
+        data=st.data(),
+    )
+    @settings(max_examples=_EXAMPLES // 2, deadline=None)
+    def test_one_omega_name_in_a_solution_holds_its_atoms_in_any_order(self, rest, solutions, data):
+        """An ω name a solution pattern binds and another pattern binds again:
+        the same atoms, in another entry order, are the same remainder."""
+        patterns, atoms = [], []
+        for index, solution in enumerate(solutions):
+            if solution:
+                patterns.append(SolutionPattern(Literal(Symbol(f"H{index}")), rest=Omega("w")))
+                atoms.append(Subsolution(data.draw(st.permutations([Symbol(f"H{index}"), *[atom.copy() for atom in rest]]))))
+            else:
+                patterns.append(TuplePattern(SymbolPattern(f"H{index}"), rest=Omega("w")))
+                atoms.append(TupleAtom([Symbol(f"H{index}"), *data.draw(st.permutations(rest))]))
+        level = Multiset([*atoms, rule := _probe(patterns)])
+        matches = len(_matches(rule, level))
+        assert matches == (any(solutions) or atoms[0].elements[1:] == atoms[1].elements[1:])
+        assert walk_the_relation(level)["probe"] == matches
+
     @pytest.mark.parametrize("op, fires", [("<", 0), ("<=", 1), (">", 0), (">=", 1), ("==", 1), ("!=", 0)])
     def test_a_condition_at_its_boundary(self, op, fires):
         rule = _probe([Var("x", kind="int")], Compare(op, Ref("x"), IntAtom(2)))
@@ -297,17 +321,17 @@ class TestOnTheRelation:
     @pytest.mark.parametrize(
         "initial, matches",
         [
-            ({"x": IntAtom(2), "ws0": [IntAtom(1)]}, 1),  # a variable and an omega name, both held to
-            ({"x": IntAtom(2), "ws0": [IntAtom(9)]}, 0),
+            ({"x": IntAtom(2), "w": [IntAtom(1)]}, 1),  # a variable and an omega name, both held to
+            ({"x": IntAtom(2), "w": [IntAtom(9)]}, 0),
             ({"x": IntAtom(2)}, 2),  # the variable only: either remainder
-            ({"ws0": [IntAtom(1)]}, 1),  # the remainder only: `x` is what is not in it
-            ({"ws0": IntAtom(1)}, 0),  # an atom where a list is bound: never equal
+            ({"w": [IntAtom(1)]}, 1),  # the remainder only: `x` is what is not in it
+            ({"w": IntAtom(1)}, 0),  # an atom where a list is bound: never equal
             ({"x": [IntAtom(2)]}, 0),  # and a list where an atom is
             ({"elsewhere": Symbol("A"), "x": IntAtom(3)}, 1),
         ],
     )
     def test_a_given_variable_and_omega_are_held_to(self, initial, matches):
-        patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), SolutionPattern(Var("x"), rest=Omega("ws0")))]
+        patterns = [Var("x", kind="int"), TuplePattern(SymbolPattern("T"), SolutionPattern(Var("x"), rest=Omega("w")))]
         rule = _probe(patterns, initial=initial)
         level = Multiset([1, 2, 3, TupleAtom([Symbol("T"), Subsolution([1, 2])]), TupleAtom([Symbol("T"), Subsolution([2, 3])]), rule])
         assert len(_matches(rule, level)) == matches
@@ -420,15 +444,15 @@ class TestTheGeneratedText:
             return TupleAtom([Symbol(f"H{index}"), value])
 
         patterns = [TuplePattern(SymbolPattern(f"H{index}"), Var(f"x{index}")) for index in range(20)]
-        patterns += [Var("x3", kind="int"), TuplePattern(Var("h"), Var("x5")), Var("s", kind="symbol"), SolutionPattern(Var("x7"), rest=Omega("ws0"))]  # fmt: skip
+        patterns += [Var("x3", kind="int"), TuplePattern(Var("h"), Var("x5")), Var("s", kind="symbol"), SolutionPattern(Var("x7"), rest=Omega("w"))]  # fmt: skip
         atoms = [cell(index, index) for index in range(20)] + [cell(3, 33), cell(5, 3), IntAtom(3), IntAtom(33)]
         atoms += [IntAtom(5), Symbol("A"), Subsolution([7, 8]), Subsolution([9]), Subsolution([8, 7])]
-        for initial in (None, {"x7": IntAtom(7)}, {"ws0": [IntAtom(8)]}, {"x3": IntAtom(33)}):
+        for initial in (None, {"x7": IntAtom(7)}, {"w": [IntAtom(8)]}, {"x3": IntAtom(33)}):
             for condition in (None, Compare("!=", Ref("x3"), IntAtom(3))):
                 rule = _probe(patterns, condition, initial)
                 walk_the_relation(Multiset([*(atom.copy() for atom in atoms), rule]))
                 assert "def deeper():" in rule.reaction.__source__
-        wide = [TuplePattern(SymbolPattern("T"), SolutionPattern(*map(Literal, range(40)), Var("y"), rest=Omega("ws0"))), Var("y", kind="int")]
+        wide = [TuplePattern(SymbolPattern("T"), SolutionPattern(*map(Literal, range(40)), Var("y"), rest=Omega("w"))), Var("y", kind="int")]
         rule = _probe(wide)
         level = Multiset([TupleAtom([Symbol("T"), Subsolution([*range(40), 43, 44, 50])]), 43, 44, rule])
         assert len(_matches(rule, level)) == 2
@@ -666,6 +690,36 @@ class TestAPatternClassOfTheCallersOwn:
         level = Multiset([*atoms, rule])
         assert ReductionEngine().reduce(level).rule_fires == {"halve": 1}
         assert asked == [IntAtom(4)] and level.count(IntAtom(2)) == 1
+
+    def test_a_search_that_raises_half_way_keeps_the_refutations_so_far(self):
+        """The memory is iterated in place and told what was refuted when the
+        search ends — also when it ends by an exception, here raised by the
+        lines a pattern class of the caller's own writes."""
+
+        class Raising(Pattern):
+            __slots__ = ()
+
+            def emit(self, out, atom):
+                out.line(f"if {out.held('x')} == {out.const(IntAtom(2))}: raise ValueError('half-way')")
+                out.line("continue")  # matches nothing
+
+        head_less = TuplePattern(Var("h"), Var("x", kind="int"))  # a memory on the tuple bucket
+        atoms = [TupleAtom([Symbol(name), 1 if name == "B" else 2 if name == "D" else Symbol("no")]) for name in "ABCDE"]
+        raising = Rule("raising", [head_less, Raising()], [])
+        level = Multiset([*atoms, raising])
+        memory = level.memory_for(head_less, head_less.index_key())
+
+        def plausible():
+            return "".join(entry.atom.elements[0].name for entry in memory.snapshot())
+
+        with pytest.raises(ValueError, match="half-way"):  # at D, the fourth candidate
+            ReductionEngine().reduce(level)
+        assert plausible() == "BDE"  # A and C refuted on the way, E never read
+        # a later search on the same pattern goes on from there, then the raising one again
+        level.add(Rule("none", [head_less], [], condition=Compare("==", Ref("h"), Symbol("none")), priority=1))
+        with pytest.raises(ValueError, match="half-way"):
+            ReductionEngine().reduce(level)
+        assert plausible() == "BD"
 
     def test_past_twenty_nested_blocks_too(self):
         """In the nested function of a deep left-hand side: a variable bound

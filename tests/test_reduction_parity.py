@@ -536,7 +536,7 @@ class TestInPlaceReactions:
             searches["reaction"] += 1
             assert (fired is None) == (first is None), owner.name
             if first is not None:  # the engine, not the reaction, takes a one-shot rule out
-                assert canon(solution) == chemistry._fire(owner, None, first, atoms), owner.name
+                assert canon(solution) in chemistry._fire(owner, None, first, atoms), owner.name
             return fired
 
         return checked

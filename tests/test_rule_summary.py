@@ -46,6 +46,7 @@ from repro.hocl import (
 from repro.hocl.atoms import ListAtom
 from repro.hocl.deltas import Fire, Reaction
 from repro.hocl.multiset import atom_index_keys
+from repro.hocl.patterns import solution_patterns
 from repro.scenarios import available_scenarios, build_scenario
 
 
@@ -150,7 +151,7 @@ def _react_and_check(run, solution, owner, externals, effects, clock):
 
 
 # ------------------------------------------------------------ random programs
-def _restated(draw, pattern, scalars, omegas):
+def _restated(draw, pattern, scalars, omegas, bags):
     """A template restating ``pattern`` (its matched atom kept, maybe edited
     one level down), or ``None`` when it restates nothing."""
     if isinstance(pattern, Var):
@@ -159,22 +160,29 @@ def _restated(draw, pattern, scalars, omegas):
         return pattern.atom
     if isinstance(pattern, RulePattern):
         return Ref(pattern.bind_as) if pattern.bind_as in scalars else None
-    elements = [_restated(draw, element, scalars, omegas) for element in pattern.elements]
+    elements = [_restated(draw, element, scalars, omegas, bags) for element in pattern.elements]
     if isinstance(pattern, TuplePattern):
         if None in elements or (pattern.rest is not None and pattern.rest.name not in omegas):
             return None
         return TupleTemplate(*elements, *([Splice(pattern.rest.name)] if pattern.rest else []))
     kept = [element for element in elements if element is not None and draw(st.booleans())]
-    kept += draw(st.lists(_new(scalars, omegas), max_size=2))
+    kept += draw(st.lists(_new(scalars, omegas, bags), max_size=2))
     if pattern.rest is not None:
         kept.append(Splice(pattern.rest.name))
     return SolutionTemplate(*draw(st.permutations(kept)))
 
 
-def _new(scalars, omegas):
+def _splices(template, names):
+    """Whether ``template`` splices one of ``names``."""
+    if isinstance(template, Splice):
+        return template.name in names
+    return any(_splices(inner, names) for inner in getattr(template, "arguments", getattr(template, "elements", ())))
+
+
+def _new(scalars, omegas, bags):
     """Templates of atoms a firing makes: literals, moved or given atoms,
-    built tuples, solutions and lists, an external's result."""
-    omegas = {name for name in omegas if not name.startswith("ws")}  # a solution's: the relation splices it in no order
+    built tuples, solutions and lists, an external's result — handed no
+    solution's ω (``bags``): the relation cannot know the order it comes in."""
     leaves = [_ATOMS, st.sampled_from([Ref("g"), Splice("gs")])]
     if scalars:
         leaves.append(st.sampled_from(sorted(scalars)).map(Ref))
@@ -186,7 +194,7 @@ def _new(scalars, omegas):
             st.builds(lambda head, rest: TupleTemplate(head, *rest), st.one_of(_SYMBOLS, _ATOMS, st.just(Ref("g"))), st.lists(children, max_size=2)),
             st.lists(children, max_size=3).map(lambda items: SolutionTemplate(*items)),
             st.lists(children, max_size=2).map(lambda items: ListTemplate(*items)),
-            st.lists(children, max_size=2).map(lambda items: Call("echo", *items)),
+            st.lists(children, max_size=2).map(lambda items: Call("echo", *items)).filter(lambda call: not _splices(call, bags)),
         ),
         max_leaves=4,
     )
@@ -201,12 +209,13 @@ def _rules(draw):
     patterns, atoms = draw(_programs())
     omegas = {name for pattern in patterns for name in pattern.omega_names()}
     scalars = {name for pattern in patterns for name in pattern.bound_names()} - omegas
+    bags = {found.rest.name for pattern in patterns for found in solution_patterns(pattern) if found.rest is not None}
     products = []
     for pattern in patterns:
-        restated = _restated(draw, pattern, scalars, omegas) if draw(st.booleans()) else None
+        restated = _restated(draw, pattern, scalars, omegas, bags) if draw(st.booleans()) else None
         if restated is not None:
             products.append(restated)
-    products += draw(st.lists(_new(scalars, omegas), max_size=2))
+    products += draw(st.lists(_new(scalars, omegas, bags), max_size=2))
     condition = draw(_CONDITIONS)
     if condition is not None and omegas.intersection(condition.names):
         condition = None
