@@ -11,8 +11,9 @@ stack described in the paper:
   format, adaptation specifications, workload generators),
 * :mod:`repro.services` — service abstraction and failure injection,
 * :mod:`repro.simkernel` — a deterministic discrete-event simulation kernel:
-  a time-ordered queue of plain calls (``call_at`` / ``call_in`` /
-  ``SerialQueue.submit`` and ``run``), one entry and one call per modelled hop,
+  a time-ordered queue of plain calls (``call_at`` / ``call_in`` and ``run``),
+  one entry and one call per modelled hop — a message is one, its arrival,
+  the broker's serial dispatch being Lindley's recursion computed at publish,
 * :mod:`repro.cluster` — the simulated infrastructure (nodes, network,
   Grid'5000-like presets, a Mesos-like resource-offer master),
 * :mod:`repro.messaging` — ActiveMQ-like and Kafka-like message brokers,

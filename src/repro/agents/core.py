@@ -19,6 +19,7 @@ stand-in for the real decentralised execution.
 
 from __future__ import annotations
 
+from logging import DEBUG
 from time import perf_counter
 from typing import Any
 
@@ -33,10 +34,9 @@ from repro.hoclflow.fields import (
     get_in_atoms,
     get_res_atoms,
     get_src,
-    has_error,
-    has_result,
     remove_task_name,
     res_field,
+    res_state,
     tagged_input,
 )
 from repro.hoclflow.translator import TaskEncoding
@@ -59,6 +59,10 @@ class AgentState:
     INVOKING = "invoking"
     COMPLETED = "completed"
     FAILED = "failed"
+
+
+#: each state's status update: an immutable action, so one per state serves every stimulus
+_STATUS_UPDATES = {state: StatusUpdate(state) for name, state in vars(AgentState).items() if name.isupper()}
 
 
 class AgentCore:
@@ -126,11 +130,11 @@ class AgentCore:
 
     def has_result(self) -> bool:
         """Whether a (non-error) result is stored in ``RES``."""
-        return has_result(self.solution)
+        return res_state(self.solution)[0]
 
     def has_error(self) -> bool:
         """Whether ``RES`` contains the ``ERROR`` marker."""
-        return has_error(self.solution)
+        return res_state(self.solution)[1]
 
     def result_value(self) -> Any:
         """The stored result value (unwrapped), or ``None``."""
@@ -150,14 +154,8 @@ class AgentCore:
         agent's fan-in and fan-out: who it still waits for is answered from
         the solution (:meth:`pending_sources` / :meth:`pending_destinations`).
         """
-        results = get_res_atoms(self.solution)
-        error = kw.ERROR_SYM in results
-        return {
-            "task": self.name,
-            "state": self.state,
-            "has_result": bool(results) and not error,
-            "has_error": error,
-        }
+        has_result, has_error = res_state(self.solution)
+        return {"task": self.name, "state": self.state, "has_result": has_result, "has_error": has_error}
 
     # -------------------------------------------------------------- stimuli
     def boot(self) -> list[Action]:
@@ -226,7 +224,7 @@ class AgentCore:
                 self.invocation_requested = True
             elif isinstance(action, SendResult):
                 self.results_sent += 1
-        actions.append(StatusUpdate(self.state))
+        actions.append(_STATUS_UPDATES[self.state])
         if trace is not None:
             trace.span(
                 f"agent.{stimulus}",
@@ -237,12 +235,7 @@ class AgentCore:
                 match_attempts=report.match_attempts,
                 state=self.state,
             )
-        logger.debug(
-            "%s %s: %d reactions, %d actions, state=%s",
-            self.name,
-            stimulus,
-            report.reactions,
-            len(actions),
-            self.state,
-        )
+        if logger.isEnabledFor(DEBUG):  # one call per stimulus, not `debug`'s two
+            logger.debug("%s %s: %d reactions, %d actions, state=%s",
+                         self.name, stimulus, report.reactions, len(actions), self.state)
         return actions

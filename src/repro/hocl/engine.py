@@ -6,9 +6,12 @@ execution model matter for GinFlow and are implemented here:
 
 * **Nested solutions reduce first.**  A rule of an outer solution may only
   consume a sub-solution once that sub-solution is inert.  The engine
-  enforces this by reducing depth-first: at every step, all nested solutions
-  (including those stored inside tuples, which is how task sub-solutions are
-  encoded) are brought to inertness before any outer rule is tried.
+  enforces this by reducing depth-first: at every step, the solutions a
+  level holds directly — a sub-solution atom, or a sub-solution that is an
+  element of a tuple atom, which is how task sub-solutions are encoded — are
+  brought to inertness before any outer rule is tried.  That is its whole
+  reach: a solution held deeper (in a list, in a tuple inside a tuple) is
+  held, its edits reaching every level above, but never reduced.
 * **One-shot rules.**  A ``replace-one`` rule is removed from its solution
   when it fires.
 
@@ -54,8 +57,9 @@ engine to.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.records import Record
@@ -71,18 +75,24 @@ __all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEn
 PHASES = ("match", "patch", "index")
 
 
-class ReactionRecord(Record):
+class ReactionRecord(NamedTuple):
     """One rule firing, as recorded in a :class:`ReductionReport`.
 
     ``consumed`` counts the matched atoms and ``produced`` the atoms the
     firing left behind: the kept anchors plus the ``produce`` expansions —
-    as many as expanding the products would make.
+    as many as expanding the products would make.  A named tuple, built with
+    no Python frame (one per reaction), unhashable like the report holding it.
     """
 
-    __slots__ = ("rule", "depth", "consumed", "produced")
+    rule: str
+    depth: int
+    consumed: int
+    produced: int
 
-    def __init__(self, rule: str, depth: int, consumed: int, produced: int):
-        self.rule, self.depth, self.consumed, self.produced = rule, depth, consumed, produced
+    __hash__ = None  # type: ignore[assignment]
+
+
+_new_record = partial(tuple.__new__, ReactionRecord)  # from its four fields, by `tuple.__new__` itself
 
 
 class ReductionReport(Record):
@@ -254,7 +264,7 @@ class ReductionEngine:
                         self._record("patch", searched, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
                     report.reactions += 1
                     report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
-                    report.history.append(ReactionRecord(rule.name, depth, len(rule.patterns), produced))
+                    report.history.append(_new_record((rule.name, depth, len(rule.patterns), produced)))
                     break
             else:
                 if trace is not None:

@@ -58,6 +58,7 @@ __all__ = [
     "get_par_values",
     "has_error",
     "has_result",
+    "res_state",
     "build_parameters",
     "task_tuple",
     "task_solution",
@@ -127,11 +128,12 @@ def get_field(solution: Multiset, keyword: str) -> TupleAtom | None:
 
 
 def _field_solution(solution: Multiset, keyword: str) -> Multiset | None:
-    field = get_field(solution, keyword)
-    if field is None or len(field.elements) < 2:
+    # `get_field` written out: an agent reads fields on every stimulus, each in this one frame
+    bucket = solution._index.get(("tuple", keyword))
+    if not bucket:
         return None
-    body = field.elements[1]
-    return body.solution if isinstance(body, Subsolution) else None
+    elements = bucket[0].atom.elements  # type: ignore[attr-defined]
+    return elements[1].solution if len(elements) >= 2 and isinstance(elements[1], Subsolution) else None
 
 
 def get_task_names(solution: Multiset, keyword: str) -> list[str]:
@@ -202,15 +204,25 @@ def get_par_values(solution: Multiset) -> list[Any] | None:
     return from_atom(field.elements[1])  # a ListAtom unwraps to a Python list
 
 
+def res_state(solution: Multiset) -> tuple[bool, bool]:
+    """``(has_result, has_error)``: whether the ``RES`` field holds a (non-error)
+    result, and whether it holds the ``ERROR`` marker — read from the field's
+    index, with no list of its atoms."""
+    body = _field_solution(solution, kw.RES)
+    if body is None:
+        return False, False
+    error = ("symbol", kw.ERROR) in body._index
+    return bool(body._entries) and not error, error
+
+
 def has_error(solution: Multiset) -> bool:
     """Whether the ``RES`` field contains the ``ERROR`` marker."""
-    return any(isinstance(atom, Symbol) and atom.name == kw.ERROR for atom in get_res_atoms(solution))
+    return res_state(solution)[1]
 
 
 def has_result(solution: Multiset) -> bool:
     """Whether the ``RES`` field contains a (non-error) result."""
-    atoms = get_res_atoms(solution)
-    return bool(atoms) and not has_error(solution)
+    return res_state(solution)[0]
 
 
 # --------------------------------------------------------------- parameters

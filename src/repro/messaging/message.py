@@ -17,11 +17,13 @@ the delivery metadata (offset, delivery time).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, NamedTuple
 
-__all__ = ["MessageKind", "Message", "agent_topic", "adapt_count", "STATUS_TOPIC"]
+__all__ = ["MessageKind", "Message", "agent_topic", "adapt_count", "STATUS_TOPIC", "new_message", "next_message_id"]
 
-_next_id = itertools.count(1).__next__
+#: the next :attr:`Message.message_id`: a C-level counter, so drawing one costs no Python frame
+next_message_id = itertools.count(1).__next__
 
 #: Topic on which every agent publishes its status updates (the shared multiset).
 STATUS_TOPIC = "ginflow.status"
@@ -99,9 +101,15 @@ class Message(_Fields):
         message_id: int | None = None,
     ) -> "Message":
         if message_id is None:
-            message_id = _next_id()
+            message_id = next_message_id()
         return tuple.__new__(cls, (topic, kind, sender, recipient, payload, size_bytes, message_id))
 
     def describe(self) -> str:
         """Short human-readable description used by traces."""
         return f"{self.kind} {self.sender}->{self.recipient} (#{self.message_id})"
+
+
+#: ``new_message((topic, kind, sender, recipient, payload, size_bytes, next_message_id()))``:
+#: a :class:`Message` from all seven fields, with no Python frame — what the
+#: enactment engine builds once per send
+new_message = partial(tuple.__new__, Message)

@@ -1,12 +1,28 @@
 """Virtual-time broker used by the simulation runtime.
 
-The broker owns a single serial dispatcher (a
-:class:`~repro.simkernel.SerialQueue`): every published message occupies the
-dispatcher for the profile's ``per_message_time``, then travels over the
-network model and is delivered to the subscribed callback — two modelled
-hops, two kernel entries, each a bound method carrying the message.  This
+The broker owns ``dispatchers`` serial dispatchers: every published message
+occupies a dispatcher for the profile's ``per_message_time``, then travels
+over the network model and is delivered to the subscribed callbacks.  This
 serialisation is what makes message-heavy workflows (the fully-connected
 diamonds of Fig. 12(b), the Kafka columns of Fig. 14) pay for their traffic.
+
+A message is one kernel entry, its arrival.  A dispatcher is a FIFO server
+with a constant service time ``c``, so its finish is Lindley's recursion
+(Lindley, 1952), ``f_k = max(p_k, f_{k-1}) + c`` with ``p_k`` the publish
+instant: :meth:`SimulatedBroker.publish` computes it, draws the network jitter
+and queues the delivery at ``now + (f_k - now) + (delivery_overhead +
+transfer)``, the float a "dispatcher done" entry and a network hop gave.
+
+That entry drew the jitter, so the draws followed completion order; drawn at
+publish, they follow publish order.  The two agree: publishes go round-robin
+by the broker's own count (not the process-wide message id, which other code
+in the process moves), so publish ``n`` shares a dispatcher with ``n - k``
+and, by induction (``p_n >= p_{n-1}``, ``f_{n-k} >= f_{n-k-1}``),
+``f_n >= f_{n-1}``.  With one dispatcher consecutive finishes lie ``c``
+apart.  With several, two can finish at the same ``f``, and an entry at
+``now + (f - now)`` may then round the later publish's one ulp earlier: there
+alone the draws differ (``tests/broker_oracle.py`` is the two-entry broker;
+no pinned timeline has such a tie).
 
 Persistent profiles (Kafka) additionally append every message to a
 :class:`~repro.messaging.broker.MessageLog`, from which recovered agents
@@ -15,10 +31,11 @@ replay their history.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.cluster.network import NetworkModel
-from repro.simkernel import RandomStreams, SerialQueue, Simulator
+from repro.simkernel import RandomStreams, Simulator
 
 from .broker import Broker, BrokerProfile, MessageLog
 from .message import Message
@@ -44,7 +61,8 @@ class SimulatedBroker(Broker):
         self.network = network or NetworkModel()
         self.randomness = randomness or RandomStreams(0)
         self._jitter = self.randomness.uniforms("broker-jitter")
-        self._queues = [SerialQueue(sim, name=f"{profile.name}-dispatcher-{i}") for i in range(dispatchers)]
+        #: the instant each dispatcher next falls idle
+        self._idle_at = [0.0] * dispatchers
         self._subscribers: dict[str, list[Callable[[Message], None]]] = {}
         self._log = MessageLog() if profile.persistent else None
         self._published = 0
@@ -53,6 +71,7 @@ class SimulatedBroker(Broker):
     # -------------------------------------------------------------- publish
     def publish(self, message: Message) -> None:
         """Publish ``message``; subscribers receive it after the modelled delays."""
+        lane = self._published % len(self._idle_at)  # round-robin: the argument of the module docstring
         self._published += 1
         if self.trace is not None:
             self.trace.event(
@@ -62,14 +81,14 @@ class SimulatedBroker(Broker):
             self.metrics.counter("broker.published").inc()
         if self._log is not None:
             self._log.append(message)
-        queue = self._queues[message.message_id % len(self._queues)]
-        queue.submit(self.profile.per_message_time, self._dispatched, message)
-
-    def _dispatched(self, message: Message) -> None:
-        # the jitter is drawn here, when the dispatcher is done with the
-        # message: in completion order, not publish order
-        transfer = self.network.transfer_time(message.size_bytes, next(self._jitter))
-        self.sim.call_in(self.profile.delivery_overhead + transfer, self._deliver, message)
+        sim, profile, idle_at = self.sim, self.profile, self._idle_at
+        now = sim.now
+        # Lindley's recursion: the dispatcher serves its FIFO queue in `per_message_time` each
+        finish = idle_at[lane] = max(now, idle_at[lane]) + profile.per_message_time
+        transfer = self.network.transfer_time(message.size_bytes, self._jitter())
+        # the dispatcher's `now + (finish - now)`, then the network hop: the last bit counts
+        arrival = now + (finish - now) + (profile.delivery_overhead + transfer)
+        heappush(sim.queue, (arrival, sim.ticket(), self._deliver, (message,)))
 
     def _deliver(self, message: Message) -> None:
         # Count one delivery per subscriber actually handed the message (a
@@ -106,7 +125,3 @@ class SimulatedBroker(Broker):
     def delivered_count(self) -> int:
         """Messages actually handed to subscribers so far."""
         return self._delivered
-
-    def backlog_seconds(self) -> float:
-        """Work currently queued on the busiest dispatcher (diagnostics)."""
-        return max(queue.backlog for queue in self._queues)

@@ -34,7 +34,6 @@ from typing import Any, Callable
 from repro.agents.actions import Action
 from repro.hocl import Atom
 from repro.hoclflow.translator import TaskEncoding, encode_workflow
-from repro.messaging import agent_topic
 from repro.services import InvocationResult
 from repro.simkernel import RandomStreams
 from repro.workflow.dag import Workflow
@@ -114,7 +113,7 @@ class AgentRun:
         inbox, deliver, stimulate, boot = self._inbox(), engine.deliver, self._stimulate, engine.boot
         for name, encoding in engine.encoding.tasks.items():
             agent = engine.add_host(self._new_host(encoding))
-            engine.transport.subscribe(agent_topic(name), partial(inbox, agent, deliver))
+            engine.transport.subscribe(engine.topics[name], partial(inbox, agent, deliver))
         engine.subscribe_status()
         for agent in engine.hosts.values():
             self.call_later(boot_delay, stimulate, agent, boot)

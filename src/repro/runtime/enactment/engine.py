@@ -38,6 +38,7 @@ from repro.hocl import AtomError, to_atom
 from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
+from repro.messaging.message import new_message, next_message_id
 from repro.obs.tracer import Tracer
 from repro.records import Record
 from repro.services import InvocationContext, InvocationResult, Service
@@ -195,6 +196,8 @@ class EnactmentEngine:
             adaptable_tasks=adaptable,
         )
         self.hosts: dict[str, AgentHost] = {}
+        #: every agent's topic, built once: its subscription, its replay and every send to it read it here
+        self.topics = {name: agent_topic(name) for name in encoding.tasks}
         self.triggered_adaptations: set[str] = set()
         #: the hosts, frozen as they are built once `enacting()` is entered
         self._set_up = FrozenSetUp(len(encoding.tasks))
@@ -223,7 +226,7 @@ class EnactmentEngine:
 
     def subscribe_status(self) -> None:
         """Route the shared-space STATUS topic into the coordinator."""
-        self.transport.subscribe(STATUS_TOPIC, self.on_status_message)
+        self.transport.subscribe(STATUS_TOPIC, self.record_status)
 
     def enacting(self) -> FrozenSetUp:
         """The run, first :meth:`add_host` to assembled report, as a ``with`` block: the hosts,
@@ -258,56 +261,33 @@ class EnactmentEngine:
 
     # ------------------------------------------------------------- dispatch
     def dispatch(self, host: AgentHost, actions: list[Action]) -> None:
-        """Execute the actions one reduction emitted (the protocol's I/O)."""
+        """Execute the actions one reduction emitted (the protocol's I/O): a send
+        builds its message with no Python frame before the transport's ``publish``."""
         costs = self.config.costs
         trace, metrics = self._trace, self._metrics
-        publish, sender = self.transport.publish, host.encoding.name
+        publish, sender, topics = self.transport.publish, host.encoding.name, self.topics
         for action in actions:
             if trace is not None:
                 trace.event("enactment.dispatch", sender, action=type(action).__name__)
             if metrics is not None:
                 metrics.counter("enactment.actions").inc()
             if isinstance(action, SendResult):
-                publish(
-                    Message(
-                        topic=agent_topic(action.destination),
-                        kind=MessageKind.RESULT,
-                        sender=sender,
-                        recipient=action.destination,
-                        payload=action.value,
-                        size_bytes=costs.result_message_size,
-                    )
-                )
+                destination = action.destination
+                publish(new_message((topics[destination], MessageKind.RESULT, sender, destination, action.value,
+                                     costs.result_message_size, next_message_id())))
             elif isinstance(action, SendAdapt):
                 if action.adaptation:
                     self.triggered_adaptations.add(action.adaptation)
-                publish(
-                    Message(
-                        topic=agent_topic(action.destination),
-                        kind=MessageKind.ADAPT,
-                        sender=sender,
-                        recipient=action.destination,
-                        payload=action.count,
-                        size_bytes=costs.status_update_size,
-                    )
-                )
+                destination = action.destination
+                publish(new_message((topics[destination], MessageKind.ADAPT, sender, destination, action.count,
+                                     costs.status_update_size, next_message_id())))
             elif isinstance(action, StartInvocation):
                 self._start_invocation(host, action)
             elif isinstance(action, StatusUpdate):
-                if costs.status_update_enabled:
-                    publish(
-                        Message(
-                            topic=STATUS_TOPIC,
-                            kind=MessageKind.STATUS,
-                            sender=sender,
-                            recipient="coordinator",
-                            payload=host.core.status(),
-                            size_bytes=costs.status_update_size,
-                        )
-                    )
-                else:
-                    # keep completion detection working without broker load
-                    self.record_status(sender, host.core.status())
+                status = new_message((STATUS_TOPIC, MessageKind.STATUS, sender, "coordinator", host.core.status(),
+                                      costs.status_update_size, next_message_id()))
+                # without status traffic the update skips the broker: completion detection still works
+                (publish if costs.status_update_enabled else self.record_status)(status)
 
     def _start_invocation(self, host: AgentHost, action: StartInvocation) -> None:
         host.attempts += 1
@@ -328,18 +308,17 @@ class EnactmentEngine:
         self._invoker(host, prepared)
 
     # --------------------------------------------------------------- status
-    def on_status_message(self, message: Message) -> None:
-        """STATUS-topic subscriber: fold agent updates into the coordinator."""
-        if isinstance(message.payload, dict):
-            self.record_status(message.sender, message.payload)
-
-    def record_status(self, task: str, status: dict[str, Any]) -> None:
-        """Apply one status payload at the current clock time."""
+    def record_status(self, message: Message) -> None:
+        """The STATUS-topic subscriber: fold one agent's update into the
+        coordinator at the current clock time."""
+        status = message.payload
+        if not isinstance(status, dict):
+            return
         if self._trace is not None:
-            self._trace.event("enactment.status", task, state=status.get("state"))
+            self._trace.event("enactment.status", message.sender, state=status.get("state"))
         if self._metrics is not None:
             self._metrics.counter("enactment.status_updates").inc()
-        self.coordinator.record_status(task, status, time=self.clock.now())
+        self.coordinator.record_status(message.sender, status, time=self.clock.now())
 
     # ------------------------------------------------------------- recovery
     def recover(self, host: AgentHost) -> tuple[list[Action], int]:
@@ -349,7 +328,7 @@ class EnactmentEngine:
         re-executes them — duplicates are harmless by construction) and the
         number of replayed messages (for the driver's cost accounting).
         """
-        logged = self.transport.replay(agent_topic(host.name)) if self.transport.supports_replay else []
+        logged = self.transport.replay(self.topics[host.name]) if self.transport.supports_replay else []
         crashed = host.core
         host.core, actions = rebuild_agent(host.encoding, logged, core=self.new_core(host.encoding))
         # the dead core's solution is cyclic garbage (a nested solution knows its

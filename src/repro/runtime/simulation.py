@@ -11,10 +11,13 @@ failures are injected according to the paper's model (Section V-D).  Only the
 :class:`~repro.runtime.costs.CostModel`.
 
 The driver is :class:`~repro.runtime.driver.AgentRun`'s; this module supplies
-the virtual clock (:class:`~repro.simkernel.Simulator`): a stimulus is served
-by the agent's serial queue for its modelled handling cost, an invocation
-completes after its duration plus the invocation overhead, a service that
-returns an awaitable fails its task, and a raising stimulus propagates.
+the virtual clock (:class:`~repro.simkernel.Simulator`): an agent handles one
+stimulus at a time, so a stimulus's actions dispatch when the agent's FIFO
+queue has served it for its modelled handling cost — Lindley's recursion
+``f_k = max(p_k, f_{k-1}) + c_k``, one kernel entry per stimulus; an
+invocation completes after its duration plus the invocation overhead, a
+service that returns an awaitable fails its task, and a raising stimulus
+propagates.
 
 The flow of one run:
 
@@ -28,12 +31,15 @@ The flow of one run:
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappush
+
 from repro.agents.actions import Action
 from repro.agents.core import AgentCore
 from repro.hoclflow.translator import TaskEncoding
 from repro.messaging import SimulatedBroker
 from repro.services import InvocationResult
-from repro.simkernel import SerialQueue, Simulator
+from repro.simkernel import Simulator
 from repro.workflow.dag import Workflow
 
 from .config import GinFlowConfig
@@ -45,13 +51,13 @@ __all__ = ["SimulatedRun", "run_simulation"]
 
 
 class _SimAgent(AgentHost):
-    """One simulated service agent: engine host + its virtual serial queue."""
+    """One simulated service agent: engine host + when its stimulus queue next falls idle."""
 
-    __slots__ = ("serial",)
+    __slots__ = ("idle_at",)
 
-    def __init__(self, encoding: TaskEncoding, core: AgentCore, node: str, serial: SerialQueue):
+    def __init__(self, encoding: TaskEncoding, core: AgentCore, node: str):
         super().__init__(encoding, core, node)
-        self.serial = serial
+        self.idle_at = 0.0
 
 
 class SimulatedRun(AgentRun):
@@ -61,8 +67,10 @@ class SimulatedRun(AgentRun):
         super().__init__(workflow, config or GinFlowConfig())
         self._sim = Simulator()
         self._costs = self.config.costs
-        # the clock's `call_later` is the kernel's `call_in` itself: no wrapper call per entry
+        # the clock's `call_later` is the kernel's `call_in` itself, and its `now` reads the
+        # kernel's clock through a C-level partial: no wrapper frame per entry or per timestamp
         self.call_later = self._sim.call_in  # type: ignore[method-assign]
+        self.now = partial(getattr, self._sim, "now")  # type: ignore[method-assign]
         self._placement: dict[str, str] = {}
 
     # ------------------------------------------------------------------ run
@@ -93,23 +101,25 @@ class SimulatedRun(AgentRun):
             return self._build_report(len(cluster), plan.deployment_time)
 
     # ---------------------------------------------------------------- clock
-    def now(self) -> float:
-        return self._sim.now
-
     def _new_host(self, encoding: TaskEncoding) -> AgentHost:
         return _SimAgent(
             encoding=encoding,
             core=self.engine.new_core(encoding),
             node=self._placement.get(encoding.name, "unknown"),
-            serial=SerialQueue(self._sim, name=f"agent-{encoding.name}"),
         )
 
     def _serve(self, agent: AgentHost, actions: list[Action], units: float, replayed: int | None = None) -> None:
-        costs = self._costs
-        work = costs.handling_cost(units)
+        costs, sim = self._costs, self._sim
+        # `CostModel.handling_cost`, written out: this runs once per stimulus
+        work = costs.handling_base + costs.reduction_unit_cost * max(0.0, units)
         if replayed is not None:
             work = costs.agent_boot_time + costs.replay_cost(replayed) + work
-        agent.serial.submit(work, self._dispatch, agent, actions, agent.incarnation)  # type: ignore[attr-defined]
+        now = sim.now
+        # Lindley's recursion: the agent serves its stimuli in arrival order
+        finish = agent.idle_at = max(now, agent.idle_at) + work  # type: ignore[attr-defined]
+        # `now + (finish - now)`, not `finish`: the two differ in the last bit
+        # and every pinned timeline was produced by the former
+        heappush(sim.queue, (now + (finish - now), sim.ticket(), self._dispatch, (agent, actions, agent.incarnation)))
 
     def _invocation_time(self, duration: float) -> float:
         return max(0.0, duration) + self._costs.invocation_overhead

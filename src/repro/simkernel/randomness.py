@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import zlib
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = ["PCG64", "RandomStreams"]
 
@@ -86,8 +86,12 @@ class PCG64:
         return half
 
     def random(self) -> float:
-        """One uniform draw in ``[0, 1)``."""
-        return (self._next64() >> 11) * 2.0**-53
+        """One uniform draw in ``[0, 1)``: the top 53 bits of a :meth:`_next64` word,
+        written out (the simulated broker draws one per message)."""
+        state = self._state = (self._state * _MULTIPLIER + self._inc) & _MASK128
+        word = state >> 64 ^ state & _MASK64
+        rotation = state >> 122
+        return (((word >> rotation | word << 64 - rotation) & _MASK64) >> 11) * 2.0**-53
 
     def uniform(self, low: float, high: float, count: int) -> list[float]:
         """``count`` uniform draws in ``[low, high)``."""
@@ -119,11 +123,9 @@ class RandomStreams:
             self._streams[label] = PCG64(derived)
         return self._streams[label]
 
-    def uniforms(self, label: str) -> Iterator[float]:
-        """The named stream's uniform draws in ``[0, 1)``, one per ``next``."""
-        draw = self.stream(label).random
-        while True:
-            yield draw()
+    def uniforms(self, label: str) -> Callable[[], float]:
+        """The named stream's uniform draws in ``[0, 1)``, one per call."""
+        return self.stream(label).random
 
     def bernoulli(self, label: str, probability: float) -> bool:
         """One biased coin flip from the named stream."""

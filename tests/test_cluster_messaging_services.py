@@ -3,6 +3,10 @@
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from broker_oracle import TwoHopBroker
 
 from repro.cluster import (
     Cluster,
@@ -234,8 +238,7 @@ class TestBrokers:
             def uniforms(self, label):
                 derived = zlib.crc32(label.encode("utf-8")) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
                 generator = numpy.random.default_rng(derived)
-                while True:
-                    yield float(generator.uniform(0.0, 1.0))
+                return lambda: float(generator.uniform(0.0, 1.0))
 
         def delivery_instants(randomness):
             sim = Simulator()
@@ -256,6 +259,26 @@ class TestBrokers:
         assert instants == delivery_instants(NumpyStreams(5))
         assert len({instant for _message_id, instant in instants}) == 1000  # the jitter is really there
 
+    def test_the_dispatcher_follows_the_brokers_own_publishes(self):
+        """Two brokers publishing interleaved on one thread: each keeps the timeline it has
+        alone.  Picking a dispatcher by the process-wide message id sent every message of
+        one broker to the same dispatcher, which then serialised its whole burst."""
+
+        def arrivals(brokers):
+            sim, instants = Simulator(), []
+            built = [
+                SimulatedBroker(sim, KAFKA_PROFILE, randomness=RandomStreams(2), dispatchers=2) for _ in range(brokers)
+            ]
+            for index, broker in enumerate(built):
+                broker.subscribe("t", lambda message, index=index: instants.append((index, sim.now.hex())))
+            for _ in range(6):
+                for broker in built:
+                    broker.publish(Message("t", "RESULT", "a", "b"))
+            sim.run()
+            return [instant for index, instant in instants if index == 0]
+
+        assert arrivals(2) == arrivals(1)
+
     def test_simulated_broker_replay_requires_persistence(self):
         sim = Simulator()
         broker = SimulatedBroker(sim, ACTIVEMQ_PROFILE)
@@ -267,6 +290,86 @@ class TestBrokers:
         broker = SimulatedBroker(sim, KAFKA_PROFILE)
         broker.publish(Message(topic="t", kind="RESULT", sender="a", recipient="b"))
         assert len(broker.replay("t")) == 1
+
+
+#: a publish schedule: bursts of equal-instant publishes, each after a gap that may be 0
+#: (equal instants), shorter than, equal to or longer than a dispatcher's service time
+_SCHEDULES = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.0005, 0.002, 0.15, 0.4]), st.integers(1, 6), st.integers(0, 2)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _arrivals(broker_class, profile, network, dispatchers, schedule):
+    """The broker, and ``(message_id, arrival instant as float.hex)`` of every delivery in
+    delivery order.  A message carrying ``n > 0`` is answered on delivery with one carrying
+    ``n - 1``, as an agent's result answers the result it receives."""
+    sim, arrivals, ids = Simulator(), [], iter(range(1, 10_000))
+    broker = broker_class(sim, profile, network, RandomStreams(4), dispatchers)
+
+    def received(message):
+        arrivals.append((message.message_id, sim.now.hex()))
+        if message.payload:
+            broker.publish(Message("t", "RESULT", "b", "a", message.payload - 1, message_id=next(ids)))
+
+    broker.subscribe("t", received)
+    at = 0.0
+    for gap, burst, echoes in schedule:
+        at += gap
+        for _ in range(burst):
+            sim.call_at(at, broker.publish, Message("t", "RESULT", "a", "b", echoes, message_id=next(ids)))
+    sim.run()
+    return broker, arrivals
+
+
+class TestFusedHopAgainstTheTwoHopBroker:
+    """The broker queues one entry per message, its arrival, computing the dispatcher's
+    finish at publish time; ``tests/broker_oracle.py`` queues two, the dispatcher's end
+    (which draws the jitter) and the arrival.  Whenever the oracle's dispatchers finish in
+    publish order — always with one dispatcher — every message must arrive at the same
+    instant, to the last bit, and in the same order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        schedule=_SCHEDULES,
+        dispatchers=st.sampled_from([1, 2, 3]),
+        profile=st.sampled_from([ACTIVEMQ_PROFILE, KAFKA_PROFILE]),
+        jitter=st.booleans(),
+    )
+    def test_same_arrivals_as_the_oracle(self, schedule, dispatchers, profile, jitter):
+        network = grid5000_network() if jitter else NetworkModel()  # NetworkModel(): no jitter, real ties
+        _, fused = _arrivals(SimulatedBroker, profile, network, dispatchers, schedule)
+        oracle, expected = _arrivals(TwoHopBroker, profile, network, dispatchers, schedule)
+        assert len(fused) == len(expected) == sum(burst * (1 + echoes) for _gap, burst, echoes in schedule)
+        if dispatchers == 1:
+            assert oracle.finished == oracle.published
+        if oracle.finished == oracle.published:
+            assert fused == expected
+
+    def test_a_tie_across_dispatchers_is_drawn_in_publish_order(self):
+        """Where the argument stops: message 17 (published at 0) and 18 (published at
+        0.23, on the other dispatcher) both leave their dispatchers at the same finish f.
+        The two-hop kernel entry is at ``now + (f - now)``, which for 18 rounds one ulp
+        below f, so the oracle finished 18 first and gave it the jitter draw the fused
+        hop gives 17.  With one dispatcher consecutive finishes lie a service time apart."""
+        schedule = [(0.0, 1, 0), (0.0, 4, 1), (0.0, 6, 0), (0.0, 6, 0)]
+        network = grid5000_network()
+        _, fused = _arrivals(SimulatedBroker, KAFKA_PROFILE, network, 2, schedule)
+        oracle, expected = _arrivals(TwoHopBroker, KAFKA_PROFILE, network, 2, schedule)
+        swapped = oracle.finished.index(18) < oracle.finished.index(17)
+        assert swapped and oracle.published.index(17) < oracle.published.index(18)
+        assert fused != expected
+        assert sorted(fused) != sorted(expected) and fused[:16] == expected[:16] and fused[18:] == expected[18:]
+
+    def test_one_kernel_entry_per_message(self):
+        sim = Simulator()
+        broker = SimulatedBroker(sim, ACTIVEMQ_PROFILE, dispatchers=2)
+        for _ in range(5):
+            broker.publish(Message("t", "RESULT", "a", "b"))
+        assert sim.pending() == 5
+        sim.run()
+        assert sim.processed_events == 5
 
 
 class TestServices:

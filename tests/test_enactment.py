@@ -11,11 +11,12 @@ accounting of the in-process broker, and the asyncio runtime end-to-end.
 from __future__ import annotations
 
 import asyncio
-import gc
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_run_floor import measured_alone
 
 from repro.agents import Coordinator
 from repro.messaging import ACTIVEMQ_PROFILE, InProcessBroker, Message, MessageKind
@@ -168,26 +169,47 @@ class TestCompletionAgainstTheExitSweep:
 
     def test_a_wide_fan_out_costs_per_task_what_a_narrow_one_does(self):
         """Every leaf is an exit.  While each update swept the exits, the 2000-leaf
-        fan-out cost 2.2x the µs per task of the 500-leaf one on the virtual clock;
-        now within 1.3x (best of three, the collector off: it is not what is timed)."""
-        config = GinFlowConfig(cluster_preset="uniform", nodes=200)
+        fan-out cost 2.2x the µs per task of the 500-leaf one on the virtual clock.
+        Its calls per task, counted in a fresh interpreter, are now within 1.3x
+        from 125 to 500 leaves."""
+        narrow, wide = measured_alone("fan_out_calls_per_task", (125, 500), module="test_enactment")
+        assert wide <= 1.3 * narrow, (narrow, wide)
 
-        def per_task(leaves):
-            best = float("inf")
-            for _ in range(3):
-                workflow = _fan_out(leaves)
-                started = time.perf_counter()
-                report = run_simulation(workflow, config)
-                best = min(best, time.perf_counter() - started)
-                assert report.succeeded and len(report.results) == leaves
-            return best / (leaves + 1)
+    def test_the_exit_sweep_fails_the_fan_out_gate(self):
+        """The gate above, on the coordinator that swept every exit on each update."""
+        narrow, wide = measured_alone("fan_out_calls_per_task", (125, 500), True, module="test_enactment")
+        assert wide > 1.3 * narrow, (narrow, wide)
 
-        gc.disable()
+
+def _sweeping_check_completion(self, task, entry, time):
+    """The seeded mutant: completion decided by sweeping every exit (:func:`_swept`)."""
+    if not self.completed and (verdict := _swept(self)) is not None:
+        self._finish(time, succeeded=verdict)
+
+
+def fan_out_calls_per_task(sizes, sweep=False):
+    """The calls — of Python functions and of builtins — one simulated run of the
+    fan-out makes per task, for each number of leaves in ``sizes``: host-independent,
+    unlike its wall.  With ``sweep``, on the coordinator of :func:`_sweeping_check_completion`."""
+    if sweep:
+        Coordinator._check_completion = _sweeping_check_completion
+    config = GinFlowConfig(cluster_preset="uniform", nodes=200)
+    run_simulation(_fan_out(10), config)  # every rule body written, every name interned
+    per_task = []
+    for leaves in sizes:
+        workflow, calls = _fan_out(leaves), [0]
+
+        def count(_frame, event, _arg, calls=calls):
+            calls[0] += event == "call" or event == "c_call"
+
+        sys.setprofile(count)
         try:
-            narrow, wide = per_task(500), per_task(2000)
+            report = run_simulation(workflow, config)
         finally:
-            gc.enable()
-        assert wide <= 1.3 * narrow, (1e6 * narrow, 1e6 * wide)
+            sys.setprofile(None)
+        assert report.succeeded and len(report.results) == leaves
+        per_task.append(calls[0] / (leaves + 1))
+    return per_task
 
 
 class TestFailFastEndToEnd:

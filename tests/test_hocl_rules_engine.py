@@ -423,6 +423,29 @@ class TestReduction:
         report = reduce_solution(solution)
         assert report.reactions == 1
 
+    def test_the_engines_reach_is_one_tuple_deep(self):
+        """The engine reduces a sub-solution atom and a sub-solution that is a tuple's
+        element.  One held deeper — in a list, or in a tuple inside a tuple — is
+        held (its edits reach the level) but never reduced: its rules do not fire."""
+
+        def held(wrap):
+            return wrap(Subsolution([1, 4, max_rule()]))
+
+        reached = [held(lambda s: s), held(lambda s: TupleAtom([Symbol("T"), s]))]
+        beyond = [
+            held(lambda s: ListAtom([s])),
+            held(lambda s: TupleAtom([Symbol("T"), TupleAtom([Symbol("U"), s])])),
+            held(lambda s: TupleAtom([Symbol("T"), ListAtom([s])])),
+        ]
+        for atom, fires in [*((atom, 1) for atom in reached), *((atom, 0) for atom in beyond)]:
+            assert reduce_solution(Multiset([atom])).reactions == fires, atom
+        inner = Multiset([1, 4, max_rule()])
+        level = Multiset([ListAtom([Subsolution(inner)])])
+        reduce_solution(level)
+        version = level.version
+        inner.add(7)
+        assert len(inner) == 4 and level.version > version
+
     def test_rule_cannot_consume_itself(self):
         eater = replace("eater", [RulePattern()], [])
         solution = Multiset([eater])

@@ -227,13 +227,13 @@ AGENT_BUDGET = 73
 #: montage:size=300,seed=1; per stimulus through each clock's agent driver on a
 #: 500-deep chain, AgentCore's own left out.  Each is counted in a fresh
 #: interpreter (what the process ran before does not move it) and pinned per
-#: CPython of the CI matrix at the measured value: 44.002, 43.998, 33.408,
-#: 38.342 and 17.344 on 3.10 and 3.11; 43.0, 42.663, 32.382, 38.341 and 17.344
+#: CPython of the CI matrix at the measured value: 44.002, 38.999, 32.408,
+#: 19.008 and 14.678 on 3.10 and 3.11; 43.0, 37.664, 31.382, 19.008 and 14.678
 #: on 3.12, which inlines comprehensions.  Another version is held to 3.11's.
 _CALL_BUDGETS = {
-    (3, 10): (44.01, 44.0, 33.41, 38.35, 17.35),
-    (3, 11): (44.01, 44.0, 33.41, 38.35, 17.35),
-    (3, 12): (43.0, 42.67, 32.39, 38.35, 17.35),
+    (3, 10): (44.01, 39.0, 32.41, 19.01, 14.68),
+    (3, 11): (44.01, 39.0, 32.41, 19.01, 14.68),
+    (3, 12): (43.0, 37.67, 31.39, 19.01, 14.68),
 }
 CALLS_PER_AGENT, CALLS_PER_STIMULUS, CALLS_PER_REACTION, *_driver = _CALL_BUDGETS.get(sys.version_info[:2], _CALL_BUDGETS[3, 11])
 DRIVER_CALLS_PER_STIMULUS = dict(zip(("simulated", "asyncio"), _driver))
@@ -355,10 +355,10 @@ def driver_calls_per_stimulus(mode):
     return report.succeeded, stimuli, calls / stimuli
 
 
-def measured_alone(function, *args):
-    """What ``function(*args)`` of this module returns in a fresh interpreter:
-    a call count that does not depend on what the suite ran before."""
-    script = f"import json, test_run_floor\nprint(json.dumps(test_run_floor.{function}(*{args!r})))\n"
+def measured_alone(function, *args, module="test_run_floor"):
+    """What ``function(*args)`` of ``module`` (this one by default) returns in a
+    fresh interpreter: a call count that does not depend on what the suite ran before."""
+    script = f"import json, {module}\nprint(json.dumps({module}.{function}(*{args!r})))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": "0"}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr

@@ -217,17 +217,18 @@ class TestSimulatedRuntime:
 class TestKernelEntryAccounting:
     """One kernel entry per modelled hop, and nothing else:
 
-    ``virtual_events == 2·messages + stimuli + boots + invocations + crashes + recoveries``
-    — a message is two entries (dispatcher done, network arrival), a stimulus
-    one (its actions dispatch when its handling cost elapsed), a boot, an
-    invocation's end, a crash's restart delay and a recovery's replay one each.
+    ``virtual_events == messages + stimuli + boots + invocations + crashes + recoveries``
+    — a message is one entry (its arrival: the dispatcher's finish is computed
+    at publish), a stimulus one (its actions dispatch when its handling cost
+    elapsed), a boot, an invocation's end, a crash's restart delay and a
+    recovery's replay one each.
     """
 
     @pytest.mark.parametrize(
         "workflow, options, expected",
         [
-            # Fig. 13, the e2e benchmark's adapt-diamond-sim: 53,802 = 2·20,460 + 11,114 + 884 + 884
-            (lambda: adaptive_diamond_workflow(21, 21, "full", "simple", duration=0.1), {}, 53_802),
+            # Fig. 13, the e2e benchmark's adapt-diamond-sim: 33,342 = 20,460 + 11,114 + 884 + 884
+            (lambda: adaptive_diamond_workflow(21, 21, "full", "simple", duration=0.1), {}, 33_342),
             (lambda: montage_workflow(60, seed=1), {"costs": CostModel(broker_dispatchers=3)}, None),
             (
                 lambda: montage_workflow(60, seed=1),
@@ -254,7 +255,7 @@ class TestKernelEntryAccounting:
         assert report.failures_injected == report.recoveries
         assert bool(report.failures_injected) == ("failures" in options)
         assert report.extra["virtual_events"] == (
-            2 * report.messages_published + len(stimuli) + boots + invocations
+            report.messages_published + len(stimuli) + boots + invocations
             + report.failures_injected + report.recoveries
         )
         if expected is not None:

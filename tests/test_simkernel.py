@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import RandomStreams, SerialQueue, Simulator
+from broker_oracle import SerialQueue
+from repro.simkernel import RandomStreams, Simulator
 
 
 class TestSimulatorBasics:
@@ -173,6 +174,8 @@ class TestRunsInTimeThenInsertionOrder:
 
 
 class TestSerialQueue:
+    """The serial server of the two-hop broker oracle (``tests/broker_oracle.py``)."""
+
     def test_serial_queue_serialises_work(self):
         sim = Simulator()
         queue = SerialQueue(sim)
@@ -219,8 +222,8 @@ class TestRandomStreams:
         assert streams.bernoulli("y", 0.999999)
 
     def test_uniform_bounds(self):
-        draws = RandomStreams(3).uniforms("u")
-        assert all(0.0 <= next(draws) < 1.0 for _ in range(100))
+        draw = RandomStreams(3).uniforms("u")
+        assert all(0.0 <= draw() < 1.0 for _ in range(100))
 
     def test_spawn_changes_draws(self):
         parent = RandomStreams(7)

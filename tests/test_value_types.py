@@ -263,7 +263,7 @@ class TestRunPathRecords:
 
 class TestRunPathRecordContracts:
     def test_fields_follow_the_class_chain_and_skip_private_slots(self):
-        assert _SimAgent.__match_args__ == (*AgentHost.__match_args__, "serial")
+        assert _SimAgent.__match_args__ == (*AgentHost.__match_args__, "idle_at")
         assert "_local_rules" not in TaskEncoding.__match_args__ and "_local_rules" in TaskEncoding.__slots__
 
     def test_experiments_read_the_configuration_fields(self):
