@@ -36,13 +36,13 @@ from test_bench_reduction import size_exponent
 from repro.scenarios import build_scenario
 from repro.workflow import adaptive_diamond_workflow, workflow_from_json, workflow_to_dict
 
-#: the largest exponent of wall over tasks either set-up path may show
+#: the largest exponent of CPU time over tasks either set-up path may show
 MAX_EXPONENT = 1.2
 
 
-def _best_walls(runs: list, rounds: int = 5) -> list[float]:
+def _best_times(runs: list, rounds: int = 5) -> list[float]:
     """The best CPU time of each of ``runs``, timed round-robin over ``rounds`` rounds."""
-    walls = [float("inf")] * len(runs)
+    times = [float("inf")] * len(runs)
     for _ in range(rounds):
         for index, run in enumerate(runs):
             gc.collect()  # what the previous run left is not this one's to allocate around
@@ -50,26 +50,26 @@ def _best_walls(runs: list, rounds: int = 5) -> list[float]:
             try:
                 start = time.thread_time()
                 run()
-                walls[index] = min(walls[index], time.thread_time() - start)
+                times[index] = min(times[index], time.thread_time() - start)
             finally:
                 gc.enable()
-    return walls
+    return times
 
 
-def _gated(path: str, tasks: list[int], walls: list[float]) -> None:
-    exponent = size_exponent(tasks, walls)
-    table = ", ".join(f"{count} tasks {1e3 * wall:.1f} ms" for count, wall in zip(tasks, walls))
+def _gated(path: str, tasks: list[int], times: list[float]) -> None:
+    exponent = size_exponent(tasks, times)
+    table = ", ".join(f"{count} tasks {1e3 * seconds:.1f} ms" for count, seconds in zip(tasks, times))
     assert exponent <= MAX_EXPONENT, f"{path} grows as n^{exponent} > n^{MAX_EXPONENT}: {table}"
 
 
 def test_montage_build_is_linear():
     sizes = [500, 2000, 8000]
-    walls = _best_walls([partial(build_scenario, f"montage:size={size},seed=1") for size in sizes])
-    _gated("montage scenario build", sizes, walls)
+    times = _best_times([partial(build_scenario, f"montage:size={size},seed=1") for size in sizes])
+    _gated("montage scenario build", sizes, times)
 
 
 def test_adaptive_diamond_load_is_linear():
     documents = [workflow_to_dict(adaptive_diamond_workflow(n, n, "simple", "simple")) for n in (21, 42, 84)]
     tasks = [2 + n * n for n in (21, 42, 84)]
-    walls = _best_walls([partial(workflow_from_json, document) for document in documents])
-    _gated("adaptive diamond JSON load", tasks, walls)
+    times = _best_times([partial(workflow_from_json, document) for document in documents])
+    _gated("adaptive diamond JSON load", tasks, times)
