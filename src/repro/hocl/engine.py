@@ -57,9 +57,8 @@ engine to.
 
 from __future__ import annotations
 
-from functools import partial
 from time import perf_counter
-from typing import Any, NamedTuple
+from typing import Any
 
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.records import Record
@@ -69,30 +68,27 @@ from .multiset import Multiset
 
 __all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution"]
 
+_new = object.__new__
+
 #: The reduction phases a traced engine times: ``match`` (searching for an
 #: applicable rule), ``patch`` (applying its rewrite delta) and ``index`` (the
 #: one-shot rule's removal that follows).
 PHASES = ("match", "patch", "index")
 
 
-class ReactionRecord(NamedTuple):
+class ReactionRecord(Record):
     """One rule firing, as recorded in a :class:`ReductionReport`.
 
     ``consumed`` counts the matched atoms and ``produced`` the atoms the
     firing left behind: the kept anchors plus the ``produce`` expansions —
-    as many as expanding the products would make.  A named tuple, built with
-    no Python frame (one per reaction), unhashable like the report holding it.
+    as many as expanding the products would make.  The engine stores the
+    fields of the one it records per reaction itself, with no frame.
     """
 
-    rule: str
-    depth: int
-    consumed: int
-    produced: int
+    __slots__ = ("rule", "depth", "consumed", "produced")
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-_new_record = partial(tuple.__new__, ReactionRecord)  # from its four fields, by `tuple.__new__` itself
+    def __init__(self, rule: str, depth: int, consumed: int, produced: int):
+        self.rule, self.depth, self.consumed, self.produced = rule, depth, consumed, produced
 
 
 class ReductionReport(Record):
@@ -264,7 +260,9 @@ class ReductionEngine:
                         self._record("patch", searched, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
                     report.reactions += 1
                     report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
-                    report.history.append(_new_record((rule.name, depth, len(rule.patterns), produced)))
+                    record = _new(ReactionRecord)  # `ReactionRecord(...)`, its `__init__` written out
+                    record.rule, record.depth, record.consumed, record.produced = rule.name, depth, len(rule.patterns), produced
+                    report.history.append(record)
                     break
             else:
                 if trace is not None:
