@@ -20,9 +20,9 @@ stack described in the paper:
 * :mod:`repro.agents` — service agents, the shared-space coordinator and the
   fault-recovery mechanism,
 * :mod:`repro.executors` — centralised, SSH-like and Mesos-like executors,
-* :mod:`repro.runtime` — the GinFlow facade, the run configuration and the
-  pluggable backend registry (runtimes, executors, brokers, cluster presets
-  all resolve by name through :mod:`repro.runtime.backends`),
+* :mod:`repro.runtime` — the GinFlow facade and the run configuration, whose
+  table of backends names every runtime, executor, broker and cluster preset
+  (:data:`repro.runtime.config.BACKENDS`),
 * :mod:`repro.scenarios` — a registry of parameterized, seed-deterministic
   scientific-workflow generators (Epigenomics/CyberShake/Inspiral/SIPHT-like
   shapes plus synthetic stress families), wired into the CLI, the sweeps and
@@ -50,19 +50,6 @@ Sweeps
 >>> sweep = GinFlow().sweep(lambda: diamond_workflow(3, 3, duration=0.1), grid)
 >>> len(sweep.cells())
 4
-
-Extending
----------
-Register third-party backends (runtimes, executors, brokers, cluster
-presets) with the ``register_*`` decorators; they become valid ``GinFlowConfig``
-choices and CLI options immediately::
-
-    from repro import register_broker
-    from repro.messaging import BrokerProfile
-
-    @register_broker("inmemory", capabilities={"persistent": True})
-    def inmemory_profile(config):
-        return BrokerProfile("inmemory", 0.001, 0.01, persistent=True)
 """
 
 from __future__ import annotations
@@ -79,17 +66,6 @@ _FACADE = {
     "Experiment": ("repro.experiments", "Experiment"),
     "ParameterGrid": ("repro.experiments", "ParameterGrid"),
     "SweepReport": ("repro.experiments", "SweepReport"),
-    "Backend": ("repro.runtime.backends", "Backend"),
-    "BackendError": ("repro.runtime.backends", "BackendError"),
-    "BackendRegistry": ("repro.runtime.backends", "BackendRegistry"),
-    "register_runtime": ("repro.runtime.backends", "register_runtime"),
-    "register_executor": ("repro.runtime.backends", "register_executor"),
-    "register_broker": ("repro.runtime.backends", "register_broker"),
-    "register_cluster": ("repro.runtime.backends", "register_cluster"),
-    "available_runtimes": ("repro.runtime.backends", "available_runtimes"),
-    "available_executors": ("repro.runtime.backends", "available_executors"),
-    "available_brokers": ("repro.runtime.backends", "available_brokers"),
-    "available_clusters": ("repro.runtime.backends", "available_clusters"),
     "Scenario": ("repro.scenarios", "Scenario"),
     "register_scenario": ("repro.scenarios", "register_scenario"),
     "available_scenarios": ("repro.scenarios", "available_scenarios"),

@@ -34,7 +34,7 @@ Seven check families (see the modules for the catalog):
   invariants: spans closed and well-nested, broker publish/deliver events
   matching the transport counters.
 
-Checks are registered objects (the same idiom as backends and scenarios);
+Checks are registered objects (the same idiom as scenarios);
 :func:`register_check` accepts third-party checks, and the drivers pick
 them up automatically.  Surfaced as ``ginflow lint`` (static), ``ginflow
 audit`` (dynamic) and as a pytest-importable API::

@@ -1,8 +1,7 @@
 """The check registry — named, severity-tagged analyzer checks.
 
-Checks are first-class registered objects, mirroring the backend registry of
-:mod:`repro.runtime.backends` and the scenario registry of
-:mod:`repro.scenarios.registry`: the drivers in
+Checks are first-class registered objects, mirroring the scenario registry
+of :mod:`repro.scenarios.registry`: the drivers in
 :mod:`repro.analysis.analyzer` resolve every check of a *kind* through this
 module, so a third-party check registered before ``ginflow lint`` runs is
 picked up without touching the analyzer.

@@ -26,9 +26,8 @@ or, without installing the console script::
     python -m repro.cli run workflow.json
 
 Backend choices (``--mode`` / ``--executor`` / ``--broker`` / ``--cluster``)
-are drawn dynamically from the backend registry
-(:mod:`repro.runtime.backends`), so third-party backends registered before
-:func:`main` runs are accepted everywhere without touching this module.
+and ``ginflow backends`` read the one table of backends,
+:data:`repro.runtime.config.BACKENDS`.
 """
 
 from __future__ import annotations
@@ -47,15 +46,7 @@ from repro.obs.export import read_trace, write_trace
 from repro.obs.logs import configure_logging
 from repro.obs.summarize import format_summary, summarize
 from repro.runtime import GinFlow, GinFlowConfig
-from repro.runtime.backends import (
-    KINDS,
-    available_brokers,
-    available_clusters,
-    available_executors,
-    available_runtimes,
-    ensure_builtin_backends,
-    registry,
-)
+from repro.runtime.config import BACKENDS
 from repro.scenarios import available_scenarios, build_scenario, get_scenario
 from repro.services import FailureModel
 from repro.workflow import workflow_from_json
@@ -100,11 +91,11 @@ def _add_findings_arguments(parser: argparse.ArgumentParser, all_scenarios_help:
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    """Configuration flags shared by ``run`` and ``sweep`` (registry-driven)."""
-    parser.add_argument("--mode", default="simulated", choices=available_runtimes())
-    parser.add_argument("--executor", default="ssh", choices=available_executors())
-    parser.add_argument("--broker", default="activemq", choices=available_brokers())
-    parser.add_argument("--cluster", default="grid5000", choices=available_clusters(),
+    """Configuration flags shared by ``run`` and ``sweep`` (choices from the backend table)."""
+    parser.add_argument("--mode", default="simulated", choices=tuple(BACKENDS["runtime"]))
+    parser.add_argument("--executor", default="ssh", choices=tuple(BACKENDS["executor"]))
+    parser.add_argument("--broker", default="activemq", choices=tuple(BACKENDS["broker"]))
+    parser.add_argument("--cluster", default="grid5000", choices=tuple(BACKENDS["cluster"]),
                         help="cluster preset (simulated mode)")
     parser.add_argument("--nodes", type=int, default=25, help="number of cluster nodes (simulated mode)")
     parser.add_argument("--seed", type=int, default=1, help="root random seed")
@@ -173,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--names", action="store_true", help="print the bare scenario names, one per line"
     )
 
-    backends_parser = subparsers.add_parser("backends", help="list the registered backends")
-    backends_parser.add_argument("--kind", choices=KINDS, help="restrict to one backend kind")
+    backends_parser = subparsers.add_parser("backends", help="list the built-in backends")
+    backends_parser.add_argument("--kind", choices=tuple(BACKENDS), help="restrict to one backend kind")
     backends_parser.add_argument("--json", action="store_true", help="print the listing as JSON")
 
     validate_parser = subparsers.add_parser(
@@ -200,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check catalog.",
     )
     _add_findings_arguments(audit_parser, "audit every registered scenario at a small size (size=20)")
-    audit_parser.add_argument("--mode", default="simulated", choices=available_runtimes())
+    audit_parser.add_argument("--mode", default="simulated", choices=tuple(BACKENDS["runtime"]))
     audit_parser.add_argument("--nodes", type=int, default=5, help="number of cluster nodes")
     audit_parser.add_argument("--seed", type=int, default=1, help="root random seed")
     audit_parser.add_argument(
@@ -411,35 +402,24 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
 
 def _command_backends(args: argparse.Namespace) -> int:
-    ensure_builtin_backends()
-    kinds = (args.kind,) if args.kind else KINDS
+    kinds = (args.kind,) if args.kind else tuple(BACKENDS)
     if args.json:
         payload = [
-            {
-                "kind": backend.kind,
-                "name": backend.name,
-                "description": backend.description,
-                "capabilities": {
-                    key: repr(value) if not isinstance(value, (str, int, float, bool, type(None))) else value
-                    for key, value in backend.capabilities.items()
-                },
-            }
+            {"kind": kind, "name": name, "description": description, "capabilities": flags}
             for kind in kinds
-            for backend in registry.backends(kind)
+            for name, (_builder, description, flags) in BACKENDS[kind].items()
         ]
         print(json.dumps(payload, indent=2))
         return 0
     for kind in kinds:
-        entries = registry.backends(kind)
-        print(f"{kind} ({len(entries)}):")
-        for backend in entries:
-            capabilities = ", ".join(
+        print(f"{kind} ({len(BACKENDS[kind])}):")
+        for name, (_builder, description, flags) in BACKENDS[kind].items():
+            shown = ", ".join(
                 f"{key}={value}" if not isinstance(value, bool) else (key if value else f"no-{key}")
-                for key, value in backend.capabilities.items()
-                if not callable(value) and not isinstance(value, type)
+                for key, value in flags.items()
             )
-            suffix = f"  [{capabilities}]" if capabilities else ""
-            print(f"  {backend.name:<12} {backend.description}{suffix}")
+            suffix = f"  [{shown}]" if shown else ""
+            print(f"  {name:<12} {description}{suffix}")
     return 0
 
 

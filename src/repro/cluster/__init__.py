@@ -1,10 +1,4 @@
-"""Simulated infrastructure: nodes, clusters, network and the Mesos master.
-
-Import order matters here: the leaf modules (:mod:`.node`, :mod:`.network`,
-:mod:`.mesos_master`) load first so that the preset modules — which import
-:mod:`repro.runtime.backends` to register themselves — can be imported even
-while this package is still initialising.
-"""
+"""Simulated infrastructure: nodes, clusters, network and the Mesos master."""
 
 from .node import Cluster, Node
 from .network import NetworkModel

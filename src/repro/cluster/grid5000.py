@@ -8,8 +8,6 @@ with exactly that aggregate core count.
 
 from __future__ import annotations
 
-from repro.runtime.backends import register_cluster
-
 from .network import NetworkModel
 from .node import Cluster, Node
 
@@ -52,13 +50,3 @@ def grid5000_cluster(nodes: int = GRID5000_NODES, agents_per_core: int = GRID500
 def grid5000_network() -> NetworkModel:
     """The 1 Gbps Ethernet network model of the testbed."""
     return NetworkModel(latency=0.0005, bandwidth=125_000_000.0, jitter=0.0002)
-
-
-@register_cluster(
-    "grid5000",
-    capabilities={"max_nodes": GRID5000_NODES, "total_cores": GRID5000_TOTAL_CORES},
-    description="the paper's Grid'5000 testbed: 25 nodes, 568 cores, 2 agents/core",
-)
-def _build_grid5000_cluster(config) -> Cluster:
-    """Cluster backend factory: the first ``config.nodes`` testbed machines."""
-    return grid5000_cluster(getattr(config, "nodes", GRID5000_NODES))

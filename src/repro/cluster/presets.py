@@ -1,16 +1,12 @@
-"""Additional cluster presets built on the backend registry.
+"""The uniform cluster preset.
 
 The Grid'5000 preset reproduces the paper's testbed exactly (uneven core
 counts, a 25-node ceiling).  The *uniform* preset here removes both
 constraints: every node is identical and the node count is unbounded, which
-is what scale experiments beyond the paper's setup need.  It also serves as
-the in-tree example of adding a cluster backend without touching the engine:
-third-party presets register exactly the same way.
+is what scale experiments beyond the paper's setup need.
 """
 
 from __future__ import annotations
-
-from repro.runtime.backends import register_cluster
 
 from .node import Cluster, Node
 
@@ -34,13 +30,3 @@ def uniform_cluster(
         for index in range(nodes)
     ]
     return Cluster(machines, name=name or f"uniform-{nodes}")
-
-
-@register_cluster(
-    "uniform",
-    capabilities={"max_nodes": None, "cores_per_node": UNIFORM_CORES_PER_NODE},
-    description="homogeneous cluster: any node count, 8 cores per node, 2 agents/core",
-)
-def _build_uniform_cluster(config) -> Cluster:
-    """Cluster backend factory: ``config.nodes`` identical machines."""
-    return uniform_cluster(getattr(config, "nodes", 1))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster import Cluster, MesosMaster
-from repro.runtime.backends import register_executor
 
 from .base import DeploymentPlan, DistributedExecutor
 
@@ -78,13 +77,3 @@ class MesosExecutor(DistributedExecutor):
         )
         plan.validate()
         return plan
-
-
-@register_executor(
-    "mesos",
-    capabilities={"deployment": "resource-offers", "scaling": "linearly-decreasing"},
-    description="offer-based Mesos provisioning (one agent per offered node per round)",
-)
-def _build_mesos_executor(config) -> MesosExecutor:
-    """Executor backend factory (the configuration carries no Mesos knobs)."""
-    return MesosExecutor()

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster import Cluster
-from repro.runtime.backends import register_executor
 
 from .base import DeploymentPlan, DistributedExecutor
 
@@ -84,13 +83,3 @@ class SSHExecutor(DistributedExecutor):
         )
         plan.validate()
         return plan
-
-
-@register_executor(
-    "ssh",
-    capabilities={"deployment": "round-robin", "scaling": "slightly-increasing"},
-    description="round-robin SSH provisioning over a preconfigured node list",
-)
-def _build_ssh_executor(config) -> SSHExecutor:
-    """Executor backend factory (the configuration carries no SSH knobs)."""
-    return SSHExecutor()

@@ -1,6 +1,5 @@
-"""Message-queue substrate: ActiveMQ-like and Kafka-like brokers."""
+"""Message-queue substrate: ActiveMQ-like and Kafka-like broker profiles."""
 
-from .activemq import ActiveMQBroker
 from .broker import (
     ACTIVEMQ_PROFILE,
     KAFKA_PROFILE,
@@ -8,9 +7,7 @@ from .broker import (
     BrokerProfile,
     InProcessBroker,
     MessageLog,
-    profile_by_name,
 )
-from .kafka import KafkaBroker
 from .message import STATUS_TOPIC, Message, MessageKind, adapt_count, agent_topic
 from .simulated import SimulatedBroker
 
@@ -24,10 +21,7 @@ __all__ = [
     "BrokerProfile",
     "InProcessBroker",
     "MessageLog",
-    "profile_by_name",
     "ACTIVEMQ_PROFILE",
     "KAFKA_PROFILE",
-    "ActiveMQBroker",
-    "KafkaBroker",
     "SimulatedBroker",
 ]

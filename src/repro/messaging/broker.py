@@ -10,11 +10,10 @@ their properties:
   fault-recovery mechanism of Section IV-B possible, captured by
   :class:`MessageLog` and the ``persistent`` flag.
 
-Concrete broker implementations come in two flavours: the in-process
-brokers of :mod:`repro.messaging.activemq` / :mod:`repro.messaging.kafka`
-used by the asyncio runtime, and the virtual-time
+Concrete broker implementations come in two flavours: the
+:class:`InProcessBroker` used by the asyncio runtime, and the virtual-time
 :class:`~repro.messaging.simulated.SimulatedBroker` used by the simulation
-runtime.  All share the profiles and log defined here.
+runtime.  Both take either profile and share the log defined here.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-__all__ = ["BrokerProfile", "ACTIVEMQ_PROFILE", "KAFKA_PROFILE", "MessageLog", "Broker", "profile_by_name"]
+__all__ = ["BrokerProfile", "ACTIVEMQ_PROFILE", "KAFKA_PROFILE", "MessageLog", "Broker", "InProcessBroker"]
 
 
 class BrokerProfile(Frozen):
@@ -92,16 +91,6 @@ KAFKA_PROFILE = BrokerProfile(
 )
 
 
-def profile_by_name(name: str) -> BrokerProfile:
-    """Resolve a broker profile from its name (``"activemq"`` / ``"kafka"``)."""
-    lowered = name.lower()
-    if lowered == "activemq":
-        return ACTIVEMQ_PROFILE
-    if lowered == "kafka":
-        return KAFKA_PROFILE
-    raise ValueError(f"unknown broker {name!r} (expected 'activemq' or 'kafka')")
-
-
 class MessageLog:
     """An append-only, offset-addressed log of messages per topic.
 
@@ -133,8 +122,7 @@ class Broker:
 
     profile: BrokerProfile
     #: observability hooks, attached post-construction by the hosting
-    #: runtime (brokers are built through the backend registry with a fixed
-    #: signature); ``None`` — the default — records nothing.
+    #: runtime; ``None`` — the default — records nothing.
     trace: "Tracer | None" = None
     metrics: "MetricsRegistry | None" = None
 

@@ -1,36 +1,15 @@
-"""GinFlow runtimes: configuration, cost model, reports, execution modes and
-the pluggable backend registry.
+"""GinFlow runtimes: configuration, cost model, reports and execution modes.
 
-This package facade is lazy (module-level ``__getattr__``) for two reasons:
-
-* leaf packages (:mod:`repro.messaging`, :mod:`repro.executors`,
-  :mod:`repro.cluster`) import :mod:`repro.runtime.backends` to register
-  their backends, and must be able to do so without dragging the whole
-  runtime stack in (which would create import cycles);
-* ``EXECUTION_MODES`` / ``EXECUTORS`` / ``BROKERS`` are *derived views* of
-  the registry — they always reflect every registered backend, including
-  third-party ones, instead of being frozen tuples.
+This package facade is lazy (module-level ``__getattr__``): the leaf
+packages that need one of its modules (:mod:`repro.executors.centralized`
+needs :mod:`repro.runtime.frozen`) import it without dragging the whole
+runtime stack in, and a runtime's driver module is imported only when a run
+on it is built.
 """
 
 from __future__ import annotations
 
 import importlib
-
-from . import backends
-from .backends import (
-    Backend,
-    BackendError,
-    BackendRegistry,
-    available_brokers,
-    available_clusters,
-    available_executors,
-    available_runtimes,
-    get_backend,
-    register_broker,
-    register_cluster,
-    register_executor,
-    register_runtime,
-)
 
 __all__ = [
     "GinFlow",
@@ -45,22 +24,6 @@ __all__ = [
     "EnactmentEngine",
     "AgentHost",
     "ReportAssembler",
-    "EXECUTION_MODES",
-    "EXECUTORS",
-    "BROKERS",
-    "backends",
-    "Backend",
-    "BackendError",
-    "BackendRegistry",
-    "get_backend",
-    "register_runtime",
-    "register_executor",
-    "register_broker",
-    "register_cluster",
-    "available_runtimes",
-    "available_executors",
-    "available_brokers",
-    "available_clusters",
 ]
 
 # Lazily resolved attributes: name -> (module, attribute).
@@ -79,13 +42,8 @@ _LAZY = {
     "ReportAssembler": (".enactment", "ReportAssembler"),
 }
 
-# Registry-derived views (recomputed on every access, never cached).
-_DERIVED = backends.DERIVED_VIEWS
-
 
 def __getattr__(name: str) -> object:
-    if name in _DERIVED:
-        return _DERIVED[name]()
     try:
         module_name, attribute = _LAZY[name]
     except KeyError:
@@ -97,4 +55,4 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY) | set(_DERIVED))
+    return sorted(set(globals()) | set(_LAZY))

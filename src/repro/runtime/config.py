@@ -7,13 +7,9 @@ cost model and seed.  The defaults reproduce the paper's common setup
 failures).
 
 Every *named* choice (``mode``, ``executor``, ``broker``,
-``cluster_preset``) resolves through the pluggable backend registry
-(:mod:`repro.runtime.backends`): registering a new backend through the
-public API makes it immediately valid here, in :meth:`GinFlow.run
-<repro.runtime.ginflow.GinFlow.run>` and in the CLI, without editing any
-engine file.  The historical ``EXECUTION_MODES`` / ``EXECUTORS`` /
-``BROKERS`` tuples are kept as *derived views* of the registry (module-level
-``__getattr__``), so they can never drift from it.
+``cluster_preset``) is a row of :data:`BACKENDS`, the one table of the
+built-in backends: the configuration validates against it, builds from it,
+and the CLI's choices and ``ginflow backends`` listing read it.
 
 The configuration is a frozen record (:class:`~repro.records.Frozen`): it
 validates once on construction and can only be varied through
@@ -24,16 +20,96 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cluster.network import NetworkModel
-from repro.cluster.node import Cluster
+from repro.cluster import (
+    GRID5000_NODES,
+    GRID5000_TOTAL_CORES,
+    UNIFORM_CORES_PER_NODE,
+    Cluster,
+    NetworkModel,
+    grid5000_cluster,
+    grid5000_network,
+    uniform_cluster,
+)
+from repro.executors import MesosExecutor, SSHExecutor
+from repro.messaging.broker import ACTIVEMQ_PROFILE, KAFKA_PROFILE, InProcessBroker
 from repro.obs import Observability
 from repro.records import Frozen
 from repro.services import NO_FAILURES, FailureModel, ServiceRegistry
 
-from . import backends
 from .costs import CostModel
 
-__all__ = ["GinFlowConfig", "EXECUTION_MODES", "EXECUTORS", "BROKERS"]
+__all__ = ["GinFlowConfig", "BACKENDS", "backend"]
+
+#: Every backend a run names: kind -> name -> (builder, description, flags),
+#: in the order the CLI's choices and ``ginflow backends`` show them.  A
+#: runtime's builder is its driver's ``module:function``, imported when a run
+#: on it is built (``repro.runtime.aio`` alone pulls in asyncio, ssl, socket);
+#: an executor's is its class, a cluster's its preset of the node count, and a
+#: broker's the name of its :class:`CostModel` profile.  The flags are what
+#: the listing prints; only a runtime's ``supports_failures`` is ever checked.
+BACKENDS: dict[str, dict[str, tuple[Any, str, dict[str, Any]]]] = {
+    "runtime": {
+        "centralized": (
+            "repro.runtime.ginflow:run_centralized",
+            "single HOCL interpreter with synchronous service calls",
+            {"distributed": False, "supports_failures": False, "wall_clock": True},
+        ),
+        "simulated": (
+            "repro.runtime.simulation:run_simulation",
+            "virtual-time distributed simulation over the modelled cluster",
+            {"distributed": True, "virtual_time": True, "supports_failures": True, "deterministic": True},
+        ),
+        "asyncio": (
+            "repro.runtime.aio:run_asyncio",
+            "one asyncio event loop: every stimulus a callback, concurrency without threads",
+            {"distributed": False, "wall_clock": True, "supports_failures": False, "single_threaded": True},
+        ),
+    },
+    "executor": {
+        "mesos": (
+            MesosExecutor,
+            "offer-based Mesos provisioning (one agent per offered node per round)",
+            {"deployment": "resource-offers", "scaling": "linearly-decreasing"},
+        ),
+        "ssh": (
+            SSHExecutor,
+            "round-robin SSH provisioning over a preconfigured node list",
+            {"deployment": "round-robin", "scaling": "slightly-increasing"},
+        ),
+    },
+    "broker": {
+        "activemq": (
+            "activemq",
+            "ActiveMQ 5.6-like JMS broker: fast, transient messaging",
+            {"persistent": ACTIVEMQ_PROFILE.persistent},
+        ),
+        "kafka": (
+            "kafka",
+            "Kafka 0.8-like broker: persistent, replayable, ~4x ActiveMQ's cost",
+            {"persistent": KAFKA_PROFILE.persistent},
+        ),
+    },
+    "cluster": {
+        "grid5000": (
+            grid5000_cluster,
+            "the paper's Grid'5000 testbed: 25 nodes, 568 cores, 2 agents/core",
+            {"max_nodes": GRID5000_NODES, "total_cores": GRID5000_TOTAL_CORES},
+        ),
+        "uniform": (
+            uniform_cluster,
+            "homogeneous cluster: any node count, 8 cores per node, 2 agents/core",
+            {"max_nodes": None, "cores_per_node": UNIFORM_CORES_PER_NODE},
+        ),
+    },
+}
+
+
+def backend(kind: str, name: str) -> tuple[Any, str, dict[str, Any]]:
+    """The :data:`BACKENDS` row of the ``kind`` backend called exactly ``name``."""
+    rows = BACKENDS[kind]
+    if name not in rows:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {tuple(rows)}")
+    return rows[name]
 
 
 class GinFlowConfig(Frozen):
@@ -42,14 +118,12 @@ class GinFlowConfig(Frozen):
     Attributes
     ----------
     mode:
-        Execution mode, resolved against the runtime backends
-        (``"simulated"``, ``"asyncio"``, ``"centralized"``, or any
-        registered third-party runtime).
+        Execution mode (``"simulated"``, ``"asyncio"`` or ``"centralized"``).
     executor:
-        Distributed executor name (``"ssh"``, ``"mesos"``, ...;
-        distributed modes only).
+        Distributed executor name (``"ssh"`` or ``"mesos"``; distributed
+        modes only).
     broker:
-        Messaging middleware name (``"activemq"``, ``"kafka"``, ...).
+        Messaging middleware name (``"activemq"`` or ``"kafka"``).
     cluster_preset:
         Cluster preset name used when no explicit ``cluster`` is given
         (``"grid5000"`` by default).
@@ -60,8 +134,8 @@ class GinFlowConfig(Frozen):
     network:
         Network model (defaults to the Grid'5000 1 Gbps preset).
     failures:
-        Failure-injection model (when enabled, requires a runtime that
-        advertises ``supports_failures`` and a persistent broker).
+        Failure-injection model (when enabled, requires a runtime whose
+        row flags ``supports_failures`` and a persistent broker).
     costs:
         Cost model for the simulated runtime.
     seed:
@@ -115,15 +189,14 @@ class GinFlowConfig(Frozen):
     # ------------------------------------------------------------ validation
     def validate(self) -> None:
         """Check the configuration coherence; raise ``ValueError`` otherwise."""
-        backends.ensure_builtin_backends()
-        runtime = backends.registry.get("runtime", self.mode)
-        backends.registry.get("executor", self.executor)
-        backends.registry.get("broker", self.broker)
+        runtime = backend("runtime", self.mode)
+        backend("executor", self.executor)
+        backend("broker", self.broker)
         if self.cluster is None:
-            backends.registry.get("cluster", self.cluster_preset)
+            backend("cluster", self.cluster_preset)
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if self.failures.enabled and not runtime.capability("supports_failures", False):
+        if self.failures.enabled and not runtime[2]["supports_failures"]:
             raise ValueError(
                 f"the {self.mode!r} runtime cannot inject failures: only a runtime that "
                 "advertises supports_failures (e.g. 'simulated') crashes and recovers agents"
@@ -139,39 +212,23 @@ class GinFlowConfig(Frozen):
         """The cluster to run on (explicit cluster, or the named preset)."""
         if self.cluster is not None:
             return self.cluster
-        return backends.get_backend("cluster", self.cluster_preset).build(self)
+        return backend("cluster", self.cluster_preset)[0](self.nodes)
 
     def build_network(self) -> NetworkModel:
-        """The network model: explicit, the cluster preset's ``network``
-        capability (a model or a ``(config) -> NetworkModel`` factory), or
-        the Grid'5000 default."""
-        if self.network is not None:
-            return self.network
-        if self.cluster is None:
-            network = backends.get_backend("cluster", self.cluster_preset).capability("network")
-            if callable(network):
-                return network(self)
-            if network is not None:
-                return network
-        from repro.cluster.grid5000 import grid5000_network
-
-        return grid5000_network()
+        """The network model: explicit, or the Grid'5000 default."""
+        return self.network if self.network is not None else grid5000_network()
 
     def build_executor(self) -> Any:
-        """The distributed executor instance (from the executor backends)."""
-        return backends.get_backend("executor", self.executor).build(self)
+        """The distributed executor instance named by ``executor``."""
+        return backend("executor", self.executor)[0]()
 
     def broker_profile(self) -> Any:
-        """The broker profile selected by ``broker`` (from the broker backends)."""
-        return backends.get_backend("broker", self.broker).build(self)
+        """The cost model's profile of the broker named by ``broker``."""
+        return self.costs.broker_profile(self.broker)
 
     def build_local_broker(self) -> Any:
-        """The in-process broker of the wall-clock runtimes (the backend's optional
-        ``broker_class`` capability selects a specialised one), observability attached."""
-        from repro.messaging import InProcessBroker
-
-        broker_class = backends.get_backend("broker", self.broker).capability("broker_class", InProcessBroker)
-        broker = broker_class(self.broker_profile())
+        """The in-process broker of the wall-clock runtimes, observability attached."""
+        broker = InProcessBroker(self.broker_profile())
         broker.attach_observability(self.obs)
         return broker
 
@@ -187,10 +244,3 @@ class GinFlowConfig(Frozen):
             raise ValueError(f"unknown configuration field(s): {sorted(unknown)}")
         return self._replace(**overrides)  # the constructor validates the copy
 
-
-def __getattr__(name: str) -> Any:
-    """Derived views of the registry, kept for backwards compatibility."""
-    view = backends.DERIVED_VIEWS.get(name)
-    if view is not None:
-        return view()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -98,13 +98,10 @@ class CostModel(Frozen):
 
     # ------------------------------------------------------------- helpers
     def broker_profile(self, name: str) -> BrokerProfile:
-        """The profile for broker ``name`` (``"activemq"`` / ``"kafka"``)."""
-        lowered = name.lower()
-        if lowered == "activemq":
-            return self.activemq
-        if lowered == "kafka":
-            return self.kafka
-        raise ValueError(f"unknown broker {name!r}")
+        """The profile of the broker called exactly ``name`` (``"activemq"`` / ``"kafka"``)."""
+        from .config import backend  # the backend table (its module imports this one)
+
+        return getattr(self, backend("broker", name)[0])
 
     def handling_cost(self, reduction_units: float) -> float:
         """Virtual time consumed by one agent handling step.

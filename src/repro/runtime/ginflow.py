@@ -8,8 +8,8 @@ True
 A :class:`GinFlow` instance holds a base configuration
 (:class:`~repro.runtime.config.GinFlowConfig`); :meth:`run` accepts per-call
 overrides (``executor="mesos"``, ``broker="kafka"``, ``mode="asyncio"``...)
-and dispatches through the runtime backend registry
-(:mod:`repro.runtime.backends`).  The three built-in runtimes are:
+and runs on the runtime its ``mode`` names in
+:data:`~repro.runtime.config.BACKENDS`.  The three runtimes are:
 
 * ``simulated`` — virtual-time distributed execution over the simulated
   cluster (the default; this is what the benchmarks use);
@@ -22,9 +22,6 @@ and dispatches through the runtime backend registry
 enactment engine (:mod:`repro.runtime.enactment`), so they enact the exact
 same decentralised protocol.
 
-Third-party runtimes registered with
-:func:`~repro.runtime.backends.register_runtime` dispatch the same way.
-
 :meth:`sweep` executes a declarative :class:`~repro.experiments.ParameterGrid`
 (nodes × broker × failure probability × ...) and aggregates the runs into a
 :class:`~repro.experiments.SweepReport` — the API every benchmark driver of
@@ -33,6 +30,7 @@ Third-party runtimes registered with
 
 from __future__ import annotations
 
+import importlib
 from contextlib import nullcontext
 from typing import Any
 
@@ -41,8 +39,7 @@ from repro.services import ServiceRegistry
 from repro.workflow.dag import Workflow
 from repro.workflow.json_format import workflow_from_json
 
-from .backends import get_backend
-from .config import GinFlowConfig
+from .config import GinFlowConfig, backend
 from .results import RunReport, TaskOutcome
 
 __all__ = ["GinFlow", "run_centralized"]
@@ -88,10 +85,11 @@ class GinFlow:
             workflow = workflow_from_json(workflow)
         config = self._effective_config(overrides)
         workflow.ensure_valid()
-        runtime = get_backend("runtime", config.mode)
+        module, _, function = backend("runtime", config.mode)[0].partition(":")
+        runtime = getattr(importlib.import_module(module), function)
         # with observability on, the collector is one more measured layer
         with config.obs.watching_gc() if config.obs is not None else nullcontext():
-            return runtime.build(workflow, config, timeout=timeout)
+            return runtime(workflow, config, timeout)
 
     # ---------------------------------------------------------------- sweep
     def sweep(
@@ -157,7 +155,7 @@ class GinFlow:
 
 def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | None = None) -> RunReport:
     """Run ``workflow`` on a single centralised HOCL interpreter (the
-    ``centralized`` backend's entry point; ``timeout`` is unused)."""
+    ``centralized`` runtime's entry point; ``timeout`` is unused)."""
     executor = CentralizedExecutor(registry=config.build_registry(), obs=config.obs)
     outcome = executor.execute(workflow)
     exit_tasks = set(workflow.exit_tasks())

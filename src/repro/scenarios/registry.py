@@ -2,8 +2,7 @@
 
 A *scenario* is a seed-deterministic generator producing a
 :class:`~repro.workflow.dag.Workflow` of a given ``size`` plus a declared
-cost/failure profile.  Scenarios are first-class registered objects, exactly
-like runtimes/brokers in :mod:`repro.runtime.backends`: the CLI
+cost/failure profile.  Scenarios are first-class registered objects: the CLI
 (``ginflow scenarios`` / ``ginflow run --scenario``), ``GinFlow.sweep`` grid
 axes and the benchmark matrix all resolve them by name through this module.
 

@@ -524,10 +524,9 @@ class TestOneAgentDriver:
         assert second_drivers(_sources()) == []
 
     def test_no_threaded_runtime_is_listed(self):
-        from repro.runtime.backends import available_runtimes, ensure_builtin_backends
+        from repro.runtime.config import BACKENDS
 
-        ensure_builtin_backends()
-        assert "threaded" not in available_runtimes()
+        assert "threaded" not in BACKENDS["runtime"]
 
     @pytest.mark.parametrize(
         "seeded",
@@ -544,3 +543,67 @@ class TestOneAgentDriver:
     def test_a_seeded_second_driver_is_rejected(self, seeded):
         modules = {**_sources(), **_parsed(**seeded)}
         assert second_drivers(modules)
+
+
+# ------------------------------------------------------ a backend is a table row
+#: the decorators of a backend registry, one per kind of backend
+_REGISTRARS = {"register_runtime", "register_executor", "register_broker", "register_cluster"}
+#: the packages whose modules a registry would import for what they register
+_BACKEND_PACKAGES = ("repro.runtime", "repro.executors", "repro.messaging", "repro.cluster")
+
+
+def _strings(node, assigned):
+    """The string constants in ``node`` (a name resolved through the module's own assignments)."""
+    node = assigned.get(node.id, node) if isinstance(node, ast.Name) else node
+    return [inner.value for inner in ast.walk(node) if isinstance(inner, ast.Constant) and isinstance(inner.value, str)]
+
+
+def backend_registries(modules):
+    """Where a backend registry has grown back beside the one table of
+    ``repro.runtime.config``: a module ``runtime/backends.py``, a
+    ``register_<kind>`` function, or ``import_module`` called in a loop over
+    modules of the backend packages (loaded for what importing them registers)."""
+    found = [f"{path}: the registry's module" for path in modules if path == "runtime/backends.py"]
+    for path, tree in modules.items():
+        assigned = {
+            target.id: node.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in _walked(tree)[0]:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _REGISTRARS:
+                found.append(f"{path}:{node.lineno}: def {node.name}")
+            if isinstance(node, ast.For):
+                iterables, bodies = [node.iter], node.body
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                iterables, bodies = [loop.iter for loop in node.generators], [node.elt]
+            else:
+                continue
+            for call in (inner for body in bodies for inner in ast.walk(body) if _called(inner) == "import_module"):
+                named = [text for iterable in iterables for text in _strings(iterable, assigned)]
+                named += [text for argument in call.args for text in _strings(argument, assigned)]
+                if any(package in text for text in named for package in _BACKEND_PACKAGES):
+                    found.append(f"{path}:{call.lineno}: import_module in a loop over backend modules")
+    return found
+
+
+class TestABackendIsATableRow:
+    def test_the_source(self):
+        assert backend_registries(_sources()) == []
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"runtime__backends": "KINDS = ('runtime', 'executor', 'broker', 'cluster')\n"},
+            {"messaging__kafka": "def register_broker(name, factory=None):\n    return factory\n"},
+            {"runtime__config": (
+                "import importlib\n_BUILTIN_MODULES = ('repro.executors.ssh', 'repro.cluster.presets')\n"
+                "def load():\n    for module in _BUILTIN_MODULES:\n        importlib.import_module(module)\n"
+            )},
+            {"cli": "from importlib import import_module\nfor name in ('ssh', 'mesos'):\n    import_module(f'repro.executors.{name}')\n"},
+            {"cluster____init__": "import importlib\nLOADED = [importlib.import_module(m) for m in ['repro.cluster.grid5000']]\n"},
+        ],
+    )
+    def test_a_seeded_registry_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        assert backend_registries(modules)

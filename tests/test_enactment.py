@@ -25,10 +25,10 @@ from repro.runtime import (
     GinFlow,
     GinFlowConfig,
     SimulatedRun,
-    available_runtimes,
     run_asyncio,
     run_simulation,
 )
+from repro.runtime.config import BACKENDS
 from repro.scenarios import available_scenarios, build_scenario
 from repro.services import ServiceRegistry
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
@@ -280,7 +280,7 @@ class TestDeliveredAccounting:
 
 class TestAsyncioRuntime:
     def test_registered_in_backends(self):
-        assert "asyncio" in available_runtimes()
+        assert "asyncio" in BACKENDS["runtime"]
 
     def test_diamond_completes(self):
         report = run_asyncio(diamond_workflow(3, 2), timeout=30.0)

@@ -67,7 +67,8 @@ from repro.hocl.multiset import _held_solutions
 from repro.hoclflow import encode_workflow
 from repro.hoclflow.generic_rules import make_gw_pass, register_workflow_externals
 
-_EXAMPLES = 1500 if os.environ.get("GINFLOW_FULL") else 200
+_FULL = bool(os.environ.get("GINFLOW_FULL"))
+_EXAMPLES = 1500 if _FULL else 200
 
 # ------------------------------------------------------------ random programs
 #: few names, so that variables repeat, an ω name comes twice, or also as a Var

@@ -14,7 +14,7 @@ from hypothesis import given, note, settings
 
 from hocl_semantics import Chemistry, norm, ordered
 from reduction_reference import walk_the_relation
-from test_matcher_oracle import _EXAMPLES, Even, EvenChemistry
+from test_matcher_oracle import _EXAMPLES, _FULL, Even, EvenChemistry
 from test_rule_summary import _rules
 
 from repro.executors.centralized import CentralizedExecutor
@@ -113,7 +113,7 @@ def _on_the_relation(rule, level, bound=12):
 
 class TestOneReactionIsAStepOfTheRelation:
     @given(program=_rules())
-    @settings(max_examples=_EXAMPLES, deadline=None)
+    @settings(max_examples=_EXAMPLES, deadline=None, derandomize=not _FULL)
     def test_random_rules(self, program):
         rule, level = program
         note(f"{rule.patterns} -> {rule.products}, {rule.condition}, given {rule.given}, keep_matched {rule.keep_matched}")

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from hocl_semantics import Chemistry, canon
 from reduction_reference import watch_reactions
-from test_matcher_oracle import _ATOMS, _CONDITIONS, _EXAMPLES, _SYMBOLS, _programs
+from test_matcher_oracle import _ATOMS, _CONDITIONS, _EXAMPLES, _FULL, _SYMBOLS, _programs
 from repro import GinFlow, adaptive_diamond_workflow
 from repro.hocl import (
     Call,
@@ -234,7 +234,7 @@ def _echo(args, _bindings):
 
 class TestRandomRules:
     @given(program=_rules())
-    @settings(max_examples=_EXAMPLES, deadline=None)
+    @settings(max_examples=_EXAMPLES, deadline=None, derandomize=not _FULL)
     def test_every_firing_stays_within_the_summary(self, program):
         rule, level = program
         externals = default_registry()

@@ -777,9 +777,11 @@ class TestExitDoesNotSweep:
 
 
 # ----------------------------------------------------------------- start-up
-def modules_after(argv, tmp_path, watched=("numpy", "networkx")):
-    """Which of the ``watched`` modules a fresh interpreter holds after ``ginflow argv``."""
+def modules_after(argv, tmp_path, watched=("numpy", "networkx"), prelude=""):
+    """Which of the ``watched`` modules a fresh interpreter holds after ``ginflow argv``
+    (``prelude`` runs first: a seeded violation)."""
     script = (
+        f"{prelude}\n"
         "import sys\n"
         "from repro.cli import main\n"
         f"status = main({argv!r})\n"
@@ -812,8 +814,21 @@ class TestStartUpWithoutNumpyAndNetworkx:
         ids=["simulated", "centralized", "recovering"],
     )
     def test_montage_draws_without_numpy(self, options, tmp_path):
+        # no run off the asyncio runtime loads asyncio either
         argv = ["run", "--scenario", "montage:size=30,seed=1", *options, "--seed", "1", "--json"]
-        assert modules_after(argv, tmp_path) == "LOADED 0 []"
+        assert modules_after(argv, tmp_path, ("numpy", "networkx", "asyncio")) == "LOADED 0 []"
+
+    def test_a_seeded_asyncio_import_in_a_simulated_run_is_caught(self, tmp_path):
+        seeded = (
+            "import repro.runtime.simulation as simulation\n"
+            "_run = simulation.run_simulation\n"
+            "def run_simulation(*args):\n"
+            "    import asyncio\n"
+            "    return _run(*args)\n"
+            "simulation.run_simulation = run_simulation\n"
+        )
+        argv = ["run", "--scenario", "montage:size=30,seed=1", "--mode", "simulated", "--seed", "1", "--json"]
+        assert modules_after(argv, tmp_path, ("asyncio",), prelude=seeded) == "LOADED 0 ['asyncio']"
 
     @pytest.mark.parametrize("argv", [["scenarios", "--names"], ["backends"]])
     def test_listing_commands(self, argv, tmp_path):
@@ -833,10 +848,22 @@ class TestStartUpWithoutNumpyAndNetworkx:
         assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 
     def test_what_no_command_uses_is_not_imported_at_start_up(self, tmp_path):
-        unused = ("pickle", "repro.hocl.parser", "repro.hocl.parallel", "repro.runtime.reduction")
+        # graphlib only names a cycle the workflow's own Kahn pass found
+        unused = ("pickle", "graphlib", "repro.hocl.parser", "repro.hocl.parallel", "repro.runtime.reduction")
         assert modules_after(["backends"], tmp_path, unused) == "LOADED 0 []"
         argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
         assert modules_after(argv, tmp_path, unused) == "LOADED 0 []"
+
+    def test_a_seeded_graphlib_import_at_start_up_is_caught(self, tmp_path):
+        seeded = (
+            "import repro.cli\n"
+            "_build = repro.cli.build_parser\n"
+            "def build_parser():\n"
+            "    import graphlib\n"
+            "    return _build()\n"
+            "repro.cli.build_parser = build_parser\n"
+        )
+        assert modules_after(["backends"], tmp_path, ("graphlib",), prelude=seeded) == "LOADED 0 ['graphlib']"
 
     def test_nothing_generated_at_start_up(self, tmp_path):
         """Run-path records are written out by hand: ``dataclasses`` and the

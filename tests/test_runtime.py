@@ -5,14 +5,13 @@ import pytest
 
 from repro.cli import main
 from repro.runtime import (
-    BackendError,
     CostModel,
     GinFlow,
     GinFlowConfig,
     RunReport,
-    available_runtimes,
     run_simulation,
 )
+from repro.runtime.config import BACKENDS
 from repro.runtime.enactment import EnactmentEngine
 from repro.services import FailureModel
 from repro.workflow import (
@@ -96,6 +95,9 @@ class TestCostModel:
         assert costs.broker_profile("activemq").name == "activemq"
         with pytest.raises(ValueError):
             costs.broker_profile("zeromq")
+        # exact names, the rule GinFlowConfig(broker=...) keeps too
+        with pytest.raises(ValueError, match="unknown broker 'Kafka'"):
+            costs.broker_profile("Kafka")
 
     def test_with_overrides(self):
         costs = CostModel().with_overrides(handling_base=1.0)
@@ -276,8 +278,8 @@ class TestGinFlowFacade:
 
     def test_the_threaded_runtime_is_gone(self, capsys):
         """One agent driver, two clocks: no third runtime, and no alias for it."""
-        assert available_runtimes() == ("centralized", "simulated", "asyncio")
-        with pytest.raises(BackendError, match="unknown runtime 'threaded'"):
+        assert tuple(BACKENDS["runtime"]) == ("centralized", "simulated", "asyncio")
+        with pytest.raises(ValueError, match="unknown runtime 'threaded'"):
             GinFlow().run(diamond_workflow(2, 1), mode="threaded")
         with pytest.raises(SystemExit) as exited:
             main(["run", "--scenario", "longchain:size=5", "--mode", "threaded"])

@@ -40,7 +40,6 @@ from repro.messaging import BrokerProfile
 from repro.obs import EventRecord, Observability, SpanRecord
 from repro.records import Frozen, FrozenError
 from repro.runtime import CostModel, GinFlowConfig
-from repro.runtime.backends import Backend, available_runtimes
 from repro.runtime.enactment import AgentHost
 from repro.runtime.results import RunReport, TaskOutcome
 from repro.runtime.simulation import _SimAgent
@@ -215,8 +214,8 @@ RECORDS = [
     Observability(None, None),
     Task("t", "s", ["in"], 1.0, {"k": 1}),
     TaskEncoding("t", "s", [], 1.0, {}, ["a"], ["b"], is_replacement=True, adaptation="swap"),
-    Backend("runtime", "x", available_runtimes, {"persistent": True}, "d"),
-    Scenario("s", available_runtimes, "d", "a chain", {"task": (0.1, 0.5)}, {}, ("synthetic",)),
+    ReductionReport(2, 3, False, [], {"r": 2}, ["effect"]),
+    Scenario("s", len, "d", "a chain", {"task": (0.1, 0.5)}, {}, ("synthetic",)),
 ]
 
 
