@@ -29,7 +29,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="persistent"):
             GinFlowConfig(broker="activemq", failures=FailureModel(probability=0.5))
         GinFlowConfig(broker="kafka", failures=FailureModel(probability=0.5))
-        # persistence, not the name, enables recovery: a cheap persistent Kafka profile runs it too
+        # a persistent profile, however cheap, lets the run recover every injected crash
         cheap = CostModel(kafka=BrokerProfile("kafka", per_message_time=0.001, delivery_overhead=0.01, persistent=True))
         injected = GinFlow().run(
             diamond_workflow(3, 2, duration=5.0),
