@@ -1,5 +1,7 @@
 """Tests for the table of backends and the immutable configuration."""
 
+import re
+
 import pytest
 
 from repro import (
@@ -11,6 +13,32 @@ from repro import (
     diamond_workflow,
 )
 from repro.records import FrozenError
+from repro.runtime.config import BACKENDS, backend
+
+
+class TestTable:
+    def test_builtins_are_rows(self):
+        assert {kind: tuple(rows) for kind, rows in BACKENDS.items()} == {
+            "runtime": ("centralized", "simulated", "asyncio"),
+            "executor": ("mesos", "ssh"),
+            "broker": ("activemq", "kafka"),
+            "cluster": ("grid5000", "uniform"),
+        }
+
+    def test_unknown_name_lists_alternatives(self):
+        for kind, rows in BACKENDS.items():
+            with pytest.raises(ValueError, match=re.escape(f"unknown {kind} 'nope'; expected one of {tuple(rows)}")):
+                backend(kind, "nope")
+            # exact names only: no case folding
+            with pytest.raises(ValueError):
+                backend(kind, next(iter(rows)).upper())
+
+    @pytest.mark.parametrize("mode", ["simulated", "asyncio"])
+    def test_a_cheap_persistent_broker_runs_on_every_runtime_with_a_broker(self, mode):
+        # the centralised runtime has no broker (its report names ``none``)
+        cheap = CostModel(kafka=BrokerProfile("kafka", per_message_time=0.001, delivery_overhead=0.01, persistent=True))
+        report = GinFlow().run(diamond_workflow(2, 2), mode=mode, broker="kafka", costs=cheap, nodes=5)
+        assert report.succeeded and report.broker == "kafka"
 
 
 class TestConfigValidation:

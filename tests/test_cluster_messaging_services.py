@@ -35,6 +35,7 @@ from repro.services import (
     ServiceRegistry,
     SyntheticService,
 )
+from repro.runtime.costs import CostModel
 from repro.simkernel import RandomStreams, Simulator
 
 
@@ -121,6 +122,13 @@ class TestNodesAndCluster:
 
 
 class TestBrokers:
+    def test_profiles(self):
+        costs = CostModel()
+        assert costs.broker_profile("activemq") is ACTIVEMQ_PROFILE
+        assert costs.broker_profile("kafka") is KAFKA_PROFILE
+        with pytest.raises(ValueError):
+            costs.broker_profile("rabbitmq")
+
     def test_kafka_is_persistent_activemq_is_not(self):
         assert KAFKA_PROFILE.persistent and not ACTIVEMQ_PROFILE.persistent
 
