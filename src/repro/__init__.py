@@ -23,13 +23,15 @@ stack described in the paper:
 * :mod:`repro.runtime` — the GinFlow facade and the run configuration, whose
   table of backends names every runtime, executor, broker and cluster preset
   (:data:`repro.runtime.config.BACKENDS`),
-* :mod:`repro.scenarios` — a registry of parameterized, seed-deterministic
-  scientific-workflow generators (Epigenomics/CyberShake/Inspiral/SIPHT-like
-  shapes plus synthetic stress families), wired into the CLI, the sweeps and
-  the benchmark matrix,
-* :mod:`repro.analysis` — a static analyzer for HOCL rules, workflows and
-  scenarios (``ginflow lint``): registered, severity-tagged checks that
-  catch enactment-time hangs before anything runs,
+* :mod:`repro.scenarios` — a closed catalog of parameterized,
+  seed-deterministic scientific-workflow generators (the paper's Montage,
+  Epigenomics/CyberShake/Inspiral/SIPHT-like shapes plus synthetic stress
+  families), one table (:data:`repro.scenarios.catalog.SCENARIOS`) wired
+  into the CLI, the sweeps and the benchmark matrix,
+* :mod:`repro.analysis` — a static and dynamic analyzer for HOCL rules,
+  workflows, scenarios and run artifacts (``ginflow lint`` / ``ginflow
+  audit``): one table of severity-tagged checks
+  (:data:`repro.analysis.checks.CHECKS`) that catch enactment-time hangs,
 * :mod:`repro.experiments` — the first-class Experiment/Sweep API
   (:class:`ParameterGrid`, :class:`Experiment`, :class:`SweepReport`),
 * :mod:`repro.bench` — drivers reproducing every figure of the evaluation,
@@ -67,7 +69,6 @@ _FACADE = {
     "ParameterGrid": ("repro.experiments", "ParameterGrid"),
     "SweepReport": ("repro.experiments", "SweepReport"),
     "Scenario": ("repro.scenarios", "Scenario"),
-    "register_scenario": ("repro.scenarios", "register_scenario"),
     "available_scenarios": ("repro.scenarios", "available_scenarios"),
     "get_scenario": ("repro.scenarios", "get_scenario"),
     "build_scenario": ("repro.scenarios", "build_scenario"),
@@ -87,7 +88,6 @@ _FACADE = {
     "AnalysisReport": ("repro.analysis", "AnalysisReport"),
     "Finding": ("repro.analysis", "Finding"),
     "Severity": ("repro.analysis", "Severity"),
-    "register_check": ("repro.analysis", "register_check"),
     "available_checks": ("repro.analysis", "available_checks"),
     "analyze_workflow": ("repro.analysis", "analyze_workflow"),
     "analyze_scenario": ("repro.analysis", "analyze_scenario"),

@@ -95,9 +95,6 @@ class AgentCore:
         # shared rule objects (see local_rules): only the fields are this agent's own
         local_rules = build_local_rules(encoding)
         self.solution: Multiset = encoding.initial_solution(local_rules)
-        #: names of every rule registered in this agent's local solution;
-        #: the dynamic analyzer diffs this against `rule_fires` for coverage
-        self.rule_names: tuple[str, ...] = tuple([rule.name for rule in local_rules])
         # Between stimuli the local solution stays stamped inert, so
         # re-entering reduction after a stimulus only re-examines the parts
         # of the solution the stimulus actually dirtied.

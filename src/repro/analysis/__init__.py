@@ -21,8 +21,8 @@ Seven check families (see the modules for the catalog):
   document, JSON-safety of the round-trip;
 * scenario checks (:mod:`repro.analysis.scenario_checks`) — declared
   cost/failure-profile consistency and seed determinism;
-* trace checks (:mod:`repro.analysis.trace_checks`) — rules registered but
-  never fired across a run or sweep, fire-counter/history/reactions
+* trace checks (:mod:`repro.analysis.trace_checks`) — rules an enactment
+  holds but never fires across a run or sweep, fire-counter/history/reactions
   accounting, inertness;
 * run checks (:mod:`repro.analysis.trace_checks`) — published vs delivered
   message accounting, per-task attempt/failure bookkeeping, exit-task
@@ -34,10 +34,10 @@ Seven check families (see the modules for the catalog):
   invariants: spans closed and well-nested, broker publish/deliver events
   matching the transport counters.
 
-Checks are registered objects (the same idiom as scenarios);
-:func:`register_check` accepts third-party checks, and the drivers pick
-them up automatically.  Surfaced as ``ginflow lint`` (static), ``ginflow
-audit`` (dynamic) and as a pytest-importable API::
+The checks are the rows of one closed table,
+:data:`repro.analysis.checks.CHECKS` (the same idiom as the scenarios),
+which the drivers read by kind.  Surfaced as ``ginflow lint`` (static),
+``ginflow audit`` (dynamic) and as a pytest-importable API::
 
     from repro.analysis import analyze_scenario, audit_scenario
 
@@ -47,24 +47,14 @@ audit`` (dynamic) and as a pytest-importable API::
 
 from __future__ import annotations
 
-import threading
+import importlib
 
 from .findings import AnalysisReport, Finding, Severity
-from .registry import (
-    CHECK_KINDS,
-    AnalysisCheck,
-    CheckRegistry,
-    available_checks,
-    checks_for,
-    register_check,
-    registry,
-)
 
 __all__ = [
     "AnalysisCheck",
     "AnalysisReport",
     "CHECK_KINDS",
-    "CheckRegistry",
     "Finding",
     "Severity",
     "analyze_all_scenarios",
@@ -81,69 +71,28 @@ __all__ = [
     "audit_workflow",
     "available_checks",
     "checks_for",
-    "ensure_builtin_checks",
-    "register_check",
-    "registry",
 ]
 
-_builtins_loaded = False
-_builtins_lock = threading.RLock()
-
-
-def ensure_builtin_checks() -> None:
-    """Import the built-in check modules exactly once (idempotent, thread-safe)."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    with _builtins_lock:
-        if _builtins_loaded:
-            return
-        import importlib
-
-        for module in (
-            "rule_checks",
-            "workflow_checks",
-            "scenario_checks",
-            "trace_checks",
-            "plan_checks",
-            "obs_checks",
-        ):
-            importlib.import_module(f"repro.analysis.{module}")
-        _builtins_loaded = True
-
-
-_ANALYZER_DRIVERS = (
-    "analyze_all_scenarios",
-    "analyze_document",
-    "analyze_encoding",
-    "analyze_rules",
-    "analyze_scenario",
-    "analyze_workflow",
-)
-
-_AUDIT_DRIVERS = (
-    "audit_all_scenarios",
-    "audit_plans",
-    "audit_reduction",
-    "audit_run",
-    "audit_scenario",
-    "audit_workflow",
-    "enactment_rules",
-)
+#: What the package exposes lazily, by the module defining it: the check
+#: table imports every check family, the drivers hoclflow/runtime, all heavy.
+_LAZY = {
+    **dict.fromkeys(("AnalysisCheck", "CHECK_KINDS", "available_checks", "checks_for"), "checks"),
+    **dict.fromkeys(
+        ("analyze_all_scenarios", "analyze_document", "analyze_encoding", "analyze_rules", "analyze_scenario",
+         "analyze_workflow"),
+        "analyzer",
+    ),
+    **dict.fromkeys(
+        ("audit_all_scenarios", "audit_plans", "audit_reduction", "audit_run", "audit_scenario", "audit_workflow",
+         "enactment_rules"),
+        "trace",
+    ),
+}
 
 
 def __getattr__(name: str) -> object:
-    """Lazily expose the drivers (they import hoclflow/runtime, which are heavy)."""
-    if name in _ANALYZER_DRIVERS:
-        from . import analyzer
-
-        value = getattr(analyzer, name)
-        globals()[name] = value
-        return value
-    if name in _AUDIT_DRIVERS:
-        from . import trace
-
-        value = getattr(trace, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
+    """Lazily expose the check table and the drivers."""
+    if name not in _LAZY:
+        raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value

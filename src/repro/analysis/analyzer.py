@@ -13,7 +13,7 @@ The drivers are what ``ginflow lint`` and the pytest API call:
 * :func:`analyze_document` — lenient loading of a raw JSON document, so a
   broken file yields findings instead of one opaque parse error;
 * :func:`analyze_scenario` / :func:`analyze_all_scenarios` — build a
-  registered scenario and hold it to its declared profiles.
+  scenario of the catalog and hold it to its declared profiles.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.workflow.dag import Task, Workflow
 from repro.workflow.errors import JSONFormatError, WorkflowValidationError
 
 from .findings import AnalysisReport, Finding, Severity
-from .registry import checks_for
+from .checks import checks_for
 from .rule_checks import RuleScope
 from .scenario_checks import ScenarioContext
 from .workflow_checks import WorkflowContext
@@ -174,7 +174,7 @@ def analyze_document(source: str | Path | Mapping[str, Any]) -> AnalysisReport:
 
 
 def analyze_scenario(spec: str, **overrides: Any) -> AnalysisReport:
-    """Lint one registered scenario (spec syntax ``name[:k=v,...]``)."""
+    """Lint one scenario of the catalog (spec syntax ``name[:k=v,...]``)."""
     name, params = parse_scenario_spec(spec)
     params.update(overrides)
     scenario = get_scenario(name)
@@ -186,7 +186,7 @@ def analyze_scenario(spec: str, **overrides: Any) -> AnalysisReport:
 
 
 def analyze_all_scenarios() -> AnalysisReport:
-    """Lint every registered scenario at its default parameters."""
+    """Lint every scenario of the catalog at its default parameters."""
     report = AnalysisReport()
     for name in available_scenarios():
         report.merge(analyze_scenario(name))

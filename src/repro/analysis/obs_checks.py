@@ -21,7 +21,6 @@ from repro.obs.tracer import EventRecord, SpanRecord
 from repro.runtime.results import RunReport
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["ObsScope", "reduction_phase_totals"]
 
@@ -74,12 +73,6 @@ def reduction_phase_totals(spans: tuple[SpanRecord, ...]) -> dict[str, float]:
     return totals
 
 
-@register_check(
-    "obs-span-unclosed",
-    kind="obs",
-    severity=Severity.ERROR,
-    description="every span must be closed and reduction spans must nest inside stimulus spans",
-)
 def check_span_unclosed(scope: ObsScope) -> Iterator[Finding]:
     """A span ending before it starts was never closed properly.
 
@@ -123,12 +116,6 @@ def check_span_unclosed(scope: ObsScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "obs-broker-accounting",
-    kind="obs",
-    severity=Severity.ERROR,
-    description="broker publish/deliver events must match the transport's counters",
-)
 def check_broker_accounting(scope: ObsScope) -> Iterator[Finding]:
     """The trace's broker events are redundant with the report's counters.
 

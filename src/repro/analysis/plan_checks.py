@@ -34,7 +34,6 @@ from repro.hoclflow.adaptation import AdaptationPlan
 from repro.hoclflow.translator import WorkflowEncoding
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["PlanScope"]
 
@@ -83,12 +82,6 @@ def _referenced_tasks(plan: AdaptationPlan) -> Iterator[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------- the checks
-@register_check(
-    "plan-task-existence",
-    kind="plan",
-    severity=Severity.ERROR,
-    description="every task an adaptation plan references must exist in the encoding",
-)
 def check_task_existence(scope: PlanScope) -> Iterator[Finding]:
     """A plan naming a ghost task silently does nothing when it triggers.
 
@@ -115,12 +108,6 @@ def check_task_existence(scope: PlanScope) -> Iterator[Finding]:
         )
 
 
-@register_check(
-    "plan-adapt-consumers",
-    kind="plan",
-    severity=Severity.ERROR,
-    description="every ADAPT marker a plan sends must have a consuming rule in place",
-)
 def check_adapt_consumers(scope: PlanScope) -> Iterator[Finding]:
     """Each role of an affected task implies one ADAPT-consuming rule.
 
@@ -200,12 +187,6 @@ def check_adapt_consumers(scope: PlanScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "plan-trigger-wiring",
-    kind="plan",
-    severity=Severity.ERROR,
-    description="every trigger task must be wired for both execution modes",
-)
 def check_trigger_wiring(scope: PlanScope) -> Iterator[Finding]:
     """The trigger fires through two different mechanisms, one per mode.
 
@@ -246,12 +227,6 @@ def check_trigger_wiring(scope: PlanScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "plan-replay-parity",
-    kind="plan",
-    severity=Severity.ERROR,
-    description="log-replay recovery must rebuild the exact adapted state",
-)
 def check_replay_parity(scope: PlanScope) -> Iterator[Finding]:
     """Replays the plan's ADAPT delivery through the recovery path (IV-B).
 

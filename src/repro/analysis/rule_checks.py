@@ -24,7 +24,6 @@ from repro.hocl.multiset import Multiset, atom_index_keys
 from repro.hocl.rules import Rule
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["RuleScope"]
 
@@ -59,12 +58,6 @@ class RuleScope:
 
 
 # ---------------------------------------------------------------- the checks
-@register_check(
-    "rule-unbound-product",
-    kind="rule",
-    severity=Severity.ERROR,
-    description="product templates must only reference variables the patterns bind",
-)
 def check_unbound_product(scope: RuleScope) -> Iterator[Finding]:
     """Products referencing unbound variables raise only when the rule fires."""
     for rule in scope.rules:
@@ -83,12 +76,6 @@ def check_unbound_product(scope: RuleScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "rule-unbound-condition",
-    kind="rule",
-    severity=Severity.WARNING,
-    description="conditions and effects must only read variables the patterns bind",
-)
 def check_unbound_condition(scope: RuleScope) -> Iterator[Finding]:
     """An unbound condition variable makes the rule silently never fire.
 
@@ -115,12 +102,6 @@ def check_unbound_condition(scope: RuleScope) -> Iterator[Finding]:
                 )
 
 
-@register_check(
-    "rule-dead-index-key",
-    kind="rule",
-    severity=Severity.ERROR,
-    description="every pattern index key must be reachable in the target solution",
-)
 def check_dead_index_key(scope: RuleScope) -> Iterator[Finding]:
     """A rule whose index key can never appear is registered but structurally dead.
 
@@ -156,12 +137,6 @@ def check_dead_index_key(scope: RuleScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "rule-duplicate-name",
-    kind="rule",
-    severity=Severity.ERROR,
-    description="rule names must be unique within a solution",
-)
 def check_duplicate_name(scope: RuleScope) -> Iterator[Finding]:
     """Rules compare and hash by name, so same-name rules are indistinguishable.
 
@@ -186,12 +161,6 @@ def check_duplicate_name(scope: RuleScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "rule-shadowed",
-    kind="rule",
-    severity=Severity.WARNING,
-    description="an earlier unconditional n-shot rule can starve a later rule at the same priority",
-)
 def check_shadowed(scope: RuleScope) -> Iterator[Finding]:
     """The engine tries rules in priority-then-insertion order, first match wins.
 
@@ -224,12 +193,6 @@ def check_shadowed(scope: RuleScope) -> Iterator[Finding]:
                 break
 
 
-@register_check(
-    "rule-template-arity",
-    kind="rule",
-    severity=Severity.ERROR,
-    description="Ref is for scalar bindings, Splice for omega bindings",
-)
 def check_template_arity(scope: RuleScope) -> Iterator[Finding]:
     """Template arity must agree with the patterns' binding arity.
 

@@ -1,4 +1,4 @@
-"""Static checks over registered scenarios and their declared profiles.
+"""Static checks over the catalog's scenarios and their declared profiles.
 
 A scenario declares a cost profile (stage name → duration range) and a
 failure profile (metadata merged into every task); the generator is supposed
@@ -19,7 +19,6 @@ from repro.workflow.dag import Workflow
 from repro.workflow.json_format import workflow_to_dict
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["ScenarioContext"]
 
@@ -29,12 +28,12 @@ _STAGE_KEYS = ("stage", "cost_class")
 
 @dataclass
 class ScenarioContext:
-    """The unit of scenario analysis: a registered scenario plus one build.
+    """The unit of scenario analysis: a scenario plus one build.
 
     Attributes
     ----------
     scenario:
-        The registered :class:`~repro.scenarios.registry.Scenario`.
+        The :class:`~repro.scenarios.registry.Scenario` (a catalog row).
     workflow:
         One workflow built from it (with ``params``).
     params:
@@ -63,12 +62,6 @@ def _stamped_stages(workflow: Workflow) -> set[str]:
     return stages
 
 
-@register_check(
-    "scenario-cost-profile",
-    kind="scenario",
-    severity=Severity.ERROR,
-    description="declared cost-profile stages and stamped task stages must agree",
-)
 def check_cost_profile(context: ScenarioContext) -> Iterator[Finding]:
     """Stage names referenced by the cost profile must exist in the workflow.
 
@@ -105,12 +98,6 @@ def check_cost_profile(context: ScenarioContext) -> Iterator[Finding]:
         )
 
 
-@register_check(
-    "scenario-failure-profile",
-    kind="scenario",
-    severity=Severity.ERROR,
-    description="the declared failure profile must reach every generated task",
-)
 def check_failure_profile(context: ScenarioContext) -> Iterator[Finding]:
     """Every task must carry the scenario's declared failure-profile metadata.
 
@@ -141,12 +128,6 @@ def check_failure_profile(context: ScenarioContext) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "scenario-determinism",
-    kind="scenario",
-    severity=Severity.ERROR,
-    description="the same spec must always generate the same workflow",
-)
 def check_determinism(context: ScenarioContext) -> Iterator[Finding]:
     """Scenario factories must be seed-deterministic (the sweep/bench contract).
 

@@ -12,7 +12,7 @@ The drivers are what ``ginflow audit`` and the pytest API call:
   enact the workflow ``repeats`` times, audit every run's invariants, and
   audit rule coverage over the fire counters merged across all runs;
 * :func:`audit_scenario` / :func:`audit_all_scenarios` — the same, for
-  registered scenarios (``ginflow audit --scenario forkjoin:size=20``).
+  the scenarios of the catalog (``ginflow audit --scenario forkjoin:size=20``).
 
 Static analysis (``ginflow lint``, :mod:`repro.analysis.analyzer`) proves
 what *cannot* happen; these drivers observe what *did* — together a scenario
@@ -33,7 +33,7 @@ from repro.workflow.dag import Workflow
 from .findings import AnalysisReport, Finding, Severity
 from .obs_checks import ObsScope
 from .plan_checks import PlanScope
-from .registry import checks_for
+from .checks import checks_for
 from .trace_checks import RunScope, TraceScope, conditional_rule_names
 
 __all__ = [
@@ -233,7 +233,7 @@ def audit_scenario(
     timeout: float = 120.0,
     **params: Any,
 ) -> AnalysisReport:
-    """Audit one registered scenario (spec syntax ``name[:k=v,...]``)."""
+    """Audit one scenario of the catalog (spec syntax ``name[:k=v,...]``)."""
     name, spec_params = parse_scenario_spec(spec)
     spec_params.update(params)
     scenario = get_scenario(name)
@@ -258,7 +258,7 @@ def audit_all_scenarios(
     repeats: int = 1,
     timeout: float = 120.0,
 ) -> AnalysisReport:
-    """Audit every registered scenario at a small size (CI smoke profile)."""
+    """Audit every scenario of the catalog at a small size (CI smoke profile)."""
     report = AnalysisReport()
     for name in available_scenarios():
         report.merge(

@@ -32,7 +32,6 @@ from repro.hoclflow import keywords as kw
 from repro.runtime.results import RunReport
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["TraceScope", "RunScope", "conditional_rule_names"]
 
@@ -106,12 +105,6 @@ class RunScope:
 
 
 # ------------------------------------------------------------- trace checks
-@register_check(
-    "trace-rule-never-fired",
-    kind="trace",
-    severity=Severity.ERROR,
-    description="every registered rule should fire at least once across the trace",
-)
 def check_rule_never_fired(scope: TraceScope) -> Iterator[Finding]:
     """A registered rule that never fired is dead weight or a latent hang.
 
@@ -147,12 +140,6 @@ def check_rule_never_fired(scope: TraceScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "trace-unknown-rule",
-    kind="trace",
-    severity=Severity.ERROR,
-    description="every fired rule must be a registered one",
-)
 def check_unknown_rule(scope: TraceScope) -> Iterator[Finding]:
     """A fire counter for a rule nobody registered means the trace is corrupt.
 
@@ -175,12 +162,6 @@ def check_unknown_rule(scope: TraceScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "trace-non-inert",
-    kind="trace",
-    severity=Severity.ERROR,
-    description="a finished reduction must have reached inertness",
-)
 def check_non_inert(scope: TraceScope) -> Iterator[Finding]:
     """``inert=False`` means the step limit was hit — a diverging rule set."""
     if not scope.report.inert:
@@ -195,12 +176,6 @@ def check_non_inert(scope: TraceScope) -> Iterator[Finding]:
         )
 
 
-@register_check(
-    "trace-accounting",
-    kind="trace",
-    severity=Severity.ERROR,
-    description="fire counters, history and the reactions total must agree",
-)
 def check_trace_accounting(scope: TraceScope) -> Iterator[Finding]:
     """The three redundant reaction counts must tell the same story.
 
@@ -246,12 +221,6 @@ _STATE_SUCCESSORS = {
 }
 
 
-@register_check(
-    "run-message-accounting",
-    kind="run",
-    severity=Severity.ERROR,
-    description="at quiescence every published message must have been delivered",
-)
 def check_message_accounting(scope: RunScope) -> Iterator[Finding]:
     """published != delivered at the end of a run means messages were lost.
 
@@ -277,12 +246,6 @@ def check_message_accounting(scope: RunScope) -> Iterator[Finding]:
         )
 
 
-@register_check(
-    "run-task-bookkeeping",
-    kind="run",
-    severity=Severity.ERROR,
-    description="per-task attempt/failure/result rows must be self-consistent",
-)
 def check_task_bookkeeping(scope: RunScope) -> Iterator[Finding]:
     """Each TaskOutcome row carries redundant fields that must agree."""
     for name, outcome in scope.report.tasks.items():
@@ -330,12 +293,6 @@ def check_task_bookkeeping(scope: RunScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "run-exit-terminal",
-    kind="run",
-    severity=Severity.ERROR,
-    description="a succeeded run must hold a result for every exit task (and never time out)",
-)
 def check_exit_terminal(scope: RunScope) -> Iterator[Finding]:
     """Success is defined by the exit tasks: all present, all with results.
 
@@ -367,12 +324,6 @@ def check_exit_terminal(scope: RunScope) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "run-status-ordering",
-    kind="run",
-    severity=Severity.ERROR,
-    description="the STATUS timeline must be time-ordered with legal state successions",
-)
 def check_status_ordering(scope: RunScope) -> Iterator[Finding]:
     """The coordinator's timeline is the run's observable history.
 
@@ -413,12 +364,6 @@ def check_status_ordering(scope: RunScope) -> Iterator[Finding]:
         last_state[event.task] = event.event
 
 
-@register_check(
-    "run-reduction-accounting",
-    kind="run",
-    severity=Severity.ERROR,
-    description="the run's chemistry aggregates must agree with the per-rule counters",
-)
 def check_reduction_accounting(scope: RunScope) -> Iterator[Finding]:
     """The run-level reaction totals are redundant with the fire counters."""
     report = scope.report

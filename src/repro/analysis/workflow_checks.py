@@ -19,7 +19,6 @@ from repro.workflow.errors import JSONFormatError, WorkflowValidationError
 from repro.workflow.json_format import workflow_from_dict, workflow_to_dict
 
 from .findings import Finding, Severity
-from .registry import register_check
 
 __all__ = ["WorkflowContext"]
 
@@ -46,12 +45,6 @@ class WorkflowContext:
     label: str = ""
 
 
-@register_check(
-    "workflow-cycle",
-    kind="workflow",
-    severity=Severity.ERROR,
-    description="the dependency graph must be acyclic",
-)
 def check_cycle(context: WorkflowContext) -> Iterator[Finding]:
     """A dependency cycle deadlocks enactment: no task in it can ever start."""
     cycle = context.workflow.find_cycle()
@@ -68,12 +61,6 @@ def check_cycle(context: WorkflowContext) -> Iterator[Finding]:
     )
 
 
-@register_check(
-    "workflow-orphan",
-    kind="workflow",
-    severity=Severity.WARNING,
-    description="tasks disconnected from the rest of the workflow are suspicious",
-)
 def check_orphans(context: WorkflowContext) -> Iterator[Finding]:
     """An orphan task (no dependencies either way) usually means a missing edge."""
     workflow = context.workflow
@@ -91,12 +78,6 @@ def check_orphans(context: WorkflowContext) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "workflow-unreachable",
-    kind="workflow",
-    severity=Severity.ERROR,
-    description="every task (and some exit task) must be reachable from the entry tasks",
-)
 def check_reachability(context: WorkflowContext) -> Iterator[Finding]:
     """Tasks unreachable from every entry task can never receive their inputs.
 
@@ -142,12 +123,6 @@ def check_reachability(context: WorkflowContext) -> Iterator[Finding]:
         )
 
 
-@register_check(
-    "workflow-duplicate-task",
-    kind="workflow",
-    severity=Severity.ERROR,
-    description="task names in the source document must be unique",
-)
 def check_duplicate_tasks(context: WorkflowContext) -> Iterator[Finding]:
     """Duplicate names in a JSON document silently shadow each other's edges.
 
@@ -178,12 +153,6 @@ def check_duplicate_tasks(context: WorkflowContext) -> Iterator[Finding]:
             )
 
 
-@register_check(
-    "workflow-json-safety",
-    kind="workflow",
-    severity=Severity.ERROR,
-    description="task inputs/metadata must survive the JSON round-trip losslessly",
-)
 def check_json_safety(context: WorkflowContext) -> Iterator[Finding]:
     """Un-serialisable inputs/metadata break sweeps, artifacts and validate.
 

@@ -60,7 +60,7 @@ def _add_workflow_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
         metavar="NAME[:K=V,...]",
-        help="generate the workflow from a registered scenario instead of a JSON file, "
+        help="generate the workflow from a scenario of the catalog instead of a JSON file, "
         "e.g. --scenario cybershake:size=500,seed=3 (see 'ginflow scenarios')",
     )
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="execute a JSON workflow or a registered scenario")
+    run_parser = subparsers.add_parser("run", help="execute a JSON workflow or a scenario of the catalog")
     _add_workflow_source(run_parser)
     _add_config_arguments(run_parser)
     _add_trace_arguments(run_parser)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--json", action="store_true", help="print the sweep report as JSON")
 
     scenarios_parser = subparsers.add_parser(
-        "scenarios", help="list the registered workflow scenarios (or describe one)"
+        "scenarios", help="list the workflow scenarios of the catalog (or describe one)"
     )
     scenarios_parser.add_argument("name", nargs="?", help="describe one scenario in detail")
     scenarios_parser.add_argument("--json", action="store_true", help="print the listing as JSON")
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "families) without executing anything; see the README's "
         "'Static analysis' section for the check catalog.",
     )
-    _add_findings_arguments(lint_parser, "lint every registered scenario at its default parameters")
+    _add_findings_arguments(lint_parser, "lint every scenario of the catalog at its default parameters")
 
     audit_parser = subparsers.add_parser(
         "audit",
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run produces; see the README's 'Dynamic analysis' section for the "
         "check catalog.",
     )
-    _add_findings_arguments(audit_parser, "audit every registered scenario at a small size (size=20)")
+    _add_findings_arguments(audit_parser, "audit every scenario of the catalog at a small size (size=20)")
     audit_parser.add_argument("--mode", default="simulated", choices=tuple(BACKENDS["runtime"]))
     audit_parser.add_argument("--nodes", type=int, default=5, help="number of cluster nodes")
     audit_parser.add_argument("--seed", type=int, default=1, help="root random seed")

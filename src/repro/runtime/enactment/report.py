@@ -82,10 +82,6 @@ class ReportAssembler:
             fires = report.extra.setdefault("rule_fires", {})
             for rule_name, count in core.rule_fires.items():
                 fires[rule_name] = fires.get(rule_name, 0) + count
-            registered = report.extra.setdefault("rules_registered", [])
-            for rule_name in core.rule_names:
-                if rule_name not in registered:
-                    registered.append(rule_name)
             if name in exit_tasks and outcome.result is not None:
                 report.results[name] = outcome.result
         timings = engine.reduction_timings()

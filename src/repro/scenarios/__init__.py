@@ -1,41 +1,33 @@
-"""Scenario subsystem: a registry of parameterized scientific-workflow generators.
+"""Scenario subsystem: a closed catalog of parameterized scientific-workflow generators.
 
 Public surface::
 
     from repro.scenarios import (
-        available_scenarios,   # names of every registered generator
+        available_scenarios,   # names of every scenario of the catalog
         get_scenario,          # name -> Scenario (factory + declared profile)
         build_scenario,        # "cybershake:size=500,seed=3" -> Workflow
         parse_scenario_spec,   # spec string -> (name, params)
-        register_scenario,     # decorator for third-party generators
     )
 
-See :mod:`repro.scenarios.registry` for the registry machinery and
-:mod:`repro.scenarios.catalog` for the eight built-in DAG families.
+See :mod:`repro.scenarios.registry` for the lookup by name and
+:mod:`repro.scenarios.catalog` for the nine DAG families, the rows of its
+``SCENARIOS`` table.
 """
 
 from .registry import (
     Scenario,
     ScenarioError,
-    ScenarioRegistry,
     available_scenarios,
     build_scenario,
-    ensure_builtin_scenarios,
     get_scenario,
     parse_scenario_spec,
-    register_scenario,
-    registry,
 )
 
 __all__ = [
     "Scenario",
     "ScenarioError",
-    "ScenarioRegistry",
     "available_scenarios",
     "build_scenario",
-    "ensure_builtin_scenarios",
     "get_scenario",
     "parse_scenario_spec",
-    "register_scenario",
-    "registry",
 ]

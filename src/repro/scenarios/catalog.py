@@ -1,11 +1,11 @@
-"""The built-in scenario catalog — nine structurally distinct DAG families.
+"""The scenario catalog — nine structurally distinct DAG families.
 
-Each generator is registered on the global scenario registry
-(:mod:`repro.scenarios.registry`) and produces a seed-deterministic
-:class:`~repro.workflow.dag.Workflow` scaling from ~20 to well beyond 1000
-tasks via its ``size`` parameter (the approximate total task count; the
-generator rounds to the nearest realisable shape, never below its structural
-minimum).
+Each generator is a row of :data:`SCENARIOS`, the one closed table
+:mod:`repro.scenarios.registry` looks names up in, and produces a
+seed-deterministic :class:`~repro.workflow.dag.Workflow` scaling from ~20 to
+well beyond 1000 tasks via its ``size`` parameter (the approximate total task
+count; the generator rounds to the nearest realisable shape, never below its
+structural minimum).
 
 The first four families mirror the coordination structures of well-known
 Pegasus scientific workflows (characterised in Juve et al., "Characterizing
@@ -44,9 +44,10 @@ from typing import Any, Mapping
 from repro.workflow.dag import Task, Workflow
 from repro.workflow.montage import montage_workflow
 
-from .registry import ScenarioError, register_scenario
+from .registry import Scenario, ScenarioError
 
 __all__ = [
+    "SCENARIOS",
     "epigenomics_workflow",
     "cybershake_workflow",
     "inspiral_workflow",
@@ -126,13 +127,6 @@ _EPIGENOMICS_COSTS = {
 }
 
 
-@register_scenario(
-    "epigenomics",
-    structure="split -> N parallel 5-stage pipelines -> merge -> index -> pileup",
-    cost_profile=_EPIGENOMICS_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("pegasus", "pipelines", "fan-in"),
-)
 def epigenomics_workflow(size: int = 20, seed: int = 0, stages: int = 5) -> Workflow:
     """Genome-sequencing pipelines: parallel per-lane chains joined by one fan-in."""
     _check_size(size, 10)
@@ -170,13 +164,6 @@ _CYBERSHAKE_COSTS = {
 }
 
 
-@register_scenario(
-    "cybershake",
-    structure="preCVM -> per-site extract -> wide synthesis -> per-site zip -> global zip",
-    cost_profile=_CYBERSHAKE_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("pegasus", "fan-out", "fan-in", "two-level"),
-)
 def cybershake_workflow(size: int = 20, seed: int = 0, synthesis_per_site: int = 4) -> Workflow:
     """Seismic-hazard synthesis: two-level wide fan-out/fan-in over sites."""
     _check_size(size, 10)
@@ -212,13 +199,6 @@ _INSPIRAL_COSTS = {
 }
 
 
-@register_scenario(
-    "inspiral",
-    structure="datafind -> B chained diamond blocks (fan-out -> 2-deep columns -> thinca fan-in)",
-    cost_profile=_INSPIRAL_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("pegasus", "diamond", "chained"),
-)
 def inspiral_workflow(size: int = 20, seed: int = 0, width: int = 4) -> Workflow:
     """Gravitational-wave search: diamond blocks chained through thinca joins."""
     _check_size(size, 10)
@@ -258,13 +238,6 @@ _SIPHT_COSTS = {
 _SIPHT_LEAVES = ("patser", "blast", "rnamotif", "findterm", "transterm", "srna_scan")
 
 
-@register_scenario(
-    "sipht",
-    structure="G independent groups of leaf scanners -> per-group srna fan-in -> findsrna -> annotate",
-    cost_profile=_SIPHT_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("pegasus", "fan-in", "independent-groups"),
-)
 def sipht_workflow(size: int = 20, seed: int = 0, leaves_per_group: int = 5) -> Workflow:
     """sRNA annotation: many independent fan-ins merging into one final chain."""
     _check_size(size, 10)
@@ -301,13 +274,6 @@ _RANDOM_LAYERED_COSTS = {
 }
 
 
-@register_scenario(
-    "random-layered",
-    structure="source -> L layers of W tasks with seeded Erdos-style inter-layer edges -> sink",
-    cost_profile=_RANDOM_LAYERED_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("synthetic", "random", "layered"),
-)
 def random_layered_workflow(
     size: int = 20, seed: int = 0, edge_probability: float = 0.3, width: int = 0
 ) -> Workflow:
@@ -356,13 +322,6 @@ _MAPREDUCE_COSTS = {
 }
 
 
-@register_scenario(
-    "mapreduce",
-    structure="split -> M maps -> all-to-all shuffle -> R reduces -> collect",
-    cost_profile=_MAPREDUCE_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("synthetic", "shuffle", "fan-in"),
-)
 def mapreduce_workflow(size: int = 20, seed: int = 0, reduce_ratio: float = 0.25) -> Workflow:
     """Map/shuffle/reduce: the densest fan-in family (every reduce reads every map)."""
     _check_size(size, 10)
@@ -399,13 +358,6 @@ _FORKJOIN_COSTS = {
 }
 
 
-@register_scenario(
-    "forkjoin",
-    structure="S chained stages of (fork -> W workers -> join)",
-    cost_profile=_FORKJOIN_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("synthetic", "fork-join", "chained"),
-)
 def forkjoin_workflow(size: int = 20, seed: int = 0, width: int = 4) -> Workflow:
     """Fork-join chain: repeated scatter/gather stages in strict sequence."""
     _check_size(size, 10)
@@ -448,14 +400,6 @@ _MONTAGE_COSTS = {
 }
 
 
-@register_scenario(
-    "montage",
-    structure="prepare pair -> N parallel projections -> image table -> 3 diff-fits "
-    "-> background pair -> co-add -> publish",
-    cost_profile=_MONTAGE_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("paper", "astronomy", "fan-out", "fan-in", "heterogeneous"),
-)
 def montage_scenario(size: int = 118, seed: int = 0) -> Workflow:
     """The paper's Montage mosaic (Section V-D, Fig. 15): ten fixed pipeline
     tasks around a wide heterogeneous projection stage; ``size=118`` is the
@@ -485,13 +429,6 @@ _LONGCHAIN_COSTS = {
 }
 
 
-@register_scenario(
-    "longchain",
-    structure="one maximal-depth chain of size tasks",
-    cost_profile=_LONGCHAIN_COSTS,
-    failure_profile=_IDEMPOTENT,
-    tags=("synthetic", "stress", "sequential"),
-)
 def longchain_workflow(size: int = 20, seed: int = 0) -> Workflow:
     """Long-sequence stress: the deepest possible DAG, one task per level."""
     _check_size(size, 2)
@@ -506,3 +443,63 @@ def longchain_workflow(size: int = 20, seed: int = 0) -> Workflow:
             builder.dep(previous, task)
         previous = task
     return builder.workflow
+
+
+#: Every scenario by name, in the order ``ginflow scenarios`` lists them.
+SCENARIOS: dict[str, Scenario] = {
+    "epigenomics": Scenario(
+        "epigenomics", epigenomics_workflow,
+        "Genome-sequencing pipelines: parallel per-lane chains joined by one fan-in.",
+        "split -> N parallel 5-stage pipelines -> merge -> index -> pileup",
+        _EPIGENOMICS_COSTS, _IDEMPOTENT, ("pegasus", "pipelines", "fan-in"),
+    ),
+    "cybershake": Scenario(
+        "cybershake", cybershake_workflow,
+        "Seismic-hazard synthesis: two-level wide fan-out/fan-in over sites.",
+        "preCVM -> per-site extract -> wide synthesis -> per-site zip -> global zip",
+        _CYBERSHAKE_COSTS, _IDEMPOTENT, ("pegasus", "fan-out", "fan-in", "two-level"),
+    ),
+    "inspiral": Scenario(
+        "inspiral", inspiral_workflow,
+        "Gravitational-wave search: diamond blocks chained through thinca joins.",
+        "datafind -> B chained diamond blocks (fan-out -> 2-deep columns -> thinca fan-in)",
+        _INSPIRAL_COSTS, _IDEMPOTENT, ("pegasus", "diamond", "chained"),
+    ),
+    "sipht": Scenario(
+        "sipht", sipht_workflow,
+        "sRNA annotation: many independent fan-ins merging into one final chain.",
+        "G independent groups of leaf scanners -> per-group srna fan-in -> findsrna -> annotate",
+        _SIPHT_COSTS, _IDEMPOTENT, ("pegasus", "fan-in", "independent-groups"),
+    ),
+    "random-layered": Scenario(
+        "random-layered", random_layered_workflow,
+        "Random layered DAG: every inter-layer edge drawn with a seeded coin.",
+        "source -> L layers of W tasks with seeded Erdos-style inter-layer edges -> sink",
+        _RANDOM_LAYERED_COSTS, _IDEMPOTENT, ("synthetic", "random", "layered"),
+    ),
+    "mapreduce": Scenario(
+        "mapreduce", mapreduce_workflow,
+        "Map/shuffle/reduce: the densest fan-in family (every reduce reads every map).",
+        "split -> M maps -> all-to-all shuffle -> R reduces -> collect",
+        _MAPREDUCE_COSTS, _IDEMPOTENT, ("synthetic", "shuffle", "fan-in"),
+    ),
+    "forkjoin": Scenario(
+        "forkjoin", forkjoin_workflow,
+        "Fork-join chain: repeated scatter/gather stages in strict sequence.",
+        "S chained stages of (fork -> W workers -> join)",
+        _FORKJOIN_COSTS, _IDEMPOTENT, ("synthetic", "fork-join", "chained"),
+    ),
+    "montage": Scenario(
+        "montage", montage_scenario,
+        "The paper's Montage mosaic (Section V-D, Fig. 15): ten fixed pipeline",
+        "prepare pair -> N parallel projections -> image table -> 3 diff-fits "
+        "-> background pair -> co-add -> publish",
+        _MONTAGE_COSTS, _IDEMPOTENT, ("paper", "astronomy", "fan-out", "fan-in", "heterogeneous"),
+    ),
+    "longchain": Scenario(
+        "longchain", longchain_workflow,
+        "Long-sequence stress: the deepest possible DAG, one task per level.",
+        "one maximal-depth chain of size tasks",
+        _LONGCHAIN_COSTS, _IDEMPOTENT, ("synthetic", "stress", "sequential"),
+    ),
+}

@@ -1,23 +1,11 @@
-"""The scenario registry — named, parameterized scientific-workflow generators.
+"""Scenarios — named, parameterized scientific-workflow generators.
 
 A *scenario* is a seed-deterministic generator producing a
 :class:`~repro.workflow.dag.Workflow` of a given ``size`` plus a declared
-cost/failure profile.  Scenarios are first-class registered objects: the CLI
-(``ginflow scenarios`` / ``ginflow run --scenario``), ``GinFlow.sweep`` grid
-axes and the benchmark matrix all resolve them by name through this module.
-
-Registering a scenario::
-
-    from repro.scenarios import register_scenario
-
-    @register_scenario(
-        "mychain",
-        structure="a plain chain of size tasks",
-        cost_profile={"task": (0.1, 0.5)},
-    )
-    def mychain(size: int = 20, seed: int = 0) -> Workflow:
-        '''A linear chain stressing sequential hand-off.'''
-        ...
+cost/failure profile.  The nine built-in scenarios are the rows of one closed
+table, :data:`repro.scenarios.catalog.SCENARIOS`: the CLI (``ginflow
+scenarios`` / ``ginflow run --scenario``), ``GinFlow.sweep`` grid axes and
+the benchmark matrix all resolve them by name through this module.
 
 Every factory takes at least ``size`` (approximate task count) and ``seed``
 (all randomness must derive from it, so the same spec always produces the
@@ -30,14 +18,11 @@ a scenario plus parameter overrides::
 
 This module imports nothing from the rest of :mod:`repro` except the
 workflow model, so any layer can depend on it without import cycles; the
-built-in catalog (:mod:`repro.scenarios.catalog`) is imported lazily by
-:func:`ensure_builtin_scenarios` on first lookup.
+catalog is imported on the first lookup of a scenario.
 """
 
 from __future__ import annotations
 
-import threading
-from types import FunctionType
 from typing import Any, Callable, Mapping
 
 from repro.records import Frozen
@@ -46,19 +31,15 @@ from repro.workflow.dag import Workflow
 __all__ = [
     "Scenario",
     "ScenarioError",
-    "ScenarioRegistry",
-    "registry",
-    "register_scenario",
     "get_scenario",
     "available_scenarios",
     "build_scenario",
     "parse_scenario_spec",
-    "ensure_builtin_scenarios",
 ]
 
 
 class ScenarioError(ValueError):
-    """Raised on unknown scenario names, bad specs or conflicting registrations."""
+    """Raised on unknown scenario names, bad specs or parameters a factory refuses."""
 
 
 #: the default of a factory parameter that has none
@@ -66,22 +47,9 @@ _REQUIRED: Any = object()
 
 
 def _keywords(factory: Callable[..., Any]) -> tuple[dict[str, Any], bool]:
-    """The parameters ``factory`` takes by keyword, each with its default (``_REQUIRED``
-    when it has none), and whether it takes any other keyword (``**kwargs``).
-
-    A plain function is read off its code object; any other callable (a
-    ``functools.partial``, a class, a wrapped function) through :mod:`inspect`.
-    """
-    if not isinstance(factory, FunctionType) or hasattr(factory, "__wrapped__"):
-        import inspect
-
-        parameters = inspect.signature(factory).parameters.values()
-        keywords = {
-            spec.name: _REQUIRED if spec.default is spec.empty else spec.default
-            for spec in parameters
-            if spec.kind in (spec.POSITIONAL_OR_KEYWORD, spec.KEYWORD_ONLY)
-        }
-        return keywords, any(spec.kind == spec.VAR_KEYWORD for spec in parameters)
+    """The parameters the plain function ``factory`` takes by keyword, each with
+    its default (``_REQUIRED`` when it has none), read off its code object, and
+    whether it takes any other keyword (``**kwargs``)."""
     code, positional = factory.__code__, factory.__defaults__ or ()
     names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     defaults = dict(zip(names[code.co_argcount - len(positional) : code.co_argcount], positional))
@@ -91,17 +59,17 @@ def _keywords(factory: Callable[..., Any]) -> tuple[dict[str, Any], bool]:
 
 
 class Scenario(Frozen):
-    """One registered scenario: a named workflow generator plus its declared profile.
+    """One scenario: a named workflow generator plus its declared profile.
 
     Attributes
     ----------
     name:
         Public name the CLI/sweeps refer to (``"epigenomics"``).
     factory:
-        ``(size=..., seed=..., **shape) -> Workflow`` generator.  Must be
-        deterministic for fixed arguments.
+        ``(size=..., seed=..., **shape) -> Workflow`` generator, a plain
+        function.  Must be deterministic for fixed arguments.
     description:
-        One-line human description (defaults to the factory's first doc line).
+        One-line human description.
     structure:
         Short sketch of the coordination structure (``"parallel pipelines
         feeding one fan-in"``) shown by ``ginflow scenarios``.
@@ -159,116 +127,20 @@ class Scenario(Frozen):
         return {name: None if default is _REQUIRED else default for name, default in _keywords(self.factory)[0].items()}
 
 
-class ScenarioRegistry:
-    """A thread-safe name → :class:`Scenario` registry."""
-
-    def __init__(self) -> None:
-        self._scenarios: dict[str, Scenario] = {}
-        self._lock = threading.Lock()
-
-    # --------------------------------------------------------- registration
-    def register(
-        self,
-        name: str,
-        factory: Callable[..., Workflow] | None = None,
-        *,
-        description: str = "",
-        structure: str = "",
-        cost_profile: Mapping[str, tuple[float, float]] | None = None,
-        failure_profile: Mapping[str, Any] | None = None,
-        tags: tuple[str, ...] = (),
-        replace: bool = False,
-    ) -> Any:
-        """Register ``factory`` as scenario ``name`` (direct call or decorator)."""
-
-        def _store(func: Callable[..., Workflow]) -> Callable[..., Workflow]:
-            if not callable(func):
-                raise ScenarioError(f"scenario {name!r}: factory must be callable")
-            parameters = _keywords(func)[0]
-            for required in ("size", "seed"):
-                if required not in parameters:
-                    raise ScenarioError(
-                        f"scenario {name!r}: factory must accept a {required!r} keyword"
-                    )
-            about = description or _first_doc_line(func)
-            with self._lock:
-                if not replace and name in self._scenarios:
-                    raise ScenarioError(
-                        f"scenario {name!r} is already registered (pass replace=True to override)"
-                    )
-                self._scenarios[name] = Scenario(
-                    name=name,
-                    factory=func,
-                    description=about,
-                    structure=structure,
-                    cost_profile=dict(cost_profile or {}),
-                    failure_profile=dict(failure_profile or {}),
-                    tags=tuple(tags),
-                )
-            return func
-
-        if factory is None:
-            return _store
-        return _store(factory)
-
-    def unregister(self, name: str) -> None:
-        """Remove a scenario (no error if absent) — mostly for tests."""
-        with self._lock:
-            self._scenarios.pop(name, None)
-
-    # --------------------------------------------------------------- lookup
-    def get(self, name: str) -> Scenario:
-        """The scenario called ``name``; raises :class:`ScenarioError` if unknown."""
-        with self._lock:
-            scenario = self._scenarios.get(name)
-            if scenario is None:
-                known = tuple(self._scenarios)
-                raise ScenarioError(f"unknown scenario {name!r}; expected one of {known}")
-            return scenario
-
-    def has(self, name: str) -> bool:
-        """Whether a scenario called ``name`` is registered."""
-        with self._lock:
-            return name in self._scenarios
-
-    def names(self) -> tuple[str, ...]:
-        """Registered names, in registration order."""
-        with self._lock:
-            return tuple(self._scenarios)
-
-    def scenarios(self) -> tuple[Scenario, ...]:
-        """Every registered scenario, in registration order."""
-        with self._lock:
-            return tuple(self._scenarios.values())
-
-
-def _first_doc_line(func: Callable[..., Any]) -> str:
-    doc = getattr(func, "__doc__", None) or ""
-    for line in doc.strip().splitlines():
-        if line.strip():
-            return line.strip()
-    return ""
-
-
-#: The process-wide registry the CLI, sweeps and benchmarks resolve against.
-registry = ScenarioRegistry()
-
-
-def register_scenario(name: str, factory: Callable[..., Workflow] | None = None, **kwargs: Any) -> Any:
-    """Register a scenario on the global registry (decorator or direct call)."""
-    return registry.register(name, factory, **kwargs)
-
-
 def get_scenario(name: str) -> Scenario:
-    """Resolve one scenario from the global registry (catalog loaded first)."""
-    ensure_builtin_scenarios()
-    return registry.get(name)
+    """The catalog's scenario called ``name``; raises :class:`ScenarioError` if unknown."""
+    from .catalog import SCENARIOS
+
+    if name not in SCENARIOS:
+        raise ScenarioError(f"unknown scenario {name!r}; expected one of {tuple(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def available_scenarios() -> tuple[str, ...]:
-    """Names of every registered scenario."""
-    ensure_builtin_scenarios()
-    return registry.names()
+    """Names of every scenario of the catalog, in its order."""
+    from .catalog import SCENARIOS
+
+    return tuple(SCENARIOS)
 
 
 def parse_scenario_spec(spec: str) -> tuple[str, dict[str, Any]]:
@@ -318,21 +190,3 @@ def build_scenario(spec: str, **overrides: Any) -> Workflow:
     name, params = parse_scenario_spec(spec)
     params.update(overrides)
     return get_scenario(name).build(**params)
-
-
-_builtins_loaded = False
-_builtins_lock = threading.RLock()
-
-
-def ensure_builtin_scenarios() -> None:
-    """Import the built-in catalog exactly once (idempotent, thread-safe)."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    with _builtins_lock:
-        if _builtins_loaded:
-            return
-        import importlib
-
-        importlib.import_module("repro.scenarios.catalog")
-        _builtins_loaded = True

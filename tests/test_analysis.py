@@ -2,11 +2,13 @@
 
 Each built-in check gets a deliberately-broken fixture that must produce the
 expected finding (check id, severity, subject, fix hint), and the shipped
-catalog — every registered scenario plus the built-in generic/local rule
+catalog — every scenario of the table plus the built-in generic/local rule
 sets — must lint clean at ``--fail-on error``.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +23,10 @@ from repro.analysis import (
     analyze_scenario,
     analyze_workflow,
     available_checks,
-    register_check,
-    registry,
 )
 from repro.cli import main
 from repro.analysis.analyzer import _injected_keys
+from repro.analysis.checks import CHECK_KINDS, CHECKS, AnalysisCheck
 from repro.hocl import (
     Compare,
     Multiset,
@@ -44,8 +45,7 @@ from repro.hocl import (
 from repro.hoclflow import adaptation
 from repro.hoclflow.adaptation import build_plan, make_mv_src
 from repro.hoclflow.translator import encode_workflow
-from repro.scenarios import available_scenarios, register_scenario
-from repro.scenarios.registry import registry as scenario_registry
+from repro.scenarios import available_scenarios
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 from repro.workflow.json_format import workflow_to_json
 
@@ -301,20 +301,6 @@ class TestWorkflowChecks:
 
 
 # ----------------------------------------------------------- scenario checks
-@pytest.fixture()
-def scratch_scenario():
-    """Register throwaway scenarios and tear them down afterwards."""
-    names = []
-
-    def _register(name, factory, **kwargs):
-        names.append(name)
-        register_scenario(name, factory, **kwargs)
-
-    yield _register
-    for name in names:
-        scenario_registry.unregister(name)
-
-
 class TestScenarioChecks:
     def test_cost_profile_drift(self, scratch_scenario):
         def factory(size=4, seed=0):
@@ -411,8 +397,19 @@ class TestCatalogClean:
             assert not errors, [f.message for f in errors]
 
 
-# --------------------------------------------------------------- check registry
-class TestCheckRegistry:
+# ------------------------------------------------------------------ check table
+def literal_keys(path, table):
+    """The keys written in the dict literal assigned to ``table`` in ``path``
+    (a key written twice shows twice here, once in the dict)."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    (literal,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == table
+    ]
+    return [key.value for key in literal.keys]
+
+
+class TestCheckTable:
     def test_builtin_catalog_has_all_checks(self):
         ids = {check.id for check in available_checks()}
         assert {
@@ -432,13 +429,18 @@ class TestCheckRegistry:
             "scenario-determinism",
         } <= ids
 
-    def test_custom_check_runs_in_drivers(self):
-        @register_check(
-            "custom-max-patterns",
-            kind="rule",
-            severity=Severity.INFO,
-            description="flag rules with huge left-hand sides",
-        )
+    def test_every_row_is_one_check_under_its_own_id(self):
+        import repro.analysis.checks as checks
+
+        written = literal_keys(checks.__file__, "CHECKS")
+        assert len(written) == len(set(written)) == len(CHECKS) == 29
+        assert tuple(written) == tuple(CHECKS) == tuple(check.id for check in available_checks())
+        for check_id, check in CHECKS.items():
+            assert check.id == check_id
+            assert check.kind in CHECK_KINDS, check_id
+            assert isinstance(check.severity, Severity) and check.description and callable(check.func)
+
+    def test_custom_check_runs_in_drivers(self, monkeypatch):
         def check_pattern_count(scope):
             for rule in scope.rules:
                 if len(rule.patterns) > 1:
@@ -450,18 +452,14 @@ class TestCheckRegistry:
                         location=scope.label,
                     )
 
-        try:
-            wide = replace("wide", [Var("x"), Var("y")], [Ref("x"), Ref("y")])
-            report = analyze_rules([wide], solution=Multiset([1, 2]))
-            (finding,) = findings_for(report, "custom-max-patterns")
-            assert finding.severity is Severity.INFO
-            assert report.ok(Severity.WARNING)  # info does not fail the gate
-        finally:
-            registry.unregister("custom-max-patterns")
-
-    def test_duplicate_check_id_rejected(self):
-        with pytest.raises(Exception):
-            register_check("rule-unbound-product", kind="rule")(lambda scope: [])
+        monkeypatch.setitem(CHECKS, "custom-max-patterns", AnalysisCheck(
+            "custom-max-patterns", "rule", Severity.INFO, "flag rules with huge left-hand sides", check_pattern_count,
+        ))
+        wide = replace("wide", [Var("x"), Var("y")], [Ref("x"), Ref("y")])
+        report = analyze_rules([wide], solution=Multiset([1, 2]))
+        (finding,) = findings_for(report, "custom-max-patterns")
+        assert finding.severity is Severity.INFO
+        assert report.ok(Severity.WARNING)  # info does not fail the gate
 
 
 # ---------------------------------------------------------------- report API

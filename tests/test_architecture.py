@@ -545,11 +545,19 @@ class TestOneAgentDriver:
         assert second_drivers(modules)
 
 
-# ------------------------------------------------------ a backend is a table row
-#: the decorators of a backend registry, one per kind of backend
-_REGISTRARS = {"register_runtime", "register_executor", "register_broker", "register_cluster"}
-#: the packages whose modules a registry would import for what they register
-_BACKEND_PACKAGES = ("repro.runtime", "repro.executors", "repro.messaging", "repro.cluster")
+# ------------------------------------------------------- a catalog is a table
+#: the decorators of a registry: one per kind of backend, the scenarios' and the checks'
+_REGISTRARS = {
+    "register_runtime", "register_executor", "register_broker", "register_cluster", "register_scenario",
+    "register_check",
+}
+#: what a registry would import for what importing it registers: a package, or a module by its name
+_REGISTERING = (
+    "repro.runtime", "repro.executors", "repro.messaging", "repro.cluster", "repro.analysis", "repro.scenarios",
+    "_checks", "catalog",
+)
+#: the registries a run builds and its user fills (services, HOCL externals, metrics), not process-wide ones
+_PER_RUN_REGISTRIES = {"ServiceRegistry", "ExternalRegistry", "MetricsRegistry"}
 
 
 def _strings(node, assigned):
@@ -558,11 +566,14 @@ def _strings(node, assigned):
     return [inner.value for inner in ast.walk(node) if isinstance(inner, ast.Constant) and isinstance(inner.value, str)]
 
 
-def backend_registries(modules):
-    """Where a backend registry has grown back beside the one table of
-    ``repro.runtime.config``: a module ``runtime/backends.py``, a
-    ``register_<kind>`` function, or ``import_module`` called in a loop over
-    modules of the backend packages (loaded for what importing them registers)."""
+def registries(modules):
+    """Where a process-wide registry has grown back beside the closed tables
+    (``BACKENDS`` of ``repro.runtime.config``, ``SCENARIOS`` of
+    ``repro.scenarios.catalog``, ``CHECKS`` of ``repro.analysis.checks``): a
+    module ``runtime/backends.py``; a ``register_<kind>`` function or an
+    ``ensure_builtin_*`` one; a ``*Registry`` class that is not a per-run
+    value; ``import_module`` called in a loop over modules of those packages,
+    or whose module it drops (loaded for what importing it registers)."""
     found = [f"{path}: the registry's module" for path in modules if path == "runtime/backends.py"]
     for path, tree in modules.items():
         assigned = {
@@ -571,8 +582,14 @@ def backend_registries(modules):
             for target in node.targets if isinstance(target, ast.Name)
         }
         for node in _walked(tree)[0]:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _REGISTRARS:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name in _REGISTRARS or node.name.startswith("ensure_builtin")
+            ):
                 found.append(f"{path}:{node.lineno}: def {node.name}")
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Registry") and node.name not in _PER_RUN_REGISTRIES:
+                found.append(f"{path}:{node.lineno}: class {node.name}")
+            if isinstance(node, ast.Expr) and _called(node.value) == "import_module":
+                found.append(f"{path}:{node.lineno}: import_module for what importing registers")
             if isinstance(node, ast.For):
                 iterables, bodies = [node.iter], node.body
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
@@ -582,14 +599,14 @@ def backend_registries(modules):
             for call in (inner for body in bodies for inner in ast.walk(body) if _called(inner) == "import_module"):
                 named = [text for iterable in iterables for text in _strings(iterable, assigned)]
                 named += [text for argument in call.args for text in _strings(argument, assigned)]
-                if any(package in text for text in named for package in _BACKEND_PACKAGES):
-                    found.append(f"{path}:{call.lineno}: import_module in a loop over backend modules")
+                if any(module in text for text in named for module in _REGISTERING):
+                    found.append(f"{path}:{call.lineno}: import_module in a loop over registering modules")
     return found
 
 
-class TestABackendIsATableRow:
+class TestNoProcessWideRegistry:
     def test_the_source(self):
-        assert backend_registries(_sources()) == []
+        assert registries(_sources()) == []
 
     @pytest.mark.parametrize(
         "seeded",
@@ -602,8 +619,27 @@ class TestABackendIsATableRow:
             )},
             {"cli": "from importlib import import_module\nfor name in ('ssh', 'mesos'):\n    import_module(f'repro.executors.{name}')\n"},
             {"cluster____init__": "import importlib\nLOADED = [importlib.import_module(m) for m in ['repro.cluster.grid5000']]\n"},
+            {"scenarios__registry": "def register_scenario(name, factory=None, **profile):\n    return factory\n"},
+            {"analysis__checks": "def register_check(check_id, func=None, *, kind):\n    return func\n"},
+            {"analysis__analyzer": "def ensure_builtin_checks():\n    pass\n"},
+            {"scenarios__registry": "class ScenarioRegistry:\n    pass\n"},
+            {"analysis__analyzer": (
+                "import importlib\n"
+                "def load():\n    for module in ('rule_checks', 'trace_checks'):\n"
+                "        importlib.import_module(f'repro.analysis.{module}')\n"
+            )},
+            {"analysis__trace": (
+                "import importlib\n"
+                "def load():\n    for module in ('rule_checks', 'trace_checks'):\n"
+                "        importlib.import_module(f'.{module}', __package__)\n"
+            )},
+            {"scenarios__catalog": (
+                "from importlib import import_module\nCATALOGS = ('repro.scenarios.catalog',)\n"
+                "MODULES = [import_module(name) for name in CATALOGS]\n"
+            )},
+            {"scenarios__registry": "import importlib\ndef load():\n    importlib.import_module('repro.scenarios.catalog')\n"},
         ],
     )
     def test_a_seeded_registry_is_rejected(self, seeded):
         modules = {**_sources(), **_parsed(**seeded)}
-        assert backend_registries(modules)
+        assert registries(modules)

@@ -799,9 +799,13 @@ class TestStartUpWithoutNumpyAndNetworkx:
 
     @pytest.mark.parametrize("mode", AGENT_MODES)
     def test_json_file_run(self, mode, tmp_path):
+        # nor the scenario catalog: it is imported when a scenario is looked up
         path = tmp_path / "adaptive.json"
         workflow_to_json(adaptive_diamond_workflow(2, 2, duration=0.01), path)
-        assert modules_after(["run", str(path), "--mode", mode], tmp_path) == "LOADED 0 []"
+        watched = ("numpy", "networkx", "repro.scenarios.catalog")
+        assert modules_after(["run", str(path), "--mode", mode], tmp_path, watched) == "LOADED 0 []"
+        argv = ["run", "--scenario", "longchain:size=20", "--mode", mode]
+        assert modules_after(argv, tmp_path, watched) == "LOADED 0 ['repro.scenarios.catalog']"
 
     @pytest.mark.parametrize(
         "options",

@@ -1,6 +1,6 @@
 """Tests for the scenario subsystem (:mod:`repro.scenarios`).
 
-Covers the registry seams (registration, lookup, spec parsing), the
+Covers the catalog's table (its rows, lookup, spec parsing), the
 property-style invariants every catalog generator must satisfy (valid
 acyclic workflow, seed determinism, size scaling, cost-profile metadata,
 lossless JSON round-trip, end-to-end enactment on the simulated runtime),
@@ -22,10 +22,10 @@ from repro.scenarios import (
     build_scenario,
     get_scenario,
     parse_scenario_spec,
-    register_scenario,
-    registry,
 )
+from repro.scenarios.catalog import SCENARIOS
 from repro.services import ServiceRegistry
+from test_analysis import literal_keys
 from repro.workflow import (
     JSONFormatError,
     Task,
@@ -37,20 +37,24 @@ from repro.workflow import (
 ALL_SCENARIOS = available_scenarios()
 
 
-# ---------------------------------------------------------------- registry
-class TestRegistry:
-    def test_catalog_registers_at_least_eight_generators(self):
-        assert len(ALL_SCENARIOS) >= 8
-        for expected in (
-            "epigenomics", "cybershake", "inspiral", "sipht",
-            "random-layered", "mapreduce", "forkjoin", "longchain",
-        ):
-            assert expected in ALL_SCENARIOS
+# ------------------------------------------------------------------- table
+class TestCatalogTable:
+    def test_the_catalog_is_nine_rows_in_listing_order(self):
+        import repro.scenarios.catalog as catalog
 
-    def test_register_lookup_and_duplicate(self):
-        @register_scenario("test-chain", structure="a chain")
+        written = literal_keys(catalog.__file__, "SCENARIOS")
+        assert tuple(written) == ALL_SCENARIOS == (
+            "epigenomics", "cybershake", "inspiral", "sipht",
+            "random-layered", "mapreduce", "forkjoin", "montage", "longchain",
+        )
+
+    def test_every_row_is_its_name_and_takes_size_and_seed(self):
+        for name, scenario in SCENARIOS.items():
+            assert scenario.name == name and scenario.description and scenario.structure
+            assert {"size", "seed"} <= set(scenario.parameters()), name
+
+    def test_lookup_reads_the_table(self, scratch_scenario):
         def chain(size: int = 5, seed: int = 0) -> Workflow:
-            """A tiny test chain."""
             workflow = Workflow("test-chain")
             previous = None
             for index in range(size):
@@ -60,21 +64,12 @@ class TestRegistry:
                 previous = f"T{index}"
             return workflow
 
-        try:
-            scenario = get_scenario("test-chain")
-            assert scenario.description == "A tiny test chain."
-            assert scenario.structure == "a chain"
-            assert len(scenario.build(size=7)) == 7
-            with pytest.raises(ScenarioError, match="already registered"):
-                register_scenario("test-chain", chain)
-            register_scenario("test-chain", chain, replace=True)
-        finally:
-            registry.unregister("test-chain")
-        assert not registry.has("test-chain")
-
-    def test_factory_must_accept_size_and_seed(self):
-        with pytest.raises(ScenarioError, match="seed"):
-            register_scenario("test-bad", lambda size=1: Workflow("x", [Task("a", "s")]))
+        scratch_scenario("test-chain", chain, description="A tiny test chain.", structure="a chain")
+        scenario = get_scenario("test-chain")
+        assert scenario.description == "A tiny test chain."
+        assert scenario.structure == "a chain"
+        assert len(scenario.build(size=7)) == 7
+        assert available_scenarios()[-1] == "test-chain"
 
     def test_unknown_scenario(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
@@ -84,13 +79,10 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="accepted parameters"):
             build_scenario("longchain:size=20,bogus=3")
 
-    def test_factory_must_return_a_workflow(self):
-        register_scenario("test-notwf", lambda size=1, seed=0: "nope")
-        try:
-            with pytest.raises(ScenarioError, match="not a Workflow"):
-                build_scenario("test-notwf")
-        finally:
-            registry.unregister("test-notwf")
+    def test_factory_must_return_a_workflow(self, scratch_scenario):
+        scratch_scenario("test-notwf", lambda size=1, seed=0: "nope")
+        with pytest.raises(ScenarioError, match="not a Workflow"):
+            build_scenario("test-notwf")
 
     def test_parameters_exposed_with_defaults(self):
         parameters = get_scenario("cybershake").parameters()

@@ -21,10 +21,9 @@ from repro.analysis import (
     audit_scenario,
     audit_workflow,
     available_checks,
-    register_check,
-    registry,
 )
 from repro.agents.coordinator import TimelineEvent
+from repro.analysis.checks import CHECKS, AnalysisCheck
 from repro.analysis.obs_checks import ObsScope, reduction_phase_totals
 from repro.analysis.plan_checks import PlanScope
 from repro.analysis.trace import enactment_rules
@@ -38,8 +37,7 @@ from repro.hoclflow.adaptation import build_plan
 from repro.hoclflow.translator import encode_workflow
 from repro.runtime import GinFlow, GinFlowConfig
 from repro.runtime.results import RunReport, TaskOutcome
-from repro.scenarios import available_scenarios, register_scenario
-from repro.scenarios.registry import registry as scenario_registry
+from repro.scenarios import available_scenarios
 from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
 
 
@@ -57,20 +55,6 @@ def no_handoff_workflow(size=2, seed=0):
     return workflow
 
 
-@pytest.fixture()
-def scratch_scenario():
-    """Register throwaway scenarios and tear them down afterwards."""
-    names = []
-
-    def _register(name, factory, **kwargs):
-        names.append(name)
-        register_scenario(name, factory, **kwargs)
-
-    yield _register
-    for name in names:
-        scenario_registry.unregister(name)
-
-
 def simulated_run(workflow, seed=1, **overrides):
     return GinFlow(GinFlowConfig(mode="simulated", nodes=5, seed=seed)).run(
         workflow, timeout=120.0, **overrides
@@ -80,13 +64,13 @@ def simulated_run(workflow, seed=1, **overrides):
 # ------------------------------------------------------------- fire counters
 class TestFireCounters:
     def test_run_report_carries_per_rule_fires(self):
-        run = simulated_run(diamond_workflow(2, 2, duration=0.05))
+        run_workflow = diamond_workflow(2, 2, duration=0.05)
+        run = simulated_run(run_workflow)
         fires = run.extra["rule_fires"]
         assert run.succeeded
         assert sum(fires.values()) == run.reduction_reactions
         assert fires["gw_setup"] > 0 and fires["gw_call"] > 0 and fires["gw_pass"] > 0
-        registered = run.extra["rules_registered"]
-        assert set(fires) <= set(registered)
+        assert set(fires) <= {rule.name for rule in enactment_rules(encode_workflow(run_workflow))}
 
     def test_reduction_report_merge_accumulates_fires(self):
         left = ReductionReport(reactions=2, rule_fires={"a": 2})
@@ -430,13 +414,7 @@ class TestAuditDrivers:
         assert any(name.startswith("trigger_adapt:") for name in decentralized)
         assert any(name.startswith("trigger_adapt:") for name in centralized)
 
-    def test_custom_trace_check_runs_in_audit(self):
-        @register_check(
-            "custom-min-reactions",
-            kind="trace",
-            severity=Severity.WARNING,
-            description="flag suspiciously tiny traces",
-        )
+    def test_custom_trace_check_runs_in_audit(self, monkeypatch):
         def check_min_reactions(scope):
             if scope.report.reactions < 10:
                 yield Finding(
@@ -447,12 +425,12 @@ class TestAuditDrivers:
                     location=scope.label,
                 )
 
-        try:
-            report = audit_reduction(ReductionReport(reactions=3, rule_fires={"a": 3}))
-            (finding,) = findings_for(report, "custom-min-reactions")
-            assert finding.severity is Severity.WARNING
-        finally:
-            registry.unregister("custom-min-reactions")
+        monkeypatch.setitem(CHECKS, "custom-min-reactions", AnalysisCheck(
+            "custom-min-reactions", "trace", Severity.WARNING, "flag suspiciously tiny traces", check_min_reactions,
+        ))
+        report = audit_reduction(ReductionReport(reactions=3, rule_fires={"a": 3}))
+        (finding,) = findings_for(report, "custom-min-reactions")
+        assert finding.severity is Severity.WARNING
 
 
 # ------------------------------------------------- shipped catalog is clean
@@ -525,8 +503,8 @@ class TestAuditCLI:
         assert main(["audit", "--all-scenarios", "--scenario", "forkjoin"]) == 2
 
 
-# --------------------------------------------------------------- check registry
-class TestDynamicCheckRegistry:
+# ------------------------------------------------------------------ check table
+class TestDynamicCheckTable:
     def test_builtin_catalog_has_all_dynamic_checks(self):
         ids = {check.id for check in available_checks()}
         assert {
