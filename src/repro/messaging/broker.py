@@ -165,8 +165,8 @@ class InProcessBroker(Broker):
     """An in-process broker: the asyncio runtime's transport, on one thread.
 
     Delivery is synchronous, inside :meth:`publish` (the asyncio runtime's
-    subscription queues the message on the event loop, so the publisher never
-    runs the consumer's work).
+    subscription queues the message in the driver's FIFO, drained per loop
+    turn, so the publisher never runs the consumer's work).
     """
 
     def __init__(self, profile: BrokerProfile) -> None:

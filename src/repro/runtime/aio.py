@@ -1,21 +1,21 @@
 """The asyncio local runtime: the agent driver on the real clock, one event loop, no threads.
 
 The driver is :class:`~repro.runtime.driver.AgentRun`'s; this module supplies
-the real clock (``time.monotonic``, the running loop's ``call_soon`` /
-``call_later``):
+the real clock (``time.monotonic``, the driver's FIFO drained per loop turn,
+the running loop's ``call_later`` past a delay):
 
-* a hosted agent is its engine record — no Task, no Queue.  A message is
-  queued with ``loop.call_soon``: the loop's ready queue is every agent's
-  inbox at once, FIFO, and boots are queued first, in host order;
+* a hosted agent is its engine record — no Task, no Queue.  A message is an
+  item of the driver's FIFO, every agent's inbox at once, and boots are
+  queued first, in host order; one ``call_soon`` drains it per loop turn;
 * a stimulus is served at once; a synchronous service runs at dispatch, on
-  the loop (it must be quick), and its completion is one more ``call_soon``;
+  the loop (it must be quick), and its completion is one more FIFO item;
 * an ``async def`` service (or any awaitable result) becomes an
   :class:`asyncio.Task`, so N awaiting services genuinely overlap;
 * a *stimulus* that raises — a protocol bug; a failing service only fails its
   task — ends the run at once, and :meth:`AsyncioRun.run` / ``run_async``
   re-raise it.  Completion, the timeout or that exception resolves the one
-  future the run awaits; then every agent is taken down and whatever is
-  pending is cancelled, so callbacks left on a caller's loop are no-ops.
+  future the run awaits; then every agent is taken down, the FIFO emptied and
+  whatever is pending cancelled, so nothing stays live on a caller's loop.
 
 It is meant for functional use (examples, real Python services), not
 performance studies, and injects no failures: a service has run before a
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from functools import partial
 from typing import Any, Callable
 
@@ -58,6 +59,9 @@ class AsyncioRun(AgentRun):
         #: what the end of the run cancels: its timers and the Tasks of awaiting services
         self._timers: list[asyncio.TimerHandle] = []
         self._tasks: "set[asyncio.Future[Any]]" = set()
+        #: every agent's inbox: ``(function, args)`` items, and the one armed drain
+        self._fifo: "deque[tuple[Callable[..., Any], tuple[Any, ...]]]" = deque()
+        self._drainer: asyncio.Handle | None = None
 
     # ------------------------------------------------------------------ run
     def run(self, timeout: float = 60.0) -> RunReport:
@@ -92,9 +96,12 @@ class AsyncioRun(AgentRun):
                 )
         finally:
             for agent in engine.hosts.values():
-                agent.alive = False  # what is still queued for it is a no-op
+                agent.alive = False  # what a Task still brings it is a no-op
+            self._fifo.clear()
             for pending in (*self._timers, *self._tasks):
                 pending.cancel()
+            if self._drainer is not None:
+                self._drainer.cancel()
 
     def _finish(self, timed_out: bool = False, error: BaseException | None = None) -> None:
         """End the wait of :meth:`run_async`; only the first call counts."""
@@ -106,12 +113,29 @@ class AsyncioRun(AgentRun):
     def call_later(self, delay: float, function: Callable[..., Any], *args: Any) -> None:
         if delay > 0:
             self._timers.append(self._loop.call_later(delay, function, *args))
-        else:
-            self._loop.call_soon(function, *args)
+            return
+        if not self._fifo:
+            self._drainer = self._loop.call_soon(self._drain)
+        self._fifo.append((function, args))
 
     def _inbox(self) -> Callable[..., None]:
-        # the in-process broker delivers inside `publish`: the stimulus is queued on the loop
-        return partial(self._loop.call_soon, self._stimulate)
+        # the in-process broker delivers inside `publish`: the stimulus is queued in the FIFO
+        return partial(self.call_later, 0, self._stimulate)
+
+    def _drain(self) -> None:
+        """Run the FIFO's items in order, those they queue included, until it is empty or the
+        run is over, 64 at most per loop turn: an item count, so a run's loop turns do not depend
+        on the host, and the timeout, awaiting services and a caller's coroutines wait 64 stimuli
+        at most.  An item stays at the head while it runs: what it queues arms no drain."""
+        fifo, over = self._fifo, self._done.done
+        for _ in range(64):
+            if not fifo or over():
+                return
+            function, args = fifo[0]
+            function(*args)
+            fifo.popleft()
+        if fifo:
+            self._drainer = self._loop.call_soon(self._drain)
 
     def _serve(self, agent: AgentHost, actions: list[Action], units: float, replayed: int | None = None) -> None:
         self.engine.dispatch(agent, actions)

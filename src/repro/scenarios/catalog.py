@@ -491,7 +491,8 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "montage": Scenario(
         "montage", montage_scenario,
-        "The paper's Montage mosaic (Section V-D, Fig. 15): ten fixed pipeline",
+        "The paper's Montage mosaic (Section V-D, Fig. 15): ten fixed pipeline tasks around "
+        "a wide heterogeneous projection stage; size=118 is the exact published shape.",
         "prepare pair -> N parallel projections -> image table -> 3 diff-fits "
         "-> background pair -> co-add -> publish",
         _MONTAGE_COSTS, _IDEMPOTENT, ("paper", "astronomy", "fan-out", "fan-in", "heterogeneous"),

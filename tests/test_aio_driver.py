@@ -1,12 +1,16 @@
-"""Properties of the asyncio driver: an agent is a callback, not a Task and a Queue.
+"""Properties of the asyncio driver: an agent is a FIFO item, not a Task and a Queue.
 
 * every agent boots before it sees a message and sees its stimuli in arrival
-  order (the loop's ready queue is the FIFO the per-agent queues were); the
-  reports agree with the simulated run;
+  order (the driver's FIFO, drained per loop turn, is every agent's inbox);
+  the reports agree with the simulated run;
 * no Task per agent or per synchronous invocation — only an awaiting service
   becomes one;
-* a run that is over leaves nothing behind on a caller's loop;
-* a stimulus that raises ends the run at once with that exception;
+* the drain yields the loop: a caller's coroutine keeps running beside a long
+  synchronous chain, and the timeout cuts one at once;
+* a run that is over leaves nothing behind on a caller's loop, its FIFO
+  included;
+* a stimulus that raises ends the run at once with that exception, and no
+  queued stimulus runs after it;
 * the report never becomes the result of the main task (``asyncio.run`` would
   format its repr);
 * every reduction runs on the loop's own thread.
@@ -133,6 +137,35 @@ class TestNoTaskPerAgent:
         assert counts[1] == counts[0] + 3, counts
 
 
+class TestTheDrainYieldsTheLoop:
+    def test_a_caller_coroutine_keeps_ticking_beside_a_long_chain(self, stimuli):
+        async def main():
+            ticks, enacted = [], []
+
+            async def ticker():
+                while not enacted:
+                    ticks.append(sum(map(len, stimuli.values())))
+                    await asyncio.sleep(0)
+
+            ticking = asyncio.ensure_future(ticker())
+            enacted.append(await AsyncioRun(build_scenario("longchain:size=3000")).run_async(timeout=60.0))
+            await ticking
+            return enacted[0], ticks
+
+        report, ticks = asyncio.run(main())
+        assert report.succeeded
+        # the ticker saw the run at 30 stages or more of its 8999 stimuli
+        during = sorted(set(ticks) - {0, 8999})
+        assert len(during) >= 30 and during[-1] - during[0] > 8000, during
+
+    def test_the_timeout_cuts_a_long_synchronous_chain(self):
+        run = AsyncioRun(build_scenario("longchain:size=20000"))
+        report = run.run(timeout=0.05)
+        assert report.timed_out and not report.succeeded
+        assert report.execution_time < 0.5, report.execution_time
+        assert not run._fifo
+
+
 class TestNothingOutlivesTheRun:
     def test_a_cut_run_leaves_no_timer_and_publishes_nothing_more(self, monkeypatch):
         brokers = []
@@ -197,20 +230,27 @@ class TestNothingOutlivesTheRun:
 class TestRaisingStimulus:
     @pytest.fixture
     def broken_deliver(self, monkeypatch):
-        original = EnactmentEngine.deliver
+        """Every ``deliver`` seen, in order; the one to ``T_2_2`` raises."""
+        original, delivered = EnactmentEngine.deliver, []
 
         def deliver(self, host, message):
+            delivered.append(host.name)
             if host.name == "T_2_2":
                 raise RuntimeError("injected into deliver")
             return original(self, host, message)
 
         monkeypatch.setattr(EnactmentEngine, "deliver", deliver)
+        return delivered
 
     def test_run_raises_it_at_once(self, broken_deliver):
         start = time.monotonic()
+        run = AsyncioRun(diamond_workflow(3, 3))
         with pytest.raises(RuntimeError, match="injected into deliver"):
-            run_asyncio(diamond_workflow(3, 3), timeout=30.0)
+            run.run(timeout=30.0)
         assert time.monotonic() - start < 2.0
+        # deliveries to the other branches were queued beside T_2_2's: none ran after it raised
+        assert broken_deliver[-1] == "T_2_2", broken_deliver
+        assert not run._fifo
 
     def test_run_async_raises_it_inside_a_running_loop(self, broken_deliver):
         async def main():

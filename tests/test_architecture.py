@@ -33,8 +33,8 @@ def _sources():
 
 
 def _parsed(**modules):
-    """Seeded modules: ``hocl__rules="..."`` is ``hocl/rules.py``."""
-    return {f"{name.replace('__', '/')}.py": ast.parse(text) for name, text in modules.items()}
+    """Seeded modules: ``hocl__rules="..."`` is ``hocl/rules.py``, ``cluster____init__`` ``cluster/__init__.py``."""
+    return {f"{name.replace('__', '/').replace('//init/', '/__init__')}.py": ast.parse(text) for name, text in modules.items()}
 
 
 @functools.cache
@@ -643,3 +643,9 @@ class TestNoProcessWideRegistry:
     def test_a_seeded_registry_is_rejected(self, seeded):
         modules = {**_sources(), **_parsed(**seeded)}
         assert registries(modules)
+
+    def test_a_seed_replaces_the_module_it_names(self):
+        """The ``cluster____init__`` seed replaces the package's own ``__init__.py``
+        rather than landing beside it."""
+        (path,) = _parsed(cluster____init__="")
+        assert path == "cluster/__init__.py" and path in _sources()

@@ -53,6 +53,14 @@ class TestCatalogTable:
             assert scenario.name == name and scenario.description and scenario.structure
             assert {"size", "seed"} <= set(scenario.parameters()), name
 
+    def test_every_description_is_a_whole_sentence(self):
+        """One line, a full stop last, every bracket closed: a row never shows
+        a docstring cut at its first line break."""
+        for name, scenario in SCENARIOS.items():
+            text = scenario.description
+            assert text.endswith(".") and "\n" not in text, (name, text)
+            assert text.count("(") == text.count(")"), (name, text)
+
     def test_lookup_reads_the_table(self, scratch_scenario):
         def chain(size: int = 5, seed: int = 0) -> Workflow:
             workflow = Workflow("test-chain")
