@@ -63,7 +63,6 @@ def run_fig12(
     nodes: int = 25,
     broker: str = "activemq",
     seed: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run the Fig. 12 sweep; returns one row per (connectivity, h, v) point."""
     config = GinFlowConfig(nodes=nodes, executor="ssh", broker=broker, seed=seed, collect_timeline=False)
@@ -72,7 +71,6 @@ def run_fig12(
         fig12_grid(scale, connectivities),
         name="fig12",
         metrics=_fig12_metrics,
-        workers=workers,
     )
     return report.rows
 

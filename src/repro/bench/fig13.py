@@ -75,13 +75,10 @@ def run_fig13(
     nodes: int = 25,
     broker: str = "activemq",
     seed: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run the Fig. 13 sweep; one row per (scenario, configuration)."""
     config = GinFlowConfig(nodes=nodes, executor="ssh", broker=broker, seed=seed, collect_timeline=False)
-    report = GinFlow(config).sweep(
-        _fig13_workflow, fig13_grid(scale), name="fig13", workers=workers
-    )
+    report = GinFlow(config).sweep(_fig13_workflow, fig13_grid(scale), name="fig13")
     # Join each (scenario, size) baseline/adaptive pair into one ratio row.
     by_point: dict[tuple[str, int], dict[str, Any]] = {}
     for run in report.rows:

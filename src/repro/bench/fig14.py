@@ -62,15 +62,12 @@ def run_fig14(
     scale: str | None = None,
     repetitions: int | None = None,
     seed: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run the Fig. 14 grid; one row per (executor, broker, node count)."""
     if repetitions is None:
         repetitions = 10 if experiment_scale(scale) == "paper" else 2
     config = GinFlowConfig(seed=seed, collect_timeline=False)
-    report = GinFlow(config).sweep(
-        _fig14_workflow, fig14_grid(), repeats=repetitions, name="fig14", workers=workers
-    )
+    report = GinFlow(config).sweep(_fig14_workflow, fig14_grid(), repeats=repetitions, name="fig14")
     rows: list[dict[str, Any]] = []
     for cell in report.cells(metrics=("deployment_time", "execution_time")):
         rows.append(

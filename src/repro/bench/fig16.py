@@ -53,14 +53,13 @@ def _fig16_config(seed: int) -> GinFlowConfig:
     return GinFlowConfig(nodes=25, executor="mesos", broker="kafka", seed=seed, collect_timeline=False)
 
 
-def run_fig16_baseline(repetitions: int = 3, seed: int = 1, workers: int | None = None) -> dict[str, Any]:
+def run_fig16_baseline(repetitions: int = 3, seed: int = 1) -> dict[str, Any]:
     """The no-failure reference execution (the dashed line of Fig. 16)."""
     report = GinFlow(_fig16_config(seed)).sweep(
         lambda: montage_workflow(seed=seed),
         ParameterGrid({}),
         repeats=repetitions,
         name="fig16-baseline",
-        workers=workers,
     )
     cell = report.cells(metrics=("execution_time",))[0]
     return {"mean": cell["execution_time_mean"], "std": cell["execution_time_std"], "repetitions": cell["runs"]}
@@ -72,7 +71,6 @@ def run_fig16(
     probabilities: tuple[float, ...] = PROBABILITIES,
     delays: tuple[float, ...] = DELAYS,
     seed: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run the Fig. 16 failure sweep; one row per (T, p) cell."""
     if repetitions is None:
@@ -82,7 +80,6 @@ def run_fig16(
         fig16_grid(probabilities, delays),
         repeats=repetitions,
         name="fig16",
-        workers=workers,
     )
     rows: list[dict[str, Any]] = []
     for cell in report.cells(metrics=("execution_time", "failures", "recoveries")):

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep parameter (repeatable), e.g. --param nodes=5,10 --param broker=activemq,kafka",
     )
     sweep_parser.add_argument("--repeats", type=int, default=1, help="runs per grid cell")
-    sweep_parser.add_argument("--workers", type=int, default=None, help="parallel workers (threads)")
+    sweep_parser.add_argument("--workers", type=int, default=None, help="parallel workers (processes)")
     sweep_parser.add_argument("--csv", metavar="PATH", help="write the per-run rows as CSV")
     sweep_parser.add_argument("--json-out", metavar="PATH", help="write rows + aggregates as JSON")
     sweep_parser.add_argument("--json", action="store_true", help="print the sweep report as JSON")

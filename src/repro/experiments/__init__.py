@@ -4,11 +4,13 @@ Declarative parameter grids (:class:`ParameterGrid`) executed into
 aggregated reports (:class:`SweepReport`) by :class:`Experiment` — or, more
 conveniently, by :meth:`GinFlow.sweep <repro.runtime.ginflow.GinFlow.sweep>`::
 
+    from functools import partial
+
     from repro import GinFlow, ParameterGrid, diamond_workflow
 
     grid = ParameterGrid({"nodes": [5, 15], "broker": ["activemq", "kafka"]})
-    report = GinFlow().sweep(lambda: diamond_workflow(5, 5, duration=0.1),
-                             grid, repeats=3, workers=4)
+    report = GinFlow().sweep(partial(diamond_workflow, 5, 5, duration=0.1),
+                             grid, repeats=3, workers=4)  # in 4 processes
     print(report.format_table())
     report.to_csv("sweep.csv")
 

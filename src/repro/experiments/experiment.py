@@ -3,7 +3,7 @@
 An :class:`Experiment` binds a workflow (or workflow *factory*), a
 :class:`~repro.experiments.grid.ParameterGrid` and a base
 :class:`~repro.runtime.config.GinFlowConfig`, and executes every cell
-``repeats`` times — sequentially or with thread/process parallelism —
+``repeats`` times — sequentially, or in a pool of ``workers`` processes —
 aggregating everything into a :class:`~repro.experiments.report.SweepReport`.
 
 Cell parameters are routed automatically:
@@ -27,7 +27,8 @@ but the whole sweep stays reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -106,19 +107,15 @@ class Experiment:
             raise ValueError("repeats must be >= 1")
 
     # ------------------------------------------------------------------ run
-    def run(self, workers: int | None = None, parallel: str = "thread") -> SweepReport:
+    def run(self, workers: int | None = None) -> SweepReport:
         """Execute every (cell, repeat) point; returns the aggregated report.
 
-        ``workers`` enables a pool (``parallel`` is ``"thread"`` or
-        ``"process"``); row order always matches grid order regardless of
-        the execution order.
-
-        ``parallel="process"`` requires the whole experiment (workflow
-        factory, metrics, runner, config) to be picklable — use module-level
-        functions, not lambdas — and, on spawn-based platforms
-        (macOS/Windows), any third-party backend the sweep uses must be
-        registered at import time of a module the workers also import.
-        When in doubt, ``parallel="thread"`` always works.
+        ``workers`` > 1 runs the points in a pool of that many spawned
+        processes; row order always matches grid order regardless of the
+        execution order.  The whole experiment (workflow factory, metrics,
+        runner, config) must then be picklable — use module-level functions,
+        not lambdas — and carry no observability: a record made in a worker
+        process would not come back.
         """
         points = [
             (self, dict(cell), repeat)
@@ -126,12 +123,17 @@ class Experiment:
             for repeat in range(self.repeats)
         ]
         if workers is not None and workers > 1 and len(points) > 1:
-            if parallel not in ("thread", "process"):
-                raise ValueError(f"parallel must be 'thread' or 'process', got {parallel!r}")
-            if parallel == "process":
-                self._check_picklable()
-            pool_cls = ProcessPoolExecutor if parallel == "process" else ThreadPoolExecutor
-            with pool_cls(max_workers=workers) as pool:
+            assert self.config is not None
+            if self.config.obs is not None:
+                raise ValueError(
+                    "a sweep with workers > 1 cannot be traced (--trace): its records "
+                    "would stay in the worker processes; drop one of the two"
+                )
+            self._check_picklable()
+            # spawned, not forked: a worker starts as a fresh interpreter and
+            # inherits nothing of this process's state (nor its threads)
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
                 rows = list(pool.map(_execute_point, points))
         else:
             rows = [_execute_point(point) for point in points]
@@ -150,9 +152,8 @@ class Experiment:
             pickle.dumps(self)
         except Exception as exc:
             raise ValueError(
-                "parallel='process' requires a picklable experiment (module-level "
-                "workflow factory / metrics / runner, picklable config); "
-                f"use parallel='thread' instead ({exc})"
+                "workers > 1 requires a picklable experiment (module-level "
+                f"workflow factory / metrics / runner, picklable config) ({exc})"
             ) from None
 
     def execute_cell(self, cell: dict[str, Any], repeat: int) -> dict[str, Any]:

@@ -16,14 +16,10 @@ the delivery metadata (offset, delivery time).
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Any, NamedTuple
 
-__all__ = ["MessageKind", "Message", "agent_topic", "adapt_count", "STATUS_TOPIC", "new_message", "next_message_id"]
-
-#: the next :attr:`Message.message_id`: a C-level counter, so drawing one costs no Python frame
-next_message_id = itertools.count(1).__next__
+__all__ = ["MessageKind", "Message", "agent_topic", "adapt_count", "STATUS_TOPIC", "new_message"]
 
 #: Topic on which every agent publishes its status updates (the shared multiset).
 STATUS_TOPIC = "ginflow.status"
@@ -55,17 +51,7 @@ def adapt_count(payload: Any) -> int:
     return int(payload) if payload is not None else 1
 
 
-class _Fields(NamedTuple):
-    topic: str
-    kind: str
-    sender: str
-    recipient: str
-    payload: Any
-    size_bytes: int
-    message_id: int
-
-
-class Message(_Fields):
+class Message(NamedTuple):
     """One message published on a broker topic (an immutable record).
 
     Attributes
@@ -84,32 +70,17 @@ class Message(_Fields):
         number of markers to inject, for ``STATUS`` a state dictionary.
     size_bytes:
         Approximate serialised size, used by the network model.
-    message_id:
-        Unique, monotonically increasing identifier (assigned at creation).
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        topic: str,
-        kind: str,
-        sender: str,
-        recipient: str,
-        payload: Any = None,
-        size_bytes: int = 512,
-        message_id: int | None = None,
-    ) -> "Message":
-        if message_id is None:
-            message_id = next_message_id()
-        return tuple.__new__(cls, (topic, kind, sender, recipient, payload, size_bytes, message_id))
-
-    def describe(self) -> str:
-        """Short human-readable description used by traces."""
-        return f"{self.kind} {self.sender}->{self.recipient} (#{self.message_id})"
+    topic: str
+    kind: str
+    sender: str
+    recipient: str
+    payload: Any = None
+    size_bytes: int = 512
 
 
-#: ``new_message((topic, kind, sender, recipient, payload, size_bytes, next_message_id()))``:
-#: a :class:`Message` from all seven fields, with no Python frame — what the
+#: ``new_message((topic, kind, sender, recipient, payload, size_bytes))``:
+#: a :class:`Message` from all six fields, with no Python frame — what the
 #: enactment engine builds once per send
 new_message = partial(tuple.__new__, Message)

@@ -3,9 +3,8 @@
 The registry is a per-run bundle (one instance per
 :class:`~repro.obs.Observability`): the runtimes and brokers increment it at
 their hot seams and the report assembly snapshots it into
-``RunReport.extra["metrics"]``.  Thread-safe (the sweep's
-thread workers share one registry) and picklable (process-pool sweeps
-ship the whole configuration to workers).
+``RunReport.extra["metrics"]``.  Thread-safe: each instrument is
+created under the registry's lock.
 """
 
 from __future__ import annotations
@@ -110,12 +109,3 @@ class MetricsRegistry:
                     name: self._histograms[name].summary() for name in sorted(self._histograms)
                 },
             }
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

@@ -197,23 +197,12 @@ class RecordingTracer(Tracer):
         with self._lock:
             return [*self.spans, *self.events]
 
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["vt_source"] = None  # bound to the originating run's simulator
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class JsonlTracer(Tracer):
     """Streams records to a JSONL file, one record object per line.
 
-    The file handle opens lazily on the first record (append mode), so the
-    tracer survives pickling into process-pool sweeps: ``__getstate__``
-    drops the handle and the worker re-opens it on first use.
+    The file handle opens lazily on the first record (append mode), so a
+    tracer that records nothing leaves no file behind.
     """
 
     def __init__(self, path: str) -> None:
@@ -239,17 +228,6 @@ class JsonlTracer(Tracer):
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_handle"] = None
-        state["vt_source"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 def active(tracer: Tracer | None) -> Tracer | None:

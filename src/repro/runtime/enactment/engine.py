@@ -38,7 +38,7 @@ from repro.hocl import AtomError, to_atom
 from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
-from repro.messaging.message import new_message, next_message_id
+from repro.messaging.message import new_message
 from repro.obs.tracer import Tracer
 from repro.records import Record
 from repro.services import InvocationContext, InvocationResult, Service
@@ -274,18 +274,18 @@ class EnactmentEngine:
             if isinstance(action, SendResult):
                 destination = action.destination
                 publish(new_message((topics[destination], MessageKind.RESULT, sender, destination, action.value,
-                                     costs.result_message_size, next_message_id())))
+                                     costs.result_message_size)))
             elif isinstance(action, SendAdapt):
                 if action.adaptation:
                     self.triggered_adaptations.add(action.adaptation)
                 destination = action.destination
                 publish(new_message((topics[destination], MessageKind.ADAPT, sender, destination, action.count,
-                                     costs.status_update_size, next_message_id())))
+                                     costs.status_update_size)))
             elif isinstance(action, StartInvocation):
                 self._start_invocation(host, action)
             elif isinstance(action, StatusUpdate):
                 status = new_message((STATUS_TOPIC, MessageKind.STATUS, sender, "coordinator", host.core.status(),
-                                      costs.status_update_size, next_message_id()))
+                                      costs.status_update_size))
                 # without status traffic the update skips the broker: completion detection still works
                 (publish if costs.status_update_enabled else self.record_status)(status)
 

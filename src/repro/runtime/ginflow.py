@@ -99,7 +99,6 @@ class GinFlow:
         *,
         repeats: int = 1,
         workers: int | None = None,
-        parallel: str = "thread",
         name: str = "sweep",
         metrics: Any = None,
         runner: Any = None,
@@ -114,9 +113,8 @@ class GinFlow:
         override the instance configuration per cell, and
         ``failure_probability`` / ``failure_delay`` build a
         :class:`~repro.services.FailureModel`.  Each cell runs ``repeats``
-        times with derived seeds; ``workers`` enables thread
-        (``parallel="thread"``) or process (``parallel="process"``)
-        parallelism.  See :class:`repro.experiments.Experiment`.
+        times with derived seeds; ``workers`` > 1 runs them in that many
+        processes.  See :class:`repro.experiments.Experiment`.
         """
         from repro.experiments import Experiment
 
@@ -131,7 +129,7 @@ class GinFlow:
             metrics=metrics,
             runner=runner,
         )
-        return experiment.run(workers=workers, parallel=parallel)
+        return experiment.run(workers=workers)
 
     # ------------------------------------------------------------ internals
     def _effective_config(self, overrides: dict[str, Any]) -> GinFlowConfig:
@@ -171,9 +169,9 @@ def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | 
         reduction_reactions=outcome.report.reactions,
         reduction_match_attempts=outcome.report.match_attempts,
     )
-    all_names = set(workflow.task_names())
+    all_names = dict.fromkeys(workflow.task_names())  # in workflow order, whatever the hash seed
     for spec in workflow.adaptations:
-        all_names.update(spec.replacement.task_names())
+        all_names.update(dict.fromkeys(spec.replacement.task_names()))
     for name in all_names:
         result = outcome.results.get(name)
         error = name in outcome.errors

@@ -47,17 +47,17 @@ class TwoHopBroker:
         self._queues = [SerialQueue(sim) for _ in range(dispatchers)]
         self._subscribers = {}
         self._published = 0
-        #: message ids in publish order, and in the order their dispatchers finished
+        #: the messages in publish order, and in the order their dispatchers finished
         self.published, self.finished = [], []
 
     def publish(self, message: Message):
         queue = self._queues[self._published % len(self._queues)]
         self._published += 1
-        self.published.append(message.message_id)
+        self.published.append(message)
         queue.submit(self.profile.per_message_time, self._dispatched, message)
 
     def _dispatched(self, message):
-        self.finished.append(message.message_id)
+        self.finished.append(message)
         transfer = self.network.transfer_time(message.size_bytes, self._jitter())
         self.sim.call_in(self.profile.delivery_overhead + transfer, self._deliver, message)
 

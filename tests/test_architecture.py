@@ -649,3 +649,121 @@ class TestNoProcessWideRegistry:
         rather than landing beside it."""
         (path,) = _parsed(cluster____init__="")
         assert path == "cluster/__init__.py" and path in _sources()
+
+
+# ------------------------------------------------------------- a run is a value
+#: process-wide state a run meets on purpose, and why it cannot change what a run reports
+_SHARED_ON_PURPOSE = {
+    ("hocl/deltas.py", "_FACTORIES"): "a memo of compiled reactions by source text: a hit returns what a miss builds",
+    ("hocl/deltas.py", "_serial"): "numbers the file name a compiled reaction shows in a traceback; no report reads it",
+    ("hocl/atoms.py", "Symbol._interned"): "a memo of symbols by name: an interned symbol equals the one a miss builds",
+    ("runtime/frozen.py", "FrozenSetUp.wiped"): "mirrors the interpreter's one collector; no two set-ups run at once",
+}
+#: the methods that write into the container they are called on
+_MUTATORS = {"append", "add", "update", "clear", "pop", "popitem", "setdefault", "extend", "insert", "remove", "discard"}
+
+
+def _writes(node):
+    """``(holder, into)`` for what ``node`` writes: an assigned or deleted target, or the
+    object a mutating method is called on (``into``: the write goes into the holder)."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets, into = node.targets, False
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets, into = [node.target], False
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+        targets, into = [node.func.value], True
+    else:
+        return
+    for target in targets:
+        holder = target
+        while isinstance(holder, ast.Subscript):
+            holder = holder.value
+        yield holder, into or holder is not target
+
+
+def _names_a_class(node, classes):
+    """``Cls`` (a class of the modules), ``cls``, ``type(...)`` or ``x.__class__``."""
+    return (
+        isinstance(node, ast.Name) and (node.id in classes or node.id == "cls")
+        or _called(node) == "type" and isinstance(node.func, ast.Name)
+        or isinstance(node, ast.Attribute) and node.attr == "__class__"
+    )
+
+
+def process_wide_state(modules):
+    """``(path, line, name, what)`` for each piece of state a run could leave to the next
+    run in its process, or share with a run beside it: a module-level counter
+    (``count(...)``, a bound ``__next__``); a module-level name rebound by ``global`` or a
+    module-level container written into from a function; a class attribute written from a
+    method (``__init_subclass__``, which runs once per class, aside); and a thread pool."""
+    return [found for path, tree in modules.items() for found in _state_in(path, tree)]
+
+
+@functools.cache
+def _classes(tree):
+    return frozenset(node.name for node in _walked(tree)[0] if isinstance(node, ast.ClassDef))
+
+
+@functools.cache
+def _state_in(path, tree):
+    """:func:`process_wide_state` in one module (a class is one of ``src/repro``'s, or the module's own)."""
+    classes = _classes(tree).union(*map(_classes, _sources().values()))
+    found, module_names = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            module_names.update(names)
+            if any(_called(inner) == "count" or isinstance(inner, ast.Attribute) and inner.attr == "__next__" for inner in ast.walk(node.value)):
+                found += [(path, node.lineno, name, "a module-level counter") for name in names]
+    for function in _walked(tree)[0]:
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or function.name == "__init_subclass__":
+            continue
+        parameters = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                found += [(path, node.lineno, name, "a module-level name rebound by global") for name in node.names]
+            for holder, into in _writes(node):
+                if into and isinstance(holder, ast.Name) and holder.id in module_names - parameters:
+                    found.append((path, node.lineno, holder.id, "a module-level container written from a function"))
+                elif isinstance(holder, ast.Attribute) and _names_a_class(holder.value, classes):
+                    found.append((path, node.lineno, ast.unparse(holder), "a class attribute written from a method"))
+    found += [(path, line, name, "a thread pool") for name, line in _walked(tree)[1] if name == "ThreadPoolExecutor"]
+    return found
+
+
+def unexplained_state(modules):
+    return [f"{path}:{line}: {name}: {what}" for path, line, name, what in process_wide_state(modules) if (path, name) not in _SHARED_ON_PURPOSE]
+
+
+class TestARunIsAValue:
+    """What a run reports depends on its inputs only, not on the runs before it in the
+    process or beside it in a thread: a sweep cell is a process, and a message a plain
+    value.  ``tests/test_run_floor.py::TestARunIsAValue`` runs the same cells in two orders."""
+
+    def test_the_source(self):
+        assert unexplained_state(_sources()) == []
+
+    def test_each_shared_state_is_still_there(self):
+        assert {(path, name) for path, _, name, _ in process_wide_state(_sources())} == set(_SHARED_ON_PURPOSE)
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"messaging__message": "import itertools\nnext_message_id = itertools.count(1).__next__\n"},
+            {"runtime__driver": "from itertools import count\n_ids = count()\n"},
+            {"agents__core": "_built = 0\ndef build():\n    global _built\n    _built += 1\n"},
+            {"runtime__simulation": "_SEEN = {}\ndef seen(key):\n    _SEEN[key] = True\n"},
+            {"messaging__broker": "_LOG = []\ndef log(message):\n    _LOG.append(message)\n"},
+            {"runtime__frozen": "class FrozenSetUp:\n    runs = 0\n    def __enter__(self):\n        FrozenSetUp.runs += 1\n"},
+            {"messaging__broker": "class Broker:\n    total = 0\n    def publish(self, message):\n        type(self).total += 1\n"},
+            {"hocl__atoms": "class Symbol:\n    _seen = {}\n    def __new__(cls, name):\n        cls._seen[name] = name\n"},
+            {"agents__core": "class AgentCore:\n    def boot(self):\n        self.__class__.booted = True\n"},
+            {"experiments__experiment": "from concurrent.futures import ThreadPoolExecutor\n"},
+            {"runtime__ginflow": "import concurrent.futures\ndef pool(n):\n    return concurrent.futures.ThreadPoolExecutor(n)\n"},
+        ],
+    )
+    def test_a_seeded_process_wide_state_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        (path,) = _parsed(**seeded)
+        assert [found for found in unexplained_state(modules) if found.startswith(f"{path}:")]

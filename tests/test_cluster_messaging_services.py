@@ -172,38 +172,28 @@ class TestBrokers:
         assert broker.replay(agent_topic("T1"), 0) == [message]
         assert broker.replay(agent_topic("T1"), 1) == []  # the log holds one message: offset 1 is its end
 
-    def test_message_ids_unique(self):
-        a = Message(topic="t", kind="RESULT", sender="x", recipient="y")
-        b = Message(topic="t", kind="RESULT", sender="x", recipient="y")
-        assert a.message_id != b.message_id
-
-    def test_message_ids_increase_in_creation_order(self):
-        ids = [Message("t", "RESULT", "x", "y").message_id for _ in range(50)]
-        assert ids == sorted(set(ids))
-
     def test_message_is_immutable(self):
         message = Message(topic="t", kind="RESULT", sender="x", recipient="y")
-        for field in ("topic", "payload", "message_id"):
+        for field in ("topic", "payload", "size_bytes"):
             with pytest.raises(AttributeError):
                 setattr(message, field, "other")
         with pytest.raises(AttributeError):
             message.extra = 1
 
     def test_message_equality_is_field_wise(self):
-        a = Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=7)
-        assert a == Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=7)
-        assert hash(Message("t", "RESULT", "x", "y", message_id=7)) == hash(Message("t", "RESULT", "x", "y", message_id=7))
-        assert a != Message("t", "RESULT", "x", "y", payload=[1, 2], message_id=8)
-        assert a != Message("t", "RESULT", "x", "other", payload=[1, 2], message_id=7)
+        a = Message("t", "RESULT", "x", "y", payload=[1, 2], size_bytes=7)
+        assert a == Message("t", "RESULT", "x", "y", payload=[1, 2], size_bytes=7)
+        assert hash(Message("t", "RESULT", "x", "y", 7)) == hash(Message("t", "RESULT", "x", "y", 7))
+        assert a != Message("t", "RESULT", "x", "y", payload=[1, 2], size_bytes=8)
+        assert a != Message("t", "RESULT", "x", "other", payload=[1, 2], size_bytes=7)
 
     def test_message_keyword_and_positional_construction(self):
         by_keyword = Message(
-            topic="t", kind="ADAPT", sender="x", recipient="y", payload=3, size_bytes=256, message_id=11
+            topic="t", kind="ADAPT", sender="x", recipient="y", payload=3, size_bytes=256
         )
-        assert by_keyword == Message("t", "ADAPT", "x", "y", 3, 256, 11)
+        assert by_keyword == Message("t", "ADAPT", "x", "y", 3, 256)
         defaults = Message("t", "RESULT", "x", "y")
         assert (defaults.payload, defaults.size_bytes) == (None, 512)
-        assert by_keyword.describe() == "ADAPT x->y (#11)"
 
     def test_simulated_broker_delivers_with_delay(self):
         sim = Simulator()
@@ -245,18 +235,18 @@ class TestBrokers:
                 sim, ACTIVEMQ_PROFILE, network=grid5000_network(), randomness=randomness, dispatchers=dispatchers
             )
             instants = []
-            broker.subscribe("t", lambda message: instants.append((message.message_id, sim.now)))
-            # bursts that outrun the dispatchers, then gaps that let them drain
-            for message_id in range(1, 1001):
-                burst_start = 0.25 * (message_id // 40)
-                sim.call_at(burst_start, broker.publish, Message("t", "RESULT", "a", "b", message_id=message_id))
+            broker.subscribe("t", lambda message: instants.append((message.payload, sim.now)))
+            # bursts that outrun the dispatchers, then gaps that let them drain; the payload names the message
+            for number in range(1, 1001):
+                burst_start = 0.25 * (number // 40)
+                sim.call_at(burst_start, broker.publish, Message("t", "RESULT", "a", "b", number))
             sim.run()
             return instants
 
         instants = delivery_instants(RandomStreams(5))
         assert len(instants) == 1000
         assert instants == delivery_instants(NumpyStreams(5))
-        assert len({instant for _message_id, instant in instants}) == 1000  # the jitter is really there
+        assert len({instant for _number, instant in instants}) == 1000  # the jitter is really there
 
     def test_the_dispatcher_follows_the_brokers_own_publishes(self):
         """Two brokers publishing interleaved on one thread: each keeps the timeline it has
@@ -301,23 +291,25 @@ _SCHEDULES = st.lists(
 
 
 def _arrivals(broker_class, profile, network, dispatchers, schedule):
-    """The broker, and ``(message_id, arrival instant as float.hex)`` of every delivery in
-    delivery order.  A message carrying ``n > 0`` is answered on delivery with one carrying
-    ``n - 1``, as an agent's result answers the result it receives."""
+    """The broker, and ``(number, arrival instant as float.hex)`` of every delivery in
+    delivery order.  A message's payload is ``(number, n)``: its number in creation order,
+    and ``n``; one with ``n > 0`` is answered on delivery with one carrying ``n - 1``, as an
+    agent's result answers the result it receives."""
     sim, arrivals, ids = Simulator(), [], iter(range(1, 10_000))
     broker = broker_class(sim, profile, network, RandomStreams(4), dispatchers)
 
     def received(message):
-        arrivals.append((message.message_id, sim.now.hex()))
-        if message.payload:
-            broker.publish(Message("t", "RESULT", "b", "a", message.payload - 1, message_id=next(ids)))
+        number, echoes = message.payload
+        arrivals.append((number, sim.now.hex()))
+        if echoes:
+            broker.publish(Message("t", "RESULT", "b", "a", (next(ids), echoes - 1)))
 
     broker.subscribe("t", received)
     at = 0.0
     for gap, burst, echoes in schedule:
         at += gap
         for _ in range(burst):
-            sim.call_at(at, broker.publish, Message("t", "RESULT", "a", "b", echoes, message_id=next(ids)))
+            sim.call_at(at, broker.publish, Message("t", "RESULT", "a", "b", (next(ids), echoes)))
     sim.run()
     return broker, arrivals
 
@@ -356,8 +348,9 @@ class TestFusedHopAgainstTheTwoHopBroker:
         network = grid5000_network()
         _, fused = _arrivals(SimulatedBroker, KAFKA_PROFILE, network, 2, schedule)
         oracle, expected = _arrivals(TwoHopBroker, KAFKA_PROFILE, network, 2, schedule)
-        swapped = oracle.finished.index(18) < oracle.finished.index(17)
-        assert swapped and oracle.published.index(17) < oracle.published.index(18)
+        published, finished = ([message.payload[0] for message in order] for order in (oracle.published, oracle.finished))
+        swapped = finished.index(18) < finished.index(17)
+        assert swapped and published.index(17) < published.index(18)
         assert fused != expected
         assert sorted(fused) != sorted(expected) and fused[:16] == expected[:16] and fused[18:] == expected[18:]
 

@@ -133,29 +133,16 @@ class TestSweep:
         assert with_failures["failures"] > 0
         assert report.succeeded
 
-    def test_thread_parallelism_matches_sequential(self):
-        grid = ParameterGrid({"nodes": [5, 10], "broker": ["activemq", "kafka"]})
-        sequential = GinFlow().sweep(_tiny_diamond, grid)
-        parallel = GinFlow().sweep(_tiny_diamond, grid, workers=4, parallel="thread")
-        assert [row["makespan"] for row in parallel.rows] == [row["makespan"] for row in sequential.rows]
-
     def test_process_parallelism_matches_sequential(self):
         # _tiny_diamond is module-level, hence picklable for process pools
         grid = ParameterGrid({"nodes": [5, 10]})
         sequential = GinFlow().sweep(_tiny_diamond, grid)
-        parallel = GinFlow().sweep(_tiny_diamond, grid, workers=2, parallel="process")
+        parallel = GinFlow().sweep(_tiny_diamond, grid, workers=2)
         assert [row["makespan"] for row in parallel.rows] == [row["makespan"] for row in sequential.rows]
 
     def test_process_parallelism_rejects_unpicklable(self):
         with pytest.raises(ValueError, match="picklable"):
-            GinFlow().sweep(
-                lambda: _tiny_diamond(), ParameterGrid({"nodes": [5, 10]}),
-                workers=2, parallel="process",
-            )
-
-    def test_invalid_parallel_kind(self):
-        with pytest.raises(ValueError, match="parallel"):
-            GinFlow().sweep(_tiny_diamond, ParameterGrid({"nodes": [5, 10]}), workers=2, parallel="fibers")
+            GinFlow().sweep(lambda: _tiny_diamond(), ParameterGrid({"nodes": [5, 10]}), workers=2)
 
     def test_metrics_callback(self):
         def metrics(report, cell, workflow):
@@ -259,6 +246,26 @@ class TestSweepCLI:
         assert main(["sweep", workflow_file, "--param", "nodes=5", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"][0]["succeeded"] is True
+
+    def test_process_sweep_prints_the_sequential_bytes(self, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "--scenario", "montage", "--param", "size=100,200", "--json"]
+        printed = []
+        for extra in ([], ["--workers", "2"]):
+            assert main(argv + extra) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and '"succeeded": true' in printed[0]
+
+    def test_process_sweep_refuses_a_trace(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "sweep.jsonl"
+        argv = ["sweep", "--scenario", "forkjoin", "--param", "size=10,20", "--workers", "2", "--trace", str(trace)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--trace" in err and len(err.splitlines()) == 1
+        assert not trace.exists()
 
     def test_sweep_requires_params(self, workflow_file, capsys):
         from repro.cli import main

@@ -14,7 +14,6 @@ summarize|convert``) works end to end.
 import json
 import logging
 import math
-import pickle
 
 import pytest
 
@@ -119,20 +118,6 @@ class TestTracerModel:
         records = read_jsonl(str(path))
         assert [type(r).__name__ for r in records] == ["SpanRecord", "EventRecord"]
 
-    def test_tracers_survive_pickling(self, tmp_path):
-        recording = RecordingTracer()
-        recording.span("work", "a", 0.0, 1.0)
-        clone = pickle.loads(pickle.dumps(recording))
-        assert clone.spans == recording.spans
-        clone.span("more", "a", 1.0, 2.0)  # the lock was restored
-
-        jsonl = JsonlTracer(str(tmp_path / "t.jsonl"))
-        jsonl.span("work", "a", 0.0, 1.0)
-        clone = pickle.loads(pickle.dumps(jsonl))
-        clone.span("more", "a", 1.0, 2.0)
-        clone.close()
-        jsonl.close()
-
 
 # ------------------------------------------------------------------- metrics
 class TestMetrics:
@@ -154,13 +139,6 @@ class TestMetrics:
     def test_empty_histogram_summary(self):
         summary = MetricsRegistry().histogram("h").summary()
         assert summary == {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-
-    def test_registry_survives_pickling(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        clone = pickle.loads(pickle.dumps(registry))
-        clone.counter("c").inc()
-        assert clone.snapshot()["counters"] == {"c": 2.0}
 
 
 # ------------------------------------------------------------------- exports

@@ -718,6 +718,42 @@ class TestRunAfterRunInOneProcess:
         assert max(left[20:]) - max(left[:20]) < 5 * per_run, (left[0], max(left[:20]), max(left[20:]))
 
 
+#: run the nine families on two runtimes in the order ``argv[1]`` names, and print each cell's outcome
+_EACH_CELL = """
+import hashlib, json, sys
+from repro import GinFlow
+from repro.scenarios import available_scenarios, build_scenario
+names = list(available_scenarios())
+cells = {}
+for name in names if sys.argv[1] == "forward" else names[::-1]:
+    for mode in ("simulated", "centralized"):
+        report = GinFlow().run(build_scenario(f"{name}:size=20"), mode=mode)
+        cells[f"{name}/{mode}"] = {
+            "summary": report.summary(),
+            "tasks": [repr(task) for task in report.tasks.values()],
+            "timeline": hashlib.sha1(repr(report.timeline).encode()).hexdigest(),
+        }
+print(json.dumps(cells))
+"""
+
+
+class TestARunIsAValue:
+    def test_the_same_wherever_it_runs_in_a_process(self):
+        """Each cell runs early in one interpreter and late in the other: what a run
+        reports depends on its inputs only, not on the runs before it in the process."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        children = [
+            subprocess.Popen([sys.executable, "-c", _EACH_CELL, order], stdout=subprocess.PIPE, text=True, env=env)
+            for order in ("forward", "reverse")
+        ]
+        forward, reverse = (json.loads(child.communicate(timeout=120)[0]) for child in children)
+        assert [child.returncode for child in children] == [0, 0]
+        assert len(forward) == 2 * len(available_scenarios()) and forward.keys() == reverse.keys() and list(forward) != list(reverse)
+        for cell, outcome in forward.items():
+            assert outcome == reverse[cell], cell
+            assert outcome["summary"]["succeeded"], cell
+
+
 class TestCollectorIsMeasured:
     def test_pauses_feed_metrics_and_trace(self):
         obs = Observability(tracer=RecordingTracer(), metrics=MetricsRegistry())
