@@ -4,8 +4,7 @@ Two claims back the ``repro.obs`` zero-overhead contract at benchmark scale:
 
 * **Identity** — an engine built with a :class:`NullTracer` (or a
   :class:`RecordingTracer`) reduces to exactly the same solution with
-  exactly the same reaction history as an untraced engine, and a traced
-  engine's per-phase timings are the totals of the spans it recorded;
+  exactly the same reaction history as an untraced engine;
 * **Off means off** — :func:`repro.obs.tracer.active` normalises a
   ``NullTracer`` to ``None`` at construction, so an engine or an agent built
   with one runs the very same code path as an untraced one: every
@@ -18,8 +17,6 @@ Two claims back the ``repro.obs`` zero-overhead contract at benchmark scale:
 
 from __future__ import annotations
 
-import pytest
-
 from reduction_reference import trace
 from repro.agents import AgentCore
 from repro.analysis.obs_checks import reduction_phase_totals
@@ -31,34 +28,33 @@ from repro.workflow.montage import montage_workflow
 
 
 def _reduce(workflow, tracer=None):
-    """Centralised reduction; returns (report, solution, the engine's timings)."""
+    """Centralised reduction; returns (report, solution)."""
     outcome = CentralizedExecutor(obs=Observability(tracer=tracer)).execute(workflow)
     assert outcome.report.inert
-    return outcome.report, outcome.solution, outcome.timings
+    return outcome.report, outcome.solution
 
 
 def test_null_tracer_is_reduction_identical():
     """A NullTracer engine reaches the same solution via the same reactions."""
     workflow = montage_workflow(projections=90, duration_scale=0.01)
-    plain, plain_solution, _ = _reduce(workflow)
-    nulled, nulled_solution, timings = _reduce(workflow, NullTracer())
-    assert timings is None  # untraced: no window was timed
+    plain, plain_solution = _reduce(workflow)
+    nulled, nulled_solution = _reduce(workflow, NullTracer())
     assert trace(nulled) == trace(plain)
     assert nulled.rule_fires == plain.rule_fires
     assert nulled.match_attempts == plain.match_attempts
     assert nulled_solution.content_hash() == plain_solution.content_hash()
 
 
-def test_recording_tracer_is_reduction_identical_and_reconciles():
-    """Recording changes nothing, and the engine's timings are its span totals."""
+def test_recording_tracer_is_reduction_identical():
+    """Recording changes nothing, and the spans time every phase."""
     workflow = montage_workflow(projections=90, duration_scale=0.01)
-    plain, plain_solution, _ = _reduce(workflow)
+    plain, plain_solution = _reduce(workflow)
     tracer = RecordingTracer()
-    traced, traced_solution, timings = _reduce(workflow, tracer)
+    traced, traced_solution = _reduce(workflow, tracer)
     assert trace(traced) == trace(plain)
     assert traced_solution.content_hash() == plain_solution.content_hash()
-    assert tracer.spans, "an active tracer must record the reduction"
-    assert timings == pytest.approx(reduction_phase_totals(tuple(tracer.spans)), rel=1e-9, abs=1e-12)
+    phases = reduction_phase_totals(tuple(tracer.spans))
+    assert phases["match"] > 0.0 and phases["patch"] > 0.0, "an active tracer must record the reduction"
 
 
 def test_null_tracer_is_normalised_away_at_construction():

@@ -43,15 +43,13 @@ class SendAdapt(Action):
     """Send ``count`` ``ADAPT`` markers to ``destination`` (decentralised
     ``trigger_adapt``)."""
 
-    __slots__ = ("destination", "count", "adaptation")
+    __slots__ = ("destination", "count")
     destination: str
     count: int
-    adaptation: str
 
-    def __init__(self, destination: str, count: int = 1, adaptation: str = ""):
+    def __init__(self, destination: str, count: int = 1):
         _set(self, "destination", destination)
         _set(self, "count", count)
-        _set(self, "adaptation", adaptation)
 
 
 class StartInvocation(Action):

@@ -75,8 +75,8 @@ def _send_result(tj: object, res: object) -> list[Action]:
     return [SendResult(destination=str(tj), value=res)]
 
 
-def _send_adapt(adaptation: str, targets: list[tuple[str, int]]) -> list[Action]:
-    return [SendAdapt(task, count, adaptation) for task, count in targets]
+def _send_adapt(targets: list[tuple[str, int]]) -> list[Action]:
+    return [SendAdapt(task, count) for task, count in targets]
 
 
 #: Local ``gw_call``: request the invocation instead of performing it.
@@ -128,7 +128,7 @@ LOCAL_EXTERNALS = register_workflow_externals(default_registry(), lambda *_args:
 def local_trigger(plan: AdaptationPlan) -> Rule:
     """Local ``trigger_adapt`` of ``plan``: broadcast ``ADAPT`` when this task fails."""
     targets = [TupleAtom([Symbol(task), IntAtom(count)]) for task, count in plan.adapt_marker_counts().items()]
-    return _TRIGGER_ADAPT.bind(name=f"trigger_adapt:{plan.spec.name}", targets=targets, adaptation=plan.spec.name)
+    return _TRIGGER_ADAPT.bind(name=plan.trigger_rule_name(), targets=targets)
 
 
 def build_local_rules(encoding: TaskEncoding) -> list[Rule]:

@@ -58,8 +58,7 @@ def reduction_phase_totals(spans: tuple[SpanRecord, ...]) -> dict[str, float]:
     """Per-phase reduction seconds recovered from the spans.
 
     ``match``/``patch`` are the span durations; ``index`` is the sum of the
-    ``index_seconds`` attributes stamped on patch spans — what a traced run
-    reports as ``RunReport.extra["reduction_timings"]``.
+    ``index_seconds`` attributes stamped on patch spans.
     """
     totals = {"match": 0.0, "patch": 0.0, "index": 0.0}
     for span in spans:

@@ -103,18 +103,9 @@ def audit_reduction(
     return _run_checks("trace", scope)
 
 
-def audit_run(
-    report: RunReport,
-    exit_tasks: Iterable[str] = (),
-    label: str = "",
-) -> AnalysisReport:
+def audit_run(report: RunReport, label: str = "") -> AnalysisReport:
     """Run the enactment-invariant checks on one run report."""
-    scope = RunScope(
-        label=label or f"run ({report.mode})",
-        report=report,
-        exit_tasks=tuple(exit_tasks),
-    )
-    return _run_checks("run", scope)
+    return _run_checks("run", RunScope(label=label or f"run ({report.mode})", report=report))
 
 
 def audit_plans(encoding: WorkflowEncoding, label: str = "") -> AnalysisReport:
@@ -135,14 +126,8 @@ def _merged_fires(runs: list[RunReport]) -> ReductionReport:
     """One synthetic reduction report aggregating every run's fire counters."""
     merged = ReductionReport()
     for run in runs:
-        fires = run.extra.get("rule_fires")
-        if isinstance(fires, dict):
-            partial = ReductionReport(
-                reactions=sum(fires.values()),
-                match_attempts=run.reduction_match_attempts,
-                rule_fires=dict(fires),
-            )
-            merged.merge(partial)
+        fires = dict(run.rule_fires)
+        merged.merge(ReductionReport(run.reduction_reactions, run.reduction_match_attempts, rule_fires=fires))
     return merged
 
 
@@ -176,7 +161,6 @@ def audit_workflow(
     encoding = encode_workflow(workflow)
     report.merge(audit_plans(encoding, label=where))
 
-    exit_tasks = tuple(workflow.exit_tasks())
     runs: list[RunReport] = []
     all_succeeded = True
     for repeat in range(max(1, repeats)):
@@ -187,7 +171,7 @@ def audit_workflow(
         run = GinFlow(config).run(workflow, timeout=timeout, **overrides)
         runs.append(run)
         run_label = f"{where}: run {repeat + 1}/{max(1, repeats)} ({mode}, seed={seed + repeat})"
-        report.merge(audit_run(run, exit_tasks=exit_tasks, label=run_label))
+        report.merge(audit_run(run, label=run_label))
         scope = ObsScope(
             label=run_label,
             spans=tuple(obs.tracer.spans),
@@ -195,7 +179,7 @@ def audit_workflow(
             report=run,
         )
         report.merge(_run_checks("obs", scope))
-        if not run.succeeded or run.timed_out:
+        if not run.succeeded:
             all_succeeded = False
             reason = "timed out" if run.timed_out else "did not succeed"
             report.add(

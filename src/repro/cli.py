@@ -38,7 +38,7 @@ import functools
 import gc
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.hoclflow import encode_workflow
 from repro.obs import JsonlTracer, MetricsRegistry, Observability, RecordingTracer
@@ -256,23 +256,25 @@ def _build_observability(args: argparse.Namespace) -> Observability | None:
     return Observability(tracer=JsonlTracer(args.trace), metrics=MetricsRegistry())
 
 
-def _finish_trace(args: argparse.Namespace, obs: Observability | None) -> None:
-    """Flush/convert the recorded trace once the run completed."""
-    if obs is None or obs.tracer is None:
-        return
-    if isinstance(obs.tracer, RecordingTracer):
+def _traced(args: argparse.Namespace, obs: Observability | None, call: Callable[[], Any]) -> Any:
+    """``call()``, its recorded trace written only once it has returned: a
+    command that fails leaves no trace file.  A JSONL stream is closed however
+    the call ends."""
+    try:
+        result = call()
+    finally:
+        if obs is not None:
+            obs.tracer.close()
+    if obs is not None and isinstance(obs.tracer, RecordingTracer):
         write_trace(obs.tracer.records(), args.trace, args.trace_format)
-    obs.tracer.close()
+    return result
 
 
 def _command_run(args: argparse.Namespace) -> int:
     workflow = _resolve_workflow_source(args)
     failures = FailureModel(probability=args.failure_probability, delay=args.failure_delay)
     obs = _build_observability(args)
-    try:
-        report = GinFlow(_base_config(args, failures, obs)).run(workflow)
-    finally:
-        _finish_trace(args, obs)
+    report = _traced(args, obs, lambda: GinFlow(_base_config(args, failures, obs)).run(workflow))
     if args.json:
         print(json.dumps(report.summary(), indent=2))
     else:
@@ -331,16 +333,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
             "or a swept --param scenario=NAME1,NAME2"
         )
     obs = _build_observability(args)
-    try:
-        report = GinFlow(_base_config(args, obs=obs)).sweep(
-            workflow,
-            ParameterGrid(grid_spec),
-            repeats=args.repeats,
-            workers=args.workers,
-            name="cli-sweep",
-        )
-    finally:
-        _finish_trace(args, obs)
+    report = _traced(args, obs, lambda: GinFlow(_base_config(args, obs=obs)).sweep(
+        workflow, ParameterGrid(grid_spec), repeats=args.repeats, workers=args.workers, name="cli-sweep",
+    ))
     if args.csv:
         report.to_csv(args.csv)
     if args.json_out:

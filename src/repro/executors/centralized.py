@@ -40,18 +40,26 @@ __all__ = ["CentralizedOutcome", "CentralizedExecutor"]
 
 
 class CentralizedOutcome(Record):
-    """Result of a centralised execution; ``timings`` holds the per-phase
-    reduction seconds, summed from the engine's spans (traced runs only)."""
+    """Result of a centralised execution: the reduced global solution of
+    ``encoding``, its reduction report, and per task its result, its error
+    and how many times its service was invoked (``attempts``)."""
 
-    __slots__ = ("solution", "report", "results", "errors", "invocations", "timings")
+    __slots__ = ("encoding", "solution", "report", "results", "errors", "attempts")
 
     def __init__(
-        self, solution: Multiset, report: ReductionReport, results: dict[str, Any] | None = None,
-        errors: dict[str, str] | None = None, invocations: int = 0, timings: dict[str, float] | None = None,
+        self, encoding: WorkflowEncoding, solution: Multiset, report: ReductionReport,
+        results: dict[str, Any] | None = None, errors: dict[str, str] | None = None,
+        attempts: dict[str, int] | None = None,
     ):
-        self.solution, self.report, self.invocations, self.timings = solution, report, invocations, timings
+        self.encoding, self.solution, self.report = encoding, solution, report
         self.results: dict[str, Any] = {} if results is None else results
         self.errors: dict[str, str] = {} if errors is None else errors
+        self.attempts: dict[str, int] = {} if attempts is None else attempts
+
+    @property
+    def invocations(self) -> int:
+        """Service invocations in all."""
+        return sum(self.attempts.values())
 
     def result_of(self, task_name: str) -> Any:
         """Result value of ``task_name`` (``None`` if it produced none)."""
@@ -100,11 +108,9 @@ class CentralizedExecutor:
 
     def _reduce(self, encoding: WorkflowEncoding, solution: Multiset) -> CentralizedOutcome:
         """Reduce the global ``solution`` of ``encoding``; collect per-task results."""
-        invocation_counter = {"count": 0}
         attempts: dict[str, int] = {}
 
         def invoke(task_name: str, service_name: str, parameters: list[Any]) -> Any:
-            invocation_counter["count"] += 1
             attempt = attempts[task_name] = attempts.get(task_name, 0) + 1
             task_encoding = encoding.tasks[task_name]
             service = self.registry.resolve(service_name)
@@ -159,11 +165,4 @@ class CentralizedExecutor:
                 if not (isinstance(res_atom, Symbol) and res_atom.name == kw.ERROR):
                     results[task_name] = from_atom(res_atom)
                     break
-        return CentralizedOutcome(
-            solution=solution,
-            report=report,
-            results=results,
-            errors=errors,
-            invocations=invocation_counter["count"],
-            timings=engine.timings,
-        )
+        return CentralizedOutcome(encoding, solution, report, results, errors, attempts)

@@ -66,15 +66,9 @@ from repro.records import Record
 from .externals import ExternalRegistry, default_registry
 from .multiset import Multiset
 
-__all__ = ["PHASES", "Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution"]
+__all__ = ["Record", "ReductionReport", "ReactionRecord", "ReductionEngine", "reduce_solution"]
 
 _new = object.__new__
-
-#: The reduction phases a traced engine times: ``match`` (searching for an
-#: applicable rule), ``patch`` (applying its rewrite delta) and ``index`` (the
-#: one-shot rule's removal that follows).
-PHASES = ("match", "patch", "index")
-
 
 class ReactionRecord(Record):
     """One rule firing, as recorded in a :class:`ReductionReport`.
@@ -177,10 +171,10 @@ class ReductionEngine:
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`.  When active, every
         reduction phase is recorded as a span (``reduction.match`` /
-        ``reduction.patch``, the index-maintenance share as an
-        ``index_seconds`` attribute) and its seconds are added to
-        :attr:`timings`.  A disabled tracer is normalised to ``None``: an
-        untraced engine reads no clock and keeps no timings.  Tracing never
+        ``reduction.patch``, the index-maintenance share — the one-shot
+        rule's removal — as an ``index_seconds`` attribute).  A disabled
+        tracer is normalised to ``None``: an untraced engine reads no clock.
+        Tracing never
         changes what reduction does: history, ``match_attempts`` and the
         final solution are identical with and without it.
     trace_track:
@@ -199,9 +193,6 @@ class ReductionEngine:
         self.max_steps = int(max_steps)
         self.trace = active_tracer(trace)
         self.trace_track = trace_track
-        #: per-phase seconds (:data:`PHASES`) of every span this engine
-        #: recorded; ``None`` untraced
-        self.timings = None if self.trace is None else dict.fromkeys(PHASES, 0.0)
 
     # ----------------------------------------------------------------- public
     def reduce(self, solution: Multiset) -> ReductionReport:
@@ -256,8 +247,9 @@ class ReductionEngine:
                     if rule.one_shot:  # an atom of this level, which its own firing never removes
                         solution.remove_identical(rule)
                     if trace is not None:
-                        self._record("match", started, searched, depth=depth, rule=rule.name)
-                        self._record("patch", searched, written, rule=rule.name, depth=depth, index_seconds=perf_counter() - written)
+                        trace.span("reduction.match", self.trace_track, started, searched, depth=depth, rule=rule.name)
+                        trace.span("reduction.patch", self.trace_track, searched, written, rule=rule.name, depth=depth,
+                                   index_seconds=perf_counter() - written)
                     report.reactions += 1
                     report.rule_fires[rule.name] = report.rule_fires.get(rule.name, 0) + 1
                     record = _new(ReactionRecord)  # `ReactionRecord(...)`, its `__init__` written out
@@ -266,19 +258,9 @@ class ReductionEngine:
                     break
             else:
                 if trace is not None:
-                    self._record("match", started, perf_counter(), depth=depth)
+                    trace.span("reduction.match", self.trace_track, started, perf_counter(), depth=depth)
                 solution._inert_version = solution._version  # `note_inert`
                 return
-
-    def _record(self, phase: str, started: float, ended: float, **attrs: Any) -> None:
-        """Record one ``reduction.<phase>`` span and add its seconds, and the
-        ``index_seconds`` it carries, to :attr:`timings` (traced engines only)."""
-        timings, trace = self.timings, self.trace
-        assert timings is not None and trace is not None
-        timings[phase] += ended - started
-        timings["index"] += attrs.get("index_seconds", 0.0)
-        trace.span(f"reduction.{phase}", self.trace_track, started, ended, **attrs)
-
 
 def reduce_solution(
     solution: Multiset,

@@ -103,6 +103,12 @@ class AdaptationPlan(Record):
         self.destination, self.entry_tasks, self.exit_tasks = destination, entry_tasks, exit_tasks
         self.added_destinations: dict[str, list[str]] = {} if added_destinations is None else added_destinations
 
+    def trigger_rule_name(self, task: str | None = None) -> str:
+        """Name of this plan's ``trigger_adapt`` rule: the local one each trigger
+        agent holds, or the global solution's one for trigger ``task``."""
+        name = f"trigger_adapt:{self.spec.name}"
+        return name if task is None else f"{name}:{task}"
+
     def affected_tasks(self) -> list[str]:
         """Every task that receives the ``ADAPT`` marker when the plan triggers."""
         affected = list(self.sources)
@@ -194,7 +200,7 @@ def make_trigger_adapt(plan: AdaptationPlan, trigger_task: str) -> Rule:
             TupleTemplate(Symbol(task_name), SolutionTemplate(*markers, Splice(omega_name)))
         )
     return Rule(
-        name=f"trigger_adapt:{plan.spec.name}:{trigger_task}",
+        name=plan.trigger_rule_name(trigger_task),
         patterns=patterns,
         products=products,
         one_shot=True,

@@ -125,6 +125,13 @@ class WorkflowEncoding(Record):
         """Tasks whose results mark workflow completion (original exits)."""
         return self.workflow.exit_tasks()
 
+    def trigger_rules(self, local: bool) -> dict[str, list[str]]:
+        """Per adaptation, the names of the rules whose firing triggers it: each
+        trigger agent's ``local`` rule, or the global solution's per trigger task."""
+        if local:
+            return {plan.spec.name: [plan.trigger_rule_name()] for plan in self.plans}
+        return {plan.spec.name: [plan.trigger_rule_name(task) for task in plan.trigger_tasks] for plan in self.plans}
+
     def replacement_tasks(self) -> list[str]:
         """Names of the replacement tasks (deployed but initially idle)."""
         return [name for name, encoding in self.tasks.items() if encoding.is_replacement]

@@ -7,8 +7,8 @@ The observability substrate every layer instruments against:
   :class:`JsonlTracer`), recording spans/events stamped with
   ``perf_counter`` wall time and, under the simulated runtime, virtual
   time;
-* :class:`MetricsRegistry` — counters/gauges/histograms snapshotted into
-  ``RunReport.extra["metrics"]``;
+* :class:`MetricsRegistry` — counters/gauges/histograms, read with
+  ``obs.metrics.snapshot()`` once the run returned;
 * the trace file formats (native JSONL and Chrome trace-event for
   Perfetto) and the rollups behind ``ginflow trace summarize``;
 * stdlib-logging wiring (``repro.*`` logger namespace, NullHandler

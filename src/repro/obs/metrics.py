@@ -2,8 +2,8 @@
 
 The registry is a per-run bundle (one instance per
 :class:`~repro.obs.Observability`): the runtimes and brokers increment it at
-their hot seams and the report assembly snapshots it into
-``RunReport.extra["metrics"]``.  Thread-safe: each instrument is
+their hot seams, and the caller reads it with :meth:`MetricsRegistry.snapshot`
+once the run returned.  Thread-safe: each instrument is
 created under the registry's lock.
 """
 

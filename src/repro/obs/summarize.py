@@ -2,8 +2,8 @@
 
 This is what ``ginflow trace summarize`` prints.  The reduction-phase
 totals sum the match/patch span durations plus the ``index_seconds``
-attribute the patch spans carry — the numbers a traced run reports
-as ``RunReport.extra["reduction_timings"]``.  Self-time subtracts the durations of a span's
+attribute the patch spans carry: the spans are the one record of where a
+traced run's reduction time went.  Self-time subtracts the durations of a span's
 direct children (same-track timestamp containment) — the nesting the Chrome
 export renders.
 """

@@ -150,8 +150,8 @@ class GinFlowConfig(Frozen):
         Optional :class:`~repro.obs.Observability` bundle (tracer +
         metrics registry); ``None`` — the default — is the zero-overhead
         off state.  When present, every runtime threads the tracer into
-        its agents, reduction engines, broker and executor, and the
-        metrics snapshot lands in ``RunReport.extra["metrics"]``.
+        its agents, reduction engines, broker and executor, which count
+        into its metrics registry (``obs.metrics.snapshot()``).
     """
 
     __slots__ = (

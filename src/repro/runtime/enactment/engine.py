@@ -35,7 +35,6 @@ from repro.agents.actions import Action
 from repro.agents.core import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hocl import AtomError, to_atom
-from repro.hocl.engine import PHASES
 from repro.hoclflow.translator import TaskEncoding, WorkflowEncoding
 from repro.messaging import Message, MessageKind, STATUS_TOPIC, adapt_count, agent_topic
 from repro.messaging.message import new_message
@@ -184,9 +183,6 @@ class EnactmentEngine:
         self.obs = config.obs
         self._trace = self.obs.active_tracer() if self.obs is not None else None
         self._metrics = self.obs.metrics if self.obs is not None else None
-        #: the reduction timings of every core built, recovered ones included
-        #: (traced runs only): one dict per core, each added to by its agent alone
-        self._core_timings: list[dict[str, float]] = []
         # Tasks whose failure triggers an adaptation must not fail-fast the
         # run: their ERROR is the *start* of the recovery, not the end.
         adaptable = {name for name, task in encoding.tasks.items() if task.trigger_plans}
@@ -198,24 +194,14 @@ class EnactmentEngine:
         self.hosts: dict[str, AgentHost] = {}
         #: every agent's topic, built once: its subscription, its replay and every send to it read it here
         self.topics = {name: agent_topic(name) for name in encoding.tasks}
-        self.triggered_adaptations: set[str] = set()
         #: the hosts, frozen as they are built once `enacting()` is entered
         self._set_up = FrozenSetUp(len(encoding.tasks))
 
     # ---------------------------------------------------------------- hosts
     def new_core(self, encoding: TaskEncoding) -> AgentCore:
         """An agent core on this run's tracer — the one place cores are made, so
-        a recovered agent traces like the first and its timings count too."""
-        core = AgentCore(encoding, trace=self._trace)
-        if core.engine.timings is not None:
-            self._core_timings.append(core.engine.timings)
-        return core
-
-    def reduction_timings(self) -> dict[str, float] | None:
-        """Per-phase seconds of every reduction span of the run (``None`` untraced)."""
-        if self._trace is None:
-            return None
-        return {phase: sum(timings[phase] for timings in self._core_timings) for phase in PHASES}
+        a recovered agent traces like the first."""
+        return AgentCore(encoding, trace=self._trace)
 
     def add_host(self, host: AgentHost) -> AgentHost:
         """Register one hosted agent (insertion order is report order); inside
@@ -276,8 +262,6 @@ class EnactmentEngine:
                 publish(new_message((topics[destination], MessageKind.RESULT, sender, destination, action.value,
                                      costs.result_message_size)))
             elif isinstance(action, SendAdapt):
-                if action.adaptation:
-                    self.triggered_adaptations.add(action.adaptation)
                 destination = action.destination
                 publish(new_message((topics[destination], MessageKind.ADAPT, sender, destination, action.count,
                                      costs.status_update_size)))

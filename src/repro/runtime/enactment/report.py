@@ -1,10 +1,12 @@
 """Shared run-report assembly.
 
-Every runtime's :class:`~repro.runtime.results.RunReport` is built here, so
-the per-task rows (:class:`~repro.runtime.results.TaskOutcome`), the message
-counters and the chemistry aggregates are identical across runtimes by
+Both agent runtimes' :class:`~repro.runtime.results.RunReport` is built here,
+so the per-task rows (:class:`~repro.runtime.results.TaskOutcome`), the
+message counters and the chemistry counters are identical across clocks by
 construction — the driver only supplies what genuinely differs: the timing
-figures and the identity fields of its configuration.
+figures and the identity fields of its configuration.  What the report
+derives from them (``succeeded``, ``results``, ...) it derives itself, as
+it does for the centralised runtime's.
 """
 
 from __future__ import annotations
@@ -54,17 +56,17 @@ class ReportAssembler:
         report.deployment_time = deployment_time
         report.execution_time = execution_time
         report.makespan = makespan
-        # a cut-off run must never read like a successful one
         report.timed_out = timed_out
-        report.succeeded = coordinator.succeeded and not timed_out
+        report.exit_tasks = engine.encoding.exit_tasks()
+        report.trigger_rules = engine.encoding.trigger_rules(local=True)
         report.messages_published = engine.transport.published_count()
         report.messages_delivered = engine.transport.delivered_count()
-        report.adaptations_triggered = len(engine.triggered_adaptations)
+        report.status_updates = coordinator.status_updates
 
-        exit_tasks = set(engine.encoding.exit_tasks())
+        fires = report.rule_fires
         for name, host in engine.hosts.items():
             core = host.core
-            outcome = TaskOutcome(
+            report.tasks[name] = TaskOutcome(
                 task=name,
                 state=core.state,
                 result=core.result_value(),
@@ -75,20 +77,10 @@ class ReportAssembler:
                 attempts=host.attempts,
                 failures=host.failures,
             )
-            report.tasks[name] = outcome
             report.duplicate_results_ignored += core.duplicates_ignored
-            report.reduction_reactions += core.reactions
             report.reduction_match_attempts += core.match_attempts
-            fires = report.extra.setdefault("rule_fires", {})
             for rule_name, count in core.rule_fires.items():
                 fires[rule_name] = fires.get(rule_name, 0) + count
-            if name in exit_tasks and outcome.result is not None:
-                report.results[name] = outcome.result
-        timings = engine.reduction_timings()
-        if timings is not None:
-            report.extra["reduction_timings"] = timings
         if engine.config.collect_timeline:
             report.timeline = list(coordinator.timeline)
-        if engine.obs is not None and engine.obs.metrics is not None:
-            report.extra["metrics"] = engine.obs.metrics.snapshot()
         return report

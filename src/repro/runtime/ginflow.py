@@ -156,46 +156,28 @@ def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | 
     ``centralized`` runtime's entry point; ``timeout`` is unused)."""
     executor = CentralizedExecutor(registry=config.build_registry(), obs=config.obs)
     outcome = executor.execute(workflow)
-    exit_tasks = set(workflow.exit_tasks())
-    report = RunReport(
-        mode="centralized",
-        executor="centralized",
-        broker="none",
-        nodes=1,
-        seed=config.seed,
-        deployment_time=0.0,
-        execution_time=0.0,
-        makespan=0.0,
-        reduction_reactions=outcome.report.reactions,
-        reduction_match_attempts=outcome.report.match_attempts,
-    )
-    all_names = dict.fromkeys(workflow.task_names())  # in workflow order, whatever the hash seed
-    for spec in workflow.adaptations:
-        all_names.update(dict.fromkeys(spec.replacement.task_names()))
-    for name in all_names:
+    encoding = outcome.encoding
+    tasks = {}
+    for name in encoding.tasks:  # workflow order, replacements after, whatever the hash seed
         result = outcome.results.get(name)
         error = name in outcome.errors
-        report.tasks[name] = TaskOutcome(
+        tasks[name] = TaskOutcome(
             task=name,
             state="failed" if error else ("completed" if result is not None else "idle"),
             result=result,
             error=error,
             node="localhost",
+            attempts=outcome.attempts.get(name, 0),
         )
-        if name in exit_tasks and result is not None:
-            report.results[name] = result
-    report.succeeded = all(
-        report.tasks[name].result is not None for name in exit_tasks
+    return RunReport(
+        mode="centralized",
+        executor="centralized",
+        broker="none",
+        nodes=1,
+        seed=config.seed,
+        tasks=tasks,
+        exit_tasks=encoding.exit_tasks(),
+        rule_fires=outcome.report.rule_fires,
+        trigger_rules=encoding.trigger_rules(local=False),
+        reduction_match_attempts=outcome.report.match_attempts,
     )
-    report.adaptations_triggered = sum(
-        1 for spec in workflow.adaptations
-        if any(report.tasks.get(t) is not None and report.tasks[t].result is not None
-               for t in spec.replacement.task_names())
-    )
-    report.extra["invocations"] = outcome.invocations
-    report.extra["rule_fires"] = dict(outcome.report.rule_fires)
-    if outcome.timings is not None:
-        report.extra["reduction_timings"] = dict(outcome.timings)
-    if config.obs is not None and config.obs.metrics is not None:
-        report.extra["metrics"] = config.obs.metrics.snapshot()
-    return report

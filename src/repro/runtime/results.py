@@ -32,15 +32,17 @@ class TaskOutcome(Record):
 class RunReport(Record):
     """Outcome of one GinFlow run (any execution mode).
 
+    Each fact is stored once; ``succeeded``, ``results``,
+    ``reduction_reactions`` and ``adaptations_triggered`` are derived from
+    the stored ones here, the same way for every runtime.
+
     Attributes
     ----------
-    succeeded:
-        ``True`` when every exit task produced a (non-error) result.
     timed_out:
-        ``True`` when a wall-clock runtime hit its timeout before the
-        coordinator reported completion.  A timed-out run never reports
-        ``succeeded=True``: the report rows describe an execution that was
-        cut off, not one that converged.
+        ``True`` when a runtime stopped waiting (wall-clock timeout, virtual
+        horizon) before the coordinator reported completion.  A timed-out
+        run never reports ``succeeded=True``: the report rows describe an
+        execution that was cut off, not one that converged.
     mode / executor / broker / nodes / seed:
         Echo of the configuration actually used.
     deployment_time:
@@ -53,51 +55,82 @@ class RunReport(Record):
         ``deployment_time + execution_time``.
     tasks:
         Per-task outcomes.
-    results:
-        Exit-task results (what the workflow "returns").
+    exit_tasks:
+        The workflow's exit tasks, whose rows hold what it "returns".
     messages_published / messages_delivered:
         Broker counters.
     failures_injected / recoveries:
         Failure-injection counters (Fig. 16).
-    adaptations_triggered:
-        Number of adaptation plans that actually fired.
     duplicate_results_ignored:
         Duplicates discarded by destination agents (recovery replays).
-    reduction_reactions / reduction_match_attempts:
-        Aggregate chemistry counters across all agents.
+    rule_fires:
+        Firings per rule name, summed over every agent's (or the one
+        interpreter's) reductions.
+    trigger_rules:
+        Per adaptation, the names of the rules whose firing triggers it on
+        this runtime.
+    reduction_match_attempts:
+        Match searches, summed like ``rule_fires``.
+    status_updates:
+        ``STATUS`` updates the coordinator folded in (agent runtimes).
+    virtual_events:
+        Kernel entries the simulated runtime processed (0 elsewhere).
     timeline:
         Chronological event list (state changes, failures, recoveries).
-    extra:
-        Free-form additional measurements filled by the harnesses.
     """
 
     __slots__ = (
-        "succeeded", "timed_out", "mode", "executor", "broker", "nodes", "seed", "deployment_time", "execution_time",
-        "makespan", "tasks", "results", "messages_published", "messages_delivered", "failures_injected", "recoveries",
-        "adaptations_triggered", "duplicate_results_ignored", "reduction_reactions", "reduction_match_attempts",
-        "timeline", "extra",
+        "timed_out", "mode", "executor", "broker", "nodes", "seed", "deployment_time", "execution_time", "makespan",
+        "tasks", "exit_tasks", "messages_published", "messages_delivered", "failures_injected", "recoveries",
+        "duplicate_results_ignored", "rule_fires", "trigger_rules", "reduction_match_attempts", "status_updates",
+        "virtual_events", "timeline",
     )
 
     def __init__(
-        self, succeeded: bool = False, timed_out: bool = False, mode: str = "simulated", executor: str = "ssh",
-        broker: str = "activemq", nodes: int = 0, seed: int = 0, deployment_time: float = 0.0,
-        execution_time: float = 0.0, makespan: float = 0.0, tasks: dict[str, TaskOutcome] | None = None,
-        results: dict[str, Any] | None = None, messages_published: int = 0, messages_delivered: int = 0,
-        failures_injected: int = 0, recoveries: int = 0, adaptations_triggered: int = 0,
-        duplicate_results_ignored: int = 0, reduction_reactions: int = 0, reduction_match_attempts: int = 0,
-        timeline: list[TimelineEvent] | None = None, extra: dict[str, Any] | None = None,
+        self, timed_out: bool = False, mode: str = "simulated", executor: str = "ssh", broker: str = "activemq",
+        nodes: int = 0, seed: int = 0, deployment_time: float = 0.0, execution_time: float = 0.0,
+        makespan: float = 0.0, tasks: dict[str, TaskOutcome] | None = None, exit_tasks: list[str] | None = None,
+        messages_published: int = 0, messages_delivered: int = 0, failures_injected: int = 0, recoveries: int = 0,
+        duplicate_results_ignored: int = 0, rule_fires: dict[str, int] | None = None,
+        trigger_rules: dict[str, list[str]] | None = None, reduction_match_attempts: int = 0,
+        status_updates: int = 0, virtual_events: int = 0, timeline: list[TimelineEvent] | None = None,
     ):
-        self.succeeded, self.timed_out, self.mode, self.executor = succeeded, timed_out, mode, executor
-        self.broker, self.nodes, self.seed, self.deployment_time = broker, nodes, seed, deployment_time
+        self.timed_out, self.mode, self.executor, self.broker = timed_out, mode, executor, broker
+        self.nodes, self.seed, self.deployment_time = nodes, seed, deployment_time
         self.execution_time, self.makespan = execution_time, makespan
         self.tasks: dict[str, TaskOutcome] = {} if tasks is None else tasks
-        self.results: dict[str, Any] = {} if results is None else results
+        self.exit_tasks: list[str] = [] if exit_tasks is None else exit_tasks
         self.messages_published, self.messages_delivered = messages_published, messages_delivered
         self.failures_injected, self.recoveries = failures_injected, recoveries
-        self.adaptations_triggered, self.duplicate_results_ignored = adaptations_triggered, duplicate_results_ignored
-        self.reduction_reactions, self.reduction_match_attempts = reduction_reactions, reduction_match_attempts
+        self.duplicate_results_ignored = duplicate_results_ignored
+        self.rule_fires: dict[str, int] = {} if rule_fires is None else rule_fires
+        self.trigger_rules: dict[str, list[str]] = {} if trigger_rules is None else trigger_rules
+        self.reduction_match_attempts = reduction_match_attempts
+        self.status_updates, self.virtual_events = status_updates, virtual_events
         self.timeline: list[TimelineEvent] = [] if timeline is None else timeline
-        self.extra: dict[str, Any] = {} if extra is None else extra
+
+    # ----------------------------------------------------------- derived
+    @property
+    def succeeded(self) -> bool:
+        """Not timed out, and every exit task holds a (non-error) result."""
+        return not self.timed_out and all(self.result_of(name) is not None for name in self.exit_tasks)
+
+    @property
+    def results(self) -> dict[str, Any]:
+        """Exit-task results (what the workflow "returns")."""
+        results = {name: self.result_of(name) for name in self.exit_tasks}
+        return {name: value for name, value in results.items() if value is not None}
+
+    @property
+    def reduction_reactions(self) -> int:
+        """Rule firings in all: the sum of ``rule_fires``."""
+        return sum(self.rule_fires.values())
+
+    @property
+    def adaptations_triggered(self) -> int:
+        """Adaptations one of whose trigger rules fired."""
+        fires = self.rule_fires
+        return sum(any(fires.get(rule) for rule in rules) for rules in self.trigger_rules.values())
 
     # ------------------------------------------------------------- queries
     def task_outcome(self, name: str) -> TaskOutcome:

@@ -148,9 +148,7 @@ class SimulatedRun(AgentRun):
             # drains without completion is a stall, not a time-out
             timed_out=completion is None and sim.pending() > 0,
         )
-        report.extra["status_updates"] = engine.coordinator.status_updates
-        report.extra["virtual_events"] = sim.processed_events
-        report.extra["sim_wall_seconds"] = round(sim.wall_seconds, 6)
+        report.virtual_events = sim.processed_events
         return report
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from time import perf_counter
 from typing import Any, Callable
 
 __all__ = ["Simulator"]
@@ -44,11 +43,6 @@ class Simulator:
         self.ticket = count(1).__next__
         #: number of queue entries run so far (diagnostics)
         self.processed_events = 0
-        #: real time spent inside :meth:`run` so far (diagnostics): with
-        #: :attr:`processed_events` and the per-phase timings of a traced
-        #: :class:`~repro.hocl.engine.ReductionEngine` this localises where the
-        #: real cost of a simulated run lives (kernel loop vs chemistry)
-        self.wall_seconds = 0.0
 
     def pending(self) -> int:
         """Number of calls waiting in the queue."""
@@ -90,7 +84,6 @@ class Simulator:
         horizon = float("inf") if until is None else until
         events = self.processed_events
         limit = float("inf") if max_events is None else max_events
-        started = perf_counter()
         try:
             while queue:
                 if queue[0][0] > horizon:
@@ -105,4 +98,3 @@ class Simulator:
             return self.now
         finally:
             self.processed_events = events
-            self.wall_seconds += perf_counter() - started

@@ -91,7 +91,7 @@ class TestStimulusOrder:
         assert rows(report) == rows(simulated)
         assert report.results == simulated.results
         assert report.messages_published == simulated.messages_published
-        assert report.extra["rule_fires"] == simulated.extra["rule_fires"]
+        assert report.rule_fires == simulated.rule_fires
 
 
 class TestNoTaskPerAgent:

@@ -433,7 +433,7 @@ class TestCheckTable:
         import repro.analysis.checks as checks
 
         written = literal_keys(checks.__file__, "CHECKS")
-        assert len(written) == len(set(written)) == len(CHECKS) == 29
+        assert len(written) == len(set(written)) == len(CHECKS) == 28
         assert tuple(written) == tuple(CHECKS) == tuple(check.id for check in available_checks())
         for check_id, check in CHECKS.items():
             assert check.id == check_id

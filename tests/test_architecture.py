@@ -767,3 +767,79 @@ class TestARunIsAValue:
         modules = {**_sources(), **_parsed(**seeded)}
         (path,) = _parsed(**seeded)
         assert [found for found in unexplained_state(modules) if found.startswith(f"{path}:")]
+
+
+# ------------------------------------------------- a run report states each fact once
+_MAPPINGS = {"dict", "Mapping", "MutableMapping"}
+
+
+def _free_form(annotation):
+    """Whether a constructor annotation admits a free-form mapping: a bare ``dict``,
+    or a mapping whose values are ``Any``."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name) and node.id in _MAPPINGS:
+            return True  # bare: `dict | None`
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in _MAPPINGS:
+            values = node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
+            return any(isinstance(inner, ast.Name) and inner.id == "Any" for inner in ast.walk(values))
+    return False
+
+
+def report_field_problems(tree):
+    """What is wrong with the fields of ``RunReport`` in ``tree`` (``runtime/results.py``): a slot
+    that is not a typed constructor parameter, one typed as a free-form mapping (a bag of facts
+    with no declared source), or one the class docstring's Attributes do not list."""
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunReport"]
+    (slots,) = [ast.literal_eval(node.value) for node in cls.body if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__"]
+    (init,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    annotations = {arg.arg: arg.annotation for arg in init.args.args if arg.annotation is not None}
+    attributes = ast.get_docstring(cls).partition("Attributes\n----------\n")[2]
+    listed = {name.strip() for line in attributes.splitlines() if line.endswith(":") and not line[0].isspace() for name in line[:-1].split("/")}
+    problems = []
+    for slot in slots:
+        if slot not in annotations:
+            problems.append(f"{slot}: not a typed constructor parameter")
+        elif _free_form(annotations[slot]):
+            problems.append(f"{slot}: a free-form mapping ({ast.unparse(annotations[slot])})")
+        if slot not in listed:
+            problems.append(f"{slot}: not listed in the docstring's Attributes")
+    return problems
+
+
+class TestARunReportStatesEachFactOnce:
+    """``RunReport`` is typed fields, each documented, with no bag of extras beside
+    them: a fact a runtime measures gets a field, and a derived one a property."""
+
+    RESULTS = SRC / "runtime" / "results.py"
+
+    def test_the_source(self):
+        assert report_field_problems(_sources()["runtime/results.py"]) == []
+
+    @pytest.mark.parametrize(
+        "replacements, problem",
+        [
+            (  # the free-form slot the report once carried, documented and typed as it was
+                [('"virtual_events", "timeline",', '"virtual_events", "timeline", "extra",'),
+                 ("timeline: list[TimelineEvent] | None = None,", "timeline: list[TimelineEvent] | None = None, extra: dict[str, Any] | None = None,"),
+                 ("    timeline:\n        Chronological", "    extra:\n        Free-form additional measurements.\n    timeline:\n        Chronological")],
+                "extra: a free-form mapping (dict[str, Any] | None)",
+            ),
+            (
+                [('"virtual_events", "timeline",', '"virtual_events", "timeline", "verdict",'),
+                 ("timeline: list[TimelineEvent] | None = None,", "timeline: list[TimelineEvent] | None = None, verdict: str = '',")],
+                "verdict: not listed in the docstring's Attributes",
+            ),
+            (
+                [('"virtual_events", "timeline",', '"virtual_events", "timeline", "notes",'),
+                 ("    timeline:\n        Chronological", "    notes:\n        Anything.\n    timeline:\n        Chronological")],
+                "notes: not a typed constructor parameter",
+            ),
+        ],
+        ids=["extra", "undocumented", "untyped"],
+    )
+    def test_a_seeded_field_is_rejected(self, replacements, problem):
+        source = self.RESULTS.read_text(encoding="utf-8")
+        for old, new in replacements:
+            assert old in source
+            source = source.replace(old, new, 1)
+        assert report_field_problems(ast.parse(source)) == [problem]

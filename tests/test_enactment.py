@@ -390,7 +390,7 @@ class TestCrossClockDifferential:
         assert simulated.succeeded and real.succeeded and not real.timed_out
         assert TestReportParity._rows(real) == TestReportParity._rows(simulated)
         assert real.results == simulated.results
-        assert real.extra["rule_fires"] == simulated.extra["rule_fires"]
+        assert real.rule_fires == simulated.rule_fires
         assert real.messages_published == simulated.messages_published
         assert real.reduction_reactions == simulated.reduction_reactions
 

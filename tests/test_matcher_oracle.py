@@ -564,7 +564,7 @@ class TestOmegaIsBoundOnDemand:
     def test_no_remainder_is_copied_for_a_gw_pass_firing(self, remainder_copies, mode, width):
         report = GinFlow().run(diamond_workflow(width, 1, duration=0.01), mode=mode, nodes=25)
         assert report.succeeded
-        assert report.extra["rule_fires"]["gw_pass"] == 2 * width  # local or centralised: one per edge
+        assert report.rule_fires["gw_pass"] == 2 * width  # local or centralised: one per edge
         assert remainder_copies["gw_pass"] == 0 and remainder_copies[None] == 0
         # what is copied is what somebody reads: IN for gw_setup's parameter list ...
         assert remainder_copies["gw_setup"] == width + 2

@@ -60,7 +60,7 @@ from repro.hocl import (
 from repro.hoclflow import encode_workflow
 from repro.runtime import GinFlow
 from repro.scenarios import available_scenarios, build_scenario
-from repro.workflow import diamond_workflow
+from repro.workflow import adaptive_diamond_workflow, diamond_workflow
 from repro.workflow.montage import montage_workflow
 
 _FAMILIES = available_scenarios()
@@ -222,7 +222,7 @@ class TestRuntimeParity:
     (here at another size and seed than
     ``test_enactment.py::TestCrossClockDifferential``'s); the centralised
     executor's single interpreter reproduces the naive walk's reaction history
-    in order, with no more searches.
+    in order, with no more searches, and its report reads like theirs.
     """
 
     @pytest.mark.parametrize("family", _FAMILIES)
@@ -235,18 +235,34 @@ class TestRuntimeParity:
         assert trace(outcome.report) == trace(naive)
         assert outcome.report.match_attempts <= naive.match_attempts
 
-    @pytest.mark.parametrize("mode", ["asyncio"])
+    @pytest.mark.parametrize("mode", ["asyncio", "centralized"])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_real_time_runtimes_agree_with_the_simulated_run(self, family, mode):
+    def test_every_runtime_reports_what_the_simulated_run_does(self, family, mode):
         def run(mode):
             report = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode=mode, timeout=60.0)
             assert report.succeeded and not report.timed_out
             return report
 
         simulated, other = run("simulated"), run(mode)
-        assert other.results == simulated.results
-        assert other.extra["rule_fires"] == simulated.extra["rule_fires"]
-        assert other.reduction_reactions == simulated.reduction_reactions
+        assert other.results == simulated.results and other.succeeded == simulated.succeeded
+        assert other.adaptations_triggered == simulated.adaptations_triggered
+        assert other.rule_fires == simulated.rule_fires
+        assert {name: row.attempts for name, row in other.tasks.items()} == {
+            name: row.attempts for name, row in simulated.tasks.items()
+        }
+
+    @pytest.mark.parametrize("mode", ["simulated", "centralized"])
+    def test_a_failed_replacement_still_counts_its_adaptation(self, mode):
+        """The adaptive diamond's failing task triggers the adaptation, and every
+        replacement task fails too: the adaptation fired once all the same, on
+        each runtime.  Asyncio is left out: that run stalls until its timeout,
+        since nothing ends a run whose replacement failed."""
+        workflow = adaptive_diamond_workflow(2, 2)
+        (spec,) = workflow.adaptations
+        for task in spec.replacement:
+            task.metadata["force_error"] = True
+        report = GinFlow().run(workflow, mode=mode)
+        assert not report.succeeded and report.adaptations_triggered == 1
 
 
 class TestReportMergeAccounting:

@@ -287,7 +287,7 @@ def test_the_local_trigger_keeps_its_res_tuple_in_place(plan):
     report = ReductionEngine().reduce(solution)
     assert report.rule_fires == {rule.name: 1}
     assert report.effects == [
-        SendAdapt(task, count, plan.spec.name) for task, count in plan.adapt_marker_counts().items()
+        SendAdapt(task, count) for task, count in plan.adapt_marker_counts().items()
     ]
     assert list(solution.live_entries()) == kept
     assert report.history[0].produced == 1
@@ -348,7 +348,7 @@ def test_a_simulated_adaptive_diamond_derives_each_delta_once(monkeypatch):
     monkeypatch.setattr(rules_module, "derive_delta", counting)
     watch_reactions(monkeypatch, reacting)
     report = GinFlow().run(adaptive_diamond_workflow(21, 21, "full", "simple"), mode="simulated")
-    fires = report.extra["rule_fires"]
+    fires = report.rule_fires
     assert report.succeeded and sum(count for name, count in fires.items() if name.startswith("activate")) == 21
     assert set(derived.values()) <= {1}
     assert sorted(bodies.values()) == ["activate", "add_dst", "gw_call", "gw_pass", "gw_setup", "mv_src", "trigger_adapt"]
@@ -854,7 +854,7 @@ def test_every_reduction_of_a_run_is_on_the_relation(family, mode, agent_reducti
     the agents' own rules included, is a path of the relation."""
     run = GinFlow().run(build_scenario(f"{family}:size=10,seed=1"), mode=mode, nodes=5)
     assert run.succeeded and sum(agent_reductions.values()) == run.reduction_reactions > 0
-    assert agent_reductions == Counter(run.extra["rule_fires"])
+    assert agent_reductions == Counter(run.rule_fires)
 
 
 def test_the_adaptation_rules_are_on_the_relation(agent_reductions):
@@ -867,7 +867,7 @@ def test_the_adaptation_rules_are_on_the_relation(agent_reductions):
 def test_a_diamond_on_every_runtime_is_on_the_relation(mode, agent_reductions):
     run = GinFlow().run(diamond_workflow(4, 3), mode=mode, nodes=5)
     assert run.succeeded and sum(agent_reductions.values()) == run.reduction_reactions > 0
-    assert agent_reductions == Counter(run.extra["rule_fires"])
+    assert agent_reductions == Counter(run.rule_fires)
 
 
 def test_simulated_trace_bit_identical(request):

@@ -9,6 +9,7 @@ from repro.runtime import (
     GinFlow,
     GinFlowConfig,
     RunReport,
+    TaskOutcome,
     run_simulation,
 )
 from repro.runtime.config import BACKENDS
@@ -110,15 +111,30 @@ class TestCostModel:
 
 class TestRunReport:
     def test_summary_fields(self):
-        report = RunReport(succeeded=True, makespan=10.0)
+        report = RunReport(makespan=10.0, tasks={"out": TaskOutcome("out", "completed", "x")}, exit_tasks=["out"])
         summary = report.summary()
         assert summary["succeeded"] is True
         assert summary["makespan"] == 10.0
 
     def test_format_summary_contains_key_lines(self):
-        report = RunReport(succeeded=True, deployment_time=1.0, execution_time=2.0, makespan=3.0)
+        report = RunReport(deployment_time=1.0, execution_time=2.0, makespan=3.0)
         text = report.format_summary()
         assert "succeeded" in text and "makespan" in text
+
+    def test_derived_facts_read_the_stored_ones(self):
+        """``succeeded``, ``results``, ``reduction_reactions`` and
+        ``adaptations_triggered`` are read off the rows and the fire counters."""
+        rows = {"a": TaskOutcome("a", "completed", "x"), "b": TaskOutcome("b", "failed", error=True)}
+        report = RunReport(
+            tasks=rows, exit_tasks=["a"], rule_fires={"gw_call": 2, "trigger_adapt:s:b": 1},
+            trigger_rules={"s": ["trigger_adapt:s:a", "trigger_adapt:s:b"], "t": ["trigger_adapt:t:a"]},
+        )
+        assert report.succeeded and report.results == {"a": "x"}
+        assert report.reduction_reactions == 3 and report.adaptations_triggered == 1
+        report.timed_out = True
+        assert not report.succeeded and report.results == {"a": "x"}
+        report.timed_out, report.exit_tasks = False, ["a", "b", "missing"]
+        assert not report.succeeded and report.results == {"a": "x"}
 
 
 class TestSimulatedRuntime:
@@ -202,7 +218,7 @@ class TestSimulatedRuntime:
 
     def test_status_updates_recorded(self):
         report = run_simulation(diamond_workflow(2, 2, duration=0.1), GinFlowConfig(nodes=5))
-        assert report.extra["status_updates"] > 0
+        assert report.status_updates > 0
         assert report.timeline  # state transitions were recorded
 
     def test_timeline_can_be_disabled(self):
@@ -256,12 +272,12 @@ class TestKernelEntryAccounting:
         invocations = sum(task.attempts for task in report.tasks.values())
         assert report.failures_injected == report.recoveries
         assert bool(report.failures_injected) == ("failures" in options)
-        assert report.extra["virtual_events"] == (
+        assert report.virtual_events == (
             report.messages_published + len(stimuli) + boots + invocations
             + report.failures_injected + report.recoveries
         )
         if expected is not None:
-            assert (report.extra["virtual_events"], report.messages_published, len(stimuli), boots, invocations) == (
+            assert (report.virtual_events, report.messages_published, len(stimuli), boots, invocations) == (
                 expected, 20_460, 11_114, 884, 884
             )
 

@@ -68,7 +68,7 @@ def digest(cell: str) -> dict[str, Any]:
     return {
         "makespan": report.makespan.hex(),
         "messages_published": report.messages_published,
-        "virtual_events": report.extra["virtual_events"],
+        "virtual_events": report.virtual_events,
         "failures_injected": report.failures_injected,
         "tasks_sha1": hashlib.sha1(json.dumps(rows).encode("utf-8")).hexdigest(),
     }

@@ -49,7 +49,7 @@ from repro.workflow import Task, WorkflowValidationError
 
 ACTIONS = [
     SendResult("merge", IntAtom(3)),
-    SendAdapt("T2p", 2, "replace-T2"),
+    SendAdapt("T2p", 2),
     StartInvocation("svc", ("x", 1)),
     StatusUpdate("ready"),
 ]
@@ -59,7 +59,7 @@ class TestActions:
     def test_equal_by_class_and_fields(self):
         assert SendResult("b", 1) == SendResult(destination="b", value=1)
         assert SendResult("b", 1) != SendResult("b", 2)
-        assert SendAdapt("b") == SendAdapt("b", 1, "") != SendAdapt("b", 2)
+        assert SendAdapt("b") == SendAdapt("b", 1) != SendAdapt("b", 2)
         assert StartInvocation("svc") == StartInvocation("svc", ())
         assert StatusUpdate("ready") != SendAdapt("ready")  # same first field, other class
         assert SendResult("b", 1) != ("b", 1) and Action() == Action()
@@ -82,7 +82,7 @@ class TestActions:
     def test_repr_unchanged(self):
         assert [repr(action) for action in ACTIONS] == [
             "SendResult(destination='merge', value=IntAtom(3))",
-            "SendAdapt(destination='T2p', count=2, adaptation='replace-T2')",
+            "SendAdapt(destination='T2p', count=2)",
             "StartInvocation(service='svc', parameters=('x', 1))",
             "StatusUpdate(state='ready', detail='')",
         ]
@@ -208,7 +208,8 @@ RECORDS = [
     InvocationContext("t", 1.0, {"k": 1}, 2),
     InvocationResult(IntAtom(3), 1.0),
     TaskOutcome("t", "completed", "x", False, "n1", 0.0, 1.0, 1, 0),
-    RunReport(succeeded=True, tasks={"t": TaskOutcome("t", "completed")}, timeline=[TimelineEvent(1.0, "t", "ready")]),
+    RunReport(tasks={"t": TaskOutcome("t", "completed")}, exit_tasks=["t"], rule_fires={"gw_call": 1},
+              timeline=[TimelineEvent(1.0, "t", "ready")]),
     SpanRecord("s", "t", 0.0, 1.0, None, {"k": 1}),
     EventRecord("e", "t", 1.0, 2.0),
     Observability(None, None),
@@ -271,9 +272,9 @@ class TestRunPathRecordContracts:
 
     def test_defaults_are_fresh_per_record(self):
         first, second = RunReport(), RunReport()
-        first.extra["k"] = 1
+        first.rule_fires["k"] = 1
         first.tasks["t"] = TaskOutcome("t", "done")
-        assert second.extra == {} and second.tasks == {} and Task("a", "s").inputs is not Task("b", "s").inputs
+        assert second.rule_fires == {} and second.tasks == {} and Task("a", "s").inputs is not Task("b", "s").inputs
         assert GinFlowConfig().costs == CostModel() and Observability().metrics is not Observability().metrics
 
     def test_with_overrides_validates_and_rejects_unknown_fields(self):
