@@ -35,7 +35,15 @@ stack described in the paper:
 * :mod:`repro.experiments` — the first-class Experiment/Sweep API
   (:class:`ParameterGrid`, :class:`Experiment`, :class:`SweepReport`),
 * :mod:`repro.bench` — drivers reproducing every figure of the evaluation,
-  each a thin grid declaration over ``GinFlow.sweep``.
+  each a thin grid declaration over ``GinFlow.sweep``,
+* :mod:`repro.cli` — the ``ginflow`` command: one table of subcommands
+  (:data:`repro.cli.COMMANDS`) whose handlers (:mod:`repro.commands`) each
+  import what they run.
+
+:mod:`repro.obs`, :mod:`repro.hocl` and :mod:`repro.analysis` re-export only
+what a run loads anyway; the trace exporter and summariser, the parser and
+the analyzer's drivers are imported from their own modules
+(``repro.obs.export``, ``repro.hocl.parser``, ``repro.analysis.analyzer``, ...).
 
 Quickstart
 ----------
@@ -58,8 +66,9 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
-# The names below form the stable public facade.  Heavy subpackages are
-# imported lazily on first attribute access so `import repro` stays cheap.
+# The names below form the stable public facade, each resolved from its
+# defining module on first attribute access so `import repro` stays cheap.
+# This and `repro.runtime` are the only modules that resolve names lazily.
 _FACADE = {
     "GinFlow": ("repro.runtime.ginflow", "GinFlow"),
     "GinFlowConfig": ("repro.runtime.config", "GinFlowConfig"),
@@ -72,7 +81,7 @@ _FACADE = {
     "available_scenarios": ("repro.scenarios", "available_scenarios"),
     "get_scenario": ("repro.scenarios", "get_scenario"),
     "build_scenario": ("repro.scenarios", "build_scenario"),
-    "BrokerProfile": ("repro.messaging.broker", "BrokerProfile"),
+    "BrokerProfile": ("repro.runtime.costs", "BrokerProfile"),
     "FailureModel": ("repro.services.faults", "FailureModel"),
     "ServiceRegistry": ("repro.services.service", "ServiceRegistry"),
     "Workflow": ("repro.workflow.dag", "Workflow"),
@@ -85,13 +94,13 @@ _FACADE = {
     "montage_workflow": ("repro.workflow.montage", "montage_workflow"),
     "workflow_from_json": ("repro.workflow.json_format", "workflow_from_json"),
     "workflow_to_json": ("repro.workflow.json_format", "workflow_to_json"),
-    "AnalysisReport": ("repro.analysis", "AnalysisReport"),
-    "Finding": ("repro.analysis", "Finding"),
-    "Severity": ("repro.analysis", "Severity"),
-    "available_checks": ("repro.analysis", "available_checks"),
-    "analyze_workflow": ("repro.analysis", "analyze_workflow"),
-    "analyze_scenario": ("repro.analysis", "analyze_scenario"),
-    "analyze_all_scenarios": ("repro.analysis", "analyze_all_scenarios"),
+    "AnalysisReport": ("repro.analysis.findings", "AnalysisReport"),
+    "Finding": ("repro.analysis.findings", "Finding"),
+    "Severity": ("repro.analysis.findings", "Severity"),
+    "available_checks": ("repro.analysis.checks", "available_checks"),
+    "analyze_workflow": ("repro.analysis.analyzer", "analyze_workflow"),
+    "analyze_scenario": ("repro.analysis.analyzer", "analyze_scenario"),
+    "analyze_all_scenarios": ("repro.analysis.analyzer", "analyze_all_scenarios"),
 }
 
 __all__ = ["__version__", *sorted(_FACADE)]

@@ -111,7 +111,6 @@ class AgentCore:
         self.adaptations_applied = 0
         #: cost-accounting counters consumed by the simulation's cost model
         self.match_attempts = 0
-        self.reactions = 0
         self.reduction_units = 0.0
         #: firings per rule name, aggregated across every stimulus
         self.rule_fires: dict[str, int] = {}
@@ -209,7 +208,6 @@ class AgentCore:
         started = perf_counter() if trace is not None else 0.0
         report = self.engine.reduce(self.solution)
         self.match_attempts += report.match_attempts
-        self.reactions += report.reactions
         self.reduction_units += report.reduction_units(len(self.solution))
         for rule_name, fires in report.rule_fires.items():
             self.rule_fires[rule_name] = self.rule_fires.get(rule_name, 0) + fires

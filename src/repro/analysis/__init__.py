@@ -37,9 +37,12 @@ Seven check families (see the modules for the catalog):
 The checks are the rows of one closed table,
 :data:`repro.analysis.checks.CHECKS` (the same idiom as the scenarios),
 which the drivers read by kind.  Surfaced as ``ginflow lint`` (static),
-``ginflow audit`` (dynamic) and as a pytest-importable API::
+``ginflow audit`` (dynamic) and as a pytest-importable API, imported from
+the driver modules (:mod:`repro.analysis.analyzer` for the static checks,
+:mod:`repro.analysis.trace` for the dynamic ones)::
 
-    from repro.analysis import analyze_scenario, audit_scenario
+    from repro.analysis.analyzer import analyze_scenario
+    from repro.analysis.trace import audit_scenario
 
     assert analyze_scenario("epigenomics").ok()
     assert audit_scenario("epigenomics:size=20").ok()
@@ -47,52 +50,6 @@ which the drivers read by kind.  Surfaced as ``ginflow lint`` (static),
 
 from __future__ import annotations
 
-import importlib
-
 from .findings import AnalysisReport, Finding, Severity
 
-__all__ = [
-    "AnalysisCheck",
-    "AnalysisReport",
-    "CHECK_KINDS",
-    "Finding",
-    "Severity",
-    "analyze_all_scenarios",
-    "analyze_document",
-    "analyze_encoding",
-    "analyze_rules",
-    "analyze_scenario",
-    "analyze_workflow",
-    "audit_all_scenarios",
-    "audit_plans",
-    "audit_reduction",
-    "audit_run",
-    "audit_scenario",
-    "audit_workflow",
-    "available_checks",
-    "checks_for",
-]
-
-#: What the package exposes lazily, by the module defining it: the check
-#: table imports every check family, the drivers hoclflow/runtime, all heavy.
-_LAZY = {
-    **dict.fromkeys(("AnalysisCheck", "CHECK_KINDS", "available_checks", "checks_for"), "checks"),
-    **dict.fromkeys(
-        ("analyze_all_scenarios", "analyze_document", "analyze_encoding", "analyze_rules", "analyze_scenario",
-         "analyze_workflow"),
-        "analyzer",
-    ),
-    **dict.fromkeys(
-        ("audit_all_scenarios", "audit_plans", "audit_reduction", "audit_run", "audit_scenario", "audit_workflow",
-         "enactment_rules"),
-        "trace",
-    ),
-}
-
-
-def __getattr__(name: str) -> object:
-    """Lazily expose the check table and the drivers."""
-    if name not in _LAZY:
-        raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    return value
+__all__ = ["AnalysisReport", "Finding", "Severity"]

@@ -111,12 +111,15 @@ class Experiment:
         """Execute every (cell, repeat) point; returns the aggregated report.
 
         ``workers`` > 1 runs the points in a pool of that many spawned
-        processes; row order always matches grid order regardless of the
+        processes, ``None`` or 1 in this one (any other count is refused);
+        row order always matches grid order regardless of the
         execution order.  The whole experiment (workflow factory, metrics,
         runner, config) must then be picklable — use module-level functions,
         not lambdas — and carry no observability: a record made in a worker
         process would not come back.
         """
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         points = [
             (self, dict(cell), repeat)
             for cell in self.grid

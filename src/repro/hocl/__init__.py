@@ -13,11 +13,9 @@ semantics the paper relies on (Section III-A):
   inertness, reducing nested solutions first,
 * an :mod:`external function registry <repro.hocl.externals>` so products can
   call host (Python) functions such as ``invoke`` and ``list``,
-* an ASCII :mod:`parser <repro.hocl.parser>` for textual HOCL programs.
+* an ASCII :mod:`parser <repro.hocl.parser>` for textual HOCL programs,
+  which no enactment needs: import it from :mod:`repro.hocl.parser`.
 """
-
-import importlib
-from typing import Any
 
 from .atoms import (
     Atom,
@@ -68,17 +66,6 @@ from .templates import (
     TupleTemplate,
 )
 
-#: what the textual parser, which no enactment needs at start-up, exports
-#: here, imported on first attribute access
-_LAZY = ("Program", "parse_program", "parse_solution")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY:
-        value = globals()[name] = getattr(importlib.import_module(f"{__name__}.parser"), name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     # atoms
@@ -128,10 +115,6 @@ __all__ = [
     # externals
     "ExternalRegistry",
     "default_registry",
-    # parser
-    "Program",
-    "parse_program",
-    "parse_solution",
     # errors
     "HOCLError",
     "AtomError",

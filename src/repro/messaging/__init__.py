@@ -1,13 +1,10 @@
-"""Message-queue substrate: ActiveMQ-like and Kafka-like broker profiles."""
+"""Message-queue substrate: messages, the in-process and the simulated broker.
 
-from .broker import (
-    ACTIVEMQ_PROFILE,
-    KAFKA_PROFILE,
-    Broker,
-    BrokerProfile,
-    InProcessBroker,
-    MessageLog,
-)
+The ActiveMQ-like and Kafka-like broker profiles are cost-model constants of
+:mod:`repro.runtime.costs`.
+"""
+
+from .broker import Broker, InProcessBroker, MessageLog
 from .message import STATUS_TOPIC, Message, MessageKind, adapt_count, agent_topic
 from .simulated import SimulatedBroker
 
@@ -18,10 +15,7 @@ __all__ = [
     "agent_topic",
     "STATUS_TOPIC",
     "Broker",
-    "BrokerProfile",
     "InProcessBroker",
     "MessageLog",
-    "ACTIVEMQ_PROFILE",
-    "KAFKA_PROFILE",
     "SimulatedBroker",
 ]

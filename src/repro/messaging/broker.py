@@ -1,11 +1,11 @@
-"""Broker abstractions: profiles, persistent logs, and the broker interface.
+"""Broker abstractions: persistent logs and the broker interface.
 
 The paper supports two message-queue middlewares and uses exactly two of
 their properties:
 
 * their relative **per-message cost** (Fig. 14 shows the whole workflow
-  running ≈ 4× slower on Kafka than on ActiveMQ), captured here by
-  :class:`BrokerProfile`;
+  running ≈ 4× slower on Kafka than on ActiveMQ), captured by the cost
+  model's :class:`~repro.runtime.costs.BrokerProfile`;
 * Kafka's **persistent, replayable log**, which is what makes the SA
   fault-recovery mechanism of Section IV-B possible, captured by
   :class:`MessageLog` and the ``persistent`` flag.
@@ -20,75 +20,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.records import Frozen
-
 from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
+    from repro.runtime.costs import BrokerProfile
 
-__all__ = ["BrokerProfile", "ACTIVEMQ_PROFILE", "KAFKA_PROFILE", "MessageLog", "Broker", "InProcessBroker"]
-
-
-class BrokerProfile(Frozen):
-    """Performance/feature profile of a message-queue middleware.
-
-    Attributes
-    ----------
-    name:
-        ``"activemq"`` or ``"kafka"`` (other middlewares can be described the
-        same way).
-    per_message_time:
-        Broker-side processing time per message (seconds); messages queue
-        behind each other on the broker's dispatcher.
-    delivery_overhead:
-        Fixed client-side overhead added to every delivery (serialisation,
-        acknowledgement round-trip).
-    persistent:
-        Whether messages are durably logged and can be replayed — required by
-        the agent-recovery mechanism.
-    """
-
-    __slots__ = ("name", "per_message_time", "delivery_overhead", "persistent")
-    name: str
-    per_message_time: float
-    delivery_overhead: float
-    persistent: bool
-
-    def __init__(self, name: str, per_message_time: float, delivery_overhead: float, persistent: bool):
-        self._init(name, per_message_time, delivery_overhead, persistent)
-
-    def scaled(self, factor: float) -> "BrokerProfile":
-        """A profile with all time costs multiplied by ``factor``."""
-        return BrokerProfile(
-            name=self.name,
-            per_message_time=self.per_message_time * factor,
-            delivery_overhead=self.delivery_overhead * factor,
-            persistent=self.persistent,
-        )
-
-
-#: ActiveMQ 5.6-like profile: fast, transient messaging.  The constants are
-#: calibrated so that the reproduced Fig. 12/14 keep the paper's shape (see
-#: DESIGN.md and repro.runtime.costs).
-ACTIVEMQ_PROFILE = BrokerProfile(
-    name="activemq",
-    per_message_time=0.002,
-    delivery_overhead=0.050,
-    persistent=False,
-)
-
-#: Kafka 0.8-like profile: markedly higher per-message cost (synchronous,
-#: replicated, disk-backed publishes — the paper measures the whole workflow
-#: running ≈ 4× slower) but persistent and replayable.
-KAFKA_PROFILE = BrokerProfile(
-    name="kafka",
-    per_message_time=0.150,
-    delivery_overhead=0.080,
-    persistent=True,
-)
+__all__ = ["MessageLog", "Broker", "InProcessBroker"]
 
 
 class MessageLog:

@@ -32,13 +32,16 @@ replay their history.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.network import NetworkModel
 from repro.simkernel import RandomStreams, Simulator
 
-from .broker import Broker, BrokerProfile, MessageLog
+from .broker import Broker, MessageLog
 from .message import Message
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.costs import BrokerProfile
 
 __all__ = ["SimulatedBroker"]
 

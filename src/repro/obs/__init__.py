@@ -10,7 +10,9 @@ The observability substrate every layer instruments against:
 * :class:`MetricsRegistry` — counters/gauges/histograms, read with
   ``obs.metrics.snapshot()`` once the run returned;
 * the trace file formats (native JSONL and Chrome trace-event for
-  Perfetto) and the rollups behind ``ginflow trace summarize``;
+  Perfetto, :mod:`repro.obs.export`) and the rollups behind ``ginflow
+  trace summarize`` (:mod:`repro.obs.summarize`), imported from their own
+  modules so that a run without ``--trace`` loads neither;
 * stdlib-logging wiring (``repro.*`` logger namespace, NullHandler
   default, ``ginflow --log-level``).
 
@@ -29,18 +31,8 @@ from typing import Any, Iterator
 
 from repro.records import Record
 
-from .export import (
-    from_chrome,
-    read_jsonl,
-    read_trace,
-    to_chrome,
-    write_chrome,
-    write_jsonl,
-    write_trace,
-)
 from .logs import configure_logging, get_logger
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .summarize import format_summary, summarize
 from .tracer import (
     EventRecord,
     JsonlTracer,
@@ -66,15 +58,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "read_trace",
-    "read_jsonl",
-    "write_trace",
-    "write_jsonl",
-    "write_chrome",
-    "to_chrome",
-    "from_chrome",
-    "summarize",
-    "format_summary",
     "get_logger",
     "configure_logging",
 ]

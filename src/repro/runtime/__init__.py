@@ -1,10 +1,13 @@
 """GinFlow runtimes: configuration, cost model, reports and execution modes.
 
-This package facade is lazy (module-level ``__getattr__``): the leaf
-packages that need one of its modules (:mod:`repro.executors.centralized`
-needs :mod:`repro.runtime.frozen`) import it without dragging the whole
-runtime stack in, and a runtime's driver module is imported only when a run
-on it is built.
+This package facade is lazy (module-level ``__getattr__``), so that
+``from repro.runtime import GinFlow`` stays a documented import path while
+importing any one of its modules loads only that module: the leaf packages
+that need one (:mod:`repro.executors.centralized` needs
+:mod:`repro.runtime.frozen`) do not drag the runtime stack in, the CLI starts
+on :mod:`repro.runtime.config` alone, and a runtime's driver module is
+imported only when a run on it is built (its ``"module:attr"`` row of
+:data:`~repro.runtime.config.BACKENDS`).
 """
 
 from __future__ import annotations

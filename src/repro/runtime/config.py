@@ -18,36 +18,34 @@ validates once on construction and can only be varied through
 
 from __future__ import annotations
 
-from typing import Any
+import importlib
+from typing import TYPE_CHECKING, Any
 
-from repro.cluster import (
-    GRID5000_NODES,
-    GRID5000_TOTAL_CORES,
-    UNIFORM_CORES_PER_NODE,
-    Cluster,
-    NetworkModel,
-    grid5000_cluster,
-    grid5000_network,
-    uniform_cluster,
-)
-from repro.executors import MesosExecutor, SSHExecutor
-from repro.messaging.broker import ACTIVEMQ_PROFILE, KAFKA_PROFILE, InProcessBroker
-from repro.obs import Observability
 from repro.records import Frozen
-from repro.services import NO_FAILURES, FailureModel, ServiceRegistry
+from repro.services.faults import NO_FAILURES, FailureModel
 
-from .costs import CostModel
+from .costs import ACTIVEMQ_PROFILE, KAFKA_PROFILE, CostModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.network import NetworkModel
+    from repro.cluster.node import Cluster
+    from repro.obs import Observability
+    from repro.services.service import ServiceRegistry
 
 __all__ = ["GinFlowConfig", "BACKENDS", "backend"]
 
 #: Every backend a run names: kind -> name -> (builder, description, flags),
-#: in the order the CLI's choices and ``ginflow backends`` show them.  A
-#: runtime's builder is its driver's ``module:function``, imported when a run
-#: on it is built (``repro.runtime.aio`` alone pulls in asyncio, ssl, socket);
-#: an executor's is its class, a cluster's its preset of the node count, and a
-#: broker's the name of its :class:`CostModel` profile.  The flags are what
-#: the listing prints; only a runtime's ``supports_failures`` is ever checked.
-BACKENDS: dict[str, dict[str, tuple[Any, str, dict[str, Any]]]] = {
+#: in the order the CLI's choices and ``ginflow backends`` show them.  Every
+#: builder is a ``"module:attr"`` string, imported by :func:`backend` when a
+#: run on it is built, so listing the table loads none of them
+#: (``repro.runtime.aio`` alone pulls in asyncio, ssl, socket): a runtime's
+#: is its driver, an executor's its class, a cluster's its preset of the node
+#: count and a broker's its default cost profile (a :class:`CostModel` may
+#: replace it under the broker's name).  The flags are what the listing
+#: prints (a cluster's numbers are held to what its preset builds by
+#: ``tests/test_backends.py``); only a runtime's ``supports_failures`` is
+#: ever checked.
+BACKENDS: dict[str, dict[str, tuple[str, str, dict[str, Any]]]] = {
     "runtime": {
         "centralized": (
             "repro.runtime.ginflow:run_centralized",
@@ -67,49 +65,55 @@ BACKENDS: dict[str, dict[str, tuple[Any, str, dict[str, Any]]]] = {
     },
     "executor": {
         "mesos": (
-            MesosExecutor,
+            "repro.executors.mesos:MesosExecutor",
             "offer-based Mesos provisioning (one agent per offered node per round)",
             {"deployment": "resource-offers", "scaling": "linearly-decreasing"},
         ),
         "ssh": (
-            SSHExecutor,
+            "repro.executors.ssh:SSHExecutor",
             "round-robin SSH provisioning over a preconfigured node list",
             {"deployment": "round-robin", "scaling": "slightly-increasing"},
         ),
     },
     "broker": {
         "activemq": (
-            "activemq",
+            "repro.runtime.costs:ACTIVEMQ_PROFILE",
             "ActiveMQ 5.6-like JMS broker: fast, transient messaging",
             {"persistent": ACTIVEMQ_PROFILE.persistent},
         ),
         "kafka": (
-            "kafka",
+            "repro.runtime.costs:KAFKA_PROFILE",
             "Kafka 0.8-like broker: persistent, replayable, ~4x ActiveMQ's cost",
             {"persistent": KAFKA_PROFILE.persistent},
         ),
     },
     "cluster": {
         "grid5000": (
-            grid5000_cluster,
+            "repro.cluster.grid5000:grid5000_cluster",
             "the paper's Grid'5000 testbed: 25 nodes, 568 cores, 2 agents/core",
-            {"max_nodes": GRID5000_NODES, "total_cores": GRID5000_TOTAL_CORES},
+            {"max_nodes": 25, "total_cores": 568},
         ),
         "uniform": (
-            uniform_cluster,
+            "repro.cluster.presets:uniform_cluster",
             "homogeneous cluster: any node count, 8 cores per node, 2 agents/core",
-            {"max_nodes": None, "cores_per_node": UNIFORM_CORES_PER_NODE},
+            {"max_nodes": None, "cores_per_node": 8},
         ),
     },
 }
 
 
-def backend(kind: str, name: str) -> tuple[Any, str, dict[str, Any]]:
+def _row(kind: str, name: str) -> tuple[str, str, dict[str, Any]]:
     """The :data:`BACKENDS` row of the ``kind`` backend called exactly ``name``."""
     rows = BACKENDS[kind]
     if name not in rows:
         raise ValueError(f"unknown {kind} {name!r}; expected one of {tuple(rows)}")
     return rows[name]
+
+
+def backend(kind: str, name: str) -> Any:
+    """The builder of the ``kind`` backend called exactly ``name``, imported from its row."""
+    module, _, attribute = _row(kind, name)[0].partition(":")
+    return getattr(importlib.import_module(module), attribute)
 
 
 class GinFlowConfig(Frozen):
@@ -189,11 +193,11 @@ class GinFlowConfig(Frozen):
     # ------------------------------------------------------------ validation
     def validate(self) -> None:
         """Check the configuration coherence; raise ``ValueError`` otherwise."""
-        runtime = backend("runtime", self.mode)
-        backend("executor", self.executor)
-        backend("broker", self.broker)
+        runtime = _row("runtime", self.mode)
+        _row("executor", self.executor)
+        _row("broker", self.broker)
         if self.cluster is None:
-            backend("cluster", self.cluster_preset)
+            _row("cluster", self.cluster_preset)
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
         if self.failures.enabled and not runtime[2]["supports_failures"]:
@@ -212,15 +216,17 @@ class GinFlowConfig(Frozen):
         """The cluster to run on (explicit cluster, or the named preset)."""
         if self.cluster is not None:
             return self.cluster
-        return backend("cluster", self.cluster_preset)[0](self.nodes)
+        return backend("cluster", self.cluster_preset)(self.nodes)
 
     def build_network(self) -> NetworkModel:
         """The network model: explicit, or the Grid'5000 default."""
+        from repro.cluster.grid5000 import grid5000_network
+
         return self.network if self.network is not None else grid5000_network()
 
     def build_executor(self) -> Any:
         """The distributed executor instance named by ``executor``."""
-        return backend("executor", self.executor)[0]()
+        return backend("executor", self.executor)()
 
     def broker_profile(self) -> Any:
         """The cost model's profile of the broker named by ``broker``."""
@@ -228,12 +234,16 @@ class GinFlowConfig(Frozen):
 
     def build_local_broker(self) -> Any:
         """The in-process broker of the wall-clock runtimes, observability attached."""
+        from repro.messaging.broker import InProcessBroker
+
         broker = InProcessBroker(self.broker_profile())
         broker.attach_observability(self.obs)
         return broker
 
     def build_registry(self) -> ServiceRegistry:
         """The service registry (a fresh default one when none was given)."""
+        from repro.services.service import ServiceRegistry
+
         return self.registry if self.registry is not None else ServiceRegistry()
 
     # --------------------------------------------------------------- utility

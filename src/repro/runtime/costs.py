@@ -9,7 +9,9 @@ The constants were calibrated so that the reproduced figures have the same
 shape (and roughly the same magnitudes) as the paper's:
 
 * per-message broker costs make message-heavy workflows (fully-connected
-  diamonds, Kafka runs) pay proportionally — Fig. 12(b), Fig. 14;
+  diamonds, Kafka runs) pay proportionally — Fig. 12(b), Fig. 14 — one
+  :class:`BrokerProfile` per middleware, which also says whether its log
+  is persistent and replayable (what agent recovery needs);
 * per-reduction costs grow with the size of the local solution, reproducing
   the "pattern matching depends on the size of the solution" effect the
   paper discusses in Section V-A;
@@ -20,10 +22,68 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.messaging.broker import ACTIVEMQ_PROFILE, KAFKA_PROFILE, BrokerProfile
 from repro.records import Frozen
 
-__all__ = ["CostModel"]
+__all__ = ["BrokerProfile", "ACTIVEMQ_PROFILE", "KAFKA_PROFILE", "CostModel"]
+
+
+class BrokerProfile(Frozen):
+    """Performance/feature profile of a message-queue middleware.
+
+    Attributes
+    ----------
+    name:
+        ``"activemq"`` or ``"kafka"`` (other middlewares can be described the
+        same way).
+    per_message_time:
+        Broker-side processing time per message (seconds); messages queue
+        behind each other on the broker's dispatcher.
+    delivery_overhead:
+        Fixed client-side overhead added to every delivery (serialisation,
+        acknowledgement round-trip).
+    persistent:
+        Whether messages are durably logged and can be replayed — required by
+        the agent-recovery mechanism.
+    """
+
+    __slots__ = ("name", "per_message_time", "delivery_overhead", "persistent")
+    name: str
+    per_message_time: float
+    delivery_overhead: float
+    persistent: bool
+
+    def __init__(self, name: str, per_message_time: float, delivery_overhead: float, persistent: bool):
+        self._init(name, per_message_time, delivery_overhead, persistent)
+
+    def scaled(self, factor: float) -> "BrokerProfile":
+        """A profile with all time costs multiplied by ``factor``."""
+        return BrokerProfile(
+            name=self.name,
+            per_message_time=self.per_message_time * factor,
+            delivery_overhead=self.delivery_overhead * factor,
+            persistent=self.persistent,
+        )
+
+
+#: ActiveMQ 5.6-like profile: fast, transient messaging.  The constants are
+#: calibrated so that the reproduced Fig. 12/14 keep the paper's shape (see
+#: DESIGN.md).
+ACTIVEMQ_PROFILE = BrokerProfile(
+    name="activemq",
+    per_message_time=0.002,
+    delivery_overhead=0.050,
+    persistent=False,
+)
+
+#: Kafka 0.8-like profile: markedly higher per-message cost (synchronous,
+#: replicated, disk-backed publishes — the paper measures the whole workflow
+#: running ≈ 4× slower) but persistent and replayable.
+KAFKA_PROFILE = BrokerProfile(
+    name="kafka",
+    per_message_time=0.150,
+    delivery_overhead=0.080,
+    persistent=True,
+)
 
 
 class CostModel(Frozen):
@@ -99,9 +159,10 @@ class CostModel(Frozen):
     # ------------------------------------------------------------- helpers
     def broker_profile(self, name: str) -> BrokerProfile:
         """The profile of the broker called exactly ``name`` (``"activemq"`` / ``"kafka"``)."""
-        from .config import backend  # the backend table (its module imports this one)
+        from .config import _row  # the backend table (its module imports this one)
 
-        return getattr(self, backend("broker", name)[0])
+        _row("broker", name)  # refuses any other name
+        return getattr(self, name)
 
     def handling_cost(self, reduction_units: float) -> float:
         """Virtual time consumed by one agent handling step.

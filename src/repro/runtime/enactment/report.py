@@ -1,12 +1,13 @@
-"""Shared run-report assembly.
+"""Run-report assembly, for every runtime.
 
-Both agent runtimes' :class:`~repro.runtime.results.RunReport` is built here,
-so the per-task rows (:class:`~repro.runtime.results.TaskOutcome`), the
-message counters and the chemistry counters are identical across clocks by
-construction — the driver only supplies what genuinely differs: the timing
-figures and the identity fields of its configuration.  What the report
-derives from them (``succeeded``, ``results``, ...) it derives itself, as
-it does for the centralised runtime's.
+Both agent runtimes' :class:`~repro.runtime.results.RunReport` is built by
+:class:`ReportAssembler`, so the per-task rows
+(:class:`~repro.runtime.results.TaskOutcome`), the message counters and the
+chemistry counters are identical across clocks by construction — the driver
+only supplies what genuinely differs: the timing figures and the identity
+fields of its configuration.  The centralised runtime's is built by
+:func:`centralized_report` from the one interpreter's outcome.  What the
+report derives from them (``succeeded``, ``results``, ...) it derives itself.
 """
 
 from __future__ import annotations
@@ -16,9 +17,40 @@ from typing import TYPE_CHECKING
 from ..results import RunReport, TaskOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.executors.centralized import CentralizedOutcome
+
     from .engine import EnactmentEngine
 
-__all__ = ["ReportAssembler"]
+__all__ = ["ReportAssembler", "centralized_report"]
+
+
+def centralized_report(outcome: CentralizedOutcome, seed: int) -> RunReport:
+    """The report of a centralised run: one interpreter on ``localhost``, no broker."""
+    encoding = outcome.encoding
+    tasks = {}
+    for name in encoding.tasks:  # workflow order, replacements after, whatever the hash seed
+        result = outcome.results.get(name)
+        error = name in outcome.errors
+        tasks[name] = TaskOutcome(
+            task=name,
+            state="failed" if error else ("completed" if result is not None else "idle"),
+            result=result,
+            error=error,
+            node="localhost",
+            attempts=outcome.attempts.get(name, 0),
+        )
+    return RunReport(
+        mode="centralized",
+        executor="centralized",
+        broker="none",
+        nodes=1,
+        seed=seed,
+        tasks=tasks,
+        exit_tasks=encoding.exit_tasks(),
+        rule_fires=outcome.report.rule_fires,
+        trigger_rules=encoding.trigger_rules(local=False),
+        reduction_match_attempts=outcome.report.match_attempts,
+    )
 
 
 class ReportAssembler:

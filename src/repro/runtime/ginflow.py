@@ -30,7 +30,6 @@ same decentralised protocol.
 
 from __future__ import annotations
 
-import importlib
 from contextlib import nullcontext
 from typing import Any
 
@@ -40,7 +39,8 @@ from repro.workflow.dag import Workflow
 from repro.workflow.json_format import workflow_from_json
 
 from .config import GinFlowConfig, backend
-from .results import RunReport, TaskOutcome
+from .enactment.report import centralized_report
+from .results import RunReport
 
 __all__ = ["GinFlow", "run_centralized"]
 
@@ -85,8 +85,7 @@ class GinFlow:
             workflow = workflow_from_json(workflow)
         config = self._effective_config(overrides)
         workflow.ensure_valid()
-        module, _, function = backend("runtime", config.mode)[0].partition(":")
-        runtime = getattr(importlib.import_module(module), function)
+        runtime = backend("runtime", config.mode)
         # with observability on, the collector is one more measured layer
         with config.obs.watching_gc() if config.obs is not None else nullcontext():
             return runtime(workflow, config, timeout)
@@ -155,29 +154,4 @@ def run_centralized(workflow: Workflow, config: GinFlowConfig, timeout: float | 
     """Run ``workflow`` on a single centralised HOCL interpreter (the
     ``centralized`` runtime's entry point; ``timeout`` is unused)."""
     executor = CentralizedExecutor(registry=config.build_registry(), obs=config.obs)
-    outcome = executor.execute(workflow)
-    encoding = outcome.encoding
-    tasks = {}
-    for name in encoding.tasks:  # workflow order, replacements after, whatever the hash seed
-        result = outcome.results.get(name)
-        error = name in outcome.errors
-        tasks[name] = TaskOutcome(
-            task=name,
-            state="failed" if error else ("completed" if result is not None else "idle"),
-            result=result,
-            error=error,
-            node="localhost",
-            attempts=outcome.attempts.get(name, 0),
-        )
-    return RunReport(
-        mode="centralized",
-        executor="centralized",
-        broker="none",
-        nodes=1,
-        seed=config.seed,
-        tasks=tasks,
-        exit_tasks=encoding.exit_tasks(),
-        rule_fires=outcome.report.rule_fires,
-        trigger_rules=encoding.trigger_rules(local=False),
-        reduction_match_attempts=outcome.report.match_attempts,
-    )
+    return centralized_report(executor.execute(workflow), config.seed)

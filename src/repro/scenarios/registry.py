@@ -35,6 +35,7 @@ __all__ = [
     "available_scenarios",
     "build_scenario",
     "parse_scenario_spec",
+    "coerce_value",
 ]
 
 
@@ -169,11 +170,12 @@ def parse_scenario_spec(spec: str) -> tuple[str, dict[str, Any]]:
                 )
             if key in params:
                 raise ScenarioError(f"invalid scenario spec {spec!r}; duplicate parameter {key!r}")
-            params[key] = _coerce(value)
+            params[key] = coerce_value(value)
     return name, params
 
 
-def _coerce(text: str) -> Any:
+def coerce_value(text: str) -> Any:
+    """``text`` as an int, else a float, else a bool (``true``/``false``), else itself."""
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"

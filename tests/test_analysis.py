@@ -12,18 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    AnalysisReport,
-    Finding,
-    Severity,
+from repro.analysis import AnalysisReport, Finding, Severity
+from repro.analysis.analyzer import (
     analyze_all_scenarios,
     analyze_document,
     analyze_encoding,
     analyze_rules,
     analyze_scenario,
     analyze_workflow,
-    available_checks,
 )
+from repro.analysis.checks import available_checks
 from repro.cli import main
 from repro.analysis.analyzer import _injected_keys
 from repro.analysis.checks import CHECK_KINDS, CHECKS, AnalysisCheck
@@ -87,7 +85,7 @@ class TestRuleChecks:
 
     def test_a_parsed_condition_reading_an_unbound_name(self):
         """The condition is data the summary reads: a parsed one too."""
-        from repro.hocl import parse_program
+        from repro.hocl.parser import parse_program
 
         rule = parse_program("let r = replace x by x if z > 0 in <r>").rules["r"]
         (finding,) = findings_for(analyze_rules([rule], solution=Multiset([1])), "rule-unbound-condition")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_rules
+from repro.analysis.analyzer import analyze_rules
 from repro.hocl import Compare, Multiset, Ref, Rule, RuleError, Var
 from repro.hocl import patterns as patterns_module
 from repro.hocl import templates as templates_module
@@ -843,3 +843,72 @@ class TestARunReportStatesEachFactOnce:
             assert old in source
             source = source.replace(old, new, 1)
         assert report_field_problems(ast.parse(source)) == [problem]
+
+
+# -------------------------------------------------- one table, loaded on demand
+#: the two documented facades that resolve their names on first access
+_FACADES = {"__init__.py", "runtime/__init__.py"}
+
+
+def lazy_modules(modules):
+    """Every module-level ``__getattr__`` outside the two facades: a third way
+    of deciding what an import loads, beside the facades and plain imports."""
+    return [
+        f"{path}:{node.lineno}: __getattr__"
+        for path, tree in modules.items() if path not in _FACADES
+        for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+
+
+def second_command_places(tree):
+    """Where ``cli.py`` names a subcommand beside its row of ``COMMANDS``: a
+    name given as a string more than once, or a second table of commands."""
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "COMMANDS"
+    ]
+    names = [key.value for key in table.keys]
+    strings = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    found = [f"{name}: named {strings.count(name)} times" for name in names if strings.count(name) != 1]
+    found += [
+        f"{target.id}: a second table"
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and "COMMANDS" in target.id and target.id != "COMMANDS"
+    ]
+    return found
+
+
+class TestOneTableOfCommands:
+    def test_the_source(self):
+        assert lazy_modules(_sources()) == []
+        assert second_command_places(_sources()["cli.py"]) == []
+
+    def test_the_parser_is_the_table(self):
+        from repro.cli import COMMANDS, build_parser
+
+        (subparsers,) = [action for action in build_parser()._actions if action.dest == "command"]
+        assert tuple(subparsers.choices) == tuple(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            {"hocl____init__": "def __getattr__(name):\n    raise AttributeError(name)\n"},
+            {"analysis____init__": "import importlib\ndef __getattr__(name):\n    return importlib.import_module(name)\n"},
+        ],
+    )
+    def test_a_seeded_lazy_module_is_rejected(self, seeded):
+        modules = {**_sources(), **_parsed(**seeded)}
+        assert lazy_modules(modules)
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            "def extra(subparsers):\n    subparsers.add_parser('run')\n",
+            "_COMMANDS = {}\n",
+        ],
+        ids=["a-second-block", "a-second-table"],
+    )
+    def test_a_seeded_second_place_is_rejected(self, seeded):
+        source = (SRC / "cli.py").read_text(encoding="utf-8") + "\n" + seeded
+        assert second_command_places(ast.parse(source))

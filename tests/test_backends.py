@@ -1,5 +1,6 @@
 """Tests for the table of backends and the immutable configuration."""
 
+import importlib
 import re
 
 import pytest
@@ -32,6 +33,26 @@ class TestTable:
             # exact names only: no case folding
             with pytest.raises(ValueError):
                 backend(kind, next(iter(rows)).upper())
+
+    def test_every_builder_is_a_module_attribute_string(self):
+        for kind, rows in BACKENDS.items():
+            for name, (builder, _description, _flags) in rows.items():
+                module, colon, attribute = builder.partition(":")
+                assert colon and module.startswith("repro.") and attribute.isidentifier(), (kind, name)
+                assert backend(kind, name) is getattr(importlib.import_module(module), attribute)
+
+    def test_the_listed_flags_are_the_builders(self):
+        """The listing's numbers and persistence are what the builders build."""
+        costs = CostModel()
+        for name, (_builder, _description, flags) in BACKENDS["broker"].items():
+            assert backend("broker", name) is costs.broker_profile(name)
+            assert flags["persistent"] is costs.broker_profile(name).persistent
+        grid5000 = BACKENDS["cluster"]["grid5000"][2]
+        assert grid5000["total_cores"] == backend("cluster", "grid5000")(grid5000["max_nodes"]).total_cores
+        with pytest.raises(ValueError):
+            backend("cluster", "grid5000")(grid5000["max_nodes"] + 1)
+        uniform = backend("cluster", "uniform")(3)
+        assert {node.cores for node in uniform.nodes} == {BACKENDS["cluster"]["uniform"][2]["cores_per_node"]}
 
     @pytest.mark.parametrize("mode", ["simulated", "asyncio"])
     def test_a_cheap_persistent_broker_runs_on_every_runtime_with_a_broker(self, mode):

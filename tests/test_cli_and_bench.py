@@ -83,6 +83,12 @@ class TestCLI:
         assert len(errors) == 1 and errors[0].startswith("ginflow: error: unrecognized arguments: --reduction")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("form", [[], ["--names"], ["--json"]], ids=["text", "names", "json"])
+    def test_an_unknown_scenario_is_refused_in_every_form(self, form, capsys):
+        assert main(["scenarios", "bogus", *form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: unknown scenario 'bogus'; expected one of (")
+
     def test_backends_lists_no_reduction_kind(self, capsys):
         assert main(["backends"]) == 0
         kinds = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]

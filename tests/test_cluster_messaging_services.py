@@ -18,8 +18,6 @@ from repro.cluster import (
     grid5000_network,
 )
 from repro.messaging import (
-    ACTIVEMQ_PROFILE,
-    KAFKA_PROFILE,
     InProcessBroker,
     Message,
     MessageKind,
@@ -35,7 +33,7 @@ from repro.services import (
     ServiceRegistry,
     SyntheticService,
 )
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import ACTIVEMQ_PROFILE, KAFKA_PROFILE, CostModel
 from repro.simkernel import RandomStreams, Simulator
 
 

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from test_run_floor import measured_alone
 
 from repro.agents import Coordinator
-from repro.messaging import ACTIVEMQ_PROFILE, InProcessBroker, Message, MessageKind
+from repro.messaging import InProcessBroker, Message, MessageKind
+from repro.runtime.costs import ACTIVEMQ_PROFILE
 from repro.runtime import (
     AsyncioRun,
     GinFlow,

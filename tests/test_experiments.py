@@ -144,6 +144,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="picklable"):
             GinFlow().sweep(lambda: _tiny_diamond(), ParameterGrid({"nodes": [5, 10]}), workers=2)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_worker_count_below_one_is_refused(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            GinFlow().sweep(_tiny_diamond, ParameterGrid({"nodes": [5, 10]}), workers=workers)
+        # None and 1 both run in this process
+        for sequential in (None, 1):
+            assert GinFlow().sweep(_tiny_diamond, ParameterGrid({"nodes": [5]}), workers=sequential).succeeded
+
     def test_metrics_callback(self):
         def metrics(report, cell, workflow):
             return {"tasks": len(workflow)}
@@ -284,6 +292,13 @@ class TestSweepCLI:
 
         assert main(["sweep", workflow_file, "--param", "nodes=5", "--param", "nodes=10"]) == 2
         assert "duplicate --param" in capsys.readouterr().err
+
+    def test_sweep_refuses_a_worker_count_below_one(self, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "--scenario", "forkjoin", "--param", "size=10,20", "--workers", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers must be >= 1") and len(err.splitlines()) == 1
 
     def test_backends_command(self, capsys):
         from repro.cli import main

@@ -14,10 +14,9 @@ from repro.hocl import (
     Subsolution,
     Symbol,
     TupleAtom,
-    parse_program,
-    parse_solution,
     reduce_solution,
 )
+from repro.hocl.parser import parse_program, parse_solution
 
 
 class TestSolutionLiterals:

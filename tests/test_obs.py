@@ -300,7 +300,7 @@ class TestReconciliation:
         core = AgentCore(encode_workflow(diamond_workflow(2, 2)).tasks["split"])
         monkeypatch.setattr(engine_module, "perf_counter", refuse)
         assert core.boot() and core.invocation_succeeded("done")
-        assert core.reactions == 4
+        assert sum(core.rule_fires.values()) == 4
 
     def test_reduction_spans_nest_inside_stimulus_spans(self):
         obs = Observability(tracer=RecordingTracer())

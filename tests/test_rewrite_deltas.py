@@ -46,7 +46,6 @@ from repro.hocl import (
     AtomError,
     Call,
     Compare,
-    default_registry,
     IntAtom,
     Multiset,
     Omega,
@@ -66,8 +65,9 @@ from repro.hocl import (
     TuplePattern,
     TupleTemplate,
     Var,
-    parse_program,
+    default_registry,
 )
+from repro.hocl.parser import parse_program
 from repro.hocl.deltas import Fire, PatchAdd, PatchRemove, RewriteDelta, derive_delta
 from repro.hocl.patterns import Source
 from repro.hoclflow import keywords as kw

@@ -12,8 +12,9 @@
 * a process that exits without sweeping the finished run (``gc.freeze`` at
   exit, registered once by ``repro.cli.main``), invisible to in-process callers;
 * no numpy and no networkx on any run path, and a start-up without the
-  runtime drivers (asyncio with them), the textual parser, pickle and no
-  module of the reduction modes the one loop replaced;
+  runtime drivers (asyncio with them), the textual parser, pickle, the trace
+  exporter, the summariser, the analyzer, the experiments and the figure
+  drivers; a listing command's ``repro`` modules pinned at their count;
 * a Python-call budget per stimulus through each clock's agent driver;
 * one validation per workflow object per run, ``topological_order`` pinned
   against networkx (a test-only oracle);
@@ -853,17 +854,26 @@ class TestExitDoesNotSweep:
 # ----------------------------------------------------------------- start-up
 def modules_after(argv, tmp_path, watched=("numpy", "networkx"), prelude=""):
     """Which of the ``watched`` modules a fresh interpreter holds after ``ginflow argv``
-    (``prelude`` runs first: a seeded violation)."""
+    (``prelude`` runs first: a seeded violation); ``watched=REPRO`` reports
+    how many ``repro`` modules it holds instead."""
+    held = (
+        "len([m for m in sys.modules if m == 'repro' or m.startswith('repro.')])" if watched is REPRO
+        else f"sorted(m for m in {watched!r} if m in sys.modules)"
+    )
     script = (
         f"{prelude}\n"
         "import sys\n"
         "from repro.cli import main\n"
         f"status = main({argv!r})\n"
-        f"print('LOADED', status, sorted(m for m in {watched!r} if m in sys.modules))\n"
+        f"print('LOADED', status, {held})\n"
     )
     done = fresh_interpreter(script, tmp_path)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+#: ``modules_after(..., watched=REPRO)``: count the ``repro.*`` modules
+REPRO = object()
 
 
 class TestStartUpWithoutNumpyAndNetworkx:
@@ -926,11 +936,30 @@ class TestStartUpWithoutNumpyAndNetworkx:
         assert modules_after(["backends", "--kind", "runtime"], tmp_path, drivers) == "LOADED 0 []"
 
     def test_what_no_command_uses_is_not_imported_at_start_up(self, tmp_path):
-        # graphlib only names a cycle the workflow's own Kahn pass found
-        unused = ("pickle", "graphlib", "repro.hocl.parser", "repro.hocl.parallel", "repro.runtime.reduction")
+        # graphlib only names a cycle the workflow's own Kahn pass found; the
+        # trace exporter and the summariser are --trace's and `trace`'s, the
+        # analyzer lint's and audit's, the experiments sweep's, and the figure
+        # drivers no command's
+        unused = (
+            "pickle", "graphlib", "repro.hocl.parser", "repro.obs.export", "repro.obs.summarize",
+            "repro.analysis", "repro.experiments", "repro.bench",
+        )
         assert modules_after(["backends"], tmp_path, unused) == "LOADED 0 []"
         argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
         assert modules_after(argv, tmp_path, unused) == "LOADED 0 []"
+
+    def test_a_seeded_summariser_import_in_a_run_is_caught(self, tmp_path):
+        seeded = (
+            "import repro.commands\n"
+            "_run = repro.commands.run\n"
+            "def run(args):\n"
+            "    import repro.obs.summarize\n"
+            "    return _run(args)\n"
+            "repro.commands.run = run\n"
+        )
+        argv = ["run", "--scenario", "montage:size=30,seed=1", "--json"]
+        watched = ("repro.obs.export", "repro.obs.summarize")
+        assert modules_after(argv, tmp_path, watched, prelude=seeded) == "LOADED 0 ['repro.obs.summarize']"
 
     def test_a_seeded_graphlib_import_at_start_up_is_caught(self, tmp_path):
         seeded = (
@@ -969,6 +998,27 @@ class TestStartUpWithoutNumpyAndNetworkx:
         oracle_only = re.compile(r"(import|from) +(numpy|networkx)")
         sources = pathlib.Path(repro.__file__).parent.rglob("*.py")
         assert not [str(path) for path in sources if oracle_only.search(path.read_text(encoding="utf-8"))]
+
+
+class TestEachCommandLoadsWhatItRuns:
+    """``repro`` modules held after a listing command, pinned at the measured
+    count (a CPython-independent measure: the standard library's own imports
+    differ from version to version)."""
+
+    PINS = {"backends": 13, "scenarios": 23}
+
+    @pytest.mark.parametrize("command", sorted(PINS))
+    def test_a_listing_loads_at_most_its_pin(self, command, tmp_path):
+        loaded = int(modules_after([command], tmp_path, REPRO).split()[-1])
+        assert loaded <= self.PINS[command]
+
+    @pytest.mark.parametrize("command", sorted(PINS))
+    def test_a_seeded_eager_import_breaks_the_pin(self, command, tmp_path):
+        # an executor imported at module level, as a class-valued builder in
+        # runtime/config.py would need
+        seeded = "import repro.runtime.config\nimport repro.executors.mesos\n"
+        loaded = int(modules_after([command], tmp_path, REPRO, prelude=seeded).split()[-1])
+        assert loaded > self.PINS[command]
 
 
 # --------------------------------------------------------------- validation

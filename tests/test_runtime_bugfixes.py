@@ -25,7 +25,7 @@ import warnings
 
 import pytest
 
-from repro import cli
+from repro import cli, commands
 from repro.agents import AgentCore
 from repro.agents.recovery import rebuild_agent
 from repro.hoclflow.translator import encode_workflow
@@ -232,9 +232,9 @@ class TestTimeoutSurfacing:
         assert not report.succeeded and not report.timed_out
 
     def test_cli_exits_1_on_a_cut_off_simulated_run(self, monkeypatch, capsys):
-        base_config = cli._base_config
+        base_config = commands._base_config
         monkeypatch.setattr(
-            cli, "_base_config", lambda *args: base_config(*args).with_overrides(max_virtual_time=10.0)
+            commands, "_base_config", lambda *args: base_config(*args).with_overrides(max_virtual_time=10.0)
         )
         assert cli.main(["run", "--scenario", "longchain:size=20", "--json"]) == 1
         summary = json.loads(capsys.readouterr().out)

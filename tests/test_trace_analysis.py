@@ -11,16 +11,15 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    Severity,
+from repro.analysis import Finding, Severity
+from repro.analysis.checks import available_checks
+from repro.analysis.trace import (
     audit_all_scenarios,
     audit_plans,
     audit_reduction,
     audit_run,
     audit_scenario,
     audit_workflow,
-    available_checks,
 )
 from repro.agents.coordinator import TimelineEvent
 from repro.analysis.checks import CHECKS, AnalysisCheck

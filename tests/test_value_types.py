@@ -36,7 +36,7 @@ from repro.executors.ssh import SSHExecutor
 from repro.experiments.experiment import _CONFIG_FIELDS
 from repro.hocl.engine import ReactionRecord
 from repro.hoclflow.translator import TaskEncoding
-from repro.messaging import BrokerProfile
+from repro.runtime.costs import BrokerProfile
 from repro.obs import EventRecord, Observability, SpanRecord
 from repro.records import Frozen, FrozenError
 from repro.runtime import CostModel, GinFlowConfig
