@@ -23,7 +23,7 @@ from logging import DEBUG
 from time import perf_counter
 from typing import Any
 
-from repro.hocl import Multiset, ReductionEngine, Symbol, from_atom, to_atom
+from repro.hocl import Multiset, ReductionEngine, ReductionError, Symbol, from_atom, to_atom
 from repro.obs.logs import get_logger
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.hoclflow import keywords as kw
@@ -44,7 +44,12 @@ from repro.hoclflow.translator import TaskEncoding
 from .actions import Action, SendResult, StartInvocation, StatusUpdate
 from .local_rules import LOCAL_EXTERNALS, build_local_rules
 
-__all__ = ["AgentState", "AgentCore"]
+__all__ = ["AgentState", "AgentCore", "MAX_REDUCTION_STEPS"]
+
+#: Reactions one stimulus's reduction may make before the agent gives up
+#: with a :class:`~repro.hocl.ReductionError` (no workflow of the catalog
+#: comes near it).
+MAX_REDUCTION_STEPS = 10_000
 
 #: One logger for every agent (the task name goes in the message): a logger
 #: per task name would stay registered in the logging manager for good.
@@ -72,8 +77,6 @@ class AgentCore:
     ----------
     encoding:
         The task's HOCLflow encoding (fields + generic rules).
-    max_reduction_steps:
-        Safety bound on reactions per stimulus.
     trace:
         Optional :class:`~repro.obs.tracer.Tracer`: when active, every
         stimulus this core handles is recorded as an ``agent.<stimulus>``
@@ -86,7 +89,6 @@ class AgentCore:
     def __init__(
         self,
         encoding: TaskEncoding,
-        max_reduction_steps: int = 10_000,
         trace: "Tracer | None" = None,
     ) -> None:
         self.encoding = encoding
@@ -100,7 +102,7 @@ class AgentCore:
         # of the solution the stimulus actually dirtied.
         self.engine = ReductionEngine(
             externals=LOCAL_EXTERNALS,
-            max_steps=max_reduction_steps,
+            max_steps=MAX_REDUCTION_STEPS,
             trace=self.trace,
             trace_track=self.name,
         )
@@ -207,6 +209,11 @@ class AgentCore:
         trace = self.trace
         started = perf_counter() if trace is not None else 0.0
         report = self.engine.reduce(self.solution)
+        if not report.inert:
+            raise ReductionError(
+                f"agent {self.name!r}: the {stimulus} reduction stopped after {report.reactions} reactions, "
+                f"at its bound of {self.engine.max_steps}, before the solution was inert"
+            )
         self.match_attempts += report.match_attempts
         self.reduction_units += report.reduction_units(len(self.solution))
         for rule_name, fires in report.rule_fires.items():

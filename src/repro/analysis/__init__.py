@@ -11,19 +11,16 @@ dynamically (holding the artifacts a run produces — fire counters, message
 accounting, timelines, adaptation plans — to the invariants the enactment
 protocol promises).
 
-Seven check families (see the modules for the catalog):
+Six check families (see the modules for the catalog):
 
 * rule checks (:mod:`repro.analysis.rule_checks`) — unbound product or
   condition variables, structurally dead index keys, shadowed rules,
   duplicate rule names, ``Ref``/``Splice`` arity mismatches;
-* workflow checks (:mod:`repro.analysis.workflow_checks`) — cycles, orphan
-  tasks, unreachable tasks/exits, duplicate task names in the source
-  document, JSON-safety of the round-trip;
-* scenario checks (:mod:`repro.analysis.scenario_checks`) — declared
-  cost/failure-profile consistency and seed determinism;
+* workflow checks (:mod:`repro.analysis.workflow_checks`) — orphan tasks
+  and JSON-safety of the round-trip, on a workflow ``validate`` accepted;
 * trace checks (:mod:`repro.analysis.trace_checks`) — rules an enactment
-  holds but never fires across a run or sweep, fire-counter/history/reactions
-  accounting, inertness;
+  holds but never fires across a run or sweep, and fired rules it does not
+  hold;
 * run checks (:mod:`repro.analysis.trace_checks`) — published vs delivered
   message accounting, per-task attempt/failure bookkeeping, exit-task
   terminal states, STATUS timeline ordering;
@@ -33,6 +30,12 @@ Seven check families (see the modules for the catalog):
 * obs checks (:mod:`repro.analysis.obs_checks`) — recorded-trace
   invariants: spans closed and well-nested, broker publish/deliver events
   matching the transport counters.
+
+A workflow is analysed as the program a run enacts: ``ginflow lint`` loads
+a document with :func:`~repro.workflow.json_format.workflow_from_json`, the
+loader of ``ginflow run``, and what it or ``Workflow.validate`` refuses (a
+typo'd key, a duplicate task, a cycle, a broken adaptation) is one
+``workflow-document`` finding carrying the refusal's message.
 
 The checks are the rows of one closed table,
 :data:`repro.analysis.checks.CHECKS` (the same idiom as the scenarios),

@@ -8,17 +8,17 @@ The drivers are what ``ginflow lint`` and the pytest API call:
   plus each task sub-solution), wiring the cross-scope injection keys
   (e.g. the ``ADAPT`` markers a global ``trigger_adapt`` pushes into task
   sub-solutions) so intentionally-injected atoms are not reported as dead;
-* :func:`analyze_workflow` — structural workflow checks, then (when the
-  workflow is structurally sound) the full encoding analysis;
-* :func:`analyze_document` — lenient loading of a raw JSON document, so a
-  broken file yields findings instead of one opaque parse error;
+* :func:`analyze_workflow` — ``Workflow.validate``, the workflow checks,
+  then (when none of them errs) the full encoding analysis;
+* :func:`analyze_document` — load a JSON document with the one loader
+  ``ginflow run`` uses and analyse what it builds; a document the loader
+  refuses is one finding carrying the loader's message;
 * :func:`analyze_scenario` / :func:`analyze_all_scenarios` — build a
-  scenario of the catalog and hold it to its declared profiles.
+  scenario of the catalog and analyse it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -30,13 +30,13 @@ from repro.scenarios.registry import (
     get_scenario,
     parse_scenario_spec,
 )
-from repro.workflow.dag import Task, Workflow
-from repro.workflow.errors import JSONFormatError, WorkflowValidationError
+from repro.workflow.dag import Workflow
+from repro.workflow.errors import WorkflowError
+from repro.workflow.json_format import workflow_from_json
 
 from .findings import AnalysisReport, Finding, Severity
 from .checks import checks_for
 from .rule_checks import RuleScope
-from .scenario_checks import ScenarioContext
 from .workflow_checks import WorkflowContext
 
 __all__ = [
@@ -115,74 +115,61 @@ def analyze_encoding(encoding: WorkflowEncoding, label: str = "") -> AnalysisRep
     return report
 
 
-def analyze_workflow(
-    workflow: Workflow,
-    document: Mapping[str, Any] | None = None,
-    label: str = "",
-) -> AnalysisReport:
-    """Structural checks, then — if the workflow is sound — encoding checks."""
+def _refused(error: WorkflowError, subject: str, location: str) -> AnalysisReport:
+    """The one finding a refused workflow gets: the refusal's own text, the
+    ``error:`` line ``ginflow validate`` prints for it."""
+    report = AnalysisReport()
+    report.add(
+        Finding(
+            check="workflow-document",
+            severity=Severity.ERROR,
+            subject=subject,
+            message=str(error),
+            fix_hint="fix what the message names; `ginflow run` refuses the workflow until then",
+            location=location,
+        )
+    )
+    return report
+
+
+def analyze_workflow(workflow: Workflow, label: str = "") -> AnalysisReport:
+    """The workflow checks, then — if none of them errs — the encoding checks.
+
+    A workflow :meth:`~repro.workflow.dag.Workflow.validate` refuses (no
+    task, a cycle, a broken adaptation) gets one ``workflow-document``
+    finding carrying the refusal, and nothing else is checked.
+    """
     where = label or f"workflow {workflow.name!r}"
-    context = WorkflowContext(workflow=workflow, document=document, label=where)
-    report = _run_checks("workflow", context)
-    structural_errors = [finding for finding in report if finding.severity is Severity.ERROR]
-    if not structural_errors and len(workflow) > 0 and workflow.is_valid():
-        try:
-            encoding = encode_workflow(workflow)
-        except (WorkflowValidationError, ValueError) as exc:
-            report.add(
-                Finding(
-                    check="workflow-encoding",
-                    severity=Severity.ERROR,
-                    subject=workflow.name,
-                    message=f"workflow does not encode to HOCL: {exc}",
-                    fix_hint="fix the adaptation specifications named in the message",
-                    location=where,
-                )
-            )
-        else:
-            report.merge(analyze_encoding(encoding, label=where))
+    try:
+        workflow.validate()
+    except WorkflowError as exc:
+        return _refused(exc, workflow.name, where)
+    report = _run_checks("workflow", WorkflowContext(workflow=workflow, label=where))
+    if report.ok(Severity.ERROR):
+        report.merge(analyze_encoding(encode_workflow(workflow), label=where))
     return report
 
 
 def analyze_document(source: str | Path | Mapping[str, Any]) -> AnalysisReport:
-    """Lint a raw JSON workflow document (path, JSON text, or parsed dict).
+    """Lint a JSON workflow document (a path, JSON text or a parsed dict).
 
-    Loads *leniently*: structural offences the strict parser would raise on
-    (duplicate task names, dependencies on unknown tasks, cycles) become
-    findings, and analysis continues on the salvageable part of the DAG.
+    The document is loaded by :func:`~repro.workflow.json_format.workflow_from_json`,
+    as ``ginflow run`` and ``ginflow validate`` load it: what the loader
+    refuses is one ``workflow-document`` finding carrying its message, and
+    what it accepts is analysed as the program a run enacts.
     """
-    report = AnalysisReport()
-    document = _load_document(source)
-    label = f"workflow {document.get('name', '?')!r}" if isinstance(document, Mapping) else ""
-    if not isinstance(document, Mapping):
-        report.add(
-            Finding(
-                check="workflow-document",
-                severity=Severity.ERROR,
-                subject=str(source),
-                message=f"workflow document must be a JSON object, got "
-                f"{type(document).__name__}",
-                fix_hint='start from {"name": ..., "tasks": [...]}',
-                location=label,
-            )
-        )
-        return report
-    workflow = _lenient_workflow(document, report, label)
-    if workflow is None:
-        return report
-    return report.merge(analyze_workflow(workflow, document=document, label=label))
+    try:
+        workflow = workflow_from_json(source)
+    except WorkflowError as exc:
+        return _refused(exc, "workflow document", "")
+    return analyze_workflow(workflow)
 
 
 def analyze_scenario(spec: str, **overrides: Any) -> AnalysisReport:
     """Lint one scenario of the catalog (spec syntax ``name[:k=v,...]``)."""
     name, params = parse_scenario_spec(spec)
     params.update(overrides)
-    scenario = get_scenario(name)
-    label = f"scenario {name!r}"
-    workflow = scenario.build(**params)
-    context = ScenarioContext(scenario=scenario, workflow=workflow, params=params, label=label)
-    report = _run_checks("scenario", context)
-    return report.merge(analyze_workflow(workflow, label=label))
+    return analyze_workflow(get_scenario(name).build(**params), label=f"scenario {name!r}")
 
 
 def analyze_all_scenarios() -> AnalysisReport:
@@ -191,109 +178,3 @@ def analyze_all_scenarios() -> AnalysisReport:
     for name in available_scenarios():
         report.merge(analyze_scenario(name))
     return report
-
-
-# ------------------------------------------------------- lenient doc loading
-def _load_document(source: str | Path | Mapping[str, Any]) -> Any:
-    if isinstance(source, Mapping):
-        return source
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and source.endswith(".json")
-    ):
-        path = Path(source)
-        if not path.exists():
-            raise JSONFormatError(f"workflow file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-    else:
-        text = str(source)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JSONFormatError(f"invalid JSON workflow document: {exc}") from exc
-
-
-def _lenient_workflow(
-    document: Mapping[str, Any], report: AnalysisReport, label: str
-) -> Workflow | None:
-    """Build a workflow from ``document``, downgrading parse errors to findings.
-
-    Duplicate task names keep their first occurrence; dependencies on
-    unknown tasks and self-dependencies are dropped (each with a finding).
-    Cycles are *kept* — the workflow checks report them properly.
-    """
-    name = document.get("name", "workflow")
-    tasks = document.get("tasks")
-    if not isinstance(tasks, list) or not tasks:
-        report.add(
-            Finding(
-                check="workflow-document",
-                severity=Severity.ERROR,
-                subject=str(name),
-                message=f"workflow {name!r}: 'tasks' must be a non-empty list",
-                fix_hint="add at least one task object with name and service",
-                location=label,
-            )
-        )
-        return None
-    workflow = Workflow(name=str(name))
-    dependencies: list[tuple[str, str]] = []
-    for entry in tasks:
-        if not isinstance(entry, Mapping):
-            continue
-        task_name = entry.get("name")
-        service = entry.get("service")
-        if not isinstance(task_name, str) or not task_name or not isinstance(service, str):
-            report.add(
-                Finding(
-                    check="workflow-document",
-                    severity=Severity.ERROR,
-                    subject=str(task_name),
-                    message=f"task entry {task_name!r} lacks a usable name/service",
-                    fix_hint="every task needs non-empty string 'name' and 'service'",
-                    location=label,
-                )
-            )
-            continue
-        if task_name in workflow:
-            continue  # workflow-duplicate-task reports it from the raw document
-        try:
-            workflow.add_task(
-                Task(
-                    name=task_name,
-                    service=service,
-                    inputs=list(entry.get("inputs", [])),
-                    duration=float(entry.get("duration", 0.0)),
-                    metadata=dict(entry.get("metadata", {})),
-                )
-            )
-        except (WorkflowValidationError, TypeError, ValueError) as exc:
-            report.add(
-                Finding(
-                    check="workflow-document",
-                    severity=Severity.ERROR,
-                    subject=task_name,
-                    message=f"task {task_name!r} does not parse: {exc}",
-                    fix_hint="fix the offending field named in the message",
-                    location=label,
-                )
-            )
-            continue
-        for source_name in entry.get("depends_on", []):
-            dependencies.append((str(source_name), task_name))
-    for source_name, destination in dependencies:
-        try:
-            workflow.add_dependency(source_name, destination)
-        except WorkflowValidationError as exc:
-            report.add(
-                Finding(
-                    check="workflow-document",
-                    severity=Severity.ERROR,
-                    subject=destination,
-                    message=f"dependency {source_name!r} -> {destination!r} is invalid: {exc}",
-                    fix_hint="reference existing, distinct task names in depends_on",
-                    location=label,
-                )
-            )
-    if len(workflow) == 0:
-        return None
-    return workflow

@@ -7,13 +7,12 @@ audit``) the dynamic ones.
 
 A check function receives the context object of its kind (``"rule"`` →
 :class:`~repro.analysis.rule_checks.RuleScope`, ``"workflow"`` →
-:class:`~repro.analysis.workflow_checks.WorkflowContext`, ``"scenario"`` →
-:class:`~repro.analysis.scenario_checks.ScenarioContext`, ``"trace"`` →
+:class:`~repro.analysis.workflow_checks.WorkflowContext`, ``"trace"`` →
 :class:`~repro.analysis.trace_checks.TraceScope`, ``"run"`` →
 :class:`~repro.analysis.trace_checks.RunScope`, ``"plan"`` →
 :class:`~repro.analysis.plan_checks.PlanScope`, ``"obs"`` →
 :class:`~repro.analysis.obs_checks.ObsScope`) and returns an iterable of
-:class:`~repro.analysis.findings.Finding`.  The first three kinds are
+:class:`~repro.analysis.findings.Finding`.  The first two kinds are
 static (``ginflow lint``); the others are dynamic, consuming run
 artifacts (``ginflow audit``).
 """
@@ -23,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from . import obs_checks, plan_checks, rule_checks, scenario_checks, trace_checks, workflow_checks
+from . import obs_checks, plan_checks, rule_checks, trace_checks, workflow_checks
 from .findings import Finding, Severity
 
 __all__ = ["CHECK_KINDS", "CHECKS", "AnalysisCheck", "available_checks", "checks_for"]
 
-#: The context kinds a check can attach to.  ``rule``/``workflow``/``scenario``
+#: The context kinds a check can attach to.  ``rule``/``workflow``
 #: are the static kinds (``ginflow lint``); ``trace``/``run``/``plan``/``obs``
 #: are the dynamic kinds consuming run artifacts (``ginflow audit``).
-CHECK_KINDS = ("rule", "workflow", "scenario", "trace", "run", "plan", "obs")
+CHECK_KINDS = ("rule", "workflow", "trace", "run", "plan", "obs")
 
 #: A check: context object in, findings out.
 CheckFunction = Callable[[Any], Iterable[Finding]]
@@ -97,38 +96,13 @@ CHECKS: dict[str, AnalysisCheck] = {
         "rule-template-arity", "rule", ERROR, "Ref is for scalar bindings, Splice for omega bindings",
         rule_checks.check_template_arity,
     ),
-    "workflow-cycle": AnalysisCheck(
-        "workflow-cycle", "workflow", ERROR, "the dependency graph must be acyclic",
-        workflow_checks.check_cycle,
-    ),
     "workflow-orphan": AnalysisCheck(
         "workflow-orphan", "workflow", WARNING, "tasks disconnected from the rest of the workflow are suspicious",
         workflow_checks.check_orphans,
     ),
-    "workflow-unreachable": AnalysisCheck(
-        "workflow-unreachable", "workflow", ERROR,
-        "every task (and some exit task) must be reachable from the entry tasks",
-        workflow_checks.check_reachability,
-    ),
-    "workflow-duplicate-task": AnalysisCheck(
-        "workflow-duplicate-task", "workflow", ERROR, "task names in the source document must be unique",
-        workflow_checks.check_duplicate_tasks,
-    ),
     "workflow-json-safety": AnalysisCheck(
         "workflow-json-safety", "workflow", ERROR, "task inputs/metadata must survive the JSON round-trip losslessly",
         workflow_checks.check_json_safety,
-    ),
-    "scenario-cost-profile": AnalysisCheck(
-        "scenario-cost-profile", "scenario", ERROR, "declared cost-profile stages and stamped task stages must agree",
-        scenario_checks.check_cost_profile,
-    ),
-    "scenario-failure-profile": AnalysisCheck(
-        "scenario-failure-profile", "scenario", ERROR, "the declared failure profile must reach every generated task",
-        scenario_checks.check_failure_profile,
-    ),
-    "scenario-determinism": AnalysisCheck(
-        "scenario-determinism", "scenario", ERROR, "the same spec must always generate the same workflow",
-        scenario_checks.check_determinism,
     ),
     "trace-rule-never-fired": AnalysisCheck(
         "trace-rule-never-fired", "trace", ERROR, "every registered rule should fire at least once across the trace",
@@ -137,14 +111,6 @@ CHECKS: dict[str, AnalysisCheck] = {
     "trace-unknown-rule": AnalysisCheck(
         "trace-unknown-rule", "trace", ERROR, "every fired rule must be a registered one",
         trace_checks.check_unknown_rule,
-    ),
-    "trace-non-inert": AnalysisCheck(
-        "trace-non-inert", "trace", ERROR, "a finished reduction must have reached inertness",
-        trace_checks.check_non_inert,
-    ),
-    "trace-accounting": AnalysisCheck(
-        "trace-accounting", "trace", ERROR, "fire counters, history and the reactions total must agree",
-        trace_checks.check_trace_accounting,
     ),
     "run-message-accounting": AnalysisCheck(
         "run-message-accounting", "run", ERROR, "at quiescence every published message must have been delivered",

@@ -2,8 +2,8 @@
 
 The drivers are what ``ginflow audit`` and the pytest API call:
 
-* :func:`audit_reduction` — run the trace checks on one (possibly merged)
-  :class:`~repro.hocl.engine.ReductionReport` against a rule universe;
+* :func:`audit_fires` — run the trace checks on fire counters (of one run,
+  or summed over several) against a rule universe;
 * :func:`audit_run` — run the run-invariant checks on one
   :class:`~repro.runtime.results.RunReport`;
 * :func:`audit_plans` — run the adaptation-plan checks on every plan of a
@@ -21,9 +21,9 @@ run doubles as a correctness oracle.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from collections import Counter
+from typing import Any, Iterable, Mapping
 
-from repro.hocl.engine import ReductionReport
 from repro.hocl.rules import Rule
 from repro.hoclflow.translator import WorkflowEncoding, encode_workflow
 from repro.runtime.results import RunReport
@@ -38,7 +38,7 @@ from .trace_checks import RunScope, TraceScope, conditional_rule_names
 
 __all__ = [
     "enactment_rules",
-    "audit_reduction",
+    "audit_fires",
     "audit_run",
     "audit_plans",
     "audit_workflow",
@@ -80,12 +80,12 @@ def enactment_rules(encoding: WorkflowEncoding, mode: str = "simulated") -> tupl
 
 
 # ------------------------------------------------------------------- drivers
-def audit_reduction(
-    report: ReductionReport,
+def audit_fires(
+    fires: Mapping[str, int],
     rules: Iterable[Rule | str] = (),
-    label: str = "reduction",
+    label: str = "coverage",
 ) -> AnalysisReport:
-    """Run the trace checks on one reduction report.
+    """Run the trace checks on fire counters (per rule name).
 
     ``rules`` is the rule universe the reduced solution(s) registered —
     :class:`~repro.hocl.rules.Rule` objects enable the conditional-rule
@@ -96,7 +96,7 @@ def audit_reduction(
     names = tuple(rule.name if isinstance(rule, Rule) else rule for rule in rules)
     scope = TraceScope(
         label=label,
-        report=report,
+        fires=fires,
         registered=names,
         conditional=conditional_rule_names(rule_objects),
     )
@@ -120,15 +120,6 @@ def audit_plans(encoding: WorkflowEncoding, label: str = "") -> AnalysisReport:
         )
         report.merge(_run_checks("plan", scope))
     return report
-
-
-def _merged_fires(runs: list[RunReport]) -> ReductionReport:
-    """One synthetic reduction report aggregating every run's fire counters."""
-    merged = ReductionReport()
-    for run in runs:
-        fires = dict(run.rule_fires)
-        merged.merge(ReductionReport(run.reduction_reactions, run.reduction_match_attempts, rule_fires=fires))
-    return merged
 
 
 def audit_workflow(
@@ -194,11 +185,13 @@ def audit_workflow(
                 )
             )
 
-    merged = _merged_fires(runs)
-    if all_succeeded and merged.rule_fires:
+    merged: Counter[str] = Counter()
+    for run in runs:
+        merged.update(run.rule_fires)
+    if all_succeeded and merged:
         rules = enactment_rules(encoding, mode)
         report.merge(
-            audit_reduction(
+            audit_fires(
                 merged,
                 rules=rules,
                 label=f"{where}: coverage over {len(runs)} run(s) ({mode})",

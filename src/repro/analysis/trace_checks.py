@@ -2,8 +2,7 @@
 
 Where :mod:`repro.analysis.rule_checks` inspects rules *before* anything
 runs, the checks here consume the artifacts a run already produces — the
-per-rule fire counters of a :class:`~repro.hocl.engine.ReductionReport` and
-the task rows, message counters and timeline of a
+per-rule fire counters and the task rows, message counters and timeline of a
 :class:`~repro.runtime.results.RunReport` — and flag the failure class only
 execution can reveal: a registered rule that never fired over a whole sweep,
 a message published but never delivered, task bookkeeping that contradicts
@@ -11,8 +10,8 @@ itself, a STATUS timeline that goes backwards.
 
 Two scopes exist at this layer:
 
-* :class:`TraceScope` (kind ``"trace"``) — one reduction trace: registered
-  rule names vs the fire counters of a (possibly merged) report;
+* :class:`TraceScope` (kind ``"trace"``) — registered rule names vs the
+  fire counters of one run or of a whole sweep;
 * :class:`RunScope` (kind ``"run"``) — one enactment: the
   :class:`~repro.runtime.results.RunReport` a runtime assembled.
 
@@ -24,9 +23,8 @@ finding*, never a false positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from repro.hocl.engine import ReductionReport
 from repro.hocl.rules import Rule
 from repro.hoclflow import keywords as kw
 from repro.runtime.results import RunReport
@@ -59,18 +57,17 @@ def conditional_rule_names(rules: Iterable[Rule]) -> frozenset[str]:
 
 @dataclass
 class TraceScope:
-    """The unit of trace analysis: one reduction trace plus its rule universe.
+    """The unit of trace analysis: fire counters plus their rule universe.
 
     Attributes
     ----------
     label:
-        Where the trace comes from (``"run 'epigenomics' (simulated)"``).
-    report:
-        The reduction report — possibly the :meth:`ReductionReport.merge`
-        of every reduction of a whole run or sweep.
+        Where the counters come from (``"run 'epigenomics' (simulated)"``).
+    fires:
+        Firings per rule name — of one run, or summed over a whole sweep.
     registered:
         Names of every rule registered in the reduced solution(s); empty
-        disables the coverage checks (the trace alone cannot know what
+        disables the coverage checks (the counters alone cannot know what
         *could* have fired).
     conditional:
         Registered rules that only fire on failure/adaptation paths (see
@@ -79,7 +76,7 @@ class TraceScope:
     """
 
     label: str
-    report: ReductionReport
+    fires: Mapping[str, int]
     registered: tuple[str, ...] = ()
     conditional: frozenset[str] = frozenset()
 
@@ -110,7 +107,7 @@ def check_rule_never_fired(scope: TraceScope) -> Iterator[Finding]:
     Rules gated on failure/adaptation markers are reported as info (a clean
     run never exercises them).
     """
-    fires = scope.report.rule_fires
+    fires = scope.fires
     for name in scope.registered:
         if fires.get(name, 0) > 0:
             continue
@@ -145,62 +142,17 @@ def check_unknown_rule(scope: TraceScope) -> Iterator[Finding]:
     if not scope.registered:
         return
     known = set(scope.registered)
-    for name in scope.report.rule_fires:
+    for name, count in scope.fires.items():
         if name not in known:
             yield Finding(
                 check="trace-unknown-rule",
                 severity=Severity.ERROR,
                 subject=name,
-                message=f"trace records {scope.report.rule_fires[name]} firing(s) of "
+                message=f"trace records {count} firing(s) of "
                 f"{name!r}, which is not among the registered rules",
-                fix_hint="merge traces only with reports from the same rule universe",
+                fix_hint="sum fire counters only over runs of the same rule universe",
                 location=scope.label,
             )
-
-
-def check_non_inert(scope: TraceScope) -> Iterator[Finding]:
-    """``inert=False`` means the step limit was hit — a diverging rule set."""
-    if not scope.report.inert:
-        yield Finding(
-            check="trace-non-inert",
-            severity=Severity.ERROR,
-            subject=scope.label or "reduction",
-            message="reduction stopped at the step limit without reaching inertness",
-            fix_hint="look for a rule pair that keeps producing each other's input "
-            "(or raise max_steps if the workload is legitimately that large)",
-            location=scope.label,
-        )
-
-
-def check_trace_accounting(scope: TraceScope) -> Iterator[Finding]:
-    """The three redundant reaction counts must tell the same story.
-
-    ``sum(rule_fires)``, ``len(history)`` and ``reactions`` are maintained
-    by the same code path; disagreement means the report was tampered with
-    or merged incorrectly.
-    """
-    report = scope.report
-    fired_total = sum(report.rule_fires.values())
-    if report.rule_fires and fired_total != report.reactions:
-        yield Finding(
-            check="trace-accounting",
-            severity=Severity.ERROR,
-            subject=scope.label or "reduction",
-            message=f"per-rule fire counters sum to {fired_total} but the report "
-            f"records {report.reactions} reactions",
-            fix_hint="merge reports only via ReductionReport.merge",
-            location=scope.label,
-        )
-    if report.history and len(report.history) != report.reactions:
-        yield Finding(
-            check="trace-accounting",
-            severity=Severity.ERROR,
-            subject=scope.label or "reduction",
-            message=f"history records {len(report.history)} reactions but the report "
-            f"counts {report.reactions}",
-            fix_hint="merge reports only via ReductionReport.merge",
-            location=scope.label,
-        )
 
 
 # --------------------------------------------------------------- run checks

@@ -238,11 +238,8 @@ def validate(args: argparse.Namespace) -> int:
     from repro.analysis.findings import Severity
 
     workflow = _workflow_source(args)
-    workflow.validate()
-    # Structural and JSON round-trip checks are delegated to the analyzer —
-    # one implementation of cycle/orphan/JSON-safety shared with `ginflow
-    # lint`.  Only error-severity structural findings fail validation (the
-    # analyzer's warnings and rule-level findings belong to `lint`).
+    # The checks are `ginflow lint`'s: every error-severity finding fails
+    # validation, a rule-level one included; warnings and info do not.
     report = analyze_workflow(workflow)
     errors = [finding for finding in report if finding.severity is Severity.ERROR]
     if errors:

@@ -19,6 +19,7 @@ from typing import Any
 from repro.hocl import (
     Multiset,
     ReductionEngine,
+    ReductionError,
     ReductionReport,
     Subsolution,
     Symbol,
@@ -36,7 +37,11 @@ from repro.runtime.frozen import FrozenSetUp
 from repro.services import InvocationContext, ServiceRegistry
 from repro.workflow.dag import Workflow
 
-__all__ = ["CentralizedOutcome", "CentralizedExecutor"]
+__all__ = ["CentralizedOutcome", "CentralizedExecutor", "MAX_STEPS"]
+
+#: Reactions the one global reduction may make before the executor gives up
+#: with a :class:`~repro.hocl.ReductionError`.
+MAX_STEPS = 1_000_000
 
 
 class CentralizedOutcome(Record):
@@ -73,8 +78,6 @@ class CentralizedExecutor:
     ----------
     registry:
         Service registry resolving task services.
-    max_steps:
-        Safety bound on total reactions.
     obs:
         Optional :class:`~repro.obs.Observability` bundle: reduction-phase
         spans land on the ``"centralized"`` track, every service call gets
@@ -87,11 +90,9 @@ class CentralizedExecutor:
     def __init__(
         self,
         registry: ServiceRegistry | None = None,
-        max_steps: int = 1_000_000,
         obs: Any = None,
     ):
         self.registry = registry or ServiceRegistry()
-        self.max_steps = max_steps
         self.obs = obs
         self.trace = obs.active_tracer() if obs is not None else None
         self.metrics = obs.metrics if obs is not None else None
@@ -142,10 +143,13 @@ class CentralizedExecutor:
         externals = default_registry()
         register_workflow_externals(externals, invoke)
 
-        engine = ReductionEngine(
-            externals=externals, max_steps=self.max_steps, trace=self.trace, trace_track="centralized"
-        )
+        engine = ReductionEngine(externals=externals, max_steps=MAX_STEPS, trace=self.trace, trace_track="centralized")
         report = engine.reduce(solution)
+        if not report.inert:
+            raise ReductionError(
+                f"centralized: the reduction stopped after {report.reactions} reactions, "
+                f"at its bound of {engine.max_steps}, before the solution was inert"
+            )
 
         results: dict[str, Any] = {}
         errors: dict[str, str] = {}

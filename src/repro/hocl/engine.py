@@ -104,9 +104,9 @@ class ReductionReport(Record):
         produced), useful for debugging and for the execution traces.
     rule_fires:
         Number of firings per rule name, aggregated across the whole
-        reduction (and across merged reports).  ``sum(rule_fires.values())``
-        always equals ``reactions``; the dynamic analyzer uses this to flag
-        registered rules that never fired over a run or sweep.
+        reduction: ``sum(rule_fires.values())`` equals ``reactions``.  An
+        agent sums them over its stimuli; the dynamic analyzer uses them to
+        flag registered rules that never fired over a run or sweep.
     effects:
         What the fired rules' effect hooks returned, in firing order (see
         :class:`~repro.hocl.rules.Rule`): the report of one ``reduce`` call
@@ -124,23 +124,6 @@ class ReductionReport(Record):
         self.history = [] if history is None else history
         self.rule_fires = {} if rule_fires is None else rule_fires
         self.effects = [] if effects is None else effects
-
-    def merge(self, other: "ReductionReport") -> None:
-        """Accumulate ``other`` into this report.
-
-        Every counter is summed key-by-key: ``rule_fires`` keys present only
-        in ``other`` are *added*, not dropped, so merged accounting stays
-        balanced (``sum(rule_fires.values()) == reactions``) even when the two
-        sides saw disjoint rule sets — the invariant the dynamic analyzer's
-        accounting check relies on.
-        """
-        self.reactions += other.reactions
-        self.match_attempts += other.match_attempts
-        self.inert = self.inert and other.inert
-        self.history.extend(other.history)
-        self.effects.extend(other.effects)
-        for name, fires in other.rule_fires.items():
-            self.rule_fires[name] = self.rule_fires.get(name, 0) + fires
 
     def reduction_units(self, solution_size: int) -> float:
         """Cost units of this reduction: attempts weighted by solution size.

@@ -307,14 +307,6 @@ class Workflow:
         if not self._valid:
             self.validate()
 
-    def is_valid(self) -> bool:
-        """Whether :meth:`validate` passes."""
-        try:
-            self.validate()
-            return True
-        except WorkflowValidationError:
-            return False
-
     # -------------------------------------------------------------- utility
     def copy(self) -> "Workflow":
         """Deep copy of the workflow, including adaptations."""

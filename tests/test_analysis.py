@@ -221,23 +221,14 @@ class TestRuleChecks:
 
 # ----------------------------------------------------------- workflow checks
 class TestWorkflowChecks:
-    def test_cycle(self):
-        report = analyze_document(
-            {
-                "name": "cyclic",
-                "tasks": [
-                    {"name": "a", "service": "s", "depends_on": ["c"]},
-                    {"name": "b", "service": "s", "depends_on": ["a"]},
-                    {"name": "c", "service": "s", "depends_on": ["b"]},
-                ],
-            }
-        )
-        (finding,) = findings_for(report, "workflow-cycle")
-        assert finding.severity is Severity.ERROR
-        assert "->" in finding.message
-        # a cyclic workflow also has no reachable exit task
-        unreachable = findings_for(report, "workflow-unreachable")
-        assert unreachable and all(f.severity is Severity.ERROR for f in unreachable)
+    def test_a_cycle_built_in_memory_is_one_finding_naming_it(self):
+        workflow = Workflow(name="cyclic")
+        for name in "abc":
+            workflow.add_task(Task(name=name, service="s"))
+        workflow.chain("a", "b", "c", "a")
+        (finding,) = analyze_workflow(workflow)
+        assert finding.check == "workflow-document" and finding.severity is Severity.ERROR
+        assert "contains a cycle" in finding.message and all(repr(name) in finding.message for name in "abc")
 
     def test_orphan_task(self):
         report = analyze_document(
@@ -254,22 +245,6 @@ class TestWorkflowChecks:
         assert finding.severity is Severity.WARNING
         assert finding.subject == "lone"
 
-    def test_duplicate_task_name(self):
-        report = analyze_document(
-            {
-                "name": "dup",
-                "tasks": [
-                    {"name": "a", "service": "s"},
-                    {"name": "a", "service": "other"},
-                    {"name": "b", "service": "s", "depends_on": ["a"]},
-                ],
-            }
-        )
-        (finding,) = findings_for(report, "workflow-duplicate-task")
-        assert finding.severity is Severity.ERROR
-        assert finding.subject == "a"
-        assert "rename" in finding.fix_hint
-
     def test_json_safety(self):
         workflow = Workflow(name="unsafe")
         workflow.add_task(Task(name="a", service="s", metadata={"bad": object()}))
@@ -278,6 +253,7 @@ class TestWorkflowChecks:
         assert findings and findings[0].severity is Severity.ERROR
 
     def test_document_errors_are_findings_not_exceptions(self):
+        """The loader reports its first refusal: one finding, not one per offence."""
         report = analyze_document(
             {
                 "name": "broken-doc",
@@ -288,76 +264,14 @@ class TestWorkflowChecks:
                 ],
             }
         )
-        documents = findings_for(report, "workflow-document")
-        assert len(documents) == 2
-        assert all(f.severity is Severity.ERROR for f in documents)
+        (finding,) = report
+        assert finding.check == "workflow-document" and finding.severity is Severity.ERROR
+        assert "non-empty string" in finding.message
 
     def test_clean_workflow_has_no_findings(self):
         report = analyze_workflow(diamond_workflow(3, 2))
         assert report.ok(Severity.WARNING)
         assert len(report) == 0
-
-
-# ----------------------------------------------------------- scenario checks
-class TestScenarioChecks:
-    def test_cost_profile_drift(self, scratch_scenario):
-        def factory(size=4, seed=0):
-            workflow = Workflow(name="drifted")
-            previous = None
-            for index in range(max(2, size)):
-                name = f"t{index}"
-                workflow.add_task(
-                    Task(name=name, service="s", metadata={"stage": "compute"})
-                )
-                if previous is not None:
-                    workflow.add_dependency(previous, name)
-                previous = name
-            return workflow
-
-        scratch_scenario(
-            "drifted-profile", factory, cost_profile={"mystery": (1.0, 2.0)}
-        )
-        report = analyze_scenario("drifted-profile")
-        findings = findings_for(report, "scenario-cost-profile")
-        subjects = {f.subject for f in findings}
-        assert "mystery" in subjects  # declared but never stamped
-        assert "compute" in subjects  # stamped but never declared
-        assert all(f.severity is Severity.ERROR for f in findings)
-
-    def test_failure_profile_must_reach_every_task(self, scratch_scenario):
-        def factory(size=2, seed=0):
-            workflow = Workflow(name="unprofiled")
-            workflow.add_task(Task(name="a", service="s", metadata={"idempotent": True}))
-            workflow.add_task(Task(name="b", service="s"))
-            workflow.add_dependency("a", "b")
-            return workflow
-
-        scratch_scenario(
-            "missing-profile", factory, failure_profile={"idempotent": True}
-        )
-        report = analyze_scenario("missing-profile")
-        (finding,) = findings_for(report, "scenario-failure-profile")
-        assert finding.severity is Severity.ERROR
-        assert finding.subject == "idempotent"
-        assert "'b'" in finding.message
-
-    def test_nondeterministic_factory(self, scratch_scenario):
-        ticks = iter(range(1000))
-
-        def factory(size=2, seed=0):
-            workflow = Workflow(name="jittery")
-            workflow.add_task(
-                Task(name="a", service="s", duration=0.1 + next(ticks))
-            )
-            workflow.add_task(Task(name="b", service="s"))
-            workflow.add_dependency("a", "b")
-            return workflow
-
-        scratch_scenario("jittery", factory)
-        report = analyze_scenario("jittery")
-        (finding,) = findings_for(report, "scenario-determinism")
-        assert finding.severity is Severity.ERROR
-        assert "seed" in finding.fix_hint
 
 
 # ------------------------------------------------- shipped catalog is clean
@@ -417,21 +331,15 @@ class TestCheckTable:
             "rule-duplicate-name",
             "rule-shadowed",
             "rule-template-arity",
-            "workflow-cycle",
             "workflow-orphan",
-            "workflow-unreachable",
-            "workflow-duplicate-task",
             "workflow-json-safety",
-            "scenario-cost-profile",
-            "scenario-failure-profile",
-            "scenario-determinism",
         } <= ids
 
     def test_every_row_is_one_check_under_its_own_id(self):
         import repro.analysis.checks as checks
 
         written = literal_keys(checks.__file__, "CHECKS")
-        assert len(written) == len(set(written)) == len(CHECKS) == 28
+        assert len(written) == len(set(written)) == len(CHECKS) == 20
         assert tuple(written) == tuple(CHECKS) == tuple(check.id for check in available_checks())
         for check_id, check in CHECKS.items():
             assert check.id == check_id
@@ -547,13 +455,13 @@ class TestLintCLI:
     def test_lint_broken_workflow(self, broken_file, capsys):
         assert main(["lint", broken_file]) == 1
         output = capsys.readouterr().out
-        assert "workflow-cycle" in output and "[error]" in output
+        assert "workflow-document" in output and "[error]" in output and "contains a cycle" in output
 
     def test_lint_json_output(self, broken_file, capsys):
         assert main(["lint", broken_file, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert any(f["check"] == "workflow-cycle" for f in payload["findings"])
+        assert [f["check"] for f in payload["findings"]] == ["workflow-document"]
 
     def test_lint_json_out_artifact(self, broken_file, tmp_path, capsys):
         artifact = tmp_path / "findings.json"
@@ -576,3 +484,59 @@ class TestLintCLI:
         assert main(["validate", workflow_file]) == 0
         assert "OK" in capsys.readouterr().out
         assert main(["validate", broken_file]) == 2
+
+
+def _document(tasks=None, **top):
+    if tasks is None:
+        tasks = [{"name": name, "service": "s", "depends_on": list(source)} for name, source in zip("abc", ("", "a", "b"))]
+    return json.dumps({"name": "hostile", "tasks": tasks, **top})
+
+
+def _adaptation(**fields):
+    replacement = {"name": "alt", "tasks": [{"name": "b2", "service": "s"}]}
+    return [{"name": "swap", "replaced": ["b"], "entry_sources": {"b2": ["a"]}, "replacement": replacement, **fields}]
+
+
+#: documents the loader refuses, one per way of being wrong
+HOSTILE_DOCUMENTS = {
+    "invalid-json": '{"name": "hostile", "tasks": [',
+    "not-an-object": "[1, 2]",
+    "empty-tasks": _document([]),
+    "unknown-document-key": _document(task=[]),
+    "unknown-task-key": _document([{"name": "a", "service": "s"}, {"name": "b", "service": "s", "sources": ["a"]}]),
+    "unknown-adaptation-key": _document(adaptations=_adaptation(trigger=["b"])),
+    "wrong-type": _document([{"name": "a", "service": "s", "duration": "slow"}]),
+    "duplicate-task": _document([{"name": "a", "service": "s"}, {"name": "a", "service": "t"}]),
+    "self-dependency": _document([{"name": "a", "service": "s", "depends_on": ["a"]}]),
+    "unknown-dependency": _document([{"name": "a", "service": "s", "depends_on": ["nowhere"]}]),
+    "cycle": _document([{"name": "a", "service": "s", "depends_on": ["b"]}, {"name": "b", "service": "s", "depends_on": ["a"]}]),
+    "adaptation-of-an-unknown-task": _document(adaptations=_adaptation(replaced=["ghost"])),
+}
+
+
+class TestLintAndValidateAgree:
+    @pytest.mark.parametrize("text", HOSTILE_DOCUMENTS.values(), ids=HOSTILE_DOCUMENTS.keys())
+    def test_a_hostile_document_is_one_error_carrying_the_loaders_message(self, text, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        validated = capsys.readouterr()
+        assert validated.out == "" and validated.err.startswith("error: ") and validated.err.count("\n") == 1
+        message = validated.err[len("error: "):-1]
+        assert main(["lint", str(path), "--json"]) == 1
+        linted = capsys.readouterr()
+        (finding,) = json.loads(linted.out)["findings"]
+        assert (finding["check"], finding["severity"], finding["message"]) == ("workflow-document", "error", message)
+        assert "Traceback" not in validated.err + linted.out + linted.err
+
+    def test_lint_analyses_the_program_a_run_enacts(self, tmp_path, monkeypatch, capsys):
+        from repro.analysis import analyzer
+
+        path = tmp_path / "adaptive.json"
+        workflow_to_json(adaptive_diamond_workflow(3, 3), path)
+        encodings, analyze_encoding = [], analyzer.analyze_encoding
+        monkeypatch.setattr(analyzer, "analyze_encoding", lambda encoding, label="": encodings.append(encoding) or analyze_encoding(encoding, label))
+        assert main(["lint", str(path), "--fail-on", "error"]) == 0
+        (encoding,) = encodings
+        rules = len(encoding.global_rules) + sum(len(task.local_rules) for task in encoding.tasks.values())
+        assert (rules, len(encoding.plans)) == (47, 1)

@@ -20,7 +20,6 @@ from repro.cluster import (
 from repro.messaging import (
     InProcessBroker,
     Message,
-    MessageKind,
     MessageLog,
     SimulatedBroker,
     agent_topic,

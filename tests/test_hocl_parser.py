@@ -9,11 +9,9 @@ from repro.hocl import (
     ListAtom,
     ParseError,
     Ref,
-    Rule,
     StringAtom,
     Subsolution,
     Symbol,
-    TupleAtom,
     reduce_solution,
 )
 from repro.hocl.parser import parse_program, parse_solution

@@ -9,7 +9,6 @@ from repro.hocl import (
     Call,
     Compare,
     ExternalFunctionError,
-    ExternalRegistry,
     FloatAtom,
     IntAtom,
     ListAtom,
@@ -456,12 +455,6 @@ class TestReduction:
     def test_report_history_records_rules(self):
         report = reduce_solution(Multiset([1, 2, max_rule()]))
         assert [r.rule for r in report.history] == ["max"]
-
-    def test_report_merge(self):
-        a = reduce_solution(Multiset([1, 2, max_rule()]))
-        b = reduce_solution(Multiset([3, 4, max_rule()]))
-        a.merge(b)
-        assert a.reactions == 2
 
 
 class TestIncrementalReduction:

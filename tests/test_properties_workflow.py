@@ -64,7 +64,7 @@ def test_json_roundtrip_preserves_structure(workflow):
     clone = workflow_from_json(workflow_to_json(workflow))
     assert set(clone.task_names()) == set(workflow.task_names())
     assert sorted(clone.dependencies()) == sorted(workflow.dependencies())
-    assert clone.is_valid()
+    clone.validate()
 
 
 @settings(max_examples=25, deadline=None)

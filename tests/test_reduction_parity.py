@@ -42,7 +42,6 @@ from repro.hocl import (
     Omega,
     ReductionEngine,
     ReductionError,
-    ReductionReport,
     Ref,
     Rule,
     SolutionPattern,
@@ -263,24 +262,6 @@ class TestRuntimeParity:
             task.metadata["force_error"] = True
         report = GinFlow().run(workflow, mode=mode)
         assert not report.succeeded and report.adaptations_triggered == 1
-
-
-class TestReportMergeAccounting:
-    """`ReductionReport.merge` must add keys absent on either side."""
-
-    def test_merge_adds_absent_rule_keys(self):
-        left = ReductionReport(reactions=1, rule_fires={"a": 1})
-        left.merge(ReductionReport(reactions=3, rule_fires={"b": 3}))
-        assert left.rule_fires == {"a": 1, "b": 3}
-        assert left.reactions == 4
-        assert sum(left.rule_fires.values()) == left.reactions
-
-    def test_merge_into_empty_report(self):
-        merged = ReductionReport()
-        merged.merge(ReductionReport(reactions=2, rule_fires={"r": 2}, inert=False, effects=["e"]))
-        assert merged.rule_fires == {"r": 2} and merged.effects == ["e"]
-        assert not merged.inert
-        assert sum(merged.rule_fires.values()) == merged.reactions
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,9 @@
   ``timed_out=True`` and ``succeeded=False`` on the asyncio runtime — and so
   must a simulated run cut off at its virtual horizon with calls still queued
   (a queue that drains is a stall, not that).
+* A reduction cut off at its step bound ends the run with a
+  ``ReductionError`` naming the agent, on every runtime — not a stall until
+  the virtual horizon or the wall-clock timeout.
 * A service result with no HOCL atom form (``None``, a dict, ...) is a failure
   of the task on every runtime — not an ``AtomError`` or ``ReductionError``
   out of ``run``, nor a worker lost to one and a wait until the timeout.
@@ -28,12 +31,14 @@ import pytest
 from repro import cli, commands
 from repro.agents import AgentCore
 from repro.agents.recovery import rebuild_agent
+from repro.hocl import ReductionError
 from repro.hoclflow.translator import encode_workflow
 from repro.messaging import InProcessBroker, Message, MessageKind, adapt_count, agent_topic
 from repro.runtime import AsyncioRun, GinFlow, GinFlowConfig, RunReport, run_asyncio, run_simulation
 from repro.runtime.enactment import AgentHost, EnactmentEngine, PreparedInvocation
 from repro.services import InvocationContext, InvocationResult, Service, ServiceRegistry
-from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow
+from repro.workflow import Task, Workflow, adaptive_diamond_workflow, diamond_workflow, split_workflow
+from repro.workflow.json_format import workflow_to_json
 
 
 class TestAdaptCoercionParity:
@@ -247,3 +252,28 @@ class TestTimeoutSurfacing:
         assert report.succeeded
         assert not report.timed_out
         assert report.summary()["timed_out"] is False
+
+
+class TestReductionBound:
+    @pytest.fixture(autouse=True)
+    def low_bounds(self, monkeypatch):
+        """The source of ``split_workflow(10)`` passes its result on in 10 reactions."""
+        monkeypatch.setattr("repro.agents.core.MAX_REDUCTION_STEPS", 8)
+        monkeypatch.setattr("repro.executors.centralized.MAX_STEPS", 20)
+
+    @pytest.mark.parametrize(
+        "mode, reducer", [("simulated", "agent 'source'"), ("asyncio", "agent 'source'"), ("centralized", "centralized")]
+    )
+    def test_a_cut_off_reduction_ends_the_run_with_a_named_error(self, mode, reducer):
+        started = time.perf_counter()
+        with pytest.raises(ReductionError, match=rf"^{reducer}: .* stopped after \d+ reactions, at its bound of (8|20),"):
+            GinFlow().run(split_workflow(10), mode=mode, timeout=5.0)
+        assert time.perf_counter() - started < 2.0
+
+    def test_ginflow_run_prints_one_error_line_and_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "split.json"
+        workflow_to_json(split_workflow(10), path)
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: agent 'source': the invocation_succeeded reduction stopped after 8")

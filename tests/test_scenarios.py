@@ -167,6 +167,8 @@ class TestCatalogInvariants:
             assert task.metadata["idempotent"] is True
             low, high = scenario.cost_profile[stage]
             assert low <= task.duration <= high
+        # at its defaults a family stamps every stage it declares, and no other
+        assert {task.metadata["stage"] for task in scenario.build()} == set(scenario.cost_profile)
 
     def test_json_roundtrip_lossless(self, name):
         workflow = build_scenario(f"{name}:size=30,seed=4")

@@ -16,7 +16,7 @@ from repro.analysis.checks import available_checks
 from repro.analysis.trace import (
     audit_all_scenarios,
     audit_plans,
-    audit_reduction,
+    audit_fires,
     audit_run,
     audit_scenario,
     audit_workflow,
@@ -30,7 +30,6 @@ from repro.analysis.trace_checks import conditional_rule_names
 from repro.obs import EventRecord, SpanRecord
 from repro.cli import main
 from repro.hocl import Ref, Symbol, Var, replace
-from repro.hocl.engine import ReductionReport
 from repro.hoclflow import keywords as kw
 from repro.hoclflow.adaptation import build_plan
 from repro.hoclflow.translator import encode_workflow
@@ -70,19 +69,11 @@ class TestFireCounters:
         assert fires["gw_setup"] > 0 and fires["gw_call"] > 0 and fires["gw_pass"] > 0
         assert set(fires) <= {rule.name for rule in enactment_rules(encode_workflow(run_workflow))}
 
-    def test_reduction_report_merge_accumulates_fires(self):
-        left = ReductionReport(reactions=2, rule_fires={"a": 2})
-        right = ReductionReport(reactions=3, rule_fires={"a": 1, "b": 2})
-        left.merge(right)
-        assert left.rule_fires == {"a": 3, "b": 2}
-        assert sum(left.rule_fires.values()) == left.reactions == 5
-
 
 # ------------------------------------------------------------- trace checks
 class TestTraceChecks:
     def test_never_fired_rule_is_an_error(self):
-        trace = ReductionReport(reactions=1, rule_fires={"fires": 1}, inert=True)
-        report = audit_reduction(trace, rules=["fires", "silent"])
+        report = audit_fires({"fires": 1}, rules=["fires", "silent"])
         (finding,) = findings_for(report, "trace-rule-never-fired")
         assert finding.severity is Severity.ERROR
         assert finding.subject == "silent"
@@ -91,37 +82,22 @@ class TestTraceChecks:
         adaptation = replace("on_adapt", [Symbol(kw.ADAPT)], [])
         plain = replace("plain", [Var("x")], [Ref("x")])
         assert conditional_rule_names([adaptation, plain]) == frozenset({"on_adapt"})
-        trace = ReductionReport(reactions=1, rule_fires={"plain": 1})
-        report = audit_reduction(trace, rules=[adaptation, plain])
+        report = audit_fires({"plain": 1}, rules=[adaptation, plain])
         (finding,) = findings_for(report, "trace-rule-never-fired")
         assert finding.severity is Severity.INFO
         assert finding.subject == "on_adapt"
         assert report.ok(Severity.WARNING)
 
     def test_unknown_fired_rule_is_an_error(self):
-        trace = ReductionReport(reactions=3, rule_fires={"known": 1, "ghost": 2})
-        report = audit_reduction(trace, rules=["known"])
+        report = audit_fires({"known": 1, "ghost": 2}, rules=["known"])
         (finding,) = findings_for(report, "trace-unknown-rule")
         assert finding.severity is Severity.ERROR
         assert finding.subject == "ghost"
 
     def test_unknown_rule_skipped_without_a_universe(self):
-        trace = ReductionReport(reactions=2, rule_fires={"whatever": 2})
-        report = audit_reduction(trace)  # no registered rules
+        report = audit_fires({"whatever": 2})  # no registered rules
         assert not findings_for(report, "trace-unknown-rule")
         assert not findings_for(report, "trace-rule-never-fired")
-
-    def test_non_inert_trace_is_an_error(self):
-        report = audit_reduction(ReductionReport(inert=False))
-        (finding,) = findings_for(report, "trace-non-inert")
-        assert finding.severity is Severity.ERROR
-        assert "step limit" in finding.message
-
-    def test_fire_counter_sum_must_match_reactions(self):
-        trace = ReductionReport(reactions=5, rule_fires={"a": 1})
-        report = audit_reduction(trace)
-        (finding,) = findings_for(report, "trace-accounting")
-        assert "1" in finding.message and "5" in finding.message
 
 
 # --------------------------------------------------------------- run checks
@@ -389,19 +365,19 @@ class TestAuditDrivers:
 
     def test_custom_trace_check_runs_in_audit(self, monkeypatch):
         def check_min_reactions(scope):
-            if scope.report.reactions < 10:
+            if sum(scope.fires.values()) < 10:
                 yield Finding(
                     check="custom-min-reactions",
                     severity=Severity.WARNING,
                     subject=scope.label,
-                    message=f"only {scope.report.reactions} reactions",
+                    message=f"only {sum(scope.fires.values())} reactions",
                     location=scope.label,
                 )
 
         monkeypatch.setitem(CHECKS, "custom-min-reactions", AnalysisCheck(
             "custom-min-reactions", "trace", Severity.WARNING, "flag suspiciously tiny traces", check_min_reactions,
         ))
-        report = audit_reduction(ReductionReport(reactions=3, rule_fires={"a": 3}))
+        report = audit_fires({"a": 3})
         (finding,) = findings_for(report, "custom-min-reactions")
         assert finding.severity is Severity.WARNING
 
@@ -483,8 +459,6 @@ class TestDynamicCheckTable:
         assert {
             "trace-rule-never-fired",
             "trace-unknown-rule",
-            "trace-non-inert",
-            "trace-accounting",
             "run-message-accounting",
             "run-task-bookkeeping",
             "run-status-ordering",
